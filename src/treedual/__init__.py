@@ -9,7 +9,7 @@ from .errors import (AssumptionFailError, AugmentInfeasibleError,
                      InvalidTreeError, NoMartingaleMeasureError,
                      NonconvergedError, NoPrimalOptimizerError, ParseError,
                      NotExponentialError, ReplicationGapError, TreedualError,
-                     ZeroMassError)
+                     ValueAtSupremumError, ZeroMassError)
 from .market import (AdaptedProcess, MarketTree, NodeRecord, RandomVariable,
                      condition, leaf_probabilities, leaf_values, load_market,
                      market_from_dict, market_to_dict, save_market)

@@ -14,9 +14,7 @@ invariants), 2 input error (bad files, unknown names, bad flags).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -181,6 +179,7 @@ def _cmd_price(args, out: _Out):
     endow = _pick_endowment(tree, args.endowment)
     claim = _pick_claim(tree, args.claim)
     rep = price_report(tree, pair, endow, claim, solver_tol=args.tol)
+    out.manifest["dual_solves"] = rep.dual_solves
     out.say(f"bid:   {f12(rep.bid)}")
     out.say(f"offer: {f12(rep.offer)}")
     out.say(f"certainty equivalent: {f12(rep.certainty_equivalent)}")
@@ -208,27 +207,17 @@ def _cmd_curve(args, out: _Out):
     endow = _pick_endowment(tree, args.endowment)
     claim = _pick_claim(tree, args.claim)
     betas = _parse_betas(args.betas)
-    if args.workers > 1:
-        # independent volumes parallelize; assembly order is fixed by input
-        with concurrent.futures.ThreadPoolExecutor(args.workers) as ex:
-            parts = list(ex.map(
-                lambda b: average_price_curve(tree, pair, endow, claim, [b],
-                                              solver_tol=args.tol), betas))
-        prices = [p.prices[0] for p in parts]
-        lp_lo, davis = parts[0].lp_lower, parts[0].davis
-    else:
-        rep = average_price_curve(tree, pair, endow, claim, betas,
-                                  solver_tol=args.tol)
-        prices = list(rep.prices)
-        lp_lo, davis = rep.lp_lower, rep.davis
+    rep = average_price_curve(tree, pair, endow, claim, betas,
+                              solver_tol=args.tol)
+    out.manifest["dual_solves"] = rep.dual_solves
     out.say("beta  average_price")
-    for b, p in zip(betas, prices):
+    for b, p in zip(betas, rep.prices):
         out.say(f"  {f12(b)}  {f12(p)}")
-    out.say(f"large-volume limit (lower bound): {f12(lp_lo)}")
-    out.say(f"zero-volume limit (marginal price): {f12(davis)}")
+    out.say(f"large-volume limit (lower bound): {f12(rep.lp_lower)}")
+    out.say(f"zero-volume limit (marginal price): {f12(rep.davis)}")
     out.csv("volume_curve.csv", ["beta", "average_price", "lp_lower", "davis"],
-            [[f12(b), f12(p), f12(lp_lo), f12(davis)]
-             for b, p in zip(betas, prices)])
+            [[f12(b), f12(p), f12(rep.lp_lower), f12(rep.davis)]
+             for b, p in zip(betas, rep.prices)])
     return EXIT_OK
 
 
@@ -357,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "csv", "structured"),
                        default="text")
         p.add_argument("--output-dir", default=None)
-        p.add_argument("--workers", type=int,
-                       default=int(os.environ.get("TREEDUAL_WORKERS", "1")))
 
     p = sub.add_parser("geometry", help="constraints, feasibility, vertices")
     common(p, utility=False)

@@ -24,7 +24,8 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .errors import (EvaluationOverflowError, InfeasibleEntropyError,
-                     NoMartingaleMeasureError, NonconvergedError)
+                     NoMartingaleMeasureError, NonconvergedError,
+                     ValueAtSupremumError)
 from .geometry import (MeasureVector, _support_structure, build_constraints,
                        relative_entropy)
 from .market import MarketTree, RandomVariable, leaf_values
@@ -243,8 +244,9 @@ def _newton_core(A, p, e, pair, q0, *, mass=None, tol=DEFAULT_TOL,
                     "dual objective fell below the floating-point range")
             return mu_w, f, res_w, ({"tau": 0.0, "steps": used,
                                      "residual": res_w},)
-        mu = mu_w if res_w < res0 else np.array(
-            q0 * (1.0 if mass is None else mass), dtype=float)
+        # a failed polish may have left a poor iterate: restart the barrier
+        # from the interior point
+        mu = np.array(q0 * (1.0 if mass is None else mass), dtype=float)
 
     def barrier_value(m, tau):
         f = _objective(pair, p, e, m)
@@ -380,7 +382,9 @@ def solve_dual(tree: MarketTree, pair: UtilityPair, endow=0.0, *,
     Returns the unique optimal measure with its mass, normalization, value
     and stationarity residual.  The support flag is DEGENERATE when no
     equivalent martingale measure exists (the optimum then sits on the
-    boundary and primal recovery refuses).
+    boundary and primal recovery refuses).  Raises
+    :class:`ValueAtSupremumError` when the optimal value cannot be told apart
+    from sup U.
     """
     e = leaf_values(tree, endow)
     p = tree.leaf_probability_array
@@ -402,9 +406,10 @@ def solve_dual(tree: MarketTree, pair: UtilityPair, endow=0.0, *,
     mu[mask] = mu_s
     value = _objective(pair, p, e, mu)  # includes V(0) terms on dead leaves
     mass = float(mu.sum())
-    assert mass > 0.0, "dual minimizer must be a non-zero measure"
-    if math.isfinite(pair.u_inf):
-        assert value < pair.u_inf, "dual value must beat the zero measure"
+    if not (mass > 0.0 and value < pair.u_inf):
+        raise ValueAtSupremumError(
+            f"optimal value {value!r} (dual mass {mass!r}) is within solver "
+            f"tolerance of sup U = {pair.u_inf!r}")
     return DualSolution(
         tree=tree, pair=pair,
         mu=MeasureVector.from_array(tree, mu),

@@ -84,6 +84,17 @@ class InfeasibleEntropyError(TreedualError):
     code = "INFEASIBLE_ENTROPY"
 
 
+class ValueAtSupremumError(TreedualError):
+    """Optimal value within solver tolerance of sup U.
+
+    The dual mass has vanished numerically: the endowment is so large that
+    the optimal expected utility cannot be told apart from its supremum.
+    Pricing routines interpret this as "utility is above any finite target".
+    """
+
+    code = "AT_SUPREMUM"
+
+
 class NoPrimalOptimizerError(TreedualError):
     """Dual optimum is degenerate; no primal optimizer exists."""
 

@@ -175,7 +175,8 @@ def _support_structure(tree: MarketTree):
 
     The support is the union of supports over the polytope: leaf l belongs
     iff max q_l over the polytope is positive.  The returned q is strictly
-    positive on the support (max-min LP restricted there).
+    positive on the support (max-min LP restricted there) and satisfies the
+    equalities to rounding.
     """
     sol = _max_min_coordinate(tree)
     if sol is None:
@@ -183,9 +184,10 @@ def _support_structure(tree: MarketTree):
             "no absolutely continuous martingale measure exists")
     t_star, q = sol
     L = tree.n_leaves
-    if t_star >= EQUIVALENCE_TOL:
-        return np.ones(L, dtype=bool), q
     A = build_constraints(tree).matrix
+    if t_star >= EQUIVALENCE_TOL:
+        mask = np.ones(L, dtype=bool)
+        return mask, _project_interior(A, mask, q)
     m = A.shape[0]
     mask = q > EQUIVALENCE_TOL
     for l in range(L):
@@ -205,7 +207,29 @@ def _support_structure(tree: MarketTree):
     if sol_s is None or sol_s[0] < EQUIVALENCE_TOL:
         raise NoMartingaleMeasureError(
             "martingale polytope has empty relative interior")  # should not happen
-    return mask, sol_s[1]
+    return mask, _project_interior(A, mask, sol_s[1])
+
+
+def _project_interior(A, mask, q):
+    """Put the max-min LP point exactly on {A q = 0, sum q = 1} over the support.
+
+    The simplex leaves equality residuals of its pivoting tolerance (2.5e-6
+    on some two-asset trees); every solve started from ``q`` would inherit
+    them.  One least-squares correction removes them; losing positivity
+    means the LP point was not interior after all.
+    """
+    M = np.vstack([A[:, mask], np.ones((1, int(mask.sum())))])
+    rhs = np.zeros(M.shape[0])
+    rhs[-1] = 1.0
+    qs = q[mask]
+    dq, *_ = np.linalg.lstsq(M, M @ qs - rhs, rcond=None)
+    qs = qs - dq
+    if not np.all(qs > 0):
+        raise NoMartingaleMeasureError(
+            "interior martingale measure lost positivity on projection")
+    out = np.zeros_like(q)
+    out[mask] = qs
+    return out
 
 
 # -- entropy ---------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Utility-based prices: indifference, entropic-penalty, marginal, bounds.
 
 The bid price of a claim makes the agent indifferent between holding the
-claim minus cash and holding nothing, located by bisection on the strictly
-cash-monotone optimal value.  The same price is recomputed independently as
-a penalized worst-case expectation (inf over martingale measures of the
-expectation plus a normalized excess-entropy penalty); the two methods agree
-to cross-method tolerance on every instance and that residual is reported.
+claim minus cash and holding nothing.  The optimal value is strictly
+increasing in cash with the optimal dual mass as its derivative, so the bid,
+the offer and the certainty equivalent are located by bracketed Newton steps
+in certainty-equivalent units, warm-starting each dual solve from the last.
+The same price is recomputed independently as a penalized worst-case
+expectation (inf over martingale measures of the expectation plus a
+normalized excess-entropy penalty), with the mass found by Newton steps on
+the stationarity condition of the normalized gap; the two methods agree to
+cross-method tolerance on every instance and that residual is reported.
+Every report counts the dual solves it made.
 Marginal (zero-volume) prices are expectations under the normalized optimal
 dual measure; no-arbitrage bounds come from linear programs over the
 martingale polytope; price processes for new assets are accepted exactly
@@ -21,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import (DualSolution, solve_dual, solve_dual_fixed_mass)
-from .errors import (AugmentInfeasibleError, BracketFailError,
+from .errors import (AugmentInfeasibleError, BracketFailError, DomainError,
                      EvaluationOverflowError, InfeasibleEntropyError,
-                     InfiniteEntropyError, NoMartingaleMeasureError)
+                     InfiniteEntropyError, NoMartingaleMeasureError,
+                     ValueAtSupremumError)
 from .geometry import (MeasureVector, build_constraints, find_equivalent_mm,
                        relative_entropy, _support_structure)
 from .market import (AdaptedProcess, MarketTree, RandomVariable, leaf_values,
@@ -50,75 +56,121 @@ def price_bounds(tree: MarketTree, claim) -> tuple[float, float]:
     return float(lo.value), float(-hi.value)
 
 
-def _value(tree, pair, endow, *, tol, start=None):
-    """Optimal value for the given endowment; -inf when below float range."""
-    try:
-        sol = solve_dual(tree, pair, endow, tol=tol, start=start)
-        return sol.value, sol
-    except EvaluationOverflowError:
-        return -math.inf, None
+class SolveCounter:
+    """Counts the dual solves made on behalf of one or more pricing calls."""
+
+    def __init__(self):
+        self.n = 0
+
+    def dual(self, *args, **kwargs):
+        self.n += 1
+        return solve_dual(*args, **kwargs)
+
+    def fixed_mass(self, *args, **kwargs):
+        self.n += 1
+        return solve_dual_fixed_mass(*args, **kwargs)
+
+
+def _bracketed_newton(probe, x, lo, hi, *, x_tol=0.0, max_probes=100):
+    """Root of an increasing function by Newton steps kept inside a bracket.
+
+    ``probe(x)`` returns ``(g, slope, done)``; ``done`` accepts x as the root,
+    ``g`` may be +-inf and ``slope`` None when only the sign at x is known.
+    A step that is unavailable or leaves the bracket is replaced by
+    bisection, or by a doubling stride while a side is still open.  Returns
+    the accepted probe point, or the last one once the Newton step or the
+    bracket is within ``x_tol``.
+    """
+    stride = 1.0
+    for _ in range(max_probes):
+        g, slope, done = probe(x)
+        if done:
+            return x
+        if g < 0:
+            lo = x
+        else:
+            hi = x
+        newton = x - g / slope if slope and slope > 0 else math.nan
+        if x_tol and (abs(newton - x) <= x_tol or hi - lo <= x_tol):
+            return x
+        if lo < newton < hi:
+            x = newton
+        elif math.isinf(lo) or math.isinf(hi):
+            x = x + stride if g < 0 else x - stride
+            stride *= 2.0
+        else:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                raise BracketFailError(
+                    f"root bracket [{lo!r}, {hi!r}] collapsed at residual {g:.3e}")
+    raise BracketFailError(f"no root after {max_probes} probes in [{lo}, {hi}]")
+
+
+def _cash_root(tree, pair, x, target, c0, hi, start, *, tol, solver_tol,
+               solves):
+    """Cash ``c`` in ``[c0, hi]`` at which the optimal value of x + c is ``target``.
+
+    The value is increasing in c with the optimal dual mass as derivative
+    (envelope), and the caller guarantees value <= target at c0 and >= at hi,
+    so neither end is probed unless Newton lands there.  Steps are taken in
+    certainty-equivalent units z = U^-1(value), where dz/dc = mass / U'(z):
+    z is affine in c for the exponential family, so one step lands on the
+    root there.  The probe that meets the tolerance gets one more step,
+    which costs no solve.  Every probe is warm-started from the previous
+    optimizer.  A value below float range counts as below target, one at
+    sup U as above.
+    """
+    if pair.u_inverse is None:
+        raise DomainError("cash pricing needs the inverse utility of the pair")
+    z_target = pair.u_inverse(target)
+    f_tol = tol * (1.0 + abs(target))
+    warm = start
+    root = None
+
+    def probe(c):
+        nonlocal warm, root
+        try:
+            sol = solves.dual(tree, pair, x + c, tol=solver_tol, start=warm)
+        except EvaluationOverflowError:
+            return -math.inf, None, False
+        except ValueAtSupremumError:
+            return math.inf, None, False
+        warm = sol._mu_arr
+        z = pair.u_inverse(sol.value)
+        slope = sol.mass / pair.u_prime(z)
+        if abs(sol.value - target) <= f_tol:
+            root = c - (z - z_target) / slope if 0 < slope < math.inf else c
+            return 0.0, None, True
+        return z - z_target, slope, False
+
+    # rounding can put the marginal price a hair outside the bounds
+    _bracketed_newton(probe, c0, c0, max(hi, c0))
+    return root
 
 
 def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
                        tol: float = PRICE_TOL, solver_tol: float = 1e-9,
-                       base_value: float | None = None) -> float:
-    """Bid price by bisection on the cash-shifted optimal value.
+                       base: DualSolution | None = None,
+                       solves: SolveCounter | None = None) -> float:
+    """Bid price: the cash p with value(endow + claim - p) = value(endow).
 
-    The bracket starts one unit beyond the no-arbitrage bounds and widens
-    geometrically if needed (the optimal value is strictly decreasing in the
-    cash subtracted, so a sign change identifies the root).
+    Found by :func:`_cash_root` on c = -p, started at minus the marginal
+    price (the dual bound puts the value there at or below the target) and
+    bracketed by minus the lower no-arbitrage bound (sub-replication puts it
+    at or above).  ``base`` is the claim-free solution for ``endow``; its
+    measure gives the start and the first warm start.  ``solves`` counts
+    the dual solves made.
     """
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
-    if base_value is None:
-        base_value = solve_dual(tree, pair, endow, tol=solver_tol).value
-    lo_b, hi_b = price_bounds(tree, claim)
-    lo, hi = lo_b - 1.0, hi_b + 1.0
-    f_tol = tol * (1.0 + abs(base_value))
-    warm = None
-
-    def g(p):
-        nonlocal warm
-        val, sol = _value(tree, pair, endow + claim + (-p), tol=solver_tol,
-                          start=warm)
-        if sol is not None:
-            warm = sol._mu_arr
-        return val - base_value
-
-    g_lo = g(lo)
-    g_hi = g(hi)
-    for _ in range(60):
-        if g_lo >= -f_tol and g_hi <= f_tol:
-            break
-        width = hi - lo
-        if g_lo < -f_tol:
-            lo -= width
-            g_lo = g(lo)
-        if g_hi > f_tol:
-            hi += width
-            g_hi = g(hi)
-    else:
-        raise BracketFailError(
-            f"no monotone bracket for the indifference price in [{lo}, {hi}]")
-
-    best = (abs(g_lo), lo)
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm) < best[0]:
-            best = (abs(gm), mid)
-        if abs(gm) <= f_tol:
-            return mid
-        if gm > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * (1.0 + abs(mid)):
-            break
-    if best[0] <= 10 * f_tol:
-        return best[1]
-    raise BracketFailError(
-        f"bisection stalled; best indifference residual {best[0]:.3e}")
+    solves = SolveCounter() if solves is None else solves
+    if base is None:
+        base = solves.dual(tree, pair, endow, tol=solver_tol)
+    lo_b, _ = price_bounds(tree, claim)
+    c0 = -davis_price(tree, pair, endow, claim, sol=base)
+    return -_cash_root(tree, pair, endow + claim, base.value, c0, -lo_b,
+                       base._mu_arr, tol=tol, solver_tol=solver_tol,
+                       solves=solves)
 
 
 def _as_rv(tree, x) -> RandomVariable:
@@ -197,39 +249,67 @@ def _golden_log_min(phi, s0: float = 0.0, span: float = 3.0,
     return s, phi(s)
 
 
+def _mass_curvature(tree, pair, sol):
+    """Second derivative in the mass of the fixed-mass dual value at ``sol``.
+
+    The inner objective has the diagonal Hessian H = V''(mu/p)/p, so the
+    value's curvature in the mass row is the inverse of that row's
+    H^-1-weighted norm left after projecting out the martingale rows.  NaN
+    when rounding leaves no positive remainder.
+    """
+    mu = sol._mu_arr
+    live = mu > 0
+    p = tree.leaf_probability_array[live]
+    d = p / pair.v_second(mu[live] / p)
+    A = build_constraints(tree).matrix[:, live]
+    b = A @ d
+    lam, *_ = np.linalg.lstsq((A * d) @ A.T, b, rcond=None)
+    rest = float(d.sum() - b @ lam)
+    return 1.0 / rest if rest > 0 else math.nan
+
+
 def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim, *,
-                      base_value: float | None = None,
-                      solver_tol: float = 1e-9) -> float:
+                      base: DualSolution | None = None,
+                      solver_tol: float = 1e-9,
+                      solves: SolveCounter | None = None) -> float:
     """Bid price as a penalized worst-case expectation.
 
     Equivalent single program: minimize, over measures in the cone, the
-    normalized gap between the entropy-plus-endowment objective with the
-    claim added and the claim-free optimum.  For fixed mass the inner
-    problem is convex and solved by the dual machinery; the outer mass
-    search is golden section on the log axis (the mass-indexed gap ratio is
-    unimodal).  Independent of the bisection route.
+    normalized gap (W(y) - base)/y, where W(y) is the fixed-mass dual value
+    with the claim added and base the claim-free optimum.  For fixed mass
+    the inner problem is convex and solved by the dual machinery.  The gap
+    is stationary where h = W'(y) - (W(y) - base)/y vanishes, and y h is
+    increasing in y (its derivative is y W'' >= 0), so the log mass s is
+    found by bracketed Newton on h with W' from the envelope formula and W''
+    from the inner Hessian, started at the mass of ``base``, the claim-free
+    solution (exact for the exponential family), whose measure warm-starts
+    the first inner solve.  Uses no result of the cash root-finder.
+    ``solves`` counts the dual solves made.
     """
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
-    if base_value is None:
-        base_value = solve_dual(tree, pair, endow, tol=solver_tol).value
+    solves = SolveCounter() if solves is None else solves
+    if base is None:
+        base = solves.dual(tree, pair, endow, tol=solver_tol)
     shifted = endow + claim
-    state = {"warm": None, "warm_y": None}
+    gaps = {}
+    last = base
 
-    def phi(s):
+    def probe(s):
+        nonlocal last
         y = math.exp(s)
-        start = None
-        if state["warm"] is not None:
-            start = state["warm"] * (y / state["warm_y"])
-        sol = solve_dual_fixed_mass(tree, pair, shifted, y, tol=solver_tol,
-                                    start=start)
-        state["warm"] = sol._mu_arr
-        state["warm_y"] = y
-        return (sol.value - base_value) / y
+        last = solves.fixed_mass(tree, pair, shifted, y, tol=solver_tol,
+                                 start=last._mu_arr * (y / last.mass))
+        w1 = float(np.dot(last.q_hat_array,
+                          pair.v_prime(last.density_array) + last._endow_arr))
+        gaps[s] = (last.value - base.value) / y
+        h = w1 - gaps[s]
+        return h, y * _mass_curvature(tree, pair, last) - h, False
 
-    # each probe is a full inner solve; 1e-5 on the log axis puts the value
-    # error around 1e-10, well inside the cross-method tolerance
-    return _golden_log_min(phi, s_tol=1e-5)[1]
+    # 1e-5 on the log axis puts the gap within ~1e-10 of its minimum, well
+    # inside the cross-method tolerance
+    s0 = math.log(base.mass)
+    return gaps[_bracketed_newton(probe, s0, -math.inf, math.inf, x_tol=1e-5)]
 
 
 def davis_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
@@ -242,46 +322,28 @@ def davis_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
 
 
 def certainty_equivalent(tree: MarketTree, pair: UtilityPair, endow, claim, *,
-                         tol: float = PRICE_TOL,
-                         solver_tol: float = 1e-9) -> float:
-    """Cash amount with the same optimal value as holding the claim."""
+                         tol: float = PRICE_TOL, solver_tol: float = 1e-9,
+                         solves: SolveCounter | None = None,
+                         start=None) -> float:
+    """Cash amount with the same optimal value as holding the claim.
+
+    Found by :func:`_cash_root` on value(endow + c) = value(endow + claim),
+    started at the claim's expectation under the target problem's normalized
+    optimal measure (the dual bound puts the value there at or below the
+    target) and bracketed by the upper no-arbitrage bound
+    (super-replication puts it at or above).  ``start`` is a leaf measure
+    that warm-starts the target solve; ``solves`` counts the dual solves
+    made.
+    """
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
-    target = solve_dual(tree, pair, endow + claim, tol=solver_tol).value
-    lo_b, hi_b = price_bounds(tree, claim)
-    # risk aversion can push the equivalent below the pricing bounds, but
-    # never below the worst payoff
-    lo = min(lo_b, min(claim.values.values())) - 1.0
-    hi = hi_b + 1.0
-    f_tol = tol * (1.0 + abs(target))
-
-    def g(c):
-        val, _ = _value(tree, pair, endow + c, tol=solver_tol)
-        return val - target
-
-    g_lo, g_hi = g(lo), g(hi)
-    for _ in range(60):
-        if g_lo <= f_tol and g_hi >= -f_tol:
-            break
-        width = hi - lo
-        if g_lo > f_tol:
-            lo -= width
-            g_lo = g(lo)
-        if g_hi < -f_tol:
-            hi += width
-            g_hi = g(hi)
-    else:
-        raise BracketFailError("no bracket for the certainty equivalent")
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm) <= f_tol:
-            return mid
-        if gm < 0:
-            lo = mid
-        else:
-            hi = mid
-    raise BracketFailError("certainty-equivalent bisection stalled")
+    solves = SolveCounter() if solves is None else solves
+    target = solves.dual(tree, pair, endow + claim, tol=solver_tol, start=start)
+    _, hi_b = price_bounds(tree, claim)
+    c0 = davis_price(tree, pair, endow + claim, claim, sol=target)
+    return _cash_root(tree, pair, endow, target.value, c0, hi_b,
+                      target._mu_arr, tol=tol, solver_tol=solver_tol,
+                      solves=solves)
 
 
 @dataclass(frozen=True)
@@ -294,20 +356,23 @@ class PriceReport:
     davis: float
     lp_bounds: tuple[float, float]
     method_agreement_residual: float
+    dual_solves: int
 
 
 def price_report(tree: MarketTree, pair: UtilityPair, endow, claim, *,
                  solver_tol: float = 1e-9) -> PriceReport:
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
-    sol = solve_dual(tree, pair, endow, tol=solver_tol)
-    bid = indifference_price(tree, pair, endow, claim,
-                             base_value=sol.value, solver_tol=solver_tol)
-    pen = price_via_penalty(tree, pair, endow, claim,
-                            base_value=sol.value, solver_tol=solver_tol)
-    offer = -indifference_price(tree, pair, endow, -claim,
-                                base_value=sol.value, solver_tol=solver_tol)
-    ce = certainty_equivalent(tree, pair, endow, claim, solver_tol=solver_tol)
+    solves = SolveCounter()
+    sol = solves.dual(tree, pair, endow, tol=solver_tol)
+    bid = indifference_price(tree, pair, endow, claim, base=sol,
+                             solver_tol=solver_tol, solves=solves)
+    pen = price_via_penalty(tree, pair, endow, claim, base=sol,
+                            solver_tol=solver_tol, solves=solves)
+    offer = -indifference_price(tree, pair, endow, -claim, base=sol,
+                                solver_tol=solver_tol, solves=solves)
+    ce = certainty_equivalent(tree, pair, endow, claim, solver_tol=solver_tol,
+                              solves=solves, start=sol._mu_arr)
     return PriceReport(
         bid=bid,
         offer=offer,
@@ -315,6 +380,7 @@ def price_report(tree: MarketTree, pair: UtilityPair, endow, claim, *,
         davis=davis_price(tree, pair, endow, claim, sol=sol),
         lp_bounds=price_bounds(tree, claim),
         method_agreement_residual=abs(bid - pen) / (1.0 + abs(bid)),
+        dual_solves=solves.n,
     )
 
 
@@ -327,6 +393,7 @@ class VolumeCurveReport:
     monotone: bool
     large_volume_gap: float
     small_volume_gap: float
+    dual_solves: int
 
 
 def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
@@ -334,16 +401,18 @@ def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
     """Average per-unit bid price across volumes, with its two limits.
 
     Non-increasing in volume; converges to the lower no-arbitrage bound as
-    the volume grows and to the marginal price as it vanishes.
+    the volume grows and to the marginal price as it vanishes.  One base
+    solve serves every volume, each priced by :func:`indifference_price`.
     """
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
     betas = sorted(float(b) for b in betas)
-    sol = solve_dual(tree, pair, endow, tol=solver_tol)
+    solves = SolveCounter()
+    sol = solves.dual(tree, pair, endow, tol=solver_tol)
     prices = []
     for beta in betas:
-        p_total = indifference_price(tree, pair, endow, claim * beta,
-                                     base_value=sol.value, solver_tol=solver_tol)
+        p_total = indifference_price(tree, pair, endow, claim * beta, base=sol,
+                                     solver_tol=solver_tol, solves=solves)
         prices.append(p_total / beta)
     lp_lo, _ = price_bounds(tree, claim)
     dav = davis_price(tree, pair, endow, claim, sol=sol)
@@ -357,6 +426,7 @@ def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
         monotone=monotone,
         large_volume_gap=abs(prices[-1] - lp_lo),
         small_volume_gap=abs(prices[0] - dav),
+        dual_solves=solves.n,
     )
 
 

@@ -37,7 +37,9 @@ class UtilityPair:
     All evaluators are vectorized over numpy arrays.  ``u_inf`` is the
     supremum of U (finite for the exponential family), ``ae_plus`` and
     ``ae_minus`` are the claimed tail elasticities, and ``growth_constant``
-    bounds ``y*|V'(y)| / V(y)`` when known analytically.
+    bounds ``y*|V'(y)| / V(y)`` when known analytically.  ``u_inverse`` maps
+    a utility level back to wealth (+inf at or above ``u_inf``); pricing
+    measures values in these certainty-equivalent units.
     """
 
     family: str
@@ -51,6 +53,7 @@ class UtilityPair:
     ae_plus: float
     ae_minus: float
     growth_constant: float | None = None
+    u_inverse: Callable | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     def describe(self) -> str:
@@ -90,6 +93,11 @@ def exponential_utility(gamma: float, shift: float = 0.0) -> UtilityPair:
         with np.errstate(over="ignore"):
             return np.exp(-g * x)
 
+    def u_inverse(v):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = g * (c - v)
+            return np.where(gap > 0, -np.log(gap) / g, INF)
+
     def v(y):
         _check_conjugate_domain(y)
         out = np.empty_like(y)
@@ -123,6 +131,7 @@ def exponential_utility(gamma: float, shift: float = 0.0) -> UtilityPair:
         u_inf=c,
         ae_plus=0.0,
         ae_minus=INF,
+        u_inverse=_vectorized(u_inverse),
     )
 
 
@@ -163,6 +172,14 @@ def two_power_utility(a: float, b: float, shift: float = 1.0) -> UtilityPair:
         with np.errstate(over="ignore"):
             out[pos] = np.power(1.0 + x[pos], -a)
             out[~pos] = np.power(1.0 - x[~pos], b)
+        return out
+
+    def u_inverse(v):
+        out = np.empty_like(v)
+        up = v >= c
+        with np.errstate(over="ignore"):
+            out[up] = np.power(1.0 + (1.0 - a) * (v[up] - c), 1.0 / (1.0 - a)) - 1.0
+            out[~up] = 1.0 - np.power(1.0 + (1.0 + b) * (c - v[~up]), 1.0 / (1.0 + b))
         return out
 
     def _newton_polish(xs, yy, iters=3):
@@ -265,6 +282,7 @@ def two_power_utility(a: float, b: float, shift: float = 1.0) -> UtilityPair:
         u_inf=INF,
         ae_plus=1.0 - a,
         ae_minus=1.0 + b,
+        u_inverse=_vectorized(u_inverse),
     )
 
 

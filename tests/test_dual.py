@@ -5,11 +5,12 @@ import pytest
 
 import treegen
 from treedual import (InfeasibleEntropyError, MeasureVector,
-                      NoMartingaleMeasureError, build_constraints,
+                      NoMartingaleMeasureError, TreedualError,
+                      ValueAtSupremumError, build_constraints,
                       check_maximal_support, dual_derivative,
                       dual_value_curve, exponential_utility, leaf_values,
-                      solve_dual, solve_dual_fixed_mass, two_power_utility,
-                      vertex_enumerate)
+                      load_market, solve_dual, solve_dual_fixed_mass,
+                      two_power_utility, vertex_enumerate)
 
 # closed form for the binomial market with unit risk aversion and no
 # endowment: mass solves E_Q[log(y q/p)] = 0 with q = (1/3, 2/3), p = (1/2, 1/2)
@@ -249,3 +250,22 @@ def test_two_period_grid_oracle(exp_pair):
     bd = brute_force_dual(tree, exp_pair, e, points_per_dim=21, rounds=10)
     assert bd == pytest.approx(sol.value, abs=1e-6)
     assert bd >= sol.value - 1e-9
+
+
+def test_value_at_supremum_is_a_typed_error(tri1):
+    # e = 30 puts the optimal value within rounding of sup U = C
+    with pytest.raises(ValueAtSupremumError, match="sup U") as exc:
+        solve_dual(tri1, exponential_utility(1.0, 2.0), 30.0)
+    assert isinstance(exc.value, TreedualError)
+    assert exc.value.code == "AT_SUPREMUM"
+
+
+def test_optimal_measure_satisfies_constraints_on_pinned_market():
+    # a two-asset 4x4 tree whose simplex interior point misses the martingale
+    # rows by 2.5e-6; solves started there used to inherit the violation
+    tree = load_market(treegen.DATA / "quote_pinned_4x4_2a.json")
+    gamma = 0.6404970302084267
+    sol = solve_dual(tree, exponential_utility(gamma, 1.0 + 1.0 / gamma),
+                     tree.endowment)
+    A = build_constraints(tree).matrix
+    assert np.abs(A @ sol.q_hat_array).max() <= 1e-12

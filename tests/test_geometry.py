@@ -9,9 +9,10 @@ import treegen
 from treedual import (CapExceededError, MeasureVector,
                       NoMartingaleMeasureError, build_constraints,
                       exponential_utility, find_equivalent_mm,
-                      is_martingale_measure, market_from_dict,
+                      is_martingale_measure, load_market, market_from_dict,
                       relative_entropy, sample_martingale_measures,
                       two_power_utility, vertex_enumerate)
+from treedual.geometry import _support_structure
 
 
 def test_bin1_constraint_row(bin1):
@@ -153,3 +154,15 @@ def test_measure_vector_api(tri1):
     assert mv.mass == pytest.approx(1.0)
     assert mv.density(tri1) == pytest.approx([0.6, 0.9, 1.5])
     assert mv.normalized().mass == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("make", [
+    treegen.tri1, treegen.bin1,
+    lambda: load_market(treegen.DATA / "quote_pinned_4x4_2a.json")])
+def test_interior_start_lies_on_the_constraints(make):
+    tree = make()
+    mask, q = _support_structure(tree)
+    A = build_constraints(tree).matrix
+    assert np.abs(A @ q).max() <= 1e-12
+    assert abs(q.sum() - 1.0) <= 1e-12
+    assert np.all(q[mask] > 0) and np.all(q[~mask] == 0)

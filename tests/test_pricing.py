@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import treegen
 from treedual import (AdaptedProcess, AugmentInfeasibleError,
-                      InfiniteEntropyError, RandomVariable, build_constraints,
+                      InfiniteEntropyError, RandomVariable,
+                      ValueAtSupremumError, average_price_curve,
+                      build_constraints,
                       certainty_equivalent, check_mubpp, davis_price,
                       endowment_sensitivity, entropic_penalty,
                       exponential_utility, indifference_price,
@@ -11,6 +15,7 @@ from treedual import (AdaptedProcess, AugmentInfeasibleError,
                       optimal_measure_price_process, price_bounds,
                       price_report, price_via_penalty, solve_dual,
                       two_power_utility, vertex_enumerate)
+from treedual import dual, pricing
 
 E_TRI = {"a": 0.3, "b": -0.2, "c": 0.1}
 B_TRI = {"a": 1.0, "b": 0.0, "c": 0.0}
@@ -74,7 +79,7 @@ def test_entropic_penalty_infinite_for_two_power_vertex(tri1, tp_pair):
 def test_penalty_representation_bound(tri1, exp_pair):
     # the bid never exceeds expectation plus penalty, for any tested measure
     sol = solve_dual(tri1, exp_pair, E_TRI)
-    bid = indifference_price(tri1, exp_pair, E_TRI, B_TRI, base_value=sol.value)
+    bid = indifference_price(tri1, exp_pair, E_TRI, B_TRI, base=sol)
     b = np.array([1.0, 0.0, 0.0])
     for v in vertex_enumerate(build_constraints(tri1)):
         alpha = entropic_penalty(tri1, exp_pair, E_TRI, v, base_value=sol.value)
@@ -147,6 +152,101 @@ def test_certainty_equivalent_identity(tri1, exp_pair):
     e_rv = RandomVariable({k: float(v) for k, v in E_TRI.items()})
     ce = certainty_equivalent(tri1, exp_pair, e_rv + b, -b)
     assert bid == pytest.approx(-ce, abs=1e-7)
+
+
+def _two_asset_case(volume=1.0):
+    """Two periods of four planar moves around the origin (incomplete, 16
+    leaves), a random endowment and ``volume`` calls on the first asset."""
+    moves = [(1.3, 1.0), (0.8, 1.25), (0.9, 0.8), (1.1, 1.1)]
+    tree = treegen.product_market([moves, moves], s0=(1.0, 1.2))
+    rng = np.random.default_rng(5)
+    endow = RandomVariable.from_array(tree, rng.uniform(-1.0, 1.0, tree.n_leaves))
+    s1 = np.array([tree.price(leaf)[0] for leaf in tree.leaf_ids])
+    claim = RandomVariable.from_array(tree, volume * np.maximum(s1 - 1.0, 0.0))
+    return tree, endow, claim
+
+
+def _exp_closed_form_bid(tree, pair, endow, claim):
+    # value(e + c) = C - exp(-gamma c) (C - value(e)) for the exponential family
+    c, g = pair.params["C"], pair.params["gamma"]
+    v_e = solve_dual(tree, pair, endow).value
+    v_eb = solve_dual(tree, pair, endow + claim).value
+    return math.log((c - v_e) / (c - v_eb)) / g
+
+
+@pytest.mark.parametrize("market", ["tri1", "two_asset"])
+def test_exponential_prices_match_closed_form(market):
+    pair = exponential_utility(1.5, 1.0 + 1.0 / 1.5)
+    if market == "tri1":
+        tree = treegen.tri1()
+        endow, claim = RandomVariable(E_TRI), RandomVariable(B_TRI)
+    else:
+        tree, endow, claim = _two_asset_case()
+    rep = price_report(tree, pair, endow, claim)
+    bid = _exp_closed_form_bid(tree, pair, endow, claim)
+    offer = -_exp_closed_form_bid(tree, pair, endow, -claim)
+    assert rep.bid == pytest.approx(bid, rel=1e-10)
+    assert rep.offer == pytest.approx(offer, rel=1e-10)
+    assert rep.certainty_equivalent == pytest.approx(rep.bid, rel=1e-10)
+
+
+def test_exponential_certainty_equivalent_equals_bid_at_large_volume():
+    # translation invariance makes the two coincide; bisection used to stop
+    # where the value is flat in cash
+    pair = exponential_utility(1.5, 1.0 + 1.0 / 1.5)
+    tree, endow, claim = _two_asset_case(volume=100.0)
+    bid = indifference_price(tree, pair, endow, claim)
+    ce = certainty_equivalent(tree, pair, endow, claim)
+    assert ce == pytest.approx(bid, rel=1e-9)
+
+
+@pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
+def test_price_report_counts_its_dual_solves(tri1, pair_name, request,
+                                             monkeypatch):
+    pair = request.getfixturevalue(pair_name)
+    calls = []
+    for name in ("solve_dual", "solve_dual_fixed_mass"):
+        def counted(*args, _fn=getattr(pricing, name), **kwargs):
+            calls.append(name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(pricing, name, counted)
+    rep = price_report(tri1, pair, E_TRI, B_TRI)
+    assert rep.dual_solves == len(calls)
+    assert rep.dual_solves <= 25
+    assert rep.method_agreement_residual <= 1e-6
+
+
+def test_supremum_probe_counts_as_above_target(tri1, tp_pair, monkeypatch):
+    # a probe whose value is reported as sup U lies above the target: the
+    # root must still be found from below, never past it
+    e, b = RandomVariable(E_TRI), RandomVariable({"a": -3.0, "b": 1.0, "c": 0.0})
+    base = solve_dual(tri1, tp_pair, e)
+    expected = indifference_price(tri1, tp_pair, e, b, base=base)
+    raised = []
+
+    def capped(*args, **kwargs):
+        sol = dual.solve_dual(*args, **kwargs)
+        if sol.value > base.value:
+            raised.append(sol.value)
+            raise ValueAtSupremumError("value within solver tolerance of sup U")
+        return sol
+
+    monkeypatch.setattr(pricing, "solve_dual", capped)
+    assert indifference_price(tri1, tp_pair, e, b, base=base) == pytest.approx(
+        expected, abs=1e-9)
+    assert raised
+
+
+@pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
+def test_volume_curve_over_the_cli_default_grid(tri1, pair_name, request):
+    pair = request.getfixturevalue(pair_name)
+    betas = np.logspace(-4, 4, 9)
+    rep = average_price_curve(tri1, pair, E_TRI, B_TRI, betas)
+    assert rep.monotone
+    assert len(rep.prices) == 9
+    assert rep.small_volume_gap <= 1e-4
+    assert rep.prices[-1] <= rep.prices[0]
+    assert rep.dual_solves >= 10
 
 
 def test_davis_price_between_bounds(tri1, exp_pair):

@@ -183,3 +183,24 @@ def test_evaluate_dispatch():
     assert evaluate(pair, "V'", 1.0) == pytest.approx(0.0)
     with pytest.raises(DomainError):
         evaluate(pair, "W", 1.0)
+
+
+@pytest.mark.parametrize("pair", [exponential_utility(1.3, 2.0),
+                                  exponential_utility(0.5, 0.0),
+                                  two_power_utility(0.4, 1.5, 1.0),
+                                  two_power_utility(0.7, 0.5, 2.0)])
+def test_inverse_utility_round_trip(pair):
+    # levels below and above U(0): the loss and gain branches of each family
+    xs = np.concatenate([-np.logspace(-6, 2, 40), [0.0],
+                         np.logspace(-6, 1.3, 40)])
+    v = pair.u(xs)
+    assert np.all(v[:40] < pair.u(0.0)) and np.all(v[41:] > pair.u(0.0))
+    back = pair.u(pair.u_inverse(v))
+    assert np.all(np.abs(back - v) <= 1e-12 * (1.0 + np.abs(v)))
+    assert pair.u_inverse(pair.u(0.25)) == pytest.approx(0.25, rel=1e-12)
+
+
+def test_inverse_utility_at_supremum():
+    pair = exponential_utility(1.0, 2.0)
+    assert pair.u_inverse(2.0) == INF
+    assert pair.u_inverse(2.5) == INF

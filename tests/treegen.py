@@ -9,9 +9,13 @@ compose into a full-support martingale measure.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from treedual import RandomVariable, market_from_dict
+
+DATA = Path(__file__).parent / "data"  # scenario files of pinned instances
 
 
 def bin1_dict():
@@ -52,10 +56,17 @@ def tri1():
 
 
 def product_market(move_lists, prob_lists=None, s0=1.0):
-    """Non-recombining product tree: one list of multiplicative moves per period."""
-    nodes = [{"id": "r", "parent": None, "t": 0, "prices": [repr(float(s0))],
-              "prob": "1"}]
-    frontier = [("r", float(s0))]
+    """Non-recombining product tree: one list of multiplicative moves per period.
+
+    A move is a number (one asset) or a tuple with one factor per asset, in
+    which case ``s0`` may be a tuple of initial prices.
+    """
+    s0 = np.broadcast_to(np.asarray(s0, dtype=float),
+                         np.shape(move_lists[0][0]) or (1,))
+    n_assets = s0.size
+    nodes = [{"id": "r", "parent": None, "t": 0,
+              "prices": [repr(float(x)) for x in s0], "prob": "1"}]
+    frontier = [("r", s0)]
     for t, moves in enumerate(move_lists, start=1):
         probs = (prob_lists[t - 1] if prob_lists is not None
                  else [1.0 / len(moves)] * len(moves))
@@ -63,11 +74,14 @@ def product_market(move_lists, prob_lists=None, s0=1.0):
         for pid, price in frontier:
             for k, (m, pr) in enumerate(zip(moves, probs)):
                 nid = f"{pid}.{k}"
+                child = price * np.asarray(m, dtype=float)
                 nodes.append({"id": nid, "parent": pid, "t": t,
-                              "prices": [repr(price * m)], "prob": repr(pr)})
-                new_frontier.append((nid, price * m))
+                              "prices": [repr(float(x)) for x in child],
+                              "prob": repr(pr)})
+                new_frontier.append((nid, child))
         frontier = new_frontier
-    return market_from_dict({"version": 1, "assets": ["S"], "nodes": nodes})
+    assets = ["S"] if n_assets == 1 else [f"S{i}" for i in range(n_assets)]
+    return market_from_dict({"version": 1, "assets": assets, "nodes": nodes})
 
 
 def _straddling_moves_1d(rng, n_children):
