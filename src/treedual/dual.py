@@ -29,6 +29,7 @@ from .errors import (EvaluationOverflowError, InfeasibleEntropyError,
 from .geometry import (MeasureVector, _support_structure, build_constraints,
                        relative_entropy)
 from .market import MarketTree, RandomVariable, leaf_values
+from .simplex import solve_lp
 from .utility import UtilityPair
 
 DEFAULT_TOL = 1e-9
@@ -79,64 +80,6 @@ def _gradient(pair, p, e, mu):
 
 def _hess_diag(pair, p, mu):
     return pair.v_second(mu / p) / p
-
-
-def _line_min_log_mass(pair, p, e, mu):
-    """Minimize the objective along the ray through ``mu``; rescaled copy back.
-
-    The feasible cone is scale-invariant, so any rescaling is admissible.
-    Used as a rigorous upper-bound probe: when even a single ray drives the
-    objective below the floating-point floor, the infimum is certainly below
-    it too and :class:`EvaluationOverflowError` is raised.
-    """
-
-    best = [0.0, math.inf]
-
-    def f(s):
-        if abs(s) > 700.0:
-            return math.inf
-        val = _objective(pair, p, e, math.exp(s) * mu)
-        if val < best[1]:
-            best[0], best[1] = s, val
-        if val < _VALUE_FLOOR:
-            raise EvaluationOverflowError(
-                "dual objective fell below the floating-point range")
-        return val
-
-    lo, hi = -3.0, 3.0
-    f_lo, f_hi = f(lo), f(hi)
-    f_mid = f(0.0)
-    for _ in range(60):
-        moved = False
-        if not (f_mid <= f_lo):
-            lo = lo - (hi - lo)
-            f_lo = f(lo)
-            moved = True
-        if not (f_mid <= f_hi):
-            hi = hi + (hi - lo)
-            f_hi = f(hi)
-            moved = True
-        f_mid = f(0.5 * (lo + hi))
-        if not moved:
-            break
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(80):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a < 1e-8:
-            break
-    s = best[0]
-    return mu if abs(s) < 1e-12 else math.exp(s) * mu
 
 
 def _stationarity_residual(M, mu, g):
@@ -349,28 +292,47 @@ def _prepare(tree, pair):
     return mask, q_int, flag
 
 
+def _ray_log_argmin(gamma, p, e, q):
+    """ln t* of the exponential dual objective's minimum along the ray t q.
+
+    For unit-mass q and H = sum q ln(q/p), the objective
+    F(t q) = C sum p + (t/gamma)(H + ln t - 1) + t q.e is least at
+    t* = exp(-H - gamma q.e), where it equals C sum p - t*/gamma.
+    """
+    on = q > 0
+    entropy = float(np.dot(q[on], np.log(q[on] / p[on])))
+    return -entropy - gamma * float(np.dot(q, e))
+
+
 def _overflow_precheck(pair, p, e, A, q_int):
     """Classify the below-float-range regime before iterating.
 
-    An upper bound for the dual value is its minimum along any feasible ray;
-    the ray through the endowment-cost-minimizing vertex is the steepest.
-    Only relevant for conjugates finite at zero (otherwise values stay in
-    range at desk scale).
+    An upper bound for the dual value is its minimum along any feasible ray,
+    which is closed-form (:func:`_ray_log_argmin`) for the exponential
+    family, the only one with a finite sup U.  Gibbs' inequality
+    (H >= -ln sum p) and q.e >= min e bound ln t* over every ray at once, so
+    the rays through the interior point and the endowment-cost-minimizing
+    vertex are only tried when that bound does not already rule overflow
+    out.
     """
-    if not math.isfinite(pair.u_inf):
+    if pair.family != "exponential":
         return
-    from .simplex import solve_lp
-
+    gamma, c = pair.params["gamma"], pair.params["C"]
+    # C sum p - t*/gamma < _VALUE_FLOOR  <=>  ln t* > log_floor
+    log_floor = math.log(c * p.sum() - _VALUE_FLOOR) + math.log(gamma)
+    if math.log(p.sum()) - gamma * e.min() <= log_floor:
+        return
     m, L = A.shape
-    rows = np.vstack([A, np.ones((1, L))])
     rhs = np.zeros(m + 1)
     rhs[m] = 1.0
-    res = solve_lp(e, rows, rhs)
+    res = solve_lp(e, np.vstack([A, np.ones((1, L))]), rhs)
     rays = [q_int]
     if res.status == "optimal":
-        rays.append(np.clip(res.x, 0.0, None))
-    for q in rays:
-        _line_min_log_mass(pair, p, e, q)  # raises on overflow
+        vertex = np.clip(res.x, 0.0, None)
+        rays.append(vertex / vertex.sum())
+    if any(_ray_log_argmin(gamma, p, e, q) > log_floor for q in rays):
+        raise EvaluationOverflowError(
+            "dual objective fell below the floating-point range")
 
 
 def solve_dual(tree: MarketTree, pair: UtilityPair, endow=0.0, *,

@@ -68,7 +68,10 @@ class CapExceededError(TreedualError):
 
 
 class NonconvergedError(TreedualError):
-    """Solver hit its iteration cap; carries the best iterate found."""
+    """Solver stopped without a verdict (iteration cap, numerical trouble).
+
+    Carries the best iterate found, when there is one.
+    """
 
     code = "NONCONVERGED"
 

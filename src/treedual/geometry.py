@@ -173,9 +173,12 @@ def find_equivalent_mm(tree: MarketTree) -> MeasureVector | None:
 def _support_structure(tree: MarketTree):
     """(support mask, interior q on the support) of the martingale polytope.
 
-    The support is the union of supports over the polytope: leaf l belongs
-    iff max q_l over the polytope is positive.  The returned q is strictly
-    positive on the support (max-min LP restricted there) and satisfies the
+    The support is the union of supports over the polytope.  When the
+    max-min LP finds no equivalent measure, one more LP finds the support:
+    maximize sum z over {A q = 0, q >= 0, 0 <= z <= q, z <= 1}.  The cone is
+    closed under sums and scaling, so at the optimum z = 1 exactly on the
+    union of supports and 0 elsewhere.  The max-min LP restricted to the
+    support then gives a q strictly positive there, and q satisfies the
     equalities to rounding.
     """
     sol = _max_min_coordinate(tree)
@@ -188,20 +191,18 @@ def _support_structure(tree: MarketTree):
     if t_star >= EQUIVALENCE_TOL:
         mask = np.ones(L, dtype=bool)
         return mask, _project_interior(A, mask, q)
+    # variables: q (L), z (L), slacks of z <= q (L), slacks of z <= 1 (L)
     m = A.shape[0]
-    mask = q > EQUIVALENCE_TOL
-    for l in range(L):
-        if mask[l]:
-            continue
-        # maximize q_l over the polytope
-        rows = np.vstack([A, np.ones((1, L))])
-        rhs = np.zeros(m + 1)
-        rhs[m] = 1.0
-        c = np.zeros(L)
-        c[l] = -1.0
-        res = solve_lp(c, rows, rhs)
-        if res.status == "optimal" and res.x[l] > EQUIVALENCE_TOL:
-            mask[l] = True
+    eye = np.eye(L)
+    zero = np.zeros((L, L))
+    rows = np.block([
+        [A, np.zeros((m, 3 * L))],
+        [eye, -eye, -eye, zero],
+        [zero, eye, zero, eye],
+    ])
+    rhs = np.concatenate([np.zeros(m + L), np.ones(L)])
+    c = np.concatenate([np.zeros(L), -np.ones(L), np.zeros(2 * L)])
+    mask = solve_lp(c, rows, rhs).x[L:2 * L] > 0.5
     support = tuple(int(i) for i in np.where(mask)[0])
     sol_s = _max_min_coordinate(tree, support)
     if sol_s is None or sol_s[0] < EQUIVALENCE_TOL:
@@ -213,10 +214,10 @@ def _support_structure(tree: MarketTree):
 def _project_interior(A, mask, q):
     """Put the max-min LP point exactly on {A q = 0, sum q = 1} over the support.
 
-    The simplex leaves equality residuals of its pivoting tolerance (2.5e-6
-    on some two-asset trees); every solve started from ``q`` would inherit
-    them.  One least-squares correction removes them; losing positivity
-    means the LP point was not interior after all.
+    HiGHS meets the equalities only to its primal feasibility tolerance
+    (1e-7), and every solve started from ``q`` would inherit the residual.
+    One least-squares correction removes it; losing positivity means the LP
+    point was not interior after all.
     """
     M = np.vstack([A[:, mask], np.ones((1, int(mask.sum())))])
     rhs = np.zeros(M.shape[0])

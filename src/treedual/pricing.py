@@ -151,6 +151,7 @@ def _cash_root(tree, pair, x, target, c0, hi, start, *, tol, solver_tol,
 def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
                        tol: float = PRICE_TOL, solver_tol: float = 1e-9,
                        base: DualSolution | None = None,
+                       bounds: tuple[float, float] | None = None,
                        solves: SolveCounter | None = None) -> float:
     """Bid price: the cash p with value(endow + claim - p) = value(endow).
 
@@ -158,7 +159,8 @@ def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     price (the dual bound puts the value there at or below the target) and
     bracketed by minus the lower no-arbitrage bound (sub-replication puts it
     at or above).  ``base`` is the claim-free solution for ``endow``; its
-    measure gives the start and the first warm start.  ``solves`` counts
+    measure gives the start and the first warm start.  ``bounds`` is the
+    claim's :func:`price_bounds` when the caller has it.  ``solves`` counts
     the dual solves made.
     """
     endow = _as_rv(tree, endow)
@@ -166,7 +168,7 @@ def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     solves = SolveCounter() if solves is None else solves
     if base is None:
         base = solves.dual(tree, pair, endow, tol=solver_tol)
-    lo_b, _ = price_bounds(tree, claim)
+    lo_b, _ = price_bounds(tree, claim) if bounds is None else bounds
     c0 = -davis_price(tree, pair, endow, claim, sol=base)
     return -_cash_root(tree, pair, endow + claim, base.value, c0, -lo_b,
                        base._mu_arr, tol=tol, solver_tol=solver_tol,
@@ -323,6 +325,7 @@ def davis_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
 
 def certainty_equivalent(tree: MarketTree, pair: UtilityPair, endow, claim, *,
                          tol: float = PRICE_TOL, solver_tol: float = 1e-9,
+                         bounds: tuple[float, float] | None = None,
                          solves: SolveCounter | None = None,
                          start=None) -> float:
     """Cash amount with the same optimal value as holding the claim.
@@ -331,15 +334,16 @@ def certainty_equivalent(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     started at the claim's expectation under the target problem's normalized
     optimal measure (the dual bound puts the value there at or below the
     target) and bracketed by the upper no-arbitrage bound
-    (super-replication puts it at or above).  ``start`` is a leaf measure
-    that warm-starts the target solve; ``solves`` counts the dual solves
-    made.
+    (super-replication puts it at or above).  ``bounds`` is the claim's
+    :func:`price_bounds` when the caller has it.  ``start`` is a leaf
+    measure that warm-starts the target solve; ``solves`` counts the dual
+    solves made.
     """
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
     solves = SolveCounter() if solves is None else solves
     target = solves.dual(tree, pair, endow + claim, tol=solver_tol, start=start)
-    _, hi_b = price_bounds(tree, claim)
+    _, hi_b = price_bounds(tree, claim) if bounds is None else bounds
     c0 = davis_price(tree, pair, endow + claim, claim, sol=target)
     return _cash_root(tree, pair, endow, target.value, c0, hi_b,
                       target._mu_arr, tol=tol, solver_tol=solver_tol,
@@ -361,24 +365,33 @@ class PriceReport:
 
 def price_report(tree: MarketTree, pair: UtilityPair, endow, claim, *,
                  solver_tol: float = 1e-9) -> PriceReport:
+    """Every price of one claim, off one base solve and one pair of LPs.
+
+    The no-arbitrage bounds (lo, hi) are computed once: they bracket the bid
+    and the certainty equivalent, (-hi, -lo) brackets the offer (the bid of
+    the negated claim), and they are reported as ``lp_bounds``.
+    """
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
     solves = SolveCounter()
     sol = solves.dual(tree, pair, endow, tol=solver_tol)
-    bid = indifference_price(tree, pair, endow, claim, base=sol,
+    lo, hi = price_bounds(tree, claim)
+    bid = indifference_price(tree, pair, endow, claim, base=sol, bounds=(lo, hi),
                              solver_tol=solver_tol, solves=solves)
     pen = price_via_penalty(tree, pair, endow, claim, base=sol,
                             solver_tol=solver_tol, solves=solves)
     offer = -indifference_price(tree, pair, endow, -claim, base=sol,
-                                solver_tol=solver_tol, solves=solves)
-    ce = certainty_equivalent(tree, pair, endow, claim, solver_tol=solver_tol,
-                              solves=solves, start=sol._mu_arr)
+                                bounds=(-hi, -lo), solver_tol=solver_tol,
+                                solves=solves)
+    ce = certainty_equivalent(tree, pair, endow, claim, bounds=(lo, hi),
+                              solver_tol=solver_tol, solves=solves,
+                              start=sol._mu_arr)
     return PriceReport(
         bid=bid,
         offer=offer,
         certainty_equivalent=ce,
         davis=davis_price(tree, pair, endow, claim, sol=sol),
-        lp_bounds=price_bounds(tree, claim),
+        lp_bounds=(lo, hi),
         method_agreement_residual=abs(bid - pen) / (1.0 + abs(bid)),
         dual_solves=solves.n,
     )
@@ -402,19 +415,22 @@ def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
 
     Non-increasing in volume; converges to the lower no-arbitrage bound as
     the volume grows and to the marginal price as it vanishes.  One base
-    solve serves every volume, each priced by :func:`indifference_price`.
+    solve and one pair of LPs serve every volume, each priced by
+    :func:`indifference_price`; the bounds of beta * claim are beta times
+    those of the claim, swapped when beta < 0.
     """
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
     betas = sorted(float(b) for b in betas)
     solves = SolveCounter()
     sol = solves.dual(tree, pair, endow, tol=solver_tol)
+    lp_lo, lp_hi = price_bounds(tree, claim)
     prices = []
     for beta in betas:
         p_total = indifference_price(tree, pair, endow, claim * beta, base=sol,
+                                     bounds=tuple(sorted((beta * lp_lo, beta * lp_hi))),
                                      solver_tol=solver_tol, solves=solves)
         prices.append(p_total / beta)
-    lp_lo, _ = price_bounds(tree, claim)
     dav = davis_price(tree, pair, endow, claim, sol=sol)
     scale = 1.0 + max(abs(p) for p in prices)
     monotone = all(b <= a + 1e-9 * scale for a, b in zip(prices, prices[1:]))

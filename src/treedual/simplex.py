@@ -1,9 +1,10 @@
-"""Dense two-phase primal simplex for tiny equality-form LPs.
+"""Equality-form linear programs on HiGHS.
 
-Solves ``min c.x  s.t.  A x = b, x >= 0`` with Bland's anti-cycling rule, so
-pivoting is deterministic and terminates.  Intended for the desk-scale
-feasibility and bound problems in this package (tens of variables); no
-sparsity, no scaling, no upper-bound tricks.
+Solves ``min c.x  s.t.  A x = b, x >= 0`` with the HiGHS solver shipped in
+SciPy (``scipy.optimize.linprog(method="highs")``).  A run that ends in
+neither an optimum nor a proof of infeasibility or unboundedness (iteration
+limit, numerical trouble) raises :class:`NonconvergedError`; it is never
+reported as infeasible.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
-_PIVOT_TOL = 1e-11
-_FEAS_TOL = 1e-9
+from .errors import NonconvergedError
+
+_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 @dataclass
@@ -23,94 +26,16 @@ class LpResult:
     value: float | None
 
 
-def solve_lp(c, A, b, max_pivots: int = 50_000) -> LpResult:
+def solve_lp(c, A, b) -> LpResult:
     c = np.asarray(c, dtype=float)
-    A = np.atleast_2d(np.asarray(A, dtype=float)).copy()
-    b = np.asarray(b, dtype=float).copy()
-    m, n = A.shape
-    if c.shape != (n,) or b.shape != (m,):
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.asarray(b, dtype=float)
+    if c.shape != (A.shape[1],) or b.shape != (A.shape[0],):
         raise ValueError("inconsistent LP dimensions")
-
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # phase 1: artificial identity basis, minimize the artificial mass
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[m, n:n + m] = 1.0
-    basis = list(range(n, n + m))
-    T[m] -= T[:m].sum(axis=0)  # price out the artificial basis
-
-    if not _pivot_loop(T, basis, n + m, max_pivots):
-        return LpResult("infeasible", None, None)  # cycling guard; should not happen
-    if T[m, -1] < -_FEAS_TOL * (1.0 + abs(b).max(initial=0.0)):
-        return LpResult("infeasible", None, None)
-
-    # drive remaining artificials out of the basis; drop redundant rows
-    keep_rows = []
-    for i in range(m):
-        if basis[i] >= n:
-            piv = np.where(np.abs(T[i, :n]) > _PIVOT_TOL)[0]
-            if piv.size:
-                _pivot(T, i, int(piv[0]))
-                basis[i] = int(piv[0])
-                keep_rows.append(i)
-            # else: redundant row, drop it
-        else:
-            keep_rows.append(i)
-    rows = keep_rows + [m]
-    T = T[rows][:, list(range(n)) + [n + m]]
-    basis = [basis[i] for i in keep_rows]
-    m2 = len(basis)
-
-    # phase 2: rebuild the objective row for the original costs
-    T[m2, :] = 0.0
-    T[m2, :n] = c
-    for i, j in enumerate(basis):
-        T[m2] -= c[j] * T[i]
-
-    if not _pivot_loop(T, basis, n, max_pivots):
-        return LpResult("unbounded", None, None)
-
-    x = np.zeros(n)
-    for i, j in enumerate(basis):
-        x[j] = T[i, -1]
-    return LpResult("optimal", x, float(np.dot(c, x)))
-
-
-def _pivot(T, row, col):
-    T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * T[row]
-
-
-def _pivot_loop(T, basis, n_cols, max_pivots):
-    """Bland's rule pivoting until optimal; False on unbounded/pivot cap."""
-    m = T.shape[0] - 1
-    for _ in range(max_pivots):
-        enter = -1
-        for j in range(n_cols):
-            if T[m, j] < -_PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return True
-        leave = -1
-        best = np.inf
-        for i in range(m):
-            a = T[i, enter]
-            if a > _PIVOT_TOL:
-                ratio = T[i, -1] / a
-                if ratio < best - 1e-15 or (abs(ratio - best) <= 1e-15
-                                            and (leave < 0 or basis[i] < basis[leave])):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            return False  # unbounded
-        _pivot(T, leave, enter)
-        basis[leave] = enter
-    return False
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    status = _STATUS.get(res.status)
+    if status is None:
+        raise NonconvergedError(f"HiGHS stopped with status {res.status}: {res.message}")
+    if status != "optimal":
+        return LpResult(status, None, None)
+    return LpResult(status, res.x, float(res.fun))

@@ -432,8 +432,8 @@ def certify_assumptions(pair: UtilityPair,
         raise AssumptionFailError("conjugate growth", "y|V'|/V unbounded on grid")
 
     # biconjugacy: U(x) = min_y { V(y) + x y }, inner min by 1-D golden
-    # section; |x| <= 10 keeps the cancellation in V(y) + x y below the
-    # absolute certification tolerance in double precision
+    # section, residual relative to 1 + |U(x)|: U(-10) grows like
+    # exp(10 gamma), so an absolute residual fails on rounding alone
     conj_x = np.concatenate([-np.logspace(-2, 1, 25), [0.0],
                              np.logspace(-2, 1, 25)])
     resid = 0.0
@@ -442,7 +442,8 @@ def certify_assumptions(pair: UtilityPair,
                              math.log(pair.u_prime(x)) - 8.0,
                              math.log(pair.u_prime(x)) + 8.0)
         val = pair.v(math.exp(y_star)) + x * math.exp(y_star)
-        resid = max(resid, abs(pair.u(x) - val))
+        u_x = pair.u(x)
+        resid = max(resid, abs(u_x - val) / (1.0 + abs(u_x)))
 
     return CertificationReport(
         inada_ok=True,

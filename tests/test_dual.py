@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 import treegen
-from treedual import (InfeasibleEntropyError, MeasureVector,
+from treedual import (EvaluationOverflowError, InfeasibleEntropyError,
+                      MeasureVector,
                       NoMartingaleMeasureError, TreedualError,
                       ValueAtSupremumError, build_constraints,
                       check_maximal_support, dual_derivative,
                       dual_value_curve, exponential_utility, leaf_values,
                       load_market, solve_dual, solve_dual_fixed_mass,
                       two_power_utility, vertex_enumerate)
+from treedual import dual
 
 # closed form for the binomial market with unit risk aversion and no
 # endowment: mass solves E_Q[log(y q/p)] = 0 with q = (1/3, 2/3), p = (1/2, 1/2)
@@ -261,11 +263,75 @@ def test_value_at_supremum_is_a_typed_error(tri1):
 
 
 def test_optimal_measure_satisfies_constraints_on_pinned_market():
-    # a two-asset 4x4 tree whose simplex interior point misses the martingale
-    # rows by 2.5e-6; solves started there used to inherit the violation
+    # a two-asset 4x4 tree whose max-min LP point once missed the martingale
+    # rows by 2.5e-6; solves started there inherited the violation
     tree = load_market(treegen.DATA / "quote_pinned_4x4_2a.json")
     gamma = 0.6404970302084267
     sol = solve_dual(tree, exponential_utility(gamma, 1.0 + 1.0 / gamma),
                      tree.endowment)
     A = build_constraints(tree).matrix
     assert np.abs(A @ sol.q_hat_array).max() <= 1e-12
+
+
+# exponential dual values reach the -1e250 floor near endowment -575.6/gamma
+@pytest.mark.parametrize("make", [treegen.tri1, treegen.bin1])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0])
+def test_overflow_regime_boundary(make, gamma):
+    tree = make()
+    pair = exponential_utility(gamma, 2.0)
+    tilt = np.linspace(-1.0, 1.0, tree.n_leaves)
+    sol = solve_dual(tree, pair, -575.0 / gamma + tilt)
+    assert -1e250 < sol.value < -1e248
+    if gamma >= 1.0:
+        assert -1e250 < solve_dual(tree, pair, -575.0 / gamma).value < -1e248
+    for endow in (-580.0 / gamma, -580.0 / gamma + tilt):
+        with pytest.raises(EvaluationOverflowError):
+            solve_dual(tree, pair, endow)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0])
+def test_ray_minimum_closed_form_matches_a_dense_scan(gamma):
+    rng = np.random.default_rng(11)
+    pair = exponential_utility(gamma, 2.0)
+    p = np.array([0.2, 0.3, 0.1, 0.4])
+    for q in (np.array([0.1, 0.5, 0.0, 0.4]), rng.dirichlet(np.ones(4))):
+        e = rng.uniform(-2.0, 2.0, size=4)
+        t_star = math.exp(dual._ray_log_argmin(gamma, p, e, q))
+        closed = 2.0 * p.sum() - t_star / gamma
+        wide = t_star * np.exp(np.linspace(-5.0, 5.0, 2001))
+        vals = [dual._objective(pair, p, e, t * q) for t in wide]
+        assert abs(int(np.argmin(vals)) - 1000) <= 1
+        fine = t_star * np.exp(np.linspace(-1e-3, 1e-3, 2001))
+        scan = min(dual._objective(pair, p, e, t * q) for t in fine)
+        assert scan == pytest.approx(closed, rel=1e-12, abs=0)
+        assert scan >= closed - 1e-15 * abs(closed)
+
+
+def test_overflow_skip_bound_dominates_every_ray():
+    # ln t* <= ln sum p - gamma min e, so a skipped check never misses a ray
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        n = int(rng.integers(2, 9))
+        p = rng.dirichlet(np.ones(n)) * rng.uniform(0.2, 1.0)
+        q = rng.dirichlet(np.full(n, 0.3))
+        gamma = float(rng.uniform(0.2, 10.0))
+        e = rng.uniform(-800.0, 100.0) + rng.uniform(-5.0, 5.0, size=n)
+        bound = math.log(p.sum()) - gamma * e.min()
+        assert dual._ray_log_argmin(gamma, p, e, q) <= bound + 1e-9 * abs(bound)
+    # equality at q = p / sum p with a constant endowment
+    assert dual._ray_log_argmin(2.0, p, np.full(n, -3.0), p / p.sum()) == \
+        pytest.approx(math.log(p.sum()) + 6.0, rel=1e-12)
+
+
+def test_overflow_precheck_solves_an_lp_only_when_the_bound_is_undecided(
+        tri1, monkeypatch):
+    calls = []
+    real = dual.solve_lp
+    monkeypatch.setattr(dual, "solve_lp", lambda *a: calls.append(1) or real(*a))
+    pair = exponential_utility(1.0, 2.0)
+    solve_dual(tri1, pair, [0.3, -0.2, 0.1])
+    solve_dual(tri1, pair, -500.0)
+    assert calls == []
+    with pytest.raises(EvaluationOverflowError):
+        solve_dual(tri1, pair, -600.0)
+    assert calls == [1]

@@ -11,7 +11,8 @@ from treedual import (CapExceededError, MeasureVector,
                       exponential_utility, find_equivalent_mm,
                       is_martingale_measure, load_market, market_from_dict,
                       relative_entropy, sample_martingale_measures,
-                      two_power_utility, vertex_enumerate)
+                      solve_dual, two_power_utility, vertex_enumerate)
+from treedual import geometry
 from treedual.geometry import _support_structure
 
 
@@ -165,4 +166,61 @@ def test_interior_start_lies_on_the_constraints(make):
     A = build_constraints(tree).matrix
     assert np.abs(A @ q).max() <= 1e-12
     assert abs(q.sum() - 1.0) <= 1e-12
+    assert np.all(q[mask] > 0) and np.all(q[~mask] == 0)
+
+
+def test_equivalent_measure_on_two_asset_book_market():
+    # a two-asset 4x4x3 tree on which a dense Bland simplex reported the
+    # max-min LP infeasible, so both calls raised NoMartingaleMeasureError
+    tree = load_market(treegen.DATA / "book_exp_4x4x3_2a.json")
+    q = find_equivalent_mm(tree)
+    assert q is not None
+    assert min(q.values.values()) > 1e-3
+    assert is_martingale_measure(tree, q, tol=1e-9)
+    gamma = 1.3749800819363094
+    sol = solve_dual(tree, exponential_utility(gamma, 1.0 + 1.0 / gamma),
+                     tree.endowment)
+    assert sol.support == "EQUIVALENT"
+
+
+def _support_oracle(tree):
+    """Leaves charged by some martingale probability: one LP per leaf."""
+    from scipy.optimize import linprog
+
+    A = build_constraints(tree).matrix
+    L = tree.n_leaves
+    rows = np.vstack([A, np.ones((1, L))])
+    rhs = np.zeros(rows.shape[0])
+    rhs[-1] = 1.0
+    mask = np.zeros(L, dtype=bool)
+    for leaf in range(L):
+        c = np.zeros(L)
+        c[leaf] = -1.0
+        res = linprog(c, A_eq=rows, b_eq=rhs, bounds=(0, None), method="highs")
+        mask[leaf] = res.status == 0 and -res.fun > 1e-9
+    return mask
+
+
+@pytest.mark.parametrize("moves", [
+    # every period-2 move is >= 1: only the unmoved child is live
+    [[2.0, 1.0, 0.5], [1.5, 1.0]],
+    [[1.5, 1.0], [2.0, 1.0, 0.5], [1.2, 1.0, 1.0]],
+    # asset 1 never falls in period 1: the third child is dead
+    [[(1.2, 1.0), (0.8, 1.0), (1.0, 1.3)], [(1.1, 1.2), (0.9, 0.7), (1.0, 1.1)]],
+    [[(1.2, 1.1), (0.8, 0.9), (1.0, 1.0)], [(1.3, 1.0), (1.0, 1.2), (1.0, 1.0)]],
+    [[2.0, 1.0, 0.5], [1.5, 0.7]],
+])
+def test_support_matches_per_leaf_oracle(moves, monkeypatch):
+    tree = treegen.product_market(moves)
+    calls = []
+    real = geometry.solve_lp
+    monkeypatch.setattr(geometry, "solve_lp",
+                        lambda *a: calls.append(1) or real(*a))
+    mask, q = _support_structure(tree)
+    oracle = _support_oracle(tree)
+    assert np.array_equal(mask, oracle)
+    # one max-min LP when the tree is equivalent, else support + max-min
+    assert len(calls) == (1 if oracle.all() else 3)
+    A = build_constraints(tree).matrix
+    assert np.abs(A @ q).max() <= 1e-12
     assert np.all(q[mask] > 0) and np.all(q[~mask] == 0)

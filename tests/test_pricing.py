@@ -216,6 +216,43 @@ def test_price_report_counts_its_dual_solves(tri1, pair_name, request,
     assert rep.method_agreement_residual <= 1e-6
 
 
+def _count_lps(monkeypatch):
+    calls = []
+    real = pricing.solve_lp
+    monkeypatch.setattr(pricing, "solve_lp", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
+def test_price_report_solves_two_lps(tri1, pair_name, request, monkeypatch):
+    pair = request.getfixturevalue(pair_name)
+    e, b = RandomVariable(E_TRI), RandomVariable(B_TRI)
+    base = solve_dual(tri1, pair, e)
+    bid = indifference_price(tri1, pair, e, b, base=base)
+    offer = -indifference_price(tri1, pair, e, -b, base=base)
+    ce = certainty_equivalent(tri1, pair, e, b, start=base._mu_arr)
+    bounds = price_bounds(tri1, b)
+    calls = _count_lps(monkeypatch)
+    rep = price_report(tri1, pair, e, b)
+    assert len(calls) == 2
+    assert rep.lp_bounds == pytest.approx(bounds, abs=1e-15)
+    assert (rep.bid, rep.offer, rep.certainty_equivalent) == pytest.approx(
+        (bid, offer, ce), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("betas", [[2.0], [1e-2, 1.0, 1e2], np.logspace(-4, 4, 9)])
+def test_volume_curve_solves_two_lps(tri1, exp_pair, betas, monkeypatch):
+    e, b = RandomVariable(E_TRI), RandomVariable(B_TRI)
+    base = solve_dual(tri1, exp_pair, e)
+    prices = [indifference_price(tri1, exp_pair, e, b * beta, base=base) / beta
+              for beta in betas]
+    calls = _count_lps(monkeypatch)
+    rep = average_price_curve(tri1, exp_pair, e, b, betas)
+    assert len(calls) == 2
+    assert rep.prices == pytest.approx(prices, rel=1e-12, abs=1e-15)
+    assert rep.lp_lower == pytest.approx(price_bounds(tri1, b)[0], abs=1e-15)
+
+
 def test_supremum_probe_counts_as_above_target(tri1, tp_pair, monkeypatch):
     # a probe whose value is reported as sup U lies above the target: the
     # root must still be found from below, never past it

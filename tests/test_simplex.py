@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from treedual import NonconvergedError, simplex
 from treedual.simplex import solve_lp
 
 
@@ -44,7 +46,7 @@ def test_negative_rhs_normalization():
 
 
 def test_degenerate_cycling_guard():
-    # Beale's cycling example in slack form; Bland's rule must terminate
+    # Beale's example in slack form, on which Dantzig's pivoting rule cycles
     from scipy.optimize import linprog
 
     A = np.array([
@@ -59,6 +61,22 @@ def test_degenerate_cycling_guard():
     ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
     assert res.value == pytest.approx(ref.fun, abs=1e-10)
     assert res.value == pytest.approx(-0.05, abs=1e-10)
+
+
+def _best_basic_solution(c, A, b):
+    """Least c.x over the feasible basic solutions, by enumerating bases."""
+    from itertools import combinations
+
+    m, n = A.shape
+    best = np.inf
+    for cols in combinations(range(n), m):
+        B = A[:, cols]
+        if abs(np.linalg.det(B)) < 1e-12:
+            continue
+        xb = np.linalg.solve(B, b)
+        if np.all(xb >= -1e-10):
+            best = min(best, float(c[list(cols)] @ xb))
+    return best
 
 
 def test_random_agreement_with_scipy():
@@ -76,5 +94,24 @@ def test_random_agreement_with_scipy():
         if mine.status == "optimal":
             assert ref.status == 0
             assert mine.value == pytest.approx(ref.fun, abs=1e-7)
-        elif mine.status == "unbounded":
-            assert ref.status == 3
+            assert mine.value == pytest.approx(_best_basic_solution(c, A, b), abs=1e-7)
+            assert np.abs(A @ mine.x - b).max() <= 1e-9
+            assert mine.x.min() >= -1e-9
+        else:
+            assert mine.status == "unbounded" and ref.status == 3
+
+
+@pytest.mark.parametrize("status", [1, 4])
+def test_other_highs_status_raises_nonconverged(monkeypatch, status):
+    # an iteration limit (1) or numerical trouble (4) is no verdict on the LP
+    def stopped(*args, **kwargs):
+        return OptimizeResult(status=status, message="stopped", x=None, fun=None)
+
+    monkeypatch.setattr(simplex, "linprog", stopped)
+    with pytest.raises(NonconvergedError, match=f"status {status}"):
+        solve_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
+
+
+def test_inconsistent_dimensions_rejected():
+    with pytest.raises(ValueError):
+        solve_lp([1.0, 1.0, 1.0], [[1.0, 1.0]], [1.0])

@@ -8,7 +8,7 @@ from scipy.optimize import minimize_scalar
 
 from treedual import (AssumptionFailError, DomainError, UtilityPair,
                       certify_assumptions, evaluate, exponential_utility,
-                      parse_utility_spec, two_power_utility)
+                      parse_utility_spec, run_battery, two_power_utility)
 
 INF = float("inf")
 
@@ -119,6 +119,17 @@ def test_certification_two_power():
     assert rep.ae_plus_estimate == pytest.approx(0.5, abs=5e-3)
     assert rep.ae_minus_estimate == pytest.approx(2.0, abs=5e-3)
     assert rep.conjugacy_max_residual <= 1e-7
+
+
+@pytest.mark.parametrize("gamma", [2.0, 3.0, 5.0])
+def test_battery_certifies_strongly_risk_averse_exponential(bin1, gamma):
+    # U(-10) ~ exp(10 gamma): the biconjugacy residual is measured relative
+    # to it, so rounding alone no longer fails the check
+    pair = exponential_utility(gamma, 1.0 + 1.0 / gamma)
+    cert = run_battery(bin1, pair, {"u": 0.2, "d": -0.1})[0]
+    assert cert.name == "utility certification"
+    assert cert.passed
+    assert cert.residual <= 1e-13
 
 
 def _hostile_pair():
