@@ -358,7 +358,12 @@ def certify_assumptions(pair: UtilityPair,
                         n_grid: int = 400) -> CertificationReport:
     """Certify Inada, strict concavity, tail elasticity and conjugate growth.
 
-    Grids are log-spaced out to ``+-x_extent`` (at least 1e6).  Raises
+    Grids are log-spaced out to ``+-x_extent`` (at least 1e6).  The Inada
+    conditions U'(inf) = 0 and U'(-inf) = inf are read from the log-log
+    slope of U' over the last decade of the grid on which U' is finite and
+    positive: below -1e-3 on the right, above 1e-3 on the left.  The
+    biconjugacy U(x) = min_y V(y) + x y is checked at 51 points in [-10, 10]
+    by one lane-wise golden-section search.  Raises
     :class:`AssumptionFailError` naming the first violated assumption;
     otherwise returns the report with the empirical estimates.
     """
@@ -386,25 +391,36 @@ def certify_assumptions(pair: UtilityPair,
         raise AssumptionFailError("positive utility at zero", f"U(0)={u0:.3g}")
 
     # C1: central differences of U against U' on a moderate window
+    # (U overflows at the window's left end for large risk aversion; those
+    # points are dropped below)
     mid = xs[(np.abs(xs) > 1e-3) & (np.abs(xs) < 100.0)]
     h = 1e-6 * (1.0 + np.abs(mid))
-    fd = (pair.u(mid + h) - pair.u(mid - h)) / (2.0 * h)
-    upm = pair.u_prime(mid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fd = (pair.u(mid + h) - pair.u(mid - h)) / (2.0 * h)
+        upm = pair.u_prime(mid)
     okc = np.isfinite(fd) & np.isfinite(upm)
     if np.max(np.abs(fd[okc] - upm[okc]) / (1.0 + np.abs(upm[okc]))) > 1e-5:
         raise AssumptionFailError("continuous differentiability",
                                   "U' disagrees with finite differences of U")
 
-    # Inada: monotone decay of U' on expanding grids, both directions
+    # Inada: U' monotone on expanding grids, both directions, and still
+    # decaying (growing) like a power over the last decade of the finite
+    # window: the log-log slope of U' there must be below -1e-3 on the
+    # right and above 1e-3 on the left.  No level test decides this:
+    # U' = (1+x)^(-a) tends to 0 for every a > 0 but exceeds 1e-2 at x = 1e6
+    # for a < 1/3
     pos_grid = np.logspace(0, math.log10(x_extent), 60)
     xp, upp = _finite_window(pair.u_prime, pos_grid, positive=True)
     xn, upn = _finite_window(pair.u_prime, -pos_grid, positive=True)
-    inada_ok = (upp[-1] < 1e-2 and np.all(np.diff(upp) < 0)
-                and upn[-1] > 1e2 and np.all(np.diff(upn) > 0))
+    slope_p = _last_decade_slope(xp, upp)
+    slope_n = _last_decade_slope(-xn, upn)
+    inada_ok = (slope_p < -1e-3 and np.all(np.diff(upp) < 0)
+                and slope_n > 1e-3 and np.all(np.diff(upn) > 0))
     if not inada_ok:
         raise AssumptionFailError("Inada conditions",
-                                  f"U'({xp[-1]:.3g})={upp[-1]:.3g}, "
-                                  f"U'({xn[-1]:.3g})={upn[-1]:.3g}")
+                                  f"log-log slope of U' {slope_p:.3g} up to "
+                                  f"x={xp[-1]:.3g}, {slope_n:.3g} down to "
+                                  f"x={xn[-1]:.3g}")
 
     # tail elasticity x U'(x)/U(x) at the largest finite grid points
     def elasticity(x):
@@ -431,45 +447,58 @@ def certify_assumptions(pair: UtilityPair,
     if not math.isfinite(growth):
         raise AssumptionFailError("conjugate growth", "y|V'|/V unbounded on grid")
 
-    # biconjugacy: U(x) = min_y { V(y) + x y }, inner min by 1-D golden
-    # section, residual relative to 1 + |U(x)|: U(-10) grows like
-    # exp(10 gamma), so an absolute residual fails on rounding alone
+    # biconjugacy: U(x) = min_y { V(y) + x y }, inner min over s = ln y by
+    # one golden-section search with a lane per x; residual relative to
+    # 1 + |U(x)|: U(-10) grows like exp(10 gamma), so an absolute residual
+    # fails on rounding alone
     conj_x = np.concatenate([-np.logspace(-2, 1, 25), [0.0],
                              np.logspace(-2, 1, 25)])
-    resid = 0.0
-    for x in conj_x:
-        y_star = _golden_min(lambda s, x=x: pair.v(math.exp(s)) + x * math.exp(s),
-                             math.log(pair.u_prime(x)) - 8.0,
-                             math.log(pair.u_prime(x)) + 8.0)
-        val = pair.v(math.exp(y_star)) + x * math.exp(y_star)
-        u_x = pair.u(x)
-        resid = max(resid, abs(u_x - val) / (1.0 + abs(u_x)))
+    s_mid = np.log(pair.u_prime(conj_x))
+    s_star = _golden_min(lambda s: pair.v(np.exp(s)) + conj_x * np.exp(s),
+                         s_mid - 8.0, s_mid + 8.0)
+    val = pair.v(np.exp(s_star)) + conj_x * np.exp(s_star)
+    u_x = pair.u(conj_x)
+    resid = float(np.max(np.abs(u_x - val) / (1.0 + np.abs(u_x))))
 
     return CertificationReport(
         inada_ok=True,
         ae_plus_estimate=ae_plus_est,
         ae_minus_estimate=ae_minus_est,
         growth_constant_estimate=growth,
-        conjugacy_max_residual=float(resid),
+        conjugacy_max_residual=resid,
         u_at_zero=float(u0),
         passed=True,
     )
 
 
+def _last_decade_slope(xs, vals):
+    """Log-log slope of ``vals`` over the last decade of the positive grid xs."""
+    first = np.searchsorted(xs, xs[-1] / 10.0)
+    return float(np.log(vals[-1] / vals[first]) / np.log(xs[-1] / xs[first]))
+
+
 def _golden_min(f, lo, hi, iters=90):
-    """Scalar golden-section minimizer on [lo, hi]; returns the argmin."""
+    """Golden-section minimizer, elementwise over lanes of brackets [lo, hi].
+
+    ``lo`` and ``hi`` are arrays (one lane each) and ``f`` maps an array of
+    points to an array of values, one per lane; each lane runs the scalar
+    golden-section iteration, so one call of ``f`` per step serves every
+    lane.  Returns the array of argmins.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+        # left lanes keep [a, d] and probe a new c; right lanes keep [c, b]
+        # and probe a new d
+        left = fc <= fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
     return 0.5 * (a + b)

@@ -13,7 +13,7 @@ from treedual import (CapExceededError, MeasureVector,
                       relative_entropy, sample_martingale_measures,
                       solve_dual, two_power_utility, vertex_enumerate)
 from treedual import geometry
-from treedual.geometry import _support_structure
+from treedual.geometry import MartingaleConstraints, _support_structure
 
 
 def test_bin1_constraint_row(bin1):
@@ -85,6 +85,74 @@ def test_vertex_cap():
     tree = treegen.product_market([[2.0, 1.0, 0.5]] * 3)
     with pytest.raises(CapExceededError):
         vertex_enumerate(build_constraints(tree), cap=2)
+
+
+def _top_down(cons):
+    """The same constraints with rows and labels reversed.
+
+    ``vertex_enumerate`` takes rows bottom-up; on this copy it takes them
+    top-down, in the order of ``build_constraints``.
+    """
+    mat = np.ascontiguousarray(cons.matrix[::-1])
+    mat.setflags(write=False)
+    return MartingaleConstraints(mat, cons.row_labels[::-1], cons.leaf_ids)
+
+
+def _vertices_by_support(verts, tree):
+    arrs = [v.as_array(tree) for v in verts]
+    return {tuple(np.flatnonzero(a)): a for a in arrs}
+
+
+@pytest.mark.parametrize("tree", [
+    treegen.product_market([[1.2, 1.0, 0.8]] * 2),
+    treegen.product_market([[1.3, 0.8]] * 3),
+    treegen.product_market([[(1.2, 1.1), (0.9, 1.2), (0.8, 0.85), (1.1, 0.9)]] * 2),
+    *[treegen.random_market(np.random.default_rng(s), max_periods=2)
+      for s in range(4)],
+    *[treegen.random_market(np.random.default_rng(s), max_periods=2, n_assets=2)
+      for s in range(2)],
+], ids=["3x3", "2x2x2", "4x4-2a", "rand0", "rand1", "rand2", "rand3",
+        "rand2a0", "rand2a1"])
+def test_row_order_leaves_vertex_set_unchanged(tree):
+    cons = build_constraints(tree)
+    bottom_up = vertex_enumerate(cons)
+    top_down = vertex_enumerate(_top_down(cons))
+    assert len(bottom_up) == len(top_down)
+    got = _vertices_by_support(bottom_up, tree)
+    want = _vertices_by_support(top_down, tree)
+    # one vertex per support, the same supports in both orders; the values
+    # come from a least-squares polish over the support's rows in the order
+    # given, so they agree to rounding rather than bit for bit
+    assert len(got) == len(bottom_up)
+    assert got.keys() == want.keys()
+    for supp, q in got.items():
+        assert np.abs(q - want[supp]).max() <= 1e-15
+
+
+def test_three_period_trinomial_tree_has_128_vertices():
+    # two vertices per node, each charging two children: 2 * (2 * 2^2)^2
+    tree = treegen.product_market([[1.25, 1.05, 0.8]] * 3)
+    cons = build_constraints(tree)
+    verts = vertex_enumerate(cons)
+    assert len(verts) == 128
+    for v in verts:
+        arr = v.as_array(tree)
+        assert np.abs(cons.matrix @ arr).max() <= 1e-10
+        assert arr.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_two_asset_trinomial_tree_has_one_vertex():
+    # three planar moves around the origin fix each node's one-step weights,
+    # so the polytope is the single, equivalent, martingale measure
+    rng = np.random.default_rng(3)
+    tree = treegen.random_market(rng, max_periods=3, n_assets=2)
+    while tree.n_leaves != 27:
+        tree = treegen.random_market(rng, max_periods=3, n_assets=2)
+    verts = vertex_enumerate(build_constraints(tree))
+    assert len(verts) == 1
+    q = verts[0].as_array(tree)
+    assert q.min() > 0
+    assert q == pytest.approx(find_equivalent_mm(tree).as_array(tree), abs=1e-9)
 
 
 def test_no_equivalent_mm_implies_every_vertex_degenerate():

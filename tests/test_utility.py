@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.optimize import minimize_scalar
 from treedual import (AssumptionFailError, DomainError, UtilityPair,
                       certify_assumptions, evaluate, exponential_utility,
                       parse_utility_spec, run_battery, two_power_utility)
+from treedual.utility import _golden_min
 
 INF = float("inf")
 
@@ -156,6 +158,67 @@ def test_certification_rejects_hostile_pair():
     with pytest.raises(AssumptionFailError) as exc:
         certify_assumptions(_hostile_pair())
     assert "concavity" in exc.value.assumption or "Inada" in exc.value.assumption
+
+
+@pytest.mark.parametrize("a", [0.05, 0.2, 0.3, 0.32])
+def test_certification_two_power_weak_right_tail(a):
+    # U'(x) = (1+x)^(-a) tends to 0 for every a > 0, though U'(1e6) stays
+    # above 1e-2 when a <= 1/3
+    rep = certify_assumptions(two_power_utility(a, 1.0, 1.0))
+    assert rep.passed and rep.inada_ok
+    assert rep.ae_plus_estimate == pytest.approx(1.0 - a, abs=5e-3)
+
+
+def _marginal_floor_pair():
+    """Strictly concave, but U' decreases to 1/2 instead of 0 on the right."""
+    base = exponential_utility(1.0, 2.0)
+
+    def u(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x >= 0, 1.0 + 0.5 * x + 0.5 * np.log1p(np.abs(x)),
+                        1.0 + 0.5 * x - ((1.0 - x) ** 2 - 1.0) / 4.0)
+
+    def u_prime(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x >= 0, 0.5 + 0.5 / (1.0 + np.abs(x)),
+                        0.5 + 0.5 * (1.0 - x))
+
+    return UtilityPair(family="custom", params={}, u=u, u_prime=u_prime,
+                       v=base.v, v_prime=base.v_prime, v_second=base.v_second,
+                       u_inf=INF, ae_plus=1.0, ae_minus=2.0)
+
+
+def test_certification_rejects_marginal_bounded_away_from_zero():
+    with pytest.raises(AssumptionFailError) as exc:
+        certify_assumptions(_marginal_floor_pair())
+    assert exc.value.assumption == "Inada conditions"
+
+
+def test_certification_strong_risk_aversion_is_warning_free():
+    # U(x +- h) overflows at the left end of the finite-difference window
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = certify_assumptions(exponential_utility(10.0, 1.1))
+    assert rep.passed
+
+
+@pytest.mark.parametrize("pair", [exponential_utility(0.5, 0.0),
+                                  exponential_utility(1.0, 0.0),
+                                  exponential_utility(2.0, 0.0),
+                                  two_power_utility(0.5, 1.0, 1.0),
+                                  two_power_utility(0.3, 2.0, 1.0)],
+                         ids=lambda p: p.describe())
+def test_golden_min_lanes_find_each_conjugate_argmin(pair):
+    # s -> V(e^s) + x e^s is least at s = ln U'(x).  The exponential pairs
+    # are unshifted: a shift C adds rounding of ~1e-16 C to an objective
+    # whose curvature at x = 10 is ~e^(-10 gamma), which hides its minimum
+    # at the 1e-6 level
+    x = np.concatenate([-np.logspace(-2, 1, 25), [0.0], np.logspace(-2, 1, 25)])
+    s_true = np.log(pair.u_prime(x))
+    s = _golden_min(lambda s: pair.v(np.exp(s)) + x * np.exp(s),
+                    s_true - 8.0, s_true + 5.0)
+    assert s.shape == x.shape
+    assert np.abs(s - s_true).max() <= 1e-6
 
 
 def test_certification_rejects_nonpositive_shift():

@@ -94,10 +94,15 @@ def _straddling_moves_1d(rng, n_children):
 
 
 def _straddling_moves_2d(rng):
-    """Three planar moves whose hull strictly contains the origin."""
-    angles = np.array([rng.uniform(0, 2 * np.pi / 3),
-                       rng.uniform(2 * np.pi / 3, 4 * np.pi / 3),
-                       rng.uniform(4 * np.pi / 3, 2 * np.pi)])
+    """Three planar moves whose hull strictly contains the origin.
+
+    Each angle lies within less than pi/6 of 0, 2pi/3 or 4pi/3, so every
+    angular gap between neighbours is below pi.
+    """
+    jitter = np.pi / 6
+    angles = np.array([rng.uniform(-jitter, jitter),
+                       2 * np.pi / 3 + rng.uniform(-jitter, jitter),
+                       4 * np.pi / 3 + rng.uniform(-jitter, jitter)])
     radii = rng.uniform(0.15, 0.4, size=3)
     z = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
     return 1.0 + z  # multiplicative move per asset
