@@ -5,8 +5,8 @@ over non-negative leaf measures satisfying the martingale equality rows (and
 optionally a fixed total mass).  The solver is a primal-feasible interior
 point method: a logarithmic barrier on ``mu >= 0`` with Newton steps in the
 null space of the equality rows, barrier weight shrunk geometrically, and a
-final barrier-free polish.  Curvature uses the closed-form V'' for the
-exponential family and finite differences of V' otherwise.
+final barrier-free polish.  Curvature uses the analytic V'' of the pair,
+and each point's conjugate values are computed once and carried along.
 
 Stationarity is measured by the norm of the gradient projected onto the
 feasible directions, with sign conditions at leaves whose optimal mass is at
@@ -85,12 +85,13 @@ def _hess_diag(pair, p, mu):
 def _stationarity_residual(M, mu, g):
     """Projected-gradient norm with sign conditions at floored leaves.
 
-    A leaf counts as active (pinned at the numeric floor) when its
-    multiplier estimate is significantly positive and the complementarity
-    product ``mu * s`` is negligible; masses at a genuine interior optimum
-    can span many orders of magnitude, so activity cannot be read off the
-    masses alone.  Classification and multipliers are re-fitted until the
-    active set stabilizes.
+    A leaf counts as active (pinned) when its mass is at most the floor
+    ``1e-8 (1 + sum mu) / L`` and its multiplier estimate ``s`` is above
+    ``1e-7 (1 + |g|)``; an active leaf contributes only a negative ``s``.
+    Classification and multipliers are re-fitted until the active set
+    stabilizes.  The complementarity product ``mu * s`` is not bounded: a
+    pinned leaf may keep a mass far above its optimum (~1e-10 where the
+    optimum is ~e^-100), which moves the value in its eighth digit.
     """
     if not np.all(np.isfinite(g)):
         return math.inf
@@ -115,15 +116,16 @@ def _stationarity_residual(M, mu, g):
     return num / gnorm
 
 
-def _polish_loop(M, Z, p, e, pair, mu, residual, *, tol, max_steps):
+def _polish_loop(M, Z, p, e, pair, mu, g, residual, *, tol, max_steps):
     """Barrier-free Newton accepted on stationarity decrease.
 
     Near the optimum the objective is flat to rounding, so progress is
     measured on the projected gradient; also serves as the warm-start path.
+    ``g`` is the gradient at ``mu``; the accepted trial's gradient carries
+    over to the next step.
     """
     steps = 0
     while residual > tol and steps < max_steps:
-        g = _gradient(pair, p, e, mu)
         if not np.all(np.isfinite(g)):
             break
         h = _hess_diag(pair, p, mu)
@@ -142,15 +144,15 @@ def _polish_loop(M, Z, p, e, pair, mu, residual, *, tol, max_steps):
         for _ in range(60):
             trial = mu + alpha * dmu
             if np.all(trial > 0):
-                res_trial = _stationarity_residual(
-                    M, trial, _gradient(pair, p, e, trial))
+                g_trial = _gradient(pair, p, e, trial)
+                res_trial = _stationarity_residual(M, trial, g_trial)
                 if res_trial < residual:
                     improved = True
                     break
             alpha *= 0.5
         if not improved:
             break
-        mu = trial
+        mu, g = trial, g_trial
         residual = res_trial
         steps += 1
     return mu, residual, steps
@@ -177,8 +179,9 @@ def _newton_core(A, p, e, pair, q0, *, mass=None, tol=DEFAULT_TOL,
 
     if start_mu is not None and np.all(mu > 0):
         # warm start: try pure Newton before paying for a barrier sweep
-        res0 = _stationarity_residual(M, mu, _gradient(pair, p, e, mu))
-        mu_w, res_w, used = _polish_loop(M, Z, p, e, pair, mu, res0,
+        g0 = _gradient(pair, p, e, mu)
+        res0 = _stationarity_residual(M, mu, g0)
+        mu_w, res_w, used = _polish_loop(M, Z, p, e, pair, mu, g0, res0,
                                          tol=tol, max_steps=25)
         if res_w <= tol:
             f = _objective(pair, p, e, mu_w)
@@ -191,28 +194,34 @@ def _newton_core(A, p, e, pair, q0, *, mass=None, tol=DEFAULT_TOL,
         # from the interior point
         mu = np.array(q0 * (1.0 if mass is None else mass), dtype=float)
 
-    def barrier_value(m, tau):
-        f = _objective(pair, p, e, m)
+    def barrier_value(f, m, tau):
         if not math.isfinite(f):
             return math.inf
         return f - tau * float(np.log(m).sum())
 
-    g0 = _gradient(pair, p, e, mu)
-    tau = 0.1 * (1.0 + float(np.abs(g0[np.isfinite(g0)]).max(initial=0.0)))
+    # the conjugate is evaluated once per point: V' at mu (g_raw) and the
+    # objective at mu (f_now) are carried from the accepted trial
+    g_raw = _gradient(pair, p, e, mu)
+    f_now = _objective(pair, p, e, mu)
+    tau = 0.1 * (1.0 + float(np.abs(g_raw[np.isfinite(g_raw)]).max(initial=0.0)))
     steps = 0
     log = []
     best = (math.inf, mu)
 
     def one_stage(tau, stage_tol):
-        nonlocal mu, steps
+        nonlocal mu, steps, g_raw, f_now
+        phi0 = barrier_value(f_now, mu, tau)
         for it in range(60):
-            if steps >= newton_cap:
-                return False
             with np.errstate(over="ignore", divide="ignore"):
-                g = _gradient(pair, p, e, mu) - tau / mu
+                g = g_raw - tau / mu
+            gr = Z.T @ g
+            if it and float(np.linalg.norm(gr)) <= stage_tol * (1.0 + tau):
+                return
+            if steps >= newton_cap:
+                return
+            with np.errstate(over="ignore", divide="ignore"):
                 h = _hess_diag(pair, p, mu) + tau / mu ** 2
             h = np.where(np.isfinite(h), h, 1e300)
-            gr = Z.T @ g
             Hr = (Z.T * h) @ Z
             try:
                 dw = np.linalg.solve(Hr, -gr)
@@ -225,32 +234,26 @@ def _newton_core(A, p, e, pair, q0, *, mass=None, tol=DEFAULT_TOL,
             alpha = 1.0
             if np.any(neg):
                 alpha = min(1.0, 0.99 * float(np.min(-mu[neg] / dmu[neg])))
-            phi0 = barrier_value(mu, tau)
             slope = float(gr @ dw)
             for _ in range(50):
                 trial = mu + alpha * dmu
-                phi1 = barrier_value(trial, tau)
+                f1 = _objective(pair, p, e, trial)
+                phi1 = barrier_value(f1, trial, tau)
                 if phi1 <= phi0 + 1e-4 * alpha * slope or phi1 <= phi0 - 1e-16 * abs(phi0):
                     break
                 alpha *= 0.5
             else:
-                return True  # no progress at this barrier weight
-            mu = trial
-            f_now = _objective(pair, p, e, mu)
+                return  # no progress at this barrier weight
+            mu, f_now, phi0 = trial, f1, phi1
             if f_now < _VALUE_FLOOR:
                 raise EvaluationOverflowError(
                     "dual objective fell below the floating-point range")
-            gnorm = float(np.linalg.norm(Z.T @ (_gradient(pair, p, e, mu) - tau / mu)))
-            if gnorm <= stage_tol * (1.0 + tau):
-                return True
-        return True
+            g_raw = _gradient(pair, p, e, mu)
 
     residual = math.inf
     for stage in range(80):
         one_stage(tau, stage_tol=0.1)
-        g = _gradient(pair, p, e, mu)
-        residual = _stationarity_residual(M, mu, g)
-        f_now = _objective(pair, p, e, mu)
+        residual = _stationarity_residual(M, mu, g_raw)
         log.append({"tau": tau, "steps": steps, "residual": residual})
         if f_now < best[0]:
             best = (f_now, mu.copy())
@@ -265,7 +268,7 @@ def _newton_core(A, p, e, pair, q0, *, mass=None, tol=DEFAULT_TOL,
             # barrier exhausted; barrier-free polish below
             break
 
-    mu, residual, used = _polish_loop(M, Z, p, e, pair, mu, residual,
+    mu, residual, used = _polish_loop(M, Z, p, e, pair, mu, g_raw, residual,
                                       tol=tol, max_steps=min(40, newton_cap - steps))
     steps += used
     log.append({"tau": 0.0, "steps": steps, "residual": residual})
@@ -274,7 +277,9 @@ def _newton_core(A, p, e, pair, q0, *, mass=None, tol=DEFAULT_TOL,
         raise NonconvergedError(
             f"stationarity {residual:.3e} above tolerance {tol:.1e}",
             best=mu, residual=residual)
-    return mu, _objective(pair, p, e, mu), residual, tuple(log)
+    if used:
+        f_now = _objective(pair, p, e, mu)
+    return mu, f_now, residual, tuple(log)
 
 
 # -- public solver ---------------------------------------------------------------
@@ -361,12 +366,13 @@ def solve_dual(tree: MarketTree, pair: UtilityPair, endow=0.0, *,
         if np.any(arr[~mask] > 0):
             raise NoMartingaleMeasureError("start measure charges dead leaves")
         start_s = arr[mask]
-    mu_s, _, res, log = _newton_core(
+    mu_s, value, res, log = _newton_core(
         A_s, p[mask], e[mask], pair, q_int[mask], mass=None,
         tol=tol, newton_cap=newton_cap, start_mu=start_s)
     mu = np.zeros(tree.n_leaves)
     mu[mask] = mu_s
-    value = _objective(pair, p, e, mu)  # includes V(0) terms on dead leaves
+    if flag == "DEGENERATE":
+        value = _objective(pair, p, e, mu)  # adds the V(0) terms of dead leaves
     mass = float(mu.sum())
     if not (mass > 0.0 and value < pair.u_inf):
         raise ValueAtSupremumError(
@@ -399,12 +405,13 @@ def solve_dual_fixed_mass(tree: MarketTree, pair: UtilityPair, endow, y: float, 
     A = build_constraints(tree).matrix
     A_s = A[:, mask]
     start_s = start[mask] if start is not None else None
-    mu_s, _, res, log = _newton_core(
+    mu_s, value, res, log = _newton_core(
         A_s, p[mask], e[mask], pair, q_int[mask], mass=y,
         tol=tol, newton_cap=newton_cap, start_mu=start_s)
     mu = np.zeros(tree.n_leaves)
     mu[mask] = mu_s
-    value = _objective(pair, p, e, mu)
+    if flag == "DEGENERATE":
+        value = _objective(pair, p, e, mu)
     return DualSolution(
         tree=tree, pair=pair,
         mu=MeasureVector.from_array(tree, mu),

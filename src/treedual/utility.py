@@ -6,8 +6,8 @@ Two built-in families:
   conjugate ``V(y) = shift + (y/gamma)*(ln y - 1)``.
 * ``two_power``: polynomial tails ``U(x) = shift + ((1+x)^(1-a) - 1)/(1-a)``
   for ``x >= 0`` and ``U(x) = shift - ((1-x)^(1+b) - 1)/(1+b)`` for ``x < 0``.
-  The conjugate has no closed form here and is evaluated by safeguarded
-  root-finding on the strictly decreasing marginal ``U'``.
+  The marginal ``U'`` inverts in closed form on each tail, so V, V' and V''
+  are closed-form too; each inversion is certified by its residual.
 
 Boundary conventions use explicit infinities: ``V(0) = U(inf)``,
 ``V(inf) = inf``, ``V'(0) = -inf`` and ``V'(inf) = inf``.  Tail-elasticity and
@@ -26,7 +26,7 @@ from .errors import AssumptionFailError, DomainError, ParseError
 
 INF = float("inf")
 
-# root-finding residual target for conjugate evaluation: |U'(x*) - y| <= RES*(1+y)
+# certified inversion residual of U' in the conjugate: |U'(x*) - y| <= RES*(1+y)
 _MARGINAL_RESIDUAL = 1e-12
 
 
@@ -136,7 +136,7 @@ def exponential_utility(gamma: float, shift: float = 0.0) -> UtilityPair:
 
 
 def _check_conjugate_domain(y):
-    if np.any(y < 0) or np.any(np.isnan(y)):
+    if not np.all(y >= 0):  # also false for NaN
         raise DomainError("conjugate argument must be >= 0")
 
 
@@ -148,7 +148,9 @@ def two_power_utility(a: float, b: float, shift: float = 1.0) -> UtilityPair:
     Requires ``a`` in (0,1) and ``b > 0``; ``shift > 0`` keeps U(0) positive.
     The marginal is ``U'(x) = (1+x)^(-a)`` for x >= 0 and ``(1-x)^b`` below,
     so it is C^1 at 0 with U'(0) = 1.  Tail elasticities are ``1-a`` and
-    ``1+b``.  V is evaluated by root-finding on U'.
+    ``1+b``.  U' inverts exactly, to ``y^(-1/a) - 1`` for y <= 1 and
+    ``1 - y^(1/b)`` above, which gives V and V' in closed form; V'' is
+    analytic and jumps at y = 1, where U'' does at x = 0.
     """
     if not (0.0 < a < 1.0):
         raise DomainError("a must lie in (0, 1)")
@@ -182,94 +184,48 @@ def two_power_utility(a: float, b: float, shift: float = 1.0) -> UtilityPair:
             out[~up] = 1.0 - np.power(1.0 + (1.0 + b) * (c - v[~up]), 1.0 / (1.0 + b))
         return out
 
-    def _newton_polish(xs, yy, iters=3):
-        """Safeguarded Newton on U'(x) - y with the analytic U''."""
-        for _ in range(iters):
-            upx = u_prime(xs)
-            with np.errstate(over="ignore"):
-                upp = np.where(xs >= 0,
-                               -a * np.power(1.0 + np.abs(xs), -a - 1.0),
-                               -b * np.power(1.0 + np.abs(xs), b - 1.0))
-            step = (upx - yy) / upp
-            # cap at half the distance to the kink's scale to stay bracketed
-            cap = 0.5 * (1.0 + np.abs(xs))
-            xs = xs - np.clip(step, -cap, cap)
-        return xs
-
-    def _bisect_fallback(yy):
-        """Bracketed bisection in s = log(1+|x|); slow path, always converges."""
-        right = yy <= 1.0
-        out = np.empty_like(yy)
-        for mask, rate, sign in ((right, -a, 1.0), (~right, b, -1.0)):
-            if not np.any(mask):
-                continue
-            target = np.log(yy[mask])
-            hi = np.ones_like(target)
-            for _ in range(1100):
-                todo = rate * hi - target < 0 if rate > 0 else rate * hi - target > 0
-                if not np.any(todo):
-                    break
-                hi[todo] *= 2.0
-            lo = np.zeros_like(target)
-            for _ in range(110):
-                mid = 0.5 * (lo + hi)
-                f = rate * mid - target
-                up = f < 0 if rate > 0 else f > 0
-                lo[up] = mid[up]
-                hi[~up] = mid[~up]
-            out[mask] = sign * np.expm1(0.5 * (lo + hi))
-        return out
-
     def inverse_marginal(y):
-        """Solve U'(x) = y: Newton from a log-space guess, certified residual.
+        """Solve U'(x) = y in closed form, with a certified residual.
 
-        The guess inverts each tail's exponential form in s = log(1+|x|);
-        Newton with the analytic U'' then certifies
-        |U'(x*) - y| <= 1e-12 (1+y), falling back to bracketed bisection
-        for any entry that fails.
+        Each tail inverts exactly: x = y^(-1/a) - 1 for y <= 1 and
+        x = 1 - y^(1/b) above, computed as expm1 of ln y over the tail's
+        exponent.  The sentinels follow from IEEE arithmetic: y = 0 gives
+        x = inf (U' vanishes only there), y = inf gives x = -inf.  Raises
+        ``ArithmeticError`` when a finite x has |U'(x) - y| > 1e-12 (1+y).
         """
         _check_conjugate_domain(y)
-        x = np.empty_like(y)
-        zero = y == 0
-        inf = np.isinf(y)
-        interior = ~zero & ~inf
-        yy = y[interior]
+        right = y <= 1.0
         with np.errstate(over="ignore", divide="ignore"):
-            s = np.where(yy <= 1.0, np.log(yy) / (-a), np.log(yy) / b)
-            xs = np.where(yy <= 1.0, np.expm1(s), -np.expm1(s))
-        xs = _newton_polish(xs, yy)
+            x = np.expm1(np.log(y) / np.where(right, -a, b))
+        np.negative(x, out=x, where=~right)
         with np.errstate(over="ignore", invalid="ignore"):
-            resid = np.abs(u_prime(xs) - yy)
-        bad = ~(resid <= _MARGINAL_RESIDUAL * (1.0 + yy)) & np.isfinite(xs)
+            resid = np.abs(u_prime(x) - y)
+        bad = ~(resid <= _MARGINAL_RESIDUAL * (1.0 + y)) & np.isfinite(x)
         if np.any(bad):
-            xs = xs.copy()
-            xs[bad] = _newton_polish(_bisect_fallback(yy[bad]), yy[bad])
-            resid = np.abs(u_prime(xs) - yy)
-            still = ~(resid <= _MARGINAL_RESIDUAL * (1.0 + yy)) & np.isfinite(xs)
-            if np.any(still):
-                raise ArithmeticError(
-                    f"marginal inversion residual {resid[still].max():.3e} above target")
-        x[interior] = xs
-        x[zero] = INF     # U'(x) -> 0 only as x -> inf
-        x[inf] = -INF
+            raise ArithmeticError(
+                f"marginal inversion residual {resid[bad].max():.3e} above target")
         return x
 
     def v(y):
         xs = inverse_marginal(y)
         out = np.full_like(y, INF)  # V(0) = U(inf) = inf, V(inf) = inf
         interior = np.isfinite(xs)
-        out[interior] = u(xs[interior]) - xs[interior] * y[interior]
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = u(xs[interior]) - xs[interior] * y[interior]
+        # inf - inf where U(x) and x y both overflow: V is above the range
+        out[interior] = np.where(np.isnan(vals), INF, vals)
         return out
 
     def v_prime(y):
         return -inverse_marginal(y)
 
-    def v_second(y, h=1e-6):
-        # no closed form here: central differences of V'
-        _check_conjugate_domain(y)
-        up = v_prime(y * (1.0 + h))
-        dn = v_prime(y * (1.0 - h))
-        return (up - dn) / (2.0 * h * y)
+    def v_second(y):
+        # -1/U''(x) with U'(x) = y: (1+x)^(1+a)/a = (1+x)/(a y) on the right
+        # tail, (1-x)^(1-b)/b = (1-x)/(b y) on the left; U'' jumps at x = 0,
+        # so V'' is 1/a at y = 1 and tends to 1/b from above
+        x = inverse_marginal(y)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return (1.0 + np.abs(x)) / (np.where(y <= 1.0, a, b) * y)
 
     return UtilityPair(
         family="two_power",
@@ -477,17 +433,33 @@ def _last_decade_slope(xs, vals):
     return float(np.log(vals[-1] / vals[first]) / np.log(xs[-1] / xs[first]))
 
 
-def _golden_min(f, lo, hi, iters=90):
+def _golden_min(f, lo, hi, iters=90, *, expand=False):
     """Golden-section minimizer, elementwise over lanes of brackets [lo, hi].
 
     ``lo`` and ``hi`` are arrays (one lane each) and ``f`` maps an array of
     points to an array of values, one per lane; each lane runs the scalar
     golden-section iteration, so one call of ``f`` per step serves every
-    lane.  Returns the array of argmins.
+    lane.  With ``expand`` each lane's bracket first doubles its width
+    towards any end whose value is below the midpoint's, until the midpoint
+    beats both ends.  Returns the array of argmins after ``iters`` steps.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a = np.asarray(lo, dtype=float)
     b = np.asarray(hi, dtype=float)
+    if expand:
+        fa, fb = f(a), f(b)
+        for _ in range(80):
+            fm = f(0.5 * (a + b))
+            grow_a = ~(fm <= fa + 1e-18 * np.abs(fm))
+            grow_b = ~(fm <= fb + 1e-18 * np.abs(fm))
+            if not np.any(grow_a | grow_b):
+                break
+            a = np.where(grow_a, a - (b - a), a)
+            b = np.where(grow_b, b + (b - a), b)
+            if np.any(grow_a):
+                fa = np.where(grow_a, f(a), fa)
+            if np.any(grow_b):
+                fb = np.where(grow_b, f(b), fb)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)

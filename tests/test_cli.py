@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import treegen
 from treedual import cli
 
 
@@ -24,3 +25,55 @@ def test_workers_flag_is_gone(tri1_file):
     argv = ["curve", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2",
             "--claim", "up", "--workers", "4"]
     assert cli.run(argv) == cli.EXIT_INPUT
+
+
+def _arbitrage_file(tmp_path):
+    # both children above the root price: no martingale measure exists
+    doc = treegen.bin1_dict()
+    doc["nodes"][2]["prices"] = ["1.5"]
+    path = tmp_path / "arbitrage.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_solve_exits_zero(tri1_file, capsys):
+    argv = ["solve", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2"]
+    assert cli.run(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out
+
+
+def test_arbitrage_exits_one(tmp_path, capsys):
+    argv = ["solve", "--market", str(_arbitrage_file(tmp_path)),
+            "--utility", "exp:gamma=1,C=2"]
+    assert cli.run(argv) == cli.EXIT_VERIFY
+    assert capsys.readouterr().err.startswith("NO_MM:")
+
+
+@pytest.mark.parametrize("case", ["unknown utility", "missing file"])
+def test_input_errors_exit_two(tri1_file, tmp_path, capsys, case):
+    market, spec = str(tri1_file), "exp:gamma=1,C=2"
+    if case == "unknown utility":
+        spec = "cobbdouglas:a=1"
+    else:
+        market = str(tmp_path / "absent.json")
+    assert cli.run(["solve", "--market", market, "--utility", spec]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("command,csv", [
+    (["oracle", "--seed", "3"], "oracle.csv"),
+    (["price", "--claim", "up"], "price.csv"),
+])
+def test_csv_output_is_byte_identical_across_runs(tri1_file, tmp_path, capsys,
+                                                  command, csv):
+    blobs = []
+    for run_id in range(2):
+        out = tmp_path / f"run{run_id}"
+        argv = command + ["--market", str(tri1_file),
+                          "--utility", "twopower:a=0.5,b=1,C=1",
+                          "--output-dir", str(out)]
+        assert cli.run(argv) == cli.EXIT_OK
+        blobs.append((out / csv).read_bytes())
+    capsys.readouterr()
+    assert blobs[0] == blobs[1]
+    assert len(blobs[0].splitlines()) == 2

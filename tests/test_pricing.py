@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import treegen
-from treedual import (AdaptedProcess, AugmentInfeasibleError,
+from treedual import (AdaptedProcess, AugmentInfeasibleError, MeasureVector,
                       InfiniteEntropyError, RandomVariable,
                       ValueAtSupremumError, average_price_curve,
                       build_constraints,
@@ -68,6 +68,30 @@ def test_entropic_penalty_properties(tri1, exp_pair):
     for v in vertex_enumerate(build_constraints(tri1)):
         alpha = entropic_penalty(tri1, exp_pair, E_TRI, v, base_value=sol.value)
         assert alpha >= -1e-10
+
+
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+def test_entropic_penalty_matches_a_bounded_scalar_minimization(tri1, scale):
+    # at scale 100 the optimal log mass of a vertex lies near -30, far
+    # outside the initial bracket [-3, 3]
+    from scipy.optimize import minimize_scalar
+
+    pair = exponential_utility(1.0, 2.0)
+    endow = {k: scale * v for k, v in E_TRI.items()}
+    base = solve_dual(tri1, pair, endow).value
+    p = tri1.leaf_probability_array
+    e = np.array([endow[k] for k in ("a", "b", "c")])
+    verts = [v.as_array(tri1) for v in vertex_enumerate(build_constraints(tri1))]
+    for q in verts + [0.3 * verts[0] + 0.7 * verts[-1]]:
+        def phi(s):
+            y = math.exp(s)
+            return (float(p @ pair.v(y * q / p)) + y * float(q @ e) - base) / y
+
+        ref = minimize_scalar(phi, bounds=(-60.0, 60.0), method="bounded",
+                              options={"xatol": 1e-10}).fun
+        alpha = entropic_penalty(tri1, pair, endow,
+                                 MeasureVector.from_array(tri1, q), base_value=base)
+        assert alpha == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_entropic_penalty_infinite_for_two_power_vertex(tri1, tp_pair):
@@ -272,6 +296,34 @@ def test_supremum_probe_counts_as_above_target(tri1, tp_pair, monkeypatch):
     assert indifference_price(tri1, tp_pair, e, b, base=base) == pytest.approx(
         expected, abs=1e-9)
     assert raised
+
+
+@pytest.mark.parametrize("y", [0.6, 1.5])
+def test_mass_curvature_matches_envelope_derivative(tri1, tp_pair, y):
+    # W'' from the inner Hessian against a central difference of the
+    # envelope W' = dual_derivative, with the claim added
+    shifted = RandomVariable(E_TRI) + RandomVariable(B_TRI)
+    sol = dual.solve_dual_fixed_mass(tri1, tp_pair, shifted, y, tol=1e-12)
+    h = 1e-4
+    fd = (dual.dual_derivative(tri1, tp_pair, shifted, y * (1 + h), tol=1e-12)
+          - dual.dual_derivative(tri1, tp_pair, shifted, y * (1 - h), tol=1e-12)) \
+        / (2 * h * y)
+    assert pricing._mass_curvature(tri1, tp_pair, sol) == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "dual._stationarity_residual does not bound mu*s at pinned leaves: the "
+    "target solve stops with two leaf masses near 4e-10 and the CE is 3.75e-8 "
+    "off the bid"))
+def test_exponential_certainty_equivalent_equals_bid_on_tri1_at_volume_100(tri1):
+    # translation invariance makes CE and bid coincide for the exponential
+    # family; the claim-holding optimum charges leaves b and c with ~e^-100
+    pair = exponential_utility(1.0, 2.0)
+    e = RandomVariable(E_TRI)
+    b = RandomVariable({"a": 100.0, "b": 0.0, "c": 0.0})
+    bid = indifference_price(tri1, pair, e, b)
+    ce = certainty_equivalent(tri1, pair, e, b)
+    assert ce == pytest.approx(bid, abs=1e-10)
 
 
 @pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])

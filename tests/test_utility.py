@@ -58,12 +58,78 @@ def test_two_power_boundary_sentinels():
     assert pair.v_prime(math.inf) == INF
 
 
-def test_two_power_root_finding_residual():
+def test_two_power_inversion_residual():
     pair = two_power_utility(0.5, 1.0, 1.0)
     ys = np.logspace(-10, 10, 300)
     x = -pair.v_prime(ys)
     resid = np.abs(pair.u_prime(x) - ys)
     assert np.all(resid <= 1e-12 * (1.0 + ys))
+
+
+def _bisect_inverse_marginal(pair, ys, iters=200):
+    """Independent oracle: U'(x) = y by bisection on the decreasing U'.
+
+    Bisects in t with x = sign(t) expm1(|t|), over |t| <= 705 (|x| up to
+    ~1e306), so every decade of x gets the same number of steps.
+    """
+    lo = np.full_like(ys, -705.0)
+    hi = np.full_like(ys, 705.0)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        x = np.sign(mid) * np.expm1(np.abs(mid))
+        above = pair.u_prime(x) > ys       # root lies to the right
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    mid = 0.5 * (lo + hi)
+    return np.sign(mid) * np.expm1(np.abs(mid))
+
+
+@pytest.mark.parametrize("a", [0.05, 0.3, 0.5, 0.8, 0.95])
+@pytest.mark.parametrize("b", [0.1, 0.7, 1.0, 3.0])
+def test_two_power_closed_form_inversion_matches_bisection(a, b):
+    pair = two_power_utility(a, b, 1.0)
+    ys = np.concatenate([np.logspace(-12, 12, 241), [1.0 - 1e-9, 1.0 + 1e-9]])
+    x = -pair.v_prime(ys)
+    oracle = _bisect_inverse_marginal(pair, ys)
+    assert np.all(np.abs(x - oracle) <= 1e-12 * (1.0 + np.abs(oracle)))
+
+
+@pytest.mark.parametrize("a,b", [(0.05, 0.1), (0.5, 1.0), (0.3, 2.5),
+                                 (0.95, 3.0)])
+def test_two_power_v_second_matches_central_differences(a, b):
+    pair = two_power_utility(a, b, 1.0)
+    ys = np.logspace(-6, 6, 121)
+    ys = ys[np.abs(np.log(ys)) > 0.05]   # V'' jumps at y = 1
+    h = 1e-5
+    fd = (pair.v_prime(ys * (1.0 + h)) - pair.v_prime(ys * (1.0 - h))) / (2.0 * h * ys)
+    assert np.all(np.abs(pair.v_second(ys) - fd) <= 1e-6 * pair.v_second(ys))
+
+
+@pytest.mark.parametrize("a,b", [(0.05, 0.1), (0.5, 1.0), (0.95, 3.0)])
+def test_two_power_v_second_jumps_at_one(a, b):
+    # U''(0-) = -b and U''(0+) = -a, so V'' is 1/a up to y = 1 and 1/b above
+    pair = two_power_utility(a, b, 1.0)
+    assert pair.v_second(1.0) == 1.0 / a
+    assert pair.v_second(np.nextafter(1.0, 0.0)) == pytest.approx(1.0 / a, rel=1e-12)
+    assert pair.v_second(np.nextafter(1.0, 2.0)) == pytest.approx(1.0 / b, rel=1e-12)
+
+
+@pytest.mark.parametrize("a,b", [(0.05, 0.1), (0.5, 1.0), (0.95, 3.0)])
+def test_two_power_sentinels_at_extreme_arguments(a, b):
+    pair = two_power_utility(a, b, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = pair.v(np.array([0.0, INF, 1e-300, 1e300]))
+        vp = pair.v_prime(np.array([0.0, INF, 1e-300, 1e300]))
+        vs = pair.v_second(np.array([0.0, 1e-300]))
+    # V(0) = U(inf) = inf and V(inf) = inf; at 1e-300 and 1e300 V lies
+    # above the floating-point range
+    assert v.tolist() == [INF, INF, INF, INF]
+    # V'(y) = -I(y): -inf at 0 and below the range at 1e-300, +inf at inf;
+    # at 1e300 I(y) = 1 - y^(1/b) is finite exactly when y^(1/b) is
+    assert vp[:3].tolist() == [-INF, INF, -INF]
+    assert vp[3] == pytest.approx(1e300 ** (1.0 / b) if b >= 1.0 else INF)
+    assert vs.tolist() == [INF, INF]
 
 
 @pytest.mark.parametrize("factory", [
