@@ -89,12 +89,16 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow, *,
     kkt = float(np.abs(g[live] - A[:, live].T @ lam).max()) / (1.0 + float(np.abs(g[live]).max()))
     results.append(CheckResult("dual first-order conditions", kkt <= 1e-8, kkt, 1e-8))
 
-    support_ok = (sol.support == "EQUIVALENT") == (find_equivalent_mm(tree) is not None)
+    # enumerated vertices decide equivalence apart from the support pass
+    # behind the flag; samples cannot, so they defer to it
+    measures, kind = _measures_for_checks(tree)
+    equivalent = (np.all(np.any([v.as_array(tree) > 0 for v in measures], axis=0))
+                  if kind == "vertices" else find_equivalent_mm(tree) is not None)
+    support_ok = (sol.support == "EQUIVALENT") == equivalent
     results.append(CheckResult(
         "support flag matches market", support_ok, 0.0 if support_ok else 1.0, 0.5,
         sol.support))
 
-    measures, kind = _measures_for_checks(tree)
     sc = check_maximal_support(tree, sol, measures)
     results.append(CheckResult(
         "maximal support", not sc.violations, float(len(sc.violations)), 0.5,

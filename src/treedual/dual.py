@@ -29,7 +29,6 @@ from .errors import (EvaluationOverflowError, InfeasibleEntropyError,
 from .geometry import (MeasureVector, _support_structure, build_constraints,
                        relative_entropy)
 from .market import MarketTree, RandomVariable, leaf_values
-from .simplex import solve_lp
 from .utility import UtilityPair
 
 DEFAULT_TOL = 1e-9
@@ -287,14 +286,14 @@ def _newton_core(A, p, e, pair, q0, *, mass=None, tol=DEFAULT_TOL,
 
 def _prepare(tree, pair):
     """Support mask, interior start and flag for the tree's polytope."""
-    mask, q_int = _support_structure(tree)
-    flag = "EQUIVALENT" if bool(mask.all()) else "DEGENERATE"
+    geo = _support_structure(tree)
+    flag = "EQUIVALENT" if bool(geo.mask.all()) else "DEGENERATE"
     if flag == "DEGENERATE" and not math.isfinite(pair.u_inf):
         # V(0) = U(inf) = inf: every feasible measure has infinite entropy
         raise InfeasibleEntropyError(
             "no full-support martingale measure and V(0) is infinite; "
             "the dual is +inf over the whole cone")
-    return mask, q_int, flag
+    return geo.mask, geo.interior, flag
 
 
 def _ray_log_argmin(gamma, p, e, q):
@@ -309,33 +308,29 @@ def _ray_log_argmin(gamma, p, e, q):
     return -entropy - gamma * float(np.dot(q, e))
 
 
-def _overflow_precheck(pair, p, e, A, q_int):
+def _overflow_precheck(pair, tree, e, q_int):
     """Classify the below-float-range regime before iterating.
 
     An upper bound for the dual value is its minimum along any feasible ray,
     which is closed-form (:func:`_ray_log_argmin`) for the exponential
     family, the only one with a finite sup U.  Gibbs' inequality
-    (H >= -ln sum p) and q.e >= min e bound ln t* over every ray at once, so
-    the rays through the interior point and the endowment-cost-minimizing
-    vertex are only tried when that bound does not already rule overflow
-    out.
+    (H >= -ln sum p) and q.e >= min e bound ln t* over every ray at once, on
+    the support of the interior point ``q_int``, so the rays through it and
+    through the endowment-cost-minimizing vertex of the extremal sweep are
+    only tried when that bound does not already rule overflow out.
     """
     if pair.family != "exponential":
         return
     gamma, c = pair.params["gamma"], pair.params["C"]
+    mask = q_int > 0
+    ps, es = tree.leaf_probability_array[mask], e[mask]
     # C sum p - t*/gamma < _VALUE_FLOOR  <=>  ln t* > log_floor
-    log_floor = math.log(c * p.sum() - _VALUE_FLOOR) + math.log(gamma)
-    if math.log(p.sum()) - gamma * e.min() <= log_floor:
+    log_floor = math.log(c * ps.sum() - _VALUE_FLOOR) + math.log(gamma)
+    if math.log(ps.sum()) - gamma * es.min() <= log_floor:
         return
-    m, L = A.shape
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    res = solve_lp(e, np.vstack([A, np.ones((1, L))]), rhs)
-    rays = [q_int]
-    if res.status == "optimal":
-        vertex = np.clip(res.x, 0.0, None)
-        rays.append(vertex / vertex.sum())
-    if any(_ray_log_argmin(gamma, p, e, q) > log_floor for q in rays):
+    _, _, vertex = _support_structure(tree).extremes(e)
+    if any(_ray_log_argmin(gamma, ps, es, q[mask]) > log_floor
+           for q in (q_int, vertex)):
         raise EvaluationOverflowError(
             "dual objective fell below the floating-point range")
 
@@ -356,9 +351,8 @@ def solve_dual(tree: MarketTree, pair: UtilityPair, endow=0.0, *,
     e = leaf_values(tree, endow)
     p = tree.leaf_probability_array
     mask, q_int, flag = _prepare(tree, pair)
-    A = build_constraints(tree).matrix
-    A_s = A[:, mask]
-    _overflow_precheck(pair, p[mask], e[mask], A_s, q_int[mask])
+    A_s = build_constraints(tree).matrix[:, mask]
+    _overflow_precheck(pair, tree, e, q_int)
     start_s = None
     if start is not None:
         arr = start.as_array(tree) if isinstance(start, MeasureVector) \
@@ -402,8 +396,7 @@ def solve_dual_fixed_mass(tree: MarketTree, pair: UtilityPair, endow, y: float, 
     e = leaf_values(tree, endow)
     p = tree.leaf_probability_array
     mask, q_int, flag = _prepare(tree, pair)
-    A = build_constraints(tree).matrix
-    A_s = A[:, mask]
+    A_s = build_constraints(tree).matrix[:, mask]
     start_s = start[mask] if start is not None else None
     mu_s, value, res, log = _newton_core(
         A_s, p[mask], e[mask], pair, q_int[mask], mass=y,

@@ -5,24 +5,25 @@ A non-negative leaf measure ``mu`` prices the tree's assets without drift iff
 on leaf ``l`` is the asset's next-period price on the branch containing ``l``
 minus the node price, and 0 off the subtree.  Solutions form the cone of
 (non-normalized) absolutely continuous martingale measures; its unit-mass
-slice is the martingale polytope, whose vertices are enumerated by a double
-description sweep at desk scale.
+slice is the martingale polytope.  Its feasibility, maximal support, an
+interior point and its extremal expectations come from one cached backward
+pass over the nodes' one-step polytopes, with no linear program; its
+vertices are enumerated by a double description sweep at desk scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Mapping
 
 import numpy as np
 
 from .errors import CapExceededError, DomainError, NoMartingaleMeasureError
 from .market import MarketTree, leaf_values
-from .simplex import solve_lp
 from .utility import UtilityPair
 
-EQUIVALENCE_TOL = 1e-10  # strict-positivity threshold for "equivalent"
 VERTEX_CAP_DEFAULT = 10_000
 
 
@@ -118,119 +119,156 @@ def is_martingale_measure(tree: MarketTree, q, tol: float = 1e-9) -> bool:
 
 # -- feasibility (FTAP side) ---------------------------------------------------
 
-@lru_cache(maxsize=256)
-def _max_min_coordinate(tree: MarketTree, support: tuple[int, ...] | None = None):
-    """LP: maximize the minimum coordinate of q over the martingale polytope.
+_TOL = 1e-12  # rank, residual and weight floor of the rescaled one-step systems
 
-    Returns ``(t_star, q)`` or None when even the polytope is empty.  With a
-    ``support`` index subset, leaves off the support are pinned to zero.
+
+def _one_step_vertices(incr):
+    """Vertices of the one-step martingale polytopes of g nodes with m children.
+
+    ``incr`` (g, m, d) holds child minus node prices.  A vertex of {w >= 0,
+    sum w = 1, sum_c w_c incr_c = 0} is the unique solution on the at most
+    d + 1 children it charges, whose columns (incr_c, 1) are independent
+    (Caratheodory): for d = 1, the zero-increment children and the up/down
+    pairs.  One stacked pseudo-inverse per subset size solves every subset
+    of every node, rescaled per node and asset (which keeps the polytope).
+    Returns each vertex's node (position in the batch) and child weights.
     """
-    A = build_constraints(tree).matrix
-    L = tree.n_leaves
-    idx = list(range(L)) if support is None else list(support)
-    ns = len(idx)
-    Ai = A[:, idx]
-    m = Ai.shape[0]
-    # variables: q_s (ns), t (1), slacks s (ns); rows: A q = 0, sum q = 1, q - t - s = 0
-    nvar = 2 * ns + 1
-    rows = np.zeros((m + 1 + ns, nvar))
-    rhs = np.zeros(m + 1 + ns)
-    rows[:m, :ns] = Ai
-    rows[m, :ns] = 1.0
-    rhs[m] = 1.0
-    for k in range(ns):
-        rows[m + 1 + k, k] = 1.0
-        rows[m + 1 + k, ns] = -1.0
-        rows[m + 1 + k, ns + 1 + k] = -1.0
-    c = np.zeros(nvar)
-    c[ns] = -1.0  # maximize t
-    res = solve_lp(c, rows, rhs)
-    if res.status != "optimal":
-        return None
-    q = np.zeros(L)
-    q[idx] = res.x[:ns]
-    return float(res.x[ns]), q
+    g, m, d = incr.shape
+    scale = np.abs(incr).max(axis=1, keepdims=True)
+    x = incr / np.where(scale > 0, scale, 1.0)
+    nodes, weights = [], []
+    for k in range(1, min(m, d + 1) + 1):
+        sub = np.array(list(combinations(range(m), k)))
+        M = np.concatenate([x[:, sub], np.ones((g, len(sub), k, 1))], 3).swapaxes(2, 3)
+        w = np.linalg.pinv(M, rtol=_TOL)[..., -1]  # least squares of M w = e_d
+        r = np.einsum("...ij,...j->...i", M, w) - (np.arange(d + 1) == d)
+        gi, si = np.nonzero((np.linalg.matrix_rank(M, rtol=_TOL) == k)
+                            & np.all(np.abs(r) <= _TOL, axis=-1)
+                            & np.all(w > _TOL, axis=-1))
+        rows = np.zeros((gi.size, m))
+        rows[np.arange(gi.size)[:, None], sub[si]] = w[gi, si]
+        nodes.append(gi)
+        weights.append(rows)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@dataclass(frozen=True, eq=False)
+class SupportStructure:
+    """The valid one-step vertices of a tree, from :func:`_support_structure`.
+
+    Nodes are numbered level by level, root first and leaves last in leaf
+    order.  Vertex k, of node ``node[k]``, puts ``weight[k, j]`` on child
+    ``child[k, j]`` (rows padded with zero weights); vertices run by node.
+    """
+
+    parent: np.ndarray
+    level_starts: tuple[int, ...]
+    node: np.ndarray
+    child: np.ndarray
+    weight: np.ndarray
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        """A martingale probability positive exactly on the maximal support."""
+        return self.mixture(np.ones(self.node.size))
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """The maximal support: leaves charged by some martingale probability."""
+        return self.interior > 0
+
+    def mixture(self, mix):
+        """Leaf measure multiplying, along each path, the mean of each node's
+        vertices weighted by ``mix`` (positive on some vertex of every node)."""
+        mix = mix / np.bincount(self.node, mix)[self.node]
+        mass = np.bincount(self.child.ravel(), (self.weight * mix[:, None]).ravel(),
+                           minlength=self.parent.size)
+        mass[0] = 1.0
+        for lo, hi in zip(self.level_starts[1:-1], self.level_starts[2:]):
+            mass[lo:hi] *= mass[self.parent[lo:hi]]
+        return mass[self.level_starts[-2]:]
+
+    def extremes(self, u):
+        """(min, max) of E_q[u] over martingale probabilities q, and a minimizer.
+
+        Backward induction: a node's lower (upper) value is the least
+        (greatest) vertex-weighted sum of its children's values.  The
+        minimizer multiplies the vertices chosen for the lower values; it is
+        a vertex of the martingale polytope.
+        """
+        lo, hi = np.zeros(self.parent.size), np.zeros(self.parent.size)
+        lo[self.level_starts[-2]:] = hi[self.level_starts[-2]:] = u
+        ends = np.searchsorted(self.node, self.level_starts)
+        chosen = np.zeros(self.node.size)
+        for v0, v1 in zip(ends[-3::-1], ends[-2::-1]):  # levels, bottom up
+            node, child, weight = self.node[v0:v1], self.child[v0:v1], self.weight[v0:v1]
+            starts = np.flatnonzero(np.diff(node, prepend=-1))
+            a, b = (weight * lo[child]).sum(axis=1), (weight * hi[child]).sum(axis=1)
+            lo[node[starts]] = np.minimum.reduceat(a, starts)
+            hi[node[starts]] = np.maximum.reduceat(b, starts)
+            first = np.where(a == lo[node], np.arange(a.size), a.size)
+            chosen[v0 + np.minimum.reduceat(first, starts)] = 1.0
+        return float(lo[0]), float(hi[0]), self.mixture(chosen)
+
+
+@lru_cache(maxsize=256)
+def _support_structure(tree: MarketTree) -> SupportStructure:
+    """One backward pass over the one-step martingale polytopes of the tree.
+
+    A martingale probability multiplies one-step martingale weights along
+    each path, so viability, the maximal support, an interior measure and
+    extremal expectations decompose node by node (Dalang, Morton &
+    Willinger 1990; Follmer & Schied, *Stochastic Finance*, ch. 7).  Leaves
+    are viable; a node is viable when one of its vertices
+    (:func:`_one_step_vertices`) charges viable children only, and those
+    vertices are its valid ones.  The maximal support is the set of leaves
+    whose every path step is charged by a valid vertex; the product of the
+    nodes' mean valid vertices is positive exactly there.  Raises
+    :class:`NoMartingaleMeasureError` when the root is not viable.
+    """
+    order = [nid for t in range(tree.horizon + 1) for nid in tree.nodes_at(t)]
+    pos = {nid: k for k, nid in enumerate(order)}
+    level_starts = tuple(np.cumsum(
+        [0] + [len(tree.nodes_at(t)) for t in range(tree.horizon + 1)]).tolist())
+    inner = level_starts[-2]  # nodes below this index are non-leaf
+    price = np.array([tree.price(nid) for nid in order])
+    # a node's children are consecutive
+    first = np.array([pos[tree.children(nid)[0]] for nid in order[:inner]])
+    count = np.array([len(tree.children(nid)) for nid in order[:inner]])
+    node, weight = [], []
+    for m in np.unique(count):
+        idx = np.flatnonzero(count == m)
+        g, w = _one_step_vertices(price[first[idx, None] + np.arange(m)]
+                                  - price[idx, None])
+        node.append(idx[g])
+        weight.append(np.pad(w, ((0, 0), (0, count.max() - m))))
+    by_node = np.argsort(np.concatenate(node), kind="stable")
+    node, weight = np.concatenate(node)[by_node], np.concatenate(weight)[by_node]
+    child = np.minimum(first[node, None] + np.arange(count.max()), len(order) - 1)
+
+    # a node k levels above the leaves is settled after k rounds
+    viable = np.arange(len(order)) >= inner
+    for _ in range(tree.horizon):
+        valid = np.all(viable[child] | (weight == 0), axis=1)
+        viable[:inner] = np.bincount(node[valid], minlength=inner) > 0
+    if not viable[0]:
+        raise NoMartingaleMeasureError(
+            "no absolutely continuous martingale measure exists")
+    parent = np.array([0] + [pos[tree.parent(nid)] for nid in order[1:]])
+    return SupportStructure(parent, level_starts, node[valid], child[valid],
+                            weight[valid])
 
 
 def find_equivalent_mm(tree: MarketTree) -> MeasureVector | None:
     """A strictly positive martingale probability, or None if none exists.
 
-    Implemented as a phase-1 LP maximizing the minimum leaf weight.  Raises
+    Reads the cached pass of :func:`_support_structure`: its interior
+    measure when the maximal support is every leaf.  Raises
     :class:`NoMartingaleMeasureError` when the polytope itself is empty
     (arbitrage regime: even absolutely continuous measures are ruled out).
     """
-    sol = _max_min_coordinate(tree)
-    if sol is None:
-        raise NoMartingaleMeasureError(
-            "no absolutely continuous martingale measure exists")
-    t_star, q = sol
-    if t_star < EQUIVALENCE_TOL:
-        return None
-    return MeasureVector.from_array(tree, q)
-
-
-@lru_cache(maxsize=256)
-def _support_structure(tree: MarketTree):
-    """(support mask, interior q on the support) of the martingale polytope.
-
-    The support is the union of supports over the polytope.  When the
-    max-min LP finds no equivalent measure, one more LP finds the support:
-    maximize sum z over {A q = 0, q >= 0, 0 <= z <= q, z <= 1}.  The cone is
-    closed under sums and scaling, so at the optimum z = 1 exactly on the
-    union of supports and 0 elsewhere.  The max-min LP restricted to the
-    support then gives a q strictly positive there, and q satisfies the
-    equalities to rounding.
-    """
-    sol = _max_min_coordinate(tree)
-    if sol is None:
-        raise NoMartingaleMeasureError(
-            "no absolutely continuous martingale measure exists")
-    t_star, q = sol
-    L = tree.n_leaves
-    A = build_constraints(tree).matrix
-    if t_star >= EQUIVALENCE_TOL:
-        mask = np.ones(L, dtype=bool)
-        return mask, _project_interior(A, mask, q)
-    # variables: q (L), z (L), slacks of z <= q (L), slacks of z <= 1 (L)
-    m = A.shape[0]
-    eye = np.eye(L)
-    zero = np.zeros((L, L))
-    rows = np.block([
-        [A, np.zeros((m, 3 * L))],
-        [eye, -eye, -eye, zero],
-        [zero, eye, zero, eye],
-    ])
-    rhs = np.concatenate([np.zeros(m + L), np.ones(L)])
-    c = np.concatenate([np.zeros(L), -np.ones(L), np.zeros(2 * L)])
-    mask = solve_lp(c, rows, rhs).x[L:2 * L] > 0.5
-    support = tuple(int(i) for i in np.where(mask)[0])
-    sol_s = _max_min_coordinate(tree, support)
-    if sol_s is None or sol_s[0] < EQUIVALENCE_TOL:
-        raise NoMartingaleMeasureError(
-            "martingale polytope has empty relative interior")  # should not happen
-    return mask, _project_interior(A, mask, sol_s[1])
-
-
-def _project_interior(A, mask, q):
-    """Put the max-min LP point exactly on {A q = 0, sum q = 1} over the support.
-
-    HiGHS meets the equalities only to its primal feasibility tolerance
-    (1e-7), and every solve started from ``q`` would inherit the residual.
-    One least-squares correction removes it; losing positivity means the LP
-    point was not interior after all.
-    """
-    M = np.vstack([A[:, mask], np.ones((1, int(mask.sum())))])
-    rhs = np.zeros(M.shape[0])
-    rhs[-1] = 1.0
-    qs = q[mask]
-    dq, *_ = np.linalg.lstsq(M, M @ qs - rhs, rcond=None)
-    qs = qs - dq
-    if not np.all(qs > 0):
-        raise NoMartingaleMeasureError(
-            "interior martingale measure lost positivity on projection")
-    out = np.zeros_like(q)
-    out[mask] = qs
-    return out
+    geo = _support_structure(tree)
+    return MeasureVector.from_array(tree, geo.interior) if geo.mask.all() else None
 
 
 # -- entropy ---------------------------------------------------------------------
@@ -334,39 +372,13 @@ def vertex_enumerate(constraints: MartingaleConstraints,
 
 def sample_martingale_measures(tree: MarketTree, n: int,
                                seed: int = 0) -> list[MeasureVector]:
-    """Seeded hit-and-run samples from the martingale polytope.
+    """Seeded random martingale probabilities on the maximal support.
 
-    Used as the weaker fallback when vertex enumeration exceeds its cap.
+    Each sample multiplies, along the paths, a uniformly random mixture of
+    each node's valid one-step vertices (:func:`_support_structure`).  Used
+    as the weaker fallback when vertex enumeration exceeds its cap.
     """
-    from scipy.linalg import null_space
-
-    mask, q0 = _support_structure(tree)
-    A = build_constraints(tree).matrix[:, mask]
-    M = np.vstack([A, np.ones((1, int(mask.sum())))])
-    Z = null_space(M)
+    geo = _support_structure(tree)
     rng = np.random.default_rng(seed)
-    q = q0[mask].copy()
-    out = []
-    L = tree.n_leaves
-    for _ in range(n):
-        if Z.shape[1] == 0:
-            out.append(q.copy())
-            continue
-        d = Z @ rng.standard_normal(Z.shape[1])
-        hi = np.inf
-        lo = -np.inf
-        for qi, di in zip(q, d):
-            if di > 1e-15:
-                hi = min(hi, qi / di)
-            elif di < -1e-15:
-                lo = max(lo, qi / di)
-        t = rng.uniform(0.9 * lo, 0.9 * hi)
-        q = np.clip(q - t * d, 0.0, None)
-        q /= q.sum()
-        out.append(q.copy())
-    measures = []
-    for qs in out:
-        full = np.zeros(L)
-        full[mask] = qs
-        measures.append(MeasureVector(dict(zip(tree.leaf_ids, full.tolist()))))
-    return measures
+    return [MeasureVector(dict(zip(tree.leaf_ids, geo.mixture(
+        rng.exponential(size=geo.node.size)).tolist()))) for _ in range(n)]

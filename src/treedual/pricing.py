@@ -12,8 +12,9 @@ the stationarity condition of the normalized gap; the two methods agree to
 cross-method tolerance on every instance and that residual is reported.
 Every report counts the dual solves it made.
 Marginal (zero-volume) prices are expectations under the normalized optimal
-dual measure; no-arbitrage bounds come from linear programs over the
-martingale polytope; price processes for new assets are accepted exactly
+dual measure; no-arbitrage bounds are the extremal claim expectations over
+the martingale polytope, found by one backward sweep over each node's
+one-step vertices; price processes for new assets are accepted exactly
 when they are martingales under that measure, verified both by drift and by
 re-solving the augmented market.
 """
@@ -34,7 +35,6 @@ from .geometry import (MeasureVector, build_constraints, find_equivalent_mm,
                        relative_entropy, _support_structure)
 from .market import (AdaptedProcess, MarketTree, RandomVariable, leaf_values,
                      market_from_dict, market_to_dict)
-from .simplex import solve_lp
 from .utility import UtilityPair, _golden_min
 
 PRICE_TOL = 1e-9       # |u(endow + claim - p) - u(endow)| <= tol * (1 + |u|)
@@ -42,18 +42,13 @@ AGREEMENT_TOL = 1e-6   # cross-method relative agreement
 
 
 def price_bounds(tree: MarketTree, claim) -> tuple[float, float]:
-    """No-arbitrage interval: extremal claim expectations over the polytope."""
-    b = leaf_values(tree, claim)
-    A = build_constraints(tree).matrix
-    m, L = A.shape
-    rows = np.vstack([A, np.ones((1, L))])
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    lo = solve_lp(b, rows, rhs)
-    hi = solve_lp(-b, rows, rhs)
-    if lo.status != "optimal" or hi.status != "optimal":
-        raise NoMartingaleMeasureError("empty martingale polytope")
-    return float(lo.value), float(-hi.value)
+    """No-arbitrage interval: extremal claim expectations over the polytope.
+
+    One extremal sweep (backward induction over the cached one-step
+    vertices of :func:`~treedual.geometry._support_structure`).
+    """
+    lo, hi, _ = _support_structure(tree).extremes(leaf_values(tree, claim))
+    return lo, hi
 
 
 class SolveCounter:
@@ -326,7 +321,7 @@ class PriceReport:
 
 def price_report(tree: MarketTree, pair: UtilityPair, endow, claim, *,
                  solver_tol: float = 1e-9) -> PriceReport:
-    """Every price of one claim, off one base solve and one pair of LPs.
+    """Every price of one claim, off one base solve and one extremal sweep.
 
     The no-arbitrage bounds (lo, hi) are computed once: they bracket the bid
     and the certainty equivalent, (-hi, -lo) brackets the offer (the bid of
@@ -376,7 +371,7 @@ def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
 
     Non-increasing in volume; converges to the lower no-arbitrage bound as
     the volume grows and to the marginal price as it vanishes.  One base
-    solve and one pair of LPs serve every volume, each priced by
+    solve and one extremal sweep serve every volume, each priced by
     :func:`indifference_price`; the bounds of beta * claim are beta times
     those of the claim, swapped when beta < 0.
     """
@@ -557,22 +552,12 @@ def _mass_radius(tree, pair, endow_arrays):
     V(mass) + mass * (worst claim expectation) beat a fixed feasible
     measure's objective cannot be optimal.
     """
-    A = build_constraints(tree).matrix
-    m, L = A.shape
-    rows = np.vstack([A, np.ones((1, L))])
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    c_lp = math.inf
-    for e in endow_arrays:
-        res = solve_lp(e, rows, rhs)
-        if res.status != "optimal":
-            raise NoMartingaleMeasureError("empty martingale polytope")
-        c_lp = min(c_lp, res.value)
-    _, q_int = _support_structure(tree)
-    h_q = relative_entropy(tree, pair, MeasureVector.from_array(tree, q_int))
-    c_up = max(h_q + float(np.dot(q_int, e)) for e in endow_arrays)
+    geo = _support_structure(tree)
+    c_lo = min(geo.extremes(e)[0] for e in endow_arrays)
+    h_q = relative_entropy(tree, pair, geo.interior)
+    c_up = max(h_q + float(np.dot(geo.interior, e)) for e in endow_arrays)
     ys = np.logspace(-6, 12, 400)
-    vals = pair.v(ys) + c_lp * ys
+    vals = pair.v(ys) + c_lo * ys
     below = np.where(vals <= c_up)[0]
     if below.size == 0:
         return 2.0

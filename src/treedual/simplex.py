@@ -1,10 +1,12 @@
-"""Equality-form linear programs on HiGHS.
+"""Equality-form linear programs on HiGHS: the test oracle for the geometry.
 
 Solves ``min c.x  s.t.  A x = b, x >= 0`` with the HiGHS solver shipped in
-SciPy (``scipy.optimize.linprog(method="highs")``).  A run that ends in
-neither an optimum nor a proof of infeasibility or unboundedness (iteration
-limit, numerical trouble) raises :class:`NonconvergedError`; it is never
-reported as infeasible.
+SciPy (``scipy.optimize.linprog(method="highs")``).  No module of the
+package calls it: the tests compare the support, interior measure and
+no-arbitrage bounds of the backward pass in ``geometry`` against it.  A run
+that ends in neither an optimum nor a proof of infeasibility or
+unboundedness (iteration limit, numerical trouble) raises
+:class:`NonconvergedError`; it is never reported as infeasible.
 """
 
 from __future__ import annotations

@@ -225,7 +225,10 @@ def two_power_utility(a: float, b: float, shift: float = 1.0) -> UtilityPair:
         # so V'' is 1/a at y = 1 and tends to 1/b from above
         x = inverse_marginal(y)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return (1.0 + np.abs(x)) / (np.where(y <= 1.0, a, b) * y)
+            out = (1.0 + np.abs(x)) / (np.where(y <= 1.0, a, b) * y)
+        # inf/inf at y = inf, where y^(1/b - 1)/b tends to inf, 1 or 0
+        out[np.isinf(y)] = INF ** (1.0 / b - 1.0) / b
+        return out
 
     return UtilityPair(
         family="two_power",

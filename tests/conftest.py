@@ -1,9 +1,12 @@
+import contextlib
 import json
 
 import pytest
+import scipy.optimize
 
 import treegen
-from treedual import exponential_utility, market_from_dict, two_power_utility
+from treedual import (exponential_utility, market_from_dict, simplex,
+                      two_power_utility)
 
 
 @pytest.fixture
@@ -39,3 +42,21 @@ def tri1_file(tmp_path):
     doc["endowment"] = {"a": "0.3", "b": "-0.2", "c": "0.1"}
     path.write_text(json.dumps(doc))
     return path
+
+
+@pytest.fixture
+def no_lp():
+    """Context manager under which any linear program solve raises."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a linear program was solved")
+
+    @contextlib.contextmanager
+    def guard():
+        with pytest.MonkeyPatch.context() as mp:
+            for mod, name in ((simplex, "solve_lp"), (simplex, "linprog"),
+                              (scipy.optimize, "linprog")):
+                mp.setattr(mod, name, refuse)
+            yield
+
+    return guard

@@ -43,10 +43,11 @@ def test_solve_exits_zero(tri1_file, capsys):
 
 
 def test_arbitrage_exits_one(tmp_path, capsys):
-    argv = ["solve", "--market", str(_arbitrage_file(tmp_path)),
-            "--utility", "exp:gamma=1,C=2"]
-    assert cli.run(argv) == cli.EXIT_VERIFY
-    assert capsys.readouterr().err.startswith("NO_MM:")
+    market = ["--market", str(_arbitrage_file(tmp_path))]
+    for argv in (["solve"] + market + ["--utility", "exp:gamma=1,C=2"],
+                 ["geometry"] + market):
+        assert cli.run(argv) == cli.EXIT_VERIFY
+        assert capsys.readouterr().err.startswith("NO_MM:")
 
 
 @pytest.mark.parametrize("case", ["unknown utility", "missing file"])
@@ -60,20 +61,40 @@ def test_input_errors_exit_two(tri1_file, tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+TWO_POWER = ["--utility", "twopower:a=0.5,b=1,C=1"]
+
+
 @pytest.mark.parametrize("command,csv", [
-    (["oracle", "--seed", "3"], "oracle.csv"),
-    (["price", "--claim", "up"], "price.csv"),
+    (["oracle", "--seed", "3"] + TWO_POWER, "oracle.csv"),
+    (["price", "--claim", "up"] + TWO_POWER, "price.csv"),
+    (["geometry"], "vertices.csv"),
 ])
 def test_csv_output_is_byte_identical_across_runs(tri1_file, tmp_path, capsys,
                                                   command, csv):
     blobs = []
     for run_id in range(2):
         out = tmp_path / f"run{run_id}"
-        argv = command + ["--market", str(tri1_file),
-                          "--utility", "twopower:a=0.5,b=1,C=1",
-                          "--output-dir", str(out)]
+        argv = command + ["--market", str(tri1_file), "--output-dir", str(out)]
         assert cli.run(argv) == cli.EXIT_OK
         blobs.append((out / csv).read_bytes())
     capsys.readouterr()
     assert blobs[0] == blobs[1]
-    assert len(blobs[0].splitlines()) == 2
+    # a header and one row; tri1's polytope has two vertices
+    assert len(blobs[0].splitlines()) == (3 if csv == "vertices.csv" else 2)
+
+
+def test_sensitivity_with_continuity_and_claim_exits_zero(tri1_file, capsys):
+    # the continuity entries run the mass radius
+    argv = ["sensitivity", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2",
+            "--endowments", "endowment,zero", "--continuity-steps", "3",
+            "--claim", "up"]
+    assert cli.run(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out.count("(ok)") == 3
+
+
+@pytest.mark.parametrize("inject,code", [([], cli.EXIT_OK),
+                                         (["--inject-mu", "a:0.01"], cli.EXIT_VERIFY)])
+def test_verify_exit_codes(tri1_file, capsys, inject, code):
+    argv = ["verify", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2"]
+    assert cli.run(argv + inject) == code
+    assert ("FAIL" in capsys.readouterr().out) == bool(inject)

@@ -12,7 +12,7 @@ from treedual import (EvaluationOverflowError, InfeasibleEntropyError,
                       dual_value_curve, exponential_utility, leaf_values,
                       load_market, solve_dual, solve_dual_fixed_mass,
                       two_power_utility, vertex_enumerate)
-from treedual import dual
+from treedual import dual, geometry
 
 # closed form for the binomial market with unit risk aversion and no
 # endowment: mass solves E_Q[log(y q/p)] = 0 with q = (1/3, 2/3), p = (1/2, 1/2)
@@ -326,8 +326,9 @@ def test_overflow_skip_bound_dominates_every_ray():
 def test_overflow_precheck_solves_an_lp_only_when_the_bound_is_undecided(
         tri1, monkeypatch):
     calls = []
-    real = dual.solve_lp
-    monkeypatch.setattr(dual, "solve_lp", lambda *a: calls.append(1) or real(*a))
+    real = geometry.SupportStructure.extremes
+    monkeypatch.setattr(geometry.SupportStructure, "extremes",
+                        lambda self, u: calls.append(1) or real(self, u))
     pair = exponential_utility(1.0, 2.0)
     solve_dual(tri1, pair, [0.3, -0.2, 0.1])
     solve_dual(tri1, pair, -500.0)

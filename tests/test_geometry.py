@@ -10,10 +10,11 @@ from treedual import (CapExceededError, MeasureVector,
                       NoMartingaleMeasureError, build_constraints,
                       exponential_utility, find_equivalent_mm,
                       is_martingale_measure, load_market, market_from_dict,
-                      relative_entropy, sample_martingale_measures,
-                      solve_dual, two_power_utility, vertex_enumerate)
-from treedual import geometry
+                      market_to_dict, relative_entropy,
+                      sample_martingale_measures, solve_dual,
+                      two_power_utility, vertex_enumerate)
 from treedual.geometry import MartingaleConstraints, _support_structure
+from treedual.simplex import solve_lp
 
 
 def test_bin1_constraint_row(bin1):
@@ -230,7 +231,8 @@ def test_measure_vector_api(tri1):
     lambda: load_market(treegen.DATA / "quote_pinned_4x4_2a.json")])
 def test_interior_start_lies_on_the_constraints(make):
     tree = make()
-    mask, q = _support_structure(tree)
+    geo = _support_structure(tree)
+    mask, q = geo.mask, geo.interior
     A = build_constraints(tree).matrix
     assert np.abs(A @ q).max() <= 1e-12
     assert abs(q.sum() - 1.0) <= 1e-12
@@ -251,22 +253,49 @@ def test_equivalent_measure_on_two_asset_book_market():
     assert sol.support == "EQUIVALENT"
 
 
-def _support_oracle(tree):
-    """Leaves charged by some martingale probability: one LP per leaf."""
-    from scipy.optimize import linprog
+def _lp_oracle(tree, u):
+    """Maximal support and extremal expectations of ``u``, by linear programs.
 
+    A leaf is in the support when some martingale probability charges it:
+    one LP on :func:`treedual.simplex.solve_lp` maximizes the leaf's weight,
+    for each leaf not already charged by an earlier LP's optimum.  Returns
+    ``(mask, (lo, hi))``, or None when the martingale polytope is empty.
+    """
     A = build_constraints(tree).matrix
     L = tree.n_leaves
     rows = np.vstack([A, np.ones((1, L))])
     rhs = np.zeros(rows.shape[0])
     rhs[-1] = 1.0
+    lo, hi = solve_lp(u, rows, rhs), solve_lp(-u, rows, rhs)
+    if lo.status == "infeasible":
+        return None
     mask = np.zeros(L, dtype=bool)
     for leaf in range(L):
-        c = np.zeros(L)
-        c[leaf] = -1.0
-        res = linprog(c, A_eq=rows, b_eq=rhs, bounds=(0, None), method="highs")
-        mask[leaf] = res.status == 0 and -res.fun > 1e-9
-    return mask
+        if not mask[leaf]:
+            mask |= solve_lp(-np.eye(L)[leaf], rows, rhs).x > 1e-9
+    return mask, (lo.value, -hi.value)
+
+
+def _assert_matches_lp_oracle(tree, u):
+    """The backward pass against :func:`_lp_oracle`: masks equal, bounds to
+    1e-12 relative, and an interior measure on the martingale rows that is
+    positive exactly on the mask."""
+    oracle = _lp_oracle(tree, u)
+    if oracle is None:
+        with pytest.raises(NoMartingaleMeasureError):
+            _support_structure(tree)
+        return
+    mask, bounds = oracle
+    geo = _support_structure(tree)
+    assert np.array_equal(geo.mask, mask)
+    q = geo.interior
+    assert np.abs(build_constraints(tree).matrix @ q).max() <= 1e-12
+    assert abs(q.sum() - 1.0) <= 1e-12
+    assert np.all(q[mask] > 0) and np.all(q[~mask] == 0)
+    lo, hi, q_lo = geo.extremes(u)
+    for got, want in zip((lo, hi), bounds):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    assert abs(q_lo @ u - lo) <= 1e-12 * max(1.0, abs(lo))
 
 
 @pytest.mark.parametrize("moves", [
@@ -278,17 +307,101 @@ def _support_oracle(tree):
     [[(1.2, 1.1), (0.8, 0.9), (1.0, 1.0)], [(1.3, 1.0), (1.0, 1.2), (1.0, 1.0)]],
     [[2.0, 1.0, 0.5], [1.5, 0.7]],
 ])
-def test_support_matches_per_leaf_oracle(moves, monkeypatch):
+def test_support_matches_per_leaf_oracle(moves, no_lp):
     tree = treegen.product_market(moves)
-    calls = []
-    real = geometry.solve_lp
-    monkeypatch.setattr(geometry, "solve_lp",
-                        lambda *a: calls.append(1) or real(*a))
-    mask, q = _support_structure(tree)
-    oracle = _support_oracle(tree)
-    assert np.array_equal(mask, oracle)
-    # one max-min LP when the tree is equivalent, else support + max-min
-    assert len(calls) == (1 if oracle.all() else 3)
-    A = build_constraints(tree).matrix
-    assert np.abs(A @ q).max() <= 1e-12
-    assert np.all(q[mask] > 0) and np.all(q[~mask] == 0)
+    with no_lp():
+        _support_structure(tree)
+    # the oracle reads the pass cached above
+    _assert_matches_lp_oracle(tree, np.random.default_rng(0).normal(size=tree.n_leaves))
+
+
+def _market(edges):
+    """One-asset market from (node, parent, price) triples, root first;
+    siblings are equally likely."""
+    n_kids = {}
+    for _, parent, _ in edges[1:]:
+        n_kids[parent] = n_kids.get(parent, 0) + 1
+    t = {}
+    nodes = []
+    for nid, parent, price in edges:
+        t[nid] = 0 if parent is None else t[parent] + 1
+        nodes.append({"id": nid, "parent": parent, "t": t[nid],
+                      "prices": [repr(price)],
+                      "prob": "1" if parent is None else repr(1.0 / n_kids[parent])})
+    return market_from_dict({"version": 1, "assets": ["S"], "nodes": nodes})
+
+
+# N's up child U has only up moves, so U is dead, which leaves N unviable
+DEAD_SUBTREE = [("r", None, 1.0), ("N", "r", 1.0), ("M", "r", 1.0),
+                ("U", "N", 1.5), ("D", "N", 0.5), ("M1", "M", 1.2), ("M2", "M", 0.8),
+                ("U1", "U", 2.0), ("U2", "U", 1.8), ("D1", "D", 0.6), ("D2", "D", 0.4),
+                ("M11", "M1", 1.3), ("M12", "M1", 1.1),
+                ("M21", "M2", 0.9), ("M22", "M2", 0.7)]
+
+
+@pytest.mark.parametrize("make,live", [
+    # the unmoved second-period child is the only live one
+    (lambda: treegen.product_market([[1.0, 1.5, 1.0, 0.5], [1.0, 1.2]]),
+     [True, False] * 4),
+    (lambda: treegen.product_market([[1.5, 1.5, 0.5, 0.5], [1.2, 1.2, 0.8]]),
+     [True] * 12),
+    # two children share an increment, a third is its mirror, a fourth is flat
+    (lambda: treegen.product_market([[(1.2, 1.1), (1.2, 1.1), (0.8, 0.9), (1.0, 1.0)]]),
+     [True] * 4),
+    (lambda: _market(DEAD_SUBTREE), [False] * 4 + [True] * 4),
+    # the dead subtree leaves only a down move at the root: no measure
+    (lambda: _market([("r", None, 1.0), ("N", "r", 1.5), ("D", "r", 0.5),
+                      ("N1", "N", 2.0), ("N2", "N", 1.8),
+                      ("D1", "D", 0.6), ("D2", "D", 0.4)]), None),
+], ids=["zero-increments", "repeated-increments", "repeated-2a",
+        "dead-subtree", "dead-root"])
+def test_backward_pass_edge_cases(make, live):
+    tree = make()
+    u = np.random.default_rng(1).normal(size=tree.n_leaves)
+    _assert_matches_lp_oracle(tree, u)
+    if live is None:
+        with pytest.raises(NoMartingaleMeasureError):
+            find_equivalent_mm(tree)
+    else:
+        assert _support_structure(tree).mask.tolist() == live
+
+
+def test_backward_pass_matches_lp_oracle_on_acceptance_suite():
+    for tree, _, endow in treegen.acceptance_suite():
+        _assert_matches_lp_oracle(tree, endow.as_array(tree))
+
+
+@pytest.mark.parametrize("name", ["book_exp_4x4x3_2a.json", "quote_pinned_4x4_2a.json"])
+def test_backward_pass_matches_lp_oracle_on_pinned_markets(name):
+    tree = load_market(treegen.DATA / name)
+    _assert_matches_lp_oracle(tree, treegen.random_endowment(
+        np.random.default_rng(2), tree).as_array(tree))
+
+
+@st.composite
+def _edited_random_markets(draw):
+    """A random_market tree, with the children of one node moved so that one
+    is flat and the others rise, two share an increment, or all rise."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tree = treegen.random_market(rng, max_periods=3,
+                                 n_assets=draw(st.sampled_from([1, 2])))
+    edit = draw(st.sampled_from(["none", "flat", "repeat", "rise"]))
+    if edit == "none":
+        return tree, rng
+    nid = draw(st.sampled_from(tree.nonleaf_ids))
+    doc = market_to_dict(tree)
+    kids = [nd for nd in doc["nodes"] if nd["parent"] == nid]
+    for j, nd in enumerate(kids):
+        if edit == "repeat":
+            kids[1]["prices"] = kids[0]["prices"]
+            break
+        factor = 1.0 if edit == "flat" and j == 0 else 1.1 + 0.1 * j
+        nd["prices"] = [repr(float(x) * factor) for x in tree.price(nid)]
+    return market_from_dict(doc), rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(_edited_random_markets())
+def test_backward_pass_matches_lp_oracle_on_random_markets(drawn):
+    tree, rng = drawn
+    _assert_matches_lp_oracle(tree, rng.normal(size=tree.n_leaves))

@@ -1,11 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import treegen
 from treedual import (AdaptedProcess, AugmentInfeasibleError, MeasureVector,
-                      InfiniteEntropyError, RandomVariable,
+                      EvaluationOverflowError, InfiniteEntropyError,
+                      RandomVariable,
                       ValueAtSupremumError, average_price_curve,
                       build_constraints,
                       certainty_equivalent, check_mubpp, davis_price,
@@ -15,7 +17,7 @@ from treedual import (AdaptedProcess, AugmentInfeasibleError, MeasureVector,
                       optimal_measure_price_process, price_bounds,
                       price_report, price_via_penalty, solve_dual,
                       two_power_utility, vertex_enumerate)
-from treedual import dual, pricing
+from treedual import dual, geometry, pricing
 
 E_TRI = {"a": 0.3, "b": -0.2, "c": 0.1}
 B_TRI = {"a": 1.0, "b": 0.0, "c": 0.0}
@@ -240,10 +242,16 @@ def test_price_report_counts_its_dual_solves(tri1, pair_name, request,
     assert rep.method_agreement_residual <= 1e-6
 
 
-def _count_lps(monkeypatch):
+def _count_sweeps(monkeypatch):
+    """Records the calling module of each extremal sweep."""
     calls = []
-    real = pricing.solve_lp
-    monkeypatch.setattr(pricing, "solve_lp", lambda *a: calls.append(1) or real(*a))
+    real = geometry.SupportStructure.extremes
+
+    def counted(self, u):
+        calls.append(sys._getframe(1).f_globals["__name__"])
+        return real(self, u)
+
+    monkeypatch.setattr(geometry.SupportStructure, "extremes", counted)
     return calls
 
 
@@ -256,9 +264,9 @@ def test_price_report_solves_two_lps(tri1, pair_name, request, monkeypatch):
     offer = -indifference_price(tri1, pair, e, -b, base=base)
     ce = certainty_equivalent(tri1, pair, e, b, start=base._mu_arr)
     bounds = price_bounds(tri1, b)
-    calls = _count_lps(monkeypatch)
+    calls = _count_sweeps(monkeypatch)
     rep = price_report(tri1, pair, e, b)
-    assert len(calls) == 2
+    assert calls == ["treedual.pricing"]
     assert rep.lp_bounds == pytest.approx(bounds, abs=1e-15)
     assert (rep.bid, rep.offer, rep.certainty_equivalent) == pytest.approx(
         (bid, offer, ce), rel=1e-12, abs=1e-15)
@@ -270,11 +278,34 @@ def test_volume_curve_solves_two_lps(tri1, exp_pair, betas, monkeypatch):
     base = solve_dual(tri1, exp_pair, e)
     prices = [indifference_price(tri1, exp_pair, e, b * beta, base=base) / beta
               for beta in betas]
-    calls = _count_lps(monkeypatch)
+    calls = _count_sweeps(monkeypatch)
     rep = average_price_curve(tri1, exp_pair, e, b, betas)
-    assert len(calls) == 2
+    # one sweep for the bounds; at volume 1e4 the endowment of some probes
+    # falls below about -575, where each dual solve's overflow precheck
+    # sweeps for its cheapest vertex
+    assert calls.count("treedual.pricing") == 1
+    assert set(calls) <= {"treedual.pricing", "treedual.dual"}
     assert rep.prices == pytest.approx(prices, rel=1e-12, abs=1e-15)
     assert rep.lp_lower == pytest.approx(price_bounds(tri1, b)[0], abs=1e-15)
+
+
+@pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
+def test_pricing_and_solving_run_no_linear_program(tri1, exp_pair, pair_name,
+                                                   request, no_lp):
+    pair = request.getfixturevalue(pair_name)
+    e, b = RandomVariable(E_TRI), RandomVariable(B_TRI)
+    with no_lp():
+        rep = price_report(tri1, pair, e, b)
+        curve = average_price_curve(tri1, pair, e, b, [1e-2, 1.0, 1e2])
+        sens = endowment_sensitivity(tri1, pair, [e, e + 0.5],
+                                     sequence=[e + 0.1, e + 0.01], claim=b)
+        dead = solve_dual(treegen.dead_leaf_market(), exp_pair, 0.0)
+        with pytest.raises(EvaluationOverflowError):
+            solve_dual(tri1, exp_pair, -600.0)
+    assert rep.lp_bounds == pytest.approx((0.0, 1 / 3), abs=1e-15)
+    assert curve.lp_lower == rep.lp_bounds[0]
+    assert sens.mass_radius > 0 and all(c.dominated for c in sens.continuity)
+    assert dead.support == "DEGENERATE"
 
 
 def test_supremum_probe_counts_as_above_target(tri1, tp_pair, monkeypatch):

@@ -121,7 +121,7 @@ def test_two_power_sentinels_at_extreme_arguments(a, b):
         warnings.simplefilter("error")
         v = pair.v(np.array([0.0, INF, 1e-300, 1e300]))
         vp = pair.v_prime(np.array([0.0, INF, 1e-300, 1e300]))
-        vs = pair.v_second(np.array([0.0, 1e-300]))
+        vs = pair.v_second(np.array([0.0, 1e-300, INF]))
     # V(0) = U(inf) = inf and V(inf) = inf; at 1e-300 and 1e300 V lies
     # above the floating-point range
     assert v.tolist() == [INF, INF, INF, INF]
@@ -129,7 +129,9 @@ def test_two_power_sentinels_at_extreme_arguments(a, b):
     # at 1e300 I(y) = 1 - y^(1/b) is finite exactly when y^(1/b) is
     assert vp[:3].tolist() == [-INF, INF, -INF]
     assert vp[3] == pytest.approx(1e300 ** (1.0 / b) if b >= 1.0 else INF)
-    assert vs.tolist() == [INF, INF]
+    # V''(y) = y^(1/b - 1)/b on the left tail tends to inf, 1 or 0 as
+    # b < 1, b = 1 or b > 1
+    assert vs.tolist() == [INF, INF, INF if b < 1.0 else 1.0 if b == 1.0 else 0.0]
 
 
 @pytest.mark.parametrize("factory", [
