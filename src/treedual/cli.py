@@ -3,9 +3,10 @@
 Subcommands: ``solve``, ``recover``, ``price``, ``curve``, ``mubpp``,
 ``sensitivity``, ``verify``, ``oracle``, ``geometry``.  Numeric output is
 printed with 12 significant digits; every run with an ``--output-dir`` also
-writes a ``manifest.json`` (command, arguments, package and library versions,
-seed) plus machine-readable CSV files.  Identical configuration and seed
-produce byte-identical CSV output.
+writes a ``manifest.json`` (command, arguments, package and library versions)
+plus machine-readable CSV files.  Identical configuration (``oracle`` also
+takes a ``--seed``) produces byte-identical CSV output.  Each option is
+declared only on the subcommands that read it.
 
 Exit codes: 0 success, 1 verification/market failure (arbitrage, failed
 invariants), 2 input error (bad files, unknown names, bad flags).
@@ -334,21 +335,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Utility maximization and pricing on scenario trees")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, utility=True):
+    def common(p, utility=True, tol=True):
         p.add_argument("--market", required=True, help="scenario file (JSON)")
         if utility:
             p.add_argument("--utility", required=True,
                            help="e.g. exp:gamma=1,C=2 or twopower:a=0.5,b=1,C=1")
             p.add_argument("--endowment", default=None,
                            help="'endowment' (file default), 'zero', or a claim name")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--format", choices=("text", "csv", "structured"),
                        default="text")
         p.add_argument("--output-dir", default=None)
 
     p = sub.add_parser("geometry", help="constraints, feasibility, vertices")
-    common(p, utility=False)
+    common(p, utility=False, tol=False)
     p.add_argument("--vertex-cap", type=int, default=10_000)
     p.set_defaults(func=_cmd_geometry)
 
@@ -393,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force certification")
-    common(p)
+    common(p, tol=False)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_oracle)
     return ap
 

@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CapExceededError, DomainError, NoMartingaleMeasureError
-from .market import MarketTree, leaf_values
+from .market import MarketTree, TreeLayout, leaf_values
 from .utility import UtilityPair
 
 VERTEX_CAP_DEFAULT = 10_000
@@ -76,21 +76,16 @@ class MeasureVector:
 @lru_cache(maxsize=256)
 def build_constraints(tree: MarketTree) -> MartingaleConstraints:
     """One row per (non-leaf node, asset); see the module docstring."""
-    L = tree.n_leaves
-    rows = []
-    labels = []
-    for nid in tree.nonleaf_ids:
-        s_n = tree.price(nid)
-        for i in range(tree.n_assets):
-            row = np.zeros(L)
-            for cid in tree.children(nid):
-                lo, hi = tree.leaf_slice(cid)
-                row[lo:hi] = tree.price(cid)[i] - s_n[i]
-            rows.append(row)
-            labels.append((nid, i))
-    mat = np.array(rows)
+    lay, L = tree.layout, tree.n_leaves
+    # every level below the root covers all leaves: one (child, leaf) entry each
+    c = np.repeat(np.arange(1, len(lay.ids)), (lay.hi - lay.lo)[1:])
+    mat = np.zeros((lay.level_starts[-2], tree.n_assets, L))
+    mat[lay.parent[c], :, np.tile(np.arange(L), tree.horizon)] = \
+        lay.prices[c] - lay.prices[lay.parent[c]]
+    mat = mat.reshape(-1, L)
     mat.setflags(write=False)
-    return MartingaleConstraints(mat, tuple(labels), tree.leaf_ids)
+    labels = tuple((nid, i) for nid in tree.nonleaf_ids for i in range(tree.n_assets))
+    return MartingaleConstraints(mat, labels, tree.leaf_ids)
 
 
 def is_martingale_measure(tree: MarketTree, q, tol: float = 1e-9) -> bool:
@@ -100,21 +95,10 @@ def is_martingale_measure(tree: MarketTree, q, tol: float = 1e-9) -> bool:
     expectation is undefined there).
     """
     qs = leaf_values(tree, q.values if isinstance(q, MeasureVector) else q)
-    for nid in tree.nonleaf_ids:
-        lo, hi = tree.leaf_slice(nid)
-        mass = qs[lo:hi].sum()
-        if mass <= 0:
-            continue
-        s_n = tree.price(nid)
-        cond = np.zeros(tree.n_assets)
-        for cid in tree.children(nid):
-            clo, chi = tree.leaf_slice(cid)
-            cond += qs[clo:chi].sum() * tree.price(cid)
-        cond /= mass
-        scale = 1.0 + np.abs(s_n).max()
-        if np.abs(cond - s_n).max() > tol * scale:
-            return False
-    return True
+    cond, mass = tree.one_step_expectation(tree.layout.prices, qs)
+    s, live = tree.layout.prices[:mass.size], mass > 0
+    gap = np.abs(cond - s).max(axis=1)[live]
+    return not np.any(gap > tol * (1.0 + np.abs(s).max(axis=1))[live])
 
 
 # -- feasibility (FTAP side) ---------------------------------------------------
@@ -129,8 +113,9 @@ def _one_step_vertices(incr):
     sum w = 1, sum_c w_c incr_c = 0} is the unique solution on the at most
     d + 1 children it charges, whose columns (incr_c, 1) are independent
     (Caratheodory): for d = 1, the zero-increment children and the up/down
-    pairs.  One stacked pseudo-inverse per subset size solves every subset
-    of every node, rescaled per node and asset (which keeps the polytope).
+    pairs.  One stacked SVD per subset size gives the rank and the
+    pseudo-inverse of every subset of every node, rescaled per node and
+    asset (which keeps the polytope).
     Returns each vertex's node (position in the batch) and child weights.
     """
     g, m, d = incr.shape
@@ -140,9 +125,13 @@ def _one_step_vertices(incr):
     for k in range(1, min(m, d + 1) + 1):
         sub = np.array(list(combinations(range(m), k)))
         M = np.concatenate([x[:, sub], np.ones((g, len(sub), k, 1))], 3).swapaxes(2, 3)
-        w = np.linalg.pinv(M, rtol=_TOL)[..., -1]  # least squares of M w = e_d
+        # one SVD: the rank, and by the pseudo-inverse the least squares of M w = e_d
+        u, sv, vt = np.linalg.svd(M, full_matrices=False)
+        big = sv > _TOL * sv[..., :1]
+        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=big)
+        w = (vt.swapaxes(2, 3) @ (inv[..., None] * u.swapaxes(2, 3)))[..., -1]
         r = np.einsum("...ij,...j->...i", M, w) - (np.arange(d + 1) == d)
-        gi, si = np.nonzero((np.linalg.matrix_rank(M, rtol=_TOL) == k)
+        gi, si = np.nonzero((big.sum(axis=-1) == k)
                             & np.all(np.abs(r) <= _TOL, axis=-1)
                             & np.all(w > _TOL, axis=-1))
         rows = np.zeros((gi.size, m))
@@ -156,13 +145,13 @@ def _one_step_vertices(incr):
 class SupportStructure:
     """The valid one-step vertices of a tree, from :func:`_support_structure`.
 
-    Nodes are numbered level by level, root first and leaves last in leaf
-    order.  Vertex k, of node ``node[k]``, puts ``weight[k, j]`` on child
-    ``child[k, j]`` (rows padded with zero weights); vertices run by node.
+    Nodes are numbered as in ``MarketTree.layout``: level by level, root
+    first and leaves last in leaf order.  Vertex k, of node ``node[k]``, puts
+    ``weight[k, j]`` on child ``child[k, j]`` (rows padded with zero
+    weights); vertices run by node.
     """
 
-    parent: np.ndarray
-    level_starts: tuple[int, ...]
+    layout: TreeLayout
     node: np.ndarray
     child: np.ndarray
     weight: np.ndarray
@@ -180,13 +169,14 @@ class SupportStructure:
     def mixture(self, mix):
         """Leaf measure multiplying, along each path, the mean of each node's
         vertices weighted by ``mix`` (positive on some vertex of every node)."""
+        parent, levels = self.layout.parent, self.layout.level_starts
         mix = mix / np.bincount(self.node, mix)[self.node]
         mass = np.bincount(self.child.ravel(), (self.weight * mix[:, None]).ravel(),
-                           minlength=self.parent.size)
+                           minlength=parent.size)
         mass[0] = 1.0
-        for lo, hi in zip(self.level_starts[1:-1], self.level_starts[2:]):
-            mass[lo:hi] *= mass[self.parent[lo:hi]]
-        return mass[self.level_starts[-2]:]
+        for lo, hi in zip(levels[1:-1], levels[2:]):
+            mass[lo:hi] *= mass[parent[lo:hi]]
+        return mass[levels[-2]:]
 
     def extremes(self, u):
         """(min, max) of E_q[u] over martingale probabilities q, and a minimizer.
@@ -196,9 +186,10 @@ class SupportStructure:
         minimizer multiplies the vertices chosen for the lower values; it is
         a vertex of the martingale polytope.
         """
-        lo, hi = np.zeros(self.parent.size), np.zeros(self.parent.size)
-        lo[self.level_starts[-2]:] = hi[self.level_starts[-2]:] = u
-        ends = np.searchsorted(self.node, self.level_starts)
+        levels = self.layout.level_starts
+        lo, hi = np.zeros(len(self.layout.ids)), np.zeros(len(self.layout.ids))
+        lo[levels[-2]:] = hi[levels[-2]:] = u
+        ends = np.searchsorted(self.node, levels)
         chosen = np.zeros(self.node.size)
         for v0, v1 in zip(ends[-3::-1], ends[-2::-1]):  # levels, bottom up
             node, child, weight = self.node[v0:v1], self.child[v0:v1], self.weight[v0:v1]
@@ -226,15 +217,10 @@ def _support_structure(tree: MarketTree) -> SupportStructure:
     nodes' mean valid vertices is positive exactly there.  Raises
     :class:`NoMartingaleMeasureError` when the root is not viable.
     """
-    order = [nid for t in range(tree.horizon + 1) for nid in tree.nodes_at(t)]
-    pos = {nid: k for k, nid in enumerate(order)}
-    level_starts = tuple(np.cumsum(
-        [0] + [len(tree.nodes_at(t)) for t in range(tree.horizon + 1)]).tolist())
-    inner = level_starts[-2]  # nodes below this index are non-leaf
-    price = np.array([tree.price(nid) for nid in order])
-    # a node's children are consecutive
-    first = np.array([pos[tree.children(nid)[0]] for nid in order[:inner]])
-    count = np.array([len(tree.children(nid)) for nid in order[:inner]])
+    lay = tree.layout
+    n, inner = len(lay.ids), lay.level_starts[-2]  # nodes below inner are non-leaf
+    price, first = lay.prices, lay.first_child  # a node's children are consecutive
+    count = np.diff(first, append=n)
     node, weight = [], []
     for m in np.unique(count):
         idx = np.flatnonzero(count == m)
@@ -244,19 +230,17 @@ def _support_structure(tree: MarketTree) -> SupportStructure:
         weight.append(np.pad(w, ((0, 0), (0, count.max() - m))))
     by_node = np.argsort(np.concatenate(node), kind="stable")
     node, weight = np.concatenate(node)[by_node], np.concatenate(weight)[by_node]
-    child = np.minimum(first[node, None] + np.arange(count.max()), len(order) - 1)
+    child = np.minimum(first[node, None] + np.arange(count.max()), n - 1)
 
     # a node k levels above the leaves is settled after k rounds
-    viable = np.arange(len(order)) >= inner
+    viable = np.arange(n) >= inner
     for _ in range(tree.horizon):
         valid = np.all(viable[child] | (weight == 0), axis=1)
         viable[:inner] = np.bincount(node[valid], minlength=inner) > 0
     if not viable[0]:
         raise NoMartingaleMeasureError(
             "no absolutely continuous martingale measure exists")
-    parent = np.array([0] + [pos[tree.parent(nid)] for nid in order[1:]])
-    return SupportStructure(parent, level_starts, node[valid], child[valid],
-                            weight[valid])
+    return SupportStructure(lay, node[valid], child[valid], weight[valid])
 
 
 def find_equivalent_mm(tree: MarketTree) -> MeasureVector | None:

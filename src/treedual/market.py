@@ -25,6 +25,13 @@ Prices and probabilities are decimal strings, converted to binary floats once
 at load time; the original strings are kept so that serialization round-trips
 bit-exactly.  Unknown fields are rejected.  Trees are immutable after
 construction and safe to share across threads.
+
+Each tree also carries a level-order layout (:class:`TreeLayout`): nodes are
+numbered ``nonleaf_ids + leaf_ids``, so time levels are contiguous, every
+node's children are consecutive, and the leaves come last in leaf order.
+With each node's parent index, prices and leaf slice as arrays, every
+per-node conditional expectation is a subtree sum
+(:meth:`MarketTree.subtree_sums`, :meth:`MarketTree.one_step_expectation`).
 """
 
 from __future__ import annotations
@@ -121,6 +128,23 @@ class RandomVariable:
 
 
 @dataclass(frozen=True, eq=False)
+class TreeLayout:
+    """Level-order numbering of a tree's N nodes; arrays are read-only."""
+
+    ids: tuple[str, ...]           # nonleaf_ids + leaf_ids
+    parent: np.ndarray             # (N,) parent index; 0 at the root
+    level_starts: tuple[int, ...]  # time-t nodes: level_starts[t]:level_starts[t + 1]
+    first_child: np.ndarray        # (N - L,) first child of each non-leaf node
+    prices: np.ndarray             # (N, d)
+    lo: np.ndarray                 # (N,) leaf slice [lo, hi) of each node
+    hi: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.parent, self.first_child, self.prices, self.lo, self.hi):
+            a.setflags(write=False)
+
+
+@dataclass(frozen=True, eq=False)
 class AdaptedProcess:
     """Node-indexed values known at that node (wealth, strategies, prices).
 
@@ -145,10 +169,9 @@ class MarketTree:
     """
 
     __slots__ = (
-        "assets", "nodes", "endowment", "claims",
+        "assets", "nodes", "endowment", "claims", "layout",
         "_by_id", "_children", "_root", "_horizon",
-        "_leaf_ids", "_leaf_pos", "_leaf_slices",
-        "_p_leaf", "_node_prob", "_nodes_at", "_nonleaf_ids",
+        "_leaf_ids", "_leaf_pos", "_pos", "_p_leaf", "_node_prob", "_nodes_at",
     )
 
     def __init__(self, assets, nodes, endowment, claims, _token=None):
@@ -184,7 +207,7 @@ class MarketTree:
     @property
     def nonleaf_ids(self) -> tuple[str, ...]:
         """Non-leaf node ids, by time then depth-first order."""
-        return self._nonleaf_ids
+        return self.layout.ids[:self.layout.level_starts[-2]]
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -213,10 +236,11 @@ class MarketTree:
 
     def leaf_slice(self, node_id: str) -> tuple[int, int]:
         """Contiguous [lo, hi) range of leaf indices under ``node_id``."""
-        return self._leaf_slices[node_id]
+        k = self._pos[node_id]
+        return int(self.layout.lo[k]), int(self.layout.hi[k])
 
     def leaves_under(self, node_id: str) -> tuple[str, ...]:
-        lo, hi = self._leaf_slices[node_id]
+        lo, hi = self.leaf_slice(node_id)
         return self._leaf_ids[lo:hi]
 
     def leaf_index(self, leaf_id: str) -> int:
@@ -229,6 +253,32 @@ class MarketTree:
     @property
     def leaf_probability_array(self) -> np.ndarray:
         return self._p_leaf
+
+    def subtree_sums(self, v) -> np.ndarray:
+        """Sums of a leaf array, or of a stack (..., L) of them, over every
+        node's leaf slice: shape (..., N) in layout order, one
+        ``np.add.reduceat`` per level."""
+        v, lay = np.asarray(v, dtype=float), self.layout
+        return np.concatenate(
+            [np.add.reduceat(v, lay.lo[a:b], axis=-1)
+             for a, b in zip(lay.level_starts, lay.level_starts[1:])], axis=-1)
+
+    def one_step_expectation(self, x, q):
+        """``(E_q[x_child | n], q-mass of n)`` for every non-leaf node n.
+
+        ``x`` is node-indexed in layout order, (N,) or (N, k); ``q`` is a leaf
+        measure or a stack (..., L) of them.  Returns arrays of shape
+        (..., n[, k]) and (..., n) over the non-leaf nodes in layout order;
+        the expectation is NaN (0/0) where the mass of a measure is 0.
+        """
+        lay, x = self.layout, np.asarray(x, dtype=float)
+        mass = self.subtree_sums(q)
+        inner, tail = lay.level_starts[-2], (...,) + (None,) * (x.ndim - 1)
+        num = np.add.reduceat(mass[..., 1:][tail] * x[1:], lay.first_child - 1,
+                              axis=mass.ndim - 1)
+        m = mass[..., :inner]
+        with np.errstate(invalid="ignore"):  # 0/0 at nodes without mass
+            return num / m[tail], m
 
     def __repr__(self):
         return (f"MarketTree(T={self.horizon}, assets={list(self.assets)}, "
@@ -252,43 +302,40 @@ def _finish_tree(tree: MarketTree) -> None:
     tree._root = root
     tree._horizon = max(n.t for n in tree.nodes)
 
-    # depth-first leaf order: child order as in the file
+    # depth-first leaf order, child order as in the file; each level in that order
     leaf_ids: list[str] = []
     slices: dict[str, tuple[int, int]] = {}
     node_prob: dict[str, float] = {}
+    levels: list[list[str]] = [[] for _ in range(tree._horizon + 1)]
 
     def visit(nid, prob):
         node_prob[nid] = prob
+        levels[by_id[nid].t].append(nid)
         lo = len(leaf_ids)
         kids = tree._children[nid]
         if not kids:
             leaf_ids.append(nid)
-        else:
-            for c in kids:
-                visit(c, prob * by_id[c].prob)
+        for c in kids:
+            visit(c, prob * by_id[c].prob)
         slices[nid] = (lo, len(leaf_ids))
 
     visit(root, 1.0)
     tree._leaf_ids = tuple(leaf_ids)
     tree._leaf_pos = {l: i for i, l in enumerate(leaf_ids)}
-    tree._leaf_slices = slices
     tree._node_prob = node_prob
     p = np.array([node_prob[l] for l in leaf_ids])
     p.setflags(write=False)
     tree._p_leaf = p
+    tree._nodes_at = {t: tuple(level) for t, level in enumerate(levels)}
 
-    nodes_at: dict[int, list[str]] = {t: [] for t in range(tree._horizon + 1)}
-
-    def order(nid):
-        nodes_at[by_id[nid].t].append(nid)
-        for c in tree._children[nid]:
-            order(c)
-
-    order(root)
-    tree._nodes_at = {t: tuple(ids) for t, ids in nodes_at.items()}
-    tree._nonleaf_ids = tuple(
-        nid for t in range(tree._horizon) for nid in tree._nodes_at[t]
-    )
+    ids = tuple(nid for level in levels for nid in level)
+    tree._pos = pos = {nid: k for k, nid in enumerate(ids)}
+    parent = np.array([0] + [pos[by_id[nid].parent] for nid in ids[1:]], dtype=np.intp)
+    lo, hi = np.array([slices[nid] for nid in ids], dtype=np.intp).T
+    tree.layout = TreeLayout(
+        ids, parent, tuple(np.cumsum([0] + [len(level) for level in levels]).tolist()),
+        np.searchsorted(parent[1:], np.arange(len(ids) - len(leaf_ids))) + 1,
+        np.array([by_id[nid].prices for nid in ids]), lo, hi)
 
 
 def _decimal(value, where):

@@ -449,22 +449,12 @@ def check_mubpp(tree: MarketTree, pair: UtilityPair, endow,
         raise ValueError("candidate process must have the same width on all nodes")
 
     sol = solve_dual(tree, pair, endow, tol=solver_tol)
-    q = sol.q_hat_array
-    drifts = []
-    max_drift = 0.0
-    for nid in tree.nonleaf_ids:
-        lo, hi = tree.leaf_slice(nid)
-        mass = q[lo:hi].sum()
-        if mass <= 0:
-            continue
-        cond = np.zeros(d_new)
-        for c in tree.children(nid):
-            clo, chi = tree.leaf_slice(c)
-            cond += q[clo:chi].sum() * vals[c]
-        drift = float(np.abs(cond / mass - vals[nid]).max())
-        scale = 1.0 + float(np.abs(vals[nid]).max())
-        drifts.append((nid, drift))
-        max_drift = max(max_drift, drift / scale)
+    x = np.array([vals[nid] for nid in tree.layout.ids])
+    cond, mass = tree.one_step_expectation(x, sol.q_hat_array)
+    x, live = x[:mass.size], mass > 0
+    drift = np.abs(cond - x).max(axis=1)
+    drifts = [(nid, float(dn)) for nid, dn, ok in zip(tree.nonleaf_ids, drift, live) if ok]
+    max_drift = float((drift / (1.0 + np.abs(x).max(axis=1)))[live].max(initial=0.0))
     drift_verdict = max_drift <= drift_tol
 
     doc = market_to_dict(tree)
@@ -513,15 +503,10 @@ def optimal_measure_price_process(tree: MarketTree, sol: DualSolution,
     """
     b = leaf_values(tree, claim)
     q = sol.q_hat_array
-    out = {}
-    for nid in tree.node_ids:
-        lo, hi = tree.leaf_slice(nid)
-        mass = q[lo:hi].sum()
-        if mass <= 0:
-            out[nid] = 0.0
-            continue
-        out[nid] = float(np.dot(q[lo:hi], b[lo:hi]) / mass)
-    return AdaptedProcess(out)
+    mass = tree.subtree_sums(q)
+    vals = np.divide(tree.subtree_sums(q * b), mass, out=np.zeros_like(mass),
+                     where=mass > 0)
+    return AdaptedProcess(dict(zip(tree.layout.ids, vals.tolist())))
 
 
 # -- dependence on the endowment --------------------------------------------------

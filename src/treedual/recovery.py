@@ -66,8 +66,8 @@ def recover_terminal_wealth(tree: MarketTree, pair: UtilityPair, endow,
 def extract_strategy(tree: MarketTree, sol: DualSolution, xhat: RandomVariable,
                      pair: UtilityPair, endow, *,
                      tol: float = 1e-8) -> PrimalSolution:
-    """Wealth by backward induction under the optimal measure, strategy by
-    one-step least-squares replication.
+    """Wealth as the conditional expectation of the terminal wealth under the
+    optimal measure, strategy by one-step least-squares replication.
 
     The replication residual certifies exact attainability; a residual above
     ``tol`` is a solver-failure diagnostic, not a mathematical outcome, and
@@ -76,38 +76,33 @@ def extract_strategy(tree: MarketTree, sol: DualSolution, xhat: RandomVariable,
     e = leaf_values(tree, endow)
     x = xhat.as_array(tree)
     q = sol.q_hat_array
-    wealth: dict[str, float] = {}
+    lay = tree.layout
+    mass = tree.subtree_sums(q)
+    wealth = np.divide(tree.subtree_sums(q * x), mass, out=np.zeros_like(mass),
+                       where=mass > 0)
+    wealth[lay.level_starts[-2]:] = x
+    kids = np.append(lay.first_child, len(lay.ids))
     strategy: dict[str, np.ndarray] = {}
     unreached: list[str] = []
     scale = 1.0 + float(np.abs(x).max())
 
-    for leaf in tree.leaf_ids:
-        wealth[leaf] = float(x[tree.leaf_index(leaf)])
-
     worst = (0.0, None)
     for t in range(tree.horizon - 1, -1, -1):
-        for nid in tree.nodes_at(t):
-            if tree.is_leaf(nid):
-                continue
-            kids = tree.children(nid)
-            lo, hi = tree.leaf_slice(nid)
-            mass_n = q[lo:hi].sum()
-            dS = np.array([tree.price(c) - tree.price(nid) for c in kids])
-            w_kids = np.array([wealth[c] for c in kids])
-            if mass_n > 0:
-                masses = np.array([q[slice(*tree.leaf_slice(c))].sum() for c in kids])
-                w_n = float(np.dot(masses, w_kids) / mass_n)
-                h, *_ = np.linalg.lstsq(dS, w_kids - w_n, rcond=None)
+        for k in range(lay.level_starts[t], lay.level_starts[t + 1]):
+            nid = lay.ids[k]
+            dS = lay.prices[kids[k]:kids[k + 1]] - lay.prices[k]
+            w_kids = wealth[kids[k]:kids[k + 1]]
+            if mass[k] > 0:
+                h, *_ = np.linalg.lstsq(dS, w_kids - wealth[k], rcond=None)
             else:
                 # 0/0 convention: joint least-squares over (wealth, strategy)
                 unreached.append(nid)
-                M = np.column_stack([np.ones(len(kids)), dS])
+                M = np.column_stack([np.ones(len(w_kids)), dS])
                 coef, *_ = np.linalg.lstsq(M, w_kids, rcond=None)
-                w_n, h = float(coef[0]), coef[1:]
-            resid = float(np.abs(w_kids - w_n - dS @ h).max())
-            wealth[nid] = w_n
+                wealth[k], h = coef[0], coef[1:]
+            resid = float(np.abs(w_kids - wealth[k] - dS @ h).max())
             strategy[nid] = h
-            if mass_n > 0 and resid > worst[0]:
+            if mass[k] > 0 and resid > worst[0]:
                 worst = (resid, nid)
 
     if worst[0] > tol * scale:
@@ -121,7 +116,7 @@ def extract_strategy(tree: MarketTree, sol: DualSolution, xhat: RandomVariable,
     foc = float(np.abs(pair.u_prime(x + e) - dens).max())
     return PrimalSolution(
         terminal_wealth=xhat,
-        wealth=AdaptedProcess(wealth),
+        wealth=AdaptedProcess(dict(zip(lay.ids, wealth.tolist()))),
         strategy=AdaptedProcess(strategy),
         replication_residual=worst[0],
         value=value,
@@ -165,46 +160,37 @@ def verify_supermartingale(tree: MarketTree, wealth: AdaptedProcess, measures,
     ``tol`` (scaled), and the exact-martingale residual under the optimal
     measure when given.
     """
-    w_scale = 1.0 + max(abs(float(wealth.at(n))) for n in tree.node_ids)
-    max_drift = -math.inf
-    violations = []
-    tested = skipped = 0
+    ids = tree.layout.ids
+    w = np.array([float(wealth.at(n)) for n in ids])
+    w_scale = 1.0 + float(np.abs(w).max())
 
     def node_drifts(q_arr):
-        out = []
-        for nid in tree.nonleaf_ids:
-            lo, hi = tree.leaf_slice(nid)
-            mass = q_arr[lo:hi].sum()
-            if mass <= 0:
-                continue
-            cond = 0.0
-            for c in tree.children(nid):
-                clo, chi = tree.leaf_slice(c)
-                cond += q_arr[clo:chi].sum() * float(wealth.at(c))
-            out.append((nid, cond / mass - float(wealth.at(nid))))
-        return out
+        cond, mass = tree.one_step_expectation(w, q_arr)
+        return cond - w[:mass.shape[-1]], mass > 0
 
+    tested, arrs, skipped = [], [], 0
     for k, q in enumerate(measures):
         if not math.isfinite(relative_entropy(tree, pair, q)):
             skipped += 1
             continue
-        tested += 1
-        arr = q.as_array(tree) if isinstance(q, MeasureVector) else leaf_values(tree, q)
-        for nid, drift in node_drifts(arr):
-            max_drift = max(max_drift, drift)
-            if drift > tol * w_scale:
-                violations.append(DriftViolation(k, nid, drift))
+        tested.append(k)
+        arrs.append(q.as_array(tree) if isinstance(q, MeasureVector)
+                    else leaf_values(tree, q))
+    drift, live = node_drifts(np.reshape(arrs, (len(tested), tree.n_leaves)))
+    violations = [DriftViolation(tested[k], ids[n], float(drift[k, n]))
+                  for k, n in zip(*np.nonzero(live & (drift > tol * w_scale)))]
+    max_drift = float(drift[live].max(initial=-math.inf))
 
     opt_drift = 0.0
     if q_hat is not None:
-        arr = q_hat.as_array(tree)
-        opt_drift = max((abs(d) for _, d in node_drifts(arr)), default=0.0)
+        drift, live = node_drifts(q_hat.as_array(tree))
+        opt_drift = float(np.abs(drift[live]).max(initial=0.0))
 
     return SupermartingaleReport(
         violations=tuple(violations),
         max_drift=max_drift if tested else 0.0,
         max_abs_drift_under_optimal=opt_drift,
-        measures_tested=tested,
+        measures_tested=len(tested),
         measures_skipped=skipped,
     )
 
@@ -238,17 +224,17 @@ def dynamic_dual(tree: MarketTree, pair: UtilityPair, endow, t: int,
     p = tree.leaf_probability_array
     mu = sol._mu_arr
     A = build_constraints(tree).matrix
-    labels = build_constraints(tree).row_labels
+    lay = tree.layout
+    mass = tree.subtree_sums(mu)
     out = []
-    for nid in tree.nodes_at(t):
-        lo, hi = tree.leaf_slice(nid)
-        m_n = float(mu[lo:hi].sum())
+    for k in range(lay.level_starts[t], lay.level_starts[t + 1]):
+        nid, lo, hi, m_n = lay.ids[k], lay.lo[k], lay.hi[k], float(mass[k])
         if m_n <= 0:
             continue
         P_n = tree.node_probability(nid)
-        rows = [i for i, (rn, _) in enumerate(labels)
-                if tree.leaf_slice(rn)[0] >= lo and tree.leaf_slice(rn)[1] <= hi]
-        A_sub = A[np.ix_(rows, range(lo, hi))] if rows else np.zeros((0, hi - lo))
+        # the rows of the non-leaf nodes inside this subtree
+        inside = (lay.lo >= lo) & (lay.hi <= hi)
+        A_sub = A[np.repeat(inside[:lay.level_starts[-2]], tree.n_assets), lo:hi]
         p_sub = p[lo:hi]
         e_sub = e[lo:hi]
         q0 = mu[lo:hi] / m_n
@@ -300,27 +286,18 @@ def snell_envelope_exponential(tree: MarketTree, pair: UtilityPair, endow,
     payoff = np.log(p / mu) / gamma - e   # leaf random variable inside the essmax
 
     q_e = sol.q_hat_array
-    tested = [q_e]
-    for v in vertices:
-        arr = v.as_array(tree)
-        tested.append((1.0 - mollify) * arr + mollify * q_e)
+    verts = np.reshape([v.as_array(tree) for v in vertices], (-1, tree.n_leaves))
+    tested = np.vstack([q_e, (1.0 - mollify) * verts + mollify * q_e])
 
-    w_scale = 1.0 + max(abs(float(wealth.at(n))) for n in tree.node_ids)
-    env: dict[str, float] = {}
-    eq_gap = 0.0
-    lb_excess = -math.inf
-    for nid in tree.node_ids:
-        lo, hi = tree.leaf_slice(nid)
-        best = -math.inf
-        for q in tested:
-            mass = q[lo:hi].sum()
-            val = float(np.dot(q[lo:hi], payoff[lo:hi]) / mass)
-            best = max(best, val)
-            lb_excess = max(lb_excess, (val - float(wealth.at(nid))) / w_scale)
-        env[nid] = best
-        eq_gap = max(eq_gap, abs(best - float(wealth.at(nid))) / w_scale)
+    ids = tree.layout.ids
+    w = np.array([float(wealth.at(n)) for n in ids])
+    w_scale = 1.0 + float(np.abs(w).max())
+    vals = tree.subtree_sums(tested * payoff) / tree.subtree_sums(tested)
+    best = vals.max(axis=0)
+    eq_gap = float((np.abs(best - w) / w_scale).max())
+    lb_excess = float(((vals - w) / w_scale).max())
     return SnellReport(
-        envelope=AdaptedProcess(env),
+        envelope=AdaptedProcess(dict(zip(ids, best.tolist()))),
         max_equality_gap=eq_gap,
         max_lower_bound_excess=lb_excess,
         measures_tested=len(tested),

@@ -3,7 +3,8 @@ import json
 import pytest
 
 import treegen
-from treedual import cli
+from treedual import (cli, load_market, optimal_measure_price_process,
+                      parse_utility_spec, solve_dual)
 
 
 @pytest.mark.parametrize("command", ["price", "curve"])
@@ -25,6 +26,19 @@ def test_workers_flag_is_gone(tri1_file):
     argv = ["curve", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2",
             "--claim", "up", "--workers", "4"]
     assert cli.run(argv) == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("command,flag", [
+    (["solve", "--utility", "exp:gamma=1,C=2"], ["--seed", "3"]),  # only oracle reads it
+    (["geometry"], ["--tol", "1e-9"]),
+])
+def test_options_exist_only_on_subcommands_that_read_them(tri1_file, capsys,
+                                                          command, flag):
+    argv = command + ["--market", str(tri1_file)]
+    assert cli.run(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.run(argv + flag) == cli.EXIT_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _arbitrage_file(tmp_path):
@@ -68,6 +82,7 @@ TWO_POWER = ["--utility", "twopower:a=0.5,b=1,C=1"]
     (["oracle", "--seed", "3"] + TWO_POWER, "oracle.csv"),
     (["price", "--claim", "up"] + TWO_POWER, "price.csv"),
     (["geometry"], "vertices.csv"),
+    (["recover", "--utility", "exp:gamma=1,C=2"], "wealth_strategy.csv"),
 ])
 def test_csv_output_is_byte_identical_across_runs(tri1_file, tmp_path, capsys,
                                                   command, csv):
@@ -79,8 +94,35 @@ def test_csv_output_is_byte_identical_across_runs(tri1_file, tmp_path, capsys,
         blobs.append((out / csv).read_bytes())
     capsys.readouterr()
     assert blobs[0] == blobs[1]
-    # a header and one row; tri1's polytope has two vertices
-    assert len(blobs[0].splitlines()) == (3 if csv == "vertices.csv" else 2)
+    # a header, then one row per vertex (tri1 has two), per node (four) or in all
+    lines = {"vertices.csv": 3, "wealth_strategy.csv": 5}.get(csv, 2)
+    assert len(blobs[0].splitlines()) == lines
+
+
+def _process_file(tmp_path, tri1_file, drop=()):
+    """tri1's claim priced under the optimal measure, one value per node."""
+    tree = load_market(tri1_file)
+    sol = solve_dual(tree, parse_utility_spec("exp:gamma=1,C=2"), tree.endowment)
+    proc = optimal_measure_price_process(tree, sol, tree.claims["up"])
+    path = tmp_path / "process.json"
+    path.write_text(json.dumps({k: v for k, v in proc.values.items() if k not in drop}))
+    return path
+
+
+@pytest.mark.parametrize("drop,code", [((), cli.EXIT_OK), (("root",), cli.EXIT_INPUT)])
+def test_mubpp_exit_codes(tri1_file, tmp_path, capsys, drop, code):
+    argv = ["mubpp", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2",
+            "--process", str(_process_file(tmp_path, tri1_file, drop)),
+            "--output-dir", str(tmp_path / "out")]
+    assert cli.run(argv) == code
+    captured = capsys.readouterr()
+    if code == cli.EXIT_OK:
+        assert "marginal utility-based price process: True" in captured.out
+        assert "verdicts agree: True" in captured.out
+        # a header and one drift row per non-leaf node
+        assert len((tmp_path / "out" / "mubpp_drifts.csv").read_text().splitlines()) == 2
+    else:
+        assert captured.err.startswith("input error:") and "root" in captured.err
 
 
 def test_sensitivity_with_continuity_and_claim_exits_zero(tri1_file, capsys):

@@ -323,7 +323,7 @@ def test_overflow_skip_bound_dominates_every_ray():
         pytest.approx(math.log(p.sum()) + 6.0, rel=1e-12)
 
 
-def test_overflow_precheck_solves_an_lp_only_when_the_bound_is_undecided(
+def test_overflow_precheck_sweeps_only_when_the_bound_is_undecided(
         tri1, monkeypatch):
     calls = []
     real = geometry.SupportStructure.extremes

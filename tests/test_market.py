@@ -181,3 +181,57 @@ def test_generated_markets_are_valid():
         p = tree.leaf_probability_array
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(p > 0)
+
+
+@st.composite
+def _measured_random_markets(draw):
+    """A random_market tree, a stack of two leaf measures that vanish on some
+    drawn subtrees (all of the tree at times), and a node-indexed process."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tree = treegen.random_market(rng, max_periods=3,
+                                 n_assets=draw(st.sampled_from([1, 2])))
+    q = rng.uniform(0.0, 1.0, size=(2, tree.n_leaves))
+    for k in range(2):
+        for nid in draw(st.lists(st.sampled_from(tree.layout.ids), max_size=3)):
+            q[k, slice(*tree.leaf_slice(nid))] = 0.0
+    return tree, q, rng.normal(size=len(tree.layout.ids))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_measured_random_markets())
+def test_layout_expectations_match_condition(drawn):
+    tree, q, x = drawn
+    lay = tree.layout
+    assert lay.ids == tree.nonleaf_ids + tree.leaf_ids
+    x_leaf = x[lay.level_starts[-2]:]
+    mass, weighted = tree.subtree_sums(q), tree.subtree_sums(q * x_leaf)
+    cond, inner_mass = tree.one_step_expectation(x, q)
+    prices, _ = tree.one_step_expectation(lay.prices, q)
+    assert np.array_equal(inner_mass, mass[:, :len(tree.nonleaf_ids)])
+    for n, nid in enumerate(lay.ids):
+        # the child process as a leaf variable on this node's subtree
+        x_child = np.zeros(tree.n_leaves)
+        for c in tree.children(nid):
+            x_child[slice(*tree.leaf_slice(c))] = x[lay.ids.index(c)]
+        for k in range(2):
+            assert mass[k, n] == pytest.approx(q[k, slice(*tree.leaf_slice(nid))].sum(),
+                                               rel=1e-13, abs=0.0)
+            if mass[k, n] == 0:
+                with pytest.raises(ZeroMassError):
+                    condition(tree, x_leaf, q[k], nid)
+                assert math.isnan(condition(tree, x_leaf, q[k], nid, on_zero_mass=math.nan))
+                if n < cond.shape[1]:
+                    assert math.isnan(cond[k, n]) and np.isnan(prices[k, n]).all()
+                continue
+            assert weighted[k, n] / mass[k, n] == pytest.approx(
+                condition(tree, x_leaf, q[k], nid), rel=1e-12, abs=1e-12)
+            if n >= cond.shape[1]:
+                continue
+            assert cond[k, n] == pytest.approx(
+                condition(tree, x_child, q[k], nid), rel=1e-12, abs=1e-12)
+            for i in range(tree.n_assets):
+                s_child = np.zeros(tree.n_leaves)
+                for c in tree.children(nid):
+                    s_child[slice(*tree.leaf_slice(c))] = tree.price(c)[i]
+                assert prices[k, n, i] == pytest.approx(
+                    condition(tree, s_child, q[k], nid), rel=1e-12, abs=1e-12)

@@ -256,7 +256,7 @@ def _count_sweeps(monkeypatch):
 
 
 @pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
-def test_price_report_solves_two_lps(tri1, pair_name, request, monkeypatch):
+def test_price_report_makes_one_extremal_sweep(tri1, pair_name, request, monkeypatch):
     pair = request.getfixturevalue(pair_name)
     e, b = RandomVariable(E_TRI), RandomVariable(B_TRI)
     base = solve_dual(tri1, pair, e)
@@ -273,7 +273,7 @@ def test_price_report_solves_two_lps(tri1, pair_name, request, monkeypatch):
 
 
 @pytest.mark.parametrize("betas", [[2.0], [1e-2, 1.0, 1e2], np.logspace(-4, 4, 9)])
-def test_volume_curve_solves_two_lps(tri1, exp_pair, betas, monkeypatch):
+def test_volume_curve_makes_one_extremal_sweep_for_its_bounds(tri1, exp_pair, betas, monkeypatch):
     e, b = RandomVariable(E_TRI), RandomVariable(B_TRI)
     base = solve_dual(tri1, exp_pair, e)
     prices = [indifference_price(tri1, exp_pair, e, b * beta, base=base) / beta
