@@ -9,13 +9,14 @@ functions.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import (DualSolution, check_maximal_support, dual_derivative,
-                   dual_value_curve, solve_dual)
+from .dual import (check_maximal_support, dual_derivative, dual_value_curve,
+                   solve_dual)
 from .errors import CapExceededError
 from .geometry import (build_constraints, find_equivalent_mm,
                        is_martingale_measure, relative_entropy,
@@ -70,11 +71,9 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow, *,
     sol = solve_dual(tree, pair, endow, tol=solver_tol)
     if mu_override is not None:
         arr = np.asarray(mu_override, dtype=float)
-        sol = DualSolution(
-            tree=tree, pair=pair, mu=sol.mu, mass=float(arr.sum()),
-            q_hat=sol.q_hat, value=sol.value, stationarity=sol.stationarity,
-            support=sol.support, iterations=sol.iterations,
-            _mu_arr=arr, _endow_arr=sol._endow_arr)
+        mass = float(arr.sum())
+        sol = dataclasses.replace(sol, mass=mass, _mu_arr=arr, _q_arr=arr / mass,
+                                  _log_mass=math.log(mass))
 
     A = build_constraints(tree).matrix
     cons_res = float(np.abs(A @ sol._mu_arr).max()) if A.size else 0.0

@@ -228,10 +228,23 @@ def _cmd_mubpp(args, out: _Out):
     endow = _pick_endowment(tree, args.endowment)
     with open(args.process, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ParseError("process file must map node ids to values")
     missing = [nid for nid in tree.node_ids if nid not in raw]
     if missing:
         raise ParseError(f"process file missing nodes: {missing[:5]}")
-    sprime = AdaptedProcess({k: v for k, v in raw.items()})
+    values = {}
+    for nid in tree.node_ids:
+        try:
+            v = np.atleast_1d(np.asarray(raw[nid], dtype=float))
+        except (TypeError, ValueError):
+            v = np.array([np.nan])
+        width = len(next(iter(values.values()), v))
+        if v.shape != (width,) or not np.all(np.isfinite(v)):
+            raise ParseError(f"process value at node {nid!r} is not a number or a "
+                             f"list of {width} numbers like the nodes before it")
+        values[nid] = v
+    sprime = AdaptedProcess(values)
     rep = check_mubpp(tree, pair, endow, sprime, solver_tol=args.tol)
     out.say(f"marginal utility-based price process: {rep.is_mubpp}")
     out.say(f"drift verdict: {rep.drift_verdict} "

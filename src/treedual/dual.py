@@ -2,22 +2,30 @@
 
 The objective is ``F(mu) = sum_l [ p_l V(mu_l/p_l) + mu_l e_l ]`` minimized
 over non-negative leaf measures satisfying the martingale equality rows (and
-optionally a fixed total mass).  The solver is a primal-feasible interior
-point method: a logarithmic barrier on ``mu >= 0`` with Newton steps in the
-null space of the equality rows, barrier weight shrunk geometrically, and a
-final barrier-free polish.  Curvature uses the analytic V'' of the pair,
-and each point's conjugate values are computed once and carried along.
+optionally a fixed total mass).  Two solvers share the result type.
 
-Stationarity is measured by the norm of the gradient projected onto the
-feasible directions, with sign conditions at leaves whose optimal mass is at
-the numerical floor (those arise when the optimal density underflows; the
-objective value is still accurate there).
+* Exponential family: exponential utility does not depend on wealth, so the
+  dual is solved exactly by backward induction on the log-partition (Rouge &
+  El Karoui, *Math. Finance* 10, 2000; Delbaen et al., *Exponential hedging
+  and entropic penalties*, *Math. Finance* 12, 2002).  Each non-leaf node n
+  takes ``L_n = min_k logsumexp_c(ln p_(c|n) + L_c - gamma k.dS_c)`` over its
+  live children, from ``L_leaf = -gamma e``; the value is
+  ``C - exp(L_root)/gamma``, the mass ``exp(L_root)`` and the normalized
+  optimizer the product of the nodes' softmax weights.  Masses like
+  e^-1000 are exact in this form.
+* Two-power family (and the tests' oracle): damped Newton in the null space
+  of the equality rows from a strictly positive feasible point, with
+  fraction-to-boundary steps and Armijo acceptance; where the objective is
+  flat to rounding a step is accepted when it shrinks the projected
+  gradient.  V'(0) = -inf keeps every optimum off the boundary, so no
+  barrier is needed.  Curvature uses the analytic V'' of the pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -26,20 +34,26 @@ from scipy.linalg import null_space
 from .errors import (EvaluationOverflowError, InfeasibleEntropyError,
                      NoMartingaleMeasureError, NonconvergedError,
                      ValueAtSupremumError)
-from .geometry import (MeasureVector, _support_structure, build_constraints,
-                       relative_entropy)
-from .market import MarketTree, RandomVariable, leaf_values
+from .geometry import (MeasureVector, SupportStructure, _support_structure,
+                       build_constraints, relative_entropy)
+from .market import MarketTree, leaf_values
 from .utility import UtilityPair
 
 DEFAULT_TOL = 1e-9
 DEFAULT_NEWTON_CAP = 200
-BARRIER_SHRINK = 0.2
 _VALUE_FLOOR = -1e250  # below this the optimal utility is numerically -inf
 
 
 @dataclass(frozen=True, eq=False)
 class DualSolution:
-    """Optimal measure, mass, normalization, value and diagnostics."""
+    """Optimal measure, mass, normalization, value and diagnostics.
+
+    ``stationarity`` is the exit residual of the solver: for the exponential
+    family the largest one-step drift of the normalized optimizer over the
+    non-leaf nodes, |E[dS | n]| / (1 + |S_n|) in the max norm; for the Newton
+    core the projected-gradient norm |Z'g| / (1 + |g|).  ``iterations`` logs
+    the Newton steps taken.
+    """
 
     tree: MarketTree
     pair: UtilityPair
@@ -52,17 +66,174 @@ class DualSolution:
     iterations: tuple[dict, ...]
     _mu_arr: np.ndarray = field(repr=False, default=None)
     _endow_arr: np.ndarray = field(repr=False, default=None)
+    _q_arr: np.ndarray = field(repr=False, default=None)
+    _log_mass: float = field(repr=False, default=None)  # exact where mass underflows
 
     @property
     def q_hat_array(self) -> np.ndarray:
-        return self._mu_arr / self.mass
+        return self._q_arr
 
     @property
     def density_array(self) -> np.ndarray:
         return self._mu_arr / self.tree.leaf_probability_array
 
 
-# -- raw Newton core -----------------------------------------------------------
+def _solution(tree, pair, e, mu, q, mass, log_mass, value, residual, flag, steps):
+    return DualSolution(
+        tree=tree, pair=pair,
+        mu=MeasureVector.from_array(tree, mu),
+        mass=mass,
+        q_hat=MeasureVector.from_array(tree, q),
+        value=value,
+        stationarity=residual,
+        support=flag,
+        iterations=({"steps": steps, "residual": residual},),
+        _mu_arr=mu, _endow_arr=e, _q_arr=q, _log_mass=log_mass)
+
+
+# -- exponential family: backward induction in log space ------------------------
+
+_LSE_CAP = 100  # damped Newton steps per level
+
+
+def _lse_min(b, x):
+    """``min_k logsumexp_c(b_c - x_c.k)`` for a batch of g nodes.
+
+    ``b`` (g, m) is -inf and ``x`` (g, m, d) zero at padding.  Newton steps
+    with Levenberg-Marquardt damping relative to the trace of the Hessian,
+    the covariance of x under the softmax weights, which is near-singular
+    where the weights sit on few children.  A step moves no exponent by more
+    than one unit and is doubled while that keeps lowering the value, which
+    crosses exponential tails in a few steps; it is accepted on a quarter of
+    its predicted decrease or, where the value is flat to rounding, on a
+    smaller gradient.  A node is done once its gradient and predicted
+    decrease are at rounding level, or once a step fails with its predicted
+    decrease below rounding.  Returns the minima, log softmax weights,
+    gradients E_w[x] (up to sign) and steps.
+    """
+    top_b = b.max(axis=1)
+    b = b - top_b[:, None]
+    g, _, d = x.shape
+
+    def evaluate(k):
+        z = b - np.einsum("gmd,gd->gm", x, k)
+        top = z.max(axis=1)
+        f = top + np.log(np.exp(z - top[:, None]).sum(axis=1))
+        return f, z - f[:, None], np.einsum("gm,gmd->gd", np.exp(z - f[:, None]), x)
+
+    scale = np.abs(x).max(axis=(1, 2))
+    damp, k, active = np.full(g, 1e-3), np.zeros((g, d)), np.ones(g, dtype=bool)
+    f, logw, mean = evaluate(k)
+    for steps in range(_LSE_CAP + 1):
+        gnorm = np.abs(mean).max(axis=1)
+        # rounding level of the gradient: exponents are b - x.k
+        gtol = scale * (1e-13 + 1e-15 * np.abs(np.einsum("gmd,gd->gm", x, k)).max(axis=1))
+        dev = x - mean[:, None, :]   # centred: E[x x'] - mean mean' cancels
+        hess = np.einsum("gm,gmd,gme->gde", np.exp(logw), dev, dev)
+        lam = damp * (np.trace(hess, axis1=1, axis2=2) + 1e-30 * scale ** 2)
+        active &= gnorm > 0.0
+        step = np.zeros((g, d))
+        step[active] = np.linalg.solve(hess[active] + lam[active, None, None] * np.eye(d),
+                                       mean[active, :, None])[..., 0]
+        shift = np.abs(np.einsum("gmd,gd->gm", x, step)).max(axis=1)
+        clipped = shift > 1.0
+        step[clipped] /= shift[clipped, None]
+        pred = (mean * step).sum(axis=1) - 0.5 * np.einsum("gd,gde,ge->g", step, hess, step)
+        active &= ((gnorm > gtol) | (pred > 1e-17 * (1.0 + np.abs(f + top_b)))
+                   | (damp > 1e-2))
+        if not active.any():
+            break
+        if steps == _LSE_CAP:
+            raise NonconvergedError(
+                f"log-partition Newton cap {_LSE_CAP} reached at {active.sum()} nodes")
+        f1, logw1, mean1 = evaluate(k + step)
+        tiny = 1e-15 * (1.0 + np.abs(f))
+        ok = active & (((f1 < f) & (f1 <= f - 0.25 * pred))
+                       | ((f1 <= f + tiny) & (np.abs(mean1).max(axis=1) <= 0.5 * gnorm)))
+        active &= ok | (pred > tiny)   # else no change is measurable
+        grow, alpha = ok & (clipped | (f - f1 > pred + tiny)), np.ones(g)
+        while grow.any():
+            f2, logw2, mean2 = evaluate(k + 2.0 * alpha[:, None] * step)
+            grow &= f2 < f1
+            alpha[grow] *= 2.0
+            f1[grow], logw1[grow], mean1[grow] = f2[grow], logw2[grow], mean2[grow]
+        k[ok] += alpha[ok, None] * step[ok]
+        f[ok], logw[ok], mean[ok] = f1[ok], logw1[ok], mean1[ok]
+        damp = np.where(ok, np.maximum(0.25 * damp / alpha, 1e-12), 4.0 * damp)
+    return f + top_b, logw, mean, steps
+
+
+@lru_cache(maxsize=256)
+def _live_levels(geo: SupportStructure):
+    """Per non-leaf level, bottom-up, the live nodes (g,), their padded live
+    children (g, m) with a mask, log branch probabilities (-inf at padding)
+    and price increments (g, m, d; zero at padding and below a node with one
+    live child, where it is zero up to the support tolerance).  A child is
+    live when a valid one-step vertex of its live parent charges it.
+    """
+    lay = geo.layout
+    n, starts = len(lay.ids), lay.level_starts
+    live = np.zeros(n, dtype=bool)
+    live[geo.child[geo.weight > 0]] = live[0] = True
+    for lo, hi in zip(starts[1:-1], starts[2:]):
+        live[lo:hi] &= live[lay.parent[lo:hi]]
+    count = np.diff(lay.first_child, append=n)
+    out = []
+    for lo, hi in zip(starts[-3::-1], starts[-2:0:-1]):
+        node = lo + np.flatnonzero(live[lo:hi])
+        kids = np.minimum(lay.first_child[node, None] + np.arange(count[node].max()), n - 1)
+        on = (np.arange(kids.shape[1]) < count[node, None]) & live[kids]
+        with np.errstate(divide="ignore"):
+            lnp = np.where(on, np.log(lay.prob[kids]), -np.inf)
+        dS = np.where((on & (on.sum(axis=1, keepdims=True) > 1))[..., None],
+                      lay.prices[kids] - lay.prices[node, None], 0.0)
+        out.append((node, kids, on, lnp, dS))
+    return tuple(out)
+
+
+def _log_partition(tree, gamma, e):
+    """Backward induction on ``L_n = ln min_h E[exp(-gamma(e + gains)) | n]``.
+
+    Returns L at the root, the log normalized optimizer on the leaves (-inf
+    off the maximal support), its largest scaled one-step drift and the
+    Newton steps taken."""
+    lay = tree.layout
+    inner = lay.level_starts[-2]
+    big_l = np.concatenate([np.zeros(inner), -gamma * e])
+    logw = np.concatenate([[0.0], np.full(len(lay.ids) - 1, -np.inf)])
+    drift, steps = 0.0, 0
+    for node, kids, on, lnp, dS in _live_levels(_support_structure(tree)):
+        big_l[node], lw, mean, used = _lse_min(lnp + big_l[kids], gamma * dS)
+        logw[kids[on]] = lw[on]
+        steps += used
+        s = np.abs(lay.prices[node]).max(axis=1)
+        drift = max(drift, float((np.abs(mean).max(axis=1) / gamma / (1.0 + s)).max()))
+    for lo, hi in zip(lay.level_starts[1:-1], lay.level_starts[2:]):
+        logw[lo:hi] += logw[lay.parent[lo:hi]]
+    return float(big_l[0]), logw[inner:], drift, steps
+
+
+def _log_space_solution(tree, pair, endow, mass=None) -> DualSolution:
+    """The exponential family's optimum (at total mass ``mass`` if given).
+
+    The normalized optimizer does not depend on the mass, so the fixed-mass
+    optimum is ``mass * q_hat`` with value ``C + mass (ln mass - 1 - L)/gamma``.
+    Raises nothing for extreme endowments: the log-mass stays exact when the
+    mass or the value leaves the floating-point range.
+    """
+    gamma, c = pair.params["gamma"], pair.params["C"]
+    e = leaf_values(tree, endow)
+    _, _, flag = _prepare(tree, pair)
+    log_z, log_q, drift, steps = _log_partition(tree, gamma, e)
+    log_y = log_z if mass is None else math.log(mass)
+    with np.errstate(over="ignore"):
+        y = float(np.exp(log_z)) if mass is None else mass
+        value = c - y / gamma if mass is None else c + y * (log_y - 1.0 - log_z) / gamma
+        mu = np.exp(log_y + log_q)
+    return _solution(tree, pair, e, mu, np.exp(log_q), y, log_y, value, drift, flag, steps)
+
+
+# -- Newton core ------------------------------------------------------------------
 
 
 def _objective(pair, p, e, mu):
@@ -77,208 +248,71 @@ def _gradient(pair, p, e, mu):
     return pair.v_prime(mu / p) + e
 
 
-def _hess_diag(pair, p, mu):
-    return pair.v_second(mu / p) / p
-
-
-def _stationarity_residual(M, mu, g):
-    """Projected-gradient norm with sign conditions at floored leaves.
-
-    A leaf counts as active (pinned) when its mass is at most the floor
-    ``1e-8 (1 + sum mu) / L`` and its multiplier estimate ``s`` is above
-    ``1e-7 (1 + |g|)``; an active leaf contributes only a negative ``s``.
-    Classification and multipliers are re-fitted until the active set
-    stabilizes.  The complementarity product ``mu * s`` is not bounded: a
-    pinned leaf may keep a mass far above its optimum (~1e-10 where the
-    optimum is ~e^-100), which moves the value in its eighth digit.
-    """
-    if not np.all(np.isfinite(g)):
-        return math.inf
-    gnorm = 1.0 + float(np.linalg.norm(g))
-    pin = 1e-8 * (1.0 + float(mu.sum())) / mu.size
-    act = np.zeros(mu.size, dtype=bool)
-    for _ in range(4):
-        Mi = M[:, ~act]
-        gi = g[~act]
-        if Mi.shape[1] == 0:
-            lam = np.zeros(M.shape[0])
-        else:
-            lam, *_ = np.linalg.lstsq(Mi.T, gi, rcond=None)
-        s = g - M.T @ lam
-        new_act = (mu <= pin) & (s > 1e-7 * gnorm)
-        if np.array_equal(new_act, act):
-            break
-        act = new_act
-    r = np.where(act, 0.0, s)
-    viol = np.where(act, np.minimum(s, 0.0), 0.0)
-    num = math.sqrt(float(r @ r) + float(viol @ viol))
-    return num / gnorm
-
-
-def _polish_loop(M, Z, p, e, pair, mu, g, residual, *, tol, max_steps):
-    """Barrier-free Newton accepted on stationarity decrease.
-
-    Near the optimum the objective is flat to rounding, so progress is
-    measured on the projected gradient; also serves as the warm-start path.
-    ``g`` is the gradient at ``mu``; the accepted trial's gradient carries
-    over to the next step.
-    """
-    steps = 0
-    while residual > tol and steps < max_steps:
-        if not np.all(np.isfinite(g)):
-            break
-        h = _hess_diag(pair, p, mu)
-        gr = Z.T @ g
-        Hr = (Z.T * h) @ Z
-        try:
-            dw = np.linalg.solve(Hr, -gr)
-        except np.linalg.LinAlgError:
-            dw, *_ = np.linalg.lstsq(Hr, -gr, rcond=None)
-        dmu = Z @ dw
-        neg = dmu < 0
-        alpha = 1.0
-        if np.any(neg):
-            alpha = min(1.0, 0.999 * float(np.min(-mu[neg] / dmu[neg])))
-        improved = False
-        for _ in range(60):
-            trial = mu + alpha * dmu
-            if np.all(trial > 0):
-                g_trial = _gradient(pair, p, e, trial)
-                res_trial = _stationarity_residual(M, trial, g_trial)
-                if res_trial < residual:
-                    improved = True
-                    break
-            alpha *= 0.5
-        if not improved:
-            break
-        mu, g = trial, g_trial
-        residual = res_trial
-        steps += 1
-    return mu, residual, steps
-
-
 def _newton_core(A, p, e, pair, q0, *, mass=None, tol=DEFAULT_TOL,
                  newton_cap=DEFAULT_NEWTON_CAP, start_mu=None):
-    """Minimize F over {A mu = 0 (, sum mu = mass), mu >= 0}.
+    """Minimize F over {A mu = 0 (, sum mu = mass), mu > 0} by damped Newton.
 
     ``q0`` must be strictly positive and feasible for the equalities with
-    unit mass.  Returns (mu, value, residual, iteration log).
+    unit mass; ``start_mu``, when strictly positive (and feasible), replaces
+    it as the starting point.  Each step is the Newton step on the equality
+    rows' null space Z, computed in the H^-1/2 scaling with the rows then
+    restored to rounding, and stops 1% short of the boundary.  It is
+    accepted on Armijo decrease, or, where the objective is flat to
+    rounding, on a smaller stationarity |Z'g| / (1 + |g|).  Returns (mu,
+    value, residual, iteration log).
     """
-    n = p.size
-    M = A if mass is None else np.vstack([A, np.ones((1, n))])
-    Z = null_space(M) if M.size else np.eye(n)
-    mu = np.array(start_mu if start_mu is not None
-                  else q0 * (1.0 if mass is None else mass), dtype=float)
-    if mass is not None and Z.shape[1] == 0:
-        # unique feasible point; nothing to optimize
-        g = _gradient(pair, p, e, mu)
-        res = _stationarity_residual(M, mu, g)
-        return mu, _objective(pair, p, e, mu), res, ({"tau": 0.0, "steps": 0,
-                                                      "residual": res},)
+    M = A if mass is None else np.vstack([A, np.ones((1, p.size))])
+    rhs = np.append(np.zeros(len(A)), [] if mass is None else [mass])
+    Z = null_space(M) if M.size else np.eye(p.size)
+    if start_mu is not None and np.all(np.asarray(start_mu) > 0):
+        mu = np.array(start_mu, dtype=float)
+    else:
+        mu = q0 * (1.0 if mass is None else mass)
 
-    if start_mu is not None and np.all(mu > 0):
-        # warm start: try pure Newton before paying for a barrier sweep
-        g0 = _gradient(pair, p, e, mu)
-        res0 = _stationarity_residual(M, mu, g0)
-        mu_w, res_w, used = _polish_loop(M, Z, p, e, pair, mu, g0, res0,
-                                         tol=tol, max_steps=25)
-        if res_w <= tol:
-            f = _objective(pair, p, e, mu_w)
-            if f < _VALUE_FLOOR:
-                raise EvaluationOverflowError(
-                    "dual objective fell below the floating-point range")
-            return mu_w, f, res_w, ({"tau": 0.0, "steps": used,
-                                     "residual": res_w},)
-        # a failed polish may have left a poor iterate: restart the barrier
-        # from the interior point
-        mu = np.array(q0 * (1.0 if mass is None else mass), dtype=float)
-
-    def barrier_value(f, m, tau):
-        if not math.isfinite(f):
+    def residual(g):
+        if not np.all(np.isfinite(g)):
             return math.inf
-        return f - tau * float(np.log(m).sum())
+        return float(np.linalg.norm(Z.T @ g)) / (1.0 + float(np.linalg.norm(g)))
 
-    # the conjugate is evaluated once per point: V' at mu (g_raw) and the
-    # objective at mu (f_now) are carried from the accepted trial
-    g_raw = _gradient(pair, p, e, mu)
-    f_now = _objective(pair, p, e, mu)
-    tau = 0.1 * (1.0 + float(np.abs(g_raw[np.isfinite(g_raw)]).max(initial=0.0)))
+    f = _objective(pair, p, e, mu)
+    g = _gradient(pair, p, e, mu)
+    res = residual(g)
     steps = 0
-    log = []
-    best = (math.inf, mu)
-
-    def one_stage(tau, stage_tol):
-        nonlocal mu, steps, g_raw, f_now
-        phi0 = barrier_value(f_now, mu, tau)
-        for it in range(60):
-            with np.errstate(over="ignore", divide="ignore"):
-                g = g_raw - tau / mu
-            gr = Z.T @ g
-            if it and float(np.linalg.norm(gr)) <= stage_tol * (1.0 + tau):
-                return
-            if steps >= newton_cap:
-                return
-            with np.errstate(over="ignore", divide="ignore"):
-                h = _hess_diag(pair, p, mu) + tau / mu ** 2
-            h = np.where(np.isfinite(h), h, 1e300)
-            Hr = (Z.T * h) @ Z
-            try:
-                dw = np.linalg.solve(Hr, -gr)
-            except np.linalg.LinAlgError:
-                dw, *_ = np.linalg.lstsq(Hr + 1e-12 * np.trace(Hr) * np.eye(Hr.shape[0]),
-                                         -gr, rcond=None)
-            dmu = Z @ dw
-            steps += 1
-            neg = dmu < 0
-            alpha = 1.0
-            if np.any(neg):
-                alpha = min(1.0, 0.99 * float(np.min(-mu[neg] / dmu[neg])))
-            slope = float(gr @ dw)
-            for _ in range(50):
-                trial = mu + alpha * dmu
-                f1 = _objective(pair, p, e, trial)
-                phi1 = barrier_value(f1, trial, tau)
-                if phi1 <= phi0 + 1e-4 * alpha * slope or phi1 <= phi0 - 1e-16 * abs(phi0):
-                    break
-                alpha *= 0.5
-            else:
-                return  # no progress at this barrier weight
-            mu, f_now, phi0 = trial, f1, phi1
-            if f_now < _VALUE_FLOOR:
-                raise EvaluationOverflowError(
-                    "dual objective fell below the floating-point range")
-            g_raw = _gradient(pair, p, e, mu)
-
-    residual = math.inf
-    for stage in range(80):
-        one_stage(tau, stage_tol=0.1)
-        residual = _stationarity_residual(M, mu, g_raw)
-        log.append({"tau": tau, "steps": steps, "residual": residual})
-        if f_now < best[0]:
-            best = (f_now, mu.copy())
-        if residual <= tol:
-            break
+    while res > tol:
         if steps >= newton_cap:
             raise NonconvergedError(
-                f"Newton cap {newton_cap} reached (residual {residual:.3e})",
-                best=best[1], residual=residual)
-        tau *= BARRIER_SHRINK
-        if tau < 1e-18:
-            # barrier exhausted; barrier-free polish below
-            break
-
-    mu, residual, used = _polish_loop(M, Z, p, e, pair, mu, g_raw, residual,
-                                      tol=tol, max_steps=min(40, newton_cap - steps))
-    steps += used
-    log.append({"tau": 0.0, "steps": steps, "residual": residual})
-
-    if residual > tol:
-        raise NonconvergedError(
-            f"stationarity {residual:.3e} above tolerance {tol:.1e}",
-            best=mu, residual=residual)
-    if used:
-        f_now = _objective(pair, p, e, mu)
-    return mu, f_now, residual, tuple(log)
+                f"Newton cap {newton_cap} reached (stationarity {res:.3e})",
+                best=mu, residual=res)
+        # Newton step -H^-1 (g - M'lam) with lam fitted in the H^-1/2 scaling,
+        # which resolves masses many orders of magnitude apart
+        s = np.sqrt(p / pair.v_second(mu / p))
+        lam, *_ = np.linalg.lstsq(M.T * s[:, None], s * g, rcond=None)
+        r = s * (g - M.T @ lam)
+        dmu = -s * r
+        # restore M (mu + dmu) = rhs to rounding, in the same scaling
+        fix, *_ = np.linalg.lstsq(M * s, rhs - M @ (mu + dmu), rcond=None)
+        dmu += s * fix
+        neg = dmu < 0
+        alpha = min(1.0, 0.99 * float(np.min(-mu[neg] / dmu[neg]))) if neg.any() else 1.0
+        slope = -float(r @ r)
+        # the rounding level of F: its leaf terms are of the order of mu |g|
+        flat = 1e-14 * (1.0 + abs(f) + float(mu @ np.abs(g)))
+        for _ in range(60):
+            trial = mu + alpha * dmu
+            f1 = _objective(pair, p, e, trial)
+            if f1 <= f + flat:
+                g1 = _gradient(pair, p, e, trial)
+                if f1 < f and f1 <= f + 1e-4 * alpha * slope or residual(g1) < res:
+                    break
+            alpha *= 0.5
+        else:
+            raise NonconvergedError(
+                f"no acceptable step at stationarity {res:.3e} above tolerance "
+                f"{tol:.1e}", best=mu, residual=res)
+        mu, f, g = trial, f1, g1
+        res = residual(g)
+        steps += 1
+    return mu, f, res, ({"steps": steps, "residual": res},)
 
 
 # -- public solver ---------------------------------------------------------------
@@ -296,43 +330,22 @@ def _prepare(tree, pair):
     return geo.mask, geo.interior, flag
 
 
-def _ray_log_argmin(gamma, p, e, q):
-    """ln t* of the exponential dual objective's minimum along the ray t q.
-
-    For unit-mass q and H = sum q ln(q/p), the objective
-    F(t q) = C sum p + (t/gamma)(H + ln t - 1) + t q.e is least at
-    t* = exp(-H - gamma q.e), where it equals C sum p - t*/gamma.
-    """
-    on = q > 0
-    entropy = float(np.dot(q[on], np.log(q[on] / p[on])))
-    return -entropy - gamma * float(np.dot(q, e))
-
-
-def _overflow_precheck(pair, tree, e, q_int):
-    """Classify the below-float-range regime before iterating.
-
-    An upper bound for the dual value is its minimum along any feasible ray,
-    which is closed-form (:func:`_ray_log_argmin`) for the exponential
-    family, the only one with a finite sup U.  Gibbs' inequality
-    (H >= -ln sum p) and q.e >= min e bound ln t* over every ray at once, on
-    the support of the interior point ``q_int``, so the rays through it and
-    through the endowment-cost-minimizing vertex of the extremal sweep are
-    only tried when that bound does not already rule overflow out.
-    """
-    if pair.family != "exponential":
-        return
-    gamma, c = pair.params["gamma"], pair.params["C"]
-    mask = q_int > 0
-    ps, es = tree.leaf_probability_array[mask], e[mask]
-    # C sum p - t*/gamma < _VALUE_FLOOR  <=>  ln t* > log_floor
-    log_floor = math.log(c * ps.sum() - _VALUE_FLOOR) + math.log(gamma)
-    if math.log(ps.sum()) - gamma * es.min() <= log_floor:
-        return
-    _, _, vertex = _support_structure(tree).extremes(e)
-    if any(_ray_log_argmin(gamma, ps, es, q[mask]) > log_floor
-           for q in (q_int, vertex)):
-        raise EvaluationOverflowError(
-            "dual objective fell below the floating-point range")
+def _core_solution(tree, pair, endow, mass, tol, newton_cap, start):
+    """Dense Newton core on the maximal support (the two-power family)."""
+    e = leaf_values(tree, endow)
+    p = tree.leaf_probability_array
+    mask, q_int, flag = _prepare(tree, pair)
+    mu_s, value, res, log = _newton_core(
+        build_constraints(tree).matrix[:, mask], p[mask], e[mask], pair,
+        q_int[mask], mass=mass, tol=tol, newton_cap=newton_cap,
+        start_mu=None if start is None else start[mask])
+    mu = np.zeros(tree.n_leaves)
+    mu[mask] = mu_s
+    if flag == "DEGENERATE":
+        value = _objective(pair, p, e, mu)  # adds the V(0) terms of dead leaves
+    y = float(mu.sum())
+    return _solution(tree, pair, e, mu, mu / y, y, math.log(y), value, res, flag,
+                     log[-1]["steps"])
 
 
 def solve_dual(tree: MarketTree, pair: UtilityPair, endow=0.0, *,
@@ -344,79 +357,46 @@ def solve_dual(tree: MarketTree, pair: UtilityPair, endow=0.0, *,
     Returns the unique optimal measure with its mass, normalization, value
     and stationarity residual.  The support flag is DEGENERATE when no
     equivalent martingale measure exists (the optimum then sits on the
-    boundary and primal recovery refuses).  Raises
-    :class:`ValueAtSupremumError` when the optimal value cannot be told apart
-    from sup U.
+    boundary and primal recovery refuses).  ``start`` (a measure or leaf
+    array) warm-starts the Newton core.  The exponential family is solved
+    exactly in log space, ignoring ``tol``, ``newton_cap`` and ``start``; it
+    raises :class:`EvaluationOverflowError` for a value below -1e250 and
+    :class:`ValueAtSupremumError` when the optimal mass underflows to 0.
     """
-    e = leaf_values(tree, endow)
-    p = tree.leaf_probability_array
-    mask, q_int, flag = _prepare(tree, pair)
-    A_s = build_constraints(tree).matrix[:, mask]
-    _overflow_precheck(pair, tree, e, q_int)
-    start_s = None
+    if pair.family == "exponential":
+        sol = _log_space_solution(tree, pair, endow)
+        if not sol.value >= _VALUE_FLOOR:
+            raise EvaluationOverflowError(
+                "dual objective fell below the floating-point range")
+        if sol.mass == 0.0:
+            raise ValueAtSupremumError(
+                f"optimal value {sol.value!r} (log dual mass {sol._log_mass!r}) is "
+                f"within rounding of sup U = {pair.u_inf!r}")
+        return sol
+    arr = None
     if start is not None:
         arr = start.as_array(tree) if isinstance(start, MeasureVector) \
             else leaf_values(tree, start)
-        if np.any(arr[~mask] > 0):
+        if np.any(arr[~_support_structure(tree).mask] > 0):
             raise NoMartingaleMeasureError("start measure charges dead leaves")
-        start_s = arr[mask]
-    mu_s, value, res, log = _newton_core(
-        A_s, p[mask], e[mask], pair, q_int[mask], mass=None,
-        tol=tol, newton_cap=newton_cap, start_mu=start_s)
-    mu = np.zeros(tree.n_leaves)
-    mu[mask] = mu_s
-    if flag == "DEGENERATE":
-        value = _objective(pair, p, e, mu)  # adds the V(0) terms of dead leaves
-    mass = float(mu.sum())
-    if not (mass > 0.0 and value < pair.u_inf):
-        raise ValueAtSupremumError(
-            f"optimal value {value!r} (dual mass {mass!r}) is within solver "
-            f"tolerance of sup U = {pair.u_inf!r}")
-    return DualSolution(
-        tree=tree, pair=pair,
-        mu=MeasureVector.from_array(tree, mu),
-        mass=mass,
-        q_hat=MeasureVector.from_array(tree, mu / mass),
-        value=value,
-        stationarity=res,
-        support=flag,
-        iterations=log,
-        _mu_arr=mu,
-        _endow_arr=e,
-    )
+    return _core_solution(tree, pair, endow, None, tol, newton_cap, arr)
 
 
 def solve_dual_fixed_mass(tree: MarketTree, pair: UtilityPair, endow, y: float, *,
                           tol: float = DEFAULT_TOL,
                           newton_cap: int = DEFAULT_NEWTON_CAP,
                           start=None) -> DualSolution:
-    """Same as :func:`solve_dual` with total mass pinned to ``y > 0``."""
+    """Same as :func:`solve_dual` with total mass pinned to ``y > 0``.
+
+    The exponential family's optimum is ``y`` times the normalized
+    optimizer of :func:`solve_dual` (one log-space pass; ``tol``,
+    ``newton_cap`` and ``start`` are ignored there).
+    """
     if y <= 0:
         raise NoMartingaleMeasureError("mass must be positive")
-    e = leaf_values(tree, endow)
-    p = tree.leaf_probability_array
-    mask, q_int, flag = _prepare(tree, pair)
-    A_s = build_constraints(tree).matrix[:, mask]
-    start_s = start[mask] if start is not None else None
-    mu_s, value, res, log = _newton_core(
-        A_s, p[mask], e[mask], pair, q_int[mask], mass=y,
-        tol=tol, newton_cap=newton_cap, start_mu=start_s)
-    mu = np.zeros(tree.n_leaves)
-    mu[mask] = mu_s
-    if flag == "DEGENERATE":
-        value = _objective(pair, p, e, mu)
-    return DualSolution(
-        tree=tree, pair=pair,
-        mu=MeasureVector.from_array(tree, mu),
-        mass=float(mu.sum()),
-        q_hat=MeasureVector.from_array(tree, mu / y),
-        value=value,
-        stationarity=res,
-        support=flag,
-        iterations=log,
-        _mu_arr=mu,
-        _endow_arr=e,
-    )
+    if pair.family == "exponential":
+        return _log_space_solution(tree, pair, endow, mass=float(y))
+    return _core_solution(tree, pair, endow, float(y), tol, newton_cap, start)
 
 
 @dataclass(frozen=True)

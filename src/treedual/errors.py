@@ -88,11 +88,11 @@ class InfeasibleEntropyError(TreedualError):
 
 
 class ValueAtSupremumError(TreedualError):
-    """Optimal value within solver tolerance of sup U.
+    """Optimal value within rounding of sup U.
 
-    The dual mass has vanished numerically: the endowment is so large that
-    the optimal expected utility cannot be told apart from its supremum.
-    Pricing routines interpret this as "utility is above any finite target".
+    Raised by ``solve_dual`` for the exponential family, the only one with a
+    finite sup U, when the optimal dual mass exp(L) underflows to 0 (an
+    endowment above about 745/gamma).  Pricing never meets it.
     """
 
     code = "AT_SUPREMUM"
@@ -158,9 +158,9 @@ class GapDetectedError(TreedualError):
 class EvaluationOverflowError(TreedualError):
     """Objective left the representable floating-point range.
 
-    Raised when the dual objective is driven below roughly -1e250, i.e. the
-    optimal expected utility is too negative to represent.  Pricing routines
-    interpret this as "utility is effectively -inf here".
+    Raised by ``solve_dual`` for the exponential family when the optimal
+    expected utility is below -1e250 (an endowment below about -575/gamma).
+    Pricing never meets it.
     """
 
     code = "OVERFLOW"

@@ -29,8 +29,8 @@ construction and safe to share across threads.
 Each tree also carries a level-order layout (:class:`TreeLayout`): nodes are
 numbered ``nonleaf_ids + leaf_ids``, so time levels are contiguous, every
 node's children are consecutive, and the leaves come last in leaf order.
-With each node's parent index, prices and leaf slice as arrays, every
-per-node conditional expectation is a subtree sum
+With each node's parent index, prices, branch probability and leaf slice
+as arrays, every per-node conditional expectation is a subtree sum
 (:meth:`MarketTree.subtree_sums`, :meth:`MarketTree.one_step_expectation`).
 """
 
@@ -136,11 +136,12 @@ class TreeLayout:
     level_starts: tuple[int, ...]  # time-t nodes: level_starts[t]:level_starts[t + 1]
     first_child: np.ndarray        # (N - L,) first child of each non-leaf node
     prices: np.ndarray             # (N, d)
+    prob: np.ndarray               # (N,) branch probability given the parent; 1 at the root
     lo: np.ndarray                 # (N,) leaf slice [lo, hi) of each node
     hi: np.ndarray
 
     def __post_init__(self):
-        for a in (self.parent, self.first_child, self.prices, self.lo, self.hi):
+        for a in (self.parent, self.first_child, self.prices, self.prob, self.lo, self.hi):
             a.setflags(write=False)
 
 
@@ -335,7 +336,8 @@ def _finish_tree(tree: MarketTree) -> None:
     tree.layout = TreeLayout(
         ids, parent, tuple(np.cumsum([0] + [len(level) for level in levels]).tolist()),
         np.searchsorted(parent[1:], np.arange(len(ids) - len(leaf_ids))) + 1,
-        np.array([by_id[nid].prices for nid in ids]), lo, hi)
+        np.array([by_id[nid].prices for nid in ids]),
+        np.array([by_id[nid].prob for nid in ids]), lo, hi)
 
 
 def _decimal(value, where):
@@ -442,6 +444,9 @@ def market_from_dict(doc: dict, max_leaves: int = MAX_LEAVES_DEFAULT) -> MarketT
                 node_id=n.id)
         children[n.parent].append(n.id)
     horizon = max(n.t for n in records)
+    if horizon == 0:
+        raise InvalidTreeError("tree has no trading period: the root is its only node",
+                               node_id=root.id)
     for n in records:
         if not children[n.id] and n.t != horizon:
             raise InvalidTreeError(

@@ -5,8 +5,8 @@ low-dimensional parameter box (with zoom refinement that keeps the running
 minimum monotone), and one-dimensionally minimizes over the mass on each
 grid point.  The primal oracle maximizes expected utility directly over the
 unconstrained strategy coefficients with multi-start quasi-Newton.  Both are
-deliberately independent of the interior-point solver: they exist to certify
-it, not to compete with it.
+deliberately independent of the dual solvers: they exist to certify them,
+not to compete with them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (DimensionError, GapDetectedError, InfeasibleEntropyError,
 from .geometry import build_constraints, vertex_enumerate
 from .market import MarketTree, leaf_values
 from .recovery import recover
-from .utility import UtilityPair
+from .utility import UtilityPair, _golden_min
 
 
 def polytope_dimension(tree: MarketTree) -> int:
@@ -43,52 +43,20 @@ GRID_DIM_LIMIT = 3
 PRIMAL_DIM_LIMIT = 12
 
 
-def _mass_profile(pair, p, e_q, dens_dirs, y_grid_iters=38):
-    """Vector golden-section over the mass for a batch of directions.
-
-    ``dens_dirs``: (m, L) array of probability rows q; minimizes
-    ``sum(p V(y q/p)) + y E_q[e]`` over y > 0 per row, on the log axis.
-    """
-    m = dens_dirs.shape[0]
-    lo = np.full(m, -40.0)
-    hi = np.full(m, 40.0)
+def _mass_profile(pair, p, e_q, dens_dirs):
+    """Least ``sum(p V(y q/p)) + y E_q[e]`` over the mass y > 0 for each
+    probability row q of ``dens_dirs`` (m, L): one lane of the golden-section
+    search :func:`~treedual.utility._golden_min` per row, on the log-mass
+    axis from [-40, 40] with bracket expansion."""
 
     def val(s):
         y = np.exp(s)
-        dens = (y[:, None] * dens_dirs) / p[None, :]
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = pair.v(dens)
-        out = vals @ p + y * e_q
-        out[~np.isfinite(out)] = np.inf
-        return out
+            out = pair.v((y[:, None] * dens_dirs) / p[None, :]) @ p + y * e_q
+        return np.where(np.isfinite(out), out, np.inf)
 
-    # bracket expansion on the log-mass axis
-    f_lo, f_hi = val(lo), val(hi)
-    f_mid = val(0.5 * (lo + hi))
-    for _ in range(30):
-        grow_lo = ~(f_mid <= f_lo)
-        grow_hi = ~(f_mid <= f_hi)
-        if not grow_lo.any() and not grow_hi.any():
-            break
-        width = hi - lo
-        lo = np.where(grow_lo, lo - width, lo)
-        hi = np.where(grow_hi, hi + width, hi)
-        f_lo = np.where(grow_lo, val(lo), f_lo)
-        f_hi = np.where(grow_hi, val(hi), f_hi)
-        f_mid = val(0.5 * (lo + hi))
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = val(c), val(d)
-    for _ in range(y_grid_iters):
-        left = fc <= fd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = val(c), val(d)
-    return np.minimum(fc, fd)
+    lo = np.full(dens_dirs.shape[0], -40.0)
+    return val(_golden_min(val, lo, -lo, iters=38, expand=True))
 
 
 def brute_force_dual(tree: MarketTree, pair: UtilityPair, endow, *,
@@ -164,9 +132,7 @@ def brute_force_dual(tree: MarketTree, pair: UtilityPair, endow, *,
             qs_f /= qs_f.sum(axis=1, keepdims=True)
             vals = _mass_profile(pair, p, qs_f @ e, qs_f)
             i = int(np.argmin(vals))
-            if vals[i] < best:
-                best = float(vals[i])
-                best_theta = thetas[feas][i]
+            best = min(best, float(vals[i]))
             order = np.argsort(vals)[:3]
             centers = thetas[feas][order]
         half *= 0.35

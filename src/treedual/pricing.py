@@ -1,22 +1,23 @@
 """Utility-based prices: indifference, entropic-penalty, marginal, bounds.
 
-The bid price of a claim makes the agent indifferent between holding the
-claim minus cash and holding nothing.  The optimal value is strictly
-increasing in cash with the optimal dual mass as its derivative, so the bid,
-the offer and the certainty equivalent are located by bracketed Newton steps
-in certainty-equivalent units, warm-starting each dual solve from the last.
-The same price is recomputed independently as a penalized worst-case
-expectation (inf over martingale measures of the expectation plus a
-normalized excess-entropy penalty), with the mass found by Newton steps on
-the stationarity condition of the normalized gap; the two methods agree to
-cross-method tolerance on every instance and that residual is reported.
-Every report counts the dual solves it made.
-Marginal (zero-volume) prices are expectations under the normalized optimal
-dual measure; no-arbitrage bounds are the extremal claim expectations over
-the martingale polytope, found by one backward sweep over each node's
-one-step vertices; price processes for new assets are accepted exactly
-when they are martingales under that measure, verified both by drift and by
-re-solving the augmented market.
+The bid price of a claim B makes the agent indifferent between holding
+B minus cash and holding nothing.  For the exponential family the value is
+``C - exp(L)/gamma`` with L the log-partition of the position and cash
+shifts L by -gamma per unit, so bid = certainty equivalent =
+``(L(e) - L(e + B))/gamma`` and offer = ``(L(e - B) - L(e))/gamma`` from
+exact log-space passes, at any volume.  For the two-power family the value
+increases in cash with the dual mass as derivative, and prices are found by
+bracketed Newton steps in certainty-equivalent units, each dual solve
+warm-started from the last.  The bid is recomputed independently as a
+penalized worst-case expectation (in closed form at the claim-holding
+optimizer for the exponential family, by Newton steps on the mass
+otherwise), and the cross-method residual is reported along with the
+number of dual solves.  Marginal (zero-volume) prices are expectations
+under the normalized optimal dual measure; no-arbitrage bounds are the
+extremal claim expectations over the martingale polytope, found by one
+backward sweep over each node's one-step vertices; price processes for new
+assets are accepted exactly when they are martingales under that measure,
+verified both by drift and by re-solving the augmented market.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import (DualSolution, solve_dual, solve_dual_fixed_mass)
+from .dual import (DualSolution, _log_space_solution, solve_dual,
+                   solve_dual_fixed_mass)
 from .errors import (AugmentInfeasibleError, BracketFailError, DomainError,
-                     EvaluationOverflowError, InfeasibleEntropyError,
-                     InfiniteEntropyError, NoMartingaleMeasureError,
-                     ValueAtSupremumError)
+                     InfeasibleEntropyError, InfiniteEntropyError,
+                     NoMartingaleMeasureError)
 from .geometry import (MeasureVector, build_constraints, find_equivalent_mm,
                        relative_entropy, _support_structure)
 from .market import (AdaptedProcess, MarketTree, RandomVariable, leaf_values,
@@ -52,14 +53,18 @@ def price_bounds(tree: MarketTree, claim) -> tuple[float, float]:
 
 
 class SolveCounter:
-    """Counts the dual solves made on behalf of one or more pricing calls."""
+    """Counts the dual solves made on behalf of one or more pricing calls;
+    the exponential family gets the log-space pass, free of overflow and
+    supremum errors."""
 
     def __init__(self):
         self.n = 0
 
-    def dual(self, *args, **kwargs):
+    def dual(self, tree, pair, endow, **kwargs):
         self.n += 1
-        return solve_dual(*args, **kwargs)
+        if pair.family == "exponential":
+            return _log_space_solution(tree, pair, endow)
+        return solve_dual(tree, pair, endow, **kwargs)
 
     def fixed_mass(self, *args, **kwargs):
         self.n += 1
@@ -69,8 +74,7 @@ class SolveCounter:
 def _bracketed_newton(probe, x, lo, hi, *, x_tol=0.0, max_probes=100):
     """Root of an increasing function by Newton steps kept inside a bracket.
 
-    ``probe(x)`` returns ``(g, slope, done)``; ``done`` accepts x as the root,
-    ``g`` may be +-inf and ``slope`` None when only the sign at x is known.
+    ``probe(x)`` returns ``(g, slope, done)``; ``done`` accepts x as the root.
     A step that is unavailable or leaves the bracket is replaced by
     bisection, or by a doubling stride while a side is still open.  Returns
     the accepted probe point, or the last one once the Newton step or the
@@ -108,12 +112,9 @@ def _cash_root(tree, pair, x, target, c0, hi, start, *, tol, solver_tol,
     The value is increasing in c with the optimal dual mass as derivative
     (envelope), and the caller guarantees value <= target at c0 and >= at hi,
     so neither end is probed unless Newton lands there.  Steps are taken in
-    certainty-equivalent units z = U^-1(value), where dz/dc = mass / U'(z):
-    z is affine in c for the exponential family, so one step lands on the
-    root there.  The probe that meets the tolerance gets one more step,
-    which costs no solve.  Every probe is warm-started from the previous
-    optimizer.  A value below float range counts as below target, one at
-    sup U as above.
+    certainty-equivalent units z = U^-1(value), where dz/dc = mass / U'(z).
+    The probe that meets the tolerance gets one more step, which costs no
+    solve.  Every probe is warm-started from the previous optimizer.
     """
     if pair.u_inverse is None:
         raise DomainError("cash pricing needs the inverse utility of the pair")
@@ -124,12 +125,7 @@ def _cash_root(tree, pair, x, target, c0, hi, start, *, tol, solver_tol,
 
     def probe(c):
         nonlocal warm, root
-        try:
-            sol = solves.dual(tree, pair, x + c, tol=solver_tol, start=warm)
-        except EvaluationOverflowError:
-            return -math.inf, None, False
-        except ValueAtSupremumError:
-            return math.inf, None, False
+        sol = solves.dual(tree, pair, x + c, tol=solver_tol, start=warm)
         warm = sol._mu_arr
         z = pair.u_inverse(sol.value)
         slope = sol.mass / pair.u_prime(z)
@@ -143,6 +139,11 @@ def _cash_root(tree, pair, x, target, c0, hi, start, *, tol, solver_tol,
     return root
 
 
+def _log_mass_gap(pair, lo, hi):
+    """Cash between two exponential-family positions: (L(lo) - L(hi))/gamma."""
+    return (lo._log_mass - hi._log_mass) / pair.params["gamma"]
+
+
 def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
                        tol: float = PRICE_TOL, solver_tol: float = 1e-9,
                        base: DualSolution | None = None,
@@ -150,19 +151,22 @@ def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
                        solves: SolveCounter | None = None) -> float:
     """Bid price: the cash p with value(endow + claim - p) = value(endow).
 
-    Found by :func:`_cash_root` on c = -p, started at minus the marginal
-    price (the dual bound puts the value there at or below the target) and
-    bracketed by minus the lower no-arbitrage bound (sub-replication puts it
-    at or above).  ``base`` is the claim-free solution for ``endow``; its
-    measure gives the start and the first warm start.  ``bounds`` is the
-    claim's :func:`price_bounds` when the caller has it.  ``solves`` counts
-    the dual solves made.
+    For the exponential family, the log-partition difference of one more
+    log-space pass.  Otherwise found by :func:`_cash_root` on c = -p,
+    started at minus the marginal price (the dual bound puts the value there
+    at or below the target) and bracketed by minus the lower no-arbitrage
+    bound (sub-replication puts it at or above).  ``base`` is the claim-free
+    solution for ``endow``; its measure gives the start and the first warm
+    start.  ``bounds`` is the claim's :func:`price_bounds` when the caller
+    has it.  ``solves`` counts the dual solves made.
     """
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
     solves = SolveCounter() if solves is None else solves
     if base is None:
         base = solves.dual(tree, pair, endow, tol=solver_tol)
+    if pair.family == "exponential":
+        return _log_mass_gap(pair, base, solves.dual(tree, pair, endow + claim))
     lo_b, _ = price_bounds(tree, claim) if bounds is None else bounds
     c0 = -davis_price(tree, pair, endow, claim, sol=base)
     return -_cash_root(tree, pair, endow + claim, base.value, c0, -lo_b,
@@ -226,6 +230,19 @@ def _mass_curvature(tree, pair, sol):
     return 1.0 / rest if rest > 0 else math.nan
 
 
+def _penalized_expectation(tree, pair, endow, claim, base, shifted):
+    """Exponential bid E_q[B] + (H(q|P) + gamma E_q[e] + L(e))/gamma at the
+    claim-holding optimizer q of ``shifted``, where this penalized
+    expectation is least over martingale measures; ``base`` carries L(e).
+    Summed leaf by leaf, not read off the log-partition of ``shifted``."""
+    gamma = pair.params["gamma"]
+    q, p = shifted.q_hat_array, tree.leaf_probability_array
+    on = q > 0
+    entropy = float(q[on] @ np.log(q[on] / p[on]))
+    return float(q @ leaf_values(tree, claim)) + (
+        entropy + gamma * float(q @ leaf_values(tree, endow)) + base._log_mass) / gamma
+
+
 def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim, *,
                       base: DualSolution | None = None,
                       solver_tol: float = 1e-9,
@@ -234,15 +251,16 @@ def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim, *,
 
     Equivalent single program: minimize, over measures in the cone, the
     normalized gap (W(y) - base)/y, where W(y) is the fixed-mass dual value
-    with the claim added and base the claim-free optimum.  For fixed mass
-    the inner problem is convex and solved by the dual machinery.  The gap
+    with the claim added and base the claim-free optimum.  For the
+    exponential family the minimum is in closed form at the claim-holding
+    optimizer (:func:`_penalized_expectation`).  Otherwise, for fixed mass
+    the inner problem is convex and solved by the dual machinery; the gap
     is stationary where h = W'(y) - (W(y) - base)/y vanishes, and y h is
     increasing in y (its derivative is y W'' >= 0), so the log mass s is
     found by bracketed Newton on h with W' from the envelope formula and W''
     from the inner Hessian, started at the mass of ``base``, the claim-free
-    solution (exact for the exponential family), whose measure warm-starts
-    the first inner solve.  Uses no result of the cash root-finder.
-    ``solves`` counts the dual solves made.
+    solution, whose measure warm-starts the first inner solve.  Uses no
+    result of the cash root-finder.  ``solves`` counts the dual solves made.
     """
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
@@ -250,6 +268,9 @@ def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     if base is None:
         base = solves.dual(tree, pair, endow, tol=solver_tol)
     shifted = endow + claim
+    if pair.family == "exponential":
+        return _penalized_expectation(tree, pair, endow, claim, base,
+                                      solves.dual(tree, pair, shifted))
     gaps = {}
     last = base
 
@@ -286,19 +307,22 @@ def certainty_equivalent(tree: MarketTree, pair: UtilityPair, endow, claim, *,
                          start=None) -> float:
     """Cash amount with the same optimal value as holding the claim.
 
-    Found by :func:`_cash_root` on value(endow + c) = value(endow + claim),
-    started at the claim's expectation under the target problem's normalized
-    optimal measure (the dual bound puts the value there at or below the
-    target) and bracketed by the upper no-arbitrage bound
-    (super-replication puts it at or above).  ``bounds`` is the claim's
-    :func:`price_bounds` when the caller has it.  ``start`` is a leaf
-    measure that warm-starts the target solve; ``solves`` counts the dual
-    solves made.
+    For the exponential family, the log-partition difference of two
+    log-space passes.  Otherwise found by :func:`_cash_root` on value(endow
+    + c) = value(endow + claim), started at the claim's expectation under
+    the target problem's normalized optimal measure (the dual bound puts the
+    value there at or below the target) and bracketed by the upper
+    no-arbitrage bound (super-replication puts it at or above).  ``bounds``
+    is the claim's :func:`price_bounds` when the caller has it.  ``start``
+    is a leaf measure that warm-starts the target solve; ``solves`` counts
+    the dual solves made.
     """
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
     solves = SolveCounter() if solves is None else solves
     target = solves.dual(tree, pair, endow + claim, tol=solver_tol, start=start)
+    if pair.family == "exponential":
+        return _log_mass_gap(pair, solves.dual(tree, pair, endow), target)
     _, hi_b = price_bounds(tree, claim) if bounds is None else bounds
     c0 = davis_price(tree, pair, endow + claim, claim, sol=target)
     return _cash_root(tree, pair, endow, target.value, c0, hi_b,
@@ -325,23 +349,31 @@ def price_report(tree: MarketTree, pair: UtilityPair, endow, claim, *,
 
     The no-arbitrage bounds (lo, hi) are computed once: they bracket the bid
     and the certainty equivalent, (-hi, -lo) brackets the offer (the bid of
-    the negated claim), and they are reported as ``lp_bounds``.
+    the negated claim), and they are reported as ``lp_bounds``.  For the
+    exponential family three log-space passes, at e, e + B and e - B, give
+    every price.
     """
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
     solves = SolveCounter()
     sol = solves.dual(tree, pair, endow, tol=solver_tol)
     lo, hi = price_bounds(tree, claim)
-    bid = indifference_price(tree, pair, endow, claim, base=sol, bounds=(lo, hi),
-                             solver_tol=solver_tol, solves=solves)
-    pen = price_via_penalty(tree, pair, endow, claim, base=sol,
-                            solver_tol=solver_tol, solves=solves)
-    offer = -indifference_price(tree, pair, endow, -claim, base=sol,
-                                bounds=(-hi, -lo), solver_tol=solver_tol,
-                                solves=solves)
-    ce = certainty_equivalent(tree, pair, endow, claim, bounds=(lo, hi),
-                              solver_tol=solver_tol, solves=solves,
-                              start=sol._mu_arr)
+    if pair.family == "exponential":
+        plus = solves.dual(tree, pair, endow + claim)
+        bid = ce = _log_mass_gap(pair, sol, plus)
+        offer = _log_mass_gap(pair, solves.dual(tree, pair, endow - claim), sol)
+        pen = _penalized_expectation(tree, pair, endow, claim, sol, plus)
+    else:
+        bid = indifference_price(tree, pair, endow, claim, base=sol, bounds=(lo, hi),
+                                 solver_tol=solver_tol, solves=solves)
+        pen = price_via_penalty(tree, pair, endow, claim, base=sol,
+                                solver_tol=solver_tol, solves=solves)
+        offer = -indifference_price(tree, pair, endow, -claim, base=sol,
+                                    bounds=(-hi, -lo), solver_tol=solver_tol,
+                                    solves=solves)
+        ce = certainty_equivalent(tree, pair, endow, claim, bounds=(lo, hi),
+                                  solver_tol=solver_tol, solves=solves,
+                                  start=sol._mu_arr)
     return PriceReport(
         bid=bid,
         offer=offer,

@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 
 import treegen
-from treedual import (exponential_utility, market_from_dict, simplex,
+from treedual import (dual, exponential_utility, market_from_dict, simplex,
                       two_power_utility)
 
 
@@ -57,6 +57,22 @@ def no_lp():
             for mod, name in ((simplex, "solve_lp"), (simplex, "linprog"),
                               (scipy.optimize, "linprog")):
                 mp.setattr(mod, name, refuse)
+            yield
+
+    return guard
+
+
+@pytest.fixture
+def no_dense_core():
+    """Context manager under which the dense dual Newton core raises."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense Newton core ran")
+
+    @contextlib.contextmanager
+    def guard():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dual, "_newton_core", refuse)
             yield
 
     return guard

@@ -100,16 +100,25 @@ def test_csv_output_is_byte_identical_across_runs(tri1_file, tmp_path, capsys,
 
 
 def _process_file(tmp_path, tri1_file, drop=()):
-    """tri1's claim priced under the optimal measure, one value per node."""
+    """tri1's claim priced under the optimal measure, one value per node.
+
+    ``drop`` names nodes to leave out, or maps nodes to replacement values.
+    """
     tree = load_market(tri1_file)
     sol = solve_dual(tree, parse_utility_spec("exp:gamma=1,C=2"), tree.endowment)
-    proc = optimal_measure_price_process(tree, sol, tree.claims["up"])
+    proc = dict(optimal_measure_price_process(tree, sol, tree.claims["up"]).values)
+    if isinstance(drop, dict):
+        proc.update(drop)
+    else:
+        proc = {k: v for k, v in proc.items() if k not in drop}
     path = tmp_path / "process.json"
-    path.write_text(json.dumps({k: v for k, v in proc.values.items() if k not in drop}))
+    path.write_text(json.dumps(proc))
     return path
 
 
-@pytest.mark.parametrize("drop,code", [((), cli.EXIT_OK), (("root",), cli.EXIT_INPUT)])
+@pytest.mark.parametrize("drop,code", [((), cli.EXIT_OK), (("root",), cli.EXIT_INPUT),
+                                       ({"b": "x"}, cli.EXIT_INPUT),
+                                       ({"b": [1, 2]}, cli.EXIT_INPUT)])
 def test_mubpp_exit_codes(tri1_file, tmp_path, capsys, drop, code):
     argv = ["mubpp", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2",
             "--process", str(_process_file(tmp_path, tri1_file, drop)),
@@ -122,7 +131,8 @@ def test_mubpp_exit_codes(tri1_file, tmp_path, capsys, drop, code):
         # a header and one drift row per non-leaf node
         assert len((tmp_path / "out" / "mubpp_drifts.csv").read_text().splitlines()) == 2
     else:
-        assert captured.err.startswith("input error:") and "root" in captured.err
+        node = "'b'" if isinstance(drop, dict) else "root"
+        assert captured.err.startswith("input error:") and node in captured.err
 
 
 def test_sensitivity_with_continuity_and_claim_exits_zero(tri1_file, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treegen
 from treedual import (EvaluationOverflowError, InfeasibleEntropyError,
@@ -111,11 +113,14 @@ def test_solution_invariants(tri1, exp_pair):
     assert sol.mass > 0
     assert sol.value < exp_pair.u_inf
     assert sol.support == "EQUIVALENT"
-    # value is re-evaluated at the returned measure, bit for bit
+    # the value is C - exp(L)/gamma from the log-partition, bit for bit, and
+    # the objective re-evaluated at the returned measure agrees to rounding
+    assert sol.mass == pytest.approx(math.exp(sol._log_mass), rel=1e-15)
+    assert sol.value == 2.0 - sol.mass
     p = tri1.leaf_probability_array
     e = leaf_values(tri1, {"a": 0.3, "b": -0.2, "c": 0.1})
     again = float(p @ exp_pair.v(sol._mu_arr / p) + sol._mu_arr @ e)
-    assert again == sol.value
+    assert again == pytest.approx(sol.value, rel=1e-13)
 
 
 def test_kkt_certificate(tri1, exp_pair):
@@ -255,9 +260,18 @@ def test_two_period_grid_oracle(exp_pair):
 
 
 def test_value_at_supremum_is_a_typed_error(tri1):
-    # e = 30 puts the optimal value within rounding of sup U = C
+    # translation invariance: the value at e = 30 is C - exp(-30) times the
+    # claim-free mass, within rounding of C = 2 but still below it
+    pair = exponential_utility(1.0, 2.0)
+    zero = solve_dual(tri1, pair, 0.0)
+    sol = solve_dual(tri1, pair, 30.0)
+    assert sol.value == pytest.approx(2.0 - zero.mass * math.exp(-30.0),
+                                      rel=0, abs=4.5e-16)
+    assert sol.value < 2.0
+    assert sol._log_mass == pytest.approx(zero._log_mass - 30.0, rel=1e-15)
+    # at e = 800 the mass exp(L) underflows to 0
     with pytest.raises(ValueAtSupremumError, match="sup U") as exc:
-        solve_dual(tri1, exponential_utility(1.0, 2.0), 30.0)
+        solve_dual(tri1, pair, 800.0)
     assert isinstance(exc.value, TreedualError)
     assert exc.value.code == "AT_SUPREMUM"
 
@@ -291,40 +305,47 @@ def test_overflow_regime_boundary(make, gamma):
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0])
 def test_ray_minimum_closed_form_matches_a_dense_scan(gamma):
+    # along the ray t q_hat the objective is C - t*/gamma at t* = exp(L),
+    # the mass of the log-space pass
     rng = np.random.default_rng(11)
     pair = exponential_utility(gamma, 2.0)
-    p = np.array([0.2, 0.3, 0.1, 0.4])
-    for q in (np.array([0.1, 0.5, 0.0, 0.4]), rng.dirichlet(np.ones(4))):
-        e = rng.uniform(-2.0, 2.0, size=4)
-        t_star = math.exp(dual._ray_log_argmin(gamma, p, e, q))
-        closed = 2.0 * p.sum() - t_star / gamma
+    for tree in (treegen.tri1(), treegen.product_market([[2.0, 1.0, 0.5], [1.6, 0.7]])):
+        e = rng.uniform(-2.0, 2.0, size=tree.n_leaves)
+        sol = solve_dual(tree, pair, e)
+        p, q = tree.leaf_probability_array, sol.q_hat_array
+        t_star = sol.mass
+        assert t_star == pytest.approx(math.exp(sol._log_mass), rel=1e-15)
+        assert sol.value == 2.0 - t_star / gamma
         wide = t_star * np.exp(np.linspace(-5.0, 5.0, 2001))
         vals = [dual._objective(pair, p, e, t * q) for t in wide]
         assert abs(int(np.argmin(vals)) - 1000) <= 1
         fine = t_star * np.exp(np.linspace(-1e-3, 1e-3, 2001))
         scan = min(dual._objective(pair, p, e, t * q) for t in fine)
-        assert scan == pytest.approx(closed, rel=1e-12, abs=0)
-        assert scan >= closed - 1e-15 * abs(closed)
+        assert scan == pytest.approx(sol.value, rel=1e-12, abs=0)
 
 
-def test_overflow_skip_bound_dominates_every_ray():
-    # ln t* <= ln sum p - gamma min e, so a skipped check never misses a ray
+def test_log_mass_dominates_every_ray():
+    # L = max over martingale probabilities q of the ray log-argmin
+    # -H(q) - gamma E_q[e], attained at q_hat; H >= 0 bounds it by -gamma min e
     rng = np.random.default_rng(5)
-    for _ in range(500):
-        n = int(rng.integers(2, 9))
-        p = rng.dirichlet(np.ones(n)) * rng.uniform(0.2, 1.0)
-        q = rng.dirichlet(np.full(n, 0.3))
+    for k in range(20):
+        tree = treegen.random_market(rng, max_periods=2, n_assets=1 + k % 2)
         gamma = float(rng.uniform(0.2, 10.0))
-        e = rng.uniform(-800.0, 100.0) + rng.uniform(-5.0, 5.0, size=n)
-        bound = math.log(p.sum()) - gamma * e.min()
-        assert dual._ray_log_argmin(gamma, p, e, q) <= bound + 1e-9 * abs(bound)
-    # equality at q = p / sum p with a constant endowment
-    assert dual._ray_log_argmin(2.0, p, np.full(n, -3.0), p / p.sum()) == \
-        pytest.approx(math.log(p.sum()) + 6.0, rel=1e-12)
+        e = rng.uniform(-800.0, 100.0) + rng.uniform(-5.0, 5.0, size=tree.n_leaves)
+        sol = dual._log_space_solution(tree, exponential_utility(gamma, 2.0), e)
+        p = tree.leaf_probability_array
+        verts = vertex_enumerate(build_constraints(tree))
+        for q in [v.as_array(tree) for v in verts] + [sol.q_hat_array]:
+            on = q > 0
+            ray = -float(q[on] @ np.log(q[on] / p[on])) - gamma * float(q @ e)
+            assert ray <= sol._log_mass + 1e-12 * abs(sol._log_mass)
+        assert ray == pytest.approx(sol._log_mass, rel=1e-12)
+        assert sol._log_mass <= -gamma * e.min() + 1e-12 * abs(gamma * e.min())
 
 
-def test_overflow_precheck_sweeps_only_when_the_bound_is_undecided(
-        tri1, monkeypatch):
+def test_solve_dual_never_sweeps(tri1, monkeypatch):
+    # no dual solve looks for the endowment's cheapest vertex, even where
+    # the value falls below the floating-point range
     calls = []
     real = geometry.SupportStructure.extremes
     monkeypatch.setattr(geometry.SupportStructure, "extremes",
@@ -332,7 +353,52 @@ def test_overflow_precheck_sweeps_only_when_the_bound_is_undecided(
     pair = exponential_utility(1.0, 2.0)
     solve_dual(tri1, pair, [0.3, -0.2, 0.1])
     solve_dual(tri1, pair, -500.0)
-    assert calls == []
     with pytest.raises(EvaluationOverflowError):
         solve_dual(tri1, pair, -600.0)
-    assert calls == [1]
+    solve_dual(tri1, two_power_utility(0.5, 1.0, 1.0), [0.3, -0.2, 0.1])
+    assert calls == []
+
+
+def _dense_core(tree, pair, e):
+    """The exponential dual by the Newton core on the maximal support."""
+    sol = dual._core_solution(tree, pair, e, None, 1e-12, dual.DEFAULT_NEWTON_CAP, None)
+    return sol.value, sol.q_hat_array
+
+
+@st.composite
+def _exponential_instances(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["one asset", "two assets", "dead leaf", "dead branch"]))
+    if kind == "dead leaf":
+        tree = treegen.dead_leaf_market()
+    elif kind == "dead branch":
+        tree = treegen.product_market([[2.0, 1.0], [1.5, 0.5]])
+    else:
+        tree = treegen.random_market(rng, max_periods=3,
+                                     n_assets=1 if kind == "one asset" else 2)
+    # gamma times the scale stays at or below 20: the core resolves leaf
+    # masses within about e^-40 of the largest, the log-space pass any
+    scale = draw(st.sampled_from([1.0, 20.0]))
+    return tree, exponential_utility(draw(st.sampled_from([0.5, 1.0])), 2.0), \
+        rng.uniform(-scale, scale, size=tree.n_leaves)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exponential_instances())
+def test_log_space_pass_matches_the_newton_core(instance):
+    # two algorithms, one optimum: backward induction on the log-partition
+    # and damped Newton on the leaf masses
+    tree, pair, e = instance
+    sol = solve_dual(tree, pair, e)
+    value, q = _dense_core(tree, pair, e)
+    assert sol.value == pytest.approx(value, rel=1e-12, abs=0)
+    assert np.abs(sol.q_hat_array - q).max() <= 1e-9
+    assert sol.stationarity <= 1e-12
+
+
+def test_tri1_value_with_a_large_claim_is_exact(tri1):
+    # claim 100 on leaf a: the optimum charges leaves a and c with ~e^-33
+    # relative to b; reference value computed with 60-digit arithmetic
+    sol = solve_dual(tri1, exponential_utility(1.0, 2.0),
+                     {"a": 100.3, "b": -0.2, "c": 0.1})
+    assert sol.value == pytest.approx(1.59286574727994163, rel=0, abs=2e-15)

@@ -27,6 +27,16 @@ def test_tri1_loads(tri1):
     assert tri1.n_leaves == 3
 
 
+def test_root_only_tree_rejected():
+    # horizon 0 leaves nothing to trade and no one-step polytope to solve
+    doc = {"version": 1, "assets": ["S"],
+           "nodes": [{"id": "root", "parent": None, "t": 0, "prices": ["1"],
+                      "prob": "1"}]}
+    with pytest.raises(InvalidTreeError, match="only node") as exc:
+        market_from_dict(doc)
+    assert exc.value.node_id == "root"
+
+
 def test_probability_sum_violation_rejected():
     doc = treegen.bin1_dict()
     doc["nodes"][1]["prob"] = "0.6"

@@ -7,8 +7,7 @@ import pytest
 import treegen
 from treedual import (AdaptedProcess, AugmentInfeasibleError, MeasureVector,
                       EvaluationOverflowError, InfiniteEntropyError,
-                      RandomVariable,
-                      ValueAtSupremumError, average_price_curve,
+                      RandomVariable, average_price_curve,
                       build_constraints,
                       certainty_equivalent, check_mubpp, davis_price,
                       endowment_sensitivity, entropic_penalty,
@@ -16,7 +15,8 @@ from treedual import (AdaptedProcess, AugmentInfeasibleError, MeasureVector,
                       indifference_price_lipschitz_bound,
                       optimal_measure_price_process, price_bounds,
                       price_report, price_via_penalty, solve_dual,
-                      two_power_utility, vertex_enumerate)
+                      solve_dual_fixed_mass, two_power_utility,
+                      vertex_enumerate)
 from treedual import dual, geometry, pricing
 
 E_TRI = {"a": 0.3, "b": -0.2, "c": 0.1}
@@ -231,7 +231,7 @@ def test_price_report_counts_its_dual_solves(tri1, pair_name, request,
                                              monkeypatch):
     pair = request.getfixturevalue(pair_name)
     calls = []
-    for name in ("solve_dual", "solve_dual_fixed_mass"):
+    for name in ("solve_dual", "solve_dual_fixed_mass", "_log_space_solution"):
         def counted(*args, _fn=getattr(pricing, name), **kwargs):
             calls.append(name)
             return _fn(*args, **kwargs)
@@ -240,6 +240,9 @@ def test_price_report_counts_its_dual_solves(tri1, pair_name, request,
     assert rep.dual_solves == len(calls)
     assert rep.dual_solves <= 25
     assert rep.method_agreement_residual <= 1e-6
+    if pair_name == "exp_pair":
+        # one log-space pass each at e, e + B and e - B
+        assert calls == ["_log_space_solution"] * 3
 
 
 def _count_sweeps(monkeypatch):
@@ -280,11 +283,8 @@ def test_volume_curve_makes_one_extremal_sweep_for_its_bounds(tri1, exp_pair, be
               for beta in betas]
     calls = _count_sweeps(monkeypatch)
     rep = average_price_curve(tri1, exp_pair, e, b, betas)
-    # one sweep for the bounds; at volume 1e4 the endowment of some probes
-    # falls below about -575, where each dual solve's overflow precheck
-    # sweeps for its cheapest vertex
-    assert calls.count("treedual.pricing") == 1
-    assert set(calls) <= {"treedual.pricing", "treedual.dual"}
+    # one sweep for the bounds, none in any dual solve
+    assert calls == ["treedual.pricing"]
     assert rep.prices == pytest.approx(prices, rel=1e-12, abs=1e-15)
     assert rep.lp_lower == pytest.approx(price_bounds(tri1, b)[0], abs=1e-15)
 
@@ -308,27 +308,6 @@ def test_pricing_and_solving_run_no_linear_program(tri1, exp_pair, pair_name,
     assert dead.support == "DEGENERATE"
 
 
-def test_supremum_probe_counts_as_above_target(tri1, tp_pair, monkeypatch):
-    # a probe whose value is reported as sup U lies above the target: the
-    # root must still be found from below, never past it
-    e, b = RandomVariable(E_TRI), RandomVariable({"a": -3.0, "b": 1.0, "c": 0.0})
-    base = solve_dual(tri1, tp_pair, e)
-    expected = indifference_price(tri1, tp_pair, e, b, base=base)
-    raised = []
-
-    def capped(*args, **kwargs):
-        sol = dual.solve_dual(*args, **kwargs)
-        if sol.value > base.value:
-            raised.append(sol.value)
-            raise ValueAtSupremumError("value within solver tolerance of sup U")
-        return sol
-
-    monkeypatch.setattr(pricing, "solve_dual", capped)
-    assert indifference_price(tri1, tp_pair, e, b, base=base) == pytest.approx(
-        expected, abs=1e-9)
-    assert raised
-
-
 @pytest.mark.parametrize("y", [0.6, 1.5])
 def test_mass_curvature_matches_envelope_derivative(tri1, tp_pair, y):
     # W'' from the inner Hessian against a central difference of the
@@ -342,19 +321,79 @@ def test_mass_curvature_matches_envelope_derivative(tri1, tp_pair, y):
     assert pricing._mass_curvature(tri1, tp_pair, sol) == pytest.approx(fd, rel=1e-6)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "dual._stationarity_residual does not bound mu*s at pinned leaves: the "
-    "target solve stops with two leaf masses near 4e-10 and the CE is 3.75e-8 "
-    "off the bid"))
 def test_exponential_certainty_equivalent_equals_bid_on_tri1_at_volume_100(tri1):
     # translation invariance makes CE and bid coincide for the exponential
-    # family; the claim-holding optimum charges leaves b and c with ~e^-100
+    # family; the claim-holding optimum charges leaves a and c with ~e^-33
     pair = exponential_utility(1.0, 2.0)
     e = RandomVariable(E_TRI)
     b = RandomVariable({"a": 100.0, "b": 0.0, "c": 0.0})
     bid = indifference_price(tri1, pair, e, b)
     ce = certainty_equivalent(tri1, pair, e, b)
     assert ce == pytest.approx(bid, abs=1e-10)
+
+
+def test_exponential_family_needs_no_dense_core_and_no_root_finder(
+        tri1, exp_pair, no_dense_core, monkeypatch):
+    # every exponential solve and price comes from log-space passes
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bracketed root search ran")
+
+    monkeypatch.setattr(pricing, "_bracketed_newton", refuse)
+    e, b = RandomVariable(E_TRI), RandomVariable(B_TRI)
+    with no_dense_core():
+        sol = solve_dual(tri1, exp_pair, e)
+        pinned = solve_dual_fixed_mass(tri1, exp_pair, e, 2.0 * sol.mass)
+        rep = price_report(tri1, exp_pair, e, b)
+        curve = average_price_curve(tri1, exp_pair, e, b, [1e-2, 1.0, 1e2])
+        sens = endowment_sensitivity(tri1, exp_pair, [e, e + 0.5],
+                                     sequence=[e + 0.1, e + 0.01], claim=b)
+        fair = optimal_measure_price_process(tri1, sol, b)
+        mubpp = check_mubpp(tri1, exp_pair, e, fair)
+        ce = certainty_equivalent(tri1, exp_pair, e, b)
+        pen = price_via_penalty(tri1, exp_pair, e, b)
+    assert pinned.value > sol.value
+    assert rep.certainty_equivalent == rep.bid == ce
+    assert rep.method_agreement_residual <= 1e-12
+    assert abs(pen - rep.bid) <= 1e-12
+    assert curve.monotone and sens.strict_ok and mubpp.is_mubpp and mubpp.agree
+
+
+def _two_asset_tree_27(seed=3):
+    """Three planar moves, then nine: 27 leaves, two assets, incomplete in
+    the second period."""
+    rng = np.random.default_rng(seed)
+    first = [tuple(m) for m in treegen._straddling_moves_2d(rng)]
+    second = [tuple(m) for _ in range(3) for m in treegen._straddling_moves_2d(rng)]
+    tree = treegen.product_market([first, second], s0=(1.0, 1.0))
+    endow = RandomVariable.from_array(tree, rng.uniform(-1.0, 1.0, tree.n_leaves))
+    s0 = np.array([tree.price(leaf)[0] for leaf in tree.leaf_ids])
+    return tree, endow, RandomVariable.from_array(tree, np.maximum(s0 - 1.0, 0.0))
+
+
+def test_exponential_price_report_at_volume_1e3():
+    tree, endow, call = _two_asset_tree_27()
+    assert tree.n_leaves == 27
+    pair = exponential_utility(1.5, 1.0 + 1.0 / 1.5)
+    rep = price_report(tree, pair, endow, call * 1e3)
+    lo, hi = rep.lp_bounds
+    assert lo < rep.bid < rep.offer < hi
+    assert rep.certainty_equivalent == rep.bid
+    assert rep.method_agreement_residual <= 1e-10
+    # at this volume both prices have left the marginal price for the bounds
+    assert rep.bid < rep.davis < rep.offer
+    assert rep.bid - lo < rep.davis - rep.bid
+
+
+def test_average_price_reaches_the_lower_bound_at_large_volume(tri1, exp_pair):
+    betas = np.logspace(-4, 6, 11)
+    rep = average_price_curve(tri1, exp_pair, E_TRI, B_TRI, betas)
+    assert rep.monotone
+    assert rep.large_volume_gap <= 1e-6
+    assert rep.small_volume_gap <= 1e-4
+    # past volume 1e2 the claim-holding optimum avoids leaf a to within
+    # e^-100, so the total bid beta * price no longer moves
+    totals = [b * p for b, p in zip(rep.betas, rep.prices) if b >= 1e2]
+    assert max(totals) - min(totals) <= 1e-12 * abs(totals[0])
 
 
 @pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
