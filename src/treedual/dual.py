@@ -13,12 +13,12 @@ optionally a fixed total mass).  Two solvers share the result type.
   ``C - exp(L_root)/gamma``, the mass ``exp(L_root)`` and the normalized
   optimizer the product of the nodes' softmax weights.  Masses like
   e^-1000 are exact in this form.
-* Two-power family (and the tests' oracle): damped Newton in the null space
-  of the equality rows from a strictly positive feasible point, with
-  fraction-to-boundary steps and Armijo acceptance; where the objective is
-  flat to rounding a step is accepted when it shrinks the projected
-  gradient.  V'(0) = -inf keeps every optimum off the boundary, so no
-  barrier is needed.  Curvature uses the analytic V'' of the pair.
+* Two-power family, ``dynamic_dual`` and the tests' oracle: damped Newton
+  in the null space of the equality rows, from a strictly positive feasible
+  point, with the analytic V'' of the pair, fraction-to-boundary steps and
+  Armijo acceptance; where the objective is flat to rounding a step is
+  accepted when it shrinks the projected gradient.  V'(0) = -inf keeps
+  every optimum off the boundary, so no barrier is needed.
 """
 
 from __future__ import annotations
