@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -132,7 +133,7 @@ def _cmd_solve(args, out: _Out):
     tree = load_market(args.market)
     pair = parse_utility_spec(args.utility)
     endow = _pick_endowment(tree, args.endowment)
-    sol = solve_dual(tree, pair, endow, tol=args.tol)
+    sol = solve_dual(tree, pair, endow)
     out.say(f"dual value: {f12(sol.value)}")
     out.say(f"optimal mass: {f12(sol.mass)}")
     out.say(f"support: {sol.support}")
@@ -155,7 +156,7 @@ def _cmd_recover(args, out: _Out):
     tree = load_market(args.market)
     pair = parse_utility_spec(args.utility)
     endow = _pick_endowment(tree, args.endowment)
-    sol = solve_dual(tree, pair, endow, tol=args.tol)
+    sol = solve_dual(tree, pair, endow)
     ps = recover(tree, pair, endow, sol)
     out.say(f"primal value: {f12(ps.value)}")
     out.say(f"dual value:   {f12(sol.value)}")
@@ -179,7 +180,7 @@ def _cmd_price(args, out: _Out):
     pair = parse_utility_spec(args.utility)
     endow = _pick_endowment(tree, args.endowment)
     claim = _pick_claim(tree, args.claim)
-    rep = price_report(tree, pair, endow, claim, solver_tol=args.tol)
+    rep = price_report(tree, pair, endow, claim)
     out.manifest["dual_solves"] = rep.dual_solves
     out.say(f"bid:   {f12(rep.bid)}")
     out.say(f"offer: {f12(rep.offer)}")
@@ -198,8 +199,16 @@ def _cmd_price(args, out: _Out):
 
 
 def _parse_betas(spec: str):
-    lo, hi, n = spec.split(":")
-    return np.logspace(np.log10(float(lo)), np.log10(float(hi)), int(n)).tolist()
+    """Log grid ``lo:hi:n``: n >= 1 volumes between finite positive ends."""
+    try:
+        lo, hi, n = spec.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+        if n < 1 or not (0 < lo < math.inf and 0 < hi < math.inf):
+            raise ValueError
+    except ValueError:
+        raise ParseError(f"--betas {spec!r}: expected lo:hi:n with finite positive "
+                         "ends and a count n >= 1") from None
+    return np.logspace(np.log10(lo), np.log10(hi), n).tolist()
 
 
 def _cmd_curve(args, out: _Out):
@@ -208,8 +217,7 @@ def _cmd_curve(args, out: _Out):
     endow = _pick_endowment(tree, args.endowment)
     claim = _pick_claim(tree, args.claim)
     betas = _parse_betas(args.betas)
-    rep = average_price_curve(tree, pair, endow, claim, betas,
-                              solver_tol=args.tol)
+    rep = average_price_curve(tree, pair, endow, claim, betas)
     out.manifest["dual_solves"] = rep.dual_solves
     out.say("beta  average_price")
     for b, p in zip(betas, rep.prices):
@@ -245,7 +253,7 @@ def _cmd_mubpp(args, out: _Out):
                              f"list of {width} numbers like the nodes before it")
         values[nid] = v
     sprime = AdaptedProcess(values)
-    rep = check_mubpp(tree, pair, endow, sprime, solver_tol=args.tol)
+    rep = check_mubpp(tree, pair, endow, sprime)
     out.say(f"marginal utility-based price process: {rep.is_mubpp}")
     out.say(f"drift verdict: {rep.drift_verdict} "
             f"(max scaled drift {f12(rep.max_abs_drift)})")
@@ -267,8 +275,7 @@ def _cmd_sensitivity(args, out: _Out):
     seq = None
     if args.continuity_steps > 0:
         seq = [endows[0] + 1.0 / n for n in range(1, args.continuity_steps + 1)]
-    rep = endowment_sensitivity(tree, pair, endows, sequence=seq, claim=claim,
-                                solver_tol=args.tol)
+    rep = endowment_sensitivity(tree, pair, endows, sequence=seq, claim=claim)
     out.say("optimal values: " + " ".join(f12(v) for v in rep.values))
     for i, j, margin in rep.monotone_margins:
         out.say(f"monotone {names[i]} <= {names[j]}: margin {f12(margin)}")
@@ -298,12 +305,11 @@ def _cmd_verify(args, out: _Out):
     override = None
     if args.inject_mu:
         # test hook: corrupt the optimal measure before verification
-        sol = solve_dual(tree, pair, endow, tol=args.tol)
+        sol = solve_dual(tree, pair, endow)
         override = sol._mu_arr.copy()
         leaf, delta = args.inject_mu.split(":")
         override[tree.leaf_index(leaf)] += float(delta)
-    results = run_battery(tree, pair, endow, solver_tol=min(args.tol, 1e-11),
-                          mu_override=override)
+    results = run_battery(tree, pair, endow, mu_override=override)
     failed = 0
     for r in results:
         out.say(r.line())
@@ -348,21 +354,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Utility maximization and pricing on scenario trees")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, utility=True, tol=True):
+    def common(p, utility=True):
         p.add_argument("--market", required=True, help="scenario file (JSON)")
         if utility:
             p.add_argument("--utility", required=True,
                            help="e.g. exp:gamma=1,C=2 or twopower:a=0.5,b=1,C=1")
             p.add_argument("--endowment", default=None,
                            help="'endowment' (file default), 'zero', or a claim name")
-        if tol:
-            p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--format", choices=("text", "csv", "structured"),
                        default="text")
         p.add_argument("--output-dir", default=None)
 
     p = sub.add_parser("geometry", help="constraints, feasibility, vertices")
-    common(p, utility=False, tol=False)
+    common(p, utility=False)
     p.add_argument("--vertex-cap", type=int, default=10_000)
     p.set_defaults(func=_cmd_geometry)
 
@@ -407,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force certification")
-    common(p, tol=False)
+    common(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_oracle)
     return ap

@@ -13,12 +13,11 @@ optionally a fixed total mass).  Two solvers share the result type.
   ``C - exp(L_root)/gamma``, the mass ``exp(L_root)`` and the normalized
   optimizer the product of the nodes' softmax weights.  Masses like
   e^-1000 are exact in this form.
-* Two-power family, ``dynamic_dual`` and the tests' oracle: damped Newton
-  in the null space of the equality rows, from a strictly positive feasible
-  point, with the analytic V'' of the pair, fraction-to-boundary steps and
-  Armijo acceptance; where the objective is flat to rounding a step is
-  accepted when it shrinks the projected gradient.  V'(0) = -inf keeps
-  every optimum off the boundary, so no barrier is needed.
+* Two-power family, ``dynamic_dual`` and the tests' oracle: the optimal
+  measure is the marginal utility of the optimal wealth, mu = p U'(e + gains),
+  so the dual is solved through its primal, the unconstrained concave
+  maximization of E[U(e + gains)] (less y times the cash at a fixed mass y)
+  over the strategy, by damped Newton run to rounding.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import (EvaluationOverflowError, InfeasibleEntropyError,
                      NoMartingaleMeasureError, NonconvergedError,
@@ -39,8 +37,6 @@ from .geometry import (MeasureVector, SupportStructure, _support_structure,
 from .market import MarketTree, leaf_values
 from .utility import UtilityPair
 
-DEFAULT_TOL = 1e-9
-DEFAULT_NEWTON_CAP = 200
 _VALUE_FLOOR = -1e250  # below this the optimal utility is numerically -inf
 
 
@@ -48,11 +44,16 @@ _VALUE_FLOOR = -1e250  # below this the optimal utility is numerically -inf
 class DualSolution:
     """Optimal measure, mass, normalization, value and diagnostics.
 
+    ``value`` is the optimal value: from the log-partition for the
+    exponential family, and the primal value sum p U(e + gains) (- y x at a
+    fixed mass y) at the Newton core's optimum, which equals the dual one.
     ``stationarity`` is the exit residual of the solver: for the exponential
     family the largest one-step drift of the normalized optimizer over the
     non-leaf nodes, |E[dS | n]| / (1 + |S_n|) in the max norm; for the Newton
-    core the projected-gradient norm |Z'g| / (1 + |g|).  ``iterations`` logs
-    the Newton steps taken.
+    core the scaled gradient of the primal, which is the martingale (and
+    mass) residual of mu.  ``mass_curvature`` is the core's W''(y), the
+    second derivative of the optimal value in a fixed mass y (else None).
+    ``iterations`` logs the Newton steps taken.
     """
 
     tree: MarketTree
@@ -64,6 +65,7 @@ class DualSolution:
     stationarity: float
     support: str                      # "EQUIVALENT" | "DEGENERATE"
     iterations: tuple[dict, ...]
+    mass_curvature: float | None = None
     _mu_arr: np.ndarray = field(repr=False, default=None)
     _endow_arr: np.ndarray = field(repr=False, default=None)
     _q_arr: np.ndarray = field(repr=False, default=None)
@@ -78,7 +80,8 @@ class DualSolution:
         return self._mu_arr / self.tree.leaf_probability_array
 
 
-def _solution(tree, pair, e, mu, q, mass, log_mass, value, residual, flag, steps):
+def _solution(tree, pair, e, mu, q, mass, log_mass, value, residual, flag, steps,
+              curvature=None):
     return DualSolution(
         tree=tree, pair=pair,
         mu=MeasureVector.from_array(tree, mu),
@@ -88,7 +91,7 @@ def _solution(tree, pair, e, mu, q, mass, log_mass, value, residual, flag, steps
         stationarity=residual,
         support=flag,
         iterations=({"steps": steps, "residual": residual},),
-        _mu_arr=mu, _endow_arr=e, _q_arr=q, _log_mass=log_mass)
+        mass_curvature=curvature, _mu_arr=mu, _endow_arr=e, _q_arr=q, _log_mass=log_mass)
 
 
 # -- exponential family: backward induction in log space ------------------------
@@ -223,7 +226,7 @@ def _log_space_solution(tree, pair, endow, mass=None) -> DualSolution:
     """
     gamma, c = pair.params["gamma"], pair.params["C"]
     e = leaf_values(tree, endow)
-    _, _, flag = _prepare(tree, pair)
+    _, flag = _prepare(tree, pair)
     log_z, log_q, drift, steps = _log_partition(tree, gamma, e)
     log_y = log_z if mass is None else math.log(mass)
     with np.errstate(over="ignore"):
@@ -237,6 +240,7 @@ def _log_space_solution(tree, pair, endow, mass=None) -> DualSolution:
 
 
 def _objective(pair, p, e, mu):
+    """The dual objective ``sum p V(mu/p) + mu.e``; inf off its domain."""
     dens = mu / p
     vals = pair.v(dens)
     if not np.all(np.isfinite(vals)):
@@ -244,82 +248,108 @@ def _objective(pair, p, e, mu):
     return float(np.dot(p, vals) + np.dot(mu, e))
 
 
-def _gradient(pair, p, e, mu):
-    return pair.v_prime(mu / p) + e
+_NEWTON_CAP = 200
 
 
-def _newton_core(A, p, e, pair, q0, *, mass=None, tol=DEFAULT_TOL,
-                 newton_cap=DEFAULT_NEWTON_CAP, start_mu=None):
-    """Minimize F over {A mu = 0 (, sum mu = mass), mu > 0} by damped Newton.
+def _newton_core(A, p, e, pair, live, *, mass=None, start=None):
+    """The dual optimum on the leaves ``live``, found through its primal.
 
-    ``q0`` must be strictly positive and feasible for the equalities with
-    unit mass; ``start_mu``, when strictly positive (and feasible), replaces
-    it as the starting point.  Each step is the Newton step on the equality
-    rows' null space Z, computed in the H^-1/2 scaling with the rows then
-    restored to rounding, and stops 1% short of the boundary.  It is
-    accepted on Armijo decrease, or, where the objective is flat to
-    rounding, on a smaller stationarity |Z'g| / (1 + |g|).  Returns (mu,
-    value, residual, iteration log).
+    Maximizes the concave Phi(c) = sum p U(e + B c) - y x over strategy
+    coefficients c = h with B = A', or at a fixed mass y over c = (h, x)
+    with the cash x and B = [A', 1]; the optimal measure is mu = p U'(e + B c).
+    The Newton step solves H d = grad Phi, H = B' diag(-p U'') B, as least
+    squares in the H^1/2 scaling with Jacobi-scaled columns; -p U'' is
+    p / V''(U'(w)), 0 where U' underflows.  A step is accepted on Armijo
+    increase or, where Phi is flat to rounding, on a smaller scaled gradient
+    ``max_j |B' mu - y e_x|_j / ((1 + max|B_j|) sum mu)``, the martingale
+    and mass residual of mu relative to its mass.  The loop runs to 1e-13,
+    or stops below 1e-9 once a step no longer halves that residual or none
+    is acceptable; otherwise it raises :class:`NonconvergedError`, as it
+    does after 200 steps.
+    ``start``, a leaf measure positive on ``live``, starts the loop at
+    c = lstsq(B, -V'(start/p) - e).  Returns mu (0 off ``live``), the value
+    (plus p V(0) off ``live``), the residual, the steps and, at a fixed mass,
+    W''(y) = [H^-1]_xx.
     """
-    M = A if mass is None else np.vstack([A, np.ones((1, p.size))])
-    rhs = np.append(np.zeros(len(A)), [] if mass is None else [mass])
-    Z = null_space(M) if M.size else np.eye(p.size)
-    if start_mu is not None and np.all(np.asarray(start_mu) > 0):
-        mu = np.array(start_mu, dtype=float)
-    else:
-        mu = q0 * (1.0 if mass is None else mass)
+    pl, el, y = p[live], e[live], 0.0 if mass is None else mass
+    B = A[:, live].T
+    k = B.shape[1]              # strategy columns; the cash column follows
+    if mass is not None:
+        B = np.column_stack([B, np.ones(pl.size)])
+    scale = 1.0 + np.abs(B).max(axis=0, initial=0.0)
 
-    def residual(g):
-        if not np.all(np.isfinite(g)):
-            return math.inf
-        return float(np.linalg.norm(Z.T @ g)) / (1.0 + float(np.linalg.norm(g)))
+    def point(c):
+        """Phi, the scaled gradient, the rounding level of Phi, U', mu, grad Phi."""
+        w = el + B @ c
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            u, up = pair.u(w), pair.u_prime(w)
+            mu = pl * up
+            g = B.T @ mu
+            g[k:] -= y
+            phi = float(pl @ u) - y * float(c[k:].sum())
+            res = float(np.abs(g / scale).max(initial=0.0) / mu.sum())
+            flat = 1e-14 * (1.0 + float(pl @ np.abs(u)) + y * float(np.abs(c[k:]).sum()))
+        if not (math.isfinite(phi) and math.isfinite(res)):
+            phi, res = -math.inf, math.inf
+        return phi, res, flat, up, mu, g
 
-    f = _objective(pair, p, e, mu)
-    g = _gradient(pair, p, e, mu)
-    res = residual(g)
+    def direction(up, mu):
+        """The Newton step and, at a fixed mass, [H^-1]_xx."""
+        with np.errstate(divide="ignore", over="ignore"):
+            s = np.sqrt(pl / pair.v_second(up))          # H = J'J, J = diag(s) B
+        jh = s[:, None] * B[:, :k]
+        norm = np.linalg.norm(jh, axis=0)
+        d = 1.0 / np.where(norm > 0, norm, 1.0)                  # Jacobi scaling
+        t = np.divide(mu, s, out=np.zeros_like(mu), where=s > 0)  # J't = B'mu
+        if mass is None:
+            return d * np.linalg.lstsq(jh * d, t, rcond=None)[0], None
+        # z, the part of the cash column s off the strategy columns, has
+        # J'z = |z|^2 e_x, so the step fits t - y z / |z|^2, whose J' image
+        # is grad Phi
+        a, zc = np.linalg.lstsq(jh * d, np.column_stack([t, s]), rcond=None)[0].T
+        z = s - (jh * d) @ zc
+        kappa = (float(z @ t) - y) / float(z @ z)
+        return np.append(d * (a - kappa * zc), kappa), 1.0 / float(z @ z)
+
+    c = np.zeros(B.shape[1])
+    if start is not None and np.all(start[live] > 0):
+        c = np.linalg.lstsq(B, -pair.v_prime(start[live] / pl) - el, rcond=None)[0]
+    phi, res, flat, up, mu, g = point(c)
     steps = 0
-    while res > tol:
-        if steps >= newton_cap:
-            raise NonconvergedError(
-                f"Newton cap {newton_cap} reached (stationarity {res:.3e})",
-                best=mu, residual=res)
-        # Newton step -H^-1 (g - M'lam) with lam fitted in the H^-1/2 scaling,
-        # which resolves masses many orders of magnitude apart
-        s = np.sqrt(p / pair.v_second(mu / p))
-        lam, *_ = np.linalg.lstsq(M.T * s[:, None], s * g, rcond=None)
-        r = s * (g - M.T @ lam)
-        dmu = -s * r
-        # restore M (mu + dmu) = rhs to rounding, in the same scaling
-        fix, *_ = np.linalg.lstsq(M * s, rhs - M @ (mu + dmu), rcond=None)
-        dmu += s * fix
-        neg = dmu < 0
-        alpha = min(1.0, 0.99 * float(np.min(-mu[neg] / dmu[neg]))) if neg.any() else 1.0
-        slope = -float(r @ r)
-        # the rounding level of F: its leaf terms are of the order of mu |g|
-        flat = 1e-14 * (1.0 + abs(f) + float(mu @ np.abs(g)))
+    while res > 1e-13:
+        if steps == _NEWTON_CAP or math.isinf(res):
+            raise NonconvergedError(f"Newton cap {_NEWTON_CAP} reached or start outside "
+                                    f"the domain (scaled gradient {res:.3e})", residual=res)
+        delta, _ = direction(up, mu)
+        alpha, slope = 1.0, float(g @ delta)
         for _ in range(60):
-            trial = mu + alpha * dmu
-            f1 = _objective(pair, p, e, trial)
-            if f1 <= f + flat:
-                g1 = _gradient(pair, p, e, trial)
-                if f1 < f and f1 <= f + 1e-4 * alpha * slope or residual(g1) < res:
-                    break
+            trial = point(c + alpha * delta)
+            phi1, res1 = trial[:2]
+            if (phi < phi1 and phi1 >= phi + 1e-4 * alpha * slope
+                    or phi1 >= phi - flat and res1 < res):
+                break
             alpha *= 0.5
         else:
+            if res <= 1e-9:
+                break
             raise NonconvergedError(
-                f"no acceptable step at stationarity {res:.3e} above tolerance "
-                f"{tol:.1e}", best=mu, residual=res)
-        mu, f, g = trial, f1, g1
-        res = residual(g)
-        steps += 1
-    return mu, f, res, ({"steps": steps, "residual": res},)
+                f"no acceptable step at scaled gradient {res:.3e}", residual=res)
+        c, steps, last = c + alpha * delta, steps + 1, res
+        phi, res, flat, up, mu, g = trial
+        if 0.5 * last < res <= 1e-9:
+            break
+    full = np.zeros(p.size)
+    full[live] = mu
+    if not live.all():
+        phi += float(p[~live].sum()) * float(pair.v(0.0))
+    return full, phi, res, steps, None if mass is None else direction(up, mu)[1]
 
 
 # -- public solver ---------------------------------------------------------------
 
 
 def _prepare(tree, pair):
-    """Support mask, interior start and flag for the tree's polytope."""
+    """Support mask and flag for the tree's polytope."""
     geo = _support_structure(tree)
     flag = "EQUIVALENT" if bool(geo.mask.all()) else "DEGENERATE"
     if flag == "DEGENERATE" and not math.isfinite(pair.u_inf):
@@ -327,29 +357,22 @@ def _prepare(tree, pair):
         raise InfeasibleEntropyError(
             "no full-support martingale measure and V(0) is infinite; "
             "the dual is +inf over the whole cone")
-    return geo.mask, geo.interior, flag
+    return geo.mask, flag
 
 
-def _core_solution(tree, pair, endow, mass, tol, newton_cap, start):
-    """Dense Newton core on the maximal support (the two-power family)."""
+def _core_solution(tree, pair, endow, mass, start):
+    """The Newton core on the maximal support (the two-power family)."""
     e = leaf_values(tree, endow)
-    p = tree.leaf_probability_array
-    mask, q_int, flag = _prepare(tree, pair)
-    mu_s, value, res, log = _newton_core(
-        build_constraints(tree).matrix[:, mask], p[mask], e[mask], pair,
-        q_int[mask], mass=mass, tol=tol, newton_cap=newton_cap,
-        start_mu=None if start is None else start[mask])
-    mu = np.zeros(tree.n_leaves)
-    mu[mask] = mu_s
-    if flag == "DEGENERATE":
-        value = _objective(pair, p, e, mu)  # adds the V(0) terms of dead leaves
+    mask, flag = _prepare(tree, pair)
+    mu, value, res, steps, curvature = _newton_core(
+        build_constraints(tree).matrix, tree.leaf_probability_array, e, pair, mask,
+        mass=mass, start=start)
     y = float(mu.sum())
     return _solution(tree, pair, e, mu, mu / y, y, math.log(y), value, res, flag,
-                     log[-1]["steps"])
+                     steps, curvature)
 
 
 def solve_dual(tree: MarketTree, pair: UtilityPair, endow=0.0, *,
-               tol: float = DEFAULT_TOL, newton_cap: int = DEFAULT_NEWTON_CAP,
                start=None) -> DualSolution:
     """Minimize entropy plus endowment cost over the martingale cone.
 
@@ -359,8 +382,8 @@ def solve_dual(tree: MarketTree, pair: UtilityPair, endow=0.0, *,
     equivalent martingale measure exists (the optimum then sits on the
     boundary and primal recovery refuses).  ``start`` (a measure or leaf
     array) warm-starts the Newton core.  The exponential family is solved
-    exactly in log space, ignoring ``tol``, ``newton_cap`` and ``start``; it
-    raises :class:`EvaluationOverflowError` for a value below -1e250 and
+    exactly in log space, ignoring ``start``; it raises
+    :class:`EvaluationOverflowError` for a value below -1e250 and
     :class:`ValueAtSupremumError` when the optimal mass underflows to 0.
     """
     if pair.family == "exponential":
@@ -379,24 +402,22 @@ def solve_dual(tree: MarketTree, pair: UtilityPair, endow=0.0, *,
             else leaf_values(tree, start)
         if np.any(arr[~_support_structure(tree).mask] > 0):
             raise NoMartingaleMeasureError("start measure charges dead leaves")
-    return _core_solution(tree, pair, endow, None, tol, newton_cap, arr)
+    return _core_solution(tree, pair, endow, None, arr)
 
 
 def solve_dual_fixed_mass(tree: MarketTree, pair: UtilityPair, endow, y: float, *,
-                          tol: float = DEFAULT_TOL,
-                          newton_cap: int = DEFAULT_NEWTON_CAP,
                           start=None) -> DualSolution:
     """Same as :func:`solve_dual` with total mass pinned to ``y > 0``.
 
     The exponential family's optimum is ``y`` times the normalized
-    optimizer of :func:`solve_dual` (one log-space pass; ``tol``,
-    ``newton_cap`` and ``start`` are ignored there).
+    optimizer of :func:`solve_dual` (one log-space pass; ``start`` is
+    ignored there).
     """
     if y <= 0:
         raise NoMartingaleMeasureError("mass must be positive")
     if pair.family == "exponential":
         return _log_space_solution(tree, pair, endow, mass=float(y))
-    return _core_solution(tree, pair, endow, float(y), tol, newton_cap, start)
+    return _core_solution(tree, pair, endow, float(y), start)
 
 
 @dataclass(frozen=True)
@@ -415,8 +436,7 @@ class CurveReport:
 
 
 def dual_value_curve(tree: MarketTree, pair: UtilityPair, endow,
-                     ys: Sequence[float], *, tol: float = DEFAULT_TOL,
-                     newton_cap: int = DEFAULT_NEWTON_CAP) -> CurveReport:
+                     ys: Sequence[float]) -> CurveReport:
     """The mass-indexed dual value curve on a grid of positive masses.
 
     Each point solves the inner problem with total mass pinned; the report
@@ -429,8 +449,7 @@ def dual_value_curve(tree: MarketTree, pair: UtilityPair, endow,
     prev = None
     for y in sorted(ys):
         start = prev._mu_arr * (y / prev.mass) if prev is not None else None
-        sol = solve_dual_fixed_mass(tree, pair, endow, y, tol=tol,
-                                    newton_cap=newton_cap, start=start)
+        sol = solve_dual_fixed_mass(tree, pair, endow, y, start=start)
         d = float(np.dot(sol.q_hat_array,
                          pair.v_prime(sol.density_array) + sol._endow_arr))
         pts.append(CurvePoint(y=y, value=sol.value, q_hat=sol.q_hat, derivative=d))
@@ -445,14 +464,13 @@ def dual_value_curve(tree: MarketTree, pair: UtilityPair, endow,
                        min_value=min(p.value for p in pts))
 
 
-def dual_derivative(tree: MarketTree, pair: UtilityPair, endow, y: float, *,
-                    tol: float = DEFAULT_TOL) -> float:
+def dual_derivative(tree: MarketTree, pair: UtilityPair, endow, y: float) -> float:
     """Derivative of the mass-indexed dual value at ``y``.
 
     Evaluated by the envelope formula: the conditional expectation, under the
     inner optimizer at mass ``y``, of V' of its density plus the endowment.
     """
-    sol = solve_dual_fixed_mass(tree, pair, endow, y, tol=tol)
+    sol = solve_dual_fixed_mass(tree, pair, endow, y)
     return float(np.dot(sol.q_hat_array,
                         pair.v_prime(sol.density_array) + sol._endow_arr))
 
@@ -469,11 +487,10 @@ def check_maximal_support(tree: MarketTree, sol: DualSolution,
     """Check that the optimal measure dominates every finite-entropy vertex.
 
     Any leaf charged by a finite-entropy polytope vertex must also be charged
-    by the optimal measure (the optimizer is "as equivalent as possible").
-    Report-only.
+    by the optimal measure, that is, given positive mass (the optimizer is
+    "as equivalent as possible").  Report-only.
     """
     mu = sol._mu_arr
-    thresh = 1e-12 * (1.0 + sol.mass)
     violations = []
     tested = 0
     skipped = 0
@@ -484,6 +501,6 @@ def check_maximal_support(tree: MarketTree, sol: DualSolution,
         tested += 1
         q = vtx.as_array(tree)
         for i, leaf in enumerate(tree.leaf_ids):
-            if q[i] > 1e-10 and mu[i] <= thresh:
+            if q[i] > 1e-10 and not mu[i] > 0:
                 violations.append((k, leaf))
     return SupportCheck(tuple(violations), tested, skipped)

@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -303,24 +303,21 @@ def _finish_tree(tree: MarketTree) -> None:
     tree._root = root
     tree._horizon = max(n.t for n in tree.nodes)
 
-    # depth-first leaf order, child order as in the file; each level in that order
+    # depth-first leaf order, child order as in the file; each level in that
+    # order; an explicit stack, so depth is not bounded by Python recursion
     leaf_ids: list[str] = []
-    slices: dict[str, tuple[int, int]] = {}
-    node_prob: dict[str, float] = {}
+    node_prob: dict[str, float] = {root: 1.0}
     levels: list[list[str]] = [[] for _ in range(tree._horizon + 1)]
-
-    def visit(nid, prob):
-        node_prob[nid] = prob
+    stack = [root]
+    while stack:
+        nid = stack.pop()
         levels[by_id[nid].t].append(nid)
-        lo = len(leaf_ids)
         kids = tree._children[nid]
         if not kids:
             leaf_ids.append(nid)
         for c in kids:
-            visit(c, prob * by_id[c].prob)
-        slices[nid] = (lo, len(leaf_ids))
-
-    visit(root, 1.0)
+            node_prob[c] = node_prob[nid] * by_id[c].prob
+        stack.extend(reversed(kids))
     tree._leaf_ids = tuple(leaf_ids)
     tree._leaf_pos = {l: i for i, l in enumerate(leaf_ids)}
     tree._node_prob = node_prob
@@ -332,11 +329,15 @@ def _finish_tree(tree: MarketTree) -> None:
     ids = tuple(nid for level in levels for nid in level)
     tree._pos = pos = {nid: k for k, nid in enumerate(ids)}
     parent = np.array([0] + [pos[by_id[nid].parent] for nid in ids[1:]], dtype=np.intp)
-    lo, hi = np.array([slices[nid] for nid in ids], dtype=np.intp).T
+    starts = tuple(np.cumsum([0] + [len(level) for level in levels]).tolist())
+    first = np.searchsorted(parent[1:], np.arange(starts[-2])) + 1
+    # leaf slices, bottom up: a node spans its first child's lo to its last child's hi
+    lo = np.arange(len(ids), dtype=np.intp) - starts[-2]
+    hi, last = lo + 1, np.append(first[1:], len(ids)) - 1
+    for a, b in zip(starts[-3::-1], starts[-2:0:-1]):
+        lo[a:b], hi[a:b] = lo[first[a:b]], hi[last[a:b]]
     tree.layout = TreeLayout(
-        ids, parent, tuple(np.cumsum([0] + [len(level) for level in levels]).tolist()),
-        np.searchsorted(parent[1:], np.arange(len(ids) - len(leaf_ids))) + 1,
-        np.array([by_id[nid].prices for nid in ids]),
+        ids, parent, starts, first, np.array([by_id[nid].prices for nid in ids]),
         np.array([by_id[nid].prob for nid in ids]), lo, hi)
 
 

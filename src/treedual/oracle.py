@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import minimize
 
-from .dual import solve_dual
+from .dual import _objective, solve_dual
 from .errors import (DimensionError, GapDetectedError, InfeasibleEntropyError,
                      NoMartingaleMeasureError)
 from .geometry import build_constraints, vertex_enumerate
@@ -187,8 +187,7 @@ class OracleReport:
 
 
 def check_duality_gap(tree: MarketTree, pair: UtilityPair, endow, *,
-                      oracle_tol: float = 1e-5, gap_tol: float = 1e-7,
-                      solver_tol: float = 1e-10, seed: int = 0,
+                      oracle_tol: float = 1e-5, gap_tol: float = 1e-7, seed: int = 0,
                       points_per_dim: int = 13, rounds: int = 8) -> OracleReport:
     """Assemble solver and oracle values and assert their agreement.
 
@@ -199,7 +198,7 @@ def check_duality_gap(tree: MarketTree, pair: UtilityPair, endow, *,
     Markets without martingale measures are reported, not raised.
     """
     try:
-        sol = solve_dual(tree, pair, endow, tol=solver_tol)
+        sol = solve_dual(tree, pair, endow)
     except NoMartingaleMeasureError:
         return OracleReport("NO_MM", None, None, None, None, None,
                             None, None, None, None, None)
@@ -212,9 +211,11 @@ def check_duality_gap(tree: MarketTree, pair: UtilityPair, endow, *,
     u_primal = None
     gap_solver = None
     if sol.support == "EQUIVALENT":
-        ps = recover(tree, pair, endow, sol)
-        u_primal = ps.value
-        gap_solver = abs(u_primal - v) / scale
+        u_primal = recover(tree, pair, endow, sol).value
+        # against the dual objective of the returned measure
+        f_mu = _objective(pair, tree.leaf_probability_array, leaf_values(tree, endow),
+                          sol._mu_arr)
+        gap_solver = abs(u_primal - f_mu) / scale
 
     k = polytope_dimension(tree)
     bd = brute_force_dual(tree, pair, endow, seed=seed,

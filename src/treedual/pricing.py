@@ -32,8 +32,8 @@ from .dual import (DualSolution, _log_space_solution, solve_dual,
 from .errors import (AugmentInfeasibleError, BracketFailError, DomainError,
                      InfeasibleEntropyError, InfiniteEntropyError,
                      NoMartingaleMeasureError)
-from .geometry import (MeasureVector, build_constraints, find_equivalent_mm,
-                       relative_entropy, _support_structure)
+from .geometry import (MeasureVector, find_equivalent_mm, relative_entropy,
+                       _support_structure)
 from .market import (AdaptedProcess, MarketTree, RandomVariable, leaf_values,
                      market_from_dict, market_to_dict)
 from .utility import UtilityPair, _golden_min
@@ -105,8 +105,7 @@ def _bracketed_newton(probe, x, lo, hi, *, x_tol=0.0, max_probes=100):
     raise BracketFailError(f"no root after {max_probes} probes in [{lo}, {hi}]")
 
 
-def _cash_root(tree, pair, x, target, c0, hi, start, *, tol, solver_tol,
-               solves):
+def _cash_root(tree, pair, x, target, c0, hi, start, solves):
     """Cash ``c`` in ``[c0, hi]`` at which the optimal value of x + c is ``target``.
 
     The value is increasing in c with the optimal dual mass as derivative
@@ -119,13 +118,13 @@ def _cash_root(tree, pair, x, target, c0, hi, start, *, tol, solver_tol,
     if pair.u_inverse is None:
         raise DomainError("cash pricing needs the inverse utility of the pair")
     z_target = pair.u_inverse(target)
-    f_tol = tol * (1.0 + abs(target))
+    f_tol = PRICE_TOL * (1.0 + abs(target))
     warm = start
     root = None
 
     def probe(c):
         nonlocal warm, root
-        sol = solves.dual(tree, pair, x + c, tol=solver_tol, start=warm)
+        sol = solves.dual(tree, pair, x + c, start=warm)
         warm = sol._mu_arr
         z = pair.u_inverse(sol.value)
         slope = sol.mass / pair.u_prime(z)
@@ -145,7 +144,6 @@ def _log_mass_gap(pair, lo, hi):
 
 
 def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
-                       tol: float = PRICE_TOL, solver_tol: float = 1e-9,
                        base: DualSolution | None = None,
                        bounds: tuple[float, float] | None = None,
                        solves: SolveCounter | None = None) -> float:
@@ -164,14 +162,13 @@ def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     claim = _as_rv(tree, claim)
     solves = SolveCounter() if solves is None else solves
     if base is None:
-        base = solves.dual(tree, pair, endow, tol=solver_tol)
+        base = solves.dual(tree, pair, endow)
     if pair.family == "exponential":
         return _log_mass_gap(pair, base, solves.dual(tree, pair, endow + claim))
     lo_b, _ = price_bounds(tree, claim) if bounds is None else bounds
     c0 = -davis_price(tree, pair, endow, claim, sol=base)
     return -_cash_root(tree, pair, endow + claim, base.value, c0, -lo_b,
-                       base._mu_arr, tol=tol, solver_tol=solver_tol,
-                       solves=solves)
+                       base._mu_arr, solves)
 
 
 def _as_rv(tree, x) -> RandomVariable:
@@ -181,8 +178,7 @@ def _as_rv(tree, x) -> RandomVariable:
 
 
 def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
-                     q: MeasureVector, *, base_value: float | None = None,
-                     solver_tol: float = 1e-9) -> float:
+                     q: MeasureVector, *, base_value: float | None = None) -> float:
     """Normalized excess entropy of a martingale probability measure.
 
     For a fixed measure this is a one-dimensional convex minimization over
@@ -195,7 +191,7 @@ def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
     if not math.isfinite(relative_entropy(tree, pair, q)):
         raise InfiniteEntropyError("measure has infinite relative entropy")
     if base_value is None:
-        base_value = solve_dual(tree, pair, endow, tol=solver_tol).value
+        base_value = solve_dual(tree, pair, endow).value
     e = leaf_values(tree, endow)
     p = tree.leaf_probability_array
     qa = q.as_array(tree)
@@ -209,25 +205,6 @@ def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
     s = _golden_min(phi, np.array([-3.0]), np.array([3.0]), iters=200,
                     expand=True)
     return float(phi(s)[0])
-
-
-def _mass_curvature(tree, pair, sol):
-    """Second derivative in the mass of the fixed-mass dual value at ``sol``.
-
-    The inner objective has the diagonal Hessian H = V''(mu/p)/p, so the
-    value's curvature in the mass row is the inverse of that row's
-    H^-1-weighted norm left after projecting out the martingale rows.  NaN
-    when rounding leaves no positive remainder.
-    """
-    mu = sol._mu_arr
-    live = mu > 0
-    p = tree.leaf_probability_array[live]
-    d = p / pair.v_second(mu[live] / p)
-    A = build_constraints(tree).matrix[:, live]
-    b = A @ d
-    lam, *_ = np.linalg.lstsq((A * d) @ A.T, b, rcond=None)
-    rest = float(d.sum() - b @ lam)
-    return 1.0 / rest if rest > 0 else math.nan
 
 
 def _penalized_expectation(tree, pair, endow, claim, base, shifted):
@@ -245,7 +222,6 @@ def _penalized_expectation(tree, pair, endow, claim, base, shifted):
 
 def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim, *,
                       base: DualSolution | None = None,
-                      solver_tol: float = 1e-9,
                       solves: SolveCounter | None = None) -> float:
     """Bid price as a penalized worst-case expectation.
 
@@ -258,15 +234,15 @@ def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     is stationary where h = W'(y) - (W(y) - base)/y vanishes, and y h is
     increasing in y (its derivative is y W'' >= 0), so the log mass s is
     found by bracketed Newton on h with W' from the envelope formula and W''
-    from the inner Hessian, started at the mass of ``base``, the claim-free
-    solution, whose measure warm-starts the first inner solve.  Uses no
-    result of the cash root-finder.  ``solves`` counts the dual solves made.
+    read off the inner solution, started at the mass of ``base``, the
+    claim-free solution, whose measure warm-starts the first inner solve.
+    Uses no result of the cash root-finder.  ``solves`` counts the dual solves made.
     """
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
     solves = SolveCounter() if solves is None else solves
     if base is None:
-        base = solves.dual(tree, pair, endow, tol=solver_tol)
+        base = solves.dual(tree, pair, endow)
     shifted = endow + claim
     if pair.family == "exponential":
         return _penalized_expectation(tree, pair, endow, claim, base,
@@ -277,13 +253,13 @@ def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     def probe(s):
         nonlocal last
         y = math.exp(s)
-        last = solves.fixed_mass(tree, pair, shifted, y, tol=solver_tol,
+        last = solves.fixed_mass(tree, pair, shifted, y,
                                  start=last._mu_arr * (y / last.mass))
         w1 = float(np.dot(last.q_hat_array,
                           pair.v_prime(last.density_array) + last._endow_arr))
         gaps[s] = (last.value - base.value) / y
         h = w1 - gaps[s]
-        return h, y * _mass_curvature(tree, pair, last) - h, False
+        return h, y * last.mass_curvature - h, False
 
     # 1e-5 on the log axis puts the gap within ~1e-10 of its minimum, well
     # inside the cross-method tolerance
@@ -292,16 +268,14 @@ def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim, *,
 
 
 def davis_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
-                sol: DualSolution | None = None,
-                solver_tol: float = 1e-9) -> float:
+                sol: DualSolution | None = None) -> float:
     """Marginal price: claim expectation under the normalized optimal measure."""
     if sol is None:
-        sol = solve_dual(tree, pair, endow, tol=solver_tol)
+        sol = solve_dual(tree, pair, endow)
     return float(np.dot(sol.q_hat_array, leaf_values(tree, claim)))
 
 
 def certainty_equivalent(tree: MarketTree, pair: UtilityPair, endow, claim, *,
-                         tol: float = PRICE_TOL, solver_tol: float = 1e-9,
                          bounds: tuple[float, float] | None = None,
                          solves: SolveCounter | None = None,
                          start=None) -> float:
@@ -320,14 +294,13 @@ def certainty_equivalent(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
     solves = SolveCounter() if solves is None else solves
-    target = solves.dual(tree, pair, endow + claim, tol=solver_tol, start=start)
+    target = solves.dual(tree, pair, endow + claim, start=start)
     if pair.family == "exponential":
         return _log_mass_gap(pair, solves.dual(tree, pair, endow), target)
     _, hi_b = price_bounds(tree, claim) if bounds is None else bounds
     c0 = davis_price(tree, pair, endow + claim, claim, sol=target)
     return _cash_root(tree, pair, endow, target.value, c0, hi_b,
-                      target._mu_arr, tol=tol, solver_tol=solver_tol,
-                      solves=solves)
+                      target._mu_arr, solves)
 
 
 @dataclass(frozen=True)
@@ -343,8 +316,7 @@ class PriceReport:
     dual_solves: int
 
 
-def price_report(tree: MarketTree, pair: UtilityPair, endow, claim, *,
-                 solver_tol: float = 1e-9) -> PriceReport:
+def price_report(tree: MarketTree, pair: UtilityPair, endow, claim) -> PriceReport:
     """Every price of one claim, off one base solve and one extremal sweep.
 
     The no-arbitrage bounds (lo, hi) are computed once: they bracket the bid
@@ -356,7 +328,7 @@ def price_report(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
     solves = SolveCounter()
-    sol = solves.dual(tree, pair, endow, tol=solver_tol)
+    sol = solves.dual(tree, pair, endow)
     lo, hi = price_bounds(tree, claim)
     if pair.family == "exponential":
         plus = solves.dual(tree, pair, endow + claim)
@@ -365,15 +337,12 @@ def price_report(tree: MarketTree, pair: UtilityPair, endow, claim, *,
         pen = _penalized_expectation(tree, pair, endow, claim, sol, plus)
     else:
         bid = indifference_price(tree, pair, endow, claim, base=sol, bounds=(lo, hi),
-                                 solver_tol=solver_tol, solves=solves)
-        pen = price_via_penalty(tree, pair, endow, claim, base=sol,
-                                solver_tol=solver_tol, solves=solves)
+                                 solves=solves)
+        pen = price_via_penalty(tree, pair, endow, claim, base=sol, solves=solves)
         offer = -indifference_price(tree, pair, endow, -claim, base=sol,
-                                    bounds=(-hi, -lo), solver_tol=solver_tol,
-                                    solves=solves)
+                                    bounds=(-hi, -lo), solves=solves)
         ce = certainty_equivalent(tree, pair, endow, claim, bounds=(lo, hi),
-                                  solver_tol=solver_tol, solves=solves,
-                                  start=sol._mu_arr)
+                                  solves=solves, start=sol._mu_arr)
     return PriceReport(
         bid=bid,
         offer=offer,
@@ -398,7 +367,7 @@ class VolumeCurveReport:
 
 
 def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
-                        betas, *, solver_tol: float = 1e-9) -> VolumeCurveReport:
+                        betas) -> VolumeCurveReport:
     """Average per-unit bid price across volumes, with its two limits.
 
     Non-increasing in volume; converges to the lower no-arbitrage bound as
@@ -411,13 +380,13 @@ def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
     claim = _as_rv(tree, claim)
     betas = sorted(float(b) for b in betas)
     solves = SolveCounter()
-    sol = solves.dual(tree, pair, endow, tol=solver_tol)
+    sol = solves.dual(tree, pair, endow)
     lp_lo, lp_hi = price_bounds(tree, claim)
     prices = []
     for beta in betas:
         p_total = indifference_price(tree, pair, endow, claim * beta, base=sol,
                                      bounds=tuple(sorted((beta * lp_lo, beta * lp_hi))),
-                                     solver_tol=solver_tol, solves=solves)
+                                     solves=solves)
         prices.append(p_total / beta)
     dav = davis_price(tree, pair, endow, claim, sol=sol)
     scale = 1.0 + max(abs(p) for p in prices)
@@ -462,8 +431,7 @@ class MubppReport:
 
 def check_mubpp(tree: MarketTree, pair: UtilityPair, endow,
                 sprime: AdaptedProcess, *, drift_tol: float = 1e-8,
-                value_tol: float = 1e-7,
-                solver_tol: float = 1e-9) -> MubppReport:
+                value_tol: float = 1e-7) -> MubppReport:
     """Is the candidate process a fair price process for a new asset?
 
     Method A computes per-node drifts under the normalized optimal measure;
@@ -480,7 +448,7 @@ def check_mubpp(tree: MarketTree, pair: UtilityPair, endow,
     if any(v.shape != (d_new,) for v in vals.values()):
         raise ValueError("candidate process must have the same width on all nodes")
 
-    sol = solve_dual(tree, pair, endow, tol=solver_tol)
+    sol = solve_dual(tree, pair, endow)
     x = np.array([vals[nid] for nid in tree.layout.ids])
     cond, mass = tree.one_step_expectation(x, sol.q_hat_array)
     x, live = x[:mass.size], mass > 0
@@ -499,8 +467,7 @@ def check_mubpp(tree: MarketTree, pair: UtilityPair, endow,
         raise AugmentInfeasibleError(f"cannot build augmented market: {exc}")
     try:
         aug_value = solve_dual(augmented, pair,
-                               RandomVariable(dict(endow.values)),
-                               tol=solver_tol).value
+                               RandomVariable(dict(endow.values))).value
     except NoMartingaleMeasureError:
         raise AugmentInfeasibleError(
             "augmented market admits arbitrage; candidate is not a fair "
@@ -585,8 +552,7 @@ def _mass_radius(tree, pair, endow_arrays):
 
 def endowment_sensitivity(tree: MarketTree, pair: UtilityPair, endowments, *,
                           lambdas=(0.25, 0.5, 0.75), sequence=None,
-                          claim=None, tol: float = 1e-9,
-                          solver_tol: float = 1e-9) -> SensitivityReport:
+                          claim=None, tol: float = 1e-9) -> SensitivityReport:
     """Monotonicity/concavity/continuity certificates for the optimal value.
 
     ``endowments`` is a list of random variables on the same tree; ordered
@@ -597,7 +563,7 @@ def endowment_sensitivity(tree: MarketTree, pair: UtilityPair, endowments, *,
     recentered-claim sandwich around the base value.  Report-only.
     """
     endowments = [_as_rv(tree, e) for e in endowments]
-    sols = [solve_dual(tree, pair, e, tol=solver_tol) for e in endowments]
+    sols = [solve_dual(tree, pair, e) for e in endowments]
     values = [s.value for s in sols]
     arrays = [e.as_array(tree) for e in endowments]
     has_equivalent = find_equivalent_mm(tree) is not None
@@ -621,7 +587,7 @@ def endowment_sensitivity(tree: MarketTree, pair: UtilityPair, endowments, *,
         v0, v1 = values[0], values[1]
         for lam in lambdas:
             mix = e0 * lam + e1 * (1.0 - lam)
-            vm = solve_dual(tree, pair, mix, tol=solver_tol).value
+            vm = solve_dual(tree, pair, mix).value
             concavity.append((float(lam), vm - (lam * v0 + (1.0 - lam) * v1)))
 
     continuity = []
@@ -632,7 +598,7 @@ def endowment_sensitivity(tree: MarketTree, pair: UtilityPair, endowments, *,
         base = values[0]
         for e_n in seq:
             sup = indifference_price_lipschitz_bound(tree, e_n, endowments[0])
-            v_n = solve_dual(tree, pair, e_n, tol=solver_tol).value
+            v_n = solve_dual(tree, pair, e_n).value
             gap = abs(v_n - base)
             continuity.append(ContinuityEntry(
                 sup_bound=sup, value_gap=gap,
@@ -643,10 +609,8 @@ def endowment_sensitivity(tree: MarketTree, pair: UtilityPair, endowments, *,
         b = _as_rv(tree, claim)
         dav = davis_price(tree, pair, endowments[0], b, sol=sols[0])
         lo_b, _ = price_bounds(tree, b)
-        v_low = solve_dual(tree, pair, endowments[0] + b + (-dav),
-                           tol=solver_tol).value
-        v_high = solve_dual(tree, pair, endowments[0] + b + (-lo_b),
-                            tol=solver_tol).value
+        v_low = solve_dual(tree, pair, endowments[0] + b + (-dav)).value
+        v_high = solve_dual(tree, pair, endowments[0] + b + (-lo_b)).value
         sandwich = (values[0] - v_low, v_high - values[0])
 
     return SensitivityReport(

@@ -21,7 +21,8 @@ import numpy as np
 from .dual import DualSolution, _newton_core, _objective
 from .errors import (NoPrimalOptimizerError, NotExponentialError,
                      ReplicationGapError)
-from .geometry import MeasureVector, build_constraints, relative_entropy
+from .geometry import (MeasureVector, _support_structure, build_constraints,
+                       relative_entropy)
 from .market import AdaptedProcess, MarketTree, RandomVariable, leaf_values
 from .utility import UtilityPair
 
@@ -208,13 +209,14 @@ class DynamicDualNode:
 
 
 def dynamic_dual(tree: MarketTree, pair: UtilityPair, endow, t: int,
-                 sol: DualSolution, wealth: AdaptedProcess | None = None, *,
-                 tol: float = 1e-9) -> list[DynamicDualNode]:
+                 sol: DualSolution,
+                 wealth: AdaptedProcess | None = None) -> list[DynamicDualNode]:
     """Conditional dual problems at the time-``t`` nodes.
 
     For each positive-mass node, minimizes the conditional entropy-plus-
     endowment objective over subtree measures matching the optimizer's mass
-    on the node, then differentiates in that mass by the envelope formula.
+    on the node (by the Newton core on the maximal support, started at the
+    optimizer), then differentiates in that mass by the envelope formula.
     Deterministic time grid only.  Consistency: the derivative should equal
     minus the wealth at the node.
     """
@@ -223,7 +225,7 @@ def dynamic_dual(tree: MarketTree, pair: UtilityPair, endow, t: int,
     e = leaf_values(tree, endow)
     p = tree.leaf_probability_array
     mu = sol._mu_arr
-    A = build_constraints(tree).matrix
+    A, live = build_constraints(tree).matrix, _support_structure(tree).mask
     lay = tree.layout
     mass = tree.subtree_sums(mu)
     out = []
@@ -235,14 +237,13 @@ def dynamic_dual(tree: MarketTree, pair: UtilityPair, endow, t: int,
         # the rows of the non-leaf nodes inside this subtree
         inside = (lay.lo >= lo) & (lay.hi <= hi)
         A_sub = A[np.repeat(inside[:lay.level_starts[-2]], tree.n_assets), lo:hi]
-        p_sub = p[lo:hi]
-        e_sub = e[lo:hi]
-        q0 = mu[lo:hi] / m_n
-        mu_sub, raw, _, _ = _newton_core(A_sub, p_sub, e_sub, pair, q0,
-                                         mass=m_n, tol=tol, start_mu=mu[lo:hi])
+        p_sub, e_sub, on = p[lo:hi], e[lo:hi], live[lo:hi]
+        mu_sub, raw, *_ = _newton_core(A_sub, p_sub, e_sub, pair, on,
+                                       mass=m_n, start=mu[lo:hi])
         value = raw / P_n
-        dens = mu_sub / p_sub
-        deriv = float(np.dot(mu_sub / m_n, pair.v_prime(dens) + e_sub))
+        # the envelope formula; leaves off the support carry no mass
+        mu_on = mu_sub[on]
+        deriv = float(np.dot(mu_on / m_n, pair.v_prime(mu_on / p_sub[on]) + e_sub[on]))
         gap = abs(raw - _objective(pair, p_sub, e_sub, mu[lo:hi])) / (1.0 + abs(raw))
         wres = None
         if wealth is not None:

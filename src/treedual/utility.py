@@ -267,6 +267,8 @@ def parse_utility_spec(spec: str) -> UtilityPair:
     """Build a pair from a CLI spec like ``exp:gamma=1,C=2``.
 
     Families: ``exp`` (params gamma, C) and ``twopower`` (params a, b, C).
+    Raises :class:`ParseError` naming an unknown parameter or one whose value
+    is not finite or lies outside the family's domain.
     """
     try:
         family, _, rest = spec.partition(":")
@@ -279,11 +281,21 @@ def parse_utility_spec(spec: str) -> UtilityPair:
         raise ParseError(f"malformed utility spec: {spec!r}") from None
     family = family.strip().lower()
     if family in ("exp", "exponential"):
-        return exponential_utility(params.pop("gamma", 1.0), params.pop("C", 2.0))
-    if family in ("twopower", "two_power"):
-        return two_power_utility(params.pop("a", 0.5), params.pop("b", 1.0),
-                                 params.pop("C", 1.0))
-    raise ParseError(f"unknown utility family {family!r}")
+        make, defaults = exponential_utility, {"gamma": 1.0, "C": 2.0}
+    elif family in ("twopower", "two_power"):
+        make, defaults = two_power_utility, {"a": 0.5, "b": 1.0, "C": 1.0}
+    else:
+        raise ParseError(f"unknown utility family {family!r}")
+    for k, v in params.items():
+        if k not in defaults:
+            raise ParseError(f"unknown parameter {k!r} of family {family!r} "
+                             f"(expected {', '.join(defaults)})")
+        if not math.isfinite(v):
+            raise ParseError(f"parameter {k!r} must be finite, got {v!r}")
+    try:
+        return make(*(params.get(k, v) for k, v in defaults.items()))
+    except DomainError as exc:
+        raise ParseError(f"utility spec {spec!r}: {exc}") from None
 
 
 @dataclass(frozen=True)

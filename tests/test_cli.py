@@ -150,3 +150,29 @@ def test_verify_exit_codes(tri1_file, capsys, inject, code):
     argv = ["verify", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2"]
     assert cli.run(argv + inject) == code
     assert ("FAIL" in capsys.readouterr().out) == bool(inject)
+
+
+@pytest.mark.parametrize("betas", ["1e-4:1e4", "a:b:c", "1:10:x", "1e-4:1e4:0", "0:1:3"])
+def test_malformed_betas_exit_two(tri1_file, capsys, betas):
+    argv = ["curve", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2",
+            "--claim", "up", "--betas", betas]
+    assert cli.run(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "--betas" in err
+
+
+@pytest.mark.parametrize("spec,name", [("exp:gamma=1,C=2,zeta=3", "zeta"),
+                                       ("exp:gamma=-1", "gamma"),
+                                       ("twopower:a=2", "a")])
+def test_bad_utility_parameters_exit_two(tri1_file, capsys, spec, name):
+    argv = ["solve", "--market", str(tri1_file), "--utility", spec]
+    assert cli.run(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and name in err
+
+
+def test_no_subcommand_takes_a_solver_tolerance():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    for name, parser in sub.choices.items():
+        flags = {f for action in parser._actions for f in action.option_strings}
+        assert "--tol" not in flags, name

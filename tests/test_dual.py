@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -125,7 +126,7 @@ def test_solution_invariants(tri1, exp_pair):
 
 def test_kkt_certificate(tri1, exp_pair):
     e = {"a": 0.3, "b": -0.2, "c": 0.1}
-    sol = solve_dual(tri1, exp_pair, e, tol=1e-11)
+    sol = solve_dual(tri1, exp_pair, e)
     A = build_constraints(tri1).matrix
     g = exp_pair.v_prime(sol.density_array) + leaf_values(tri1, e)
     lam, *_ = np.linalg.lstsq(A.T, g, rcond=None)
@@ -138,12 +139,12 @@ def test_uniqueness_from_random_starts(tri1, exp_pair):
     e = {"a": 0.5, "b": 0.0, "c": -0.5}
     rng = np.random.default_rng(11)
     verts = [v.as_array(tri1) for v in vertex_enumerate(build_constraints(tri1))]
-    ref = solve_dual(tri1, exp_pair, e, tol=1e-11)
+    ref = solve_dual(tri1, exp_pair, e)
     for _ in range(4):
         w = rng.dirichlet(np.ones(len(verts)))
         q = 0.8 * (w @ np.array(verts)) + 0.2 * ref.q_hat_array
         start = MeasureVector.from_array(tri1, q * rng.uniform(0.3, 3.0))
-        sol = solve_dual(tri1, exp_pair, e, tol=1e-11, start=start)
+        sol = solve_dual(tri1, exp_pair, e, start=start)
         assert np.abs(sol._mu_arr - ref._mu_arr).max() <= 1e-7
 
 
@@ -251,7 +252,7 @@ def test_two_period_grid_oracle(exp_pair):
     tree = treegen.product_market([[2.0, 1.0, 0.5], [1.6, 0.7]])
     rng = np.random.default_rng(5)
     e = treegen.random_endowment(rng, tree)
-    sol = solve_dual(tree, exp_pair, e, tol=1e-11)
+    sol = solve_dual(tree, exp_pair, e)
     # independent check through the oracle module's exhaustive grid
     from treedual import brute_force_dual
     bd = brute_force_dual(tree, exp_pair, e, points_per_dim=21, rounds=10)
@@ -361,7 +362,7 @@ def test_solve_dual_never_sweeps(tri1, monkeypatch):
 
 def _dense_core(tree, pair, e):
     """The exponential dual by the Newton core on the maximal support."""
-    sol = dual._core_solution(tree, pair, e, None, 1e-12, dual.DEFAULT_NEWTON_CAP, None)
+    sol = dual._core_solution(tree, pair, e, None, None)
     return sol.value, sol.q_hat_array
 
 
@@ -402,3 +403,45 @@ def test_tri1_value_with_a_large_claim_is_exact(tri1):
     sol = solve_dual(tri1, exponential_utility(1.0, 2.0),
                      {"a": 100.3, "b": -0.2, "c": 0.1})
     assert sol.value == pytest.approx(1.59286574727994163, rel=0, abs=2e-15)
+
+
+def _random_exponential_instance(k, gamma, scale):
+    """Instance k of the random trees of seed 23 with e ~ U[-scale, scale]."""
+    rng = np.random.default_rng(23)
+    for i in range(k + 1):
+        tree = treegen.random_market(rng, max_periods=3, n_assets=1 + i % 2)
+        e = rng.uniform(-scale, scale, size=tree.n_leaves)
+    return tree, exponential_utility(gamma, 2.0), e
+
+
+@pytest.mark.parametrize("gamma,scale", [(10.0, 3.0), (3.0, 20.0)])
+def test_maximal_support_holds_on_exact_exponential_optima(gamma, scale):
+    # the log-space pass charges every leaf, some with masses far below
+    # 1e-12 of the total, and a charged leaf is one with positive mass
+    tree, pair, e = _random_exponential_instance(6, gamma, scale)
+    sol = solve_dual(tree, pair, e)
+    assert 0 < sol._mu_arr.min() < 1e-12 * (1 + sol.mass)
+    rep = check_maximal_support(tree, sol, vertex_enumerate(build_constraints(tree)))
+    assert rep.vertices_tested > 0 and not rep.violations
+
+
+def test_maximal_support_flags_an_uncharged_vertex_leaf(tri1, exp_pair):
+    sol = solve_dual(tri1, exp_pair, {"a": 0.3, "b": -0.2, "c": 0.1})
+    verts = vertex_enumerate(build_constraints(tri1))
+    mu = sol._mu_arr.copy()
+    mu[tri1.leaf_index("a")] = 0.0
+    rep = check_maximal_support(tri1, dataclasses.replace(sol, _mu_arr=mu), verts)
+    charging = [k for k, v in enumerate(verts) if v.as_array(tri1)[0] > 0]
+    assert charging and rep.violations == tuple((k, "a") for k in charging)
+
+
+@pytest.mark.parametrize("k", [24, 74, 82])
+def test_newton_core_resolves_masses_far_apart(k):
+    # gamma 3 and endowments on [-20, 20]: leaf masses 1e-33..1e-49 of the
+    # total, which a constrained Newton solve on the masses did not resolve;
+    # the core, cold-started, matches the log-space pass
+    tree, pair, e = _random_exponential_instance(k, 3.0, 20.0)
+    sol = solve_dual(tree, pair, e)
+    value, q = _dense_core(tree, pair, e)
+    assert value == pytest.approx(sol.value, rel=1e-12, abs=0)
+    assert np.abs(sol.q_hat_array - q).max() <= 1e-9

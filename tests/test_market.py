@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 import treegen
 from treedual import (InvalidTreeError, ParseError, RandomVariable,
-                      ZeroMassError, condition, leaf_probabilities,
-                      load_market, market_from_dict, market_to_dict,
-                      save_market)
+                      ZeroMassError, condition, exponential_utility,
+                      leaf_probabilities, load_market, market_from_dict,
+                      market_to_dict, save_market, solve_dual,
+                      two_power_utility)
 
 
 def test_bin1_loads(bin1):
@@ -245,3 +246,29 @@ def test_layout_expectations_match_condition(drawn):
                     s_child[slice(*tree.leaf_slice(c))] = tree.price(c)[i]
                 assert prices[k, n, i] == pytest.approx(
                     condition(tree, s_child, q[k], nid), rel=1e-12, abs=1e-12)
+
+
+def _chain_dict(periods):
+    """Flat single-child periods, then one binomial step; two leaves."""
+    nodes = [{"id": "n0", "parent": None, "t": 0, "prices": ["1"], "prob": "1"}]
+    nodes += [{"id": f"n{t}", "parent": f"n{t - 1}", "t": t, "prices": ["1"],
+               "prob": "1"} for t in range(1, periods)]
+    nodes += [{"id": "u", "parent": f"n{periods - 1}", "t": periods, "prices": ["2"],
+               "prob": "0.5"},
+              {"id": "d", "parent": f"n{periods - 1}", "t": periods, "prices": ["0.5"],
+               "prob": "0.5"}]
+    return {"version": 1, "assets": ["S"], "nodes": nodes,
+            "endowment": {"u": "0.3", "d": "-0.1"}}
+
+
+def test_deep_chain_loads_and_solves(bin1):
+    # deeper than the interpreter's recursion limit; the flat periods change
+    # nothing, so the optimum is that of the one-period binomial
+    tree = market_from_dict(_chain_dict(2000))
+    assert tree.horizon == 2000 and tree.leaf_ids == ("u", "d")
+    assert tree.layout.lo.tolist()[:2] == [0, 0] and tree.layout.hi.tolist()[:2] == [2, 2]
+    for pair in (exponential_utility(1.0, 2.0), two_power_utility(0.5, 1.0, 1.0)):
+        sol = solve_dual(tree, pair, tree.endowment)
+        ref = solve_dual(bin1, pair, [0.3, -0.1])
+        assert sol.value == pytest.approx(ref.value, rel=1e-12)
+        assert sol.q_hat_array == pytest.approx(ref.q_hat_array, abs=1e-12)

@@ -26,7 +26,7 @@ def test_brute_dual_bin1_mass_only(bin1, exp_pair_raw):
 
 
 def test_brute_dual_matches_solver_tri1(tri1, exp_pair_raw):
-    sol = solve_dual(tri1, exp_pair_raw, 0.0, tol=1e-11)
+    sol = solve_dual(tri1, exp_pair_raw, 0.0)
     bd = brute_force_dual(tri1, exp_pair_raw, 0.0, points_per_dim=129, rounds=8)
     assert bd == pytest.approx(sol.value, abs=1e-6)
     assert bd >= sol.value - 1e-9   # grid minima never undercut the infimum
@@ -51,7 +51,7 @@ def test_brute_dual_grid_mode_refuses_high_dimension():
 def test_brute_dual_sample_mode():
     tree = treegen.product_market([[2.0, 1.0, 0.5]] * 2)
     pair = exponential_utility(1.0, 2.0)
-    sol = solve_dual(tree, pair, 0.0, tol=1e-11)
+    sol = solve_dual(tree, pair, 0.0)
     bd = brute_force_dual(tree, pair, 0.0, mode="sample", n_samples=4096, seed=1)
     assert bd >= sol.value - 1e-9
     assert bd <= sol.value + 0.05  # weaker evidence, documented as such
@@ -59,7 +59,7 @@ def test_brute_dual_sample_mode():
 
 def test_brute_primal_matches_recovered_value(tri1, exp_pair):
     e = {"a": 0.3, "b": -0.2, "c": 0.1}
-    sol = solve_dual(tri1, exp_pair, e, tol=1e-11)
+    sol = solve_dual(tri1, exp_pair, e)
     ps = recover(tri1, exp_pair, e, sol)
     bp = brute_force_primal(tri1, exp_pair, e)
     assert bp == pytest.approx(ps.value, abs=1e-7)

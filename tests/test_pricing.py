@@ -310,15 +310,15 @@ def test_pricing_and_solving_run_no_linear_program(tri1, exp_pair, pair_name,
 
 @pytest.mark.parametrize("y", [0.6, 1.5])
 def test_mass_curvature_matches_envelope_derivative(tri1, tp_pair, y):
-    # W'' from the inner Hessian against a central difference of the
-    # envelope W' = dual_derivative, with the claim added
+    # W'' read off the fixed-mass solution against a central difference of
+    # the envelope W' = dual_derivative, with the claim added
     shifted = RandomVariable(E_TRI) + RandomVariable(B_TRI)
-    sol = dual.solve_dual_fixed_mass(tri1, tp_pair, shifted, y, tol=1e-12)
+    sol = dual.solve_dual_fixed_mass(tri1, tp_pair, shifted, y)
     h = 1e-4
-    fd = (dual.dual_derivative(tri1, tp_pair, shifted, y * (1 + h), tol=1e-12)
-          - dual.dual_derivative(tri1, tp_pair, shifted, y * (1 - h), tol=1e-12)) \
+    fd = (dual.dual_derivative(tri1, tp_pair, shifted, y * (1 + h))
+          - dual.dual_derivative(tri1, tp_pair, shifted, y * (1 - h))) \
         / (2 * h * y)
-    assert pricing._mass_curvature(tri1, tp_pair, sol) == pytest.approx(fd, rel=1e-6)
+    assert sol.mass_curvature == pytest.approx(fd, rel=1e-6)
 
 
 def test_exponential_certainty_equivalent_equals_bid_on_tri1_at_volume_100(tri1):

@@ -66,7 +66,7 @@ def test_degenerate_refuses_recovery(exp_pair):
 def test_duality_gap_and_residuals(tri1, exp_pair, tp_pair):
     e = {"a": 0.3, "b": -0.2, "c": 0.1}
     for pair in (exp_pair, tp_pair):
-        sol = solve_dual(tri1, pair, e, tol=1e-11)
+        sol = solve_dual(tri1, pair, e)
         ps = recover(tri1, pair, e, sol)
         assert abs(ps.value - sol.value) <= 1e-7 * (1 + abs(sol.value))
         assert ps.first_order_residual <= 1e-8 * (1 + sol.mass)
@@ -75,7 +75,7 @@ def test_duality_gap_and_residuals(tri1, exp_pair, tp_pair):
 
 
 def test_supermartingale_under_vertices(tri1, exp_pair):
-    sol = solve_dual(tri1, exp_pair, 0.0, tol=1e-11)
+    sol = solve_dual(tri1, exp_pair, 0.0)
     ps = recover(tri1, exp_pair, 0.0, sol)
     verts = vertex_enumerate(build_constraints(tri1))
     rep = verify_supermartingale(tri1, ps.wealth, verts, exp_pair,
@@ -106,7 +106,7 @@ def test_supermartingale_check_detects_drift():
 
 
 def test_two_power_skips_infinite_entropy_vertices(tri1, tp_pair):
-    sol = solve_dual(tri1, tp_pair, 0.0, tol=1e-11)
+    sol = solve_dual(tri1, tp_pair, 0.0)
     ps = recover(tri1, tp_pair, 0.0, sol)
     verts = vertex_enumerate(build_constraints(tri1))
     rep = verify_supermartingale(tri1, ps.wealth, verts, tp_pair,
@@ -119,7 +119,7 @@ def test_two_power_skips_infinite_entropy_vertices(tri1, tp_pair):
 
 def test_dynamic_dual_boundary_times(tri1, exp_pair):
     e = {"a": 0.2, "b": -0.1, "c": 0.3}
-    sol = solve_dual(tri1, exp_pair, e, tol=1e-11)
+    sol = solve_dual(tri1, exp_pair, e)
     ps = recover(tri1, exp_pair, e, sol)
     root = dynamic_dual(tri1, exp_pair, e, 0, sol, wealth=ps.wealth)
     assert len(root) == 1
@@ -138,7 +138,7 @@ def test_dynamic_dual_interior_time(exp_pair, tp_pair):
     rng = np.random.default_rng(9)
     e = treegen.random_endowment(rng, tree)
     for pair in (exp_pair, tp_pair):
-        sol = solve_dual(tree, pair, e, tol=1e-11)
+        sol = solve_dual(tree, pair, e)
         ps = recover(tree, pair, e, sol)
         for t in range(tree.horizon + 1):
             for node in dynamic_dual(tree, pair, e, t, sol, wealth=ps.wealth):
@@ -148,7 +148,7 @@ def test_dynamic_dual_interior_time(exp_pair, tp_pair):
 
 def test_snell_envelope(tri1, exp_pair):
     e = {"a": 0.3, "b": -0.2, "c": 0.1}
-    sol = solve_dual(tri1, exp_pair, e, tol=1e-11)
+    sol = solve_dual(tri1, exp_pair, e)
     ps = recover(tri1, exp_pair, e, sol)
     verts = vertex_enumerate(build_constraints(tri1))
     rep = snell_envelope_exponential(tri1, exp_pair, e, sol, verts,
@@ -183,3 +183,16 @@ def test_extract_strategy_unreached_nodes(exp_pair):
     assert ps.unreached  # the dead branch has no optimal mass
     for nid in ps.unreached:
         assert nid in tree.nonleaf_ids
+
+
+def test_dynamic_dual_on_a_degenerate_market(exp_pair):
+    # the dead leaf is off the maximal support: the conditional problems run
+    # on the support, and the mass derivative vanishes at the optimal mass
+    tree = treegen.dead_leaf_market()
+    sol = solve_dual(tree, exp_pair, 0.0)
+    for t in range(tree.horizon + 1):
+        for node in dynamic_dual(tree, exp_pair, 0.0, t, sol):
+            assert math.isfinite(node.derivative) and node.restriction_gap <= 1e-12
+    root = dynamic_dual(tree, exp_pair, 0.0, 0, sol)[0]
+    assert root.value == pytest.approx(sol.value, rel=1e-14)
+    assert abs(root.derivative) <= 1e-12

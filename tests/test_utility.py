@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from treedual import (AssumptionFailError, DomainError, UtilityPair,
-                      certify_assumptions, evaluate, exponential_utility,
-                      parse_utility_spec, run_battery, two_power_utility)
+from treedual import (AssumptionFailError, DomainError, ParseError,
+                      UtilityPair, certify_assumptions, evaluate,
+                      exponential_utility, parse_utility_spec, run_battery,
+                      two_power_utility)
 from treedual.utility import _golden_min
 
 INF = float("inf")
@@ -316,6 +317,17 @@ def test_parse_utility_spec():
     assert pair.family == "two_power"
     with pytest.raises(Exception):
         parse_utility_spec("cobbdouglas:a=1")
+
+
+@pytest.mark.parametrize("spec,name", [("exp:gamma=1,C=2,zeta=3", "'zeta'"),
+                                       ("twopower:a=0.5,c=1", "'c'"),
+                                       ("exp:gamma=-1", "gamma"),
+                                       ("exp:gamma=nan", "'gamma'"),
+                                       ("twopower:a=2", "a must"),
+                                       ("twopower:b=0", "b must")])
+def test_parse_utility_spec_names_a_bad_parameter(spec, name):
+    with pytest.raises(ParseError, match=name):
+        parse_utility_spec(spec)
 
 
 def test_evaluate_dispatch():
