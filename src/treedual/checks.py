@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ class CheckResult:
     residual: float
     tolerance: float
     detail: str = ""
+    seconds: float = 0.0   # wall time, from run_battery
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -54,16 +56,23 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow, *,
 
     ``mu_override`` replaces the optimal measure before the downstream
     checks run (testing hook: a corrupted optimizer must make them fail).
+    A result's ``seconds`` run from the previous result, so work shared by
+    checks (the solve, the vertices, the recovery, the curve) is charged to
+    the first check that uses it.
     """
-    results = []
+    results, clock = [], [time.perf_counter()]
+
+    def add(*args):
+        clock.append(time.perf_counter())
+        results.append(CheckResult(*args, seconds=clock[-1] - clock[-2]))
+
     e = leaf_values(tree, endow)
     p = tree.leaf_probability_array
 
     cert = certify_assumptions(pair)
-    results.append(CheckResult(
-        "utility certification", cert.passed and cert.conjugacy_max_residual <= 1e-7,
+    add("utility certification", cert.passed and cert.conjugacy_max_residual <= 1e-7,
         cert.conjugacy_max_residual, 1e-7,
-        f"AE est ({cert.ae_minus_estimate:.3g}, {cert.ae_plus_estimate:.3g})"))
+        f"AE est ({cert.ae_minus_estimate:.3g}, {cert.ae_plus_estimate:.3g})")
 
     sol = solve_dual(tree, pair, endow)
     if mu_override is not None:
@@ -74,16 +83,15 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow, *,
 
     A = build_constraints(tree).matrix
     cons_res = float(np.abs(A @ sol._mu_arr).max()) if A.size else 0.0
-    results.append(CheckResult(
-        "martingale constraints at optimum", cons_res <= 1e-10 * (1 + sol.mass),
-        cons_res, 1e-10))
+    add("martingale constraints at optimum", cons_res <= 1e-10 * (1 + sol.mass),
+        cons_res, 1e-10)
 
     # KKT of the entropy program: gradient in the row space at charged leaves
     g = pair.v_prime(sol._mu_arr / p) + e
     live = sol._mu_arr > 0
     lam, *_ = np.linalg.lstsq(A[:, live].T, g[live], rcond=None)
     kkt = float(np.abs(g[live] - A[:, live].T @ lam).max()) / (1.0 + float(np.abs(g[live]).max()))
-    results.append(CheckResult("dual first-order conditions", kkt <= 1e-8, kkt, 1e-8))
+    add("dual first-order conditions", kkt <= 1e-8, kkt, 1e-8)
 
     # enumerated vertices decide equivalence apart from the support pass
     # behind the flag; samples cannot, so they defer to it
@@ -91,14 +99,12 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow, *,
     equivalent = (np.all(np.any([v.as_array(tree) > 0 for v in measures], axis=0))
                   if kind == "vertices" else find_equivalent_mm(tree) is not None)
     support_ok = (sol.support == "EQUIVALENT") == equivalent
-    results.append(CheckResult(
-        "support flag matches market", support_ok, 0.0 if support_ok else 1.0, 0.5,
-        sol.support))
+    add("support flag matches market", support_ok, 0.0 if support_ok else 1.0, 0.5,
+        sol.support)
 
     sc = check_maximal_support(tree, sol, measures)
-    results.append(CheckResult(
-        "maximal support", not sc.violations, float(len(sc.violations)), 0.5,
-        f"{sc.vertices_tested} {kind} tested"))
+    add("maximal support", not sc.violations, float(len(sc.violations)), 0.5,
+        f"{sc.vertices_tested} {kind} tested")
 
     if sol.support != "EQUIVALENT":
         return results
@@ -106,59 +112,48 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow, *,
     try:
         ps = recover(tree, pair, endow, sol)
     except Exception as exc:
-        results.append(CheckResult(
-            "primal recovery", False, math.inf, 1e-8,
-            f"{type(exc).__name__}: {exc}"))
+        add("primal recovery", False, math.inf, 1e-8, f"{type(exc).__name__}: {exc}")
         return results
     # the recovered primal value against the dual objective of the measure
     scale_v = 1.0 + abs(sol.value)
     gap = abs(ps.value - _objective(pair, p, e, sol._mu_arr)) / scale_v
-    results.append(CheckResult("zero duality gap", gap <= 1e-7, gap, 1e-7))
-    results.append(CheckResult(
-        "terminal first-order condition", ps.first_order_residual <= 1e-8 * (1 + sol.mass),
-        ps.first_order_residual, 1e-8))
-    results.append(CheckResult(
-        "one-step self-financing", ps.replication_residual <= 1e-8,
-        ps.replication_residual, 1e-8))
+    add("zero duality gap", gap <= 1e-7, gap, 1e-7)
+    add("terminal first-order condition", ps.first_order_residual <= 1e-8 * (1 + sol.mass),
+        ps.first_order_residual, 1e-8)
+    add("one-step self-financing", ps.replication_residual <= 1e-8,
+        ps.replication_residual, 1e-8)
     w0 = abs(float(ps.wealth.at(tree.root_id)))
-    results.append(CheckResult("zero-cost wealth at the root", w0 <= 1e-8, w0, 1e-8))
+    add("zero-cost wealth at the root", w0 <= 1e-8, w0, 1e-8)
 
     sm = verify_supermartingale(tree, ps.wealth, measures, pair, q_hat=sol.q_hat)
-    results.append(CheckResult(
-        "supermartingale under tested measures", not sm.violations,
-        max(sm.max_drift, 0.0), 1e-8, f"{sm.measures_tested} measures"))
-    results.append(CheckResult(
-        "martingale under the optimal measure",
+    add("supermartingale under tested measures", not sm.violations,
+        max(sm.max_drift, 0.0), 1e-8, f"{sm.measures_tested} measures")
+    add("martingale under the optimal measure",
         sm.max_abs_drift_under_optimal <= 1e-8,
-        sm.max_abs_drift_under_optimal, 1e-8))
+        sm.max_abs_drift_under_optimal, 1e-8)
 
     worst = 0.0
     for t in range(tree.horizon + 1):
         for noderes in dynamic_dual(tree, pair, endow, t, sol, wealth=ps.wealth):
             worst = max(worst, noderes.wealth_residual)
-    results.append(CheckResult(
-        "dynamic dual consistency", worst <= 1e-7, worst, 1e-7))
+    add("dynamic dual consistency", worst <= 1e-7, worst, 1e-7)
 
     if pair.family == "exponential":
         sn = snell_envelope_exponential(tree, pair, endow, sol, measures,
                                         wealth=ps.wealth)
-        results.append(CheckResult(
-            "exponential Snell envelope", sn.max_equality_gap <= 1e-5,
-            sn.max_equality_gap, 1e-5))
-        results.append(CheckResult(
-            "Snell lower bounds", sn.max_lower_bound_excess <= 1e-7,
-            max(sn.max_lower_bound_excess, 0.0), 1e-7))
+        add("exponential Snell envelope", sn.max_equality_gap <= 1e-5,
+            sn.max_equality_gap, 1e-5)
+        add("Snell lower bounds", sn.max_lower_bound_excess <= 1e-7,
+            max(sn.max_lower_bound_excess, 0.0), 1e-7)
 
     ys = sol.mass * np.array([0.5, 0.75, 1.0, 1.5, 2.0])
     curve = dual_value_curve(tree, pair, endow, ys)
     conv = -min(curve.min_second_difference, 0.0)
-    results.append(CheckResult("value curve convexity", conv <= 1e-8, conv, 1e-8))
-    results.append(CheckResult(
-        "curve minimum vs optimum", curve.min_value >= sol.value - 1e-8 * scale_v,
-        max(sol.value - curve.min_value, 0.0), 1e-8))
+    add("value curve convexity", conv <= 1e-8, conv, 1e-8)
+    add("curve minimum vs optimum", curve.min_value >= sol.value - 1e-8 * scale_v,
+        max(sol.value - curve.min_value, 0.0), 1e-8)
     d_opt = abs(curve.points[2].derivative)   # at y = sol.mass
-    results.append(CheckResult(
-        "stationarity of the mass derivative", d_opt <= 1e-7, d_opt, 1e-7))
+    add("stationarity of the mass derivative", d_opt <= 1e-7, d_opt, 1e-7)
 
     if pair.u(0.0) > 0:
         # growth of the value curve from the conjugate growth constant:
@@ -170,8 +165,7 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow, *,
             lhs = pt.y * pt.derivative
             rhs = cprime * pt.value - (cprime - 1.0) * x_low * pt.y
             worst_g = max(worst_g, (lhs - rhs) / (1.0 + abs(rhs)))
-        results.append(CheckResult(
-            "conjugate growth bound along the curve", worst_g <= 1e-6,
-            max(worst_g, 0.0), 1e-6, f"C'={cprime:.3g}"))
+        add("conjugate growth bound along the curve", worst_g <= 1e-6,
+            max(worst_g, 0.0), 1e-6, f"C'={cprime:.3g}")
 
     return results

@@ -312,9 +312,10 @@ def _cmd_verify(args, out: _Out):
     results = run_battery(tree, pair, endow, mu_override=override)
     failed = 0
     for r in results:
-        out.say(r.line())
+        out.say(f"{r.line()}  [{1e3 * r.seconds:.1f} ms]")
         failed += not r.passed
     out.say(f"{len(results) - failed}/{len(results)} checks passed")
+    out.manifest["check_seconds"] = {r.name: r.seconds for r in results}
     out.csv("verify.csv", ["check", "passed", "residual", "tolerance"],
             [[r.name, int(r.passed), f12(r.residual), f12(r.tolerance)]
              for r in results])

@@ -12,7 +12,8 @@ optionally a fixed total mass).  Two solvers share the result type.
   live children, from ``L_leaf = -gamma e``; the value is
   ``C - exp(L_root)/gamma``, the mass ``exp(L_root)`` and the normalized
   optimizer the product of the nodes' softmax weights.  Masses like
-  e^-1000 are exact in this form.
+  e^-1000 are exact in this form.  One pass serves a stack of endowments:
+  each level is one Newton batch over the nodes of all of them.
 * Two-power family, ``dynamic_dual`` and the tests' oracle: the optimal
   measure is the marginal utility of the optimal wealth, mu = p U'(e + gains),
   so the dual is solved through its primal, the unconstrained concave
@@ -53,7 +54,8 @@ class DualSolution:
     core the scaled gradient of the primal, which is the martingale (and
     mass) residual of mu.  ``mass_curvature`` is the core's W''(y), the
     second derivative of the optimal value in a fixed mass y (else None).
-    ``iterations`` logs the Newton steps taken.
+    ``iterations`` logs the Newton steps taken (of a log-space pass, summed
+    over levels of the most any endowment took).
     """
 
     tree: MarketTree
@@ -168,11 +170,12 @@ def _lse_min(b, x):
 
 @lru_cache(maxsize=256)
 def _live_levels(geo: SupportStructure):
-    """Per non-leaf level, bottom-up, the live nodes (g,), their padded live
-    children (g, m) with a mask, log branch probabilities (-inf at padding)
-    and price increments (g, m, d; zero at padding and below a node with one
-    live child, where it is zero up to the support tolerance).  A child is
-    live when a valid one-step vertex of its live parent charges it.
+    """Per non-leaf level, bottom-up, the live nodes (g,), their padded
+    children (g, m), log branch probabilities (-inf at padding and dead
+    children), price increments (g, m, d; zero there and below a node with
+    one live child), the live children with their flat slots in (g, m), and
+    1 + |S_n|.  A child is live when a valid vertex of its live parent
+    charges it.
     """
     lay = geo.layout
     n, starts = len(lay.ids), lay.level_starts
@@ -190,34 +193,38 @@ def _live_levels(geo: SupportStructure):
             lnp = np.where(on, np.log(lay.prob[kids]), -np.inf)
         dS = np.where((on & (on.sum(axis=1, keepdims=True) > 1))[..., None],
                       lay.prices[kids] - lay.prices[node, None], 0.0)
-        out.append((node, kids, on, lnp, dS))
+        out.append((node, kids, lnp, dS, np.flatnonzero(on), kids[on],
+                    1.0 + np.abs(lay.prices[node]).max(axis=1)))
     return tuple(out)
 
 
 def _log_partition(tree, gamma, e):
-    """Backward induction on ``L_n = ln min_h E[exp(-gamma(e + gains)) | n]``.
-
-    Returns L at the root, the log normalized optimizer on the leaves (-inf
-    off the maximal support), its largest scaled one-step drift and the
-    Newton steps taken."""
+    """Backward induction on ``L_n = ln min_h E[exp(-gamma(e + gains)) | n]``
+    for r endowments ``e`` (r, leaves); row j * g + i of a level's batch is
+    endowment j at node i.  Returns per endowment L at the root, the log
+    normalized optimizer on the leaves (-inf off the maximal support) and its
+    largest scaled one-step drift, and the Newton steps taken."""
     lay = tree.layout
-    inner = lay.level_starts[-2]
-    big_l = np.concatenate([np.zeros(inner), -gamma * e])
-    logw = np.concatenate([[0.0], np.full(len(lay.ids) - 1, -np.inf)])
-    drift, steps = 0.0, 0
-    for node, kids, on, lnp, dS in _live_levels(_support_structure(tree)):
-        big_l[node], lw, mean, used = _lse_min(lnp + big_l[kids], gamma * dS)
-        logw[kids[on]] = lw[on]
+    r, inner = e.shape[0], lay.level_starts[-2]
+    big_l = np.concatenate([np.zeros((r, inner)), -gamma * e], axis=1)
+    logw = np.where(np.arange(len(lay.ids)) == 0, 0.0, np.full((r, 1), -np.inf))
+    drift, steps = np.zeros(r), 0
+    for node, kids, lnp, dS, slots, on_kids, unit in _live_levels(_support_structure(tree)):
+        g = node.size
+        f, lw, mean, used = _lse_min((lnp + big_l.take(kids, axis=1)).reshape(r * g, -1),
+                                     np.concatenate([gamma * dS] * r))
+        big_l[:, node] = f.reshape(r, g)
+        logw[:, on_kids] = lw.reshape(r, -1).take(slots, axis=1)
         steps += used
-        s = np.abs(lay.prices[node]).max(axis=1)
-        drift = max(drift, float((np.abs(mean).max(axis=1) / gamma / (1.0 + s)).max()))
+        drift = np.maximum(drift, (np.abs(mean).max(axis=1).reshape(r, g)
+                                   / gamma / unit).max(axis=1))
     for lo, hi in zip(lay.level_starts[1:-1], lay.level_starts[2:]):
-        logw[lo:hi] += logw[lay.parent[lo:hi]]
-    return float(big_l[0]), logw[inner:], drift, steps
+        logw[:, lo:hi] += logw.take(lay.parent[lo:hi], axis=1)
+    return big_l[:, 0], logw[:, inner:], drift, steps
 
 
-def _log_space_solution(tree, pair, endow, mass=None) -> DualSolution:
-    """The exponential family's optimum (at total mass ``mass`` if given).
+def _log_space_solutions(tree, pair, endows, mass=None) -> list[DualSolution]:
+    """Exponential optima for ``endows`` from one pass, at each of ``mass`` if given.
 
     The normalized optimizer does not depend on the mass, so the fixed-mass
     optimum is ``mass * q_hat`` with value ``C + mass (ln mass - 1 - L)/gamma``.
@@ -225,15 +232,20 @@ def _log_space_solution(tree, pair, endow, mass=None) -> DualSolution:
     mass or the value leaves the floating-point range.
     """
     gamma, c = pair.params["gamma"], pair.params["C"]
-    e = leaf_values(tree, endow)
+    e = np.array([leaf_values(tree, x) for x in endows])
     _, flag = _prepare(tree, pair)
-    log_z, log_q, drift, steps = _log_partition(tree, gamma, e)
-    log_y = log_z if mass is None else math.log(mass)
-    with np.errstate(over="ignore"):
-        y = float(np.exp(log_z)) if mass is None else mass
-        value = c - y / gamma if mass is None else c + y * (log_y - 1.0 - log_z) / gamma
-        mu = np.exp(log_y + log_q)
-    return _solution(tree, pair, e, mu, np.exp(log_q), y, log_y, value, drift, flag, steps)
+    log_zs, log_qs, drifts, steps = _log_partition(tree, gamma, e)
+    out = []
+    for ej, log_z, log_q, drift in zip(e, log_zs.tolist(), log_qs, drifts.tolist()):
+        for m in [None] if mass is None else mass:
+            log_y = log_z if m is None else math.log(m)
+            with np.errstate(over="ignore"):
+                y = float(np.exp(log_z)) if m is None else m
+                value = c - y / gamma if m is None else c + y * (log_y - 1.0 - log_z) / gamma
+                mu = np.exp(log_y + log_q)
+            out.append(_solution(tree, pair, ej, mu, np.exp(log_q), y, log_y, value,
+                                 drift, flag, steps))
+    return out
 
 
 # -- Newton core ------------------------------------------------------------------
@@ -387,7 +399,7 @@ def solve_dual(tree: MarketTree, pair: UtilityPair, endow=0.0, *,
     :class:`ValueAtSupremumError` when the optimal mass underflows to 0.
     """
     if pair.family == "exponential":
-        sol = _log_space_solution(tree, pair, endow)
+        sol = _log_space_solutions(tree, pair, [endow])[0]
         if not sol.value >= _VALUE_FLOOR:
             raise EvaluationOverflowError(
                 "dual objective fell below the floating-point range")
@@ -416,7 +428,7 @@ def solve_dual_fixed_mass(tree: MarketTree, pair: UtilityPair, endow, y: float, 
     if y <= 0:
         raise NoMartingaleMeasureError("mass must be positive")
     if pair.family == "exponential":
-        return _log_space_solution(tree, pair, endow, mass=float(y))
+        return _log_space_solutions(tree, pair, [endow], mass=[float(y)])[0]
     return _core_solution(tree, pair, endow, float(y), start)
 
 
@@ -439,21 +451,25 @@ def dual_value_curve(tree: MarketTree, pair: UtilityPair, endow,
                      ys: Sequence[float]) -> CurveReport:
     """The mass-indexed dual value curve on a grid of positive masses.
 
-    Each point solves the inner problem with total mass pinned; the report
-    carries the worst second difference as a numeric convexity certificate.
+    Each point solves the inner problem with total mass pinned (one
+    log-space pass for the exponential family); the report carries the
+    worst second difference as a numeric convexity certificate.
     """
-    ys = [float(y) for y in ys]
+    ys = sorted(float(y) for y in ys)
     if any(y <= 0 for y in ys):
         raise NoMartingaleMeasureError("curve masses must be positive")
+    if pair.family == "exponential":
+        sols = _log_space_solutions(tree, pair, [endow], mass=ys)
+    else:
+        sols = []
+        for y in ys:
+            start = sols[-1]._mu_arr * (y / sols[-1].mass) if sols else None
+            sols.append(solve_dual_fixed_mass(tree, pair, endow, y, start=start))
     pts = []
-    prev = None
-    for y in sorted(ys):
-        start = prev._mu_arr * (y / prev.mass) if prev is not None else None
-        sol = solve_dual_fixed_mass(tree, pair, endow, y, start=start)
+    for y, sol in zip(ys, sols):
         d = float(np.dot(sol.q_hat_array,
                          pair.v_prime(sol.density_array) + sol._endow_arr))
         pts.append(CurvePoint(y=y, value=sol.value, q_hat=sol.q_hat, derivative=d))
-        prev = sol
     second = math.inf
     for a, b, c in zip(pts, pts[1:], pts[2:]):
         la = (b.value - a.value) / (b.y - a.y)

@@ -232,11 +232,12 @@ def _support_structure(tree: MarketTree) -> SupportStructure:
     node, weight = np.concatenate(node)[by_node], np.concatenate(weight)[by_node]
     child = np.minimum(first[node, None] + np.arange(count.max()), n - 1)
 
-    # a node k levels above the leaves is settled after k rounds
-    viable = np.arange(n) >= inner
-    for _ in range(tree.horizon):
-        valid = np.all(viable[child] | (weight == 0), axis=1)
-        viable[:inner] = np.bincount(node[valid], minlength=inner) > 0
+    # levels bottom up: a vertex is valid when its charged children are viable
+    viable, valid = np.arange(n) >= inner, np.zeros(node.size, dtype=bool)
+    ends = np.searchsorted(node, lay.level_starts)
+    for v0, v1 in zip(ends[-3::-1], ends[-2::-1]):
+        valid[v0:v1] = np.all(viable[child[v0:v1]] | (weight[v0:v1] == 0), axis=1)
+        viable[node[v0:v1][valid[v0:v1]]] = True
     if not viable[0]:
         raise NoMartingaleMeasureError(
             "no absolutely continuous martingale measure exists")

@@ -5,7 +5,7 @@ B minus cash and holding nothing.  For the exponential family the value is
 ``C - exp(L)/gamma`` with L the log-partition of the position and cash
 shifts L by -gamma per unit, so bid = certainty equivalent =
 ``(L(e) - L(e + B))/gamma`` and offer = ``(L(e - B) - L(e))/gamma`` from
-exact log-space passes, at any volume.  For the two-power family the value
+one exact log-space pass, at any volume.  For the two-power family the value
 increases in cash with the dual mass as derivative, and prices are found by
 bracketed Newton steps in certainty-equivalent units, each dual solve
 warm-started from the last.  The bid is recomputed independently as a
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import (DualSolution, _log_space_solution, solve_dual,
+from .dual import (DualSolution, _log_space_solutions, solve_dual,
                    solve_dual_fixed_mass)
 from .errors import (AugmentInfeasibleError, BracketFailError, DomainError,
                      InfeasibleEntropyError, InfiniteEntropyError,
@@ -53,18 +53,21 @@ def price_bounds(tree: MarketTree, claim) -> tuple[float, float]:
 
 
 class SolveCounter:
-    """Counts the dual solves made on behalf of one or more pricing calls;
-    the exponential family gets the log-space pass, free of overflow and
-    supremum errors."""
+    """Counts the dual optima computed on behalf of one or more pricing
+    calls; :meth:`log_space` gives the exponential family's from one pass,
+    free of overflow and supremum errors, reusing ``base`` for the first."""
 
     def __init__(self):
         self.n = 0
 
     def dual(self, tree, pair, endow, **kwargs):
         self.n += 1
-        if pair.family == "exponential":
-            return _log_space_solution(tree, pair, endow)
         return solve_dual(tree, pair, endow, **kwargs)
+
+    def log_space(self, tree, pair, endows, base=None):
+        sols = _log_space_solutions(tree, pair, endows[base is not None:])
+        self.n += len(sols)
+        return sols if base is None else [base] + sols
 
     def fixed_mass(self, *args, **kwargs):
         self.n += 1
@@ -149,8 +152,8 @@ def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
                        solves: SolveCounter | None = None) -> float:
     """Bid price: the cash p with value(endow + claim - p) = value(endow).
 
-    For the exponential family, the log-partition difference of one more
-    log-space pass.  Otherwise found by :func:`_cash_root` on c = -p,
+    For the exponential family, the log-partition difference of one pass
+    with and without the claim.  Otherwise found by :func:`_cash_root` on c = -p,
     started at minus the marginal price (the dual bound puts the value there
     at or below the target) and bracketed by minus the lower no-arbitrage
     bound (sub-replication puts it at or above).  ``base`` is the claim-free
@@ -161,10 +164,11 @@ def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
     solves = SolveCounter() if solves is None else solves
+    if pair.family == "exponential":
+        return _log_mass_gap(pair, *solves.log_space(tree, pair, [endow, endow + claim],
+                                                     base))
     if base is None:
         base = solves.dual(tree, pair, endow)
-    if pair.family == "exponential":
-        return _log_mass_gap(pair, base, solves.dual(tree, pair, endow + claim))
     lo_b, _ = price_bounds(tree, claim) if bounds is None else bounds
     c0 = -davis_price(tree, pair, endow, claim, sol=base)
     return -_cash_root(tree, pair, endow + claim, base.value, c0, -lo_b,
@@ -241,12 +245,12 @@ def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
     solves = SolveCounter() if solves is None else solves
+    if pair.family == "exponential":
+        return _penalized_expectation(tree, pair, endow, claim, *solves.log_space(
+            tree, pair, [endow, endow + claim], base))
     if base is None:
         base = solves.dual(tree, pair, endow)
     shifted = endow + claim
-    if pair.family == "exponential":
-        return _penalized_expectation(tree, pair, endow, claim, base,
-                                      solves.dual(tree, pair, shifted))
     gaps = {}
     last = base
 
@@ -281,8 +285,8 @@ def certainty_equivalent(tree: MarketTree, pair: UtilityPair, endow, claim, *,
                          start=None) -> float:
     """Cash amount with the same optimal value as holding the claim.
 
-    For the exponential family, the log-partition difference of two
-    log-space passes.  Otherwise found by :func:`_cash_root` on value(endow
+    For the exponential family, the log-partition difference of one
+    log-space pass.  Otherwise found by :func:`_cash_root` on value(endow
     + c) = value(endow + claim), started at the claim's expectation under
     the target problem's normalized optimal measure (the dual bound puts the
     value there at or below the target) and bracketed by the upper
@@ -294,9 +298,9 @@ def certainty_equivalent(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
     solves = SolveCounter() if solves is None else solves
-    target = solves.dual(tree, pair, endow + claim, start=start)
     if pair.family == "exponential":
-        return _log_mass_gap(pair, solves.dual(tree, pair, endow), target)
+        return _log_mass_gap(pair, *solves.log_space(tree, pair, [endow, endow + claim]))
+    target = solves.dual(tree, pair, endow + claim, start=start)
     _, hi_b = price_bounds(tree, claim) if bounds is None else bounds
     c0 = davis_price(tree, pair, endow + claim, claim, sol=target)
     return _cash_root(tree, pair, endow, target.value, c0, hi_b,
@@ -322,20 +326,20 @@ def price_report(tree: MarketTree, pair: UtilityPair, endow, claim) -> PriceRepo
     The no-arbitrage bounds (lo, hi) are computed once: they bracket the bid
     and the certainty equivalent, (-hi, -lo) brackets the offer (the bid of
     the negated claim), and they are reported as ``lp_bounds``.  For the
-    exponential family three log-space passes, at e, e + B and e - B, give
+    exponential family one log-space pass, at e, e + B and e - B, gives
     every price.
     """
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
     solves = SolveCounter()
-    sol = solves.dual(tree, pair, endow)
     lo, hi = price_bounds(tree, claim)
     if pair.family == "exponential":
-        plus = solves.dual(tree, pair, endow + claim)
+        sol, plus, minus = solves.log_space(tree, pair, [endow, endow + claim, endow - claim])
         bid = ce = _log_mass_gap(pair, sol, plus)
-        offer = _log_mass_gap(pair, solves.dual(tree, pair, endow - claim), sol)
+        offer = _log_mass_gap(pair, minus, sol)
         pen = _penalized_expectation(tree, pair, endow, claim, sol, plus)
     else:
+        sol = solves.dual(tree, pair, endow)
         bid = indifference_price(tree, pair, endow, claim, base=sol, bounds=(lo, hi),
                                  solves=solves)
         pen = price_via_penalty(tree, pair, endow, claim, base=sol, solves=solves)
@@ -374,20 +378,24 @@ def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
     the volume grows and to the marginal price as it vanishes.  One base
     solve and one extremal sweep serve every volume, each priced by
     :func:`indifference_price`; the bounds of beta * claim are beta times
-    those of the claim, swapped when beta < 0.
+    those of the claim, swapped when beta < 0.  The exponential family
+    takes the base and every volume from one log-space pass.
     """
     endow = _as_rv(tree, endow)
     claim = _as_rv(tree, claim)
     betas = sorted(float(b) for b in betas)
     solves = SolveCounter()
-    sol = solves.dual(tree, pair, endow)
     lp_lo, lp_hi = price_bounds(tree, claim)
-    prices = []
-    for beta in betas:
-        p_total = indifference_price(tree, pair, endow, claim * beta, base=sol,
+    if pair.family == "exponential":
+        sol, *shifted = solves.log_space(
+            tree, pair, [endow] + [endow + claim * beta for beta in betas])
+        totals = [_log_mass_gap(pair, sol, s) for s in shifted]
+    else:
+        sol = solves.dual(tree, pair, endow)
+        totals = [indifference_price(tree, pair, endow, claim * beta, base=sol,
                                      bounds=tuple(sorted((beta * lp_lo, beta * lp_hi))),
-                                     solves=solves)
-        prices.append(p_total / beta)
+                                     solves=solves) for beta in betas]
+    prices = [t / beta for t, beta in zip(totals, betas)]
     dav = davis_price(tree, pair, endow, claim, sol=sol)
     scale = 1.0 + max(abs(p) for p in prices)
     monotone = all(b <= a + 1e-9 * scale for a, b in zip(prices, prices[1:]))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -150,6 +151,22 @@ def test_verify_exit_codes(tri1_file, capsys, inject, code):
     argv = ["verify", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2"]
     assert cli.run(argv + inject) == code
     assert ("FAIL" in capsys.readouterr().out) == bool(inject)
+
+
+def test_verify_reports_check_times_outside_the_csv(tri1_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["verify", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2",
+            "--output-dir", str(out)]
+    t0 = time.perf_counter()
+    assert cli.run(argv) == cli.EXIT_OK
+    wall = time.perf_counter() - t0
+    text = capsys.readouterr().out
+    seconds = json.loads((out / "manifest.json").read_text())["check_seconds"]
+    rows = (out / "verify.csv").read_text().splitlines()
+    assert rows[0] == "check,passed,residual,tolerance"
+    assert sorted(seconds) == sorted(row.split(",")[0] for row in rows[1:])
+    assert min(seconds.values()) >= 0 and sum(seconds.values()) <= wall
+    assert text.count(" ms]") == len(seconds)
 
 
 @pytest.mark.parametrize("betas", ["1e-4:1e4", "a:b:c", "1:10:x", "1e-4:1e4:0", "0:1:3"])

@@ -15,7 +15,7 @@ from treedual import (EvaluationOverflowError, InfeasibleEntropyError,
                       dual_value_curve, exponential_utility, leaf_values,
                       load_market, solve_dual, solve_dual_fixed_mass,
                       two_power_utility, vertex_enumerate)
-from treedual import dual, geometry
+from treedual import dual, geometry, oracle
 
 # closed form for the binomial market with unit risk aversion and no
 # endowment: mass solves E_Q[log(y q/p)] = 0 with q = (1/3, 2/3), p = (1/2, 1/2)
@@ -333,7 +333,7 @@ def test_log_mass_dominates_every_ray():
         tree = treegen.random_market(rng, max_periods=2, n_assets=1 + k % 2)
         gamma = float(rng.uniform(0.2, 10.0))
         e = rng.uniform(-800.0, 100.0) + rng.uniform(-5.0, 5.0, size=tree.n_leaves)
-        sol = dual._log_space_solution(tree, exponential_utility(gamma, 2.0), e)
+        sol, = dual._log_space_solutions(tree, exponential_utility(gamma, 2.0), [e])
         p = tree.leaf_probability_array
         verts = vertex_enumerate(build_constraints(tree))
         for q in [v.as_array(tree) for v in verts] + [sol.q_hat_array]:
@@ -395,6 +395,41 @@ def test_log_space_pass_matches_the_newton_core(instance):
     assert sol.value == pytest.approx(value, rel=1e-12, abs=0)
     assert np.abs(sol.q_hat_array - q).max() <= 1e-9
     assert sol.stationarity <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exponential_instances(), st.sampled_from([2, 3, 5]), st.integers(0, 2**32 - 1))
+def test_stacked_pass_equals_single_passes_row_by_row(instance, r, seed):
+    # every node of every endowment is its own row of the level's Newton
+    # batch, so stacking changes no arithmetic
+    tree, pair, e = instance
+    rng = np.random.default_rng(seed)
+    scale = float(np.abs(e).max())
+    endows = [e] + [rng.uniform(-scale, scale, size=e.size) for _ in range(r - 1)]
+    stacked = dual._log_space_solutions(tree, pair, endows)
+    assert len(stacked) == r
+    for x, sol in zip(endows, stacked):
+        one, = dual._log_space_solutions(tree, pair, [x])
+        assert sol.value == one.value and sol._log_mass == one._log_mass
+        assert np.array_equal(sol.q_hat_array, one.q_hat_array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exponential_instances())
+def test_stacked_pass_meets_the_grid_oracle(instance):
+    # the grid's minimum never undercuts the infimum; after its 8 zooms it
+    # resolves an optimum whose charged leaves all weigh above 1e-3 to about
+    # 1e-6, while nearer a face (weights down to e^-40 here) its zoom can
+    # drift off the minimizer by percents
+    tree, pair, e = instance
+    if oracle.polytope_dimension(tree) > oracle.GRID_DIM_LIMIT:
+        return
+    for sol, x in zip(dual._log_space_solutions(tree, pair, [e, -e]), [e, -e]):
+        grid = oracle.brute_force_dual(tree, pair, x, mode="grid")
+        assert sol.value <= grid + 1e-12 * (1.0 + abs(grid))
+        q = sol.q_hat_array
+        if q[q > 0].min() > 1e-3:
+            assert grid - sol.value <= 1e-5 * (1.0 + abs(sol.value))
 
 
 def test_tri1_value_with_a_large_claim_is_exact(tri1):

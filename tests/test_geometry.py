@@ -13,6 +13,7 @@ from treedual import (CapExceededError, MeasureVector,
                       market_to_dict, relative_entropy,
                       sample_martingale_measures, solve_dual,
                       two_power_utility, vertex_enumerate)
+from treedual import geometry
 from treedual.geometry import MartingaleConstraints, _support_structure
 from treedual.simplex import solve_lp
 
@@ -405,3 +406,61 @@ def _edited_random_markets(draw):
 def test_backward_pass_matches_lp_oracle_on_random_markets(drawn):
     tree, rng = drawn
     _assert_matches_lp_oracle(tree, rng.normal(size=tree.n_leaves))
+
+
+def _round_based_support(tree):
+    """(node, child, weight) of the valid one-step vertices, with viability
+    settled in ``tree.horizon`` rounds over every vertex of the tree."""
+    lay = tree.layout
+    n, inner = len(lay.ids), lay.level_starts[-2]
+    first = lay.first_child
+    count = np.diff(first, append=n)
+    node, weight = [], []
+    for m in np.unique(count):
+        idx = np.flatnonzero(count == m)
+        g, w = geometry._one_step_vertices(lay.prices[first[idx, None] + np.arange(m)]
+                                           - lay.prices[idx, None])
+        node.append(idx[g])
+        weight.append(np.pad(w, ((0, 0), (0, count.max() - m))))
+    by_node = np.argsort(np.concatenate(node), kind="stable")
+    node, weight = np.concatenate(node)[by_node], np.concatenate(weight)[by_node]
+    child = np.minimum(first[node, None] + np.arange(count.max()), n - 1)
+    viable = np.arange(n) >= inner
+    for _ in range(tree.horizon):
+        valid = np.all(viable[child] | (weight == 0), axis=1)
+        viable[:inner] = np.bincount(node[valid], minlength=inner) > 0
+    return node[valid], child[valid], weight[valid]
+
+
+def _arbitrage_below_a_viable_root():
+    """Root children 2, 1.5 and 0.5 around 1; both children of node "a" lie
+    above its price 2, so "a" is not viable, the root's vertex charging it
+    is invalid and the root stays viable through "b" and "c"."""
+    nodes = [{"id": "r", "parent": None, "t": 0, "prices": ["1"], "prob": "1"}]
+    for nid, price, kids in (("a", "2", ("3", "2.5")), ("b", "1.5", ("2", "1")),
+                             ("c", "0.5", ("1", "0.25"))):
+        nodes.append({"id": nid, "parent": "r", "t": 1, "prices": [price], "prob": "0.25"
+                      if nid != "b" else "0.5"})
+        nodes += [{"id": f"{nid}{k}", "parent": nid, "t": 2, "prices": [s], "prob": "0.5"}
+                  for k, s in enumerate(kids)]
+    return market_from_dict({"version": 1, "assets": ["S"], "nodes": nodes})
+
+
+@pytest.mark.parametrize("tree", [
+    *[inst[0] for inst in treegen.acceptance_suite()],
+    treegen.dead_leaf_market(),
+    treegen.product_market([[2.0, 1.0], [1.5, 0.5]]),
+    _arbitrage_below_a_viable_root(),
+])
+def test_bottom_up_viability_matches_the_round_based_loop(tree):
+    geo = _support_structure(tree)
+    node, child, weight = _round_based_support(tree)
+    assert np.array_equal(geo.node, node)
+    assert np.array_equal(geo.child, child)
+    assert np.array_equal(geo.weight, weight)
+
+
+def test_a_node_without_vertices_kills_its_subtree():
+    tree = _arbitrage_below_a_viable_root()
+    assert tree.leaf_ids[:2] == ("a0", "a1")
+    assert _support_structure(tree).mask.tolist() == [False, False, True, True, True, True]

@@ -8,7 +8,7 @@ import treegen
 from treedual import (AdaptedProcess, AugmentInfeasibleError, MeasureVector,
                       EvaluationOverflowError, InfiniteEntropyError,
                       RandomVariable, average_price_curve,
-                      build_constraints,
+                      build_constraints, dual_value_curve,
                       certainty_equivalent, check_mubpp, davis_price,
                       endowment_sensitivity, entropic_penalty,
                       exponential_utility, indifference_price,
@@ -17,7 +17,7 @@ from treedual import (AdaptedProcess, AugmentInfeasibleError, MeasureVector,
                       price_report, price_via_penalty, solve_dual,
                       solve_dual_fixed_mass, two_power_utility,
                       vertex_enumerate)
-from treedual import dual, geometry, pricing
+from treedual import cli, dual, geometry, pricing
 
 E_TRI = {"a": 0.3, "b": -0.2, "c": 0.1}
 B_TRI = {"a": 1.0, "b": 0.0, "c": 0.0}
@@ -229,20 +229,45 @@ def test_exponential_certainty_equivalent_equals_bid_at_large_volume():
 @pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
 def test_price_report_counts_its_dual_solves(tri1, pair_name, request,
                                              monkeypatch):
+    # (solver, optima returned) per call; dual_solves counts optima
     pair = request.getfixturevalue(pair_name)
     calls = []
-    for name in ("solve_dual", "solve_dual_fixed_mass", "_log_space_solution"):
-        def counted(*args, _fn=getattr(pricing, name), **kwargs):
-            calls.append(name)
-            return _fn(*args, **kwargs)
+    for name in ("solve_dual", "solve_dual_fixed_mass", "_log_space_solutions"):
+        def counted(*args, _fn=getattr(pricing, name), _name=name, **kwargs):
+            out = _fn(*args, **kwargs)
+            calls.append((_name, len(out) if isinstance(out, list) else 1))
+            return out
         monkeypatch.setattr(pricing, name, counted)
     rep = price_report(tri1, pair, E_TRI, B_TRI)
-    assert rep.dual_solves == len(calls)
+    assert rep.dual_solves == sum(n for _, n in calls)
     assert rep.dual_solves <= 25
     assert rep.method_agreement_residual <= 1e-6
     if pair_name == "exp_pair":
-        # one log-space pass each at e, e + B and e - B
-        assert calls == ["_log_space_solution"] * 3
+        # one log-space pass over e, e + B and e - B
+        assert calls == [("_log_space_solutions", 3)] and rep.dual_solves == 3
+
+
+def test_exponential_pricing_makes_one_pass_per_call(exp_pair, monkeypatch):
+    # one Newton batch per live non-leaf level, whatever the number of
+    # endowments the pass stacks
+    tree = treegen.product_market([[1.3, 1.0, 0.8]] * 3)
+    rng = np.random.default_rng(3)
+    endow, claim = rng.uniform(-1, 1, tree.n_leaves), rng.uniform(0, 2, tree.n_leaves)
+    levels = len(dual._live_levels(geometry._support_structure(tree)))
+    calls = []
+
+    def counted(*args, _fn=dual._lse_min):
+        calls.append(1)
+        return _fn(*args)
+    monkeypatch.setattr(dual, "_lse_min", counted)
+    assert price_report(tree, exp_pair, endow, claim).dual_solves == 3
+    assert len(calls) == levels == 3
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    betas = cli._parse_betas(sub.choices["curve"].get_default("betas"))
+    assert average_price_curve(tree, exp_pair, endow, claim, betas).dual_solves == 10
+    assert len(calls) == 2 * levels
+    dual_value_curve(tree, exp_pair, endow, [0.5, 0.75, 1.0, 1.5, 2.0])
+    assert len(calls) == 3 * levels
 
 
 def _count_sweeps(monkeypatch):
