@@ -62,9 +62,10 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow, *,
     """
     results, clock = [], [time.perf_counter()]
 
-    def add(*args):
+    def add(name, passed, residual, *rest):   # + 0.0 turns -0.0 into 0.0
         clock.append(time.perf_counter())
-        results.append(CheckResult(*args, seconds=clock[-1] - clock[-2]))
+        results.append(CheckResult(name, passed, residual + 0.0, *rest,
+                                   seconds=clock[-1] - clock[-2]))
 
     e = leaf_values(tree, endow)
     p = tree.leaf_probability_array
@@ -120,6 +121,7 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow, *,
     add("zero duality gap", gap <= 1e-7, gap, 1e-7)
     add("terminal first-order condition", ps.first_order_residual <= 1e-8 * (1 + sol.mass),
         ps.first_order_residual, 1e-8)
+    # X from the measure against the wealth of the solver's strategy
     add("one-step self-financing", ps.replication_residual <= 1e-8,
         ps.replication_residual, 1e-8)
     w0 = abs(float(ps.wealth.at(tree.root_id)))

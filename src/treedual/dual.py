@@ -2,7 +2,8 @@
 
 The objective is ``F(mu) = sum_l [ p_l V(mu_l/p_l) + mu_l e_l ]`` minimized
 over non-negative leaf measures satisfying the martingale equality rows (and
-optionally a fixed total mass).  Two solvers share the result type.
+optionally a fixed total mass).  Two solvers share the result type; both
+return the optimal strategy h too, which primal recovery reads.
 
 * Exponential family: exponential utility does not depend on wealth, so the
   dual is solved exactly by backward induction on the log-partition (Rouge &
@@ -10,10 +11,11 @@ optionally a fixed total mass).  Two solvers share the result type.
   and entropic penalties*, *Math. Finance* 12, 2002).  Each non-leaf node n
   takes ``L_n = min_k logsumexp_c(ln p_(c|n) + L_c - gamma k.dS_c)`` over its
   live children, from ``L_leaf = -gamma e``; the value is
-  ``C - exp(L_root)/gamma``, the mass ``exp(L_root)`` and the normalized
-  optimizer the product of the nodes' softmax weights.  Masses like
-  e^-1000 are exact in this form.  One pass serves a stack of endowments:
-  each level is one Newton batch over the nodes of all of them.
+  ``C - exp(L_root)/gamma``, the mass ``exp(L_root)``, the normalized
+  optimizer the product of the nodes' softmax weights and h_n the minimizer
+  k of node n.  Masses like e^-1000 are exact in this form.  One pass serves
+  a stack of endowments: each level is one Newton batch over the nodes of
+  all of them.
 * Two-power family, ``dynamic_dual`` and the tests' oracle: the optimal
   measure is the marginal utility of the optimal wealth, mu = p U'(e + gains),
   so the dual is solved through its primal, the unconstrained concave
@@ -72,6 +74,7 @@ class DualSolution:
     _endow_arr: np.ndarray = field(repr=False, default=None)
     _q_arr: np.ndarray = field(repr=False, default=None)
     _log_mass: float = field(repr=False, default=None)  # exact where mass underflows
+    _h_arr: np.ndarray = field(repr=False, default=None)  # strategy (non-leaf nodes, d)
 
     @property
     def q_hat_array(self) -> np.ndarray:
@@ -82,18 +85,14 @@ class DualSolution:
         return self._mu_arr / self.tree.leaf_probability_array
 
 
-def _solution(tree, pair, e, mu, q, mass, log_mass, value, residual, flag, steps,
+def _solution(tree, pair, e, mu, q, mass, log_mass, value, residual, flag, steps, h,
               curvature=None):
     return DualSolution(
-        tree=tree, pair=pair,
-        mu=MeasureVector.from_array(tree, mu),
-        mass=mass,
-        q_hat=MeasureVector.from_array(tree, q),
-        value=value,
-        stationarity=residual,
-        support=flag,
-        iterations=({"steps": steps, "residual": residual},),
-        mass_curvature=curvature, _mu_arr=mu, _endow_arr=e, _q_arr=q, _log_mass=log_mass)
+        tree=tree, pair=pair, mu=MeasureVector.from_array(tree, mu), mass=mass,
+        q_hat=MeasureVector.from_array(tree, q), value=value, stationarity=residual,
+        support=flag, iterations=({"steps": steps, "residual": residual},),
+        mass_curvature=curvature, _mu_arr=mu, _endow_arr=e, _q_arr=q, _log_mass=log_mass,
+        _h_arr=h)
 
 
 # -- exponential family: backward induction in log space ------------------------
@@ -113,8 +112,8 @@ def _lse_min(b, x):
     its predicted decrease or, where the value is flat to rounding, on a
     smaller gradient.  A node is done once its gradient and predicted
     decrease are at rounding level, or once a step fails with its predicted
-    decrease below rounding.  Returns the minima, log softmax weights,
-    gradients E_w[x] (up to sign) and steps.
+    decrease below rounding.  Returns the minima, minimizers k, log softmax
+    weights, gradients E_w[x] (up to sign) and steps.
     """
     top_b = b.max(axis=1)
     b = b - top_b[:, None]
@@ -165,7 +164,7 @@ def _lse_min(b, x):
         k[ok] += alpha[ok, None] * step[ok]
         f[ok], logw[ok], mean[ok] = f1[ok], logw1[ok], mean1[ok]
         damp = np.where(ok, np.maximum(0.25 * damp / alpha, 1e-12), 4.0 * damp)
-    return f + top_b, logw, mean, steps
+    return f + top_b, k, logw, mean, steps
 
 
 @lru_cache(maxsize=256)
@@ -201,26 +200,27 @@ def _live_levels(geo: SupportStructure):
 def _log_partition(tree, gamma, e):
     """Backward induction on ``L_n = ln min_h E[exp(-gamma(e + gains)) | n]``
     for r endowments ``e`` (r, leaves); row j * g + i of a level's batch is
-    endowment j at node i.  Returns per endowment L at the root, the log
-    normalized optimizer on the leaves (-inf off the maximal support) and its
-    largest scaled one-step drift, and the Newton steps taken."""
+    endowment j at node i.  Returns per endowment L at the root, the strategy
+    (inner, d) of minimizers k (0 where ``_live_levels`` zeroes dS or drops
+    the node), the log normalized optimizer on the leaves (-inf off the
+    maximal support) and its largest scaled one-step drift, and the steps."""
     lay = tree.layout
     r, inner = e.shape[0], lay.level_starts[-2]
     big_l = np.concatenate([np.zeros((r, inner)), -gamma * e], axis=1)
     logw = np.where(np.arange(len(lay.ids)) == 0, 0.0, np.full((r, 1), -np.inf))
-    drift, steps = np.zeros(r), 0
+    drift, steps, h = np.zeros(r), 0, np.zeros((r, inner, lay.prices.shape[1]))
     for node, kids, lnp, dS, slots, on_kids, unit in _live_levels(_support_structure(tree)):
         g = node.size
-        f, lw, mean, used = _lse_min((lnp + big_l.take(kids, axis=1)).reshape(r * g, -1),
-                                     np.concatenate([gamma * dS] * r))
-        big_l[:, node] = f.reshape(r, g)
+        f, k, lw, mean, used = _lse_min((lnp + big_l.take(kids, axis=1)).reshape(r * g, -1),
+                                        np.concatenate([gamma * dS] * r))
+        big_l[:, node], h[:, node] = f.reshape(r, g), k.reshape(r, g, -1)
         logw[:, on_kids] = lw.reshape(r, -1).take(slots, axis=1)
         steps += used
         drift = np.maximum(drift, (np.abs(mean).max(axis=1).reshape(r, g)
                                    / gamma / unit).max(axis=1))
     for lo, hi in zip(lay.level_starts[1:-1], lay.level_starts[2:]):
         logw[:, lo:hi] += logw.take(lay.parent[lo:hi], axis=1)
-    return big_l[:, 0], logw[:, inner:], drift, steps
+    return big_l[:, 0], h, logw[:, inner:], drift, steps
 
 
 def _log_space_solutions(tree, pair, endows, mass=None) -> list[DualSolution]:
@@ -234,9 +234,9 @@ def _log_space_solutions(tree, pair, endows, mass=None) -> list[DualSolution]:
     gamma, c = pair.params["gamma"], pair.params["C"]
     e = np.array([leaf_values(tree, x) for x in endows])
     _, flag = _prepare(tree, pair)
-    log_zs, log_qs, drifts, steps = _log_partition(tree, gamma, e)
+    log_zs, hs, log_qs, drifts, steps = _log_partition(tree, gamma, e)
     out = []
-    for ej, log_z, log_q, drift in zip(e, log_zs.tolist(), log_qs, drifts.tolist()):
+    for ej, log_z, h, log_q, drift in zip(e, log_zs.tolist(), hs, log_qs, drifts.tolist()):
         for m in [None] if mass is None else mass:
             log_y = log_z if m is None else math.log(m)
             with np.errstate(over="ignore"):
@@ -244,7 +244,7 @@ def _log_space_solutions(tree, pair, endows, mass=None) -> list[DualSolution]:
                 value = c - y / gamma if m is None else c + y * (log_y - 1.0 - log_z) / gamma
                 mu = np.exp(log_y + log_q)
             out.append(_solution(tree, pair, ej, mu, np.exp(log_q), y, log_y, value,
-                                 drift, flag, steps))
+                                 drift, flag, steps, h))
     return out
 
 
@@ -279,9 +279,9 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None):
     is acceptable; otherwise it raises :class:`NonconvergedError`, as it
     does after 200 steps.
     ``start``, a leaf measure positive on ``live``, starts the loop at
-    c = lstsq(B, -V'(start/p) - e).  Returns mu (0 off ``live``), the value
-    (plus p V(0) off ``live``), the residual, the steps and, at a fixed mass,
-    W''(y) = [H^-1]_xx.
+    c = lstsq(B, -V'(start/p) - e).  Returns mu (0 off ``live``), h, the
+    value (plus p V(0) off ``live``), the residual, the steps and, at a fixed
+    mass, W''(y) = [H^-1]_xx.
     """
     pl, el, y = p[live], e[live], 0.0 if mass is None else mass
     B = A[:, live].T
@@ -354,7 +354,7 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None):
     full[live] = mu
     if not live.all():
         phi += float(p[~live].sum()) * float(pair.v(0.0))
-    return full, phi, res, steps, None if mass is None else direction(up, mu)[1]
+    return full, c[:k], phi, res, steps, None if mass is None else direction(up, mu)[1]
 
 
 # -- public solver ---------------------------------------------------------------
@@ -376,12 +376,12 @@ def _core_solution(tree, pair, endow, mass, start):
     """The Newton core on the maximal support (the two-power family)."""
     e = leaf_values(tree, endow)
     mask, flag = _prepare(tree, pair)
-    mu, value, res, steps, curvature = _newton_core(
+    mu, h, value, res, steps, curvature = _newton_core(
         build_constraints(tree).matrix, tree.leaf_probability_array, e, pair, mask,
         mass=mass, start=start)
     y = float(mu.sum())
     return _solution(tree, pair, e, mu, mu / y, y, math.log(y), value, res, flag,
-                     steps, curvature)
+                     steps, h.reshape(-1, tree.n_assets), curvature)
 
 
 def solve_dual(tree: MarketTree, pair: UtilityPair, endow=0.0, *,

@@ -105,7 +105,7 @@ class NoPrimalOptimizerError(TreedualError):
 
 
 class ReplicationGapError(TreedualError):
-    """One-step replication residual above tolerance (solver diagnostic)."""
+    """Terminal wealth and strategy disagree beyond tolerance (solver diagnostic)."""
 
     code = "REPLICATION_GAP"
 

@@ -281,6 +281,16 @@ class MarketTree:
         with np.errstate(invalid="ignore"):  # 0/0 at nodes without mass
             return num / m[tail], m
 
+    def gains(self, h) -> np.ndarray:
+        """Gains (N,) at every node of a strategy ``h`` (n, d) on the non-leaf
+        nodes, in layout order: 0 at the root, then one step per level,
+        ``G[child] = G[parent] + h[parent].(S_child - S_parent)``."""
+        lay, g = self.layout, np.zeros(len(self.layout.ids))
+        for a, b in zip(lay.level_starts[1:], lay.level_starts[2:]):
+            n = lay.parent[a:b]
+            g[a:b] = g[n] + np.einsum("nd,nd->n", h[n], lay.prices[a:b] - lay.prices[n])
+        return g
+
     def __repr__(self):
         return (f"MarketTree(T={self.horizon}, assets={list(self.assets)}, "
                 f"nodes={len(self.nodes)}, leaves={self.n_leaves})")

@@ -1,9 +1,9 @@
 """Primal recovery: optimal terminal wealth, trading strategy, verification.
 
 The optimal terminal gain is read off the dual optimizer through the inverse
-marginal: ``X_l = -V'(density_l) - e_l``.  The wealth process is its
-conditional expectation under the normalized optimal measure, and the
-strategy solves the one-step replication systems node by node.  On a finite
+marginal: ``X_l = -V'(density_l) - e_l``.  The strategy is the one the dual
+solver found with the measure, and the wealth process is its cost plus its
+cumulative gains, which must meet X on every charged leaf.  On a finite
 tree the gain of any strategy is an exact martingale under every martingale
 measure wherever the conditional expectation is defined, so the
 supermartingale verification reports per-node drifts against enumerated
@@ -26,10 +26,18 @@ from .geometry import (MeasureVector, _support_structure, build_constraints,
 from .market import AdaptedProcess, MarketTree, RandomVariable, leaf_values
 from .utility import UtilityPair
 
+_REPLICATION_TOL = 1e-8  # scaled gap between X and the strategy's wealth
+
 
 @dataclass(frozen=True, eq=False)
 class PrimalSolution:
-    """Terminal wealth, wealth process, strategy and diagnostics."""
+    """Terminal wealth, wealth process, strategy and diagnostics.
+
+    The strategy is the dual solver's.  Where a node's increments do not
+    span R^d it is one of the strategies with the same gains there: the
+    minimum-norm one from the log-space pass, another from the Newton core.
+    ``unreached`` lists the non-leaf nodes without optimal mass.
+    """
 
     terminal_wealth: RandomVariable
     wealth: AdaptedProcess             # scalar per node
@@ -65,51 +73,27 @@ def recover_terminal_wealth(tree: MarketTree, pair: UtilityPair, endow,
 
 
 def extract_strategy(tree: MarketTree, sol: DualSolution, xhat: RandomVariable,
-                     pair: UtilityPair, endow, *,
-                     tol: float = 1e-8) -> PrimalSolution:
-    """Wealth as the conditional expectation of the terminal wealth under the
-    optimal measure, strategy by one-step least-squares replication.
+                     pair: UtilityPair, endow) -> PrimalSolution:
+    """The solver's strategy h with its wealth x0 + gains(h), x0 = E_q[X]
+    under the normalized optimal measure q.
 
-    The replication residual certifies exact attainability; a residual above
-    ``tol`` is a solver-failure diagnostic, not a mathematical outcome, and
-    raises :class:`ReplicationGapError` naming the worst node.
+    The replication residual max |X - wealth| over the leaves q charges
+    compares the dual side (X from the measure) with the primal side (h);
+    above 1e-8 (scaled) it is a solver failure, not a mathematical outcome,
+    and raises :class:`ReplicationGapError` naming the worst leaf.
     """
     e = leaf_values(tree, endow)
     x = xhat.as_array(tree)
     q = sol.q_hat_array
-    lay = tree.layout
-    mass = tree.subtree_sums(q)
-    wealth = np.divide(tree.subtree_sums(q * x), mass, out=np.zeros_like(mass),
-                       where=mass > 0)
-    wealth[lay.level_starts[-2]:] = x
-    kids = np.append(lay.first_child, len(lay.ids))
-    strategy: dict[str, np.ndarray] = {}
-    unreached: list[str] = []
-    scale = 1.0 + float(np.abs(x).max())
-
-    worst = (0.0, None)
-    for t in range(tree.horizon - 1, -1, -1):
-        for k in range(lay.level_starts[t], lay.level_starts[t + 1]):
-            nid = lay.ids[k]
-            dS = lay.prices[kids[k]:kids[k + 1]] - lay.prices[k]
-            w_kids = wealth[kids[k]:kids[k + 1]]
-            if mass[k] > 0:
-                h, *_ = np.linalg.lstsq(dS, w_kids - wealth[k], rcond=None)
-            else:
-                # 0/0 convention: joint least-squares over (wealth, strategy)
-                unreached.append(nid)
-                M = np.column_stack([np.ones(len(w_kids)), dS])
-                coef, *_ = np.linalg.lstsq(M, w_kids, rcond=None)
-                wealth[k], h = coef[0], coef[1:]
-            resid = float(np.abs(w_kids - wealth[k] - dS @ h).max())
-            strategy[nid] = h
-            if mass[k] > 0 and resid > worst[0]:
-                worst = (resid, nid)
-
-    if worst[0] > tol * scale:
+    lay, on = tree.layout, q > 0
+    inner = lay.level_starts[-2]
+    wealth = float(q[on] @ x[on]) + tree.gains(sol._h_arr)
+    gap = np.where(on, np.abs(x - wealth[inner:]), 0.0)
+    worst, resid = tree.leaf_ids[int(np.argmax(gap))], float(gap.max())
+    if resid > _REPLICATION_TOL * (1.0 + float(np.abs(x[on]).max())):
         raise ReplicationGapError(
-            f"replication residual {worst[0]:.3e} at node {worst[1]!r} "
-            f"exceeds {tol:.1e} (scaled)", node_id=worst[1], residual=worst[0])
+            f"replication residual {resid:.3e} at leaf {worst!r} exceeds "
+            f"{_REPLICATION_TOL:.1e} (scaled)", node_id=worst, residual=resid)
 
     p = tree.leaf_probability_array
     value = float(np.dot(p, pair.u(x + e)))
@@ -118,19 +102,20 @@ def extract_strategy(tree: MarketTree, sol: DualSolution, xhat: RandomVariable,
     return PrimalSolution(
         terminal_wealth=xhat,
         wealth=AdaptedProcess(dict(zip(lay.ids, wealth.tolist()))),
-        strategy=AdaptedProcess(strategy),
-        replication_residual=worst[0],
+        strategy=AdaptedProcess(dict(zip(tree.nonleaf_ids, sol._h_arr))),
+        replication_residual=resid,
         value=value,
         first_order_residual=foc,
-        unreached=tuple(unreached),
+        unreached=tuple(lay.ids[k] for k in
+                        np.flatnonzero(tree.subtree_sums(q)[:inner] == 0)),
     )
 
 
 def recover(tree: MarketTree, pair: UtilityPair, endow,
-            sol: DualSolution, *, tol: float = 1e-8) -> PrimalSolution:
+            sol: DualSolution) -> PrimalSolution:
     """Terminal wealth plus strategy extraction in one call."""
     xhat = recover_terminal_wealth(tree, pair, endow, sol)
-    return extract_strategy(tree, sol, xhat, pair, endow, tol=tol)
+    return extract_strategy(tree, sol, xhat, pair, endow)
 
 
 # -- verification -----------------------------------------------------------------
@@ -238,8 +223,8 @@ def dynamic_dual(tree: MarketTree, pair: UtilityPair, endow, t: int,
         inside = (lay.lo >= lo) & (lay.hi <= hi)
         A_sub = A[np.repeat(inside[:lay.level_starts[-2]], tree.n_assets), lo:hi]
         p_sub, e_sub, on = p[lo:hi], e[lo:hi], live[lo:hi]
-        mu_sub, raw, *_ = _newton_core(A_sub, p_sub, e_sub, pair, on,
-                                       mass=m_n, start=mu[lo:hi])
+        mu_sub, _, raw, *_ = _newton_core(A_sub, p_sub, e_sub, pair, on,
+                                          mass=m_n, start=mu[lo:hi])
         value = raw / P_n
         # the envelope formula; leaves off the support carry no mass
         mu_on = mu_sub[on]

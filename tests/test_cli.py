@@ -1,11 +1,12 @@
 import json
+import math
 import time
 
 import pytest
 
 import treegen
 from treedual import (cli, load_market, optimal_measure_price_process,
-                      parse_utility_spec, solve_dual)
+                      parse_utility_spec, run_battery, solve_dual)
 
 
 @pytest.mark.parametrize("command", ["price", "curve"])
@@ -167,6 +168,19 @@ def test_verify_reports_check_times_outside_the_csv(tri1_file, tmp_path, capsys)
     assert sorted(seconds) == sorted(row.split(",")[0] for row in rows[1:])
     assert min(seconds.values()) >= 0 and sum(seconds.values()) <= wall
     assert text.count(" ms]") == len(seconds)
+
+
+def test_verify_residuals_have_a_positive_sign(capsys):
+    # the convex value curve's margin was -min(0.0, 0.0) = -0.0 here, which
+    # printed as -0.000e+00
+    path = treegen.DATA / "quote_pinned_4x4_2a.json"
+    tree = load_market(path)
+    results = run_battery(tree, parse_utility_spec("exp:gamma=1,C=2"), tree.endowment)
+    assert all(math.copysign(1.0, r.residual) == 1.0 for r in results)
+    assert cli.run(["verify", "--market", str(path), "--utility", "exp:gamma=1,C=2"]) \
+        == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "value curve convexity: residual 0.000e+00" in out and "-0.000e+00" not in out
 
 
 @pytest.mark.parametrize("betas", ["1e-4:1e4", "a:b:c", "1:10:x", "1e-4:1e4:0", "0:1:3"])

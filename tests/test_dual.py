@@ -432,6 +432,36 @@ def test_stacked_pass_meets_the_grid_oracle(instance):
             assert grid - sol.value <= 1e-5 * (1.0 + abs(sol.value))
 
 
+@st.composite
+def _two_power_instances(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tree = treegen.random_market(rng, max_periods=3, n_assets=draw(st.sampled_from([1, 2])))
+    pair = two_power_utility(float(rng.uniform(0.3, 0.7)), float(rng.uniform(0.3, 3.0)), 1.0)
+    return tree, pair, rng.uniform(-3.0, 3.0, size=tree.n_leaves)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_two_power_instances())
+def test_newton_core_meets_both_oracles(instance):
+    # weak duality puts the optimum between the primal oracle's best
+    # strategy and the grid's best measure; they close in on it as the
+    # exponential grid test describes
+    tree, pair, e = instance
+    sol = solve_dual(tree, pair, e)
+    tol = 1e-12 * (1.0 + abs(sol.value))
+    q = sol.q_hat_array
+    close = q[q > 0].min() > 1e-3
+    if oracle.polytope_dimension(tree) <= oracle.GRID_DIM_LIMIT:
+        grid = oracle.brute_force_dual(tree, pair, e, mode="grid")
+        assert sol.value <= grid + tol
+        assert not close or grid - sol.value <= 1e-5 * (1.0 + abs(sol.value))
+    if oracle.strategy_dimension(tree) <= oracle.PRIMAL_DIM_LIMIT:
+        # the primal is concave: a few starts find its maximum
+        primal = oracle.brute_force_primal(tree, pair, e, n_starts=4)
+        assert sol.value >= primal - tol
+        assert not close or sol.value - primal <= 1e-5 * (1.0 + abs(sol.value))
+
+
 def test_tri1_value_with_a_large_claim_is_exact(tri1):
     # claim 100 on leaf a: the optimum charges leaves a and c with ~e^-33
     # relative to b; reference value computed with 60-digit arithmetic

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treegen
 from treedual import (AdaptedProcess, MeasureVector, NoPrimalOptimizerError,
-                      NotExponentialError, build_constraints, dynamic_dual,
-                      exponential_utility, extract_strategy, leaf_values,
-                      recover, recover_terminal_wealth,
+                      NotExponentialError, RandomVariable, build_constraints,
+                      dynamic_dual, exponential_utility, extract_strategy,
+                      leaf_values, recover, recover_terminal_wealth,
                       snell_envelope_exponential, solve_dual,
                       two_power_utility, verify_supermartingale,
                       vertex_enumerate)
@@ -172,17 +174,18 @@ def test_snell_requires_exponential(tri1, tp_pair):
 
 
 def test_extract_strategy_unreached_nodes(exp_pair):
-    # zero-mass interior nodes fall back to the least-squares convention
+    # the up branch is dead, so the optimal measure gives its node no mass:
+    # the node is listed, and its strategy is the solver's (0 on dead nodes)
     tree = treegen.product_market([[2.0, 1.0], [1.5, 0.5]])
     sol = solve_dual(tree, exp_pair, 0.0)
     assert sol.support == "DEGENERATE"
-    # recovery refuses wholesale; exercise the convention through the raw op
-    xhat = {l: 1.0 for l in tree.leaf_ids}
-    from treedual import RandomVariable
-    ps = extract_strategy(tree, sol, RandomVariable(xhat), exp_pair, 0.0)
-    assert ps.unreached  # the dead branch has no optimal mass
-    for nid in ps.unreached:
-        assert nid in tree.nonleaf_ids
+    # recovery refuses wholesale; exercise the raw op
+    ps = extract_strategy(tree, sol, RandomVariable.constant(tree, 1.0), exp_pair, 0.0)
+    assert ps.unreached == ("r.0",)
+    for k, nid in enumerate(tree.nonleaf_ids):
+        assert np.array_equal(ps.strategy.at(nid), sol._h_arr[k])
+    assert np.array_equal(ps.strategy.at("r.0"), [0.0])
+    assert ps.wealth.at("r.0") == ps.wealth.at("r") == 1.0
 
 
 def test_dynamic_dual_on_a_degenerate_market(exp_pair):
@@ -196,3 +199,100 @@ def test_dynamic_dual_on_a_degenerate_market(exp_pair):
     root = dynamic_dual(tree, exp_pair, 0.0, 0, sol)[0]
     assert root.value == pytest.approx(sol.value, rel=1e-14)
     assert abs(root.derivative) <= 1e-12
+
+
+# -- the solvers' strategy against per-node least-squares replication ---------------
+
+
+def _lstsq_replication(tree, q, x):
+    """Reference: the wealth E_q[x | n] and, at every node with q-mass, the
+    least-squares (minimum-norm) solution h of dS h = child wealth - node
+    wealth, node by node; NaN at nodes without mass."""
+    lay = tree.layout
+    inner = lay.level_starts[-2]
+    mass = tree.subtree_sums(q)
+    wealth = np.divide(tree.subtree_sums(q * x), mass, out=np.full_like(mass, np.nan),
+                       where=mass > 0)
+    wealth[inner:] = x
+    h = np.full((inner, tree.n_assets), np.nan)
+    kids = np.append(lay.first_child, len(lay.ids))
+    for k in np.flatnonzero(mass[:inner] > 0):
+        dS = lay.prices[kids[k]:kids[k + 1]] - lay.prices[k]
+        h[k] = np.linalg.lstsq(dS, wealth[kids[k]:kids[k + 1]] - wealth[k], rcond=None)[0]
+    return wealth, h
+
+
+def _assert_matches_replication(tree, sol, ps):
+    lay, inner = tree.layout, tree.layout.level_starts[-2]
+    x = ps.terminal_wealth.as_array(tree)
+    ref_w, ref_h = _lstsq_replication(tree, sol.q_hat_array, x)
+    scale = 1.0 + np.abs(x[sol.q_hat_array > 0]).max()
+    wealth = np.array([ps.wealth.at(n) for n in lay.ids])
+    h = np.array([ps.strategy.at(n) for n in tree.nonleaf_ids])
+    on = ~np.isnan(ref_w)
+    assert np.abs(wealth - ref_w)[on].max() <= 1e-10 * scale
+    # the reference h is only as exact as its wealth over the smallest
+    # singular value of dS, so h is compared in wealth units: to 1e-10 of
+    # the wealth scale over that value where dS has rank d, by its gains dS h
+    # elsewhere
+    kids = np.append(lay.first_child, len(lay.ids))
+    for k in np.flatnonzero(~np.isnan(ref_h[:, 0])):
+        dS = lay.prices[kids[k]:kids[k + 1]] - lay.prices[k]
+        if np.linalg.matrix_rank(dS) == tree.n_assets:
+            smin = np.linalg.svd(dS, compute_uv=False).min()
+            assert np.abs(h[k] - ref_h[k]).max() * smin <= 1e-10 * scale
+        else:
+            assert np.abs(dS @ (h[k] - ref_h[k])).max() <= 1e-10 * scale
+
+
+@st.composite
+def _recovery_instances(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tree = treegen.random_market(rng, max_periods=3, n_assets=draw(st.sampled_from([1, 2])))
+    gamma = float(rng.uniform(0.3, 3.0))
+    # gamma is the risk aversion of the exponential pair and the left-tail
+    # exponent b of the two-power one
+    pair = (exponential_utility(gamma, 2.0) if draw(st.booleans())
+            else two_power_utility(float(rng.uniform(0.3, 0.7)), gamma, 1.0))
+    return tree, pair, rng.uniform(-3.0, 3.0, size=tree.n_leaves)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_recovery_instances())
+def test_solver_strategy_matches_least_squares_replication(instance):
+    tree, pair, e = instance
+    sol = solve_dual(tree, pair, e)
+    _assert_matches_replication(tree, sol, recover(tree, pair, e, sol))
+
+
+@pytest.mark.parametrize("pair", [exponential_utility(1.0, 2.0),
+                                  two_power_utility(0.5, 1.0, 1.0)], ids=["exp", "twopower"])
+def test_rank_deficient_root_keeps_the_solver_strategy(pair):
+    # both root increments lie on one line, so the root strategy is unique
+    # only along it: the log-space pass returns the minimum-norm one, the
+    # Newton core another with the same gains
+    tree = treegen.product_market([[(1.2, 1.05), (0.9, 0.975)],
+                                   [(1.3, 1.2), (0.8, 0.85), (1.0, 1.05)]], s0=(1.0, 2.0))
+    dS = tree.layout.prices[1:3] - tree.layout.prices[0]
+    assert np.linalg.matrix_rank(dS) == 1
+    sol = solve_dual(tree, pair, 0.0)
+    ps = recover(tree, pair, 0.0, sol)
+    _assert_matches_replication(tree, sol, ps)
+    _, ref_h = _lstsq_replication(tree, sol.q_hat_array, ps.terminal_wealth.as_array(tree))
+    h = ps.strategy.at(tree.root_id)
+    assert np.abs(dS @ h).max() > 0.1
+    if pair.family == "exponential":
+        assert h == pytest.approx(ref_h[0], rel=1e-10)
+
+
+def test_recovery_runs_no_least_squares(exp_pair, tp_pair, monkeypatch):
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 5)
+    assert tree.n_leaves == 243
+    e = np.random.default_rng(0).uniform(-1.0, 1.0, tree.n_leaves)
+    sols = [(pair, solve_dual(tree, pair, e)) for pair in (exp_pair, tp_pair)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a least-squares problem was solved")
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    for pair, sol in sols:
+        assert recover(tree, pair, e, sol).replication_residual <= 1e-8
