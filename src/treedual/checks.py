@@ -79,8 +79,10 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow, *,
     if mu_override is not None:
         arr = np.asarray(mu_override, dtype=float)
         mass = float(arr.sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_q = None if sol._log_q is None else np.log(arr / mass)
         sol = dataclasses.replace(sol, mass=mass, _mu_arr=arr, _q_arr=arr / mass,
-                                  _log_mass=math.log(mass))
+                                  _log_mass=math.log(mass), _log_q=log_q)
 
     A = build_constraints(tree).matrix
     cons_res = float(np.abs(A @ sol._mu_arr).max()) if A.size else 0.0

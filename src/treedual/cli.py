@@ -139,15 +139,15 @@ def _cmd_solve(args, out: _Out):
     out.say(f"support: {sol.support}")
     out.say(f"stationarity residual: {f12(sol.stationarity)}")
     out.say("leaf  mass  normalized  density")
+    mu = sol.mu.values
     for leaf in tree.leaf_ids:
-        m = sol.mu.values[leaf]
+        m = mu[leaf]
         out.say(f"  {leaf}  {f12(m)}  {f12(m / sol.mass)}  "
                 f"{f12(m / tree.node_probability(leaf))}")
     out.csv("optimal_measure.csv",
             ["leaf", "mass", "normalized", "density"],
-            [[leaf, f12(sol.mu.values[leaf]),
-              f12(sol.mu.values[leaf] / sol.mass),
-              f12(sol.mu.values[leaf] / tree.node_probability(leaf))]
+            [[leaf, f12(mu[leaf]), f12(mu[leaf] / sol.mass),
+              f12(mu[leaf] / tree.node_probability(leaf))]
              for leaf in tree.leaf_ids])
     return EXIT_OK
 

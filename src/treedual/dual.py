@@ -57,14 +57,14 @@ class DualSolution:
     mass) residual of mu.  ``mass_curvature`` is the core's W''(y), the
     second derivative of the optimal value in a fixed mass y (else None).
     ``iterations`` logs the Newton steps taken (of a log-space pass, summed
-    over levels of the most any endowment took).
+    over levels of the most any endowment took).  ``mu`` and ``q_hat`` are
+    leaf-keyed views of the optimal and normalized measures, built from the
+    arrays on each access.
     """
 
     tree: MarketTree
     pair: UtilityPair
-    mu: MeasureVector
     mass: float
-    q_hat: MeasureVector
     value: float
     stationarity: float
     support: str                      # "EQUIVALENT" | "DEGENERATE"
@@ -75,6 +75,15 @@ class DualSolution:
     _q_arr: np.ndarray = field(repr=False, default=None)
     _log_mass: float = field(repr=False, default=None)  # exact where mass underflows
     _h_arr: np.ndarray = field(repr=False, default=None)  # strategy (non-leaf nodes, d)
+    _log_q: np.ndarray = field(repr=False, default=None)  # ln q_hat, exponential family
+
+    @property
+    def mu(self) -> MeasureVector:
+        return MeasureVector.from_array(self.tree, self._mu_arr)
+
+    @property
+    def q_hat(self) -> MeasureVector:
+        return MeasureVector.from_array(self.tree, self._q_arr)
 
     @property
     def q_hat_array(self) -> np.ndarray:
@@ -86,13 +95,12 @@ class DualSolution:
 
 
 def _solution(tree, pair, e, mu, q, mass, log_mass, value, residual, flag, steps, h,
-              curvature=None):
+              curvature=None, log_q=None):
     return DualSolution(
-        tree=tree, pair=pair, mu=MeasureVector.from_array(tree, mu), mass=mass,
-        q_hat=MeasureVector.from_array(tree, q), value=value, stationarity=residual,
+        tree=tree, pair=pair, mass=mass, value=value, stationarity=residual,
         support=flag, iterations=({"steps": steps, "residual": residual},),
         mass_curvature=curvature, _mu_arr=mu, _endow_arr=e, _q_arr=q, _log_mass=log_mass,
-        _h_arr=h)
+        _h_arr=h, _log_q=log_q)
 
 
 # -- exponential family: backward induction in log space ------------------------
@@ -244,7 +252,7 @@ def _log_space_solutions(tree, pair, endows, mass=None) -> list[DualSolution]:
                 value = c - y / gamma if m is None else c + y * (log_y - 1.0 - log_z) / gamma
                 mu = np.exp(log_y + log_q)
             out.append(_solution(tree, pair, ej, mu, np.exp(log_q), y, log_y, value,
-                                 drift, flag, steps, h))
+                                 drift, flag, steps, h, log_q=log_q))
     return out
 
 

@@ -26,16 +26,19 @@ at load time; the original strings are kept so that serialization round-trips
 bit-exactly.  Unknown fields are rejected.  Trees are immutable after
 construction and safe to share across threads.
 
-Each tree also carries a level-order layout (:class:`TreeLayout`): nodes are
-numbered ``nonleaf_ids + leaf_ids``, so time levels are contiguous, every
-node's children are consecutive, and the leaves come last in leaf order.
-With each node's parent index, prices, branch probability and leaf slice
-as arrays, every per-node conditional expectation is a subtree sum
-(:meth:`MarketTree.subtree_sums`, :meth:`MarketTree.one_step_expectation`).
+A tree's structure is its level-order layout (:class:`TreeLayout`), built
+once from the file's columns: nodes are numbered ``nonleaf_ids + leaf_ids``,
+so time levels are contiguous, every node's children are consecutive, and
+the leaves come last in leaf order.  With each node's parent index, prices,
+branch probability and leaf slice as arrays, every per-node conditional
+expectation is a subtree sum (:meth:`MarketTree.subtree_sums`,
+:meth:`MarketTree.one_step_expectation`).  The node records keep the file's
+order and strings, for the round trip only.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -77,13 +80,16 @@ class RandomVariable:
 
     def as_array(self, tree: "MarketTree") -> np.ndarray:
         """Values in the tree's canonical leaf order; validates coverage."""
-        missing = [l for l in tree.leaf_ids if l not in self.values]
-        if missing:
-            raise ParseError(f"random variable missing leaves: {missing[:5]}")
-        extra = set(self.values) - set(tree.leaf_ids)
-        if extra:
+        ids, values = tree.leaf_ids, self.values
+        try:
+            arr = np.fromiter(map(float, map(values.__getitem__, ids)), float, len(ids))
+        except KeyError:
+            missing = [l for l in ids if l not in values]
+            raise ParseError(f"random variable missing leaves: {missing[:5]}") from None
+        if len(values) != len(ids):
+            extra = set(values) - set(ids)
             raise ParseError(f"random variable has unknown leaves: {sorted(extra)[:5]}")
-        return np.array([float(self.values[l]) for l in tree.leaf_ids])
+        return arr
 
     @staticmethod
     def constant(tree: "MarketTree", c: float) -> "RandomVariable":
@@ -165,23 +171,29 @@ class MarketTree:
     """Immutable finite scenario-tree market.
 
     Construct via :func:`load_market` or :func:`market_from_dict`; direct
-    instantiation is internal.  Leaves are stored in depth-first order so
-    every node's subtree occupies a contiguous leaf slice.
+    instantiation is internal.  The level-order :attr:`layout` is the one
+    structural representation, and every accessor reads it; ``nodes`` keeps
+    the file's records, in file order, for :func:`market_to_dict`.  Leaves
+    are in depth-first order, so every node's subtree occupies a contiguous
+    leaf slice.
     """
 
-    __slots__ = (
-        "assets", "nodes", "endowment", "claims", "layout",
-        "_by_id", "_children", "_root", "_horizon",
-        "_leaf_ids", "_leaf_pos", "_pos", "_p_leaf", "_node_prob", "_nodes_at",
-    )
+    __slots__ = ("assets", "nodes", "endowment", "claims", "layout",
+                 "_pos", "_leaf_ids", "_node_prob")
 
-    def __init__(self, assets, nodes, endowment, claims, _token=None):
+    def __init__(self, assets, nodes, endowment, claims, layout, node_prob,
+                 _token=None):
         if _token is not _BUILD_TOKEN:
             raise TypeError("use load_market or market_from_dict to build trees")
         self.assets = assets
         self.nodes = nodes
         self.endowment = endowment
         self.claims = claims
+        self.layout = layout
+        self._pos = {nid: k for k, nid in enumerate(layout.ids)}
+        self._leaf_ids = layout.ids[layout.level_starts[-2]:]
+        node_prob.setflags(write=False)
+        self._node_prob = node_prob  # (N,) unconditional, in layout order
 
     # -- structure accessors ------------------------------------------------
 
@@ -191,11 +203,11 @@ class MarketTree:
 
     @property
     def horizon(self) -> int:
-        return self._horizon
+        return len(self.layout.level_starts) - 2
 
     @property
     def root_id(self) -> str:
-        return self._root
+        return self.layout.ids[0]
 
     @property
     def leaf_ids(self) -> tuple[str, ...]:
@@ -214,46 +226,38 @@ class MarketTree:
     def node_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes)
 
-    def node(self, node_id: str) -> NodeRecord:
-        return self._by_id[node_id]
-
     def children(self, node_id: str) -> tuple[str, ...]:
-        return self._children[node_id]
-
-    def parent(self, node_id: str) -> str | None:
-        return self._by_id[node_id].parent
+        lay, k = self.layout, self._pos[node_id]
+        inner = lay.level_starts[-2]
+        if k >= inner:
+            return ()
+        end = lay.first_child[k + 1] if k + 1 < inner else len(lay.ids)
+        return lay.ids[lay.first_child[k]:end]
 
     def time(self, node_id: str) -> int:
-        return self._by_id[node_id].t
-
-    def is_leaf(self, node_id: str) -> bool:
-        return not self._children[node_id]
+        return bisect.bisect_right(self.layout.level_starts, self._pos[node_id]) - 1
 
     def price(self, node_id: str) -> np.ndarray:
-        return np.array(self._by_id[node_id].prices)
-
-    def nodes_at(self, t: int) -> tuple[str, ...]:
-        return self._nodes_at[t]
+        return self.layout.prices[self._pos[node_id]].copy()
 
     def leaf_slice(self, node_id: str) -> tuple[int, int]:
         """Contiguous [lo, hi) range of leaf indices under ``node_id``."""
         k = self._pos[node_id]
         return int(self.layout.lo[k]), int(self.layout.hi[k])
 
-    def leaves_under(self, node_id: str) -> tuple[str, ...]:
-        lo, hi = self.leaf_slice(node_id)
-        return self._leaf_ids[lo:hi]
-
     def leaf_index(self, leaf_id: str) -> int:
-        return self._leaf_pos[leaf_id]
+        k = self._pos[leaf_id] - self.layout.level_starts[-2]
+        if k < 0:
+            raise KeyError(leaf_id)
+        return k
 
     def node_probability(self, node_id: str) -> float:
         """Unconditional probability of passing through ``node_id``."""
-        return self._node_prob[node_id]
+        return float(self._node_prob[self._pos[node_id]])
 
     @property
     def leaf_probability_array(self) -> np.ndarray:
-        return self._p_leaf
+        return self._node_prob[self.layout.level_starts[-2]:]
 
     def subtree_sums(self, v) -> np.ndarray:
         """Sums of a leaf array, or of a stack (..., L) of them, over every
@@ -299,56 +303,37 @@ class MarketTree:
 _BUILD_TOKEN = object()
 
 
-def _finish_tree(tree: MarketTree) -> None:
-    by_id = {n.id: n for n in tree.nodes}
-    children: dict[str, list[str]] = {n.id: [] for n in tree.nodes}
-    root = None
-    for n in tree.nodes:
-        if n.parent is None:
-            root = n.id
-        else:
-            children[n.parent].append(n.id)
-    tree._by_id = by_id
-    tree._children = {k: tuple(v) for k, v in children.items()}
-    tree._root = root
-    tree._horizon = max(n.t for n in tree.nodes)
+def _build_layout(records, par, t, prob, horizon) -> tuple[TreeLayout, np.ndarray]:
+    """The level-order layout and the unconditional node probabilities from
+    file-order columns (``par``: the file index of each node's parent).
 
-    # depth-first leaf order, child order as in the file; each level in that
-    # order; an explicit stack, so depth is not bounded by Python recursion
-    leaf_ids: list[str] = []
-    node_prob: dict[str, float] = {root: 1.0}
-    levels: list[list[str]] = [[] for _ in range(tree._horizon + 1)]
-    stack = [root]
-    while stack:
-        nid = stack.pop()
-        levels[by_id[nid].t].append(nid)
-        kids = tree._children[nid]
-        if not kids:
-            leaf_ids.append(nid)
-        for c in kids:
-            node_prob[c] = node_prob[nid] * by_id[c].prob
-        stack.extend(reversed(kids))
-    tree._leaf_ids = tuple(leaf_ids)
-    tree._leaf_pos = {l: i for i, l in enumerate(leaf_ids)}
-    tree._node_prob = node_prob
-    p = np.array([node_prob[l] for l in leaf_ids])
-    p.setflags(write=False)
-    tree._p_leaf = p
-    tree._nodes_at = {t: tuple(level) for t, level in enumerate(levels)}
-
-    ids = tuple(nid for level in levels for nid in level)
-    tree._pos = pos = {nid: k for k, nid in enumerate(ids)}
-    parent = np.array([0] + [pos[by_id[nid].parent] for nid in ids[1:]], dtype=np.intp)
-    starts = tuple(np.cumsum([0] + [len(level) for level in levels]).tolist())
+    The nodes are grouped by time, and each level is sorted stably by its
+    parents' positions: depth-first order, with siblings as in the file.
+    """
+    n = len(records)
+    order = np.argsort(t, kind="stable")
+    starts = np.searchsorted(t[order], np.arange(horizon + 2))
+    pos, parent = np.empty(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    pos[order[0]] = 0
+    node_prob = np.ones(n)
+    for a, b in zip(starts[1:-1], starts[2:]):
+        up = pos[par[order[a:b]]]
+        sort = np.argsort(up, kind="stable")
+        order[a:b], parent[a:b] = order[a:b][sort], up[sort]
+        pos[order[a:b]] = np.arange(a, b)
+        node_prob[a:b] = node_prob[parent[a:b]] * prob[order[a:b]]
+    starts = tuple(starts.tolist())
     first = np.searchsorted(parent[1:], np.arange(starts[-2])) + 1
     # leaf slices, bottom up: a node spans its first child's lo to its last child's hi
-    lo = np.arange(len(ids), dtype=np.intp) - starts[-2]
-    hi, last = lo + 1, np.append(first[1:], len(ids)) - 1
+    lo = np.arange(n, dtype=np.intp) - starts[-2]
+    hi, last = lo + 1, np.append(first[1:], n) - 1
     for a, b in zip(starts[-3::-1], starts[-2:0:-1]):
         lo[a:b], hi[a:b] = lo[first[a:b]], hi[last[a:b]]
-    tree.layout = TreeLayout(
-        ids, parent, starts, first, np.array([by_id[nid].prices for nid in ids]),
-        np.array([by_id[nid].prob for nid in ids]), lo, hi)
+    order = order.tolist()
+    layout = TreeLayout(
+        tuple(records[k].id for k in order), parent, starts, first,
+        np.array([records[k].prices for k in order]), prob[order], lo, hi)
+    return layout, node_prob
 
 
 def _decimal(value, where):
@@ -430,8 +415,8 @@ def market_from_dict(doc: dict, max_leaves: int = MAX_LEAVES_DEFAULT) -> MarketT
         records.append(NodeRecord(nid, parent, t, price_vals, prob,
                                   tuple(prices), rn["prob"]))
 
-    # structural invariants
-    by_id = {n.id: n for n in records}
+    # structural invariants, on file-order columns; each check names the
+    # first offending node in file order
     roots = [n for n in records if n.parent is None]
     if len(roots) != 1:
         raise InvalidTreeError(f"expected exactly one root, found {len(roots)}",
@@ -441,60 +426,66 @@ def market_from_dict(doc: dict, max_leaves: int = MAX_LEAVES_DEFAULT) -> MarketT
         raise InvalidTreeError("root must have t=0", node_id=root.id)
     if not (root.prob == 1.0):
         raise InvalidTreeError("root prob must be 1", node_id=root.id)
-    children: dict[str, list[str]] = {n.id: [] for n in records}
-    for n in records:
-        if n.parent is None:
-            continue
-        p = by_id.get(n.parent)
-        if p is None:
+    index = {n.id: k for k, n in enumerate(records)}
+    ts = [n.t for n in records]
+    horizon = max(ts)
+    # a time beyond int64 is wrong, but exactly so: the check names where
+    t = np.array(ts, dtype=np.int64 if horizon < 2**62 else object)
+    par = np.array([index.get(n.parent, -1) for n in records])
+    child = np.array([n.parent is not None for n in records])
+    bad = np.flatnonzero(child & ((par < 0) | (t != t[par] + 1)))
+    if bad.size:
+        n = records[bad[0]]
+        if par[bad[0]] < 0:
             raise InvalidTreeError(f"node {n.id!r}: parent {n.parent!r} does not exist",
                                    node_id=n.id)
-        if n.t != p.t + 1:
-            raise InvalidTreeError(
-                f"node {n.id!r}: time {n.t} is not parent time {p.t} plus one",
-                node_id=n.id)
-        children[n.parent].append(n.id)
-    horizon = max(n.t for n in records)
+        raise InvalidTreeError(
+            f"node {n.id!r}: time {n.t} is not parent time {records[par[bad[0]]].t} "
+            "plus one", node_id=n.id)
     if horizon == 0:
         raise InvalidTreeError("tree has no trading period: the root is its only node",
                                node_id=root.id)
-    for n in records:
-        if not children[n.id] and n.t != horizon:
+    prob = np.array([n.prob for n in records])
+    kids = np.bincount(par[child], minlength=len(records))
+    bad = np.flatnonzero(((kids == 0) & (t != horizon)) | ~((0.0 < prob) & (prob <= 1.0)))
+    if bad.size:
+        n = records[bad[0]]
+        if kids[bad[0]] == 0 and n.t != horizon:
             raise InvalidTreeError(
                 f"leaf {n.id!r} at time {n.t}, but horizon is {horizon}", node_id=n.id)
-        if not (0.0 < n.prob <= 1.0):
+        raise InvalidTreeError(
+            f"node {n.id!r}: branch probability {n.prob} outside (0, 1]", node_id=n.id)
+    # bincount screens the child sums within its rounding error; fsum decides
+    sums = np.bincount(par[child], prob[child], minlength=len(records))
+    for k in np.flatnonzero((kids > 0)
+                            & (np.abs(sums - 1.0) > _PROB_SUM_TOL - 1e-15 * kids)):
+        s = math.fsum(prob[par == k])
+        if abs(s - 1.0) > _PROB_SUM_TOL:
             raise InvalidTreeError(
-                f"node {n.id!r}: branch probability {n.prob} outside (0, 1]",
-                node_id=n.id)
-    for n in records:
-        kids = children[n.id]
-        if kids:
-            s = math.fsum(by_id[c].prob for c in kids)
-            if abs(s - 1.0) > _PROB_SUM_TOL:
-                raise InvalidTreeError(
-                    f"node {n.id!r}: child probabilities sum to {s!r}, not 1 "
-                    "(probabilities sum != 1)", node_id=n.id)
-    n_leaves = sum(1 for n in records if not children[n.id])
+                f"node {records[k].id!r}: child probabilities sum to {s!r}, not 1 "
+                "(probabilities sum != 1)", node_id=records[k].id)
+    n_leaves = int((kids == 0).sum())
     if n_leaves > max_leaves:
         raise InvalidTreeError(
             f"tree has {n_leaves} leaves, above the configured cap {max_leaves}")
 
-    leaf_set = {n.id for n in records if not children[n.id]}
+    layout, node_prob = _build_layout(records, par, t, prob, horizon)
+    leaf_ids = layout.ids[layout.level_starts[-2]:]
+    leaf_set = set(leaf_ids)
     endow_raw = doc.get("endowment")
     endowment = (RandomVariable(_leaf_map(endow_raw, leaf_set, "endowment"))
                  if endow_raw is not None
-                 else RandomVariable({l: 0.0 for l in leaf_set}))
+                 else RandomVariable({l: 0.0 for l in leaf_ids}))
     claims_raw = doc.get("claims", {})
     if not isinstance(claims_raw, dict):
         raise ParseError("claims must be an object of named leaf maps")
     claims = {name: RandomVariable(_leaf_map(v, leaf_set, f"claims[{name}]"))
               for name, v in claims_raw.items()}
 
-    tree = MarketTree(tuple(assets), tuple(records), endowment, claims,
-                      _token=_BUILD_TOKEN)
-    _finish_tree(tree)
+    tree = MarketTree(tuple(assets), tuple(records), endowment, claims, layout,
+                      node_prob, _token=_BUILD_TOKEN)
     # derived leaf probabilities must form a probability vector
-    total = float(tree._p_leaf.sum())
+    total = float(tree.leaf_probability_array.sum())
     if abs(total - 1.0) > 1e-12:
         raise InvalidTreeError(f"leaf probabilities sum to {total!r}, not 1")
     return tree

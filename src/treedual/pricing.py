@@ -34,7 +34,7 @@ from .errors import (AugmentInfeasibleError, BracketFailError, DomainError,
                      NoMartingaleMeasureError)
 from .geometry import (MeasureVector, find_equivalent_mm, relative_entropy,
                        _support_structure)
-from .market import (AdaptedProcess, MarketTree, RandomVariable, leaf_values,
+from .market import (AdaptedProcess, MarketTree, leaf_values,
                      market_from_dict, market_to_dict)
 from .utility import UtilityPair, _golden_min
 
@@ -161,8 +161,8 @@ def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     start.  ``bounds`` is the claim's :func:`price_bounds` when the caller
     has it.  ``solves`` counts the dual solves made.
     """
-    endow = _as_rv(tree, endow)
-    claim = _as_rv(tree, claim)
+    endow = leaf_values(tree, endow)
+    claim = leaf_values(tree, claim)
     solves = SolveCounter() if solves is None else solves
     if pair.family == "exponential":
         return _log_mass_gap(pair, *solves.log_space(tree, pair, [endow, endow + claim],
@@ -173,12 +173,6 @@ def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     c0 = -davis_price(tree, pair, endow, claim, sol=base)
     return -_cash_root(tree, pair, endow + claim, base.value, c0, -lo_b,
                        base._mu_arr, solves)
-
-
-def _as_rv(tree, x) -> RandomVariable:
-    if isinstance(x, RandomVariable):
-        return x
-    return RandomVariable.from_array(tree, leaf_values(tree, x))
 
 
 def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
@@ -242,8 +236,8 @@ def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     claim-free solution, whose measure warm-starts the first inner solve.
     Uses no result of the cash root-finder.  ``solves`` counts the dual solves made.
     """
-    endow = _as_rv(tree, endow)
-    claim = _as_rv(tree, claim)
+    endow = leaf_values(tree, endow)
+    claim = leaf_values(tree, claim)
     solves = SolveCounter() if solves is None else solves
     if pair.family == "exponential":
         return _penalized_expectation(tree, pair, endow, claim, *solves.log_space(
@@ -295,8 +289,8 @@ def certainty_equivalent(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     is a leaf measure that warm-starts the target solve; ``solves`` counts
     the dual solves made.
     """
-    endow = _as_rv(tree, endow)
-    claim = _as_rv(tree, claim)
+    endow = leaf_values(tree, endow)
+    claim = leaf_values(tree, claim)
     solves = SolveCounter() if solves is None else solves
     if pair.family == "exponential":
         return _log_mass_gap(pair, *solves.log_space(tree, pair, [endow, endow + claim]))
@@ -329,8 +323,8 @@ def price_report(tree: MarketTree, pair: UtilityPair, endow, claim) -> PriceRepo
     exponential family one log-space pass, at e, e + B and e - B, gives
     every price.
     """
-    endow = _as_rv(tree, endow)
-    claim = _as_rv(tree, claim)
+    endow = leaf_values(tree, endow)
+    claim = leaf_values(tree, claim)
     solves = SolveCounter()
     lo, hi = price_bounds(tree, claim)
     if pair.family == "exponential":
@@ -381,8 +375,8 @@ def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
     those of the claim, swapped when beta < 0.  The exponential family
     takes the base and every volume from one log-space pass.
     """
-    endow = _as_rv(tree, endow)
-    claim = _as_rv(tree, claim)
+    endow = leaf_values(tree, endow)
+    claim = leaf_values(tree, claim)
     betas = sorted(float(b) for b in betas)
     solves = SolveCounter()
     lp_lo, lp_hi = price_bounds(tree, claim)
@@ -418,7 +412,7 @@ def indifference_price_lipschitz_bound(tree: MarketTree, b1, b2) -> float:
     distance over the martingale polytope; this returns that distance.
     """
     d = leaf_values(tree, b1) - leaf_values(tree, b2)
-    lo, hi = price_bounds(tree, RandomVariable.from_array(tree, d))
+    lo, hi = price_bounds(tree, d)
     return max(abs(lo), abs(hi))
 
 
@@ -449,7 +443,7 @@ def check_mubpp(tree: MarketTree, pair: UtilityPair, endow,
     :class:`AugmentInfeasibleError` when the augmented market admits
     arbitrage (then the candidate is certainly not fair).
     """
-    endow = _as_rv(tree, endow)
+    endow = leaf_values(tree, endow)
     vals = {nid: np.atleast_1d(np.asarray(sprime.at(nid), dtype=float))
             for nid in tree.node_ids}
     d_new = len(next(iter(vals.values())))
@@ -474,8 +468,8 @@ def check_mubpp(tree: MarketTree, pair: UtilityPair, endow,
     except Exception as exc:  # validation cannot fail here; defensive
         raise AugmentInfeasibleError(f"cannot build augmented market: {exc}")
     try:
-        aug_value = solve_dual(augmented, pair,
-                               RandomVariable(dict(endow.values))).value
+        # the augmented file lists the nodes in the same order: same leaf order
+        aug_value = solve_dual(augmented, pair, endow).value
     except NoMartingaleMeasureError:
         raise AugmentInfeasibleError(
             "augmented market admits arbitrage; candidate is not a fair "
@@ -570,10 +564,9 @@ def endowment_sensitivity(tree: MarketTree, pair: UtilityPair, endowments, *,
     continuity with the computed mass radius; a ``claim`` adds the
     recentered-claim sandwich around the base value.  Report-only.
     """
-    endowments = [_as_rv(tree, e) for e in endowments]
+    endowments = [leaf_values(tree, e) for e in endowments]
     sols = [solve_dual(tree, pair, e) for e in endowments]
     values = [s.value for s in sols]
-    arrays = [e.as_array(tree) for e in endowments]
     has_equivalent = find_equivalent_mm(tree) is not None
 
     monotone = []
@@ -582,7 +575,7 @@ def endowment_sensitivity(tree: MarketTree, pair: UtilityPair, endowments, *,
         for j in range(len(endowments)):
             if i == j:
                 continue
-            di = arrays[j] - arrays[i]
+            di = endowments[j] - endowments[i]
             if np.all(di >= 0) and np.any(di > 0):
                 margin = values[j] - values[i]
                 monotone.append((i, j, margin))
@@ -601,8 +594,8 @@ def endowment_sensitivity(tree: MarketTree, pair: UtilityPair, endowments, *,
     continuity = []
     radius = None
     if sequence:
-        seq = [_as_rv(tree, e) for e in sequence]
-        radius = _mass_radius(tree, pair, arrays + [s.as_array(tree) for s in seq])
+        seq = [leaf_values(tree, e) for e in sequence]
+        radius = _mass_radius(tree, pair, endowments + seq)
         base = values[0]
         for e_n in seq:
             sup = indifference_price_lipschitz_bound(tree, e_n, endowments[0])
@@ -614,7 +607,7 @@ def endowment_sensitivity(tree: MarketTree, pair: UtilityPair, endowments, *,
 
     sandwich = None
     if claim is not None:
-        b = _as_rv(tree, claim)
+        b = leaf_values(tree, claim)
         dav = davis_price(tree, pair, endowments[0], b, sol=sols[0])
         lo_b, _ = price_bounds(tree, b)
         v_low = solve_dual(tree, pair, endowments[0] + b + (-dav)).value

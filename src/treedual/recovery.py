@@ -62,7 +62,11 @@ def recover_terminal_wealth(tree: MarketTree, pair: UtilityPair, endow,
             "with finite entropy); the primal problem has no optimizer")
     e = leaf_values(tree, endow)
     dens = sol.density_array
-    x = -sol.pair.v_prime(dens) - e
+    if sol._log_q is None:
+        x = -sol.pair.v_prime(dens) - e
+    else:   # -V'(y q / p) from the exact log-masses, finite where y q underflows
+        x = (np.log(tree.leaf_probability_array) - sol._log_mass - sol._log_q) \
+            / sol.pair.params["gamma"] - e
     resid = np.abs(pair.u_prime(x + e) - dens)
     scale = 1.0 + np.abs(dens).max()
     if resid.max() > 1e-8 * scale:

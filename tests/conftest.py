@@ -5,8 +5,8 @@ import pytest
 import scipy.optimize
 
 import treegen
-from treedual import (dual, exponential_utility, market_from_dict, simplex,
-                      two_power_utility)
+from treedual import (MeasureVector, RandomVariable, dual, exponential_utility,
+                      market_from_dict, simplex, two_power_utility)
 
 
 @pytest.fixture
@@ -73,6 +73,25 @@ def no_dense_core():
     def guard():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dual, "_newton_core", refuse)
+            yield
+
+    return guard
+
+
+@pytest.fixture
+def no_leaf_dicts():
+    """Context manager under which building or combining leaf-keyed dicts
+    from arrays raises."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a leaf-keyed dict was built")
+
+    @contextlib.contextmanager
+    def guard():
+        with pytest.MonkeyPatch.context() as mp:
+            for cls, name in ((RandomVariable, "from_array"), (RandomVariable, "_combine"),
+                              (MeasureVector, "from_array")):
+                mp.setattr(cls, name, refuse)
             yield
 
     return guard

@@ -124,6 +124,18 @@ def test_solution_invariants(tri1, exp_pair):
     assert again == pytest.approx(sol.value, rel=1e-13)
 
 
+@pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
+def test_measure_views_follow_the_arrays(tri1, pair_name, request):
+    # a replaced measure shows through mu and q_hat, as the battery's
+    # corrupted-measure hook needs
+    sol = solve_dual(tri1, request.getfixturevalue(pair_name), {"a": 0.3, "b": -0.2, "c": 0.1})
+    mu = np.array([0.2, 0.3, 0.4])
+    new = dataclasses.replace(sol, _mu_arr=mu, _q_arr=mu / 0.9)
+    assert new.mu.as_array(tri1).tolist() == mu.tolist()
+    assert new.q_hat.as_array(tri1).tolist() == (mu / 0.9).tolist()
+    assert sol.mu.as_array(tri1).tolist() == sol._mu_arr.tolist()
+
+
 def test_kkt_certificate(tri1, exp_pair):
     e = {"a": 0.3, "b": -0.2, "c": 0.1}
     sol = solve_dual(tri1, exp_pair, e)

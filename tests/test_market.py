@@ -272,3 +272,85 @@ def test_deep_chain_loads_and_solves(bin1):
         ref = solve_dual(bin1, pair, [0.3, -0.1])
         assert sol.value == pytest.approx(ref.value, rel=1e-12)
         assert sol.q_hat_array == pytest.approx(ref.q_hat_array, abs=1e-12)
+
+
+def _reference_layout(doc):
+    """The layout by a depth-first walk over per-node dicts: leaves in
+    depth-first order with children as in the file, each level in that
+    order, node probabilities as products of branch probabilities from the
+    root down."""
+    by_id = {n["id"]: n for n in doc["nodes"]}
+    children = {nid: [] for nid in by_id}
+    for n in doc["nodes"]:
+        if n["parent"] is None:
+            root = n["id"]
+        else:
+            children[n["parent"]].append(n["id"])
+    levels = [[] for _ in range(max(n["t"] for n in doc["nodes"]) + 1)]
+    node_prob, stack = {root: 1.0}, [root]
+    while stack:
+        nid = stack.pop()
+        levels[by_id[nid]["t"]].append(nid)
+        for c in children[nid]:
+            node_prob[c] = node_prob[nid] * float(by_id[c]["prob"])
+        stack.extend(reversed(children[nid]))
+    ids = tuple(nid for level in levels for nid in level)
+    pos = {nid: k for k, nid in enumerate(ids)}
+    parent = np.array([0] + [pos[by_id[nid]["parent"]] for nid in ids[1:]], dtype=np.intp)
+    starts = tuple(np.cumsum([0] + [len(level) for level in levels]).tolist())
+    first = np.searchsorted(parent[1:], np.arange(starts[-2])) + 1
+    lo = np.arange(len(ids), dtype=np.intp) - starts[-2]
+    hi, last = lo + 1, np.append(first[1:], len(ids)) - 1
+    for a, b in zip(starts[-3::-1], starts[-2:0:-1]):
+        lo[a:b], hi[a:b] = lo[first[a:b]], hi[last[a:b]]
+    arrays = (parent, first, np.array([[float(x) for x in by_id[nid]["prices"]] for nid in ids]),
+              np.array([float(by_id[nid]["prob"]) for nid in ids]), lo, hi)
+    return ids, starts, arrays, node_prob, children
+
+
+def _assert_layout_matches_reference(doc):
+    tree = market_from_dict(doc)
+    lay = tree.layout
+    ids, starts, arrays, node_prob, children = _reference_layout(doc)
+    assert lay.ids == ids and lay.level_starts == starts
+    for got, want in zip((lay.parent, lay.first_child, lay.prices, lay.prob, lay.lo, lay.hi),
+                         arrays):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    p = np.array([node_prob[l] for l in ids[starts[-2]:]])
+    assert tree.leaf_probability_array.tobytes() == p.tobytes()
+    for n in doc["nodes"]:
+        assert tree.children(n["id"]) == tuple(children[n["id"]])
+        assert tree.time(n["id"]) == n["t"]
+        assert tree.node_probability(n["id"]) == node_prob[n["id"]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.booleans())
+def test_layout_matches_the_depth_first_reference(seed, n_assets, shuffle):
+    rng = np.random.default_rng(seed)
+    doc = market_to_dict(treegen.random_market(rng, max_periods=4, n_assets=n_assets))
+    if shuffle:
+        rng.shuffle(doc["nodes"])
+    _assert_layout_matches_reference(doc)
+
+
+@pytest.mark.parametrize("name", ["book_exp_4x4x3_2a.json", "quote_pinned_4x4_2a.json"])
+def test_data_layouts_match_the_depth_first_reference(name):
+    _assert_layout_matches_reference(json.loads((treegen.DATA / name).read_text()))
+
+
+@pytest.mark.parametrize("orphan", range(1, 7))
+@pytest.mark.parametrize("skewed", range(1, 7))
+def test_structural_error_names_the_first_offender_in_file_order(orphan, skewed):
+    # a missing parent at one node and a time mismatch at another: the error
+    # is the one at the earlier node, the missing parent at the same node
+    doc = market_to_dict(treegen.product_market([[2.0, 0.5], [2.0, 0.5]]))
+    nodes = doc["nodes"]
+    nodes[orphan]["parent"] = "ghost"
+    nodes[skewed]["t"] += 1
+    with pytest.raises(InvalidTreeError) as exc:
+        market_from_dict(doc)
+    first = min(orphan, skewed)
+    assert exc.value.node_id == nodes[first]["id"]
+    assert ("does not exist" if orphan <= skewed else "not parent time") in str(exc.value)

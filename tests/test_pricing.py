@@ -333,6 +333,21 @@ def test_pricing_and_solving_run_no_linear_program(tri1, exp_pair, pair_name,
     assert dead.support == "DEGENERATE"
 
 
+@pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
+def test_pricing_on_arrays_builds_no_leaf_dicts(pair_name, request, no_leaf_dicts):
+    pair = request.getfixturevalue(pair_name)
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 3)
+    rng = np.random.default_rng(4)
+    e, b = rng.uniform(-1.0, 1.0, tree.n_leaves), rng.uniform(0.0, 1.0, tree.n_leaves)
+    with no_leaf_dicts():
+        sol = solve_dual(tree, pair, e)
+        rep = price_report(tree, pair, e, b)
+        curve = average_price_curve(tree, pair, e, b, [1e-2, 1.0, 1e2])
+    assert rep.davis == float(sol.q_hat_array @ b)
+    assert rep.lp_bounds[0] <= rep.bid <= rep.davis <= rep.offer <= rep.lp_bounds[1]
+    assert curve.monotone and curve.davis == rep.davis
+
+
 @pytest.mark.parametrize("y", [0.6, 1.5])
 def test_mass_curvature_matches_envelope_derivative(tri1, tp_pair, y):
     # W'' read off the fixed-mass solution against a central difference of

@@ -27,6 +27,17 @@ def test_bin1_terminal_wealth_closed_form(bin1, exp_pair_raw):
     assert np.dot(sol.q_hat_array, xhat.as_array(bin1)) == pytest.approx(0, abs=1e-9)
 
 
+def test_terminal_wealth_is_finite_where_the_optimal_mass_underflows(tri1, exp_pair):
+    # the middle leaf's mass e^-800 underflows to 0; X reads the exact log-mass
+    e = np.array([0.0, 800.0, 0.0])
+    sol = solve_dual(tri1, exp_pair, e)
+    assert sol.support == "EQUIVALENT" and sol.q_hat_array[1] == 0.0
+    ps = recover(tri1, exp_pair, e, sol)
+    x = ps.terminal_wealth.as_array(tri1)
+    assert np.isfinite(x).all()
+    assert x == pytest.approx([ps.wealth.at(l) for l in tri1.leaf_ids], rel=0, abs=1e-13)
+
+
 def test_bin1_delta_hedge(bin1, exp_pair_raw):
     sol = solve_dual(bin1, exp_pair_raw, 0.0)
     ps = recover(bin1, exp_pair_raw, 0.0, sol)
