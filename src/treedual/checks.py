@@ -42,14 +42,6 @@ class CheckResult:
                 f" <= {self.tolerance:.1e}{extra}")
 
 
-def _measures_for_checks(tree, cap=10_000, n_fallback=256):
-    """Polytope vertices, or seeded samples when enumeration blows the cap."""
-    try:
-        return vertex_enumerate(build_constraints(tree), cap=cap), "vertices"
-    except CapExceededError:
-        return sample_martingale_measures(tree, n_fallback), "samples"
-
-
 def run_battery(tree: MarketTree, pair: UtilityPair, endow, *,
                 mu_override=None) -> list[CheckResult]:
     """All instance-level checks; returns one result per check.
@@ -96,11 +88,15 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow, *,
     kkt = float(np.abs(g[live] - A[:, live].T @ lam).max()) / (1.0 + float(np.abs(g[live]).max()))
     add("dual first-order conditions", kkt <= 1e-8, kkt, 1e-8)
 
-    # enumerated vertices decide equivalence apart from the support pass
-    # behind the flag; samples cannot, so they defer to it
-    measures, kind = _measures_for_checks(tree)
-    equivalent = (np.all(np.any([v.as_array(tree) > 0 for v in measures], axis=0))
-                  if kind == "vertices" else find_equivalent_mm(tree) is not None)
+    # enumerated vertices, a (k, L) stack, decide equivalence apart from the
+    # support pass behind the flag (every leaf charged by some vertex); past
+    # the enumeration cap of 10 000, 256 seeded samples cannot and defer to it
+    try:
+        measures, kind = vertex_enumerate(build_constraints(tree)), "vertices"
+        equivalent = bool((measures > 0).any(axis=0).all())
+    except CapExceededError:
+        measures, kind = sample_martingale_measures(tree, 256), "samples"
+        equivalent = find_equivalent_mm(tree) is not None
     support_ok = (sol.support == "EQUIVALENT") == equivalent
     add("support flag matches market", support_ok, 0.0 if support_ok else 1.0, 0.5,
         sol.support)
@@ -129,7 +125,7 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow, *,
     w0 = abs(float(ps.wealth.at(tree.root_id)))
     add("zero-cost wealth at the root", w0 <= 1e-8, w0, 1e-8)
 
-    sm = verify_supermartingale(tree, ps.wealth, measures, pair, q_hat=sol.q_hat)
+    sm = verify_supermartingale(tree, ps.wealth, measures, pair, sol.q_hat_array)
     add("supermartingale under tested measures", not sm.violations,
         max(sm.max_drift, 0.0), 1e-8, f"{sm.measures_tested} measures")
     add("martingale under the optimal measure",

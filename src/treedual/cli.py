@@ -119,8 +119,7 @@ def _cmd_geometry(args, out: _Out):
             + ("none (degenerate market)" if q is None else "exists"))
     verts = vertex_enumerate(cons, cap=args.vertex_cap)
     out.say(f"polytope vertices: {len(verts)}")
-    rows = [[k] + [f12(v.values[l]) for l in tree.leaf_ids]
-            for k, v in enumerate(verts)]
+    rows = [[k] + [f12(x) for x in v] for k, v in enumerate(verts)]
     out.csv("vertices.csv", ["vertex"] + list(tree.leaf_ids), rows)
     out.csv("constraints.csv",
             ["node", "asset"] + list(tree.leaf_ids),

@@ -35,9 +35,9 @@ import numpy as np
 from .errors import (EvaluationOverflowError, InfeasibleEntropyError,
                      NoMartingaleMeasureError, NonconvergedError,
                      ValueAtSupremumError)
-from .geometry import (MeasureVector, SupportStructure, _support_structure,
-                       build_constraints, relative_entropy)
-from .market import MarketTree, leaf_values
+from .geometry import (SupportStructure, _support_structure, build_constraints,
+                       relative_entropy)
+from .market import MarketTree, MeasureVector, leaf_values
 from .utility import UtilityPair
 
 _VALUE_FLOOR = -1e250  # below this the optimal utility is numerically -inf
@@ -418,8 +418,7 @@ def solve_dual(tree: MarketTree, pair: UtilityPair, endow=0.0, *,
         return sol
     arr = None
     if start is not None:
-        arr = start.as_array(tree) if isinstance(start, MeasureVector) \
-            else leaf_values(tree, start)
+        arr = leaf_values(tree, start)
         if np.any(arr[~_support_structure(tree).mask] > 0):
             raise NoMartingaleMeasureError("start measure charges dead leaves")
     return _core_solution(tree, pair, endow, None, arr)
@@ -510,21 +509,14 @@ def check_maximal_support(tree: MarketTree, sol: DualSolution,
                           vertices) -> SupportCheck:
     """Check that the optimal measure dominates every finite-entropy vertex.
 
-    Any leaf charged by a finite-entropy polytope vertex must also be charged
-    by the optimal measure, that is, given positive mass (the optimizer is
-    "as equivalent as possible").  Report-only.
+    Any leaf charged (above 1e-10) by a finite-entropy polytope vertex must
+    also be charged by the optimal measure, that is, given positive mass
+    (the optimizer is "as equivalent as possible").  ``vertices`` is a stack
+    (k, L), checked by one entropy evaluation and one mask; violations run
+    by vertex, then leaf.  Report-only.
     """
-    mu = sol._mu_arr
-    violations = []
-    tested = 0
-    skipped = 0
-    for k, vtx in enumerate(vertices):
-        if not math.isfinite(relative_entropy(tree, sol.pair, vtx)):
-            skipped += 1
-            continue
-        tested += 1
-        q = vtx.as_array(tree)
-        for i, leaf in enumerate(tree.leaf_ids):
-            if q[i] > 1e-10 and not mu[i] > 0:
-                violations.append((k, leaf))
-    return SupportCheck(tuple(violations), tested, skipped)
+    q = np.asarray(vertices, dtype=float).reshape(-1, tree.n_leaves)
+    finite = np.isfinite(relative_entropy(tree, sol.pair, q))
+    k, i = np.nonzero(finite[:, None] & (q > 1e-10) & ~(sol._mu_arr > 0))
+    return SupportCheck(tuple((int(a), tree.leaf_ids[b]) for a, b in zip(k, i)),
+                        int(finite.sum()), int(finite.size - finite.sum()))

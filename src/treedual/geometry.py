@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Mapping
 
 import numpy as np
 
 from .errors import CapExceededError, DomainError, NoMartingaleMeasureError
-from .market import MarketTree, TreeLayout, leaf_values
+from .market import MarketTree, MeasureVector, TreeLayout, leaf_values
 from .utility import UtilityPair
 
 VERTEX_CAP_DEFAULT = 10_000
@@ -38,39 +37,6 @@ class MartingaleConstraints:
     @property
     def n_leaves(self) -> int:
         return len(self.leaf_ids)
-
-
-@dataclass(frozen=True, eq=False)
-class MeasureVector:
-    """A non-negative measure on the leaves (not necessarily unit mass)."""
-
-    values: Mapping[str, float]
-
-    @property
-    def mass(self) -> float:
-        return float(sum(self.values.values()))
-
-    def as_array(self, tree: MarketTree) -> np.ndarray:
-        return leaf_values(tree, dict(self.values))
-
-    def density(self, tree: MarketTree) -> np.ndarray:
-        """Leaf-wise Radon-Nikodym derivative against the reference measure."""
-        return self.as_array(tree) / tree.leaf_probability_array
-
-    def normalized(self) -> "MeasureVector":
-        m = self.mass
-        if m <= 0:
-            raise DomainError("cannot normalize a zero measure")
-        return MeasureVector({k: v / m for k, v in self.values.items()})
-
-    @staticmethod
-    def from_array(tree: MarketTree, arr) -> "MeasureVector":
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (tree.n_leaves,):
-            raise ValueError("wrong length for a leaf measure")
-        if np.any(arr < 0):
-            raise DomainError("measure must be non-negative")
-        return MeasureVector(dict(zip(tree.leaf_ids, arr.tolist())))
 
 
 @lru_cache(maxsize=256)
@@ -94,7 +60,7 @@ def is_martingale_measure(tree: MarketTree, q, tol: float = 1e-9) -> bool:
     Nodes with zero subtree mass under ``q`` are skipped (the conditional
     expectation is undefined there).
     """
-    qs = leaf_values(tree, q.values if isinstance(q, MeasureVector) else q)
+    qs = leaf_values(tree, q)
     cond, mass = tree.one_step_expectation(tree.layout.prices, qs)
     s, live = tree.layout.prices[:mass.size], mass > 0
     gap = np.abs(cond - s).max(axis=1)[live]
@@ -258,25 +224,28 @@ def find_equivalent_mm(tree: MarketTree) -> MeasureVector | None:
 
 # -- entropy ---------------------------------------------------------------------
 
-def relative_entropy(tree: MarketTree, pair: UtilityPair, mu) -> float:
+def relative_entropy(tree: MarketTree, pair: UtilityPair, mu) -> float | np.ndarray:
     """Generalized entropy of ``mu`` against the reference leaf probabilities.
 
     Expectation of the conjugate applied to the leaf density, with the
     convention that a zero-density leaf contributes V(0) = U(inf); the result
-    is +inf iff some term is.
+    is +inf iff some term is.  A stack (k, L) of measures gives a (k,) array
+    from one evaluation of V, row j bit for bit the entropy of row j alone.
     """
-    ms = mu.as_array(tree) if isinstance(mu, MeasureVector) else leaf_values(tree, mu)
+    stack = np.ndim(mu) == 2
+    ms = np.asarray(mu, dtype=float) if stack else leaf_values(tree, mu)[None]
     if np.any(ms < 0):
         raise DomainError("measure must be non-negative")
     p = tree.leaf_probability_array
     vals = pair.v(ms / p)
-    return float(np.dot(p, vals)) if np.all(np.isfinite(vals)) else float("inf")
+    ent = np.where(np.isfinite(vals).all(axis=1), (vals * p).sum(axis=1), np.inf)
+    return ent if stack else float(ent[0])
 
 
 # -- vertex enumeration -----------------------------------------------------------
 
 def vertex_enumerate(constraints: MartingaleConstraints,
-                     cap: int = VERTEX_CAP_DEFAULT) -> list[MeasureVector]:
+                     cap: int = VERTEX_CAP_DEFAULT) -> np.ndarray:
     """All extreme points of the martingale polytope, by double description.
 
     Sweeps the equality rows through the non-negative orthant's generators,
@@ -289,8 +258,9 @@ def vertex_enumerate(constraints: MartingaleConstraints,
     on row order).  The vertex set does not depend on the order: the final
     polish depends only on each ray's support.  Raises
     :class:`CapExceededError` if the working set exceeds ``cap`` (callers
-    fall back to sampling).  Each returned vertex satisfies the constraints
-    to 1e-10 and has unit mass.
+    fall back to sampling).  Returns the vertices as a stack (k, L): one
+    unit-mass row per vertex, in leaf order, satisfying the constraints to
+    1e-10; an empty polytope gives shape (0, L).
     """
     A = constraints.matrix
     L = constraints.n_leaves
@@ -320,7 +290,7 @@ def vertex_enumerate(constraints: MartingaleConstraints,
                 new_rays.append(np.array(combos))
         rays = np.vstack(new_rays) if new_rays else np.zeros((0, L))
         if rays.shape[0] == 0:
-            return []
+            return rays
         # dedupe
         key = np.round(rays / rays.sum(axis=1, keepdims=True), 12)
         _, uniq = np.unique(key, axis=0, return_index=True)
@@ -350,14 +320,12 @@ def vertex_enumerate(constraints: MartingaleConstraints,
         if np.abs(A @ q).max() > 1e-10 * max(1.0, np.abs(A).max()):
             continue
         out.append(q)
-    values = [MeasureVector(dict(zip(constraints.leaf_ids, q.tolist())))
-              for q in out]
-    return values
+    return np.array(out).reshape(-1, L)
 
 
-def sample_martingale_measures(tree: MarketTree, n: int,
-                               seed: int = 0) -> list[MeasureVector]:
-    """Seeded random martingale probabilities on the maximal support.
+def sample_martingale_measures(tree: MarketTree, n: int, seed: int = 0) -> np.ndarray:
+    """Seeded random martingale probabilities on the maximal support, as a
+    stack (n, L) of rows in leaf order.
 
     Each sample multiplies, along the paths, a uniformly random mixture of
     each node's valid one-step vertices (:func:`_support_structure`).  Used
@@ -365,5 +333,5 @@ def sample_martingale_measures(tree: MarketTree, n: int,
     """
     geo = _support_structure(tree)
     rng = np.random.default_rng(seed)
-    return [MeasureVector(dict(zip(tree.leaf_ids, geo.mixture(
-        rng.exponential(size=geo.node.size)).tolist()))) for _ in range(n)]
+    return np.array([geo.mixture(rng.exponential(size=geo.node.size))
+                     for _ in range(n)]).reshape(n, tree.n_leaves)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -80,16 +80,7 @@ class RandomVariable:
 
     def as_array(self, tree: "MarketTree") -> np.ndarray:
         """Values in the tree's canonical leaf order; validates coverage."""
-        ids, values = tree.leaf_ids, self.values
-        try:
-            arr = np.fromiter(map(float, map(values.__getitem__, ids)), float, len(ids))
-        except KeyError:
-            missing = [l for l in ids if l not in values]
-            raise ParseError(f"random variable missing leaves: {missing[:5]}") from None
-        if len(values) != len(ids):
-            extra = set(values) - set(ids)
-            raise ParseError(f"random variable has unknown leaves: {sorted(extra)[:5]}")
-        return arr
+        return leaf_values(tree, self)
 
     @staticmethod
     def constant(tree: "MarketTree", c: float) -> "RandomVariable":
@@ -131,6 +122,39 @@ class RandomVariable:
 
     def __neg__(self):
         return self * -1.0
+
+
+@dataclass(frozen=True, eq=False)
+class MeasureVector:
+    """A non-negative measure on the leaves (not necessarily unit mass)."""
+
+    values: Mapping[str, float]
+
+    @property
+    def mass(self) -> float:
+        return float(sum(self.values.values()))
+
+    def as_array(self, tree: "MarketTree") -> np.ndarray:
+        return leaf_values(tree, self)
+
+    def density(self, tree: "MarketTree") -> np.ndarray:
+        """Leaf-wise Radon-Nikodym derivative against the reference measure."""
+        return self.as_array(tree) / tree.leaf_probability_array
+
+    def normalized(self) -> "MeasureVector":
+        m = self.mass
+        if m <= 0:
+            raise DomainError("cannot normalize a zero measure")
+        return MeasureVector({k: v / m for k, v in self.values.items()})
+
+    @staticmethod
+    def from_array(tree: "MarketTree", arr) -> "MeasureVector":
+        arr = np.asarray(arr, dtype=float)
+        if arr.shape != (tree.n_leaves,):
+            raise ValueError("wrong length for a leaf measure")
+        if np.any(arr < 0):
+            raise DomainError("measure must be non-negative")
+        return MeasureVector(dict(zip(tree.leaf_ids, arr.tolist())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,6 +360,18 @@ def _build_layout(records, par, t, prob, horizon) -> tuple[TreeLayout, np.ndarra
     return layout, node_prob
 
 
+def _with_assets(tree: MarketTree, names, columns) -> MarketTree:
+    """``tree`` with assets ``names`` added, priced by ``columns`` (N, k) in
+    layout order; the records keep their file order and get ``repr`` strings."""
+    extra = columns[[tree._pos[n.id] for n in tree.nodes]].tolist()
+    nodes = tuple(replace(n, prices=n.prices + tuple(x),
+                          price_strs=n.price_strs + tuple(map(repr, x)))
+                  for n, x in zip(tree.nodes, extra))
+    layout = replace(tree.layout, prices=np.hstack([tree.layout.prices, columns]))
+    return MarketTree(tree.assets + tuple(names), nodes, tree.endowment, tree.claims,
+                      layout, tree._node_prob, _token=_BUILD_TOKEN)
+
+
 def _decimal(value, where):
     if not isinstance(value, str):
         raise ParseError(f"{where}: expected a decimal string, got {type(value).__name__}")
@@ -528,11 +564,21 @@ def save_market(tree: MarketTree, path) -> None:
 # -- leaf-indexed helpers ----------------------------------------------------
 
 def leaf_values(tree: MarketTree, x) -> np.ndarray:
-    """Coerce a RandomVariable / mapping / array / scalar to leaf order."""
-    if isinstance(x, RandomVariable):
-        return x.as_array(tree)
+    """Coerce a RandomVariable / MeasureVector / mapping / array / scalar to
+    leaf order; a leaf-keyed one must name every leaf and no other key."""
+    if isinstance(x, (RandomVariable, MeasureVector)):
+        x = x.values
     if isinstance(x, Mapping):
-        return RandomVariable(dict(x)).as_array(tree)
+        ids = tree.leaf_ids
+        try:
+            arr = np.fromiter(map(float, map(x.__getitem__, ids)), float, len(ids))
+        except KeyError:
+            missing = [l for l in ids if l not in x]
+            raise ParseError(f"random variable missing leaves: {missing[:5]}") from None
+        if len(x) != len(ids):
+            extra = set(x) - set(ids)
+            raise ParseError(f"random variable has unknown leaves: {sorted(extra)[:5]}")
+        return arr
     if isinstance(x, (int, float)):
         return np.full(tree.n_leaves, float(x))
     arr = np.asarray(x, dtype=float)

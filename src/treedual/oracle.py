@@ -41,6 +41,8 @@ def strategy_dimension(tree: MarketTree) -> int:
 
 GRID_DIM_LIMIT = 3
 PRIMAL_DIM_LIMIT = 12
+_ORACLE_TOL = 1e-5   # oracle values against the solver's dual value, scaled
+_GAP_TOL = 1e-7      # the solver's own primal-dual gap, scaled
 
 
 def _mass_profile(pair, p, e_q, dens_dirs):
@@ -105,12 +107,11 @@ def brute_force_dual(tree: MarketTree, pair: UtilityPair, endow, *,
         try:
             verts = vertex_enumerate(build_constraints(tree))
         except Exception:
-            verts = []
+            verts = np.zeros((0, L))
         pts = []
-        if verts:
-            V = np.array([v.as_array(tree) for v in verts])
+        if len(verts):
             w = rng.dirichlet(np.ones(len(verts)), size=n_samples)
-            pts.append(w @ V)
+            pts.append(w @ verts)
         pts.append(q_part[None, :] + rng.standard_normal((n_samples, k)) @ N.T * 0.3)
         return batch_min(np.vstack(pts))
 
@@ -187,15 +188,14 @@ class OracleReport:
 
 
 def check_duality_gap(tree: MarketTree, pair: UtilityPair, endow, *,
-                      oracle_tol: float = 1e-5, gap_tol: float = 1e-7, seed: int = 0,
-                      points_per_dim: int = 13, rounds: int = 8) -> OracleReport:
+                      seed: int = 0) -> OracleReport:
     """Assemble solver and oracle values and assert their agreement.
 
     Raises :class:`GapDetectedError` (carrying the report) whenever any
-    bound is violated beyond tolerance: solver primal vs dual at ``gap_tol``
-    (scaled), oracle values vs solver dual at ``oracle_tol`` when the
-    exhaustive modes apply, and weak duality between the oracle values.
-    Markets without martingale measures are reported, not raised.
+    bound is violated beyond tolerance: solver primal vs dual at 1e-7
+    (scaled), oracle values vs solver dual at 1e-5 when the exhaustive modes
+    apply, and weak duality between the oracle values.  Markets without
+    martingale measures are reported, not raised.
     """
     try:
         sol = solve_dual(tree, pair, endow)
@@ -218,8 +218,7 @@ def check_duality_gap(tree: MarketTree, pair: UtilityPair, endow, *,
         gap_solver = abs(u_primal - f_mu) / scale
 
     k = polytope_dimension(tree)
-    bd = brute_force_dual(tree, pair, endow, seed=seed,
-                          points_per_dim=points_per_dim, rounds=rounds)
+    bd = brute_force_dual(tree, pair, endow, seed=seed)
     dual_mode = "grid" if k <= GRID_DIM_LIMIT else "sample"
 
     D = strategy_dimension(tree)
@@ -236,16 +235,16 @@ def check_duality_gap(tree: MarketTree, pair: UtilityPair, endow, *,
         gap_solver=gap_solver, gap_brute_dual=gap_bd, gap_brute_primal=gap_bp)
 
     problems = []
-    if gap_solver is not None and gap_solver > gap_tol:
+    if gap_solver is not None and gap_solver > _GAP_TOL:
         problems.append(f"solver duality gap {gap_solver:.3e}")
-    if bd < v - oracle_tol * scale:
+    if bd < v - _ORACLE_TOL * scale:
         problems.append(f"oracle dual {bd!r} undercuts solver {v!r}")
-    if dual_mode == "grid" and gap_bd > oracle_tol:
+    if dual_mode == "grid" and gap_bd > _ORACLE_TOL:
         problems.append(f"oracle dual gap {gap_bd:.3e}")
     if bp is not None:
-        if gap_bp > oracle_tol:
+        if gap_bp > _ORACLE_TOL:
             problems.append(f"oracle primal gap {gap_bp:.3e}")
-        if bp > bd + oracle_tol * scale:
+        if bp > bd + _ORACLE_TOL * scale:
             problems.append("weak duality violated between oracle values")
     if problems:
         raise GapDetectedError("; ".join(problems), report=report)

@@ -22,6 +22,7 @@ verified both by drift and by re-solving the augmented market.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,15 +32,14 @@ from .dual import (DualSolution, _log_space_solutions, solve_dual,
                    solve_dual_fixed_mass)
 from .errors import (AugmentInfeasibleError, BracketFailError, DomainError,
                      InfeasibleEntropyError, InfiniteEntropyError,
-                     NoMartingaleMeasureError)
-from .geometry import (MeasureVector, find_equivalent_mm, relative_entropy,
-                       _support_structure)
-from .market import (AdaptedProcess, MarketTree, leaf_values,
-                     market_from_dict, market_to_dict)
+                     NoMartingaleMeasureError, NonconvergedError)
+from .geometry import find_equivalent_mm, relative_entropy, _support_structure
+from .market import AdaptedProcess, MarketTree, _with_assets, leaf_values
 from .utility import UtilityPair, _golden_min
 
 PRICE_TOL = 1e-9       # |u(endow + claim - p) - u(endow)| <= tol * (1 + |u|)
 AGREEMENT_TOL = 1e-6   # cross-method relative agreement
+_MAX_PROBES = 100      # probes of one bracketed Newton search
 
 
 def price_bounds(tree: MarketTree, claim) -> tuple[float, float]:
@@ -74,17 +74,18 @@ class SolveCounter:
         return solve_dual_fixed_mass(*args, **kwargs)
 
 
-def _bracketed_newton(probe, x, lo, hi, *, x_tol=0.0, max_probes=100):
+def _bracketed_newton(probe, x, lo, hi, *, x_tol=0.0):
     """Root of an increasing function by Newton steps kept inside a bracket.
 
     ``probe(x)`` returns ``(g, slope, done)``; ``done`` accepts x as the root.
     A step that is unavailable or leaves the bracket is replaced by
     bisection, or by a doubling stride while a side is still open.  Returns
     the accepted probe point, or the last one once the Newton step or the
-    bracket is within ``x_tol``.
+    bracket is within ``x_tol``; raises :class:`BracketFailError` after 100
+    probes.
     """
     stride = 1.0
-    for _ in range(max_probes):
+    for _ in range(_MAX_PROBES):
         g, slope, done = probe(x)
         if done:
             return x
@@ -105,7 +106,7 @@ def _bracketed_newton(probe, x, lo, hi, *, x_tol=0.0, max_probes=100):
             if not lo < x < hi:
                 raise BracketFailError(
                     f"root bracket [{lo!r}, {hi!r}] collapsed at residual {g:.3e}")
-    raise BracketFailError(f"no root after {max_probes} probes in [{lo}, {hi}]")
+    raise BracketFailError(f"no root after {_MAX_PROBES} probes in [{lo}, {hi}]")
 
 
 def _cash_root(tree, pair, x, target, c0, hi, start, solves):
@@ -176,7 +177,7 @@ def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
 
 
 def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
-                     q: MeasureVector, *, base_value: float | None = None) -> float:
+                     q, *, base_value: float | None = None) -> float:
     """Normalized excess entropy of a martingale probability measure.
 
     For a fixed measure this is a one-dimensional convex minimization over
@@ -184,15 +185,15 @@ def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
     axis from [-3, 3] with bracket expansion; 200 steps shrink a bracket
     widened up to 2^80-fold below the spacing of doubles.  Zero exactly at the normalized dual
     optimizer; raises :class:`InfiniteEntropyError` when the measure has
-    infinite entropy.
+    infinite entropy.  ``q`` is a leaf measure.
     """
-    if not math.isfinite(relative_entropy(tree, pair, q)):
+    qa = leaf_values(tree, q)
+    if not math.isfinite(relative_entropy(tree, pair, qa)):
         raise InfiniteEntropyError("measure has infinite relative entropy")
     if base_value is None:
         base_value = solve_dual(tree, pair, endow).value
     e = leaf_values(tree, endow)
     p = tree.leaf_probability_array
-    qa = q.as_array(tree)
     eq = float(np.dot(qa, e))
 
     def phi(s):
@@ -432,43 +433,37 @@ class MubppReport:
 
 
 def check_mubpp(tree: MarketTree, pair: UtilityPair, endow,
-                sprime: AdaptedProcess, *, drift_tol: float = 1e-8,
-                value_tol: float = 1e-7) -> MubppReport:
+                sprime: AdaptedProcess) -> MubppReport:
     """Is the candidate process a fair price process for a new asset?
 
-    Method A computes per-node drifts under the normalized optimal measure;
-    method B augments the market with the candidate as extra assets and
-    re-solves.  The two verdicts agree (that equivalence is the theorem this
-    verifies); ``is_mubpp`` reports the utility-comparison verdict.  Raises
-    :class:`AugmentInfeasibleError` when the augmented market admits
-    arbitrage (then the candidate is certainly not fair).
+    Method A computes per-node drifts under the normalized optimal measure
+    (fair within 1e-8, scaled); method B augments the market with the
+    candidate as extra assets and re-solves (fair within 1e-7, relative).
+    The two verdicts agree (that equivalence is the theorem this verifies);
+    ``is_mubpp`` reports the utility-comparison verdict.  Raises
+    :class:`AugmentInfeasibleError` for a non-finite candidate price or an
+    augmented market with arbitrage (then the candidate is not fair).
     """
     endow = leaf_values(tree, endow)
-    vals = {nid: np.atleast_1d(np.asarray(sprime.at(nid), dtype=float))
-            for nid in tree.node_ids}
-    d_new = len(next(iter(vals.values())))
-    if any(v.shape != (d_new,) for v in vals.values()):
+    cand = [np.atleast_1d(np.asarray(sprime.at(n), dtype=float)) for n in tree.layout.ids]
+    if any(v.shape != (cand[0].size,) for v in cand):
         raise ValueError("candidate process must have the same width on all nodes")
 
     sol = solve_dual(tree, pair, endow)
-    x = np.array([vals[nid] for nid in tree.layout.ids])
-    cond, mass = tree.one_step_expectation(x, sol.q_hat_array)
-    x, live = x[:mass.size], mass > 0
+    cand = np.array(cand)
+    cond, mass = tree.one_step_expectation(cand, sol.q_hat_array)
+    x, live = cand[:mass.size], mass > 0
     drift = np.abs(cond - x).max(axis=1)
     drifts = [(nid, float(dn)) for nid, dn, ok in zip(tree.nonleaf_ids, drift, live) if ok]
     max_drift = float((drift / (1.0 + np.abs(x).max(axis=1)))[live].max(initial=0.0))
-    drift_verdict = max_drift <= drift_tol
+    drift_verdict = max_drift <= 1e-8
 
-    doc = market_to_dict(tree)
-    doc["assets"] = doc["assets"] + [f"candidate{k}" for k in range(d_new)]
-    for nd in doc["nodes"]:
-        nd["prices"] = nd["prices"] + [repr(float(x)) for x in vals[nd["id"]]]
+    if not np.isfinite(cand).all():
+        raise AugmentInfeasibleError("cannot build augmented market: a candidate "
+                                     "price is not finite")
+    augmented = _with_assets(tree, [f"candidate{k}" for k in range(cand.shape[1])], cand)
     try:
-        augmented = market_from_dict(doc)
-    except Exception as exc:  # validation cannot fail here; defensive
-        raise AugmentInfeasibleError(f"cannot build augmented market: {exc}")
-    try:
-        # the augmented file lists the nodes in the same order: same leaf order
+        # same layout, so the same leaf order
         aug_value = solve_dual(augmented, pair, endow).value
     except NoMartingaleMeasureError:
         raise AugmentInfeasibleError(
@@ -482,7 +477,7 @@ def check_mubpp(tree: MarketTree, pair: UtilityPair, endow,
         utility_verdict = False
     else:
         utility_verdict = (abs(aug_value - sol.value)
-                           <= value_tol * (1.0 + abs(sol.value)))
+                           <= 1e-7 * (1.0 + abs(sol.value)))
     return MubppReport(
         is_mubpp=utility_verdict,
         drift_verdict=drift_verdict,
@@ -536,33 +531,41 @@ def _mass_radius(tree, pair, endow_arrays):
 
     Convexity gives entropy >= V(mass); any measure whose mass makes
     V(mass) + mass * (worst claim expectation) beat a fixed feasible
-    measure's objective cannot be optimal.
+    measure's objective cannot be optimal.  The other masses form an
+    interval; the radius is twice the first mass past it on the grid
+    10^(-6 + 18k/399) (from k = 0 in blocks of 400, the first one
+    ``np.logspace(-6, 12, 400)``), or 2 if the first block misses it.
+    Raises :class:`NonconvergedError` if V overflows first.
     """
     geo = _support_structure(tree)
     c_lo = min(geo.extremes(e)[0] for e in endow_arrays)
     h_q = relative_entropy(tree, pair, geo.interior)
     c_up = max(h_q + float(np.dot(geo.interior, e)) for e in endow_arrays)
-    ys = np.logspace(-6, 12, 400)
-    vals = pair.v(ys) + c_lo * ys
-    below = np.where(vals <= c_up)[0]
-    if below.size == 0:
-        return 2.0
-    if below[-1] == ys.size - 1:
-        raise ArithmeticError("mass radius scan did not terminate")
-    return 2.0 * float(ys[below[-1] + 1])
+    for k in itertools.count(0, 400):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys = 10.0 ** (np.arange(k, k + 400) * (18 / 399) - 6.0)
+            vals = pair.v(ys) + c_lo * ys
+        inside = np.flatnonzero(vals <= c_up)
+        if k == 0 and inside.size == 0:
+            return 2.0
+        end = inside[-1] + 1 if inside.size else 0
+        if end < ys.size:
+            if not np.isfinite(vals[end]):
+                raise NonconvergedError(f"mass radius scan overflowed at mass {ys[end]!r}")
+            return 2.0 * float(ys[end])
 
 
 def endowment_sensitivity(tree: MarketTree, pair: UtilityPair, endowments, *,
-                          lambdas=(0.25, 0.5, 0.75), sequence=None,
-                          claim=None, tol: float = 1e-9) -> SensitivityReport:
+                          sequence=None, claim=None) -> SensitivityReport:
     """Monotonicity/concavity/continuity certificates for the optimal value.
 
     ``endowments`` is a list of random variables on the same tree; ordered
     pairs are checked for monotonicity (strictly when an equivalent measure
-    exists), the first two for concavity along the ``lambdas`` grid.  A
-    ``sequence`` converging to ``endowments[0]`` is checked for dominated
-    continuity with the computed mass radius; a ``claim`` adds the
-    recentered-claim sandwich around the base value.  Report-only.
+    exists), the first two for concavity at mixing weights 0.25, 0.5, 0.75.
+    A ``sequence`` converging to ``endowments[0]`` is checked for dominated
+    continuity with the computed mass radius, to 1e-9 (relative); a
+    ``claim`` adds the recentered-claim sandwich around the base value.
+    Report-only.
     """
     endowments = [leaf_values(tree, e) for e in endowments]
     sols = [solve_dual(tree, pair, e) for e in endowments]
@@ -586,7 +589,7 @@ def endowment_sensitivity(tree: MarketTree, pair: UtilityPair, endowments, *,
     if len(endowments) >= 2:
         e0, e1 = endowments[0], endowments[1]
         v0, v1 = values[0], values[1]
-        for lam in lambdas:
+        for lam in (0.25, 0.5, 0.75):
             mix = e0 * lam + e1 * (1.0 - lam)
             vm = solve_dual(tree, pair, mix).value
             concavity.append((float(lam), vm - (lam * v0 + (1.0 - lam) * v1)))
@@ -603,7 +606,7 @@ def endowment_sensitivity(tree: MarketTree, pair: UtilityPair, endowments, *,
             gap = abs(v_n - base)
             continuity.append(ContinuityEntry(
                 sup_bound=sup, value_gap=gap,
-                dominated=gap <= radius * sup + tol * (1.0 + abs(base))))
+                dominated=gap <= radius * sup + 1e-9 * (1.0 + abs(base))))
 
     sandwich = None
     if claim is not None:

@@ -21,8 +21,7 @@ import numpy as np
 from .dual import DualSolution, _newton_core, _objective
 from .errors import (NoPrimalOptimizerError, NotExponentialError,
                      ReplicationGapError)
-from .geometry import (MeasureVector, _support_structure, build_constraints,
-                       relative_entropy)
+from .geometry import _support_structure, build_constraints, relative_entropy
 from .market import AdaptedProcess, MarketTree, RandomVariable, leaf_values
 from .utility import UtilityPair
 
@@ -142,13 +141,14 @@ class SupermartingaleReport:
 
 
 def verify_supermartingale(tree: MarketTree, wealth: AdaptedProcess, measures,
-                           pair: UtilityPair, q_hat: MeasureVector | None = None,
-                           tol: float = 1e-8) -> SupermartingaleReport:
+                           pair: UtilityPair, q_hat=None) -> SupermartingaleReport:
     """Per-node drift of the wealth process under each finite-entropy measure.
 
-    Report-only: lists (measure, node) pairs whose conditional drift exceeds
-    ``tol`` (scaled), and the exact-martingale residual under the optimal
-    measure when given.
+    ``measures`` is a stack (k, L) of leaf measures; one entropy evaluation
+    picks the finite ones.  Report-only: lists (measure, node) pairs whose
+    conditional drift exceeds 1e-8 (scaled), by measure then node, and the
+    exact-martingale residual under the optimal measure ``q_hat`` (a leaf
+    measure) when given.
     """
     ids = tree.layout.ids
     w = np.array([float(wealth.at(n)) for n in ids])
@@ -158,30 +158,25 @@ def verify_supermartingale(tree: MarketTree, wealth: AdaptedProcess, measures,
         cond, mass = tree.one_step_expectation(w, q_arr)
         return cond - w[:mass.shape[-1]], mass > 0
 
-    tested, arrs, skipped = [], [], 0
-    for k, q in enumerate(measures):
-        if not math.isfinite(relative_entropy(tree, pair, q)):
-            skipped += 1
-            continue
-        tested.append(k)
-        arrs.append(q.as_array(tree) if isinstance(q, MeasureVector)
-                    else leaf_values(tree, q))
-    drift, live = node_drifts(np.reshape(arrs, (len(tested), tree.n_leaves)))
-    violations = [DriftViolation(tested[k], ids[n], float(drift[k, n]))
-                  for k, n in zip(*np.nonzero(live & (drift > tol * w_scale)))]
+    q = np.asarray(measures, dtype=float).reshape(-1, tree.n_leaves)
+    finite = np.isfinite(relative_entropy(tree, pair, q))
+    tested = np.flatnonzero(finite)
+    drift, live = node_drifts(q[finite])
+    violations = [DriftViolation(int(tested[k]), ids[n], float(drift[k, n]))
+                  for k, n in zip(*np.nonzero(live & (drift > 1e-8 * w_scale)))]
     max_drift = float(drift[live].max(initial=-math.inf))
 
     opt_drift = 0.0
     if q_hat is not None:
-        drift, live = node_drifts(q_hat.as_array(tree))
+        drift, live = node_drifts(leaf_values(tree, q_hat))
         opt_drift = float(np.abs(drift[live]).max(initial=0.0))
 
     return SupermartingaleReport(
         violations=tuple(violations),
-        max_drift=max_drift if tested else 0.0,
+        max_drift=max_drift if tested.size else 0.0,
         max_abs_drift_under_optimal=opt_drift,
-        measures_tested=len(tested),
-        measures_skipped=skipped,
+        measures_tested=int(tested.size),
+        measures_skipped=int(finite.size - tested.size),
     )
 
 
@@ -255,15 +250,15 @@ class SnellReport:
 
 def snell_envelope_exponential(tree: MarketTree, pair: UtilityPair, endow,
                                sol: DualSolution, vertices, *,
-                               wealth: AdaptedProcess,
-                               mollify: float = 1e-6) -> SnellReport:
+                               wealth: AdaptedProcess) -> SnellReport:
     """Essential-supremum representation of the optimal wealth (exponential).
 
     At each node, the wealth should equal the supremum over equivalent
     finite-entropy martingale measures of the conditional expectation of the
     log-density payoff ``(1/gamma) ln(dP/d(optimal measure)) - endowment``.
-    Vertices are mollified toward an equivalent measure to yield certified
-    interior test measures; the optimal measure attains the supremum.
+    The vertices, a stack (k, L), are mollified toward the optimal measure
+    (weight 1e-6 on it) to yield equivalent test measures, all of finite
+    entropy; the optimal measure attains the supremum.
     """
     if pair.family != "exponential":
         raise NotExponentialError("Snell-envelope check requires exponential utility")
@@ -276,8 +271,8 @@ def snell_envelope_exponential(tree: MarketTree, pair: UtilityPair, endow,
     payoff = np.log(p / mu) / gamma - e   # leaf random variable inside the essmax
 
     q_e = sol.q_hat_array
-    verts = np.reshape([v.as_array(tree) for v in vertices], (-1, tree.n_leaves))
-    tested = np.vstack([q_e, (1.0 - mollify) * verts + mollify * q_e])
+    verts = np.asarray(vertices, dtype=float).reshape(-1, tree.n_leaves)
+    tested = np.vstack([q_e, (1.0 - 1e-6) * verts + 1e-6 * q_e])
 
     ids = tree.layout.ids
     w = np.array([float(wealth.at(n)) for n in ids])

@@ -325,16 +325,15 @@ def _finite_window(f, xs, positive=False):
 
 
 def certify_assumptions(pair: UtilityPair,
-                        x_extent: float = 1e6,
-                        n_grid: int = 400) -> CertificationReport:
+                        x_extent: float = 1e6) -> CertificationReport:
     """Certify Inada, strict concavity, tail elasticity and conjugate growth.
 
-    Grids are log-spaced out to ``+-x_extent`` (at least 1e6).  The Inada
-    conditions U'(inf) = 0 and U'(-inf) = inf are read from the log-log
-    slope of U' over the last decade of the grid on which U' is finite and
-    positive: below -1e-3 on the right, above 1e-3 on the left.  The
-    biconjugacy U(x) = min_y V(y) + x y is checked at 51 points in [-10, 10]
-    by one lane-wise golden-section search.  Raises
+    Grids are log-spaced out to ``+-x_extent`` (at least 1e6), 400 points on
+    each side of 0.  The Inada conditions U'(inf) = 0 and U'(-inf) = inf
+    are read from the log-log slope of U' over the last decade of the grid
+    on which U' is finite and positive: below -1e-3 on the right, above
+    1e-3 on the left.  The biconjugacy U(x) = min_y V(y) + x y is checked at
+    51 points in [-10, 10] by one lane-wise golden-section search.  Raises
     :class:`AssumptionFailError` naming the first violated assumption;
     otherwise returns the report with the empirical estimates.
     """
@@ -343,9 +342,9 @@ def certify_assumptions(pair: UtilityPair,
 
     # strict monotonicity / strict concavity / positive U(0) on a dense grid
     xs = np.concatenate([
-        -np.logspace(math.log10(x_extent), -8, n_grid),
+        -np.logspace(math.log10(x_extent), -8, 400),
         [0.0],
-        np.logspace(-8, math.log10(x_extent), n_grid),
+        np.logspace(-8, math.log10(x_extent), 400),
     ])
     xs = np.unique(xs)
     raw_up = pair.u_prime(xs)

@@ -146,6 +146,19 @@ def test_sensitivity_with_continuity_and_claim_exits_zero(tri1_file, capsys):
     assert capsys.readouterr().out.count("(ok)") == 3
 
 
+
+def test_sensitivity_with_a_large_mass_radius_exits_cleanly(tmp_path, capsys):
+    # the mass radius is about 2.4e25, past the first block of its scan
+    path = tmp_path / "tri1_low.json"
+    doc = treegen.tri1_dict()
+    doc["endowment"] = {"a": "-60", "b": "-50", "c": "-55"}
+    path.write_text(json.dumps(doc))
+    argv = ["sensitivity", "--market", str(path), "--utility", "exp:gamma=1,C=2",
+            "--endowments", "endowment", "--continuity-steps", "1"]
+    assert cli.run(argv) in (cli.EXIT_OK, cli.EXIT_VERIFY)
+    assert "continuity: |du|" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("inject,code", [([], cli.EXIT_OK),
                                          (["--inject-mu", "a:0.01"], cli.EXIT_VERIFY)])
 def test_verify_exit_codes(tri1_file, capsys, inject, code):

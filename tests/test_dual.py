@@ -88,7 +88,7 @@ def test_tri1_minimal_entropy_measure(tri1, exp_pair_raw):
     # minimal relative entropy: the normalized optimizer beats both vertices
     kl = float(np.sum(sol.q_hat_array * np.log(sol.q_hat_array * 3)))
     for v in vertex_enumerate(build_constraints(tri1)):
-        q = v.as_array(tri1)
+        q = v
         m = q > 0
         assert kl <= float(np.sum(q[m] * np.log(q[m] * 3))) + 1e-9
 
@@ -150,7 +150,7 @@ def test_kkt_certificate(tri1, exp_pair):
 def test_uniqueness_from_random_starts(tri1, exp_pair):
     e = {"a": 0.5, "b": 0.0, "c": -0.5}
     rng = np.random.default_rng(11)
-    verts = [v.as_array(tri1) for v in vertex_enumerate(build_constraints(tri1))]
+    verts = list(vertex_enumerate(build_constraints(tri1)))
     ref = solve_dual(tri1, exp_pair, e)
     for _ in range(4):
         w = rng.dirichlet(np.ones(len(verts)))
@@ -348,7 +348,7 @@ def test_log_mass_dominates_every_ray():
         sol, = dual._log_space_solutions(tree, exponential_utility(gamma, 2.0), [e])
         p = tree.leaf_probability_array
         verts = vertex_enumerate(build_constraints(tree))
-        for q in [v.as_array(tree) for v in verts] + [sol.q_hat_array]:
+        for q in list(verts) + [sol.q_hat_array]:
             on = q > 0
             ray = -float(q[on] @ np.log(q[on] / p[on])) - gamma * float(q @ e)
             assert ray <= sol._log_mass + 1e-12 * abs(sol._log_mass)
@@ -508,7 +508,7 @@ def test_maximal_support_flags_an_uncharged_vertex_leaf(tri1, exp_pair):
     mu = sol._mu_arr.copy()
     mu[tri1.leaf_index("a")] = 0.0
     rep = check_maximal_support(tri1, dataclasses.replace(sol, _mu_arr=mu), verts)
-    charging = [k for k, v in enumerate(verts) if v.as_array(tri1)[0] > 0]
+    charging = [k for k, v in enumerate(verts) if v[0] > 0]
     assert charging and rep.violations == tuple((k, "a") for k in charging)
 
 

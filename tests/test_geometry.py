@@ -54,12 +54,12 @@ def test_dead_leaf_market_not_equivalent():
     # the only measure is the point mass on the unmoved branch
     verts = vertex_enumerate(build_constraints(tree))
     assert len(verts) == 1
-    assert verts[0].as_array(tree) == pytest.approx([0.0, 1.0])
+    assert verts[0] == pytest.approx([0.0, 1.0])
 
 
 def test_vertices_tri1(tri1):
     verts = vertex_enumerate(build_constraints(tri1))
-    arrs = sorted(tuple(np.round(v.as_array(tri1), 10)) for v in verts)
+    arrs = sorted(tuple(np.round(v, 10)) for v in verts)
     assert len(arrs) == 2
     assert arrs[0] == pytest.approx([0.0, 1.0, 0.0])
     assert arrs[1] == pytest.approx([1 / 3, 0.0, 2 / 3])
@@ -68,16 +68,16 @@ def test_vertices_tri1(tri1):
 def test_vertex_unique_bin1(bin1):
     verts = vertex_enumerate(build_constraints(bin1))
     assert len(verts) == 1
-    assert verts[0].as_array(bin1) == pytest.approx([1 / 3, 2 / 3], abs=1e-10)
+    assert verts[0] == pytest.approx([1 / 3, 2 / 3], abs=1e-10)
 
 
 def test_vertices_two_period_all_martingale():
     tree = treegen.product_market([[2.0, 1.0, 0.5], [2.0, 1.0, 0.5]])
     cons = build_constraints(tree)
     verts = vertex_enumerate(cons)
-    assert verts
+    assert len(verts)
     for v in verts:
-        arr = v.as_array(tree)
+        arr = v
         assert np.abs(cons.matrix @ arr).max() <= 1e-10
         assert is_martingale_measure(tree, v, tol=1e-9)
         assert arr.sum() == pytest.approx(1.0, abs=1e-12)
@@ -101,7 +101,7 @@ def _top_down(cons):
 
 
 def _vertices_by_support(verts, tree):
-    arrs = [v.as_array(tree) for v in verts]
+    arrs = list(verts)
     return {tuple(np.flatnonzero(a)): a for a in arrs}
 
 
@@ -138,9 +138,61 @@ def test_three_period_trinomial_tree_has_128_vertices():
     verts = vertex_enumerate(cons)
     assert len(verts) == 128
     for v in verts:
-        arr = v.as_array(tree)
+        arr = v
         assert np.abs(cons.matrix @ arr).max() <= 1e-10
         assert arr.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_measure_sets_are_stacks(tri1):
+    verts = vertex_enumerate(build_constraints(tri1))
+    assert isinstance(verts, np.ndarray) and verts.shape == (2, 3)
+    empty = vertex_enumerate(build_constraints(treegen.arbitrage_market()))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0, 2)
+    for n in (0, 5):
+        samples = sample_martingale_measures(tri1, n, seed=1)
+        assert isinstance(samples, np.ndarray) and samples.shape == (n, 3)
+
+
+@pytest.mark.parametrize("pair", [exponential_utility(1.0, 2.0),
+                                  two_power_utility(0.5, 1.0, 1.0)],
+                         ids=["exp", "two_power"])
+def test_stacked_relative_entropy_matches_row_by_row(pair):
+    tree = treegen.product_market([[1.25, 1.05, 0.8]] * 2)
+    verts = vertex_enumerate(build_constraints(tree))   # each misses some leaves
+    stack = np.vstack([verts, sample_martingale_measures(tree, 6, seed=4),
+                       0.5 * verts[:3] + 0.5 * verts[-3:], np.zeros((1, 9))])
+    got = relative_entropy(tree, pair, stack)
+    want = np.array([relative_entropy(tree, pair, q) for q in stack])
+    assert got.shape == (len(stack),) and got.tobytes() == want.tobytes()
+    zero_leaf = (stack == 0).any(axis=1)
+    assert zero_leaf[:len(verts)].all() and not zero_leaf[len(verts):-4].any()
+    # V(0) = U(inf): infinite for the two-power family, finite for the exponential
+    assert np.isinf(got[zero_leaf]).all() == (pair.family == "two_power")
+    assert np.isfinite(got[~zero_leaf]).all()
+    empty = relative_entropy(tree, pair, np.zeros((0, 9)))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+def test_battery_evaluates_the_entropy_once_per_check(monkeypatch):
+    # the 128-vertex tree below: one stacked evaluation for the maximal
+    # support check, one for the supermartingale check
+    from treedual import dual, recovery, run_battery
+
+    tree = treegen.product_market([[1.25, 1.05, 0.8]] * 3)
+    calls = []
+
+    def counted(*args):
+        calls.append(np.shape(args[2]))
+        return relative_entropy(*args)
+
+    for mod in (geometry, dual, recovery):
+        monkeypatch.setattr(mod, "relative_entropy", counted)
+    results = run_battery(tree, two_power_utility(0.5, 1.0, 1.0), 0.0)
+    assert all(r.passed for r in results)
+    # every vertex misses a leaf, so its two-power entropy is infinite
+    support = [r for r in results if r.name == "maximal support"][0]
+    assert support.detail == "0 vertices tested"
+    assert calls == [(128, 27), (128, 27)]
 
 
 def test_two_asset_trinomial_tree_has_one_vertex():
@@ -152,7 +204,7 @@ def test_two_asset_trinomial_tree_has_one_vertex():
         tree = treegen.random_market(rng, max_periods=3, n_assets=2)
     verts = vertex_enumerate(build_constraints(tree))
     assert len(verts) == 1
-    q = verts[0].as_array(tree)
+    q = verts[0]
     assert q.min() > 0
     assert q == pytest.approx(find_equivalent_mm(tree).as_array(tree), abs=1e-9)
 
@@ -161,7 +213,7 @@ def test_no_equivalent_mm_implies_every_vertex_degenerate():
     tree = treegen.dead_leaf_market()
     assert find_equivalent_mm(tree) is None
     for v in vertex_enumerate(build_constraints(tree)):
-        assert min(v.values.values()) <= 1e-10
+        assert min(v) <= 1e-10
 
 
 @settings(max_examples=30, deadline=None)
@@ -217,7 +269,7 @@ def test_sampled_measures_are_martingale_measures():
     tree = treegen.product_market([[2.0, 1.0, 0.5], [1.5, 0.7]])
     for q in sample_martingale_measures(tree, 25, seed=3):
         assert is_martingale_measure(tree, q, tol=1e-8)
-        assert q.mass == pytest.approx(1.0, abs=1e-9)
+        assert q.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_measure_vector_api(tri1):

@@ -7,7 +7,7 @@ import pytest
 import treegen
 from treedual import (AdaptedProcess, AugmentInfeasibleError, MeasureVector,
                       EvaluationOverflowError, InfiniteEntropyError,
-                      RandomVariable, average_price_curve,
+                      NonconvergedError, RandomVariable, average_price_curve,
                       build_constraints, dual_value_curve,
                       certainty_equivalent, check_mubpp, davis_price,
                       endowment_sensitivity, entropic_penalty,
@@ -17,7 +17,7 @@ from treedual import (AdaptedProcess, AugmentInfeasibleError, MeasureVector,
                       price_report, price_via_penalty, solve_dual,
                       solve_dual_fixed_mass, two_power_utility,
                       vertex_enumerate)
-from treedual import cli, dual, geometry, pricing
+from treedual import cli, dual, geometry, market_from_dict, market_to_dict, pricing
 
 E_TRI = {"a": 0.3, "b": -0.2, "c": 0.1}
 B_TRI = {"a": 1.0, "b": 0.0, "c": 0.0}
@@ -83,7 +83,7 @@ def test_entropic_penalty_matches_a_bounded_scalar_minimization(tri1, scale):
     base = solve_dual(tri1, pair, endow).value
     p = tri1.leaf_probability_array
     e = np.array([endow[k] for k in ("a", "b", "c")])
-    verts = [v.as_array(tri1) for v in vertex_enumerate(build_constraints(tri1))]
+    verts = list(vertex_enumerate(build_constraints(tri1)))
     for q in verts + [0.3 * verts[0] + 0.7 * verts[-1]]:
         def phi(s):
             y = math.exp(s)
@@ -109,7 +109,7 @@ def test_penalty_representation_bound(tri1, exp_pair):
     b = np.array([1.0, 0.0, 0.0])
     for v in vertex_enumerate(build_constraints(tri1)):
         alpha = entropic_penalty(tri1, exp_pair, E_TRI, v, base_value=sol.value)
-        assert bid <= float(v.as_array(tri1) @ b) + alpha + 1e-8
+        assert bid <= float(v @ b) + alpha + 1e-8
 
 
 def test_price_report_invariants(tri1, exp_pair):
@@ -487,7 +487,7 @@ def test_mubpp_vertex_expectations_rejected(tri1, exp_pair):
     verts = vertex_enumerate(build_constraints(tri1))
     q = verts[1]  # (1/3, 0, 2/3)
     b = np.array([1.0, 0.0, 0.0])
-    root_val = float(q.as_array(tri1) @ b)
+    root_val = float(q @ b)
     vals = {"root": root_val, "a": 1.0, "b": 0.0, "c": 0.0}
     rep = check_mubpp(tri1, exp_pair, E_TRI, AdaptedProcess(vals))
     assert not rep.is_mubpp and rep.agree
@@ -499,6 +499,53 @@ def test_mubpp_detects_augmented_arbitrage(tri1, exp_pair):
     vals = {"root": 1.0, "a": 1.2, "b": 1.2, "c": 1.2}
     with pytest.raises(AugmentInfeasibleError):
         check_mubpp(tri1, exp_pair, E_TRI, AdaptedProcess(vals))
+
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mubpp_non_finite_candidate_is_augment_infeasible(tri1, exp_pair, bad):
+    vals = {"root": 0.5, "a": 1.0, "b": bad, "c": 0.0}
+    with pytest.raises(AugmentInfeasibleError):
+        check_mubpp(tri1, exp_pair, E_TRI, AdaptedProcess(vals))
+
+
+def test_mubpp_builds_the_augmented_market_without_parsing(tri1, exp_pair, monkeypatch):
+    from treedual import market
+
+    def refuse(*args):
+        raise AssertionError("a decimal string was parsed")
+
+    sol = solve_dual(tri1, exp_pair, E_TRI)
+    sprime = optimal_measure_price_process(tri1, sol, B_TRI)
+    monkeypatch.setattr(market, "_decimal", refuse)
+    rep = check_mubpp(tri1, exp_pair, E_TRI, sprime)
+    assert rep.is_mubpp and rep.drift_verdict and rep.agree
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_augmented_market_matches_its_scenario_document(seed):
+    # the document the augmented tree writes is the one a scenario file
+    # with the candidate columns would hold, and parsing it gives the same tree
+    from treedual.market import _with_assets
+
+    rng = np.random.default_rng(seed)
+    base = treegen.random_market(rng, max_periods=3, n_assets=1 + seed % 2)
+    doc = market_to_dict(base)
+    doc["endowment"] = dict(zip(base.leaf_ids, map(repr, rng.normal(size=base.n_leaves).tolist())))
+    rng.shuffle(doc["nodes"])
+    tree = market_from_dict(doc)
+    cand = rng.normal(size=(len(tree.layout.ids), 2))
+    aug = _with_assets(tree, ["candidate0", "candidate1"], cand)
+    want = market_to_dict(tree)
+    want["assets"] += ["candidate0", "candidate1"]
+    for nd in want["nodes"]:
+        nd["prices"] += [repr(float(x)) for x in cand[tree.layout.ids.index(nd["id"])]]
+    assert market_to_dict(aug) == want
+    parsed = market_from_dict(want)
+    for name in ("ids", "parent", "level_starts", "first_child", "prices", "prob", "lo", "hi"):
+        assert np.array_equal(getattr(aug.layout, name), getattr(parsed.layout, name))
+    assert aug.leaf_probability_array.tobytes() == parsed.leaf_probability_array.tobytes()
+    assert [n.prices for n in aug.nodes] == [n.prices for n in parsed.nodes]
 
 
 # -- endowment sensitivity ------------------------------------------------------
@@ -522,6 +569,43 @@ def test_endowment_sensitivity_certificates(tri1, exp_pair):
     assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
     lo_slack, hi_slack = rep.sandwich
     assert lo_slack >= -1e-9 and hi_slack >= -1e-9
+
+
+
+def _logspace_mass_radius(tree, pair, endows):
+    """The mass radius scan on ``np.logspace(-6, 12, 400)`` alone."""
+    geo = geometry._support_structure(tree)
+    c_lo = min(geo.extremes(e)[0] for e in endows)
+    h_q = geometry.relative_entropy(tree, pair, geo.interior)
+    c_up = max(h_q + float(np.dot(geo.interior, e)) for e in endows)
+    ys = np.logspace(-6, 12, 400)
+    below = np.flatnonzero(pair.v(ys) + c_lo * ys <= c_up)
+    if below.size == 0:
+        return 2.0
+    assert below[-1] < ys.size - 1
+    return 2.0 * float(ys[below[-1] + 1])
+
+
+@pytest.mark.parametrize("shift", [-20.0, -3.0, 0.0, 4.0, 30.0])
+def test_mass_radius_is_unchanged_inside_the_first_block(tri1, exp_pair, tp_pair, shift):
+    e = np.array([0.3, -0.2, 0.1]) + shift
+    for pair in (exp_pair, tp_pair):
+        endows = [e, e + 0.5]
+        assert pricing._mass_radius(tri1, pair, endows) == \
+            _logspace_mass_radius(tri1, pair, endows)
+
+
+def test_mass_radius_scan_continues_past_the_first_block(tri1, exp_pair):
+    # the radius is about 2.4e25, beyond the first block's 1e12
+    e = RandomVariable({"a": -60.0, "b": -50.0, "c": -55.0})
+    rep = endowment_sensitivity(tri1, exp_pair, [e], sequence=[e + 1.0])
+    assert 1e25 < rep.mass_radius < 1e26
+    assert all(c.dominated for c in rep.continuity)
+
+
+def test_mass_radius_overflow_is_typed(tri1, exp_pair):
+    with pytest.raises(NonconvergedError):
+        pricing._mass_radius(tri1, exp_pair, [np.full(3, -1000.0)])
 
 
 def test_strict_monotonicity_needs_equivalent_measure(exp_pair):

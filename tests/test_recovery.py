@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 import treegen
 from treedual import (AdaptedProcess, MeasureVector, NoPrimalOptimizerError,
                       NotExponentialError, RandomVariable, build_constraints,
-                      dynamic_dual, exponential_utility, extract_strategy,
-                      leaf_values, recover, recover_terminal_wealth,
-                      snell_envelope_exponential, solve_dual,
-                      two_power_utility, verify_supermartingale,
+                      check_maximal_support, dynamic_dual, exponential_utility,
+                      extract_strategy, leaf_values, recover,
+                      recover_terminal_wealth, relative_entropy,
+                      sample_martingale_measures, snell_envelope_exponential,
+                      solve_dual, two_power_utility, verify_supermartingale,
                       vertex_enumerate)
 
 LN2 = math.log(2.0)
@@ -105,8 +107,8 @@ def test_supermartingale_check_detects_drift():
     tree = treegen.tri1()
     pair = exponential_utility(1.0, 2.0)
     verts = vertex_enumerate(build_constraints(tree))
-    q0 = verts[0].as_array(tree)   # (0, 1, 0)
-    q1 = verts[1].as_array(tree)   # (1/3, 0, 2/3)
+    q0 = verts[0]   # (0, 1, 0)
+    q1 = verts[1]   # (1/3, 0, 2/3)
     w_leaves = np.array([2.0, -1.0, 0.5])
     w_root = float(np.dot(q0, w_leaves))
     wealth = AdaptedProcess({"root": w_root,
@@ -116,6 +118,59 @@ def test_supermartingale_check_detects_drift():
     drift1 = float(np.dot(q1, w_leaves)) - w_root
     rep1 = verify_supermartingale(tree, wealth, [verts[1]], pair)
     assert bool(rep1.violations) == (drift1 > 1e-8 * (1 + abs(w_leaves).max()))
+
+
+def _reference_checks(tree, pair, mu, wealth, measures):
+    """The per-measure loops the stacked checks replace: the maximal-support
+    violations, then the drift violations, max drift and counts."""
+    support, tested, arrs, skipped = [], [], [], 0
+    for k, q in enumerate(measures):
+        if not math.isfinite(relative_entropy(tree, pair, q)):
+            skipped += 1
+            continue
+        tested.append(k)
+        arrs.append(q)
+        for i, leaf in enumerate(tree.leaf_ids):
+            if q[i] > 1e-10 and not mu[i] > 0:
+                support.append((k, leaf))
+    ids = tree.layout.ids
+    w = np.array([float(wealth.at(n)) for n in ids])
+    cond, mass = tree.one_step_expectation(w, np.reshape(arrs, (len(tested), -1)))
+    drift, live = cond - w[:mass.shape[-1]], mass > 0
+    bad = live & (drift > 1e-8 * (1.0 + np.abs(w).max()))
+    violations = [(tested[k], ids[n], float(drift[k, n])) for k, n in zip(*np.nonzero(bad))]
+    max_drift = float(drift[live].max(initial=-math.inf)) if tested else 0.0
+    return tuple(support), violations, max_drift, len(tested), skipped
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]),
+       st.sampled_from(["exp", "two_power"]))
+def test_stacked_checks_match_the_per_measure_loops(seed, n_assets, family):
+    rng = np.random.default_rng(seed)
+    tree = treegen.random_market(rng, max_periods=2, n_assets=n_assets)
+    pair = (exponential_utility(1.0, 2.0) if family == "exp"
+            else two_power_utility(0.5, 1.0, 1.0))
+    sol = solve_dual(tree, pair, rng.uniform(-1.0, 1.0, tree.n_leaves))
+    # a measure missing some leaves, so vertices charging them are flagged
+    sol = dataclasses.replace(sol, _mu_arr=sol._mu_arr * (rng.uniform(size=tree.n_leaves) < 0.7))
+    # vertices (infinite two-power entropy where they miss a leaf), full
+    # samples and a zero measure (no mass anywhere)
+    measures = np.vstack([vertex_enumerate(build_constraints(tree)),
+                          sample_martingale_measures(tree, 4, seed=seed % 97),
+                          np.zeros((1, tree.n_leaves))])
+    wealth = AdaptedProcess(dict(zip(tree.layout.ids,
+                                     rng.normal(size=len(tree.layout.ids)).tolist())))
+    support, violations, max_drift, tested, skipped = _reference_checks(
+        tree, pair, sol._mu_arr, wealth, measures)
+
+    sc = check_maximal_support(tree, sol, measures)
+    assert sc.violations == support
+    assert (sc.vertices_tested, sc.vertices_skipped_infinite_entropy) == (tested, skipped)
+    rep = verify_supermartingale(tree, wealth, measures, pair)
+    assert [(v.measure_index, v.node_id, v.drift) for v in rep.violations] == violations
+    assert rep.max_drift == max_drift
+    assert (rep.measures_tested, rep.measures_skipped) == (tested, skipped)
 
 
 def test_two_power_skips_infinite_entropy_vertices(tri1, tp_pair):
