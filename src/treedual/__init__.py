@@ -10,9 +10,9 @@ from .errors import (AssumptionFailError, AugmentInfeasibleError,
                      NonconvergedError, NoPrimalOptimizerError, ParseError,
                      NotExponentialError, ReplicationGapError, TreedualError,
                      ValueAtSupremumError, ZeroMassError)
-from .market import (AdaptedProcess, MarketTree, MeasureVector, NodeRecord,
-                     RandomVariable, condition, leaf_probabilities, leaf_values,
-                     load_market, market_from_dict, market_to_dict, save_market)
+from .market import (MarketTree, NodeRecord, RandomVariable, condition,
+                     leaf_probabilities, leaf_values, load_market,
+                     market_from_dict, market_to_dict, save_market)
 from .utility import (CertificationReport, UtilityPair, certify_assumptions,
                       evaluate, exponential_utility, parse_utility_spec,
                       two_power_utility)

@@ -27,7 +27,7 @@ from .checks import run_battery
 from .dual import solve_dual
 from .errors import ParseError, TreedualError
 from .geometry import build_constraints, find_equivalent_mm, vertex_enumerate
-from .market import AdaptedProcess, MarketTree, RandomVariable, load_market
+from .market import MarketTree, RandomVariable, load_market
 from .oracle import check_duality_gap
 from .pricing import (average_price_curve, check_mubpp, endowment_sensitivity,
                       price_report)
@@ -138,16 +138,11 @@ def _cmd_solve(args, out: _Out):
     out.say(f"support: {sol.support}")
     out.say(f"stationarity residual: {f12(sol.stationarity)}")
     out.say("leaf  mass  normalized  density")
-    mu = sol.mu.values
-    for leaf in tree.leaf_ids:
-        m = mu[leaf]
-        out.say(f"  {leaf}  {f12(m)}  {f12(m / sol.mass)}  "
-                f"{f12(m / tree.node_probability(leaf))}")
-    out.csv("optimal_measure.csv",
-            ["leaf", "mass", "normalized", "density"],
-            [[leaf, f12(mu[leaf]), f12(mu[leaf] / sol.mass),
-              f12(mu[leaf] / tree.node_probability(leaf))]
-             for leaf in tree.leaf_ids])
+    rows = [[leaf, f12(m), f12(m / sol.mass), f12(m / p)] for leaf, m, p in
+            zip(tree.leaf_ids, sol.mu.tolist(), tree.leaf_probability_array.tolist())]
+    for r in rows:
+        out.say("  " + "  ".join(r))
+    out.csv("optimal_measure.csv", ["leaf", "mass", "normalized", "density"], rows)
     return EXIT_OK
 
 
@@ -160,12 +155,12 @@ def _cmd_recover(args, out: _Out):
     out.say(f"primal value: {f12(ps.value)}")
     out.say(f"dual value:   {f12(sol.value)}")
     out.say(f"replication residual: {f12(ps.replication_residual)}")
-    rows = []
-    for nid in tree.node_ids:
-        h = ps.strategy.values.get(nid)
-        hs = [f12(c) for c in np.atleast_1d(h)] if h is not None \
-            else [""] * tree.n_assets
-        rows.append([nid, tree.time(nid), f12(ps.wealth.at(nid))] + hs)
+    # rows in file order; wealth and strategy (none on leaves) in layout order
+    pos = {nid: k for k, nid in enumerate(tree.layout.ids)}
+    hs = ([[f12(c) for c in h] for h in ps.strategy.tolist()]
+          + [[""] * tree.n_assets] * tree.n_leaves)
+    rows = [[nid, tree.time(nid), f12(ps.wealth[pos[nid]])] + hs[pos[nid]]
+            for nid in tree.node_ids]
     out.csv("wealth_strategy.csv",
             ["node", "t", "wealth"] + [f"h_{a}" for a in tree.assets], rows)
     out.say("node  t  wealth  holdings")
@@ -240,18 +235,19 @@ def _cmd_mubpp(args, out: _Out):
     missing = [nid for nid in tree.node_ids if nid not in raw]
     if missing:
         raise ParseError(f"process file missing nodes: {missing[:5]}")
-    values = {}
+    rows = []   # in file order
     for nid in tree.node_ids:
         try:
             v = np.atleast_1d(np.asarray(raw[nid], dtype=float))
         except (TypeError, ValueError):
             v = np.array([np.nan])
-        width = len(next(iter(values.values()), v))
+        width = len(rows[0] if rows else v)
         if v.shape != (width,) or not np.all(np.isfinite(v)):
             raise ParseError(f"process value at node {nid!r} is not a number or a "
                              f"list of {width} numbers like the nodes before it")
-        values[nid] = v
-    sprime = AdaptedProcess(values)
+        rows.append(v)
+    file_row = {nid: k for k, nid in enumerate(tree.node_ids)}
+    sprime = np.array(rows)[[file_row[nid] for nid in tree.layout.ids]]   # layout order
     rep = check_mubpp(tree, pair, endow, sprime)
     out.say(f"marginal utility-based price process: {rep.is_mubpp}")
     out.say(f"drift verdict: {rep.drift_verdict} "
@@ -305,7 +301,7 @@ def _cmd_verify(args, out: _Out):
     if args.inject_mu:
         # test hook: corrupt the optimal measure before verification
         sol = solve_dual(tree, pair, endow)
-        override = sol._mu_arr.copy()
+        override = sol.mu.copy()
         leaf, delta = args.inject_mu.split(":")
         override[tree.leaf_index(leaf)] += float(delta)
     results = run_battery(tree, pair, endow, mu_override=override)

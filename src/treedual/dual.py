@@ -37,7 +37,7 @@ from .errors import (EvaluationOverflowError, InfeasibleEntropyError,
                      ValueAtSupremumError)
 from .geometry import (SupportStructure, _support_structure, build_constraints,
                        relative_entropy)
-from .market import MarketTree, MeasureVector, leaf_values
+from .market import MarketTree, leaf_values
 from .utility import UtilityPair
 
 _VALUE_FLOOR = -1e250  # below this the optimal utility is numerically -inf
@@ -57,9 +57,8 @@ class DualSolution:
     mass) residual of mu.  ``mass_curvature`` is the core's W''(y), the
     second derivative of the optimal value in a fixed mass y (else None).
     ``iterations`` logs the Newton steps taken (of a log-space pass, summed
-    over levels of the most any endowment took).  ``mu`` and ``q_hat`` are
-    leaf-keyed views of the optimal and normalized measures, built from the
-    arrays on each access.
+    over levels of the most any endowment took).  ``mu`` and ``q_hat``, the
+    optimal and normalized measures, are (L,) arrays in leaf order.
     """
 
     tree: MarketTree
@@ -69,29 +68,23 @@ class DualSolution:
     stationarity: float
     support: str                      # "EQUIVALENT" | "DEGENERATE"
     iterations: tuple[dict, ...]
+    mu: np.ndarray = field(repr=False)
+    q_hat: np.ndarray = field(repr=False)
     mass_curvature: float | None = None
-    _mu_arr: np.ndarray = field(repr=False, default=None)
     _endow_arr: np.ndarray = field(repr=False, default=None)
-    _q_arr: np.ndarray = field(repr=False, default=None)
     _log_mass: float = field(repr=False, default=None)  # exact where mass underflows
     _h_arr: np.ndarray = field(repr=False, default=None)  # strategy (non-leaf nodes, d)
     _log_q: np.ndarray = field(repr=False, default=None)  # ln q_hat, exponential family
 
     @property
-    def mu(self) -> MeasureVector:
-        return MeasureVector.from_array(self.tree, self._mu_arr)
-
-    @property
-    def q_hat(self) -> MeasureVector:
-        return MeasureVector.from_array(self.tree, self._q_arr)
-
-    @property
-    def q_hat_array(self) -> np.ndarray:
-        return self._q_arr
-
-    @property
     def density_array(self) -> np.ndarray:
-        return self._mu_arr / self.tree.leaf_probability_array
+        return self.mu / self.tree.leaf_probability_array
+
+    @property
+    def mass_derivative(self) -> float:
+        """E_q_hat[V'(density) + e], the envelope derivative of the value in the mass."""
+        return float(np.dot(self.q_hat,
+                            self.pair.v_prime(self.density_array) + self._endow_arr))
 
 
 def _solution(tree, pair, e, mu, q, mass, log_mass, value, residual, flag, steps, h,
@@ -99,7 +92,7 @@ def _solution(tree, pair, e, mu, q, mass, log_mass, value, residual, flag, steps
     return DualSolution(
         tree=tree, pair=pair, mass=mass, value=value, stationarity=residual,
         support=flag, iterations=({"steps": steps, "residual": residual},),
-        mass_curvature=curvature, _mu_arr=mu, _endow_arr=e, _q_arr=q, _log_mass=log_mass,
+        mu=mu, q_hat=q, mass_curvature=curvature, _endow_arr=e, _log_mass=log_mass,
         _h_arr=h, _log_q=log_q)
 
 
@@ -269,6 +262,7 @@ def _objective(pair, p, e, mu):
 
 
 _NEWTON_CAP = 200
+_RANK_RTOL = 1e-12  # singular-value cutoff of the Newton step, as geometry's _TOL
 
 
 def _newton_core(A, p, e, pair, live, *, mass=None, start=None):
@@ -278,9 +272,11 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None):
     coefficients c = h with B = A', or at a fixed mass y over c = (h, x)
     with the cash x and B = [A', 1]; the optimal measure is mu = p U'(e + B c).
     The Newton step solves H d = grad Phi, H = B' diag(-p U'') B, as least
-    squares in the H^1/2 scaling with Jacobi-scaled columns; -p U'' is
-    p / V''(U'(w)), 0 where U' underflows.  A step is accepted on Armijo
-    increase or, where Phi is flat to rounding, on a smaller scaled gradient
+    squares in the H^1/2 scaling with Jacobi-scaled columns, blind to
+    singular values below 1e-12 of the largest (columns dependent to
+    rounding); -p U'' is p / V''(U'(w)), 0 where U' underflows.  A step is
+    accepted on Armijo increase or, where Phi is flat to rounding, on a
+    smaller scaled gradient
     ``max_j |B' mu - y e_x|_j / ((1 + max|B_j|) sum mu)``, the martingale
     and mass residual of mu relative to its mass.  The loop runs to 1e-13,
     or stops below 1e-9 once a step no longer halves that residual or none
@@ -322,11 +318,11 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None):
         d = 1.0 / np.where(norm > 0, norm, 1.0)                  # Jacobi scaling
         t = np.divide(mu, s, out=np.zeros_like(mu), where=s > 0)  # J't = B'mu
         if mass is None:
-            return d * np.linalg.lstsq(jh * d, t, rcond=None)[0], None
+            return d * np.linalg.lstsq(jh * d, t, rcond=_RANK_RTOL)[0], None
         # z, the part of the cash column s off the strategy columns, has
         # J'z = |z|^2 e_x, so the step fits t - y z / |z|^2, whose J' image
         # is grad Phi
-        a, zc = np.linalg.lstsq(jh * d, np.column_stack([t, s]), rcond=None)[0].T
+        a, zc = np.linalg.lstsq(jh * d, np.column_stack([t, s]), rcond=_RANK_RTOL)[0].T
         z = s - (jh * d) @ zc
         kappa = (float(z @ t) - y) / float(z @ z)
         return np.append(d * (a - kappa * zc), kappa), 1.0 / float(z @ z)
@@ -439,11 +435,11 @@ def solve_dual_fixed_mass(tree: MarketTree, pair: UtilityPair, endow, y: float, 
     return _core_solution(tree, pair, endow, float(y), start)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvePoint:
     y: float
     value: float
-    q_hat: MeasureVector
+    q_hat: np.ndarray               # (L,), leaf order
     derivative: float
 
 
@@ -470,13 +466,10 @@ def dual_value_curve(tree: MarketTree, pair: UtilityPair, endow,
     else:
         sols = []
         for y in ys:
-            start = sols[-1]._mu_arr * (y / sols[-1].mass) if sols else None
+            start = sols[-1].mu * (y / sols[-1].mass) if sols else None
             sols.append(solve_dual_fixed_mass(tree, pair, endow, y, start=start))
-    pts = []
-    for y, sol in zip(ys, sols):
-        d = float(np.dot(sol.q_hat_array,
-                         pair.v_prime(sol.density_array) + sol._endow_arr))
-        pts.append(CurvePoint(y=y, value=sol.value, q_hat=sol.q_hat, derivative=d))
+    pts = [CurvePoint(y=y, value=sol.value, q_hat=sol.q_hat,
+                      derivative=sol.mass_derivative) for y, sol in zip(ys, sols)]
     second = math.inf
     for a, b, c in zip(pts, pts[1:], pts[2:]):
         la = (b.value - a.value) / (b.y - a.y)
@@ -493,9 +486,7 @@ def dual_derivative(tree: MarketTree, pair: UtilityPair, endow, y: float) -> flo
     Evaluated by the envelope formula: the conditional expectation, under the
     inner optimizer at mass ``y``, of V' of its density plus the endowment.
     """
-    sol = solve_dual_fixed_mass(tree, pair, endow, y)
-    return float(np.dot(sol.q_hat_array,
-                        pair.v_prime(sol.density_array) + sol._endow_arr))
+    return solve_dual_fixed_mass(tree, pair, endow, y).mass_derivative
 
 
 @dataclass(frozen=True)
@@ -517,6 +508,6 @@ def check_maximal_support(tree: MarketTree, sol: DualSolution,
     """
     q = np.asarray(vertices, dtype=float).reshape(-1, tree.n_leaves)
     finite = np.isfinite(relative_entropy(tree, sol.pair, q))
-    k, i = np.nonzero(finite[:, None] & (q > 1e-10) & ~(sol._mu_arr > 0))
+    k, i = np.nonzero(finite[:, None] & (q > 1e-10) & ~(sol.mu > 0))
     return SupportCheck(tuple((int(a), tree.leaf_ids[b]) for a, b in zip(k, i)),
                         int(finite.sum()), int(finite.size - finite.sum()))

@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapExceededError, DomainError, NoMartingaleMeasureError
-from .market import MarketTree, MeasureVector, TreeLayout, leaf_values
+from .market import MarketTree, TreeLayout, leaf_values
 from .utility import UtilityPair
 
 VERTEX_CAP_DEFAULT = 10_000
@@ -210,8 +210,8 @@ def _support_structure(tree: MarketTree) -> SupportStructure:
     return SupportStructure(lay, node[valid], child[valid], weight[valid])
 
 
-def find_equivalent_mm(tree: MarketTree) -> MeasureVector | None:
-    """A strictly positive martingale probability, or None if none exists.
+def find_equivalent_mm(tree: MarketTree) -> np.ndarray | None:
+    """A strictly positive martingale probability (L,), or None if none exists.
 
     Reads the cached pass of :func:`_support_structure`: its interior
     measure when the maximal support is every leaf.  Raises
@@ -219,7 +219,7 @@ def find_equivalent_mm(tree: MarketTree) -> MeasureVector | None:
     (arbitrage regime: even absolutely continuous measures are ruled out).
     """
     geo = _support_structure(tree)
-    return MeasureVector.from_array(tree, geo.interior) if geo.mask.all() else None
+    return geo.interior.copy() if geo.mask.all() else None
 
 
 # -- entropy ---------------------------------------------------------------------

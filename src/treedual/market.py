@@ -3,9 +3,15 @@
 A market is an event tree: each node carries a time index, a vector of asset
 prices and a branch probability conditional on its parent.  Leaves live at the
 common horizon ``T`` and carry the terminal information; endowments and claim
-payoffs are leaf-indexed random variables.
+payoffs are leaf-indexed random variables.  Results are arrays in the tree's
+order: (L,) in leaf order on the leaves, (N,) in layout order on the nodes.
 
-Scenario file schema (JSON, documented in the README):
+Scenario file schema (JSON).  Each node has exactly the fields ``id``,
+``parent`` (null at the one root), ``t`` (0 at the root, else the parent's
+plus one), ``prices`` (one per asset) and ``prob`` (in (0, 1], 1 at the root,
+summing to 1 over siblings); every leaf is at the horizon.  The optional
+``endowment`` and each of the ``claims`` map every leaf id, and no other key,
+to a decimal string or a finite number:
 
 .. code-block:: json
 
@@ -125,39 +131,6 @@ class RandomVariable:
 
 
 @dataclass(frozen=True, eq=False)
-class MeasureVector:
-    """A non-negative measure on the leaves (not necessarily unit mass)."""
-
-    values: Mapping[str, float]
-
-    @property
-    def mass(self) -> float:
-        return float(sum(self.values.values()))
-
-    def as_array(self, tree: "MarketTree") -> np.ndarray:
-        return leaf_values(tree, self)
-
-    def density(self, tree: "MarketTree") -> np.ndarray:
-        """Leaf-wise Radon-Nikodym derivative against the reference measure."""
-        return self.as_array(tree) / tree.leaf_probability_array
-
-    def normalized(self) -> "MeasureVector":
-        m = self.mass
-        if m <= 0:
-            raise DomainError("cannot normalize a zero measure")
-        return MeasureVector({k: v / m for k, v in self.values.items()})
-
-    @staticmethod
-    def from_array(tree: "MarketTree", arr) -> "MeasureVector":
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (tree.n_leaves,):
-            raise ValueError("wrong length for a leaf measure")
-        if np.any(arr < 0):
-            raise DomainError("measure must be non-negative")
-        return MeasureVector(dict(zip(tree.leaf_ids, arr.tolist())))
-
-
-@dataclass(frozen=True, eq=False)
 class TreeLayout:
     """Level-order numbering of a tree's N nodes; arrays are read-only."""
 
@@ -173,22 +146,6 @@ class TreeLayout:
     def __post_init__(self):
         for a in (self.parent, self.first_child, self.prices, self.prob, self.lo, self.hi):
             a.setflags(write=False)
-
-
-@dataclass(frozen=True, eq=False)
-class AdaptedProcess:
-    """Node-indexed values known at that node (wealth, strategies, prices).
-
-    Values may be scalars or per-node vectors (e.g. a strategy in d assets).
-    """
-
-    values: Mapping[str, object]
-
-    def at(self, node_id: str):
-        return self.values[node_id]
-
-    def __contains__(self, node_id):
-        return node_id in self.values
 
 
 class MarketTree:
@@ -564,9 +521,9 @@ def save_market(tree: MarketTree, path) -> None:
 # -- leaf-indexed helpers ----------------------------------------------------
 
 def leaf_values(tree: MarketTree, x) -> np.ndarray:
-    """Coerce a RandomVariable / MeasureVector / mapping / array / scalar to
+    """Coerce a RandomVariable / mapping / array / scalar to an (L,) array in
     leaf order; a leaf-keyed one must name every leaf and no other key."""
-    if isinstance(x, (RandomVariable, MeasureVector)):
+    if isinstance(x, RandomVariable):
         x = x.values
     if isinstance(x, Mapping):
         ids = tree.leaf_ids

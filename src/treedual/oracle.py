@@ -214,7 +214,7 @@ def check_duality_gap(tree: MarketTree, pair: UtilityPair, endow, *,
         u_primal = recover(tree, pair, endow, sol).value
         # against the dual objective of the returned measure
         f_mu = _objective(pair, tree.leaf_probability_array, leaf_values(tree, endow),
-                          sol._mu_arr)
+                          sol.mu)
         gap_solver = abs(u_primal - f_mu) / scale
 
     k = polytope_dimension(tree)

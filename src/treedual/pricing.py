@@ -34,7 +34,7 @@ from .errors import (AugmentInfeasibleError, BracketFailError, DomainError,
                      InfeasibleEntropyError, InfiniteEntropyError,
                      NoMartingaleMeasureError, NonconvergedError)
 from .geometry import find_equivalent_mm, relative_entropy, _support_structure
-from .market import AdaptedProcess, MarketTree, _with_assets, leaf_values
+from .market import MarketTree, _with_assets, leaf_values
 from .utility import UtilityPair, _golden_min
 
 PRICE_TOL = 1e-9       # |u(endow + claim - p) - u(endow)| <= tol * (1 + |u|)
@@ -129,7 +129,7 @@ def _cash_root(tree, pair, x, target, c0, hi, start, solves):
     def probe(c):
         nonlocal warm, root
         sol = solves.dual(tree, pair, x + c, start=warm)
-        warm = sol._mu_arr
+        warm = sol.mu
         z = pair.u_inverse(sol.value)
         slope = sol.mass / pair.u_prime(z)
         if abs(sol.value - target) <= f_tol:
@@ -173,7 +173,7 @@ def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     lo_b, _ = price_bounds(tree, claim) if bounds is None else bounds
     c0 = -davis_price(tree, pair, endow, claim, sol=base)
     return -_cash_root(tree, pair, endow + claim, base.value, c0, -lo_b,
-                       base._mu_arr, solves)
+                       base.mu, solves)
 
 
 def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
@@ -212,7 +212,7 @@ def _penalized_expectation(tree, pair, endow, claim, base, shifted):
     expectation is least over martingale measures; ``base`` carries L(e).
     Summed leaf by leaf, not read off the log-partition of ``shifted``."""
     gamma = pair.params["gamma"]
-    q, p = shifted.q_hat_array, tree.leaf_probability_array
+    q, p = shifted.q_hat, tree.leaf_probability_array
     on = q > 0
     entropy = float(q[on] @ np.log(q[on] / p[on]))
     return float(q @ leaf_values(tree, claim)) + (
@@ -253,11 +253,9 @@ def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim, *,
         nonlocal last
         y = math.exp(s)
         last = solves.fixed_mass(tree, pair, shifted, y,
-                                 start=last._mu_arr * (y / last.mass))
-        w1 = float(np.dot(last.q_hat_array,
-                          pair.v_prime(last.density_array) + last._endow_arr))
+                                 start=last.mu * (y / last.mass))
         gaps[s] = (last.value - base.value) / y
-        h = w1 - gaps[s]
+        h = last.mass_derivative - gaps[s]
         return h, y * last.mass_curvature - h, False
 
     # 1e-5 on the log axis puts the gap within ~1e-10 of its minimum, well
@@ -271,7 +269,7 @@ def davis_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     """Marginal price: claim expectation under the normalized optimal measure."""
     if sol is None:
         sol = solve_dual(tree, pair, endow)
-    return float(np.dot(sol.q_hat_array, leaf_values(tree, claim)))
+    return float(np.dot(sol.q_hat, leaf_values(tree, claim)))
 
 
 def certainty_equivalent(tree: MarketTree, pair: UtilityPair, endow, claim, *,
@@ -299,7 +297,7 @@ def certainty_equivalent(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     _, hi_b = price_bounds(tree, claim) if bounds is None else bounds
     c0 = davis_price(tree, pair, endow + claim, claim, sol=target)
     return _cash_root(tree, pair, endow, target.value, c0, hi_b,
-                      target._mu_arr, solves)
+                      target.mu, solves)
 
 
 @dataclass(frozen=True)
@@ -341,7 +339,7 @@ def price_report(tree: MarketTree, pair: UtilityPair, endow, claim) -> PriceRepo
         offer = -indifference_price(tree, pair, endow, -claim, base=sol,
                                     bounds=(-hi, -lo), solves=solves)
         ce = certainty_equivalent(tree, pair, endow, claim, bounds=(lo, hi),
-                                  solves=solves, start=sol._mu_arr)
+                                  solves=solves, start=sol.mu)
     return PriceReport(
         bid=bid,
         offer=offer,
@@ -432,26 +430,28 @@ class MubppReport:
     agree: bool
 
 
-def check_mubpp(tree: MarketTree, pair: UtilityPair, endow,
-                sprime: AdaptedProcess) -> MubppReport:
+def check_mubpp(tree: MarketTree, pair: UtilityPair, endow, sprime) -> MubppReport:
     """Is the candidate process a fair price process for a new asset?
 
-    Method A computes per-node drifts under the normalized optimal measure
-    (fair within 1e-8, scaled); method B augments the market with the
-    candidate as extra assets and re-solves (fair within 1e-7, relative).
+    ``sprime`` is (N,), or (N, k) for k new assets, in layout order; any
+    other shape raises ``ValueError``.  Method A computes per-node drifts
+    under the normalized optimal measure (fair within 1e-8, scaled); method
+    B augments the market with the candidate as extra assets and re-solves
+    (fair within 1e-7, relative).
     The two verdicts agree (that equivalence is the theorem this verifies);
     ``is_mubpp`` reports the utility-comparison verdict.  Raises
     :class:`AugmentInfeasibleError` for a non-finite candidate price or an
     augmented market with arbitrage (then the candidate is not fair).
     """
     endow = leaf_values(tree, endow)
-    cand = [np.atleast_1d(np.asarray(sprime.at(n), dtype=float)) for n in tree.layout.ids]
-    if any(v.shape != (cand[0].size,) for v in cand):
-        raise ValueError("candidate process must have the same width on all nodes")
+    n, cand = len(tree.layout.ids), np.asarray(sprime, dtype=float)
+    if cand.ndim not in (1, 2) or cand.shape[0] != n:
+        raise ValueError(f"candidate process must have shape ({n},) or ({n}, k) "
+                         f"in layout order, got {cand.shape}")
+    cand = cand.reshape(n, -1)
 
     sol = solve_dual(tree, pair, endow)
-    cand = np.array(cand)
-    cond, mass = tree.one_step_expectation(cand, sol.q_hat_array)
+    cond, mass = tree.one_step_expectation(cand, sol.q_hat)
     x, live = cand[:mass.size], mass > 0
     drift = np.abs(cond - x).max(axis=1)
     drifts = [(nid, float(dn)) for nid, dn, ok in zip(tree.nonleaf_ids, drift, live) if ok]
@@ -491,18 +491,18 @@ def check_mubpp(tree: MarketTree, pair: UtilityPair, endow,
 
 
 def optimal_measure_price_process(tree: MarketTree, sol: DualSolution,
-                                  claim) -> AdaptedProcess:
-    """Conditional claim expectations under the normalized optimal measure.
+                                  claim) -> np.ndarray:
+    """Conditional claim expectations (N,) in layout order under the
+    normalized optimal measure (0 at nodes without its mass).
 
     By construction a martingale under that measure, hence a fair price
     process for the claim.
     """
     b = leaf_values(tree, claim)
-    q = sol.q_hat_array
+    q = sol.q_hat
     mass = tree.subtree_sums(q)
-    vals = np.divide(tree.subtree_sums(q * b), mass, out=np.zeros_like(mass),
+    return np.divide(tree.subtree_sums(q * b), mass, out=np.zeros_like(mass),
                      where=mass > 0)
-    return AdaptedProcess(dict(zip(tree.layout.ids, vals.tolist())))
 
 
 # -- dependence on the endowment --------------------------------------------------

@@ -22,10 +22,11 @@ from .dual import DualSolution, _newton_core, _objective
 from .errors import (NoPrimalOptimizerError, NotExponentialError,
                      ReplicationGapError)
 from .geometry import _support_structure, build_constraints, relative_entropy
-from .market import AdaptedProcess, MarketTree, RandomVariable, leaf_values
+from .market import MarketTree, leaf_values
 from .utility import UtilityPair
 
 _REPLICATION_TOL = 1e-8  # scaled gap between X and the strategy's wealth
+_MOLLIFY_WEIGHT = 1e-6   # weight of the optimal measure in a mollified test measure
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,9 +39,9 @@ class PrimalSolution:
     ``unreached`` lists the non-leaf nodes without optimal mass.
     """
 
-    terminal_wealth: RandomVariable
-    wealth: AdaptedProcess             # scalar per node
-    strategy: AdaptedProcess           # vector in R^d per non-leaf node
+    terminal_wealth: np.ndarray        # (L,), leaf order
+    wealth: np.ndarray                 # (N,), layout order
+    strategy: np.ndarray               # (n, d), non-leaf nodes in layout order
     replication_residual: float
     value: float                       # expected utility at the optimum
     first_order_residual: float
@@ -48,8 +49,8 @@ class PrimalSolution:
 
 
 def recover_terminal_wealth(tree: MarketTree, pair: UtilityPair, endow,
-                            sol: DualSolution) -> RandomVariable:
-    """Optimal terminal gain from the dual optimizer.
+                            sol: DualSolution) -> np.ndarray:
+    """Optimal terminal gain (L,) in leaf order from the dual optimizer.
 
     Requires an equivalent (full-support) optimal measure; with a degenerate
     optimizer the candidate wealth is infinite on the null leaves and no
@@ -72,13 +73,14 @@ def recover_terminal_wealth(tree: MarketTree, pair: UtilityPair, endow,
         raise ReplicationGapError(
             f"first-order residual {resid.max():.3e} above tolerance; "
             "dual solution is not accurate enough", residual=float(resid.max()))
-    return RandomVariable.from_array(tree, x)
+    return x
 
 
-def extract_strategy(tree: MarketTree, sol: DualSolution, xhat: RandomVariable,
+def extract_strategy(tree: MarketTree, sol: DualSolution, xhat,
                      pair: UtilityPair, endow) -> PrimalSolution:
     """The solver's strategy h with its wealth x0 + gains(h), x0 = E_q[X]
-    under the normalized optimal measure q.
+    under the normalized optimal measure q; ``xhat`` is the terminal gain X
+    in any form :func:`~treedual.market.leaf_values` accepts.
 
     The replication residual max |X - wealth| over the leaves q charges
     compares the dual side (X from the measure) with the primal side (h);
@@ -86,8 +88,8 @@ def extract_strategy(tree: MarketTree, sol: DualSolution, xhat: RandomVariable,
     and raises :class:`ReplicationGapError` naming the worst leaf.
     """
     e = leaf_values(tree, endow)
-    x = xhat.as_array(tree)
-    q = sol.q_hat_array
+    x = leaf_values(tree, xhat)
+    q = sol.q_hat
     lay, on = tree.layout, q > 0
     inner = lay.level_starts[-2]
     wealth = float(q[on] @ x[on]) + tree.gains(sol._h_arr)
@@ -103,15 +105,10 @@ def extract_strategy(tree: MarketTree, sol: DualSolution, xhat: RandomVariable,
     dens = sol.density_array
     foc = float(np.abs(pair.u_prime(x + e) - dens).max())
     return PrimalSolution(
-        terminal_wealth=xhat,
-        wealth=AdaptedProcess(dict(zip(lay.ids, wealth.tolist()))),
-        strategy=AdaptedProcess(dict(zip(tree.nonleaf_ids, sol._h_arr))),
-        replication_residual=resid,
-        value=value,
-        first_order_residual=foc,
+        terminal_wealth=x, wealth=wealth, strategy=sol._h_arr,
+        replication_residual=resid, value=value, first_order_residual=foc,
         unreached=tuple(lay.ids[k] for k in
-                        np.flatnonzero(tree.subtree_sums(q)[:inner] == 0)),
-    )
+                        np.flatnonzero(tree.subtree_sums(q)[:inner] == 0)))
 
 
 def recover(tree: MarketTree, pair: UtilityPair, endow,
@@ -140,18 +137,25 @@ class SupermartingaleReport:
     measures_skipped: int                # infinite relative entropy
 
 
-def verify_supermartingale(tree: MarketTree, wealth: AdaptedProcess, measures,
+def mollify(measures, q) -> np.ndarray:
+    """The stack (k, L) ``measures`` moved toward the leaf array ``q`` by
+    weight 1e-6: each row charges every leaf q charges."""
+    verts = np.asarray(measures, dtype=float).reshape(-1, len(q))
+    return (1.0 - _MOLLIFY_WEIGHT) * verts + _MOLLIFY_WEIGHT * q
+
+
+def verify_supermartingale(tree: MarketTree, wealth, measures,
                            pair: UtilityPair, q_hat=None) -> SupermartingaleReport:
     """Per-node drift of the wealth process under each finite-entropy measure.
 
-    ``measures`` is a stack (k, L) of leaf measures; one entropy evaluation
-    picks the finite ones.  Report-only: lists (measure, node) pairs whose
-    conditional drift exceeds 1e-8 (scaled), by measure then node, and the
-    exact-martingale residual under the optimal measure ``q_hat`` (a leaf
-    measure) when given.
+    ``wealth`` is (N,) in layout order and ``measures`` a stack (k, L) of
+    leaf measures; one entropy evaluation picks the finite ones.
+    Report-only: lists (measure, node) pairs whose conditional drift exceeds
+    1e-8 (scaled), by measure then node, and the exact-martingale residual
+    under the optimal measure ``q_hat`` (a leaf measure) when given.
     """
     ids = tree.layout.ids
-    w = np.array([float(wealth.at(n)) for n in ids])
+    w = np.asarray(wealth, dtype=float)
     w_scale = 1.0 + float(np.abs(w).max())
 
     def node_drifts(q_arr):
@@ -194,7 +198,7 @@ class DynamicDualNode:
 
 def dynamic_dual(tree: MarketTree, pair: UtilityPair, endow, t: int,
                  sol: DualSolution,
-                 wealth: AdaptedProcess | None = None) -> list[DynamicDualNode]:
+                 wealth=None) -> list[DynamicDualNode]:
     """Conditional dual problems at the time-``t`` nodes.
 
     For each positive-mass node, minimizes the conditional entropy-plus-
@@ -202,13 +206,13 @@ def dynamic_dual(tree: MarketTree, pair: UtilityPair, endow, t: int,
     on the node (by the Newton core on the maximal support, started at the
     optimizer), then differentiates in that mass by the envelope formula.
     Deterministic time grid only.  Consistency: the derivative should equal
-    minus the wealth at the node.
+    minus the wealth at the node, when ``wealth`` (N,) in layout order is given.
     """
     if not (0 <= t <= tree.horizon):
         raise ValueError(f"time {t} outside 0..{tree.horizon}")
     e = leaf_values(tree, endow)
     p = tree.leaf_probability_array
-    mu = sol._mu_arr
+    mu = sol.mu
     A, live = build_constraints(tree).matrix, _support_structure(tree).mask
     lay = tree.layout
     mass = tree.subtree_sums(mu)
@@ -229,10 +233,8 @@ def dynamic_dual(tree: MarketTree, pair: UtilityPair, endow, t: int,
         mu_on = mu_sub[on]
         deriv = float(np.dot(mu_on / m_n, pair.v_prime(mu_on / p_sub[on]) + e_sub[on]))
         gap = abs(raw - _objective(pair, p_sub, e_sub, mu[lo:hi])) / (1.0 + abs(raw))
-        wres = None
-        if wealth is not None:
-            w = float(wealth.at(nid))
-            wres = abs(w + deriv) / (1.0 + abs(w))
+        w = None if wealth is None else float(wealth[k])
+        wres = None if w is None else abs(w + deriv) / (1.0 + abs(w))
         out.append(DynamicDualNode(nid, value, deriv, gap, wres))
     return out
 
@@ -240,25 +242,25 @@ def dynamic_dual(tree: MarketTree, pair: UtilityPair, endow, t: int,
 # -- exponential Snell envelope ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnellReport:
-    envelope: AdaptedProcess
+    envelope: np.ndarray           # (N,), layout order
     max_equality_gap: float        # |max over measures - wealth|, scaled
     max_lower_bound_excess: float  # most positive (value - wealth) over measures
     measures_tested: int
 
 
 def snell_envelope_exponential(tree: MarketTree, pair: UtilityPair, endow,
-                               sol: DualSolution, vertices, *,
-                               wealth: AdaptedProcess) -> SnellReport:
+                               sol: DualSolution, vertices, *, wealth) -> SnellReport:
     """Essential-supremum representation of the optimal wealth (exponential).
 
     At each node, the wealth should equal the supremum over equivalent
     finite-entropy martingale measures of the conditional expectation of the
     log-density payoff ``(1/gamma) ln(dP/d(optimal measure)) - endowment``.
-    The vertices, a stack (k, L), are mollified toward the optimal measure
-    (weight 1e-6 on it) to yield equivalent test measures, all of finite
-    entropy; the optimal measure attains the supremum.
+    ``wealth`` is (N,) in layout order.  The vertices, a stack (k, L), are
+    mollified toward the optimal measure (:func:`mollify`) to yield
+    equivalent test measures, all of finite entropy; the optimal measure
+    attains the supremum.
     """
     if pair.family != "exponential":
         raise NotExponentialError("Snell-envelope check requires exponential utility")
@@ -267,22 +269,19 @@ def snell_envelope_exponential(tree: MarketTree, pair: UtilityPair, endow,
     gamma = pair.params["gamma"]
     e = leaf_values(tree, endow)
     p = tree.leaf_probability_array
-    mu = sol._mu_arr
+    mu = sol.mu
     payoff = np.log(p / mu) / gamma - e   # leaf random variable inside the essmax
 
-    q_e = sol.q_hat_array
-    verts = np.asarray(vertices, dtype=float).reshape(-1, tree.n_leaves)
-    tested = np.vstack([q_e, (1.0 - 1e-6) * verts + 1e-6 * q_e])
+    tested = np.vstack([sol.q_hat, mollify(vertices, sol.q_hat)])
 
-    ids = tree.layout.ids
-    w = np.array([float(wealth.at(n)) for n in ids])
+    w = np.asarray(wealth, dtype=float)
     w_scale = 1.0 + float(np.abs(w).max())
     vals = tree.subtree_sums(tested * payoff) / tree.subtree_sums(tested)
     best = vals.max(axis=0)
     eq_gap = float((np.abs(best - w) / w_scale).max())
     lb_excess = float(((vals - w) / w_scale).max())
     return SnellReport(
-        envelope=AdaptedProcess(dict(zip(ids, best.tolist()))),
+        envelope=best,
         max_equality_gap=eq_gap,
         max_lower_bound_excess=lb_excess,
         measures_tested=len(tested),

@@ -5,8 +5,8 @@ import pytest
 import scipy.optimize
 
 import treegen
-from treedual import (MeasureVector, RandomVariable, dual, exponential_utility,
-                      market_from_dict, simplex, two_power_utility)
+from treedual import (RandomVariable, dual, exponential_utility, market_from_dict,
+                      simplex, two_power_utility)
 
 
 @pytest.fixture
@@ -89,9 +89,8 @@ def no_leaf_dicts():
     @contextlib.contextmanager
     def guard():
         with pytest.MonkeyPatch.context() as mp:
-            for cls, name in ((RandomVariable, "from_array"), (RandomVariable, "_combine"),
-                              (MeasureVector, "from_array")):
-                mp.setattr(cls, name, refuse)
+            for name in ("from_array", "_combine"):
+                mp.setattr(RandomVariable, name, refuse)
             yield
 
     return guard

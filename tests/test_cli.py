@@ -5,8 +5,10 @@ import time
 import pytest
 
 import treegen
-from treedual import (cli, load_market, optimal_measure_price_process,
-                      parse_utility_spec, run_battery, solve_dual)
+import numpy as np
+
+from treedual import (cli, load_market, market_to_dict, optimal_measure_price_process,
+                      parse_utility_spec, recover, run_battery, solve_dual)
 
 
 @pytest.mark.parametrize("command", ["price", "curve"])
@@ -77,6 +79,60 @@ def test_input_errors_exit_two(tri1_file, tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+def _shuffled_file(tmp_path):
+    """A random two-period, two-asset market with an endowment, its nodes
+    shuffled so that the file order differs from the layout order."""
+    rng = np.random.default_rng(4)
+    tree = treegen.random_market(rng, max_periods=2, n_assets=2)
+    while tree.horizon < 2:
+        tree = treegen.random_market(rng, max_periods=2, n_assets=2)
+    doc = market_to_dict(tree)
+    e = rng.uniform(-1.0, 1.0, tree.n_leaves).tolist()
+    doc["endowment"] = dict(zip(tree.leaf_ids, map(repr, e)))
+    rng.shuffle(doc["nodes"])
+    path = tmp_path / "shuffled.json"
+    path.write_text(json.dumps(doc))
+    tree = load_market(path)
+    assert tree.node_ids != tree.layout.ids
+    return path, tree
+
+
+def test_recover_rows_keep_the_file_order(tmp_path, capsys):
+    path, tree = _shuffled_file(tmp_path)
+    spec = "exp:gamma=1,C=2"
+    argv = ["recover", "--market", str(path), "--utility", spec,
+            "--output-dir", str(tmp_path / "out")]
+    assert cli.run(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    pair = parse_utility_spec(spec)
+    ps = recover(tree, pair, tree.endowment, solve_dual(tree, pair, tree.endowment))
+    rows = (tmp_path / "out" / "wealth_strategy.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == list(tree.node_ids)
+    inner = tree.layout.level_starts[-2]
+    for row in rows:
+        nid, t, wealth, *h = row.split(",")
+        k = tree.layout.ids.index(nid)
+        assert int(t) == tree.time(nid) and wealth == cli.f12(ps.wealth[k])
+        assert h == ([cli.f12(c) for c in ps.strategy[k]] if k < inner else ["", ""])
+
+
+def test_mubpp_reads_the_process_file_into_layout_order(tmp_path, capsys):
+    # two fair candidate assets, random claims priced under the optimal
+    # measure, listed per node in the shuffled file order; read in file
+    # order instead, they would not be fair
+    path, tree = _shuffled_file(tmp_path)
+    sol = solve_dual(tree, parse_utility_spec("exp:gamma=1,C=2"), tree.endowment)
+    claims = np.random.default_rng(1).uniform(0.0, 1.0, (2, tree.n_leaves))
+    fair = np.column_stack([optimal_measure_price_process(tree, sol, b) for b in claims])
+    pos = {nid: k for k, nid in enumerate(tree.layout.ids)}
+    doc = {nid: fair[pos[nid]].tolist() for nid in tree.node_ids}
+    (tmp_path / "process.json").write_text(json.dumps(doc))
+    argv = ["mubpp", "--market", str(path), "--utility", "exp:gamma=1,C=2",
+            "--process", str(tmp_path / "process.json")]
+    assert cli.run(argv) == cli.EXIT_OK
+    assert "marginal utility-based price process: True" in capsys.readouterr().out
+
+
 TWO_POWER = ["--utility", "twopower:a=0.5,b=1,C=1"]
 
 
@@ -108,7 +164,8 @@ def _process_file(tmp_path, tri1_file, drop=()):
     """
     tree = load_market(tri1_file)
     sol = solve_dual(tree, parse_utility_spec("exp:gamma=1,C=2"), tree.endowment)
-    proc = dict(optimal_measure_price_process(tree, sol, tree.claims["up"]).values)
+    proc = dict(zip(tree.layout.ids,
+                    optimal_measure_price_process(tree, sol, tree.claims["up"]).tolist()))
     if isinstance(drop, dict):
         proc.update(drop)
     else:

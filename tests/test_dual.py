@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import treegen
 from treedual import (EvaluationOverflowError, InfeasibleEntropyError,
-                      MeasureVector,
                       NoMartingaleMeasureError, TreedualError,
                       ValueAtSupremumError, build_constraints,
                       check_maximal_support, dual_derivative,
@@ -74,7 +73,7 @@ def tri1_grid_oracle(pair, endow_arr, steps_a=2001, stages=3):
 
 def test_bin1_exponential_closed_form(bin1, exp_pair_raw):
     sol = solve_dual(bin1, exp_pair_raw, 0.0)
-    assert sol.q_hat_array == pytest.approx([1 / 3, 2 / 3], abs=1e-9)
+    assert sol.q_hat == pytest.approx([1 / 3, 2 / 3], abs=1e-9)
     assert sol.mass == pytest.approx(BIN1_MASS, abs=1e-8)
     assert sol.value == pytest.approx(-BIN1_MASS, abs=1e-10)
     assert sol.support == "EQUIVALENT"
@@ -86,7 +85,7 @@ def test_tri1_minimal_entropy_measure(tri1, exp_pair_raw):
     oracle = tri1_grid_oracle(exp_pair_raw, np.zeros(3))
     assert sol.value == pytest.approx(oracle, abs=1e-6)
     # minimal relative entropy: the normalized optimizer beats both vertices
-    kl = float(np.sum(sol.q_hat_array * np.log(sol.q_hat_array * 3)))
+    kl = float(np.sum(sol.q_hat * np.log(sol.q_hat * 3)))
     for v in vertex_enumerate(build_constraints(tri1)):
         q = v
         m = q > 0
@@ -110,7 +109,7 @@ def test_tri1_two_power_matches_grid_oracle(tri1, tp_pair):
 def test_solution_invariants(tri1, exp_pair):
     sol = solve_dual(tri1, exp_pair, {"a": 0.3, "b": -0.2, "c": 0.1})
     A = build_constraints(tri1).matrix
-    assert np.abs(A @ sol._mu_arr).max() <= 1e-9
+    assert np.abs(A @ sol.mu).max() <= 1e-9
     assert sol.mass > 0
     assert sol.value < exp_pair.u_inf
     assert sol.support == "EQUIVALENT"
@@ -120,7 +119,7 @@ def test_solution_invariants(tri1, exp_pair):
     assert sol.value == 2.0 - sol.mass
     p = tri1.leaf_probability_array
     e = leaf_values(tri1, {"a": 0.3, "b": -0.2, "c": 0.1})
-    again = float(p @ exp_pair.v(sol._mu_arr / p) + sol._mu_arr @ e)
+    again = float(p @ exp_pair.v(sol.mu / p) + sol.mu @ e)
     assert again == pytest.approx(sol.value, rel=1e-13)
 
 
@@ -130,10 +129,9 @@ def test_measure_views_follow_the_arrays(tri1, pair_name, request):
     # corrupted-measure hook needs
     sol = solve_dual(tri1, request.getfixturevalue(pair_name), {"a": 0.3, "b": -0.2, "c": 0.1})
     mu = np.array([0.2, 0.3, 0.4])
-    new = dataclasses.replace(sol, _mu_arr=mu, _q_arr=mu / 0.9)
-    assert new.mu.as_array(tri1).tolist() == mu.tolist()
-    assert new.q_hat.as_array(tri1).tolist() == (mu / 0.9).tolist()
-    assert sol.mu.as_array(tri1).tolist() == sol._mu_arr.tolist()
+    new = dataclasses.replace(sol, mu=mu, q_hat=mu / 0.9)
+    assert new.mu.tolist() == mu.tolist()
+    assert new.q_hat.tolist() == (mu / 0.9).tolist()
 
 
 def test_kkt_certificate(tri1, exp_pair):
@@ -143,7 +141,7 @@ def test_kkt_certificate(tri1, exp_pair):
     g = exp_pair.v_prime(sol.density_array) + leaf_values(tri1, e)
     lam, *_ = np.linalg.lstsq(A.T, g, rcond=None)
     s = g - A.T @ lam
-    live = sol._mu_arr > 0
+    live = sol.mu > 0
     assert np.abs(s[live]).max() <= 1e-8 * (1 + np.abs(g).max())
 
 
@@ -154,10 +152,10 @@ def test_uniqueness_from_random_starts(tri1, exp_pair):
     ref = solve_dual(tri1, exp_pair, e)
     for _ in range(4):
         w = rng.dirichlet(np.ones(len(verts)))
-        q = 0.8 * (w @ np.array(verts)) + 0.2 * ref.q_hat_array
-        start = MeasureVector.from_array(tri1, q * rng.uniform(0.3, 3.0))
+        q = 0.8 * (w @ np.array(verts)) + 0.2 * ref.q_hat
+        start = q * rng.uniform(0.3, 3.0)
         sol = solve_dual(tri1, exp_pair, e, start=start)
-        assert np.abs(sol._mu_arr - ref._mu_arr).max() <= 1e-7
+        assert np.abs(sol.mu - ref.mu).max() <= 1e-7
 
 
 def test_endowment_shift_consistency(tri1, exp_pair):
@@ -191,6 +189,18 @@ def test_value_curve_bin1_closed_form(bin1, exp_pair_raw):
     for pt in rep.points:
         direct = float(p @ exp_pair_raw.v(pt.y * q / p))
         assert pt.value == pytest.approx(direct, abs=1e-10)
+
+
+@pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
+def test_mass_derivative_is_the_envelope_formula(tri1, pair_name, request):
+    # one expression serves the curve and the derivative, bit for bit
+    pair = request.getfixturevalue(pair_name)
+    e = np.array([0.3, -0.2, 0.1])
+    for y in (0.5, 1.0, 2.0):
+        sol = solve_dual_fixed_mass(tri1, pair, e, y)
+        envelope = float(np.dot(sol.q_hat, pair.v_prime(sol.density_array) + e))
+        assert sol.mass_derivative == envelope == dual_derivative(tri1, pair, e, y)
+        assert dual_value_curve(tri1, pair, e, [y]).points[0].derivative == envelope
 
 
 def test_derivative_zero_at_optimum(tri1, exp_pair):
@@ -245,7 +255,7 @@ def test_degenerate_flag_and_value(exp_pair_raw):
     sol = solve_dual(tree, exp_pair_raw, 0.0)
     assert sol.support == "DEGENERATE"
     # only measure is the point mass on the flat branch: 1-D problem in mass
-    assert sol._mu_arr[0] == 0.0
+    assert sol.mu[0] == 0.0
     assert sol.value == pytest.approx(-0.5, abs=1e-10)
 
 
@@ -297,7 +307,7 @@ def test_optimal_measure_satisfies_constraints_on_pinned_market():
     sol = solve_dual(tree, exponential_utility(gamma, 1.0 + 1.0 / gamma),
                      tree.endowment)
     A = build_constraints(tree).matrix
-    assert np.abs(A @ sol.q_hat_array).max() <= 1e-12
+    assert np.abs(A @ sol.q_hat).max() <= 1e-12
 
 
 # exponential dual values reach the -1e250 floor near endowment -575.6/gamma
@@ -325,7 +335,7 @@ def test_ray_minimum_closed_form_matches_a_dense_scan(gamma):
     for tree in (treegen.tri1(), treegen.product_market([[2.0, 1.0, 0.5], [1.6, 0.7]])):
         e = rng.uniform(-2.0, 2.0, size=tree.n_leaves)
         sol = solve_dual(tree, pair, e)
-        p, q = tree.leaf_probability_array, sol.q_hat_array
+        p, q = tree.leaf_probability_array, sol.q_hat
         t_star = sol.mass
         assert t_star == pytest.approx(math.exp(sol._log_mass), rel=1e-15)
         assert sol.value == 2.0 - t_star / gamma
@@ -348,7 +358,7 @@ def test_log_mass_dominates_every_ray():
         sol, = dual._log_space_solutions(tree, exponential_utility(gamma, 2.0), [e])
         p = tree.leaf_probability_array
         verts = vertex_enumerate(build_constraints(tree))
-        for q in list(verts) + [sol.q_hat_array]:
+        for q in list(verts) + [sol.q_hat]:
             on = q > 0
             ray = -float(q[on] @ np.log(q[on] / p[on])) - gamma * float(q @ e)
             assert ray <= sol._log_mass + 1e-12 * abs(sol._log_mass)
@@ -375,7 +385,7 @@ def test_solve_dual_never_sweeps(tri1, monkeypatch):
 def _dense_core(tree, pair, e):
     """The exponential dual by the Newton core on the maximal support."""
     sol = dual._core_solution(tree, pair, e, None, None)
-    return sol.value, sol.q_hat_array
+    return sol.value, sol.q_hat
 
 
 @st.composite
@@ -405,7 +415,7 @@ def test_log_space_pass_matches_the_newton_core(instance):
     sol = solve_dual(tree, pair, e)
     value, q = _dense_core(tree, pair, e)
     assert sol.value == pytest.approx(value, rel=1e-12, abs=0)
-    assert np.abs(sol.q_hat_array - q).max() <= 1e-9
+    assert np.abs(sol.q_hat - q).max() <= 1e-9
     assert sol.stationarity <= 1e-12
 
 
@@ -423,7 +433,7 @@ def test_stacked_pass_equals_single_passes_row_by_row(instance, r, seed):
     for x, sol in zip(endows, stacked):
         one, = dual._log_space_solutions(tree, pair, [x])
         assert sol.value == one.value and sol._log_mass == one._log_mass
-        assert np.array_equal(sol.q_hat_array, one.q_hat_array)
+        assert np.array_equal(sol.q_hat, one.q_hat)
 
 
 @settings(max_examples=60, deadline=None)
@@ -439,7 +449,7 @@ def test_stacked_pass_meets_the_grid_oracle(instance):
     for sol, x in zip(dual._log_space_solutions(tree, pair, [e, -e]), [e, -e]):
         grid = oracle.brute_force_dual(tree, pair, x, mode="grid")
         assert sol.value <= grid + 1e-12 * (1.0 + abs(grid))
-        q = sol.q_hat_array
+        q = sol.q_hat
         if q[q > 0].min() > 1e-3:
             assert grid - sol.value <= 1e-5 * (1.0 + abs(sol.value))
 
@@ -461,7 +471,7 @@ def test_newton_core_meets_both_oracles(instance):
     tree, pair, e = instance
     sol = solve_dual(tree, pair, e)
     tol = 1e-12 * (1.0 + abs(sol.value))
-    q = sol.q_hat_array
+    q = sol.q_hat
     close = q[q > 0].min() > 1e-3
     if oracle.polytope_dimension(tree) <= oracle.GRID_DIM_LIMIT:
         grid = oracle.brute_force_dual(tree, pair, e, mode="grid")
@@ -497,7 +507,7 @@ def test_maximal_support_holds_on_exact_exponential_optima(gamma, scale):
     # 1e-12 of the total, and a charged leaf is one with positive mass
     tree, pair, e = _random_exponential_instance(6, gamma, scale)
     sol = solve_dual(tree, pair, e)
-    assert 0 < sol._mu_arr.min() < 1e-12 * (1 + sol.mass)
+    assert 0 < sol.mu.min() < 1e-12 * (1 + sol.mass)
     rep = check_maximal_support(tree, sol, vertex_enumerate(build_constraints(tree)))
     assert rep.vertices_tested > 0 and not rep.violations
 
@@ -505,9 +515,9 @@ def test_maximal_support_holds_on_exact_exponential_optima(gamma, scale):
 def test_maximal_support_flags_an_uncharged_vertex_leaf(tri1, exp_pair):
     sol = solve_dual(tri1, exp_pair, {"a": 0.3, "b": -0.2, "c": 0.1})
     verts = vertex_enumerate(build_constraints(tri1))
-    mu = sol._mu_arr.copy()
+    mu = sol.mu.copy()
     mu[tri1.leaf_index("a")] = 0.0
-    rep = check_maximal_support(tri1, dataclasses.replace(sol, _mu_arr=mu), verts)
+    rep = check_maximal_support(tri1, dataclasses.replace(sol, mu=mu), verts)
     charging = [k for k, v in enumerate(verts) if v[0] > 0]
     assert charging and rep.violations == tuple((k, "a") for k in charging)
 
@@ -521,4 +531,4 @@ def test_newton_core_resolves_masses_far_apart(k):
     sol = solve_dual(tree, pair, e)
     value, q = _dense_core(tree, pair, e)
     assert value == pytest.approx(sol.value, rel=1e-12, abs=0)
-    assert np.abs(sol.q_hat_array - q).max() <= 1e-9
+    assert np.abs(sol.q_hat - q).max() <= 1e-9

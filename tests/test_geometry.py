@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treegen
-from treedual import (CapExceededError, MeasureVector,
+from treedual import (CapExceededError,
                       NoMartingaleMeasureError, build_constraints,
                       exponential_utility, find_equivalent_mm,
                       is_martingale_measure, load_market, market_from_dict,
@@ -40,7 +40,7 @@ def test_reference_measure_martingale_when_prices_drift_free():
 
 def test_find_equivalent_mm_bin1(bin1):
     q = find_equivalent_mm(bin1)
-    assert q.as_array(bin1) == pytest.approx([1 / 3, 2 / 3], abs=1e-9)
+    assert q == pytest.approx([1 / 3, 2 / 3], abs=1e-9)
 
 
 def test_no_mm_on_arbitrage_tree():
@@ -206,7 +206,7 @@ def test_two_asset_trinomial_tree_has_one_vertex():
     assert len(verts) == 1
     q = verts[0]
     assert q.min() > 0
-    assert q == pytest.approx(find_equivalent_mm(tree).as_array(tree), abs=1e-9)
+    assert q == pytest.approx(find_equivalent_mm(tree), abs=1e-9)
 
 
 def test_no_equivalent_mm_implies_every_vertex_degenerate():
@@ -230,13 +230,13 @@ def test_cone_homogeneity(scale, mu_raw):
 
 def test_relative_entropy_reference_measure(tri1):
     pair = exponential_utility(1.0, 0.0)
-    p = MeasureVector.from_array(tri1, tri1.leaf_probability_array)
+    p = tri1.leaf_probability_array
     assert relative_entropy(tri1, pair, p) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_relative_entropy_zero_measure(tri1):
     pair_exp = exponential_utility(1.0, 0.0)
-    zero = MeasureVector.from_array(tri1, np.zeros(3))
+    zero = np.zeros(3)
     assert relative_entropy(tri1, pair_exp, zero) == pytest.approx(0.0)
     pair_tp = two_power_utility(0.5, 1.0, 1.0)
     assert relative_entropy(tri1, pair_tp, zero) == math.inf
@@ -244,7 +244,7 @@ def test_relative_entropy_zero_measure(tri1):
 
 def test_relative_entropy_vertex_value(tri1):
     pair = exponential_utility(1.0, 0.0)
-    q = MeasureVector.from_array(tri1, np.array([1 / 3, 0.0, 2 / 3]))
+    q = np.array([1 / 3, 0.0, 2 / 3])
     # densities (1, 0, 2) under the uniform reference: V(1)/3 + 0 + V(2)/3
     expected = (1 / 3) * (-1.0) + (1 / 3) * (2 * math.log(2) - 2)
     assert relative_entropy(tri1, pair, q) == pytest.approx(expected, abs=1e-12)
@@ -255,10 +255,9 @@ def test_relative_entropy_vertex_value(tri1):
 def test_relative_entropy_convex_along_segments(lam):
     tree = treegen.tri1()
     pair = exponential_utility(1.0, 0.0)
-    mu0 = MeasureVector.from_array(tree, np.array([0.1, 0.6, 0.2]))
-    mu1 = MeasureVector.from_array(tree, np.array([0.5, 0.1, 1.0]))
-    mix = MeasureVector.from_array(
-        tree, lam * mu1.as_array(tree) + (1 - lam) * mu0.as_array(tree))
+    mu0 = np.array([0.1, 0.6, 0.2])
+    mu1 = np.array([0.5, 0.1, 1.0])
+    mix = lam * mu1 + (1 - lam) * mu0
     lhs = relative_entropy(tree, pair, mix)
     rhs = (lam * relative_entropy(tree, pair, mu1)
            + (1 - lam) * relative_entropy(tree, pair, mu0))
@@ -270,13 +269,6 @@ def test_sampled_measures_are_martingale_measures():
     for q in sample_martingale_measures(tree, 25, seed=3):
         assert is_martingale_measure(tree, q, tol=1e-8)
         assert q.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_measure_vector_api(tri1):
-    mv = MeasureVector({"a": 0.2, "b": 0.3, "c": 0.5})
-    assert mv.mass == pytest.approx(1.0)
-    assert mv.density(tri1) == pytest.approx([0.6, 0.9, 1.5])
-    assert mv.normalized().mass == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("make", [
@@ -298,7 +290,7 @@ def test_equivalent_measure_on_two_asset_book_market():
     tree = load_market(treegen.DATA / "book_exp_4x4x3_2a.json")
     q = find_equivalent_mm(tree)
     assert q is not None
-    assert min(q.values.values()) > 1e-3
+    assert q.min() > 1e-3
     assert is_martingale_measure(tree, q, tol=1e-9)
     gamma = 1.3749800819363094
     sol = solve_dual(tree, exponential_utility(gamma, 1.0 + 1.0 / gamma),

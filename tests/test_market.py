@@ -271,7 +271,7 @@ def test_deep_chain_loads_and_solves(bin1):
         sol = solve_dual(tree, pair, tree.endowment)
         ref = solve_dual(bin1, pair, [0.3, -0.1])
         assert sol.value == pytest.approx(ref.value, rel=1e-12)
-        assert sol.q_hat_array == pytest.approx(ref.q_hat_array, abs=1e-12)
+        assert sol.q_hat == pytest.approx(ref.q_hat, abs=1e-12)
 
 
 def _reference_layout(doc):

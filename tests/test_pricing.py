@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import treegen
-from treedual import (AdaptedProcess, AugmentInfeasibleError, MeasureVector,
+from treedual import (AugmentInfeasibleError,
                       EvaluationOverflowError, InfiniteEntropyError,
                       NonconvergedError, RandomVariable, average_price_curve,
                       build_constraints, dual_value_curve,
@@ -91,8 +91,7 @@ def test_entropic_penalty_matches_a_bounded_scalar_minimization(tri1, scale):
 
         ref = minimize_scalar(phi, bounds=(-60.0, 60.0), method="bounded",
                               options={"xatol": 1e-10}).fun
-        alpha = entropic_penalty(tri1, pair, endow,
-                                 MeasureVector.from_array(tri1, q), base_value=base)
+        alpha = entropic_penalty(tri1, pair, endow, q, base_value=base)
         assert alpha == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
@@ -290,7 +289,7 @@ def test_price_report_makes_one_extremal_sweep(tri1, pair_name, request, monkeyp
     base = solve_dual(tri1, pair, e)
     bid = indifference_price(tri1, pair, e, b, base=base)
     offer = -indifference_price(tri1, pair, e, -b, base=base)
-    ce = certainty_equivalent(tri1, pair, e, b, start=base._mu_arr)
+    ce = certainty_equivalent(tri1, pair, e, b, start=base.mu)
     bounds = price_bounds(tri1, b)
     calls = _count_sweeps(monkeypatch)
     rep = price_report(tri1, pair, e, b)
@@ -343,7 +342,7 @@ def test_pricing_on_arrays_builds_no_leaf_dicts(pair_name, request, no_leaf_dict
         sol = solve_dual(tree, pair, e)
         rep = price_report(tree, pair, e, b)
         curve = average_price_curve(tree, pair, e, b, [1e-2, 1.0, 1e2])
-    assert rep.davis == float(sol.q_hat_array @ b)
+    assert rep.davis == float(sol.q_hat @ b)
     assert rep.lp_bounds[0] <= rep.bid <= rep.davis <= rep.offer <= rep.lp_bounds[1]
     assert curve.monotone and curve.davis == rep.davis
 
@@ -465,18 +464,17 @@ def test_mubpp_optimal_measure_expectations(tri1, exp_pair):
 
 
 def test_mubpp_constant_process(tri1, exp_pair):
-    sprime = AdaptedProcess({nid: 0.7 for nid in tri1.node_ids})
+    sprime = np.full(len(tri1.layout.ids), 0.7)
     rep = check_mubpp(tri1, exp_pair, E_TRI, sprime)
     assert rep.is_mubpp and rep.agree
 
 
 def test_mubpp_drifted_process_rejected(tri1, exp_pair):
     sol = solve_dual(tri1, exp_pair, E_TRI)
-    fair = optimal_measure_price_process(tri1, sol, B_TRI)
-    vals = dict(fair.values)
+    vals = optimal_measure_price_process(tri1, sol, B_TRI)
     # stay inside the no-arbitrage band so only the drift is at issue
-    vals["root"] = vals["root"] + 0.1
-    rep = check_mubpp(tri1, exp_pair, E_TRI, AdaptedProcess(vals))
+    vals[0] = vals[0] + 0.1   # the root
+    rep = check_mubpp(tri1, exp_pair, E_TRI, vals)
     assert not rep.is_mubpp and not rep.drift_verdict and rep.agree
     assert rep.augmented_value > rep.base_value + 1e-7
 
@@ -488,25 +486,50 @@ def test_mubpp_vertex_expectations_rejected(tri1, exp_pair):
     q = verts[1]  # (1/3, 0, 2/3)
     b = np.array([1.0, 0.0, 0.0])
     root_val = float(q @ b)
-    vals = {"root": root_val, "a": 1.0, "b": 0.0, "c": 0.0}
-    rep = check_mubpp(tri1, exp_pair, E_TRI, AdaptedProcess(vals))
+    vals = np.array([root_val, 1.0, 0.0, 0.0])   # layout order: root, a, b, c
+    rep = check_mubpp(tri1, exp_pair, E_TRI, vals)
     assert not rep.is_mubpp and rep.agree
     assert rep.augmented_value > rep.base_value
 
 
 def test_mubpp_detects_augmented_arbitrage(tri1, exp_pair):
     # a deterministic step with drift is an outright arbitrage when traded
-    vals = {"root": 1.0, "a": 1.2, "b": 1.2, "c": 1.2}
+    vals = np.array([1.0, 1.2, 1.2, 1.2])   # layout order: root, a, b, c
     with pytest.raises(AugmentInfeasibleError):
-        check_mubpp(tri1, exp_pair, E_TRI, AdaptedProcess(vals))
+        check_mubpp(tri1, exp_pair, E_TRI, vals)
 
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_mubpp_non_finite_candidate_is_augment_infeasible(tri1, exp_pair, bad):
-    vals = {"root": 0.5, "a": 1.0, "b": bad, "c": 0.0}
+    vals = np.array([0.5, 1.0, bad, 0.0])   # layout order: root, a, b, c
     with pytest.raises(AugmentInfeasibleError):
-        check_mubpp(tri1, exp_pair, E_TRI, AdaptedProcess(vals))
+        check_mubpp(tri1, exp_pair, E_TRI, vals)
+
+
+def test_mubpp_takes_a_column_or_a_stack_in_layout_order(tri1, exp_pair):
+    sol = solve_dual(tri1, exp_pair, E_TRI)
+    fair = optimal_measure_price_process(tri1, sol, B_TRI)
+    bent = fair.copy()
+    bent[1] += 0.05
+    for s in (fair, bent):
+        assert check_mubpp(tri1, exp_pair, E_TRI, s) == \
+            check_mubpp(tri1, exp_pair, E_TRI, s[:, None])
+    for bad in (fair[:-1], np.append(fair, 0.0), fair[:, None, None], fair[None, :]):
+        with pytest.raises(ValueError, match=r"shape \(4,\) or \(4, k\)"):
+            check_mubpp(tri1, exp_pair, E_TRI, bad)
+
+
+def test_mubpp_fair_candidate_on_a_binomial_node_two_power(bin1, tp_pair):
+    # the candidate's increments are the asset's up to rounding, so the
+    # augmented market's strategy columns are dependent: the Newton step
+    # must drop the rounding-level singular value, not step along it
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        e, b = rng.uniform(-3.0, 3.0, 2), rng.uniform(0.0, 1.0, 2)
+        sol = solve_dual(bin1, tp_pair, e)
+        rep = check_mubpp(bin1, tp_pair, e, optimal_measure_price_process(bin1, sol, b))
+        assert rep.is_mubpp and rep.agree
 
 
 def test_mubpp_builds_the_augmented_market_without_parsing(tri1, exp_pair, monkeypatch):

@@ -7,14 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treegen
-from treedual import (AdaptedProcess, MeasureVector, NoPrimalOptimizerError,
+from treedual import (NoPrimalOptimizerError,
                       NotExponentialError, RandomVariable, build_constraints,
-                      check_maximal_support, dynamic_dual, exponential_utility,
-                      extract_strategy, leaf_values, recover,
-                      recover_terminal_wealth, relative_entropy,
+                      check_maximal_support, dual_value_curve, dynamic_dual,
+                      exponential_utility, extract_strategy,
+                      find_equivalent_mm, leaf_values,
+                      optimal_measure_price_process, recover,
+                      recover_terminal_wealth, relative_entropy, run_battery,
                       sample_martingale_measures, snell_envelope_exponential,
                       solve_dual, two_power_utility, verify_supermartingale,
                       vertex_enumerate)
+from treedual.recovery import mollify
 
 LN2 = math.log(2.0)
 
@@ -23,29 +26,30 @@ def test_bin1_terminal_wealth_closed_form(bin1, exp_pair_raw):
     sol = solve_dual(bin1, exp_pair_raw, 0.0)
     xhat = recover_terminal_wealth(bin1, exp_pair_raw, 0.0, sol)
     # mass 3*2^(-5/3) makes the log-density (-(2/3)ln2, (1/3)ln2)
-    assert xhat.values["u"] == pytest.approx(2.0 / 3.0 * LN2, abs=1e-8)
-    assert xhat.values["d"] == pytest.approx(-LN2 / 3.0, abs=1e-8)
+    assert xhat[bin1.leaf_index("u")] == pytest.approx(2.0 / 3.0 * LN2, abs=1e-8)
+    assert xhat[bin1.leaf_index("d")] == pytest.approx(-LN2 / 3.0, abs=1e-8)
     # zero expected gain under the optimal measure
-    assert np.dot(sol.q_hat_array, xhat.as_array(bin1)) == pytest.approx(0, abs=1e-9)
+    assert np.dot(sol.q_hat, xhat) == pytest.approx(0, abs=1e-9)
 
 
 def test_terminal_wealth_is_finite_where_the_optimal_mass_underflows(tri1, exp_pair):
     # the middle leaf's mass e^-800 underflows to 0; X reads the exact log-mass
     e = np.array([0.0, 800.0, 0.0])
     sol = solve_dual(tri1, exp_pair, e)
-    assert sol.support == "EQUIVALENT" and sol.q_hat_array[1] == 0.0
+    assert sol.support == "EQUIVALENT" and sol.q_hat[1] == 0.0
     ps = recover(tri1, exp_pair, e, sol)
-    x = ps.terminal_wealth.as_array(tri1)
+    x = ps.terminal_wealth
     assert np.isfinite(x).all()
-    assert x == pytest.approx([ps.wealth.at(l) for l in tri1.leaf_ids], rel=0, abs=1e-13)
+    # the leaves come last in layout order
+    assert x == pytest.approx(ps.wealth[-tri1.n_leaves:], rel=0, abs=1e-13)
 
 
 def test_bin1_delta_hedge(bin1, exp_pair_raw):
     sol = solve_dual(bin1, exp_pair_raw, 0.0)
     ps = recover(bin1, exp_pair_raw, 0.0, sol)
-    w_u, w_d = ps.wealth.at("u"), ps.wealth.at("d")
-    assert ps.strategy.at("root")[0] == pytest.approx((w_u - w_d) / 1.5, abs=1e-9)
-    assert abs(ps.wealth.at("root")) <= 1e-9
+    root, w_u, w_d = ps.wealth   # layout order: root, u, d
+    assert ps.strategy[0, 0] == pytest.approx((w_u - w_d) / 1.5, abs=1e-9)
+    assert abs(root) <= 1e-9
     assert ps.replication_residual <= 1e-8
 
 
@@ -54,7 +58,7 @@ def test_complete_market_inverse_marginal(bin1, tp_pair):
     sol = solve_dual(bin1, tp_pair, e)
     xhat = recover_terminal_wealth(bin1, tp_pair, e, sol)
     dens = sol.density_array
-    total = xhat.as_array(bin1) + leaf_values(bin1, e)
+    total = xhat + leaf_values(bin1, e)
     assert tp_pair.u_prime(total) == pytest.approx(dens, abs=1e-10)
 
 
@@ -67,8 +71,8 @@ def test_replicable_endowment_absorbed():
     e = dict(zip(tree.leaf_ids, (-gain).tolist()))
     sol = solve_dual(tree, pair, e)
     ps = recover(tree, pair, e, sol)
-    assert ps.terminal_wealth.as_array(tree) == pytest.approx(gain, abs=1e-8)
-    assert ps.strategy.at(tree.root_id)[0] == pytest.approx(2.0, abs=1e-8)
+    assert ps.terminal_wealth == pytest.approx(gain, abs=1e-8)
+    assert ps.strategy[0, 0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_degenerate_refuses_recovery(exp_pair):
@@ -86,7 +90,7 @@ def test_duality_gap_and_residuals(tri1, exp_pair, tp_pair):
         assert abs(ps.value - sol.value) <= 1e-7 * (1 + abs(sol.value))
         assert ps.first_order_residual <= 1e-8 * (1 + sol.mass)
         assert ps.replication_residual <= 1e-8
-        assert abs(ps.wealth.at("root")) <= 1e-8
+        assert abs(ps.wealth[0]) <= 1e-8
 
 
 def test_supermartingale_under_vertices(tri1, exp_pair):
@@ -111,8 +115,7 @@ def test_supermartingale_check_detects_drift():
     q1 = verts[1]   # (1/3, 0, 2/3)
     w_leaves = np.array([2.0, -1.0, 0.5])
     w_root = float(np.dot(q0, w_leaves))
-    wealth = AdaptedProcess({"root": w_root,
-                             **dict(zip(tree.leaf_ids, w_leaves.tolist()))})
+    wealth = np.append(w_root, w_leaves)   # layout order: root, then the leaves
     rep0 = verify_supermartingale(tree, wealth, [verts[0]], pair)
     assert not rep0.violations
     drift1 = float(np.dot(q1, w_leaves)) - w_root
@@ -134,7 +137,7 @@ def _reference_checks(tree, pair, mu, wealth, measures):
             if q[i] > 1e-10 and not mu[i] > 0:
                 support.append((k, leaf))
     ids = tree.layout.ids
-    w = np.array([float(wealth.at(n)) for n in ids])
+    w = np.asarray(wealth, dtype=float)
     cond, mass = tree.one_step_expectation(w, np.reshape(arrs, (len(tested), -1)))
     drift, live = cond - w[:mass.shape[-1]], mass > 0
     bad = live & (drift > 1e-8 * (1.0 + np.abs(w).max()))
@@ -153,16 +156,15 @@ def test_stacked_checks_match_the_per_measure_loops(seed, n_assets, family):
             else two_power_utility(0.5, 1.0, 1.0))
     sol = solve_dual(tree, pair, rng.uniform(-1.0, 1.0, tree.n_leaves))
     # a measure missing some leaves, so vertices charging them are flagged
-    sol = dataclasses.replace(sol, _mu_arr=sol._mu_arr * (rng.uniform(size=tree.n_leaves) < 0.7))
+    sol = dataclasses.replace(sol, mu=sol.mu * (rng.uniform(size=tree.n_leaves) < 0.7))
     # vertices (infinite two-power entropy where they miss a leaf), full
     # samples and a zero measure (no mass anywhere)
     measures = np.vstack([vertex_enumerate(build_constraints(tree)),
                           sample_martingale_measures(tree, 4, seed=seed % 97),
                           np.zeros((1, tree.n_leaves))])
-    wealth = AdaptedProcess(dict(zip(tree.layout.ids,
-                                     rng.normal(size=len(tree.layout.ids)).tolist())))
+    wealth = rng.normal(size=len(tree.layout.ids))
     support, violations, max_drift, tested, skipped = _reference_checks(
-        tree, pair, sol._mu_arr, wealth, measures)
+        tree, pair, sol.mu, wealth, measures)
 
     sc = check_maximal_support(tree, sol, measures)
     assert sc.violations == support
@@ -194,7 +196,7 @@ def test_dynamic_dual_boundary_times(tri1, exp_pair):
     assert abs(root[0].derivative) <= 1e-7           # stationarity at the root
     assert root[0].value == pytest.approx(sol.value, abs=1e-9)
     leaves = dynamic_dual(tri1, exp_pair, e, 1, sol, wealth=ps.wealth)
-    x = ps.terminal_wealth.as_array(tri1)
+    x = ps.terminal_wealth
     for node in leaves:
         i = tri1.leaf_index(node.node_id)
         assert node.derivative == pytest.approx(-x[i], abs=1e-8)
@@ -224,11 +226,9 @@ def test_snell_envelope(tri1, exp_pair):
     assert rep.max_equality_gap <= 1e-5
     assert rep.max_lower_bound_excess <= 1e-7
     # at the terminal time the envelope is the terminal wealth itself
-    x = ps.terminal_wealth.as_array(tri1)
-    for leaf in tri1.leaf_ids:
-        assert rep.envelope.at(leaf) == pytest.approx(
-            x[tri1.leaf_index(leaf)], abs=1e-8)
-    assert rep.envelope.at("root") == pytest.approx(0.0, abs=1e-7)
+    # (the leaves come last in layout order)
+    assert rep.envelope[-tri1.n_leaves:] == pytest.approx(ps.terminal_wealth, abs=1e-8)
+    assert rep.envelope[0] == pytest.approx(0.0, abs=1e-7)
 
 
 def test_snell_requires_exponential(tri1, tp_pair):
@@ -248,10 +248,10 @@ def test_extract_strategy_unreached_nodes(exp_pair):
     # recovery refuses wholesale; exercise the raw op
     ps = extract_strategy(tree, sol, RandomVariable.constant(tree, 1.0), exp_pair, 0.0)
     assert ps.unreached == ("r.0",)
-    for k, nid in enumerate(tree.nonleaf_ids):
-        assert np.array_equal(ps.strategy.at(nid), sol._h_arr[k])
-    assert np.array_equal(ps.strategy.at("r.0"), [0.0])
-    assert ps.wealth.at("r.0") == ps.wealth.at("r") == 1.0
+    assert np.array_equal(ps.strategy, sol._h_arr)
+    k = tree.layout.ids.index("r.0")
+    assert np.array_equal(ps.strategy[k], [0.0])
+    assert ps.wealth[k] == ps.wealth[0] == 1.0
 
 
 def test_dynamic_dual_on_a_degenerate_market(exp_pair):
@@ -290,11 +290,10 @@ def _lstsq_replication(tree, q, x):
 
 def _assert_matches_replication(tree, sol, ps):
     lay, inner = tree.layout, tree.layout.level_starts[-2]
-    x = ps.terminal_wealth.as_array(tree)
-    ref_w, ref_h = _lstsq_replication(tree, sol.q_hat_array, x)
-    scale = 1.0 + np.abs(x[sol.q_hat_array > 0]).max()
-    wealth = np.array([ps.wealth.at(n) for n in lay.ids])
-    h = np.array([ps.strategy.at(n) for n in tree.nonleaf_ids])
+    x = ps.terminal_wealth
+    ref_w, ref_h = _lstsq_replication(tree, sol.q_hat, x)
+    scale = 1.0 + np.abs(x[sol.q_hat > 0]).max()
+    wealth, h = ps.wealth, ps.strategy
     on = ~np.isnan(ref_w)
     assert np.abs(wealth - ref_w)[on].max() <= 1e-10 * scale
     # the reference h is only as exact as its wealth over the smallest
@@ -344,8 +343,8 @@ def test_rank_deficient_root_keeps_the_solver_strategy(pair):
     sol = solve_dual(tree, pair, 0.0)
     ps = recover(tree, pair, 0.0, sol)
     _assert_matches_replication(tree, sol, ps)
-    _, ref_h = _lstsq_replication(tree, sol.q_hat_array, ps.terminal_wealth.as_array(tree))
-    h = ps.strategy.at(tree.root_id)
+    _, ref_h = _lstsq_replication(tree, sol.q_hat, ps.terminal_wealth)
+    h = ps.strategy[0]
     assert np.abs(dS @ h).max() > 0.1
     if pair.family == "exponential":
         assert h == pytest.approx(ref_h[0], rel=1e-10)
@@ -362,3 +361,53 @@ def test_recovery_runs_no_least_squares(exp_pair, tp_pair, monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     for pair, sol in sols:
         assert recover(tree, pair, e, sol).replication_residual <= 1e-8
+
+
+# -- results are arrays in the tree's order ----------------------------------------
+
+
+def test_results_are_arrays_in_tree_order(exp_pair):
+    # leaf quantities (L,) in leaf order, node quantities (N,) in layout order
+    tree = treegen.product_market([[1.25, 1.05, 0.8]] * 2)
+    L, N, n = tree.n_leaves, len(tree.layout.ids), tree.layout.level_starts[-2]
+    e = np.linspace(-1.0, 1.0, L)
+    b = np.maximum(tree.layout.prices[n:, 0] - 1.0, 0.0)
+    sol = solve_dual(tree, exp_pair, e)
+    ps = recover(tree, exp_pair, e, sol)
+    verts = vertex_enumerate(build_constraints(tree))
+    snell = snell_envelope_exponential(tree, exp_pair, e, sol, verts, wealth=ps.wealth)
+    curve = dual_value_curve(tree, exp_pair, e, [0.5 * sol.mass, sol.mass])
+    price = optimal_measure_price_process(tree, sol, b)
+    results = {"mu": (sol.mu, (L,)), "q_hat": (sol.q_hat, (L,)),
+               "CurvePoint.q_hat": (curve.points[0].q_hat, (L,)),
+               "find_equivalent_mm": (find_equivalent_mm(tree), (L,)),
+               "terminal_wealth": (ps.terminal_wealth, (L,)),
+               "wealth": (ps.wealth, (N,)), "strategy": (ps.strategy, (n, 1)),
+               "envelope": (snell.envelope, (N,)), "price process": (price, (N,))}
+    for name, (x, shape) in results.items():
+        assert isinstance(x, np.ndarray) and x.shape == shape, name
+    # the leaves come last in layout order
+    assert np.abs(ps.wealth[n:] - ps.terminal_wealth).max() <= 1e-12
+    assert price[n:] == pytest.approx(b, rel=1e-14, abs=0.0)
+    assert price[0] == pytest.approx(sol.q_hat @ b, rel=1e-14)
+
+
+def test_battery_tests_mollified_measures_under_two_power(tp_pair):
+    # every vertex of this tree misses a leaf, so V(0) = inf gives each raw
+    # vertex infinite entropy; mollified toward q_hat, all 128 are tested
+    tree = treegen.product_market([[1.25, 1.05, 0.8]] * 3)
+    results = {r.name: r for r in run_battery(tree, tp_pair, 0.0)}
+    check = results["supermartingale under tested measures"]
+    assert check.passed and check.detail == "128 measures"
+    sol = solve_dual(tree, tp_pair, 0.0)
+    verts = vertex_enumerate(build_constraints(tree))
+    assert len(verts) == 128
+    # raising the wealth at the time-1 node k drifts it up at the root under
+    # every vertex that charges k (a third of the time-1 nodes, 64 vertices)
+    wealth = recover(tree, tp_pair, 0.0, sol).wealth.copy()
+    wealth[1] += 1e-3
+    rep = verify_supermartingale(tree, wealth, mollify(verts, sol.q_hat), tp_pair)
+    assert rep.measures_tested == 128 and len(rep.violations) == 64
+    assert {v.node_id for v in rep.violations} == {tree.root_id}
+    raw = verify_supermartingale(tree, wealth, verts, tp_pair)
+    assert raw.measures_tested == 0 and not raw.violations
