@@ -9,17 +9,15 @@ from .errors import (AssumptionFailError, AugmentInfeasibleError,
                      InvalidTreeError, NoMartingaleMeasureError,
                      NonconvergedError, NoPrimalOptimizerError, ParseError,
                      NotExponentialError, ReplicationGapError, TreedualError,
-                     ValueAtSupremumError, ZeroMassError)
-from .market import (MarketTree, NodeRecord, RandomVariable, condition,
-                     leaf_probabilities, leaf_values, load_market,
+                     ValueAtSupremumError)
+from .market import (MarketTree, RandomVariable, leaf_values, load_market,
                      market_from_dict, market_to_dict, save_market)
 from .utility import (CertificationReport, UtilityPair, certify_assumptions,
                       evaluate, exponential_utility, parse_utility_spec,
                       two_power_utility)
-from .geometry import (MartingaleConstraints, build_constraints,
-                       find_equivalent_mm, is_martingale_measure,
-                       relative_entropy, sample_martingale_measures,
-                       vertex_enumerate)
+from .geometry import (build_constraints, find_equivalent_mm,
+                       is_martingale_measure, relative_entropy,
+                       sample_martingale_measures, vertex_enumerate)
 from .dual import (CurvePoint, CurveReport, DualSolution, SupportCheck,
                    check_maximal_support, dual_derivative, dual_value_curve,
                    solve_dual, solve_dual_fixed_mass)

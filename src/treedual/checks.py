@@ -76,7 +76,7 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow, *,
         sol = dataclasses.replace(sol, mass=mass, mu=arr, q_hat=arr / mass,
                                   _log_mass=math.log(mass), _log_q=log_q)
 
-    A = build_constraints(tree).matrix
+    A = build_constraints(tree)
     cons_res = float(np.abs(A @ sol.mu).max()) if A.size else 0.0
     add("martingale constraints at optimum", cons_res <= 1e-10 * (1 + sol.mass),
         cons_res, 1e-10)

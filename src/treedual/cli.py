@@ -27,7 +27,7 @@ from .checks import run_battery
 from .dual import solve_dual
 from .errors import ParseError, TreedualError
 from .geometry import build_constraints, find_equivalent_mm, vertex_enumerate
-from .market import MarketTree, RandomVariable, load_market
+from .market import MarketTree, load_market
 from .oracle import check_duality_gap
 from .pricing import (average_price_curve, check_mubpp, endowment_sensitivity,
                       price_report)
@@ -43,19 +43,19 @@ def f12(x) -> str:
     return format(float(x), ".12g")
 
 
-def _pick_endowment(tree: MarketTree, name: str | None) -> RandomVariable:
-    """Endowment by name: the file's endowment, a claim name, or zero."""
+def _pick_endowment(tree: MarketTree, name: str | None) -> np.ndarray:
+    """Endowment (L,) by name: the file's endowment, a claim name, or zero."""
     if name is None or name == "endowment":
         return tree.endowment
     if name == "zero":
-        return RandomVariable.constant(tree, 0.0)
+        return np.zeros(tree.n_leaves)
     if name in tree.claims:
         return tree.claims[name]
     raise ParseError(f"unknown endowment name {name!r} "
                      f"(use 'endowment', 'zero' or one of {sorted(tree.claims)})")
 
 
-def _pick_claim(tree: MarketTree, name: str) -> RandomVariable:
+def _pick_claim(tree: MarketTree, name: str) -> np.ndarray:
     if name in tree.claims:
         return tree.claims[name]
     raise ParseError(f"unknown claim {name!r}; file defines {sorted(tree.claims)}")
@@ -108,23 +108,22 @@ class _Out:
 
 def _cmd_geometry(args, out: _Out):
     tree = load_market(args.market)
-    cons = build_constraints(tree)
+    A = build_constraints(tree)
+    labels = [(nid, a) for nid in tree.nonleaf_ids for a in tree.assets]  # A's rows
     out.say(f"market: {tree!r}")
-    out.say(f"constraint rows: {cons.matrix.shape[0]} over {tree.n_leaves} leaves")
-    for (nid, asset), row in zip(cons.row_labels, cons.matrix):
-        out.say(f"  node {nid} asset {tree.assets[asset]}: "
-                + " ".join(f12(c) for c in row))
+    out.say(f"constraint rows: {A.shape[0]} over {tree.n_leaves} leaves")
+    for (nid, asset), row in zip(labels, A):
+        out.say(f"  node {nid} asset {asset}: " + " ".join(f12(c) for c in row))
     q = find_equivalent_mm(tree)
     out.say("equivalent martingale measure: "
             + ("none (degenerate market)" if q is None else "exists"))
-    verts = vertex_enumerate(cons, cap=args.vertex_cap)
+    verts = vertex_enumerate(A, cap=args.vertex_cap)
     out.say(f"polytope vertices: {len(verts)}")
     rows = [[k] + [f12(x) for x in v] for k, v in enumerate(verts)]
     out.csv("vertices.csv", ["vertex"] + list(tree.leaf_ids), rows)
     out.csv("constraints.csv",
             ["node", "asset"] + list(tree.leaf_ids),
-            [[nid, tree.assets[a]] + [f12(c) for c in row]
-             for (nid, a), row in zip(cons.row_labels, cons.matrix)])
+            [[nid, asset] + [f12(c) for c in row] for (nid, asset), row in zip(labels, A)])
     return EXIT_OK
 
 

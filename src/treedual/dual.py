@@ -381,7 +381,7 @@ def _core_solution(tree, pair, endow, mass, start):
     e = leaf_values(tree, endow)
     mask, flag = _prepare(tree, pair)
     mu, h, value, res, steps, curvature = _newton_core(
-        build_constraints(tree).matrix, tree.leaf_probability_array, e, pair, mask,
+        build_constraints(tree), tree.leaf_probability_array, e, pair, mask,
         mass=mass, start=start)
     y = float(mu.sum())
     return _solution(tree, pair, e, mu, mu / y, y, math.log(y), value, res, flag,

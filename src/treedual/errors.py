@@ -29,12 +29,6 @@ class InvalidTreeError(TreedualError):
         self.node_id = node_id
 
 
-class ZeroMassError(TreedualError):
-    """Conditional expectation requested on a subtree with zero mass."""
-
-    code = "ZERO_MASS"
-
-
 class DomainError(TreedualError):
     """Argument outside a function's domain (e.g. negative conjugate arg)."""
 
@@ -68,16 +62,12 @@ class CapExceededError(TreedualError):
 
 
 class NonconvergedError(TreedualError):
-    """Solver stopped without a verdict (iteration cap, numerical trouble).
-
-    Carries the best iterate found, when there is one.
-    """
+    """Solver stopped without a verdict (iteration cap, numerical trouble)."""
 
     code = "NONCONVERGED"
 
-    def __init__(self, message, best=None, residual=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
-        self.best = best
         self.residual = residual
 
 

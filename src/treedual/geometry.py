@@ -26,22 +26,11 @@ from .utility import UtilityPair
 VERTEX_CAP_DEFAULT = 10_000
 
 
-@dataclass(frozen=True, eq=False)
-class MartingaleConstraints:
-    """Equality rows whose non-negative solutions are the martingale cone."""
-
-    matrix: np.ndarray                       # (m, L), read-only
-    row_labels: tuple[tuple[str, int], ...]  # (node id, asset index) per row
-    leaf_ids: tuple[str, ...]
-
-    @property
-    def n_leaves(self) -> int:
-        return len(self.leaf_ids)
-
-
 @lru_cache(maxsize=256)
-def build_constraints(tree: MarketTree) -> MartingaleConstraints:
-    """One row per (non-leaf node, asset); see the module docstring."""
+def build_constraints(tree: MarketTree) -> np.ndarray:
+    """The read-only matrix A (rows, L) whose non-negative solutions are the
+    martingale cone: row ``k * d + i`` is asset i at ``tree.nonleaf_ids[k]``,
+    over the leaves in leaf order; see the module docstring."""
     lay, L = tree.layout, tree.n_leaves
     # every level below the root covers all leaves: one (child, leaf) entry each
     c = np.repeat(np.arange(1, len(lay.ids)), (lay.hi - lay.lo)[1:])
@@ -50,8 +39,7 @@ def build_constraints(tree: MarketTree) -> MartingaleConstraints:
         lay.prices[c] - lay.prices[lay.parent[c]]
     mat = mat.reshape(-1, L)
     mat.setflags(write=False)
-    labels = tuple((nid, i) for nid in tree.nonleaf_ids for i in range(tree.n_assets))
-    return MartingaleConstraints(mat, labels, tree.leaf_ids)
+    return mat
 
 
 def is_martingale_measure(tree: MarketTree, q, tol: float = 1e-9) -> bool:
@@ -244,9 +232,10 @@ def relative_entropy(tree: MarketTree, pair: UtilityPair, mu) -> float | np.ndar
 
 # -- vertex enumeration -----------------------------------------------------------
 
-def vertex_enumerate(constraints: MartingaleConstraints,
-                     cap: int = VERTEX_CAP_DEFAULT) -> np.ndarray:
-    """All extreme points of the martingale polytope, by double description.
+def vertex_enumerate(A: np.ndarray, cap: int = VERTEX_CAP_DEFAULT) -> np.ndarray:
+    """All extreme points of the martingale polytope {q >= 0, sum q = 1,
+    A q = 0}, by double description, for the matrix A (rows, L) of
+    :func:`build_constraints`.
 
     Sweeps the equality rows through the non-negative orthant's generators,
     combining adjacent positive/negative rays.  Rows enter bottom-up, in
@@ -257,13 +246,13 @@ def vertex_enumerate(constraints: MartingaleConstraints,
     vertices (Fukuda & Prodon, *Double description method revisited*, 1996,
     on row order).  The vertex set does not depend on the order: the final
     polish depends only on each ray's support.  Raises
-    :class:`CapExceededError` if the working set exceeds ``cap`` (callers
-    fall back to sampling).  Returns the vertices as a stack (k, L): one
-    unit-mass row per vertex, in leaf order, satisfying the constraints to
-    1e-10; an empty polytope gives shape (0, L).
+    :class:`CapExceededError` as soon as the working set exceeds ``cap``,
+    inside a row's pairings as after them (callers fall back to sampling).
+    Returns the vertices as a stack (k, L): one unit-mass row per vertex, in
+    leaf order, satisfying the constraints to 1e-10; an empty polytope gives
+    shape (0, L).
     """
-    A = constraints.matrix
-    L = constraints.n_leaves
+    L = A.shape[1]
     rays = np.eye(L)
     for row in A[::-1]:
         scale = max(1.0, np.abs(row).max())
@@ -286,6 +275,9 @@ def vertex_enumerate(constraints: MartingaleConstraints,
                         continue
                     r = d[i] * rays[j] - d[j] * rays[i]
                     combos.append(r / r.sum())
+                    if zero.size + len(combos) > cap:
+                        raise CapExceededError(f"vertex candidates exceed cap {cap}",
+                                               count=zero.size + len(combos))
             if combos:
                 new_rays.append(np.array(combos))
         rays = np.vstack(new_rays) if new_rays else np.zeros((0, L))

@@ -2,9 +2,10 @@
 
 A market is an event tree: each node carries a time index, a vector of asset
 prices and a branch probability conditional on its parent.  Leaves live at the
-common horizon ``T`` and carry the terminal information; endowments and claim
-payoffs are leaf-indexed random variables.  Results are arrays in the tree's
-order: (L,) in leaf order on the leaves, (N,) in layout order on the nodes.
+common horizon ``T`` and carry the terminal information; the endowment and the
+claim payoffs are random variables on the leaves.  Scenario data and results
+are arrays in the tree's order: (L,) in leaf order on the leaves, (N,) in
+layout order on the nodes.
 
 Scenario file schema (JSON).  Each node has exactly the fields ``id``,
 ``parent`` (null at the one root), ``t`` (0 at the root, else the parent's
@@ -38,8 +39,10 @@ so time levels are contiguous, every node's children are consecutive, and
 the leaves come last in leaf order.  With each node's parent index, prices,
 branch probability and leaf slice as arrays, every per-node conditional
 expectation is a subtree sum (:meth:`MarketTree.subtree_sums`,
-:meth:`MarketTree.one_step_expectation`).  The node records keep the file's
-order and strings, for the round trip only.
+:meth:`MarketTree.one_step_expectation`).  The endowment (zero when the file
+has none) and each claim are read-only (L,) arrays.  For the round trip the
+tree also keeps, per file row in file order, the node's layout position and
+its decimal strings.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, InvalidTreeError, ParseError, ZeroMassError
+from .errors import InvalidTreeError, ParseError
 
 MAX_LEAVES_DEFAULT = 100_000
 
@@ -62,21 +65,8 @@ _PROB_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class NodeRecord:
-    """One event-tree node; retains the decimal strings it was parsed from."""
-
-    id: str
-    parent: str | None
-    t: int
-    prices: tuple[float, ...]
-    prob: float
-    price_strs: tuple[str, ...]
-    prob_str: str
-
-
-@dataclass(frozen=True, eq=False)
 class RandomVariable:
-    """A leaf-indexed (terminal) quantity: endowments and claim payoffs.
+    """A leaf-keyed (terminal) quantity, one input form of :func:`leaf_values`.
 
     Supports pointwise addition/subtraction with other random variables on
     the same leaf set, and addition/multiplication by scalars.
@@ -153,28 +143,31 @@ class MarketTree:
 
     Construct via :func:`load_market` or :func:`market_from_dict`; direct
     instantiation is internal.  The level-order :attr:`layout` is the one
-    structural representation, and every accessor reads it; ``nodes`` keeps
-    the file's records, in file order, for :func:`market_to_dict`.  Leaves
-    are in depth-first order, so every node's subtree occupies a contiguous
-    leaf slice.
+    structural representation, and every accessor reads it.  ``endowment``
+    and each of ``claims`` (by name) are read-only (L,) arrays in leaf order.
+    The file's columns, for :func:`market_to_dict`, are each row's layout
+    position and decimal strings.  Leaves are in depth-first order, so every
+    node's subtree occupies a contiguous leaf slice.
     """
 
-    __slots__ = ("assets", "nodes", "endowment", "claims", "layout",
-                 "_pos", "_leaf_ids", "_node_prob")
+    __slots__ = ("assets", "endowment", "claims", "layout", "_pos", "_leaf_ids",
+                 "_node_prob", "_file_pos", "_price_strs", "_prob_strs")
 
-    def __init__(self, assets, nodes, endowment, claims, layout, node_prob,
-                 _token=None):
+    def __init__(self, assets, endowment, claims, layout, node_prob, file_pos,
+                 price_strs, prob_strs, _token=None):
         if _token is not _BUILD_TOKEN:
             raise TypeError("use load_market or market_from_dict to build trees")
         self.assets = assets
-        self.nodes = nodes
         self.endowment = endowment
         self.claims = claims
         self.layout = layout
         self._pos = {nid: k for k, nid in enumerate(layout.ids)}
         self._leaf_ids = layout.ids[layout.level_starts[-2]:]
-        node_prob.setflags(write=False)
+        for a in (node_prob, file_pos, endowment, *claims.values()):
+            a.setflags(write=False)
         self._node_prob = node_prob  # (N,) unconditional, in layout order
+        # file order: each row's layout position, price strings and prob string
+        self._file_pos, self._price_strs, self._prob_strs = file_pos, price_strs, prob_strs
 
     # -- structure accessors ------------------------------------------------
 
@@ -205,7 +198,8 @@ class MarketTree:
 
     @property
     def node_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes)
+        """Node ids in file order."""
+        return tuple(map(self.layout.ids.__getitem__, self._file_pos.tolist()))
 
     def children(self, node_id: str) -> tuple[str, ...]:
         lay, k = self.layout, self._pos[node_id]
@@ -278,20 +272,21 @@ class MarketTree:
 
     def __repr__(self):
         return (f"MarketTree(T={self.horizon}, assets={list(self.assets)}, "
-                f"nodes={len(self.nodes)}, leaves={self.n_leaves})")
+                f"nodes={len(self.layout.ids)}, leaves={self.n_leaves})")
 
 
 _BUILD_TOKEN = object()
 
 
-def _build_layout(records, par, t, prob, horizon) -> tuple[TreeLayout, np.ndarray]:
-    """The level-order layout and the unconditional node probabilities from
-    file-order columns (``par``: the file index of each node's parent).
+def _build_layout(ids, prices, par, t, prob, horizon):
+    """The level-order layout, the unconditional node probabilities and each
+    node's layout position, from file-order columns (``par``: the file index
+    of each node's parent).
 
     The nodes are grouped by time, and each level is sorted stably by its
     parents' positions: depth-first order, with siblings as in the file.
     """
-    n = len(records)
+    n = len(ids)
     order = np.argsort(t, kind="stable")
     starts = np.searchsorted(t[order], np.arange(horizon + 2))
     pos, parent = np.empty(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
@@ -310,23 +305,20 @@ def _build_layout(records, par, t, prob, horizon) -> tuple[TreeLayout, np.ndarra
     hi, last = lo + 1, np.append(first[1:], n) - 1
     for a, b in zip(starts[-3::-1], starts[-2:0:-1]):
         lo[a:b], hi[a:b] = lo[first[a:b]], hi[last[a:b]]
-    order = order.tolist()
-    layout = TreeLayout(
-        tuple(records[k].id for k in order), parent, starts, first,
-        np.array([records[k].prices for k in order]), prob[order], lo, hi)
-    return layout, node_prob
+    layout = TreeLayout(tuple(map(ids.__getitem__, order.tolist())), parent, starts,
+                        first, prices[order], prob[order], lo, hi)
+    return layout, node_prob, pos
 
 
 def _with_assets(tree: MarketTree, names, columns) -> MarketTree:
     """``tree`` with assets ``names`` added, priced by ``columns`` (N, k) in
-    layout order; the records keep their file order and get ``repr`` strings."""
-    extra = columns[[tree._pos[n.id] for n in tree.nodes]].tolist()
-    nodes = tuple(replace(n, prices=n.prices + tuple(x),
-                          price_strs=n.price_strs + tuple(map(repr, x)))
-                  for n, x in zip(tree.nodes, extra))
+    layout order; the file rows get ``repr`` strings."""
+    extra = columns[tree._file_pos].tolist()
+    price_strs = tuple(s + tuple(map(repr, x)) for s, x in zip(tree._price_strs, extra))
     layout = replace(tree.layout, prices=np.hstack([tree.layout.prices, columns]))
-    return MarketTree(tree.assets + tuple(names), nodes, tree.endowment, tree.claims,
-                      layout, tree._node_prob, _token=_BUILD_TOKEN)
+    return MarketTree(tree.assets + tuple(names), tree.endowment, tree.claims, layout,
+                      tree._node_prob, tree._file_pos, price_strs, tree._prob_strs,
+                      _token=_BUILD_TOKEN)
 
 
 def _decimal(value, where):
@@ -341,22 +333,25 @@ def _decimal(value, where):
     return x
 
 
-def _leaf_map(raw, leaf_set, where):
+def _leaf_array(raw, leaf_pos, where):
+    """A leaf map as an (L,) array in the leaf order of ``leaf_pos``."""
     if not isinstance(raw, dict):
         raise ParseError(f"{where}: expected an object mapping leaf ids to decimals")
-    out = {}
+    vals = []
     for k, v in raw.items():
-        if k not in leaf_set:
+        if k not in leaf_pos:
             raise ParseError(f"{where}: unknown leaf id {k!r}")
         if isinstance(v, str):
-            out[k] = _decimal(v, f"{where}[{k}]")
+            vals.append(_decimal(v, f"{where}[{k}]"))
         elif isinstance(v, (int, float)) and math.isfinite(v):
-            out[k] = float(v)
+            vals.append(float(v))
         else:
             raise ParseError(f"{where}[{k}]: expected a finite decimal")
-    missing = leaf_set - set(out)
-    if missing:
-        raise ParseError(f"{where}: missing leaves {sorted(missing)[:5]}")
+    if len(vals) < len(leaf_pos):
+        missing = sorted(l for l in leaf_pos if l not in raw)
+        raise ParseError(f"{where}: missing leaves {missing[:5]}")
+    out = np.empty(len(vals))
+    out[list(map(leaf_pos.__getitem__, raw))] = vals
     return out
 
 
@@ -377,8 +372,9 @@ def market_from_dict(doc: dict, max_leaves: int = MAX_LEAVES_DEFAULT) -> MarketT
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise ParseError("nodes must be a non-empty list")
 
-    records = []
-    seen = set()
+    # file-order columns
+    parents, ts, price_vals, probs, price_strs, prob_strs = [], [], [], [], [], []
+    index = {}  # file row of each id
     for i, rn in enumerate(raw_nodes):
         if not isinstance(rn, dict):
             raise ParseError(f"nodes[{i}]: expected an object")
@@ -391,9 +387,9 @@ def market_from_dict(doc: dict, max_leaves: int = MAX_LEAVES_DEFAULT) -> MarketT
         nid = rn["id"]
         if not isinstance(nid, str) or not nid:
             raise ParseError(f"nodes[{i}]: id must be a non-empty string")
-        if nid in seen:
+        if nid in index:
             raise InvalidTreeError(f"duplicate node id {nid!r}", node_id=nid)
-        seen.add(nid)
+        index[nid] = i
         parent = rn["parent"]
         if parent is not None and not isinstance(parent, str):
             raise ParseError(f"node {nid!r}: parent must be a string or null")
@@ -403,80 +399,79 @@ def market_from_dict(doc: dict, max_leaves: int = MAX_LEAVES_DEFAULT) -> MarketT
         prices = rn["prices"]
         if not isinstance(prices, list) or len(prices) != len(assets):
             raise ParseError(f"node {nid!r}: prices must list one decimal per asset")
-        price_vals = tuple(_decimal(s, f"node {nid!r} price") for s in prices)
-        prob = _decimal(rn["prob"], f"node {nid!r} prob")
-        records.append(NodeRecord(nid, parent, t, price_vals, prob,
-                                  tuple(prices), rn["prob"]))
+        price_vals.append(tuple(_decimal(s, f"node {nid!r} price") for s in prices))
+        probs.append(_decimal(rn["prob"], f"node {nid!r} prob"))
+        parents.append(parent)
+        ts.append(t)
+        price_strs.append(tuple(prices))
+        prob_strs.append(rn["prob"])
 
-    # structural invariants, on file-order columns; each check names the
-    # first offending node in file order
-    roots = [n for n in records if n.parent is None]
+    # structural invariants, on the columns; each check names the first
+    # offending node in file order
+    ids = list(index)
+    roots = [k for k, p in enumerate(parents) if p is None]
     if len(roots) != 1:
         raise InvalidTreeError(f"expected exactly one root, found {len(roots)}",
-                               node_id=roots[1].id if len(roots) > 1 else None)
+                               node_id=ids[roots[1]] if len(roots) > 1 else None)
     root = roots[0]
-    if root.t != 0:
-        raise InvalidTreeError("root must have t=0", node_id=root.id)
-    if not (root.prob == 1.0):
-        raise InvalidTreeError("root prob must be 1", node_id=root.id)
-    index = {n.id: k for k, n in enumerate(records)}
-    ts = [n.t for n in records]
+    if ts[root] != 0:
+        raise InvalidTreeError("root must have t=0", node_id=ids[root])
+    if not (probs[root] == 1.0):
+        raise InvalidTreeError("root prob must be 1", node_id=ids[root])
     horizon = max(ts)
     # a time beyond int64 is wrong, but exactly so: the check names where
     t = np.array(ts, dtype=np.int64 if horizon < 2**62 else object)
-    par = np.array([index.get(n.parent, -1) for n in records])
-    child = np.array([n.parent is not None for n in records])
+    par = np.array([index.get(p, -1) for p in parents])
+    child = np.array([p is not None for p in parents])
     bad = np.flatnonzero(child & ((par < 0) | (t != t[par] + 1)))
     if bad.size:
-        n = records[bad[0]]
-        if par[bad[0]] < 0:
-            raise InvalidTreeError(f"node {n.id!r}: parent {n.parent!r} does not exist",
-                                   node_id=n.id)
+        k = bad[0]
+        if par[k] < 0:
+            raise InvalidTreeError(f"node {ids[k]!r}: parent {parents[k]!r} does not exist",
+                                   node_id=ids[k])
         raise InvalidTreeError(
-            f"node {n.id!r}: time {n.t} is not parent time {records[par[bad[0]]].t} "
-            "plus one", node_id=n.id)
+            f"node {ids[k]!r}: time {ts[k]} is not parent time {ts[par[k]]} "
+            "plus one", node_id=ids[k])
     if horizon == 0:
         raise InvalidTreeError("tree has no trading period: the root is its only node",
-                               node_id=root.id)
-    prob = np.array([n.prob for n in records])
-    kids = np.bincount(par[child], minlength=len(records))
+                               node_id=ids[root])
+    prob = np.array(probs)
+    kids = np.bincount(par[child], minlength=len(ids))
     bad = np.flatnonzero(((kids == 0) & (t != horizon)) | ~((0.0 < prob) & (prob <= 1.0)))
     if bad.size:
-        n = records[bad[0]]
-        if kids[bad[0]] == 0 and n.t != horizon:
+        k = bad[0]
+        if kids[k] == 0 and ts[k] != horizon:
             raise InvalidTreeError(
-                f"leaf {n.id!r} at time {n.t}, but horizon is {horizon}", node_id=n.id)
+                f"leaf {ids[k]!r} at time {ts[k]}, but horizon is {horizon}", node_id=ids[k])
         raise InvalidTreeError(
-            f"node {n.id!r}: branch probability {n.prob} outside (0, 1]", node_id=n.id)
+            f"node {ids[k]!r}: branch probability {probs[k]} outside (0, 1]", node_id=ids[k])
     # bincount screens the child sums within its rounding error; fsum decides
-    sums = np.bincount(par[child], prob[child], minlength=len(records))
+    sums = np.bincount(par[child], prob[child], minlength=len(ids))
     for k in np.flatnonzero((kids > 0)
                             & (np.abs(sums - 1.0) > _PROB_SUM_TOL - 1e-15 * kids)):
         s = math.fsum(prob[par == k])
         if abs(s - 1.0) > _PROB_SUM_TOL:
             raise InvalidTreeError(
-                f"node {records[k].id!r}: child probabilities sum to {s!r}, not 1 "
-                "(probabilities sum != 1)", node_id=records[k].id)
+                f"node {ids[k]!r}: child probabilities sum to {s!r}, not 1 "
+                "(probabilities sum != 1)", node_id=ids[k])
     n_leaves = int((kids == 0).sum())
     if n_leaves > max_leaves:
         raise InvalidTreeError(
             f"tree has {n_leaves} leaves, above the configured cap {max_leaves}")
 
-    layout, node_prob = _build_layout(records, par, t, prob, horizon)
-    leaf_ids = layout.ids[layout.level_starts[-2]:]
-    leaf_set = set(leaf_ids)
+    layout, node_prob, pos = _build_layout(ids, np.array(price_vals), par, t, prob, horizon)
+    leaf_pos = {l: k for k, l in enumerate(layout.ids[layout.level_starts[-2]:])}
     endow_raw = doc.get("endowment")
-    endowment = (RandomVariable(_leaf_map(endow_raw, leaf_set, "endowment"))
-                 if endow_raw is not None
-                 else RandomVariable({l: 0.0 for l in leaf_ids}))
+    endowment = (_leaf_array(endow_raw, leaf_pos, "endowment") if endow_raw is not None
+                 else np.zeros(n_leaves))
     claims_raw = doc.get("claims", {})
     if not isinstance(claims_raw, dict):
         raise ParseError("claims must be an object of named leaf maps")
-    claims = {name: RandomVariable(_leaf_map(v, leaf_set, f"claims[{name}]"))
+    claims = {name: _leaf_array(v, leaf_pos, f"claims[{name}]")
               for name, v in claims_raw.items()}
 
-    tree = MarketTree(tuple(assets), tuple(records), endowment, claims, layout,
-                      node_prob, _token=_BUILD_TOKEN)
+    tree = MarketTree(tuple(assets), endowment, claims, layout, node_prob, pos,
+                      tuple(price_strs), tuple(prob_strs), _token=_BUILD_TOKEN)
     # derived leaf probabilities must form a probability vector
     total = float(tree.leaf_probability_array.sum())
     if abs(total - 1.0) > 1e-12:
@@ -498,17 +493,23 @@ def load_market(path, max_leaves: int = MAX_LEAVES_DEFAULT) -> MarketTree:
 
 def market_to_dict(tree: MarketTree) -> dict:
     """Inverse of :func:`market_from_dict`; decimal strings are preserved."""
+    lay, pos = tree.layout, tree._file_pos.tolist()
+    parent = [None] + list(map(lay.ids.__getitem__, lay.parent[1:].tolist()))
+    t = np.repeat(np.arange(tree.horizon + 1), np.diff(lay.level_starts)).tolist()
+
+    def leaf_map(v):  # repr of Python floats, as the loader parses them
+        return dict(zip(tree.leaf_ids, map(repr, v.tolist())))
+
     return {
         "version": 1,
         "assets": list(tree.assets),
         "nodes": [
-            {"id": n.id, "parent": n.parent, "t": n.t,
-             "prices": list(n.price_strs), "prob": n.prob_str}
-            for n in tree.nodes
+            {"id": lay.ids[k], "parent": parent[k], "t": t[k],
+             "prices": list(ps), "prob": pr}
+            for k, ps, pr in zip(pos, tree._price_strs, tree._prob_strs)
         ],
-        "endowment": {l: repr(v) for l, v in tree.endowment.values.items()},
-        "claims": {name: {l: repr(v) for l, v in rv.values.items()}
-                   for name, rv in tree.claims.items()},
+        "endowment": leaf_map(tree.endowment),
+        "claims": {name: leaf_map(v) for name, v in tree.claims.items()},
     }
 
 
@@ -542,34 +543,3 @@ def leaf_values(tree: MarketTree, x) -> np.ndarray:
     if arr.shape != (tree.n_leaves,):
         raise ValueError(f"expected {tree.n_leaves} leaf values, got shape {arr.shape}")
     return arr
-
-
-def leaf_probabilities(tree: MarketTree) -> dict[str, float]:
-    """Reference probabilities of the leaves (products of branch probabilities)."""
-    return dict(zip(tree.leaf_ids, tree.leaf_probability_array.tolist()))
-
-
-_RAISE = object()
-
-
-def condition(tree: MarketTree, x, q, node: str, on_zero_mass=_RAISE) -> float:
-    """Weighted conditional average of ``x`` given the subtree at ``node``.
-
-    ``q`` is a non-negative leaf weighting (a measure, not necessarily
-    normalized).  Returns ``sum(q*x)/sum(q)`` over the leaves under ``node``.
-    If the subtree mass vanishes, raises :class:`ZeroMassError` unless the
-    caller supplies ``on_zero_mass`` as the value of the 0/0 convention.
-    """
-    xs = leaf_values(tree, x)
-    qs = leaf_values(tree, q)
-    lo, hi = tree.leaf_slice(node)
-    sub = qs[lo:hi]
-    if np.any(sub < 0):
-        raise DomainError(f"negative weights on subtree at {node!r}")
-    mass = float(sub.sum())
-    if mass <= 0.0:
-        if on_zero_mass is _RAISE:
-            raise ZeroMassError(
-                f"subtree at {node!r} has zero mass; conditional expectation undefined")
-        return float(on_zero_mass)
-    return float(np.dot(sub, xs[lo:hi]) / mass)

@@ -19,8 +19,8 @@ from scipy.linalg import null_space
 from scipy.optimize import minimize
 
 from .dual import _objective, solve_dual
-from .errors import (DimensionError, GapDetectedError, InfeasibleEntropyError,
-                     NoMartingaleMeasureError)
+from .errors import (CapExceededError, DimensionError, GapDetectedError,
+                     InfeasibleEntropyError, NoMartingaleMeasureError)
 from .geometry import build_constraints, vertex_enumerate
 from .market import MarketTree, leaf_values
 from .recovery import recover
@@ -29,7 +29,7 @@ from .utility import UtilityPair, _golden_min
 
 def polytope_dimension(tree: MarketTree) -> int:
     """Affine dimension of the martingale polytope."""
-    A = build_constraints(tree).matrix
+    A = build_constraints(tree)
     M = np.vstack([A, np.ones((1, tree.n_leaves))])
     return tree.n_leaves - int(np.linalg.matrix_rank(M, tol=1e-10))
 
@@ -77,7 +77,7 @@ def brute_force_dual(tree: MarketTree, pair: UtilityPair, endow, *,
     """
     e = leaf_values(tree, endow)
     p = tree.leaf_probability_array
-    A = build_constraints(tree).matrix
+    A = build_constraints(tree)
     L = tree.n_leaves
     M = np.vstack([A, np.ones((1, L))])
     rhs = np.zeros(M.shape[0])
@@ -106,7 +106,7 @@ def brute_force_dual(tree: MarketTree, pair: UtilityPair, endow, *,
         rng = np.random.default_rng(seed)
         try:
             verts = vertex_enumerate(build_constraints(tree))
-        except Exception:
+        except CapExceededError:
             verts = np.zeros((0, L))
         pts = []
         if len(verts):
@@ -154,7 +154,7 @@ def brute_force_primal(tree: MarketTree, pair: UtilityPair, endow, *,
             f"strategy dimension {D} exceeds the oracle limit {PRIMAL_DIM_LIMIT}")
     e = leaf_values(tree, endow)
     p = tree.leaf_probability_array
-    G = build_constraints(tree).matrix.T  # leaf-by-coefficient gain matrix
+    G = build_constraints(tree).T  # leaf-by-coefficient gain matrix
 
     def neg_value_and_grad(h):
         x = G @ h + e

@@ -213,7 +213,7 @@ def dynamic_dual(tree: MarketTree, pair: UtilityPair, endow, t: int,
     e = leaf_values(tree, endow)
     p = tree.leaf_probability_array
     mu = sol.mu
-    A, live = build_constraints(tree).matrix, _support_structure(tree).mask
+    A, live = build_constraints(tree), _support_structure(tree).mask
     lay = tree.layout
     mass = tree.subtree_sums(mu)
     out = []

@@ -35,9 +35,8 @@ class UtilityPair:
     """A utility function with its convex conjugate and derivatives.
 
     All evaluators are vectorized over numpy arrays.  ``u_inf`` is the
-    supremum of U (finite for the exponential family), ``ae_plus`` and
-    ``ae_minus`` are the claimed tail elasticities, and ``growth_constant``
-    bounds ``y*|V'(y)| / V(y)`` when known analytically.  ``u_inverse`` maps
+    supremum of U (finite for the exponential family), and ``ae_plus`` and
+    ``ae_minus`` are the claimed tail elasticities.  ``u_inverse`` maps
     a utility level back to wealth (+inf at or above ``u_inf``); pricing
     measures values in these certainty-equivalent units.
     """
@@ -52,7 +51,6 @@ class UtilityPair:
     u_inf: float
     ae_plus: float
     ae_minus: float
-    growth_constant: float | None = None
     u_inverse: Callable | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 

@@ -12,7 +12,8 @@ from treedual import (EvaluationOverflowError, InfeasibleEntropyError,
                       ValueAtSupremumError, build_constraints,
                       check_maximal_support, dual_derivative,
                       dual_value_curve, exponential_utility, leaf_values,
-                      load_market, solve_dual, solve_dual_fixed_mass,
+                      load_market, market_from_dict, solve_dual,
+                      solve_dual_fixed_mass,
                       two_power_utility, vertex_enumerate)
 from treedual import dual, geometry, oracle
 
@@ -108,7 +109,7 @@ def test_tri1_two_power_matches_grid_oracle(tri1, tp_pair):
 
 def test_solution_invariants(tri1, exp_pair):
     sol = solve_dual(tri1, exp_pair, {"a": 0.3, "b": -0.2, "c": 0.1})
-    A = build_constraints(tri1).matrix
+    A = build_constraints(tri1)
     assert np.abs(A @ sol.mu).max() <= 1e-9
     assert sol.mass > 0
     assert sol.value < exp_pair.u_inf
@@ -137,7 +138,7 @@ def test_measure_views_follow_the_arrays(tri1, pair_name, request):
 def test_kkt_certificate(tri1, exp_pair):
     e = {"a": 0.3, "b": -0.2, "c": 0.1}
     sol = solve_dual(tri1, exp_pair, e)
-    A = build_constraints(tri1).matrix
+    A = build_constraints(tri1)
     g = exp_pair.v_prime(sol.density_array) + leaf_values(tri1, e)
     lam, *_ = np.linalg.lstsq(A.T, g, rcond=None)
     s = g - A.T @ lam
@@ -306,7 +307,7 @@ def test_optimal_measure_satisfies_constraints_on_pinned_market():
     gamma = 0.6404970302084267
     sol = solve_dual(tree, exponential_utility(gamma, 1.0 + 1.0 / gamma),
                      tree.endowment)
-    A = build_constraints(tree).matrix
+    A = build_constraints(tree)
     assert np.abs(A @ sol.q_hat).max() <= 1e-12
 
 
@@ -452,6 +453,76 @@ def test_stacked_pass_meets_the_grid_oracle(instance):
         q = sol.q_hat
         if q[q > 0].min() > 1e-3:
             assert grid - sol.value <= 1e-5 * (1.0 + abs(sol.value))
+
+
+def _binomial_in_s_tree(rng, periods, max_leaves):
+    """A one-asset tree whose price moves up or down at every node, with 1-4
+    children per move and random branch probabilities.
+
+    Returns the scenario document and, per period, each child's parent (its
+    index in the level above), move (True up) and branch probability, and
+    each parent's risk-neutral up weight.  A level that would pass
+    ``max_leaves`` gets one child per move; the tree stops before a level
+    that would pass it even so.
+    """
+    nodes = [{"id": "0", "parent": None, "t": 0, "prices": ["1.0"], "prob": "1"}]
+    ids, s, levels = ["0"], np.ones(1), []
+    for t in range(1, periods + 1):
+        g = s.size
+        n_up, n_down = rng.integers(1, 5, size=(2, g))
+        if (n_up + n_down).sum() > max_leaves:
+            if levels and 2 * g > max_leaves:
+                break
+            n_up = n_down = np.ones(g, dtype=int)
+        count = n_up + n_down
+        parent = np.repeat(np.arange(g), count)
+        up = np.arange(parent.size) - np.repeat(np.cumsum(count) - count, count) < n_up[parent]
+        s_up, s_down = s * rng.uniform(1.05, 1.5, g), s * rng.uniform(0.6, 0.95, g)
+        w = rng.uniform(0.05, 1.0, parent.size)
+        prob = w / np.bincount(parent, w)[parent]
+        s_child = np.where(up, s_up[parent], s_down[parent])
+        child_ids = [f"{t}.{k}" for k in range(parent.size)]
+        nodes += [{"id": c, "parent": ids[a], "t": t, "prices": [repr(x)], "prob": repr(pr)}
+                  for c, a, x, pr in zip(child_ids, parent.tolist(), s_child.tolist(),
+                                         prob.tolist())]
+        levels.append((parent, up, prob, (s - s_down) / (s_up - s_down)))
+        ids, s = child_ids, s_child
+    return {"version": 1, "assets": ["S"], "nodes": nodes}, levels
+
+
+def _binomial_log_partition(levels, leaf_l):
+    """L_n = sum_s q_s [ln sum_{c in s} p(c|n) e^(L_c) - ln q_s] over the moves
+    s of node n, with q the risk-neutral weights of the move; this is
+    ln min_k sum_s e^(-k dS_s) sum_{c in s} p(c|n) e^(L_c) in closed form
+    (Musiela & Zariphopoulou, Finance Stoch. 8, 2004)."""
+    big_l = leaf_l
+    for parent, up, prob, q_up in reversed(levels):
+        # each parent's up children, then its down children: one segment each
+        starts = np.flatnonzero(np.r_[True, (np.diff(parent) != 0) | (np.diff(up) != 0)])
+        ln_a = np.logaddexp.reduceat(np.log(prob) + big_l, starts).reshape(-1, 2)
+        q = np.stack([q_up, 1.0 - q_up], axis=1)
+        big_l = (q * (ln_a - np.log(q))).sum(axis=1)
+    return float(big_l[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from([(1, 40), (2, 40), (3, 40), (4, 400), (4, 400), (6, 12_000)]),
+       st.sampled_from([0.5, 2.0, 10.0]), st.floats(-4.0, 4.0))
+def test_log_space_pass_meets_the_binomial_recursion(seed, size, gamma, log_volume):
+    # an exact oracle with no Newton loop: on binomial-in-S trees the
+    # exponential log-partition L is a closed-form backward recursion; one
+    # draw in six has a few thousand to ~10^4 leaves, at volumes up to 1e4
+    rng = np.random.default_rng(seed)
+    doc, levels = _binomial_in_s_tree(rng, *size)
+    tree = market_from_dict(doc)
+    assert tree.leaf_ids == tuple(n["id"] for n in doc["nodes"][-tree.n_leaves:])
+    b = 10.0 ** log_volume * rng.uniform(0.0, 1.0, tree.n_leaves)
+    endows = [np.zeros(tree.n_leaves), -b, 3.0 * b]
+    sols = dual._log_space_solutions(tree, exponential_utility(gamma, 2.0), endows)
+    for sol, e in zip(sols, endows):
+        want = _binomial_log_partition(levels, -gamma * e)
+        assert abs(sol._log_mass - want) <= 1e-14 * (1.0 + abs(want))
 
 
 @st.composite

@@ -14,27 +14,27 @@ from treedual import (CapExceededError,
                       sample_martingale_measures, solve_dual,
                       two_power_utility, vertex_enumerate)
 from treedual import geometry
-from treedual.geometry import MartingaleConstraints, _support_structure
+from treedual.geometry import _support_structure
 from treedual.simplex import solve_lp
 
 
 def test_bin1_constraint_row(bin1):
-    cons = build_constraints(bin1)
-    assert cons.matrix.shape == (1, 2)
-    assert cons.matrix[0] == pytest.approx([1.0, -0.5])
-    assert cons.row_labels == (("root", 0),)
+    A = build_constraints(bin1)
+    assert A.shape == (1, 2)
+    assert A[0] == pytest.approx([1.0, -0.5])
+    assert bin1.nonleaf_ids == ("root",)  # row k * d + i: asset i at nonleaf_ids[k]
 
 
 def test_tri1_constraint_row(tri1):
-    cons = build_constraints(tri1)
-    assert cons.matrix[0] == pytest.approx([1.0, 0.0, -0.5])
+    A = build_constraints(tri1)
+    assert A[0] == pytest.approx([1.0, 0.0, -0.5])
 
 
 def test_reference_measure_martingale_when_prices_drift_free():
     # symmetric moves with matching probabilities make P itself a martingale
     tree = treegen.product_market([[1.5, 0.5]], prob_lists=[[0.5, 0.5]])
     p = tree.leaf_probability_array
-    assert np.abs(build_constraints(tree).matrix @ p).max() < 1e-12
+    assert np.abs(build_constraints(tree) @ p).max() < 1e-12
     assert is_martingale_measure(tree, p)
 
 
@@ -73,12 +73,12 @@ def test_vertex_unique_bin1(bin1):
 
 def test_vertices_two_period_all_martingale():
     tree = treegen.product_market([[2.0, 1.0, 0.5], [2.0, 1.0, 0.5]])
-    cons = build_constraints(tree)
-    verts = vertex_enumerate(cons)
+    A = build_constraints(tree)
+    verts = vertex_enumerate(A)
     assert len(verts)
     for v in verts:
         arr = v
-        assert np.abs(cons.matrix @ arr).max() <= 1e-10
+        assert np.abs(A @ arr).max() <= 1e-10
         assert is_martingale_measure(tree, v, tol=1e-9)
         assert arr.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -89,15 +89,24 @@ def test_vertex_cap():
         vertex_enumerate(build_constraints(tree), cap=2)
 
 
-def _top_down(cons):
-    """The same constraints with rows and labels reversed.
+def test_vertex_cap_binds_inside_the_pair_loop():
+    # 81 leaves and 1 806 vertices: the pairings of one row pass the cap, and
+    # the enumeration stops at the first candidate over it
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 4)
+    with pytest.raises(CapExceededError) as exc:
+        vertex_enumerate(build_constraints(tree), cap=200)
+    assert exc.value.count == 201
+
+
+def _top_down(A):
+    """The same constraints with rows reversed.
 
     ``vertex_enumerate`` takes rows bottom-up; on this copy it takes them
     top-down, in the order of ``build_constraints``.
     """
-    mat = np.ascontiguousarray(cons.matrix[::-1])
+    mat = np.ascontiguousarray(A[::-1])
     mat.setflags(write=False)
-    return MartingaleConstraints(mat, cons.row_labels[::-1], cons.leaf_ids)
+    return mat
 
 
 def _vertices_by_support(verts, tree):
@@ -116,9 +125,9 @@ def _vertices_by_support(verts, tree):
 ], ids=["3x3", "2x2x2", "4x4-2a", "rand0", "rand1", "rand2", "rand3",
         "rand2a0", "rand2a1"])
 def test_row_order_leaves_vertex_set_unchanged(tree):
-    cons = build_constraints(tree)
-    bottom_up = vertex_enumerate(cons)
-    top_down = vertex_enumerate(_top_down(cons))
+    A = build_constraints(tree)
+    bottom_up = vertex_enumerate(A)
+    top_down = vertex_enumerate(_top_down(A))
     assert len(bottom_up) == len(top_down)
     got = _vertices_by_support(bottom_up, tree)
     want = _vertices_by_support(top_down, tree)
@@ -134,12 +143,12 @@ def test_row_order_leaves_vertex_set_unchanged(tree):
 def test_three_period_trinomial_tree_has_128_vertices():
     # two vertices per node, each charging two children: 2 * (2 * 2^2)^2
     tree = treegen.product_market([[1.25, 1.05, 0.8]] * 3)
-    cons = build_constraints(tree)
-    verts = vertex_enumerate(cons)
+    A = build_constraints(tree)
+    verts = vertex_enumerate(A)
     assert len(verts) == 128
     for v in verts:
         arr = v
-        assert np.abs(cons.matrix @ arr).max() <= 1e-10
+        assert np.abs(A @ arr).max() <= 1e-10
         assert arr.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -220,7 +229,7 @@ def test_no_equivalent_mm_implies_every_vertex_degenerate():
 @given(st.floats(0.0, 5.0), st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3))
 def test_cone_homogeneity(scale, mu_raw):
     tree = treegen.tri1()
-    A = build_constraints(tree).matrix
+    A = build_constraints(tree)
     base = np.array([0.2, 0.4, 0.4])  # satisfies the constraint row
     mu = base * np.asarray(mu_raw).mean()
     if np.abs(A @ mu).max() > 1e-12:
@@ -278,7 +287,7 @@ def test_interior_start_lies_on_the_constraints(make):
     tree = make()
     geo = _support_structure(tree)
     mask, q = geo.mask, geo.interior
-    A = build_constraints(tree).matrix
+    A = build_constraints(tree)
     assert np.abs(A @ q).max() <= 1e-12
     assert abs(q.sum() - 1.0) <= 1e-12
     assert np.all(q[mask] > 0) and np.all(q[~mask] == 0)
@@ -306,7 +315,7 @@ def _lp_oracle(tree, u):
     for each leaf not already charged by an earlier LP's optimum.  Returns
     ``(mask, (lo, hi))``, or None when the martingale polytope is empty.
     """
-    A = build_constraints(tree).matrix
+    A = build_constraints(tree)
     L = tree.n_leaves
     rows = np.vstack([A, np.ones((1, L))])
     rhs = np.zeros(rows.shape[0])
@@ -334,7 +343,7 @@ def _assert_matches_lp_oracle(tree, u):
     geo = _support_structure(tree)
     assert np.array_equal(geo.mask, mask)
     q = geo.interior
-    assert np.abs(build_constraints(tree).matrix @ q).max() <= 1e-12
+    assert np.abs(build_constraints(tree) @ q).max() <= 1e-12
     assert abs(q.sum() - 1.0) <= 1e-12
     assert np.all(q[mask] > 0) and np.all(q[~mask] == 0)
     lo, hi, q_lo = geo.extremes(u)

@@ -57,6 +57,20 @@ def test_brute_dual_sample_mode():
     assert bd <= sol.value + 0.05  # weaker evidence, documented as such
 
 
+def test_brute_dual_sample_mode_lets_enumeration_faults_through(monkeypatch):
+    # only an exceeded vertex cap falls back to the Gaussian samples
+    import treedual.oracle as om
+
+    def broken(*args, **kwargs):
+        raise ValueError("broken enumeration")
+
+    monkeypatch.setattr(om, "vertex_enumerate", broken)
+    tree = treegen.product_market([[2.0, 1.0, 0.5]] * 2)
+    with pytest.raises(ValueError, match="broken enumeration"):
+        brute_force_dual(tree, exponential_utility(1.0, 2.0), 0.0, mode="sample",
+                         n_samples=16)
+
+
 def test_brute_primal_matches_recovered_value(tri1, exp_pair):
     e = {"a": 0.3, "b": -0.2, "c": 0.1}
     sol = solve_dual(tri1, exp_pair, e)
