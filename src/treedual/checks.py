@@ -9,7 +9,6 @@ functions.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -42,15 +41,13 @@ class CheckResult:
                 f" <= {self.tolerance:.1e}{extra}")
 
 
-def run_battery(tree: MarketTree, pair: UtilityPair, endow, *,
-                mu_override=None) -> list[CheckResult]:
+def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]:
     """All instance-level checks; returns one result per check.
 
-    ``mu_override`` replaces the optimal measure before the downstream
-    checks run (testing hook: a corrupted optimizer must make them fail).
-    A result's ``seconds`` run from the previous result, so work shared by
-    checks (the solve, the vertices, the recovery, the curve) is charged to
-    the first check that uses it.
+    Every check after the solve reads :func:`solve_dual`'s optimum, so a
+    corrupted optimum fails them.  A result's ``seconds`` run from the
+    previous result, so work shared by checks (the solve, the vertices,
+    the recovery, the curve) is charged to the first check that uses it.
     """
     results, clock = [], [time.perf_counter()]
 
@@ -68,13 +65,6 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow, *,
         f"AE est ({cert.ae_minus_estimate:.3g}, {cert.ae_plus_estimate:.3g})")
 
     sol = solve_dual(tree, pair, endow)
-    if mu_override is not None:
-        arr = np.asarray(mu_override, dtype=float)
-        mass = float(arr.sum())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_q = None if sol._log_q is None else np.log(arr / mass)
-        sol = dataclasses.replace(sol, mass=mass, mu=arr, q_hat=arr / mass,
-                                  _log_mass=math.log(mass), _log_q=log_q)
 
     A = build_constraints(tree)
     cons_res = float(np.abs(A @ sol.mu).max()) if A.size else 0.0

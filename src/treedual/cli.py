@@ -154,11 +154,13 @@ def _cmd_recover(args, out: _Out):
     out.say(f"primal value: {f12(ps.value)}")
     out.say(f"dual value:   {f12(sol.value)}")
     out.say(f"replication residual: {f12(ps.replication_residual)}")
-    # rows in file order; wealth and strategy (none on leaves) in layout order
-    pos = {nid: k for k, nid in enumerate(tree.layout.ids)}
+    # rows in file order; time, wealth and strategy (none on leaves) in layout order
+    lay = tree.layout
+    pos = {nid: k for k, nid in enumerate(lay.ids)}
+    t = np.repeat(np.arange(tree.horizon + 1), np.diff(lay.level_starts)).tolist()
     hs = ([[f12(c) for c in h] for h in ps.strategy.tolist()]
           + [[""] * tree.n_assets] * tree.n_leaves)
-    rows = [[nid, tree.time(nid), f12(ps.wealth[pos[nid]])] + hs[pos[nid]]
+    rows = [[nid, t[pos[nid]], f12(ps.wealth[pos[nid]])] + hs[pos[nid]]
             for nid in tree.node_ids]
     out.csv("wealth_strategy.csv",
             ["node", "t", "wealth"] + [f"h_{a}" for a in tree.assets], rows)
@@ -296,14 +298,7 @@ def _cmd_verify(args, out: _Out):
     tree = load_market(args.market)
     pair = parse_utility_spec(args.utility)
     endow = _pick_endowment(tree, args.endowment)
-    override = None
-    if args.inject_mu:
-        # test hook: corrupt the optimal measure before verification
-        sol = solve_dual(tree, pair, endow)
-        override = sol.mu.copy()
-        leaf, delta = args.inject_mu.split(":")
-        override[tree.leaf_index(leaf)] += float(delta)
-    results = run_battery(tree, pair, endow, mu_override=override)
+    results = run_battery(tree, pair, endow)
     failed = 0
     for r in results:
         out.say(f"{r.line()}  [{1e3 * r.seconds:.1f} ms]")
@@ -401,8 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant battery")
     common(p)
-    p.add_argument("--inject-mu", default=None, metavar="LEAF:DELTA",
-                   help=argparse.SUPPRESS)  # test hook
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force certification")

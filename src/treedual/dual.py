@@ -279,9 +279,8 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None):
     smaller scaled gradient
     ``max_j |B' mu - y e_x|_j / ((1 + max|B_j|) sum mu)``, the martingale
     and mass residual of mu relative to its mass.  The loop runs to 1e-13,
-    or stops below 1e-9 once a step no longer halves that residual or none
-    is acceptable; otherwise it raises :class:`NonconvergedError`, as it
-    does after 200 steps.
+    or stops below 1e-9 once no step is acceptable; otherwise it raises
+    :class:`NonconvergedError`, as it does after 200 steps.
     ``start``, a leaf measure positive on ``live``, starts the loop at
     c = lstsq(B, -V'(start/p) - e).  Returns mu (0 off ``live``), h, the
     value (plus p V(0) off ``live``), the residual, the steps and, at a fixed
@@ -350,10 +349,8 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None):
                 break
             raise NonconvergedError(
                 f"no acceptable step at scaled gradient {res:.3e}", residual=res)
-        c, steps, last = c + alpha * delta, steps + 1, res
+        c, steps = c + alpha * delta, steps + 1
         phi, res, flat, up, mu, g = trial
-        if 0.5 * last < res <= 1e-9:
-            break
     full = np.zeros(p.size)
     full[live] = mu
     if not live.all():

@@ -47,7 +47,6 @@ its decimal strings.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass, replace
@@ -66,21 +65,10 @@ _PROB_SUM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class RandomVariable:
-    """A leaf-keyed (terminal) quantity, one input form of :func:`leaf_values`.
-
-    Supports pointwise addition/subtraction with other random variables on
-    the same leaf set, and addition/multiplication by scalars.
-    """
+    """A mapping from leaf id to value, one input form of :func:`leaf_values`;
+    inside the package leaf data are (L,) arrays."""
 
     values: Mapping[str, float]
-
-    def as_array(self, tree: "MarketTree") -> np.ndarray:
-        """Values in the tree's canonical leaf order; validates coverage."""
-        return leaf_values(tree, self)
-
-    @staticmethod
-    def constant(tree: "MarketTree", c: float) -> "RandomVariable":
-        return RandomVariable({l: float(c) for l in tree.leaf_ids})
 
     @staticmethod
     def from_array(tree: "MarketTree", arr) -> "RandomVariable":
@@ -88,36 +76,6 @@ class RandomVariable:
         if arr.shape != (tree.n_leaves,):
             raise ValueError(f"expected shape ({tree.n_leaves},), got {arr.shape}")
         return RandomVariable(dict(zip(tree.leaf_ids, arr.tolist())))
-
-    def _combine(self, other, op):
-        if isinstance(other, RandomVariable):
-            if set(self.values) != set(other.values):
-                raise ValueError("random variables live on different leaf sets")
-            return RandomVariable({k: op(v, other.values[k]) for k, v in self.values.items()})
-        if isinstance(other, (int, float)):
-            return RandomVariable({k: op(v, float(other)) for k, v in self.values.items()})
-        return NotImplemented
-
-    def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return RandomVariable({k: v * float(other) for k, v in self.values.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,14 +101,17 @@ class MarketTree:
 
     Construct via :func:`load_market` or :func:`market_from_dict`; direct
     instantiation is internal.  The level-order :attr:`layout` is the one
-    structural representation, and every accessor reads it.  ``endowment``
-    and each of ``claims`` (by name) are read-only (L,) arrays in leaf order.
+    structural representation, and every accessor reads it.  A node is its
+    layout position; ids (``layout.ids`` and the id tuples) serve files and
+    reports, with no lookup by id.  ``endowment``, each of ``claims`` (by
+    name) and :attr:`leaf_probability_array` are read-only (L,) arrays in
+    leaf order; :attr:`node_probability_array` is (N,) in layout order.
     The file's columns, for :func:`market_to_dict`, are each row's layout
     position and decimal strings.  Leaves are in depth-first order, so every
     node's subtree occupies a contiguous leaf slice.
     """
 
-    __slots__ = ("assets", "endowment", "claims", "layout", "_pos", "_leaf_ids",
+    __slots__ = ("assets", "endowment", "claims", "layout", "_leaf_ids",
                  "_node_prob", "_file_pos", "_price_strs", "_prob_strs")
 
     def __init__(self, assets, endowment, claims, layout, node_prob, file_pos,
@@ -161,7 +122,6 @@ class MarketTree:
         self.endowment = endowment
         self.claims = claims
         self.layout = layout
-        self._pos = {nid: k for k, nid in enumerate(layout.ids)}
         self._leaf_ids = layout.ids[layout.level_starts[-2]:]
         for a in (node_prob, file_pos, endowment, *claims.values()):
             a.setflags(write=False)
@@ -178,10 +138,6 @@ class MarketTree:
     @property
     def horizon(self) -> int:
         return len(self.layout.level_starts) - 2
-
-    @property
-    def root_id(self) -> str:
-        return self.layout.ids[0]
 
     @property
     def leaf_ids(self) -> tuple[str, ...]:
@@ -201,34 +157,10 @@ class MarketTree:
         """Node ids in file order."""
         return tuple(map(self.layout.ids.__getitem__, self._file_pos.tolist()))
 
-    def children(self, node_id: str) -> tuple[str, ...]:
-        lay, k = self.layout, self._pos[node_id]
-        inner = lay.level_starts[-2]
-        if k >= inner:
-            return ()
-        end = lay.first_child[k + 1] if k + 1 < inner else len(lay.ids)
-        return lay.ids[lay.first_child[k]:end]
-
-    def time(self, node_id: str) -> int:
-        return bisect.bisect_right(self.layout.level_starts, self._pos[node_id]) - 1
-
-    def price(self, node_id: str) -> np.ndarray:
-        return self.layout.prices[self._pos[node_id]].copy()
-
-    def leaf_slice(self, node_id: str) -> tuple[int, int]:
-        """Contiguous [lo, hi) range of leaf indices under ``node_id``."""
-        k = self._pos[node_id]
-        return int(self.layout.lo[k]), int(self.layout.hi[k])
-
-    def leaf_index(self, leaf_id: str) -> int:
-        k = self._pos[leaf_id] - self.layout.level_starts[-2]
-        if k < 0:
-            raise KeyError(leaf_id)
-        return k
-
-    def node_probability(self, node_id: str) -> float:
-        """Unconditional probability of passing through ``node_id``."""
-        return float(self._node_prob[self._pos[node_id]])
+    @property
+    def node_probability_array(self) -> np.ndarray:
+        """Unconditional node probabilities (N,) in layout order."""
+        return self._node_prob
 
     @property
     def leaf_probability_array(self) -> np.ndarray:
@@ -522,8 +454,9 @@ def save_market(tree: MarketTree, path) -> None:
 # -- leaf-indexed helpers ----------------------------------------------------
 
 def leaf_values(tree: MarketTree, x) -> np.ndarray:
-    """Coerce a RandomVariable / mapping / array / scalar to an (L,) array in
-    leaf order; a leaf-keyed one must name every leaf and no other key."""
+    """Coerce an array / scalar / mapping (or :class:`RandomVariable`) from
+    leaf id to value to an (L,) array in leaf order; a mapping must name
+    every leaf and no other key."""
     if isinstance(x, RandomVariable):
         x = x.values
     if isinstance(x, Mapping):

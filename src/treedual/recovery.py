@@ -221,7 +221,7 @@ def dynamic_dual(tree: MarketTree, pair: UtilityPair, endow, t: int,
         nid, lo, hi, m_n = lay.ids[k], lay.lo[k], lay.hi[k], float(mass[k])
         if m_n <= 0:
             continue
-        P_n = tree.node_probability(nid)
+        P_n = float(tree.node_probability_array[k])
         # the rows of the non-leaf nodes inside this subtree
         inside = (lay.lo >= lo) & (lay.hi <= hi)
         A_sub = A[np.repeat(inside[:lay.level_starts[-2]], tree.n_assets), lo:hi]

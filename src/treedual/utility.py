@@ -28,6 +28,7 @@ INF = float("inf")
 
 # certified inversion residual of U' in the conjugate: |U'(x*) - y| <= RES*(1+y)
 _MARGINAL_RESIDUAL = 1e-12
+_CERT_EXTENT = 1e6  # certification grids span [-1e6, 1e6]
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,12 +323,11 @@ def _finite_window(f, xs, positive=False):
     return xs[ok], vals[ok]
 
 
-def certify_assumptions(pair: UtilityPair,
-                        x_extent: float = 1e6) -> CertificationReport:
+def certify_assumptions(pair: UtilityPair) -> CertificationReport:
     """Certify Inada, strict concavity, tail elasticity and conjugate growth.
 
-    Grids are log-spaced out to ``+-x_extent`` (at least 1e6), 400 points on
-    each side of 0.  The Inada conditions U'(inf) = 0 and U'(-inf) = inf
+    Grids are log-spaced out to +-1e6 (``_CERT_EXTENT``), 400 points on each
+    side of 0.  The Inada conditions U'(inf) = 0 and U'(-inf) = inf
     are read from the log-log slope of U' over the last decade of the grid
     on which U' is finite and positive: below -1e-3 on the right, above
     1e-3 on the left.  The biconjugacy U(x) = min_y V(y) + x y is checked at
@@ -335,14 +335,11 @@ def certify_assumptions(pair: UtilityPair,
     :class:`AssumptionFailError` naming the first violated assumption;
     otherwise returns the report with the empirical estimates.
     """
-    if x_extent < 1e6:
-        raise DomainError("certification grid must span at least [-1e6, 1e6]")
-
     # strict monotonicity / strict concavity / positive U(0) on a dense grid
     xs = np.concatenate([
-        -np.logspace(math.log10(x_extent), -8, 400),
+        -np.logspace(math.log10(_CERT_EXTENT), -8, 400),
         [0.0],
-        np.logspace(-8, math.log10(x_extent), 400),
+        np.logspace(-8, math.log10(_CERT_EXTENT), 400),
     ])
     xs = np.unique(xs)
     raw_up = pair.u_prime(xs)
@@ -377,7 +374,7 @@ def certify_assumptions(pair: UtilityPair,
     # right and above 1e-3 on the left.  No level test decides this:
     # U' = (1+x)^(-a) tends to 0 for every a > 0 but exceeds 1e-2 at x = 1e6
     # for a < 1/3
-    pos_grid = np.logspace(0, math.log10(x_extent), 60)
+    pos_grid = np.logspace(0, math.log10(_CERT_EXTENT), 60)
     xp, upp = _finite_window(pair.u_prime, pos_grid, positive=True)
     xn, upn = _finite_window(pair.u_prime, -pos_grid, positive=True)
     slope_p = _last_decade_slope(xp, upp)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -7,8 +8,9 @@ import pytest
 import treegen
 import numpy as np
 
-from treedual import (cli, load_market, market_to_dict, optimal_measure_price_process,
-                      parse_utility_spec, recover, run_battery, solve_dual)
+from treedual import (checks, cli, load_market, market_to_dict,
+                      optimal_measure_price_process, parse_utility_spec, recover,
+                      run_battery, solve_dual)
 
 
 @pytest.mark.parametrize("command", ["price", "curve"])
@@ -108,11 +110,12 @@ def test_recover_rows_keep_the_file_order(tmp_path, capsys):
     ps = recover(tree, pair, tree.endowment, solve_dual(tree, pair, tree.endowment))
     rows = (tmp_path / "out" / "wealth_strategy.csv").read_text().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == list(tree.node_ids)
+    file_t = {nd["id"]: nd["t"] for nd in json.loads(path.read_text())["nodes"]}
     inner = tree.layout.level_starts[-2]
     for row in rows:
         nid, t, wealth, *h = row.split(",")
         k = tree.layout.ids.index(nid)
-        assert int(t) == tree.time(nid) and wealth == cli.f12(ps.wealth[k])
+        assert int(t) == file_t[nid] and wealth == cli.f12(ps.wealth[k])
         assert h == ([cli.f12(c) for c in ps.strategy[k]] if k < inner else ["", ""])
 
 
@@ -216,11 +219,46 @@ def test_sensitivity_with_a_large_mass_radius_exits_cleanly(tmp_path, capsys):
     assert "continuity: |du|" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("inject,code", [([], cli.EXIT_OK),
-                                         (["--inject-mu", "a:0.01"], cli.EXIT_VERIFY)])
-def test_verify_exit_codes(tri1_file, capsys, inject, code):
+def test_two_power_curve_reaches_volume_1e4_on_the_pinned_market(tmp_path, capsys):
+    # warm-started solves along the curve reach beta = 1e4 only if each
+    # Newton core runs to 1e-13, not stopping between 1e-13 and 1e-9
+    out = tmp_path / "out"
+    argv = ["curve", "--market", str(treegen.DATA / "quote_pinned_4x4_2a.json"),
+            "--utility", "twopower:a=0.5,b=1,C=1", "--claim", "claim",
+            "--output-dir", str(out)]
+    assert cli.run(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    rows = [r.split(",") for r in (out / "volume_curve.csv").read_text().splitlines()[1:]]
+    prices = [float(r[1]) for r in rows]
+    assert [float(r[0]) for r in rows] == pytest.approx(np.logspace(-4, 4, 9), rel=1e-12)
+    assert all(a >= b for a, b in zip(prices, prices[1:]))
+    assert float(rows[0][2]) <= prices[-1]
+
+
+def _corrupted_solve(shift):
+    """``solve_dual`` with ``shift`` (leaf id -> delta) added to the optimal
+    measure; its mass and normalization follow."""
+    solve = checks.solve_dual
+
+    def corrupted(tree, pair, endow):
+        sol = solve(tree, pair, endow)
+        mu = sol.mu.copy()
+        for leaf, delta in shift.items():
+            mu[tree.leaf_ids.index(leaf)] += delta
+        mass = float(mu.sum())
+        log_q = None if sol._log_q is None else np.log(mu / mass)
+        return dataclasses.replace(sol, mass=mass, mu=mu, q_hat=mu / mass,
+                                   _log_mass=math.log(mass), _log_q=log_q)
+
+    return corrupted
+
+
+@pytest.mark.parametrize("inject,code", [({}, cli.EXIT_OK), ({"a": 0.01}, cli.EXIT_VERIFY)])
+def test_verify_exit_codes(tri1_file, capsys, monkeypatch, inject, code):
+    # a corrupted optimizer must make the battery fail and the CLI exit 1
+    monkeypatch.setattr(checks, "solve_dual", _corrupted_solve(inject))
     argv = ["verify", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2"]
-    assert cli.run(argv + inject) == code
+    assert cli.run(argv) == code
     assert ("FAIL" in capsys.readouterr().out) == bool(inject)
 
 

@@ -422,14 +422,13 @@ def test_backward_pass_edge_cases(make, live):
 
 def test_backward_pass_matches_lp_oracle_on_acceptance_suite():
     for tree, _, endow in treegen.acceptance_suite():
-        _assert_matches_lp_oracle(tree, endow.as_array(tree))
+        _assert_matches_lp_oracle(tree, endow)
 
 
 @pytest.mark.parametrize("name", ["book_exp_4x4x3_2a.json", "quote_pinned_4x4_2a.json"])
 def test_backward_pass_matches_lp_oracle_on_pinned_markets(name):
     tree = load_market(treegen.DATA / name)
-    _assert_matches_lp_oracle(tree, treegen.random_endowment(
-        np.random.default_rng(2), tree).as_array(tree))
+    _assert_matches_lp_oracle(tree, treegen.random_endowment(np.random.default_rng(2), tree))
 
 
 @st.composite
@@ -442,7 +441,8 @@ def _edited_random_markets(draw):
     edit = draw(st.sampled_from(["none", "flat", "repeat", "rise"]))
     if edit == "none":
         return tree, rng
-    nid = draw(st.sampled_from(tree.nonleaf_ids))
+    n = draw(st.sampled_from(range(len(tree.nonleaf_ids))))
+    nid = tree.layout.ids[n]
     doc = market_to_dict(tree)
     kids = [nd for nd in doc["nodes"] if nd["parent"] == nid]
     for j, nd in enumerate(kids):
@@ -450,7 +450,7 @@ def _edited_random_markets(draw):
             kids[1]["prices"] = kids[0]["prices"]
             break
         factor = 1.0 if edit == "flat" and j == 0 else 1.1 + 0.1 * j
-        nd["prices"] = [repr(float(x) * factor) for x in tree.price(nid)]
+        nd["prices"] = [repr(float(x) * factor) for x in tree.layout.prices[n]]
     return market_from_dict(doc), rng
 
 

@@ -20,7 +20,8 @@ def condition(tree, x, q, node, on_zero_mass=_RAISE):
     leaves under ``node``, for a leaf weighting ``q``.  A subtree without
     mass raises ZeroDivisionError unless ``on_zero_mass`` gives the value."""
     xs, qs = leaf_values(tree, x), leaf_values(tree, q)
-    lo, hi = tree.leaf_slice(node)
+    k = tree.layout.ids.index(node)
+    lo, hi = tree.layout.lo[k], tree.layout.hi[k]
     mass = float(qs[lo:hi].sum())
     if mass <= 0.0:
         if on_zero_mass is _RAISE:
@@ -33,13 +34,18 @@ def leaf_probabilities(tree):
     return dict(zip(tree.leaf_ids, tree.leaf_probability_array.tolist()))
 
 
+def child_positions(lay, n):
+    """Layout positions of the children of the node at position ``n``."""
+    return [c for c in range(1, len(lay.ids)) if lay.parent[c] == n]
+
+
 def test_bin1_loads(bin1):
     assert len(bin1.node_ids) == 3
     assert bin1.n_leaves == 2
     assert bin1.horizon == 1
-    assert bin1.root_id == "root"
-    assert bin1.children("root") == ("u", "d")
-    assert list(bin1.price("u")) == [2.0]
+    assert bin1.layout.ids == ("root", "u", "d")
+    assert child_positions(bin1.layout, 0) == [1, 2]
+    assert bin1.layout.prices[1].tolist() == [2.0]
 
 
 def test_tri1_loads(tri1):
@@ -143,7 +149,7 @@ def test_condition_zero_mass(tri1):
        st.floats(-100, 100))
 def test_condition_constant_invariance(weights, c):
     tree = treegen.tri1()
-    x = RandomVariable.constant(tree, c)
+    x = np.full(tree.n_leaves, c)
     q = dict(zip(tree.leaf_ids, weights))
     assert condition(tree, x, q, "root") == pytest.approx(c, abs=1e-9)
 
@@ -159,13 +165,13 @@ def test_tower_property(weights, xs):
     total = q.sum()
     if total <= 0:
         return
-    outer = condition(tree, x, q, tree.root_id)
+    lay = tree.layout
+    outer = condition(tree, x, q, lay.ids[0])
     inner = 0.0
-    for child in tree.children(tree.root_id):
-        lo, hi = tree.leaf_slice(child)
-        mass = q[lo:hi].sum()
+    for c in child_positions(lay, 0):
+        mass = q[lay.lo[c]:lay.hi[c]].sum()
         if mass > 0:
-            inner += mass / total * condition(tree, x, q, child)
+            inner += mass / total * condition(tree, x, q, lay.ids[c])
     assert outer == pytest.approx(inner, abs=1e-12 * (1 + abs(outer)))
 
 
@@ -181,18 +187,11 @@ def test_round_trip_bit_exact(tmp_path):
 
 
 def test_random_variable_coverage(tri1):
-    with pytest.raises(ParseError, match="missing"):
-        RandomVariable({"a": 1.0}).as_array(tri1)
-    with pytest.raises(ParseError, match="unknown"):
-        RandomVariable({"a": 1.0, "b": 0.0, "c": 0.0, "zz": 1.0}).as_array(tri1)
-
-
-def test_random_variable_arithmetic(tri1):
-    a = RandomVariable({"a": 1.0, "b": 2.0, "c": 3.0})
-    b = RandomVariable({"a": 0.5, "b": -1.0, "c": 0.0})
-    assert ((a + b) * 2.0).as_array(tri1) == pytest.approx([3.0, 2.0, 6.0])
-    assert (a - 1.0).as_array(tri1) == pytest.approx([0.0, 1.0, 2.0])
-    assert (-a).as_array(tri1) == pytest.approx([-1.0, -2.0, -3.0])
+    for wrap in (dict, RandomVariable):
+        with pytest.raises(ParseError, match="missing"):
+            leaf_values(tri1, wrap({"a": 1.0}))
+        with pytest.raises(ParseError, match="unknown"):
+            leaf_values(tri1, wrap({"a": 1.0, "b": 0.0, "c": 0.0, "zz": 1.0}))
 
 
 def test_malformed_json(tmp_path):
@@ -219,9 +218,10 @@ def _measured_random_markets(draw):
     tree = treegen.random_market(rng, max_periods=3,
                                  n_assets=draw(st.sampled_from([1, 2])))
     q = rng.uniform(0.0, 1.0, size=(2, tree.n_leaves))
+    lay = tree.layout
     for k in range(2):
-        for nid in draw(st.lists(st.sampled_from(tree.layout.ids), max_size=3)):
-            q[k, slice(*tree.leaf_slice(nid))] = 0.0
+        for n in draw(st.lists(st.sampled_from(range(len(lay.ids))), max_size=3)):
+            q[k, lay.lo[n]:lay.hi[n]] = 0.0
     return tree, q, rng.normal(size=len(tree.layout.ids))
 
 
@@ -239,10 +239,10 @@ def test_layout_expectations_match_condition(drawn):
     for n, nid in enumerate(lay.ids):
         # the child process as a leaf variable on this node's subtree
         x_child = np.zeros(tree.n_leaves)
-        for c in tree.children(nid):
-            x_child[slice(*tree.leaf_slice(c))] = x[lay.ids.index(c)]
+        for c in child_positions(lay, n):
+            x_child[lay.lo[c]:lay.hi[c]] = x[c]
         for k in range(2):
-            assert mass[k, n] == pytest.approx(q[k, slice(*tree.leaf_slice(nid))].sum(),
+            assert mass[k, n] == pytest.approx(q[k, lay.lo[n]:lay.hi[n]].sum(),
                                                rel=1e-13, abs=0.0)
             if mass[k, n] == 0:
                 with pytest.raises(ZeroDivisionError):
@@ -259,8 +259,8 @@ def test_layout_expectations_match_condition(drawn):
                 condition(tree, x_child, q[k], nid), rel=1e-12, abs=1e-12)
             for i in range(tree.n_assets):
                 s_child = np.zeros(tree.n_leaves)
-                for c in tree.children(nid):
-                    s_child[slice(*tree.leaf_slice(c))] = tree.price(c)[i]
+                for c in child_positions(lay, n):
+                    s_child[lay.lo[c]:lay.hi[c]] = lay.prices[c, i]
                 assert prices[k, n, i] == pytest.approx(
                     condition(tree, s_child, q[k], nid), rel=1e-12, abs=1e-12)
 
@@ -322,24 +322,21 @@ def _reference_layout(doc):
         lo[a:b], hi[a:b] = lo[first[a:b]], hi[last[a:b]]
     arrays = (parent, first, np.array([[float(x) for x in by_id[nid]["prices"]] for nid in ids]),
               np.array([float(by_id[nid]["prob"]) for nid in ids]), lo, hi)
-    return ids, starts, arrays, node_prob, children
+    return ids, starts, arrays, node_prob
 
 
 def _assert_layout_matches_reference(doc):
     tree = market_from_dict(doc)
     lay = tree.layout
-    ids, starts, arrays, node_prob, children = _reference_layout(doc)
+    ids, starts, arrays, node_prob = _reference_layout(doc)
     assert lay.ids == ids and lay.level_starts == starts
     for got, want in zip((lay.parent, lay.first_child, lay.prices, lay.prob, lay.lo, lay.hi),
                          arrays):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    p = np.array([node_prob[l] for l in ids[starts[-2]:]])
-    assert tree.leaf_probability_array.tobytes() == p.tobytes()
-    for n in doc["nodes"]:
-        assert tree.children(n["id"]) == tuple(children[n["id"]])
-        assert tree.time(n["id"]) == n["t"]
-        assert tree.node_probability(n["id"]) == node_prob[n["id"]]
+    p = np.array([node_prob[nid] for nid in ids])
+    assert tree.node_probability_array.tobytes() == p.tobytes()
+    assert tree.leaf_probability_array.tobytes() == p[starts[-2]:].tobytes()
 
 
 @settings(max_examples=60, deadline=None)

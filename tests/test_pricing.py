@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 
@@ -12,7 +13,7 @@ from treedual import (AugmentInfeasibleError,
                       certainty_equivalent, check_mubpp, davis_price,
                       endowment_sensitivity, entropic_penalty,
                       exponential_utility, indifference_price,
-                      indifference_price_lipschitz_bound,
+                      indifference_price_lipschitz_bound, leaf_values,
                       optimal_measure_price_process, price_bounds,
                       price_report, price_via_penalty, solve_dual,
                       solve_dual_fixed_mass, two_power_utility,
@@ -138,8 +139,8 @@ def test_monotonicity(tri1, exp_pair):
 
 
 def test_concavity(tri1, exp_pair):
-    b1 = RandomVariable({"a": 1.0, "b": 0.0, "c": 0.0})
-    b2 = RandomVariable({"a": 0.0, "b": 0.5, "c": -0.5})
+    b1 = leaf_values(tri1, {"a": 1.0, "b": 0.0, "c": 0.0})
+    b2 = leaf_values(tri1, {"a": 0.0, "b": 0.5, "c": -0.5})
     p1 = indifference_price(tri1, exp_pair, E_TRI, b1)
     p2 = indifference_price(tri1, exp_pair, E_TRI, b2)
     for lam in (0.25, 0.5, 0.75):
@@ -156,7 +157,7 @@ def test_bid_offer_ordering(tri1, tp_pair):
 
 
 def test_continuity_from_above(tri1, exp_pair):
-    base = RandomVariable(B_TRI)
+    base = leaf_values(tri1, B_TRI)
     prices = []
     for n in (1, 2, 4, 8, 1000):
         prices.append(indifference_price(tri1, exp_pair, E_TRI, base + 1.0 / n))
@@ -172,10 +173,9 @@ def test_continuity_from_above(tri1, exp_pair):
 
 
 def test_certainty_equivalent_identity(tri1, exp_pair):
-    b = RandomVariable(B_TRI)
+    b = leaf_values(tri1, B_TRI)
     bid = indifference_price(tri1, exp_pair, E_TRI, b)
-    e_rv = RandomVariable({k: float(v) for k, v in E_TRI.items()})
-    ce = certainty_equivalent(tri1, exp_pair, e_rv + b, -b)
+    ce = certainty_equivalent(tri1, exp_pair, leaf_values(tri1, E_TRI) + b, -b)
     assert bid == pytest.approx(-ce, abs=1e-7)
 
 
@@ -185,10 +185,9 @@ def _two_asset_case(volume=1.0):
     moves = [(1.3, 1.0), (0.8, 1.25), (0.9, 0.8), (1.1, 1.1)]
     tree = treegen.product_market([moves, moves], s0=(1.0, 1.2))
     rng = np.random.default_rng(5)
-    endow = RandomVariable.from_array(tree, rng.uniform(-1.0, 1.0, tree.n_leaves))
-    s1 = np.array([tree.price(leaf)[0] for leaf in tree.leaf_ids])
-    claim = RandomVariable.from_array(tree, volume * np.maximum(s1 - 1.0, 0.0))
-    return tree, endow, claim
+    endow = rng.uniform(-1.0, 1.0, tree.n_leaves)
+    s1 = tree.layout.prices[-tree.n_leaves:, 0]  # the leaves come last
+    return tree, endow, volume * np.maximum(s1 - 1.0, 0.0)
 
 
 def _exp_closed_form_bid(tree, pair, endow, claim):
@@ -204,7 +203,7 @@ def test_exponential_prices_match_closed_form(market):
     pair = exponential_utility(1.5, 1.0 + 1.0 / 1.5)
     if market == "tri1":
         tree = treegen.tri1()
-        endow, claim = RandomVariable(E_TRI), RandomVariable(B_TRI)
+        endow, claim = leaf_values(tree, E_TRI), leaf_values(tree, B_TRI)
     else:
         tree, endow, claim = _two_asset_case()
     rep = price_report(tree, pair, endow, claim)
@@ -285,7 +284,7 @@ def _count_sweeps(monkeypatch):
 @pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
 def test_price_report_makes_one_extremal_sweep(tri1, pair_name, request, monkeypatch):
     pair = request.getfixturevalue(pair_name)
-    e, b = RandomVariable(E_TRI), RandomVariable(B_TRI)
+    e, b = leaf_values(tri1, E_TRI), leaf_values(tri1, B_TRI)
     base = solve_dual(tri1, pair, e)
     bid = indifference_price(tri1, pair, e, b, base=base)
     offer = -indifference_price(tri1, pair, e, -b, base=base)
@@ -301,7 +300,7 @@ def test_price_report_makes_one_extremal_sweep(tri1, pair_name, request, monkeyp
 
 @pytest.mark.parametrize("betas", [[2.0], [1e-2, 1.0, 1e2], np.logspace(-4, 4, 9)])
 def test_volume_curve_makes_one_extremal_sweep_for_its_bounds(tri1, exp_pair, betas, monkeypatch):
-    e, b = RandomVariable(E_TRI), RandomVariable(B_TRI)
+    e, b = leaf_values(tri1, E_TRI), leaf_values(tri1, B_TRI)
     base = solve_dual(tri1, exp_pair, e)
     prices = [indifference_price(tri1, exp_pair, e, b * beta, base=base) / beta
               for beta in betas]
@@ -317,7 +316,7 @@ def test_volume_curve_makes_one_extremal_sweep_for_its_bounds(tri1, exp_pair, be
 def test_pricing_and_solving_run_no_linear_program(tri1, exp_pair, pair_name,
                                                    request, no_lp):
     pair = request.getfixturevalue(pair_name)
-    e, b = RandomVariable(E_TRI), RandomVariable(B_TRI)
+    e, b = leaf_values(tri1, E_TRI), leaf_values(tri1, B_TRI)
     with no_lp():
         rep = price_report(tri1, pair, e, b)
         curve = average_price_curve(tri1, pair, e, b, [1e-2, 1.0, 1e2])
@@ -351,7 +350,7 @@ def test_pricing_on_arrays_builds_no_leaf_dicts(pair_name, request, no_leaf_dict
 def test_mass_curvature_matches_envelope_derivative(tri1, tp_pair, y):
     # W'' read off the fixed-mass solution against a central difference of
     # the envelope W' = dual_derivative, with the claim added
-    shifted = RandomVariable(E_TRI) + RandomVariable(B_TRI)
+    shifted = leaf_values(tri1, E_TRI) + leaf_values(tri1, B_TRI)
     sol = dual.solve_dual_fixed_mass(tri1, tp_pair, shifted, y)
     h = 1e-4
     fd = (dual.dual_derivative(tri1, tp_pair, shifted, y * (1 + h))
@@ -378,7 +377,7 @@ def test_exponential_family_needs_no_dense_core_and_no_root_finder(
         raise AssertionError("a bracketed root search ran")
 
     monkeypatch.setattr(pricing, "_bracketed_newton", refuse)
-    e, b = RandomVariable(E_TRI), RandomVariable(B_TRI)
+    e, b = leaf_values(tri1, E_TRI), leaf_values(tri1, B_TRI)
     with no_dense_core():
         sol = solve_dual(tri1, exp_pair, e)
         pinned = solve_dual_fixed_mass(tri1, exp_pair, e, 2.0 * sol.mass)
@@ -404,9 +403,9 @@ def _two_asset_tree_27(seed=3):
     first = [tuple(m) for m in treegen._straddling_moves_2d(rng)]
     second = [tuple(m) for _ in range(3) for m in treegen._straddling_moves_2d(rng)]
     tree = treegen.product_market([first, second], s0=(1.0, 1.0))
-    endow = RandomVariable.from_array(tree, rng.uniform(-1.0, 1.0, tree.n_leaves))
-    s0 = np.array([tree.price(leaf)[0] for leaf in tree.leaf_ids])
-    return tree, endow, RandomVariable.from_array(tree, np.maximum(s0 - 1.0, 0.0))
+    endow = rng.uniform(-1.0, 1.0, tree.n_leaves)
+    s0 = tree.layout.prices[-tree.n_leaves:, 0]  # the leaves come last
+    return tree, endow, np.maximum(s0 - 1.0, 0.0)
 
 
 def test_exponential_price_report_at_volume_1e3():
@@ -575,8 +574,8 @@ def test_augmented_market_matches_its_scenario_document(seed):
 
 
 def test_endowment_sensitivity_certificates(tri1, exp_pair):
-    e0 = RandomVariable({"a": 0.3, "b": -0.2, "c": 0.1})
-    e1 = RandomVariable({"a": 0.9, "b": 0.3, "c": 0.4})
+    e0 = leaf_values(tri1, {"a": 0.3, "b": -0.2, "c": 0.1})
+    e1 = leaf_values(tri1, {"a": 0.9, "b": 0.3, "c": 0.4})
     seq = [e0 + 1.0 / n for n in (1, 2, 4, 8)]
     rep = endowment_sensitivity(tri1, exp_pair, [e0, e1],
                                 sequence=seq, claim=B_TRI)
@@ -620,7 +619,7 @@ def test_mass_radius_is_unchanged_inside_the_first_block(tri1, exp_pair, tp_pair
 
 def test_mass_radius_scan_continues_past_the_first_block(tri1, exp_pair):
     # the radius is about 2.4e25, beyond the first block's 1e12
-    e = RandomVariable({"a": -60.0, "b": -50.0, "c": -55.0})
+    e = leaf_values(tri1, {"a": -60.0, "b": -50.0, "c": -55.0})
     rep = endowment_sensitivity(tri1, exp_pair, [e], sequence=[e + 1.0])
     assert 1e25 < rep.mass_radius < 1e26
     assert all(c.dominated for c in rep.continuity)
@@ -640,3 +639,58 @@ def test_strict_monotonicity_needs_equivalent_measure(exp_pair):
     (i, j, margin), = [m for m in rep.monotone_margins if m[:2] == (0, 1)]
     assert margin == pytest.approx(0.0, abs=1e-10)
     assert rep.strict_ok  # not strict, but no equivalent measure exists either
+
+
+# -- Henderson's continuous-time bid --------------------------------------------
+
+# Boyle-Evnine-Gibbs trees on [0, 1] for a traded S and a non-traded Y: per
+# period of length dt, (S, Y) moves by (exp(i sigma sqrt(dt)), exp(j eta sqrt(dt)))
+# for i, j = +-1 with probability (1 + rho i j + sqrt(dt) (i a + j b)) / 4,
+# a = (mu - sigma^2 / 2) / sigma, b = (nu - eta^2 / 2) / eta
+MU, SIGMA, NU, ETA, RHO = 0.08, 0.2, 0.05, 0.25, 0.6
+_BRANCHES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _beg_market(n):
+    """The n-period tree (4^n leaves) and the at-the-money call (Y_T - 1)^+."""
+    r = math.sqrt(1.0 / n)
+    a, b = (MU - SIGMA ** 2 / 2) / SIGMA, (NU - ETA ** 2 / 2) / ETA
+    probs = [0.25 * (1 + RHO * i * j + r * (i * a + j * b)) for i, j in _BRANCHES]
+    moves = [math.exp(i * SIGMA * r) for i, _ in _BRANCHES]
+    tree = treegen.product_market([moves] * n, [probs] * n)
+    # a leaf id lists the branches from the root: r.k1.k2...
+    ups = [sum(_BRANCHES[int(k)][1] for k in leaf.split(".")[1:]) for leaf in tree.leaf_ids]
+    return tree, np.maximum(np.exp(ETA * r * np.array(ups)) - 1.0, 0.0)
+
+
+def _henderson_bid(beta, gamma=2.0):
+    """Average bid of beta calls, -ln E^Q[exp(-k B)] / k with
+    k = gamma (1 - rho^2) beta, where ln Y_1 ~ N(nu - rho eta mu / sigma -
+    eta^2 / 2, eta^2) under Q (Henderson, Math. Finance 12, 2002); the
+    expectation by 200-point Gauss-Hermite."""
+    x, w = np.polynomial.hermite.hermgauss(200)
+    drift = NU - RHO * ETA * MU / SIGMA - ETA ** 2 / 2
+    claim = np.maximum(np.exp(drift + ETA * math.sqrt(2.0) * x) - 1.0, 0.0)
+    k = gamma * (1 - RHO ** 2) * beta
+    return -math.log(float(w @ np.exp(-k * claim)) / math.sqrt(math.pi)) / k
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bid_converges_to_hendersons_formula(n):
+    # the error alternates in sign and shrinks like 0.026..0.028 / n
+    tree, call = _beg_market(n)
+    bid = price_report(tree, exponential_utility(2.0, 2.0), 0.0, call).bid
+    err = bid - _henderson_bid(1.0)
+    assert abs(err) <= 0.04 / n
+    assert math.copysign(1.0, err) == (-1.0) ** (n + 1)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_volume_curve_follows_hendersons_formula(n):
+    # the average price at every volume, not only its two limits
+    tree, call = _beg_market(n)
+    betas = [1e-3, 0.1, 1.0, 10.0, 100.0]
+    curve = average_price_curve(tree, exponential_utility(2.0, 2.0), 0.0, call, betas)
+    for beta, price in zip(betas, curve.prices):
+        assert abs(price - _henderson_bid(beta)) <= 0.06 / n

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import treegen
 from treedual import (NoPrimalOptimizerError,
-                      NotExponentialError, RandomVariable, build_constraints,
+                      NotExponentialError, build_constraints,
                       check_maximal_support, dual_value_curve, dynamic_dual,
                       exponential_utility, extract_strategy,
                       find_equivalent_mm, leaf_values,
@@ -26,8 +26,9 @@ def test_bin1_terminal_wealth_closed_form(bin1, exp_pair_raw):
     sol = solve_dual(bin1, exp_pair_raw, 0.0)
     xhat = recover_terminal_wealth(bin1, exp_pair_raw, 0.0, sol)
     # mass 3*2^(-5/3) makes the log-density (-(2/3)ln2, (1/3)ln2)
-    assert xhat[bin1.leaf_index("u")] == pytest.approx(2.0 / 3.0 * LN2, abs=1e-8)
-    assert xhat[bin1.leaf_index("d")] == pytest.approx(-LN2 / 3.0, abs=1e-8)
+    assert bin1.leaf_ids == ("u", "d")
+    assert xhat[0] == pytest.approx(2.0 / 3.0 * LN2, abs=1e-8)
+    assert xhat[1] == pytest.approx(-LN2 / 3.0, abs=1e-8)
     # zero expected gain under the optimal measure
     assert np.dot(sol.q_hat, xhat) == pytest.approx(0, abs=1e-9)
 
@@ -198,7 +199,7 @@ def test_dynamic_dual_boundary_times(tri1, exp_pair):
     leaves = dynamic_dual(tri1, exp_pair, e, 1, sol, wealth=ps.wealth)
     x = ps.terminal_wealth
     for node in leaves:
-        i = tri1.leaf_index(node.node_id)
+        i = tri1.leaf_ids.index(node.node_id)
         assert node.derivative == pytest.approx(-x[i], abs=1e-8)
         assert node.wealth_residual <= 1e-7
 
@@ -246,7 +247,7 @@ def test_extract_strategy_unreached_nodes(exp_pair):
     sol = solve_dual(tree, exp_pair, 0.0)
     assert sol.support == "DEGENERATE"
     # recovery refuses wholesale; exercise the raw op
-    ps = extract_strategy(tree, sol, RandomVariable.constant(tree, 1.0), exp_pair, 0.0)
+    ps = extract_strategy(tree, sol, np.ones(tree.n_leaves), exp_pair, 0.0)
     assert ps.unreached == ("r.0",)
     assert np.array_equal(ps.strategy, sol._h_arr)
     k = tree.layout.ids.index("r.0")
@@ -408,6 +409,6 @@ def test_battery_tests_mollified_measures_under_two_power(tp_pair):
     wealth[1] += 1e-3
     rep = verify_supermartingale(tree, wealth, mollify(verts, sol.q_hat), tp_pair)
     assert rep.measures_tested == 128 and len(rep.violations) == 64
-    assert {v.node_id for v in rep.violations} == {tree.root_id}
+    assert {v.node_id for v in rep.violations} == {tree.layout.ids[0]}
     raw = verify_supermartingale(tree, wealth, verts, tp_pair)
     assert raw.measures_tested == 0 and not raw.violations

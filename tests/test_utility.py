@@ -295,11 +295,6 @@ def test_certification_rejects_nonpositive_shift():
         certify_assumptions(exponential_utility(1.0, 0.0))
 
 
-def test_grid_extent_floor():
-    with pytest.raises(DomainError):
-        certify_assumptions(exponential_utility(1.0, 2.0), x_extent=100.0)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.05, 0.95), st.floats(0.1, 3.0),
        st.floats(1e-4, 1e3))

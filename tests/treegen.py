@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from treedual import RandomVariable, market_from_dict
+from treedual import market_from_dict
 
 DATA = Path(__file__).parent / "data"  # scenario files of pinned instances
 
@@ -149,8 +149,7 @@ def random_market(rng, max_periods=3, n_assets=1):
 
 
 def random_endowment(rng, tree, scale=1.0):
-    return RandomVariable.from_array(
-        tree, rng.uniform(-scale, scale, size=tree.n_leaves))
+    return rng.uniform(-scale, scale, size=tree.n_leaves)
 
 
 def dead_leaf_market():
