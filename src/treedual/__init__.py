@@ -22,8 +22,7 @@ from .dual import (CurvePoint, CurveReport, DualSolution, SupportCheck,
                    check_maximal_support, dual_derivative, dual_value_curve,
                    solve_dual, solve_dual_fixed_mass)
 from .recovery import (DynamicDualNode, PrimalSolution, SnellReport,
-                       SupermartingaleReport, dynamic_dual, extract_strategy,
-                       recover, recover_terminal_wealth,
+                       SupermartingaleReport, dynamic_dual, recover,
                        snell_envelope_exponential, verify_supermartingale)
 from .pricing import (MubppReport, PriceReport, SensitivityReport,
                       VolumeCurveReport, average_price_curve,

@@ -91,7 +91,7 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     add("support flag matches market", support_ok, 0.0 if support_ok else 1.0, 0.5,
         sol.support)
 
-    sc = check_maximal_support(tree, sol, measures)
+    sc = check_maximal_support(sol, measures)
     add("maximal support", not sc.violations, float(len(sc.violations)), 0.5,
         f"{sc.vertices_tested} {kind} tested")
 
@@ -127,13 +127,12 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
 
     worst = 0.0
     for t in range(tree.horizon + 1):
-        for noderes in dynamic_dual(tree, pair, endow, t, sol, wealth=ps.wealth):
+        for noderes in dynamic_dual(sol, t, wealth=ps.wealth):
             worst = max(worst, noderes.wealth_residual)
     add("dynamic dual consistency", worst <= 1e-7, worst, 1e-7)
 
     if pair.family == "exponential":
-        sn = snell_envelope_exponential(tree, pair, endow, sol, measures,
-                                        wealth=ps.wealth)
+        sn = snell_envelope_exponential(sol, measures, wealth=ps.wealth)
         add("exponential Snell envelope", sn.max_equality_gap <= 1e-5,
             sn.max_equality_gap, 1e-5)
         add("Snell lower bounds", sn.max_lower_bound_excess <= 1e-7,

@@ -6,7 +6,7 @@ printed with 12 significant digits; every run with an ``--output-dir`` also
 writes a ``manifest.json`` (command, arguments, package and library versions)
 plus machine-readable CSV files.  Identical configuration (``oracle`` also
 takes a ``--seed``) produces byte-identical CSV output.  Each option is
-declared only on the subcommands that read it.
+declared only on the subcommands that read it, and only by its full name.
 
 Exit codes: 0 success, 1 verification/market failure (arbitrage, failed
 invariants), 2 input error (bad files, unknown names, bad flags).
@@ -156,12 +156,11 @@ def _cmd_recover(args, out: _Out):
     out.say(f"replication residual: {f12(ps.replication_residual)}")
     # rows in file order; time, wealth and strategy (none on leaves) in layout order
     lay = tree.layout
-    pos = {nid: k for k, nid in enumerate(lay.ids)}
     t = np.repeat(np.arange(tree.horizon + 1), np.diff(lay.level_starts)).tolist()
     hs = ([[f12(c) for c in h] for h in ps.strategy.tolist()]
           + [[""] * tree.n_assets] * tree.n_leaves)
-    rows = [[nid, t[pos[nid]], f12(ps.wealth[pos[nid]])] + hs[pos[nid]]
-            for nid in tree.node_ids]
+    rows = [[lay.ids[k], t[k], f12(ps.wealth[k])] + hs[k]
+            for k in tree._file_pos.tolist()]
     out.csv("wealth_strategy.csv",
             ["node", "t", "wealth"] + [f"h_{a}" for a in tree.assets], rows)
     out.say("node  t  wealth  holdings")
@@ -247,8 +246,8 @@ def _cmd_mubpp(args, out: _Out):
             raise ParseError(f"process value at node {nid!r} is not a number or a "
                              f"list of {width} numbers like the nodes before it")
         rows.append(v)
-    file_row = {nid: k for k, nid in enumerate(tree.node_ids)}
-    sprime = np.array(rows)[[file_row[nid] for nid in tree.layout.ids]]   # layout order
+    sprime = np.empty((len(rows), len(rows[0])))
+    sprime[tree._file_pos] = rows   # layout order
     rep = check_mubpp(tree, pair, endow, sprime)
     out.say(f"marginal utility-based price process: {rep.is_mubpp}")
     out.say(f"drift verdict: {rep.drift_verdict} "
@@ -344,11 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Utility maximization and pricing on scenario trees")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, utility=True):
+    def common(p, utility=True, endowment=True):
+        p.allow_abbrev = False   # else --endowment would be read as --endowments
         p.add_argument("--market", required=True, help="scenario file (JSON)")
         if utility:
             p.add_argument("--utility", required=True,
                            help="e.g. exp:gamma=1,C=2 or twopower:a=0.5,b=1,C=1")
+        if endowment:
             p.add_argument("--endowment", default=None,
                            help="'endowment' (file default), 'zero', or a claim name")
         p.add_argument("--format", choices=("text", "csv", "structured"),
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", default=None)
 
     p = sub.add_parser("geometry", help="constraints, feasibility, vertices")
-    common(p, utility=False)
+    common(p, utility=False, endowment=False)
     p.add_argument("--vertex-cap", type=int, default=10_000)
     p.set_defaults(func=_cmd_geometry)
 
@@ -387,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mubpp)
 
     p = sub.add_parser("sensitivity", help="endowment dependence certificates")
-    common(p)
+    common(p, endowment=False)
     p.add_argument("--endowments", required=True,
                    help="comma-separated names ('endowment', 'zero', claim names)")
     p.add_argument("--claim", default=None)

@@ -493,8 +493,7 @@ class SupportCheck:
     vertices_skipped_infinite_entropy: int
 
 
-def check_maximal_support(tree: MarketTree, sol: DualSolution,
-                          vertices) -> SupportCheck:
+def check_maximal_support(sol: DualSolution, vertices) -> SupportCheck:
     """Check that the optimal measure dominates every finite-entropy vertex.
 
     Any leaf charged (above 1e-10) by a finite-entropy polytope vertex must
@@ -503,6 +502,7 @@ def check_maximal_support(tree: MarketTree, sol: DualSolution,
     (k, L), checked by one entropy evaluation and one mask; violations run
     by vertex, then leaf.  Report-only.
     """
+    tree = sol.tree
     q = np.asarray(vertices, dtype=float).reshape(-1, tree.n_leaves)
     finite = np.isfinite(relative_entropy(tree, sol.pair, q))
     k, i = np.nonzero(finite[:, None] & (q > 1e-10) & ~(sol.mu > 0))

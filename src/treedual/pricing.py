@@ -490,14 +490,14 @@ def check_mubpp(tree: MarketTree, pair: UtilityPair, endow, sprime) -> MubppRepo
     )
 
 
-def optimal_measure_price_process(tree: MarketTree, sol: DualSolution,
-                                  claim) -> np.ndarray:
+def optimal_measure_price_process(sol: DualSolution, claim) -> np.ndarray:
     """Conditional claim expectations (N,) in layout order under the
     normalized optimal measure (0 at nodes without its mass).
 
     By construction a martingale under that measure, hence a fair price
     process for the claim.
     """
+    tree = sol.tree
     b = leaf_values(tree, claim)
     q = sol.q_hat
     mass = tree.subtree_sums(q)

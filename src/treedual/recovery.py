@@ -48,74 +48,54 @@ class PrimalSolution:
     unreached: tuple[str, ...]
 
 
-def recover_terminal_wealth(tree: MarketTree, pair: UtilityPair, endow,
-                            sol: DualSolution) -> np.ndarray:
-    """Optimal terminal gain (L,) in leaf order from the dual optimizer.
+def recover(tree: MarketTree, pair: UtilityPair, endow,
+            sol: DualSolution) -> PrimalSolution:
+    """Optimal terminal gain X, the solver's strategy h and its wealth
+    x0 + gains(h), with x0 = E_q[X] under the normalized optimal measure q.
 
     Requires an equivalent (full-support) optimal measure; with a degenerate
     optimizer the candidate wealth is infinite on the null leaves and no
-    primal optimizer exists.
+    primal optimizer exists.  Two residuals above 1e-8 (scaled) are solver
+    failures, not mathematical outcomes, and raise
+    :class:`ReplicationGapError`: the first-order condition U'(X + e) = the
+    density, and max |X - wealth| over the leaves q charges, which compares
+    the dual side (X from the measure) with the primal side (h) and names
+    the worst leaf.
     """
     if sol.support != "EQUIVALENT":
         raise NoPrimalOptimizerError(
             "dual optimizer is degenerate (no equivalent martingale measure "
             "with finite entropy); the primal problem has no optimizer")
     e = leaf_values(tree, endow)
+    p = tree.leaf_probability_array
     dens = sol.density_array
     if sol._log_q is None:
-        x = -sol.pair.v_prime(dens) - e
+        x = -pair.v_prime(dens) - e
     else:   # -V'(y q / p) from the exact log-masses, finite where y q underflows
-        x = (np.log(tree.leaf_probability_array) - sol._log_mass - sol._log_q) \
-            / sol.pair.params["gamma"] - e
-    resid = np.abs(pair.u_prime(x + e) - dens)
-    scale = 1.0 + np.abs(dens).max()
-    if resid.max() > 1e-8 * scale:
+        x = (np.log(p) - sol._log_mass - sol._log_q) / pair.params["gamma"] - e
+    foc = float(np.abs(pair.u_prime(x + e) - dens).max())
+    if foc > 1e-8 * (1.0 + np.abs(dens).max()):
         raise ReplicationGapError(
-            f"first-order residual {resid.max():.3e} above tolerance; "
-            "dual solution is not accurate enough", residual=float(resid.max()))
-    return x
+            f"first-order residual {foc:.3e} above tolerance; "
+            "dual solution is not accurate enough", residual=foc)
 
-
-def extract_strategy(tree: MarketTree, sol: DualSolution, xhat,
-                     pair: UtilityPair, endow) -> PrimalSolution:
-    """The solver's strategy h with its wealth x0 + gains(h), x0 = E_q[X]
-    under the normalized optimal measure q; ``xhat`` is the terminal gain X
-    in any form :func:`~treedual.market.leaf_values` accepts.
-
-    The replication residual max |X - wealth| over the leaves q charges
-    compares the dual side (X from the measure) with the primal side (h);
-    above 1e-8 (scaled) it is a solver failure, not a mathematical outcome,
-    and raises :class:`ReplicationGapError` naming the worst leaf.
-    """
-    e = leaf_values(tree, endow)
-    x = leaf_values(tree, xhat)
     q = sol.q_hat
     lay, on = tree.layout, q > 0
     inner = lay.level_starts[-2]
     wealth = float(q[on] @ x[on]) + tree.gains(sol._h_arr)
     gap = np.where(on, np.abs(x - wealth[inner:]), 0.0)
-    worst, resid = tree.leaf_ids[int(np.argmax(gap))], float(gap.max())
+    resid = float(gap.max())
     if resid > _REPLICATION_TOL * (1.0 + float(np.abs(x[on]).max())):
+        worst = tree.leaf_ids[int(np.argmax(gap))]
         raise ReplicationGapError(
             f"replication residual {resid:.3e} at leaf {worst!r} exceeds "
             f"{_REPLICATION_TOL:.1e} (scaled)", node_id=worst, residual=resid)
-
-    p = tree.leaf_probability_array
-    value = float(np.dot(p, pair.u(x + e)))
-    dens = sol.density_array
-    foc = float(np.abs(pair.u_prime(x + e) - dens).max())
     return PrimalSolution(
         terminal_wealth=x, wealth=wealth, strategy=sol._h_arr,
-        replication_residual=resid, value=value, first_order_residual=foc,
+        replication_residual=resid, value=float(np.dot(p, pair.u(x + e))),
+        first_order_residual=foc,
         unreached=tuple(lay.ids[k] for k in
                         np.flatnonzero(tree.subtree_sums(q)[:inner] == 0)))
-
-
-def recover(tree: MarketTree, pair: UtilityPair, endow,
-            sol: DualSolution) -> PrimalSolution:
-    """Terminal wealth plus strategy extraction in one call."""
-    xhat = recover_terminal_wealth(tree, pair, endow, sol)
-    return extract_strategy(tree, sol, xhat, pair, endow)
 
 
 # -- verification -----------------------------------------------------------------
@@ -196,10 +176,8 @@ class DynamicDualNode:
     wealth_residual: float | None  # |W + derivative|, scaled, when W given
 
 
-def dynamic_dual(tree: MarketTree, pair: UtilityPair, endow, t: int,
-                 sol: DualSolution,
-                 wealth=None) -> list[DynamicDualNode]:
-    """Conditional dual problems at the time-``t`` nodes.
+def dynamic_dual(sol: DualSolution, t: int, wealth=None) -> list[DynamicDualNode]:
+    """Conditional dual problems of the solved market at the time-``t`` nodes.
 
     For each positive-mass node, minimizes the conditional entropy-plus-
     endowment objective over subtree measures matching the optimizer's mass
@@ -208,9 +186,9 @@ def dynamic_dual(tree: MarketTree, pair: UtilityPair, endow, t: int,
     Deterministic time grid only.  Consistency: the derivative should equal
     minus the wealth at the node, when ``wealth`` (N,) in layout order is given.
     """
+    tree, pair, e = sol.tree, sol.pair, sol._endow_arr
     if not (0 <= t <= tree.horizon):
         raise ValueError(f"time {t} outside 0..{tree.horizon}")
-    e = leaf_values(tree, endow)
     p = tree.leaf_probability_array
     mu = sol.mu
     A, live = build_constraints(tree), _support_structure(tree).mask
@@ -250,8 +228,7 @@ class SnellReport:
     measures_tested: int
 
 
-def snell_envelope_exponential(tree: MarketTree, pair: UtilityPair, endow,
-                               sol: DualSolution, vertices, *, wealth) -> SnellReport:
+def snell_envelope_exponential(sol: DualSolution, vertices, *, wealth) -> SnellReport:
     """Essential-supremum representation of the optimal wealth (exponential).
 
     At each node, the wealth should equal the supremum over equivalent
@@ -262,15 +239,14 @@ def snell_envelope_exponential(tree: MarketTree, pair: UtilityPair, endow,
     equivalent test measures, all of finite entropy; the optimal measure
     attains the supremum.
     """
+    tree, pair = sol.tree, sol.pair
     if pair.family != "exponential":
         raise NotExponentialError("Snell-envelope check requires exponential utility")
     if sol.support != "EQUIVALENT":
         raise NoPrimalOptimizerError("requires an equivalent optimal measure")
-    gamma = pair.params["gamma"]
-    e = leaf_values(tree, endow)
-    p = tree.leaf_probability_array
-    mu = sol.mu
-    payoff = np.log(p / mu) / gamma - e   # leaf random variable inside the essmax
+    # the leaf random variable inside the essmax
+    payoff = (np.log(tree.leaf_probability_array / sol.mu) / pair.params["gamma"]
+              - sol._endow_arr)
 
     tested = np.vstack([sol.q_hat, mollify(vertices, sol.q_hat)])
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 
 import treegen
-from treedual import (RandomVariable, dual, exponential_utility, market_from_dict,
+from treedual import (MarketTree, dual, exponential_utility, market_from_dict,
                       simplex, two_power_utility)
 
 
@@ -80,16 +80,16 @@ def no_dense_core():
 
 @pytest.fixture
 def no_leaf_dicts():
-    """Context manager under which building a leaf-keyed dict from an array
-    raises."""
+    """Context manager under which reading the tree's leaf ids raises: work
+    on arrays in leaf order keys nothing by leaf id."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a leaf-keyed dict was built")
+        raise AssertionError("the leaf ids were read")
 
     @contextlib.contextmanager
     def guard():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(RandomVariable, "from_array", refuse)
+            mp.setattr(MarketTree, "leaf_ids", property(refuse))
             yield
 
     return guard

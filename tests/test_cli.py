@@ -37,6 +37,9 @@ def test_workers_flag_is_gone(tri1_file):
 @pytest.mark.parametrize("command,flag", [
     (["solve", "--utility", "exp:gamma=1,C=2"], ["--seed", "3"]),  # only oracle reads it
     (["geometry"], ["--tol", "1e-9"]),
+    # sensitivity reads --endowments only
+    (["sensitivity", "--utility", "exp:gamma=1,C=2", "--endowments", "endowment,zero"],
+     ["--endowment", "bogus"]),
 ])
 def test_options_exist_only_on_subcommands_that_read_them(tri1_file, capsys,
                                                           command, flag):
@@ -126,7 +129,7 @@ def test_mubpp_reads_the_process_file_into_layout_order(tmp_path, capsys):
     path, tree = _shuffled_file(tmp_path)
     sol = solve_dual(tree, parse_utility_spec("exp:gamma=1,C=2"), tree.endowment)
     claims = np.random.default_rng(1).uniform(0.0, 1.0, (2, tree.n_leaves))
-    fair = np.column_stack([optimal_measure_price_process(tree, sol, b) for b in claims])
+    fair = np.column_stack([optimal_measure_price_process(sol, b) for b in claims])
     pos = {nid: k for k, nid in enumerate(tree.layout.ids)}
     doc = {nid: fair[pos[nid]].tolist() for nid in tree.node_ids}
     (tmp_path / "process.json").write_text(json.dumps(doc))
@@ -168,7 +171,7 @@ def _process_file(tmp_path, tri1_file, drop=()):
     tree = load_market(tri1_file)
     sol = solve_dual(tree, parse_utility_spec("exp:gamma=1,C=2"), tree.endowment)
     proc = dict(zip(tree.layout.ids,
-                    optimal_measure_price_process(tree, sol, tree.claims["up"]).tolist()))
+                    optimal_measure_price_process(sol, tree.claims["up"]).tolist()))
     if isinstance(drop, dict):
         proc.update(drop)
     else:

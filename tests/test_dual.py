@@ -237,7 +237,7 @@ def test_fixed_mass_consistency(tri1, exp_pair):
 def test_maximal_support_full(tri1, exp_pair):
     sol = solve_dual(tri1, exp_pair, 0.0)
     verts = vertex_enumerate(build_constraints(tri1))
-    rep = check_maximal_support(tri1, sol, verts)
+    rep = check_maximal_support(sol, verts)
     assert not rep.violations
     assert rep.vertices_tested == 2
 
@@ -247,7 +247,7 @@ def test_maximal_support_dead_leaf_vacuous(exp_pair):
     sol = solve_dual(tree, exp_pair, 0.0)
     assert sol.support == "DEGENERATE"
     verts = vertex_enumerate(build_constraints(tree))
-    rep = check_maximal_support(tree, sol, verts)
+    rep = check_maximal_support(sol, verts)
     assert not rep.violations  # dead leaf uncharged by every vertex
 
 
@@ -594,7 +594,7 @@ def test_maximal_support_holds_on_exact_exponential_optima(gamma, scale):
     tree, pair, e = _random_exponential_instance(6, gamma, scale)
     sol = solve_dual(tree, pair, e)
     assert 0 < sol.mu.min() < 1e-12 * (1 + sol.mass)
-    rep = check_maximal_support(tree, sol, vertex_enumerate(build_constraints(tree)))
+    rep = check_maximal_support(sol, vertex_enumerate(build_constraints(tree)))
     assert rep.vertices_tested > 0 and not rep.violations
 
 
@@ -603,7 +603,7 @@ def test_maximal_support_flags_an_uncharged_vertex_leaf(tri1, exp_pair):
     verts = vertex_enumerate(build_constraints(tri1))
     mu = sol.mu.copy()
     mu[tri1.leaf_ids.index("a")] = 0.0
-    rep = check_maximal_support(tri1, dataclasses.replace(sol, mu=mu), verts)
+    rep = check_maximal_support(dataclasses.replace(sol, mu=mu), verts)
     charging = [k for k, v in enumerate(verts) if v[0] > 0]
     assert charging and rep.violations == tuple((k, "a") for k in charging)
 

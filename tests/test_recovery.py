@@ -10,10 +10,10 @@ import treegen
 from treedual import (NoPrimalOptimizerError,
                       NotExponentialError, build_constraints,
                       check_maximal_support, dual_value_curve, dynamic_dual,
-                      exponential_utility, extract_strategy,
+                      exponential_utility,
                       find_equivalent_mm, leaf_values,
                       optimal_measure_price_process, recover,
-                      recover_terminal_wealth, relative_entropy, run_battery,
+                      relative_entropy, run_battery,
                       sample_martingale_measures, snell_envelope_exponential,
                       solve_dual, two_power_utility, verify_supermartingale,
                       vertex_enumerate)
@@ -24,7 +24,7 @@ LN2 = math.log(2.0)
 
 def test_bin1_terminal_wealth_closed_form(bin1, exp_pair_raw):
     sol = solve_dual(bin1, exp_pair_raw, 0.0)
-    xhat = recover_terminal_wealth(bin1, exp_pair_raw, 0.0, sol)
+    xhat = recover(bin1, exp_pair_raw, 0.0, sol).terminal_wealth
     # mass 3*2^(-5/3) makes the log-density (-(2/3)ln2, (1/3)ln2)
     assert bin1.leaf_ids == ("u", "d")
     assert xhat[0] == pytest.approx(2.0 / 3.0 * LN2, abs=1e-8)
@@ -57,7 +57,7 @@ def test_bin1_delta_hedge(bin1, exp_pair_raw):
 def test_complete_market_inverse_marginal(bin1, tp_pair):
     e = {"u": 0.5, "d": -0.25}
     sol = solve_dual(bin1, tp_pair, e)
-    xhat = recover_terminal_wealth(bin1, tp_pair, e, sol)
+    xhat = recover(bin1, tp_pair, e, sol).terminal_wealth
     dens = sol.density_array
     total = xhat + leaf_values(bin1, e)
     assert tp_pair.u_prime(total) == pytest.approx(dens, abs=1e-10)
@@ -80,7 +80,7 @@ def test_degenerate_refuses_recovery(exp_pair):
     tree = treegen.dead_leaf_market()
     sol = solve_dual(tree, exp_pair, 0.0)
     with pytest.raises(NoPrimalOptimizerError):
-        recover_terminal_wealth(tree, exp_pair, 0.0, sol)
+        recover(tree, exp_pair, 0.0, sol)
 
 
 def test_duality_gap_and_residuals(tri1, exp_pair, tp_pair):
@@ -167,7 +167,7 @@ def test_stacked_checks_match_the_per_measure_loops(seed, n_assets, family):
     support, violations, max_drift, tested, skipped = _reference_checks(
         tree, pair, sol.mu, wealth, measures)
 
-    sc = check_maximal_support(tree, sol, measures)
+    sc = check_maximal_support(sol, measures)
     assert sc.violations == support
     assert (sc.vertices_tested, sc.vertices_skipped_infinite_entropy) == (tested, skipped)
     rep = verify_supermartingale(tree, wealth, measures, pair)
@@ -192,11 +192,11 @@ def test_dynamic_dual_boundary_times(tri1, exp_pair):
     e = {"a": 0.2, "b": -0.1, "c": 0.3}
     sol = solve_dual(tri1, exp_pair, e)
     ps = recover(tri1, exp_pair, e, sol)
-    root = dynamic_dual(tri1, exp_pair, e, 0, sol, wealth=ps.wealth)
+    root = dynamic_dual(sol, 0, wealth=ps.wealth)
     assert len(root) == 1
     assert abs(root[0].derivative) <= 1e-7           # stationarity at the root
     assert root[0].value == pytest.approx(sol.value, abs=1e-9)
-    leaves = dynamic_dual(tri1, exp_pair, e, 1, sol, wealth=ps.wealth)
+    leaves = dynamic_dual(sol, 1, wealth=ps.wealth)
     x = ps.terminal_wealth
     for node in leaves:
         i = tri1.leaf_ids.index(node.node_id)
@@ -212,7 +212,7 @@ def test_dynamic_dual_interior_time(exp_pair, tp_pair):
         sol = solve_dual(tree, pair, e)
         ps = recover(tree, pair, e, sol)
         for t in range(tree.horizon + 1):
-            for node in dynamic_dual(tree, pair, e, t, sol, wealth=ps.wealth):
+            for node in dynamic_dual(sol, t, wealth=ps.wealth):
                 assert node.wealth_residual <= 1e-7
                 assert node.restriction_gap <= 1e-9
 
@@ -222,8 +222,7 @@ def test_snell_envelope(tri1, exp_pair):
     sol = solve_dual(tri1, exp_pair, e)
     ps = recover(tri1, exp_pair, e, sol)
     verts = vertex_enumerate(build_constraints(tri1))
-    rep = snell_envelope_exponential(tri1, exp_pair, e, sol, verts,
-                                     wealth=ps.wealth)
+    rep = snell_envelope_exponential(sol, verts, wealth=ps.wealth)
     assert rep.max_equality_gap <= 1e-5
     assert rep.max_lower_bound_excess <= 1e-7
     # at the terminal time the envelope is the terminal wealth itself
@@ -236,23 +235,19 @@ def test_snell_requires_exponential(tri1, tp_pair):
     sol = solve_dual(tri1, tp_pair, 0.0)
     ps = recover(tri1, tp_pair, 0.0, sol)
     with pytest.raises(NotExponentialError):
-        snell_envelope_exponential(tri1, tp_pair, 0.0, sol, [],
-                                   wealth=ps.wealth)
+        snell_envelope_exponential(sol, [], wealth=ps.wealth)
 
 
-def test_extract_strategy_unreached_nodes(exp_pair):
-    # the up branch is dead, so the optimal measure gives its node no mass:
-    # the node is listed, and its strategy is the solver's (0 on dead nodes)
-    tree = treegen.product_market([[2.0, 1.0], [1.5, 0.5]])
-    sol = solve_dual(tree, exp_pair, 0.0)
-    assert sol.support == "DEGENERATE"
-    # recovery refuses wholesale; exercise the raw op
-    ps = extract_strategy(tree, sol, np.ones(tree.n_leaves), exp_pair, 0.0)
-    assert ps.unreached == ("r.0",)
+def test_recover_lists_unreached_nodes(exp_pair):
+    # an endowment of 800 on r.1's leaves leaves r.1 a mass of about e^-800,
+    # which underflows: the market is equivalent, yet the node is unreached
+    tree = treegen.product_market([[1.2, 1.0, 0.85], [1.2, 0.9]])
+    e = np.array([800.0 if nid.startswith("r.1.") else 0.0 for nid in tree.leaf_ids])
+    sol = solve_dual(tree, exp_pair, e)
+    assert sol.support == "EQUIVALENT"
+    ps = recover(tree, exp_pair, e, sol)
+    assert ps.unreached == ("r.1",)
     assert np.array_equal(ps.strategy, sol._h_arr)
-    k = tree.layout.ids.index("r.0")
-    assert np.array_equal(ps.strategy[k], [0.0])
-    assert ps.wealth[k] == ps.wealth[0] == 1.0
 
 
 def test_dynamic_dual_on_a_degenerate_market(exp_pair):
@@ -261,9 +256,9 @@ def test_dynamic_dual_on_a_degenerate_market(exp_pair):
     tree = treegen.dead_leaf_market()
     sol = solve_dual(tree, exp_pair, 0.0)
     for t in range(tree.horizon + 1):
-        for node in dynamic_dual(tree, exp_pair, 0.0, t, sol):
+        for node in dynamic_dual(sol, t):
             assert math.isfinite(node.derivative) and node.restriction_gap <= 1e-12
-    root = dynamic_dual(tree, exp_pair, 0.0, 0, sol)[0]
+    root = dynamic_dual(sol, 0)[0]
     assert root.value == pytest.approx(sol.value, rel=1e-14)
     assert abs(root.derivative) <= 1e-12
 
@@ -376,9 +371,9 @@ def test_results_are_arrays_in_tree_order(exp_pair):
     sol = solve_dual(tree, exp_pair, e)
     ps = recover(tree, exp_pair, e, sol)
     verts = vertex_enumerate(build_constraints(tree))
-    snell = snell_envelope_exponential(tree, exp_pair, e, sol, verts, wealth=ps.wealth)
+    snell = snell_envelope_exponential(sol, verts, wealth=ps.wealth)
     curve = dual_value_curve(tree, exp_pair, e, [0.5 * sol.mass, sol.mass])
-    price = optimal_measure_price_process(tree, sol, b)
+    price = optimal_measure_price_process(sol, b)
     results = {"mu": (sol.mu, (L,)), "q_hat": (sol.q_hat, (L,)),
                "CurvePoint.q_hat": (curve.points[0].q_hat, (L,)),
                "find_equivalent_mm": (find_equivalent_mm(tree), (L,)),
