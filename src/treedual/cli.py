@@ -3,10 +3,11 @@
 Subcommands: ``solve``, ``recover``, ``price``, ``curve``, ``mubpp``,
 ``sensitivity``, ``verify``, ``oracle``, ``geometry``.  Numeric output is
 printed with 12 significant digits; every run with an ``--output-dir`` also
-writes a ``manifest.json`` (command, arguments, package and library versions)
-plus machine-readable CSV files.  Identical configuration (``oracle`` also
-takes a ``--seed``) produces byte-identical CSV output.  Each option is
-declared only on the subcommands that read it, and only by its full name.
+writes a ``manifest.json`` (command, arguments, package and library versions;
+``solve`` adds its ``newton_steps``) plus machine-readable CSV files.
+Identical configuration (``oracle`` also takes a ``--seed``) produces
+byte-identical CSV output.  Each option is declared only on the subcommands
+that read it, and only by its full name.
 
 Exit codes: 0 success, 1 verification/market failure (arbitrage, failed
 invariants), 2 input error (bad files, unknown names, bad flags).
@@ -132,6 +133,7 @@ def _cmd_solve(args, out: _Out):
     pair = parse_utility_spec(args.utility)
     endow = _pick_endowment(tree, args.endowment)
     sol = solve_dual(tree, pair, endow)
+    out.manifest["newton_steps"] = sol.iterations[-1]["steps"]
     out.say(f"dual value: {f12(sol.value)}")
     out.say(f"optimal mass: {f12(sol.mass)}")
     out.say(f"support: {sol.support}")

@@ -15,7 +15,10 @@ return the optimal strategy h too, which primal recovery reads.
   optimizer the product of the nodes' softmax weights and h_n the minimizer
   k of node n.  Masses like e^-1000 are exact in this form.  One pass serves
   a stack of endowments: each level is one Newton batch over the nodes of
-  all of them.
+  all of them.  A node starts at the fit of its exponents to w0, the mean
+  of its one-step martingale vertices, which is the minimizer where w0 fixes
+  the optimal weights' ratios among the moving children (binomial and
+  up/flat/down nodes, d + 1 affinely independent increments).
 * Two-power family, ``dynamic_dual`` and the tests' oracle: the optimal
   measure is the marginal utility of the optimal wealth, mu = p U'(e + gains),
   so the dual is solved through its primal, the unconstrained concave
@@ -32,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (EvaluationOverflowError, InfeasibleEntropyError,
+from .errors import (DomainError, EvaluationOverflowError, InfeasibleEntropyError,
                      NoMartingaleMeasureError, NonconvergedError,
                      ValueAtSupremumError)
 from .geometry import (SupportStructure, _support_structure, build_constraints,
@@ -101,20 +104,22 @@ def _solution(tree, pair, e, mu, q, mass, log_mass, value, residual, flag, steps
 _LSE_CAP = 100  # damped Newton steps per level
 
 
-def _lse_min(b, x):
+def _lse_min(b, x, k0):
     """``min_k logsumexp_c(b_c - x_c.k)`` for a batch of g nodes.
 
-    ``b`` (g, m) is -inf and ``x`` (g, m, d) zero at padding.  Newton steps
-    with Levenberg-Marquardt damping relative to the trace of the Hessian,
-    the covariance of x under the softmax weights, which is near-singular
-    where the weights sit on few children.  A step moves no exponent by more
-    than one unit and is doubled while that keeps lowering the value, which
-    crosses exponential tails in a few steps; it is accepted on a quarter of
-    its predicted decrease or, where the value is flat to rounding, on a
-    smaller gradient.  A node is done once its gradient and predicted
-    decrease are at rounding level, or once a step fails with its predicted
-    decrease below rounding.  Returns the minima, minimizers k, log softmax
-    weights, gradients E_w[x] (up to sign) and steps.
+    ``b`` (g, m) is -inf and ``x`` (g, m, d) zero at padding.  The loop
+    starts at ``k0`` (g, d); a node started at its minimizer exits at the
+    first test, before any step.  Newton steps with Levenberg-Marquardt
+    damping relative to the trace of the Hessian, the covariance of x under
+    the softmax weights, which is near-singular where the weights sit on few
+    children.  A step moves no exponent by more than one unit and is doubled
+    while that keeps lowering the value, which crosses exponential tails in
+    a few steps; it is accepted on a quarter of its predicted decrease or,
+    where the value is flat to rounding, on a smaller gradient.  A node is
+    done once its gradient and predicted decrease are at rounding level, or
+    once a step fails with its predicted decrease below rounding.  Returns
+    the minima, minimizers k, log softmax weights, gradients E_w[x] (up to
+    sign) and steps.
     """
     top_b = b.max(axis=1)
     b = b - top_b[:, None]
@@ -127,7 +132,7 @@ def _lse_min(b, x):
         return f, z - f[:, None], np.einsum("gm,gmd->gd", np.exp(z - f[:, None]), x)
 
     scale = np.abs(x).max(axis=(1, 2))
-    damp, k, active = np.full(g, 1e-3), np.zeros((g, d)), np.ones(g, dtype=bool)
+    damp, k, active = np.full(g, 1e-3), k0.copy(), np.ones(g, dtype=bool)
     f, logw, mean = evaluate(k)
     for steps in range(_LSE_CAP + 1):
         gnorm = np.abs(mean).max(axis=1)
@@ -173,14 +178,21 @@ def _live_levels(geo: SupportStructure):
     """Per non-leaf level, bottom-up, the live nodes (g,), their padded
     children (g, m), log branch probabilities (-inf at padding and dead
     children), price increments (g, m, d; zero there and below a node with
-    one live child), the live children with their flat slots in (g, m), and
-    1 + |S_n|.  A child is live when a valid vertex of its live parent
-    charges it.
+    one live child), the start's operator ``fit`` (g, m, d) and shift
+    ``ln(p / w0)`` (g, m; 0 off the live children), the live children with
+    their flat slots in (g, m), and 1 + |S_n|.  A child is live when a valid
+    vertex of its live parent charges it.  w0 (``geo.one_step``), the mean
+    of a node's valid vertices, is positive exactly on its live children.
+    The start ``k0 = Cov_w0(x)^+ Cov_w0(x, b - ln w0)`` = sum_c fit_c
+    (shift_c + L_c) / gamma fits ``b - ln w0`` by ``x.k + f`` in w0-weighted
+    least squares (x = gamma dS, b = ln p + L); the pseudo-inverse, one
+    batched eigh without eigenvalues below _RANK_RTOL of the largest, keeps
+    k0 in the span of the increments, as the minimum-norm minimizer.
     """
     lay = geo.layout
     n, starts = len(lay.ids), lay.level_starts
-    live = np.zeros(n, dtype=bool)
-    live[geo.child[geo.weight > 0]] = live[0] = True
+    w = geo.one_step(np.ones(geo.node.size))
+    live = w > 0
     for lo, hi in zip(starts[1:-1], starts[2:]):
         live[lo:hi] &= live[lay.parent[lo:hi]]
     count = np.diff(lay.first_child, append=n)
@@ -189,11 +201,18 @@ def _live_levels(geo: SupportStructure):
         node = lo + np.flatnonzero(live[lo:hi])
         kids = np.minimum(lay.first_child[node, None] + np.arange(count[node].max()), n - 1)
         on = (np.arange(kids.shape[1]) < count[node, None]) & live[kids]
-        with np.errstate(divide="ignore"):
+        w0 = np.where(on, w[kids], 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
             lnp = np.where(on, np.log(lay.prob[kids]), -np.inf)
+            shift = np.where(on, lnp - np.log(w0), 0.0)
         dS = np.where((on & (on.sum(axis=1, keepdims=True) > 1))[..., None],
                       lay.prices[kids] - lay.prices[node, None], 0.0)
-        out.append((node, kids, lnp, dS, np.flatnonzero(on), kids[on],
+        dev = dS - np.einsum("gm,gmd->gd", w0, dS)[:, None]
+        ev, vec = np.linalg.eigh(np.einsum("gm,gmd,gme->gde", w0, dev, dev))
+        inv = np.divide(1.0, ev, out=np.zeros_like(ev),
+                        where=ev > _RANK_RTOL * np.abs(ev[:, -1:]))
+        fit = w0[..., None] * dev @ ((vec * inv[:, None]) @ vec.swapaxes(1, 2))
+        out.append((node, kids, lnp, dS, fit, shift, np.flatnonzero(on), kids[on],
                     1.0 + np.abs(lay.prices[node]).max(axis=1)))
     return tuple(out)
 
@@ -201,19 +220,27 @@ def _live_levels(geo: SupportStructure):
 def _log_partition(tree, gamma, e):
     """Backward induction on ``L_n = ln min_h E[exp(-gamma(e + gains)) | n]``
     for r endowments ``e`` (r, leaves); row j * g + i of a level's batch is
-    endowment j at node i.  Returns per endowment L at the root, the strategy
-    (inner, d) of minimizers k (0 where ``_live_levels`` zeroes dS or drops
-    the node), the log normalized optimizer on the leaves (-inf off the
-    maximal support) and its largest scaled one-step drift, and the steps."""
+    endowment j at node i, started at the fit k0 of :func:`_live_levels`.
+    Where w0 fixes the ratios of the optimal weights w* among a node's
+    moving children (also at a degenerate node left with two live children),
+    the fit's residual ln(w*/w0) + const is constant on them, with no
+    w0-covariance with x: k0 is the minimizer, and the node takes no step.
+    Returns per endowment L at the root, the strategy (inner, d) of
+    minimizers k (0 where ``_live_levels`` zeroes dS or drops the node), the
+    log normalized optimizer on the leaves (-inf off the maximal support)
+    and its largest scaled one-step drift, and the steps."""
     lay = tree.layout
     r, inner = e.shape[0], lay.level_starts[-2]
     big_l = np.concatenate([np.zeros((r, inner)), -gamma * e], axis=1)
     logw = np.where(np.arange(len(lay.ids)) == 0, 0.0, np.full((r, 1), -np.inf))
     drift, steps, h = np.zeros(r), 0, np.zeros((r, inner, lay.prices.shape[1]))
-    for node, kids, lnp, dS, slots, on_kids, unit in _live_levels(_support_structure(tree)):
-        g = node.size
-        f, k, lw, mean, used = _lse_min((lnp + big_l.take(kids, axis=1)).reshape(r * g, -1),
-                                        np.concatenate([gamma * dS] * r))
+    for (node, kids, lnp, dS, fit, shift, slots, on_kids,
+         unit) in _live_levels(_support_structure(tree)):
+        g, kid_l = node.size, big_l.take(kids, axis=1)
+        k0 = np.einsum("gmd,gm->gd", np.concatenate([fit] * r),
+                       (shift + kid_l).reshape(r * g, -1)) / gamma
+        f, k, lw, mean, used = _lse_min((lnp + kid_l).reshape(r * g, -1),
+                                        np.concatenate([gamma * dS] * r), k0)
         big_l[:, node], h[:, node] = f.reshape(r, g), k.reshape(r, g, -1)
         logw[:, on_kids] = lw.reshape(r, -1).take(slots, axis=1)
         steps += used
@@ -262,7 +289,7 @@ def _objective(pair, p, e, mu):
 
 
 _NEWTON_CAP = 200
-_RANK_RTOL = 1e-12  # singular-value cutoff of the Newton step, as geometry's _TOL
+_RANK_RTOL = 1e-12  # rank cutoff of the Newton step and log-space start, as geometry's _TOL
 
 
 def _newton_core(A, p, e, pair, live, *, mass=None, start=None):
@@ -458,6 +485,8 @@ def dual_value_curve(tree: MarketTree, pair: UtilityPair, endow,
     ys = sorted(float(y) for y in ys)
     if any(y <= 0 for y in ys):
         raise NoMartingaleMeasureError("curve masses must be positive")
+    if any(a == b for a, b in zip(ys, ys[1:])):
+        raise DomainError("curve masses must be distinct")
     if pair.family == "exponential":
         sols = _log_space_solutions(tree, pair, [endow], mass=ys)
     else:

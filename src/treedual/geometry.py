@@ -120,14 +120,20 @@ class SupportStructure:
         """The maximal support: leaves charged by some martingale probability."""
         return self.interior > 0
 
-    def mixture(self, mix):
-        """Leaf measure multiplying, along each path, the mean of each node's
-        vertices weighted by ``mix`` (positive on some vertex of every node)."""
-        parent, levels = self.layout.parent, self.layout.level_starts
+    def one_step(self, mix):
+        """Per node in layout order, its weight in the mean of its parent's
+        vertices weighted by ``mix``; 1 at the root."""
         mix = mix / np.bincount(self.node, mix)[self.node]
         mass = np.bincount(self.child.ravel(), (self.weight * mix[:, None]).ravel(),
-                           minlength=parent.size)
+                           minlength=self.layout.parent.size)
         mass[0] = 1.0
+        return mass
+
+    def mixture(self, mix):
+        """Leaf measure multiplying, along each path, the :meth:`one_step`
+        weights of ``mix`` (positive on some vertex of every node)."""
+        parent, levels = self.layout.parent, self.layout.level_starts
+        mass = self.one_step(mix)
         for lo, hi in zip(levels[1:-1], levels[2:]):
             mass[lo:hi] *= mass[parent[lo:hi]]
         return mass[levels[-2]:]

@@ -28,6 +28,21 @@ def test_manifest_reports_dual_solves(tri1_file, tmp_path, capsys, command):
     assert (out / csv).read_text().splitlines() == structured["tables"][csv]
 
 
+def test_solve_manifest_reports_newton_steps(tmp_path, capsys):
+    # a binomial node's one-step martingale fit is its minimizer; the pinned
+    # market's four planar moves per node leave the log-space pass steps
+    bin1 = tmp_path / "bin1.json"
+    bin1.write_text(json.dumps(treegen.bin1_dict()))
+    steps = []
+    for path in (bin1, treegen.DATA / "quote_pinned_4x4_2a.json"):
+        out = tmp_path / path.stem
+        argv = ["solve", "--market", str(path), "--utility", "exp:gamma=1,C=2",
+                "--output-dir", str(out)]
+        assert cli.run(argv) == cli.EXIT_OK
+        steps.append(json.loads((out / "manifest.json").read_text())["newton_steps"])
+    assert steps[0] == 0 and steps[1] > 0
+
+
 def test_workers_flag_is_gone(tri1_file):
     argv = ["curve", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2",
             "--claim", "up", "--workers", "4"]

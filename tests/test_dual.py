@@ -7,12 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treegen
-from treedual import (EvaluationOverflowError, InfeasibleEntropyError,
+from treedual import (DomainError, EvaluationOverflowError, InfeasibleEntropyError,
                       NoMartingaleMeasureError, TreedualError,
                       ValueAtSupremumError, build_constraints,
                       check_maximal_support, dual_derivative,
                       dual_value_curve, exponential_utility, leaf_values,
-                      load_market, market_from_dict, solve_dual,
+                      load_market, market_from_dict, price_report, solve_dual,
                       solve_dual_fixed_mass,
                       two_power_utility, vertex_enumerate)
 from treedual import dual, geometry, oracle
@@ -190,6 +190,13 @@ def test_value_curve_bin1_closed_form(bin1, exp_pair_raw):
     for pt in rep.points:
         direct = float(p @ exp_pair_raw.v(pt.y * q / p))
         assert pt.value == pytest.approx(direct, abs=1e-10)
+
+
+@pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
+def test_value_curve_refuses_a_repeated_mass(bin1, pair_name, request):
+    # a repeated mass made the second difference divide by zero
+    with pytest.raises(DomainError, match="curve masses must be distinct"):
+        dual_value_curve(bin1, request.getfixturevalue(pair_name), 0.0, [1.0, 1.0, 2.0])
 
 
 @pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
@@ -538,6 +545,57 @@ def test_log_space_pass_meets_the_binomial_recursion(seed, size, gamma, log_volu
     for sol, e in zip(sols, endows):
         want = _binomial_log_partition(levels, -gamma * e)
         assert abs(sol._log_mass - want) <= 1e-14 * (1.0 + abs(want))
+
+
+def _complete_node_market(kind, rng):
+    """A tree whose nodes fix the ratios of their moving children's
+    martingale weights: binomial or up/flat/down product trees with random
+    moves and branch probabilities, two-asset trees of three planar moves, or
+    the dead-leaf market, whose root keeps one live child."""
+    if kind == "dead leaf":
+        return treegen.dead_leaf_market()
+    if kind == "planar":
+        return treegen.random_market(rng, max_periods=3, n_assets=2)
+    flat = [1.0] if kind == "up/flat/down" else []
+    moves = [[rng.uniform(1.05, 1.5)] + flat + [rng.uniform(0.6, 0.95)] for _ in range(3)]
+    return treegen.product_market(moves, [rng.dirichlet(np.ones(len(m))).tolist() for m in moves])
+
+
+@pytest.mark.parametrize("kind", ["binomial", "up/flat/down", "planar", "dead leaf"])
+@pytest.mark.parametrize("gamma", [0.5, 2.0, 10.0])
+def test_one_step_martingale_start_is_exact_on_complete_nodes(kind, gamma):
+    # each node's optimal weights equal w0, the mean of its one-step
+    # vertices, on its moving children up to a common factor, so the
+    # w0-weighted fit of its exponents is the minimizer: no Newton step is
+    # taken while |gamma e| stays within 10 (beyond, rounding can ask for a
+    # polishing step)
+    rng = np.random.default_rng(int(gamma * 10) + len(kind))
+    pair = exponential_utility(gamma, 2.0)
+    for _ in range(5):
+        tree = _complete_node_market(kind, rng)
+        e = rng.uniform(-10.0 / gamma, 10.0 / gamma, tree.n_leaves)
+        sol = solve_dual(tree, pair, e)
+        core = dual._core_solution(tree, pair, e, None, None)
+        assert sol.iterations[0]["steps"] == 0
+        assert abs(sol._log_mass - core._log_mass) <= 1e-12
+
+
+def test_one_step_martingale_start_solves_no_least_squares(exp_pair, monkeypatch):
+    # the start's pseudo-inverse is one batched eigh of the (g, d, d)
+    # covariances; pinv, lstsq or an SVD of the (g, m, d + 1) exponent
+    # stacks would cost more than the Newton steps the start saves
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 5)
+    geometry._support_structure(tree)  # the one-step vertex search runs SVDs
+    e = np.random.default_rng(0).uniform(-1.0, 1.0, tree.n_leaves)
+    claim = np.maximum(tree.layout.prices[tree.layout.level_starts[-2]:, 0] - 1.0, 0.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a least-squares problem was solved")
+    for name in ("lstsq", "pinv", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert solve_dual(tree, exp_pair, e).iterations[0]["steps"] == 0
+    rep = price_report(tree, exp_pair, e, claim)
+    assert rep.bid <= rep.offer
 
 
 @st.composite
