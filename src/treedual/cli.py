@@ -178,6 +178,7 @@ def _cmd_price(args, out: _Out):
     claim = _pick_claim(tree, args.claim)
     rep = price_report(tree, pair, endow, claim)
     out.manifest["dual_solves"] = rep.dual_solves
+    out.manifest["dual_rounds"] = rep.dual_rounds
     out.say(f"bid:   {f12(rep.bid)}")
     out.say(f"offer: {f12(rep.offer)}")
     out.say(f"certainty equivalent: {f12(rep.certainty_equivalent)}")
@@ -215,6 +216,7 @@ def _cmd_curve(args, out: _Out):
     betas = _parse_betas(args.betas)
     rep = average_price_curve(tree, pair, endow, claim, betas)
     out.manifest["dual_solves"] = rep.dual_solves
+    out.manifest["dual_rounds"] = rep.dual_rounds
     out.say("beta  average_price")
     for b, p in zip(betas, rep.prices):
         out.say(f"  {f12(b)}  {f12(p)}")

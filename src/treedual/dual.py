@@ -23,7 +23,11 @@ return the optimal strategy h too, which primal recovery reads.
   measure is the marginal utility of the optimal wealth, mu = p U'(e + gains),
   so the dual is solved through its primal, the unconstrained concave
   maximization of E[U(e + gains)] (less y times the cash at a fixed mass y)
-  over the strategy, by damped Newton run to rounding.
+  over the strategy, by damped Newton run to rounding.  One call of the
+  Newton core solves a stack of such problems on one tree, free and
+  fixed-mass rows alike, each row with its own line search, convergence and
+  failure: the pricing searches and the value curve batch their solves
+  through it, and a single solve is a stack of one.
 """
 
 from __future__ import annotations
@@ -292,97 +296,158 @@ _NEWTON_CAP = 200
 _RANK_RTOL = 1e-12  # rank cutoff of the Newton step and log-space start, as geometry's _TOL
 
 
-def _newton_core(A, p, e, pair, live, *, mass=None, start=None):
-    """The dual optimum on the leaves ``live``, found through its primal.
+def _row_dot(a, b):
+    """Per row of ``a`` (r, n), its dot product with ``b`` ((n,) or (r, n)),
+    by one ``dot`` per row, as for a single row."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
-    Maximizes the concave Phi(c) = sum p U(e + B c) - y x over strategy
-    coefficients c = h with B = A', or at a fixed mass y over c = (h, x)
-    with the cash x and B = [A', 1]; the optimal measure is mu = p U'(e + B c).
-    The Newton step solves H d = grad Phi, H = B' diag(-p U'') B, as least
-    squares in the H^1/2 scaling with Jacobi-scaled columns, blind to
-    singular values below 1e-12 of the largest (columns dependent to
-    rounding); -p U'' is p / V''(U'(w)), 0 where U' underflows.  A step is
-    accepted on Armijo increase or, where Phi is flat to rounding, on a
-    smaller scaled gradient
+
+def _newton_core(A, p, e, pair, live, *, mass=None, start=None):
+    """The dual optima of a stack of r endowments on the leaves ``live``,
+    found through their primals.
+
+    Row j maximizes the concave Phi(c) = sum p U(e_j + B c) - y_j x over
+    c = (h, x), the strategy and the cash, with B = [A', 1]: at a fixed
+    mass y_j over both, else over h at x = 0; its optimal measure is
+    mu = p U'(e_j + B c).  ``e`` is (r, L), ``mass`` None (every row free)
+    or (r,) with NaN at free rows, and ``start`` None or (r, L).  The Newton
+    step solves H d = grad Phi, H = B' diag(-p U'') B, as least squares in
+    the H^1/2 scaling with Jacobi-scaled columns, blind to singular values
+    below 1e-12 of the largest (columns dependent to rounding); -p U'' is
+    mu times the risk aversion -U''/U' of the wealth, both in closed form,
+    and 0 where U' underflows.  A step is
+    accepted on Armijo increase or, where Phi is flat to rounding (of U and
+    of the wealth), on a scaled gradient at most half as large,
     ``max_j |B' mu - y e_x|_j / ((1 + max|B_j|) sum mu)``, the martingale
-    and mass residual of mu relative to its mass.  The loop runs to 1e-13,
-    or stops below 1e-9 once no step is acceptable; otherwise it raises
-    :class:`NonconvergedError`, as it does after 200 steps.
-    ``start``, a leaf measure positive on ``live``, starts the loop at
-    c = lstsq(B, -V'(start/p) - e).  Returns mu (0 off ``live``), h, the
-    value (plus p V(0) off ``live``), the residual, the steps and, at a fixed
-    mass, W''(y) = [H^-1]_xx.
+    and mass residual of mu relative to its mass.  A row runs to 1e-13, or
+    stops below 1e-9 once no step is acceptable.  Rows share the loop but
+    not their arithmetic: each has its own Armijo search, flat test,
+    convergence and failure, and a row that is done stands still, so a
+    row's result does not depend on the others.  Row j of ``start``, a leaf
+    measure positive on ``live``, starts it at the least-squares fit of
+    B c to -V'(start/p) - e_j; other rows start at 0.  Returns per row mu
+    (r, L; 0 off ``live``), h (r, k), the value (plus p V(0) off ``live``),
+    the residual, the steps, W''(y) = [H^-1]_xx (NaN at free rows) and the
+    row's error, None or a :class:`NonconvergedError` (after 200 steps,
+    from a start outside the domain, or without an acceptable step above
+    1e-9).
     """
-    pl, el, y = p[live], e[live], 0.0 if mass is None else mass
-    B = A[:, live].T
-    k = B.shape[1]              # strategy columns; the cash column follows
-    if mass is not None:
-        B = np.column_stack([B, np.ones(pl.size)])
-    scale = 1.0 + np.abs(B).max(axis=0, initial=0.0)
+    pl, el = p[live], e[:, live]
+    r, n = el.shape
+    y = np.full(r, math.nan) if mass is None else np.asarray(mass, dtype=float)
+    fixed = ~np.isnan(y)
+    y0 = np.where(fixed, y, 0.0)
+    k = A.shape[0]              # strategy columns; the cash column follows
+    B = np.empty((n, k + 1))
+    B[:, :k], B[:, k] = A[:, live].T, 1.0
+    Bk, Bt = B[:, :k], B.T
+    # the scale of each gradient entry, infinite at the cash of free rows
+    scale = np.where(fixed[:, None] | (np.arange(k + 1) < k),
+                     1.0 + np.abs(B).max(axis=0), math.inf)
 
     def point(c):
-        """Phi, the scaled gradient, the rounding level of Phi, U', mu, grad Phi."""
-        w = el + B @ c
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            u, up = pair.u(w), pair.u_prime(w)
-            mu = pl * up
-            g = B.T @ mu
-            g[k:] -= y
-            phi = float(pl @ u) - y * float(c[k:].sum())
-            res = float(np.abs(g / scale).max(initial=0.0) / mu.sum())
-            flat = 1e-14 * (1.0 + float(pl @ np.abs(u)) + y * float(np.abs(c[k:]).sum()))
-        if not (math.isfinite(phi) and math.isfinite(res)):
-            phi, res = -math.inf, math.inf
-        return phi, res, flat, up, mu, g
+        """Per row: Phi, the scaled gradient, U, the wealth, mu and grad Phi."""
+        w = el + (B @ c[:, :, None])[:, :, 0]
+        u = pair.u(w)
+        mu = pl * pair.u_prime(w)
+        g = (Bt @ mu[:, :, None])[:, :, 0]
+        g[:, k] -= y0
+        phi = _row_dot(u, pl) - y0 * c[:, k]
+        res = np.abs(g / scale).max(axis=1) / mu.sum(axis=1)
+        bad = ~np.isfinite(phi + res)
+        phi[bad], res[bad] = -math.inf, math.inf
+        return phi, res, u, w, mu, g
 
-    def direction(up, mu):
-        """The Newton step and, at a fixed mass, [H^-1]_xx."""
-        with np.errstate(divide="ignore", over="ignore"):
-            s = np.sqrt(pl / pair.v_second(up))          # H = J'J, J = diag(s) B
-        jh = s[:, None] * B[:, :k]
-        norm = np.linalg.norm(jh, axis=0)
+    def direction(rows):
+        """The Newton steps (r, k + 1) of the rows in the mask ``rows``, 0
+        elsewhere, and [H^-1]_xx there at fixed masses (else NaN)."""
+        s = np.sqrt(mu * pair.risk_aversion(w))          # H = J'J, J = diag(s) B
+        jh = s[:, :, None] * Bk
+        norm = np.sqrt((jh * jh).sum(axis=1))
         d = 1.0 / np.where(norm > 0, norm, 1.0)                  # Jacobi scaling
-        t = np.divide(mu, s, out=np.zeros_like(mu), where=s > 0)  # J't = B'mu
-        if mass is None:
-            return d * np.linalg.lstsq(jh * d, t, rcond=_RANK_RTOL)[0], None
-        # z, the part of the cash column s off the strategy columns, has
-        # J'z = |z|^2 e_x, so the step fits t - y z / |z|^2, whose J' image
-        # is grad Phi
-        a, zc = np.linalg.lstsq(jh * d, np.column_stack([t, s]), rcond=_RANK_RTOL)[0].T
-        z = s - (jh * d) @ zc
-        kappa = (float(z @ t) - y) / float(z @ z)
-        return np.append(d * (a - kappa * zc), kappa), 1.0 / float(z @ z)
+        ts = np.zeros((r, n, 2))
+        ts[:, :, 1], t = s, ts[:, :, 0]
+        np.divide(mu, s, out=t, where=s > 0)                      # J't = B'mu
+        jd = jh * d[:, None, :]
+        # the fits of t and of s, the cash column, by the strategy columns;
+        # z, the part of s off them, has J'z = |z|^2 e_x, so at a fixed mass
+        # the step fits t - kappa z, kappa = (z't - y) / |z|^2, whose J'
+        # image is grad Phi
+        fit = np.zeros((r, k, 2))
+        for j in np.flatnonzero(rows):
+            m = 1 + fixed[j]
+            fit[j, :, :m] = np.linalg.lstsq(jd[j], ts[j, :, :m], rcond=_RANK_RTOL)[0]
+        step, cash = np.zeros((r, k + 1)), rows & fixed
+        if not cash.any():
+            step[:, :k] = d * fit[:, :, 0]
+            return step, np.full(r, math.nan)
+        z = s - (jd @ fit[:, :, 1:])[:, :, 0]
+        zz = _row_dot(z, z)
+        kappa = np.where(cash, (_row_dot(z, t) - y0) / zz, 0.0)
+        step[:, :k], step[:, k] = d * (fit[:, :, 0] - kappa[:, None] * fit[:, :, 1]), kappa
+        return step, np.where(cash, 1.0 / zz, math.nan)
 
-    c = np.zeros(B.shape[1])
-    if start is not None and np.all(start[live] > 0):
-        c = np.linalg.lstsq(B, -pair.v_prime(start[live] / pl) - el, rcond=None)[0]
-    phi, res, flat, up, mu, g = point(c)
-    steps = 0
-    while res > 1e-13:
-        if steps == _NEWTON_CAP or math.isinf(res):
-            raise NonconvergedError(f"Newton cap {_NEWTON_CAP} reached or start outside "
-                                    f"the domain (scaled gradient {res:.3e})", residual=res)
-        delta, _ = direction(up, mu)
-        alpha, slope = 1.0, float(g @ delta)
-        for _ in range(60):
-            trial = point(c + alpha * delta)
-            phi1, res1 = trial[:2]
-            if (phi < phi1 and phi1 >= phi + 1e-4 * alpha * slope
-                    or phi1 >= phi - flat and res1 < res):
+    c = np.zeros((r, k + 1))
+    if start is not None:
+        q = start[:, live]
+        warm = (q > 0).all(axis=1)
+        if warm.any():
+            rhs = -pair.v_prime(q[warm] / pl) - el[warm]
+            for j, b in zip(np.flatnonzero(warm), rhs):
+                cols = k + fixed[j]
+                c[j, :cols] = np.linalg.lstsq(B[:, :cols], b, rcond=None)[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phi, res, u, w, mu, g = point(c)
+        errors = [None if x < math.inf else NonconvergedError(
+            f"start outside the domain (scaled gradient {x:.3e})", residual=x)
+            for x in res.tolist()]
+        steps, active = np.zeros(r, dtype=int), res < math.inf
+        active &= res > 1e-13
+        for _ in range(_NEWTON_CAP):
+            if not active.any():
                 break
-            alpha *= 0.5
-        else:
-            if res <= 1e-9:
-                break
-            raise NonconvergedError(
-                f"no acceptable step at scaled gradient {res:.3e}", residual=res)
-        c, steps = c + alpha * delta, steps + 1
-        phi, res, flat, up, mu, g = trial
-    full = np.zeros(p.size)
-    full[live] = mu
+            delta = direction(active)[0]          # 0 at rows not active
+            slope, alpha, search = _row_dot(g, delta), np.ones(r), active.copy()
+            for _ in range(60):
+                ct = c + alpha[:, None] * delta
+                trial = point(ct)
+                phi1, res1 = trial[:2]
+                ok = search & (phi < phi1) & (phi1 >= phi + 1e-4 * alpha * slope)
+                if (ok != search).any():
+                    # Phi flat to rounding: of U, and of the wealth e + B c,
+                    # where B c may cancel e; |B c| <= |w| + |e|
+                    flat = 1e-14 * (1.0 + _row_dot(np.abs(u), pl) + np.abs(y0 * c[:, k])
+                                    + _row_dot(np.abs(el) + np.abs(w), mu))
+                    ok |= search & (phi1 >= phi - flat) & (res1 <= 0.5 * res)
+                steps += ok
+                search &= ~ok
+                if not search.any():
+                    # rows not searching have no step left: their trial
+                    # repeats their point
+                    c, (phi, res, u, w, mu, g) = ct, trial
+                    break
+                c[ok], delta[ok] = ct[ok], 0.0
+                for now, new in zip((phi, res, u, w, mu, g), trial):
+                    now[ok] = new[ok]
+                alpha[search] *= 0.5
+            else:
+                for j in np.flatnonzero(search):      # no acceptable step
+                    if res[j] > 1e-9:
+                        errors[j] = NonconvergedError(
+                            f"no acceptable step at scaled gradient {res[j]:.3e}",
+                            residual=float(res[j]))
+            active &= ~search & (res > 1e-13)
+        for j in np.flatnonzero(active):
+            errors[j] = NonconvergedError(
+                f"Newton cap {_NEWTON_CAP} reached (scaled gradient {res[j]:.3e})",
+                residual=float(res[j]))
+        last = fixed & np.array([err is None for err in errors])
+        curvature = direction(last)[1] if last.any() else np.full(r, math.nan)
+    full = np.zeros((r, p.size))
+    full[:, live] = mu
     if not live.all():
-        phi += float(p[~live].sum()) * float(pair.v(0.0))
-    return full, c[:k], phi, res, steps, None if mass is None else direction(up, mu)[1]
+        phi = phi + float(p[~live].sum()) * float(pair.v(0.0))
+    return full, c[:, :k], phi, res, steps, curvature, errors
 
 
 # -- public solver ---------------------------------------------------------------
@@ -400,16 +465,36 @@ def _prepare(tree, pair):
     return geo.mask, flag
 
 
-def _core_solution(tree, pair, endow, mass, start):
-    """The Newton core on the maximal support (the two-power family)."""
-    e = leaf_values(tree, endow)
+def _core_solutions(tree, pair, endows, mass=None, starts=None):
+    """The Newton core on the maximal support for a stack of endowments (r, L),
+    at masses (r,) if given (NaN at a free row), started at leaf measures
+    (r, L) if given (rows not positive on the support start cold): one
+    optimum or the row's :class:`NonconvergedError` per row."""
     mask, flag = _prepare(tree, pair)
-    mu, h, value, res, steps, curvature = _newton_core(
-        build_constraints(tree), tree.leaf_probability_array, e, pair, mask,
-        mass=mass, start=start)
-    y = float(mu.sum())
-    return _solution(tree, pair, e, mu, mu / y, y, math.log(y), value, res, flag,
-                     steps, h.reshape(-1, tree.n_assets), curvature)
+    mu, h, value, res, steps, curvature, errors = _newton_core(
+        build_constraints(tree), tree.leaf_probability_array, endows, pair, mask,
+        mass=mass, start=starts)
+    out = []
+    for j, err in enumerate(errors):
+        if err is not None:
+            out.append(err)
+            continue
+        y = float(mu[j].sum())
+        out.append(_solution(tree, pair, endows[j], mu[j], mu[j] / y, y, math.log(y),
+                             float(value[j]), float(res[j]), flag, int(steps[j]),
+                             h[j].reshape(-1, tree.n_assets),
+                             None if math.isnan(curvature[j]) else float(curvature[j])))
+    return out
+
+
+def _core_solution(tree, pair, endow, mass, start):
+    """The Newton core's optimum for one endowment (the two-power family)."""
+    sol, = _core_solutions(tree, pair, leaf_values(tree, endow)[None],
+                           None if mass is None else np.array([mass]),
+                           None if start is None else leaf_values(tree, start)[None])
+    if isinstance(sol, Exception):
+        raise sol
+    return sol
 
 
 def solve_dual(tree: MarketTree, pair: UtilityPair, endow=0.0, *,
@@ -478,8 +563,9 @@ def dual_value_curve(tree: MarketTree, pair: UtilityPair, endow,
                      ys: Sequence[float]) -> CurveReport:
     """The mass-indexed dual value curve on a grid of positive masses.
 
-    Each point solves the inner problem with total mass pinned (one
-    log-space pass for the exponential family); the report carries the
+    Each point solves the inner problem with total mass pinned: one
+    log-space pass for the exponential family, one Newton-core call over
+    every mass, each row started cold, otherwise.  The report carries the
     worst second difference as a numeric convexity certificate.
     """
     ys = sorted(float(y) for y in ys)
@@ -490,10 +576,11 @@ def dual_value_curve(tree: MarketTree, pair: UtilityPair, endow,
     if pair.family == "exponential":
         sols = _log_space_solutions(tree, pair, [endow], mass=ys)
     else:
-        sols = []
-        for y in ys:
-            start = sols[-1].mu * (y / sols[-1].mass) if sols else None
-            sols.append(solve_dual_fixed_mass(tree, pair, endow, y, start=start))
+        sols = _core_solutions(tree, pair, np.tile(leaf_values(tree, endow), (len(ys), 1)),
+                               np.array(ys))
+        for sol in sols:
+            if isinstance(sol, Exception):
+                raise sol
     pts = [CurvePoint(y=y, value=sol.value, q_hat=sol.q_hat,
                       derivative=sol.mass_derivative) for y, sol in zip(ys, sols)]
     second = math.inf

@@ -12,12 +12,16 @@ warm-started from the last.  The bid is recomputed independently as a
 penalized worst-case expectation (in closed form at the claim-holding
 optimizer for the exponential family, by Newton steps on the mass
 otherwise), and the cross-method residual is reported along with the
-number of dual solves.  Marginal (zero-volume) prices are expectations
-under the normalized optimal dual measure; no-arbitrage bounds are the
-extremal claim expectations over the martingale polytope, found by one
-backward sweep over each node's one-step vertices; price processes for new
-assets are accepted exactly when they are martingales under that measure,
-verified both by drift and by re-solving the augmented market.
+number of dual solves and of rounds.  Each two-power search is a generator
+of solve requests; :class:`SolveCounter` steps the searches of one call in
+lockstep, so one Newton-core call per round serves the bid, offer,
+certainty-equivalent and penalty probes, or every volume of a curve.
+Marginal (zero-volume) prices are expectations under the normalized optimal
+dual measure; no-arbitrage bounds are the extremal claim expectations over
+the martingale polytope, found by one backward sweep over each node's
+one-step vertices; price processes for new assets are accepted exactly when
+they are martingales under that measure, verified both by drift and by
+re-solving the augmented market.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import (DualSolution, _log_space_solutions, solve_dual,
-                   solve_dual_fixed_mass)
+from .dual import DualSolution, _core_solutions, _log_space_solutions, solve_dual
 from .errors import (AugmentInfeasibleError, BracketFailError, DomainError,
                      InfeasibleEntropyError, InfiniteEntropyError,
                      NoMartingaleMeasureError, NonconvergedError)
@@ -54,39 +57,74 @@ def price_bounds(tree: MarketTree, claim) -> tuple[float, float]:
 
 class SolveCounter:
     """Counts the dual optima computed on behalf of one or more pricing
-    calls; :meth:`log_space` gives the exponential family's from one pass,
-    free of overflow and supremum errors, reusing ``base`` for the first."""
+    calls (``n``) and the rounds that computed them (``rounds``).
+
+    :meth:`run` drives searches in lockstep.  A search is a generator that
+    yields solve requests ``(endowment, mass or None, start or None)`` and is
+    sent each request's optimum.  A round collects every pending request,
+    free and fixed mass, and solves them by one call of the Newton core;
+    a row's :class:`NonconvergedError` is thrown into its search.
+    :meth:`log_space` gives the exponential family's optima from one pass,
+    free of overflow and supremum errors, reusing ``base`` for the first.
+    """
 
     def __init__(self):
         self.n = 0
+        self.rounds = 0
 
-    def dual(self, tree, pair, endow, **kwargs):
-        self.n += 1
-        return solve_dual(tree, pair, endow, **kwargs)
+    def run(self, tree, pair, *searches):
+        """The searches' results, in order."""
+        results, pending = [None] * len(searches), {}
+
+        def advance(i, answer):
+            search = searches[i]
+            try:
+                pending[i] = (search.throw(answer) if isinstance(answer, Exception)
+                              else search.send(answer))
+            except StopIteration as stop:
+                results[i] = stop.value
+
+        for i in range(len(searches)):
+            advance(i, None)
+        while pending:
+            asked, pending = pending, {}
+            self.rounds += 1
+            self.n += len(asked)
+            endows, masses, starts = zip(*asked.values())
+            # a zero start is not positive on the support: the row starts cold
+            sols = _core_solutions(
+                tree, pair, np.array(endows),
+                np.array([math.nan if y is None else y for y in masses]),
+                np.array([np.zeros(tree.n_leaves) if x is None else x for x in starts]))
+            for i, sol in zip(asked, sols):
+                advance(i, sol)
+        return results
 
     def log_space(self, tree, pair, endows, base=None):
         sols = _log_space_solutions(tree, pair, endows[base is not None:])
         self.n += len(sols)
+        self.rounds += 1
         return sols if base is None else [base] + sols
 
-    def fixed_mass(self, *args, **kwargs):
-        self.n += 1
-        return solve_dual_fixed_mass(*args, **kwargs)
+
+def _solve(endow, mass=None, start=None):
+    """The search of one solve: its optimum."""
+    return (yield endow, mass, start)
 
 
 def _bracketed_newton(probe, x, lo, hi, *, x_tol=0.0):
     """Root of an increasing function by Newton steps kept inside a bracket.
 
-    ``probe(x)`` returns ``(g, slope, done)``; ``done`` accepts x as the root.
-    A step that is unavailable or leaves the bracket is replaced by
-    bisection, or by a doubling stride while a side is still open.  Returns
-    the accepted probe point, or the last one once the Newton step or the
-    bracket is within ``x_tol``; raises :class:`BracketFailError` after 100
-    probes.
+    ``probe(x)`` is a search (it yields solve requests) that returns
+    ``(g, slope, done)``; ``done`` accepts x as the root.  A step that is
+    unavailable or leaves the bracket is replaced by bisection, or by a
+    doubling stride while a side is still open.  Returns the accepted probe
+    point, or the last one once the Newton step or the bracket is within
+    ``x_tol``; raises :class:`BracketFailError` after 100 probes.
     """
     stride = 1.0
     for _ in range(_MAX_PROBES):
-        g, slope, done = probe(x)
+        g, slope, done = yield from probe(x)
         if done:
             return x
         if g < 0:
@@ -109,15 +147,17 @@ def _bracketed_newton(probe, x, lo, hi, *, x_tol=0.0):
     raise BracketFailError(f"no root after {_MAX_PROBES} probes in [{lo}, {hi}]")
 
 
-def _cash_root(tree, pair, x, target, c0, hi, start, solves):
-    """Cash ``c`` in ``[c0, hi]`` at which the optimal value of x + c is ``target``.
+def _cash_root(pair, x, target, c0, hi, start):
+    """Search for the cash ``c`` in ``[c0, hi]`` at which the optimal value of
+    x + c is ``target``.
 
     The value is increasing in c with the optimal dual mass as derivative
     (envelope), and the caller guarantees value <= target at c0 and >= at hi,
     so neither end is probed unless Newton lands there.  Steps are taken in
     certainty-equivalent units z = U^-1(value), where dz/dc = mass / U'(z).
     The probe that meets the tolerance gets one more step, which costs no
-    solve.  Every probe is warm-started from the previous optimizer.
+    solve.  Every probe is warm-started from the previous optimizer, the
+    first from ``start``.
     """
     if pair.u_inverse is None:
         raise DomainError("cash pricing needs the inverse utility of the pair")
@@ -128,7 +168,7 @@ def _cash_root(tree, pair, x, target, c0, hi, start, solves):
 
     def probe(c):
         nonlocal warm, root
-        sol = solves.dual(tree, pair, x + c, start=warm)
+        sol = yield x + c, None, warm
         warm = sol.mu
         z = pair.u_inverse(sol.value)
         slope = sol.mass / pair.u_prime(z)
@@ -138,8 +178,45 @@ def _cash_root(tree, pair, x, target, c0, hi, start, solves):
         return z - z_target, slope, False
 
     # rounding can put the marginal price a hair outside the bounds
-    _bracketed_newton(probe, c0, c0, max(hi, c0))
+    yield from _bracketed_newton(probe, c0, c0, max(hi, c0))
     return root
+
+
+def _bid(tree, pair, endow, claim, base, lo_b):
+    """Search for the bid: :func:`_cash_root` on c = -p from minus the
+    marginal price at ``base`` to minus the lower bound ``lo_b``."""
+    c0 = -davis_price(tree, pair, endow, claim, sol=base)
+    return -(yield from _cash_root(pair, endow + claim, base.value, c0, -lo_b, base.mu))
+
+
+def _certainty_equivalent(tree, pair, endow, claim, target, hi_b):
+    """Search for the certainty equivalent: :func:`_cash_root` from the
+    claim's marginal price at ``target``, the optimum of endow + claim, to
+    the upper bound ``hi_b``."""
+    c0 = davis_price(tree, pair, endow + claim, claim, sol=target)
+    return (yield from _cash_root(pair, endow, target.value, c0, hi_b, target.mu))
+
+
+def _penalty(shifted, base):
+    """Search for the penalized bid of :func:`price_via_penalty`: bracketed
+    Newton on the log mass s, each probe a fixed-mass solve of ``shifted``
+    warm-started from the last, the first from ``base``."""
+    gaps = {}
+    last = base
+
+    def probe(s):
+        nonlocal last
+        y = math.exp(s)
+        last = yield shifted, y, last.mu * (y / last.mass)
+        gaps[s] = (last.value - base.value) / y
+        h = last.mass_derivative - gaps[s]
+        return h, y * last.mass_curvature - h, False
+
+    # 1e-5 on the log axis puts the gap within ~1e-10 of its minimum, well
+    # inside the cross-method tolerance
+    s = yield from _bracketed_newton(probe, math.log(base.mass), -math.inf, math.inf,
+                                     x_tol=1e-5)
+    return gaps[s]
 
 
 def _log_mass_gap(pair, lo, hi):
@@ -160,7 +237,7 @@ def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     bound (sub-replication puts it at or above).  ``base`` is the claim-free
     solution for ``endow``; its measure gives the start and the first warm
     start.  ``bounds`` is the claim's :func:`price_bounds` when the caller
-    has it.  ``solves`` counts the dual solves made.
+    has it.  ``solves`` counts the dual solves and rounds made.
     """
     endow = leaf_values(tree, endow)
     claim = leaf_values(tree, claim)
@@ -169,11 +246,9 @@ def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
         return _log_mass_gap(pair, *solves.log_space(tree, pair, [endow, endow + claim],
                                                      base))
     if base is None:
-        base = solves.dual(tree, pair, endow)
+        base, = solves.run(tree, pair, _solve(endow))
     lo_b, _ = price_bounds(tree, claim) if bounds is None else bounds
-    c0 = -davis_price(tree, pair, endow, claim, sol=base)
-    return -_cash_root(tree, pair, endow + claim, base.value, c0, -lo_b,
-                       base.mu, solves)
+    return solves.run(tree, pair, _bid(tree, pair, endow, claim, base, lo_b))[0]
 
 
 def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
@@ -235,7 +310,8 @@ def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     found by bracketed Newton on h with W' from the envelope formula and W''
     read off the inner solution, started at the mass of ``base``, the
     claim-free solution, whose measure warm-starts the first inner solve.
-    Uses no result of the cash root-finder.  ``solves`` counts the dual solves made.
+    Uses no result of the cash root-finder.  ``solves`` counts the dual
+    solves and rounds made.
     """
     endow = leaf_values(tree, endow)
     claim = leaf_values(tree, claim)
@@ -244,24 +320,8 @@ def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim, *,
         return _penalized_expectation(tree, pair, endow, claim, *solves.log_space(
             tree, pair, [endow, endow + claim], base))
     if base is None:
-        base = solves.dual(tree, pair, endow)
-    shifted = endow + claim
-    gaps = {}
-    last = base
-
-    def probe(s):
-        nonlocal last
-        y = math.exp(s)
-        last = solves.fixed_mass(tree, pair, shifted, y,
-                                 start=last.mu * (y / last.mass))
-        gaps[s] = (last.value - base.value) / y
-        h = last.mass_derivative - gaps[s]
-        return h, y * last.mass_curvature - h, False
-
-    # 1e-5 on the log axis puts the gap within ~1e-10 of its minimum, well
-    # inside the cross-method tolerance
-    s0 = math.log(base.mass)
-    return gaps[_bracketed_newton(probe, s0, -math.inf, math.inf, x_tol=1e-5)]
+        base, = solves.run(tree, pair, _solve(endow))
+    return solves.run(tree, pair, _penalty(endow + claim, base))[0]
 
 
 def davis_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
@@ -286,18 +346,17 @@ def certainty_equivalent(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     no-arbitrage bound (super-replication puts it at or above).  ``bounds``
     is the claim's :func:`price_bounds` when the caller has it.  ``start``
     is a leaf measure that warm-starts the target solve; ``solves`` counts
-    the dual solves made.
+    the dual solves and rounds made.
     """
     endow = leaf_values(tree, endow)
     claim = leaf_values(tree, claim)
     solves = SolveCounter() if solves is None else solves
     if pair.family == "exponential":
         return _log_mass_gap(pair, *solves.log_space(tree, pair, [endow, endow + claim]))
-    target = solves.dual(tree, pair, endow + claim, start=start)
+    target, = solves.run(tree, pair, _solve(endow + claim, start=start))
     _, hi_b = price_bounds(tree, claim) if bounds is None else bounds
-    c0 = davis_price(tree, pair, endow + claim, claim, sol=target)
-    return _cash_root(tree, pair, endow, target.value, c0, hi_b,
-                      target.mu, solves)
+    return solves.run(tree, pair, _certainty_equivalent(tree, pair, endow, claim,
+                                                        target, hi_b))[0]
 
 
 @dataclass(frozen=True)
@@ -310,7 +369,8 @@ class PriceReport:
     davis: float
     lp_bounds: tuple[float, float]
     method_agreement_residual: float
-    dual_solves: int
+    dual_solves: int          # dual optima computed
+    dual_rounds: int          # Newton-core calls or log-space passes
 
 
 def price_report(tree: MarketTree, pair: UtilityPair, endow, claim) -> PriceReport:
@@ -320,7 +380,12 @@ def price_report(tree: MarketTree, pair: UtilityPair, endow, claim) -> PriceRepo
     and the certainty equivalent, (-hi, -lo) brackets the offer (the bid of
     the negated claim), and they are reported as ``lp_bounds``.  For the
     exponential family one log-space pass, at e, e + B and e - B, gives
-    every price.
+    every price.  For the two-power family the first round solves e and the
+    certainty equivalent's target e + B, both cold; later rounds advance
+    the bid, offer, certainty-equivalent and penalty searches together,
+    each as it would run alone, so the prices equal those of the solo
+    functions with ``base`` given and the report takes one round more than
+    its longest search has probes.
     """
     endow = leaf_values(tree, endow)
     claim = leaf_values(tree, claim)
@@ -332,14 +397,13 @@ def price_report(tree: MarketTree, pair: UtilityPair, endow, claim) -> PriceRepo
         offer = _log_mass_gap(pair, minus, sol)
         pen = _penalized_expectation(tree, pair, endow, claim, sol, plus)
     else:
-        sol = solves.dual(tree, pair, endow)
-        bid = indifference_price(tree, pair, endow, claim, base=sol, bounds=(lo, hi),
-                                 solves=solves)
-        pen = price_via_penalty(tree, pair, endow, claim, base=sol, solves=solves)
-        offer = -indifference_price(tree, pair, endow, -claim, base=sol,
-                                    bounds=(-hi, -lo), solves=solves)
-        ce = certainty_equivalent(tree, pair, endow, claim, bounds=(lo, hi),
-                                  solves=solves, start=sol.mu)
+        sol, target = solves.run(tree, pair, _solve(endow), _solve(endow + claim))
+        bid, minus_offer, ce, pen = solves.run(
+            tree, pair, _bid(tree, pair, endow, claim, sol, lo),
+            _bid(tree, pair, endow, -claim, sol, -hi),
+            _certainty_equivalent(tree, pair, endow, claim, target, hi),
+            _penalty(endow + claim, sol))
+        offer = -minus_offer
     return PriceReport(
         bid=bid,
         offer=offer,
@@ -348,6 +412,7 @@ def price_report(tree: MarketTree, pair: UtilityPair, endow, claim) -> PriceRepo
         lp_bounds=(lo, hi),
         method_agreement_residual=abs(bid - pen) / (1.0 + abs(bid)),
         dual_solves=solves.n,
+        dual_rounds=solves.rounds,
     )
 
 
@@ -361,6 +426,7 @@ class VolumeCurveReport:
     large_volume_gap: float
     small_volume_gap: float
     dual_solves: int
+    dual_rounds: int
 
 
 def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
@@ -369,10 +435,12 @@ def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
 
     Non-increasing in volume; converges to the lower no-arbitrage bound as
     the volume grows and to the marginal price as it vanishes.  One base
-    solve and one extremal sweep serve every volume, each priced by
+    solve and one extremal sweep serve every volume, each priced as by
     :func:`indifference_price`; the bounds of beta * claim are beta times
     those of the claim, swapped when beta < 0.  The exponential family
-    takes the base and every volume from one log-space pass.
+    takes the base and every volume from one log-space pass; the two-power
+    family steps the searches of every volume in lockstep after the base's
+    round.
     """
     endow = leaf_values(tree, endow)
     claim = leaf_values(tree, claim)
@@ -384,10 +452,10 @@ def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
             tree, pair, [endow] + [endow + claim * beta for beta in betas])
         totals = [_log_mass_gap(pair, sol, s) for s in shifted]
     else:
-        sol = solves.dual(tree, pair, endow)
-        totals = [indifference_price(tree, pair, endow, claim * beta, base=sol,
-                                     bounds=tuple(sorted((beta * lp_lo, beta * lp_hi))),
-                                     solves=solves) for beta in betas]
+        sol, = solves.run(tree, pair, _solve(endow))
+        totals = solves.run(tree, pair, *(
+            _bid(tree, pair, endow, claim * beta, sol, min(beta * lp_lo, beta * lp_hi))
+            for beta in betas))
     prices = [t / beta for t, beta in zip(totals, betas)]
     dav = davis_price(tree, pair, endow, claim, sol=sol)
     scale = 1.0 + max(abs(p) for p in prices)
@@ -401,6 +469,7 @@ def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
         large_volume_gap=abs(prices[-1] - lp_lo),
         small_volume_gap=abs(prices[0] - dav),
         dual_solves=solves.n,
+        dual_rounds=solves.rounds,
     )
 
 

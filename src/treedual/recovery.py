@@ -204,8 +204,11 @@ def dynamic_dual(sol: DualSolution, t: int, wealth=None) -> list[DynamicDualNode
         inside = (lay.lo >= lo) & (lay.hi <= hi)
         A_sub = A[np.repeat(inside[:lay.level_starts[-2]], tree.n_assets), lo:hi]
         p_sub, e_sub, on = p[lo:hi], e[lo:hi], live[lo:hi]
-        mu_sub, _, raw, *_ = _newton_core(A_sub, p_sub, e_sub, pair, on,
-                                          mass=m_n, start=mu[lo:hi])
+        mu_sub, _, raw, *_, (err,) = _newton_core(A_sub, p_sub, e_sub[None], pair, on,
+                                                  mass=[m_n], start=mu[None, lo:hi])
+        if err is not None:
+            raise err
+        mu_sub, raw = mu_sub[0], float(raw[0])
         value = raw / P_n
         # the envelope formula; leaves off the support carry no mass
         mu_on = mu_sub[on]

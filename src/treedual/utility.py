@@ -39,7 +39,9 @@ class UtilityPair:
     supremum of U (finite for the exponential family), and ``ae_plus`` and
     ``ae_minus`` are the claimed tail elasticities.  ``u_inverse`` maps
     a utility level back to wealth (+inf at or above ``u_inf``); pricing
-    measures values in these certainty-equivalent units.
+    measures values in these certainty-equivalent units.  ``risk_aversion``
+    is the absolute risk aversion -U''/U' in closed form, which gives the
+    dual Newton core its curvature -U'' = U' (-U''/U').
     """
 
     family: str
@@ -49,6 +51,7 @@ class UtilityPair:
     v: Callable
     v_prime: Callable
     v_second: Callable
+    risk_aversion: Callable
     u_inf: float
     ae_plus: float
     ae_minus: float
@@ -92,6 +95,9 @@ def exponential_utility(gamma: float, shift: float = 0.0) -> UtilityPair:
         with np.errstate(over="ignore"):
             return np.exp(-g * x)
 
+    def risk_aversion(x):
+        return np.full_like(x, g)
+
     def u_inverse(v):
         with np.errstate(divide="ignore", invalid="ignore"):
             gap = g * (c - v)
@@ -131,6 +137,7 @@ def exponential_utility(gamma: float, shift: float = 0.0) -> UtilityPair:
         ae_plus=0.0,
         ae_minus=INF,
         u_inverse=_vectorized(u_inverse),
+        risk_aversion=_vectorized(risk_aversion),
     )
 
 
@@ -159,21 +166,21 @@ def two_power_utility(a: float, b: float, shift: float = 1.0) -> UtilityPair:
     b = float(b)
     c = float(shift)
 
+    # both tails are powers of 1 + |x|, evaluated everywhere and picked by sign
     def u(x):
-        out = np.empty_like(x)
-        pos = x >= 0
+        t = 1.0 + np.abs(x)
         with np.errstate(over="ignore"):
-            out[pos] = c + (np.power(1.0 + x[pos], 1.0 - a) - 1.0) / (1.0 - a)
-            out[~pos] = c - (np.power(1.0 - x[~pos], 1.0 + b) - 1.0) / (1.0 + b)
-        return out
+            return np.where(x >= 0, c + (np.power(t, 1.0 - a) - 1.0) / (1.0 - a),
+                            c - (np.power(t, 1.0 + b) - 1.0) / (1.0 + b))
 
     def u_prime(x):
-        out = np.empty_like(x)
-        pos = x >= 0
+        t = 1.0 + np.abs(x)
         with np.errstate(over="ignore"):
-            out[pos] = np.power(1.0 + x[pos], -a)
-            out[~pos] = np.power(1.0 - x[~pos], b)
-        return out
+            return np.where(x >= 0, np.power(t, -a), np.power(t, b))
+
+    def risk_aversion(x):
+        # -U''/U' = a/(1+x) on the right, b/(1-x) on the left
+        return np.where(x >= 0, a, b) / (1.0 + np.abs(x))
 
     def u_inverse(v):
         out = np.empty_like(v)
@@ -241,6 +248,7 @@ def two_power_utility(a: float, b: float, shift: float = 1.0) -> UtilityPair:
         ae_plus=1.0 - a,
         ae_minus=1.0 + b,
         u_inverse=_vectorized(u_inverse),
+        risk_aversion=_vectorized(risk_aversion),
     )
 
 

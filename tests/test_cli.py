@@ -28,6 +28,22 @@ def test_manifest_reports_dual_solves(tri1_file, tmp_path, capsys, command):
     assert (out / csv).read_text().splitlines() == structured["tables"][csv]
 
 
+@pytest.mark.parametrize("command", ["price", "curve"])
+def test_manifest_reports_dual_rounds(tri1_file, tmp_path, command):
+    # one log-space pass serves every exponential price; the two-power
+    # searches share their rounds
+    for utility in ("exp:gamma=1,C=2", "twopower:a=0.5,b=1,C=1"):
+        out = tmp_path / utility.partition(":")[0]
+        argv = [command, "--market", str(tri1_file), "--utility", utility,
+                "--claim", "up", "--output-dir", str(out)]
+        assert cli.run(argv) == cli.EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        if utility.startswith("exp"):
+            assert manifest["dual_rounds"] == 1
+        else:
+            assert 2 <= manifest["dual_rounds"] < manifest["dual_solves"]
+
+
 def test_solve_manifest_reports_newton_steps(tmp_path, capsys):
     # a binomial node's one-step martingale fit is its minimizer; the pinned
     # market's four planar moves per node leave the log-space pass steps

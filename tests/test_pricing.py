@@ -227,22 +227,78 @@ def test_exponential_certainty_equivalent_equals_bid_at_large_volume():
 @pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
 def test_price_report_counts_its_dual_solves(tri1, pair_name, request,
                                              monkeypatch):
-    # (solver, optima returned) per call; dual_solves counts optima
+    # (solver, optima returned) per call; dual_solves counts optima and
+    # dual_rounds the rounds, each one call of the Newton kernel or one pass
     pair = request.getfixturevalue(pair_name)
     calls = []
-    for name in ("solve_dual", "solve_dual_fixed_mass", "_log_space_solutions"):
-        def counted(*args, _fn=getattr(pricing, name), _name=name, **kwargs):
+    for mod, name in ((dual, "_newton_core"), (pricing, "_log_space_solutions")):
+        def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
             out = _fn(*args, **kwargs)
-            calls.append((_name, len(out) if isinstance(out, list) else 1))
+            calls.append((_name, len(out) if isinstance(out, list) else len(out[0])))
             return out
-        monkeypatch.setattr(pricing, name, counted)
+        monkeypatch.setattr(mod, name, counted)
     rep = price_report(tri1, pair, E_TRI, B_TRI)
     assert rep.dual_solves == sum(n for _, n in calls)
     assert rep.dual_solves <= 25
+    assert rep.dual_rounds == len(calls)
     assert rep.method_agreement_residual <= 1e-6
     if pair_name == "exp_pair":
         # one log-space pass over e, e + B and e - B
         assert calls == [("_log_space_solutions", 3)] and rep.dual_solves == 3
+        assert rep.dual_rounds == 1
+    else:
+        # base and the certainty equivalent's target in the first round
+        assert calls[0] == ("_newton_core", 2)
+
+
+def _probes(fn, *args, **kwargs):
+    """A two-power price and the dual solves it made."""
+    solves = pricing.SolveCounter()
+    return fn(*args, solves=solves, **kwargs), solves.n
+
+
+def _quote_instance(seed, periods, volume):
+    """A trinomial product tree of the given periods with a random endowment
+    and a claim of the given volume, all drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    tree = treegen.product_market([[rng.uniform(1.1, 1.4), 1.0, rng.uniform(0.7, 0.9)]
+                                   for _ in range(periods)])
+    return (tree, rng.uniform(-1.0, 1.0, tree.n_leaves),
+            volume * rng.uniform(0.0, 1.0, tree.n_leaves))
+
+
+@pytest.mark.parametrize("seed,periods,volume", [
+    (0, 1, 1e-3), (1, 2, 1e-1), (2, 2, 1e1), (3, 3, 1e2), (4, 3, 1e3)])
+def test_two_power_price_report_steps_its_searches_in_lockstep(tp_pair, seed, periods,
+                                                              volume):
+    # each search meets the same solves as alone, so the report's prices
+    # equal the solo functions'; its rounds are the first one
+    # (base and the certainty equivalent's target) and one per probe of the
+    # longest search
+    tree, e, b = _quote_instance(seed, periods, volume)
+    rep = price_report(tree, tp_pair, e, b)
+    base = solve_dual(tree, tp_pair, e)
+    bid, n_bid = _probes(indifference_price, tree, tp_pair, e, b, base=base)
+    offer, n_offer = _probes(indifference_price, tree, tp_pair, e, -b, base=base)
+    ce, n_ce = _probes(certainty_equivalent, tree, tp_pair, e, b)
+    pen, n_pen = _probes(price_via_penalty, tree, tp_pair, e, b, base=base)
+    assert rep.bid == bid and rep.offer == -offer
+    assert rep.certainty_equivalent == ce
+    assert rep.method_agreement_residual == abs(bid - pen) / (1.0 + abs(bid))
+    assert rep.dual_solves == 1 + n_bid + n_offer + n_ce + n_pen
+    assert rep.dual_rounds == 1 + max(n_bid, n_offer, n_ce - 1, n_pen)
+
+
+def test_two_power_volume_curve_steps_every_volume_in_lockstep(tp_pair):
+    tree, e, b = _quote_instance(5, 3, 1.0)
+    betas = [1e-3, 1e-1, 1e1, 1e3]
+    rep = average_price_curve(tree, tp_pair, e, b, betas)
+    base = solve_dual(tree, tp_pair, e)
+    solo = [_probes(indifference_price, tree, tp_pair, e, beta * b, base=base)
+            for beta in betas]
+    assert rep.prices == tuple(p / beta for (p, _), beta in zip(solo, betas))
+    assert rep.dual_solves == 1 + sum(n for _, n in solo)
+    assert rep.dual_rounds == 1 + max(n for _, n in solo)
 
 
 def test_exponential_pricing_makes_one_pass_per_call(exp_pair, monkeypatch):

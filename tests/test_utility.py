@@ -106,6 +106,20 @@ def test_two_power_v_second_matches_central_differences(a, b):
     assert np.all(np.abs(pair.v_second(ys) - fd) <= 1e-6 * pair.v_second(ys))
 
 
+@pytest.mark.parametrize("pair", [exponential_utility(0.5, 3.0), exponential_utility(3.0, 1.0),
+                                  two_power_utility(0.05, 0.1, 1.0),
+                                  two_power_utility(0.5, 1.0, 1.0),
+                                  two_power_utility(0.95, 3.0, 1.0)],
+                         ids=lambda pair: pair.describe())
+def test_risk_aversion_matches_central_differences(pair):
+    # -U''/U' against central differences of U'; the two-power U'' jumps at 0
+    xs = np.concatenate([-np.logspace(2, -2, 41), np.logspace(-2, 2, 41)])
+    h = 1e-6 * (1.0 + np.abs(xs))
+    fd = -(pair.u_prime(xs + h) - pair.u_prime(xs - h)) / (2.0 * h * pair.u_prime(xs))
+    assert np.all(np.abs(pair.risk_aversion(xs) - fd) <= 1e-6 * pair.risk_aversion(xs))
+    assert two_power_utility(0.5, 2.0, 1.0).risk_aversion(INF) == 0.0
+
+
 @pytest.mark.parametrize("a,b", [(0.05, 0.1), (0.5, 1.0), (0.95, 3.0)])
 def test_two_power_v_second_jumps_at_one(a, b):
     # U''(0-) = -b and U''(0+) = -a, so V'' is 1/a up to y = 1 and 1/b above
@@ -220,6 +234,7 @@ def _hostile_pair():
 
     return UtilityPair(family="custom", params={}, u=u, u_prime=u_prime,
                        v=base.v, v_prime=base.v_prime, v_second=base.v_second,
+                       risk_aversion=base.risk_aversion,
                        u_inf=INF, ae_plus=0.0, ae_minus=INF)
 
 
@@ -254,6 +269,7 @@ def _marginal_floor_pair():
 
     return UtilityPair(family="custom", params={}, u=u, u_prime=u_prime,
                        v=base.v, v_prime=base.v_prime, v_second=base.v_second,
+                       risk_aversion=base.risk_aversion,
                        u_inf=INF, ae_plus=1.0, ae_minus=2.0)
 
 
