@@ -3,7 +3,11 @@
 The objective is ``F(mu) = sum_l [ p_l V(mu_l/p_l) + mu_l e_l ]`` minimized
 over non-negative leaf measures satisfying the martingale equality rows (and
 optionally a fixed total mass).  Two solvers share the result type; both
-return the optimal strategy h too, which primal recovery reads.
+return the optimal strategy h too, which primal recovery reads.  One
+function, ``_solutions``, picks the solver by the utility's family for a
+stack of endowments with one mass per row (NaN at a free row) and returns
+one optimum or error per row; ``solve_dual``, ``solve_dual_fixed_mass``,
+``dual_value_curve`` and the pricing searches all solve through it.
 
 * Exponential family: exponential utility does not depend on wealth, so the
   dual is solved exactly by backward induction on the log-partition (Rouge &
@@ -14,11 +18,12 @@ return the optimal strategy h too, which primal recovery reads.
   ``C - exp(L_root)/gamma``, the mass ``exp(L_root)``, the normalized
   optimizer the product of the nodes' softmax weights and h_n the minimizer
   k of node n.  Masses like e^-1000 are exact in this form.  One pass serves
-  a stack of endowments: each level is one Newton batch over the nodes of
-  all of them.  A node starts at the fit of its exponents to w0, the mean
-  of its one-step martingale vertices, which is the minimizer where w0 fixes
-  the optimal weights' ratios among the moving children (binomial and
-  up/flat/down nodes, d + 1 affinely independent increments).
+  a stack of endowments, each distinct row once: each level is one Newton
+  batch over the nodes of all of them.  A node starts at the fit of its
+  exponents to w0, the mean of its one-step martingale vertices, which is
+  the minimizer where w0 fixes the optimal weights' ratios among the moving
+  children (binomial and up/flat/down nodes, d + 1 affinely independent
+  increments).
 * Two-power family, ``dynamic_dual`` and the tests' oracle: the optimal
   measure is the marginal utility of the optimal wealth, mu = p U'(e + gains),
   so the dual is solved through its primal, the unconstrained concave
@@ -26,8 +31,7 @@ return the optimal strategy h too, which primal recovery reads.
   over the strategy, by damped Newton run to rounding.  One call of the
   Newton core solves a stack of such problems on one tree, free and
   fixed-mass rows alike, each row with its own line search, convergence and
-  failure: the pricing searches and the value curve batch their solves
-  through it, and a single solve is a stack of one.
+  failure; a single solve is a stack of one.
 """
 
 from __future__ import annotations
@@ -256,7 +260,9 @@ def _log_partition(tree, gamma, e):
 
 
 def _log_space_solutions(tree, pair, endows, mass=None) -> list[DualSolution]:
-    """Exponential optima for ``endows`` from one pass, at each of ``mass`` if given.
+    """Exponential optima for a stack of endowments (r, L), row j at
+    ``mass[j]`` if given (NaN at a free row), from one pass over the
+    distinct rows.
 
     The normalized optimizer does not depend on the mass, so the fixed-mass
     optimum is ``mass * q_hat`` with value ``C + mass (ln mass - 1 - L)/gamma``.
@@ -264,19 +270,25 @@ def _log_space_solutions(tree, pair, endows, mass=None) -> list[DualSolution]:
     mass or the value leaves the floating-point range.
     """
     gamma, c = pair.params["gamma"], pair.params["C"]
-    e = np.array([leaf_values(tree, x) for x in endows])
     _, flag = _prepare(tree, pair)
-    log_zs, hs, log_qs, drifts, steps = _log_partition(tree, gamma, e)
+    place = {}   # each distinct row's index in the pass, keyed by its bytes
+    slots = [place.setdefault(ej.tobytes(), len(place)) for ej in endows]
+    distinct = np.empty((len(place), tree.n_leaves))
+    distinct[slots] = endows
+    log_zs, hs, log_qs, drifts, steps = _log_partition(tree, gamma, distinct)
+    log_zs, drifts = log_zs.tolist(), drifts.tolist()
+    masses = [math.nan] * len(slots) if mass is None else np.asarray(mass, dtype=float).tolist()
     out = []
-    for ej, log_z, h, log_q, drift in zip(e, log_zs.tolist(), hs, log_qs, drifts.tolist()):
-        for m in [None] if mass is None else mass:
-            log_y = log_z if m is None else math.log(m)
-            with np.errstate(over="ignore"):
-                y = float(np.exp(log_z)) if m is None else m
-                value = c - y / gamma if m is None else c + y * (log_y - 1.0 - log_z) / gamma
-                mu = np.exp(log_y + log_q)
-            out.append(_solution(tree, pair, ej, mu, np.exp(log_q), y, log_y, value,
-                                 drift, flag, steps, h, log_q=log_q))
+    for ej, i, m in zip(endows, slots, masses):
+        log_z, log_q = log_zs[i], log_qs[i]
+        free = math.isnan(m)
+        log_y = log_z if free else math.log(m)
+        with np.errstate(over="ignore"):
+            y = float(np.exp(log_z)) if free else m
+            value = c - y / gamma if free else c + y * (log_y - 1.0 - log_z) / gamma
+            mu = np.exp(log_y + log_q)
+        out.append(_solution(tree, pair, ej, mu, np.exp(log_q), y, log_y, value,
+                             drifts[i], flag, steps, hs[i], log_q=log_q))
     return out
 
 
@@ -487,61 +499,67 @@ def _core_solutions(tree, pair, endows, mass=None, starts=None):
     return out
 
 
-def _core_solution(tree, pair, endow, mass, start):
-    """The Newton core's optimum for one endowment (the two-power family)."""
-    sol, = _core_solutions(tree, pair, leaf_values(tree, endow)[None],
-                           None if mass is None else np.array([mass]),
-                           None if start is None else leaf_values(tree, start)[None])
-    if isinstance(sol, Exception):
-        raise sol
-    return sol
+def _solutions(tree, pair, endows, mass=None, starts=None):
+    """The dual optima of a stack of endowments (r, L) on one tree, row j at
+    ``mass[j]`` if given (NaN at a free row): one optimum or the row's
+    :class:`NonconvergedError` per row.  The one place the family picks the
+    solver: one log-space pass for the exponential family, else one call of
+    the Newton core, started at the leaf measures ``starts`` (r, L) if given."""
+    if pair.family == "exponential":
+        return _log_space_solutions(tree, pair, endows, mass)
+    return _core_solutions(tree, pair, endows, mass, starts)
 
 
-def solve_dual(tree: MarketTree, pair: UtilityPair, endow=0.0, *,
-               start=None) -> DualSolution:
+def _at_masses(tree, pair, endow, ys):
+    """The optima of one endowment at each mass of ``ys`` (NaN: free), from
+    one :func:`_solutions` call; raises the first row's error."""
+    ys = np.asarray(ys, dtype=float)
+    sols = _solutions(tree, pair, leaf_values(tree, endow)[None].repeat(ys.size, axis=0), ys)
+    for sol in sols:
+        if isinstance(sol, Exception):
+            raise sol
+    return sols
+
+
+def _check_masses(ys):
+    """Refuse masses at or below 0, NaN or infinite masses and no mass at all."""
+    if any(y <= 0 for y in ys):
+        raise NoMartingaleMeasureError("masses must be positive")
+    if not ys or not all(math.isfinite(y) for y in ys):
+        raise DomainError("masses must be finite, at least one of them")
+
+
+def solve_dual(tree: MarketTree, pair: UtilityPair, endow=0.0) -> DualSolution:
     """Minimize entropy plus endowment cost over the martingale cone.
 
     ``endow`` is a RandomVariable / mapping / array / scalar on the leaves.
     Returns the unique optimal measure with its mass, normalization, value
     and stationarity residual.  The support flag is DEGENERATE when no
     equivalent martingale measure exists (the optimum then sits on the
-    boundary and primal recovery refuses).  ``start`` (a measure or leaf
-    array) warm-starts the Newton core.  The exponential family is solved
-    exactly in log space, ignoring ``start``; it raises
+    boundary and primal recovery refuses).  Raises
     :class:`EvaluationOverflowError` for a value below -1e250 and
-    :class:`ValueAtSupremumError` when the optimal mass underflows to 0.
+    :class:`ValueAtSupremumError` when the optimal mass underflows to 0
+    (the exponential family, solved exactly in log space, reaches both).
     """
-    if pair.family == "exponential":
-        sol = _log_space_solutions(tree, pair, [endow])[0]
-        if not sol.value >= _VALUE_FLOOR:
-            raise EvaluationOverflowError(
-                "dual objective fell below the floating-point range")
-        if sol.mass == 0.0:
-            raise ValueAtSupremumError(
-                f"optimal value {sol.value!r} (log dual mass {sol._log_mass!r}) is "
-                f"within rounding of sup U = {pair.u_inf!r}")
-        return sol
-    arr = None
-    if start is not None:
-        arr = leaf_values(tree, start)
-        if np.any(arr[~_support_structure(tree).mask] > 0):
-            raise NoMartingaleMeasureError("start measure charges dead leaves")
-    return _core_solution(tree, pair, endow, None, arr)
+    sol, = _at_masses(tree, pair, endow, [math.nan])
+    if not sol.value >= _VALUE_FLOOR:
+        raise EvaluationOverflowError("dual objective fell below the floating-point range")
+    if sol.mass == 0.0:
+        raise ValueAtSupremumError(
+            f"optimal value {sol.value!r} (log dual mass {sol._log_mass!r}) is "
+            f"within rounding of sup U = {pair.u_inf!r}")
+    return sol
 
 
-def solve_dual_fixed_mass(tree: MarketTree, pair: UtilityPair, endow, y: float, *,
-                          start=None) -> DualSolution:
-    """Same as :func:`solve_dual` with total mass pinned to ``y > 0``.
+def solve_dual_fixed_mass(tree: MarketTree, pair: UtilityPair, endow,
+                          y: float) -> DualSolution:
+    """Same as :func:`solve_dual` with total mass pinned to a finite ``y > 0``.
 
     The exponential family's optimum is ``y`` times the normalized
-    optimizer of :func:`solve_dual` (one log-space pass; ``start`` is
-    ignored there).
+    optimizer of :func:`solve_dual`, from one log-space pass.
     """
-    if y <= 0:
-        raise NoMartingaleMeasureError("mass must be positive")
-    if pair.family == "exponential":
-        return _log_space_solutions(tree, pair, [endow], mass=[float(y)])[0]
-    return _core_solution(tree, pair, endow, float(y), start)
+    _check_masses([y])
+    return _at_masses(tree, pair, endow, [y])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,24 +581,17 @@ def dual_value_curve(tree: MarketTree, pair: UtilityPair, endow,
                      ys: Sequence[float]) -> CurveReport:
     """The mass-indexed dual value curve on a grid of positive masses.
 
-    Each point solves the inner problem with total mass pinned: one
-    log-space pass for the exponential family, one Newton-core call over
-    every mass, each row started cold, otherwise.  The report carries the
-    worst second difference as a numeric convexity certificate.
+    Each point solves the inner problem with total mass pinned, all of them
+    by one :func:`_solutions` call: one log-space pass for the exponential
+    family, one Newton-core call, each row started cold, otherwise.  The
+    report carries the worst second difference as a numeric convexity
+    certificate.
     """
     ys = sorted(float(y) for y in ys)
-    if any(y <= 0 for y in ys):
-        raise NoMartingaleMeasureError("curve masses must be positive")
+    _check_masses(ys)
     if any(a == b for a, b in zip(ys, ys[1:])):
         raise DomainError("curve masses must be distinct")
-    if pair.family == "exponential":
-        sols = _log_space_solutions(tree, pair, [endow], mass=ys)
-    else:
-        sols = _core_solutions(tree, pair, np.tile(leaf_values(tree, endow), (len(ys), 1)),
-                               np.array(ys))
-        for sol in sols:
-            if isinstance(sol, Exception):
-                raise sol
+    sols = _at_masses(tree, pair, endow, ys)
     pts = [CurvePoint(y=y, value=sol.value, q_hat=sol.q_hat,
                       derivative=sol.mass_derivative) for y, sol in zip(ys, sols)]
     second = math.inf

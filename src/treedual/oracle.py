@@ -6,7 +6,8 @@ minimum monotone), and one-dimensionally minimizes over the mass on each
 grid point.  The primal oracle maximizes expected utility directly over the
 unconstrained strategy coefficients with multi-start quasi-Newton.  Both are
 deliberately independent of the dual solvers: they exist to certify them,
-not to compete with them.
+not to compete with them.  SciPy is imported inside the two oracles, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import minimize
 
 from .dual import _objective, solve_dual
 from .errors import (CapExceededError, DimensionError, GapDetectedError,
@@ -75,6 +74,8 @@ def brute_force_dual(tree: MarketTree, pair: UtilityPair, endow, *,
     infimum, so it certifies the solver from one side and matches it to the
     discretization error.
     """
+    from scipy.linalg import null_space
+
     e = leaf_values(tree, endow)
     p = tree.leaf_probability_array
     A = build_constraints(tree)
@@ -148,6 +149,8 @@ def brute_force_primal(tree: MarketTree, pair: UtilityPair, endow, *,
     is smooth and concave; multi-start quasi-Newton from seeded random
     points is overkill by design.  Refuses above 12 free coefficients.
     """
+    from scipy.optimize import minimize
+
     D = strategy_dimension(tree)
     if D > PRIMAL_DIM_LIMIT:
         raise DimensionError(

@@ -12,9 +12,11 @@ warm-started from the last.  The bid is recomputed independently as a
 penalized worst-case expectation (in closed form at the claim-holding
 optimizer for the exponential family, by Newton steps on the mass
 otherwise), and the cross-method residual is reported along with the
-number of dual solves and of rounds.  Each two-power search is a generator
-of solve requests; :class:`SolveCounter` steps the searches of one call in
-lockstep, so one Newton-core call per round serves the bid, offer,
+number of dual solves and of rounds.  Every dual optimum of a pricing call
+is a solve request of a generator; :class:`SolveCounter` steps the
+generators of one call in lockstep and answers each round by one stacked
+solve of either family, so one log-space pass gives every exponential
+price, and one Newton-core call per round serves the two-power bid, offer,
 certainty-equivalent and penalty probes, or every volume of a curve.
 Marginal (zero-volume) prices are expectations under the normalized optimal
 dual measure; no-arbitrage bounds are the extremal claim expectations over
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualSolution, _core_solutions, _log_space_solutions, solve_dual
+from .dual import DualSolution, _solutions, solve_dual
 from .errors import (AugmentInfeasibleError, BracketFailError, DomainError,
                      InfeasibleEntropyError, InfiniteEntropyError,
                      NoMartingaleMeasureError, NonconvergedError)
@@ -62,10 +64,9 @@ class SolveCounter:
     :meth:`run` drives searches in lockstep.  A search is a generator that
     yields solve requests ``(endowment, mass or None, start or None)`` and is
     sent each request's optimum.  A round collects every pending request,
-    free and fixed mass, and solves them by one call of the Newton core;
-    a row's :class:`NonconvergedError` is thrown into its search.
-    :meth:`log_space` gives the exponential family's optima from one pass,
-    free of overflow and supremum errors, reusing ``base`` for the first.
+    free and fixed mass, and solves them by one stacked dual solve (a
+    log-space pass, free of overflow and supremum errors, or a Newton-core
+    call); a row's :class:`NonconvergedError` is thrown into its search.
     """
 
     def __init__(self):
@@ -92,7 +93,7 @@ class SolveCounter:
             self.n += len(asked)
             endows, masses, starts = zip(*asked.values())
             # a zero start is not positive on the support: the row starts cold
-            sols = _core_solutions(
+            sols = _solutions(
                 tree, pair, np.array(endows),
                 np.array([math.nan if y is None else y for y in masses]),
                 np.array([np.zeros(tree.n_leaves) if x is None else x for x in starts]))
@@ -100,16 +101,10 @@ class SolveCounter:
                 advance(i, sol)
         return results
 
-    def log_space(self, tree, pair, endows, base=None):
-        sols = _log_space_solutions(tree, pair, endows[base is not None:])
-        self.n += len(sols)
-        self.rounds += 1
-        return sols if base is None else [base] + sols
 
-
-def _solve(endow, mass=None, start=None):
-    """The search of one solve: its optimum."""
-    return (yield endow, mass, start)
+def _solve(endow):
+    """The search of one free solve, started cold: its optimum."""
+    return (yield endow, None, None)
 
 
 def _bracketed_newton(probe, x, lo, hi, *, x_tol=0.0):
@@ -224,31 +219,24 @@ def _log_mass_gap(pair, lo, hi):
     return (lo._log_mass - hi._log_mass) / pair.params["gamma"]
 
 
-def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
-                       base: DualSolution | None = None,
-                       bounds: tuple[float, float] | None = None,
-                       solves: SolveCounter | None = None) -> float:
+def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim) -> float:
     """Bid price: the cash p with value(endow + claim - p) = value(endow).
 
     For the exponential family, the log-partition difference of one pass
-    with and without the claim.  Otherwise found by :func:`_cash_root` on c = -p,
-    started at minus the marginal price (the dual bound puts the value there
-    at or below the target) and bracketed by minus the lower no-arbitrage
-    bound (sub-replication puts it at or above).  ``base`` is the claim-free
-    solution for ``endow``; its measure gives the start and the first warm
-    start.  ``bounds`` is the claim's :func:`price_bounds` when the caller
-    has it.  ``solves`` counts the dual solves and rounds made.
+    with and without the claim.  Otherwise found by :func:`_cash_root` on
+    c = -p, started at minus the marginal price of the claim-free optimum
+    (the dual bound puts the value there at or below the target) and
+    bracketed by minus the lower no-arbitrage bound (sub-replication puts
+    it at or above); the claim-free measure gives the first warm start.
     """
     endow = leaf_values(tree, endow)
     claim = leaf_values(tree, claim)
-    solves = SolveCounter() if solves is None else solves
     if pair.family == "exponential":
-        return _log_mass_gap(pair, *solves.log_space(tree, pair, [endow, endow + claim],
-                                                     base))
-    if base is None:
-        base, = solves.run(tree, pair, _solve(endow))
-    lo_b, _ = price_bounds(tree, claim) if bounds is None else bounds
-    return solves.run(tree, pair, _bid(tree, pair, endow, claim, base, lo_b))[0]
+        return _log_mass_gap(pair, *SolveCounter().run(tree, pair, _solve(endow),
+                                                       _solve(endow + claim)))
+    base, = SolveCounter().run(tree, pair, _solve(endow))
+    lo_b, _ = price_bounds(tree, claim)
+    return SolveCounter().run(tree, pair, _bid(tree, pair, endow, claim, base, lo_b))[0]
 
 
 def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
@@ -294,9 +282,7 @@ def _penalized_expectation(tree, pair, endow, claim, base, shifted):
         entropy + gamma * float(q @ leaf_values(tree, endow)) + base._log_mass) / gamma
 
 
-def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim, *,
-                      base: DualSolution | None = None,
-                      solves: SolveCounter | None = None) -> float:
+def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim) -> float:
     """Bid price as a penalized worst-case expectation.
 
     Equivalent single program: minimize, over measures in the cone, the
@@ -308,20 +294,17 @@ def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     is stationary where h = W'(y) - (W(y) - base)/y vanishes, and y h is
     increasing in y (its derivative is y W'' >= 0), so the log mass s is
     found by bracketed Newton on h with W' from the envelope formula and W''
-    read off the inner solution, started at the mass of ``base``, the
-    claim-free solution, whose measure warm-starts the first inner solve.
-    Uses no result of the cash root-finder.  ``solves`` counts the dual
-    solves and rounds made.
+    read off the inner solution, started at the mass of the claim-free
+    solution, whose measure warm-starts the first inner solve.  Uses no
+    result of the cash root-finder.
     """
     endow = leaf_values(tree, endow)
     claim = leaf_values(tree, claim)
-    solves = SolveCounter() if solves is None else solves
     if pair.family == "exponential":
-        return _penalized_expectation(tree, pair, endow, claim, *solves.log_space(
-            tree, pair, [endow, endow + claim], base))
-    if base is None:
-        base, = solves.run(tree, pair, _solve(endow))
-    return solves.run(tree, pair, _penalty(endow + claim, base))[0]
+        return _penalized_expectation(tree, pair, endow, claim, *SolveCounter().run(
+            tree, pair, _solve(endow), _solve(endow + claim)))
+    base, = SolveCounter().run(tree, pair, _solve(endow))
+    return SolveCounter().run(tree, pair, _penalty(endow + claim, base))[0]
 
 
 def davis_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
@@ -332,10 +315,7 @@ def davis_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     return float(np.dot(sol.q_hat, leaf_values(tree, claim)))
 
 
-def certainty_equivalent(tree: MarketTree, pair: UtilityPair, endow, claim, *,
-                         bounds: tuple[float, float] | None = None,
-                         solves: SolveCounter | None = None,
-                         start=None) -> float:
+def certainty_equivalent(tree: MarketTree, pair: UtilityPair, endow, claim) -> float:
     """Cash amount with the same optimal value as holding the claim.
 
     For the exponential family, the log-partition difference of one
@@ -343,20 +323,17 @@ def certainty_equivalent(tree: MarketTree, pair: UtilityPair, endow, claim, *,
     + c) = value(endow + claim), started at the claim's expectation under
     the target problem's normalized optimal measure (the dual bound puts the
     value there at or below the target) and bracketed by the upper
-    no-arbitrage bound (super-replication puts it at or above).  ``bounds``
-    is the claim's :func:`price_bounds` when the caller has it.  ``start``
-    is a leaf measure that warm-starts the target solve; ``solves`` counts
-    the dual solves and rounds made.
+    no-arbitrage bound (super-replication puts it at or above).
     """
     endow = leaf_values(tree, endow)
     claim = leaf_values(tree, claim)
-    solves = SolveCounter() if solves is None else solves
     if pair.family == "exponential":
-        return _log_mass_gap(pair, *solves.log_space(tree, pair, [endow, endow + claim]))
-    target, = solves.run(tree, pair, _solve(endow + claim, start=start))
-    _, hi_b = price_bounds(tree, claim) if bounds is None else bounds
-    return solves.run(tree, pair, _certainty_equivalent(tree, pair, endow, claim,
-                                                        target, hi_b))[0]
+        return _log_mass_gap(pair, *SolveCounter().run(tree, pair, _solve(endow),
+                                                       _solve(endow + claim)))
+    target, = SolveCounter().run(tree, pair, _solve(endow + claim))
+    _, hi_b = price_bounds(tree, claim)
+    return SolveCounter().run(tree, pair, _certainty_equivalent(tree, pair, endow, claim,
+                                                                target, hi_b))[0]
 
 
 @dataclass(frozen=True)
@@ -384,15 +361,16 @@ def price_report(tree: MarketTree, pair: UtilityPair, endow, claim) -> PriceRepo
     certainty equivalent's target e + B, both cold; later rounds advance
     the bid, offer, certainty-equivalent and penalty searches together,
     each as it would run alone, so the prices equal those of the solo
-    functions with ``base`` given and the report takes one round more than
-    its longest search has probes.
+    functions and the report takes one round more than its longest search
+    has probes.
     """
     endow = leaf_values(tree, endow)
     claim = leaf_values(tree, claim)
     solves = SolveCounter()
     lo, hi = price_bounds(tree, claim)
     if pair.family == "exponential":
-        sol, plus, minus = solves.log_space(tree, pair, [endow, endow + claim, endow - claim])
+        sol, plus, minus = solves.run(tree, pair, _solve(endow), _solve(endow + claim),
+                                      _solve(endow - claim))
         bid = ce = _log_mass_gap(pair, sol, plus)
         offer = _log_mass_gap(pair, minus, sol)
         pen = _penalized_expectation(tree, pair, endow, claim, sol, plus)
@@ -445,11 +423,13 @@ def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
     endow = leaf_values(tree, endow)
     claim = leaf_values(tree, claim)
     betas = sorted(float(b) for b in betas)
+    if not betas or not all(b != 0.0 and math.isfinite(b) for b in betas):
+        raise DomainError("volumes must be finite and nonzero, at least one of them")
     solves = SolveCounter()
     lp_lo, lp_hi = price_bounds(tree, claim)
     if pair.family == "exponential":
-        sol, *shifted = solves.log_space(
-            tree, pair, [endow] + [endow + claim * beta for beta in betas])
+        sol, *shifted = solves.run(
+            tree, pair, _solve(endow), *(_solve(endow + claim * beta) for beta in betas))
         totals = [_log_mass_gap(pair, sol, s) for s in shifted]
     else:
         sol, = solves.run(tree, pair, _solve(endow))

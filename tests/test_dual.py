@@ -146,17 +146,22 @@ def test_kkt_certificate(tri1, exp_pair):
     assert np.abs(s[live]).max() <= 1e-8 * (1 + np.abs(g).max())
 
 
-def test_uniqueness_from_random_starts(tri1, exp_pair):
-    e = {"a": 0.5, "b": 0.0, "c": -0.5}
+def test_uniqueness_from_random_starts(tri1, exp_pair, tp_pair):
+    # the Newton core reaches the one optimum from measures drawn across the
+    # polytope and scaled in mass, as from its cold start
+    e = leaf_values(tri1, {"a": 0.5, "b": 0.0, "c": -0.5})
     rng = np.random.default_rng(11)
-    verts = list(vertex_enumerate(build_constraints(tri1)))
-    ref = solve_dual(tri1, exp_pair, e)
-    for _ in range(4):
-        w = rng.dirichlet(np.ones(len(verts)))
-        q = 0.8 * (w @ np.array(verts)) + 0.2 * ref.q_hat
-        start = q * rng.uniform(0.3, 3.0)
-        sol = solve_dual(tri1, exp_pair, e, start=start)
-        assert np.abs(sol.mu - ref.mu).max() <= 1e-7
+    verts = np.array(vertex_enumerate(build_constraints(tri1)))
+    for pair in (exp_pair, tp_pair):
+        ref = solve_dual(tri1, pair, e)
+        starts = np.array([(0.8 * rng.dirichlet(np.ones(len(verts))) @ verts
+                            + 0.2 * ref.q_hat) * rng.uniform(0.3, 3.0) for _ in range(4)])
+        sols = dual._core_solutions(tri1, pair, np.tile(e, (4, 1)), starts=starts)
+        cold, = dual._core_solutions(tri1, pair, e[None])
+        # the starts are read: some row takes another path than the cold one
+        assert {s.iterations[0]["steps"] for s in sols} != {cold.iterations[0]["steps"]}
+        for sol in sols:
+            assert np.abs(sol.mu - ref.mu).max() <= 1e-7
 
 
 def test_endowment_shift_consistency(tri1, exp_pair):
@@ -197,6 +202,27 @@ def test_value_curve_refuses_a_repeated_mass(bin1, pair_name, request):
     # a repeated mass made the second difference divide by zero
     with pytest.raises(DomainError, match="curve masses must be distinct"):
         dual_value_curve(bin1, request.getfixturevalue(pair_name), 0.0, [1.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
+def test_masses_must_be_finite_and_positive(tri1, pair_name, request):
+    # a NaN mass marks a free row inside the solvers, so it must not get in:
+    # it gave the free optimum or a curve point at y = nan; an empty grid
+    # gave a ValueError or a TypeError
+    pair = request.getfixturevalue(pair_name)
+    e = [0.3, -0.2, 0.1]
+    with pytest.raises(DomainError, match="at least one"):
+        dual_value_curve(tri1, pair, e, [])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="masses must be finite"):
+            solve_dual_fixed_mass(tri1, pair, e, bad)
+        with pytest.raises(DomainError, match="masses must be finite"):
+            dual_value_curve(tri1, pair, e, [0.5, bad, 1.0])
+    for bad in (0.0, -1.0, -math.inf):
+        with pytest.raises(NoMartingaleMeasureError, match="masses must be positive"):
+            solve_dual_fixed_mass(tri1, pair, e, bad)
+        with pytest.raises(NoMartingaleMeasureError, match="masses must be positive"):
+            dual_value_curve(tri1, pair, e, [0.5, bad, 1.0])
 
 
 @pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
@@ -392,7 +418,7 @@ def test_solve_dual_never_sweeps(tri1, monkeypatch):
 
 def _dense_core(tree, pair, e):
     """The exponential dual by the Newton core on the maximal support."""
-    sol = dual._core_solution(tree, pair, e, None, None)
+    sol = dual._core_solutions(tree, pair, e[None])[0]
     return sol.value, sol.q_hat
 
 
@@ -433,7 +459,7 @@ def test_log_space_pass_matches_the_newton_core(instance):
     # compared at the scale of its terms
     tree, pair, e = instance
     sol = solve_dual(tree, pair, e)
-    core = dual._core_solution(tree, pair, e, None, None)
+    core = dual._core_solutions(tree, pair, e[None])[0]
     scale = abs(pair.params["C"]) + sol.mass / pair.params["gamma"]
     assert sol._log_mass == pytest.approx(core._log_mass, rel=1e-12)
     assert sol.value == pytest.approx(core.value, rel=1e-12, abs=1e-12 * scale)
@@ -459,6 +485,33 @@ def test_stacked_pass_equals_single_passes_row_by_row(instance, r, seed):
         assert np.array_equal(sol.q_hat, one.q_hat)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_exponential_solutions_take_a_mass_per_row_and_pass_each_endowment_once(
+        seed, monkeypatch):
+    # one stack of free (NaN) and fixed-mass rows that repeats endowments:
+    # every row equals its single-row solve bit for bit, and the log-space
+    # pass sees each distinct endowment once
+    rng = np.random.default_rng(seed)
+    tree = treegen.random_market(rng, max_periods=3, n_assets=1 + seed % 2)
+    pair = exponential_utility(float(rng.uniform(0.5, 3.0)), 2.0)
+    a, b = rng.uniform(-2.0, 2.0, size=(2, tree.n_leaves))
+    endows = np.array([a, b, a, a, b, b])
+    mass = np.array([np.nan, 0.5, 2.0, np.nan, np.nan, 3.0])
+    passed, real = [], dual._log_partition
+    monkeypatch.setattr(dual, "_log_partition",
+                        lambda tree, gamma, e: passed.append(e.copy()) or real(tree, gamma, e))
+    stack = dual._solutions(tree, pair, endows, mass)
+    assert len(passed) == 1 and np.array_equal(passed[0], [a, b])
+    assert [s.mass for s in stack][1:3] == [0.5, 2.0] and stack[5].mass == 3.0
+    for j, sol in enumerate(stack):
+        one, = dual._solutions(tree, pair, endows[j:j + 1], mass[j:j + 1])
+        assert (sol.mass, sol._log_mass, sol.value, sol.stationarity) == (
+            one.mass, one._log_mass, one.value, one.stationarity)
+        for x, y in ((sol.mu, one.mu), (sol.q_hat, one.q_hat), (sol._h_arr, one._h_arr),
+                     (sol._endow_arr, one._endow_arr)):
+            assert np.array_equal(x, y)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_exponential_instances())
 # every charged weight is above 6.4e-3, yet the grid's 8 zooms end at 0.0575
@@ -475,7 +528,7 @@ def test_stacked_pass_meets_the_grid_oracle(instance):
     for sol, x in zip(dual._log_space_solutions(tree, pair, [e, -e]), [e, -e]):
         grid = oracle.brute_force_dual(tree, pair, x, mode="grid")
         assert sol.value <= grid + 1e-12 * (1.0 + abs(grid))
-        core = dual._core_solution(tree, pair, x, None, None)
+        core = dual._core_solutions(tree, pair, x[None])[0]
         scale = abs(pair.params["C"]) + sol.mass / pair.params["gamma"]
         assert sol.value == pytest.approx(core.value, rel=1e-12, abs=1e-12 * scale)
 
@@ -578,7 +631,7 @@ def test_one_step_martingale_start_is_exact_on_complete_nodes(kind, gamma):
         tree = _complete_node_market(kind, rng)
         e = rng.uniform(-10.0 / gamma, 10.0 / gamma, tree.n_leaves)
         sol = solve_dual(tree, pair, e)
-        core = dual._core_solution(tree, pair, e, None, None)
+        core = dual._core_solutions(tree, pair, e[None])[0]
         assert sol.iterations[0]["steps"] == 0
         assert abs(sol._log_mass - core._log_mass) <= 1e-12
 
@@ -660,8 +713,8 @@ def test_stacked_newton_core_rows_equal_single_rows(seed):
     mass = np.array([np.nan, 2.0, 0.5, np.nan, 1.0])
     # rows 1 and 3 start at their optima, the others cold
     start = np.zeros_like(e)
-    start[1] = dual._core_solution(tree, pair, e[1], 2.0, None).mu
-    start[3] = dual._core_solution(tree, pair, e[3], None, None).mu
+    start[1] = dual._core_solutions(tree, pair, e[1:2], np.array([2.0]))[0].mu
+    start[3] = dual._core_solutions(tree, pair, e[3:4])[0].mu
     out = dual._newton_core(A, p, e, pair, live, mass=mass, start=start)
     errors, steps = out[-1], out[4]
     assert errors[:4] == [None] * 4 and isinstance(errors[4], NonconvergedError)

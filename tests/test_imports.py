@@ -6,6 +6,9 @@ imports to re-export, and ``from __future__`` binds nothing.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,19 @@ def test_unused_imports_are_found():
               "from dataclasses import dataclass, replace\n"
               "@dataclass\nclass A:\n    x: 'int'\n\ny = os.path.join\n")
     assert unused_imports(source) == ["line 2: bisect", "line 4: replace"]
+
+
+def test_package_and_cli_price_do_not_load_scipy():
+    # scipy serves only the brute-force oracles, which import it when run;
+    # it is most of the import time
+    market = Path(__file__).parent / "data" / "quote_pinned_4x4_2a.json"
+    code = ("import sys, treedual\n"
+            "assert 'scipy' not in sys.modules, 'import treedual'\n"
+            "from treedual import cli\n"
+            "for u in ('exp:gamma=1,C=2', 'twopower:a=0.5,b=1,C=1'):\n"
+            f"    assert cli.run(['price', '--market', {str(market)!r}, '--utility', u,\n"
+            "                    '--claim', 'claim']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'cli price'\n")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

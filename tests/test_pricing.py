@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import treegen
-from treedual import (AugmentInfeasibleError,
+from treedual import (AugmentInfeasibleError, DomainError,
                       EvaluationOverflowError, InfiniteEntropyError,
                       NonconvergedError, RandomVariable, average_price_curve,
                       build_constraints, dual_value_curve,
@@ -105,7 +105,7 @@ def test_entropic_penalty_infinite_for_two_power_vertex(tri1, tp_pair):
 def test_penalty_representation_bound(tri1, exp_pair):
     # the bid never exceeds expectation plus penalty, for any tested measure
     sol = solve_dual(tri1, exp_pair, E_TRI)
-    bid = indifference_price(tri1, exp_pair, E_TRI, B_TRI, base=sol)
+    bid = indifference_price(tri1, exp_pair, E_TRI, B_TRI)
     b = np.array([1.0, 0.0, 0.0])
     for v in vertex_enumerate(build_constraints(tri1)):
         alpha = entropic_penalty(tri1, exp_pair, E_TRI, v, base_value=sol.value)
@@ -231,7 +231,7 @@ def test_price_report_counts_its_dual_solves(tri1, pair_name, request,
     # dual_rounds the rounds, each one call of the Newton kernel or one pass
     pair = request.getfixturevalue(pair_name)
     calls = []
-    for mod, name in ((dual, "_newton_core"), (pricing, "_log_space_solutions")):
+    for mod, name in ((dual, "_newton_core"), (dual, "_log_space_solutions")):
         def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
             out = _fn(*args, **kwargs)
             calls.append((_name, len(out) if isinstance(out, list) else len(out[0])))
@@ -251,10 +251,12 @@ def test_price_report_counts_its_dual_solves(tri1, pair_name, request,
         assert calls[0] == ("_newton_core", 2)
 
 
-def _probes(fn, *args, **kwargs):
-    """A two-power price and the dual solves it made."""
+def _probes(tree, pair, search):
+    """A two-power search's result and the dual solves it made, run alone."""
     solves = pricing.SolveCounter()
-    return fn(*args, solves=solves, **kwargs), solves.n
+    result, = solves.run(tree, pair, search)
+    assert solves.rounds == solves.n
+    return result, solves.n
 
 
 def _quote_instance(seed, periods, volume):
@@ -272,21 +274,25 @@ def _quote_instance(seed, periods, volume):
 def test_two_power_price_report_steps_its_searches_in_lockstep(tp_pair, seed, periods,
                                                               volume):
     # each search meets the same solves as alone, so the report's prices
-    # equal the solo functions'; its rounds are the first one
-    # (base and the certainty equivalent's target) and one per probe of the
-    # longest search
+    # equal the solo searches' and the public functions'; its rounds are the
+    # first one (base and the certainty equivalent's target) and one per
+    # probe of the longest search
     tree, e, b = _quote_instance(seed, periods, volume)
     rep = price_report(tree, tp_pair, e, b)
-    base = solve_dual(tree, tp_pair, e)
-    bid, n_bid = _probes(indifference_price, tree, tp_pair, e, b, base=base)
-    offer, n_offer = _probes(indifference_price, tree, tp_pair, e, -b, base=base)
-    ce, n_ce = _probes(certainty_equivalent, tree, tp_pair, e, b)
-    pen, n_pen = _probes(price_via_penalty, tree, tp_pair, e, b, base=base)
-    assert rep.bid == bid and rep.offer == -offer
-    assert rep.certainty_equivalent == ce
+    lo, hi = price_bounds(tree, b)
+    base, target = solve_dual(tree, tp_pair, e), solve_dual(tree, tp_pair, e + b)
+    bid, n_bid = _probes(tree, tp_pair, pricing._bid(tree, tp_pair, e, b, base, lo))
+    offer, n_offer = _probes(tree, tp_pair, pricing._bid(tree, tp_pair, e, -b, base, -hi))
+    ce, n_ce = _probes(tree, tp_pair,
+                       pricing._certainty_equivalent(tree, tp_pair, e, b, target, hi))
+    pen, n_pen = _probes(tree, tp_pair, pricing._penalty(e + b, base))
+    assert rep.bid == bid == indifference_price(tree, tp_pair, e, b)
+    assert rep.offer == -offer == -indifference_price(tree, tp_pair, e, -b)
+    assert rep.certainty_equivalent == ce == certainty_equivalent(tree, tp_pair, e, b)
+    assert pen == price_via_penalty(tree, tp_pair, e, b)
     assert rep.method_agreement_residual == abs(bid - pen) / (1.0 + abs(bid))
-    assert rep.dual_solves == 1 + n_bid + n_offer + n_ce + n_pen
-    assert rep.dual_rounds == 1 + max(n_bid, n_offer, n_ce - 1, n_pen)
+    assert rep.dual_solves == 2 + n_bid + n_offer + n_ce + n_pen
+    assert rep.dual_rounds == 1 + max(n_bid, n_offer, n_ce, n_pen)
 
 
 def test_two_power_volume_curve_steps_every_volume_in_lockstep(tp_pair):
@@ -294,7 +300,8 @@ def test_two_power_volume_curve_steps_every_volume_in_lockstep(tp_pair):
     betas = [1e-3, 1e-1, 1e1, 1e3]
     rep = average_price_curve(tree, tp_pair, e, b, betas)
     base = solve_dual(tree, tp_pair, e)
-    solo = [_probes(indifference_price, tree, tp_pair, e, beta * b, base=base)
+    lo, hi = price_bounds(tree, b)
+    solo = [_probes(tree, tp_pair, pricing._bid(tree, tp_pair, e, beta * b, base, beta * lo))
             for beta in betas]
     assert rep.prices == tuple(p / beta for (p, _), beta in zip(solo, betas))
     assert rep.dual_solves == 1 + sum(n for _, n in solo)
@@ -341,10 +348,9 @@ def _count_sweeps(monkeypatch):
 def test_price_report_makes_one_extremal_sweep(tri1, pair_name, request, monkeypatch):
     pair = request.getfixturevalue(pair_name)
     e, b = leaf_values(tri1, E_TRI), leaf_values(tri1, B_TRI)
-    base = solve_dual(tri1, pair, e)
-    bid = indifference_price(tri1, pair, e, b, base=base)
-    offer = -indifference_price(tri1, pair, e, -b, base=base)
-    ce = certainty_equivalent(tri1, pair, e, b, start=base.mu)
+    bid = indifference_price(tri1, pair, e, b)
+    offer = -indifference_price(tri1, pair, e, -b)
+    ce = certainty_equivalent(tri1, pair, e, b)
     bounds = price_bounds(tri1, b)
     calls = _count_sweeps(monkeypatch)
     rep = price_report(tri1, pair, e, b)
@@ -357,8 +363,7 @@ def test_price_report_makes_one_extremal_sweep(tri1, pair_name, request, monkeyp
 @pytest.mark.parametrize("betas", [[2.0], [1e-2, 1.0, 1e2], np.logspace(-4, 4, 9)])
 def test_volume_curve_makes_one_extremal_sweep_for_its_bounds(tri1, exp_pair, betas, monkeypatch):
     e, b = leaf_values(tri1, E_TRI), leaf_values(tri1, B_TRI)
-    base = solve_dual(tri1, exp_pair, e)
-    prices = [indifference_price(tri1, exp_pair, e, b * beta, base=base) / beta
+    prices = [indifference_price(tri1, exp_pair, e, b * beta) / beta
               for beta in betas]
     calls = _count_sweeps(monkeypatch)
     rep = average_price_curve(tri1, exp_pair, e, b, betas)
@@ -504,6 +509,21 @@ def test_volume_curve_over_the_cli_default_grid(tri1, pair_name, request):
     assert rep.small_volume_gap <= 1e-4
     assert rep.prices[-1] <= rep.prices[0]
     assert rep.dual_solves >= 10
+
+
+@pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
+def test_volume_curve_refuses_empty_zero_and_non_finite_volumes(tri1, pair_name, request):
+    # these gave a ZeroDivisionError, a ValueError from max(), a NaN price
+    # marked monotone or a NonconvergedError
+    pair = request.getfixturevalue(pair_name)
+    for betas in ([], [0.0, 1.0], [math.nan], [math.inf], [1.0, -math.inf]):
+        with pytest.raises(DomainError, match="volumes must be finite and nonzero"):
+            average_price_curve(tri1, pair, E_TRI, B_TRI, betas)
+    # a negative volume prices the opposite position, as documented: per
+    # unit, volume -1 gives the offer
+    offer = -indifference_price(tri1, pair, E_TRI, -leaf_values(tri1, B_TRI))
+    rep = average_price_curve(tri1, pair, E_TRI, B_TRI, [-1.0, 1.0])
+    assert rep.prices[0] == pytest.approx(offer, rel=1e-12) and rep.monotone
 
 
 def test_davis_price_between_bounds(tri1, exp_pair):
