@@ -343,6 +343,19 @@ def _cmd_oracle(args, out: _Out):
     return EXIT_OK
 
 
+def _int_from(low):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="treedual",
@@ -364,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("geometry", help="constraints, feasibility, vertices")
     common(p, utility=False, endowment=False)
-    p.add_argument("--vertex-cap", type=int, default=10_000)
+    p.add_argument("--vertex-cap", type=_int_from(1), default=10_000)
     p.set_defaults(func=_cmd_geometry)
 
     p = sub.add_parser("solve", help="solve the dual problem")
@@ -398,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endowments", required=True,
                    help="comma-separated names ('endowment', 'zero', claim names)")
     p.add_argument("--claim", default=None)
-    p.add_argument("--continuity-steps", type=int, default=0)
+    p.add_argument("--continuity-steps", type=_int_from(0), default=0)
     p.set_defaults(func=_cmd_sensitivity)
 
     p = sub.add_parser("verify", help="run the invariant battery")
@@ -407,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force certification")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.set_defaults(func=_cmd_oracle)
     return ap
 

@@ -93,9 +93,12 @@ class DualSolution:
 
     @property
     def mass_derivative(self) -> float:
-        """E_q_hat[V'(density) + e], the envelope derivative of the value in the mass."""
-        return float(np.dot(self.q_hat,
-                            self.pair.v_prime(self.density_array) + self._endow_arr))
+        """E_q_hat[V'(density) + e], the envelope derivative of the value in the
+        mass, over the leaves q_hat charges (V'(0) may be -inf)."""
+        on = self.q_hat > 0
+        grad = np.zeros_like(self.q_hat)
+        grad[on] = self.pair.v_prime(self.density_array[on]) + self._endow_arr[on]
+        return float(np.dot(self.q_hat, grad))
 
 
 def _solution(tree, pair, e, mu, q, mass, log_mass, value, residual, flag, steps, h,

@@ -1,29 +1,29 @@
 """Utility-based prices: indifference, entropic-penalty, marginal, bounds.
 
 The bid price of a claim B makes the agent indifferent between holding
-B minus cash and holding nothing.  For the exponential family the value is
-``C - exp(L)/gamma`` with L the log-partition of the position and cash
-shifts L by -gamma per unit, so bid = certainty equivalent =
-``(L(e) - L(e + B))/gamma`` and offer = ``(L(e - B) - L(e))/gamma`` from
-one exact log-space pass, at any volume.  For the two-power family the value
-increases in cash with the dual mass as derivative, and prices are found by
+B minus cash and holding nothing; the certainty equivalent is the cash
+worth as much as B, and the offer is minus the bid of -B.  Each is one
+search, and the bid is recomputed independently as a penalized
+worst-case expectation by a third; the cross-method residual is reported
+along with the number of dual solves and of rounds.  A search picks its
+method by the utility's family and asks for the optima it needs.  For the
+exponential family, whose log-partition L shifts by -gamma per unit of
+cash, these are the optima at e and e + B, and the bid and certainty
+equivalent are both ``(L(e) - L(e + B))/gamma`` at any volume.  For the
+two-power family the value increases in cash with the dual mass as
+derivative, and after the optimum it starts from, a search takes
 bracketed Newton steps in certainty-equivalent units, each dual solve
-warm-started from the last.  The bid is recomputed independently as a
-penalized worst-case expectation (in closed form at the claim-holding
-optimizer for the exponential family, by Newton steps on the mass
-otherwise), and the cross-method residual is reported along with the
-number of dual solves and of rounds.  Every dual optimum of a pricing call
-is a solve request of a generator; :class:`SolveCounter` steps the
-generators of one call in lockstep and answers each round by one stacked
-solve of either family, so one log-space pass gives every exponential
-price, and one Newton-core call per round serves the two-power bid, offer,
-certainty-equivalent and penalty probes, or every volume of a curve.
-Marginal (zero-volume) prices are expectations under the normalized optimal
-dual measure; no-arbitrage bounds are the extremal claim expectations over
-the martingale polytope, found by one backward sweep over each node's
-one-step vertices; price processes for new assets are accepted exactly when
-they are martingales under that measure, verified both by drift and by
-re-solving the augmented market.
+warm-started from the last.  :class:`SolveCounter` runs the searches of
+one pricing call in lockstep and answers each round by one stacked solve,
+each distinct request once: one log-space pass gives every exponential
+price, and one Newton-core call per round serves the two-power bid,
+offer, certainty-equivalent and penalty probes, or every volume of a
+curve.  Marginal (zero-volume) prices are expectations under the
+normalized optimal dual measure; no-arbitrage bounds are the extremal
+claim expectations over the martingale polytope, found by one backward
+sweep over each node's one-step vertices; price processes for new assets
+are accepted exactly when they are martingales under that measure,
+verified both by drift and by re-solving the augmented market.
 """
 
 from __future__ import annotations
@@ -62,11 +62,13 @@ class SolveCounter:
     calls (``n``) and the rounds that computed them (``rounds``).
 
     :meth:`run` drives searches in lockstep.  A search is a generator that
-    yields solve requests ``(endowment, mass or None, start or None)`` and is
-    sent each request's optimum.  A round collects every pending request,
-    free and fixed mass, and solves them by one stacked dual solve (a
-    log-space pass, free of overflow and supremum errors, or a Newton-core
-    call); a row's :class:`NonconvergedError` is thrown into its search.
+    yields a list of solve requests ``(endowment, mass or None, start or
+    None)`` and is sent the list of their optima.  A round collects the
+    requests of every pending search, free and fixed mass, and solves each
+    distinct request once, so searches that ask for the same optimum share
+    its row, by one stacked dual solve (a log-space pass, free of overflow
+    and supremum errors, or a Newton-core call); the first
+    :class:`NonconvergedError` among a search's rows is thrown into it.
     """
 
     def __init__(self):
@@ -79,9 +81,9 @@ class SolveCounter:
 
         def advance(i, answer):
             search = searches[i]
+            error = next((a for a in answer or () if isinstance(a, Exception)), None)
             try:
-                pending[i] = (search.throw(answer) if isinstance(answer, Exception)
-                              else search.send(answer))
+                pending[i] = search.send(answer) if error is None else search.throw(error)
             except StopIteration as stop:
                 results[i] = stop.value
 
@@ -89,22 +91,35 @@ class SolveCounter:
             advance(i, None)
         while pending:
             asked, pending = pending, {}
+            keys = {i: [(e.tobytes(), y, None if x is None else x.tobytes())
+                        for e, y, x in requests] for i, requests in asked.items()}
+            # each distinct request once, in the order first asked
+            distinct = dict(zip(itertools.chain(*keys.values()),
+                                itertools.chain(*asked.values())))
+            row = dict(zip(distinct, itertools.count()))
             self.rounds += 1
-            self.n += len(asked)
-            endows, masses, starts = zip(*asked.values())
+            self.n += len(distinct)
+            endows, masses, starts = zip(*distinct.values())
             # a zero start is not positive on the support: the row starts cold
             sols = _solutions(
                 tree, pair, np.array(endows),
                 np.array([math.nan if y is None else y for y in masses]),
                 np.array([np.zeros(tree.n_leaves) if x is None else x for x in starts]))
-            for i, sol in zip(asked, sols):
-                advance(i, sol)
+            for i, ks in keys.items():
+                advance(i, [sols[row[k]] for k in ks])
         return results
 
 
 def _solve(endow):
     """The search of one free solve, started cold: its optimum."""
-    return (yield endow, None, None)
+    sol, = yield [(endow, None, None)]
+    return sol
+
+
+def _alone(tree, pair, search, endow, claim):
+    """The result of one search of ``endow`` and ``claim``, run by itself."""
+    return SolveCounter().run(tree, pair, search(tree, pair, leaf_values(tree, endow),
+                                                 leaf_values(tree, claim)))[0]
 
 
 def _bracketed_newton(probe, x, lo, hi, *, x_tol=0.0):
@@ -163,7 +178,7 @@ def _cash_root(pair, x, target, c0, hi, start):
 
     def probe(c):
         nonlocal warm, root
-        sol = yield x + c, None, warm
+        sol, = yield [(x + c, None, warm)]
         warm = sol.mu
         z = pair.u_inverse(sol.value)
         slope = sol.mass / pair.u_prime(z)
@@ -177,32 +192,58 @@ def _cash_root(pair, x, target, c0, hi, start):
     return root
 
 
-def _bid(tree, pair, endow, claim, base, lo_b):
-    """Search for the bid: :func:`_cash_root` on c = -p from minus the
-    marginal price at ``base`` to minus the lower bound ``lo_b``."""
+def _bid(tree, pair, endow, claim, bound=None):
+    """Search for the bid of ``claim``: (L(e) - L(e + B))/gamma from the
+    exponential optima at e and e + B; otherwise :func:`_cash_root` on
+    c = -p after the optimum at e, from minus the marginal price there (the
+    dual bound puts the value there at or below the target) to minus the
+    lower no-arbitrage bound ``bound`` (sub-replication puts it at or
+    above; swept if not given), warm-started from the claim-free measure."""
+    if pair.family == "exponential":
+        return _log_mass_gap(pair, *(yield [(endow, None, None), (endow + claim, None, None)]))
+    base, = yield [(endow, None, None)]
+    lo = price_bounds(tree, claim)[0] if bound is None else bound
     c0 = -davis_price(tree, pair, endow, claim, sol=base)
-    return -(yield from _cash_root(pair, endow + claim, base.value, c0, -lo_b, base.mu))
+    return -(yield from _cash_root(pair, endow + claim, base.value, c0, -lo, base.mu))
 
 
-def _certainty_equivalent(tree, pair, endow, claim, target, hi_b):
-    """Search for the certainty equivalent: :func:`_cash_root` from the
-    claim's marginal price at ``target``, the optimum of endow + claim, to
-    the upper bound ``hi_b``."""
+def _certainty_equivalent(tree, pair, endow, claim, bound=None):
+    """Search for the certainty equivalent of ``claim``: the bid for the
+    exponential family (translation invariance); otherwise
+    :func:`_cash_root` on value(e + c) = value(e + B) after the optimum at
+    e + B, from the claim's marginal price there to the upper bound
+    ``bound`` (super-replication puts the value there at or above; swept if
+    not given), warm-started from that optimum's measure."""
+    if pair.family == "exponential":
+        return (yield from _bid(tree, pair, endow, claim))
+    target, = yield [(endow + claim, None, None)]
+    hi = price_bounds(tree, claim)[1] if bound is None else bound
     c0 = davis_price(tree, pair, endow + claim, claim, sol=target)
-    return (yield from _cash_root(pair, endow, target.value, c0, hi_b, target.mu))
+    return (yield from _cash_root(pair, endow, target.value, c0, hi, target.mu))
 
 
-def _penalty(shifted, base):
-    """Search for the penalized bid of :func:`price_via_penalty`: bracketed
-    Newton on the log mass s, each probe a fixed-mass solve of ``shifted``
-    warm-started from the last, the first from ``base``."""
+def _penalty(tree, pair, endow, claim):
+    """Search for the bid of :func:`price_via_penalty`: for the exponential
+    family the closed form at the claim-holding optimum
+    (:func:`_penalized_expectation`).  Otherwise, for fixed mass the inner
+    problem is convex; the gap is stationary where h = W'(y) - (W(y) -
+    base)/y vanishes, and y h is increasing in y (its derivative is y W'' >=
+    0), so after the optimum at e the log mass s is found by bracketed
+    Newton on h, W' from the envelope formula and W'' read off the inner
+    solution, each probe a fixed-mass solve of e + B warm-started from the
+    last, the first from the claim-free optimum at its mass."""
+    shifted = endow + claim
+    if pair.family == "exponential":
+        return _penalized_expectation(pair, endow, claim, *(
+            yield [(endow, None, None), (shifted, None, None)]))
+    base, = yield [(endow, None, None)]
     gaps = {}
     last = base
 
     def probe(s):
         nonlocal last
         y = math.exp(s)
-        last = yield shifted, y, last.mu * (y / last.mass)
+        last, = yield [(shifted, y, last.mu * (y / last.mass))]
         gaps[s] = (last.value - base.value) / y
         h = last.mass_derivative - gaps[s]
         return h, y * last.mass_curvature - h, False
@@ -220,23 +261,9 @@ def _log_mass_gap(pair, lo, hi):
 
 
 def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim) -> float:
-    """Bid price: the cash p with value(endow + claim - p) = value(endow).
-
-    For the exponential family, the log-partition difference of one pass
-    with and without the claim.  Otherwise found by :func:`_cash_root` on
-    c = -p, started at minus the marginal price of the claim-free optimum
-    (the dual bound puts the value there at or below the target) and
-    bracketed by minus the lower no-arbitrage bound (sub-replication puts
-    it at or above); the claim-free measure gives the first warm start.
-    """
-    endow = leaf_values(tree, endow)
-    claim = leaf_values(tree, claim)
-    if pair.family == "exponential":
-        return _log_mass_gap(pair, *SolveCounter().run(tree, pair, _solve(endow),
-                                                       _solve(endow + claim)))
-    base, = SolveCounter().run(tree, pair, _solve(endow))
-    lo_b, _ = price_bounds(tree, claim)
-    return SolveCounter().run(tree, pair, _bid(tree, pair, endow, claim, base, lo_b))[0]
+    """Bid price: the cash p with value(endow + claim - p) = value(endow),
+    by one :func:`_bid` search."""
+    return _alone(tree, pair, _bid, endow, claim)
 
 
 def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
@@ -269,42 +296,25 @@ def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
     return float(phi(s)[0])
 
 
-def _penalized_expectation(tree, pair, endow, claim, base, shifted):
+def _penalized_expectation(pair, endow, claim, base, shifted):
     """Exponential bid E_q[B] + (H(q|P) + gamma E_q[e] + L(e))/gamma at the
     claim-holding optimizer q of ``shifted``, where this penalized
     expectation is least over martingale measures; ``base`` carries L(e).
     Summed leaf by leaf, not read off the log-partition of ``shifted``."""
     gamma = pair.params["gamma"]
-    q, p = shifted.q_hat, tree.leaf_probability_array
+    q, p = shifted.q_hat, shifted.tree.leaf_probability_array
     on = q > 0
     entropy = float(q[on] @ np.log(q[on] / p[on]))
-    return float(q @ leaf_values(tree, claim)) + (
-        entropy + gamma * float(q @ leaf_values(tree, endow)) + base._log_mass) / gamma
+    return float(q @ claim) + (entropy + gamma * float(q @ endow) + base._log_mass) / gamma
 
 
 def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim) -> float:
-    """Bid price as a penalized worst-case expectation.
-
-    Equivalent single program: minimize, over measures in the cone, the
-    normalized gap (W(y) - base)/y, where W(y) is the fixed-mass dual value
-    with the claim added and base the claim-free optimum.  For the
-    exponential family the minimum is in closed form at the claim-holding
-    optimizer (:func:`_penalized_expectation`).  Otherwise, for fixed mass
-    the inner problem is convex and solved by the dual machinery; the gap
-    is stationary where h = W'(y) - (W(y) - base)/y vanishes, and y h is
-    increasing in y (its derivative is y W'' >= 0), so the log mass s is
-    found by bracketed Newton on h with W' from the envelope formula and W''
-    read off the inner solution, started at the mass of the claim-free
-    solution, whose measure warm-starts the first inner solve.  Uses no
-    result of the cash root-finder.
-    """
-    endow = leaf_values(tree, endow)
-    claim = leaf_values(tree, claim)
-    if pair.family == "exponential":
-        return _penalized_expectation(tree, pair, endow, claim, *SolveCounter().run(
-            tree, pair, _solve(endow), _solve(endow + claim)))
-    base, = SolveCounter().run(tree, pair, _solve(endow))
-    return SolveCounter().run(tree, pair, _penalty(endow + claim, base))[0]
+    """Bid price as a penalized worst-case expectation: the least, over
+    measures in the cone, of the normalized gap (W(y) - base)/y, where W(y)
+    is the fixed-mass dual value with the claim added and base the
+    claim-free optimum.  One :func:`_penalty` search; uses no result of the
+    cash root-finder."""
+    return _alone(tree, pair, _penalty, endow, claim)
 
 
 def davis_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
@@ -316,24 +326,9 @@ def davis_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
 
 
 def certainty_equivalent(tree: MarketTree, pair: UtilityPair, endow, claim) -> float:
-    """Cash amount with the same optimal value as holding the claim.
-
-    For the exponential family, the log-partition difference of one
-    log-space pass.  Otherwise found by :func:`_cash_root` on value(endow
-    + c) = value(endow + claim), started at the claim's expectation under
-    the target problem's normalized optimal measure (the dual bound puts the
-    value there at or below the target) and bracketed by the upper
-    no-arbitrage bound (super-replication puts it at or above).
-    """
-    endow = leaf_values(tree, endow)
-    claim = leaf_values(tree, claim)
-    if pair.family == "exponential":
-        return _log_mass_gap(pair, *SolveCounter().run(tree, pair, _solve(endow),
-                                                       _solve(endow + claim)))
-    target, = SolveCounter().run(tree, pair, _solve(endow + claim))
-    _, hi_b = price_bounds(tree, claim)
-    return SolveCounter().run(tree, pair, _certainty_equivalent(tree, pair, endow, claim,
-                                                                target, hi_b))[0]
+    """Cash amount with the same optimal value as holding the claim, by one
+    :func:`_certainty_equivalent` search."""
+    return _alone(tree, pair, _certainty_equivalent, endow, claim)
 
 
 @dataclass(frozen=True)
@@ -351,40 +346,31 @@ class PriceReport:
 
 
 def price_report(tree: MarketTree, pair: UtilityPair, endow, claim) -> PriceReport:
-    """Every price of one claim, off one base solve and one extremal sweep.
+    """Every price of one claim, from one lockstep run and one extremal sweep.
 
     The no-arbitrage bounds (lo, hi) are computed once: they bracket the bid
     and the certainty equivalent, (-hi, -lo) brackets the offer (the bid of
-    the negated claim), and they are reported as ``lp_bounds``.  For the
-    exponential family one log-space pass, at e, e + B and e - B, gives
-    every price.  For the two-power family the first round solves e and the
-    certainty equivalent's target e + B, both cold; later rounds advance
-    the bid, offer, certainty-equivalent and penalty searches together,
-    each as it would run alone, so the prices equal those of the solo
-    functions and the report takes one round more than its longest search
-    has probes.
+    the negated claim), and they are reported as ``lp_bounds``.  The free
+    solve at e (for the marginal price) and the bid, offer,
+    certainty-equivalent and penalty searches run together, each as it
+    would run alone, so the prices equal those of the solo functions; the
+    searches share the optima they all ask for.  For the exponential family
+    that is one log-space pass, at e, e + B and e - B.  For the two-power
+    family the first round solves e and e + B, both cold, and the report
+    takes as many rounds as its longest search.
     """
     endow = leaf_values(tree, endow)
     claim = leaf_values(tree, claim)
-    solves = SolveCounter()
     lo, hi = price_bounds(tree, claim)
-    if pair.family == "exponential":
-        sol, plus, minus = solves.run(tree, pair, _solve(endow), _solve(endow + claim),
-                                      _solve(endow - claim))
-        bid = ce = _log_mass_gap(pair, sol, plus)
-        offer = _log_mass_gap(pair, minus, sol)
-        pen = _penalized_expectation(tree, pair, endow, claim, sol, plus)
-    else:
-        sol, target = solves.run(tree, pair, _solve(endow), _solve(endow + claim))
-        bid, minus_offer, ce, pen = solves.run(
-            tree, pair, _bid(tree, pair, endow, claim, sol, lo),
-            _bid(tree, pair, endow, -claim, sol, -hi),
-            _certainty_equivalent(tree, pair, endow, claim, target, hi),
-            _penalty(endow + claim, sol))
-        offer = -minus_offer
+    solves = SolveCounter()
+    sol, bid, minus_offer, ce, pen = solves.run(
+        tree, pair, _solve(endow), _bid(tree, pair, endow, claim, lo),
+        _bid(tree, pair, endow, -claim, -hi),
+        _certainty_equivalent(tree, pair, endow, claim, hi),
+        _penalty(tree, pair, endow, claim))
     return PriceReport(
         bid=bid,
-        offer=offer,
+        offer=-minus_offer,
         certainty_equivalent=ce,
         davis=davis_price(tree, pair, endow, claim, sol=sol),
         lp_bounds=(lo, hi),
@@ -412,30 +398,23 @@ def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
     """Average per-unit bid price across volumes, with its two limits.
 
     Non-increasing in volume; converges to the lower no-arbitrage bound as
-    the volume grows and to the marginal price as it vanishes.  One base
-    solve and one extremal sweep serve every volume, each priced as by
-    :func:`indifference_price`; the bounds of beta * claim are beta times
-    those of the claim, swapped when beta < 0.  The exponential family
-    takes the base and every volume from one log-space pass; the two-power
-    family steps the searches of every volume in lockstep after the base's
-    round.
+    the volume grows and to the marginal price as it vanishes.  One
+    lockstep run of the free solve at e and one :func:`_bid` search per
+    volume, which share that solve, and one extremal sweep serve every
+    volume; the bounds of beta * claim are beta times those of the claim,
+    swapped when beta < 0.  The exponential family takes every optimum
+    from one log-space pass.
     """
     endow = leaf_values(tree, endow)
     claim = leaf_values(tree, claim)
     betas = sorted(float(b) for b in betas)
     if not betas or not all(b != 0.0 and math.isfinite(b) for b in betas):
         raise DomainError("volumes must be finite and nonzero, at least one of them")
-    solves = SolveCounter()
     lp_lo, lp_hi = price_bounds(tree, claim)
-    if pair.family == "exponential":
-        sol, *shifted = solves.run(
-            tree, pair, _solve(endow), *(_solve(endow + claim * beta) for beta in betas))
-        totals = [_log_mass_gap(pair, sol, s) for s in shifted]
-    else:
-        sol, = solves.run(tree, pair, _solve(endow))
-        totals = solves.run(tree, pair, *(
-            _bid(tree, pair, endow, claim * beta, sol, min(beta * lp_lo, beta * lp_hi))
-            for beta in betas))
+    solves = SolveCounter()
+    sol, *totals = solves.run(tree, pair, _solve(endow), *(
+        _bid(tree, pair, endow, claim * beta, min(beta * lp_lo, beta * lp_hi))
+        for beta in betas))
     prices = [t / beta for t, beta in zip(totals, betas)]
     dav = davis_price(tree, pair, endow, claim, sol=sol)
     scale = 1.0 + max(abs(p) for p in prices)

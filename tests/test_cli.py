@@ -81,6 +81,21 @@ def test_options_exist_only_on_subcommands_that_read_them(tri1_file, capsys,
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag", [
+    (["geometry"], ["--vertex-cap", "0"]),
+    (["geometry"], ["--vertex-cap", "-3"]),
+    (["sensitivity", "--utility", "exp:gamma=1,C=2", "--endowments", "endowment,zero"],
+     ["--continuity-steps", "-4"]),
+    (["oracle", "--utility", "exp:gamma=1,C=2"], ["--seed", "-1"]),
+    (["oracle", "--utility", "exp:gamma=1,C=2"], ["--seed", "1.5"]),
+])
+def test_bad_integer_flags_exit_two(tri1_file, capsys, command, flag):
+    argv = command + ["--market", str(tri1_file)] + flag
+    assert cli.run(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"argument {flag[0]}: expected an integer >= " in err
+
+
 def _arbitrage_file(tmp_path):
     # both children above the root price: no martingale measure exists
     doc = treegen.bin1_dict()

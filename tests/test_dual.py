@@ -237,6 +237,22 @@ def test_mass_derivative_is_the_envelope_formula(tri1, pair_name, request):
         assert dual_value_curve(tri1, pair, e, [y]).points[0].derivative == envelope
 
 
+def test_mass_derivative_is_finite_on_dead_leaves(exp_pair):
+    # q_hat is 0 on the dead leaf, where V'(0) = -inf; the derivative of
+    # W(y) = C + y (ln y - 1 - L)/gamma is (ln y - L)/gamma
+    tree = treegen.dead_leaf_market()
+    sol = solve_dual(tree, exp_pair, 0.0)
+    assert sol.support == "DEGENERATE" and 0.0 in sol.q_hat
+    ys = [0.3, 0.9, 1.5]
+    with np.errstate(all="raise"):
+        got = [dual_derivative(tree, exp_pair, 0.0, sol.mass)] + [
+            p.derivative for p in dual_value_curve(tree, exp_pair, 0.0, ys).points]
+    gamma = exp_pair.params["gamma"]
+    want = [(math.log(y) - sol._log_mass) / gamma for y in [sol.mass] + ys]
+    assert all(map(math.isfinite, got))
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_derivative_zero_at_optimum(tri1, exp_pair):
     e = {"a": 0.3, "b": -0.2, "c": 0.1}
     sol = solve_dual(tri1, exp_pair, e)

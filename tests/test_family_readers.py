@@ -1,0 +1,54 @@
+"""Which functions choose by the utility's family.
+
+The family picks the solver in one place, ``dual._solutions``, and each
+price's method in its search; the other readers are the exponential-only
+Snell envelope, the battery's family-specific checks and the pair's own
+description.  Stdlib ``ast`` only: the qualified name (``module.Class.f``)
+of each function whose body reads an attribute named ``family``.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).parent.parent / "src" / "treedual"
+
+READERS = {
+    "dual._solutions",
+    "pricing._bid",
+    "pricing._certainty_equivalent",
+    "pricing._penalty",
+    "recovery.snell_envelope_exponential",
+    "checks.run_battery",
+    "utility.UtilityPair.describe",
+}
+
+
+def family_readers(source: str, module: str) -> set[str]:
+    readers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "family"
+                    and isinstance(child.ctx, ast.Load)):
+                readers.add(".".join([module] + scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return readers
+
+
+def test_family_is_read_only_where_a_method_is_chosen():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= family_readers(path.read_text(), path.stem)
+    assert found == READERS
+
+
+def test_family_readers_are_found():
+    source = ("class P:\n    family = 'x'\n    def f(self):\n        return self.family\n"
+              "def g(pair):\n    def inner():\n        return pair.family\n    return inner\n"
+              "def h(pair):\n    pair.family = 'y'\n    return getattr(pair, 'family')\n")
+    assert family_readers(source, "m") == {"m.P.f", "m.g.inner"}

@@ -252,7 +252,8 @@ def test_price_report_counts_its_dual_solves(tri1, pair_name, request,
 
 
 def _probes(tree, pair, search):
-    """A two-power search's result and the dual solves it made, run alone."""
+    """A two-power search's result and the dual solves it made, run alone:
+    the solve it starts from, then one per probe, each in its own round."""
     solves = pricing.SolveCounter()
     result, = solves.run(tree, pair, search)
     assert solves.rounds == solves.n
@@ -274,38 +275,92 @@ def _quote_instance(seed, periods, volume):
 def test_two_power_price_report_steps_its_searches_in_lockstep(tp_pair, seed, periods,
                                                               volume):
     # each search meets the same solves as alone, so the report's prices
-    # equal the solo searches' and the public functions'; its rounds are the
-    # first one (base and the certainty equivalent's target) and one per
-    # probe of the longest search
+    # equal the solo searches' and the public functions'; the searches start
+    # together, the bid, offer and penalty from the optimum at e, which the
+    # marginal price reads too, and the certainty equivalent from e + B, so
+    # the first round solves two rows and the report takes as many rounds as
+    # its longest search
     tree, e, b = _quote_instance(seed, periods, volume)
     rep = price_report(tree, tp_pair, e, b)
     lo, hi = price_bounds(tree, b)
-    base, target = solve_dual(tree, tp_pair, e), solve_dual(tree, tp_pair, e + b)
-    bid, n_bid = _probes(tree, tp_pair, pricing._bid(tree, tp_pair, e, b, base, lo))
-    offer, n_offer = _probes(tree, tp_pair, pricing._bid(tree, tp_pair, e, -b, base, -hi))
-    ce, n_ce = _probes(tree, tp_pair,
-                       pricing._certainty_equivalent(tree, tp_pair, e, b, target, hi))
-    pen, n_pen = _probes(tree, tp_pair, pricing._penalty(e + b, base))
+    bid, n_bid = _probes(tree, tp_pair, pricing._bid(tree, tp_pair, e, b, lo))
+    offer, n_offer = _probes(tree, tp_pair, pricing._bid(tree, tp_pair, e, -b, -hi))
+    ce, n_ce = _probes(tree, tp_pair, pricing._certainty_equivalent(tree, tp_pair, e, b, hi))
+    pen, n_pen = _probes(tree, tp_pair, pricing._penalty(tree, tp_pair, e, b))
     assert rep.bid == bid == indifference_price(tree, tp_pair, e, b)
     assert rep.offer == -offer == -indifference_price(tree, tp_pair, e, -b)
     assert rep.certainty_equivalent == ce == certainty_equivalent(tree, tp_pair, e, b)
     assert pen == price_via_penalty(tree, tp_pair, e, b)
     assert rep.method_agreement_residual == abs(bid - pen) / (1.0 + abs(bid))
-    assert rep.dual_solves == 2 + n_bid + n_offer + n_ce + n_pen
-    assert rep.dual_rounds == 1 + max(n_bid, n_offer, n_ce, n_pen)
+    assert rep.dual_solves == 2 + (n_bid - 1) + (n_offer - 1) + (n_ce - 1) + (n_pen - 1)
+    assert rep.dual_rounds == max(n_bid, n_offer, n_ce, n_pen)
 
 
 def test_two_power_volume_curve_steps_every_volume_in_lockstep(tp_pair):
     tree, e, b = _quote_instance(5, 3, 1.0)
     betas = [1e-3, 1e-1, 1e1, 1e3]
     rep = average_price_curve(tree, tp_pair, e, b, betas)
-    base = solve_dual(tree, tp_pair, e)
     lo, hi = price_bounds(tree, b)
-    solo = [_probes(tree, tp_pair, pricing._bid(tree, tp_pair, e, beta * b, base, beta * lo))
+    solo = [_probes(tree, tp_pair, pricing._bid(tree, tp_pair, e, beta * b, beta * lo))
             for beta in betas]
     assert rep.prices == tuple(p / beta for (p, _), beta in zip(solo, betas))
-    assert rep.dual_solves == 1 + sum(n for _, n in solo)
-    assert rep.dual_rounds == 1 + max(n for _, n in solo)
+    # every volume starts from the optimum at e, solved once
+    assert rep.dual_solves == 1 + sum(n - 1 for _, n in solo)
+    assert rep.dual_rounds == max(n for _, n in solo)
+
+
+@pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
+def test_solve_counter_solves_a_request_shared_by_searches_once_per_round(
+        tri1, pair_name, request, monkeypatch):
+    pair = request.getfixturevalue(pair_name)
+    e, b = leaf_values(tri1, E_TRI), leaf_values(tri1, B_TRI)
+    rows = []
+
+    def counted(tree, pair, endows, mass=None, starts=None, _fn=pricing._solutions):
+        rows.append(len(endows))
+        return _fn(tree, pair, endows, mass, starts)
+
+    monkeypatch.setattr(pricing, "_solutions", counted)
+
+    def search(warm):
+        # a request is its endowment, mass and start: the same endowment at
+        # another mass or from another start is another row
+        first, = yield [(e, None, None)]
+        second = yield [(e + b, 2.0, None), (e, None, None), (e + b, 2.0, warm)]
+        return first, *second
+
+    solves = pricing.SolveCounter()
+    base, one, two = solves.run(tri1, pair, pricing._solve(e), search(None),
+                                search(np.full(3, 2.0 / 3)))
+    assert rows == [1, 3] and (solves.n, solves.rounds) == (4, 2)
+    assert one[0] is two[0] is base
+    assert one[1] is two[1] is one[3] and one[2] is two[2] and two[3] is not one[3]
+    assert one[2].value == base.value and one[1].mass == pytest.approx(2.0, rel=1e-12)
+    assert two[3].value == pytest.approx(one[1].value, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed,periods,volume", [(0, 1, 1e-3), (2, 2, 1e1), (4, 3, 1e3)])
+def test_exponential_price_report_equals_the_solo_functions(exp_pair, seed, periods,
+                                                            volume, monkeypatch):
+    # every search of the report asks for the optima at e and e +- B, so one
+    # pass of three rows serves it, and each solo call is one round of two
+    runs = []
+
+    class Recorded(pricing.SolveCounter):
+        def run(self, *args):
+            out = super().run(*args)
+            runs.append((self.n, self.rounds))
+            return out
+
+    monkeypatch.setattr(pricing, "SolveCounter", Recorded)
+    tree, e, b = _quote_instance(seed, periods, volume)
+    rep = price_report(tree, exp_pair, e, b)
+    assert (rep.bid, rep.offer, rep.certainty_equivalent) == (
+        indifference_price(tree, exp_pair, e, b), -indifference_price(tree, exp_pair, e, -b),
+        certainty_equivalent(tree, exp_pair, e, b))
+    pen = price_via_penalty(tree, exp_pair, e, b)
+    assert rep.method_agreement_residual == abs(rep.bid - pen) / (1.0 + abs(rep.bid))
+    assert runs == [(3, 1)] + [(2, 1)] * 4
 
 
 def test_exponential_pricing_makes_one_pass_per_call(exp_pair, monkeypatch):
