@@ -86,6 +86,7 @@ class DualSolution:
     _log_mass: float = field(repr=False, default=None)  # exact where mass underflows
     _h_arr: np.ndarray = field(repr=False, default=None)  # strategy (non-leaf nodes, d)
     _log_q: np.ndarray = field(repr=False, default=None)  # ln q_hat, exponential family
+    _log_l: np.ndarray = field(repr=False, default=None)  # L_n (N,), exponential family
 
     @property
     def density_array(self) -> np.ndarray:
@@ -102,12 +103,12 @@ class DualSolution:
 
 
 def _solution(tree, pair, e, mu, q, mass, log_mass, value, residual, flag, steps, h,
-              curvature=None, log_q=None):
+              curvature=None, log_q=None, log_l=None):
     return DualSolution(
         tree=tree, pair=pair, mass=mass, value=value, stationarity=residual,
         support=flag, iterations=({"steps": steps, "residual": residual},),
         mu=mu, q_hat=q, mass_curvature=curvature, _endow_arr=e, _log_mass=log_mass,
-        _h_arr=h, _log_q=log_q)
+        _h_arr=h, _log_q=log_q, _log_l=log_l)
 
 
 # -- exponential family: backward induction in log space ------------------------
@@ -236,10 +237,11 @@ def _log_partition(tree, gamma, e):
     moving children (also at a degenerate node left with two live children),
     the fit's residual ln(w*/w0) + const is constant on them, with no
     w0-covariance with x: k0 is the minimizer, and the node takes no step.
-    Returns per endowment L at the root, the strategy (inner, d) of
-    minimizers k (0 where ``_live_levels`` zeroes dS or drops the node), the
-    log normalized optimizer on the leaves (-inf off the maximal support)
-    and its largest scaled one-step drift, and the steps."""
+    Returns per endowment L at every node (N,; 0 at the non-leaf nodes
+    ``_live_levels`` drops), the strategy (inner, d) of minimizers k (0
+    where ``_live_levels`` zeroes dS or drops the node), the log normalized
+    optimizer on the leaves (-inf off the maximal support) and its largest
+    scaled one-step drift, and the steps."""
     lay = tree.layout
     r, inner = e.shape[0], lay.level_starts[-2]
     big_l = np.concatenate([np.zeros((r, inner)), -gamma * e], axis=1)
@@ -259,7 +261,7 @@ def _log_partition(tree, gamma, e):
                                    / gamma / unit).max(axis=1))
     for lo, hi in zip(lay.level_starts[1:-1], lay.level_starts[2:]):
         logw[:, lo:hi] += logw.take(lay.parent[lo:hi], axis=1)
-    return big_l[:, 0], h, logw[:, inner:], drift, steps
+    return big_l, h, logw[:, inner:], drift, steps
 
 
 def _log_space_solutions(tree, pair, endows, mass=None) -> list[DualSolution]:
@@ -278,8 +280,8 @@ def _log_space_solutions(tree, pair, endows, mass=None) -> list[DualSolution]:
     slots = [place.setdefault(ej.tobytes(), len(place)) for ej in endows]
     distinct = np.empty((len(place), tree.n_leaves))
     distinct[slots] = endows
-    log_zs, hs, log_qs, drifts, steps = _log_partition(tree, gamma, distinct)
-    log_zs, drifts = log_zs.tolist(), drifts.tolist()
+    log_ls, hs, log_qs, drifts, steps = _log_partition(tree, gamma, distinct)
+    log_zs, drifts = log_ls[:, 0].tolist(), drifts.tolist()
     masses = [math.nan] * len(slots) if mass is None else np.asarray(mass, dtype=float).tolist()
     out = []
     for ej, i, m in zip(endows, slots, masses):
@@ -291,7 +293,8 @@ def _log_space_solutions(tree, pair, endows, mass=None) -> list[DualSolution]:
             value = c - y / gamma if free else c + y * (log_y - 1.0 - log_z) / gamma
             mu = np.exp(log_y + log_q)
         out.append(_solution(tree, pair, ej, mu, np.exp(log_q), y, log_y, value,
-                             drifts[i], flag, steps, hs[i], log_q=log_q))
+                             drifts[i], flag, steps, hs[i], log_q=log_q,
+                             log_l=log_ls[i]))
     return out
 
 

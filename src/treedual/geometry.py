@@ -238,6 +238,9 @@ def relative_entropy(tree: MarketTree, pair: UtilityPair, mu) -> float | np.ndar
 
 # -- vertex enumeration -----------------------------------------------------------
 
+_DD_BLOCK = 1 << 20  # meet-by-ray entries per product of the adjacency test
+
+
 def vertex_enumerate(A: np.ndarray, cap: int = VERTEX_CAP_DEFAULT) -> np.ndarray:
     """All extreme points of the martingale polytope {q >= 0, sum q = 1,
     A q = 0}, by double description, for the matrix A (rows, L) of
@@ -251,7 +254,11 @@ def vertex_enumerate(A: np.ndarray, cap: int = VERTEX_CAP_DEFAULT) -> np.ndarray
     one-asset tree grows ~650 intermediate rays before settling on 128
     vertices (Fukuda & Prodon, *Double description method revisited*, 1996,
     on row order).  The vertex set does not depend on the order: the final
-    polish depends only on each ray's support.  Raises
+    polish depends only on each ray's support.  The (positive, negative)
+    pairs of a row take the combinatorial adjacency test of Fukuda &
+    Prodon (no third ray vanishes on the pair's whole common zero set) in
+    blocks, one matrix product of their common zero sets against every
+    ray's charged leaves per block.  Raises
     :class:`CapExceededError` as soon as the working set exceeds ``cap``,
     inside a row's pairings as after them (callers fall back to sampling).
     Returns the vertices as a stack (k, L): one unit-mass row per vertex, in
@@ -270,22 +277,25 @@ def vertex_enumerate(A: np.ndarray, cap: int = VERTEX_CAP_DEFAULT) -> np.ndarray
         new_rays = [rays[zero]] if zero.size else []
         if plus.size and minus.size:
             zsets = rays <= 1e-12  # support complements for adjacency tests
-            combos = []
-            for i in plus:
-                for j in minus:
-                    meet = zsets[i] & zsets[j]
-                    others = np.delete(np.arange(rays.shape[0]), [i, j])
-                    dominated = np.any(np.all(zsets[others] | ~meet, axis=1)) \
-                        if others.size else False
-                    if dominated:
-                        continue
-                    r = d[i] * rays[j] - d[j] * rays[i]
-                    combos.append(r / r.sum())
-                    if zero.size + len(combos) > cap:
-                        raise CapExceededError(f"vertex candidates exceed cap {cap}",
-                                               count=zero.size + len(combos))
-            if combos:
-                new_rays.append(np.array(combos))
+            # per ray, the leaves it charges: a meet lies in a ray's zero
+            # set iff it shares no charged leaf with it
+            charged = (~zsets).T.astype(np.float32)
+            count, block = zero.size, max(1, _DD_BLOCK // rays.shape[0])
+            for first in range(0, plus.size * minus.size, block):
+                # a block of (plus, minus) pairs in the pair loop's order
+                k = np.arange(first, min(first + block, plus.size * minus.size))
+                i, j = plus[k // minus.size], minus[k % minus.size]
+                # adjacent iff no ray besides i and j, which both qualify,
+                # has every leaf of their meet in its zero set
+                inside = (zsets[i] & zsets[j]).astype(np.float32) @ charged == 0
+                adjacent = inside.sum(axis=1) == 2
+                i, j = i[adjacent], j[adjacent]
+                if i.size and count + i.size > cap:   # at the first one over
+                    raise CapExceededError(f"vertex candidates exceed cap {cap}",
+                                           count=max(count, cap) + 1)
+                count += i.size
+                r = d[i, None] * rays[j] - d[j, None] * rays[i]
+                new_rays.append(r / r.sum(axis=1, keepdims=True))
         rays = np.vstack(new_rays) if new_rays else np.zeros((0, L))
         if rays.shape[0] == 0:
             return rays

@@ -23,7 +23,7 @@ from .errors import (CapExceededError, DimensionError, GapDetectedError,
 from .geometry import build_constraints, vertex_enumerate
 from .market import MarketTree, leaf_values
 from .recovery import recover
-from .utility import UtilityPair, _golden_min
+from .utility import UtilityPair, _zoom_min
 
 
 def polytope_dimension(tree: MarketTree) -> int:
@@ -46,18 +46,20 @@ _GAP_TOL = 1e-7      # the solver's own primal-dual gap, scaled
 
 def _mass_profile(pair, p, e_q, dens_dirs):
     """Least ``sum(p V(y q/p)) + y E_q[e]`` over the mass y > 0 for each
-    probability row q of ``dens_dirs`` (m, L): one lane of the golden-section
-    search :func:`~treedual.utility._golden_min` per row, on the log-mass
-    axis from [-40, 40] with bracket expansion."""
+    probability row q of ``dens_dirs`` (m, L): one lane of the grid zoom
+    :func:`~treedual.utility._zoom_min` per row, on the log-mass axis from
+    [-40, 40] with bracket expansion.  The rows run to thousands, so the
+    conjugate's arithmetic, not its calls, sets the cost: 27 rounds of 5
+    points, two new ones per lane and round, each halving the bracket."""
 
     def val(s):
         y = np.exp(s)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = pair.v((y[:, None] * dens_dirs) / p[None, :]) @ p + y * e_q
+            out = pair.v(y[..., None] * dens_dirs[:, None, :] / p) @ p + y * e_q[:, None]
         return np.where(np.isfinite(out), out, np.inf)
 
     lo = np.full(dens_dirs.shape[0], -40.0)
-    return val(_golden_min(val, lo, -lo, iters=38, expand=True))
+    return val(_zoom_min(val, lo, -lo, 27, points=5, expand=True)[:, None])[:, 0]
 
 
 def brute_force_dual(tree: MarketTree, pair: UtilityPair, endow, *,

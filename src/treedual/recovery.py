@@ -7,8 +7,9 @@ cumulative gains, which must meet X on every charged leaf.  On a finite
 tree the gain of any strategy is an exact martingale under every martingale
 measure wherever the conditional expectation is defined, so the
 supermartingale verification reports per-node drifts against enumerated
-polytope vertices.  The dynamic checks re-solve conditional dual problems on
-subtrees and compare their mass derivatives with the wealth process.
+polytope vertices.  The dynamic checks solve the conditional dual problems
+on subtrees, in closed form where the family or the leaf allows, and
+compare their mass derivatives with the wealth process.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualSolution, _newton_core, _objective
+from .dual import DualSolution, _newton_core
 from .errors import (NoPrimalOptimizerError, NotExponentialError,
                      ReplicationGapError)
 from .geometry import _support_structure, build_constraints, relative_entropy
@@ -179,45 +180,73 @@ class DynamicDualNode:
 def dynamic_dual(sol: DualSolution, t: int, wealth=None) -> list[DynamicDualNode]:
     """Conditional dual problems of the solved market at the time-``t`` nodes.
 
-    For each positive-mass node, minimizes the conditional entropy-plus-
+    For each positive-mass node n, the least conditional entropy-plus-
     endowment objective over subtree measures matching the optimizer's mass
-    on the node (by the Newton core on the maximal support, started at the
-    optimizer), then differentiates in that mass by the envelope formula.
-    Deterministic time grid only.  Consistency: the derivative should equal
-    minus the wealth at the node, when ``wealth`` (N,) in layout order is given.
+    m_n on the node, and its derivative in that mass.  A leaf's problem has
+    one feasible point, its mass: the raw value is p V(m/p) + m e and the
+    derivative V'(m/p) + e.  Exponential family: from the log-space pass's
+    L_n (``sol._log_l``), the raw value is ``C P_n + m_n (ln m_n - 1 -
+    ln P_n - L_n)/gamma`` and the derivative ``(ln m_n - ln P_n - L_n)/gamma``,
+    a whole level in a few array operations.  Two-power non-leaf nodes run
+    the Newton core on the subtree's maximal support, started at the
+    optimizer, and differentiate by the envelope formula.  The value is the
+    raw one over P_n; the restriction gap compares it with the objective of
+    the global optimizer restricted to the subtree, one ``subtree_sums`` of
+    ``p V(mu/p) + mu e`` (p V(0) at dead leaves).  Deterministic time grid
+    only.  Consistency: the derivative should equal minus the wealth at the
+    node, when ``wealth`` (N,) in layout order is given.
     """
     tree, pair, e = sol.tree, sol.pair, sol._endow_arr
     if not (0 <= t <= tree.horizon):
         raise ValueError(f"time {t} outside 0..{tree.horizon}")
-    p = tree.leaf_probability_array
-    mu = sol.mu
+    lay, p, mu = tree.layout, tree.leaf_probability_array, sol.mu
+    obj = p * pair.v(mu / p) + mu * e
+    mass, restricted = tree.subtree_sums(np.stack([mu, obj]))
+    nodes = np.arange(lay.level_starts[t], lay.level_starts[t + 1])
+    nodes = nodes[mass[nodes] > 0]
+    m, big_p = mass[nodes], tree.node_probability_array[nodes]
+    if t == tree.horizon:
+        leaf = nodes - lay.level_starts[-2]
+        raw, deriv = obj[leaf], pair.v_prime(m / big_p) + e[leaf]
+    elif sol._log_l is not None:
+        gamma = pair.params["gamma"]
+        log_ratio = np.log(m) - np.log(big_p) - sol._log_l[nodes]
+        raw = pair.params["C"] * big_p + m * (log_ratio - 1.0) / gamma
+        deriv = log_ratio / gamma
+    else:
+        raw, deriv = _conditional_solves(sol, nodes, m)
+    gap = np.abs(raw - restricted[nodes]) / (1.0 + np.abs(raw))
+    w = ([None] * nodes.size if wealth is None
+         else np.asarray(wealth, dtype=float)[nodes].tolist())
+    return [DynamicDualNode(lay.ids[k], v, d, g,
+                            None if x is None else abs(x + d) / (1.0 + abs(x)))
+            for k, v, d, g, x in zip(nodes.tolist(), (raw / big_p).tolist(),
+                                     deriv.tolist(), gap.tolist(), w)]
+
+
+def _conditional_solves(sol, nodes, masses):
+    """The raw conditional dual values and mass derivatives at the non-leaf
+    ``nodes`` with optimal masses ``masses``: one Newton-core call per node,
+    on the subtree's rows of :func:`build_constraints`."""
+    tree, pair, e, mu = sol.tree, sol.pair, sol._endow_arr, sol.mu
+    lay, p = tree.layout, tree.leaf_probability_array
     A, live = build_constraints(tree), _support_structure(tree).mask
-    lay = tree.layout
-    mass = tree.subtree_sums(mu)
-    out = []
-    for k in range(lay.level_starts[t], lay.level_starts[t + 1]):
-        nid, lo, hi, m_n = lay.ids[k], lay.lo[k], lay.hi[k], float(mass[k])
-        if m_n <= 0:
-            continue
-        P_n = float(tree.node_probability_array[k])
+    raw, deriv = np.empty(nodes.size), np.empty(nodes.size)
+    for i, (k, m_n) in enumerate(zip(nodes.tolist(), masses.tolist())):
+        lo, hi = lay.lo[k], lay.hi[k]
         # the rows of the non-leaf nodes inside this subtree
         inside = (lay.lo >= lo) & (lay.hi <= hi)
         A_sub = A[np.repeat(inside[:lay.level_starts[-2]], tree.n_assets), lo:hi]
         p_sub, e_sub, on = p[lo:hi], e[lo:hi], live[lo:hi]
-        mu_sub, _, raw, *_, (err,) = _newton_core(A_sub, p_sub, e_sub[None], pair, on,
+        mu_sub, _, val, *_, (err,) = _newton_core(A_sub, p_sub, e_sub[None], pair, on,
                                                   mass=[m_n], start=mu[None, lo:hi])
         if err is not None:
             raise err
-        mu_sub, raw = mu_sub[0], float(raw[0])
-        value = raw / P_n
         # the envelope formula; leaves off the support carry no mass
-        mu_on = mu_sub[on]
-        deriv = float(np.dot(mu_on / m_n, pair.v_prime(mu_on / p_sub[on]) + e_sub[on]))
-        gap = abs(raw - _objective(pair, p_sub, e_sub, mu[lo:hi])) / (1.0 + abs(raw))
-        w = None if wealth is None else float(wealth[k])
-        wres = None if w is None else abs(w + deriv) / (1.0 + abs(w))
-        out.append(DynamicDualNode(nid, value, deriv, gap, wres))
-    return out
+        mu_on = mu_sub[0, on]
+        raw[i] = val[0]
+        deriv[i] = np.dot(mu_on / m_n, pair.v_prime(mu_on / p_sub[on]) + e_sub[on])
+    return raw, deriv
 
 
 # -- exponential Snell envelope ------------------------------------------------------

@@ -339,7 +339,8 @@ def certify_assumptions(pair: UtilityPair) -> CertificationReport:
     are read from the log-log slope of U' over the last decade of the grid
     on which U' is finite and positive: below -1e-3 on the right, above
     1e-3 on the left.  The biconjugacy U(x) = min_y V(y) + x y is checked at
-    51 points in [-10, 10] by one lane-wise golden-section search.  Raises
+    51 points in [-10, 10] by one grid zoom (:func:`_zoom_min`) with a lane
+    per point: 13 calls of V, each on a (51, 65) grid.  Raises
     :class:`AssumptionFailError` naming the first violated assumption;
     otherwise returns the report with the empirical estimates.
     """
@@ -421,14 +422,14 @@ def certify_assumptions(pair: UtilityPair) -> CertificationReport:
         raise AssumptionFailError("conjugate growth", "y|V'|/V unbounded on grid")
 
     # biconjugacy: U(x) = min_y { V(y) + x y }, inner min over s = ln y by
-    # one golden-section search with a lane per x; residual relative to
-    # 1 + |U(x)|: U(-10) grows like exp(10 gamma), so an absolute residual
-    # fails on rounding alone
+    # one grid zoom with a lane per x; residual relative to 1 + |U(x)|:
+    # U(-10) grows like exp(10 gamma), so an absolute residual fails on
+    # rounding alone
     conj_x = np.concatenate([-np.logspace(-2, 1, 25), [0.0],
                              np.logspace(-2, 1, 25)])
     s_mid = np.log(pair.u_prime(conj_x))
-    s_star = _golden_min(lambda s: pair.v(np.exp(s)) + conj_x * np.exp(s),
-                         s_mid - 8.0, s_mid + 8.0)
+    s_star = _zoom_min(lambda s: pair.v(np.exp(s)) + conj_x[:, None] * np.exp(s),
+                       s_mid - 8.0, s_mid + 8.0, 13)
     val = pair.v(np.exp(s_star)) + conj_x * np.exp(s_star)
     u_x = pair.u(conj_x)
     resid = float(np.max(np.abs(u_x - val) / (1.0 + np.abs(u_x))))
@@ -450,44 +451,54 @@ def _last_decade_slope(xs, vals):
     return float(np.log(vals[-1] / vals[first]) / np.log(xs[-1] / xs[first]))
 
 
-def _golden_min(f, lo, hi, iters=90, *, expand=False):
-    """Golden-section minimizer, elementwise over lanes of brackets [lo, hi].
+_ZOOM_POINTS = 65  # grid points per lane and round of _zoom_min
 
-    ``lo`` and ``hi`` are arrays (one lane each) and ``f`` maps an array of
-    points to an array of values, one per lane; each lane runs the scalar
-    golden-section iteration, so one call of ``f`` per step serves every
-    lane.  With ``expand`` each lane's bracket first doubles its width
-    towards any end whose value is below the midpoint's, until the midpoint
-    beats both ends.  Returns the array of argmins after ``iters`` steps.
+
+def _zoom_min(f, lo, hi, rounds, *, points=_ZOOM_POINTS, expand=False):
+    """Grid-zoom minimizer, elementwise over lanes of brackets [lo, hi].
+
+    ``lo`` and ``hi`` are arrays (lanes,) and ``f`` maps an array (lanes, m)
+    of points to their values, lane by lane.  Each round lays an evenly
+    spaced grid of ``points`` (odd, at least 5) over each lane's bracket and
+    keeps the grid neighbours of its least value, which hold the minimizer
+    of a unimodal function; an argmin at an end keeps the two points next
+    to it, so a round shrinks the bracket by (points - 1)/2, 32-fold at the
+    default 65.  The kept points are the ends and the middle of the next
+    grid: one call of ``f`` evaluates the first grid, then one per round
+    its other points.  A wide grid makes few calls, for lanes few enough
+    that a call's overhead dominates; where many lanes make ``f``'s
+    arithmetic dominate, 5 points, two new ones per halving, take the
+    fewest evaluations.  With ``expand`` each lane's bracket first doubles
+    its width towards any end whose value is below the midpoint's, until
+    the midpoint beats both ends.  Returns the midpoints of the final
+    brackets.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a = np.asarray(lo, dtype=float)
     b = np.asarray(hi, dtype=float)
     if expand:
-        fa, fb = f(a), f(b)
         for _ in range(80):
-            fm = f(0.5 * (a + b))
+            fa, fm, fb = f(np.stack([a, 0.5 * (a + b), b], axis=1)).T
             grow_a = ~(fm <= fa + 1e-18 * np.abs(fm))
             grow_b = ~(fm <= fb + 1e-18 * np.abs(fm))
             if not np.any(grow_a | grow_b):
                 break
             a = np.where(grow_a, a - (b - a), a)
             b = np.where(grow_b, b + (b - a), b)
-            if np.any(grow_a):
-                fa = np.where(grow_a, f(a), fa)
-            if np.any(grow_b):
-                fb = np.where(grow_b, f(b), fb)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        # left lanes keep [a, d] and probe a new c; right lanes keep [c, b]
-        # and probe a new d
-        left = fc <= fd
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
-        fx = f(x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    return 0.5 * (a + b)
+    grid, kept = np.linspace(0.0, 1.0, points), [0, points // 2, points - 1]
+    fresh = np.ones(points, dtype=bool)
+    fresh[kept] = False
+    x = a[:, None] + (b - a)[:, None] * grid
+    fx = np.array(f(x), dtype=float)
+    for r in range(rounds):
+        if r:
+            fx[:, fresh] = f(x[:, fresh])
+        # of tied least values, the first, or the last where the first is
+        # the left end: a flat run at an end is a tail at rounding level,
+        # the minimizer next to its inner edge
+        first, last = np.argmin(fx, axis=1), points - 1 - np.argmin(fx[:, ::-1], axis=1)
+        at = np.clip(np.where(first == 0, last, first), 1, points - 2)[:, None] + [-1, 0, 1]
+        ends = np.take_along_axis(x, at, axis=1)
+        fx[:, kept] = np.take_along_axis(fx, at, axis=1)
+        x = ends[:, :1] + (ends[:, 2:] - ends[:, :1]) * grid
+        x[:, kept] = ends
+    return 0.5 * (x[:, 0] + x[:, -1])

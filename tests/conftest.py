@@ -6,7 +6,7 @@ import scipy.optimize
 
 import treegen
 from treedual import (MarketTree, dual, exponential_utility, market_from_dict,
-                      simplex, two_power_utility)
+                      recovery, simplex, two_power_utility)
 
 
 @pytest.fixture
@@ -64,7 +64,8 @@ def no_lp():
 
 @pytest.fixture
 def no_dense_core():
-    """Context manager under which the dense dual Newton core raises."""
+    """Context manager under which the dense dual Newton core raises, from
+    the solvers and from the dynamic dual alike."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the dense Newton core ran")
@@ -72,7 +73,8 @@ def no_dense_core():
     @contextlib.contextmanager
     def guard():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dual, "_newton_core", refuse)
+            for mod in (dual, recovery):
+                mp.setattr(mod, "_newton_core", refuse)
             yield
 
     return guard

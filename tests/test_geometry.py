@@ -152,6 +152,106 @@ def test_three_period_trinomial_tree_has_128_vertices():
         assert arr.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def _vertex_enumerate_pairwise(A, cap=geometry.VERTEX_CAP_DEFAULT):
+    """Oracle of ``vertex_enumerate``: the same double description with the
+    pair-by-pair adjacency test, which scans every other ray's zero set
+    for each (positive, negative) pair of rays."""
+    L = A.shape[1]
+    rays = np.eye(L)
+    for row in A[::-1]:
+        scale = max(1.0, np.abs(row).max())
+        d = rays @ row
+        tol = 1e-12 * scale
+        plus = np.where(d > tol)[0]
+        minus = np.where(d < -tol)[0]
+        zero = np.where(np.abs(d) <= tol)[0]
+        new_rays = [rays[zero]] if zero.size else []
+        if plus.size and minus.size:
+            zsets = rays <= 1e-12
+            combos = []
+            for i in plus:
+                for j in minus:
+                    meet = zsets[i] & zsets[j]
+                    others = np.delete(np.arange(rays.shape[0]), [i, j])
+                    dominated = np.any(np.all(zsets[others] | ~meet, axis=1)) \
+                        if others.size else False
+                    if dominated:
+                        continue
+                    r = d[i] * rays[j] - d[j] * rays[i]
+                    combos.append(r / r.sum())
+                    if zero.size + len(combos) > cap:
+                        raise CapExceededError(f"vertex candidates exceed cap {cap}",
+                                               count=zero.size + len(combos))
+            if combos:
+                new_rays.append(np.array(combos))
+        rays = np.vstack(new_rays) if new_rays else np.zeros((0, L))
+        if rays.shape[0] == 0:
+            return rays
+        key = np.round(rays / rays.sum(axis=1, keepdims=True), 12)
+        _, uniq = np.unique(key, axis=0, return_index=True)
+        rays = rays[np.sort(uniq)]
+        if rays.shape[0] > cap:
+            raise CapExceededError(
+                f"vertex candidates exceed cap {cap}", count=rays.shape[0])
+    out = []
+    for r in rays:
+        q = r / r.sum()
+        supp = q > 1e-12
+        sub = A[:, supp]
+        if supp.sum() - np.linalg.matrix_rank(sub, tol=1e-10) != 1:
+            continue
+        M = np.vstack([sub, np.ones((1, supp.sum()))])
+        rhs = np.zeros(M.shape[0])
+        rhs[-1] = 1.0
+        qs, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+        if np.any(qs < -1e-12):
+            continue
+        q = np.zeros(L)
+        q[supp] = np.clip(qs, 0.0, None)
+        q /= q.sum()
+        if np.abs(A @ q).max() > 1e-10 * max(1.0, np.abs(A).max()):
+            continue
+        out.append(q)
+    return np.array(out).reshape(-1, L)
+
+
+_DD_TREES = {
+    "bin1": treegen.bin1(), "tri1": treegen.tri1(),
+    "dead-leaf": treegen.dead_leaf_market(), "arbitrage": treegen.arbitrage_market(),
+    "3x3": treegen.product_market([[1.2, 1.0, 0.8]] * 2),
+    "2x2x2": treegen.product_market([[1.3, 0.8]] * 3),
+    "3x3x3": treegen.product_market([[1.25, 1.05, 0.8]] * 3),
+    "3x3x3-wide": treegen.product_market([[2.0, 1.0, 0.5]] * 3),
+    "4x4-2a": treegen.product_market(
+        [[(1.2, 1.1), (0.9, 1.2), (0.8, 0.85), (1.1, 0.9)]] * 2),
+    **{f"rand{s}": treegen.random_market(np.random.default_rng(s), max_periods=2)
+       for s in range(4)},
+    **{f"rand2a{s}": treegen.random_market(np.random.default_rng(s), max_periods=2,
+                                           n_assets=2) for s in range(2)},
+    **{f"acceptance{k}": tree
+       for k, (tree, _, _) in enumerate(treegen.acceptance_suite())},
+}
+
+
+@pytest.mark.parametrize("name", list(_DD_TREES))
+def test_blocked_adjacency_test_matches_the_pairwise_loop(name):
+    A = build_constraints(_DD_TREES[name])
+    got, want = vertex_enumerate(A), _vertex_enumerate_pairwise(A)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("moves, cap", [([[2.0, 1.0, 0.5]] * 3, 2),
+                                        ([[1.2, 1.0, 0.85]] * 4, 200),
+                                        ([[1.2, 1.0, 0.85]] * 3, 41)])
+def test_blocked_adjacency_test_stops_where_the_pairwise_loop_does(moves, cap):
+    A = build_constraints(treegen.product_market(moves))
+    with pytest.raises(CapExceededError) as want:
+        _vertex_enumerate_pairwise(A, cap=cap)
+    with pytest.raises(CapExceededError) as got:
+        vertex_enumerate(A, cap=cap)
+    assert (str(got.value), got.value.count) == (str(want.value), want.value.count)
+
+
 def test_measure_sets_are_stacks(tri1):
     verts = vertex_enumerate(build_constraints(tri1))
     assert isinstance(verts, np.ndarray) and verts.shape == (2, 3)

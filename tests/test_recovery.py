@@ -17,6 +17,8 @@ from treedual import (NoPrimalOptimizerError,
                       sample_martingale_measures, snell_envelope_exponential,
                       solve_dual, two_power_utility, verify_supermartingale,
                       vertex_enumerate)
+from treedual import dual, recovery
+from treedual.geometry import _support_structure
 from treedual.recovery import mollify
 
 LN2 = math.log(2.0)
@@ -261,6 +263,119 @@ def test_dynamic_dual_on_a_degenerate_market(exp_pair):
     root = dynamic_dual(sol, 0)[0]
     assert root.value == pytest.approx(sol.value, rel=1e-14)
     assert abs(root.derivative) <= 1e-12
+
+
+# -- dynamic dual against per-node Newton-core solves ------------------------------
+
+
+def _dynamic_dual_by_core(sol, t):
+    """Oracle of ``dynamic_dual``: per positive-mass node at time t, the
+    conditional problem solved by the Newton core on the subtree's rows,
+    started at the optimizer, with the envelope derivative and the gap
+    to the restricted optimizer's objective.  Returns (node index, raw
+    value / P_n, derivative, gap) per node."""
+    tree, pair, e, mu = sol.tree, sol.pair, sol._endow_arr, sol.mu
+    lay, p = tree.layout, tree.leaf_probability_array
+    A, live = build_constraints(tree), _support_structure(tree).mask
+    mass = tree.subtree_sums(mu)
+    out = []
+    for k in range(lay.level_starts[t], lay.level_starts[t + 1]):
+        lo, hi, m_n = lay.lo[k], lay.hi[k], float(mass[k])
+        if m_n <= 0:
+            continue
+        inside = (lay.lo >= lo) & (lay.hi <= hi)
+        A_sub = A[np.repeat(inside[:lay.level_starts[-2]], tree.n_assets), lo:hi]
+        p_sub, e_sub, on = p[lo:hi], e[lo:hi], live[lo:hi]
+        mu_sub, _, raw, *_, (err,) = dual._newton_core(
+            A_sub, p_sub, e_sub[None], pair, on, mass=[m_n], start=mu[None, lo:hi])
+        assert err is None
+        mu_on, raw = mu_sub[0][on], float(raw[0])
+        deriv = float(np.dot(mu_on / m_n, pair.v_prime(mu_on / p_sub[on]) + e_sub[on]))
+        gap = abs(raw - dual._objective(pair, p_sub, e_sub, mu[lo:hi])) / (1.0 + abs(raw))
+        out.append((k, raw / float(tree.node_probability_array[k]), deriv, gap))
+    return out
+
+
+def _assert_dynamic_dual_matches_the_core(sol):
+    # the derivative is minus a wealth, at the endowment's scale; the
+    # core's optimum is the less exact side, to ~2e-13 of that scale
+    ids = sol.tree.layout.ids
+    scale = 1.0 + np.abs(sol._endow_arr).max()
+    for t in range(sol.tree.horizon + 1):
+        got = dynamic_dual(sol, t)
+        want = _dynamic_dual_by_core(sol, t)
+        assert [node.node_id for node in got] == [ids[k] for k, *_ in want]
+        for node, (_, value, deriv, gap) in zip(got, want):
+            assert abs(node.value - value) <= 1e-12 * (1.0 + abs(value))
+            assert abs(node.derivative - deriv) <= 1e-12 * scale
+            assert abs(node.restriction_gap - gap) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_exponential_dynamic_dual_matches_per_node_core_solves(seed):
+    # one- and two-asset trees, endowments on [-1, 1] and on [-20, 20]
+    rng = np.random.default_rng(seed)
+    tree = treegen.random_market(rng, max_periods=3, n_assets=1 + seed % 2)
+    pair = exponential_utility(float(rng.uniform(0.3, 3.0)), 2.0)
+    scale = 20.0 if seed % 4 >= 2 else 1.0
+    sol = solve_dual(tree, pair, rng.uniform(-scale, scale, size=tree.n_leaves))
+    _assert_dynamic_dual_matches_the_core(sol)
+
+
+@pytest.mark.parametrize("endow", [0.0, [20.0, -20.0], [-20.0, 3.0]])
+def test_exponential_dynamic_dual_matches_the_core_on_a_degenerate_market(endow):
+    tree = treegen.dead_leaf_market()
+    sol = solve_dual(tree, exponential_utility(1.3, 2.0), endow)
+    assert sol.support == "DEGENERATE"
+    _assert_dynamic_dual_matches_the_core(sol)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_two_power_dynamic_dual_leaves_match_the_cores_leaf_solve(seed):
+    rng = np.random.default_rng(seed)
+    tree = treegen.random_market(rng, max_periods=3, n_assets=1 + seed % 2)
+    pair = two_power_utility(float(rng.uniform(0.3, 0.7)), float(rng.uniform(0.5, 2.0)), 1.0)
+    sol = solve_dual(tree, pair, rng.uniform(-3.0, 3.0, size=tree.n_leaves))
+    got = dynamic_dual(sol, tree.horizon)
+    want = _dynamic_dual_by_core(sol, tree.horizon)
+    assert len(got) == len(want) == tree.n_leaves
+    for node, (_, value, deriv, gap) in zip(got, want):
+        assert abs(node.value - value) <= 1e-12 * (1.0 + abs(value))
+        assert abs(node.derivative - deriv) <= 1e-12 * (1.0 + abs(deriv))
+        assert node.restriction_gap == 0.0 and gap <= 1e-12
+
+
+@pytest.mark.parametrize("family", ["exponential", "two_power"])
+def test_dynamic_dual_calls_the_core_only_at_two_power_inner_nodes(family, monkeypatch):
+    tree = treegen.product_market([[2.0, 1.0, 0.5], [1.6, 0.7]])
+    pair = (exponential_utility(1.0, 2.0) if family == "exponential"
+            else two_power_utility(0.5, 1.0, 1.0))
+    sol = solve_dual(tree, pair, treegen.random_endowment(np.random.default_rng(9), tree))
+    calls, real = [], recovery._newton_core
+    monkeypatch.setattr(recovery, "_newton_core",
+                        lambda *args, **kw: calls.append(len(args[1])) or real(*args, **kw))
+    per_time = []
+    for t in range(tree.horizon + 1):
+        before = len(calls)
+        nodes = dynamic_dual(sol, t)
+        per_time.append((len(calls) - before, len(nodes)))
+    if family == "exponential":
+        assert calls == []
+    else:
+        # one call per positive-mass non-leaf node, on its subtree's leaves
+        assert per_time == [(1, 1), (3, 3), (0, tree.n_leaves)]
+        assert calls == [6, 2, 2, 2]
+
+
+@pytest.mark.parametrize("n_assets", [1, 2])
+def test_exponential_battery_runs_no_newton_core(n_assets, no_dense_core):
+    rng = np.random.default_rng(11 + n_assets)
+    tree = treegen.random_market(rng, max_periods=3, n_assets=n_assets)
+    e = rng.uniform(-3.0, 3.0, size=tree.n_leaves)
+    with no_dense_core():
+        results = run_battery(tree, exponential_utility(1.5, 2.0), e)
+    assert all(r.passed for r in results)
+    assert [r.name for r in results][-1] == "conjugate growth bound along the curve"
 
 
 # -- the solvers' strategy against per-node least-squares replication ---------------

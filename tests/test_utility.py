@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -11,7 +12,8 @@ from treedual import (AssumptionFailError, DomainError, ParseError,
                       UtilityPair, certify_assumptions, evaluate,
                       exponential_utility, parse_utility_spec, run_battery,
                       two_power_utility)
-from treedual.utility import _golden_min
+from treedual import oracle, pricing, utility
+from treedual.utility import _zoom_min
 
 INF = float("inf")
 
@@ -300,10 +302,56 @@ def test_golden_min_lanes_find_each_conjugate_argmin(pair):
     # at the 1e-6 level
     x = np.concatenate([-np.logspace(-2, 1, 25), [0.0], np.logspace(-2, 1, 25)])
     s_true = np.log(pair.u_prime(x))
-    s = _golden_min(lambda s: pair.v(np.exp(s)) + x * np.exp(s),
-                    s_true - 8.0, s_true + 5.0)
+    # the certification's setting: 13 rounds of the 65-point grid
+    s = _zoom_min(lambda s: pair.v(np.exp(s)) + x[:, None] * np.exp(s),
+                  s_true - 8.0, s_true + 5.0, 13)
     assert s.shape == x.shape
     assert np.abs(s - s_true).max() <= 1e-6
+
+
+def test_each_callers_zoom_ends_no_wider_than_its_golden_section(monkeypatch, tri1):
+    # the reference: a golden-section search of these many steps per caller,
+    # each shrinking the same (expanded) bracket by 0.618
+    golden = {"certify_assumptions": 90, "entropic_penalty": 200, "_mass_profile": 38}
+    used = {}
+
+    def spy(f, lo, hi, rounds, **kw):
+        used[sys._getframe(1).f_code.co_name] = (rounds, kw.get("points", 65))
+        return _zoom_min(f, lo, hi, rounds, **kw)
+
+    for mod in (utility, pricing, oracle):
+        monkeypatch.setattr(mod, "_zoom_min", spy)
+    pair = exponential_utility(1.0, 2.0)
+    certify_assumptions(pair)
+    pricing.entropic_penalty(tri1, pair, 0.0, [0.25, 0.5, 0.25])
+    q = np.array([[0.25, 0.5, 0.25]])
+    oracle._mass_profile(pair, tri1.leaf_probability_array, q @ [0.1, 0.0, -0.1], q)
+    assert used.keys() == golden.keys()
+    for caller, (rounds, points) in used.items():
+        # on an increasing function every round keeps the left end, so the
+        # midpoint returned from [0, 1] is half the final bracket
+        width = 2.0 * _zoom_min(lambda s: s, np.zeros(1), np.ones(1), rounds,
+                                points=points)[0]
+        assert width == pytest.approx(((points - 1) / 2.0) ** -rounds, rel=1e-12)
+        assert width <= ((math.sqrt(5.0) - 1.0) / 2.0) ** golden[caller], caller
+
+
+@pytest.mark.parametrize("points, rounds", [(5, 27), (65, 6)])
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["left-tail", "right-tail"])
+def test_zoom_min_leaves_a_flat_tail_at_its_inner_edge(points, rounds, side):
+    # 2 + e^s (s + 0.65)/100, least at s = -1.65, rounds to 2.0 below
+    # s ~ -33: from [-120, 40] the 5-point grid ties at -120, -80 and -40,
+    # and the minimizer lies next to the inner edge of that run, not next
+    # to its first point
+    def f(s):
+        s = side * s
+        return 2.0 + np.exp(s) * (s + 0.65) / 100.0
+
+    lo, hi = np.array([-120.0]), np.array([40.0])
+    if side < 0:
+        lo, hi = -hi, -lo
+    s = _zoom_min(f, lo, hi, rounds, points=points)
+    assert abs(side * s[0] + 1.65) <= 1e-5
 
 
 def test_certification_rejects_nonpositive_shift():
