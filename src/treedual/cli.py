@@ -215,18 +215,17 @@ def _cmd_curve(args, out: _Out):
     pair = parse_utility_spec(args.utility)
     endow = _pick_endowment(tree, args.endowment)
     claim = _pick_claim(tree, args.claim)
-    betas = _parse_betas(args.betas)
-    rep = average_price_curve(tree, pair, endow, claim, betas)
+    rep = average_price_curve(tree, pair, endow, claim, _parse_betas(args.betas))
     out.manifest["dual_solves"] = rep.dual_solves
     out.manifest["dual_rounds"] = rep.dual_rounds
     out.say("beta  average_price")
-    for b, p in zip(betas, rep.prices):
+    for b, p in zip(rep.betas, rep.prices):
         out.say(f"  {f12(b)}  {f12(p)}")
     out.say(f"large-volume limit (lower bound): {f12(rep.lp_lower)}")
     out.say(f"zero-volume limit (marginal price): {f12(rep.davis)}")
     out.csv("volume_curve.csv", ["beta", "average_price", "lp_lower", "davis"],
             [[f12(b), f12(p), f12(rep.lp_lower), f12(rep.davis)]
-             for b, p in zip(betas, rep.prices)])
+             for b, p in zip(rep.betas, rep.prices)])
     return EXIT_OK
 
 

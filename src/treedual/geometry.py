@@ -139,27 +139,21 @@ class SupportStructure:
         return mass[levels[-2]:]
 
     def extremes(self, u):
-        """(min, max) of E_q[u] over martingale probabilities q, and a minimizer.
+        """(min, max) of E_q[u] over martingale probabilities q.
 
         Backward induction: a node's lower (upper) value is the least
-        (greatest) vertex-weighted sum of its children's values.  The
-        minimizer multiplies the vertices chosen for the lower values; it is
-        a vertex of the martingale polytope.
+        (greatest) vertex-weighted sum of its children's values.
         """
         levels = self.layout.level_starts
         lo, hi = np.zeros(len(self.layout.ids)), np.zeros(len(self.layout.ids))
         lo[levels[-2]:] = hi[levels[-2]:] = u
         ends = np.searchsorted(self.node, levels)
-        chosen = np.zeros(self.node.size)
         for v0, v1 in zip(ends[-3::-1], ends[-2::-1]):  # levels, bottom up
             node, child, weight = self.node[v0:v1], self.child[v0:v1], self.weight[v0:v1]
             starts = np.flatnonzero(np.diff(node, prepend=-1))
-            a, b = (weight * lo[child]).sum(axis=1), (weight * hi[child]).sum(axis=1)
-            lo[node[starts]] = np.minimum.reduceat(a, starts)
-            hi[node[starts]] = np.maximum.reduceat(b, starts)
-            first = np.where(a == lo[node], np.arange(a.size), a.size)
-            chosen[v0 + np.minimum.reduceat(first, starts)] = 1.0
-        return float(lo[0]), float(hi[0]), self.mixture(chosen)
+            lo[node[starts]] = np.minimum.reduceat((weight * lo[child]).sum(axis=1), starts)
+            hi[node[starts]] = np.maximum.reduceat((weight * hi[child]).sum(axis=1), starts)
+        return float(lo[0]), float(hi[0])
 
 
 @lru_cache(maxsize=256)
@@ -299,10 +293,12 @@ def vertex_enumerate(A: np.ndarray, cap: int = VERTEX_CAP_DEFAULT) -> np.ndarray
         rays = np.vstack(new_rays) if new_rays else np.zeros((0, L))
         if rays.shape[0] == 0:
             return rays
-        # dedupe
-        key = np.round(rays / rays.sum(axis=1, keepdims=True), 12)
-        _, uniq = np.unique(key, axis=0, return_index=True)
-        rays = rays[np.sort(uniq)]
+        # dedupe: first occurrences, in order, of each rounded row (+ 0.0
+        # turns -0.0 into 0.0, which has other bytes)
+        first = {}
+        for k, row in enumerate(np.round(rays / rays.sum(axis=1, keepdims=True), 12) + 0.0):
+            first.setdefault(row.tobytes(), k)
+        rays = rays[list(first.values())]
         if rays.shape[0] > cap:
             raise CapExceededError(
                 f"vertex candidates exceed cap {cap}", count=rays.shape[0])

@@ -54,7 +54,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidTreeError, ParseError
+from .errors import DomainError, InvalidTreeError, ParseError
 
 MAX_LEAVES_DEFAULT = 100_000
 
@@ -456,7 +456,8 @@ def save_market(tree: MarketTree, path) -> None:
 def leaf_values(tree: MarketTree, x) -> np.ndarray:
     """Coerce an array / scalar / mapping (or :class:`RandomVariable`) from
     leaf id to value to an (L,) array in leaf order; a mapping must name
-    every leaf and no other key."""
+    every leaf and no other key.  Raises :class:`DomainError` on a NaN or
+    infinite value."""
     if isinstance(x, RandomVariable):
         x = x.values
     if isinstance(x, Mapping):
@@ -469,10 +470,13 @@ def leaf_values(tree: MarketTree, x) -> np.ndarray:
         if len(x) != len(ids):
             extra = set(x) - set(ids)
             raise ParseError(f"random variable has unknown leaves: {sorted(extra)[:5]}")
-        return arr
-    if isinstance(x, (int, float)):
-        return np.full(tree.n_leaves, float(x))
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (tree.n_leaves,):
-        raise ValueError(f"expected {tree.n_leaves} leaf values, got shape {arr.shape}")
+    elif isinstance(x, (int, float)):
+        arr = np.full(tree.n_leaves, float(x))
+    else:
+        arr = np.asarray(x, dtype=float)
+        if arr.shape != (tree.n_leaves,):
+            raise ValueError(f"expected {tree.n_leaves} leaf values, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        bad = tree.leaf_ids[int(np.argmin(np.isfinite(arr)))]
+        raise DomainError(f"leaf value at {bad!r} is not finite")
     return arr

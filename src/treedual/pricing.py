@@ -53,8 +53,7 @@ def price_bounds(tree: MarketTree, claim) -> tuple[float, float]:
     One extremal sweep (backward induction over the cached one-step
     vertices of :func:`~treedual.geometry._support_structure`).
     """
-    lo, hi, _ = _support_structure(tree).extremes(leaf_values(tree, claim))
-    return lo, hi
+    return _support_structure(tree).extremes(leaf_values(tree, claim))
 
 
 class SolveCounter:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import DualSolution, _newton_core
-from .errors import (NoPrimalOptimizerError, NotExponentialError,
+from .errors import (DomainError, NoPrimalOptimizerError, NotExponentialError,
                      ReplicationGapError)
 from .geometry import _support_structure, build_constraints, relative_entropy
 from .market import MarketTree, leaf_values
@@ -61,13 +61,17 @@ def recover(tree: MarketTree, pair: UtilityPair, endow,
     :class:`ReplicationGapError`: the first-order condition U'(X + e) = the
     density, and max |X - wealth| over the leaves q charges, which compares
     the dual side (X from the measure) with the primal side (h) and names
-    the worst leaf.
+    the worst leaf.  ``tree``, ``pair`` and ``endow`` must be the problem
+    ``sol`` solved, else :class:`DomainError`.
     """
+    e = leaf_values(tree, endow)
+    if tree is not sol.tree or pair is not sol.pair or not np.array_equal(e, sol._endow_arr):
+        raise DomainError("recover needs the tree, utility and endowment the "
+                          "dual solution was solved for")
     if sol.support != "EQUIVALENT":
         raise NoPrimalOptimizerError(
             "dual optimizer is degenerate (no equivalent martingale measure "
             "with finite entropy); the primal problem has no optimizer")
-    e = leaf_values(tree, endow)
     p = tree.leaf_probability_array
     dens = sol.density_array
     if sol._log_q is None:

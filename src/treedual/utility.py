@@ -2,16 +2,17 @@
 
 Two built-in families:
 
-* ``exponential``: ``U(x) = shift - exp(-gamma*x)/gamma`` with closed-form
-  conjugate ``V(y) = shift + (y/gamma)*(ln y - 1)``.
+* ``exponential``: ``U(x) = shift - exp(-gamma*x)/gamma``.
 * ``two_power``: polynomial tails ``U(x) = shift + ((1+x)^(1-a) - 1)/(1-a)``
   for ``x >= 0`` and ``U(x) = shift - ((1-x)^(1+b) - 1)/(1+b)`` for ``x < 0``.
-  The marginal ``U'`` inverts in closed form on each tail, so V, V' and V''
-  are closed-form too; each inversion is certified by its residual.
 
-Boundary conventions use explicit infinities: ``V(0) = U(inf)``,
-``V(inf) = inf``, ``V'(0) = -inf`` and ``V'(inf) = inf``.  Tail-elasticity and
-growth conditions are certified numerically by :func:`certify_assumptions`.
+A family supplies its closed forms on the U side: U, U', the inverse
+marginal I = (U')^-1, the risk aversion A = -U''/U', U's inverse and limits.
+:func:`_pair` derives the conjugate ``V(y) = U(I(y)) - y I(y)``,
+``V'(y) = -I(y)`` and ``V''(y) = 1/(y A(I(y)))``, with explicit infinities
+at the boundary: ``V(0) = U(inf)``, ``V(inf) = inf``, ``V'(0) = -inf`` and
+``V'(inf) = inf``.  :func:`certify_assumptions` certifies the standing
+assumptions numerically.
 """
 
 from __future__ import annotations
@@ -35,13 +36,15 @@ _CERT_EXTENT = 1e6  # certification grids span [-1e6, 1e6]
 class UtilityPair:
     """A utility function with its convex conjugate and derivatives.
 
-    All evaluators are vectorized over numpy arrays.  ``u_inf`` is the
-    supremum of U (finite for the exponential family), and ``ae_plus`` and
-    ``ae_minus`` are the claimed tail elasticities.  ``u_inverse`` maps
-    a utility level back to wealth (+inf at or above ``u_inf``); pricing
-    measures values in these certainty-equivalent units.  ``risk_aversion``
-    is the absolute risk aversion -U''/U' in closed form, which gives the
-    dual Newton core its curvature -U'' = U' (-U''/U').
+    All evaluators are vectorized over numpy arrays; the built-in families
+    supply the U side and :func:`_pair` derives V, V' and V''.  ``u_inf``
+    is the supremum of U (finite for the exponential family), and
+    ``ae_plus`` and ``ae_minus`` are the claimed tail elasticities.
+    ``u_inverse`` maps a utility level back to wealth (+inf at or above
+    ``u_inf``); pricing measures values in these certainty-equivalent
+    units.  ``risk_aversion`` is the absolute risk aversion A = -U''/U' in
+    closed form: it gives the dual Newton core its curvature -U'' = U' A
+    and the conjugate its V''(y) = 1/(y A(-V'(y))).
     """
 
     family: str
@@ -74,13 +77,55 @@ def _vectorized(fn):
     return wrapped
 
 
+def _pair(family, params, *, u, u_prime, inverse_marginal, risk_aversion, u_inverse,
+          u_inf, ae_plus, ae_minus, v_second_at_inf) -> UtilityPair:
+    """The pair of a family given by its closed forms on the U side.
+
+    ``inverse_marginal`` solves U'(x) = y for arrays y >= 0, with I(0) = inf
+    and I(inf) = -inf; ``v_second_at_inf`` is V'' at y = inf, where
+    1/(y A(I(y))) reads inf * 0.  V, V' and V'' raise :class:`DomainError`
+    on a conjugate argument below 0 or NaN.
+    """
+
+    def conjugate_point(y):
+        if not np.all(y >= 0):  # also false for NaN
+            raise DomainError("conjugate argument must be >= 0")
+        return inverse_marginal(y)
+
+    def v(y):
+        x = conjugate_point(y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = u(x) - x * y
+        # inf * 0 at y = 0, inf - inf at y = inf or where U(x) and x y overflow
+        out[np.isnan(out)] = INF
+        out[y == 0] = u_inf
+        return out
+
+    def v_prime(y):
+        return -conjugate_point(y)
+
+    def v_second(y):
+        x = conjugate_point(y)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = 1.0 / (y * risk_aversion(x))
+        out[np.isinf(y)] = v_second_at_inf
+        return out
+
+    return UtilityPair(
+        family=family, params=params, u=_vectorized(u), u_prime=_vectorized(u_prime),
+        v=_vectorized(v), v_prime=_vectorized(v_prime), v_second=_vectorized(v_second),
+        risk_aversion=_vectorized(risk_aversion), u_inf=u_inf, ae_plus=ae_plus,
+        ae_minus=ae_minus, u_inverse=_vectorized(u_inverse))
+
+
 # -- exponential family -------------------------------------------------------
 
 def exponential_utility(gamma: float, shift: float = 0.0) -> UtilityPair:
     """Exponential utility with absolute risk aversion ``gamma`` (> 0).
 
     ``shift`` moves U additively; ``shift > 1/gamma`` makes U(0) positive,
-    which the certification checks require.
+    which the certification checks require.  U' = exp(-gamma x) inverts to
+    ``-ln(y)/gamma``, so V(y) = shift + (y/gamma)(ln y - 1).
     """
     if gamma <= 0:
         raise DomainError("gamma must be positive")
@@ -95,6 +140,10 @@ def exponential_utility(gamma: float, shift: float = 0.0) -> UtilityPair:
         with np.errstate(over="ignore"):
             return np.exp(-g * x)
 
+    def inverse_marginal(y):
+        with np.errstate(divide="ignore"):
+            return -np.log(y) / g  # inf at 0, -inf at inf
+
     def risk_aversion(x):
         return np.full_like(x, g)
 
@@ -103,47 +152,10 @@ def exponential_utility(gamma: float, shift: float = 0.0) -> UtilityPair:
             gap = g * (c - v)
             return np.where(gap > 0, -np.log(gap) / g, INF)
 
-    def v(y):
-        _check_conjugate_domain(y)
-        out = np.empty_like(y)
-        pos = y > 0
-        finite = pos & np.isfinite(y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            yy = y[finite]
-            out[finite] = c + yy * (np.log(yy) - 1.0) / g
-        out[y == 0] = c          # V(0) = U(inf)
-        out[np.isinf(y)] = INF
-        return out
-
-    def v_prime(y):
-        _check_conjugate_domain(y)
-        with np.errstate(divide="ignore"):
-            return np.log(y) / g  # -inf at 0, +inf at inf
-
-    def v_second(y):
-        _check_conjugate_domain(y)
-        with np.errstate(divide="ignore"):
-            return 1.0 / (g * y)
-
-    return UtilityPair(
-        family="exponential",
-        params={"gamma": g, "C": c},
-        u=_vectorized(u),
-        u_prime=_vectorized(u_prime),
-        v=_vectorized(v),
-        v_prime=_vectorized(v_prime),
-        v_second=_vectorized(v_second),
-        u_inf=c,
-        ae_plus=0.0,
-        ae_minus=INF,
-        u_inverse=_vectorized(u_inverse),
-        risk_aversion=_vectorized(risk_aversion),
-    )
-
-
-def _check_conjugate_domain(y):
-    if not np.all(y >= 0):  # also false for NaN
-        raise DomainError("conjugate argument must be >= 0")
+    return _pair("exponential", {"gamma": g, "C": c}, u=u, u_prime=u_prime,
+                 inverse_marginal=inverse_marginal, risk_aversion=risk_aversion,
+                 u_inverse=u_inverse, u_inf=c, ae_plus=0.0, ae_minus=INF,
+                 v_second_at_inf=0.0)
 
 
 # -- two-power family ----------------------------------------------------------
@@ -155,8 +167,8 @@ def two_power_utility(a: float, b: float, shift: float = 1.0) -> UtilityPair:
     The marginal is ``U'(x) = (1+x)^(-a)`` for x >= 0 and ``(1-x)^b`` below,
     so it is C^1 at 0 with U'(0) = 1.  Tail elasticities are ``1-a`` and
     ``1+b``.  U' inverts exactly, to ``y^(-1/a) - 1`` for y <= 1 and
-    ``1 - y^(1/b)`` above, which gives V and V' in closed form; V'' is
-    analytic and jumps at y = 1, where U'' does at x = 0.
+    ``1 - y^(1/b)`` above; the risk aversion, and with it V'', jumps at
+    x = 0 (y = 1).
     """
     if not (0.0 < a < 1.0):
         raise DomainError("a must lie in (0, 1)")
@@ -199,7 +211,6 @@ def two_power_utility(a: float, b: float, shift: float = 1.0) -> UtilityPair:
         x = inf (U' vanishes only there), y = inf gives x = -inf.  Raises
         ``ArithmeticError`` when a finite x has |U'(x) - y| > 1e-12 (1+y).
         """
-        _check_conjugate_domain(y)
         right = y <= 1.0
         with np.errstate(over="ignore", divide="ignore"):
             x = np.expm1(np.log(y) / np.where(right, -a, b))
@@ -212,44 +223,11 @@ def two_power_utility(a: float, b: float, shift: float = 1.0) -> UtilityPair:
                 f"marginal inversion residual {resid[bad].max():.3e} above target")
         return x
 
-    def v(y):
-        xs = inverse_marginal(y)
-        out = np.full_like(y, INF)  # V(0) = U(inf) = inf, V(inf) = inf
-        interior = np.isfinite(xs)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = u(xs[interior]) - xs[interior] * y[interior]
-        # inf - inf where U(x) and x y both overflow: V is above the range
-        out[interior] = np.where(np.isnan(vals), INF, vals)
-        return out
-
-    def v_prime(y):
-        return -inverse_marginal(y)
-
-    def v_second(y):
-        # -1/U''(x) with U'(x) = y: (1+x)^(1+a)/a = (1+x)/(a y) on the right
-        # tail, (1-x)^(1-b)/b = (1-x)/(b y) on the left; U'' jumps at x = 0,
-        # so V'' is 1/a at y = 1 and tends to 1/b from above
-        x = inverse_marginal(y)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            out = (1.0 + np.abs(x)) / (np.where(y <= 1.0, a, b) * y)
-        # inf/inf at y = inf, where y^(1/b - 1)/b tends to inf, 1 or 0
-        out[np.isinf(y)] = INF ** (1.0 / b - 1.0) / b
-        return out
-
-    return UtilityPair(
-        family="two_power",
-        params={"a": a, "b": b, "C": c},
-        u=_vectorized(u),
-        u_prime=_vectorized(u_prime),
-        v=_vectorized(v),
-        v_prime=_vectorized(v_prime),
-        v_second=_vectorized(v_second),
-        u_inf=INF,
-        ae_plus=1.0 - a,
-        ae_minus=1.0 + b,
-        u_inverse=_vectorized(u_inverse),
-        risk_aversion=_vectorized(risk_aversion),
-    )
+    # V'' = y^(1/b - 1)/b on the left tail, which tends to inf, 1 or 0
+    return _pair("two_power", {"a": a, "b": b, "C": c}, u=u, u_prime=u_prime,
+                 inverse_marginal=inverse_marginal, risk_aversion=risk_aversion,
+                 u_inverse=u_inverse, u_inf=INF, ae_plus=1.0 - a, ae_minus=1.0 + b,
+                 v_second_at_inf=INF ** (1.0 / b - 1.0) / b)
 
 
 # -- generic operations --------------------------------------------------------

@@ -364,3 +364,22 @@ def test_no_subcommand_takes_a_solver_tolerance():
     for name, parser in sub.choices.items():
         flags = {f for action in parser._actions for f in action.option_strings}
         assert "--tol" not in flags, name
+
+
+@pytest.mark.parametrize("utility", ["exp:gamma=1,C=2", "twopower:a=0.5,b=1,C=1"])
+def test_curve_prints_each_price_beside_its_own_volume(tmp_path, capsys, utility):
+    # the report sorts its volumes: each price sits beside its own volume
+    # whatever the order of the --betas grid
+    tables = []
+    for grid in ("1e-2:1e2:3", "1e2:1e-2:3"):
+        out = tmp_path / grid.replace(":", "_")
+        argv = ["curve", "--market", str(treegen.DATA / "quote_pinned_4x4_2a.json"),
+                "--utility", utility, "--claim", "claim", "--betas", grid,
+                "--output-dir", str(out)]
+        assert cli.run(argv) == cli.EXIT_OK
+        text = capsys.readouterr().out
+        tables.append(((out / "volume_curve.csv").read_text(),
+                       text[text.index("beta"):text.index("large-volume")]))
+    assert tables[0] == tables[1]
+    rows = tables[0][0].splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == pytest.approx([1e-2, 1.0, 1e2])

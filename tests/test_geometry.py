@@ -446,10 +446,8 @@ def _assert_matches_lp_oracle(tree, u):
     assert np.abs(build_constraints(tree) @ q).max() <= 1e-12
     assert abs(q.sum() - 1.0) <= 1e-12
     assert np.all(q[mask] > 0) and np.all(q[~mask] == 0)
-    lo, hi, q_lo = geo.extremes(u)
-    for got, want in zip((lo, hi), bounds):
+    for got, want in zip(geo.extremes(u), bounds):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-    assert abs(q_lo @ u - lo) <= 1e-12 * max(1.0, abs(lo))
 
 
 @pytest.mark.parametrize("moves", [

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treegen
-from treedual import (InvalidTreeError, ParseError, RandomVariable,
+from treedual import (DomainError, InvalidTreeError, ParseError, RandomVariable,
                       exponential_utility, leaf_values, load_market,
-                      market_from_dict, market_to_dict, save_market,
-                      solve_dual, two_power_utility)
+                      market_from_dict, market_to_dict, price_report,
+                      save_market, solve_dual, two_power_utility)
 
 _RAISE = object()
 
@@ -193,6 +193,26 @@ def test_random_variable_coverage(tri1):
         with pytest.raises(ParseError, match="unknown"):
             leaf_values(tri1, wrap({"a": 1.0, "b": 0.0, "c": 0.0, "zz": 1.0}))
 
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_leaf_values_raise_domain_error(tri1, bad):
+    forms = [np.array([bad, 0.0, 0.0]), [0.0, bad, 0.0], bad,
+             {"a": 0.0, "b": 0.0, "c": bad}, RandomVariable({"a": bad, "b": 0.0, "c": 0.0})]
+    for x in forms:
+        with pytest.raises(DomainError, match="not finite"):
+            leaf_values(tri1, x)
+
+
+@pytest.mark.parametrize("make", [lambda: exponential_utility(1.0, 2.0),
+                                  lambda: two_power_utility(0.5, 1.0, 1.0)])
+def test_non_finite_endowment_or_claim_fails_typed(tri1, make):
+    # NaN data is the caller's, not an overflow, a solver fault or an index
+    pair, nan = make(), np.array([np.nan, 0.0, 0.0])
+    with pytest.raises(DomainError, match="'a' is not finite"):
+        solve_dual(tri1, pair, nan)
+    with pytest.raises(DomainError, match="'a' is not finite"):
+        price_report(tri1, pair, 0.0, nan)
 
 def test_malformed_json(tmp_path):
     p = tmp_path / "bad.json"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treegen
-from treedual import (NoPrimalOptimizerError,
+from treedual import (DomainError, NoPrimalOptimizerError,
                       NotExponentialError, build_constraints,
                       check_maximal_support, dual_value_curve, dynamic_dual,
                       exponential_utility,
@@ -95,6 +95,19 @@ def test_duality_gap_and_residuals(tri1, exp_pair, tp_pair):
         assert ps.replication_residual <= 1e-8
         assert abs(ps.wealth[0]) <= 1e-8
 
+
+
+def test_recover_refuses_a_problem_other_than_its_solutions(tri1, exp_pair, tp_pair):
+    # another problem is the caller's mistake, not a replication gap of the
+    # solver
+    e = {"a": 0.3, "b": -0.2, "c": 0.1}
+    for pair, other in ((exp_pair, tp_pair), (tp_pair, exp_pair)):
+        sol = solve_dual(tri1, pair, e)
+        for args in ((tri1, pair, 0.0), (tri1, other, e), (treegen.tri1(), pair, e)):
+            with pytest.raises(DomainError, match="dual solution was solved for"):
+                recover(*args, sol)
+        # the same endowment in another input form is the same problem
+        assert recover(tri1, pair, np.array([0.3, -0.2, 0.1]), sol).replication_residual <= 1e-8
 
 def test_supermartingale_under_vertices(tri1, exp_pair):
     sol = solve_dual(tri1, exp_pair, 0.0)

@@ -151,6 +151,32 @@ def test_two_power_sentinels_at_extreme_arguments(a, b):
     assert vs.tolist() == [INF, INF, INF if b < 1.0 else 1.0 if b == 1.0 else 0.0]
 
 
+
+@pytest.mark.parametrize("gamma,shift", [(1.0, 2.0), (0.5, 3.0), (3.0, 1.0)])
+def test_exponential_conjugate_derived_from_u_matches_its_closed_form(gamma, shift):
+    # V = U(I(y)) - y I(y) with I(y) = -ln(y)/gamma, against
+    # C + y(ln y - 1)/gamma, and V' = ln(y)/gamma, V'' = 1/(gamma y) exactly
+    pair = exponential_utility(gamma, shift)
+    ys = np.logspace(-300, 300)
+    closed = shift + ys * (np.log(ys) - 1.0) / gamma
+    assert np.all(np.abs(pair.v(ys) - closed) <= 1e-15 * np.abs(closed))
+    assert pair.v(np.array([0.0, INF])).tolist() == [shift, INF]
+    ys = np.concatenate([[0.0, INF], ys])
+    with np.errstate(divide="ignore", over="ignore"):
+        assert np.array_equal(pair.v_prime(ys), np.log(ys) / gamma)
+        assert np.array_equal(pair.v_second(ys), 1.0 / (gamma * ys))
+
+
+@pytest.mark.parametrize("b", [1.5, 2.0, 7.0])
+def test_two_power_v_second_stays_on_its_tail_where_b_y_overflows(b):
+    # V''(y) = y^(1/b - 1)/b on the left tail is well inside the range
+    # where b y is above it
+    pair = two_power_utility(0.5, b, 1.0)
+    y = 1.7e308
+    x = -pair.v_prime(y)
+    assert pair.v_second(y) == pytest.approx((1.0 - x) / b / y, rel=1e-14)
+    assert 0.0 < pair.v_second(y) < INF
+
 @pytest.mark.parametrize("factory", [
     lambda: exponential_utility(1.0, 2.0),
     lambda: exponential_utility(2.5, 1.0),
