@@ -66,15 +66,54 @@ def _one_step_vertices(incr):
     ``incr`` (g, m, d) holds child minus node prices.  A vertex of {w >= 0,
     sum w = 1, sum_c w_c incr_c = 0} is the unique solution on the at most
     d + 1 children it charges, whose columns (incr_c, 1) are independent
-    (Caratheodory): for d = 1, the zero-increment children and the up/down
-    pairs.  One stacked SVD per subset size gives the rank and the
-    pseudo-inverse of every subset of every node, rescaled per node and
-    asset (which keeps the polytope).
-    Returns each vertex's node (position in the batch) and child weights.
+    (Caratheodory).  The increments are rescaled per node and asset (which
+    keeps the polytope); for d = 1 the vertices are in closed form
+    (:func:`_one_asset_vertices`), for d >= 2 from stacked SVDs
+    (:func:`_svd_vertices`).  Returns each vertex's node (position in the
+    batch) and child weights, per subset size by node, then by child subset
+    in ``combinations`` order.
     """
-    g, m, d = incr.shape
     scale = np.abs(incr).max(axis=1, keepdims=True)
     x = incr / np.where(scale > 0, scale, 1.0)
+    return _one_asset_vertices(x[..., 0]) if x.shape[2] == 1 else _svd_vertices(x)
+
+
+def _one_asset_vertices(x):
+    """The one-step vertices for d = 1 from the rescaled increments x (g, m).
+
+    First each zero-increment child (|x| <= _TOL), with weight 1; then each
+    pair of children (i, j) in ``combinations`` order whose weights
+    w_i = x_j/(x_j - x_i) and w_j = -x_i/(x_j - x_i) both exceed _TOL, so
+    that one child is down and one up, and whose columns (x, 1) keep rank 2
+    under the SVD's test: the smaller singular value |x_j - x_i| / s1 above
+    _TOL s1, with s1^2 = x_i^2 + x_j^2 + 2 to rounding wherever that binds.
+    These are :func:`_svd_vertices`'s tests on one and two children.
+    """
+    m = x.shape[1]
+    gi, ci = np.nonzero(np.abs(x) <= _TOL)
+    ones = np.zeros((gi.size, m))
+    ones[np.arange(gi.size), ci] = 1.0
+    pairs = np.array(list(combinations(range(m), 2)), dtype=np.intp).reshape(-1, 2)
+    a, b = x[:, pairs[:, 0]], x[:, pairs[:, 1]]
+    with np.errstate(divide="ignore", invalid="ignore"):  # x_i = x_j: no vertex
+        wa, wb = b / (b - a), -a / (b - a)
+    gj, pj = np.nonzero((wa > _TOL) & (wb > _TOL)
+                        & (np.abs(b - a) > _TOL * (a * a + b * b + 2.0)))
+    rows = np.zeros((gj.size, m))
+    rows[np.arange(gj.size)[:, None], pairs[pj]] = np.stack([wa[gj, pj], wb[gj, pj]], axis=1)
+    return np.concatenate([gi, gj]), np.concatenate([ones, rows])
+
+
+def _svd_vertices(x):
+    """The one-step vertices from the rescaled increments x (g, m, d).
+
+    One stacked SVD per subset size gives the rank and the pseudo-inverse
+    of every subset of at most d + 1 children of every node; a subset is a
+    vertex where its columns are independent and its least-squares weights
+    solve the system to _TOL and exceed _TOL.  Serves d >= 2, and d = 1 as
+    the test oracle of :func:`_one_asset_vertices`.
+    """
+    g, m, d = x.shape
     nodes, weights = [], []
     for k in range(1, min(m, d + 1) + 1):
         sub = np.array(list(combinations(range(m), k)))

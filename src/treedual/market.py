@@ -49,7 +49,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -123,10 +126,11 @@ class MarketTree:
         self.claims = claims
         self.layout = layout
         self._leaf_ids = layout.ids[layout.level_starts[-2]:]
-        for a in (node_prob, file_pos, endowment, *claims.values()):
+        for a in (node_prob, file_pos, price_strs, endowment, *claims.values()):
             a.setflags(write=False)
         self._node_prob = node_prob  # (N,) unconditional, in layout order
-        # file order: each row's layout position, price strings and prob string
+        # file order: each row's layout position, price strings (an (N, d)
+        # object array) and prob string
         self._file_pos, self._price_strs, self._prob_strs = file_pos, price_strs, prob_strs
 
     # -- structure accessors ------------------------------------------------
@@ -245,8 +249,8 @@ def _build_layout(ids, prices, par, t, prob, horizon):
 def _with_assets(tree: MarketTree, names, columns) -> MarketTree:
     """``tree`` with assets ``names`` added, priced by ``columns`` (N, k) in
     layout order; the file rows get ``repr`` strings."""
-    extra = columns[tree._file_pos].tolist()
-    price_strs = tuple(s + tuple(map(repr, x)) for s, x in zip(tree._price_strs, extra))
+    extra = [list(map(repr, x)) for x in columns[tree._file_pos].tolist()]
+    price_strs = np.hstack([tree._price_strs, np.array(extra, dtype=object)])
     layout = replace(tree.layout, prices=np.hstack([tree.layout.prices, columns]))
     return MarketTree(tree.assets + tuple(names), tree.endowment, tree.claims, layout,
                       tree._node_prob, tree._file_pos, price_strs, tree._prob_strs,
@@ -265,20 +269,53 @@ def _decimal(value, where):
     return x
 
 
+def _finite_floats(values, types):
+    """``float()`` of every entry of the list ``values`` as one array, or
+    None when an entry's type is not in ``types`` (exact types: ``bool`` is
+    not ``int``) or it does not convert to a finite float.  On ``str``
+    entries this is exactly :func:`_decimal`'s grammar."""
+    if not set(map(type, values)) <= types:
+        return None
+    try:
+        x = np.array(list(map(float, values)))
+    except (ValueError, OverflowError):
+        return None
+    return x if np.isfinite(x).all() else None
+
+
+def _leaf_value(v, where):
+    if isinstance(v, str):
+        return _decimal(v, where)
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            x = float(v)
+        except OverflowError:  # an int beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ParseError(f"{where}: expected a finite decimal")
+
+
 def _leaf_array(raw, leaf_pos, where):
-    """A leaf map as an (L,) array in the leaf order of ``leaf_pos``."""
+    """A leaf map as an (L,) array in the leaf order of ``leaf_pos``.
+
+    When the map's keys are the leaves and every value is a decimal string
+    or a finite int or float, one :func:`_finite_floats` pass reads the
+    values in leaf order.  Otherwise the per-leaf loop, in the map's order,
+    raises for the first unknown leaf or bad value (booleans and ints beyond
+    the float range included), then for missing leaves.
+    """
     if not isinstance(raw, dict):
         raise ParseError(f"{where}: expected an object mapping leaf ids to decimals")
+    if raw.keys() == leaf_pos.keys():
+        out = _finite_floats(list(map(raw.__getitem__, leaf_pos)), {str, int, float})
+        if out is not None:
+            return out
     vals = []
     for k, v in raw.items():
         if k not in leaf_pos:
             raise ParseError(f"{where}: unknown leaf id {k!r}")
-        if isinstance(v, str):
-            vals.append(_decimal(v, f"{where}[{k}]"))
-        elif isinstance(v, (int, float)) and math.isfinite(v):
-            vals.append(float(v))
-        else:
-            raise ParseError(f"{where}[{k}]: expected a finite decimal")
+        vals.append(_leaf_value(v, f"{where}[{k}]"))
     if len(vals) < len(leaf_pos):
         missing = sorted(l for l in leaf_pos if l not in raw)
         raise ParseError(f"{where}: missing leaves {missing[:5]}")
@@ -287,24 +324,44 @@ def _leaf_array(raw, leaf_pos, where):
     return out
 
 
-def market_from_dict(doc: dict, max_leaves: int = MAX_LEAVES_DEFAULT) -> MarketTree:
-    """Validate a scenario document and build an immutable market tree."""
-    if not isinstance(doc, dict):
-        raise ParseError("scenario document must be an object")
-    unknown = set(doc) - _SCENARIO_FIELDS
-    if unknown:
-        raise ParseError(f"unknown top-level fields: {sorted(unknown)}")
-    if doc.get("version") != 1:
-        raise ParseError(f"unsupported version: {doc.get('version')!r}")
-    assets = doc.get("assets")
-    if (not isinstance(assets, list) or not assets
-            or not all(isinstance(a, str) for a in assets)):
-        raise ParseError("assets must be a non-empty list of names")
-    raw_nodes = doc.get("nodes")
-    if not isinstance(raw_nodes, list) or not raw_nodes:
-        raise ParseError("nodes must be a non-empty list")
+_NODE_GETTERS = tuple(map(itemgetter, ("id", "parent", "t", "prices", "prob")))
 
-    # file-order columns
+
+def _bulk_columns(raw_nodes, n_assets):
+    """The file-order node columns of :func:`_node_columns` from C-level
+    passes over the node list (``map``, ``set`` of types, one
+    :func:`_finite_floats` per string column), or None when a check refuses
+    some node: a node that is not a dict with exactly the node fields, an id
+    that is not a non-empty str or repeats, a parent neither str nor None, a
+    t not an int >= 0, prices not a list of ``n_assets`` decimal strings, or
+    a prob not one.  Exact types throughout: a subclass goes to the loop."""
+    if set(map(type, raw_nodes)) != {dict} or set(map(len, raw_nodes)) != {len(_NODE_FIELDS)}:
+        return None
+    try:  # with five keys each, a node has exactly the fields iff it has them all
+        ids, parents, ts, prices, prob_strs = [list(map(g, raw_nodes)) for g in _NODE_GETTERS]
+    except KeyError:
+        return None
+    if set(map(type, ids)) != {str}:  # before hashing them
+        return None
+    index = dict(zip(ids, range(len(ids))))
+    if ("" in index or len(index) < len(ids)
+            or not set(map(type, parents)) <= {str, type(None)}
+            or set(map(type, ts)) != {int} or min(ts) < 0
+            or set(map(type, prices)) != {list} or set(map(len, prices)) != {n_assets}):
+        return None
+    price_strs = list(chain.from_iterable(prices))
+    price_vals, probs = _finite_floats(price_strs, {str}), _finite_floats(prob_strs, {str})
+    if price_vals is None or probs is None:
+        return None
+    return (index, parents, ts, price_vals.reshape(-1, n_assets), probs,
+            np.array(price_strs, dtype=object).reshape(-1, n_assets), tuple(prob_strs))
+
+
+def _node_columns(raw_nodes, n_assets):
+    """The node columns in file order: the id -> file row index, parents,
+    times, prices (n, d), probabilities and the decimal strings.  The
+    per-node loop behind :func:`_bulk_columns`: its checks raise for the
+    first bad node in file order."""
     parents, ts, price_vals, probs, price_strs, prob_strs = [], [], [], [], [], []
     index = {}  # file row of each id
     for i, rn in enumerate(raw_nodes):
@@ -329,32 +386,61 @@ def market_from_dict(doc: dict, max_leaves: int = MAX_LEAVES_DEFAULT) -> MarketT
         if not isinstance(t, int) or isinstance(t, bool) or t < 0:
             raise ParseError(f"node {nid!r}: t must be a non-negative integer")
         prices = rn["prices"]
-        if not isinstance(prices, list) or len(prices) != len(assets):
+        if not isinstance(prices, list) or len(prices) != n_assets:
             raise ParseError(f"node {nid!r}: prices must list one decimal per asset")
         price_vals.append(tuple(_decimal(s, f"node {nid!r} price") for s in prices))
         probs.append(_decimal(rn["prob"], f"node {nid!r} prob"))
         parents.append(parent)
         ts.append(t)
-        price_strs.append(tuple(prices))
+        price_strs.extend(prices)
         prob_strs.append(rn["prob"])
+    return (index, parents, ts, np.array(price_vals), np.array(probs),
+            np.array(price_strs, dtype=object).reshape(-1, n_assets), tuple(prob_strs))
+
+
+def market_from_dict(doc: dict, max_leaves: int = MAX_LEAVES_DEFAULT) -> MarketTree:
+    """Validate a scenario document and build an immutable market tree.
+
+    The node columns come from :func:`_bulk_columns`, and from the per-node
+    loop :func:`_node_columns` when it refuses, which raises for the first
+    bad node in file order (or accepts a node the bulk checks were too
+    strict for, such as a ``str`` subclass); the structural checks then run
+    on the columns.
+    """
+    if not isinstance(doc, dict):
+        raise ParseError("scenario document must be an object")
+    unknown = set(doc) - _SCENARIO_FIELDS
+    if unknown:
+        raise ParseError(f"unknown top-level fields: {sorted(unknown)}")
+    if doc.get("version") != 1:
+        raise ParseError(f"unsupported version: {doc.get('version')!r}")
+    assets = doc.get("assets")
+    if (not isinstance(assets, list) or not assets
+            or not all(isinstance(a, str) for a in assets)):
+        raise ParseError("assets must be a non-empty list of names")
+    raw_nodes = doc.get("nodes")
+    if not isinstance(raw_nodes, list) or not raw_nodes:
+        raise ParseError("nodes must be a non-empty list")
+    index, parents, ts, price_vals, prob, price_strs, prob_strs = (
+        _bulk_columns(raw_nodes, len(assets)) or _node_columns(raw_nodes, len(assets)))
 
     # structural invariants, on the columns; each check names the first
     # offending node in file order
-    ids = list(index)
-    roots = [k for k, p in enumerate(parents) if p is None]
+    ids, n = list(index), len(index)
+    child = np.fromiter(map(operator.is_not, parents, repeat(None)), bool, n)
+    roots = np.flatnonzero(~child)
     if len(roots) != 1:
         raise InvalidTreeError(f"expected exactly one root, found {len(roots)}",
                                node_id=ids[roots[1]] if len(roots) > 1 else None)
     root = roots[0]
     if ts[root] != 0:
         raise InvalidTreeError("root must have t=0", node_id=ids[root])
-    if not (probs[root] == 1.0):
+    if not (prob[root] == 1.0):
         raise InvalidTreeError("root prob must be 1", node_id=ids[root])
     horizon = max(ts)
     # a time beyond int64 is wrong, but exactly so: the check names where
     t = np.array(ts, dtype=np.int64 if horizon < 2**62 else object)
-    par = np.array([index.get(p, -1) for p in parents])
-    child = np.array([p is not None for p in parents])
+    par = np.fromiter(map(index.get, parents, repeat(-1)), np.intp, n)
     bad = np.flatnonzero(child & ((par < 0) | (t != t[par] + 1)))
     if bad.size:
         k = bad[0]
@@ -367,7 +453,6 @@ def market_from_dict(doc: dict, max_leaves: int = MAX_LEAVES_DEFAULT) -> MarketT
     if horizon == 0:
         raise InvalidTreeError("tree has no trading period: the root is its only node",
                                node_id=ids[root])
-    prob = np.array(probs)
     kids = np.bincount(par[child], minlength=len(ids))
     bad = np.flatnonzero(((kids == 0) & (t != horizon)) | ~((0.0 < prob) & (prob <= 1.0)))
     if bad.size:
@@ -376,7 +461,7 @@ def market_from_dict(doc: dict, max_leaves: int = MAX_LEAVES_DEFAULT) -> MarketT
             raise InvalidTreeError(
                 f"leaf {ids[k]!r} at time {ts[k]}, but horizon is {horizon}", node_id=ids[k])
         raise InvalidTreeError(
-            f"node {ids[k]!r}: branch probability {probs[k]} outside (0, 1]", node_id=ids[k])
+            f"node {ids[k]!r}: branch probability {float(prob[k])} outside (0, 1]", node_id=ids[k])
     # bincount screens the child sums within its rounding error; fsum decides
     sums = np.bincount(par[child], prob[child], minlength=len(ids))
     for k in np.flatnonzero((kids > 0)
@@ -391,8 +476,8 @@ def market_from_dict(doc: dict, max_leaves: int = MAX_LEAVES_DEFAULT) -> MarketT
         raise InvalidTreeError(
             f"tree has {n_leaves} leaves, above the configured cap {max_leaves}")
 
-    layout, node_prob, pos = _build_layout(ids, np.array(price_vals), par, t, prob, horizon)
-    leaf_pos = {l: k for k, l in enumerate(layout.ids[layout.level_starts[-2]:])}
+    layout, node_prob, pos = _build_layout(ids, price_vals, par, t, prob, horizon)
+    leaf_pos = dict(zip(layout.ids[layout.level_starts[-2]:], range(n_leaves)))
     endow_raw = doc.get("endowment")
     endowment = (_leaf_array(endow_raw, leaf_pos, "endowment") if endow_raw is not None
                  else np.zeros(n_leaves))
@@ -403,7 +488,7 @@ def market_from_dict(doc: dict, max_leaves: int = MAX_LEAVES_DEFAULT) -> MarketT
               for name, v in claims_raw.items()}
 
     tree = MarketTree(tuple(assets), endowment, claims, layout, node_prob, pos,
-                      tuple(price_strs), tuple(prob_strs), _token=_BUILD_TOKEN)
+                      price_strs, prob_strs, _token=_BUILD_TOKEN)
     # derived leaf probabilities must form a probability vector
     total = float(tree.leaf_probability_array.sum())
     if abs(total - 1.0) > 1e-12:
@@ -437,8 +522,8 @@ def market_to_dict(tree: MarketTree) -> dict:
         "assets": list(tree.assets),
         "nodes": [
             {"id": lay.ids[k], "parent": parent[k], "t": t[k],
-             "prices": list(ps), "prob": pr}
-            for k, ps, pr in zip(pos, tree._price_strs, tree._prob_strs)
+             "prices": ps, "prob": pr}
+            for k, ps, pr in zip(pos, tree._price_strs.tolist(), tree._prob_strs)
         ],
         "endowment": leaf_map(tree.endowment),
         "claims": {name: leaf_map(v) for name, v in tree.claims.items()},

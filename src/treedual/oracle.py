@@ -86,6 +86,10 @@ def brute_force_dual(tree: MarketTree, pair: UtilityPair, endow, *,
     rhs = np.zeros(M.shape[0])
     rhs[-1] = 1.0
     q_part, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    # one step of refinement on the residual: off the constraints the dual
+    # objective moves at the rate of the optimal strategy (~2.5e4 on some
+    # two-power trees), so lstsq's ~1e-16 errors in q can cost ~1e-11
+    q_part += np.linalg.lstsq(M, rhs - M @ q_part, rcond=None)[0]
     if np.abs(M @ q_part - rhs).max() > 1e-9:
         raise NoMartingaleMeasureError("martingale polytope is empty")
     N = null_space(M)

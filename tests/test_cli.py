@@ -130,6 +130,19 @@ def test_input_errors_exit_two(tri1_file, tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+@pytest.mark.parametrize("value", [10**400, True], ids=["10**400", "true"])
+def test_non_decimal_leaf_value_exits_two(tmp_path, capsys, value):
+    # an int beyond the float range and a boolean in the endowment are input
+    # errors naming the leaf, not a traceback or a solve
+    doc = treegen.tri1_dict()
+    doc["endowment"]["a"] = value
+    path = tmp_path / "tri1.json"
+    path.write_text(json.dumps(doc))
+    argv = ["solve", "--market", str(path), "--utility", "exp:gamma=1,C=2"]
+    assert cli.run(argv) == cli.EXIT_INPUT
+    assert "endowment[a]: expected a finite decimal" in capsys.readouterr().err
+
+
 def _shuffled_file(tmp_path):
     """A random two-period, two-asset market with an endowment, its nodes
     shuffled so that the file order differs from the layout order."""

@@ -657,7 +657,7 @@ def test_one_step_martingale_start_solves_no_least_squares(exp_pair, monkeypatch
     # covariances; pinv, lstsq or an SVD of the (g, m, d + 1) exponent
     # stacks would cost more than the Newton steps the start saves
     tree = treegen.product_market([[1.2, 1.0, 0.85]] * 5)
-    geometry._support_structure(tree)  # the one-step vertex search runs SVDs
+    geometry._support_structure(tree)  # warm: the pass is not under test here
     e = np.random.default_rng(0).uniform(-1.0, 1.0, tree.n_leaves)
     claim = np.maximum(tree.layout.prices[tree.layout.level_starts[-2]:, 0] - 1.0, 0.0)
 
@@ -689,6 +689,11 @@ def _two_power_instances(draw):
 # every charged weight is above 3.3e-3, yet the grid's zooms end at 1.864
 # against the optimum 1.516 that the primal oracle finds too
 @example(_two_power_instance(39892, 1))
+# a unique martingale measure and an optimal strategy of norm ~2.5e4: the
+# exact optimum (40 digits, a 1-D minimization over the mass) is
+# 3.6831404213551026; the core is 4.5e-15 above it, and the grid sits
+# 3.8e-14 above it only once its measure is refined to rounding
+@example(_two_power_instance(760558, 2))
 def test_newton_core_meets_both_oracles(instance):
     # weak duality puts the optimum between the primal oracle's best
     # strategy and the grid's best measure; the concave primal's maximum

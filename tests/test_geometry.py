@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -615,3 +616,98 @@ def test_a_node_without_vertices_kills_its_subtree():
     tree = _arbitrage_below_a_viable_root()
     assert tree.leaf_ids[:2] == ("a0", "a1")
     assert _support_structure(tree).mask.tolist() == [False, False, True, True, True, True]
+
+
+# -- the one-asset closed form against the stacked SVD -------------------------
+
+_TOL = geometry._TOL
+
+
+def _rescaled(incr):
+    scale = np.abs(incr).max(axis=1, keepdims=True)
+    return incr / np.where(scale > 0, scale, 1.0)
+
+
+def _assert_closed_form_matches_svd(incr):
+    """``_one_step_vertices`` on one-asset increments (g, m, 1) against the
+    stacked SVD on the same rescaled increments: the same nodes and charged
+    children, vertex by vertex in order; weight 1 on a zero increment; pair
+    weights within 1e-15 of the exact rational ones, and within 1e-15 times
+    the pair's condition number s1/s2 of the SVD's, whose pseudo-inverse
+    errs on that scale."""
+    x = _rescaled(incr)
+    node, weight = geometry._one_step_vertices(incr)
+    ref_node, ref_weight = geometry._svd_vertices(x)
+    assert node.dtype == ref_node.dtype and np.array_equal(node, ref_node)
+    assert weight.shape == ref_weight.shape
+    assert np.array_equal(weight > 0, ref_weight > 0)
+    for n, row, ref in zip(node.tolist(), weight, ref_weight):
+        on = np.flatnonzero(row)
+        if on.size == 1:
+            assert row[on[0]] == 1.0 and abs(ref[on[0]] - 1.0) <= 1e-15
+            continue
+        xi, xj = x[n, on, 0].tolist()
+        exact = [Fraction(xj) / (Fraction(xj) - Fraction(xi)),
+                 -Fraction(xi) / (Fraction(xj) - Fraction(xi))]
+        assert all(abs(Fraction(w) - e) <= 1e-15 for w, e in zip(row[on].tolist(), exact))
+        cond = (xi * xi + xj * xj + 2.0) / abs(xj - xi)
+        assert np.abs(row - ref).max() <= 1e-15 * cond
+
+
+# |x| / _TOL of the near-threshold children: one zero increment, one not; no
+# two sum to 2, the rank threshold of a pair of them, and neither is near a
+# ratio k / M of the integer increments, the weight threshold of a pair
+_NEAR_TOL = (0.9, 1.15)
+
+
+@st.composite
+def _one_asset_increments(draw):
+    """(g, m, 1) increments: integers in [-4, 4] (zeros, repeats, nodes with
+    every child on one side), some children replaced by +-f _TOL times the
+    node's largest remaining integer increment, f in _NEAR_TOL, all times a
+    power of ten.  Every pair of a zero and a nonzero increment is then well
+    conditioned, where the SVD's pseudo-inverse keeps an exact zero weight
+    below _TOL (see the next test for where it does not)."""
+    g, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+
+    def cells(elements):
+        return np.array(draw(st.lists(elements, min_size=g * m, max_size=g * m))).reshape(g, m)
+
+    v, near = cells(st.integers(-4, 4)).astype(float), cells(st.booleans())
+    big = np.abs(np.where(near, 0.0, v)).max(axis=1, keepdims=True)
+    f = cells(st.sampled_from([-1.0, 1.0])) * cells(st.sampled_from(_NEAR_TOL))
+    v = np.where(near, f * _TOL * big, v)
+    return (v * 10.0 ** draw(st.integers(-6, 6)))[:, :, None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_asset_increments())
+def test_one_asset_closed_form_matches_the_svd(incr):
+    _assert_closed_form_matches_svd(incr)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.0], [0.5], [-2.0]],                          # one child: alive iff flat
+    [[1.0, 2.0], [-1.0, -3.0], [0.0, 0.0]],          # one-sided nodes die; flat ones keep both
+    [[0.3, 0.2, 0.1, 0.4, 0.5, 0.6]],                # six children, all up: no vertex
+    [[1.0, -1.0, 1.0, -1.0, 0.0, 0.0]],              # repeats and two zeros
+    [[1.0, 0.9 * _TOL, -1.15 * _TOL, -0.5]],         # near the zero threshold
+    [[2.0, -1.0, 0.5, -0.25, 1.0, -2.0], [1.0, 1.0, 1.0, 1.0, 1.0, -1e-3]],
+])
+def test_one_asset_closed_form_edge_cases(rows):
+    _assert_closed_form_matches_svd(np.array(rows)[:, :, None])
+
+
+def test_one_asset_closed_form_refuses_the_svd_noise_vertex():
+    # children 0, 1 - 4.11e-7 and 1 around 1: only the flat child can be
+    # charged, but the SVD's pseudo-inverse of the ill-conditioned pair
+    # (-4.11e-7, 0) gives its exact zero weight 6.7e-11 > _TOL; the closed
+    # form keeps the single vertex, and the tree's support is the LP's
+    incr = np.array([[[-1.0], [-4.11e-7], [0.0]]])
+    node, weight = geometry._one_step_vertices(incr)
+    assert node.tolist() == [0] and weight.tolist() == [[0.0, 0.0, 1.0]]
+    assert len(geometry._svd_vertices(incr)[0]) == 2
+    tree = _market([("r", None, 1.0), ("a", "r", 0.0), ("b", "r", 1.0 - 4.11e-7),
+                    ("c", "r", 1.0)])
+    assert _support_structure(tree).mask.tolist() == [False, False, True]
+    _assert_matches_lp_oracle(tree, np.array([1.0, -2.0, 0.5]))

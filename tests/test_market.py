@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treegen
-from treedual import (DomainError, InvalidTreeError, ParseError, RandomVariable,
+from treedual import market
+from treedual import (DomainError, InvalidTreeError, ParseError, RandomVariable, TreedualError,
                       exponential_utility, leaf_values, load_market,
                       market_from_dict, market_to_dict, price_report,
                       save_market, solve_dual, two_power_utility)
@@ -388,3 +390,162 @@ def test_structural_error_names_the_first_offender_in_file_order(orphan, skewed)
     first = min(orphan, skewed)
     assert exc.value.node_id == nodes[first]["id"]
     assert ("does not exist" if orphan <= skewed else "not parent time") in str(exc.value)
+
+
+# -- bulk loading against the per-node path ------------------------------------
+
+class _Str(str):
+    """A str subclass: the bulk checks take exact types, the loop accepts it."""
+
+
+def _leaf_maps(doc, rng):
+    """``doc`` with a random endowment and one claim on its leaves."""
+    tree = market_from_dict(doc)
+    doc = dict(doc, endowment=dict(zip(tree.leaf_ids, map(repr, rng.uniform(
+        -1.0, 1.0, tree.n_leaves).tolist()))))
+    doc["claims"] = {"call": dict(zip(tree.leaf_ids, rng.uniform(0.0, 1.0, tree.n_leaves)
+                                      .tolist()))}  # numbers, not strings
+    return doc
+
+
+def _set(field, value):
+    def mutate(doc, k):
+        doc["nodes"][k][field] = value
+    return mutate
+
+
+def _del(field):
+    def mutate(doc, k):
+        del doc["nodes"][k][field]
+    return mutate
+
+
+def _leaf(where, value):
+    def mutate(doc, k):
+        raw = doc["endowment"] if where == "endowment" else doc["claims"]["call"]
+        leaf = list(raw)[k % len(raw)]
+        raw[leaf] = value
+    return mutate
+
+
+def _rekey(where, how):
+    def mutate(doc, k):
+        raw = doc["endowment"] if where == "endowment" else doc["claims"]["call"]
+        leaf = list(raw)[k % len(raw)]
+        if how in ("unknown", "swap"):
+            raw["ghost"] = raw[leaf]
+        if how in ("missing", "swap"):
+            del raw[leaf]
+    return mutate
+
+
+_MUTATIONS = {
+    "none": lambda doc, k: None,
+    "id int": _set("id", 5), "id empty": _set("id", ""), "id list": _set("id", ["a"]),
+    "id subclass": None, "parent list": _set("parent", ["root"]),
+    "id duplicate": lambda doc, k: doc["nodes"][k].update(id=doc["nodes"][k - 1]["id"]),
+    "parent int": _set("parent", 3), "parent ghost": _set("parent", "ghost"),
+    "t bool": _set("t", True), "t float": _set("t", 1.0), "t str": _set("t", "1"),
+    "t negative": _set("t", -1), "t huge": _set("t", 2**70),
+    "prices str": _set("prices", "1"), "prices tuple": _set("prices", ("1",)),
+    "prices short": _set("prices", []), "prices float": None, "prices int": None,
+    "price nan": None, "price 1e400": None, "price spaces": None, "price underscore": None,
+    "price bytes": None, "price subclass": None,
+    "prob float": _set("prob", 0.5), "prob int": _set("prob", 1), "prob None": _set("prob", None),
+    "prob nan": _set("prob", "nan"), "prob 1e400": _set("prob", "1e400"),
+    "prob spaces": lambda doc, k: doc["nodes"][k].update(prob=f" {doc['nodes'][k]['prob']} "),
+    "prob underscore": _set("prob", "1_0"),
+    "missing prob": _del("prob"), "missing id": _del("id"),
+    "extra field": _set("colour", "red"),
+    "node list": lambda doc, k: doc["nodes"].__setitem__(k, list(doc["nodes"][k].values())),
+    "node None": lambda doc, k: doc["nodes"].__setitem__(k, None),
+    "node five keys": lambda doc, k: doc["nodes"].__setitem__(
+        k, dict(zip(["id", "parent", "t", "prices", "colour"], doc["nodes"][k].values()))),
+    "endowment bool": _leaf("endowment", True), "endowment huge int": _leaf("endowment", 10**400),
+    "endowment int": _leaf("endowment", 7), "endowment nan": _leaf("endowment", math.nan),
+    "endowment str nan": _leaf("endowment", "nan"), "endowment None": _leaf("endowment", None),
+    "endowment spaces": _leaf("endowment", " 1.5 "), "endowment underscore": _leaf("endowment", "1_0"),
+    "claim bool": _leaf("claim", False), "claim 1e400": _leaf("claim", "1e400"),
+    "claim float subclass": _leaf("claim", np.float64(0.25)),
+    "endowment unknown": _rekey("endowment", "unknown"), "endowment missing": _rekey("endowment", "missing"),
+    "claim unknown and missing": _rekey("claim", "swap"),
+}
+
+
+def _price(value):
+    def mutate(doc, k):
+        prices = doc["nodes"][k]["prices"]
+        prices[-1] = value(prices[-1]) if callable(value) else value
+    return mutate
+
+
+_MUTATIONS.update({
+    "id subclass": lambda doc, k: doc["nodes"][k].update(id=_Str(doc["nodes"][k]["id"])),
+    "prices float": _price(1.5), "prices int": _price(2), "price nan": _price("nan"),
+    "price 1e400": _price("1e400"), "price spaces": _price(lambda s: f" {s} "),
+    "price underscore": _price("1_0"), "price bytes": _price(b"1.5"),
+    "price subclass": _price(_Str),
+})
+
+
+def _outcome(doc):
+    """The tree's round trip and arrays, or the error's type, message and node."""
+    try:
+        tree = market_from_dict(copy.deepcopy(doc))
+    except TreedualError as exc:
+        return type(exc), str(exc), getattr(exc, "node_id", None)
+    lay = tree.layout
+    arrays = (lay.parent, lay.first_child, lay.prices, lay.prob, lay.lo, lay.hi,
+              tree.node_probability_array, tree.endowment, *tree.claims.values())
+    return (market_to_dict(tree), lay.ids, lay.level_starts, tree.node_ids,
+            [(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
+
+
+def _parity_documents():
+    rng = np.random.default_rng(11)
+    docs = [_leaf_maps(treegen.tri1_dict(), rng)]
+    for n_assets in (1, 2):
+        doc = market_to_dict(treegen.random_market(rng, max_periods=3, n_assets=n_assets))
+        rng.shuffle(doc["nodes"])
+        docs.append(_leaf_maps(doc, rng))
+    return docs
+
+
+@pytest.mark.parametrize("name", sorted(_MUTATIONS))
+def test_bulk_loading_matches_the_per_node_path(name, monkeypatch):
+    # the same tree, or the same error type, message and node, with the
+    # bulk passes on as with every document sent down the per-node path
+    for doc in _parity_documents():
+        for k in (0, 1, len(doc["nodes"]) // 2, len(doc["nodes"]) - 1):
+            mutated = copy.deepcopy(doc)
+            _MUTATIONS[name](mutated, k)
+            bulk = _outcome(mutated)
+            with monkeypatch.context() as m:
+                m.setattr(market, "_bulk_columns", lambda *args: None)
+                m.setattr(market, "_finite_floats", lambda *args: None)
+                loop = _outcome(mutated)
+            assert bulk == loop
+
+
+def test_bulk_loading_takes_the_bulk_path_on_valid_documents(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the per-node path ran")
+    monkeypatch.setattr(market, "_node_columns", refuse)
+    monkeypatch.setattr(market, "_leaf_value", refuse)
+    for doc in _parity_documents():
+        market_from_dict(doc)
+    market_from_dict(json.loads((treegen.DATA / "book_exp_4x4x3_2a.json").read_text()))
+
+
+@pytest.mark.parametrize("value", [True, False, 10**400, -(10**400)],
+                         ids=["true", "false", "10**400", "-10**400"])
+def test_leaf_map_booleans_and_huge_ints_raise_parse_errors(value):
+    # a bool is an int and 10**400 overflows float(): neither is a decimal
+    doc = treegen.tri1_dict()
+    doc["endowment"]["a"] = value
+    with pytest.raises(ParseError, match=r"endowment\[a\]: expected a finite decimal"):
+        market_from_dict(doc)
+    doc = treegen.tri1_dict()
+    doc["claims"]["up"]["b"] = value
+    with pytest.raises(ParseError, match=r"claims\[up\]\[b\]: expected a finite decimal"):
+        market_from_dict(doc)

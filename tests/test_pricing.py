@@ -692,6 +692,7 @@ def test_mubpp_builds_the_augmented_market_without_parsing(tri1, exp_pair, monke
     sol = solve_dual(tri1, exp_pair, E_TRI)
     sprime = optimal_measure_price_process(sol, B_TRI)
     monkeypatch.setattr(market, "_decimal", refuse)
+    monkeypatch.setattr(market, "_finite_floats", refuse)  # the bulk parse
     rep = check_mubpp(tri1, exp_pair, E_TRI, sprime)
     assert rep.is_mubpp and rep.drift_verdict and rep.agree
 
