@@ -49,8 +49,10 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     every positive-mass node of every time, both the wealth residual and
     the restriction gap of :func:`dynamic_dual`: closed forms at the leaves
     and at every exponential node, one Newton-core call per two-power
-    non-leaf node.  The certification's biconjugacy search is one grid
-    zoom over all its points.  A result's ``seconds`` run from the
+    non-leaf node.  The certification proves biconjugacy from the pair's
+    closed forms at the minimizer y = U'(x), without a search; its detail
+    prints the closed-form tail elasticities (AE-, AE+) beside their grid
+    estimates.  A result's ``seconds`` run from the
     previous result, so work shared by checks (the solve, the vertices,
     the recovery, the curve) is charged to the first check that uses it.
     """
@@ -67,7 +69,8 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     cert = certify_assumptions(pair)
     add("utility certification", cert.passed and cert.conjugacy_max_residual <= 1e-7,
         cert.conjugacy_max_residual, 1e-7,
-        f"AE est ({cert.ae_minus_estimate:.3g}, {cert.ae_plus_estimate:.3g})")
+        f"AE ({cert.ae_minus:.3g}, {cert.ae_plus:.3g}) "
+        f"est ({cert.ae_minus_estimate:.3g}, {cert.ae_plus_estimate:.3g})")
 
     sol = solve_dual(tree, pair, endow)
 

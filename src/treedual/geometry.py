@@ -287,11 +287,13 @@ def vertex_enumerate(A: np.ndarray, cap: int = VERTEX_CAP_DEFAULT) -> np.ndarray
     one-asset tree grows ~650 intermediate rays before settling on 128
     vertices (Fukuda & Prodon, *Double description method revisited*, 1996,
     on row order).  The vertex set does not depend on the order: the final
-    polish depends only on each ray's support.  The (positive, negative)
-    pairs of a row take the combinatorial adjacency test of Fukuda &
-    Prodon (no third ray vanishes on the pair's whole common zero set) in
-    blocks, one matrix product of their common zero sets against every
-    ray's charged leaves per block.  Raises
+    polish (:func:`_polish`) depends only on each ray's support, and takes
+    each ray's vertex as the null vector of A on that support, from
+    batched SVDs over the rays of one support size.  The (positive,
+    negative) pairs of a row take the combinatorial adjacency test of
+    Fukuda & Prodon (no third ray vanishes on the pair's whole common zero
+    set) in blocks, one matrix product of their common zero sets against
+    every ray's charged leaves per block.  Raises
     :class:`CapExceededError` as soon as the working set exceeds ``cap``,
     inside a row's pairings as after them (callers fall back to sampling).
     Returns the vertices as a stack (k, L): one unit-mass row per vertex, in
@@ -342,28 +344,44 @@ def vertex_enumerate(A: np.ndarray, cap: int = VERTEX_CAP_DEFAULT) -> np.ndarray
             raise CapExceededError(
                 f"vertex candidates exceed cap {cap}", count=rays.shape[0])
 
-    out = []
-    for r in rays:
-        q = r / r.sum()
-        supp = q > 1e-12
-        sub = A[:, supp]
-        # extreme iff the support-restricted system has a 1-D solution space
-        if supp.sum() - np.linalg.matrix_rank(sub, tol=1e-10) != 1:
-            continue
-        # polish: project onto the affine hull restricted to the support
-        M = np.vstack([sub, np.ones((1, supp.sum()))])
-        rhs = np.zeros(M.shape[0])
-        rhs[-1] = 1.0
-        qs, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        if np.any(qs < -1e-12):
-            continue
-        q = np.zeros(L)
-        q[supp] = np.clip(qs, 0.0, None)
-        q /= q.sum()
-        if np.abs(A @ q).max() > 1e-10 * max(1.0, np.abs(A).max()):
-            continue
-        out.append(q)
-    return np.array(out).reshape(-1, L)
+    return _polish(A, rays)
+
+
+def _polish(A: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    """The vertices among DD's final rays, each the unit-mass null vector
+    of A restricted to the ray's support S.
+
+    A ray is kept iff A_S has nullity exactly 1, counting singular values
+    above 1e-10 as rank, and its null vector q has no entry below -1e-12
+    and |A q| <= 1e-10 max(1, |A|).  Rays of one support size share batched
+    SVDs, in blocks of at most ``_DD_BLOCK`` entries; a stack of fewer than
+    |S| rows is padded with zero rows, so that the last right singular
+    vector spans the null space.  Returns the vertices in ray order.
+    """
+    m, L = A.shape
+    q = rays / rays.sum(axis=1, keepdims=True)
+    supp = q > 1e-12
+    size = supp.sum(axis=1)
+    keep = np.zeros(len(q), dtype=bool)
+    bound = 1e-10 * max(1.0, np.abs(A).max(initial=0.0))
+    for s in np.unique(size):
+        rows = max(m, s)
+        same = np.flatnonzero(size == s)
+        step = max(1, _DD_BLOCK // (rows * s))
+        for idx in np.split(same, range(step, same.size, step)):
+            cols = np.nonzero(supp[idx])[1].reshape(idx.size, s)
+            sub = np.zeros((idx.size, rows, s))
+            sub[:, :m] = A[:, cols].transpose(1, 0, 2)
+            _, sv, vh = np.linalg.svd(sub, full_matrices=False)
+            v = np.zeros((idx.size, L))
+            with np.errstate(divide="ignore", invalid="ignore"):  # NaN is refused
+                qs = vh[:, -1] / vh[:, -1].sum(axis=1, keepdims=True)
+                np.put_along_axis(v, cols, np.clip(qs, 0.0, None), axis=1)
+                v /= v.sum(axis=1, keepdims=True)
+            keep[idx] = ((s - (sv > 1e-10).sum(axis=1) == 1) & ~(qs < -1e-12).any(axis=1)
+                         & (np.abs(v @ A.T).max(axis=1, initial=0.0) <= bound))
+            q[idx] = v
+    return q[keep]
 
 
 def sample_martingale_measures(tree: MarketTree, n: int, seed: int = 0) -> np.ndarray:

@@ -178,17 +178,16 @@ def two_power_utility(a: float, b: float, shift: float = 1.0) -> UtilityPair:
     b = float(b)
     c = float(shift)
 
-    # both tails are powers of 1 + |x|, evaluated everywhere and picked by sign
+    # both tails are powers of 1 + |x|: one power per element, its exponent
+    # picked by sign; U divides by the signed exponent 1 - a or -(1 + b)
     def u(x):
-        t = 1.0 + np.abs(x)
+        signed = np.where(x >= 0, 1.0 - a, -1.0 - b)
         with np.errstate(over="ignore"):
-            return np.where(x >= 0, c + (np.power(t, 1.0 - a) - 1.0) / (1.0 - a),
-                            c - (np.power(t, 1.0 + b) - 1.0) / (1.0 + b))
+            return c + (np.power(1.0 + np.abs(x), np.abs(signed)) - 1.0) / signed
 
     def u_prime(x):
-        t = 1.0 + np.abs(x)
         with np.errstate(over="ignore"):
-            return np.where(x >= 0, np.power(t, -a), np.power(t, b))
+            return np.power(1.0 + np.abs(x), np.where(x >= 0, -a, b))
 
     def risk_aversion(x):
         # -U''/U' = a/(1+x) on the right, b/(1-x) on the left
@@ -285,9 +284,16 @@ def parse_utility_spec(spec: str) -> UtilityPair:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Numeric certification of the standing assumptions on a pair."""
+    """Numeric certification of the standing assumptions on a pair.
+
+    ``ae_plus`` and ``ae_minus`` are the pair's closed-form tail
+    elasticities; the ``*_estimate`` fields read x U'(x)/U(x) at the
+    largest finite grid points.
+    """
 
     inada_ok: bool
+    ae_plus: float
+    ae_minus: float
     ae_plus_estimate: float
     ae_minus_estimate: float
     growth_constant_estimate: float
@@ -317,10 +323,13 @@ def certify_assumptions(pair: UtilityPair) -> CertificationReport:
     are read from the log-log slope of U' over the last decade of the grid
     on which U' is finite and positive: below -1e-3 on the right, above
     1e-3 on the left.  The biconjugacy U(x) = min_y V(y) + x y is checked at
-    51 points in [-10, 10] by one grid zoom (:func:`_zoom_min`) with a lane
-    per point: 13 calls of V, each on a (51, 65) grid.  Raises
-    :class:`AssumptionFailError` naming the first violated assumption;
-    otherwise returns the report with the empirical estimates.
+    51 points x in +-[1e-2, 10] and 0 without a search: its minimizer is
+    y = U'(x), where ``conjugacy_max_residual`` is the larger of the value
+    residual |V(y) + x y - U(x)| / (1 + |U(x)|) and the stationarity
+    residual |V'(y) + x| / (1 + |x|); V'' must be positive at these y and
+    on the conjugate-growth grid.  Raises :class:`AssumptionFailError`
+    naming the first violated assumption; otherwise returns the report
+    with the empirical estimates.
     """
     # strict monotonicity / strict concavity / positive U(0) on a dense grid
     xs = np.concatenate([
@@ -399,21 +408,27 @@ def certify_assumptions(pair: UtilityPair) -> CertificationReport:
     if not math.isfinite(growth):
         raise AssumptionFailError("conjugate growth", "y|V'|/V unbounded on grid")
 
-    # biconjugacy: U(x) = min_y { V(y) + x y }, inner min over s = ln y by
-    # one grid zoom with a lane per x; residual relative to 1 + |U(x)|:
-    # U(-10) grows like exp(10 gamma), so an absolute residual fails on
-    # rounding alone
+    # biconjugacy at the minimizer y = U'(x) of V(y) + x y (Fenchel-Young:
+    # Rockafellar, Convex Analysis, 1970, Thm 23.5); the value residual is
+    # relative to 1 + |U(x)|: U(-10) grows like exp(10 gamma), so an absolute
+    # residual fails on rounding alone
     conj_x = np.concatenate([-np.logspace(-2, 1, 25), [0.0],
                              np.logspace(-2, 1, 25)])
-    s_mid = np.log(pair.u_prime(conj_x))
-    s_star = _zoom_min(lambda s: pair.v(np.exp(s)) + conj_x[:, None] * np.exp(s),
-                       s_mid - 8.0, s_mid + 8.0, 13)
-    val = pair.v(np.exp(s_star)) + conj_x * np.exp(s_star)
+    conj_y = pair.u_prime(conj_x)
     u_x = pair.u(conj_x)
-    resid = float(np.max(np.abs(u_x - val) / (1.0 + np.abs(u_x))))
+    resid = float(np.max(np.maximum(
+        np.abs(pair.v(conj_y) + conj_x * conj_y - u_x) / (1.0 + np.abs(u_x)),
+        np.abs(pair.v_prime(conj_y) + conj_x) / (1.0 + np.abs(conj_x)))))
+    curv_y = np.concatenate([conj_y, ys])
+    bent = ~(pair.v_second(curv_y) > 0)  # also true for NaN
+    if np.any(bent):
+        raise AssumptionFailError("strict convexity of the conjugate",
+                                  f"V'' not positive at y={curv_y[bent][0]:.3g}")
 
     return CertificationReport(
         inada_ok=True,
+        ae_plus=pair.ae_plus,
+        ae_minus=pair.ae_minus,
         ae_plus_estimate=ae_plus_est,
         ae_minus_estimate=ae_minus_est,
         growth_constant_estimate=growth,
@@ -429,7 +444,7 @@ def _last_decade_slope(xs, vals):
     return float(np.log(vals[-1] / vals[first]) / np.log(xs[-1] / xs[first]))
 
 
-_ZOOM_POINTS = 65  # grid points per lane and round of _zoom_min
+_ZOOM_POINTS = 65  # grid points per lane and round of the grid zoom
 
 
 def _zoom_min(f, lo, hi, rounds, *, points=_ZOOM_POINTS, expand=False):

@@ -154,9 +154,15 @@ def test_three_period_trinomial_tree_has_128_vertices():
 
 
 def _vertex_enumerate_pairwise(A, cap=geometry.VERTEX_CAP_DEFAULT):
-    """Oracle of ``vertex_enumerate``: the same double description with the
-    pair-by-pair adjacency test, which scans every other ray's zero set
-    for each (positive, negative) pair of rays."""
+    """Oracle of ``vertex_enumerate``'s adjacency test: the same double
+    description with the pair-by-pair test, which scans every other ray's
+    zero set for each (positive, negative) pair of rays, ending in the
+    package's polish."""
+    return geometry._polish(A, _dd_rays_pairwise(A, cap))
+
+
+def _dd_rays_pairwise(A, cap=geometry.VERTEX_CAP_DEFAULT):
+    """The final rays of the pair-by-pair double description, unpolished."""
     L = A.shape[1]
     rays = np.eye(L)
     for row in A[::-1]:
@@ -194,6 +200,13 @@ def _vertex_enumerate_pairwise(A, cap=geometry.VERTEX_CAP_DEFAULT):
         if rays.shape[0] > cap:
             raise CapExceededError(
                 f"vertex candidates exceed cap {cap}", count=rays.shape[0])
+    return rays
+
+
+def _polish_per_ray(A, rays):
+    """Oracle of ``geometry._polish``: per ray, a rank test of A on the
+    ray's support and a least-squares solve of [A_S; 1] q = (0, 1)."""
+    L = A.shape[1]
     out = []
     for r in rays:
         q = r / r.sum()
@@ -239,6 +252,25 @@ def test_blocked_adjacency_test_matches_the_pairwise_loop(name):
     A = build_constraints(_DD_TREES[name])
     got, want = vertex_enumerate(A), _vertex_enumerate_pairwise(A)
     assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", [*_DD_TREES, "27-leaf"])
+def test_batched_polish_matches_the_per_ray_oracle(name):
+    # the 27-leaf tree has 128 vertices of 8 leaves each, one SVD batch
+    tree = _DD_TREES.get(name) or treegen.product_market([[1.25, 1.05, 0.8]] * 3)
+    A = build_constraints(tree)
+    rays = _dd_rays_pairwise(A)
+    got, want = vertex_enumerate(A), _polish_per_ray(A, rays)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-14
+    if len(rays) < 2:
+        return
+    # midpoints of two distinct vertices are refused; a scaled ray polishes
+    # to its vertex
+    mixed = np.vstack([rays, 0.5 * (rays[:-1] + rays[1:]), rays[::-1] * 3.0])
+    got, want = geometry._polish(A, mixed), _polish_per_ray(A, mixed)
+    assert got.shape == want.shape == (2 * len(rays), A.shape[1])
+    assert np.abs(got - want).max(initial=0.0) <= 1e-14
 
 
 @pytest.mark.parametrize("moves, cap", [([[2.0, 1.0, 0.5]] * 3, 2),

@@ -328,7 +328,7 @@ def test_golden_min_lanes_find_each_conjugate_argmin(pair):
     # at the 1e-6 level
     x = np.concatenate([-np.logspace(-2, 1, 25), [0.0], np.logspace(-2, 1, 25)])
     s_true = np.log(pair.u_prime(x))
-    # the certification's setting: 13 rounds of the 65-point grid
+    # the biconjugacy oracle's setting: 13 rounds of the 65-point grid
     s = _zoom_min(lambda s: pair.v(np.exp(s)) + x[:, None] * np.exp(s),
                   s_true - 8.0, s_true + 5.0, 13)
     assert s.shape == x.shape
@@ -338,7 +338,7 @@ def test_golden_min_lanes_find_each_conjugate_argmin(pair):
 def test_each_callers_zoom_ends_no_wider_than_its_golden_section(monkeypatch, tri1):
     # the reference: a golden-section search of these many steps per caller,
     # each shrinking the same (expanded) bracket by 0.618
-    golden = {"certify_assumptions": 90, "entropic_penalty": 200, "_mass_profile": 38}
+    golden = {"entropic_penalty": 200, "_mass_profile": 38}
     used = {}
 
     def spy(f, lo, hi, rounds, **kw):
@@ -349,6 +349,7 @@ def test_each_callers_zoom_ends_no_wider_than_its_golden_section(monkeypatch, tr
         monkeypatch.setattr(mod, "_zoom_min", spy)
     pair = exponential_utility(1.0, 2.0)
     certify_assumptions(pair)
+    assert not used   # the certification's biconjugacy is closed-form
     pricing.entropic_penalty(tri1, pair, 0.0, [0.25, 0.5, 0.25])
     q = np.array([[0.25, 0.5, 0.25]])
     oracle._mass_profile(pair, tri1.leaf_probability_array, q @ [0.1, 0.0, -0.1], q)
@@ -378,6 +379,78 @@ def test_zoom_min_leaves_a_flat_tail_at_its_inner_edge(points, rounds, side):
         lo, hi = -hi, -lo
     s = _zoom_min(f, lo, hi, rounds, points=points)
     assert abs(side * s[0] + 1.65) <= 1e-5
+
+
+def _zoom_biconjugacy_residual(pair):
+    """Oracle of the certification's biconjugacy: max over its 51 points x
+    of |U(x) - min_y {V(y) + x y}| / (1 + |U(x)|), the inner minimum over
+    s = ln y by a grid zoom of 13 rounds from ln U'(x) +- 8, a lane per x."""
+    x = np.concatenate([-np.logspace(-2, 1, 25), [0.0], np.logspace(-2, 1, 25)])
+    s_mid = np.log(pair.u_prime(x))
+    s = _zoom_min(lambda s: pair.v(np.exp(s)) + x[:, None] * np.exp(s),
+                  s_mid - 8.0, s_mid + 8.0, 13)
+    u_x = pair.u(x)
+    val = pair.v(np.exp(s)) + x * np.exp(s)
+    return float(np.max(np.abs(u_x - val) / (1.0 + np.abs(u_x))))
+
+
+_SWEEP = [exponential_utility(g, 1.0 + 1.0 / g) for g in (0.5, 1.0, 3.0, 10.0)] + [
+    two_power_utility(a, b, 1.0) for a in (0.05, 0.2, 0.32, 0.5, 0.9)
+    for b in (0.5, 1.0, 3.0)]
+
+
+@pytest.mark.parametrize("pair", _SWEEP, ids=lambda p: p.describe())
+def test_closed_form_biconjugacy_meets_the_zoom_oracle(pair):
+    rep = certify_assumptions(pair)
+    assert rep.conjugacy_max_residual <= 1e-7
+    assert _zoom_biconjugacy_residual(pair) <= 1e-7
+
+
+def _mutant(base, **kw):
+    """``base`` with some evaluators replaced, as a custom pair."""
+    fields = dict(u=base.u, u_prime=base.u_prime, v=base.v, v_prime=base.v_prime,
+                  v_second=base.v_second, risk_aversion=base.risk_aversion)
+    fields.update(kw)
+    return UtilityPair(family="custom", params={}, u_inf=base.u_inf,
+                       ae_plus=base.ae_plus, ae_minus=base.ae_minus, **fields)
+
+
+def _mutants(base):
+    """Wrong conjugates of ``base``: V shifted by 1e-6 (1 + |V|), V' moved by
+    1e-6, and V'' negative above y = 2."""
+    return {
+        "V shifted": _mutant(base, v=lambda y: base.v(y) + 1e-6 * (1.0 + np.abs(base.v(y)))),
+        "V' moved": _mutant(base, v_prime=lambda y: base.v_prime(y) + 1e-6),
+        "V'' negative": _mutant(base, v_second=lambda y: np.where(
+            np.asarray(y) > 2.0, -1.0, 1.0) * base.v_second(y)),
+    }
+
+
+@pytest.mark.parametrize("base", [exponential_utility(1.0, 2.0),
+                                  two_power_utility(0.5, 1.0, 1.0)],
+                         ids=lambda p: p.family)
+@pytest.mark.parametrize("kind", ["V shifted", "V' moved", "V'' negative"])
+def test_certification_catches_a_wrong_conjugate(base, kind):
+    pair = _mutants(base)[kind]
+    if kind == "V'' negative":
+        with pytest.raises(AssumptionFailError) as exc:
+            certify_assumptions(pair)
+        assert exc.value.assumption == "strict convexity of the conjugate"
+        return
+    # the battery's certification gate is conjugacy_max_residual <= 1e-7
+    assert certify_assumptions(pair).conjugacy_max_residual > 1e-7
+    assert certify_assumptions(base).conjugacy_max_residual <= 1e-13
+
+
+@pytest.mark.parametrize("pair, closed", [
+    (exponential_utility(1.0, 2.0), (INF, 0.0)),
+    (two_power_utility(0.5, 1.0, 1.0), (2.0, 0.5))], ids=["exp", "two_power"])
+def test_certification_reports_the_closed_form_elasticities(bin1, pair, closed):
+    rep = certify_assumptions(pair)
+    assert (rep.ae_minus, rep.ae_plus) == closed
+    detail = run_battery(bin1, pair, {"u": 0.2, "d": -0.1})[0].detail
+    assert detail == (f"AE ({closed[0]:.3g}, {closed[1]:.3g}) "
+                      f"est ({rep.ae_minus_estimate:.3g}, {rep.ae_plus_estimate:.3g})")
 
 
 def test_certification_rejects_nonpositive_shift():
