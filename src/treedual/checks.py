@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import _objective, check_maximal_support, dual_value_curve, solve_dual
+from .dual import check_maximal_support, dual_value_curve, solve_dual
 from .errors import CapExceededError
-from .geometry import (build_constraints, find_equivalent_mm,
+from .geometry import (build_constraints, find_equivalent_mm, relative_entropy,
                        sample_martingale_measures, vertex_enumerate)
 from .market import MarketTree, leaf_values
 from .recovery import (dynamic_dual, mollify, recover, snell_envelope_exponential,
@@ -30,31 +30,33 @@ class CheckResult:
     name: str
     passed: bool
     residual: float
-    tolerance: float
+    tolerance: float       # the bound the verdict applied to the residual
     detail: str = ""
     seconds: float = 0.0   # wall time, from run_battery
 
     def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
+        status, op = ("PASS", "<=") if self.passed else ("FAIL", ">")
         extra = f"  ({self.detail})" if self.detail else ""
         return (f"[{status}] {self.name}: residual {self.residual:.3e}"
-                f" <= {self.tolerance:.1e}{extra}")
+                f" {op} {self.tolerance:.1e}{extra}")
 
 
 def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]:
     """All instance-level checks; returns one result per check.
 
     Every check after the solve reads :func:`solve_dual`'s optimum, so a
-    corrupted optimum fails them.  "Dynamic dual consistency" bounds, over
-    every positive-mass node of every time, both the wealth residual and
-    the restriction gap of :func:`dynamic_dual`: closed forms at the leaves
-    and at every exponential node, one Newton-core call per two-power
-    non-leaf node.  The certification proves biconjugacy from the pair's
-    closed forms at the minimizer y = U'(x), without a search; its detail
-    prints the closed-form tail elasticities (AE-, AE+) beside their grid
-    estimates.  A result's ``seconds`` run from the
-    previous result, so work shared by checks (the solve, the vertices,
-    the recovery, the curve) is charged to the first check that uses it.
+    corrupted optimum fails them; they read its gain X and charged leaves
+    (``terminal_gain``, ``q_hat > 0``), exact where its mass underflows.
+    ``tolerance`` is the bound a verdict applied.  "Dynamic dual
+    consistency" bounds, over every charged node of every time, both the
+    wealth residual and the restriction gap of :func:`dynamic_dual`: closed
+    forms at the leaves and at every exponential node, one Newton-core call
+    per two-power non-leaf node.  The certification proves biconjugacy from
+    the pair's closed forms at the minimizer y = U'(x), without a search;
+    its detail prints the closed-form tail elasticities (AE-, AE+) beside
+    their grid estimates.  A result's ``seconds`` run from the previous
+    result, so work shared by checks (the solve, the vertices, the
+    recovery, the curve) is charged to the first check that uses it.
     """
     results, clock = [], [time.perf_counter()]
 
@@ -64,10 +66,9 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
                                    seconds=clock[-1] - clock[-2]))
 
     e = leaf_values(tree, endow)
-    p = tree.leaf_probability_array
 
     cert = certify_assumptions(pair)
-    add("utility certification", cert.passed and cert.conjugacy_max_residual <= 1e-7,
+    add("utility certification", cert.conjugacy_max_residual <= 1e-7,
         cert.conjugacy_max_residual, 1e-7,
         f"AE ({cert.ae_minus:.3g}, {cert.ae_plus:.3g}) "
         f"est ({cert.ae_minus_estimate:.3g}, {cert.ae_plus_estimate:.3g})")
@@ -76,12 +77,12 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
 
     A = build_constraints(tree)
     cons_res = float(np.abs(A @ sol.mu).max()) if A.size else 0.0
-    add("martingale constraints at optimum", cons_res <= 1e-10 * (1 + sol.mass),
-        cons_res, 1e-10)
+    tol = 1e-10 * (1 + sol.mass)
+    add("martingale constraints at optimum", cons_res <= tol, cons_res, tol)
 
-    # KKT of the entropy program: gradient in the row space at charged leaves
-    g = pair.v_prime(sol.mu / p) + e
-    live = sol.mu > 0
+    # KKT of the entropy program: gradient -X in the row space at charged leaves
+    g = -sol.terminal_gain
+    live = sol.q_hat > 0
     lam, *_ = np.linalg.lstsq(A[:, live].T, g[live], rcond=None)
     kkt = float(np.abs(g[live] - A[:, live].T @ lam).max()) / (1.0 + float(np.abs(g[live]).max()))
     add("dual first-order conditions", kkt <= 1e-8, kkt, 1e-8)
@@ -111,12 +112,13 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     except Exception as exc:
         add("primal recovery", False, math.inf, 1e-8, f"{type(exc).__name__}: {exc}")
         return results
-    # the recovered primal value against the dual objective of the measure
+    # the recovered primal value against the dual objective, entropy plus cost
     scale_v = 1.0 + abs(sol.value)
-    gap = abs(ps.value - _objective(pair, p, e, sol.mu)) / scale_v
+    gap = abs(ps.value - (relative_entropy(tree, pair, sol.mu) + sol.mu @ e)) / scale_v
     add("zero duality gap", gap <= 1e-7, gap, 1e-7)
-    add("terminal first-order condition", ps.first_order_residual <= 1e-8 * (1 + sol.mass),
-        ps.first_order_residual, 1e-8)
+    tol = 1e-8 * (1 + sol.mass)
+    add("terminal first-order condition", ps.first_order_residual <= tol,
+        ps.first_order_residual, tol)
     # X from the measure against the wealth of the solver's strategy
     add("one-step self-financing", ps.replication_residual <= 1e-8,
         ps.replication_residual, 1e-8)
@@ -128,7 +130,8 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     sm = verify_supermartingale(tree, ps.wealth, mollify(measures, sol.q_hat), pair,
                                 sol.q_hat)
     add("supermartingale under tested measures", not sm.violations,
-        max(sm.max_drift, 0.0), 1e-8, f"{sm.measures_tested} measures")
+        max(sm.max_drift, 0.0), 1e-8 * (1.0 + float(np.abs(ps.wealth).max())),
+        f"{sm.measures_tested} measures")
     add("martingale under the optimal measure",
         sm.max_abs_drift_under_optimal <= 1e-8,
         sm.max_abs_drift_under_optimal, 1e-8)
@@ -152,7 +155,7 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     conv = -min(curve.min_second_difference, 0.0)
     add("value curve convexity", conv <= 1e-8, conv, 1e-8)
     add("curve minimum vs optimum", curve.min_value >= sol.value - 1e-8 * scale_v,
-        max(sol.value - curve.min_value, 0.0), 1e-8)
+        max(sol.value - curve.min_value, 0.0), 1e-8 * scale_v)
     d_opt = abs(curve.points[2].derivative)   # at y = sol.mass
     add("stationarity of the mass derivative", d_opt <= 1e-7, d_opt, 1e-7)
 

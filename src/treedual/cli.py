@@ -109,8 +109,7 @@ class _Out:
                            default=str) + "\n")
 
 
-def _cmd_geometry(args, out: _Out):
-    tree = load_market(args.market)
+def _cmd_geometry(args, out: _Out, tree):
     A = build_constraints(tree)
     labels = [(nid, a) for nid in tree.nonleaf_ids for a in tree.assets]  # A's rows
     out.say(f"market: {tree!r}")
@@ -130,10 +129,7 @@ def _cmd_geometry(args, out: _Out):
     return EXIT_OK
 
 
-def _cmd_solve(args, out: _Out):
-    tree = load_market(args.market)
-    pair = parse_utility_spec(args.utility)
-    endow = _pick_endowment(tree, args.endowment)
+def _cmd_solve(args, out: _Out, tree, pair, endow):
     sol = solve_dual(tree, pair, endow)
     out.manifest["newton_steps"] = sol.iterations[-1]["steps"]
     out.say(f"dual value: {f12(sol.value)}")
@@ -149,10 +145,7 @@ def _cmd_solve(args, out: _Out):
     return EXIT_OK
 
 
-def _cmd_recover(args, out: _Out):
-    tree = load_market(args.market)
-    pair = parse_utility_spec(args.utility)
-    endow = _pick_endowment(tree, args.endowment)
+def _cmd_recover(args, out: _Out, tree, pair, endow):
     sol = solve_dual(tree, pair, endow)
     ps = recover(tree, pair, endow, sol)
     out.say(f"primal value: {f12(ps.value)}")
@@ -173,11 +166,7 @@ def _cmd_recover(args, out: _Out):
     return EXIT_OK
 
 
-def _cmd_price(args, out: _Out):
-    tree = load_market(args.market)
-    pair = parse_utility_spec(args.utility)
-    endow = _pick_endowment(tree, args.endowment)
-    claim = _pick_claim(tree, args.claim)
+def _cmd_price(args, out: _Out, tree, pair, endow, claim):
     rep = price_report(tree, pair, endow, claim)
     out.manifest["dual_solves"] = rep.dual_solves
     out.manifest["dual_rounds"] = rep.dual_rounds
@@ -210,11 +199,7 @@ def _parse_betas(spec: str):
     return np.logspace(np.log10(lo), np.log10(hi), n).tolist()
 
 
-def _cmd_curve(args, out: _Out):
-    tree = load_market(args.market)
-    pair = parse_utility_spec(args.utility)
-    endow = _pick_endowment(tree, args.endowment)
-    claim = _pick_claim(tree, args.claim)
+def _cmd_curve(args, out: _Out, tree, pair, endow, claim):
     rep = average_price_curve(tree, pair, endow, claim, _parse_betas(args.betas))
     out.manifest["dual_solves"] = rep.dual_solves
     out.manifest["dual_rounds"] = rep.dual_rounds
@@ -229,10 +214,7 @@ def _cmd_curve(args, out: _Out):
     return EXIT_OK
 
 
-def _cmd_mubpp(args, out: _Out):
-    tree = load_market(args.market)
-    pair = parse_utility_spec(args.utility)
-    endow = _pick_endowment(tree, args.endowment)
+def _cmd_mubpp(args, out: _Out, tree, pair, endow):
     with open(args.process, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -266,11 +248,9 @@ def _cmd_mubpp(args, out: _Out):
     return EXIT_OK if rep.agree else EXIT_VERIFY
 
 
-def _cmd_sensitivity(args, out: _Out):
-    tree = load_market(args.market)
-    pair = parse_utility_spec(args.utility)
-    names = args.endowments.split(",")
-    endows = [_pick_endowment(tree, n.strip()) for n in names]
+def _cmd_sensitivity(args, out: _Out, tree, pair):
+    names = [n.strip() for n in args.endowments.split(",")]
+    endows = [_pick_endowment(tree, n) for n in names]
     claim = _pick_claim(tree, args.claim) if args.claim else None
     seq = None
     if args.continuity_steps > 0:
@@ -298,10 +278,7 @@ def _cmd_sensitivity(args, out: _Out):
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _cmd_verify(args, out: _Out):
-    tree = load_market(args.market)
-    pair = parse_utility_spec(args.utility)
-    endow = _pick_endowment(tree, args.endowment)
+def _cmd_verify(args, out: _Out, tree, pair, endow):
     results = run_battery(tree, pair, endow)
     failed = 0
     for r in results:
@@ -315,10 +292,7 @@ def _cmd_verify(args, out: _Out):
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
-def _cmd_oracle(args, out: _Out):
-    tree = load_market(args.market)
-    pair = parse_utility_spec(args.utility)
-    endow = _pick_endowment(tree, args.endowment)
+def _cmd_oracle(args, out: _Out, tree, pair, endow):
     rep = check_duality_gap(tree, pair, endow, seed=args.seed)
     out.say(f"regime: {rep.regime}")
     if rep.regime == "OK":
@@ -432,7 +406,16 @@ def run(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     out = _Out(args)
     try:
-        code = args.func(args, out)
+        # the inputs a subcommand declares, in this order; sensitivity picks
+        # its endowments, then its optional claim
+        tree, inputs = load_market(args.market), []
+        if "utility" in args:
+            inputs.append(parse_utility_spec(args.utility))
+        if "endowment" in args:
+            inputs.append(_pick_endowment(tree, args.endowment))
+            if "claim" in args:
+                inputs.append(_pick_claim(tree, args.claim))
+        code = args.func(args, out, tree, *inputs)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

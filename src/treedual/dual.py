@@ -69,7 +69,8 @@ class DualSolution:
     second derivative of the optimal value in a fixed mass y (else None).
     ``iterations`` logs the Newton steps taken (of a log-space pass, summed
     over levels of the most any endowment took).  ``mu`` and ``q_hat``, the
-    optimal and normalized measures, are (L,) arrays in leaf order.
+    optimal and normalized measures, are (L,) arrays in leaf order; the
+    charged leaves are those with ``q_hat > 0`` (``mu`` may underflow).
     """
 
     tree: MarketTree
@@ -93,12 +94,22 @@ class DualSolution:
         return self.mu / self.tree.leaf_probability_array
 
     @property
+    def terminal_gain(self) -> np.ndarray:
+        """X = -V'(mu/p) - e (L,), the optimal terminal gain, +inf off the
+        charged leaves: for the exponential family ln(p/mu)/gamma - e from
+        the exact log-masses, finite where mu underflows."""
+        if self._log_q is None:
+            return -self.pair.v_prime(self.density_array) - self._endow_arr
+        p, gamma = self.tree.leaf_probability_array, self.pair.params["gamma"]
+        return (np.log(p) - self._log_mass - self._log_q) / gamma - self._endow_arr
+
+    @property
     def mass_derivative(self) -> float:
-        """E_q_hat[V'(density) + e], the envelope derivative of the value in the
-        mass, over the leaves q_hat charges (V'(0) may be -inf)."""
+        """-E_q_hat[X], the envelope derivative of the value in the mass,
+        over the leaves q_hat charges (X is +inf off them)."""
         on = self.q_hat > 0
         grad = np.zeros_like(self.q_hat)
-        grad[on] = self.pair.v_prime(self.density_array[on]) + self._endow_arr[on]
+        grad[on] = -self.terminal_gain[on]
         return float(np.dot(self.q_hat, grad))
 
 
@@ -299,15 +310,6 @@ def _log_space_solutions(tree, pair, endows, mass=None) -> list[DualSolution]:
 
 
 # -- Newton core ------------------------------------------------------------------
-
-
-def _objective(pair, p, e, mu):
-    """The dual objective ``sum p V(mu/p) + mu.e``; inf off its domain."""
-    dens = mu / p
-    vals = pair.v(dens)
-    if not np.all(np.isfinite(vals)):
-        return math.inf
-    return float(np.dot(p, vals) + np.dot(mu, e))
 
 
 _NEWTON_CAP = 200
@@ -630,14 +632,15 @@ def check_maximal_support(sol: DualSolution, vertices) -> SupportCheck:
     """Check that the optimal measure dominates every finite-entropy vertex.
 
     Any leaf charged (above 1e-10) by a finite-entropy polytope vertex must
-    also be charged by the optimal measure, that is, given positive mass
-    (the optimizer is "as equivalent as possible").  ``vertices`` is a stack
+    also be charged by the optimum, that is, given positive ``q_hat`` (the
+    optimizer is "as equivalent as possible"; its mass ``mu`` may underflow
+    on a charged leaf).  ``vertices`` is a stack
     (k, L), checked by one entropy evaluation and one mask; violations run
     by vertex, then leaf.  Report-only.
     """
     tree = sol.tree
     q = np.asarray(vertices, dtype=float).reshape(-1, tree.n_leaves)
     finite = np.isfinite(relative_entropy(tree, sol.pair, q))
-    k, i = np.nonzero(finite[:, None] & (q > 1e-10) & ~(sol.mu > 0))
+    k, i = np.nonzero(finite[:, None] & (q > 1e-10) & ~(sol.q_hat > 0))
     return SupportCheck(tuple((int(a), tree.leaf_ids[b]) for a, b in zip(k, i)),
                         int(finite.sum()), int(finite.size - finite.sum()))

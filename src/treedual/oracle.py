@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import _objective, solve_dual
+from .dual import solve_dual
 from .errors import (CapExceededError, DimensionError, GapDetectedError,
                      InfeasibleEntropyError, NoMartingaleMeasureError)
-from .geometry import build_constraints, vertex_enumerate
+from .geometry import build_constraints, relative_entropy, vertex_enumerate
 from .market import MarketTree, leaf_values
 from .recovery import recover
 from .utility import UtilityPair, _zoom_min
@@ -221,9 +221,8 @@ def check_duality_gap(tree: MarketTree, pair: UtilityPair, endow, *,
     gap_solver = None
     if sol.support == "EQUIVALENT":
         u_primal = recover(tree, pair, endow, sol).value
-        # against the dual objective of the returned measure
-        f_mu = _objective(pair, tree.leaf_probability_array, leaf_values(tree, endow),
-                          sol.mu)
+        # against the dual objective of the returned measure, entropy plus cost
+        f_mu = relative_entropy(tree, pair, sol.mu) + sol.mu @ leaf_values(tree, endow)
         gap_solver = abs(u_primal - f_mu) / scale
 
     k = polytope_dimension(tree)

@@ -1,7 +1,8 @@
 """Primal recovery: optimal terminal wealth, trading strategy, verification.
 
 The optimal terminal gain is read off the dual optimizer through the inverse
-marginal: ``X_l = -V'(density_l) - e_l``.  The strategy is the one the dual
+marginal, ``X_l = -V'(density_l) - e_l`` (``DualSolution.terminal_gain``, in
+log space for the exponential family).  The strategy is the one the dual
 solver found with the measure, and the wealth process is its cost plus its
 cumulative gains, which must meet X on every charged leaf.  On a finite
 tree the gain of any strategy is an exact martingale under every martingale
@@ -51,8 +52,9 @@ class PrimalSolution:
 
 def recover(tree: MarketTree, pair: UtilityPair, endow,
             sol: DualSolution) -> PrimalSolution:
-    """Optimal terminal gain X, the solver's strategy h and its wealth
-    x0 + gains(h), with x0 = E_q[X] under the normalized optimal measure q.
+    """Optimal terminal gain X (``sol.terminal_gain``), the solver's strategy
+    h and its wealth x0 + gains(h), with x0 = E_q[X] under the normalized
+    optimal measure q.
 
     Requires an equivalent (full-support) optimal measure; with a degenerate
     optimizer the candidate wealth is infinite on the null leaves and no
@@ -73,11 +75,7 @@ def recover(tree: MarketTree, pair: UtilityPair, endow,
             "dual optimizer is degenerate (no equivalent martingale measure "
             "with finite entropy); the primal problem has no optimizer")
     p = tree.leaf_probability_array
-    dens = sol.density_array
-    if sol._log_q is None:
-        x = -pair.v_prime(dens) - e
-    else:   # -V'(y q / p) from the exact log-masses, finite where y q underflows
-        x = (np.log(p) - sol._log_mass - sol._log_q) / pair.params["gamma"] - e
+    dens, x = sol.density_array, sol.terminal_gain
     foc = float(np.abs(pair.u_prime(x + e) - dens).max())
     if foc > 1e-8 * (1.0 + np.abs(dens).max()):
         raise ReplicationGapError(
@@ -184,37 +182,40 @@ class DynamicDualNode:
 def dynamic_dual(sol: DualSolution, t: int, wealth=None) -> list[DynamicDualNode]:
     """Conditional dual problems of the solved market at the time-``t`` nodes.
 
-    For each positive-mass node n, the least conditional entropy-plus-
-    endowment objective over subtree measures matching the optimizer's mass
-    m_n on the node, and its derivative in that mass.  A leaf's problem has
-    one feasible point, its mass: the raw value is p V(m/p) + m e and the
-    derivative V'(m/p) + e.  Exponential family: from the log-space pass's
-    L_n (``sol._log_l``), the raw value is ``C P_n + m_n (ln m_n - 1 -
-    ln P_n - L_n)/gamma`` and the derivative ``(ln m_n - ln P_n - L_n)/gamma``,
-    a whole level in a few array operations.  Two-power non-leaf nodes run
-    the Newton core on the subtree's maximal support, started at the
-    optimizer, and differentiate by the envelope formula.  The value is the
-    raw one over P_n; the restriction gap compares it with the objective of
-    the global optimizer restricted to the subtree, one ``subtree_sums`` of
-    ``p V(mu/p) + mu e`` (p V(0) at dead leaves).  Deterministic time grid
-    only.  Consistency: the derivative should equal minus the wealth at the
-    node, when ``wealth`` (N,) in layout order is given.
+    For each node n the optimum charges (``q_hat`` positive on its subtree),
+    the least conditional entropy-plus-endowment objective over subtree
+    measures matching the optimizer's mass m_n on the node, and its
+    derivative in that mass.  A leaf's problem has one feasible point, its
+    mass: the raw value is p V(m/p) + m e, the derivative -X.  Exponential
+    family: from the log-space pass's L_n (``sol._log_l``), the raw value is
+    ``C P_n + m_n (ln m_n - 1 - ln P_n - L_n)/gamma`` and the derivative
+    ``(ln m_n - ln P_n - L_n)/gamma``, ln m_n = ln y + ln sum_subtree q_hat
+    exact where m_n underflows, a whole level in a few array operations.
+    Two-power non-leaf nodes run the Newton core on the subtree's maximal
+    support, started at the optimizer, and differentiate by the envelope
+    formula.  The value is the raw one over P_n; the restriction gap
+    compares it with the objective of the global optimizer restricted to
+    the subtree, one ``subtree_sums`` of ``p V(mu/p) + mu e`` (p V(0) at
+    dead leaves).  Deterministic time grid only.  Consistency: the
+    derivative should equal minus the wealth at the node, when ``wealth``
+    (N,) in layout order is given.
     """
     tree, pair, e = sol.tree, sol.pair, sol._endow_arr
     if not (0 <= t <= tree.horizon):
         raise ValueError(f"time {t} outside 0..{tree.horizon}")
     lay, p, mu = tree.layout, tree.leaf_probability_array, sol.mu
     obj = p * pair.v(mu / p) + mu * e
-    mass, restricted = tree.subtree_sums(np.stack([mu, obj]))
+    weight, mass, restricted = tree.subtree_sums(np.stack([sol.q_hat, mu, obj]))
     nodes = np.arange(lay.level_starts[t], lay.level_starts[t + 1])
-    nodes = nodes[mass[nodes] > 0]
+    nodes = nodes[weight[nodes] > 0]
     m, big_p = mass[nodes], tree.node_probability_array[nodes]
     if t == tree.horizon:
         leaf = nodes - lay.level_starts[-2]
-        raw, deriv = obj[leaf], pair.v_prime(m / big_p) + e[leaf]
+        raw, deriv = obj[leaf], -sol.terminal_gain[leaf]
     elif sol._log_l is not None:
         gamma = pair.params["gamma"]
-        log_ratio = np.log(m) - np.log(big_p) - sol._log_l[nodes]
+        log_m = sol._log_mass + np.log(weight[nodes])   # exact where m underflows
+        log_ratio = log_m - np.log(big_p) - sol._log_l[nodes]
         raw = pair.params["C"] * big_p + m * (log_ratio - 1.0) / gamma
         deriv = log_ratio / gamma
     else:
@@ -269,26 +270,22 @@ def snell_envelope_exponential(sol: DualSolution, vertices, *, wealth) -> SnellR
 
     At each node, the wealth should equal the supremum over equivalent
     finite-entropy martingale measures of the conditional expectation of the
-    log-density payoff ``(1/gamma) ln(dP/d(optimal measure)) - endowment``.
-    ``wealth`` is (N,) in layout order.  The vertices, a stack (k, L), are
-    mollified toward the optimal measure (:func:`mollify`) to yield
-    equivalent test measures, all of finite entropy; the optimal measure
-    attains the supremum.
+    log-density payoff ``(1/gamma) ln(dP/d(optimal measure)) - endowment``,
+    ``sol.terminal_gain``.  ``wealth`` is (N,) in layout order.  The
+    vertices, a stack (k, L), are mollified toward the optimal measure
+    (:func:`mollify`) to yield equivalent test measures, all of finite
+    entropy; the optimal measure attains the supremum.
     """
     tree, pair = sol.tree, sol.pair
     if pair.family != "exponential":
         raise NotExponentialError("Snell-envelope check requires exponential utility")
     if sol.support != "EQUIVALENT":
         raise NoPrimalOptimizerError("requires an equivalent optimal measure")
-    # the leaf random variable inside the essmax
-    payoff = (np.log(tree.leaf_probability_array / sol.mu) / pair.params["gamma"]
-              - sol._endow_arr)
-
     tested = np.vstack([sol.q_hat, mollify(vertices, sol.q_hat)])
 
     w = np.asarray(wealth, dtype=float)
     w_scale = 1.0 + float(np.abs(w).max())
-    vals = tree.subtree_sums(tested * payoff) / tree.subtree_sums(tested)
+    vals = tree.subtree_sums(tested * sol.terminal_gain) / tree.subtree_sums(tested)
     best = vals.max(axis=0)
     eq_gap = float((np.abs(best - w) / w_scale).max())
     lb_excess = float(((vals - w) / w_scale).max())

@@ -288,10 +288,10 @@ class CertificationReport:
 
     ``ae_plus`` and ``ae_minus`` are the pair's closed-form tail
     elasticities; the ``*_estimate`` fields read x U'(x)/U(x) at the
-    largest finite grid points.
+    largest finite grid points.  :func:`certify_assumptions` raises on a
+    failed assumption, so a report is a passed certification.
     """
 
-    inada_ok: bool
     ae_plus: float
     ae_minus: float
     ae_plus_estimate: float
@@ -299,7 +299,6 @@ class CertificationReport:
     growth_constant_estimate: float
     conjugacy_max_residual: float
     u_at_zero: float
-    passed: bool
 
 
 def _finite_window(f, xs, positive=False):
@@ -375,9 +374,8 @@ def certify_assumptions(pair: UtilityPair) -> CertificationReport:
     xn, upn = _finite_window(pair.u_prime, -pos_grid, positive=True)
     slope_p = _last_decade_slope(xp, upp)
     slope_n = _last_decade_slope(-xn, upn)
-    inada_ok = (slope_p < -1e-3 and np.all(np.diff(upp) < 0)
-                and slope_n > 1e-3 and np.all(np.diff(upn) > 0))
-    if not inada_ok:
+    if not (slope_p < -1e-3 and np.all(np.diff(upp) < 0)
+            and slope_n > 1e-3 and np.all(np.diff(upn) > 0)):
         raise AssumptionFailError("Inada conditions",
                                   f"log-log slope of U' {slope_p:.3g} up to "
                                   f"x={xp[-1]:.3g}, {slope_n:.3g} down to "
@@ -426,7 +424,6 @@ def certify_assumptions(pair: UtilityPair) -> CertificationReport:
                                   f"V'' not positive at y={curv_y[bent][0]:.3g}")
 
     return CertificationReport(
-        inada_ok=True,
         ae_plus=pair.ae_plus,
         ae_minus=pair.ae_minus,
         ae_plus_estimate=ae_plus_est,
@@ -434,7 +431,6 @@ def certify_assumptions(pair: UtilityPair) -> CertificationReport:
         growth_constant_estimate=growth,
         conjugacy_max_residual=resid,
         u_at_zero=float(u0),
-        passed=True,
     )
 
 

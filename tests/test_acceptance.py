@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import treegen
-from treedual import (dual, exponential_utility, find_equivalent_mm, geometry,
-                      run_battery)
+from treedual import (checks, dual, dynamic_dual, exponential_utility,
+                      find_equivalent_mm, geometry, recover, run_battery)
 
 SUITE = treegen.acceptance_suite()
 
@@ -25,8 +25,36 @@ def test_two_asset_moves_leave_no_angular_gap_of_pi():
 def test_battery_passes_on_acceptance_instance(k):
     tree, pair, endow = SUITE[k]
     assert find_equivalent_mm(tree) is not None
-    failed = [r.line() for r in run_battery(tree, pair, endow) if not r.passed]
-    assert not failed
+    results = run_battery(tree, pair, endow)
+    assert not [r.line() for r in results if not r.passed]
+    # each line states the inequality its verdict tested
+    printed = [float(r.line().split(" <= ")[1].split()[0]) for r in results]
+    assert all(r.residual <= tol for r, tol in zip(results, printed))
+
+
+def _edge_instance(market, shift, gamma):
+    """An exponential instance with endowments ``shift / gamma`` (resized to
+    the leaves): near 700/gamma the optimal mass is near e^-700 and some
+    leaf masses fall below the normal range; near 730/gamma on tri1 leaf b
+    gets mass 0 though the optimum charges it."""
+    tree = (treegen.tri1() if market == "tri1"
+            else treegen.product_market([[1.2, 1.0, 0.85], [1.1, 0.95]]))
+    pair = exponential_utility(gamma, 2.0)
+    e = np.resize(np.array(shift, dtype=float), tree.n_leaves) / gamma
+    return tree, pair, e, dual.solve_dual(tree, pair, e)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 3.0])
+@pytest.mark.parametrize("market,shift", [("tri1", (700, 730, 695)),
+                                          ("tri1", (730, 760, 725)),
+                                          ("product", (700, 730, 695))])
+def test_battery_passes_where_the_optimal_mass_is_subnormal(market, shift, gamma):
+    # the checks read X and the charged leaves off the exact log-masses,
+    # where V' of the rounded density was off by 1e-7 or infinite
+    tree, pair, e, sol = _edge_instance(market, shift, gamma)
+    assert sol.mu.min() < np.finfo(float).tiny and (sol.q_hat > 0).all()
+    assert (sol.mu == 0).any() == (shift[0] == 730)
+    assert not [r.line() for r in run_battery(tree, pair, e) if not r.passed]
 
 
 def test_support_flag_check_fails_on_a_wrong_support_mask(tri1, monkeypatch):
@@ -46,3 +74,52 @@ def test_support_flag_check_fails_on_a_wrong_support_mask(tri1, monkeypatch):
                run_battery(tri1, exponential_utility(1.0, 2.0), [0.3, -0.2, 0.1])}
     check = results["support flag matches market"]
     assert not check.passed and check.detail == "DEGENERATE"
+
+
+def test_terminal_gain_keeps_the_recovered_formulas():
+    # X = -V'(mu/p) - e, in log space for the exponential family, bit for
+    # bit as recovery computed it; the two-power mass derivative is the
+    # envelope E_q_hat[V'(mu/p) + e] bit for bit
+    for tree, pair, endow in SUITE:
+        sol = dual.solve_dual(tree, pair, endow)
+        p, e, q = tree.leaf_probability_array, sol._endow_arr, sol.q_hat
+        if pair.family == "exponential":
+            want = (np.log(p) - sol._log_mass - sol._log_q) / pair.params["gamma"] - e
+        else:
+            want = -pair.v_prime(sol.density_array) - e
+            envelope = float(np.dot(q, pair.v_prime(sol.density_array) + e))
+            assert sol.mass_derivative == envelope
+        assert sol.terminal_gain.tobytes() == want.tobytes()
+        assert recover(tree, pair, endow, sol).terminal_wealth.tobytes() == want.tobytes()
+
+
+def test_first_order_check_reads_a_charged_leaf_whose_mass_underflows(monkeypatch):
+    # a wrong log-mass at leaf b moves X there (by -1) but not mu = 0; the
+    # check must still see the leaf
+    tree, pair, e, sol = _edge_instance("tri1", (730, 760, 725), 1.0)
+    assert sol.mu[1] == 0.0 < sol.q_hat[1]
+    solve = checks.solve_dual
+
+    def corrupted(*args):
+        sol = solve(*args)
+        log_q = sol._log_q.copy()
+        log_q[1] += 1.0
+        return dataclasses.replace(sol, _log_q=log_q)
+
+    monkeypatch.setattr(checks, "solve_dual", corrupted)
+    results = {r.name: r for r in run_battery(tree, pair, e)}
+    assert not results["dual first-order conditions"].passed
+
+
+@pytest.mark.parametrize("market,gamma", [("tri1", 1.0), ("product", 1.0),
+                                          ("product", 3.0)])
+def test_dynamic_dual_takes_node_masses_from_the_log_masses(market, gamma):
+    # every node is charged: on tri1 leaf b's mass underflows to 0, on the
+    # product tree the time-1 node masses are subnormal, where ln of the
+    # rounded mass put the wealth residuals at ~1e-2
+    tree, pair, e, sol = _edge_instance(market, (730, 760, 725), gamma)
+    ps = recover(tree, pair, e, sol)
+    for t in range(tree.horizon + 1):
+        nodes = dynamic_dual(sol, t, wealth=ps.wealth)
+        assert len(nodes) == tree.layout.level_starts[t + 1] - tree.layout.level_starts[t]
+        assert max(node.wealth_residual for node in nodes) <= 1e-12

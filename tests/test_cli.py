@@ -268,6 +268,33 @@ def test_sensitivity_with_continuity_and_claim_exits_zero(tri1_file, capsys):
     assert capsys.readouterr().out.count("(ok)") == 3
 
 
+def test_sensitivity_strips_each_endowment_name_once(tri1_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["sensitivity", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2",
+            "--endowments", "endowment, zero", "--output-dir", str(out)]
+    assert cli.run(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    rows = [r.split(",")[0] for r in (out / "sensitivity.csv").read_text().splitlines()]
+    assert rows[1:3] == ["value_endowment", "value_zero"]
+
+
+@pytest.mark.parametrize("argv,named", [
+    # the market, then the utility, the endowment(s) and the claim
+    (["price", "--utility", "exp:gamma=1,C=2", "--endowment", "bogus", "--claim", "nope"],
+     "endowment name 'bogus'"),
+    (["price", "--utility", "cobbdouglas:a=1", "--endowment", "bogus", "--claim", "nope"],
+     "utility family 'cobbdouglas'"),
+    (["curve", "--utility", "exp:gamma=1,C=2", "--claim", "nope"], "claim 'nope'"),
+    (["sensitivity", "--utility", "exp:gamma=1,C=2", "--endowments", "zero,bogus",
+      "--claim", "nope"], "endowment name 'bogus'"),
+    (["sensitivity", "--utility", "exp:gamma=1,C=2", "--endowments", "zero",
+      "--claim", "nope"], "claim 'nope'"),
+])
+def test_input_errors_name_the_first_bad_input(tri1_file, capsys, argv, named):
+    assert cli.run(argv + ["--market", str(tri1_file)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and named in err
+
 
 def test_sensitivity_with_a_large_mass_radius_exits_cleanly(tmp_path, capsys):
     # the mass radius is about 2.4e25, past the first block of its scan
@@ -321,7 +348,13 @@ def test_verify_exit_codes(tri1_file, capsys, monkeypatch, inject, code):
     monkeypatch.setattr(checks, "solve_dual", _corrupted_solve(inject))
     argv = ["verify", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2"]
     assert cli.run(argv) == code
-    assert ("FAIL" in capsys.readouterr().out) == bool(inject)
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert bool(failed) == bool(inject)
+    # each line states the inequality its verdict found
+    assert all(": residual " in line and " > " in line and " <= " not in line
+               for line in failed)
+    assert all(" <= " in line for line in lines if line.startswith("[PASS]"))
 
 
 def test_verify_reports_check_times_outside_the_csv(tri1_file, tmp_path, capsys):

@@ -171,8 +171,10 @@ def test_stacked_checks_match_the_per_measure_loops(seed, n_assets, family):
     pair = (exponential_utility(1.0, 2.0) if family == "exp"
             else two_power_utility(0.5, 1.0, 1.0))
     sol = solve_dual(tree, pair, rng.uniform(-1.0, 1.0, tree.n_leaves))
-    # a measure missing some leaves, so vertices charging them are flagged
-    sol = dataclasses.replace(sol, mu=sol.mu * (rng.uniform(size=tree.n_leaves) < 0.7))
+    # a measure missing some leaves, so vertices charging them are flagged;
+    # mu and q_hat miss the same ones, as in a solution
+    keep = rng.uniform(size=tree.n_leaves) < 0.7
+    sol = dataclasses.replace(sol, mu=sol.mu * keep, q_hat=sol.q_hat * keep)
     # vertices (infinite two-power entropy where they miss a leaf), full
     # samples and a zero measure (no mass anywhere)
     measures = np.vstack([vertex_enumerate(build_constraints(tree)),
@@ -304,7 +306,9 @@ def _dynamic_dual_by_core(sol, t):
         assert err is None
         mu_on, raw = mu_sub[0][on], float(raw[0])
         deriv = float(np.dot(mu_on / m_n, pair.v_prime(mu_on / p_sub[on]) + e_sub[on]))
-        gap = abs(raw - dual._objective(pair, p_sub, e_sub, mu[lo:hi])) / (1.0 + abs(raw))
+        # the restricted optimizer's entropy plus the endowment's cost
+        restricted = p_sub @ pair.v(mu[lo:hi] / p_sub) + mu[lo:hi] @ e_sub
+        gap = abs(raw - restricted) / (1.0 + abs(raw))
         out.append((k, raw / float(tree.node_probability_array[k]), deriv, gap))
     return out
 
