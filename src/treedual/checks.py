@@ -54,9 +54,11 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     per two-power non-leaf node.  The certification proves biconjugacy from
     the pair's closed forms at the minimizer y = U'(x), without a search;
     its detail prints the closed-form tail elasticities (AE-, AE+) beside
-    their grid estimates.  A result's ``seconds`` run from the previous
-    result, so work shared by checks (the solve, the vertices, the
-    recovery, the curve) is charged to the first check that uses it.
+    their grid estimates.  The value curve is solved at log masses around
+    the optimum's, exact where its mass is subnormal.  A result's
+    ``seconds`` run from the previous result, so work shared by checks (the
+    solve, the vertices, the recovery, the curve) is charged to the first
+    check that uses it.
     """
     results, clock = [], [time.perf_counter()]
 
@@ -150,8 +152,8 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
         add("Snell lower bounds", sn.max_lower_bound_excess <= 1e-7,
             max(sn.max_lower_bound_excess, 0.0), 1e-7)
 
-    ys = sol.mass * np.array([0.5, 0.75, 1.0, 1.5, 2.0])
-    curve = dual_value_curve(tree, pair, endow, ys)
+    log_ys = sol._log_mass + np.log([0.5, 0.75, 1.0, 1.5, 2.0])
+    curve = dual_value_curve(tree, pair, endow, log_ys, log=True)
     conv = -min(curve.min_second_difference, 0.0)
     add("value curve convexity", conv <= 1e-8, conv, 1e-8)
     add("curve minimum vs optimum", curve.min_value >= sol.value - 1e-8 * scale_v,

@@ -275,10 +275,10 @@ def _log_partition(tree, gamma, e):
     return big_l, h, logw[:, inner:], drift, steps
 
 
-def _log_space_solutions(tree, pair, endows, mass=None) -> list[DualSolution]:
-    """Exponential optima for a stack of endowments (r, L), row j at
-    ``mass[j]`` if given (NaN at a free row), from one pass over the
-    distinct rows.
+def _log_space_solutions(tree, pair, endows, log_mass=None) -> list[DualSolution]:
+    """Exponential optima for a stack of endowments (r, L), row j at the log
+    mass ``log_mass[j]`` if given (NaN at a free row), from one pass over
+    the distinct rows.
 
     The normalized optimizer does not depend on the mass, so the fixed-mass
     optimum is ``mass * q_hat`` with value ``C + mass (ln mass - 1 - L)/gamma``.
@@ -293,14 +293,14 @@ def _log_space_solutions(tree, pair, endows, mass=None) -> list[DualSolution]:
     distinct[slots] = endows
     log_ls, hs, log_qs, drifts, steps = _log_partition(tree, gamma, distinct)
     log_zs, drifts = log_ls[:, 0].tolist(), drifts.tolist()
-    masses = [math.nan] * len(slots) if mass is None else np.asarray(mass, dtype=float).tolist()
+    log_ys = np.full(len(slots), math.nan) if log_mass is None else log_mass
     out = []
-    for ej, i, m in zip(endows, slots, masses):
+    for ej, i, s in zip(endows, slots, np.asarray(log_ys, dtype=float).tolist()):
         log_z, log_q = log_zs[i], log_qs[i]
-        free = math.isnan(m)
-        log_y = log_z if free else math.log(m)
+        free = math.isnan(s)
+        log_y = log_z if free else s
         with np.errstate(over="ignore"):
-            y = float(np.exp(log_z)) if free else m
+            y = float(np.exp(log_y))
             value = c - y / gamma if free else c + y * (log_y - 1.0 - log_z) / gamma
             mu = np.exp(log_y + log_q)
         out.append(_solution(tree, pair, ej, mu, np.exp(log_q), y, log_y, value,
@@ -485,12 +485,13 @@ def _prepare(tree, pair):
     return geo.mask, flag
 
 
-def _core_solutions(tree, pair, endows, mass=None, starts=None):
+def _core_solutions(tree, pair, endows, log_mass=None, starts=None):
     """The Newton core on the maximal support for a stack of endowments (r, L),
-    at masses (r,) if given (NaN at a free row), started at leaf measures
-    (r, L) if given (rows not positive on the support start cold): one
-    optimum or the row's :class:`NonconvergedError` per row."""
+    at masses e^log_mass (r,) if given (NaN at a free row), started at leaf
+    measures (r, L) if given (rows not positive on the support start cold):
+    one optimum or the row's :class:`NonconvergedError` per row."""
     mask, flag = _prepare(tree, pair)
+    mass = None if log_mass is None else np.array([math.exp(s) for s in log_mass])
     mu, h, value, res, steps, curvature, errors = _newton_core(
         build_constraints(tree), tree.leaf_probability_array, endows, pair, mask,
         mass=mass, start=starts)
@@ -507,22 +508,23 @@ def _core_solutions(tree, pair, endows, mass=None, starts=None):
     return out
 
 
-def _solutions(tree, pair, endows, mass=None, starts=None):
+def _solutions(tree, pair, endows, log_mass=None, starts=None):
     """The dual optima of a stack of endowments (r, L) on one tree, row j at
-    ``mass[j]`` if given (NaN at a free row): one optimum or the row's
+    the log mass ``log_mass[j]`` if given (NaN at a free row), exact in the
+    log-space pass where the mass is subnormal: one optimum or the row's
     :class:`NonconvergedError` per row.  The one place the family picks the
     solver: one log-space pass for the exponential family, else one call of
     the Newton core, started at the leaf measures ``starts`` (r, L) if given."""
     if pair.family == "exponential":
-        return _log_space_solutions(tree, pair, endows, mass)
-    return _core_solutions(tree, pair, endows, mass, starts)
+        return _log_space_solutions(tree, pair, endows, log_mass)
+    return _core_solutions(tree, pair, endows, log_mass, starts)
 
 
-def _at_masses(tree, pair, endow, ys):
-    """The optima of one endowment at each mass of ``ys`` (NaN: free), from
-    one :func:`_solutions` call; raises the first row's error."""
-    ys = np.asarray(ys, dtype=float)
-    sols = _solutions(tree, pair, leaf_values(tree, endow)[None].repeat(ys.size, axis=0), ys)
+def _at_masses(tree, pair, endow, ss):
+    """The optima of one endowment at each log mass of ``ss`` (NaN: free),
+    from one :func:`_solutions` call; raises the first row's error."""
+    ss = np.asarray(ss, dtype=float)
+    sols = _solutions(tree, pair, leaf_values(tree, endow)[None].repeat(ss.size, axis=0), ss)
     for sol in sols:
         if isinstance(sol, Exception):
             raise sol
@@ -567,7 +569,7 @@ def solve_dual_fixed_mass(tree: MarketTree, pair: UtilityPair, endow,
     optimizer of :func:`solve_dual`, from one log-space pass.
     """
     _check_masses([y])
-    return _at_masses(tree, pair, endow, [y])[0]
+    return _at_masses(tree, pair, endow, [math.log(y)])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -586,22 +588,25 @@ class CurveReport:
 
 
 def dual_value_curve(tree: MarketTree, pair: UtilityPair, endow,
-                     ys: Sequence[float]) -> CurveReport:
-    """The mass-indexed dual value curve on a grid of positive masses.
+                     ys: Sequence[float], *, log: bool = False) -> CurveReport:
+    """The mass-indexed dual value curve on a grid of positive masses, given
+    as log masses with ``log``, which keep a subnormal mass exact.
 
     Each point solves the inner problem with total mass pinned, all of them
-    by one :func:`_solutions` call: one log-space pass for the exponential
-    family, one Newton-core call, each row started cold, otherwise.  The
-    report carries the worst second difference as a numeric convexity
-    certificate.
+    by one :func:`_solutions` call at the log masses: one log-space pass for
+    the exponential family, one Newton-core call, each row started cold,
+    otherwise.  A point's ``y`` is the caller's mass, or e^s.  The report
+    carries the worst second difference as a numeric convexity certificate.
     """
     ys = sorted(float(y) for y in ys)
-    _check_masses(ys)
-    if any(a == b for a, b in zip(ys, ys[1:])):
+    with np.errstate(over="ignore"):
+        masses = np.exp(ys).tolist() if log else ys
+    _check_masses(masses)
+    if any(a == b for a, b in zip(masses, masses[1:])):
         raise DomainError("curve masses must be distinct")
-    sols = _at_masses(tree, pair, endow, ys)
+    sols = _at_masses(tree, pair, endow, ys if log else [math.log(y) for y in ys])
     pts = [CurvePoint(y=y, value=sol.value, q_hat=sol.q_hat,
-                      derivative=sol.mass_derivative) for y, sol in zip(ys, sols)]
+                      derivative=sol.mass_derivative) for y, sol in zip(masses, sols)]
     second = math.inf
     for a, b, c in zip(pts, pts[1:], pts[2:]):
         la = (b.value - a.value) / (b.y - a.y)

@@ -82,7 +82,8 @@ class ValueAtSupremumError(TreedualError):
 
     Raised by ``solve_dual`` for the exponential family, the only one with a
     finite sup U, when the optimal dual mass exp(L) underflows to 0 (an
-    endowment above about 745/gamma).  Pricing never meets it.
+    endowment above about 745/gamma), and by ``entropic_penalty`` for a
+    base value that rounds to sup U.  The pricing searches never meet it.
     """
 
     code = "AT_SUPREMUM"

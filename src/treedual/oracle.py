@@ -2,12 +2,12 @@
 
 The dual oracle eliminates the equality constraints, grids the resulting
 low-dimensional parameter box (with zoom refinement that keeps the running
-minimum monotone), and one-dimensionally minimizes over the mass on each
-grid point.  The primal oracle maximizes expected utility directly over the
-unconstrained strategy coefficients with multi-start quasi-Newton.  Both are
-deliberately independent of the dual solvers: they exist to certify them,
-not to compete with them.  SciPy is imported inside the two oracles, so
-importing the package does not load it.
+minimum monotone), and minimizes over the mass on each grid point at the
+root of the mass derivative.  The primal oracle maximizes expected utility
+directly over the unconstrained strategy coefficients with multi-start
+quasi-Newton.  Both are deliberately independent of the dual solvers: they
+exist to certify them, not to compete with them.  SciPy is imported inside
+the primal oracle, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -23,14 +23,22 @@ from .errors import (CapExceededError, DimensionError, GapDetectedError,
 from .geometry import build_constraints, relative_entropy, vertex_enumerate
 from .market import MarketTree, leaf_values
 from .recovery import recover
-from .utility import UtilityPair, _zoom_min
+from .utility import UtilityPair
+
+
+def _polytope_frame(tree: MarketTree):
+    """M = [A; 1] and an orthonormal basis (L, k) of its null space, the
+    polytope's directions, from one SVD whose rank cutoff, 1e-12 of the
+    largest singular value, is the solvers': assets they take for one stay one."""
+    A = build_constraints(tree)
+    M = np.vstack([A, np.ones((1, tree.n_leaves))])
+    _, sv, vt = np.linalg.svd(M)
+    return M, vt[int(np.count_nonzero(sv > 1e-12 * sv[0])):].T
 
 
 def polytope_dimension(tree: MarketTree) -> int:
     """Affine dimension of the martingale polytope."""
-    A = build_constraints(tree)
-    M = np.vstack([A, np.ones((1, tree.n_leaves))])
-    return tree.n_leaves - int(np.linalg.matrix_rank(M, tol=1e-10))
+    return _polytope_frame(tree)[1].shape[1]
 
 
 def strategy_dimension(tree: MarketTree) -> int:
@@ -46,20 +54,30 @@ _GAP_TOL = 1e-7      # the solver's own primal-dual gap, scaled
 
 def _mass_profile(pair, p, e_q, dens_dirs):
     """Least ``sum(p V(y q/p)) + y E_q[e]`` over the mass y > 0 for each
-    probability row q of ``dens_dirs`` (m, L): one lane of the grid zoom
-    :func:`~treedual.utility._zoom_min` per row, on the log-mass axis from
-    [-40, 40] with bracket expansion.  The rows run to thousands, so the
-    conjugate's arithmetic, not its calls, sets the cost: 27 rounds of 5
-    points, two new ones per lane and round, each halving the bracket."""
+    probability row q of ``dens_dirs`` (m, L), at the root of its mass
+    derivative ``sum_{q>0} q V'(y q/p) + E_q[e]``, which increases in y.
+    Each row's bracket on the log-mass axis, from [-40, 40], triples about
+    its middle until the derivative changes sign in it, then 40 halvings,
+    one derivative evaluation of every row each, close it."""
+    on = dens_dirs > 0
+    dens = np.where(on, dens_dirs / p, 1.0)   # 1: V'(inf * 0) is undefined
 
-    def val(s):
-        y = np.exp(s)
+    def slope(s):
         with np.errstate(over="ignore", invalid="ignore"):
-            out = pair.v(y[..., None] * dens_dirs[:, None, :] / p) @ p + y * e_q[:, None]
-        return np.where(np.isfinite(out), out, np.inf)
+            terms = dens_dirs * pair.v_prime(np.exp(s)[:, None] * dens)
+        return np.where(on, terms, 0.0).sum(axis=1) + e_q
 
-    lo = np.full(dens_dirs.shape[0], -40.0)
-    return val(_zoom_min(val, lo, -lo, 27, points=5, expand=True)[:, None])[:, 0]
+    lo, hi = np.full(e_q.shape, -40.0), np.full(e_q.shape, 40.0)
+    while (miss := (slope(lo) > 0) | (slope(hi) < 0)).any():
+        lo, hi = lo - miss * (hi - lo), hi + miss * (hi - lo)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        up = slope(mid) < 0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    y = np.exp(0.5 * (lo + hi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = pair.v(y[:, None] * dens_dirs / p) @ p + y * e_q
+    return np.where(np.isfinite(out), out, np.inf)
 
 
 def brute_force_dual(tree: MarketTree, pair: UtilityPair, endow, *,
@@ -76,13 +94,18 @@ def brute_force_dual(tree: MarketTree, pair: UtilityPair, endow, *,
     infimum, so it certifies the solver from one side and matches it to the
     discretization error.
     """
-    from scipy.linalg import null_space
+    return _brute_force_dual(tree, pair, endow, points_per_dim, rounds, mode,
+                             n_samples, seed)[0]
 
+
+def _brute_force_dual(tree, pair, endow, points_per_dim=13, rounds=8, mode="auto",
+                      n_samples=2048, seed=0):
+    """:func:`brute_force_dual`'s value, polytope dimension and mode."""
     e = leaf_values(tree, endow)
     p = tree.leaf_probability_array
-    A = build_constraints(tree)
     L = tree.n_leaves
-    M = np.vstack([A, np.ones((1, L))])
+    M, N = _polytope_frame(tree)
+    k = N.shape[1]
     rhs = np.zeros(M.shape[0])
     rhs[-1] = 1.0
     q_part, *_ = np.linalg.lstsq(M, rhs, rcond=None)
@@ -92,8 +115,6 @@ def brute_force_dual(tree: MarketTree, pair: UtilityPair, endow, *,
     q_part += np.linalg.lstsq(M, rhs - M @ q_part, rcond=None)[0]
     if np.abs(M @ q_part - rhs).max() > 1e-9:
         raise NoMartingaleMeasureError("martingale polytope is empty")
-    N = null_space(M)
-    k = N.shape[1]
 
     if mode == "auto":
         mode = "grid" if k <= GRID_DIM_LIMIT else "sample"
@@ -120,10 +141,10 @@ def brute_force_dual(tree: MarketTree, pair: UtilityPair, endow, *,
             w = rng.dirichlet(np.ones(len(verts)), size=n_samples)
             pts.append(w @ verts)
         pts.append(q_part[None, :] + rng.standard_normal((n_samples, k)) @ N.T * 0.3)
-        return batch_min(np.vstack(pts))
+        return batch_min(np.vstack(pts)), k, mode
 
     if k == 0:
-        return batch_min(q_part[None, :])
+        return batch_min(q_part[None, :]), k, mode
 
     R = 1.0 + float(np.linalg.norm(q_part))
     centers = np.zeros((1, k))
@@ -144,7 +165,7 @@ def brute_force_dual(tree: MarketTree, pair: UtilityPair, endow, *,
             order = np.argsort(vals)[:3]
             centers = thetas[feas][order]
         half *= 0.35
-    return best
+    return best, k, mode
 
 
 def brute_force_primal(tree: MarketTree, pair: UtilityPair, endow, *,
@@ -225,9 +246,7 @@ def check_duality_gap(tree: MarketTree, pair: UtilityPair, endow, *,
         f_mu = relative_entropy(tree, pair, sol.mu) + sol.mu @ leaf_values(tree, endow)
         gap_solver = abs(u_primal - f_mu) / scale
 
-    k = polytope_dimension(tree)
-    bd = brute_force_dual(tree, pair, endow, seed=seed)
-    dual_mode = "grid" if k <= GRID_DIM_LIMIT else "sample"
+    bd, k, dual_mode = _brute_force_dual(tree, pair, endow, seed=seed)
 
     D = strategy_dimension(tree)
     bp = None

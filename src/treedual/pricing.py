@@ -37,10 +37,10 @@ import numpy as np
 from .dual import DualSolution, _solutions, solve_dual
 from .errors import (AugmentInfeasibleError, BracketFailError, DomainError,
                      InfeasibleEntropyError, InfiniteEntropyError,
-                     NoMartingaleMeasureError, NonconvergedError)
+                     NoMartingaleMeasureError, NonconvergedError, ValueAtSupremumError)
 from .geometry import find_equivalent_mm, relative_entropy, _support_structure
 from .market import MarketTree, _with_assets, leaf_values
-from .utility import UtilityPair, _zoom_min
+from .utility import UtilityPair
 
 PRICE_TOL = 1e-9       # |u(endow + claim - p) - u(endow)| <= tol * (1 + |u|)
 AGREEMENT_TOL = 1e-6   # cross-method relative agreement
@@ -61,8 +61,8 @@ class SolveCounter:
     calls (``n``) and the rounds that computed them (``rounds``).
 
     :meth:`run` drives searches in lockstep.  A search is a generator that
-    yields a list of solve requests ``(endowment, mass or None, start or
-    None)`` and is sent the list of their optima.  A round collects the
+    yields a list of solve requests ``(endowment, log mass or None, start
+    or None)`` and is sent the list of their optima.  A round collects the
     requests of every pending search, free and fixed mass, and solves each
     distinct request once, so searches that ask for the same optimum share
     its row, by one stacked dual solve (a log-space pass, free of overflow
@@ -90,19 +90,19 @@ class SolveCounter:
             advance(i, None)
         while pending:
             asked, pending = pending, {}
-            keys = {i: [(e.tobytes(), y, None if x is None else x.tobytes())
-                        for e, y, x in requests] for i, requests in asked.items()}
+            keys = {i: [(e.tobytes(), s, None if x is None else x.tobytes())
+                        for e, s, x in requests] for i, requests in asked.items()}
             # each distinct request once, in the order first asked
             distinct = dict(zip(itertools.chain(*keys.values()),
                                 itertools.chain(*asked.values())))
             row = dict(zip(distinct, itertools.count()))
             self.rounds += 1
             self.n += len(distinct)
-            endows, masses, starts = zip(*distinct.values())
+            endows, log_masses, starts = zip(*distinct.values())
             # a zero start is not positive on the support: the row starts cold
             sols = _solutions(
                 tree, pair, np.array(endows),
-                np.array([math.nan if y is None else y for y in masses]),
+                np.array([math.nan if s is None else s for s in log_masses]),
                 np.array([np.zeros(tree.n_leaves) if x is None else x for x in starts]))
             for i, ks in keys.items():
                 advance(i, [sols[row[k]] for k in ks])
@@ -224,33 +224,44 @@ def _certainty_equivalent(tree, pair, endow, claim, bound=None):
 def _penalty(tree, pair, endow, claim):
     """Search for the bid of :func:`price_via_penalty`: for the exponential
     family the closed form at the claim-holding optimum
-    (:func:`_penalized_expectation`).  Otherwise, for fixed mass the inner
-    problem is convex; the gap is stationary where h = W'(y) - (W(y) -
-    base)/y vanishes, and y h is increasing in y (its derivative is y W'' >=
-    0), so after the optimum at e the log mass s is found by bracketed
-    Newton on h, W' from the envelope formula and W'' read off the inner
-    solution, each probe a fixed-mass solve of e + B warm-started from the
-    last, the first from the claim-free optimum at its mass."""
+    (:func:`_penalized_expectation`).  Otherwise :func:`_least_gap` from the
+    optimum at e, to 1e-5 in the log mass (the gap within ~1e-10 of its
+    minimum), on fixed-mass solves of e + B, each warm-started from the
+    last, that read W' off the envelope formula and W'' off the core."""
     shifted = endow + claim
     if pair.family == "exponential":
         return _penalized_expectation(pair, endow, claim, *(
             yield [(endow, None, None), (shifted, None, None)]))
     base, = yield [(endow, None, None)]
-    gaps = {}
     last = base
 
-    def probe(s):
+    def point(s):
         nonlocal last
-        y = math.exp(s)
-        last, = yield [(shifted, y, last.mu * (y / last.mass))]
-        gaps[s] = (last.value - base.value) / y
-        h = last.mass_derivative - gaps[s]
-        return h, y * last.mass_curvature - h, False
+        last, = yield [(shifted, s, last.mu * (math.exp(s) / last.mass))]
+        return last.value, last.mass_derivative, last.mass_curvature
 
-    # 1e-5 on the log axis puts the gap within ~1e-10 of its minimum, well
-    # inside the cross-method tolerance
-    s = yield from _bracketed_newton(probe, math.log(base.mass), -math.inf, math.inf,
-                                     x_tol=1e-5)
+    return (yield from _least_gap(point, base.value, math.log(base.mass), 1e-5))
+
+
+def _least_gap(point, base, s, x_tol, h_scale=math.inf):
+    """Search for the least gap (W(y) - base)/y over the mass y = e^s from
+    the log mass ``s``, ``point(s)`` a search that returns W, W' and W'':
+    bracketed Newton, to within ``x_tol``, on h = W' - (W - base)/y, whose
+    sign changes once, as y h increases (d(y h)/dy = y W'' >= 0), with
+    dh/ds = y W'' - h.  Beyond |h| = ``h_scale`` a step is stretched by
+    1 + ln(|h| / h_scale): plain Newton shrinks a residual exponential in s
+    only e-fold a step."""
+    gaps = {}
+
+    def probe(s):
+        y = math.exp(s)
+        w, slope, curvature = yield from point(s)
+        gaps[s] = (w - base) / y
+        h = slope - gaps[s]
+        stretch = 1.0 + math.log(abs(h) / h_scale) if abs(h) > h_scale else 1.0
+        return h, (y * curvature - h) / stretch, False
+
+    s = yield from _bracketed_newton(probe, s, -math.inf, math.inf, x_tol=x_tol)
     return gaps[s]
 
 
@@ -269,31 +280,40 @@ def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
                      q, *, base_value: float | None = None) -> float:
     """Normalized excess entropy of a martingale probability measure.
 
-    For a fixed measure this is a one-dimensional convex minimization over
-    the mass, performed by one lane of the grid zoom :func:`_zoom_min` on
-    the log-mass axis from [-3, 3] with bracket expansion: each of its 28
-    rounds is one conjugate evaluation on 65 masses, and together they
-    shrink a bracket widened up to 2^80-fold below the spacing of doubles.
-    Zero exactly at the normalized dual optimizer; raises
-    :class:`InfiniteEntropyError` when the measure has infinite entropy.
-    ``q`` is a leaf measure.
+    For a fixed measure q this is the least gap (W(y) - base)/y over the
+    mass, W(y) = E[V(y q/P)] + y E_q[e]: one :func:`_least_gap` search to
+    within 1e-8 on the closed forms W' = sum_{q>0} q V'(y q/p) + E_q[e] and
+    W'' = sum_{q>0} (q^2/p) V''(y q/p), which asks for no solve.  Zero
+    exactly at the normalized dual optimizer; raises
+    :class:`InfiniteEntropyError` when the measure has infinite entropy and
+    :class:`ValueAtSupremumError` for a base value at sup U.  ``q`` is a
+    leaf measure.
     """
     qa = leaf_values(tree, q)
     if not math.isfinite(relative_entropy(tree, pair, qa)):
         raise InfiniteEntropyError("measure has infinite relative entropy")
     if base_value is None:
         base_value = solve_dual(tree, pair, endow).value
-    e = leaf_values(tree, endow)
+    if not base_value < pair.u_inf:   # the gap then falls without bound as y -> 0
+        raise ValueAtSupremumError(f"base value {base_value!r} at sup U")
     p = tree.leaf_probability_array
-    eq = float(np.dot(qa, e))
+    eq = float(np.dot(qa, leaf_values(tree, endow)))
+    q_on, p_on = qa[qa > 0], p[qa > 0]
 
-    def phi(s):
-        y = np.exp(s)
-        dens = y[..., None] * qa / p
-        return (pair.v(dens) @ p + y * eq - base_value) / y
+    def point(s):
+        yield from ()   # a search that asks for no solve
+        y = math.exp(s)
+        dens = y * q_on / p_on
+        return (float(pair.v(y * qa / p) @ p) + y * eq,
+                float(q_on @ pair.v_prime(dens)) + eq,
+                float(q_on * q_on / p_on @ pair.v_second(dens)))
 
-    s = _zoom_min(phi, np.array([-3.0]), np.array([3.0]), 28, expand=True)
-    return float(phi(s)[0])
+    # the gap is least where E[U(I(y q/P))] = base, so at y = U'(U^-1(base))
+    # for every q where U(I(y)) = C - y/gamma is linear (exponential family)
+    y0 = float(pair.u_prime(pair.u_inverse(base_value)))
+    search = _least_gap(point, base_value, math.log(y0) if 0.0 < y0 < math.inf else 0.0,
+                        1e-8, h_scale=1.0 + abs(eq))
+    return SolveCounter().run(tree, pair, search)[0]
 
 
 def _penalized_expectation(pair, endow, claim, base, shifted):

@@ -439,55 +439,3 @@ def _last_decade_slope(xs, vals):
     first = np.searchsorted(xs, xs[-1] / 10.0)
     return float(np.log(vals[-1] / vals[first]) / np.log(xs[-1] / xs[first]))
 
-
-_ZOOM_POINTS = 65  # grid points per lane and round of the grid zoom
-
-
-def _zoom_min(f, lo, hi, rounds, *, points=_ZOOM_POINTS, expand=False):
-    """Grid-zoom minimizer, elementwise over lanes of brackets [lo, hi].
-
-    ``lo`` and ``hi`` are arrays (lanes,) and ``f`` maps an array (lanes, m)
-    of points to their values, lane by lane.  Each round lays an evenly
-    spaced grid of ``points`` (odd, at least 5) over each lane's bracket and
-    keeps the grid neighbours of its least value, which hold the minimizer
-    of a unimodal function; an argmin at an end keeps the two points next
-    to it, so a round shrinks the bracket by (points - 1)/2, 32-fold at the
-    default 65.  The kept points are the ends and the middle of the next
-    grid: one call of ``f`` evaluates the first grid, then one per round
-    its other points.  A wide grid makes few calls, for lanes few enough
-    that a call's overhead dominates; where many lanes make ``f``'s
-    arithmetic dominate, 5 points, two new ones per halving, take the
-    fewest evaluations.  With ``expand`` each lane's bracket first doubles
-    its width towards any end whose value is below the midpoint's, until
-    the midpoint beats both ends.  Returns the midpoints of the final
-    brackets.
-    """
-    a = np.asarray(lo, dtype=float)
-    b = np.asarray(hi, dtype=float)
-    if expand:
-        for _ in range(80):
-            fa, fm, fb = f(np.stack([a, 0.5 * (a + b), b], axis=1)).T
-            grow_a = ~(fm <= fa + 1e-18 * np.abs(fm))
-            grow_b = ~(fm <= fb + 1e-18 * np.abs(fm))
-            if not np.any(grow_a | grow_b):
-                break
-            a = np.where(grow_a, a - (b - a), a)
-            b = np.where(grow_b, b + (b - a), b)
-    grid, kept = np.linspace(0.0, 1.0, points), [0, points // 2, points - 1]
-    fresh = np.ones(points, dtype=bool)
-    fresh[kept] = False
-    x = a[:, None] + (b - a)[:, None] * grid
-    fx = np.array(f(x), dtype=float)
-    for r in range(rounds):
-        if r:
-            fx[:, fresh] = f(x[:, fresh])
-        # of tied least values, the first, or the last where the first is
-        # the left end: a flat run at an end is a tail at rounding level,
-        # the minimizer next to its inner edge
-        first, last = np.argmin(fx, axis=1), points - 1 - np.argmin(fx[:, ::-1], axis=1)
-        at = np.clip(np.where(first == 0, last, first), 1, points - 2)[:, None] + [-1, 0, 1]
-        ends = np.take_along_axis(x, at, axis=1)
-        fx[:, kept] = np.take_along_axis(fx, at, axis=1)
-        x = ends[:, :1] + (ends[:, 2:] - ends[:, :1]) * grid
-        x[:, kept] = ends
-    return 0.5 * (x[:, 0] + x[:, -1])

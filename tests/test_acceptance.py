@@ -57,6 +57,18 @@ def test_battery_passes_where_the_optimal_mass_is_subnormal(market, shift, gamma
     assert not [r.line() for r in run_battery(tree, pair, e) if not r.passed]
 
 
+@pytest.mark.parametrize("market,shift", [("product", (730, 760, 725)),
+                                          ("tri1", (740, 770, 735)),
+                                          ("tri1", (744, 774, 739))])
+def test_value_curve_stationarity_reads_log_masses_at_a_subnormal_optimum(market, shift):
+    # the curve's masses were multiples of the subnormal optimal mass, which
+    # had lost bits: stationarity read 1.2e-7, 8.9e-5 and 1.5e-2
+    tree, pair, e, sol = _edge_instance(market, shift, 1.0)
+    assert 0.0 < sol.mass < np.finfo(float).tiny
+    results = run_battery(tree, pair, e)
+    assert len(results) == 18 and not [r.line() for r in results if not r.passed]
+
+
 def test_support_flag_check_fails_on_a_wrong_support_mask(tri1, monkeypatch):
     # a support pass that keeps only the point mass on the unmoved leaf
     # reports that leaf as the whole support, and the dual still solves

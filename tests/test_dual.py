@@ -518,15 +518,18 @@ def test_exponential_solutions_take_a_mass_per_row_and_pass_each_endowment_once(
     pair = exponential_utility(float(rng.uniform(0.5, 3.0)), 2.0)
     a, b = rng.uniform(-2.0, 2.0, size=(2, tree.n_leaves))
     endows = np.array([a, b, a, a, b, b])
-    mass = np.array([np.nan, 0.5, 2.0, np.nan, np.nan, 3.0])
+    log_mass = np.log([np.nan, 0.5, 2.0, np.nan, np.nan, 3.0])
     passed, real = [], dual._log_partition
     monkeypatch.setattr(dual, "_log_partition",
                         lambda tree, gamma, e: passed.append(e.copy()) or real(tree, gamma, e))
-    stack = dual._solutions(tree, pair, endows, mass)
+    stack = dual._solutions(tree, pair, endows, log_mass)
     assert len(passed) == 1 and np.array_equal(passed[0], [a, b])
-    assert [s.mass for s in stack][1:3] == [0.5, 2.0] and stack[5].mass == 3.0
+    # a fixed row carries its log mass as given, its mass to an ulp
+    assert [s._log_mass for s in stack][1:3] == log_mass[1:3].tolist()
+    assert [s.mass for s in stack][1:3] == [0.5, 2.0]
+    assert stack[5]._log_mass == log_mass[5] and stack[5].mass == pytest.approx(3.0, rel=3e-16)
     for j, sol in enumerate(stack):
-        one, = dual._solutions(tree, pair, endows[j:j + 1], mass[j:j + 1])
+        one, = dual._solutions(tree, pair, endows[j:j + 1], log_mass[j:j + 1])
         assert (sol.mass, sol._log_mass, sol.value, sol.stationarity) == (
             one.mass, one._log_mass, one.value, one.stationarity)
         for x, y in ((sol.mu, one.mu), (sol.q_hat, one.q_hat), (sol._h_arr, one._h_arr),
@@ -740,7 +743,7 @@ def test_stacked_newton_core_rows_equal_single_rows(seed):
     mass = np.array([np.nan, 2.0, 0.5, np.nan, 1.0])
     # rows 1 and 3 start at their optima, the others cold
     start = np.zeros_like(e)
-    start[1] = dual._core_solutions(tree, pair, e[1:2], np.array([2.0]))[0].mu
+    start[1] = dual._core_solutions(tree, pair, e[1:2], np.log([2.0]))[0].mu
     start[3] = dual._core_solutions(tree, pair, e[3:4])[0].mu
     out = dual._newton_core(A, p, e, pair, live, mass=mass, start=start)
     errors, steps = out[-1], out[4]

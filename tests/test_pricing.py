@@ -8,7 +8,8 @@ import pytest
 import treegen
 from treedual import (AugmentInfeasibleError, DomainError,
                       EvaluationOverflowError, InfiniteEntropyError,
-                      NonconvergedError, RandomVariable, average_price_curve,
+                      NonconvergedError, RandomVariable, ValueAtSupremumError,
+                      average_price_curve,
                       build_constraints, dual_value_curve,
                       certainty_equivalent, check_mubpp, davis_price,
                       endowment_sensitivity, entropic_penalty,
@@ -19,6 +20,7 @@ from treedual import (AugmentInfeasibleError, DomainError,
                       solve_dual_fixed_mass, two_power_utility,
                       vertex_enumerate)
 from treedual import cli, dual, geometry, market_from_dict, market_to_dict, pricing
+from treedual.recovery import mollify
 
 E_TRI = {"a": 0.3, "b": -0.2, "c": 0.1}
 B_TRI = {"a": 1.0, "b": 0.0, "c": 0.0}
@@ -94,6 +96,68 @@ def test_entropic_penalty_matches_a_bounded_scalar_minimization(tri1, scale):
                               options={"xatol": 1e-10}).fun
         alpha = entropic_penalty(tri1, pair, endow, q, base_value=base)
         assert alpha == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("pair", [two_power_utility(0.5, 1.0, 1.0),
+                                  two_power_utility(0.3, 2.0, 1.0),
+                                  two_power_utility(0.05, 1.0, 1.0)], ids=lambda p: p.describe())
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+def test_two_power_entropic_penalty_matches_a_bounded_scalar_minimization(tri1, pair, scale):
+    # full-support martingale measures: the vertices mollified toward the
+    # optimum, the one-step weights 1e-6 and 0.3 of the way.  At a = 0.05
+    # the gap's slope h starts near -1e120 on a mollified vertex, and plain
+    # Newton steps of 0.05 in the log mass ran out of probes
+    from scipy.optimize import minimize_scalar
+
+    e = scale * np.array([0.3, -0.2, 0.1])
+    sol = solve_dual(tri1, pair, e)
+    p = tri1.leaf_probability_array
+    verts = vertex_enumerate(build_constraints(tri1))
+    for q in np.vstack([mollify(verts, sol.q_hat), 0.7 * verts + 0.3 * sol.q_hat]):
+        def phi(s):
+            y = math.exp(s)
+            return (float(p @ pair.v(y * q / p)) + y * float(q @ e) - sol.value) / y
+
+        ref = minimize_scalar(phi, bounds=(-30.0, 30.0), method="bounded",
+                              options={"xatol": 1e-10}).fun
+        alpha = entropic_penalty(tri1, pair, e, q, base_value=sol.value)
+        assert alpha == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+def test_entropic_penalty_vanishes_at_the_normalized_optimizer(tri1, pair_name, scale,
+                                                               request):
+    pair = request.getfixturevalue(pair_name)
+    e = scale * np.array([0.3, -0.2, 0.1])
+    sol = solve_dual(tri1, pair, e)
+    assert abs(entropic_penalty(tri1, pair, e, sol.q_hat, base_value=sol.value)) <= 1e-12
+    assert abs(entropic_penalty(tri1, pair, e, sol.q_hat)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.5, 3.0, 10.0])
+@pytest.mark.parametrize("scale", [-10.0, 1.0, 10.0])
+def test_exponential_entropic_penalty_meets_its_closed_form(tri1, gamma, scale):
+    # the least gap sits at the optimal mass e^L for every measure, where it
+    # is (H(q|P) + L)/gamma + E_q[e]; here L runs from -99 to 42
+    pair = exponential_utility(gamma, 2.0)
+    e = scale * np.array([0.3, -0.2, 0.1])
+    sol = solve_dual(tri1, pair, e)
+    p = tri1.leaf_probability_array
+    verts = vertex_enumerate(build_constraints(tri1))
+    for q in np.vstack([verts, mollify(verts, sol.q_hat)]):
+        on = q > 0
+        want = (float(q[on] @ np.log(q[on] / p[on])) + sol._log_mass) / gamma + float(q @ e)
+        alpha = entropic_penalty(tri1, pair, e, q, base_value=sol.value)
+        assert alpha == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_entropic_penalty_refuses_a_base_value_at_sup_u(tri1, exp_pair):
+    # a base value that rounds to sup U = C leaves the gap
+    # (ln y - 1 + H)/gamma + E_q[e] + (C - base)/y without a minimum
+    q = np.array([0.2, 0.4, 0.4])
+    with pytest.raises(ValueAtSupremumError):
+        entropic_penalty(tri1, exp_pair, 0.0, q, base_value=exp_pair.params["C"])
 
 
 def test_entropic_penalty_infinite_for_two_power_vertex(tri1, tp_pair):
@@ -326,7 +390,8 @@ def test_solve_counter_solves_a_request_shared_by_searches_once_per_round(
         # a request is its endowment, mass and start: the same endowment at
         # another mass or from another start is another row
         first, = yield [(e, None, None)]
-        second = yield [(e + b, 2.0, None), (e, None, None), (e + b, 2.0, warm)]
+        second = yield [(e + b, math.log(2.0), None), (e, None, None),
+                        (e + b, math.log(2.0), warm)]
         return first, *second
 
     solves = pricing.SolveCounter()

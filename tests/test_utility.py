@@ -1,5 +1,4 @@
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -12,8 +11,7 @@ from treedual import (AssumptionFailError, DomainError, ParseError,
                       UtilityPair, certify_assumptions, evaluate,
                       exponential_utility, parse_utility_spec, run_battery,
                       two_power_utility)
-from treedual import oracle, pricing, utility
-from treedual.utility import _zoom_min
+from treedual import utility
 
 INF = float("inf")
 
@@ -315,6 +313,59 @@ def test_certification_strong_risk_aversion_is_warning_free():
     assert rep.conjugacy_max_residual <= 1e-7
 
 
+_ZOOM_POINTS = 65  # grid points per lane and round of the grid zoom
+
+
+def _zoom_min(f, lo, hi, rounds, *, points=_ZOOM_POINTS, expand=False):
+    """Grid-zoom minimizer, elementwise over lanes of brackets [lo, hi].
+
+    ``lo`` and ``hi`` are arrays (lanes,) and ``f`` maps an array (lanes, m)
+    of points to their values, lane by lane.  Each round lays an evenly
+    spaced grid of ``points`` (odd, at least 5) over each lane's bracket and
+    keeps the grid neighbours of its least value, which hold the minimizer
+    of a unimodal function; an argmin at an end keeps the two points next
+    to it, so a round shrinks the bracket by (points - 1)/2, 32-fold at the
+    default 65.  The kept points are the ends and the middle of the next
+    grid: one call of ``f`` evaluates the first grid, then one per round
+    its other points.  A wide grid makes few calls, for lanes few enough
+    that a call's overhead dominates; where many lanes make ``f``'s
+    arithmetic dominate, 5 points, two new ones per halving, take the
+    fewest evaluations.  With ``expand`` each lane's bracket first doubles
+    its width towards any end whose value is below the midpoint's, until
+    the midpoint beats both ends.  Returns the midpoints of the final
+    brackets.
+    """
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
+    if expand:
+        for _ in range(80):
+            fa, fm, fb = f(np.stack([a, 0.5 * (a + b), b], axis=1)).T
+            grow_a = ~(fm <= fa + 1e-18 * np.abs(fm))
+            grow_b = ~(fm <= fb + 1e-18 * np.abs(fm))
+            if not np.any(grow_a | grow_b):
+                break
+            a = np.where(grow_a, a - (b - a), a)
+            b = np.where(grow_b, b + (b - a), b)
+    grid, kept = np.linspace(0.0, 1.0, points), [0, points // 2, points - 1]
+    fresh = np.ones(points, dtype=bool)
+    fresh[kept] = False
+    x = a[:, None] + (b - a)[:, None] * grid
+    fx = np.array(f(x), dtype=float)
+    for r in range(rounds):
+        if r:
+            fx[:, fresh] = f(x[:, fresh])
+        # of tied least values, the first, or the last where the first is
+        # the left end: a flat run at an end is a tail at rounding level,
+        # the minimizer next to its inner edge
+        first, last = np.argmin(fx, axis=1), points - 1 - np.argmin(fx[:, ::-1], axis=1)
+        at = np.clip(np.where(first == 0, last, first), 1, points - 2)[:, None] + [-1, 0, 1]
+        ends = np.take_along_axis(x, at, axis=1)
+        fx[:, kept] = np.take_along_axis(fx, at, axis=1)
+        x = ends[:, :1] + (ends[:, 2:] - ends[:, :1]) * grid
+        x[:, kept] = ends
+    return 0.5 * (x[:, 0] + x[:, -1])
+
+
 @pytest.mark.parametrize("pair", [exponential_utility(0.5, 0.0),
                                   exponential_utility(1.0, 0.0),
                                   exponential_utility(2.0, 0.0),
@@ -335,32 +386,21 @@ def test_golden_min_lanes_find_each_conjugate_argmin(pair):
     assert np.abs(s - s_true).max() <= 1e-6
 
 
-def test_each_callers_zoom_ends_no_wider_than_its_golden_section(monkeypatch, tri1):
-    # the reference: a golden-section search of these many steps per caller,
-    # each shrinking the same (expanded) bracket by 0.618
-    golden = {"entropic_penalty": 200, "_mass_profile": 38}
-    used = {}
+def test_no_module_defines_or_imports_the_zoom():
+    # the grid zoom lives here, as the search of the biconjugacy oracle:
+    # the entropic penalty and the oracle's mass profile take their
+    # minimum at the root of a derivative
+    import ast
+    from pathlib import Path
 
-    def spy(f, lo, hi, rounds, **kw):
-        used[sys._getframe(1).f_code.co_name] = (rounds, kw.get("points", 65))
-        return _zoom_min(f, lo, hi, rounds, **kw)
-
-    for mod in (utility, pricing, oracle):
-        monkeypatch.setattr(mod, "_zoom_min", spy)
-    pair = exponential_utility(1.0, 2.0)
-    certify_assumptions(pair)
-    assert not used   # the certification's biconjugacy is closed-form
-    pricing.entropic_penalty(tri1, pair, 0.0, [0.25, 0.5, 0.25])
-    q = np.array([[0.25, 0.5, 0.25]])
-    oracle._mass_profile(pair, tri1.leaf_probability_array, q @ [0.1, 0.0, -0.1], q)
-    assert used.keys() == golden.keys()
-    for caller, (rounds, points) in used.items():
-        # on an increasing function every round keeps the left end, so the
-        # midpoint returned from [0, 1] is half the final bracket
-        width = 2.0 * _zoom_min(lambda s: s, np.zeros(1), np.ones(1), rounds,
-                                points=points)[0]
-        assert width == pytest.approx(((points - 1) / 2.0) ** -rounds, rel=1e-12)
-        assert width <= ((math.sqrt(5.0) - 1.0) / 2.0) ** golden[caller], caller
+    package = Path(utility.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.alias))}
+        names |= {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                  for target in node.targets if isinstance(target, ast.Name)}
+        assert not names & {"_zoom_min", "_ZOOM_POINTS"}, path.name
 
 
 @pytest.mark.parametrize("points, rounds", [(5, 27), (65, 6)])
