@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import check_maximal_support, dual_value_curve, solve_dual
+from .dual import (_qr_fits, _strategy_basis, check_maximal_support, dual_value_curve,
+                   solve_dual)
 from .errors import CapExceededError
-from .geometry import (build_constraints, find_equivalent_mm, relative_entropy,
-                       sample_martingale_measures, vertex_enumerate)
+from .geometry import (_support_structure, build_constraints, find_equivalent_mm,
+                       relative_entropy, sample_martingale_measures, vertex_enumerate)
 from .market import MarketTree, leaf_values
 from .recovery import (dynamic_dual, mollify, recover, snell_envelope_exponential,
                        verify_supermartingale)
@@ -82,11 +83,13 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     tol = 1e-10 * (1 + sol.mass)
     add("martingale constraints at optimum", cons_res <= tol, cons_res, tol)
 
-    # KKT of the entropy program: gradient -X in the row space at charged leaves
+    # KKT of the entropy program: gradient -X in the row space at charged
+    # leaves, fitted by the rows of the tree's strategy basis
     g = -sol.terminal_gain
     live = sol.q_hat > 0
-    lam, *_ = np.linalg.lstsq(A[:, live].T, g[live], rcond=None)
-    kkt = float(np.abs(g[live] - A[:, live].T @ lam).max()) / (1.0 + float(np.abs(g[live]).max()))
+    rows = A[_strategy_basis(_support_structure(tree))][:, live].T
+    lam = _qr_fits(rows[None], g[None, live, None])[0, :, 0]
+    kkt = float(np.abs(g[live] - rows @ lam).max()) / (1.0 + float(np.abs(g[live]).max()))
     add("dual first-order conditions", kkt <= 1e-8, kkt, 1e-8)
 
     # enumerated vertices, a (k, L) stack, decide equivalence apart from the

@@ -31,7 +31,10 @@ one optimum or error per row; ``solve_dual``, ``solve_dual_fixed_mass``,
   over the strategy, by damped Newton run to rounding.  One call of the
   Newton core solves a stack of such problems on one tree, free and
   fixed-mass rows alike, each row with its own line search, convergence and
-  failure; a single solve is a stack of one.
+  failure; a single solve is a stack of one.  Each step is one batched
+  Householder QR over the stack, on the strategy columns that
+  ``_strategy_basis`` keeps once per tree: the columns independent over
+  each node's live children, which are independent over the whole tree.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 from .errors import (DomainError, EvaluationOverflowError, InfeasibleEntropyError,
                      NoMartingaleMeasureError, NonconvergedError,
                      ValueAtSupremumError)
-from .geometry import (SupportStructure, _support_structure, build_constraints,
+from .geometry import (_TOL, SupportStructure, _support_structure, build_constraints,
                        relative_entropy)
 from .market import MarketTree, leaf_values
 from .utility import UtilityPair
@@ -196,6 +199,32 @@ def _lse_min(b, x, k0):
     return f + top_b, k, logw, mean, steps
 
 
+def _live_nodes(geo: SupportStructure):
+    """w0 per node in layout order (``geo.one_step`` of equal vertex
+    weights), positive exactly on the live children of a node, and the live
+    mask: a node is live when a valid vertex of its live parent charges it
+    (the root is)."""
+    lay = geo.layout
+    w = geo.one_step(np.ones(geo.node.size))
+    live = w > 0
+    for lo, hi in zip(lay.level_starts[1:-1], lay.level_starts[2:]):
+        live[lo:hi] &= live[lay.parent[lo:hi]]
+    return w, live
+
+
+def _increments(lay, live, node):
+    """The padded children (g, m) of the non-leaf nodes ``node`` (g,), the
+    mask of the live ones, and the price increments (g, m, d), zero off the
+    live children and below a node with one live child."""
+    n = len(lay.ids)
+    count = np.diff(lay.first_child, append=n)[node]
+    kids = np.minimum(lay.first_child[node, None] + np.arange(count.max()), n - 1)
+    on = (np.arange(kids.shape[1]) < count[:, None]) & live[kids]
+    dS = np.where((on & (on.sum(axis=1, keepdims=True) > 1))[..., None],
+                  lay.prices[kids] - lay.prices[node, None], 0.0)
+    return kids, on, dS
+
+
 @lru_cache(maxsize=256)
 def _live_levels(geo: SupportStructure):
     """Per non-leaf level, bottom-up, the live nodes (g,), their padded
@@ -203,9 +232,7 @@ def _live_levels(geo: SupportStructure):
     children), price increments (g, m, d; zero there and below a node with
     one live child), the start's operator ``fit`` (g, m, d) and shift
     ``ln(p / w0)`` (g, m; 0 off the live children), the live children with
-    their flat slots in (g, m), and 1 + |S_n|.  A child is live when a valid
-    vertex of its live parent charges it.  w0 (``geo.one_step``), the mean
-    of a node's valid vertices, is positive exactly on its live children.
+    their flat slots in (g, m), and 1 + |S_n| (:func:`_live_nodes`).
     The start ``k0 = Cov_w0(x)^+ Cov_w0(x, b - ln w0)`` = sum_c fit_c
     (shift_c + L_c) / gamma fits ``b - ln w0`` by ``x.k + f`` in w0-weighted
     least squares (x = gamma dS, b = ln p + L); the pseudo-inverse, one
@@ -213,23 +240,16 @@ def _live_levels(geo: SupportStructure):
     k0 in the span of the increments, as the minimum-norm minimizer.
     """
     lay = geo.layout
-    n, starts = len(lay.ids), lay.level_starts
-    w = geo.one_step(np.ones(geo.node.size))
-    live = w > 0
-    for lo, hi in zip(starts[1:-1], starts[2:]):
-        live[lo:hi] &= live[lay.parent[lo:hi]]
-    count = np.diff(lay.first_child, append=n)
+    starts = lay.level_starts
+    w, live = _live_nodes(geo)
     out = []
     for lo, hi in zip(starts[-3::-1], starts[-2:0:-1]):
         node = lo + np.flatnonzero(live[lo:hi])
-        kids = np.minimum(lay.first_child[node, None] + np.arange(count[node].max()), n - 1)
-        on = (np.arange(kids.shape[1]) < count[node, None]) & live[kids]
+        kids, on, dS = _increments(lay, live, node)
         w0 = np.where(on, w[kids], 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             lnp = np.where(on, np.log(lay.prob[kids]), -np.inf)
             shift = np.where(on, lnp - np.log(w0), 0.0)
-        dS = np.where((on & (on.sum(axis=1, keepdims=True) > 1))[..., None],
-                      lay.prices[kids] - lay.prices[node, None], 0.0)
         dev = dS - np.einsum("gm,gmd->gd", w0, dS)[:, None]
         ev, vec = np.linalg.eigh(np.einsum("gm,gmd,gme->gde", w0, dev, dev))
         inv = np.divide(1.0, ev, out=np.zeros_like(ev),
@@ -238,6 +258,40 @@ def _live_levels(geo: SupportStructure):
         out.append((node, kids, lnp, dS, fit, shift, np.flatnonzero(on), kids[on],
                     1.0 + np.abs(lay.prices[node]).max(axis=1)))
     return tuple(out)
+
+
+@lru_cache(maxsize=256)
+def _strategy_basis(geo: SupportStructure):
+    """The strategy columns the Newton core keeps: a read-only mask over the
+    rows of :func:`build_constraints`, true at asset i of a live non-leaf
+    node whose live increments (:func:`_increments`, each asset scaled by
+    its largest) keep a Gram-Schmidt residual (orthogonalized twice) above
+    geometry's _TOL against the node's kept assets before i; for one asset,
+    any nonzero live increment.  A strategy v at node n gains dS_c.v on
+    child c's leaves, and strategies at different nodes cannot cancel (the
+    gains of a martingale measure charging every live leaf would vanish at
+    each step), so the kept columns are independent on the live leaves
+    under any positive weights, and span the gains.
+    """
+    lay = geo.layout
+    _, live = _live_nodes(geo)
+    node = np.flatnonzero(live[:lay.level_starts[-2]])
+    x = _increments(lay, live, node)[2]
+    scale = np.abs(x).max(axis=1, keepdims=True)
+    x = x / np.where(scale > 0, scale, 1.0)
+    q = np.zeros_like(x)               # orthonormal basis of the kept increments
+    keep = np.zeros((lay.level_starts[-2], x.shape[2]), dtype=bool)
+    for i in range(x.shape[2]):
+        res = x[..., i]
+        for _ in range(2 if i else 0):
+            res = res - np.einsum("gmj,gj->gm", q, np.einsum("gmj,gm->gj", q, res))
+        norm = np.sqrt((res * res).sum(axis=1))
+        kept = norm > _TOL
+        keep[node, i] = kept
+        q[kept, :, i] = res[kept] / norm[kept, None]
+    keep = keep.ravel()
+    keep.setflags(write=False)
+    return keep
 
 
 def _log_partition(tree, gamma, e):
@@ -313,7 +367,7 @@ def _log_space_solutions(tree, pair, endows, log_mass=None) -> list[DualSolution
 
 
 _NEWTON_CAP = 200
-_RANK_RTOL = 1e-12  # rank cutoff of the Newton step and log-space start, as geometry's _TOL
+_RANK_RTOL = 1e-12  # rank cutoff of the log-space start, as geometry's _TOL
 
 
 def _row_dot(a, b):
@@ -322,20 +376,41 @@ def _row_dot(a, b):
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
-def _newton_core(A, p, e, pair, live, *, mass=None, start=None):
+def _qr_fits(J, T):
+    """Per row of a stack, the least-squares fits (r, k, m) of the columns of
+    ``T`` (r, n, m) by the columns of ``J`` (r, n, k), whose nonzero columns
+    are independent: one batched Householder QR of [J | T] (``mode="r"``)
+    and one batched solve on its leading k x k triangle.  A zero column of J
+    gets a padding row with 1 in that column, so it fits 0 and leaves the
+    other columns' fits unchanged; zero rows pad n up to k + m."""
+    r, n, k = J.shape
+    m = T.shape[2]
+    zero = ~J.any(axis=1)
+    M = np.concatenate((J, T), axis=2)
+    if zero.any() or n < k + m:
+        pad = np.zeros((r, k + max(k + m - n, 0), k + m))
+        pad[:, :k, :k] = zero[:, :, None] * np.eye(k)
+        M = np.concatenate((M, pad), axis=1)
+    R = np.linalg.qr(M, mode="r")
+    return np.linalg.solve(R[:, :k, :k], R[:, :k, k:])
+
+
+def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
     """The dual optima of a stack of r endowments on the leaves ``live``,
     found through their primals.
 
     Row j maximizes the concave Phi(c) = sum p U(e_j + B c) - y_j x over
     c = (h, x), the strategy and the cash, with B = [A', 1]: at a fixed
     mass y_j over both, else over h at x = 0; its optimal measure is
-    mu = p U'(e_j + B c).  ``e`` is (r, L), ``mass`` None (every row free)
-    or (r,) with NaN at free rows, and ``start`` None or (r, L).  The Newton
-    step solves H d = grad Phi, H = B' diag(-p U'') B, as least squares in
-    the H^1/2 scaling with Jacobi-scaled columns, blind to singular values
-    below 1e-12 of the largest (columns dependent to rounding); -p U'' is
-    mu times the risk aversion -U''/U' of the wealth, both in closed form,
-    and 0 where U' underflows.  A step is
+    mu = p U'(e_j + B c).  The rows of ``A`` are independent on ``live``
+    (:func:`_strategy_basis`).  ``e`` is (r, L), ``mass`` None (every row
+    free) or (r,) with NaN at free rows, and ``start`` None or (r, L).  The
+    Newton step solves H d = grad Phi, H = B' diag(-p U'') B, as least
+    squares in the H^1/2 scaling with Jacobi-scaled columns, by one batched
+    QR over the rows that step (:func:`_qr_fits`); a strategy column whose
+    weights all underflow gets no step.  -p U'' is mu times the risk
+    aversion -U''/U' of the wealth, both in closed form, and 0 where U'
+    underflows.  A step is
     accepted on Armijo increase or, where Phi is flat to rounding (of U and
     of the wealth), on a scaled gradient at most half as large,
     ``max_j |B' mu - y e_x|_j / ((1 + max|B_j|) sum mu)``, the martingale
@@ -345,9 +420,11 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None):
     convergence and failure, and a row that is done stands still, so a
     row's result does not depend on the others.  Row j of ``start``, a leaf
     measure positive on ``live``, starts it at the least-squares fit of
-    B c to -V'(start/p) - e_j; other rows start at 0.  Returns per row mu
+    B c to -V'(start/p) - e_j, the same solve at unit weights; other rows
+    start at 0.  Returns per row mu
     (r, L; 0 off ``live``), h (r, k), the value (plus p V(0) off ``live``),
-    the residual, the steps, W''(y) = [H^-1]_xx (NaN at free rows) and the
+    the residual, the steps, W''(y) = [H^-1]_xx (NaN at free rows, and
+    everywhere without ``curvature``, which saves its factorization) and the
     row's error, None or a :class:`NonconvergedError` (after 200 steps,
     from a start outside the domain, or without an acceptable step above
     1e-9).
@@ -378,45 +455,50 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None):
         phi[bad], res[bad] = -math.inf, math.inf
         return phi, res, u, w, mu, g
 
-    def direction(rows):
-        """The Newton steps (r, k + 1) of the rows in the mask ``rows``, 0
-        elsewhere, and [H^-1]_xx there at fixed masses (else NaN)."""
-        s = np.sqrt(mu * pair.risk_aversion(w))          # H = J'J, J = diag(s) B
+    def fit(ts, cash, ys):
+        """Per row of ``ts`` = [t | s] (a, n, 2), the c (a, k + 1) with
+        J'(J c - t) = -ys e_x, J = diag(s) B, over (h, x) at the rows
+        ``cash``, else over h at x = 0; and [(J'J)^-1]_xx at the cash rows
+        (NaN elsewhere)."""
+        t, s = ts[:, :, 0], ts[:, :, 1]
         jh = s[:, :, None] * Bk
         norm = np.sqrt((jh * jh).sum(axis=1))
         d = 1.0 / np.where(norm > 0, norm, 1.0)                  # Jacobi scaling
-        ts = np.zeros((r, n, 2))
-        ts[:, :, 1], t = s, ts[:, :, 0]
-        np.divide(mu, s, out=t, where=s > 0)                      # J't = B'mu
         jd = jh * d[:, None, :]
         # the fits of t and of s, the cash column, by the strategy columns;
-        # z, the part of s off them, has J'z = |z|^2 e_x, so at a fixed mass
-        # the step fits t - kappa z, kappa = (z't - y) / |z|^2, whose J'
-        # image is grad Phi
-        fit = np.zeros((r, k, 2))
-        for j in np.flatnonzero(rows):
-            m = 1 + fixed[j]
-            fit[j, :, :m] = np.linalg.lstsq(jd[j], ts[j, :, :m], rcond=_RANK_RTOL)[0]
-        step, cash = np.zeros((r, k + 1)), rows & fixed
+        # z, the part of s off them, has J'z = |z|^2 e_x, so the cash rows
+        # fit t - kappa z, kappa = (z't - ys) / |z|^2
+        f = _qr_fits(jd, ts)
+        c = np.zeros((len(s), k + 1))
         if not cash.any():
-            step[:, :k] = d * fit[:, :, 0]
-            return step, np.full(r, math.nan)
-        z = s - (jd @ fit[:, :, 1:])[:, :, 0]
+            c[:, :k] = d * f[:, :, 0]
+            return c, np.full(len(s), math.nan)
+        z = s - (jd @ f[:, :, 1:])[:, :, 0]
         zz = _row_dot(z, z)
-        kappa = np.where(cash, (_row_dot(z, t) - y0) / zz, 0.0)
-        step[:, :k], step[:, k] = d * (fit[:, :, 0] - kappa[:, None] * fit[:, :, 1]), kappa
-        return step, np.where(cash, 1.0 / zz, math.nan)
+        kappa = np.where(cash, (_row_dot(z, t) - ys) / zz, 0.0)
+        c[:, :k], c[:, k] = d * (f[:, :, 0] - kappa[:, None] * f[:, :, 1]), kappa
+        return c, np.where(cash, 1.0 / zz, math.nan)
+
+    def direction(rows):
+        """The Newton steps (r, k + 1) of the rows in the mask ``rows``, 0
+        elsewhere, and [H^-1]_xx there at fixed masses (else NaN)."""
+        m = mu[rows]
+        ts = np.zeros(m.shape + (2,))
+        s = ts[:, :, 1] = np.sqrt(m * pair.risk_aversion(w[rows]))    # H = J'J
+        np.divide(m, s, out=ts[:, :, 0], where=s > 0)                 # J't = B'mu
+        step, inv = np.zeros((r, k + 1)), np.full(r, math.nan)
+        step[rows], inv[rows] = fit(ts, fixed[rows], y0[rows])
+        return step, inv
 
     c = np.zeros((r, k + 1))
-    if start is not None:
-        q = start[:, live]
-        warm = (q > 0).all(axis=1)
-        if warm.any():
-            rhs = -pair.v_prime(q[warm] / pl) - el[warm]
-            for j, b in zip(np.flatnonzero(warm), rhs):
-                cols = k + fixed[j]
-                c[j, :cols] = np.linalg.lstsq(B[:, :cols], b, rcond=None)[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if start is not None:
+            q = start[:, live]
+            warm = (q > 0).all(axis=1)
+            if warm.any():
+                ts = np.ones(q[warm].shape + (2,))
+                ts[:, :, 0] = -pair.v_prime(q[warm] / pl) - el[warm]
+                c[warm] = fit(ts, fixed[warm], 0.0)[0]
         phi, res, u, w, mu, g = point(c)
         errors = [None if x < math.inf else NonconvergedError(
             f"start outside the domain (scaled gradient {x:.3e})", residual=x)
@@ -461,13 +543,13 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None):
             errors[j] = NonconvergedError(
                 f"Newton cap {_NEWTON_CAP} reached (scaled gradient {res[j]:.3e})",
                 residual=float(res[j]))
-        last = fixed & np.array([err is None for err in errors])
-        curvature = direction(last)[1] if last.any() else np.full(r, math.nan)
+        last = fixed & np.array([err is None for err in errors]) & curvature
+        w2 = direction(last)[1] if last.any() else np.full(r, math.nan)
     full = np.zeros((r, p.size))
     full[:, live] = mu
     if not live.all():
         phi = phi + float(p[~live].sum()) * float(pair.v(0.0))
-    return full, c[:, :k], phi, res, steps, curvature, errors
+    return full, c[:, :k], phi, res, steps, w2, errors
 
 
 # -- public solver ---------------------------------------------------------------
@@ -489,12 +571,16 @@ def _core_solutions(tree, pair, endows, log_mass=None, starts=None):
     """The Newton core on the maximal support for a stack of endowments (r, L),
     at masses e^log_mass (r,) if given (NaN at a free row), started at leaf
     measures (r, L) if given (rows not positive on the support start cold):
-    one optimum or the row's :class:`NonconvergedError` per row."""
+    one optimum or the row's :class:`NonconvergedError` per row.  The core
+    runs on the columns of :func:`_strategy_basis`; the others get h = 0."""
     mask, flag = _prepare(tree, pair)
+    basis = _strategy_basis(_support_structure(tree))
     mass = None if log_mass is None else np.array([math.exp(s) for s in log_mass])
-    mu, h, value, res, steps, curvature, errors = _newton_core(
-        build_constraints(tree), tree.leaf_probability_array, endows, pair, mask,
+    mu, h_basis, value, res, steps, curvature, errors = _newton_core(
+        build_constraints(tree)[basis], tree.leaf_probability_array, endows, pair, mask,
         mass=mass, start=starts)
+    h = np.zeros((len(errors), basis.size))
+    h[:, basis] = h_basis
     out = []
     for j, err in enumerate(errors):
         if err is not None:
@@ -595,23 +681,33 @@ def dual_value_curve(tree: MarketTree, pair: UtilityPair, endow,
     Each point solves the inner problem with total mass pinned, all of them
     by one :func:`_solutions` call at the log masses: one log-space pass for
     the exponential family, one Newton-core call, each row started cold,
-    otherwise.  A point's ``y`` is the caller's mass, or e^s.  The report
-    carries the worst second difference as a numeric convexity certificate.
+    otherwise.  A point's ``y`` is the caller's mass, or e^s (which may
+    underflow).  The report carries a numeric convexity certificate: the
+    worst second difference of the values (secants over the masses) or,
+    with ``log``, the least rise of the mass derivative between neighbours,
+    since W is convex exactly where W' does not fall; the derivatives stay
+    exact where e^s underflows.
     """
     ys = sorted(float(y) for y in ys)
-    with np.errstate(over="ignore"):
-        masses = np.exp(ys).tolist() if log else ys
-    _check_masses(masses)
-    if any(a == b for a, b in zip(masses, masses[1:])):
+    if log:
+        if not ys or not all(math.isfinite(s) for s in ys):
+            raise DomainError("log masses must be finite, at least one of them")
+        with np.errstate(over="ignore"):
+            masses = np.exp(ys).tolist()
+    else:
+        _check_masses(ys)
+        masses = ys
+    if any(a == b for a, b in zip(ys, ys[1:])):
         raise DomainError("curve masses must be distinct")
     sols = _at_masses(tree, pair, endow, ys if log else [math.log(y) for y in ys])
     pts = [CurvePoint(y=y, value=sol.value, q_hat=sol.q_hat,
                       derivative=sol.mass_derivative) for y, sol in zip(masses, sols)]
-    second = math.inf
-    for a, b, c in zip(pts, pts[1:], pts[2:]):
-        la = (b.value - a.value) / (b.y - a.y)
-        lb = (c.value - b.value) / (c.y - b.y)
-        second = min(second, lb - la)
+    if log:
+        rises = (b.derivative - a.derivative for a, b in zip(pts, pts[1:]))
+    else:
+        rises = ((c.value - b.value) / (c.y - b.y) - (b.value - a.value) / (b.y - a.y)
+                 for a, b, c in zip(pts, pts[1:], pts[2:]))
+    second = min(rises, default=math.inf)
     return CurveReport(points=tuple(pts),
                        min_second_difference=second,
                        min_value=min(p.value for p in pts))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualSolution, _newton_core
+from .dual import DualSolution, _newton_core, _strategy_basis
 from .errors import (DomainError, NoPrimalOptimizerError, NotExponentialError,
                      ReplicationGapError)
 from .geometry import _support_structure, build_constraints, relative_entropy
@@ -232,19 +232,22 @@ def dynamic_dual(sol: DualSolution, t: int, wealth=None) -> list[DynamicDualNode
 def _conditional_solves(sol, nodes, masses):
     """The raw conditional dual values and mass derivatives at the non-leaf
     ``nodes`` with optimal masses ``masses``: one Newton-core call per node,
-    on the subtree's rows of :func:`build_constraints`."""
+    on the subtree's rows of :func:`build_constraints` that the tree's
+    :func:`_strategy_basis` keeps."""
     tree, pair, e, mu = sol.tree, sol.pair, sol._endow_arr, sol.mu
     lay, p = tree.layout, tree.leaf_probability_array
-    A, live = build_constraints(tree), _support_structure(tree).mask
+    geo = _support_structure(tree)
+    A, live, basis = build_constraints(tree), geo.mask, _strategy_basis(geo)
     raw, deriv = np.empty(nodes.size), np.empty(nodes.size)
     for i, (k, m_n) in enumerate(zip(nodes.tolist(), masses.tolist())):
         lo, hi = lay.lo[k], lay.hi[k]
-        # the rows of the non-leaf nodes inside this subtree
+        # the kept rows of the non-leaf nodes inside this subtree
         inside = (lay.lo >= lo) & (lay.hi <= hi)
-        A_sub = A[np.repeat(inside[:lay.level_starts[-2]], tree.n_assets), lo:hi]
+        A_sub = A[np.repeat(inside[:lay.level_starts[-2]], tree.n_assets) & basis, lo:hi]
         p_sub, e_sub, on = p[lo:hi], e[lo:hi], live[lo:hi]
         mu_sub, _, val, *_, (err,) = _newton_core(A_sub, p_sub, e_sub[None], pair, on,
-                                                  mass=[m_n], start=mu[None, lo:hi])
+                                                  mass=[m_n], start=mu[None, lo:hi],
+                                                  curvature=False)
         if err is not None:
             raise err
         # the envelope formula; leaves off the support carry no mass

@@ -12,11 +12,12 @@ from treedual import (DomainError, EvaluationOverflowError, InfeasibleEntropyErr
                       ValueAtSupremumError, build_constraints,
                       check_maximal_support, dual_derivative,
                       dual_value_curve, exponential_utility, leaf_values,
-                      load_market, market_from_dict, price_report,
+                      load_market, market_from_dict,
+                      optimal_measure_price_process, price_report,
                       relative_entropy, solve_dual,
                       solve_dual_fixed_mass,
                       two_power_utility, vertex_enumerate)
-from treedual import dual, geometry, oracle
+from treedual import dual, geometry, market, oracle
 
 # closed form for the binomial market with unit risk aversion and no
 # endowment: mass solves E_Q[log(y q/p)] = 0 with q = (1/3, 2/3), p = (1/2, 1/2)
@@ -224,6 +225,20 @@ def test_masses_must_be_finite_and_positive(tri1, pair_name, request):
             solve_dual_fixed_mass(tri1, pair, e, bad)
         with pytest.raises(NoMartingaleMeasureError, match="masses must be positive"):
             dual_value_curve(tri1, pair, e, [0.5, bad, 1.0])
+
+
+def test_log_curve_takes_convexity_from_the_derivatives(tri1, exp_pair):
+    # masses e^-800 and e^-760 underflow to 0, the log masses stay exact;
+    # W'(y) = (ln y - L)/gamma rises by the log-mass steps over gamma
+    e = [0.3, -0.2, 0.1]
+    rep = dual_value_curve(tri1, exp_pair, e, [-750.0, -800.0, -760.0], log=True)
+    assert [p.y for p in rep.points] == [0.0, 0.0, math.exp(-750.0)]
+    assert rep.min_second_difference == pytest.approx(10.0, rel=1e-12)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="log masses must be finite"):
+            dual_value_curve(tri1, exp_pair, e, [-1.0, bad], log=True)
+    with pytest.raises(DomainError, match="curve masses must be distinct"):
+        dual_value_curve(tri1, exp_pair, e, [-800.0, -800.0], log=True)
 
 
 @pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
@@ -810,3 +825,169 @@ def test_newton_core_resolves_masses_far_apart(k):
     value, q = _dense_core(tree, pair, e)
     assert value == pytest.approx(sol.value, rel=1e-12, abs=0)
     assert np.abs(sol.q_hat - q).max() <= 1e-9
+
+
+# -- the Newton step: one batched QR on the tree's strategy basis ------------------
+
+
+def _lstsq_step(J, T):
+    """Oracle of ``dual._qr_fits``: per row, the minimum-norm least-squares
+    fits of the columns of T by those of J from one ``lstsq`` (an SVD),
+    blind to singular values below 1e-12 of the largest, so that it needs
+    no column basis."""
+    return np.stack([np.linalg.lstsq(j, t, rcond=1e-12)[0] for j, t in zip(J, T)]
+                    ).reshape(len(J), J.shape[2], T.shape[2])
+
+
+def _assert_core_meets_the_lstsq_oracle(tree, pair, e, mass=None, start=None):
+    """The core on the tree's strategy basis against the core that steps by
+    ``_lstsq_step`` on every column: the same mu (relative to its mass),
+    value and W'' to 1e-12 relative, the same steps and errors."""
+    A, p = build_constraints(tree), tree.leaf_probability_array
+    geo = geometry._support_structure(tree)
+    basis = dual._strategy_basis(geo)
+    got = dual._newton_core(A[basis], p, e, pair, geo.mask, mass=mass, start=start)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dual, "_qr_fits", _lstsq_step)
+        want = dual._newton_core(A, p, e, pair, geo.mask, mass=mass, start=start)
+    assert [type(err) for err in got[-1]] == [type(err) for err in want[-1]]
+    assert np.array_equal(got[4], want[4])
+    ok = np.array([err is None for err in got[-1]])
+    mu, mu_o = got[0][ok], want[0][ok]
+    assert (np.abs(mu - mu_o).max(axis=1) <= 1e-12 * mu_o.sum(axis=1)).all()
+    for a, b in ((got[2], want[2]), (got[5], want[5])):
+        a, b = a[ok], b[ok]
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        on = ~np.isnan(b)
+        assert (np.abs(a - b)[on] <= 1e-12 * np.abs(b[on])).all()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_qr_step_meets_the_lstsq_oracle_on_random_two_power_trees(seed):
+    # free and fixed-mass rows, one warm-started, on one- and two-asset trees
+    rng = np.random.default_rng(100 + seed)
+    tree = treegen.random_market(rng, max_periods=3, n_assets=1 + seed % 2)
+    pair = two_power_utility(float(rng.uniform(0.3, 0.7)), float(rng.uniform(0.3, 3.0)), 1.0)
+    e = rng.uniform(-3.0, 3.0, size=(4, tree.n_leaves))
+    start = np.zeros_like(e)
+    start[2] = dual._core_solutions(tree, pair, e[2:3], np.log([0.5]))[0].mu
+    _assert_core_meets_the_lstsq_oracle(tree, pair, e, np.array([np.nan, 2.0, 0.5, np.nan]),
+                                        start)
+
+
+@pytest.mark.parametrize("k", [24, 74, 82])
+def test_qr_step_meets_the_lstsq_oracle_on_masses_far_apart(k):
+    tree, pair, e = _random_exponential_instance(k, 3.0, 20.0)
+    _assert_core_meets_the_lstsq_oracle(tree, pair, e[None])
+
+
+def _collinear_market():
+    # both root increments lie on one line; the nodes below have rank 2
+    return treegen.product_market([[(1.2, 1.05), (0.9, 0.975)],
+                                   [(1.3, 1.2), (0.8, 0.85), (1.0, 1.05)]], s0=(1.0, 2.0))
+
+
+def _fair_candidate_bin1(tp_pair):
+    # bin1 and a fair candidate whose increments are the asset's up to rounding
+    tree = treegen.bin1()
+    sol = solve_dual(tree, tp_pair, [0.4, -1.1])
+    cand = optimal_measure_price_process(sol, [0.7, 0.2])
+    return market._with_assets(tree, ["candidate0"], cand[:, None])
+
+
+@pytest.mark.parametrize("case", ["dead branch", "collinear", "fair candidate"])
+def test_qr_step_meets_the_lstsq_oracle_on_dependent_columns(case, tp_pair, exp_pair):
+    rng = np.random.default_rng(7)
+    if case == "dead branch":   # only the exponential pair has V(0) finite
+        tree, pairs = treegen.product_market([[2.0, 1.0], [1.5, 0.5]]), [exp_pair]
+    elif case == "collinear":
+        tree, pairs = _collinear_market(), [exp_pair, tp_pair]
+    else:
+        tree, pairs = _fair_candidate_bin1(tp_pair), [tp_pair]
+    assert not dual._strategy_basis(geometry._support_structure(tree)).all()
+    e = rng.uniform(-2.0, 2.0, size=(3, tree.n_leaves))
+    for pair in pairs:
+        _assert_core_meets_the_lstsq_oracle(tree, pair, e, np.array([np.nan, 1.5, 0.7]))
+
+
+def _basis_trees(tp_pair):
+    rng = np.random.default_rng(3)
+    yield from (treegen.random_market(rng, max_periods=3, n_assets=1 + i % 2)
+                for i in range(12))
+    yield treegen.dead_leaf_market()
+    yield treegen.product_market([[2.0, 1.0], [1.5, 0.5]])
+    yield _collinear_market()
+    yield _fair_candidate_bin1(tp_pair)
+    # three assets on two children, one of them a copy of another
+    yield treegen.product_market([[(1.2, 0.8, 1.2), (0.9, 1.1, 0.9)]])
+
+
+def test_strategy_basis_keeps_the_rank_of_each_nodes_live_increments(tp_pair):
+    # per live non-leaf node, an SVD of the increments over its live
+    # children, each asset scaled by its largest, counts the kept columns,
+    # and the kept ones have full rank; a dead node keeps none
+    for tree in _basis_trees(tp_pair):
+        lay, d = tree.layout, tree.n_assets
+        basis = dual._strategy_basis(geometry._support_structure(tree)).reshape(-1, d)
+        charged = tree.subtree_sums(geometry._support_structure(tree).interior) > 0
+        kids = np.append(lay.first_child, len(lay.ids))
+        for k in range(lay.level_starts[-2]):
+            live = kids[k] + np.flatnonzero(charged[kids[k]:kids[k + 1]])
+            if not charged[k] or live.size < 2:
+                assert not basis[k].any()
+                continue
+            x = lay.prices[live] - lay.prices[k]
+            x = x / np.where(np.abs(x).max(axis=0) > 0, np.abs(x).max(axis=0), 1.0)
+            rank = np.linalg.matrix_rank(x, tol=geometry._TOL)
+            assert basis[k].sum() == rank
+            assert np.linalg.matrix_rank(x[:, basis[k]], tol=geometry._TOL) == rank
+
+
+def test_a_kept_column_without_weight_fails_its_row_alone():
+    # U' underflows on both leaves of the first time-1 node, so its column
+    # has no weight: that row fails typed, the other row of the stack
+    # converges as it does alone, and no singular triangle reaches the solve
+    tree = treegen.product_market([[1.2, 0.9], [1.2, 0.9]])
+    pair = exponential_utility(1.0, 2.0)
+    e = np.array([[800.0, 800.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    bad, good = dual._core_solutions(tree, pair, e)
+    assert isinstance(bad, NonconvergedError)
+    assert good.value == pytest.approx(1.107086908267888, rel=1e-14, abs=0)
+    assert good.iterations[0]["steps"] == 5
+    alone, = dual._core_solutions(tree, pair, e[1:])
+    assert (good.value, good.mass) == (alone.value, alone.mass)
+    assert np.array_equal(good.mu, alone.mu)
+
+
+def test_qr_fits_give_a_zero_column_no_fit():
+    # the padding row leaves the other columns' fits as without the column
+    rng = np.random.default_rng(0)
+    J, T = rng.normal(size=(3, 9, 4)), rng.normal(size=(3, 9, 2))
+    J[1, :, 2] = 0.0
+    got = dual._qr_fits(J, T)
+    assert got[1, 2].tolist() == [0.0, 0.0]
+    keep = [0, 1, 3]
+    assert np.allclose(got[1, keep], _lstsq_step(J[1:2, :, keep], T[1:2])[0],
+                       rtol=1e-12, atol=1e-14)
+    assert np.allclose(got[[0, 2]], _lstsq_step(J[[0, 2]], T[[0, 2]]), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("r", [1, 5])
+def test_newton_core_factors_once_per_step_whatever_the_rows(r, monkeypatch):
+    # one QR per Newton step over all rows, plus one for the warm start and
+    # one for W'' at the fixed masses, whether the stack holds 1 row or 5
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 3)
+    pair = two_power_utility(0.5, 1.0, 1.0)
+    geo = geometry._support_structure(tree)
+    A = build_constraints(tree)[dual._strategy_basis(geo)]
+    e = np.tile(np.random.default_rng(1).uniform(-1.0, 1.0, tree.n_leaves), (r, 1))
+    warm = solve_dual(tree, pair, e[0]).mu
+    calls, real = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    for mass, start, extra in ((None, None, 0), (np.full(r, 1.3), None, 1),
+                               (None, np.tile(warm, (r, 1)), 1)):
+        calls.clear()
+        out = dual._newton_core(A, tree.leaf_probability_array, e, pair, geo.mask,
+                                mass=mass, start=start)
+        assert out[-1] == [None] * r
+        assert len(calls) == out[4].max() + extra

@@ -12,7 +12,7 @@ from treedual import (DomainError, NoPrimalOptimizerError,
                       check_maximal_support, dual_value_curve, dynamic_dual,
                       exponential_utility,
                       find_equivalent_mm, leaf_values,
-                      optimal_measure_price_process, recover,
+                      optimal_measure_price_process, price_report, recover,
                       relative_entropy, run_battery,
                       sample_martingale_measures, snell_envelope_exponential,
                       solve_dual, two_power_utility, verify_supermartingale,
@@ -393,6 +393,33 @@ def test_exponential_battery_runs_no_newton_core(n_assets, no_dense_core):
         results = run_battery(tree, exponential_utility(1.5, 2.0), e)
     assert all(r.passed for r in results)
     assert [r.name for r in results][-1] == "conjugate growth bound along the curve"
+
+
+@pytest.mark.parametrize("n_assets", [1, 2])
+def test_two_power_solve_price_and_battery_solve_no_least_squares(n_assets, tp_pair,
+                                                                  monkeypatch):
+    # the Newton steps, warm starts and the battery's KKT fit are QRs on the
+    # tree's strategy basis
+    rng = np.random.default_rng(30 + n_assets)
+    tree = treegen.random_market(rng, max_periods=3, n_assets=n_assets)
+    e, claim = rng.uniform(-1.0, 1.0, tree.n_leaves), rng.uniform(0.0, 1.0, tree.n_leaves)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a least-squares problem was solved")
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    assert solve_dual(tree, tp_pair, e).iterations[0]["steps"] > 0
+    rep = price_report(tree, tp_pair, e, claim)
+    assert rep.bid <= rep.offer
+    assert all(r.passed for r in run_battery(tree, tp_pair, e))
+
+
+@pytest.mark.parametrize("d", [745.0, 746.5, 747.5, 748.0])
+def test_battery_reports_where_the_curve_masses_underflow(tri1, exp_pair, d):
+    # the optimal log mass is below -743.6, so the curve's masses
+    # e^(L + ln[0.5 .. 2]) round to equal subnormals or to 0: in log masses
+    # the points stay distinct and their derivatives exact
+    results = run_battery(tri1, exp_pair, [d, d + 30.0, d - 5.0])
+    assert len(results) == 18 and all(r.passed for r in results)
 
 
 # -- the solvers' strategy against per-node least-squares replication ---------------
