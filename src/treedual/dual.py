@@ -199,19 +199,6 @@ def _lse_min(b, x, k0):
     return f + top_b, k, logw, mean, steps
 
 
-def _live_nodes(geo: SupportStructure):
-    """w0 per node in layout order (``geo.one_step`` of equal vertex
-    weights), positive exactly on the live children of a node, and the live
-    mask: a node is live when a valid vertex of its live parent charges it
-    (the root is)."""
-    lay = geo.layout
-    w = geo.one_step(np.ones(geo.node.size))
-    live = w > 0
-    for lo, hi in zip(lay.level_starts[1:-1], lay.level_starts[2:]):
-        live[lo:hi] &= live[lay.parent[lo:hi]]
-    return w, live
-
-
 def _increments(lay, live, node):
     """The padded children (g, m) of the non-leaf nodes ``node`` (g,), the
     mask of the live ones, and the price increments (g, m, d), zero off the
@@ -232,7 +219,9 @@ def _live_levels(geo: SupportStructure):
     children), price increments (g, m, d; zero there and below a node with
     one live child), the start's operator ``fit`` (g, m, d) and shift
     ``ln(p / w0)`` (g, m; 0 off the live children), the live children with
-    their flat slots in (g, m), and 1 + |S_n| (:func:`_live_nodes`).
+    their flat slots in (g, m), and 1 + |S_n|; live as in
+    ``SupportStructure.live``, and w0 the mean of a node's valid vertices
+    (``geo.one_step`` of equal weights), positive on its live children.
     The start ``k0 = Cov_w0(x)^+ Cov_w0(x, b - ln w0)`` = sum_c fit_c
     (shift_c + L_c) / gamma fits ``b - ln w0`` by ``x.k + f`` in w0-weighted
     least squares (x = gamma dS, b = ln p + L); the pseudo-inverse, one
@@ -241,7 +230,7 @@ def _live_levels(geo: SupportStructure):
     """
     lay = geo.layout
     starts = lay.level_starts
-    w, live = _live_nodes(geo)
+    w, live = geo.one_step(np.ones(geo.node.size)), geo.live
     out = []
     for lo, hi in zip(starts[-3::-1], starts[-2:0:-1]):
         node = lo + np.flatnonzero(live[lo:hi])
@@ -263,20 +252,19 @@ def _live_levels(geo: SupportStructure):
 @lru_cache(maxsize=256)
 def _strategy_basis(geo: SupportStructure):
     """The strategy columns the Newton core keeps: a read-only mask over the
-    rows of :func:`build_constraints`, true at asset i of a live non-leaf
-    node whose live increments (:func:`_increments`, each asset scaled by
-    its largest) keep a Gram-Schmidt residual (orthogonalized twice) above
-    geometry's _TOL against the node's kept assets before i; for one asset,
-    any nonzero live increment.  A strategy v at node n gains dS_c.v on
-    child c's leaves, and strategies at different nodes cannot cancel (the
-    gains of a martingale measure charging every live leaf would vanish at
-    each step), so the kept columns are independent on the live leaves
-    under any positive weights, and span the gains.
+    rows of :func:`build_constraints`, true at asset i of a non-leaf node
+    of ``geo.live`` whose live increments (:func:`_increments`, each asset
+    scaled by its largest) keep a Gram-Schmidt residual (orthogonalized
+    twice) above geometry's _TOL against the node's kept assets before i;
+    for one asset, any nonzero live increment.  A strategy v at node n
+    gains dS_c.v on child c's leaves, and strategies at different nodes
+    cannot cancel (the gains of a martingale measure charging every live
+    leaf would vanish at each step), so the kept columns are independent
+    on the live leaves under any positive weights, and span the gains.
     """
     lay = geo.layout
-    _, live = _live_nodes(geo)
-    node = np.flatnonzero(live[:lay.level_starts[-2]])
-    x = _increments(lay, live, node)[2]
+    node = np.flatnonzero(geo.live[:lay.level_starts[-2]])
+    x = _increments(lay, geo.live, node)[2]
     scale = np.abs(x).max(axis=1, keepdims=True)
     x = x / np.where(scale > 0, scale, 1.0)
     q = np.zeros_like(x)               # orthonormal basis of the kept increments
@@ -669,7 +657,7 @@ class CurvePoint:
 @dataclass(frozen=True)
 class CurveReport:
     points: tuple[CurvePoint, ...]
-    min_second_difference: float    # convexity margin on the given grid
+    min_second_difference: float    # least rise of W' between neighbouring masses
     min_value: float
 
 
@@ -682,11 +670,11 @@ def dual_value_curve(tree: MarketTree, pair: UtilityPair, endow,
     by one :func:`_solutions` call at the log masses: one log-space pass for
     the exponential family, one Newton-core call, each row started cold,
     otherwise.  A point's ``y`` is the caller's mass, or e^s (which may
-    underflow).  The report carries a numeric convexity certificate: the
-    worst second difference of the values (secants over the masses) or,
-    with ``log``, the least rise of the mass derivative between neighbours,
-    since W is convex exactly where W' does not fall; the derivatives stay
-    exact where e^s underflows.
+    underflow).  The report carries a numeric convexity certificate, on
+    either kind of grid: the least rise of the mass derivative between
+    neighbours, since W is convex exactly where W' does not fall; the
+    derivatives are exact, also where e^s underflows.  ``log`` chooses
+    only how the grid is read.
     """
     ys = sorted(float(y) for y in ys)
     if log:
@@ -702,14 +690,9 @@ def dual_value_curve(tree: MarketTree, pair: UtilityPair, endow,
     sols = _at_masses(tree, pair, endow, ys if log else [math.log(y) for y in ys])
     pts = [CurvePoint(y=y, value=sol.value, q_hat=sol.q_hat,
                       derivative=sol.mass_derivative) for y, sol in zip(masses, sols)]
-    if log:
-        rises = (b.derivative - a.derivative for a, b in zip(pts, pts[1:]))
-    else:
-        rises = ((c.value - b.value) / (c.y - b.y) - (b.value - a.value) / (b.y - a.y)
-                 for a, b, c in zip(pts, pts[1:], pts[2:]))
-    second = min(rises, default=math.inf)
+    rises = (b.derivative - a.derivative for a, b in zip(pts, pts[1:]))
     return CurveReport(points=tuple(pts),
-                       min_second_difference=second,
+                       min_second_difference=min(rises, default=math.inf),
                        min_value=min(p.value for p in pts))
 
 

@@ -5,10 +5,11 @@ A non-negative leaf measure ``mu`` prices the tree's assets without drift iff
 on leaf ``l`` is the asset's next-period price on the branch containing ``l``
 minus the node price, and 0 off the subtree.  Solutions form the cone of
 (non-normalized) absolutely continuous martingale measures; its unit-mass
-slice is the martingale polytope.  Its feasibility, maximal support, an
-interior point and its extremal expectations come from one cached backward
-pass over the nodes' one-step polytopes, with no linear program; its
-vertices are enumerated by a double description sweep at desk scale.
+slice is the martingale polytope.  Its feasibility, maximal support (one
+boolean pass), an interior point and its extremal expectations come from
+one cached backward pass over the nodes' one-step polytopes, with no linear
+program; its vertices are enumerated by a double description sweep at desk
+scale.
 """
 
 from __future__ import annotations
@@ -151,13 +152,25 @@ class SupportStructure:
 
     @cached_property
     def interior(self) -> np.ndarray:
-        """A martingale probability positive exactly on the maximal support."""
+        """A martingale probability positive exactly on the maximal support
+        in exact arithmetic; a leaf whose path product underflows reads 0."""
         return self.mixture(np.ones(self.node.size))
 
     @cached_property
+    def live(self) -> np.ndarray:
+        """Read-only (N,): the root is live, and a node is live when a valid
+        vertex of its live parent charges it (:meth:`one_step` positive)."""
+        parent, levels = self.layout.parent, self.layout.level_starts
+        live = self.one_step(np.ones(self.node.size)) > 0
+        for lo, hi in zip(levels[1:-1], levels[2:]):
+            live[lo:hi] &= live[parent[lo:hi]]
+        live.setflags(write=False)
+        return live
+
+    @cached_property
     def mask(self) -> np.ndarray:
-        """The maximal support: leaves charged by some martingale probability."""
-        return self.interior > 0
+        """The maximal support: the :attr:`live` leaves, in leaf order."""
+        return self.live[self.layout.level_starts[-2]:]
 
     def one_step(self, mix):
         """Per node in layout order, its weight in the mean of its parent's
@@ -205,9 +218,8 @@ def _support_structure(tree: MarketTree) -> SupportStructure:
     Willinger 1990; Follmer & Schied, *Stochastic Finance*, ch. 7).  Leaves
     are viable; a node is viable when one of its vertices
     (:func:`_one_step_vertices`) charges viable children only, and those
-    vertices are its valid ones.  The maximal support is the set of leaves
-    whose every path step is charged by a valid vertex; the product of the
-    nodes' mean valid vertices is positive exactly there.  Raises
+    vertices are its valid ones.  The maximal support (``live`` leaves) is
+    the set of leaves whose every path step is charged by a valid vertex.  Raises
     :class:`NoMartingaleMeasureError` when the root is not viable.
     """
     lay = tree.layout
@@ -238,10 +250,11 @@ def _support_structure(tree: MarketTree) -> SupportStructure:
 
 
 def find_equivalent_mm(tree: MarketTree) -> np.ndarray | None:
-    """A strictly positive martingale probability (L,), or None if none exists.
+    """An equivalent martingale probability (L,), or None if none exists.
 
-    Reads the cached pass of :func:`_support_structure`: its interior
-    measure when the maximal support is every leaf.  Raises
+    Reads the cached pass of :func:`_support_structure`: None exactly when
+    some leaf is off the maximal support, else its interior measure (a leaf
+    whose path product underflows reads 0).  Raises
     :class:`NoMartingaleMeasureError` when the polytope itself is empty
     (arbitrage regime: even absolutely continuous measures are ruled out).
     """

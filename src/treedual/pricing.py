@@ -43,7 +43,6 @@ from .market import MarketTree, _with_assets, leaf_values
 from .utility import UtilityPair
 
 PRICE_TOL = 1e-9       # |u(endow + claim - p) - u(endow)| <= tol * (1 + |u|)
-AGREEMENT_TOL = 1e-6   # cross-method relative agreement
 _MAX_PROBES = 100      # probes of one bracketed Newton search
 
 

@@ -277,7 +277,9 @@ def snell_envelope_exponential(sol: DualSolution, vertices, *, wealth) -> SnellR
     ``sol.terminal_gain``.  ``wealth`` is (N,) in layout order.  The
     vertices, a stack (k, L), are mollified toward the optimal measure
     (:func:`mollify`) to yield equivalent test measures, all of finite
-    entropy; the optimal measure attains the supremum.
+    entropy; the optimal measure attains the supremum.  A (measure, node)
+    pair without mass, where the mollified weight underflows, is skipped,
+    so a node that no tested measure reaches reads an infinite gap.
     """
     tree, pair = sol.tree, sol.pair
     if pair.family != "exponential":
@@ -288,7 +290,8 @@ def snell_envelope_exponential(sol: DualSolution, vertices, *, wealth) -> SnellR
 
     w = np.asarray(wealth, dtype=float)
     w_scale = 1.0 + float(np.abs(w).max())
-    vals = tree.subtree_sums(tested * sol.terminal_gain) / tree.subtree_sums(tested)
+    num, mass = tree.subtree_sums(tested * sol.terminal_gain), tree.subtree_sums(tested)
+    vals = np.divide(num, mass, out=np.full_like(num, -np.inf), where=mass > 0)
     best = vals.max(axis=0)
     eq_gap = float((np.abs(best - w) / w_scale).max())
     lb_excess = float(((vals - w) / w_scale).max())

@@ -47,10 +47,13 @@ def _edge_instance(market, shift, gamma):
 @pytest.mark.parametrize("gamma", [1.0, 3.0])
 @pytest.mark.parametrize("market,shift", [("tri1", (700, 730, 695)),
                                           ("tri1", (730, 760, 725)),
-                                          ("product", (700, 730, 695))])
+                                          ("product", (700, 730, 695)),
+                                          ("tri1", (0, 740, 0))])
 def test_battery_passes_where_the_optimal_mass_is_subnormal(market, shift, gamma):
     # the checks read X and the charged leaves off the exact log-masses,
-    # where V' of the rounded density was off by 1e-7 or infinite
+    # where V' of the rounded density was off by 1e-7 or infinite; at
+    # (0, 740, 0) a mollified vertex missing leaf b has mass 1e-6 q_b = 0
+    # there, which the Snell checks divided by
     tree, pair, e, sol = _edge_instance(market, shift, gamma)
     assert sol.mu.min() < np.finfo(float).tiny and (sol.q_hat > 0).all()
     assert (sol.mu == 0).any() == (shift[0] == 730)
@@ -67,6 +70,13 @@ def test_value_curve_stationarity_reads_log_masses_at_a_subnormal_optimum(market
     assert 0.0 < sol.mass < np.finfo(float).tiny
     results = run_battery(tree, pair, e)
     assert len(results) == 18 and not [r.line() for r in results if not r.passed]
+
+
+def test_a_check_passes_exactly_when_its_residual_is_within_its_bound():
+    verdicts = [checks.CheckResult("c", r, 1e-8).passed
+                for r in (0.0, 1e-8, 2e-8, np.inf, np.nan)]
+    assert verdicts == [True, True, False, False, False]
+    assert checks.CheckResult("c", np.nan, 1e-8).line().startswith("[FAIL] c: residual nan")
 
 
 def test_support_flag_check_fails_on_a_wrong_support_mask(tri1, monkeypatch):

@@ -188,6 +188,17 @@ def test_value_curve(tri1, exp_pair):
     assert rep.min_value >= sol.value - 1e-9
 
 
+@pytest.mark.parametrize("family", ["exponential", "two_power"])
+def test_value_curve_reads_the_same_margin_from_masses_and_log_masses(tri1, exp_pair,
+                                                                       tp_pair, family):
+    pair = exp_pair if family == "exponential" else tp_pair
+    e = [0.3, -0.2, 0.1]
+    ys = solve_dual(tri1, pair, e).mass * np.array([0.5, 0.75, 1.0, 1.5, 2.0])
+    by_mass = dual_value_curve(tri1, pair, e, ys).min_second_difference
+    by_log = dual_value_curve(tri1, pair, e, np.log(ys), log=True).min_second_difference
+    assert by_mass == pytest.approx(by_log, rel=1e-12, abs=1e-12)
+
+
 def test_value_curve_bin1_closed_form(bin1, exp_pair_raw):
     # single measure: the curve is one conjugate evaluation per mass
     q = np.array([1 / 3, 2 / 3])

@@ -426,6 +426,32 @@ def test_interior_start_lies_on_the_constraints(make):
     assert np.all(q[mask] > 0) and np.all(q[~mask] == 0)
 
 
+@pytest.mark.parametrize("make", [treegen.dead_leaf_market] + [
+    lambda seed=seed: treegen.random_market(np.random.default_rng(seed), n_assets=1 + seed % 2)
+    for seed in range(6)], ids=["dead-leaf"] + [f"random-{seed}" for seed in range(6)])
+def test_mask_is_the_boolean_liveness_of_the_leaves(make):
+    # the leaves some enumerated vertex charges; a node is live exactly
+    # when a live leaf lies below it, and nothing underflows here, so the
+    # interior measure is positive exactly on the mask
+    tree = make()
+    geo = _support_structure(tree)
+    charged = (vertex_enumerate(build_constraints(tree)) > 0).any(axis=0)
+    assert geo.mask.tolist() == charged.tolist() == (geo.interior > 0).tolist()
+    assert geo.live.tolist() == (tree.subtree_sums(geo.mask) > 0).tolist()
+    assert not geo.live.flags.writeable
+
+
+def test_maximal_support_survives_underflowing_path_products():
+    # each spine step has one-step weight ~1e-10: the interior measure's
+    # deepest path products (~1e-400) read 0, the boolean pass does not
+    tree = treegen.caterpillar_market()
+    assert (tree.n_leaves, len(tree.layout.ids)) == (41, 861)
+    geo = _support_structure(tree)
+    assert (geo.interior == 0).any()
+    assert geo.mask.all()
+    assert find_equivalent_mm(tree) is not None
+
+
 def test_equivalent_measure_on_two_asset_book_market():
     # a two-asset 4x4x3 tree on which a dense Bland simplex reported the
     # max-min LP infeasible, so both calls raised NoMartingaleMeasureError

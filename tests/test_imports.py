@@ -1,8 +1,12 @@
-"""Every module of the package reads each name it imports.
+"""Every module of the package reads each name it imports, and the package
+reads each name its modules define.
 
 Stdlib ``ast`` only: a module's imported names (``import a.b`` binds ``a``)
 against the names it loads anywhere, annotations included.  ``__init__.py``
-imports to re-export, and ``from __future__`` binds nothing.
+imports to re-export, and ``from __future__`` binds nothing.  A module-level
+function, class or constant is read when some module of the package loads
+it by name, as an attribute or by a ``from`` import; ``__init__.py`` defines
+nothing of its own, and ``simplex.py`` is the LP oracle that only tests read.
 """
 
 import ast
@@ -40,6 +44,47 @@ def test_unused_imports_are_found():
               "from dataclasses import dataclass, replace\n"
               "@dataclass\nclass A:\n    x: 'int'\n\ny = os.path.join\n")
     assert unused_imports(source) == ["line 2: bisect", "line 4: replace"]
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each module-level function, class or constant of
+    the sources (module name to text) that none of them reads."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}.{name}" for name in names if name not in read]
+    return unread
+
+
+def test_package_reads_every_name_its_modules_define():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    unread = unread_definitions(sources)
+    assert [n for n in unread if n.split(".")[0] not in ("__init__", "simplex")] == []
+
+
+def test_unread_definitions_are_found():
+    sources = {"a": ("import os\nLIMIT = 3\nSPARE: int = 4\n"
+                     "def f():\n    return LIMIT\n"
+                     "def g():\n    return f()\nclass C:\n    pass\nclass D:\n    pass\n"),
+               "b": "from a import C\nimport a\nx = a.g\n"}
+    assert unread_definitions(sources) == ["a.SPARE", "a.D", "b.x"]
 
 
 def test_package_and_cli_price_do_not_load_scipy():

@@ -24,6 +24,20 @@ from treedual.recovery import mollify
 LN2 = math.log(2.0)
 
 
+def test_both_families_solve_where_path_products_underflow():
+    # the caterpillar's interior measure reads 0 on its deepest leaves; the
+    # support read from it flagged the market DEGENERATE, so recover refused
+    # the exponential optimum and the two-power dual was called infeasible
+    tree = treegen.caterpillar_market()
+    pair = exponential_utility(1.0, 2.0)
+    sol = solve_dual(tree, pair, 0.0)
+    assert sol.support == "EQUIVALENT"
+    ps = recover(tree, pair, 0.0, sol)
+    assert ps.replication_residual <= 1e-8
+    assert ps.value == pytest.approx(sol.value, rel=1e-12)
+    assert solve_dual(tree, two_power_utility(0.5, 1.0, 1.0), 0.0).support == "EQUIVALENT"
+
+
 def test_bin1_terminal_wealth_closed_form(bin1, exp_pair_raw):
     sol = solve_dual(bin1, exp_pair_raw, 0.0)
     xhat = recover(bin1, exp_pair_raw, 0.0, sol).terminal_wealth

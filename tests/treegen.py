@@ -169,6 +169,26 @@ def dead_leaf_market():
     })
 
 
+def caterpillar_market(depth=40, jump=1e10):
+    """One asset, spine s0 .. s{depth}: spine node s{t-1}, at price
+    (t - 1) jump, has two children of probability 0.5, s{t} at t jump and a
+    side child x{t} one below its parent, which continues at its own price
+    as a probability-1 chain to the horizon.  Every node's one-step
+    martingale weight on the spine is 1/(jump + 1), so with the defaults the
+    deepest path products (~1e-400) underflow, though every leaf is charged
+    by an equivalent martingale measure (depth + 1 leaves)."""
+    nodes = [{"id": "s0", "parent": None, "t": 0, "prices": ["0.0"], "prob": "1"}]
+    for t in range(1, depth + 1):
+        side = repr((t - 1) * jump - 1.0)
+        nodes += [{"id": f"s{t}", "parent": f"s{t - 1}", "t": t,
+                   "prices": [repr(t * jump)], "prob": "0.5"},
+                  {"id": f"x{t}", "parent": f"s{t - 1}", "t": t,
+                   "prices": [side], "prob": "0.5"}]
+        nodes += [{"id": f"x{t}.{u}", "parent": f"x{t}" if u == t + 1 else f"x{t}.{u - 1}",
+                   "t": u, "prices": [side], "prob": "1"} for u in range(t + 1, depth + 1)]
+    return market_from_dict({"version": 1, "assets": ["S"], "nodes": nodes})
+
+
 def arbitrage_market():
     """Both children strictly above the root price: no martingale measure."""
     return market_from_dict({
