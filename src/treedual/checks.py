@@ -17,7 +17,7 @@ import numpy as np
 
 from .dual import (_qr_fits, _strategy_basis, check_maximal_support, dual_value_curve,
                    solve_dual)
-from .errors import CapExceededError
+from .errors import CapExceededError, NonconvergedError
 from .geometry import (_support_structure, build_constraints, find_equivalent_mm,
                        relative_entropy, sample_martingale_measures, vertex_enumerate)
 from .market import MarketTree, leaf_values
@@ -52,22 +52,20 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     """All instance-level checks; returns one result per check.
 
     Every check after the solve reads :func:`solve_dual`'s optimum, so a
-    corrupted optimum fails them; they read its gain X and charged leaves
-    (``terminal_gain``, ``q_hat > 0``), exact where its mass underflows.
+    corrupted optimum fails them, in its exact form: X, the charged set and
+    the node log masses that weigh conditional expectations
+    (``terminal_gain``, ``charged``, ``node_log_q``, all from ``_log_q``).
     A check passes when its residual is at most its ``tolerance``; a flag
-    reads residual 0 or 1 and a count its number of violations, both
-    against 0.5, and a failed recovery reads inf.  "Dynamic dual
-    consistency" bounds, over every charged node of every time, both the
-    wealth residual and the restriction gap of :func:`dynamic_dual`: closed
-    forms at the leaves and at every exponential node, one Newton-core call
-    per two-power non-leaf node.  The certification proves biconjugacy from
-    the pair's closed forms at the minimizer y = U'(x), without a search;
-    its detail prints the closed-form tail elasticities (AE-, AE+) beside
-    their grid estimates.  The value curve is solved at log masses around
-    the optimum's, exact where its mass is subnormal.  A result's
-    ``seconds`` run from the previous result, so work shared by checks (the
-    solve, the vertices, the recovery, the curve) is charged to the first
-    check that uses it.
+    reads 0 or 1 and a count its violations, both against 0.5.  A failed
+    recovery reads inf and ends the battery; a failed two-power conditional
+    solve reads inf in "dynamic dual consistency", which bounds, over every
+    charged node, the wealth residual and restriction gap of
+    :func:`dynamic_dual`.  The certification proves biconjugacy from the
+    pair's closed forms at y = U'(x); its detail prints the tail
+    elasticities (AE-, AE+) beside their grid estimates.  The value curve
+    is solved at log masses around the optimum's.  A result's ``seconds``
+    run from the previous result, so shared work (the solve, the vertices,
+    the recovery, the curve) is charged to the first check that uses it.
     """
     results, clock = [], [time.perf_counter()]
 
@@ -93,7 +91,7 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     # KKT of the entropy program: gradient -X in the row space at charged
     # leaves, fitted by the rows of the tree's strategy basis
     g = -sol.terminal_gain
-    live = sol.q_hat > 0
+    live = sol.charged[-tree.n_leaves:]
     rows = A[_strategy_basis(_support_structure(tree))][:, live].T
     lam = _qr_fits(rows[None], g[None, live, None])[0, :, 0]
     kkt = float(np.abs(g[live] - rows @ lam).max()) / (1.0 + float(np.abs(g[live]).max()))
@@ -137,17 +135,21 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     # mollified toward q_hat, each measure charges every leaf q_hat does, so
     # its entropy is finite even where V(0) = inf (raw vertices may miss leaves)
     sm = verify_supermartingale(tree, ps.wealth, mollify(measures, sol.q_hat), pair,
-                                sol.q_hat)
+                                sol.node_log_q)
     add("supermartingale under tested measures", max(sm.max_drift, 0.0),
         1e-8 * (1.0 + float(np.abs(ps.wealth).max())), f"{sm.measures_tested} measures")
     add("martingale under the optimal measure", sm.max_abs_drift_under_optimal, 1e-8)
 
     # the conditional problems' mass derivatives against the wealth, and
     # their values against the restricted optimizer
-    worst = max((max(node.wealth_residual, node.restriction_gap)
-                 for t in range(tree.horizon + 1)
-                 for node in dynamic_dual(sol, t, wealth=ps.wealth)), default=0.0)
-    add("dynamic dual consistency", worst, 1e-7)
+    try:
+        worst, detail = max((max(node.wealth_residual, node.restriction_gap)
+                             for t in range(tree.horizon + 1)
+                             for node in dynamic_dual(sol, t, wealth=ps.wealth)),
+                            default=0.0), ""
+    except NonconvergedError as exc:   # a two-power conditional solve
+        worst, detail = math.inf, f"{type(exc).__name__}: {exc}"
+    add("dynamic dual consistency", worst, 1e-7, detail)
 
     if pair.family == "exponential":
         sn = snell_envelope_exponential(sol, measures, wealth=ps.wealth)

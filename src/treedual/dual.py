@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +51,7 @@ from .errors import (DomainError, EvaluationOverflowError, InfeasibleEntropyErro
                      ValueAtSupremumError)
 from .geometry import (_TOL, SupportStructure, _support_structure, build_constraints,
                        relative_entropy)
-from .market import MarketTree, leaf_values
+from .market import MarketTree, leaf_values, log_masses
 from .utility import UtilityPair
 
 _VALUE_FLOOR = -1e250  # below this the optimal utility is numerically -inf
@@ -72,8 +72,9 @@ class DualSolution:
     second derivative of the optimal value in a fixed mass y (else None).
     ``iterations`` logs the Newton steps taken (of a log-space pass, summed
     over levels of the most any endowment took).  ``mu`` and ``q_hat``, the
-    optimal and normalized measures, are (L,) arrays in leaf order; the
-    charged leaves are those with ``q_hat > 0`` (``mu`` may underflow).
+    optimal and normalized measures, are (L,) arrays in leaf order;
+    ``_log_q`` = ln q_hat, exact where q_hat underflows, gives
+    :attr:`node_log_q` and :attr:`charged`.
     """
 
     tree: MarketTree
@@ -89,35 +90,41 @@ class DualSolution:
     _endow_arr: np.ndarray = field(repr=False, default=None)
     _log_mass: float = field(repr=False, default=None)  # exact where mass underflows
     _h_arr: np.ndarray = field(repr=False, default=None)  # strategy (non-leaf nodes, d)
-    _log_q: np.ndarray = field(repr=False, default=None)  # ln q_hat, exponential family
+    _log_q: np.ndarray = field(repr=False, default=None)  # ln q_hat (L,)
     _log_l: np.ndarray = field(repr=False, default=None)  # L_n (N,), exponential family
 
     @property
     def density_array(self) -> np.ndarray:
         return self.mu / self.tree.leaf_probability_array
 
+    @cached_property
+    def node_log_q(self) -> np.ndarray:   # (N,): the node log masses of q_hat
+        return self.tree.log_subtree_sums(self._log_q)
+
+    @cached_property
+    def charged(self) -> np.ndarray:      # (N,): the nodes q_hat charges
+        return self.node_log_q > -np.inf
+
     @property
     def terminal_gain(self) -> np.ndarray:
         """X = -V'(mu/p) - e (L,), the optimal terminal gain, +inf off the
         charged leaves: for the exponential family ln(p/mu)/gamma - e from
         the exact log-masses, finite where mu underflows."""
-        if self._log_q is None:
+        if self._log_l is None:   # a Newton-core optimum
             return -self.pair.v_prime(self.density_array) - self._endow_arr
         p, gamma = self.tree.leaf_probability_array, self.pair.params["gamma"]
         return (np.log(p) - self._log_mass - self._log_q) / gamma - self._endow_arr
 
     @property
     def mass_derivative(self) -> float:
-        """-E_q_hat[X], the envelope derivative of the value in the mass,
-        over the leaves q_hat charges (X is +inf off them)."""
-        on = self.q_hat > 0
-        grad = np.zeros_like(self.q_hat)
-        grad[on] = -self.terminal_gain[on]
-        return float(np.dot(self.q_hat, grad))
+        """-E_q_hat[X], the envelope derivative of the value in the mass, over
+        the charged leaves, read off ``_log_q`` (X is +inf off them)."""
+        on = self._log_q > -np.inf
+        return float(np.dot(self.q_hat, np.where(on, -self.terminal_gain, 0.0)))
 
 
-def _solution(tree, pair, e, mu, q, mass, log_mass, value, residual, flag, steps, h,
-              curvature=None, log_q=None, log_l=None):
+def _solution(tree, pair, e, mu, q, log_q, mass, log_mass, value, residual, flag, steps,
+              h, curvature=None, log_l=None):
     return DualSolution(
         tree=tree, pair=pair, mass=mass, value=value, stationarity=residual,
         support=flag, iterations=({"steps": steps, "residual": residual},),
@@ -345,9 +352,8 @@ def _log_space_solutions(tree, pair, endows, log_mass=None) -> list[DualSolution
             y = float(np.exp(log_y))
             value = c - y / gamma if free else c + y * (log_y - 1.0 - log_z) / gamma
             mu = np.exp(log_y + log_q)
-        out.append(_solution(tree, pair, ej, mu, np.exp(log_q), y, log_y, value,
-                             drifts[i], flag, steps, hs[i], log_q=log_q,
-                             log_l=log_ls[i]))
+        out.append(_solution(tree, pair, ej, mu, np.exp(log_q), log_q, y, log_y, value,
+                             drifts[i], flag, steps, hs[i], log_l=log_ls[i]))
     return out
 
 
@@ -575,9 +581,9 @@ def _core_solutions(tree, pair, endows, log_mass=None, starts=None):
             out.append(err)
             continue
         y = float(mu[j].sum())
-        out.append(_solution(tree, pair, endows[j], mu[j], mu[j] / y, y, math.log(y),
-                             float(value[j]), float(res[j]), flag, int(steps[j]),
-                             h[j].reshape(-1, tree.n_assets),
+        out.append(_solution(tree, pair, endows[j], mu[j], mu[j] / y, log_masses(mu[j] / y),
+                             y, math.log(y), float(value[j]), float(res[j]), flag,
+                             int(steps[j]), h[j].reshape(-1, tree.n_assets),
                              None if math.isnan(curvature[j]) else float(curvature[j])))
     return out
 
@@ -716,15 +722,15 @@ def check_maximal_support(sol: DualSolution, vertices) -> SupportCheck:
     """Check that the optimal measure dominates every finite-entropy vertex.
 
     Any leaf charged (above 1e-10) by a finite-entropy polytope vertex must
-    also be charged by the optimum, that is, given positive ``q_hat`` (the
-    optimizer is "as equivalent as possible"; its mass ``mu`` may underflow
-    on a charged leaf).  ``vertices`` is a stack
+    also be charged by the optimum, in :attr:`DualSolution.charged` (the
+    optimizer is "as equivalent as possible"; ``q_hat`` may underflow on a
+    charged leaf).  ``vertices`` is a stack
     (k, L), checked by one entropy evaluation and one mask; violations run
     by vertex, then leaf.  Report-only.
     """
     tree = sol.tree
     q = np.asarray(vertices, dtype=float).reshape(-1, tree.n_leaves)
     finite = np.isfinite(relative_entropy(tree, sol.pair, q))
-    k, i = np.nonzero(finite[:, None] & (q > 1e-10) & ~(sol.q_hat > 0))
+    k, i = np.nonzero(finite[:, None] & (q > 1e-10) & ~sol.charged[-tree.n_leaves:])
     return SupportCheck(tuple((int(a), tree.leaf_ids[b]) for a, b in zip(k, i)),
                         int(finite.sum()), int(finite.size - finite.sum()))

@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapExceededError, DomainError, NoMartingaleMeasureError
-from .market import MarketTree, TreeLayout, leaf_values
+from .market import MarketTree, TreeLayout, leaf_values, log_masses
 from .utility import UtilityPair
 
 VERTEX_CAP_DEFAULT = 10_000
@@ -44,16 +44,13 @@ def build_constraints(tree: MarketTree) -> np.ndarray:
 
 
 def is_martingale_measure(tree: MarketTree, q, tol: float = 1e-9) -> bool:
-    """Direct per-node check: conditional child prices equal the node price.
-
-    Nodes with zero subtree mass under ``q`` are skipped (the conditional
-    expectation is undefined there).
-    """
-    qs = leaf_values(tree, q)
-    cond, mass = tree.one_step_expectation(tree.layout.prices, qs)
-    s, live = tree.layout.prices[:mass.size], mass > 0
-    gap = np.abs(cond - s).max(axis=1)[live]
-    return not np.any(gap > tol * (1.0 + np.abs(s).max(axis=1))[live])
+    """Direct per-node check: conditional child prices equal the node price,
+    under ``q``'s node log masses at the nodes it charges (its expectation
+    is NaN, and passes, elsewhere)."""
+    ell = tree.log_subtree_sums(log_masses(leaf_values(tree, q)))
+    s = tree.layout.prices[:tree.layout.level_starts[-2]]
+    gap = np.abs(tree.one_step_expectation(tree.layout.prices, ell) - s).max(axis=1)
+    return not np.any(gap > tol * (1.0 + np.abs(s).max(axis=1)))
 
 
 # -- feasibility (FTAP side) ---------------------------------------------------

@@ -37,12 +37,13 @@ A tree's structure is its level-order layout (:class:`TreeLayout`), built
 once from the file's columns: nodes are numbered ``nonleaf_ids + leaf_ids``,
 so time levels are contiguous, every node's children are consecutive, and
 the leaves come last in leaf order.  With each node's parent index, prices,
-branch probability and leaf slice as arrays, every per-node conditional
-expectation is a subtree sum (:meth:`MarketTree.subtree_sums`,
-:meth:`MarketTree.one_step_expectation`).  The endowment (zero when the file
-has none) and each claim are read-only (L,) arrays.  For the round trip the
-tree also keeps, per file row in file order, the node's layout position and
-its decimal strings.
+branch probability and leaf slice as arrays, a measure's exact form is its
+node log masses l (:meth:`MarketTree.log_subtree_sums`), and conditional
+expectations weigh by exp(l_c - l_n), without division
+(:meth:`MarketTree.one_step_expectation`, ``conditional_expectation``).  The
+endowment (zero when the file has none) and each claim are read-only (L,)
+arrays; for the round trip the tree keeps each file row's layout position
+and decimal strings.
 """
 
 from __future__ import annotations
@@ -179,22 +180,34 @@ class MarketTree:
             [np.add.reduceat(v, lay.lo[a:b], axis=-1)
              for a, b in zip(lay.level_starts, lay.level_starts[1:])], axis=-1)
 
-    def one_step_expectation(self, x, q):
-        """``(E_q[x_child | n], q-mass of n)`` for every non-leaf node n.
+    def log_subtree_sums(self, log_v) -> np.ndarray:
+        """Node log masses (..., N) of leaf log masses, -inf without mass:
+        the twin of :meth:`subtree_sums` by ``np.logaddexp``."""
+        log_v, lay = np.asarray(log_v, dtype=float), self.layout
+        return np.concatenate(
+            [np.logaddexp.reduceat(log_v, lay.lo[a:b], axis=-1)
+             for a, b in zip(lay.level_starts, lay.level_starts[1:])], axis=-1)
 
-        ``x`` is node-indexed in layout order, (N,) or (N, k); ``q`` is a leaf
-        measure or a stack (..., L) of them.  Returns arrays of shape
-        (..., n[, k]) and (..., n) over the non-leaf nodes in layout order;
-        the expectation is NaN (0/0) where the mass of a measure is 0.
-        """
-        lay, x = self.layout, np.asarray(x, dtype=float)
-        mass = self.subtree_sums(q)
-        inner, tail = lay.level_starts[-2], (...,) + (None,) * (x.ndim - 1)
-        num = np.add.reduceat(mass[..., 1:][tail] * x[1:], lay.first_child - 1,
-                              axis=mass.ndim - 1)
-        m = mass[..., :inner]
-        with np.errstate(invalid="ignore"):  # 0/0 at nodes without mass
-            return num / m[tail], m
+    def one_step_expectation(self, x, ell) -> np.ndarray:
+        """E[x_child | n] (..., n[, k]) at the non-leaf nodes of ``x`` (N,) or
+        (N, k) under node log masses ``ell`` (..., N), all in layout order:
+        weights exp(l_c - l_n), NaN exactly where l_n = -inf."""
+        lay, x, ell = self.layout, np.asarray(x, dtype=float), np.asarray(ell, dtype=float)
+        top, tail = ell[..., :lay.level_starts[-2]], (...,) + (None,) * (x.ndim - 1)
+        w = np.exp(ell[..., 1:] - np.where(top > -np.inf, top, 0.0)[..., lay.parent[1:]])
+        num = np.add.reduceat(w[tail] * x[1:], lay.first_child - 1, axis=ell.ndim - 1)
+        return np.where((top > -np.inf)[tail], num, np.nan)
+
+    def conditional_expectation(self, v, ell) -> np.ndarray:
+        """E[v | n] (..., N) of a leaf array ``v`` under node log masses ``ell``
+        (..., N), weights exp(l_leaf - l_n); NaN exactly where l_n = -inf.
+        One sum over each level's leaves, which every level covers in order."""
+        ell, size = np.asarray(ell, dtype=float), self.layout.hi - self.layout.lo
+        on, leaf = ell > -np.inf, np.tile(np.arange(self.n_leaves), self.horizon + 1)
+        w = np.exp(ell[..., leaf - self.n_leaves]
+                   - np.where(on, ell, 0.0)[..., np.repeat(np.arange(size.size), size)])
+        wv = w * np.asarray(v, dtype=float)[leaf]
+        return np.where(on, np.add.reduceat(wv, np.cumsum(size) - size, axis=-1), np.nan)
 
     def gains(self, h) -> np.ndarray:
         """Gains (N,) at every node of a strategy ``h`` (n, d) on the non-leaf
@@ -537,6 +550,11 @@ def save_market(tree: MarketTree, path) -> None:
 
 
 # -- leaf-indexed helpers ----------------------------------------------------
+
+def log_masses(q: np.ndarray) -> np.ndarray:
+    """ln of a leaf measure, or of a stack of them: -inf where a mass is 0."""
+    return np.log(q, out=np.full(q.shape, -np.inf), where=q > 0)
+
 
 def leaf_values(tree: MarketTree, x) -> np.ndarray:
     """Coerce an array / scalar / mapping (or :class:`RandomVariable`) from

@@ -482,11 +482,10 @@ def check_mubpp(tree: MarketTree, pair: UtilityPair, endow, sprime) -> MubppRepo
 
     ``sprime`` is (N,), or (N, k) for k new assets, in layout order; any
     other shape raises ``ValueError``.  Method A computes per-node drifts
-    under the normalized optimal measure (fair within 1e-8, scaled); method
-    B augments the market with the candidate as extra assets and re-solves
-    (fair within 1e-7, relative).
-    The two verdicts agree (that equivalence is the theorem this verifies);
-    ``is_mubpp`` reports the utility-comparison verdict.  Raises
+    under the normalized optimal measure at the nodes it charges (fair
+    within 1e-8, scaled); method B augments the market with the candidate
+    and re-solves (fair within 1e-7, relative).  The two verdicts agree
+    (the theorem this verifies); ``is_mubpp`` reports method B's.  Raises
     :class:`AugmentInfeasibleError` for a non-finite candidate price or an
     augmented market with arbitrage (then the candidate is not fair).
     """
@@ -498,9 +497,9 @@ def check_mubpp(tree: MarketTree, pair: UtilityPair, endow, sprime) -> MubppRepo
     cand = cand.reshape(n, -1)
 
     sol = solve_dual(tree, pair, endow)
-    cond, mass = tree.one_step_expectation(cand, sol.q_hat)
-    x, live = cand[:mass.size], mass > 0
-    drift = np.abs(cond - x).max(axis=1)
+    inner = tree.layout.level_starts[-2]
+    x, live = cand[:inner], sol.charged[:inner]
+    drift = np.abs(tree.one_step_expectation(cand, sol.node_log_q) - x).max(axis=1)
     drifts = [(nid, float(dn)) for nid, dn, ok in zip(tree.nonleaf_ids, drift, live) if ok]
     max_drift = float((drift / (1.0 + np.abs(x).max(axis=1)))[live].max(initial=0.0))
     drift_verdict = max_drift <= 1e-8
@@ -539,17 +538,10 @@ def check_mubpp(tree: MarketTree, pair: UtilityPair, endow, sprime) -> MubppRepo
 
 def optimal_measure_price_process(sol: DualSolution, claim) -> np.ndarray:
     """Conditional claim expectations (N,) in layout order under the
-    normalized optimal measure (0 at nodes without its mass).
-
-    By construction a martingale under that measure, hence a fair price
-    process for the claim.
-    """
-    tree = sol.tree
-    b = leaf_values(tree, claim)
-    q = sol.q_hat
-    mass = tree.subtree_sums(q)
-    return np.divide(tree.subtree_sums(q * b), mass, out=np.zeros_like(mass),
-                     where=mass > 0)
+    normalized optimal measure's node log masses, 0 at nodes it does not
+    charge: a martingale under that measure, hence a fair price process."""
+    cond = sol.tree.conditional_expectation(leaf_values(sol.tree, claim), sol.node_log_q)
+    return np.where(sol.charged, cond, 0.0)
 
 
 # -- dependence on the endowment --------------------------------------------------

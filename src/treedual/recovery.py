@@ -24,7 +24,7 @@ from .dual import DualSolution, _newton_core, _strategy_basis
 from .errors import (DomainError, NoPrimalOptimizerError, NotExponentialError,
                      ReplicationGapError)
 from .geometry import _support_structure, build_constraints, relative_entropy
-from .market import MarketTree, leaf_values
+from .market import MarketTree, leaf_values, log_masses
 from .utility import UtilityPair
 
 _REPLICATION_TOL = 1e-8  # scaled gap between X and the strategy's wealth
@@ -82,8 +82,7 @@ def recover(tree: MarketTree, pair: UtilityPair, endow,
             f"first-order residual {foc:.3e} above tolerance; "
             "dual solution is not accurate enough", residual=foc)
 
-    q = sol.q_hat
-    lay, on = tree.layout, q > 0
+    q, lay, on = sol.q_hat, tree.layout, sol.charged[-tree.n_leaves:]
     inner = lay.level_starts[-2]
     wealth = float(q[on] @ x[on]) + tree.gains(sol._h_arr)
     gap = np.where(on, np.abs(x - wealth[inner:]), 0.0)
@@ -97,8 +96,7 @@ def recover(tree: MarketTree, pair: UtilityPair, endow,
         terminal_wealth=x, wealth=wealth, strategy=sol._h_arr,
         replication_residual=resid, value=float(np.dot(p, pair.u(x + e))),
         first_order_residual=foc,
-        unreached=tuple(lay.ids[k] for k in
-                        np.flatnonzero(tree.subtree_sums(q)[:inner] == 0)))
+        unreached=tuple(lay.ids[k] for k in np.flatnonzero(~sol.charged[:inner])))
 
 
 # -- verification -----------------------------------------------------------------
@@ -128,35 +126,33 @@ def mollify(measures, q) -> np.ndarray:
 
 
 def verify_supermartingale(tree: MarketTree, wealth, measures,
-                           pair: UtilityPair, q_hat=None) -> SupermartingaleReport:
+                           pair: UtilityPair, optimal=None) -> SupermartingaleReport:
     """Per-node drift of the wealth process under each finite-entropy measure.
 
     ``wealth`` is (N,) in layout order and ``measures`` a stack (k, L) of
     leaf measures; one entropy evaluation picks the finite ones.
     Report-only: lists (measure, node) pairs whose conditional drift exceeds
-    1e-8 (scaled), by measure then node, and the exact-martingale residual
-    under the optimal measure ``q_hat`` (a leaf measure) when given.
+    1e-8 (scaled), by measure then node, where each measure charges (its
+    drift is NaN elsewhere), and the martingale residual under the optimal
+    measure given its exact node log masses ``optimal`` (N,).
     """
-    ids = tree.layout.ids
+    ids, inner = tree.layout.ids, tree.layout.level_starts[-2]
     w = np.asarray(wealth, dtype=float)
     w_scale = 1.0 + float(np.abs(w).max())
-
-    def node_drifts(q_arr):
-        cond, mass = tree.one_step_expectation(w, q_arr)
-        return cond - w[:mass.shape[-1]], mass > 0
 
     q = np.asarray(measures, dtype=float).reshape(-1, tree.n_leaves)
     finite = np.isfinite(relative_entropy(tree, pair, q))
     tested = np.flatnonzero(finite)
-    drift, live = node_drifts(q[finite])
+    ell = tree.log_subtree_sums(log_masses(q[finite]))
+    drift = tree.one_step_expectation(w, ell) - w[:inner]
     violations = [DriftViolation(int(tested[k]), ids[n], float(drift[k, n]))
-                  for k, n in zip(*np.nonzero(live & (drift > 1e-8 * w_scale)))]
-    max_drift = float(drift[live].max(initial=-math.inf))
+                  for k, n in zip(*np.nonzero(drift > 1e-8 * w_scale))]
+    max_drift = float(np.fmax.reduce(drift, axis=None, initial=-math.inf))
 
     opt_drift = 0.0
-    if q_hat is not None:
-        drift, live = node_drifts(leaf_values(tree, q_hat))
-        opt_drift = float(np.abs(drift[live]).max(initial=0.0))
+    if optimal is not None:
+        drift = tree.one_step_expectation(w, optimal) - w[:inner]
+        opt_drift = float(np.fmax.reduce(np.abs(drift), axis=None, initial=0.0))
 
     return SupermartingaleReport(
         violations=tuple(violations),
@@ -182,39 +178,36 @@ class DynamicDualNode:
 def dynamic_dual(sol: DualSolution, t: int, wealth=None) -> list[DynamicDualNode]:
     """Conditional dual problems of the solved market at the time-``t`` nodes.
 
-    For each node n the optimum charges (``q_hat`` positive on its subtree),
-    the least conditional entropy-plus-endowment objective over subtree
-    measures matching the optimizer's mass m_n on the node, and its
-    derivative in that mass.  A leaf's problem has one feasible point, its
-    mass: the raw value is p V(m/p) + m e, the derivative -X.  Exponential
-    family: from the log-space pass's L_n (``sol._log_l``), the raw value is
-    ``C P_n + m_n (ln m_n - 1 - ln P_n - L_n)/gamma`` and the derivative
-    ``(ln m_n - ln P_n - L_n)/gamma``, ln m_n = ln y + ln sum_subtree q_hat
-    exact where m_n underflows, a whole level in a few array operations.
-    Two-power non-leaf nodes run the Newton core on the subtree's maximal
-    support, started at the optimizer, and differentiate by the envelope
-    formula.  The value is the raw one over P_n; the restriction gap
-    compares it with the objective of the global optimizer restricted to
-    the subtree, one ``subtree_sums`` of ``p V(mu/p) + mu e`` (p V(0) at
-    dead leaves).  Deterministic time grid only.  Consistency: the
-    derivative should equal minus the wealth at the node, when ``wealth``
-    (N,) in layout order is given.
+    At each node n the optimum charges (:attr:`DualSolution.charged`), the
+    least entropy-plus-endowment objective over subtree measures of the
+    optimizer's mass m_n, and its derivative in that mass.  A leaf's
+    problem has one feasible point: raw value p V(m/p) + m e, derivative
+    -X.  Exponential family, from the log-space pass's L_n: raw value
+    ``C P_n + m_n (ln m_n - 1 - ln P_n - L_n)/gamma``, derivative
+    ``(ln m_n - ln P_n - L_n)/gamma``, with ln m_n = ln y +
+    ``node_log_q[n]`` exact where m_n underflows.  Two-power non-leaf nodes
+    run the Newton core on the subtree's maximal support, started at the
+    optimizer, and differentiate by the envelope formula.  The value is the
+    raw one over P_n; the restriction gap compares it with the global
+    optimizer's objective on the subtree, a ``subtree_sums`` of
+    ``p V(mu/p) + mu e``.  Deterministic time grid only.  When ``wealth``
+    (N,) in layout order is given, the derivative should equal minus it.
     """
     tree, pair, e = sol.tree, sol.pair, sol._endow_arr
     if not (0 <= t <= tree.horizon):
         raise ValueError(f"time {t} outside 0..{tree.horizon}")
     lay, p, mu = tree.layout, tree.leaf_probability_array, sol.mu
     obj = p * pair.v(mu / p) + mu * e
-    weight, mass, restricted = tree.subtree_sums(np.stack([sol.q_hat, mu, obj]))
+    mass, restricted = tree.subtree_sums(np.stack([mu, obj]))
     nodes = np.arange(lay.level_starts[t], lay.level_starts[t + 1])
-    nodes = nodes[weight[nodes] > 0]
+    nodes = nodes[sol.charged[nodes]]
     m, big_p = mass[nodes], tree.node_probability_array[nodes]
     if t == tree.horizon:
         leaf = nodes - lay.level_starts[-2]
         raw, deriv = obj[leaf], -sol.terminal_gain[leaf]
     elif sol._log_l is not None:
         gamma = pair.params["gamma"]
-        log_m = sol._log_mass + np.log(weight[nodes])   # exact where m underflows
+        log_m = sol._log_mass + sol.node_log_q[nodes]   # exact where m underflows
         log_ratio = log_m - np.log(big_p) - sol._log_l[nodes]
         raw = pair.params["C"] * big_p + m * (log_ratio - 1.0) / gamma
         deriv = log_ratio / gamma
@@ -271,33 +264,25 @@ class SnellReport:
 def snell_envelope_exponential(sol: DualSolution, vertices, *, wealth) -> SnellReport:
     """Essential-supremum representation of the optimal wealth (exponential).
 
-    At each node, the wealth should equal the supremum over equivalent
-    finite-entropy martingale measures of the conditional expectation of the
-    log-density payoff ``(1/gamma) ln(dP/d(optimal measure)) - endowment``,
-    ``sol.terminal_gain``.  ``wealth`` is (N,) in layout order.  The
-    vertices, a stack (k, L), are mollified toward the optimal measure
-    (:func:`mollify`) to yield equivalent test measures, all of finite
-    entropy; the optimal measure attains the supremum.  A (measure, node)
-    pair without mass, where the mollified weight underflows, is skipped,
-    so a node that no tested measure reaches reads an infinite gap.
+    At each node the wealth (N,) should equal the supremum, over equivalent
+    finite-entropy martingale measures, of the conditional expectation of
+    ``sol.terminal_gain`` = (1/gamma) ln(dP/d(optimal measure)) - endowment,
+    which the optimal measure attains.  The tested measures are the optimal
+    one, in its exact node log masses, and the vertices (k, L) mollified
+    toward it (:func:`mollify`), each skipped where its float mass is 0.
     """
     tree, pair = sol.tree, sol.pair
     if pair.family != "exponential":
         raise NotExponentialError("Snell-envelope check requires exponential utility")
     if sol.support != "EQUIVALENT":
         raise NoPrimalOptimizerError("requires an equivalent optimal measure")
-    tested = np.vstack([sol.q_hat, mollify(vertices, sol.q_hat)])
+    tested = np.vstack([sol.node_log_q,
+                        tree.log_subtree_sums(log_masses(mollify(vertices, sol.q_hat)))])
 
     w = np.asarray(wealth, dtype=float)
     w_scale = 1.0 + float(np.abs(w).max())
-    num, mass = tree.subtree_sums(tested * sol.terminal_gain), tree.subtree_sums(tested)
-    vals = np.divide(num, mass, out=np.full_like(num, -np.inf), where=mass > 0)
-    best = vals.max(axis=0)
-    eq_gap = float((np.abs(best - w) / w_scale).max())
-    lb_excess = float(((vals - w) / w_scale).max())
-    return SnellReport(
-        envelope=best,
-        max_equality_gap=eq_gap,
-        max_lower_bound_excess=lb_excess,
-        measures_tested=len(tested),
-    )
+    vals = tree.conditional_expectation(sol.terminal_gain, tested)   # NaN: skipped
+    best = np.fmax.reduce(vals, axis=0)   # so the lower-bound excess is best - w
+    return SnellReport(envelope=best, max_equality_gap=float((np.abs(best - w) / w_scale).max()),
+                       max_lower_bound_excess=float((best - w).max() / w_scale),
+                       measures_tested=len(tested))

@@ -1,13 +1,14 @@
 """The verify battery over every instance of the random acceptance suite."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import treegen
 from treedual import (checks, dual, dynamic_dual, exponential_utility,
-                      find_equivalent_mm, geometry, recover, run_battery)
+                      find_equivalent_mm, geometry, recover, run_battery, two_power_utility)
 
 SUITE = treegen.acceptance_suite()
 
@@ -72,6 +73,43 @@ def test_value_curve_stationarity_reads_log_masses_at_a_subnormal_optimum(market
     assert len(results) == 18 and not [r.line() for r in results if not r.passed]
 
 
+def test_maximal_support_reads_a_charged_leaf_whose_q_hat_underflows():
+    # at e = (0, 760, 0) q_hat = (1/3, 0, 2/3) while ln q_hat at leaf b is
+    # -760.64: b is charged, as the vertex (0, 1, 0) asks
+    tree, pair, e, sol = _edge_instance("tri1", (0, 760, 0), 1.0)
+    assert sol.q_hat[1] == 0.0 and sol._log_q[1] == pytest.approx(-760.64, abs=0.01)
+    assert sol.charged.all()
+    results = run_battery(tree, pair, e)
+    assert not [r.line() for r in results if not r.passed]
+
+
+def test_exponential_checks_read_node_log_masses_where_path_masses_underflow():
+    # the caterpillar's optimal path masses reach ~1e-400; the float subtree
+    # ratios read 2.2e-4, inf and 2.4e-7 on the last three checks here.  The
+    # support flag comes from DD's entry floor, apart from the optimum
+    tree = treegen.caterpillar_market()
+    results = {r.name: r for r in run_battery(tree, exponential_utility(1.0, 2.0), 0.0)}
+    for name in ("martingale under the optimal measure", "exponential Snell envelope",
+                 "Snell lower bounds"):
+        assert results[name].passed, results[name].line()
+    assert [name for name, r in results.items() if not r.passed] == [
+        "support flag matches market"]
+
+
+@pytest.mark.parametrize("make", [treegen.caterpillar_market,
+                                  lambda: treegen.product_market([[1e5, 0.99999]] * 2)],
+                         ids=["caterpillar", "product"])
+def test_a_failed_conditional_solve_reads_a_typed_fail(make):
+    # a two-power conditional solve that stops short is the dynamic dual's
+    # FAIL line, and the battery goes on to the later checks
+    pair = two_power_utility(0.5, 1.0, 1.0)
+    results = run_battery(make(), pair, 0.0)
+    assert [r.name for r in results] == [r.name for r in run_battery(treegen.tri1(), pair, 0.0)]
+    check = next(r for r in results if r.name == "dynamic dual consistency")
+    assert check.residual == math.inf and not check.passed
+    assert check.detail.startswith("NonconvergedError: no acceptable step at scaled gradient")
+
+
 def test_a_check_passes_exactly_when_its_residual_is_within_its_bound():
     verdicts = [checks.CheckResult("c", r, 1e-8).passed
                 for r in (0.0, 1e-8, 2e-8, np.inf, np.nan)]
@@ -101,13 +139,15 @@ def test_support_flag_check_fails_on_a_wrong_support_mask(tri1, monkeypatch):
 def test_terminal_gain_keeps_the_recovered_formulas():
     # X = -V'(mu/p) - e, in log space for the exponential family, bit for
     # bit as recovery computed it; the two-power mass derivative is the
-    # envelope E_q_hat[V'(mu/p) + e] bit for bit
+    # envelope E_q_hat[V'(mu/p) + e] bit for bit, and its leaf log masses
+    # are ln q_hat
     for tree, pair, endow in SUITE:
         sol = dual.solve_dual(tree, pair, endow)
         p, e, q = tree.leaf_probability_array, sol._endow_arr, sol.q_hat
         if pair.family == "exponential":
             want = (np.log(p) - sol._log_mass - sol._log_q) / pair.params["gamma"] - e
         else:
+            assert sol._log_q.tobytes() == np.log(q).tobytes()
             want = -pair.v_prime(sol.density_array) - e
             envelope = float(np.dot(q, pair.v_prime(sol.density_array) + e))
             assert sol.mass_derivative == envelope

@@ -335,9 +335,8 @@ def _corrupted_solve(shift):
         for leaf, delta in shift.items():
             mu[tree.leaf_ids.index(leaf)] += delta
         mass = float(mu.sum())
-        log_q = None if sol._log_q is None else np.log(mu / mass)
         return dataclasses.replace(sol, mass=mass, mu=mu, q_hat=mu / mass,
-                                   _log_mass=math.log(mass), _log_q=log_q)
+                                   _log_mass=math.log(mass), _log_q=np.log(mu / mass))
 
     return corrupted
 

@@ -818,10 +818,11 @@ def test_maximal_support_holds_on_exact_exponential_optima(gamma, scale):
 def test_maximal_support_flags_an_uncharged_vertex_leaf(tri1, exp_pair):
     sol = solve_dual(tri1, exp_pair, {"a": 0.3, "b": -0.2, "c": 0.1})
     verts = vertex_enumerate(build_constraints(tri1))
-    # the optimum charges leaf a nowhere: neither mu nor q_hat
-    mu, q = sol.mu.copy(), sol.q_hat.copy()
-    mu[tri1.leaf_ids.index("a")] = q[tri1.leaf_ids.index("a")] = 0.0
-    rep = check_maximal_support(dataclasses.replace(sol, mu=mu, q_hat=q), verts)
+    # the optimum charges leaf a nowhere: neither mu, q_hat nor its log masses
+    mu, q, log_q = sol.mu.copy(), sol.q_hat.copy(), sol._log_q.copy()
+    a = tri1.leaf_ids.index("a")
+    mu[a], q[a], log_q[a] = 0.0, 0.0, -np.inf
+    rep = check_maximal_support(dataclasses.replace(sol, mu=mu, q_hat=q, _log_q=log_q), verts)
     charging = [k for k, v in enumerate(verts) if v[0] > 0]
     assert charging and rep.violations == tuple((k, "a") for k in charging)
 

@@ -101,3 +101,69 @@ def test_package_and_cli_price_do_not_load_scipy():
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def charged_set_violations(source: str, module: str) -> list[str]:
+    """Expressions that decide the charged set or a conditional expectation
+    from float masses: a comparison of ``q_hat`` or of a subtree sum with
+    0, and, outside ``market``, an ``np.divide`` or ``/`` by a subtree sum.
+    A subtree sum is a ``subtree_sums(...)`` call, a name assigned from one
+    (tuple targets included) or a subscript of either."""
+    tree = ast.parse(source)
+
+    def called(node, name):
+        f = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and name in (getattr(f, "id", None),
+                                                       getattr(f, "attr", None))
+
+    sums = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and called(node.value, "subtree_sums"):
+            for target in node.targets:
+                elts = target.elts if isinstance(target, ast.Tuple) else [target]
+                sums.update(t.id for t in elts if isinstance(t, ast.Name))
+
+    def is_sum(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return called(node, "subtree_sums") or (isinstance(node, ast.Name) and node.id in sums)
+
+    def is_q_hat(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return "q_hat" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            sides = [node.left] + node.comparators
+            if (any(isinstance(s, ast.Constant) and s.value == 0 for s in sides)
+                    and any(is_q_hat(s) or is_sum(s) for s in sides)):
+                found.append(f"line {node.lineno}: compares with 0")
+        elif module != "market" and (
+                (called(node, "divide") and len(node.args) > 1 and is_sum(node.args[1]))
+                or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                    and is_sum(node.right))):
+            found.append(f"line {node.lineno}: divides by a subtree sum")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_charged_set_and_expectations_read_node_log_masses(path):
+    assert charged_set_violations(path.read_text(), path.stem) == []
+
+
+def test_charged_set_violations_are_found():
+    source = ("def f(tree, sol, q, x):\n"
+              "    on = sol.q_hat > 0\n"
+              "    mass, total = tree.subtree_sums(q)\n"
+              "    a = np.divide(x, mass, where=mass[1:] > 0.0)\n"
+              "    b = x / tree.subtree_sums(q)[0]\n"
+              "    c = 0 == q_hat[1]\n"
+              "    return q > 0, x / total, np.divide(mass, x), sol.q_hat @ x\n")
+    found = ["line 2: compares with 0", "line 4: divides by a subtree sum",
+             "line 4: compares with 0", "line 5: divides by a subtree sum",
+             "line 6: compares with 0", "line 7: divides by a subtree sum"]
+    assert sorted(charged_set_violations(source, "pricing")) == sorted(found)
+    assert sorted(charged_set_violations(source, "market")) == [
+        "line 2: compares with 0", "line 4: compares with 0", "line 6: compares with 0"]

@@ -255,9 +255,11 @@ def test_layout_expectations_match_condition(drawn):
     assert lay.ids == tree.nonleaf_ids + tree.leaf_ids
     x_leaf = x[lay.level_starts[-2]:]
     mass, weighted = tree.subtree_sums(q), tree.subtree_sums(q * x_leaf)
-    cond, inner_mass = tree.one_step_expectation(x, q)
-    prices, _ = tree.one_step_expectation(lay.prices, q)
-    assert np.array_equal(inner_mass, mass[:, :len(tree.nonleaf_ids)])
+    ell = tree.log_subtree_sums(market.log_masses(q))
+    cond = tree.one_step_expectation(x, ell)
+    prices = tree.one_step_expectation(lay.prices, ell)
+    full = tree.conditional_expectation(x_leaf, ell)
+    assert np.array_equal(ell > -np.inf, mass > 0)
     for n, nid in enumerate(lay.ids):
         # the child process as a leaf variable on this node's subtree
         x_child = np.zeros(tree.n_leaves)
@@ -270,10 +272,13 @@ def test_layout_expectations_match_condition(drawn):
                 with pytest.raises(ZeroDivisionError):
                     condition(tree, x_leaf, q[k], nid)
                 assert math.isnan(condition(tree, x_leaf, q[k], nid, on_zero_mass=math.nan))
+                assert math.isnan(full[k, n])
                 if n < cond.shape[1]:
                     assert math.isnan(cond[k, n]) and np.isnan(prices[k, n]).all()
                 continue
             assert weighted[k, n] / mass[k, n] == pytest.approx(
+                condition(tree, x_leaf, q[k], nid), rel=1e-12, abs=1e-12)
+            assert full[k, n] == pytest.approx(
                 condition(tree, x_leaf, q[k], nid), rel=1e-12, abs=1e-12)
             if n >= cond.shape[1]:
                 continue

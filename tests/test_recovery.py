@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ratios
 import treegen
 from treedual import (DomainError, NoPrimalOptimizerError,
                       NotExponentialError, build_constraints,
@@ -128,7 +129,7 @@ def test_supermartingale_under_vertices(tri1, exp_pair):
     ps = recover(tri1, exp_pair, 0.0, sol)
     verts = vertex_enumerate(build_constraints(tri1))
     rep = verify_supermartingale(tri1, ps.wealth, verts, exp_pair,
-                                 q_hat=sol.q_hat)
+                                 optimal=sol.node_log_q)
     assert not rep.violations
     assert rep.max_drift <= 1e-8
     assert rep.max_abs_drift_under_optimal <= 1e-8
@@ -168,8 +169,9 @@ def _reference_checks(tree, pair, mu, wealth, measures):
                 support.append((k, leaf))
     ids = tree.layout.ids
     w = np.asarray(wealth, dtype=float)
-    cond, mass = tree.one_step_expectation(w, np.reshape(arrs, (len(tested), -1)))
-    drift, live = cond - w[:mass.shape[-1]], mass > 0
+    q = np.reshape(arrs, (len(tested), -1))
+    drift = ratios.one_step(tree, w, q) - w[:len(tree.nonleaf_ids)]
+    live = tree.subtree_sums(q)[:, :len(tree.nonleaf_ids)] > 0
     bad = live & (drift > 1e-8 * (1.0 + np.abs(w).max()))
     violations = [(tested[k], ids[n], float(drift[k, n])) for k, n in zip(*np.nonzero(bad))]
     max_drift = float(drift[live].max(initial=-math.inf)) if tested else 0.0
@@ -186,9 +188,10 @@ def test_stacked_checks_match_the_per_measure_loops(seed, n_assets, family):
             else two_power_utility(0.5, 1.0, 1.0))
     sol = solve_dual(tree, pair, rng.uniform(-1.0, 1.0, tree.n_leaves))
     # a measure missing some leaves, so vertices charging them are flagged;
-    # mu and q_hat miss the same ones, as in a solution
+    # mu, q_hat and its log masses miss the same ones, as in a solution
     keep = rng.uniform(size=tree.n_leaves) < 0.7
-    sol = dataclasses.replace(sol, mu=sol.mu * keep, q_hat=sol.q_hat * keep)
+    sol = dataclasses.replace(sol, mu=sol.mu * keep, q_hat=sol.q_hat * keep,
+                              _log_q=np.where(keep, sol._log_q, -np.inf))
     # vertices (infinite two-power entropy where they miss a leaf), full
     # samples and a zero measure (no mass anywhere)
     measures = np.vstack([vertex_enumerate(build_constraints(tree)),
@@ -202,9 +205,28 @@ def test_stacked_checks_match_the_per_measure_loops(seed, n_assets, family):
     assert sc.violations == support
     assert (sc.vertices_tested, sc.vertices_skipped_infinite_entropy) == (tested, skipped)
     rep = verify_supermartingale(tree, wealth, measures, pair)
-    assert [(v.measure_index, v.node_id, v.drift) for v in rep.violations] == violations
-    assert rep.max_drift == max_drift
+    # the package weighs by node log masses, the reference divides float sums
+    scale = 1e-13 * (1.0 + np.abs(wealth).max())
+    assert [(v.measure_index, v.node_id) for v in rep.violations] == [v[:2] for v in violations]
+    assert [v.drift for v in rep.violations] == pytest.approx([v[2] for v in violations],
+                                                              rel=0, abs=scale)
+    assert rep.max_drift == pytest.approx(max_drift, rel=0, abs=scale)
     assert (rep.measures_tested, rep.measures_skipped) == (tested, skipped)
+
+
+def test_optimal_drift_reads_nodes_whose_float_mass_is_zero(exp_pair):
+    # q_hat's float subtree mass is 0 below some caterpillar nodes; its node
+    # log masses still weigh their children, so a wealth bent there is seen
+    tree = treegen.caterpillar_market()
+    sol = solve_dual(tree, exp_pair, 0.0)
+    wealth = recover(tree, exp_pair, 0.0, sol).wealth
+    dark = np.flatnonzero(tree.subtree_sums(sol.q_hat)[:len(tree.nonleaf_ids)] == 0)
+    assert dark.size
+    for bend, low, high in ((0.0, 0.0, 1e-8), (1.0, 0.5, 2.0)):
+        bent = wealth.copy()
+        bent[dark[-1]] += bend
+        rep = verify_supermartingale(tree, bent, [sol.q_hat], exp_pair, optimal=sol.node_log_q)
+        assert low <= rep.max_abs_drift_under_optimal <= high
 
 
 def test_two_power_skips_infinite_entropy_vertices(tri1, tp_pair):
@@ -212,7 +234,7 @@ def test_two_power_skips_infinite_entropy_vertices(tri1, tp_pair):
     ps = recover(tri1, tp_pair, 0.0, sol)
     verts = vertex_enumerate(build_constraints(tri1))
     rep = verify_supermartingale(tri1, ps.wealth, verts, tp_pair,
-                                 q_hat=sol.q_hat)
+                                 optimal=sol.node_log_q)
     # both vertices have a zero leaf, hence infinite entropy for this pair
     assert rep.measures_tested == 0
     assert rep.measures_skipped == 2
@@ -271,14 +293,22 @@ def test_snell_requires_exponential(tri1, tp_pair):
 
 def test_recover_lists_unreached_nodes(exp_pair):
     # an endowment of 800 on r.1's leaves leaves r.1 a mass of about e^-800,
-    # which underflows: the market is equivalent, yet the node is unreached
+    # which underflows as a float; its node log mass is exact, so the node is
+    # charged and reached, and only a node without optimal mass is listed
     tree = treegen.product_market([[1.2, 1.0, 0.85], [1.2, 0.9]])
     e = np.array([800.0 if nid.startswith("r.1.") else 0.0 for nid in tree.leaf_ids])
     sol = solve_dual(tree, exp_pair, e)
     assert sol.support == "EQUIVALENT"
+    r1 = tree.layout.ids.index("r.1")
+    assert tree.subtree_sums(sol.q_hat)[r1] == 0.0 and sol.charged[r1]
     ps = recover(tree, exp_pair, e, sol)
-    assert ps.unreached == ("r.1",)
+    assert ps.unreached == ()
+    assert ps.replication_residual <= 1e-8
     assert np.array_equal(ps.strategy, sol._h_arr)
+    # without its log masses, r.1 carries no optimal mass
+    log_q = np.where([nid.startswith("r.1.") for nid in tree.leaf_ids], -np.inf, sol._log_q)
+    cut = dataclasses.replace(sol, _log_q=log_q)
+    assert recover(tree, exp_pair, e, cut).unreached == ("r.1",)
 
 
 def test_dynamic_dual_on_a_degenerate_market(exp_pair):
