@@ -16,11 +16,9 @@ from .utility import (CertificationReport, UtilityPair, certify_assumptions,
                       evaluate, exponential_utility, parse_utility_spec,
                       two_power_utility)
 from .geometry import (build_constraints, find_equivalent_mm,
-                       is_martingale_measure, relative_entropy,
-                       sample_martingale_measures, vertex_enumerate)
-from .dual import (CurvePoint, CurveReport, DualSolution, SupportCheck,
-                   check_maximal_support, dual_derivative, dual_value_curve,
-                   solve_dual, solve_dual_fixed_mass)
+                       is_martingale_measure, relative_entropy, vertex_enumerate)
+from .dual import (CurvePoint, CurveReport, DualSolution, dual_derivative,
+                   dual_value_curve, solve_dual, solve_dual_fixed_mass)
 from .recovery import (DynamicDualNode, PrimalSolution, SnellReport,
                        SupermartingaleReport, dynamic_dual, recover,
                        snell_envelope_exponential, verify_supermartingale)

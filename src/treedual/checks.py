@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import (_qr_fits, _strategy_basis, check_maximal_support, dual_value_curve,
-                   solve_dual)
+from .dual import _qr_fits, _strategy_basis, dual_value_curve, solve_dual
 from .errors import CapExceededError, NonconvergedError
-from .geometry import (_support_structure, build_constraints, find_equivalent_mm,
-                       relative_entropy, sample_martingale_measures, vertex_enumerate)
+from .geometry import (_support_structure, build_constraints, relative_entropy,
+                       vertex_enumerate)
 from .market import MarketTree, leaf_values
-from .recovery import (dynamic_dual, mollify, recover, snell_envelope_exponential,
+from .recovery import (dynamic_dual, recover, snell_envelope_exponential,
                        verify_supermartingale)
 from .utility import UtilityPair, certify_assumptions
 
@@ -62,10 +61,17 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     charged node, the wealth residual and restriction gap of
     :func:`dynamic_dual`.  The certification proves biconjugacy from the
     pair's closed forms at y = U'(x); its detail prints the tail
-    elasticities (AE-, AE+) beside their grid estimates.  The value curve
-    is solved at log masses around the optimum's.  A result's ``seconds``
-    run from the previous result, so shared work (the solve, the vertices,
-    the recovery, the curve) is charged to the first check that uses it.
+    elasticities (AE-, AE+) beside their grid estimates.  The support flag
+    and "maximal support" read one leaf mask, named in the latter's detail:
+    the union of the supports of the enumerated vertices, an oracle apart
+    from the support pass behind the flag, or that pass past the
+    enumeration cap.  The checks under all martingale measures go node by
+    node over the valid one-step vertices (:func:`verify_supermartingale`,
+    :func:`snell_envelope_exponential`), exhaustive at any size.  The value
+    curve is solved at log masses around the optimum's.  A result's
+    ``seconds`` run from the previous result, so shared work (the solve, the
+    vertices, the recovery, the curve) is charged to the first check that
+    uses it.
     """
     results, clock = [], [time.perf_counter()]
 
@@ -97,21 +103,17 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     kkt = float(np.abs(g[live] - rows @ lam).max()) / (1.0 + float(np.abs(g[live]).max()))
     add("dual first-order conditions", kkt, 1e-8)
 
-    # enumerated vertices, a (k, L) stack, decide equivalence apart from the
-    # support pass behind the flag (every leaf charged by some vertex); past
-    # the enumeration cap of 10 000, 256 seeded samples cannot and defer to it
+    # one leaf mask decides the flag and the maximal support: the union of
+    # the enumerated vertices' supports, apart from the support pass behind
+    # the flag, or past the enumeration cap of 10 000 the support pass itself
     try:
-        measures, kind = vertex_enumerate(build_constraints(tree)), "vertices"
-        equivalent = bool((measures > 0).any(axis=0).all())
+        verts = vertex_enumerate(A)
+        support, source = (verts > 0).any(axis=0), f"{len(verts)} enumerated vertices"
     except CapExceededError:
-        measures, kind = sample_martingale_measures(tree, 256), "samples"
-        equivalent = find_equivalent_mm(tree) is not None
-    support_ok = (sol.support == "EQUIVALENT") == equivalent
+        support, source = _support_structure(tree).mask, "support pass, past the vertex cap"
+    support_ok = (sol.support == "EQUIVALENT") == bool(support.all())
     add("support flag matches market", 0.0 if support_ok else 1.0, 0.5, sol.support)
-
-    sc = check_maximal_support(sol, measures)
-    add("maximal support", float(len(sc.violations)), 0.5,
-        f"{sc.vertices_tested} {kind} tested")
+    add("maximal support", float(np.count_nonzero(support & ~live)), 0.5, source)
 
     if sol.support != "EQUIVALENT":
         return results
@@ -132,12 +134,10 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     w0 = abs(float(ps.wealth[0]))
     add("zero-cost wealth at the root", w0, 1e-8)
 
-    # mollified toward q_hat, each measure charges every leaf q_hat does, so
-    # its entropy is finite even where V(0) = inf (raw vertices may miss leaves)
-    sm = verify_supermartingale(tree, ps.wealth, mollify(measures, sol.q_hat), pair,
-                                sol.node_log_q)
+    sm = verify_supermartingale(tree, ps.wealth, sol.node_log_q)
     add("supermartingale under tested measures", max(sm.max_drift, 0.0),
-        1e-8 * (1.0 + float(np.abs(ps.wealth).max())), f"{sm.measures_tested} measures")
+        1e-8 * (1.0 + float(np.abs(ps.wealth).max())),
+        f"{sm.vertices_tested} one-step vertices")
     add("martingale under the optimal measure", sm.max_abs_drift_under_optimal, 1e-8)
 
     # the conditional problems' mass derivatives against the wealth, and
@@ -152,7 +152,7 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     add("dynamic dual consistency", worst, 1e-7, detail)
 
     if pair.family == "exponential":
-        sn = snell_envelope_exponential(sol, measures, wealth=ps.wealth)
+        sn = snell_envelope_exponential(sol, wealth=ps.wealth)
         add("exponential Snell envelope", sn.max_equality_gap, 1e-5)
         add("Snell lower bounds", max(sn.max_lower_bound_excess, 0.0), 1e-7)
 
@@ -164,17 +164,17 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     d_opt = abs(curve.points[2].derivative)   # at y = sol.mass
     add("stationarity of the mass derivative", d_opt, 1e-7)
 
-    if pair.u(0.0) > 0:
-        # growth of the value curve from the conjugate growth constant:
-        # y v'(y) <= C' v(y) - (C' - 1) x' y with x' the worst endowment
-        cprime = cert.growth_constant_estimate
-        x_low = float(e.min())
-        worst_g = -math.inf
-        for pt in curve.points:
-            lhs = pt.y * pt.derivative
-            rhs = cprime * pt.value - (cprime - 1.0) * x_low * pt.y
-            worst_g = max(worst_g, (lhs - rhs) / (1.0 + abs(rhs)))
-        add("conjugate growth bound along the curve", max(worst_g, 0.0), 1e-6,
-            f"C'={cprime:.3g}")
+    # growth of the value curve from the conjugate growth constant (the
+    # certification has proved U(0) > 0): y v'(y) <= C' v(y) - (C' - 1) x' y
+    # with x' the worst endowment
+    cprime = cert.growth_constant_estimate
+    x_low = float(e.min())
+    worst_g = -math.inf
+    for pt in curve.points:
+        lhs = pt.y * pt.derivative
+        rhs = cprime * pt.value - (cprime - 1.0) * x_low * pt.y
+        worst_g = max(worst_g, (lhs - rhs) / (1.0 + abs(rhs)))
+    add("conjugate growth bound along the curve", max(worst_g, 0.0), 1e-6,
+        f"C'={cprime:.3g}")
 
     return results

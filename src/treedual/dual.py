@@ -49,8 +49,7 @@ import numpy as np
 from .errors import (DomainError, EvaluationOverflowError, InfeasibleEntropyError,
                      NoMartingaleMeasureError, NonconvergedError,
                      ValueAtSupremumError)
-from .geometry import (_TOL, SupportStructure, _support_structure, build_constraints,
-                       relative_entropy)
+from .geometry import _TOL, SupportStructure, _support_structure, build_constraints
 from .market import MarketTree, leaf_values, log_masses
 from .utility import UtilityPair
 
@@ -709,28 +708,3 @@ def dual_derivative(tree: MarketTree, pair: UtilityPair, endow, y: float) -> flo
     inner optimizer at mass ``y``, of V' of its density plus the endowment.
     """
     return solve_dual_fixed_mass(tree, pair, endow, y).mass_derivative
-
-
-@dataclass(frozen=True)
-class SupportCheck:
-    violations: tuple[tuple[int, str], ...]  # (vertex index, leaf id)
-    vertices_tested: int
-    vertices_skipped_infinite_entropy: int
-
-
-def check_maximal_support(sol: DualSolution, vertices) -> SupportCheck:
-    """Check that the optimal measure dominates every finite-entropy vertex.
-
-    Any leaf charged (above 1e-10) by a finite-entropy polytope vertex must
-    also be charged by the optimum, in :attr:`DualSolution.charged` (the
-    optimizer is "as equivalent as possible"; ``q_hat`` may underflow on a
-    charged leaf).  ``vertices`` is a stack
-    (k, L), checked by one entropy evaluation and one mask; violations run
-    by vertex, then leaf.  Report-only.
-    """
-    tree = sol.tree
-    q = np.asarray(vertices, dtype=float).reshape(-1, tree.n_leaves)
-    finite = np.isfinite(relative_entropy(tree, sol.pair, q))
-    k, i = np.nonzero(finite[:, None] & (q > 1e-10) & ~sol.charged[-tree.n_leaves:])
-    return SupportCheck(tuple((int(a), tree.leaf_ids[b]) for a, b in zip(k, i)),
-                        int(finite.sum()), int(finite.size - finite.sum()))

@@ -188,10 +188,13 @@ class SupportStructure:
         return mass[levels[-2]:]
 
     def extremes(self, u):
-        """(min, max) of E_q[u] over martingale probabilities q.
+        """Per node, the (min, max) of E_q[u | n] over martingale
+        probabilities q: two (N,) arrays in layout order.
 
         Backward induction: a node's lower (upper) value is the least
-        (greatest) vertex-weighted sum of its children's values.
+        (greatest) vertex-weighted sum of its children's values, so it is
+        exact for every measure at once.  Leaves read ``u``; a node without
+        a valid vertex (no martingale measure on its subtree) reads 0.
         """
         levels = self.layout.level_starts
         lo, hi = np.zeros(len(self.layout.ids)), np.zeros(len(self.layout.ids))
@@ -202,7 +205,7 @@ class SupportStructure:
             starts = np.flatnonzero(np.diff(node, prepend=-1))
             lo[node[starts]] = np.minimum.reduceat((weight * lo[child]).sum(axis=1), starts)
             hi[node[starts]] = np.maximum.reduceat((weight * hi[child]).sum(axis=1), starts)
-        return float(lo[0]), float(hi[0])
+        return lo, hi
 
 
 @lru_cache(maxsize=256)
@@ -261,22 +264,19 @@ def find_equivalent_mm(tree: MarketTree) -> np.ndarray | None:
 
 # -- entropy ---------------------------------------------------------------------
 
-def relative_entropy(tree: MarketTree, pair: UtilityPair, mu) -> float | np.ndarray:
+def relative_entropy(tree: MarketTree, pair: UtilityPair, mu) -> float:
     """Generalized entropy of ``mu`` against the reference leaf probabilities.
 
     Expectation of the conjugate applied to the leaf density, with the
     convention that a zero-density leaf contributes V(0) = U(inf); the result
-    is +inf iff some term is.  A stack (k, L) of measures gives a (k,) array
-    from one evaluation of V, row j bit for bit the entropy of row j alone.
+    is +inf iff some term is.
     """
-    stack = np.ndim(mu) == 2
-    ms = np.asarray(mu, dtype=float) if stack else leaf_values(tree, mu)[None]
-    if np.any(ms < 0):
+    m = leaf_values(tree, mu)
+    if np.any(m < 0):
         raise DomainError("measure must be non-negative")
     p = tree.leaf_probability_array
-    vals = pair.v(ms / p)
-    ent = np.where(np.isfinite(vals).all(axis=1), (vals * p).sum(axis=1), np.inf)
-    return ent if stack else float(ent[0])
+    vals = pair.v(m / p)
+    return float((vals * p).sum()) if np.isfinite(vals).all() else np.inf
 
 
 # -- vertex enumeration -----------------------------------------------------------
@@ -305,10 +305,14 @@ def vertex_enumerate(A: np.ndarray, cap: int = VERTEX_CAP_DEFAULT) -> np.ndarray
     set) in blocks, one matrix product of their common zero sets against
     every ray's charged leaves per block.  Raises
     :class:`CapExceededError` as soon as the working set exceeds ``cap``,
-    inside a row's pairings as after them (callers fall back to sampling).
-    Returns the vertices as a stack (k, L): one unit-mass row per vertex, in
-    leaf order, satisfying the constraints to 1e-10; an empty polytope gives
-    shape (0, L).
+    inside a row's pairings as after them (callers fall back to the support
+    pass of :func:`_support_structure`).  A ray charges a leaf only above
+    1e-12 of its unit mass, in the adjacency test as in the polish, so a
+    vertex whose smallest entry is below that floor is lost (on
+    ``product_market([[1e5, 0.99999]] * 2)`` the one vertex has an entry
+    near 1e-20, and the result is empty).  Returns the vertices as a stack
+    (k, L): one unit-mass row per vertex, in leaf order, satisfying the
+    constraints to 1e-10; an empty polytope gives shape (0, L).
     """
     L = A.shape[1]
     rays = np.eye(L)
@@ -393,16 +397,3 @@ def _polish(A: np.ndarray, rays: np.ndarray) -> np.ndarray:
             q[idx] = v
     return q[keep]
 
-
-def sample_martingale_measures(tree: MarketTree, n: int, seed: int = 0) -> np.ndarray:
-    """Seeded random martingale probabilities on the maximal support, as a
-    stack (n, L) of rows in leaf order.
-
-    Each sample multiplies, along the paths, a uniformly random mixture of
-    each node's valid one-step vertices (:func:`_support_structure`).  Used
-    as the weaker fallback when vertex enumeration exceeds its cap.
-    """
-    geo = _support_structure(tree)
-    rng = np.random.default_rng(seed)
-    return np.array([geo.mixture(rng.exponential(size=geo.node.size))
-                     for _ in range(n)]).reshape(n, tree.n_leaves)

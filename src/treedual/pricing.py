@@ -50,9 +50,11 @@ def price_bounds(tree: MarketTree, claim) -> tuple[float, float]:
     """No-arbitrage interval: extremal claim expectations over the polytope.
 
     One extremal sweep (backward induction over the cached one-step
-    vertices of :func:`~treedual.geometry._support_structure`).
+    vertices of :func:`~treedual.geometry._support_structure`), read at
+    the root.
     """
-    return _support_structure(tree).extremes(leaf_values(tree, claim))
+    lo, hi = _support_structure(tree).extremes(leaf_values(tree, claim))
+    return float(lo[0]), float(hi[0])
 
 
 class SolveCounter:
@@ -577,7 +579,7 @@ def _mass_radius(tree, pair, endow_arrays):
     Raises :class:`NonconvergedError` if V overflows first.
     """
     geo = _support_structure(tree)
-    c_lo = min(geo.extremes(e)[0] for e in endow_arrays)
+    c_lo = min(geo.extremes(e)[0][0] for e in endow_arrays)
     h_q = relative_entropy(tree, pair, geo.interior)
     c_up = max(h_q + float(np.dot(geo.interior, e)) for e in endow_arrays)
     for k in itertools.count(0, 400):

@@ -4,13 +4,18 @@ The optimal terminal gain is read off the dual optimizer through the inverse
 marginal, ``X_l = -V'(density_l) - e_l`` (``DualSolution.terminal_gain``, in
 log space for the exponential family).  The strategy is the one the dual
 solver found with the measure, and the wealth process is its cost plus its
-cumulative gains, which must meet X on every charged leaf.  On a finite
-tree the gain of any strategy is an exact martingale under every martingale
-measure wherever the conditional expectation is defined, so the
-supermartingale verification reports per-node drifts against enumerated
-polytope vertices.  The dynamic checks solve the conditional dual problems
-on subtrees, in closed form where the family or the leaf allows, and
-compare their mass derivatives with the wealth process.
+cumulative gains, which must meet X on every charged leaf.
+
+On a finite tree the gain of any strategy is an exact martingale under
+every martingale measure wherever the conditional expectation is defined.
+The checks over all martingale measures go node by node: a measure's
+one-step weights at a node lie in that node's one-step polytope, so the
+supermartingale check takes the drift under each valid one-step vertex,
+and the exponential Snell envelope is the per-node upper value of the
+backward pass over them (:meth:`SupportStructure.extremes`), exhaustive at
+any size.  The dynamic checks solve the conditional dual problems on
+subtrees, in closed form where the family or the leaf allows, and compare
+their mass derivatives with the wealth process.
 """
 
 from __future__ import annotations
@@ -23,12 +28,11 @@ import numpy as np
 from .dual import DualSolution, _newton_core, _strategy_basis
 from .errors import (DomainError, NoPrimalOptimizerError, NotExponentialError,
                      ReplicationGapError)
-from .geometry import _support_structure, build_constraints, relative_entropy
-from .market import MarketTree, leaf_values, log_masses
+from .geometry import _support_structure, build_constraints
+from .market import MarketTree, leaf_values
 from .utility import UtilityPair
 
 _REPLICATION_TOL = 1e-8  # scaled gap between X and the strategy's wealth
-_MOLLIFY_WEIGHT = 1e-6   # weight of the optimal measure in a mollified test measure
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,62 +108,54 @@ def recover(tree: MarketTree, pair: UtilityPair, endow,
 
 @dataclass(frozen=True)
 class DriftViolation:
-    measure_index: int
     node_id: str
-    drift: float
+    drift: float   # the node's largest one-step drift
 
 
 @dataclass(frozen=True)
 class SupermartingaleReport:
     violations: tuple[DriftViolation, ...]
-    max_drift: float                     # most positive drift over tested pairs
+    max_drift: float                     # most positive drift over the vertices
     max_abs_drift_under_optimal: float   # martingale check under the optimizer
-    measures_tested: int
-    measures_skipped: int                # infinite relative entropy
+    vertices_tested: int
 
 
-def mollify(measures, q) -> np.ndarray:
-    """The stack (k, L) ``measures`` moved toward the leaf array ``q`` by
-    weight 1e-6: each row charges every leaf q charges."""
-    verts = np.asarray(measures, dtype=float).reshape(-1, len(q))
-    return (1.0 - _MOLLIFY_WEIGHT) * verts + _MOLLIFY_WEIGHT * q
+def verify_supermartingale(tree: MarketTree, wealth, optimal=None) -> SupermartingaleReport:
+    """Per-node drift of the wealth process under every martingale measure.
 
-
-def verify_supermartingale(tree: MarketTree, wealth, measures,
-                           pair: UtilityPair, optimal=None) -> SupermartingaleReport:
-    """Per-node drift of the wealth process under each finite-entropy measure.
-
-    ``wealth`` is (N,) in layout order and ``measures`` a stack (k, L) of
-    leaf measures; one entropy evaluation picks the finite ones.
-    Report-only: lists (measure, node) pairs whose conditional drift exceeds
-    1e-8 (scaled), by measure then node, where each measure charges (its
-    drift is NaN elsewhere), and the martingale residual under the optimal
-    measure given its exact node log masses ``optimal`` (N,).
+    ``wealth`` is (N,) in layout order.  A martingale measure's one-step
+    weights at a node lie in the node's one-step polytope, so the largest
+    drift over all of them is the largest over its vertices: the drift
+    ``(weight * w[child]).sum(1) - w[node]`` of each valid vertex of
+    :func:`_support_structure` at a live node, the nodes some martingale
+    measure reaches.  Sup over the closure equals sup over the interior, so
+    this covers the equivalent (finite-entropy) measures too.
+    Report-only: lists the nodes whose largest drift exceeds 1e-8
+    (scaled), in layout order, and the martingale residual under the
+    optimal measure given its exact node log masses ``optimal`` (N,).
     """
-    ids, inner = tree.layout.ids, tree.layout.level_starts[-2]
+    geo, inner = _support_structure(tree), tree.layout.level_starts[-2]
     w = np.asarray(wealth, dtype=float)
     w_scale = 1.0 + float(np.abs(w).max())
 
-    q = np.asarray(measures, dtype=float).reshape(-1, tree.n_leaves)
-    finite = np.isfinite(relative_entropy(tree, pair, q))
-    tested = np.flatnonzero(finite)
-    ell = tree.log_subtree_sums(log_masses(q[finite]))
-    drift = tree.one_step_expectation(w, ell) - w[:inner]
-    violations = [DriftViolation(int(tested[k]), ids[n], float(drift[k, n]))
-                  for k, n in zip(*np.nonzero(drift > 1e-8 * w_scale))]
-    max_drift = float(np.fmax.reduce(drift, axis=None, initial=-math.inf))
+    on = geo.live[geo.node]
+    node = geo.node[on]
+    drift = (geo.weight[on] * w[geo.child[on]]).sum(axis=1) - w[node]
+    worst = np.full(w.size, -math.inf)
+    np.maximum.at(worst, node, drift)
+    violations = [DriftViolation(tree.layout.ids[n], float(worst[n]))
+                  for n in np.flatnonzero(worst > 1e-8 * w_scale).tolist()]
 
     opt_drift = 0.0
     if optimal is not None:
-        drift = tree.one_step_expectation(w, optimal) - w[:inner]
-        opt_drift = float(np.fmax.reduce(np.abs(drift), axis=None, initial=0.0))
+        drift_opt = tree.one_step_expectation(w, optimal) - w[:inner]
+        opt_drift = float(np.fmax.reduce(np.abs(drift_opt), axis=None, initial=0.0))
 
     return SupermartingaleReport(
         violations=tuple(violations),
-        max_drift=max_drift if tested.size else 0.0,
+        max_drift=float(drift.max(initial=-math.inf)),
         max_abs_drift_under_optimal=opt_drift,
-        measures_tested=int(tested.size),
-        measures_skipped=int(finite.size - tested.size),
+        vertices_tested=int(node.size),
     )
 
 
@@ -256,33 +252,28 @@ def _conditional_solves(sol, nodes, masses):
 @dataclass(frozen=True, eq=False)
 class SnellReport:
     envelope: np.ndarray           # (N,), layout order
-    max_equality_gap: float        # |max over measures - wealth|, scaled
-    max_lower_bound_excess: float  # most positive (value - wealth) over measures
-    measures_tested: int
+    max_equality_gap: float        # |envelope - wealth|, scaled
+    max_lower_bound_excess: float  # most positive (envelope - wealth), scaled
 
 
-def snell_envelope_exponential(sol: DualSolution, vertices, *, wealth) -> SnellReport:
+def snell_envelope_exponential(sol: DualSolution, *, wealth) -> SnellReport:
     """Essential-supremum representation of the optimal wealth (exponential).
 
     At each node the wealth (N,) should equal the supremum, over equivalent
     finite-entropy martingale measures, of the conditional expectation of
     ``sol.terminal_gain`` = (1/gamma) ln(dP/d(optimal measure)) - endowment,
-    which the optimal measure attains.  The tested measures are the optimal
-    one, in its exact node log masses, and the vertices (k, L) mollified
-    toward it (:func:`mollify`), each skipped where its float mass is 0.
+    which the optimal measure attains.  The envelope is that supremum node
+    by node: the upper values of :meth:`SupportStructure.extremes`, the
+    largest conditional expectation over every martingale measure (the sup
+    over the closure equals the sup over the equivalent ones).
     """
     tree, pair = sol.tree, sol.pair
     if pair.family != "exponential":
         raise NotExponentialError("Snell-envelope check requires exponential utility")
     if sol.support != "EQUIVALENT":
         raise NoPrimalOptimizerError("requires an equivalent optimal measure")
-    tested = np.vstack([sol.node_log_q,
-                        tree.log_subtree_sums(log_masses(mollify(vertices, sol.q_hat)))])
-
+    _, best = _support_structure(tree).extremes(sol.terminal_gain)
     w = np.asarray(wealth, dtype=float)
     w_scale = 1.0 + float(np.abs(w).max())
-    vals = tree.conditional_expectation(sol.terminal_gain, tested)   # NaN: skipped
-    best = np.fmax.reduce(vals, axis=0)   # so the lower-bound excess is best - w
-    return SnellReport(envelope=best, max_equality_gap=float((np.abs(best - w) / w_scale).max()),
-                       max_lower_bound_excess=float((best - w).max() / w_scale),
-                       measures_tested=len(tested))
+    return SnellReport(envelope=best, max_equality_gap=float(np.abs(best - w).max() / w_scale),
+                       max_lower_bound_excess=float((best - w).max() / w_scale))

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import treegen
-from treedual import (checks, dual, dynamic_dual, exponential_utility,
-                      find_equivalent_mm, geometry, recover, run_battery, two_power_utility)
+from treedual import (CapExceededError, ReplicationGapError, checks, dual, dynamic_dual,
+                      exponential_utility, find_equivalent_mm, geometry, recover,
+                      run_battery, two_power_utility)
 
 SUITE = treegen.acceptance_suite()
 
@@ -53,8 +54,8 @@ def _edge_instance(market, shift, gamma):
 def test_battery_passes_where_the_optimal_mass_is_subnormal(market, shift, gamma):
     # the checks read X and the charged leaves off the exact log-masses,
     # where V' of the rounded density was off by 1e-7 or infinite; at
-    # (0, 740, 0) a mollified vertex missing leaf b has mass 1e-6 q_b = 0
-    # there, which the Snell checks divided by
+    # (0, 740, 0) a measure mixing 1e-6 of q_hat into a vertex that misses
+    # leaf b has float mass 0 there, which the Snell checks must not weigh
     tree, pair, e, sol = _edge_instance(market, shift, gamma)
     assert sol.mu.min() < np.finfo(float).tiny and (sol.q_hat > 0).all()
     assert (sol.mu == 0).any() == (shift[0] == 730)
@@ -115,6 +116,54 @@ def test_a_check_passes_exactly_when_its_residual_is_within_its_bound():
                 for r in (0.0, 1e-8, 2e-8, np.inf, np.nan)]
     assert verdicts == [True, True, False, False, False]
     assert checks.CheckResult("c", np.nan, 1e-8).line().startswith("[FAIL] c: residual nan")
+
+
+HEAD = ("utility certification", "martingale constraints at optimum",
+        "dual first-order conditions", "support flag matches market", "maximal support")
+BODY = ("zero duality gap", "terminal first-order condition", "one-step self-financing",
+        "zero-cost wealth at the root", "supermartingale under tested measures",
+        "martingale under the optimal measure", "dynamic dual consistency")
+SNELL = ("exponential Snell envelope", "Snell lower bounds")
+CURVE = ("value curve convexity", "curve minimum vs optimum",
+         "stationarity of the mass derivative", "conjugate growth bound along the curve")
+
+
+@pytest.mark.parametrize("case,names", [
+    ("exponential", HEAD + BODY + SNELL + CURVE),
+    ("two-power", HEAD + BODY + CURVE),
+    ("degenerate", HEAD),
+    ("failed recovery", HEAD + ("primal recovery",)),
+])
+def test_the_battery_runs_its_checks_in_one_order(tri1, case, names, monkeypatch):
+    # check names and their order are the battery's interface: any other
+    # sequence reads as an incomplete battery to its callers
+    tree, endow = tri1, [0.3, -0.2, 0.1]
+    pair = two_power_utility(0.5, 1.0, 1.0) if case == "two-power" else exponential_utility(1.0, 2.0)
+    if case == "degenerate":
+        tree, endow = treegen.dead_leaf_market(), 0.0
+    if case == "failed recovery":
+        def refuse(*args):
+            raise ReplicationGapError("replication residual above tolerance")
+        monkeypatch.setattr(checks, "recover", refuse)
+    results = run_battery(tree, pair, endow)
+    assert tuple(r.name for r in results) == names
+    assert [r.name for r in results if not r.passed] == (
+        ["primal recovery"] if case == "failed recovery" else [])
+
+
+def test_support_checks_name_the_support_pass_past_the_vertex_cap(tri1, monkeypatch):
+    # past the enumeration cap the flag and the maximal support read the
+    # support pass's mask; the flag's detail stays the optimum's support
+    def capped(A):
+        raise CapExceededError("vertex candidates exceed cap 10000", count=10001)
+
+    monkeypatch.setattr(checks, "vertex_enumerate", capped)
+    results = {r.name: r for r in
+               run_battery(tri1, exponential_utility(1.0, 2.0), [0.3, -0.2, 0.1])}
+    flag, support = results["support flag matches market"], results["maximal support"]
+    assert flag.passed and flag.detail == "EQUIVALENT"
+    assert support.passed and support.detail == "support pass, past the vertex cap"
+    assert all(r.passed for r in results.values())
 
 
 def test_support_flag_check_fails_on_a_wrong_support_mask(tri1, monkeypatch):

@@ -10,14 +10,14 @@ import treegen
 from treedual import (DomainError, EvaluationOverflowError, InfeasibleEntropyError,
                       NoMartingaleMeasureError, NonconvergedError, TreedualError,
                       ValueAtSupremumError, build_constraints,
-                      check_maximal_support, dual_derivative,
+                      dual_derivative,
                       dual_value_curve, exponential_utility, leaf_values,
                       load_market, market_from_dict,
                       optimal_measure_price_process, price_report,
-                      relative_entropy, solve_dual,
+                      relative_entropy, run_battery, solve_dual,
                       solve_dual_fixed_mass,
                       two_power_utility, vertex_enumerate)
-from treedual import dual, geometry, market, oracle
+from treedual import checks, dual, geometry, market, oracle
 
 # closed form for the binomial market with unit risk aversion and no
 # endowment: mass solves E_Q[log(y q/p)] = 0 with q = (1/3, 2/3), p = (1/2, 1/2)
@@ -315,21 +315,24 @@ def test_fixed_mass_consistency(tri1, exp_pair):
     assert pinned.value == pytest.approx(sol.value, abs=1e-8)
 
 
+def _maximal_support_check(tree, pair, endow):
+    return next(r for r in run_battery(tree, pair, endow) if r.name == "maximal support")
+
+
 def test_maximal_support_full(tri1, exp_pair):
-    sol = solve_dual(tri1, exp_pair, 0.0)
-    verts = vertex_enumerate(build_constraints(tri1))
-    rep = check_maximal_support(sol, verts)
-    assert not rep.violations
-    assert rep.vertices_tested == 2
+    check = _maximal_support_check(tri1, exp_pair, 0.0)
+    assert check.passed and check.residual == 0.0
+    assert check.detail == "2 enumerated vertices"
 
 
 def test_maximal_support_dead_leaf_vacuous(exp_pair):
     tree = treegen.dead_leaf_market()
     sol = solve_dual(tree, exp_pair, 0.0)
     assert sol.support == "DEGENERATE"
-    verts = vertex_enumerate(build_constraints(tree))
-    rep = check_maximal_support(sol, verts)
-    assert not rep.violations  # dead leaf uncharged by every vertex
+    # the dead leaf is charged by no vertex, so the optimum need not charge it
+    assert vertex_enumerate(build_constraints(tree))[:, 0].max() == 0.0
+    check = _maximal_support_check(tree, exp_pair, 0.0)
+    assert check.passed and check.detail == "1 enumerated vertices"
 
 
 def test_degenerate_flag_and_value(exp_pair_raw):
@@ -423,7 +426,8 @@ def test_ray_minimum_closed_form_matches_a_dense_scan(gamma):
         # entropy plus the endowment's cost at t q_hat, t on a log grid
         rays = [t_star * np.exp(np.linspace(-w, w, 2001))[:, None] * sol.q_hat
                 for w in (5.0, 1e-3)]
-        vals, fine = (relative_entropy(tree, pair, mus) + mus @ e for mus in rays)
+        vals, fine = (np.array([relative_entropy(tree, pair, mu) for mu in mus]) + mus @ e
+                      for mus in rays)
         assert abs(int(np.argmin(vals)) - 1000) <= 1
         scan = fine.min()
         assert scan == pytest.approx(sol.value, rel=1e-12, abs=0)
@@ -811,20 +815,28 @@ def test_maximal_support_holds_on_exact_exponential_optima(gamma, scale):
     tree, pair, e = _random_exponential_instance(6, gamma, scale)
     sol = solve_dual(tree, pair, e)
     assert 0 < sol.mu.min() < 1e-12 * (1 + sol.mass)
-    rep = check_maximal_support(sol, vertex_enumerate(build_constraints(tree)))
-    assert rep.vertices_tested > 0 and not rep.violations
+    check = _maximal_support_check(tree, pair, e)
+    assert check.passed and check.residual == 0.0
+    assert int(check.detail.split()[0]) > 0
 
 
-def test_maximal_support_flags_an_uncharged_vertex_leaf(tri1, exp_pair):
-    sol = solve_dual(tri1, exp_pair, {"a": 0.3, "b": -0.2, "c": 0.1})
-    verts = vertex_enumerate(build_constraints(tri1))
-    # the optimum charges leaf a nowhere: neither mu, q_hat nor its log masses
-    mu, q, log_q = sol.mu.copy(), sol.q_hat.copy(), sol._log_q.copy()
-    a = tri1.leaf_ids.index("a")
-    mu[a], q[a], log_q[a] = 0.0, 0.0, -np.inf
-    rep = check_maximal_support(dataclasses.replace(sol, mu=mu, q_hat=q, _log_q=log_q), verts)
-    charging = [k for k, v in enumerate(verts) if v[0] > 0]
-    assert charging and rep.violations == tuple((k, "a") for k in charging)
+def test_maximal_support_flags_an_uncharged_vertex_leaf(tri1, exp_pair, monkeypatch):
+    e = {"a": 0.3, "b": -0.2, "c": 0.1}
+    solve = checks.solve_dual
+
+    def uncharged(*args):
+        # the optimum charges leaf a nowhere: neither mu, q_hat nor its log masses
+        sol = solve(*args)
+        mu, q, log_q = sol.mu.copy(), sol.q_hat.copy(), sol._log_q.copy()
+        mu[0], q[0], log_q[0] = 0.0, 0.0, -np.inf
+        return dataclasses.replace(sol, mu=mu, q_hat=q, _log_q=log_q)
+
+    monkeypatch.setattr(checks, "solve_dual", uncharged)
+    assert tri1.leaf_ids[0] == "a"
+    assert vertex_enumerate(build_constraints(tri1))[:, 0].max() > 0
+    # one leaf that a vertex charges and the optimum does not
+    check = _maximal_support_check(tri1, exp_pair, e)
+    assert check.residual == 1.0 and not check.passed
 
 
 @pytest.mark.parametrize("k", [24, 74, 82])

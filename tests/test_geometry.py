@@ -11,8 +11,7 @@ from treedual import (CapExceededError,
                       NoMartingaleMeasureError, build_constraints,
                       exponential_utility, find_equivalent_mm,
                       is_martingale_measure, load_market, market_from_dict,
-                      market_to_dict, relative_entropy,
-                      sample_martingale_measures, solve_dual,
+                      market_to_dict, relative_entropy, run_battery, solve_dual,
                       two_power_utility, vertex_enumerate)
 from treedual import geometry
 from treedual.geometry import _support_structure
@@ -290,35 +289,12 @@ def test_measure_sets_are_stacks(tri1):
     assert isinstance(verts, np.ndarray) and verts.shape == (2, 3)
     empty = vertex_enumerate(build_constraints(treegen.arbitrage_market()))
     assert isinstance(empty, np.ndarray) and empty.shape == (0, 2)
-    for n in (0, 5):
-        samples = sample_martingale_measures(tri1, n, seed=1)
-        assert isinstance(samples, np.ndarray) and samples.shape == (n, 3)
-
-
-@pytest.mark.parametrize("pair", [exponential_utility(1.0, 2.0),
-                                  two_power_utility(0.5, 1.0, 1.0)],
-                         ids=["exp", "two_power"])
-def test_stacked_relative_entropy_matches_row_by_row(pair):
-    tree = treegen.product_market([[1.25, 1.05, 0.8]] * 2)
-    verts = vertex_enumerate(build_constraints(tree))   # each misses some leaves
-    stack = np.vstack([verts, sample_martingale_measures(tree, 6, seed=4),
-                       0.5 * verts[:3] + 0.5 * verts[-3:], np.zeros((1, 9))])
-    got = relative_entropy(tree, pair, stack)
-    want = np.array([relative_entropy(tree, pair, q) for q in stack])
-    assert got.shape == (len(stack),) and got.tobytes() == want.tobytes()
-    zero_leaf = (stack == 0).any(axis=1)
-    assert zero_leaf[:len(verts)].all() and not zero_leaf[len(verts):-4].any()
-    # V(0) = U(inf): infinite for the two-power family, finite for the exponential
-    assert np.isinf(got[zero_leaf]).all() == (pair.family == "two_power")
-    assert np.isfinite(got[~zero_leaf]).all()
-    empty = relative_entropy(tree, pair, np.zeros((0, 9)))
-    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 def test_battery_evaluates_the_entropy_once_per_check(monkeypatch):
-    # the 128-vertex tree below: one stacked evaluation for the maximal
-    # support check, one for the supermartingale check
-    from treedual import dual, recovery, run_battery
+    # the 128-vertex tree below: one evaluation, of the optimum's entropy for
+    # the duality gap; no check filters the vertices by their entropy
+    from treedual import checks
 
     tree = treegen.product_market([[1.25, 1.05, 0.8]] * 3)
     calls = []
@@ -327,14 +303,24 @@ def test_battery_evaluates_the_entropy_once_per_check(monkeypatch):
         calls.append(np.shape(args[2]))
         return relative_entropy(*args)
 
-    for mod in (geometry, dual, recovery):
+    for mod in (geometry, checks):
         monkeypatch.setattr(mod, "relative_entropy", counted)
-    results = run_battery(tree, two_power_utility(0.5, 1.0, 1.0), 0.0)
-    assert all(r.passed for r in results)
-    # every vertex misses a leaf, so its two-power entropy is infinite
-    support = [r for r in results if r.name == "maximal support"][0]
-    assert support.detail == "0 vertices tested"
-    assert calls == [(128, 27), (128, 27)]
+    results = {r.name: r for r in run_battery(tree, two_power_utility(0.5, 1.0, 1.0), 0.0)}
+    assert all(r.passed for r in results.values())
+    # every vertex misses a leaf, so its two-power entropy is infinite; the
+    # union of their supports is the whole tree all the same
+    assert results["maximal support"].detail == "128 enumerated vertices"
+    assert calls == [(27,)]
+
+
+@pytest.mark.xfail(strict=True, reason="double description keeps only ray entries "
+                   "above 1e-12, and this vertex has one near 1e-20")
+def test_double_description_keeps_a_vertex_below_its_entry_floor():
+    # one-step weights 1e-10 and 1 - 1e-10 at each of the three nodes: the
+    # one vertex puts 1e-20 on the up-up leaf, and DD returns shape (0, 4)
+    tree = treegen.product_market([[1e5, 0.99999]] * 2)
+    assert _support_structure(tree).interior.min() == pytest.approx(1e-20, rel=1e-3)
+    assert vertex_enumerate(build_constraints(tree)).shape == (1, 4)
 
 
 def test_two_asset_trinomial_tree_has_one_vertex():
@@ -408,7 +394,7 @@ def test_relative_entropy_convex_along_segments(lam):
 
 def test_sampled_measures_are_martingale_measures():
     tree = treegen.product_market([[2.0, 1.0, 0.5], [1.5, 0.7]])
-    for q in sample_martingale_measures(tree, 25, seed=3):
+    for q in treegen.sample_measures(tree, 25, seed=3):
         assert is_martingale_measure(tree, q, tol=1e-8)
         assert q.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -505,7 +491,7 @@ def _assert_matches_lp_oracle(tree, u):
     assert np.abs(build_constraints(tree) @ q).max() <= 1e-12
     assert abs(q.sum() - 1.0) <= 1e-12
     assert np.all(q[mask] > 0) and np.all(q[~mask] == 0)
-    for got, want in zip(geo.extremes(u), bounds):
+    for got, want in zip((x[0] for x in geo.extremes(u)), bounds):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 

@@ -20,7 +20,6 @@ from treedual import (AugmentInfeasibleError, DomainError,
                       solve_dual_fixed_mass, two_power_utility,
                       vertex_enumerate)
 from treedual import cli, dual, geometry, market_from_dict, market_to_dict, pricing
-from treedual.recovery import mollify
 
 E_TRI = {"a": 0.3, "b": -0.2, "c": 0.1}
 B_TRI = {"a": 1.0, "b": 0.0, "c": 0.0}
@@ -113,7 +112,7 @@ def test_two_power_entropic_penalty_matches_a_bounded_scalar_minimization(tri1, 
     sol = solve_dual(tri1, pair, e)
     p = tri1.leaf_probability_array
     verts = vertex_enumerate(build_constraints(tri1))
-    for q in np.vstack([mollify(verts, sol.q_hat), 0.7 * verts + 0.3 * sol.q_hat]):
+    for q in np.vstack([(1 - 1e-6) * verts + 1e-6 * sol.q_hat, 0.7 * verts + 0.3 * sol.q_hat]):
         def phi(s):
             y = math.exp(s)
             return (float(p @ pair.v(y * q / p)) + y * float(q @ e) - sol.value) / y
@@ -145,7 +144,7 @@ def test_exponential_entropic_penalty_meets_its_closed_form(tri1, gamma, scale):
     sol = solve_dual(tri1, pair, e)
     p = tri1.leaf_probability_array
     verts = vertex_enumerate(build_constraints(tri1))
-    for q in np.vstack([verts, mollify(verts, sol.q_hat)]):
+    for q in np.vstack([verts, (1 - 1e-6) * verts + 1e-6 * sol.q_hat]):
         on = q > 0
         want = (float(q[on] @ np.log(q[on] / p[on])) + sol._log_mass) / gamma + float(q @ e)
         alpha = entropic_penalty(tri1, pair, e, q, base_value=sol.value)
@@ -815,7 +814,7 @@ def test_endowment_sensitivity_certificates(tri1, exp_pair):
 def _logspace_mass_radius(tree, pair, endows):
     """The mass radius scan on ``np.logspace(-6, 12, 400)`` alone."""
     geo = geometry._support_structure(tree)
-    c_lo = min(geo.extremes(e)[0] for e in endows)
+    c_lo = min(geo.extremes(e)[0][0] for e in endows)
     h_q = geometry.relative_entropy(tree, pair, geo.interior)
     c_up = max(h_q + float(np.dot(geo.interior, e)) for e in endows)
     ys = np.logspace(-6, 12, 400)

@@ -10,17 +10,17 @@ import ratios
 import treegen
 from treedual import (DomainError, NoPrimalOptimizerError,
                       NotExponentialError, build_constraints,
-                      check_maximal_support, dual_value_curve, dynamic_dual,
+                      dual_value_curve, dynamic_dual,
                       exponential_utility,
                       find_equivalent_mm, leaf_values,
                       optimal_measure_price_process, price_report, recover,
-                      relative_entropy, run_battery,
-                      sample_martingale_measures, snell_envelope_exponential,
+                      run_battery, snell_envelope_exponential,
                       solve_dual, two_power_utility, verify_supermartingale,
                       vertex_enumerate)
-from treedual import dual, recovery
+from treedual import checks, dual, recovery
 from treedual.geometry import _support_structure
-from treedual.recovery import mollify
+from treedual.market import log_masses
+from treedual.recovery import DriftViolation
 
 LN2 = math.log(2.0)
 
@@ -127,91 +127,81 @@ def test_recover_refuses_a_problem_other_than_its_solutions(tri1, exp_pair, tp_p
 def test_supermartingale_under_vertices(tri1, exp_pair):
     sol = solve_dual(tri1, exp_pair, 0.0)
     ps = recover(tri1, exp_pair, 0.0, sol)
-    verts = vertex_enumerate(build_constraints(tri1))
-    rep = verify_supermartingale(tri1, ps.wealth, verts, exp_pair,
-                                 optimal=sol.node_log_q)
+    rep = verify_supermartingale(tri1, ps.wealth, optimal=sol.node_log_q)
     assert not rep.violations
     assert rep.max_drift <= 1e-8
     assert rep.max_abs_drift_under_optimal <= 1e-8
-    assert rep.measures_tested == 2
+    assert rep.vertices_tested == 2
 
 
 def test_supermartingale_check_detects_drift():
-    # recenter a random process to be a martingale under one vertex, then
-    # check it under the other: the check must flag the positive drift
+    # a process that is a martingale under one vertex drifts under the other
     tree = treegen.tri1()
-    pair = exponential_utility(1.0, 2.0)
     verts = vertex_enumerate(build_constraints(tree))
     q0 = verts[0]   # (0, 1, 0)
     q1 = verts[1]   # (1/3, 0, 2/3)
     w_leaves = np.array([2.0, -1.0, 0.5])
-    w_root = float(np.dot(q0, w_leaves))
-    wealth = np.append(w_root, w_leaves)   # layout order: root, then the leaves
-    rep0 = verify_supermartingale(tree, wealth, [verts[0]], pair)
-    assert not rep0.violations
-    drift1 = float(np.dot(q1, w_leaves)) - w_root
-    rep1 = verify_supermartingale(tree, wealth, [verts[1]], pair)
-    assert bool(rep1.violations) == (drift1 > 1e-8 * (1 + abs(w_leaves).max()))
+    drift1 = float(np.dot(q1, w_leaves) - np.dot(q0, w_leaves))   # 2
+    # a martingale under q0: the root drifts up by drift1 under q1
+    rep0 = verify_supermartingale(tree, np.append(np.dot(q0, w_leaves), w_leaves))
+    assert rep0.violations == (DriftViolation("root", pytest.approx(drift1, abs=1e-15)),)
+    assert rep0.max_drift == pytest.approx(drift1, abs=1e-15)
+    # a martingale under q1: q0 drifts down, a supermartingale
+    rep1 = verify_supermartingale(tree, np.append(np.dot(q1, w_leaves), w_leaves))
+    assert not rep1.violations
+    assert rep1.max_drift == pytest.approx(0.0, abs=1e-15)
 
 
-def _reference_checks(tree, pair, mu, wealth, measures):
-    """The per-measure loops the stacked checks replace: the maximal-support
-    violations, then the drift violations, max drift and counts."""
-    support, tested, arrs, skipped = [], [], [], 0
-    for k, q in enumerate(measures):
-        if not math.isfinite(relative_entropy(tree, pair, q)):
-            skipped += 1
-            continue
-        tested.append(k)
-        arrs.append(q)
-        for i, leaf in enumerate(tree.leaf_ids):
-            if q[i] > 1e-10 and not mu[i] > 0:
-                support.append((k, leaf))
-    ids = tree.layout.ids
+def _reference_checks(tree, wealth, u, verts):
+    """The per-measure loops over DD's vertices that the one-step vertices
+    replace, in the float subtree-ratio form: the nodes some vertex
+    charges, the drift violations by node, the largest drift, and per
+    charged node the min and max of E_v[u | n] over the vertices v
+    charging it."""
+    inner = len(tree.nonleaf_ids)
     w = np.asarray(wealth, dtype=float)
-    q = np.reshape(arrs, (len(tested), -1))
-    drift = ratios.one_step(tree, w, q) - w[:len(tree.nonleaf_ids)]
-    live = tree.subtree_sums(q)[:, :len(tree.nonleaf_ids)] > 0
-    bad = live & (drift > 1e-8 * (1.0 + np.abs(w).max()))
-    violations = [(tested[k], ids[n], float(drift[k, n])) for k, n in zip(*np.nonzero(bad))]
-    max_drift = float(drift[live].max(initial=-math.inf)) if tested else 0.0
-    return tuple(support), violations, max_drift, len(tested), skipped
+    drift = ratios.one_step(tree, w, verts) - w[:inner]
+    charged = tree.subtree_sums(verts) > 0
+    bad = charged[:, :inner] & (drift > 1e-8 * (1.0 + np.abs(w).max()))
+    worst = np.where(charged[:, :inner], drift, -np.inf).max(axis=0)
+    violations = [(tree.layout.ids[n], float(worst[n])) for n in np.flatnonzero(bad.any(axis=0))]
+    cond = ratios.conditional(tree, u, verts)
+    lo = np.where(charged, cond, np.inf).min(axis=0)
+    hi = np.where(charged, cond, -np.inf).max(axis=0)
+    return charged.any(axis=0), violations, float(worst.max()), lo, hi
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]),
        st.sampled_from(["exp", "two_power"]))
-def test_stacked_checks_match_the_per_measure_loops(seed, n_assets, family):
+def test_one_step_vertices_match_the_loops_over_dd_vertices(seed, n_assets, family):
+    # a martingale measure's conditional step at a node it charges is a
+    # one-step vertex there exactly when it is a vertex of the polytope, so
+    # the one-step vertices give the extremes of every per-measure loop
     rng = np.random.default_rng(seed)
     tree = treegen.random_market(rng, max_periods=2, n_assets=n_assets)
     pair = (exponential_utility(1.0, 2.0) if family == "exp"
             else two_power_utility(0.5, 1.0, 1.0))
     sol = solve_dual(tree, pair, rng.uniform(-1.0, 1.0, tree.n_leaves))
-    # a measure missing some leaves, so vertices charging them are flagged;
-    # mu, q_hat and its log masses miss the same ones, as in a solution
-    keep = rng.uniform(size=tree.n_leaves) < 0.7
-    sol = dataclasses.replace(sol, mu=sol.mu * keep, q_hat=sol.q_hat * keep,
-                              _log_q=np.where(keep, sol._log_q, -np.inf))
-    # vertices (infinite two-power entropy where they miss a leaf), full
-    # samples and a zero measure (no mass anywhere)
-    measures = np.vstack([vertex_enumerate(build_constraints(tree)),
-                          sample_martingale_measures(tree, 4, seed=seed % 97),
-                          np.zeros((1, tree.n_leaves))])
     wealth = rng.normal(size=len(tree.layout.ids))
-    support, violations, max_drift, tested, skipped = _reference_checks(
-        tree, pair, sol.mu, wealth, measures)
+    verts = vertex_enumerate(build_constraints(tree))
+    charged, violations, max_drift, lo_ref, hi_ref = _reference_checks(
+        tree, wealth, sol.terminal_gain, verts)
+    geo = _support_structure(tree)
+    assert np.array_equal(charged, geo.live)
 
-    sc = check_maximal_support(sol, measures)
-    assert sc.violations == support
-    assert (sc.vertices_tested, sc.vertices_skipped_infinite_entropy) == (tested, skipped)
-    rep = verify_supermartingale(tree, wealth, measures, pair)
-    # the package weighs by node log masses, the reference divides float sums
+    rep = verify_supermartingale(tree, wealth)
+    # the package weighs by one-step weights, the reference divides float sums
     scale = 1e-13 * (1.0 + np.abs(wealth).max())
-    assert [(v.measure_index, v.node_id) for v in rep.violations] == [v[:2] for v in violations]
-    assert [v.drift for v in rep.violations] == pytest.approx([v[2] for v in violations],
+    assert [v.node_id for v in rep.violations] == [v[0] for v in violations]
+    assert [v.drift for v in rep.violations] == pytest.approx([v[1] for v in violations],
                                                               rel=0, abs=scale)
     assert rep.max_drift == pytest.approx(max_drift, rel=0, abs=scale)
-    assert (rep.measures_tested, rep.measures_skipped) == (tested, skipped)
+
+    lo, hi = geo.extremes(sol.terminal_gain)
+    u_scale = 1e-13 * (1.0 + np.abs(sol.terminal_gain).max())
+    assert lo[charged] == pytest.approx(lo_ref[charged], rel=0, abs=u_scale)
+    assert hi[charged] == pytest.approx(hi_ref[charged], rel=0, abs=u_scale)
 
 
 def test_optimal_drift_reads_nodes_whose_float_mass_is_zero(exp_pair):
@@ -225,19 +215,50 @@ def test_optimal_drift_reads_nodes_whose_float_mass_is_zero(exp_pair):
     for bend, low, high in ((0.0, 0.0, 1e-8), (1.0, 0.5, 2.0)):
         bent = wealth.copy()
         bent[dark[-1]] += bend
-        rep = verify_supermartingale(tree, bent, [sol.q_hat], exp_pair, optimal=sol.node_log_q)
+        rep = verify_supermartingale(tree, bent, optimal=sol.node_log_q)
         assert low <= rep.max_abs_drift_under_optimal <= high
 
 
-def test_two_power_skips_infinite_entropy_vertices(tri1, tp_pair):
+def test_supermartingale_reads_every_caterpillar_node_a_float_mixture_misses(exp_pair,
+                                                                             monkeypatch):
+    # the float measure (1 - 1e-6) v + 1e-6 q_hat of the caterpillar's one
+    # enumerated vertex v has node log mass -inf at 36 of its 820 non-leaf
+    # nodes, where q_hat underflows; a wealth bent by +1 at the most
+    # weighted child of any of them drifts that node up, and the battery's
+    # check FAILs on each
+    tree = treegen.caterpillar_market()
+    sol = solve_dual(tree, exp_pair, 0.0)
+    ps = recover(tree, exp_pair, 0.0, sol)
+    inner = len(tree.nonleaf_ids)
+    verts = vertex_enumerate(build_constraints(tree))
+    assert len(verts) == 1
+    mixed = tree.log_subtree_sums(log_masses((1 - 1e-6) * verts + 1e-6 * sol.q_hat))[0]
+    dark = np.flatnonzero(mixed[:inner] == -np.inf)
+    assert dark.size == 36 and inner == 820
+    geo = _support_structure(tree)
+    monkeypatch.setattr(checks, "vertex_enumerate", lambda A: verts)
+    for n in dark.tolist():
+        at = np.flatnonzero(geo.node == n)
+        k, j = np.unravel_index(np.argmax(geo.weight[at]), geo.weight[at].shape)
+        bent = ps.wealth.copy()
+        bent[geo.child[at[k], j]] += 1.0
+        rep = verify_supermartingale(tree, bent)
+        assert [v.node_id for v in rep.violations] == [tree.layout.ids[n]]
+        assert rep.max_drift == pytest.approx(geo.weight[at[k], j], rel=1e-9)
+        monkeypatch.setattr(checks, "recover",
+                            lambda *args, bent=bent: dataclasses.replace(ps, wealth=bent))
+        results = {r.name: r for r in run_battery(tree, exp_pair, 0.0)}
+        assert not results["supermartingale under tested measures"].passed, n
+
+
+def test_two_power_wealth_is_tested_under_every_vertex(tri1, tp_pair):
+    # both vertices miss a leaf, so their two-power entropy is infinite;
+    # the one-step vertices bound every equivalent measure all the same
     sol = solve_dual(tri1, tp_pair, 0.0)
     ps = recover(tri1, tp_pair, 0.0, sol)
-    verts = vertex_enumerate(build_constraints(tri1))
-    rep = verify_supermartingale(tri1, ps.wealth, verts, tp_pair,
-                                 optimal=sol.node_log_q)
-    # both vertices have a zero leaf, hence infinite entropy for this pair
-    assert rep.measures_tested == 0
-    assert rep.measures_skipped == 2
+    rep = verify_supermartingale(tri1, ps.wealth, optimal=sol.node_log_q)
+    assert rep.vertices_tested == 2
+    assert not rep.violations and rep.max_drift <= 1e-8
     assert rep.max_abs_drift_under_optimal <= 1e-8
 
 
@@ -274,8 +295,7 @@ def test_snell_envelope(tri1, exp_pair):
     e = {"a": 0.3, "b": -0.2, "c": 0.1}
     sol = solve_dual(tri1, exp_pair, e)
     ps = recover(tri1, exp_pair, e, sol)
-    verts = vertex_enumerate(build_constraints(tri1))
-    rep = snell_envelope_exponential(sol, verts, wealth=ps.wealth)
+    rep = snell_envelope_exponential(sol, wealth=ps.wealth)
     assert rep.max_equality_gap <= 1e-5
     assert rep.max_lower_bound_excess <= 1e-7
     # at the terminal time the envelope is the terminal wealth itself
@@ -288,7 +308,7 @@ def test_snell_requires_exponential(tri1, tp_pair):
     sol = solve_dual(tri1, tp_pair, 0.0)
     ps = recover(tri1, tp_pair, 0.0, sol)
     with pytest.raises(NotExponentialError):
-        snell_envelope_exponential(sol, [], wealth=ps.wealth)
+        snell_envelope_exponential(sol, wealth=ps.wealth)
 
 
 def test_recover_lists_unreached_nodes(exp_pair):
@@ -573,8 +593,7 @@ def test_results_are_arrays_in_tree_order(exp_pair):
     b = np.maximum(tree.layout.prices[n:, 0] - 1.0, 0.0)
     sol = solve_dual(tree, exp_pair, e)
     ps = recover(tree, exp_pair, e, sol)
-    verts = vertex_enumerate(build_constraints(tree))
-    snell = snell_envelope_exponential(sol, verts, wealth=ps.wealth)
+    snell = snell_envelope_exponential(sol, wealth=ps.wealth)
     curve = dual_value_curve(tree, exp_pair, e, [0.5 * sol.mass, sol.mass])
     price = optimal_measure_price_process(sol, b)
     results = {"mu": (sol.mu, (L,)), "q_hat": (sol.q_hat, (L,)),
@@ -591,22 +610,19 @@ def test_results_are_arrays_in_tree_order(exp_pair):
     assert price[0] == pytest.approx(sol.q_hat @ b, rel=1e-14)
 
 
-def test_battery_tests_mollified_measures_under_two_power(tp_pair):
-    # every vertex of this tree misses a leaf, so V(0) = inf gives each raw
-    # vertex infinite entropy; mollified toward q_hat, all 128 are tested
+def test_battery_tests_every_one_step_vertex_under_two_power(tp_pair):
+    # every polytope vertex of this tree misses a leaf, so V(0) = inf gives
+    # each infinite two-power entropy; the check reads the 2 one-step
+    # vertices of each of the 13 non-leaf nodes
     tree = treegen.product_market([[1.25, 1.05, 0.8]] * 3)
     results = {r.name: r for r in run_battery(tree, tp_pair, 0.0)}
     check = results["supermartingale under tested measures"]
-    assert check.passed and check.detail == "128 measures"
+    assert check.passed and check.detail == "26 one-step vertices"
     sol = solve_dual(tree, tp_pair, 0.0)
-    verts = vertex_enumerate(build_constraints(tree))
-    assert len(verts) == 128
-    # raising the wealth at the time-1 node k drifts it up at the root under
-    # every vertex that charges k (a third of the time-1 nodes, 64 vertices)
+    # raising the wealth at the time-1 node 1 (move 1.25) drifts the root up
+    # under the root's vertex that charges it, with weight 0.2 / 0.45
     wealth = recover(tree, tp_pair, 0.0, sol).wealth.copy()
     wealth[1] += 1e-3
-    rep = verify_supermartingale(tree, wealth, mollify(verts, sol.q_hat), tp_pair)
-    assert rep.measures_tested == 128 and len(rep.violations) == 64
-    assert {v.node_id for v in rep.violations} == {tree.layout.ids[0]}
-    raw = verify_supermartingale(tree, wealth, verts, tp_pair)
-    assert raw.measures_tested == 0 and not raw.violations
+    rep = verify_supermartingale(tree, wealth)
+    assert [v.node_id for v in rep.violations] == [tree.layout.ids[0]]
+    assert rep.violations[0].drift == pytest.approx(1e-3 * 0.2 / 0.45, rel=1e-9)

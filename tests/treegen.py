@@ -152,6 +152,18 @@ def random_endowment(rng, tree, scale=1.0):
     return rng.uniform(-scale, scale, size=tree.n_leaves)
 
 
+def sample_measures(tree, n, seed=0):
+    """Seeded random martingale probabilities on the maximal support, a
+    stack (n, L) in leaf order: each multiplies, along the paths, a
+    uniformly random mixture of each node's valid one-step vertices."""
+    from treedual.geometry import _support_structure
+
+    geo = _support_structure(tree)
+    rng = np.random.default_rng(seed)
+    return np.array([geo.mixture(rng.exponential(size=geo.node.size))
+                     for _ in range(n)]).reshape(n, tree.n_leaves)
+
+
 def dead_leaf_market():
     """One-period market where one leaf is charged by no martingale measure.
 
