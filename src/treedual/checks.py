@@ -68,7 +68,9 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     enumeration cap.  The checks under all martingale measures go node by
     node over the valid one-step vertices (:func:`verify_supermartingale`,
     :func:`snell_envelope_exponential`), exhaustive at any size.  The value
-    curve is solved at log masses around the optimum's.  A result's
+    curve is read off the optimum at log masses around its own
+    (:func:`dual_value_curve`): in closed form for the exponential family,
+    else by one Newton-core call started at the rescaled optimum.  A result's
     ``seconds`` run from the previous result, so shared work (the solve, the
     vertices, the recovery, the curve) is charged to the first check that
     uses it.
@@ -157,7 +159,7 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
         add("Snell lower bounds", max(sn.max_lower_bound_excess, 0.0), 1e-7)
 
     log_ys = sol._log_mass + np.log([0.5, 0.75, 1.0, 1.5, 2.0])
-    curve = dual_value_curve(tree, pair, endow, log_ys, log=True)
+    curve = dual_value_curve(sol, log_ys, log=True)
     conv = -min(curve.min_second_difference, 0.0)
     add("value curve convexity", conv, 1e-8)
     add("curve minimum vs optimum", max(sol.value - curve.min_value, 0.0), 1e-8 * scale_v)

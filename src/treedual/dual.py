@@ -6,8 +6,10 @@ optionally a fixed total mass).  Two solvers share the result type; both
 return the optimal strategy h too, which primal recovery reads.  One
 function, ``_solutions``, picks the solver by the utility's family for a
 stack of endowments with one mass per row (NaN at a free row) and returns
-one optimum or error per row; ``solve_dual``, ``solve_dual_fixed_mass``,
-``dual_value_curve`` and the pricing searches all solve through it.
+one optimum or error per row; ``solve_dual``, ``solve_dual_fixed_mass``
+and the pricing searches solve through it.  ``dual_value_curve`` reads its
+points off a solved problem: in closed form from the exponential pass, else
+by one Newton-core call started at the optimum.
 
 * Exponential family: exponential utility does not depend on wealth, so the
   dual is solved exactly by backward induction on the log-partition (Rouge &
@@ -31,8 +33,10 @@ one optimum or error per row; ``solve_dual``, ``solve_dual_fixed_mass``,
   over the strategy, by damped Newton run to rounding.  One call of the
   Newton core solves a stack of such problems on one tree, free and
   fixed-mass rows alike, each row with its own line search, convergence and
-  failure; a single solve is a stack of one.  Each step is one batched
-  Householder QR over the stack, on the strategy columns that
+  failure; a single solve is a stack of one.  The rows may also be
+  different problems, padded to one size: ``dynamic_dual`` solves one
+  time's conditional problems, a subtree each, in one call.  Each step is
+  one batched Householder QR over the stack, on the strategy columns that
   ``_strategy_basis`` keeps once per tree: the columns independent over
   each node's live children, which are independent over the whole tree.
 """
@@ -326,34 +330,42 @@ def _log_partition(tree, gamma, e):
 def _log_space_solutions(tree, pair, endows, log_mass=None) -> list[DualSolution]:
     """Exponential optima for a stack of endowments (r, L), row j at the log
     mass ``log_mass[j]`` if given (NaN at a free row), from one pass over
-    the distinct rows.
-
-    The normalized optimizer does not depend on the mass, so the fixed-mass
-    optimum is ``mass * q_hat`` with value ``C + mass (ln mass - 1 - L)/gamma``.
+    the distinct rows, each row read off its pass by :func:`_log_space_point`.
     Raises nothing for extreme endowments: the log-mass stays exact when the
     mass or the value leaves the floating-point range.
     """
-    gamma, c = pair.params["gamma"], pair.params["C"]
     _, flag = _prepare(tree, pair)
     place = {}   # each distinct row's index in the pass, keyed by its bytes
     slots = [place.setdefault(ej.tobytes(), len(place)) for ej in endows]
     distinct = np.empty((len(place), tree.n_leaves))
     distinct[slots] = endows
-    log_ls, hs, log_qs, drifts, steps = _log_partition(tree, gamma, distinct)
-    log_zs, drifts = log_ls[:, 0].tolist(), drifts.tolist()
+    log_ls, hs, log_qs, drifts, steps = _log_partition(tree, pair.params["gamma"], distinct)
+    drifts = drifts.tolist()
     log_ys = np.full(len(slots), math.nan) if log_mass is None else log_mass
-    out = []
-    for ej, i, s in zip(endows, slots, np.asarray(log_ys, dtype=float).tolist()):
-        log_z, log_q = log_zs[i], log_qs[i]
-        free = math.isnan(s)
-        log_y = log_z if free else s
-        with np.errstate(over="ignore"):
-            y = float(np.exp(log_y))
-            value = c - y / gamma if free else c + y * (log_y - 1.0 - log_z) / gamma
-            mu = np.exp(log_y + log_q)
-        out.append(_solution(tree, pair, ej, mu, np.exp(log_q), log_q, y, log_y, value,
-                             drifts[i], flag, steps, hs[i], log_l=log_ls[i]))
-    return out
+    return [_log_space_point(tree, pair, ej, s, log_ls[i], log_qs[i], hs[i], drifts[i],
+                             flag, steps)
+            for ej, i, s in zip(endows, slots, np.asarray(log_ys, dtype=float).tolist())]
+
+
+def _log_space_point(tree, pair, e, s, log_l, log_q, h, residual, flag, steps):
+    """The exponential optimum of endowment ``e`` at log mass ``s`` (NaN:
+    free) from its log-space pass: L (N,), ln q_hat (L,), the strategy, the
+    residual, the support flag and the steps.  The normalized optimizer and
+    the strategy do not depend on the mass, so the fixed-mass optimum is
+    ``e^s q_hat`` with value ``C + e^s (s - 1 - L_root)/gamma`` (Delbaen et
+    al. 2002), exact in s where e^s underflows; the free one is at
+    s = L_root, with value ``C - e^s/gamma``.
+    """
+    gamma, c = pair.params["gamma"], pair.params["C"]
+    log_z = float(log_l[0])
+    free = math.isnan(s)
+    log_y = log_z if free else s
+    with np.errstate(over="ignore"):
+        y = float(np.exp(log_y))
+        value = c - y / gamma if free else c + y * (log_y - 1.0 - log_z) / gamma
+        mu = np.exp(log_y + log_q)
+    return _solution(tree, pair, e, mu, np.exp(log_q), log_q, y, log_y, value, residual,
+                     flag, steps, h, log_l=log_l)
 
 
 # -- Newton core ------------------------------------------------------------------
@@ -364,8 +376,8 @@ _RANK_RTOL = 1e-12  # rank cutoff of the log-space start, as geometry's _TOL
 
 
 def _row_dot(a, b):
-    """Per row of ``a`` (r, n), its dot product with ``b`` ((n,) or (r, n)),
-    by one ``dot`` per row, as for a single row."""
+    """Per row of ``a`` (r, n), its dot product with ``b`` ((n,), (1, n) or
+    (r, n)), by one ``dot`` per row, as for a single row."""
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
@@ -389,51 +401,63 @@ def _qr_fits(J, T):
 
 
 def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
-    """The dual optima of a stack of r endowments on the leaves ``live``,
+    """The dual optima of a stack of r problems on the leaves ``live``,
     found through their primals.
 
-    Row j maximizes the concave Phi(c) = sum p U(e_j + B c) - y_j x over
-    c = (h, x), the strategy and the cash, with B = [A', 1]: at a fixed
-    mass y_j over both, else over h at x = 0; its optimal measure is
-    mu = p U'(e_j + B c).  The rows of ``A`` are independent on ``live``
-    (:func:`_strategy_basis`).  ``e`` is (r, L), ``mass`` None (every row
-    free) or (r,) with NaN at free rows, and ``start`` None or (r, L).  The
-    Newton step solves H d = grad Phi, H = B' diag(-p U'') B, as least
-    squares in the H^1/2 scaling with Jacobi-scaled columns, by one batched
-    QR over the rows that step (:func:`_qr_fits`); a strategy column whose
-    weights all underflow gets no step.  -p U'' is mu times the risk
-    aversion -U''/U' of the wealth, both in closed form, and 0 where U'
-    underflows.  A step is
-    accepted on Armijo increase or, where Phi is flat to rounding (of U and
-    of the wealth), on a scaled gradient at most half as large,
+    Row j is the problem of strategy rows ``A[j]`` (k, L), leaf
+    probabilities ``p[j]`` and endowment ``e[j]``: ``A`` is (1 or r, k, L)
+    and ``p`` (1 or r, L), broadcast over the rows, so a shared problem is
+    a stack of one ((k, L) and (L,) read as one).  Problems of different
+    sizes are padded to one: padding leaves carry p = 0 and zero entries of
+    A and e (no mass and no value; they are left out of the start fit and
+    of the warm test), and padding strategy rows of A are zero (they fit 0
+    and get no step).  It maximizes the concave Phi(c) = sum p U(e_j + B c)
+    - y_j x over c = (h, x), the strategy and the cash, with B = [A', 1]:
+    at a fixed mass y_j over both, else over h at x = 0; its optimal
+    measure is mu = p U'(e_j + B c).  The nonzero rows of ``A[j]`` are
+    independent on its leaves in ``live`` (:func:`_strategy_basis`).
+    ``e`` is (r, L), ``mass`` None (every row free) or (r,) with NaN at
+    free rows, and ``start`` None or (r, L).  The Newton step solves
+    H d = grad Phi, H = B' diag(-p U'') B, as least squares in the H^1/2
+    scaling with Jacobi-scaled columns, by one batched QR over the rows
+    that step (:func:`_qr_fits`); a strategy column whose weights all
+    underflow gets no step.  -p U'' is mu times the risk aversion -U''/U'
+    of the wealth, both in closed form, and 0 where U' underflows.  A step
+    is accepted on Armijo increase or, where Phi is flat to rounding (of U
+    and of the wealth), on a scaled gradient at most half as large,
     ``max_j |B' mu - y e_x|_j / ((1 + max|B_j|) sum mu)``, the martingale
     and mass residual of mu relative to its mass.  A row runs to 1e-13, or
     stops below 1e-9 once no step is acceptable.  Rows share the loop but
     not their arithmetic: each has its own Armijo search, flat test,
     convergence and failure, and a row that is done stands still, so a
     row's result does not depend on the others.  Row j of ``start``, a leaf
-    measure positive on ``live``, starts it at the least-squares fit of
-    B c to -V'(start/p) - e_j, the same solve at unit weights; other rows
-    start at 0.  Returns per row mu
-    (r, L; 0 off ``live``), h (r, k), the value (plus p V(0) off ``live``),
-    the residual, the steps, W''(y) = [H^-1]_xx (NaN at free rows, and
-    everywhere without ``curvature``, which saves its factorization) and the
-    row's error, None or a :class:`NonconvergedError` (after 200 steps,
+    measure positive on the row's leaves in ``live``, starts it at the
+    least-squares fit of B c to -V'(start/p) - e_j, the same solve at unit
+    weights; other rows start at 0.  Returns per row mu (r, L; 0 off
+    ``live``), h (r, k), the value (plus p V(0) off ``live``), the
+    residual, the steps, W''(y) = [H^-1]_xx (NaN at free rows, and
+    everywhere without ``curvature``, which saves its factorization) and
+    the row's error, None or a :class:`NonconvergedError` (after 200 steps,
     from a start outside the domain, or without an acceptable step above
     1e-9).
     """
-    pl, el = p[live], e[:, live]
+    A, p = (A if A.ndim == 3 else A[None]), np.atleast_2d(p)
+    pl, el = p[:, live], e[:, live]
     r, n = el.shape
     y = np.full(r, math.nan) if mass is None else np.asarray(mass, dtype=float)
     fixed = ~np.isnan(y)
     y0 = np.where(fixed, y, 0.0)
-    k = A.shape[0]              # strategy columns; the cash column follows
-    B = np.empty((n, k + 1))
-    B[:, :k], B[:, k] = A[:, live].T, 1.0
-    Bk, Bt = B[:, :k], B.T
+    k = A.shape[1]              # strategy columns; the cash column follows
+    B = np.empty((len(A), n, k + 1))
+    B[:, :, :k], B[:, :, k] = A[:, :, live].swapaxes(1, 2), 1.0
+    Bk, Bt = B[:, :, :k], B.swapaxes(1, 2)
     # the scale of each gradient entry, infinite at the cash of free rows
     scale = np.where(fixed[:, None] | (np.arange(k + 1) < k),
-                     1.0 + np.abs(B).max(axis=0), math.inf)
+                     1.0 + np.abs(B).max(axis=1), math.inf)
+
+    def share(x, rows):
+        """The rows ``rows`` of a stack of 1 or r problems."""
+        return x if len(x) == 1 else x[rows]
 
     def point(c):
         """Per row: Phi, the scaled gradient, U, the wealth, mu and grad Phi."""
@@ -448,13 +472,13 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
         phi[bad], res[bad] = -math.inf, math.inf
         return phi, res, u, w, mu, g
 
-    def fit(ts, cash, ys):
-        """Per row of ``ts`` = [t | s] (a, n, 2), the c (a, k + 1) with
-        J'(J c - t) = -ys e_x, J = diag(s) B, over (h, x) at the rows
-        ``cash``, else over h at x = 0; and [(J'J)^-1]_xx at the cash rows
-        (NaN elsewhere)."""
-        t, s = ts[:, :, 0], ts[:, :, 1]
-        jh = s[:, :, None] * Bk
+    def fit(ts, rows, ys):
+        """Per row of ``ts`` = [t | s] (a, n, 2), of the rows ``rows``, the
+        c (a, k + 1) with J'(J c - t) = -ys e_x, J = diag(s) B, over (h, x)
+        at fixed masses, else over h at x = 0; and [(J'J)^-1]_xx at the
+        fixed masses (NaN elsewhere)."""
+        t, s, cash = ts[:, :, 0], ts[:, :, 1], fixed[rows]
+        jh = s[:, :, None] * share(Bk, rows)
         norm = np.sqrt((jh * jh).sum(axis=1))
         d = 1.0 / np.where(norm > 0, norm, 1.0)                  # Jacobi scaling
         jd = jh * d[:, None, :]
@@ -480,18 +504,21 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
         s = ts[:, :, 1] = np.sqrt(m * pair.risk_aversion(w[rows]))    # H = J'J
         np.divide(m, s, out=ts[:, :, 0], where=s > 0)                 # J't = B'mu
         step, inv = np.zeros((r, k + 1)), np.full(r, math.nan)
-        step[rows], inv[rows] = fit(ts, fixed[rows], y0[rows])
+        step[rows], inv[rows] = fit(ts, rows, y0[rows])
         return step, inv
 
     c = np.zeros((r, k + 1))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if start is not None:
-            q = start[:, live]
-            warm = (q > 0).all(axis=1)
+            q, on = start[:, live], pl > 0      # padding leaves are not on
+            warm = ((q > 0) | ~on).all(axis=1)
             if warm.any():
-                ts = np.ones(q[warm].shape + (2,))
-                ts[:, :, 0] = -pair.v_prime(q[warm] / pl) - el[warm]
-                c[warm] = fit(ts, fixed[warm], 0.0)[0]
+                q, on, p_w = q[warm], share(on, warm), share(pl, warm)
+                ts = np.zeros(q.shape + (2,))
+                ts[:, :, 1] = on
+                dens = np.divide(q, p_w, out=np.ones(q.shape), where=on)
+                ts[:, :, 0] = np.where(on, -pair.v_prime(dens) - el[warm], 0.0)
+                c[warm] = fit(ts, warm, 0.0)[0]
         phi, res, u, w, mu, g = point(c)
         errors = [None if x < math.inf else NonconvergedError(
             f"start outside the domain (scaled gradient {x:.3e})", residual=x)
@@ -538,10 +565,10 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
                 residual=float(res[j]))
         last = fixed & np.array([err is None for err in errors]) & curvature
         w2 = direction(last)[1] if last.any() else np.full(r, math.nan)
-    full = np.zeros((r, p.size))
+    full = np.zeros((r, p.shape[1]))
     full[:, live] = mu
     if not live.all():
-        phi = phi + float(p[~live].sum()) * float(pair.v(0.0))
+        phi = phi + p[:, ~live].sum(axis=1) * float(pair.v(0.0))
     return full, c[:, :k], phi, res, steps, w2, errors
 
 
@@ -599,11 +626,13 @@ def _solutions(tree, pair, endows, log_mass=None, starts=None):
     return _core_solutions(tree, pair, endows, log_mass, starts)
 
 
-def _at_masses(tree, pair, endow, ss):
+def _at_masses(tree, pair, endow, ss, starts=None):
     """The optima of one endowment at each log mass of ``ss`` (NaN: free),
-    from one :func:`_solutions` call; raises the first row's error."""
+    from one :func:`_solutions` call with the leaf measures ``starts``;
+    raises the first row's error."""
     ss = np.asarray(ss, dtype=float)
-    sols = _solutions(tree, pair, leaf_values(tree, endow)[None].repeat(ss.size, axis=0), ss)
+    sols = _solutions(tree, pair, leaf_values(tree, endow)[None].repeat(ss.size, axis=0), ss,
+                      starts)
     for sol in sols:
         if isinstance(sol, Exception):
             raise sol
@@ -666,15 +695,18 @@ class CurveReport:
     min_value: float
 
 
-def dual_value_curve(tree: MarketTree, pair: UtilityPair, endow,
-                     ys: Sequence[float], *, log: bool = False) -> CurveReport:
-    """The mass-indexed dual value curve on a grid of positive masses, given
-    as log masses with ``log``, which keep a subnormal mass exact.
+def dual_value_curve(sol: DualSolution, ys: Sequence[float], *,
+                     log: bool = False) -> CurveReport:
+    """The mass-indexed dual value curve of ``sol``'s problem on a grid of
+    positive masses, given as log masses with ``log``, which keep a
+    subnormal mass exact.
 
-    Each point solves the inner problem with total mass pinned, all of them
-    by one :func:`_solutions` call at the log masses: one log-space pass for
-    the exponential family, one Newton-core call, each row started cold,
-    otherwise.  A point's ``y`` is the caller's mass, or e^s (which may
+    Each point is the inner optimum at its pinned mass e^s, read off the
+    solved problem: for the exponential family in closed form from
+    ``sol``'s log-space pass (:func:`_log_space_point`, the measure
+    e^s q_hat), otherwise by one Newton-core call whose rows start at
+    ``sol.mu * e^(s - ln m)``, m = ``sol.mass``; raises the first row's
+    error.  A point's ``y`` is the caller's mass, or e^s (which may
     underflow).  The report carries a numeric convexity certificate, on
     either kind of grid: the least rise of the mass derivative between
     neighbours, since W is convex exactly where W' does not fall; the
@@ -692,9 +724,16 @@ def dual_value_curve(tree: MarketTree, pair: UtilityPair, endow,
         masses = ys
     if any(a == b for a, b in zip(ys, ys[1:])):
         raise DomainError("curve masses must be distinct")
-    sols = _at_masses(tree, pair, endow, ys if log else [math.log(y) for y in ys])
-    pts = [CurvePoint(y=y, value=sol.value, q_hat=sol.q_hat,
-                      derivative=sol.mass_derivative) for y, sol in zip(masses, sols)]
+    ss = ys if log else [math.log(y) for y in ys]
+    if sol._log_l is not None:
+        sols = [_log_space_point(sol.tree, sol.pair, sol._endow_arr, s, sol._log_l,
+                                 sol._log_q, sol._h_arr, sol.stationarity, sol.support,
+                                 sol.iterations[-1]["steps"]) for s in ss]
+    else:
+        starts = sol.mu * np.exp(np.array(ss) - sol._log_mass)[:, None]
+        sols = _at_masses(sol.tree, sol.pair, sol._endow_arr, ss, starts)
+    pts = [CurvePoint(y=y, value=pt.value, q_hat=pt.q_hat,
+                      derivative=pt.mass_derivative) for y, pt in zip(masses, sols)]
     rises = (b.derivative - a.derivative for a, b in zip(pts, pts[1:]))
     return CurveReport(points=tuple(pts),
                        min_second_difference=min(rises, default=math.inf),

@@ -187,6 +187,19 @@ class SupportStructure:
             mass[lo:hi] *= mass[parent[lo:hi]]
         return mass[levels[-2]:]
 
+    @cached_property
+    def _level_runs(self):
+        """Per non-leaf level, bottom up: its vertices' children and
+        weights, the start of each node's run of vertices within them, and
+        the nodes of those runs."""
+        ends = np.searchsorted(self.node, self.layout.level_starts)
+        out = []
+        for v0, v1 in zip(ends[-3::-1], ends[-2::-1]):
+            node = self.node[v0:v1]
+            starts = np.flatnonzero(np.diff(node, prepend=-1))
+            out.append((self.child[v0:v1], self.weight[v0:v1], starts, node[starts]))
+        return tuple(out)
+
     def extremes(self, u):
         """Per node, the (min, max) of E_q[u | n] over martingale
         probabilities q: two (N,) arrays in layout order.
@@ -199,12 +212,9 @@ class SupportStructure:
         levels = self.layout.level_starts
         lo, hi = np.zeros(len(self.layout.ids)), np.zeros(len(self.layout.ids))
         lo[levels[-2]:] = hi[levels[-2]:] = u
-        ends = np.searchsorted(self.node, levels)
-        for v0, v1 in zip(ends[-3::-1], ends[-2::-1]):  # levels, bottom up
-            node, child, weight = self.node[v0:v1], self.child[v0:v1], self.weight[v0:v1]
-            starts = np.flatnonzero(np.diff(node, prepend=-1))
-            lo[node[starts]] = np.minimum.reduceat((weight * lo[child]).sum(axis=1), starts)
-            hi[node[starts]] = np.maximum.reduceat((weight * hi[child]).sum(axis=1), starts)
+        for child, weight, starts, node in self._level_runs:
+            lo[node] = np.minimum.reduceat((weight * lo[child]).sum(axis=1), starts)
+            hi[node] = np.maximum.reduceat((weight * hi[child]).sum(axis=1), starts)
         return lo, hi
 
 

@@ -182,7 +182,8 @@ def dynamic_dual(sol: DualSolution, t: int, wealth=None) -> list[DynamicDualNode
     ``C P_n + m_n (ln m_n - 1 - ln P_n - L_n)/gamma``, derivative
     ``(ln m_n - ln P_n - L_n)/gamma``, with ln m_n = ln y +
     ``node_log_q[n]`` exact where m_n underflows.  Two-power non-leaf nodes
-    run the Newton core on the subtree's maximal support, started at the
+    solve their subtrees' problems on the maximal support in one
+    Newton-core call per time (:func:`_conditional_solves`), started at the
     optimizer, and differentiate by the envelope formula.  The value is the
     raw one over P_n; the restriction gap compares it with the global
     optimizer's objective on the subtree, a ``subtree_sums`` of
@@ -219,31 +220,45 @@ def dynamic_dual(sol: DualSolution, t: int, wealth=None) -> list[DynamicDualNode
 
 
 def _conditional_solves(sol, nodes, masses):
-    """The raw conditional dual values and mass derivatives at the non-leaf
-    ``nodes`` with optimal masses ``masses``: one Newton-core call per node,
-    on the subtree's rows of :func:`build_constraints` that the tree's
-    :func:`_strategy_basis` keeps."""
+    """The raw conditional dual values and mass derivatives at the charged
+    non-leaf ``nodes`` of one time, with optimal masses ``masses``, from one
+    Newton-core call.  Row i is node i's subtree: its leaves, padded to the
+    largest subtree's with p = 0 and zero entries, and the rows of
+    :func:`build_constraints` inside it that the tree's
+    :func:`_strategy_basis` keeps, padded with zero rows to the most any
+    subtree keeps (memory O(L k) per time).  Every leaf is live: the
+    two-power dual refuses a DEGENERATE market.  Each row starts at the
+    optimizer; the first failing row raises its :class:`NonconvergedError`."""
     tree, pair, e, mu = sol.tree, sol.pair, sol._endow_arr, sol.mu
     lay, p = tree.layout, tree.leaf_probability_array
     geo = _support_structure(tree)
-    A, live, basis = build_constraints(tree), geo.mask, _strategy_basis(geo)
-    raw, deriv = np.empty(nodes.size), np.empty(nodes.size)
-    for i, (k, m_n) in enumerate(zip(nodes.tolist(), masses.tolist())):
-        lo, hi = lay.lo[k], lay.hi[k]
-        # the kept rows of the non-leaf nodes inside this subtree
-        inside = (lay.lo >= lo) & (lay.hi <= hi)
-        A_sub = A[np.repeat(inside[:lay.level_starts[-2]], tree.n_assets) & basis, lo:hi]
-        p_sub, e_sub, on = p[lo:hi], e[lo:hi], live[lo:hi]
-        mu_sub, _, val, *_, (err,) = _newton_core(A_sub, p_sub, e_sub[None], pair, on,
-                                                  mass=[m_n], start=mu[None, lo:hi],
-                                                  curvature=False)
+    lo, hi = lay.lo[nodes], lay.hi[nodes]
+    # the kept rows of A, each in the subtree that holds its node, if any:
+    # the subtrees of one time are disjoint leaf ranges in leaf order
+    kept = np.flatnonzero(_strategy_basis(geo))
+    owner = kept // tree.n_assets
+    slot = np.maximum(np.searchsorted(lo, lay.lo[owner], side="right") - 1, 0)
+    inside = (lay.lo[owner] >= lo[slot]) & (lay.hi[owner] <= hi[slot])
+    by_slot = np.flatnonzero(inside)[np.argsort(slot[inside], kind="stable")]
+    kept, slot = kept[by_slot], slot[by_slot]
+    column = np.arange(slot.size) - np.searchsorted(slot, slot)
+    leaf = lo[:, None] + np.arange((hi - lo).max())
+    pad = leaf >= hi[:, None]
+    leaf[pad] = 0
+    A = np.zeros((nodes.size, column.max(initial=0) + 1, leaf.shape[1]))
+    A[slot, column] = np.where(pad[slot], 0.0, build_constraints(tree)[kept[:, None],
+                                                                       leaf[slot]])
+    p_sub, e_sub = np.where(pad, 0.0, p[leaf]), np.where(pad, 0.0, e[leaf])
+    mu_sub, _, raw, *_, errors = _newton_core(A, p_sub, e_sub, pair,
+                                              np.ones(leaf.shape[1], dtype=bool),
+                                              mass=masses, start=mu[leaf], curvature=False)
+    for err in errors:
         if err is not None:
             raise err
-        # the envelope formula; leaves off the support carry no mass
-        mu_on = mu_sub[0, on]
-        raw[i] = val[0]
-        deriv[i] = np.dot(mu_on / m_n, pair.v_prime(mu_on / p_sub[on]) + e_sub[on])
-    return raw, deriv
+    # the envelope formula, over the subtree's leaves
+    dens = np.divide(mu_sub, p_sub, out=np.ones(mu_sub.shape), where=~pad)
+    deriv = np.where(pad, 0.0, mu_sub / masses[:, None] * (pair.v_prime(dens) + e_sub))
+    return raw, deriv.sum(axis=1)
 
 
 # -- exponential Snell envelope ------------------------------------------------------

@@ -181,7 +181,7 @@ def test_value_curve(tri1, exp_pair):
     e = {"a": 0.3, "b": -0.2, "c": 0.1}
     sol = solve_dual(tri1, exp_pair, e)
     ys = sol.mass * np.array([0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0])
-    rep = dual_value_curve(tri1, exp_pair, e, ys)
+    rep = dual_value_curve(sol, ys)
     at_opt = [p for p in rep.points if p.y == pytest.approx(sol.mass)]
     assert at_opt[0].value == pytest.approx(sol.value, abs=1e-8)
     assert rep.min_second_difference >= -1e-8
@@ -193,9 +193,10 @@ def test_value_curve_reads_the_same_margin_from_masses_and_log_masses(tri1, exp_
                                                                        tp_pair, family):
     pair = exp_pair if family == "exponential" else tp_pair
     e = [0.3, -0.2, 0.1]
-    ys = solve_dual(tri1, pair, e).mass * np.array([0.5, 0.75, 1.0, 1.5, 2.0])
-    by_mass = dual_value_curve(tri1, pair, e, ys).min_second_difference
-    by_log = dual_value_curve(tri1, pair, e, np.log(ys), log=True).min_second_difference
+    sol = solve_dual(tri1, pair, e)
+    ys = sol.mass * np.array([0.5, 0.75, 1.0, 1.5, 2.0])
+    by_mass = dual_value_curve(sol, ys).min_second_difference
+    by_log = dual_value_curve(sol, np.log(ys), log=True).min_second_difference
     assert by_mass == pytest.approx(by_log, rel=1e-12, abs=1e-12)
 
 
@@ -204,7 +205,7 @@ def test_value_curve_bin1_closed_form(bin1, exp_pair_raw):
     q = np.array([1 / 3, 2 / 3])
     p = np.array([0.5, 0.5])
     ys = [0.4, 0.8, 1.2, 2.0]
-    rep = dual_value_curve(bin1, exp_pair_raw, 0.0, ys)
+    rep = dual_value_curve(solve_dual(bin1, exp_pair_raw, 0.0), ys)
     for pt in rep.points:
         direct = float(p @ exp_pair_raw.v(pt.y * q / p))
         assert pt.value == pytest.approx(direct, abs=1e-10)
@@ -214,7 +215,8 @@ def test_value_curve_bin1_closed_form(bin1, exp_pair_raw):
 def test_value_curve_refuses_a_repeated_mass(bin1, pair_name, request):
     # a repeated mass made the second difference divide by zero
     with pytest.raises(DomainError, match="curve masses must be distinct"):
-        dual_value_curve(bin1, request.getfixturevalue(pair_name), 0.0, [1.0, 1.0, 2.0])
+        dual_value_curve(solve_dual(bin1, request.getfixturevalue(pair_name), 0.0),
+                         [1.0, 1.0, 2.0])
 
 
 @pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
@@ -224,32 +226,33 @@ def test_masses_must_be_finite_and_positive(tri1, pair_name, request):
     # gave a ValueError or a TypeError
     pair = request.getfixturevalue(pair_name)
     e = [0.3, -0.2, 0.1]
+    sol = solve_dual(tri1, pair, e)
     with pytest.raises(DomainError, match="at least one"):
-        dual_value_curve(tri1, pair, e, [])
+        dual_value_curve(sol, [])
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError, match="masses must be finite"):
             solve_dual_fixed_mass(tri1, pair, e, bad)
         with pytest.raises(DomainError, match="masses must be finite"):
-            dual_value_curve(tri1, pair, e, [0.5, bad, 1.0])
+            dual_value_curve(sol, [0.5, bad, 1.0])
     for bad in (0.0, -1.0, -math.inf):
         with pytest.raises(NoMartingaleMeasureError, match="masses must be positive"):
             solve_dual_fixed_mass(tri1, pair, e, bad)
         with pytest.raises(NoMartingaleMeasureError, match="masses must be positive"):
-            dual_value_curve(tri1, pair, e, [0.5, bad, 1.0])
+            dual_value_curve(sol, [0.5, bad, 1.0])
 
 
 def test_log_curve_takes_convexity_from_the_derivatives(tri1, exp_pair):
     # masses e^-800 and e^-760 underflow to 0, the log masses stay exact;
     # W'(y) = (ln y - L)/gamma rises by the log-mass steps over gamma
-    e = [0.3, -0.2, 0.1]
-    rep = dual_value_curve(tri1, exp_pair, e, [-750.0, -800.0, -760.0], log=True)
+    sol = solve_dual(tri1, exp_pair, [0.3, -0.2, 0.1])
+    rep = dual_value_curve(sol, [-750.0, -800.0, -760.0], log=True)
     assert [p.y for p in rep.points] == [0.0, 0.0, math.exp(-750.0)]
     assert rep.min_second_difference == pytest.approx(10.0, rel=1e-12)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="log masses must be finite"):
-            dual_value_curve(tri1, exp_pair, e, [-1.0, bad], log=True)
+            dual_value_curve(sol, [-1.0, bad], log=True)
     with pytest.raises(DomainError, match="curve masses must be distinct"):
-        dual_value_curve(tri1, exp_pair, e, [-800.0, -800.0], log=True)
+        dual_value_curve(sol, [-800.0, -800.0], log=True)
 
 
 @pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
@@ -259,11 +262,18 @@ def test_mass_derivative_is_the_envelope_formula(tri1, pair_name, request):
     # two-power family and to rounding where X comes from the log-masses
     pair = request.getfixturevalue(pair_name)
     e = np.array([0.3, -0.2, 0.1])
+    free = solve_dual(tri1, pair, e)
     for y in (0.5, 1.0, 2.0):
         sol = solve_dual_fixed_mass(tri1, pair, e, y)
         got = sol.mass_derivative
         assert got == dual_derivative(tri1, pair, e, y)
-        assert dual_value_curve(tri1, pair, e, [y]).points[0].derivative == got
+        # the curve reads the free optimum's pass (exponential), or solves
+        # a row started at the rescaled optimum, which meets the cold one
+        point = dual_value_curve(free, [y]).points[0].derivative
+        if pair.family == "exponential":
+            assert point == got
+        else:
+            assert point == pytest.approx(got, rel=1e-12, abs=1e-12)
         envelope = float(np.dot(sol.q_hat, pair.v_prime(sol.density_array) + e))
         ulps = 0 if pair.family == "two_power" else 4
         assert abs(got - envelope) <= ulps * np.spacing(abs(envelope))
@@ -278,11 +288,54 @@ def test_mass_derivative_is_finite_on_dead_leaves(exp_pair):
     ys = [0.3, 0.9, 1.5]
     with np.errstate(all="raise"):
         got = [dual_derivative(tree, exp_pair, 0.0, sol.mass)] + [
-            p.derivative for p in dual_value_curve(tree, exp_pair, 0.0, ys).points]
+            p.derivative for p in dual_value_curve(sol, ys).points]
     gamma = exp_pair.params["gamma"]
     want = [(math.log(y) - sol._log_mass) / gamma for y in [sol.mass] + ys]
     assert all(map(math.isfinite, got))
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _curve_instance(seed, family):
+    """A random market, a pair of ``family``, an endowment, its free optimum
+    and sorted log masses around the optimum's, one of them subnormal for
+    the exponential family."""
+    rng = np.random.default_rng(seed)
+    tree = treegen.random_market(rng, max_periods=3, n_assets=1 + seed % 2)
+    pair = (exponential_utility(float(rng.uniform(0.3, 3.0)), 2.0) if family == "exponential"
+            else two_power_utility(float(rng.uniform(0.3, 0.7)),
+                                   float(rng.uniform(0.5, 2.0)), 1.0))
+    e = rng.uniform(-1.0, 1.0, tree.n_leaves)
+    sol = solve_dual(tree, pair, e)
+    ss = list(sol._log_mass + np.log([0.5, 0.75, 1.0, 1.5, 2.0]))
+    if family == "exponential":
+        ss.append(-800.0)
+    return tree, pair, e, sol, np.sort(ss)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exponential_curve_read_off_the_optimum_is_a_fresh_pass_bit_for_bit(seed):
+    # the fixed-mass optimum is e^s q_hat, so the curve reads every point
+    # off the free optimum's pass, as a fresh fixed-mass pass does
+    tree, pair, e, sol, ss = _curve_instance(seed, "exponential")
+    curve = dual_value_curve(sol, ss, log=True)
+    fresh = dual._solutions(tree, pair, np.repeat(e[None], ss.size, axis=0), ss)
+    for pt, row in zip(curve.points, fresh, strict=True):
+        assert (pt.y, pt.value, pt.derivative) == (row.mass, row.value, row.mass_derivative)
+        assert np.array_equal(pt.q_hat, row.q_hat)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_two_power_curve_started_at_the_optimum_meets_cold_rows(seed):
+    tree, pair, e, sol, ss = _curve_instance(seed, "two_power")
+    curve = dual_value_curve(sol, ss, log=True)
+    cold = dual._solutions(tree, pair, np.repeat(e[None], ss.size, axis=0), ss)
+    for pt, row, s in zip(curve.points, cold, ss, strict=True):
+        assert pt.y == math.exp(s)
+        assert abs(pt.value - row.value) <= 1e-12 * (1.0 + abs(row.value))
+        # the derivative -E_q_hat[X] cancels at the optimum: scale by X
+        scale = 1.0 + np.abs(row.terminal_gain).max()
+        assert abs(pt.derivative - row.mass_derivative) <= 1e-12 * scale
+        assert np.abs(pt.q_hat - row.q_hat).max() <= 1e-12
 
 
 def test_derivative_zero_at_optimum(tri1, exp_pair):

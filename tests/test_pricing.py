@@ -446,7 +446,10 @@ def test_exponential_pricing_makes_one_pass_per_call(exp_pair, monkeypatch):
     betas = cli._parse_betas(sub.choices["curve"].get_default("betas"))
     assert average_price_curve(tree, exp_pair, endow, claim, betas).dual_solves == 10
     assert len(calls) == 2 * levels
-    dual_value_curve(tree, exp_pair, endow, [0.5, 0.75, 1.0, 1.5, 2.0])
+    sol = solve_dual(tree, exp_pair, endow)
+    assert len(calls) == 3 * levels
+    # the curve is read off the optimum's pass
+    dual_value_curve(sol, [0.5, 0.75, 1.0, 1.5, 2.0])
     assert len(calls) == 3 * levels
 
 

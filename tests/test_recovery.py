@@ -426,6 +426,55 @@ def test_two_power_dynamic_dual_leaves_match_the_cores_leaf_solve(seed):
         assert node.restriction_gap == 0.0 and gap <= 1e-12
 
 
+def _conditional_solves_by_node(sol, nodes, masses):
+    """Oracle of ``recovery._conditional_solves``: the raw conditional dual
+    values and mass derivatives at the non-leaf ``nodes`` with optimal
+    masses ``masses``, one Newton-core call per node, on the subtree's rows
+    of ``build_constraints`` that the tree's strategy basis keeps, started
+    at the optimizer."""
+    tree, pair, e, mu = sol.tree, sol.pair, sol._endow_arr, sol.mu
+    lay, p = tree.layout, tree.leaf_probability_array
+    geo = _support_structure(tree)
+    A, live, basis = build_constraints(tree), geo.mask, dual._strategy_basis(geo)
+    raw, deriv = np.empty(nodes.size), np.empty(nodes.size)
+    for i, (k, m_n) in enumerate(zip(nodes.tolist(), masses.tolist())):
+        lo, hi = lay.lo[k], lay.hi[k]
+        # the kept rows of the non-leaf nodes inside this subtree
+        inside = (lay.lo >= lo) & (lay.hi <= hi)
+        A_sub = A[np.repeat(inside[:lay.level_starts[-2]], tree.n_assets) & basis, lo:hi]
+        p_sub, e_sub, on = p[lo:hi], e[lo:hi], live[lo:hi]
+        mu_sub, _, val, *_, (err,) = dual._newton_core(A_sub, p_sub, e_sub[None], pair, on,
+                                                       mass=[m_n], start=mu[None, lo:hi],
+                                                       curvature=False)
+        if err is not None:
+            raise err
+        # the envelope formula; leaves off the support carry no mass
+        mu_on = mu_sub[0, on]
+        raw[i] = val[0]
+        deriv[i] = np.dot(mu_on / m_n, pair.v_prime(mu_on / p_sub[on]) + e_sub[on])
+    return raw, deriv
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+def test_one_core_call_per_time_matches_the_per_node_solves(seed, n_assets):
+    # the subtrees of one time, 2 or 3 children per one-asset node, are
+    # padded to the largest in one stacked call; each row meets its own
+    # per-node solve to rounding
+    rng = np.random.default_rng(seed)
+    tree = treegen.random_market(rng, max_periods=3, n_assets=n_assets)
+    pair = two_power_utility(float(rng.uniform(0.3, 0.7)), float(rng.uniform(0.5, 2.0)), 1.0)
+    sol = solve_dual(tree, pair, rng.uniform(-1.0, 1.0, tree.n_leaves))
+    mass, starts = tree.subtree_sums(sol.mu), tree.layout.level_starts
+    for t in range(tree.horizon):
+        nodes = np.arange(starts[t], starts[t + 1])
+        nodes = nodes[sol.charged[nodes]]
+        got = recovery._conditional_solves(sol, nodes, mass[nodes])
+        want = _conditional_solves_by_node(sol, nodes, mass[nodes])
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= 1e-12 * (1.0 + np.abs(w)))
+
+
 @pytest.mark.parametrize("family", ["exponential", "two_power"])
 def test_dynamic_dual_calls_the_core_only_at_two_power_inner_nodes(family, monkeypatch):
     tree = treegen.product_market([[2.0, 1.0, 0.5], [1.6, 0.7]])
@@ -434,7 +483,7 @@ def test_dynamic_dual_calls_the_core_only_at_two_power_inner_nodes(family, monke
     sol = solve_dual(tree, pair, treegen.random_endowment(np.random.default_rng(9), tree))
     calls, real = [], recovery._newton_core
     monkeypatch.setattr(recovery, "_newton_core",
-                        lambda *args, **kw: calls.append(len(args[1])) or real(*args, **kw))
+                        lambda *args, **kw: calls.append(args[1].shape) or real(*args, **kw))
     per_time = []
     for t in range(tree.horizon + 1):
         before = len(calls)
@@ -443,9 +492,10 @@ def test_dynamic_dual_calls_the_core_only_at_two_power_inner_nodes(family, monke
     if family == "exponential":
         assert calls == []
     else:
-        # one call per positive-mass non-leaf node, on its subtree's leaves
-        assert per_time == [(1, 1), (3, 3), (0, tree.n_leaves)]
-        assert calls == [6, 2, 2, 2]
+        # one call per time with positive-mass non-leaf nodes, a row per
+        # node on its subtree's leaves
+        assert per_time == [(1, 1), (1, 3), (0, tree.n_leaves)]
+        assert calls == [(1, 6), (3, 2)]
 
 
 @pytest.mark.parametrize("n_assets", [1, 2])
@@ -594,7 +644,7 @@ def test_results_are_arrays_in_tree_order(exp_pair):
     sol = solve_dual(tree, exp_pair, e)
     ps = recover(tree, exp_pair, e, sol)
     snell = snell_envelope_exponential(sol, wealth=ps.wealth)
-    curve = dual_value_curve(tree, exp_pair, e, [0.5 * sol.mass, sol.mass])
+    curve = dual_value_curve(sol, [0.5 * sol.mass, sol.mass])
     price = optimal_measure_price_process(sol, b)
     results = {"mu": (sol.mu, (L,)), "q_hat": (sol.q_hat, (L,)),
                "CurvePoint.q_hat": (curve.points[0].q_hat, (L,)),
