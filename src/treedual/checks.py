@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import _qr_fits, _strategy_basis, dual_value_curve, solve_dual
-from .errors import CapExceededError, NonconvergedError
-from .geometry import (_support_structure, build_constraints, relative_entropy,
-                       vertex_enumerate)
+from .errors import NonconvergedError
+from .geometry import _support_structure, relative_entropy
 from .market import MarketTree, leaf_values
 from .recovery import (dynamic_dual, recover, snell_envelope_exponential,
                        verify_supermartingale)
@@ -61,19 +60,31 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     charged node, the wealth residual and restriction gap of
     :func:`dynamic_dual`.  The certification proves biconjugacy from the
     pair's closed forms at y = U'(x); its detail prints the tail
-    elasticities (AE-, AE+) beside their grid estimates.  The support flag
-    and "maximal support" read one leaf mask, named in the latter's detail:
-    the union of the supports of the enumerated vertices, an oracle apart
-    from the support pass behind the flag, or that pass past the
-    enumeration cap.  The checks under all martingale measures go node by
-    node over the valid one-step vertices (:func:`verify_supermartingale`,
-    :func:`snell_envelope_exponential`), exhaustive at any size.  The value
+    elasticities (AE-, AE+) beside their grid estimates.  Every check runs
+    node by node in O(N), with no dense constraint matrix and no vertex
+    enumeration.  "Martingale constraints at optimum" is the one-step price
+    drift at each charged node times its mass; "dual first-order
+    conditions" fits E_q[X | child] - E_q[X | node] by the increments on
+    each charged node's charged children (one batched QR), apart from the
+    solver's strategy.  The support flag and "maximal support" check the
+    support pass's two certificates on the prices alone (the FTAP on finite
+    trees): its one-step weights (``step_weights``) must be non-negative,
+    sum to 1 and have no drift at every node they reach, which proves a
+    martingale measure charging the leaves they reach, and its strategy
+    (``arbitrage``) must gain >= 0 on every leaf and > 0 on every leaf
+    those weights miss, which proves no martingale measure charges them.
+    The flag passes when they prove it; "maximal support" counts the
+    leaves q_hat misses though the weights reach them, or charges though
+    the strategy gains there.  The checks under all martingale measures go
+    node by node over the valid one-step vertices
+    (:func:`verify_supermartingale`, :func:`snell_envelope_exponential`),
+    exhaustive at any size.  The value
     curve is read off the optimum at log masses around its own
     (:func:`dual_value_curve`): in closed form for the exponential family,
     else by one Newton-core call started at the rescaled optimum.  A result's
     ``seconds`` run from the previous result, so shared work (the solve, the
-    vertices, the recovery, the curve) is charged to the first check that
-    uses it.
+    certificates, the recovery, the curve) is charged to the first check
+    that uses it.
     """
     results, clock = [], [time.perf_counter()]
 
@@ -90,32 +101,42 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
         f"est ({cert.ae_minus_estimate:.3g}, {cert.ae_plus_estimate:.3g})")
 
     sol = solve_dual(tree, pair, endow)
+    geo, lay, inner = _support_structure(tree), tree.layout, tree.layout.level_starts[-2]
+    charged, live = sol.charged[:inner], sol.charged[inner:]
+    dS, firsts, top = _steps(tree)
 
-    A = build_constraints(tree)
-    cons_res = float(np.abs(A @ sol.mu).max()) if A.size else 0.0
-    tol = 1e-10 * (1 + sol.mass)
-    add("martingale constraints at optimum", cons_res, tol)
+    # the one-step price drift at every charged node, weighted by its mass
+    drift = tree.one_step_expectation(lay.prices, sol.node_log_q) - lay.prices[:inner]
+    mass = np.exp(sol._log_mass + sol.node_log_q[:inner, None])
+    cons_res = float(np.abs(np.where(charged[:, None], mass * drift, 0.0)).max(initial=0.0))
+    add("martingale constraints at optimum", cons_res, 1e-10 * (1 + sol.mass))
 
-    # KKT of the entropy program: gradient -X in the row space at charged
-    # leaves, fitted by the rows of the tree's strategy basis
-    g = -sol.terminal_gain
-    live = sol.charged[-tree.n_leaves:]
-    rows = A[_strategy_basis(_support_structure(tree))][:, live].T
-    lam = _qr_fits(rows[None], g[None, live, None])[0, :, 0]
-    kkt = float(np.abs(g[live] - rows @ lam).max()) / (1.0 + float(np.abs(g[live]).max()))
+    # KKT of the entropy program: X replicable under q_hat, so that at each
+    # charged node E[X | child] - E[X | node] is fitted by the increments on
+    # the charged children (the columns of the tree's strategy basis)
+    x = np.where(live, sol.terminal_gain, 0.0)
+    cond = tree.conditional_expectation(x, sol.node_log_q)
+    kid = np.where(sol.charged[1:], cond[1:] - cond[lay.parent[1:]], 0.0)
+    fit = _per_node_fits(tree, np.where(sol.charged[1:, None], dS, 0.0), kid, charged,
+                         _strategy_basis(geo).reshape(inner, -1))
+    kkt = float(np.abs(fit).max(initial=0.0)) / (1.0 + float(np.abs(x[live]).max()))
     add("dual first-order conditions", kkt, 1e-8)
 
-    # one leaf mask decides the flag and the maximal support: the union of
-    # the enumerated vertices' supports, apart from the support pass behind
-    # the flag, or past the enumeration cap of 10 000 the support pass itself
-    try:
-        verts = vertex_enumerate(A)
-        support, source = (verts > 0).any(axis=0), f"{len(verts)} enumerated vertices"
-    except CapExceededError:
-        support, source = _support_structure(tree).mask, "support pass, past the vertex cap"
-    support_ok = (sol.support == "EQUIVALENT") == bool(support.all())
-    add("support flag matches market", 0.0 if support_ok else 1.0, 0.5, sol.support)
-    add("maximal support", float(np.count_nonzero(support & ~live)), 0.5, source)
+    # the certificates of the support pass, each checked on the prices
+    # alone: the flag holds when they prove it, and q_hat must charge every
+    # leaf the measure charges and no leaf where the arbitrage gains
+    on, measure_ok = _measure_certificate(lay, dS, firsts, top, geo.step_weights)
+    gains, scale = _arbitrage_gains(lay, dS, top, geo.arbitrage)
+    loses = bool((gains < -_CERTIFICATE_TOL * scale).any())
+    cut = gains > _CERTIFICATE_TOL * scale
+    if sol.support == "EQUIVALENT":
+        proven = measure_ok and bool(on.all())
+    else:
+        proven = measure_ok and not loses and bool(cut[~on].all()) and not on.all()
+    add("support flag matches market", 0.0 if proven else 1.0, 0.5, sol.support)
+    add("maximal support", float(np.count_nonzero((on & ~live) | (cut & live))), 0.5,
+        f"{np.count_nonzero(on)} leaves charged by the measure certificate, "
+        f"{np.count_nonzero(cut)} cut off by the arbitrage")
 
     if sol.support != "EQUIVALENT":
         return results
@@ -180,3 +201,65 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
         f"C'={cprime:.3g}")
 
     return results
+
+
+# the measure certificate's one-step sums and drifts, and the arbitrage
+# certificate's gains, each against its scale
+_CERTIFICATE_TOL = 1e-10
+
+
+def _steps(tree):
+    """The price increments (N - 1, d) of the nodes below the root, each
+    non-leaf node's first child among them (a ``reduceat`` start) and its
+    largest increment per asset (n, d)."""
+    lay = tree.layout
+    dS, firsts = lay.prices[1:] - lay.prices[lay.parent[1:]], lay.first_child - 1
+    return dS, firsts, np.maximum.reduceat(np.abs(dS), firsts, axis=0)
+
+
+def _measure_certificate(lay, dS, firsts, top, w):
+    """The leaves that one-step weights ``w`` (N,) charge, multiplied down
+    the paths from the root, and whether they are a martingale probability:
+    at every node they reach, non-negative on its children, summing to 1
+    and with no drift, each to ``_CERTIFICATE_TOL`` of the node's largest
+    increment per asset.  Reads nothing but the prices and ``w``."""
+    reach = np.ones(w.size, dtype=bool)
+    for a, b in zip(lay.level_starts[1:], lay.level_starts[2:]):
+        reach[a:b] = reach[lay.parent[a:b]] & (w[a:b] > 0)
+    drift = np.add.reduceat(w[1:, None] * dS, firsts, axis=0)
+    bad = ((np.abs(np.add.reduceat(w[1:], firsts) - 1.0) > _CERTIFICATE_TOL)
+           | (np.abs(drift) > _CERTIFICATE_TOL * top).any(axis=1)
+           | (np.minimum.reduceat(w[1:], firsts) < 0))
+    return reach[lay.level_starts[-2]:], not bool((bad & reach[:bad.size]).any())
+
+
+def _arbitrage_gains(lay, dS, top, h):
+    """The gains of the strategy ``h`` (n, d) at every leaf and their
+    scale: along the path, the sum of |h| times the node's largest
+    increment per asset.  Reads nothing but the prices and ``h``."""
+    gains, scale = np.zeros(len(lay.ids)), np.zeros(len(lay.ids))
+    for a, b in zip(lay.level_starts[1:], lay.level_starts[2:]):
+        par = lay.parent[a:b]
+        gains[a:b] = gains[par] + np.einsum("nd,nd->n", h[par], dS[a - 1:b - 1])
+        scale[a:b] = scale[par] + (np.abs(h[par]) * top[par]).sum(axis=1)
+    return gains[lay.level_starts[-2]:], scale[lay.level_starts[-2]:]
+
+
+def _per_node_fits(tree, dS, y, nodes, basis):
+    """Residuals (N - 1,) of the least-squares fits of ``y`` (N - 1,) on each
+    node's children by their increments ``dS`` (N - 1, d), restricted to the
+    columns ``basis`` (n, d), at the non-leaf ``nodes`` (a mask; other nodes
+    read 0): one batched :func:`_qr_fits` over the nodes, padded to the
+    most children."""
+    lay = tree.layout
+    node = np.flatnonzero(nodes)
+    count = np.diff(lay.first_child, append=len(lay.ids))[node]
+    row = lay.first_child[node, None] - 1 + np.arange(count.max(initial=1))
+    pad = np.arange(row.shape[1]) >= count[:, None]
+    row[pad] = 0
+    J = np.where(pad[..., None] | ~basis[node, None], 0.0, dS[row])
+    T = np.where(pad, 0.0, y[row])[..., None]
+    res = T - J @ _qr_fits(J, T)
+    out = np.zeros(y.size)
+    out[row[~pad]] = res[..., 0][~pad]
+    return out

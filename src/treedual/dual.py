@@ -231,31 +231,37 @@ def _live_levels(geo: SupportStructure):
     ``ln(p / w0)`` (g, m; 0 off the live children), the live children with
     their flat slots in (g, m), and 1 + |S_n|; live as in
     ``SupportStructure.live``, and w0 the mean of a node's valid vertices
-    (``geo.one_step`` of equal weights), positive on its live children.
+    (``geo.step_weights``), positive on its live children.
     The start ``k0 = Cov_w0(x)^+ Cov_w0(x, b - ln w0)`` = sum_c fit_c
     (shift_c + L_c) / gamma fits ``b - ln w0`` by ``x.k + f`` in w0-weighted
     least squares (x = gamma dS, b = ln p + L); the pseudo-inverse, one
     batched eigh without eigenvalues below _RANK_RTOL of the largest, keeps
-    k0 in the span of the increments, as the minimum-norm minimizer.
+    k0 in the span of the increments, as the minimum-norm minimizer.  All
+    live non-leaf nodes are set up in one batch, padded to the most
+    children, and each level is sliced out and trimmed to its widest node.
     """
-    lay = geo.layout
+    lay, w, live = geo.layout, geo.step_weights, geo.live
     starts = lay.level_starts
-    w, live = geo.one_step(np.ones(geo.node.size)), geo.live
+    node = np.flatnonzero(live[:starts[-2]])
+    kids, on, dS = _increments(lay, live, node)
+    w0 = np.where(on, w[kids], 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lnp = np.where(on, np.log(lay.prob[kids]), -np.inf)
+        shift = np.where(on, lnp - np.log(w0), 0.0)
+    dev = dS - np.einsum("gm,gmd->gd", w0, dS)[:, None]
+    ev, vec = np.linalg.eigh(np.einsum("gm,gmd,gme->gde", w0, dev, dev))
+    inv = np.divide(1.0, ev, out=np.zeros_like(ev),
+                    where=ev > _RANK_RTOL * np.abs(ev[:, -1:]))
+    fit = w0[..., None] * dev @ ((vec * inv[:, None]) @ vec.swapaxes(1, 2))
+    unit = 1.0 + np.abs(lay.prices[node]).max(axis=1)
+    width = np.diff(lay.first_child, append=len(lay.ids))[node]
+    cut = np.searchsorted(node, starts[:-1])
     out = []
-    for lo, hi in zip(starts[-3::-1], starts[-2:0:-1]):
-        node = lo + np.flatnonzero(live[lo:hi])
-        kids, on, dS = _increments(lay, live, node)
-        w0 = np.where(on, w[kids], 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lnp = np.where(on, np.log(lay.prob[kids]), -np.inf)
-            shift = np.where(on, lnp - np.log(w0), 0.0)
-        dev = dS - np.einsum("gm,gmd->gd", w0, dS)[:, None]
-        ev, vec = np.linalg.eigh(np.einsum("gm,gmd,gme->gde", w0, dev, dev))
-        inv = np.divide(1.0, ev, out=np.zeros_like(ev),
-                        where=ev > _RANK_RTOL * np.abs(ev[:, -1:]))
-        fit = w0[..., None] * dev @ ((vec * inv[:, None]) @ vec.swapaxes(1, 2))
-        out.append((node, kids, lnp, dS, fit, shift, np.flatnonzero(on), kids[on],
-                    1.0 + np.abs(lay.prices[node]).max(axis=1)))
+    for a, b in zip(cut[-2::-1], cut[:0:-1]):
+        m = width[a:b].max()
+        k, o = kids[a:b, :m], on[a:b, :m]
+        out.append((node[a:b], k, lnp[a:b, :m], dS[a:b, :m], fit[a:b, :m],
+                    shift[a:b, :m], np.flatnonzero(o), k[o], unit[a:b]))
     return tuple(out)
 
 

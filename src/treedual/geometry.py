@@ -8,8 +8,11 @@ minus the node price, and 0 off the subtree.  Solutions form the cone of
 slice is the martingale polytope.  Its feasibility, maximal support (one
 boolean pass), an interior point and its extremal expectations come from
 one cached backward pass over the nodes' one-step polytopes, with no linear
-program; its vertices are enumerated by a double description sweep at desk
-scale.
+program.  The pass also carries the two certificates of its maximal
+support that the verify battery checks on the prices alone: one-step
+martingale weights positive on the live children, and a strategy that
+gains on every dead leaf and loses nowhere.  Its vertices are enumerated by
+a double description sweep at desk scale.
 """
 
 from __future__ import annotations
@@ -31,7 +34,11 @@ VERTEX_CAP_DEFAULT = 10_000
 def build_constraints(tree: MarketTree) -> np.ndarray:
     """The read-only matrix A (rows, L) whose non-negative solutions are the
     martingale cone: row ``k * d + i`` is asset i at ``tree.nonleaf_ids[k]``,
-    over the leaves in leaf order; see the module docstring."""
+    over the leaves in leaf order; see the module docstring.  Its rows are
+    the strategy columns of the two-power Newton core
+    (``dual._core_solutions``, ``recovery._conditional_solves``); CLI
+    ``geometry``, :mod:`~treedual.oracle` and :func:`vertex_enumerate` read
+    the whole of it, and the verify battery none of it."""
     lay, L = tree.layout, tree.n_leaves
     # every level below the root covers all leaves: one (child, leaf) entry each
     c = np.repeat(np.arange(1, len(lay.ids)), (lay.hi - lay.lo)[1:])
@@ -154,11 +161,33 @@ class SupportStructure:
         return self.mixture(np.ones(self.node.size))
 
     @cached_property
+    def step_weights(self) -> np.ndarray:
+        """Read-only (N,): the equivalent-measure certificate, :meth:`one_step`
+        of equal weights.  At each node, its children's weights in the mean
+        of its valid vertices: a one-step martingale probability, positive
+        exactly on the children a valid vertex charges, so that along the
+        :attr:`live` nodes it is an interior measure of the maximal support
+        in conditional form, with no path product."""
+        w = self.one_step(np.ones(self.node.size))
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def arbitrage(self) -> np.ndarray:
+        """Read-only (n, d) on the non-leaf nodes: the arbitrage certificate
+        of :func:`_arbitrage`, a strategy whose gains are 0 on the live
+        leaves and positive on the others; all zeros when every leaf is
+        live."""
+        h = _arbitrage(self)
+        h.setflags(write=False)
+        return h
+
+    @cached_property
     def live(self) -> np.ndarray:
         """Read-only (N,): the root is live, and a node is live when a valid
-        vertex of its live parent charges it (:meth:`one_step` positive)."""
+        vertex of its live parent charges it (:attr:`step_weights` positive)."""
         parent, levels = self.layout.parent, self.layout.level_starts
-        live = self.one_step(np.ones(self.node.size)) > 0
+        live = self.step_weights > 0
         for lo, hi in zip(levels[1:-1], levels[2:]):
             live[lo:hi] &= live[parent[lo:hi]]
         live.setflags(write=False)
@@ -216,6 +245,100 @@ class SupportStructure:
             lo[node] = np.minimum.reduceat((weight * lo[child]).sum(axis=1), starts)
             hi[node] = np.maximum.reduceat((weight * hi[child]).sum(axis=1), starts)
         return lo, hi
+
+
+def _arbitrage(geo: SupportStructure) -> np.ndarray:
+    """A strategy (n, d) whose gains are >= 0 on every leaf, 0 on the live
+    leaves and at least 1 on the others (by the FTAP on finite trees:
+    Harrison & Pliska 1981; Dalang, Morton & Willinger 1990).
+
+    Two kinds of node trade, by a one-step separator of
+    :func:`_separators` that gains at least 1 on the children it must gain
+    on: a live node with a viable child off the maximal support gains 0 on
+    its live children and on those at least 1 (strict complementarity: a
+    viable child no valid vertex charges is cut off by a face of the
+    one-step cone), and a non-viable node, whose viable children admit no
+    one-step martingale weights, gains on all of them (Gordan's
+    alternative).  Other nodes hold nothing.  Top down, a non-viable node's
+    separator is scaled by f = 2 max(0, -s) + f_parent, where s is its
+    parent's one-step gain into it and f = 1 at viable nodes, so that every
+    leaf below it gains at least f_parent from its parent's step on.  A leaf
+    off the maximal support leaves the live nodes once, into a viable child
+    (gain at least 1, and nothing below subtracts) or a non-viable one
+    (gain at least 1 after the cover).
+    """
+    lay = geo.layout
+    n, inner = len(lay.ids), lay.level_starts[-2]
+    viable, live = np.arange(n) >= inner, geo.live
+    viable[geo.node] = True
+    count = np.diff(lay.first_child, append=n)
+    kids = np.minimum(lay.first_child[:, None] + np.arange(count.max()), n - 1)
+    on = np.arange(kids.shape[1]) < count[:, None]
+    gain = on & viable[kids] & ((live[:inner, None] & ~live[kids]) | ~viable[:inner, None])
+    h = np.zeros((inner, lay.prices.shape[1]))
+    node = np.flatnonzero(gain.any(axis=1))
+    if node.size == 0:
+        return h
+    incr = np.where(on[node, :, None], lay.prices[kids[node]] - lay.prices[node, None], 0.0)
+    scale = np.abs(incr).max(axis=1)
+    scale = np.where(scale > 0, scale, 1.0)
+    h[node] = _separators(incr / scale[:, None], (on & live[kids])[node], gain[node]) / scale
+    f = np.ones(n)
+    for a, b in zip(lay.level_starts[1:-2], lay.level_starts[2:-1]):
+        par = lay.parent[a:b]
+        s = np.einsum("nd,nd->n", h[par], lay.prices[a:b] - lay.prices[par])
+        f[a:b] = np.where(viable[a:b], 1.0, 2.0 * np.maximum(-s, 0.0) + f[par])
+        h[a:b] *= f[a:b, None]
+    return h
+
+
+def _separators(x, zero, gain):
+    """Per node, a direction k (g, d) with k.x_c = 0 on the children
+    ``zero`` (g, m) and k.x_c >= 1 on the children ``gain``, for the
+    rescaled increments x (g, m, d); NaN where none is found.
+
+    For d = 1 in closed form, from the increments' signs.  Otherwise node
+    by node on the directions orthogonal to the ``zero`` increments (an
+    SVD, singular values up to _TOL dropped), where the ``gain`` increments
+    lie in an open half-space: along one direction by their common sign,
+    in a plane by the middle of the arc they span, which the angular gap
+    above pi leaves, and in three or more by one small linear program
+    (:func:`~treedual.simplex.solve_lp`, least l1 norm).  Each direction is
+    scaled to gain exactly 1 on its least-gaining ``gain`` child.
+    """
+    if x.shape[2] == 1:
+        x = x[..., 0]
+        sign = np.sign(np.where(gain, x, 0.0).sum(axis=1))
+        return (sign / np.where(gain, np.abs(x), np.inf).min(axis=1))[:, None]
+    out = np.full((x.shape[0], x.shape[2]), np.nan)
+    for i, (xi, zi, gi) in enumerate(zip(x, zero, gain)):
+        basis = np.eye(x.shape[2])
+        if zi.any():
+            _, sv, vt = np.linalg.svd(xi[zi])
+            basis = vt[np.count_nonzero(sv > _TOL):].T
+        y = xi[gi] @ basis
+        if basis.shape[1] == 1:
+            u = np.sign(y.sum(axis=0))
+        elif basis.shape[1] == 2:
+            angle = np.sort(np.arctan2(y[:, 1], y[:, 0]))
+            gaps = np.diff(np.append(angle, angle[0] + 2.0 * np.pi))
+            j = int(np.argmax(gaps))
+            mid = angle[(j + 1) % angle.size] + (2.0 * np.pi - gaps[j]) / 2.0
+            u = np.array([np.cos(mid), np.sin(mid)])
+        elif basis.shape[1] > 2:
+            from .simplex import solve_lp   # SciPy, only for a degenerate market
+            k, p = basis.shape[1], len(y)
+            lp = solve_lp(np.r_[np.ones(2 * k), np.zeros(p)],
+                          np.hstack([y, -y, -np.eye(p)]), np.ones(p))
+            if lp.status != "optimal":
+                continue
+            u = lp.x[:k] - lp.x[k:2 * k]
+        else:
+            continue
+        least = (y @ u).min()
+        if least > 0:
+            out[i] = basis @ u / least
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -309,18 +432,22 @@ def vertex_enumerate(A: np.ndarray, cap: int = VERTEX_CAP_DEFAULT) -> np.ndarray
     on row order).  The vertex set does not depend on the order: the final
     polish (:func:`_polish`) depends only on each ray's support, and takes
     each ray's vertex as the null vector of A on that support, from
-    batched SVDs over the rays of one support size.  The (positive,
+    batched SVDs over the rays of one support size.  It serves CLI
+    ``geometry`` and :mod:`~treedual.oracle`, and the tests, as the oracle
+    of the product recursion of :func:`_support_structure` (its vertices
+    are the products of the valid one-step vertices along the paths); the
+    verify battery reads the support pass's certificates instead.  The (positive,
     negative) pairs of a row take the combinatorial adjacency test of
     Fukuda & Prodon (no third ray vanishes on the pair's whole common zero
     set) in blocks, one matrix product of their common zero sets against
     every ray's charged leaves per block.  Raises
     :class:`CapExceededError` as soon as the working set exceeds ``cap``,
-    inside a row's pairings as after them (callers fall back to the support
-    pass of :func:`_support_structure`).  A ray charges a leaf only above
+    inside a row's pairings as after them.  A ray charges a leaf only above
     1e-12 of its unit mass, in the adjacency test as in the polish, so a
     vertex whose smallest entry is below that floor is lost (on
     ``product_market([[1e5, 0.99999]] * 2)`` the one vertex has an entry
-    near 1e-20, and the result is empty).  Returns the vertices as a stack
+    near 1e-20, and the result is empty; on the caterpillar of the tests'
+    generators, path masses near 1e-400 go the same way).  Returns the vertices as a stack
     (k, L): one unit-mass row per vertex, in leaf order, satisfying the
     constraints to 1e-10; an empty polytope gives shape (0, L).
     """

@@ -282,23 +282,33 @@ def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
     """Normalized excess entropy of a martingale probability measure.
 
     For a fixed measure q this is the least gap (W(y) - base)/y over the
-    mass, W(y) = E[V(y q/P)] + y E_q[e]: one :func:`_least_gap` search to
-    within 1e-8 on the closed forms W' = sum_{q>0} q V'(y q/p) + E_q[e] and
-    W'' = sum_{q>0} (q^2/p) V''(y q/p), which asks for no solve.  Zero
-    exactly at the normalized dual optimizer; raises
-    :class:`InfiniteEntropyError` when the measure has infinite entropy and
-    :class:`ValueAtSupremumError` for a base value at sup U.  ``q`` is a
-    leaf measure.
+    mass, W(y) = E[V(y q/P)] + y E_q[e].  For the exponential family the
+    gap is least at the claim-free optimal mass e^L for every q, where it
+    is (H(q|P) + L)/gamma + E_q[e] (:func:`_entropic_gap`), with L the
+    optimum's exact log mass, or ln(gamma (C - base)) from a given base
+    value.  Otherwise one :func:`_least_gap` search to within 1e-8 on the
+    closed forms W' = sum_{q>0} q V'(y q/p) + E_q[e] and W'' = sum_{q>0}
+    (q^2/p) V''(y q/p), which asks for no solve.  Zero exactly at the
+    normalized dual optimizer; raises :class:`InfiniteEntropyError` when
+    the measure has infinite entropy and :class:`ValueAtSupremumError` for
+    a base value at sup U.  ``q`` is a leaf measure.
     """
     qa = leaf_values(tree, q)
     if not math.isfinite(relative_entropy(tree, pair, qa)):
         raise InfiniteEntropyError("measure has infinite relative entropy")
-    if base_value is None:
-        base_value = solve_dual(tree, pair, endow).value
+    base = solve_dual(tree, pair, endow) if base_value is None else None
+    if base is not None:
+        base_value = base.value
     if not base_value < pair.u_inf:   # the gap then falls without bound as y -> 0
         raise ValueAtSupremumError(f"base value {base_value!r} at sup U")
     p = tree.leaf_probability_array
-    eq = float(np.dot(qa, leaf_values(tree, endow)))
+    e = leaf_values(tree, endow)
+    if pair.family == "exponential":
+        gamma = pair.params["gamma"]
+        log_mass = (base._log_mass if base is not None
+                    else math.log(gamma * (pair.params["C"] - base_value)))
+        return _entropic_gap(pair, p, qa, e, log_mass)
+    eq = float(np.dot(qa, e))
     q_on, p_on = qa[qa > 0], p[qa > 0]
 
     def point(s):
@@ -309,12 +319,19 @@ def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
                 float(q_on @ pair.v_prime(dens)) + eq,
                 float(q_on * q_on / p_on @ pair.v_second(dens)))
 
-    # the gap is least where E[U(I(y q/P))] = base, so at y = U'(U^-1(base))
-    # for every q where U(I(y)) = C - y/gamma is linear (exponential family)
+    # start where E[U(I(y q/P))] = base, the minimizer where U(I(y)) is linear
     y0 = float(pair.u_prime(pair.u_inverse(base_value)))
     search = _least_gap(point, base_value, math.log(y0) if 0.0 < y0 < math.inf else 0.0,
                         1e-8, h_scale=1.0 + abs(eq))
     return SolveCounter().run(tree, pair, search)[0]
+
+
+def _entropic_gap(pair, p, q, e, log_mass):
+    """The exponential least gap (H(q|P) + gamma E_q[e] + L)/gamma of a leaf
+    measure q at the claim-free log mass L, summed leaf by leaf."""
+    on = q > 0
+    entropy = float(q[on] @ np.log(q[on] / p[on]))
+    return (entropy + pair.params["gamma"] * float(q @ e) + log_mass) / pair.params["gamma"]
 
 
 def _penalized_expectation(pair, endow, claim, base, shifted):
@@ -322,11 +339,9 @@ def _penalized_expectation(pair, endow, claim, base, shifted):
     claim-holding optimizer q of ``shifted``, where this penalized
     expectation is least over martingale measures; ``base`` carries L(e).
     Summed leaf by leaf, not read off the log-partition of ``shifted``."""
-    gamma = pair.params["gamma"]
-    q, p = shifted.q_hat, shifted.tree.leaf_probability_array
-    on = q > 0
-    entropy = float(q[on] @ np.log(q[on] / p[on]))
-    return float(q @ claim) + (entropy + gamma * float(q @ endow) + base._log_mass) / gamma
+    q = shifted.q_hat
+    return float(q @ claim) + _entropic_gap(pair, shifted.tree.leaf_probability_array, q,
+                                            endow, base._log_mass)
 
 
 def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import treegen
-from treedual import (CapExceededError, ReplicationGapError, checks, dual, dynamic_dual,
+from treedual import (ReplicationGapError, checks, dual, dynamic_dual,
                       exponential_utility, find_equivalent_mm, geometry, recover,
                       run_battery, two_power_utility)
 
@@ -87,14 +87,14 @@ def test_maximal_support_reads_a_charged_leaf_whose_q_hat_underflows():
 def test_exponential_checks_read_node_log_masses_where_path_masses_underflow():
     # the caterpillar's optimal path masses reach ~1e-400; the float subtree
     # ratios read 2.2e-4, inf and 2.4e-7 on the last three checks here.  The
-    # support flag comes from DD's entry floor, apart from the optimum
+    # support flag, which double description's entry floor failed, is
+    # proven by the per-node measure certificate
     tree = treegen.caterpillar_market()
     results = {r.name: r for r in run_battery(tree, exponential_utility(1.0, 2.0), 0.0)}
     for name in ("martingale under the optimal measure", "exponential Snell envelope",
                  "Snell lower bounds"):
         assert results[name].passed, results[name].line()
-    assert [name for name, r in results.items() if not r.passed] == [
-        "support flag matches market"]
+    assert [r.line() for r in results.values() if not r.passed] == []
 
 
 @pytest.mark.parametrize("make", [treegen.caterpillar_market,
@@ -151,18 +151,15 @@ def test_the_battery_runs_its_checks_in_one_order(tri1, case, names, monkeypatch
         ["primal recovery"] if case == "failed recovery" else [])
 
 
-def test_support_checks_name_the_support_pass_past_the_vertex_cap(tri1, monkeypatch):
-    # past the enumeration cap the flag and the maximal support read the
-    # support pass's mask; the flag's detail stays the optimum's support
-    def capped(A):
-        raise CapExceededError("vertex candidates exceed cap 10000", count=10001)
-
-    monkeypatch.setattr(checks, "vertex_enumerate", capped)
+def test_support_checks_name_the_certificates(tri1):
+    # the flag and the maximal support read the support pass's two
+    # certificates; the flag's detail stays the optimum's support
     results = {r.name: r for r in
                run_battery(tri1, exponential_utility(1.0, 2.0), [0.3, -0.2, 0.1])}
     flag, support = results["support flag matches market"], results["maximal support"]
     assert flag.passed and flag.detail == "EQUIVALENT"
-    assert support.passed and support.detail == "support pass, past the vertex cap"
+    assert support.passed and support.detail == (
+        "3 leaves charged by the measure certificate, 0 cut off by the arbitrage")
     assert all(r.passed for r in results.values())
 
 
@@ -170,7 +167,7 @@ def test_support_flag_check_fails_on_a_wrong_support_mask(tri1, monkeypatch):
     # a support pass that keeps only the point mass on the unmoved leaf
     # reports that leaf as the whole support, and the dual still solves
     # there; find_equivalent_mm reads the same pass and would agree with
-    # the flag, but the enumerated vertices charge every leaf
+    # the flag, but the pass's arbitrage certificate loses on leaf c
     real = geometry._support_structure(tri1)
     keep = np.count_nonzero(real.weight, axis=1) == 1
     wrong = dataclasses.replace(real, node=real.node[keep],
@@ -234,3 +231,89 @@ def test_dynamic_dual_takes_node_masses_from_the_log_masses(market, gamma):
         nodes = dynamic_dual(sol, t, wealth=ps.wealth)
         assert len(nodes) == tree.layout.level_starts[t + 1] - tree.layout.level_starts[t]
         assert max(node.wealth_residual for node in nodes) <= 1e-12
+
+
+# -- mutants: each breaks one link between the optimum, the support pass and
+# the market, and a named check FAILs
+
+def _failed(tree, pair, endow):
+    # a degenerate market flagged EQUIVALENT reaches the checks after the
+    # flag with X = inf on its dead leaf, which they read as NaN
+    with np.errstate(invalid="ignore"):
+        return [r.name for r in run_battery(tree, pair, endow) if not r.passed]
+
+
+@pytest.mark.parametrize("make", [treegen.tri1, treegen.dead_leaf_market],
+                         ids=["equivalent", "degenerate"])
+def test_a_flipped_support_flag_fails_its_check(make, monkeypatch):
+    solve = checks.solve_dual
+    flip = {"EQUIVALENT": "DEGENERATE", "DEGENERATE": "EQUIVALENT"}
+    monkeypatch.setattr(checks, "solve_dual", lambda *args: dataclasses.replace(
+        solve(*args), support=flip[solve(*args).support]))
+    assert "support flag matches market" in _failed(make(), exponential_utility(1.0, 2.0), 0.0)
+
+
+def test_a_dead_leaf_dropped_from_the_mask_fails_the_flag(monkeypatch):
+    # the mask alone decides the flag; the measure certificate still
+    # charges no martingale weight to the up leaf
+    tree = treegen.dead_leaf_market()
+    wrong = dataclasses.replace(geometry._support_structure(tree))
+    wrong.__dict__["mask"] = np.ones(tree.n_leaves, dtype=bool)
+    for mod in (geometry, dual, checks):
+        monkeypatch.setattr(mod, "_support_structure", lambda tree: wrong)
+    assert dual.solve_dual(tree, exponential_utility(1.0, 2.0), 0.0).support == "EQUIVALENT"
+    assert "support flag matches market" in _failed(tree, exponential_utility(1.0, 2.0), 0.0)
+
+
+@pytest.mark.parametrize("shift", [(1e-6, 0.0), (1e-9, -1e-9)], ids=["sum", "drift"])
+def test_a_perturbed_certificate_weight_fails_the_flag(tri1, shift, monkeypatch):
+    # 1e-6 more on leaf a breaks the root's sum; 1e-9 moved from leaf c to
+    # leaf a keeps the sum and drifts the price by 1.5e-9
+    w = geometry._support_structure(tri1).step_weights + np.array([0.0, shift[0], 0.0, shift[1]])
+    monkeypatch.setattr(geometry.SupportStructure, "step_weights", property(lambda self: w))
+    assert _failed(tri1, exponential_utility(1.0, 2.0), [0.3, -0.2, 0.1]) == [
+        "support flag matches market"]
+
+
+@pytest.mark.parametrize("pair", [exponential_utility(1.0, 2.0), two_power_utility(0.5, 1.0, 1.0)],
+                         ids=["exponential", "two-power"])
+def test_a_bent_wealth_fails_the_supermartingale_checks(pair, monkeypatch):
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 2)
+    e = np.random.default_rng(0).uniform(-1.0, 1.0, tree.n_leaves)
+    real = checks.recover
+
+    def bent(*args):
+        ps = real(*args)
+        wealth = ps.wealth.copy()
+        wealth[2] += 1e-3
+        return dataclasses.replace(ps, wealth=wealth)
+
+    monkeypatch.setattr(checks, "recover", bent)
+    failed = _failed(tree, pair, e)
+    assert {"supermartingale under tested measures",
+            "martingale under the optimal measure"} <= set(failed)
+
+
+@pytest.mark.parametrize("pair", [exponential_utility(1.0, 2.0), two_power_utility(0.5, 1.0, 1.0)],
+                         ids=["exponential", "two-power"])
+def test_a_drift_on_one_leaf_of_x_fails_the_first_order_conditions(tri1, pair, monkeypatch):
+    # on tri1's three children one asset leaves a one-dimensional residual
+    # space, which a shift of one leaf's X moves
+    gain = dual.DualSolution.terminal_gain.fget
+    bump = np.array([1e-6, 0.0, 0.0])
+    monkeypatch.setattr(dual.DualSolution, "terminal_gain",
+                        property(lambda self: gain(self) + bump))
+    assert "dual first-order conditions" in _failed(tri1, pair, [0.3, -0.2, 0.1])
+
+
+@pytest.mark.parametrize("make", [treegen.caterpillar_market,
+                                  lambda: treegen.product_market([[1e5, 0.99999]] * 2)],
+                         ids=["caterpillar", "product"])
+def test_the_flag_is_proven_where_double_description_drops_a_vertex(make):
+    # one-step weights near 1e-10 multiply to path masses below DD's entry
+    # floor of 1e-12 (and to ~1e-400 on the caterpillar); the certificate
+    # is checked node by node and forms no product
+    results = {r.name: r for r in run_battery(make(), exponential_utility(1.0, 2.0), 0.0)}
+    flag = results["support flag matches market"]
+    assert flag.passed and flag.detail == "EQUIVALENT"
+    assert results["maximal support"].passed

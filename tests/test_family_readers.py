@@ -1,7 +1,8 @@
 """Which functions choose by the utility's family.
 
 The family picks the solver in one place, ``dual._solutions``, and each
-price's method in its search; the other readers are the exponential-only
+price's method in its search (the entropic penalty's too: a closed form for
+the exponential family); the other readers are the exponential-only
 Snell envelope, the battery's family-specific checks and the pair's own
 description.  Stdlib ``ast`` only: the qualified name (``module.Class.f``)
 of each function whose body reads an attribute named ``family``.
@@ -17,6 +18,7 @@ READERS = {
     "pricing._bid",
     "pricing._certainty_equivalent",
     "pricing._penalty",
+    "pricing.entropic_penalty",
     "recovery.snell_envelope_exponential",
     "checks.run_battery",
     "utility.UtilityPair.describe",

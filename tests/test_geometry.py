@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from treedual import (CapExceededError,
                       is_martingale_measure, load_market, market_from_dict,
                       market_to_dict, relative_entropy, run_battery, solve_dual,
                       two_power_utility, vertex_enumerate)
-from treedual import geometry
+from treedual import checks, geometry
 from treedual.geometry import _support_structure
 from treedual.simplex import solve_lp
 
@@ -308,8 +309,9 @@ def test_battery_evaluates_the_entropy_once_per_check(monkeypatch):
     results = {r.name: r for r in run_battery(tree, two_power_utility(0.5, 1.0, 1.0), 0.0)}
     assert all(r.passed for r in results.values())
     # every vertex misses a leaf, so its two-power entropy is infinite; the
-    # union of their supports is the whole tree all the same
-    assert results["maximal support"].detail == "128 enumerated vertices"
+    # measure certificate charges the whole tree all the same
+    assert results["maximal support"].detail == (
+        "27 leaves charged by the measure certificate, 0 cut off by the arbitrage")
     assert calls == [(27,)]
 
 
@@ -755,3 +757,122 @@ def test_one_asset_closed_form_refuses_the_svd_noise_vertex():
                     ("c", "r", 1.0)])
     assert _support_structure(tree).mask.tolist() == [False, False, True]
     _assert_matches_lp_oracle(tree, np.array([1.0, -2.0, 0.5]))
+
+
+# -- the support certificates, and double description as the oracle of the
+# product recursion -------------------------------------------------------------
+
+
+def _path_products(tree):
+    """Every product, along the paths, of valid one-step vertices: a vertex
+    at the root and, below each child it charges, one product of that
+    child's subtree.  Rows (k, L) in leaf order."""
+    geo, inner, L = _support_structure(tree), tree.layout.level_starts[-2], tree.n_leaves
+
+    def below(n):
+        if n >= inner:
+            return [np.eye(L)[n - inner]]
+        out = []
+        for k in np.flatnonzero(geo.node == n).tolist():
+            parts = [[w * q for q in below(c)]
+                     for c, w in zip(geo.child[k].tolist(), geo.weight[k].tolist()) if w > 0]
+            out += [sum(combo) for combo in itertools.product(*parts)]
+        return out
+
+    return np.array(below(0))
+
+
+def _arbitrage_gains(tree):
+    """The leaf gains of the support pass's arbitrage certificate and their
+    scale, as the battery's checker reads them."""
+    dS, _, top = checks._steps(tree)
+    return checks._arbitrage_gains(tree.layout, dS, top, _support_structure(tree).arbitrage)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_edited_random_markets())
+def test_double_description_is_the_product_of_the_one_step_vertices(drawn):
+    # the vertices of the martingale polytope are the products of the
+    # valid one-step vertices, and none charges a leaf where the arbitrage
+    # certificate gains
+    tree = drawn[0]
+    try:
+        mask = _support_structure(tree).mask
+    except NoMartingaleMeasureError:
+        return
+    verts, products = vertex_enumerate(build_constraints(tree)), _path_products(tree)
+    assert verts.shape == products.shape
+    for v in verts:
+        assert np.abs(products - v).max(axis=1).min() <= 1e-12
+    gains, scale = _arbitrage_gains(tree)
+    cut = gains > checks._CERTIFICATE_TOL * scale
+    assert np.array_equal(cut, ~mask)
+    assert np.all(verts[:, cut] == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_edited_random_markets())
+def test_the_certificates_prove_the_support_flag(drawn):
+    tree = drawn[0]
+    try:
+        results = run_battery(tree, exponential_utility(1.0, 2.0), 0.0)
+    except NoMartingaleMeasureError:
+        return
+    head = {r.name: r for r in results[:5]}
+    assert head["support flag matches market"].passed
+    assert head["maximal support"].passed
+
+
+def _three_asset_flat_plus_half_space():
+    """Increments 0, e1, e2, e3 and (1, 1, -1/2): only the unmoved child is
+    charged, and the others lie in an open half-space of R^3."""
+    moves = [(1.0, 1.0, 1.0), (2.0, 1.0, 1.0), (1.0, 2.0, 1.0), (1.0, 1.0, 2.0),
+             (2.0, 2.0, 0.5)]
+    return treegen.product_market([moves], s0=(1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("make", [
+    treegen.dead_leaf_market,
+    lambda: _market(DEAD_SUBTREE),
+    _arbitrage_below_a_viable_root,
+    lambda: treegen.product_market([[2.0, 1.0, 0.5], [1.5, 1.0]]),
+    lambda: treegen.product_market([[1.5, 1.0], [2.0, 1.0, 0.5], [1.2, 1.0, 1.0]]),
+    lambda: treegen.product_market([[(1.2, 1.0), (0.8, 1.0), (1.0, 1.3)],
+                                    [(1.1, 1.2), (0.9, 0.7), (1.0, 1.1)]]),
+    lambda: treegen.product_market([[(1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (0.5, 1.8)]]),
+    _three_asset_flat_plus_half_space,
+], ids=["dead-leaf", "dead-subtree", "arbitrage-below-root", "flat-only",
+        "flat-only-3", "two-asset-line", "two-asset-arc", "three-asset-lp"])
+def test_the_arbitrage_gains_at_least_one_exactly_off_the_maximal_support(make):
+    # each dead leaf leaves the live nodes once, for a gain of at least 1
+    tree = make()
+    mask = _support_structure(tree).mask
+    assert not mask.all()
+    gains, scale = _arbitrage_gains(tree)
+    assert np.abs(gains[mask]).max(initial=0.0) <= 1e-12 * (1.0 + scale[mask].max(initial=0.0))
+    assert gains[~mask].min() >= 1.0 - 1e-12
+    check = next(r for r in run_battery(tree, exponential_utility(1.0, 2.0), 0.0)
+                 if r.name == "support flag matches market")
+    assert check.passed and check.detail == "DEGENERATE"
+
+
+def test_an_equivalent_market_holds_no_arbitrage():
+    for tree, _, _ in treegen.acceptance_suite()[:10]:
+        assert not _support_structure(tree).arbitrage.any()
+
+
+def test_the_arbitrage_separators_solve_a_linear_program_only_in_three_directions(
+        monkeypatch):
+    import treedual.simplex as simplex
+
+    calls = []
+    real = simplex.solve_lp
+    monkeypatch.setattr(simplex, "solve_lp", lambda *a: calls.append(a) or real(*a))
+    for make in (treegen.dead_leaf_market,
+                 lambda: treegen.product_market([[(1.0, 1.0), (2.0, 1.0), (1.0, 2.0),
+                                                  (0.5, 1.8)]])):
+        assert _support_structure(make()).arbitrage.any()
+    assert calls == []
+    assert _support_structure(_three_asset_flat_plus_half_space()).arbitrage.any()
+    assert len(calls) == 1
+

@@ -151,6 +151,22 @@ def test_exponential_entropic_penalty_meets_its_closed_form(tri1, gamma, scale):
         assert alpha == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def test_exponential_entropic_penalty_reads_the_optimal_log_mass_near_sup_u(tri1):
+    # C - base is 7.3e-11 here: from the float base value the penalty lost
+    # up to 2.7e-5 relative; from the claim-free optimum's log mass it is
+    # the closed form to rounding
+    pair = exponential_utility(0.5, 2.0)
+    e = -100.0 * np.random.default_rng(0).uniform(-1.0, 1.0, 3)
+    sol = solve_dual(tri1, pair, e)
+    assert pair.params["C"] - sol.value < 1e-10
+    p = tri1.leaf_probability_array
+    verts = vertex_enumerate(build_constraints(tri1))
+    for q in np.vstack([verts, (1 - 1e-6) * verts + 1e-6 * sol.q_hat, [[0.2, 0.4, 0.4]]]):
+        on = q > 0
+        want = (float(q[on] @ np.log(q[on] / p[on])) + sol._log_mass) / 0.5 + float(q @ e)
+        assert entropic_penalty(tri1, pair, e, q) == pytest.approx(want, rel=1e-12)
+
+
 def test_entropic_penalty_refuses_a_base_value_at_sup_u(tri1, exp_pair):
     # a base value that rounds to sup U = C leaves the gap
     # (ln y - 1 + H)/gamma + E_q[e] + (C - base)/y without a minimum

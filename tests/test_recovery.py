@@ -236,7 +236,6 @@ def test_supermartingale_reads_every_caterpillar_node_a_float_mixture_misses(exp
     dark = np.flatnonzero(mixed[:inner] == -np.inf)
     assert dark.size == 36 and inner == 820
     geo = _support_structure(tree)
-    monkeypatch.setattr(checks, "vertex_enumerate", lambda A: verts)
     for n in dark.tolist():
         at = np.flatnonzero(geo.node == n)
         k, j = np.unravel_index(np.argmax(geo.weight[at]), geo.weight[at].shape)
