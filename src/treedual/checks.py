@@ -17,7 +17,7 @@ import numpy as np
 
 from .dual import _qr_fits, _strategy_basis, dual_value_curve, solve_dual
 from .errors import NonconvergedError
-from .geometry import _support_structure, relative_entropy
+from .geometry import _TOL, _support_structure, relative_entropy
 from .market import MarketTree, leaf_values
 from .recovery import (dynamic_dual, recover, snell_envelope_exponential,
                        verify_supermartingale)
@@ -204,8 +204,9 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
 
 
 # the measure certificate's one-step sums and drifts, and the arbitrage
-# certificate's gains, each against its scale
-_CERTIFICATE_TOL = 1e-10
+# certificate's gains, each against its scale: the support pass's own
+# floor, so that no one-step weight or loss the pass resolves slips past
+_CERTIFICATE_TOL = _TOL
 
 
 def _steps(tree):

@@ -297,44 +297,28 @@ def _separators(x, zero, gain):
     ``zero`` (g, m) and k.x_c >= 1 on the children ``gain``, for the
     rescaled increments x (g, m, d); NaN where none is found.
 
-    For d = 1 in closed form, from the increments' signs.  Otherwise node
-    by node on the directions orthogonal to the ``zero`` increments (an
-    SVD, singular values up to _TOL dropped), where the ``gain`` increments
-    lie in an open half-space: along one direction by their common sign,
-    in a plane by the middle of the arc they span, which the angular gap
-    above pi leaves, and in three or more by one small linear program
-    (:func:`~treedual.simplex.solve_lp`, least l1 norm).  Each direction is
-    scaled to gain exactly 1 on its least-gaining ``gain`` child.
+    Node by node on the directions orthogonal to the ``zero`` increments
+    (an SVD, singular values up to _TOL dropped), where the ``gain``
+    increments lie in an open half-space: one small linear program
+    (:func:`~treedual.simplex.solve_lp`, least l1 norm) finds a direction
+    gaining at least 1 on each, scaled to gain exactly 1 on its
+    least-gaining ``gain`` child.
     """
-    if x.shape[2] == 1:
-        x = x[..., 0]
-        sign = np.sign(np.where(gain, x, 0.0).sum(axis=1))
-        return (sign / np.where(gain, np.abs(x), np.inf).min(axis=1))[:, None]
+    from .simplex import solve_lp   # SciPy, only for a degenerate market
     out = np.full((x.shape[0], x.shape[2]), np.nan)
     for i, (xi, zi, gi) in enumerate(zip(x, zero, gain)):
         basis = np.eye(x.shape[2])
         if zi.any():
             _, sv, vt = np.linalg.svd(xi[zi])
             basis = vt[np.count_nonzero(sv > _TOL):].T
-        y = xi[gi] @ basis
-        if basis.shape[1] == 1:
-            u = np.sign(y.sum(axis=0))
-        elif basis.shape[1] == 2:
-            angle = np.sort(np.arctan2(y[:, 1], y[:, 0]))
-            gaps = np.diff(np.append(angle, angle[0] + 2.0 * np.pi))
-            j = int(np.argmax(gaps))
-            mid = angle[(j + 1) % angle.size] + (2.0 * np.pi - gaps[j]) / 2.0
-            u = np.array([np.cos(mid), np.sin(mid)])
-        elif basis.shape[1] > 2:
-            from .simplex import solve_lp   # SciPy, only for a degenerate market
-            k, p = basis.shape[1], len(y)
-            lp = solve_lp(np.r_[np.ones(2 * k), np.zeros(p)],
-                          np.hstack([y, -y, -np.eye(p)]), np.ones(p))
-            if lp.status != "optimal":
-                continue
-            u = lp.x[:k] - lp.x[k:2 * k]
-        else:
+        y, k = xi[gi] @ basis, basis.shape[1]
+        if k == 0:
             continue
+        lp = solve_lp(np.r_[np.ones(2 * k), np.zeros(len(y))],
+                      np.hstack([y, -y, -np.eye(len(y))]), np.ones(len(y)))
+        if lp.status != "optimal":
+            continue
+        u = lp.x[:k] - lp.x[k:2 * k]
         least = (y @ u).min()
         if least > 0:
             out[i] = basis @ u / least

@@ -291,23 +291,26 @@ def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
     (q^2/p) V''(y q/p), which asks for no solve.  Zero exactly at the
     normalized dual optimizer; raises :class:`InfiniteEntropyError` when
     the measure has infinite entropy and :class:`ValueAtSupremumError` for
-    a base value at sup U.  ``q`` is a leaf measure.
+    a base value at sup U (the claim-free optimum's value may round to C in
+    the exponential family: its log mass stays exact).  ``q`` is a leaf
+    measure.
     """
     qa = leaf_values(tree, q)
     if not math.isfinite(relative_entropy(tree, pair, qa)):
         raise InfiniteEntropyError("measure has infinite relative entropy")
-    base = solve_dual(tree, pair, endow) if base_value is None else None
-    if base is not None:
+    p = tree.leaf_probability_array
+    e = leaf_values(tree, endow)
+    if base_value is None:
+        base = solve_dual(tree, pair, endow)
+        if pair.family == "exponential":   # exact where the value rounds to C
+            return _entropic_gap(pair, p, qa, e, base._log_mass)
         base_value = base.value
     if not base_value < pair.u_inf:   # the gap then falls without bound as y -> 0
         raise ValueAtSupremumError(f"base value {base_value!r} at sup U")
-    p = tree.leaf_probability_array
-    e = leaf_values(tree, endow)
     if pair.family == "exponential":
         gamma = pair.params["gamma"]
-        log_mass = (base._log_mass if base is not None
-                    else math.log(gamma * (pair.params["C"] - base_value)))
-        return _entropic_gap(pair, p, qa, e, log_mass)
+        return _entropic_gap(pair, p, qa, e,
+                             math.log(gamma * (pair.params["C"] - base_value)))
     eq = float(np.dot(qa, e))
     q_on, p_on = qa[qa > 0], p[qa > 0]
 

@@ -4,8 +4,8 @@ Solves ``min c.x  s.t.  A x = b, x >= 0`` with the HiGHS solver shipped in
 SciPy (``scipy.optimize.linprog(method="highs")``).  The tests compare the
 support, interior measure and no-arbitrage bounds of the backward pass in
 ``geometry`` against it; in the package only ``geometry``'s arbitrage
-certificate calls it, for a one-step separator in three or more
-directions of a degenerate market, and imports it there.  A run
+certificate calls it, for the one-step separators of a degenerate
+market, and imports it there.  A run
 that ends in neither an optimum nor a proof of infeasibility or
 unboundedness (iteration limit, numerical trouble) raises
 :class:`NonconvergedError`; it is never reported as infeasible.

@@ -275,6 +275,34 @@ def test_a_perturbed_certificate_weight_fails_the_flag(tri1, shift, monkeypatch)
         "support flag matches market"]
 
 
+def test_a_dropped_small_weight_child_fails_the_flag(monkeypatch):
+    # increments (1e6, -1e-5): the up child's one-step weight is 1e-11.  A
+    # support pass that drops it offers the weights (0, 1), whose drift is
+    # 1e-11 of the largest increment, and the strategy 1e-6, which loses
+    # 1e-11 of its scale on the down child; both lie below 1e-10 of their
+    # scales and above the support pass's own floor of 1e-12
+    tree = treegen.product_market([[1e6 + 1.0, 1.0 - 1e-5]])
+    real = geometry._support_structure(tree)
+    assert real.mask.all() and real.step_weights[1] < 1e-10
+    wrong = dataclasses.replace(real)
+    wrong.__dict__.update(step_weights=np.array([1.0, 0.0, 1.0]),
+                          arbitrage=np.array([[1e-6]]))
+    monkeypatch.setattr(checks, "_support_structure", lambda tree: wrong)
+    solve = checks.solve_dual
+    monkeypatch.setattr(checks, "solve_dual", lambda *args: dataclasses.replace(
+        solve(*args), support="DEGENERATE"))
+    dS, firsts, top = checks._steps(tree)
+    on, measure_ok = checks._measure_certificate(tree.layout, dS, firsts, top,
+                                                 wrong.step_weights)
+    gains, scale = checks._arbitrage_gains(tree.layout, dS, top, wrong.arbitrage)
+    assert on.tolist() == [False, True] and not measure_ok
+    assert gains[1] < -checks._CERTIFICATE_TOL * scale[1]
+    assert {"support flag matches market", "maximal support"} <= set(
+        _failed(tree, exponential_utility(1.0, 2.0), 0.0))
+    monkeypatch.setattr(checks, "_CERTIFICATE_TOL", 1e-10)
+    assert "support flag matches market" not in _failed(tree, exponential_utility(1.0, 2.0), 0.0)
+
+
 @pytest.mark.parametrize("pair", [exponential_utility(1.0, 2.0), two_power_utility(0.5, 1.0, 1.0)],
                          ids=["exponential", "two-power"])
 def test_a_bent_wealth_fails_the_supermartingale_checks(pair, monkeypatch):

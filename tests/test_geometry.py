@@ -859,20 +859,3 @@ def test_the_arbitrage_gains_at_least_one_exactly_off_the_maximal_support(make):
 def test_an_equivalent_market_holds_no_arbitrage():
     for tree, _, _ in treegen.acceptance_suite()[:10]:
         assert not _support_structure(tree).arbitrage.any()
-
-
-def test_the_arbitrage_separators_solve_a_linear_program_only_in_three_directions(
-        monkeypatch):
-    import treedual.simplex as simplex
-
-    calls = []
-    real = simplex.solve_lp
-    monkeypatch.setattr(simplex, "solve_lp", lambda *a: calls.append(a) or real(*a))
-    for make in (treegen.dead_leaf_market,
-                 lambda: treegen.product_market([[(1.0, 1.0), (2.0, 1.0), (1.0, 2.0),
-                                                  (0.5, 1.8)]])):
-        assert _support_structure(make()).arbitrage.any()
-    assert calls == []
-    assert _support_structure(_three_asset_flat_plus_half_space()).arbitrage.any()
-    assert len(calls) == 1
-

@@ -167,6 +167,21 @@ def test_exponential_entropic_penalty_reads_the_optimal_log_mass_near_sup_u(tri1
         assert entropic_penalty(tri1, pair, e, q) == pytest.approx(want, rel=1e-12)
 
 
+def test_exponential_entropic_penalty_holds_where_the_optimal_value_rounds_to_c(tri1):
+    # twice the endowment above puts the claim-free value within rounding
+    # of sup U = C: its log mass still gives the closed form, while the
+    # same value passed as a float is refused
+    pair = exponential_utility(0.5, 2.0)
+    e = -200.0 * np.random.default_rng(0).uniform(-1.0, 1.0, 3)
+    sol = solve_dual(tri1, pair, e)
+    assert sol.value == pair.params["C"]
+    p, q = tri1.leaf_probability_array, np.array([0.2, 0.4, 0.4])
+    want = (float(q @ np.log(q / p)) + sol._log_mass) / 0.5 + float(q @ e)
+    assert entropic_penalty(tri1, pair, e, q) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValueAtSupremumError):
+        entropic_penalty(tri1, pair, e, q, base_value=sol.value)
+
+
 def test_entropic_penalty_refuses_a_base_value_at_sup_u(tri1, exp_pair):
     # a base value that rounds to sup U = C leaves the gap
     # (ln y - 1 + H)/gamma + E_q[e] + (C - base)/y without a minimum
