@@ -29,7 +29,8 @@ from . import __version__
 from .checks import run_battery
 from .dual import solve_dual
 from .errors import ParseError, TreedualError
-from .geometry import build_constraints, find_equivalent_mm, vertex_enumerate
+from .geometry import (VERTEX_CAP_DEFAULT, build_constraints, find_equivalent_mm,
+                       vertex_enumerate)
 from .market import MarketTree, load_market
 from .oracle import check_duality_gap
 from .pricing import (average_price_curve, check_mubpp, endowment_sensitivity,
@@ -119,7 +120,7 @@ def _cmd_geometry(args, out: _Out, tree):
     q = find_equivalent_mm(tree)
     out.say("equivalent martingale measure: "
             + ("none (degenerate market)" if q is None else "exists"))
-    verts = vertex_enumerate(A, cap=args.vertex_cap)
+    verts = vertex_enumerate(tree, cap=args.vertex_cap)
     out.say(f"polytope vertices: {len(verts)}")
     rows = [[k] + [f12(x) for x in v] for k, v in enumerate(verts)]
     out.csv("vertices.csv", ["vertex"] + list(tree.leaf_ids), rows)
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("geometry", help="constraints, feasibility, vertices")
     common(p, utility=False, endowment=False)
-    p.add_argument("--vertex-cap", type=_int_from(1), default=10_000)
+    p.add_argument("--vertex-cap", type=_int_from(1), default=VERTEX_CAP_DEFAULT)
     p.set_defaults(func=_cmd_geometry)
 
     p = sub.add_parser("solve", help="solve the dual problem")

@@ -125,6 +125,13 @@ class DualSolution:
         on = self._log_q > -np.inf
         return float(np.dot(self.q_hat, np.where(on, -self.terminal_gain, 0.0)))
 
+    def _require(self, tree, pair, e, caller):
+        """Raise :class:`DomainError` unless this solved ``tree`` and
+        ``pair`` at the leaf endowment ``e``."""
+        if tree is not self.tree or pair is not self.pair or not np.array_equal(e, self._endow_arr):
+            raise DomainError(f"{caller} needs the tree, utility and endowment the "
+                              "dual solution was solved for")
+
 
 def _solution(tree, pair, e, mu, q, log_q, mass, log_mass, value, residual, flag, steps,
               h, curvature=None, log_l=None):
@@ -235,7 +242,7 @@ def _live_levels(geo: SupportStructure):
     The start ``k0 = Cov_w0(x)^+ Cov_w0(x, b - ln w0)`` = sum_c fit_c
     (shift_c + L_c) / gamma fits ``b - ln w0`` by ``x.k + f`` in w0-weighted
     least squares (x = gamma dS, b = ln p + L); the pseudo-inverse, one
-    batched eigh without eigenvalues below _RANK_RTOL of the largest, keeps
+    batched eigh without eigenvalues below _TOL of the largest, keeps
     k0 in the span of the increments, as the minimum-norm minimizer.  All
     live non-leaf nodes are set up in one batch, padded to the most
     children, and each level is sliced out and trimmed to its widest node.
@@ -251,7 +258,7 @@ def _live_levels(geo: SupportStructure):
     dev = dS - np.einsum("gm,gmd->gd", w0, dS)[:, None]
     ev, vec = np.linalg.eigh(np.einsum("gm,gmd,gme->gde", w0, dev, dev))
     inv = np.divide(1.0, ev, out=np.zeros_like(ev),
-                    where=ev > _RANK_RTOL * np.abs(ev[:, -1:]))
+                    where=ev > _TOL * np.abs(ev[:, -1:]))
     fit = w0[..., None] * dev @ ((vec * inv[:, None]) @ vec.swapaxes(1, 2))
     unit = 1.0 + np.abs(lay.prices[node]).max(axis=1)
     width = np.diff(lay.first_child, append=len(lay.ids))[node]
@@ -378,7 +385,6 @@ def _log_space_point(tree, pair, e, s, log_l, log_q, h, residual, flag, steps):
 
 
 _NEWTON_CAP = 200
-_RANK_RTOL = 1e-12  # rank cutoff of the log-space start, as geometry's _TOL
 
 
 def _row_dot(a, b):

@@ -11,8 +11,9 @@ one cached backward pass over the nodes' one-step polytopes, with no linear
 program.  The pass also carries the two certificates of its maximal
 support that the verify battery checks on the prices alone: one-step
 martingale weights positive on the live children, and a strategy that
-gains on every dead leaf and loses nowhere.  Its vertices are enumerated by
-a double description sweep at desk scale.
+gains on every dead leaf and loses nowhere.  The polytope's vertices are
+the products of the pass's one-step vertices along the paths, counted
+exactly before they are enumerated.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ def build_constraints(tree: MarketTree) -> np.ndarray:
     martingale cone: row ``k * d + i`` is asset i at ``tree.nonleaf_ids[k]``,
     over the leaves in leaf order; see the module docstring.  Its rows are
     the strategy columns of the two-power Newton core
-    (``dual._core_solutions``, ``recovery._conditional_solves``); CLI
-    ``geometry``, :mod:`~treedual.oracle` and :func:`vertex_enumerate` read
-    the whole of it, and the verify battery none of it."""
+    (``dual._core_solutions``) and of the conditional solves
+    (``recovery._conditional_solves``); CLI ``geometry`` and
+    :mod:`~treedual.oracle` read the whole of it, and the verify battery
+    and :func:`vertex_enumerate` none of it."""
     lay, L = tree.layout, tree.n_leaves
     # every level below the root covers all leaves: one (child, leaf) entry each
     c = np.repeat(np.arange(1, len(lay.ids)), (lay.hi - lay.lo)[1:])
@@ -398,123 +400,53 @@ def relative_entropy(tree: MarketTree, pair: UtilityPair, mu) -> float:
 
 # -- vertex enumeration -----------------------------------------------------------
 
-_DD_BLOCK = 1 << 20  # meet-by-ray entries per product of the adjacency test
-
-
-def vertex_enumerate(A: np.ndarray, cap: int = VERTEX_CAP_DEFAULT) -> np.ndarray:
+def vertex_enumerate(tree: MarketTree, cap: int = VERTEX_CAP_DEFAULT) -> np.ndarray:
     """All extreme points of the martingale polytope {q >= 0, sum q = 1,
-    A q = 0}, by double description, for the matrix A (rows, L) of
-    :func:`build_constraints`.
+    A q = 0} of ``tree`` (A of :func:`build_constraints`).
 
-    Sweeps the equality rows through the non-negative orthant's generators,
-    combining adjacent positive/negative rays.  Rows enter bottom-up, in
-    reverse of :func:`build_constraints` (whose nodes run by time), so each
-    node's rows combine only rays already formed inside its subtree and the
-    working set stays near the size of the answer; top-down, a 27-leaf
-    one-asset tree grows ~650 intermediate rays before settling on 128
-    vertices (Fukuda & Prodon, *Double description method revisited*, 1996,
-    on row order).  The vertex set does not depend on the order: the final
-    polish (:func:`_polish`) depends only on each ray's support, and takes
-    each ray's vertex as the null vector of A on that support, from
-    batched SVDs over the rays of one support size.  It serves CLI
-    ``geometry`` and :mod:`~treedual.oracle`, and the tests, as the oracle
-    of the product recursion of :func:`_support_structure` (its vertices
-    are the products of the valid one-step vertices along the paths); the
-    verify battery reads the support pass's certificates instead.  The (positive,
-    negative) pairs of a row take the combinatorial adjacency test of
-    Fukuda & Prodon (no third ray vanishes on the pair's whole common zero
-    set) in blocks, one matrix product of their common zero sets against
-    every ray's charged leaves per block.  Raises
-    :class:`CapExceededError` as soon as the working set exceeds ``cap``,
-    inside a row's pairings as after them.  A ray charges a leaf only above
-    1e-12 of its unit mass, in the adjacency test as in the polish, so a
-    vertex whose smallest entry is below that floor is lost (on
-    ``product_market([[1e5, 0.99999]] * 2)`` the one vertex has an entry
-    near 1e-20, and the result is empty; on the caterpillar of the tests'
-    generators, path masses near 1e-400 go the same way).  Returns the vertices as a stack
-    (k, L): one unit-mass row per vertex, in leaf order, satisfying the
-    constraints to 1e-10; an empty polytope gives shape (0, L).
+    A martingale probability multiplies one-step martingale weights along
+    each path, so the vertices are exactly the products, along the paths,
+    of the valid one-step vertices of :func:`_support_structure` (Dalang,
+    Morton & Willinger 1990): a vertex at the root and, below each child
+    it charges, one vertex of that child's subtree.  One backward pass
+    first counts them exactly, in Python integers: a leaf has one, and a
+    node the sum over its valid vertices of the product of the counts of
+    the children each charges.  Above ``cap`` it raises
+    :class:`CapExceededError` with that count.  Otherwise a second
+    backward pass crosses, at each live node, the rows of the children
+    each valid vertex charges over the node's leaf slice.  No entry floor
+    applies beyond the one-step weights' own, so a vertex keeps an entry
+    near 1e-20 (``product_market([[1e5, 0.99999]] * 2)``); a path product
+    that underflows reads 0.  Serves CLI ``geometry``,
+    :mod:`~treedual.oracle` and the tests.  Returns the vertices as a stack (k, L): one row per
+    vertex, in leaf order, of unit mass to rounding; an empty polytope
+    gives shape (0, L).
     """
-    L = A.shape[1]
-    rays = np.eye(L)
-    for row in A[::-1]:
-        scale = max(1.0, np.abs(row).max())
-        d = rays @ row
-        tol = 1e-12 * scale
-        plus = np.where(d > tol)[0]
-        minus = np.where(d < -tol)[0]
-        zero = np.where(np.abs(d) <= tol)[0]
-        new_rays = [rays[zero]] if zero.size else []
-        if plus.size and minus.size:
-            zsets = rays <= 1e-12  # support complements for adjacency tests
-            # per ray, the leaves it charges: a meet lies in a ray's zero
-            # set iff it shares no charged leaf with it
-            charged = (~zsets).T.astype(np.float32)
-            count, block = zero.size, max(1, _DD_BLOCK // rays.shape[0])
-            for first in range(0, plus.size * minus.size, block):
-                # a block of (plus, minus) pairs in the pair loop's order
-                k = np.arange(first, min(first + block, plus.size * minus.size))
-                i, j = plus[k // minus.size], minus[k % minus.size]
-                # adjacent iff no ray besides i and j, which both qualify,
-                # has every leaf of their meet in its zero set
-                inside = (zsets[i] & zsets[j]).astype(np.float32) @ charged == 0
-                adjacent = inside.sum(axis=1) == 2
-                i, j = i[adjacent], j[adjacent]
-                if i.size and count + i.size > cap:   # at the first one over
-                    raise CapExceededError(f"vertex candidates exceed cap {cap}",
-                                           count=max(count, cap) + 1)
-                count += i.size
-                r = d[i, None] * rays[j] - d[j, None] * rays[i]
-                new_rays.append(r / r.sum(axis=1, keepdims=True))
-        rays = np.vstack(new_rays) if new_rays else np.zeros((0, L))
-        if rays.shape[0] == 0:
-            return rays
-        # dedupe: first occurrences, in order, of each rounded row (+ 0.0
-        # turns -0.0 into 0.0, which has other bytes)
-        first = {}
-        for k, row in enumerate(np.round(rays / rays.sum(axis=1, keepdims=True), 12) + 0.0):
-            first.setdefault(row.tobytes(), k)
-        rays = rays[list(first.values())]
-        if rays.shape[0] > cap:
-            raise CapExceededError(
-                f"vertex candidates exceed cap {cap}", count=rays.shape[0])
-
-    return _polish(A, rays)
-
-
-def _polish(A: np.ndarray, rays: np.ndarray) -> np.ndarray:
-    """The vertices among DD's final rays, each the unit-mass null vector
-    of A restricted to the ray's support S.
-
-    A ray is kept iff A_S has nullity exactly 1, counting singular values
-    above 1e-10 as rank, and its null vector q has no entry below -1e-12
-    and |A q| <= 1e-10 max(1, |A|).  Rays of one support size share batched
-    SVDs, in blocks of at most ``_DD_BLOCK`` entries; a stack of fewer than
-    |S| rows is padded with zero rows, so that the last right singular
-    vector spans the null space.  Returns the vertices in ray order.
-    """
-    m, L = A.shape
-    q = rays / rays.sum(axis=1, keepdims=True)
-    supp = q > 1e-12
-    size = supp.sum(axis=1)
-    keep = np.zeros(len(q), dtype=bool)
-    bound = 1e-10 * max(1.0, np.abs(A).max(initial=0.0))
-    for s in np.unique(size):
-        rows = max(m, s)
-        same = np.flatnonzero(size == s)
-        step = max(1, _DD_BLOCK // (rows * s))
-        for idx in np.split(same, range(step, same.size, step)):
-            cols = np.nonzero(supp[idx])[1].reshape(idx.size, s)
-            sub = np.zeros((idx.size, rows, s))
-            sub[:, :m] = A[:, cols].transpose(1, 0, 2)
-            _, sv, vh = np.linalg.svd(sub, full_matrices=False)
-            v = np.zeros((idx.size, L))
-            with np.errstate(divide="ignore", invalid="ignore"):  # NaN is refused
-                qs = vh[:, -1] / vh[:, -1].sum(axis=1, keepdims=True)
-                np.put_along_axis(v, cols, np.clip(qs, 0.0, None), axis=1)
-                v /= v.sum(axis=1, keepdims=True)
-            keep[idx] = ((s - (sv > 1e-10).sum(axis=1) == 1) & ~(qs < -1e-12).any(axis=1)
-                         & (np.abs(v @ A.T).max(axis=1, initial=0.0) <= bound))
-            q[idx] = v
-    return q[keep]
-
+    try:
+        geo = _support_structure(tree)
+    except NoMartingaleMeasureError:
+        return np.zeros((0, tree.n_leaves))
+    lay = geo.layout
+    inner = lay.level_starts[-2]
+    count = np.ones(len(lay.ids), dtype=object)
+    for child, weight, starts, node in geo._level_runs:
+        count[node] = np.add.reduceat(np.where(weight > 0, count[child], 1).prod(axis=1),
+                                      starts)
+    if count[0] > cap:
+        raise CapExceededError(f"{count[0]} vertices exceed cap {cap}", count=count[0])
+    rows = [np.ones((1, 1))] * len(lay.ids)  # leaves keep theirs
+    ends = np.searchsorted(geo.node, np.arange(inner + 1))
+    for n in np.flatnonzero(geo.live[:inner])[::-1]:
+        lo, width = lay.lo[n], lay.hi[n] - lay.lo[n]
+        blocks = []
+        for child, weight in zip(geo.child[ends[n]:ends[n + 1]],
+                                 geo.weight[ends[n]:ends[n + 1]]):
+            block = np.zeros((1, width))
+            for c, w in zip(child[weight > 0], weight[weight > 0]):
+                below = rows[c]   # every row of the block, with every row below c
+                block = np.repeat(block, len(below), axis=0)
+                block[:, lay.lo[c] - lo:lay.hi[c] - lo] = np.tile(
+                    w * below, (len(block) // len(below), 1))
+            blocks.append(block)
+        rows[n] = np.vstack(blocks)
+    return rows[0]

@@ -37,7 +37,7 @@ import numpy as np
 from .dual import DualSolution, _solutions, solve_dual
 from .errors import (AugmentInfeasibleError, BracketFailError, DomainError,
                      InfeasibleEntropyError, InfiniteEntropyError,
-                     NoMartingaleMeasureError, NonconvergedError, ValueAtSupremumError)
+                     NoMartingaleMeasureError, NonconvergedError)
 from .geometry import find_equivalent_mm, relative_entropy, _support_structure
 from .market import MarketTree, _with_assets, leaf_values
 from .utility import UtilityPair
@@ -278,39 +278,34 @@ def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim) -> flo
 
 
 def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
-                     q, *, base_value: float | None = None) -> float:
+                     q, *, base: DualSolution | None = None) -> float:
     """Normalized excess entropy of a martingale probability measure.
 
     For a fixed measure q this is the least gap (W(y) - base)/y over the
-    mass, W(y) = E[V(y q/P)] + y E_q[e].  For the exponential family the
-    gap is least at the claim-free optimal mass e^L for every q, where it
-    is (H(q|P) + L)/gamma + E_q[e] (:func:`_entropic_gap`), with L the
-    optimum's exact log mass, or ln(gamma (C - base)) from a given base
-    value.  Otherwise one :func:`_least_gap` search to within 1e-8 on the
-    closed forms W' = sum_{q>0} q V'(y q/p) + E_q[e] and W'' = sum_{q>0}
+    mass, W(y) = E[V(y q/P)] + y E_q[e], with base the claim-free optimal
+    value.  ``base`` is that optimum, solved here when None; it must have
+    solved ``tree``, ``pair`` and ``endow``, else :class:`DomainError`.
+    For the exponential family the gap is least at the claim-free optimal
+    mass e^L for every q, where it is (H(q|P) + L)/gamma + E_q[e]
+    (:func:`_entropic_gap`), with L the optimum's exact log mass, which
+    stays exact where its value rounds to sup U = C.  Otherwise one
+    :func:`_least_gap` search to within 1e-8 on the closed forms
+    W' = sum_{q>0} q V'(y q/p) + E_q[e] and W'' = sum_{q>0}
     (q^2/p) V''(y q/p), which asks for no solve.  Zero exactly at the
     normalized dual optimizer; raises :class:`InfiniteEntropyError` when
-    the measure has infinite entropy and :class:`ValueAtSupremumError` for
-    a base value at sup U (the claim-free optimum's value may round to C in
-    the exponential family: its log mass stays exact).  ``q`` is a leaf
-    measure.
+    the measure has infinite entropy.  ``q`` is a leaf measure.
     """
     qa = leaf_values(tree, q)
     if not math.isfinite(relative_entropy(tree, pair, qa)):
         raise InfiniteEntropyError("measure has infinite relative entropy")
     p = tree.leaf_probability_array
     e = leaf_values(tree, endow)
-    if base_value is None:
+    if base is None:
         base = solve_dual(tree, pair, endow)
-        if pair.family == "exponential":   # exact where the value rounds to C
-            return _entropic_gap(pair, p, qa, e, base._log_mass)
-        base_value = base.value
-    if not base_value < pair.u_inf:   # the gap then falls without bound as y -> 0
-        raise ValueAtSupremumError(f"base value {base_value!r} at sup U")
+    else:
+        base._require(tree, pair, e, "entropic_penalty")
     if pair.family == "exponential":
-        gamma = pair.params["gamma"]
-        return _entropic_gap(pair, p, qa, e,
-                             math.log(gamma * (pair.params["C"] - base_value)))
+        return _entropic_gap(pair, p, qa, e, base._log_mass)
     eq = float(np.dot(qa, e))
     q_on, p_on = qa[qa > 0], p[qa > 0]
 
@@ -323,8 +318,8 @@ def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
                 float(q_on * q_on / p_on @ pair.v_second(dens)))
 
     # start where E[U(I(y q/P))] = base, the minimizer where U(I(y)) is linear
-    y0 = float(pair.u_prime(pair.u_inverse(base_value)))
-    search = _least_gap(point, base_value, math.log(y0) if 0.0 < y0 < math.inf else 0.0,
+    y0 = float(pair.u_prime(pair.u_inverse(base.value)))
+    search = _least_gap(point, base.value, math.log(y0) if 0.0 < y0 < math.inf else 0.0,
                         1e-8, h_scale=1.0 + abs(eq))
     return SolveCounter().run(tree, pair, search)[0]
 

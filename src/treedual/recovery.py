@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import DualSolution, _newton_core, _strategy_basis
-from .errors import (DomainError, NoPrimalOptimizerError, NotExponentialError,
-                     ReplicationGapError)
+from .errors import NoPrimalOptimizerError, NotExponentialError, ReplicationGapError
 from .geometry import _support_structure, build_constraints
 from .market import MarketTree, leaf_values
 from .utility import UtilityPair
@@ -71,9 +70,7 @@ def recover(tree: MarketTree, pair: UtilityPair, endow,
     ``sol`` solved, else :class:`DomainError`.
     """
     e = leaf_values(tree, endow)
-    if tree is not sol.tree or pair is not sol.pair or not np.array_equal(e, sol._endow_arr):
-        raise DomainError("recover needs the tree, utility and endowment the "
-                          "dual solution was solved for")
+    sol._require(tree, pair, e, "recover")
     if sol.support != "EQUIVALENT":
         raise NoPrimalOptimizerError(
             "dual optimizer is degenerate (no equivalent martingale measure "

@@ -119,6 +119,27 @@ def test_arbitrage_exits_one(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("NO_MM:")
 
 
+def _tree_file(tmp_path, tree):
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(market_to_dict(tree)))
+    return str(path)
+
+
+def test_geometry_keeps_a_vertex_with_a_tiny_entry(tmp_path, capsys):
+    # the one vertex puts 1e-20 on the up-up leaf
+    market = _tree_file(tmp_path, treegen.product_market([[1e5, 0.99999]] * 2))
+    assert cli.run(["geometry", "--market", market]) == cli.EXIT_OK
+    assert "polytope vertices: 1\n" in capsys.readouterr().out
+
+
+def test_geometry_names_the_vertex_count_over_the_cap(tmp_path, capsys):
+    market = _tree_file(tmp_path, treegen.product_market([[1.2, 1.0, 0.85]] * 4))
+    argv = ["geometry", "--market", market, "--vertex-cap", "200"]
+    assert cli.run(argv) == cli.EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert err.startswith("CAP_EXCEEDED:") and "1806" in err
+
+
 @pytest.mark.parametrize("case", ["unknown utility", "missing file"])
 def test_input_errors_exit_two(tri1_file, tmp_path, capsys, case):
     market, spec = str(tri1_file), "exp:gamma=1,C=2"

@@ -89,7 +89,7 @@ def test_tri1_minimal_entropy_measure(tri1, exp_pair_raw):
     assert sol.value == pytest.approx(oracle, abs=1e-6)
     # minimal relative entropy: the normalized optimizer beats both vertices
     kl = float(np.sum(sol.q_hat * np.log(sol.q_hat * 3)))
-    for v in vertex_enumerate(build_constraints(tri1)):
+    for v in vertex_enumerate(tri1):
         q = v
         m = q > 0
         assert kl <= float(np.sum(q[m] * np.log(q[m] * 3))) + 1e-9
@@ -153,7 +153,7 @@ def test_uniqueness_from_random_starts(tri1, exp_pair, tp_pair):
     # polytope and scaled in mass, as from its cold start
     e = leaf_values(tri1, {"a": 0.5, "b": 0.0, "c": -0.5})
     rng = np.random.default_rng(11)
-    verts = np.array(vertex_enumerate(build_constraints(tri1)))
+    verts = np.array(vertex_enumerate(tri1))
     for pair in (exp_pair, tp_pair):
         ref = solve_dual(tri1, pair, e)
         starts = np.array([(0.8 * rng.dirichlet(np.ones(len(verts))) @ verts
@@ -383,7 +383,7 @@ def test_maximal_support_dead_leaf_vacuous(exp_pair):
     sol = solve_dual(tree, exp_pair, 0.0)
     assert sol.support == "DEGENERATE"
     # the dead leaf is charged by no vertex, so the optimum need not charge it
-    assert vertex_enumerate(build_constraints(tree))[:, 0].max() == 0.0
+    assert vertex_enumerate(tree)[:, 0].max() == 0.0
     check = _maximal_support_check(tree, exp_pair, 0.0)
     assert check.passed
     assert check.detail == "1 leaves charged by the measure certificate, 1 cut off by the arbitrage"
@@ -497,7 +497,7 @@ def test_log_mass_dominates_every_ray():
         e = rng.uniform(-800.0, 100.0) + rng.uniform(-5.0, 5.0, size=tree.n_leaves)
         sol, = dual._log_space_solutions(tree, exponential_utility(gamma, 2.0), [e])
         p = tree.leaf_probability_array
-        verts = vertex_enumerate(build_constraints(tree))
+        verts = vertex_enumerate(tree)
         for q in list(verts) + [sol.q_hat]:
             on = q > 0
             ray = -float(q[on] @ np.log(q[on] / p[on])) - gamma * float(q @ e)
@@ -537,7 +537,7 @@ def _live_levels_by_level(geo):
         dev = dS - np.einsum("gm,gmd->gd", w0, dS)[:, None]
         ev, vec = np.linalg.eigh(np.einsum("gm,gmd,gme->gde", w0, dev, dev))
         inv = np.divide(1.0, ev, out=np.zeros_like(ev),
-                        where=ev > dual._RANK_RTOL * np.abs(ev[:, -1:]))
+                        where=ev > geometry._TOL * np.abs(ev[:, -1:]))
         fit = w0[..., None] * dev @ ((vec * inv[:, None]) @ vec.swapaxes(1, 2))
         out.append((node, kids, lnp, dS, fit, shift, np.flatnonzero(on), kids[on],
                     1.0 + np.abs(lay.prices[node]).max(axis=1)))
@@ -936,7 +936,7 @@ def test_maximal_support_flags_an_uncharged_vertex_leaf(tri1, exp_pair, monkeypa
 
     monkeypatch.setattr(checks, "solve_dual", uncharged)
     assert tri1.leaf_ids[0] == "a"
-    assert vertex_enumerate(build_constraints(tri1))[:, 0].max() > 0
+    assert vertex_enumerate(tri1)[:, 0].max() > 0
     # one leaf that a vertex charges and the optimum does not
     check = _maximal_support_check(tri1, exp_pair, e)
     assert check.residual == 1.0 and not check.passed

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -53,13 +52,13 @@ def test_dead_leaf_market_not_equivalent():
     tree = treegen.dead_leaf_market()
     assert find_equivalent_mm(tree) is None
     # the only measure is the point mass on the unmoved branch
-    verts = vertex_enumerate(build_constraints(tree))
+    verts = vertex_enumerate(tree)
     assert len(verts) == 1
     assert verts[0] == pytest.approx([0.0, 1.0])
 
 
 def test_vertices_tri1(tri1):
-    verts = vertex_enumerate(build_constraints(tri1))
+    verts = vertex_enumerate(tri1)
     arrs = sorted(tuple(np.round(v, 10)) for v in verts)
     assert len(arrs) == 2
     assert arrs[0] == pytest.approx([0.0, 1.0, 0.0])
@@ -67,7 +66,7 @@ def test_vertices_tri1(tri1):
 
 
 def test_vertex_unique_bin1(bin1):
-    verts = vertex_enumerate(build_constraints(bin1))
+    verts = vertex_enumerate(bin1)
     assert len(verts) == 1
     assert verts[0] == pytest.approx([1 / 3, 2 / 3], abs=1e-10)
 
@@ -75,7 +74,7 @@ def test_vertex_unique_bin1(bin1):
 def test_vertices_two_period_all_martingale():
     tree = treegen.product_market([[2.0, 1.0, 0.5], [2.0, 1.0, 0.5]])
     A = build_constraints(tree)
-    verts = vertex_enumerate(A)
+    verts = vertex_enumerate(tree)
     assert len(verts)
     for v in verts:
         arr = v
@@ -85,34 +84,30 @@ def test_vertices_two_period_all_martingale():
 
 
 def test_vertex_cap():
+    # 42 vertices: cap 41 raises with the count, cap 42 returns them
     tree = treegen.product_market([[2.0, 1.0, 0.5]] * 3)
-    with pytest.raises(CapExceededError):
-        vertex_enumerate(build_constraints(tree), cap=2)
-
-
-def test_vertex_cap_binds_inside_the_pair_loop():
-    # 81 leaves and 1 806 vertices: the pairings of one row pass the cap, and
-    # the enumeration stops at the first candidate over it
-    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 4)
     with pytest.raises(CapExceededError) as exc:
-        vertex_enumerate(build_constraints(tree), cap=200)
-    assert exc.value.count == 201
+        vertex_enumerate(tree, cap=41)
+    assert exc.value.count == 42 and str(exc.value) == "42 vertices exceed cap 41"
+    assert vertex_enumerate(tree, cap=42).shape == (42, 27)
 
 
-def _top_down(A):
-    """The same constraints with rows reversed.
-
-    ``vertex_enumerate`` takes rows bottom-up; on this copy it takes them
-    top-down, in the order of ``build_constraints``.
-    """
-    mat = np.ascontiguousarray(A[::-1])
-    mat.setflags(write=False)
-    return mat
+def test_the_cap_reads_the_exact_count_before_any_row():
+    # 729 leaves: a flat child and an up-down pair at each node give
+    # c -> c + c^2 vertices per period, 10 650 056 950 806 at the root
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 6)
+    with pytest.raises(CapExceededError) as exc:
+        vertex_enumerate(tree)
+    assert exc.value.count == 10_650_056_950_806
 
 
-def _vertices_by_support(verts, tree):
-    arrs = list(verts)
-    return {tuple(np.flatnonzero(a)): a for a in arrs}
+def _assert_same_rows(got, want, tol):
+    """The same stack of rows up to order: each row within ``tol`` of one
+    of the other's."""
+    assert got.shape == want.shape
+    for a, b in ((got, want), (want, got)):
+        for row in a:
+            assert np.abs(b - row).max(axis=1).min() <= tol
 
 
 @pytest.mark.parametrize("tree", [
@@ -126,26 +121,21 @@ def _vertices_by_support(verts, tree):
 ], ids=["3x3", "2x2x2", "4x4-2a", "rand0", "rand1", "rand2", "rand3",
         "rand2a0", "rand2a1"])
 def test_row_order_leaves_vertex_set_unchanged(tree):
-    A = build_constraints(tree)
-    bottom_up = vertex_enumerate(A)
-    top_down = vertex_enumerate(_top_down(A))
-    assert len(bottom_up) == len(top_down)
-    got = _vertices_by_support(bottom_up, tree)
-    want = _vertices_by_support(top_down, tree)
-    # one vertex per support, the same supports in both orders; the values
-    # come from a least-squares polish over the support's rows in the order
-    # given, so they agree to rounding rather than bit for bit
-    assert len(got) == len(bottom_up)
-    assert got.keys() == want.keys()
-    for supp, q in got.items():
-        assert np.abs(q - want[supp]).max() <= 1e-15
+    # the market file's node rows, reversed, number the nodes and leaves in
+    # another order; by leaf id the vertices are the same
+    doc = market_to_dict(tree)
+    doc["nodes"].reverse()
+    flipped = market_from_dict(doc)
+    assert flipped.leaf_ids != tree.leaf_ids
+    order = [flipped.leaf_ids.index(leaf) for leaf in tree.leaf_ids]
+    _assert_same_rows(vertex_enumerate(flipped)[:, order], vertex_enumerate(tree), 1e-14)
 
 
 def test_three_period_trinomial_tree_has_128_vertices():
     # two vertices per node, each charging two children: 2 * (2 * 2^2)^2
     tree = treegen.product_market([[1.25, 1.05, 0.8]] * 3)
     A = build_constraints(tree)
-    verts = vertex_enumerate(A)
+    verts = vertex_enumerate(tree)
     assert len(verts) == 128
     for v in verts:
         arr = v
@@ -154,11 +144,12 @@ def test_three_period_trinomial_tree_has_128_vertices():
 
 
 def _vertex_enumerate_pairwise(A, cap=geometry.VERTEX_CAP_DEFAULT):
-    """Oracle of ``vertex_enumerate``'s adjacency test: the same double
-    description with the pair-by-pair test, which scans every other ray's
-    zero set for each (positive, negative) pair of rays, ending in the
-    package's polish."""
-    return geometry._polish(A, _dd_rays_pairwise(A, cap))
+    """Oracle of ``vertex_enumerate``: double description with the
+    pair-by-pair adjacency test, which scans every other ray's zero set for
+    each (positive, negative) pair of rays, then a per-ray polish (Fukuda &
+    Prodon 1996).  It reads only the matrix A of ``build_constraints``, and
+    loses a vertex with an entry below 1e-12 of its unit mass."""
+    return _polish_per_ray(A, _dd_rays_pairwise(A, cap))
 
 
 def _dd_rays_pairwise(A, cap=geometry.VERTEX_CAP_DEFAULT):
@@ -204,8 +195,9 @@ def _dd_rays_pairwise(A, cap=geometry.VERTEX_CAP_DEFAULT):
 
 
 def _polish_per_ray(A, rays):
-    """Oracle of ``geometry._polish``: per ray, a rank test of A on the
-    ray's support and a least-squares solve of [A_S; 1] q = (0, 1)."""
+    """The vertices among double description's final rays: per ray, a rank
+    test of A on the ray's support and a least-squares solve of
+    [A_S; 1] q = (0, 1)."""
     L = A.shape[1]
     out = []
     for r in rays:
@@ -249,46 +241,45 @@ _DD_TREES = {
 
 @pytest.mark.parametrize("name", list(_DD_TREES))
 def test_blocked_adjacency_test_matches_the_pairwise_loop(name):
-    A = build_constraints(_DD_TREES[name])
-    got, want = vertex_enumerate(A), _vertex_enumerate_pairwise(A)
-    assert got.shape == want.shape and np.array_equal(got, want)
+    tree = _DD_TREES[name]
+    got = vertex_enumerate(tree)
+    _assert_same_rows(got, _vertex_enumerate_pairwise(build_constraints(tree)), 1e-12)
+    assert got.sum(axis=1) == pytest.approx(np.ones(len(got)), abs=1e-14)
 
 
 @pytest.mark.parametrize("name", [*_DD_TREES, "27-leaf"])
 def test_batched_polish_matches_the_per_ray_oracle(name):
-    # the 27-leaf tree has 128 vertices of 8 leaves each, one SVD batch
+    # the per-ray polish, over the batch of enumerated rows, returns each
+    # row: each is the unit-mass null vector of A on its support, a vertex;
+    # the midpoint of two distinct vertices is refused
     tree = _DD_TREES.get(name) or treegen.product_market([[1.25, 1.05, 0.8]] * 3)
-    A = build_constraints(tree)
-    rays = _dd_rays_pairwise(A)
-    got, want = vertex_enumerate(A), _polish_per_ray(A, rays)
-    assert got.shape == want.shape
-    assert np.abs(got - want).max(initial=0.0) <= 1e-14
-    if len(rays) < 2:
-        return
-    # midpoints of two distinct vertices are refused; a scaled ray polishes
-    # to its vertex
-    mixed = np.vstack([rays, 0.5 * (rays[:-1] + rays[1:]), rays[::-1] * 3.0])
-    got, want = geometry._polish(A, mixed), _polish_per_ray(A, mixed)
-    assert got.shape == want.shape == (2 * len(rays), A.shape[1])
-    assert np.abs(got - want).max(initial=0.0) <= 1e-14
+    A, verts = build_constraints(tree), vertex_enumerate(tree)
+    polished = _polish_per_ray(A, verts)
+    assert polished.shape == verts.shape
+    assert np.abs(polished - verts).max(initial=0.0) <= 1e-14
+    if len(verts) >= 2:
+        midpoints = 0.5 * (verts[:-1] + verts[1:])
+        assert _polish_per_ray(A, midpoints).shape == (0, tree.n_leaves)
 
 
 @pytest.mark.parametrize("moves, cap", [([[2.0, 1.0, 0.5]] * 3, 2),
                                         ([[1.2, 1.0, 0.85]] * 4, 200),
                                         ([[1.2, 1.0, 0.85]] * 3, 41)])
 def test_blocked_adjacency_test_stops_where_the_pairwise_loop_does(moves, cap):
-    A = build_constraints(treegen.product_market(moves))
-    with pytest.raises(CapExceededError) as want:
-        _vertex_enumerate_pairwise(A, cap=cap)
+    # the pairwise loop stops at its first candidate over the cap; the
+    # products stop before any row, naming their exact count
+    tree = treegen.product_market(moves)
+    with pytest.raises(CapExceededError):
+        _vertex_enumerate_pairwise(build_constraints(tree), cap=cap)
     with pytest.raises(CapExceededError) as got:
-        vertex_enumerate(A, cap=cap)
-    assert (str(got.value), got.value.count) == (str(want.value), want.value.count)
+        vertex_enumerate(tree, cap=cap)
+    assert got.value.count == {2: 42, 200: 1806, 41: 42}[cap]
 
 
 def test_measure_sets_are_stacks(tri1):
-    verts = vertex_enumerate(build_constraints(tri1))
+    verts = vertex_enumerate(tri1)
     assert isinstance(verts, np.ndarray) and verts.shape == (2, 3)
-    empty = vertex_enumerate(build_constraints(treegen.arbitrage_market()))
+    empty = vertex_enumerate(treegen.arbitrage_market())
     assert isinstance(empty, np.ndarray) and empty.shape == (0, 2)
 
 
@@ -315,14 +306,15 @@ def test_battery_evaluates_the_entropy_once_per_check(monkeypatch):
     assert calls == [(27,)]
 
 
-@pytest.mark.xfail(strict=True, reason="double description keeps only ray entries "
-                   "above 1e-12, and this vertex has one near 1e-20")
-def test_double_description_keeps_a_vertex_below_its_entry_floor():
+def test_vertex_enumerate_keeps_a_vertex_with_a_tiny_entry():
     # one-step weights 1e-10 and 1 - 1e-10 at each of the three nodes: the
-    # one vertex puts 1e-20 on the up-up leaf, and DD returns shape (0, 4)
+    # one vertex puts 1e-20 on the up-up leaf, below double description's
+    # 1e-12 entry floor
     tree = treegen.product_market([[1e5, 0.99999]] * 2)
-    assert _support_structure(tree).interior.min() == pytest.approx(1e-20, rel=1e-3)
-    assert vertex_enumerate(build_constraints(tree)).shape == (1, 4)
+    verts = vertex_enumerate(tree)
+    assert verts.shape == (1, 4)
+    assert verts.min() == pytest.approx(1e-20, rel=1e-3)
+    assert verts[0] == pytest.approx(_support_structure(tree).interior, rel=1e-12)
 
 
 def test_two_asset_trinomial_tree_has_one_vertex():
@@ -332,7 +324,7 @@ def test_two_asset_trinomial_tree_has_one_vertex():
     tree = treegen.random_market(rng, max_periods=3, n_assets=2)
     while tree.n_leaves != 27:
         tree = treegen.random_market(rng, max_periods=3, n_assets=2)
-    verts = vertex_enumerate(build_constraints(tree))
+    verts = vertex_enumerate(tree)
     assert len(verts) == 1
     q = verts[0]
     assert q.min() > 0
@@ -342,7 +334,7 @@ def test_two_asset_trinomial_tree_has_one_vertex():
 def test_no_equivalent_mm_implies_every_vertex_degenerate():
     tree = treegen.dead_leaf_market()
     assert find_equivalent_mm(tree) is None
-    for v in vertex_enumerate(build_constraints(tree)):
+    for v in vertex_enumerate(tree):
         assert min(v) <= 1e-10
 
 
@@ -423,7 +415,7 @@ def test_mask_is_the_boolean_liveness_of_the_leaves(make):
     # interior measure is positive exactly on the mask
     tree = make()
     geo = _support_structure(tree)
-    charged = (vertex_enumerate(build_constraints(tree)) > 0).any(axis=0)
+    charged = (vertex_enumerate(tree) > 0).any(axis=0)
     assert geo.mask.tolist() == charged.tolist() == (geo.interior > 0).tolist()
     assert geo.live.tolist() == (tree.subtree_sums(geo.mask) > 0).tolist()
     assert not geo.live.flags.writeable
@@ -760,26 +752,7 @@ def test_one_asset_closed_form_refuses_the_svd_noise_vertex():
 
 
 # -- the support certificates, and double description as the oracle of the
-# product recursion -------------------------------------------------------------
-
-
-def _path_products(tree):
-    """Every product, along the paths, of valid one-step vertices: a vertex
-    at the root and, below each child it charges, one product of that
-    child's subtree.  Rows (k, L) in leaf order."""
-    geo, inner, L = _support_structure(tree), tree.layout.level_starts[-2], tree.n_leaves
-
-    def below(n):
-        if n >= inner:
-            return [np.eye(L)[n - inner]]
-        out = []
-        for k in np.flatnonzero(geo.node == n).tolist():
-            parts = [[w * q for q in below(c)]
-                     for c, w in zip(geo.child[k].tolist(), geo.weight[k].tolist()) if w > 0]
-            out += [sum(combo) for combo in itertools.product(*parts)]
-        return out
-
-    return np.array(below(0))
+# product enumeration --------------------------------------------------------------
 
 
 def _arbitrage_gains(tree):
@@ -796,14 +769,13 @@ def test_double_description_is_the_product_of_the_one_step_vertices(drawn):
     # valid one-step vertices, and none charges a leaf where the arbitrage
     # certificate gains
     tree = drawn[0]
+    verts = vertex_enumerate(tree)
+    _assert_same_rows(verts, _vertex_enumerate_pairwise(build_constraints(tree)), 1e-12)
     try:
         mask = _support_structure(tree).mask
     except NoMartingaleMeasureError:
+        assert verts.shape == (0, tree.n_leaves)
         return
-    verts, products = vertex_enumerate(build_constraints(tree)), _path_products(tree)
-    assert verts.shape == products.shape
-    for v in verts:
-        assert np.abs(products - v).max(axis=1).min() <= 1e-12
     gains, scale = _arbitrage_gains(tree)
     cut = gains > checks._CERTIFICATE_TOL * scale
     assert np.array_equal(cut, ~mask)

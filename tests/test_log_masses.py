@@ -11,8 +11,8 @@ import pytest
 
 import ratios
 import treegen
-from treedual import (build_constraints, exponential_utility, optimal_measure_price_process,
-                      solve_dual, two_power_utility, vertex_enumerate)
+from treedual import (exponential_utility, optimal_measure_price_process, solve_dual,
+                      two_power_utility, vertex_enumerate)
 from treedual.market import log_masses
 
 PAIRS = (exponential_utility(1.0, 2.0), two_power_utility(0.5, 1.0, 1.0))
@@ -28,7 +28,7 @@ def _instance(seed):
     tree = treegen.random_market(rng, max_periods=3, n_assets=1 + seed % 2)
     e = treegen.random_endowment(rng, tree)
     sols = [solve_dual(tree, pair, e) for pair in PAIRS]
-    verts = vertex_enumerate(build_constraints(tree))
+    verts = vertex_enumerate(tree)
     q = np.vstack([sol.q_hat for sol in sols] + [verts])
     ell = np.vstack([sol.node_log_q for sol in sols]
                     + [tree.log_subtree_sums(log_masses(verts))])

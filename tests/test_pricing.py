@@ -8,9 +8,8 @@ import pytest
 import treegen
 from treedual import (AugmentInfeasibleError, DomainError,
                       EvaluationOverflowError, InfiniteEntropyError,
-                      NonconvergedError, RandomVariable, ValueAtSupremumError,
-                      average_price_curve,
-                      build_constraints, dual_value_curve,
+                      NonconvergedError, RandomVariable,
+                      average_price_curve, dual_value_curve,
                       certainty_equivalent, check_mubpp, davis_price,
                       endowment_sensitivity, entropic_penalty,
                       exponential_utility, indifference_price,
@@ -68,9 +67,9 @@ def test_cross_method_agreement(tri1, pair_factory, endow):
 def test_entropic_penalty_properties(tri1, exp_pair):
     sol = solve_dual(tri1, exp_pair, E_TRI)
     assert entropic_penalty(tri1, exp_pair, E_TRI, sol.q_hat,
-                            base_value=sol.value) == pytest.approx(0.0, abs=1e-8)
-    for v in vertex_enumerate(build_constraints(tri1)):
-        alpha = entropic_penalty(tri1, exp_pair, E_TRI, v, base_value=sol.value)
+                            base=sol) == pytest.approx(0.0, abs=1e-8)
+    for v in vertex_enumerate(tri1):
+        alpha = entropic_penalty(tri1, exp_pair, E_TRI, v, base=sol)
         assert alpha >= -1e-10
 
 
@@ -82,18 +81,18 @@ def test_entropic_penalty_matches_a_bounded_scalar_minimization(tri1, scale):
 
     pair = exponential_utility(1.0, 2.0)
     endow = {k: scale * v for k, v in E_TRI.items()}
-    base = solve_dual(tri1, pair, endow).value
+    base = solve_dual(tri1, pair, endow)
     p = tri1.leaf_probability_array
     e = np.array([endow[k] for k in ("a", "b", "c")])
-    verts = list(vertex_enumerate(build_constraints(tri1)))
+    verts = list(vertex_enumerate(tri1))
     for q in verts + [0.3 * verts[0] + 0.7 * verts[-1]]:
         def phi(s):
             y = math.exp(s)
-            return (float(p @ pair.v(y * q / p)) + y * float(q @ e) - base) / y
+            return (float(p @ pair.v(y * q / p)) + y * float(q @ e) - base.value) / y
 
         ref = minimize_scalar(phi, bounds=(-60.0, 60.0), method="bounded",
                               options={"xatol": 1e-10}).fun
-        alpha = entropic_penalty(tri1, pair, endow, q, base_value=base)
+        alpha = entropic_penalty(tri1, pair, endow, q, base=base)
         assert alpha == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
@@ -111,7 +110,7 @@ def test_two_power_entropic_penalty_matches_a_bounded_scalar_minimization(tri1, 
     e = scale * np.array([0.3, -0.2, 0.1])
     sol = solve_dual(tri1, pair, e)
     p = tri1.leaf_probability_array
-    verts = vertex_enumerate(build_constraints(tri1))
+    verts = vertex_enumerate(tri1)
     for q in np.vstack([(1 - 1e-6) * verts + 1e-6 * sol.q_hat, 0.7 * verts + 0.3 * sol.q_hat]):
         def phi(s):
             y = math.exp(s)
@@ -119,7 +118,7 @@ def test_two_power_entropic_penalty_matches_a_bounded_scalar_minimization(tri1, 
 
         ref = minimize_scalar(phi, bounds=(-30.0, 30.0), method="bounded",
                               options={"xatol": 1e-10}).fun
-        alpha = entropic_penalty(tri1, pair, e, q, base_value=sol.value)
+        alpha = entropic_penalty(tri1, pair, e, q, base=sol)
         assert alpha == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
@@ -130,7 +129,7 @@ def test_entropic_penalty_vanishes_at_the_normalized_optimizer(tri1, pair_name, 
     pair = request.getfixturevalue(pair_name)
     e = scale * np.array([0.3, -0.2, 0.1])
     sol = solve_dual(tri1, pair, e)
-    assert abs(entropic_penalty(tri1, pair, e, sol.q_hat, base_value=sol.value)) <= 1e-12
+    assert abs(entropic_penalty(tri1, pair, e, sol.q_hat, base=sol)) <= 1e-12
     assert abs(entropic_penalty(tri1, pair, e, sol.q_hat)) <= 1e-12
 
 
@@ -143,11 +142,11 @@ def test_exponential_entropic_penalty_meets_its_closed_form(tri1, gamma, scale):
     e = scale * np.array([0.3, -0.2, 0.1])
     sol = solve_dual(tri1, pair, e)
     p = tri1.leaf_probability_array
-    verts = vertex_enumerate(build_constraints(tri1))
+    verts = vertex_enumerate(tri1)
     for q in np.vstack([verts, (1 - 1e-6) * verts + 1e-6 * sol.q_hat]):
         on = q > 0
         want = (float(q[on] @ np.log(q[on] / p[on])) + sol._log_mass) / gamma + float(q @ e)
-        alpha = entropic_penalty(tri1, pair, e, q, base_value=sol.value)
+        alpha = entropic_penalty(tri1, pair, e, q, base=sol)
         assert alpha == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -160,7 +159,7 @@ def test_exponential_entropic_penalty_reads_the_optimal_log_mass_near_sup_u(tri1
     sol = solve_dual(tri1, pair, e)
     assert pair.params["C"] - sol.value < 1e-10
     p = tri1.leaf_probability_array
-    verts = vertex_enumerate(build_constraints(tri1))
+    verts = vertex_enumerate(tri1)
     for q in np.vstack([verts, (1 - 1e-6) * verts + 1e-6 * sol.q_hat, [[0.2, 0.4, 0.4]]]):
         on = q > 0
         want = (float(q[on] @ np.log(q[on] / p[on])) + sol._log_mass) / 0.5 + float(q @ e)
@@ -169,8 +168,7 @@ def test_exponential_entropic_penalty_reads_the_optimal_log_mass_near_sup_u(tri1
 
 def test_exponential_entropic_penalty_holds_where_the_optimal_value_rounds_to_c(tri1):
     # twice the endowment above puts the claim-free value within rounding
-    # of sup U = C: its log mass still gives the closed form, while the
-    # same value passed as a float is refused
+    # of sup U = C: its log mass still gives the closed form
     pair = exponential_utility(0.5, 2.0)
     e = -200.0 * np.random.default_rng(0).uniform(-1.0, 1.0, 3)
     sol = solve_dual(tri1, pair, e)
@@ -178,20 +176,20 @@ def test_exponential_entropic_penalty_holds_where_the_optimal_value_rounds_to_c(
     p, q = tri1.leaf_probability_array, np.array([0.2, 0.4, 0.4])
     want = (float(q @ np.log(q / p)) + sol._log_mass) / 0.5 + float(q @ e)
     assert entropic_penalty(tri1, pair, e, q) == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ValueAtSupremumError):
-        entropic_penalty(tri1, pair, e, q, base_value=sol.value)
+    assert entropic_penalty(tri1, pair, e, q, base=sol) == pytest.approx(want, rel=1e-12)
 
 
-def test_entropic_penalty_refuses_a_base_value_at_sup_u(tri1, exp_pair):
-    # a base value that rounds to sup U = C leaves the gap
-    # (ln y - 1 + H)/gamma + E_q[e] + (C - base)/y without a minimum
+def test_entropic_penalty_refuses_a_base_of_another_problem(tri1, exp_pair, tp_pair):
+    sol = solve_dual(tri1, exp_pair, E_TRI)
     q = np.array([0.2, 0.4, 0.4])
-    with pytest.raises(ValueAtSupremumError):
-        entropic_penalty(tri1, exp_pair, 0.0, q, base_value=exp_pair.params["C"])
+    for tree, pair, endow in [(treegen.tri1(), exp_pair, E_TRI), (tri1, tp_pair, E_TRI),
+                              (tri1, exp_pair, 0.0)]:
+        with pytest.raises(DomainError, match="dual solution was solved for"):
+            entropic_penalty(tree, pair, endow, q, base=sol)
 
 
 def test_entropic_penalty_infinite_for_two_power_vertex(tri1, tp_pair):
-    verts = vertex_enumerate(build_constraints(tri1))
+    verts = vertex_enumerate(tri1)
     with pytest.raises(InfiniteEntropyError):
         entropic_penalty(tri1, tp_pair, 0.0, verts[0])
 
@@ -201,8 +199,8 @@ def test_penalty_representation_bound(tri1, exp_pair):
     sol = solve_dual(tri1, exp_pair, E_TRI)
     bid = indifference_price(tri1, exp_pair, E_TRI, B_TRI)
     b = np.array([1.0, 0.0, 0.0])
-    for v in vertex_enumerate(build_constraints(tri1)):
-        alpha = entropic_penalty(tri1, exp_pair, E_TRI, v, base_value=sol.value)
+    for v in vertex_enumerate(tri1):
+        alpha = entropic_penalty(tri1, exp_pair, E_TRI, v, base=sol)
         assert bid <= float(v @ b) + alpha + 1e-8
 
 
@@ -714,7 +712,7 @@ def test_mubpp_drifted_process_rejected(tri1, exp_pair):
 def test_mubpp_vertex_expectations_rejected(tri1, exp_pair):
     # conditional expectations under a non-optimal vertex drift under the
     # optimal measure, so the process is not a fair price process
-    verts = vertex_enumerate(build_constraints(tri1))
+    verts = vertex_enumerate(tri1)
     q = verts[1]  # (1/3, 0, 2/3)
     b = np.array([1.0, 0.0, 0.0])
     root_val = float(q @ b)

@@ -137,7 +137,7 @@ def test_supermartingale_under_vertices(tri1, exp_pair):
 def test_supermartingale_check_detects_drift():
     # a process that is a martingale under one vertex drifts under the other
     tree = treegen.tri1()
-    verts = vertex_enumerate(build_constraints(tree))
+    verts = vertex_enumerate(tree)
     q0 = verts[0]   # (0, 1, 0)
     q1 = verts[1]   # (1/3, 0, 2/3)
     w_leaves = np.array([2.0, -1.0, 0.5])
@@ -184,7 +184,7 @@ def test_one_step_vertices_match_the_loops_over_dd_vertices(seed, n_assets, fami
             else two_power_utility(0.5, 1.0, 1.0))
     sol = solve_dual(tree, pair, rng.uniform(-1.0, 1.0, tree.n_leaves))
     wealth = rng.normal(size=len(tree.layout.ids))
-    verts = vertex_enumerate(build_constraints(tree))
+    verts = vertex_enumerate(tree)
     charged, violations, max_drift, lo_ref, hi_ref = _reference_checks(
         tree, wealth, sol.terminal_gain, verts)
     geo = _support_structure(tree)
@@ -222,19 +222,19 @@ def test_optimal_drift_reads_nodes_whose_float_mass_is_zero(exp_pair):
 def test_supermartingale_reads_every_caterpillar_node_a_float_mixture_misses(exp_pair,
                                                                              monkeypatch):
     # the float measure (1 - 1e-6) v + 1e-6 q_hat of the caterpillar's one
-    # enumerated vertex v has node log mass -inf at 36 of its 820 non-leaf
-    # nodes, where q_hat underflows; a wealth bent by +1 at the most
-    # weighted child of any of them drifts that node up, and the battery's
-    # check FAILs on each
+    # vertex v has node log mass -inf at 28 of its 820 non-leaf nodes, where
+    # v's path products and q_hat both underflow; a wealth bent by +1 at the
+    # most weighted child of any of them drifts that node up, and the
+    # battery's check FAILs on each
     tree = treegen.caterpillar_market()
     sol = solve_dual(tree, exp_pair, 0.0)
     ps = recover(tree, exp_pair, 0.0, sol)
     inner = len(tree.nonleaf_ids)
-    verts = vertex_enumerate(build_constraints(tree))
+    verts = vertex_enumerate(tree)
     assert len(verts) == 1
     mixed = tree.log_subtree_sums(log_masses((1 - 1e-6) * verts + 1e-6 * sol.q_hat))[0]
     dark = np.flatnonzero(mixed[:inner] == -np.inf)
-    assert dark.size == 36 and inner == 820
+    assert dark.size == 28 and inner == 820
     geo = _support_structure(tree)
     for n in dark.tolist():
         at = np.flatnonzero(geo.node == n)
