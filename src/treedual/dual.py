@@ -35,7 +35,12 @@ by one Newton-core call started at the optimum.
   fixed-mass rows alike, each row with its own line search, convergence and
   failure; a single solve is a stack of one.  The rows may also be
   different problems, padded to one size: ``dynamic_dual`` solves one
-  time's conditional problems, a subtree each, in one call.  Each step is
+  time's conditional problems, a subtree each, in one call.  Every row
+  starts at a measure, fitted in the Newton metric: a warm row at the
+  optimum it continues, a cold row at y times the support pass's
+  equivalent martingale measure, the whole solution of a complete market
+  but for the budget (the martingale method of Karatzas, Lehoczky & Shreve,
+  1987, and Cox & Huang, 1989).  Each step is
   one batched Householder QR over the stack, on the strategy columns that
   ``_strategy_basis`` keeps once per tree: the columns independent over
   each node's live children, which are independent over the whole tree.
@@ -373,9 +378,9 @@ def _log_space_point(tree, pair, e, s, log_l, log_q, h, residual, flag, steps):
     log_z = float(log_l[0])
     free = math.isnan(s)
     log_y = log_z if free else s
+    y = _mass(log_y)
+    value = c - y / gamma if free else c + y * (log_y - 1.0 - log_z) / gamma
     with np.errstate(over="ignore"):
-        y = float(np.exp(log_y))
-        value = c - y / gamma if free else c + y * (log_y - 1.0 - log_z) / gamma
         mu = np.exp(log_y + log_q)
     return _solution(tree, pair, e, mu, np.exp(log_q), log_q, y, log_y, value, residual,
                      flag, steps, h, log_l=log_l)
@@ -443,9 +448,13 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
     not their arithmetic: each has its own Armijo search, flat test,
     convergence and failure, and a row that is done stands still, so a
     row's result does not depend on the others.  Row j of ``start``, a leaf
-    measure positive on the row's leaves in ``live``, starts it at the
-    least-squares fit of B c to -V'(start/p) - e_j, the same solve at unit
-    weights; other rows start at 0.  Returns per row mu (r, L; 0 off
+    measure q positive on the row's leaves in ``live``, starts it at the fit
+    of B c to I(q/p) - e_j, I = -V' the wealth at which mu = q, in the
+    Newton metric: the same solve with the weights sqrt(q A(I(q/p))) of the
+    step's J, A the risk aversion.  From a neighbouring optimum this is the
+    first-order tangent; from y times a complete market's martingale
+    measure, the optimum up to the budget.  Other rows start at c = 0.
+    Returns per row mu (r, L; 0 off
     ``live``), h (r, k), the value (plus p V(0) off ``live``), the
     residual, the steps, W''(y) = [H^-1]_xx (NaN at free rows, and
     everywhere without ``curvature``, which saves its factorization) and
@@ -526,10 +535,11 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
             warm = ((q > 0) | ~on).all(axis=1)
             if warm.any():
                 q, on, p_w = q[warm], share(on, warm), share(pl, warm)
-                ts = np.zeros(q.shape + (2,))
-                ts[:, :, 1] = on
                 dens = np.divide(q, p_w, out=np.ones(q.shape), where=on)
-                ts[:, :, 0] = np.where(on, -pair.v_prime(dens) - el[warm], 0.0)
+                x = -pair.v_prime(dens)         # the wealth I(q/p) at which mu = q
+                ts = np.zeros(q.shape + (2,))
+                s = ts[:, :, 1] = np.where(on, np.sqrt(q * pair.risk_aversion(x)), 0.0)
+                ts[:, :, 0] = s * (x - el[warm])
                 c[warm] = fit(ts, warm, 0.0)[0]
         phi, res, u, w, mu, g = point(c)
         errors = [None if x < math.inf else NonconvergedError(
@@ -575,7 +585,7 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
             errors[j] = NonconvergedError(
                 f"Newton cap {_NEWTON_CAP} reached (scaled gradient {res[j]:.3e})",
                 residual=float(res[j]))
-        last = fixed & np.array([err is None for err in errors]) & curvature
+        last = fixed & np.array([err is None for err in errors], dtype=bool) & curvature
         w2 = direction(last)[1] if last.any() else np.full(r, math.nan)
     full = np.zeros((r, p.shape[1]))
     full[:, live] = mu
@@ -599,30 +609,63 @@ def _prepare(tree, pair):
     return geo.mask, flag
 
 
+def _mass(s: float) -> float:
+    """e^s, the mass of the log mass ``s``: the one conversion of this
+    module; inf past the floating-point range, NaN (a free row) kept."""
+    try:
+        return math.exp(s)
+    except OverflowError:
+        return math.inf
+
+
 def _core_solutions(tree, pair, endows, log_mass=None, starts=None):
     """The Newton core on the maximal support for a stack of endowments (r, L),
     at masses e^log_mass (r,) if given (NaN at a free row), started at leaf
-    measures (r, L) if given (rows not positive on the support start cold):
-    one optimum or the row's :class:`NonconvergedError` per row.  The core
-    runs on the columns of :func:`_strategy_basis`; the others get h = 0."""
+    measures (r, L) if given: one optimum or the row's error per row, a
+    :class:`NonconvergedError`, or an :class:`EvaluationOverflowError` at a
+    mass past the floating-point range, which is not solved.  The core runs
+    on the columns of :func:`_strategy_basis`; the others get h = 0.
+
+    A row without a start positive on the support starts at y q, the
+    complete-market optimum up to the budget (Karatzas, Lehoczky & Shreve,
+    *SIAM J. Control Optim.* 25, 1987): q is the support pass's equivalent
+    martingale measure ``geo.interior``, and y the row's mass, or at a free
+    row U'(E_q[e]), the mass at which the constant wealth E_q[e] is optimal,
+    with E_q[e] taken row by row.  The core starts a row at c = 0 where y is
+    not finite, or where y q is not positive on the support (q underflows on
+    a live leaf of the caterpillar)."""
     mask, flag = _prepare(tree, pair)
-    basis = _strategy_basis(_support_structure(tree))
-    mass = None if log_mass is None else np.array([math.exp(s) for s in log_mass])
+    geo = _support_structure(tree)
+    basis = _strategy_basis(geo)
+    r = len(endows)
+    y = np.full(r, math.nan) if log_mass is None else np.array([_mass(s) for s in log_mass])
+    run = ~np.isinf(y)
+    starts = np.zeros(endows.shape) if starts is None else np.array(starts, dtype=float)
+    cold = ~(starts[:, mask] > 0).all(axis=1)
+    if cold.any():
+        q = geo.interior
+        with np.errstate(over="ignore"):
+            y0 = np.where(np.isnan(y), pair.u_prime(_row_dot(endows, q)), y)
+        cold &= np.isfinite(y0)
+        starts[cold] = y0[cold, None] * q
     mu, h_basis, value, res, steps, curvature, errors = _newton_core(
-        build_constraints(tree)[basis], tree.leaf_probability_array, endows, pair, mask,
-        mass=mass, start=starts)
+        build_constraints(tree)[basis], tree.leaf_probability_array, endows[run], pair, mask,
+        mass=y[run], start=starts[run])
     h = np.zeros((len(errors), basis.size))
     h[:, basis] = h_basis
-    out = []
-    for j, err in enumerate(errors):
-        if err is not None:
-            out.append(err)
+    out = [None] * r
+    for j in np.flatnonzero(~run).tolist():
+        out[j] = EvaluationOverflowError(
+            f"mass e^{float(log_mass[j])!r} is past the floating-point range")
+    for i, j in enumerate(np.flatnonzero(run).tolist()):
+        if errors[i] is not None:
+            out[j] = errors[i]
             continue
-        y = float(mu[j].sum())
-        out.append(_solution(tree, pair, endows[j], mu[j], mu[j] / y, log_masses(mu[j] / y),
-                             y, math.log(y), float(value[j]), float(res[j]), flag,
-                             int(steps[j]), h[j].reshape(-1, tree.n_assets),
-                             None if math.isnan(curvature[j]) else float(curvature[j])))
+        m = float(mu[i].sum())
+        out[j] = _solution(tree, pair, endows[j], mu[i], mu[i] / m, log_masses(mu[i] / m),
+                           m, math.log(m), float(value[i]), float(res[i]), flag,
+                           int(steps[i]), h[i].reshape(-1, tree.n_assets),
+                           None if math.isnan(curvature[i]) else float(curvature[i]))
     return out
 
 
@@ -729,8 +772,7 @@ def dual_value_curve(sol: DualSolution, ys: Sequence[float], *,
     if log:
         if not ys or not all(math.isfinite(s) for s in ys):
             raise DomainError("log masses must be finite, at least one of them")
-        with np.errstate(over="ignore"):
-            masses = np.exp(ys).tolist()
+        masses = [_mass(s) for s in ys]
     else:
         _check_masses(ys)
         masses = ys
@@ -742,7 +784,8 @@ def dual_value_curve(sol: DualSolution, ys: Sequence[float], *,
                                  sol._log_q, sol._h_arr, sol.stationarity, sol.support,
                                  sol.iterations[-1]["steps"]) for s in ss]
     else:
-        starts = sol.mu * np.exp(np.array(ss) - sol._log_mass)[:, None]
+        with np.errstate(over="ignore"):
+            starts = sol.mu * np.exp(np.array(ss) - sol._log_mass)[:, None]
         sols = _at_masses(sol.tree, sol.pair, sol._endow_arr, ss, starts)
     pts = [CurvePoint(y=y, value=pt.value, q_hat=pt.q_hat,
                       derivative=pt.mass_derivative) for y, pt in zip(masses, sols)]

@@ -166,8 +166,9 @@ def _cash_root(pair, x, target, c0, hi, start):
     so neither end is probed unless Newton lands there.  Steps are taken in
     certainty-equivalent units z = U^-1(value), where dz/dc = mass / U'(z).
     The probe that meets the tolerance gets one more step, which costs no
-    solve.  Every probe is warm-started from the previous optimizer, the
-    first from ``start``.
+    solve.  Every probe starts at the previous optimal measure, the first
+    at ``start``, which the Newton core fits in its own metric: the
+    first-order tangent from that optimum.
     """
     if pair.u_inverse is None:
         raise DomainError("cash pricing needs the inverse utility of the pair")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,8 +161,15 @@ def test_uniqueness_from_random_starts(tri1, exp_pair, tp_pair):
                             + 0.2 * ref.q_hat) * rng.uniform(0.3, 3.0) for _ in range(4)])
         sols = dual._core_solutions(tri1, pair, np.tile(e, (4, 1)), starts=starts)
         cold, = dual._core_solutions(tri1, pair, e[None])
-        # the starts are read: some row takes another path than the cold one
-        assert {s.iterations[0]["steps"] for s in sols} != {cold.iterations[0]["steps"]}
+        steps = {s.iterations[0]["steps"] for s in sols}
+        if pair is exp_pair:
+            # on an up/flat/down node the exponential start fit in the Newton
+            # metric is the minimizer from every martingale start, as in the
+            # log-space pass's node start
+            assert steps == {cold.iterations[0]["steps"]} == {0}
+        else:
+            # the starts are read: some row takes another path than the cold one
+            assert steps != {cold.iterations[0]["steps"]}
         for sol in sols:
             assert np.abs(sol.mu - ref.mu).max() <= 1e-7
 
@@ -336,6 +344,46 @@ def test_two_power_curve_started_at_the_optimum_meets_cold_rows(seed):
         scale = 1.0 + np.abs(row.terminal_gain).max()
         assert abs(pt.derivative - row.mass_derivative) <= 1e-12 * scale
         assert np.abs(pt.q_hat - row.q_hat).max() <= 1e-12
+
+
+def test_one_log_mass_to_mass_conversion(tri1, exp_pair, tp_pair):
+    # every mass read off a log mass is math.exp of it, in both families and
+    # on the curve (numpy's exp differs from it by an ulp on some of these)
+    ss = np.sort(np.random.default_rng(3).uniform(-5.0, 5.0, 64))
+    e = leaf_values(tri1, {"a": 0.3, "b": -0.2, "c": 0.1})
+    for pair in (exp_pair, tp_pair):
+        curve = dual_value_curve(solve_dual(tri1, pair, e), ss, log=True)
+        assert [pt.y for pt in curve.points] == [math.exp(s) for s in ss]
+    rows = dual._solutions(tri1, exp_pair, np.repeat(e[None], ss.size, axis=0), ss)
+    assert [row.mass for row in rows] == [math.exp(s) for s in ss]
+
+
+def test_a_mass_past_the_float_range_fails_its_row_typed(tri1, tp_pair):
+    e = leaf_values(tri1, {"a": 0.3, "b": -0.2, "c": 0.1})
+    sol = solve_dual(tri1, tp_pair, e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationOverflowError):
+            dual_value_curve(sol, [720.0], log=True)
+        good, over = dual._solutions(tri1, tp_pair, np.array([e, e]), np.array([0.0, 720.0]))
+    assert isinstance(over, EvaluationOverflowError)
+    alone, = dual._solutions(tri1, tp_pair, e[None], np.array([0.0]))
+    assert (good.value, good.mass) == (alone.value, alone.mass)
+
+
+@pytest.mark.parametrize("tree", [
+    treegen.bin1(),
+    treegen.product_market([[1.3, 0.8]] * 5, [[0.6, 0.4]] * 5),
+    treegen.product_market([[(1.2, 0.95), (0.9, 1.2), (0.95, 0.85)]] * 3)],
+    ids=["bin1", "2x2x2x2x2/1a", "3x3x3/2a"])
+def test_complete_market_cold_solve_starts_at_the_optimum_up_to_the_budget(tree, tp_pair):
+    # y q with q the one martingale measure is the optimum but for the
+    # budget: a few steps, where the start at h = 0 took up to 9
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        sol = solve_dual(tree, tp_pair, rng.uniform(-1.0, 1.0, tree.n_leaves))
+        assert sol.iterations[0]["steps"] <= 3
+        assert sol.stationarity <= 1e-13
 
 
 def test_derivative_zero_at_optimum(tri1, exp_pair):
@@ -1071,19 +1119,25 @@ def test_strategy_basis_keeps_the_rank_of_each_nodes_live_increments(tp_pair):
 
 
 def test_a_kept_column_without_weight_fails_its_row_alone():
-    # U' underflows on both leaves of the first time-1 node, so its column
-    # has no weight: that row fails typed, the other row of the stack
-    # converges as it does alone, and no singular triangle reaches the solve
+    # a start that is zero on a live leaf leaves the core at c = 0, where U'
+    # underflows on both leaves of the first time-1 node, so its column has
+    # no weight: that row fails typed, the other row of the stack converges
+    # as it does alone, and no singular triangle reaches the solve
     tree = treegen.product_market([[1.2, 0.9], [1.2, 0.9]])
     pair = exponential_utility(1.0, 2.0)
+    geo = geometry._support_structure(tree)
+    A = build_constraints(tree)[dual._strategy_basis(geo)]
+    p = tree.leaf_probability_array
     e = np.array([[800.0, 800.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-    bad, good = dual._core_solutions(tree, pair, e)
-    assert isinstance(bad, NonconvergedError)
-    assert good.value == pytest.approx(1.107086908267888, rel=1e-14, abs=0)
-    assert good.iterations[0]["steps"] == 5
-    alone, = dual._core_solutions(tree, pair, e[1:])
-    assert (good.value, good.mass) == (alone.value, alone.mass)
-    assert np.array_equal(good.mu, alone.mu)
+    start = np.array([[0.0, 0.3, 0.3, 0.4], [0.0, 0.3, 0.3, 0.4]])
+    mu, _, value, _, steps, _, errors = dual._newton_core(A, p, e, pair, geo.mask, start=start)
+    assert isinstance(errors[0], NonconvergedError) and errors[1] is None
+    assert value[1] == pytest.approx(1.107086908267888, rel=1e-14, abs=0)
+    assert steps[1] == 5
+    mu_alone, _, value_alone, *_ = dual._newton_core(A, p, e[1:], pair, geo.mask,
+                                                     start=start[1:])
+    assert value[1] == value_alone[0]
+    assert np.array_equal(mu[1], mu_alone[0])
 
 
 def test_qr_fits_give_a_zero_column_no_fit():
