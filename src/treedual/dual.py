@@ -20,12 +20,15 @@ by one Newton-core call started at the optimum.
   ``C - exp(L_root)/gamma``, the mass ``exp(L_root)``, the normalized
   optimizer the product of the nodes' softmax weights and h_n the minimizer
   k of node n.  Masses like e^-1000 are exact in this form.  One pass serves
-  a stack of endowments, each distinct row once: each level is one Newton
-  batch over the nodes of all of them.  A node starts at the fit of its
-  exponents to w0, the mean of its one-step martingale vertices, which is
-  the minimizer where w0 fixes the optimal weights' ratios among the moving
-  children (binomial and up/flat/down nodes, d + 1 affinely independent
-  increments).
+  a stack of endowments, each distinct row once.  A node with one valid
+  one-step vertex w0 (binomial nodes, d + 1 affinely independent
+  increments, a single live child) has no other martingale weights, so its
+  optimum is in closed form: the weights w0, ``L_n = sum_c w0_c (ln p_(c|n)
+  + L_c - ln w0_c)`` and k the exact fit of its exponents.  The nodes with a
+  choice make one Newton batch per level over all the endowments, each
+  started at the fit of its exponents to w0, the mean of its valid
+  vertices, which is the minimizer where w0 fixes the optimal weights'
+  ratios among the moving children (up/flat/down nodes).
 * Two-power family, ``dynamic_dual`` and the tests' oracle: the optimal
   measure is the marginal utility of the optimal wealth, mu = p U'(e + gains),
   so the dual is solved through its primal, the unconstrained concave
@@ -152,42 +155,53 @@ def _solution(tree, pair, e, mu, q, log_q, mass, log_mass, value, residual, flag
 _LSE_CAP = 100  # damped Newton steps per level
 
 
+def _lse_point(b, x, k):
+    """At k (g, d) of a batch: f = logsumexp_c(b_c - x_c.k), the softmax
+    weights (g, m), their mean of x (g, d) and x.k (g, m)."""
+    xk = np.einsum("gmd,gd->gm", x, k)
+    z = b - xk
+    top = z.max(axis=1)
+    e = np.exp(z - top[:, None])
+    total = e.sum(axis=1)
+    w = e / total[:, None]
+    return top + np.log(total), w, np.einsum("gm,gmd->gd", w, x), xk
+
+
 def _lse_min(b, x, k0):
-    """``min_k logsumexp_c(b_c - x_c.k)`` for a batch of g nodes.
+    """``min_k logsumexp_c(b_c - x_c.k)`` for a batch of g nodes with a
+    choice of weights (more than one valid vertex).
 
     ``b`` (g, m) is -inf and ``x`` (g, m, d) zero at padding.  The loop
-    starts at ``k0`` (g, d); a node started at its minimizer exits at the
-    first test, before any step.  Newton steps with Levenberg-Marquardt
-    damping relative to the trace of the Hessian, the covariance of x under
-    the softmax weights, which is near-singular where the weights sit on few
-    children.  A step moves no exponent by more than one unit and is doubled
-    while that keeps lowering the value, which crosses exponential tails in
-    a few steps; it is accepted on a quarter of its predicted decrease or,
+    starts at ``k0`` (g, d).  Newton steps with Levenberg-Marquardt damping
+    relative to the trace of the Hessian, the covariance of x under the
+    softmax weights, which is near-singular where the weights sit on few
+    children; the damping falls a hundredfold on each accepted step, to
+    1e-16, so that the last steps are plain Newton steps.  A step moves no
+    exponent by more than one unit; a clipped step is doubled while that
+    keeps lowering the value, which crosses exponential tails in a few
+    steps.  A step is accepted on a quarter of its predicted decrease or,
     where the value is flat to rounding, on a smaller gradient.  A node is
     done once its gradient and predicted decrease are at rounding level, or
-    once a step fails with its predicted decrease below rounding.  Returns
-    the minima, minimizers k, log softmax weights, gradients E_w[x] (up to
-    sign) and steps.
+    once a step fails with its predicted decrease below rounding.  Each
+    point is evaluated once (:func:`_lse_point`), and its weights and x.k
+    serve the Hessian and the rounding level of the gradient; the log
+    weights ln w = b - x.k - f are formed at exit, exact where w
+    underflows.  Returns the minima, minimizers k, log softmax weights,
+    gradients E_w[x] (up to sign) and steps.
     """
     top_b = b.max(axis=1)
     b = b - top_b[:, None]
     g, _, d = x.shape
-
-    def evaluate(k):
-        z = b - np.einsum("gmd,gd->gm", x, k)
-        top = z.max(axis=1)
-        f = top + np.log(np.exp(z - top[:, None]).sum(axis=1))
-        return f, z - f[:, None], np.einsum("gm,gmd->gd", np.exp(z - f[:, None]), x)
-
     scale = np.abs(x).max(axis=(1, 2))
     damp, k, active = np.full(g, 1e-3), k0.copy(), np.ones(g, dtype=bool)
-    f, logw, mean = evaluate(k)
+    now = _lse_point(b, x, k)      # f, w, mean, x.k
     for steps in range(_LSE_CAP + 1):
+        f, w, mean, xk = now
         gnorm = np.abs(mean).max(axis=1)
         # rounding level of the gradient: exponents are b - x.k
-        gtol = scale * (1e-13 + 1e-15 * np.abs(np.einsum("gmd,gd->gm", x, k)).max(axis=1))
+        gtol = scale * (1e-13 + 1e-15 * np.abs(xk).max(axis=1))
         dev = x - mean[:, None, :]   # centred: E[x x'] - mean mean' cancels
-        hess = np.einsum("gm,gmd,gme->gde", np.exp(logw), dev, dev)
+        hess = np.einsum("gm,gmd,gme->gde", w, dev, dev)
         lam = damp * (np.trace(hess, axis1=1, axis2=2) + 1e-30 * scale ** 2)
         active &= gnorm > 0.0
         step = np.zeros((g, d))
@@ -204,21 +218,25 @@ def _lse_min(b, x, k0):
         if steps == _LSE_CAP:
             raise NonconvergedError(
                 f"log-partition Newton cap {_LSE_CAP} reached at {active.sum()} nodes")
-        f1, logw1, mean1 = evaluate(k + step)
+        trial = _lse_point(b, x, k + step)
+        f1 = trial[0]
         tiny = 1e-15 * (1.0 + np.abs(f))
         ok = active & (((f1 < f) & (f1 <= f - 0.25 * pred))
-                       | ((f1 <= f + tiny) & (np.abs(mean1).max(axis=1) <= 0.5 * gnorm)))
+                       | ((f1 <= f + tiny) & (np.abs(trial[2]).max(axis=1) <= 0.5 * gnorm)))
         active &= ok | (pred > tiny)   # else no change is measurable
-        grow, alpha = ok & (clipped | (f - f1 > pred + tiny)), np.ones(g)
+        grow, alpha = ok & clipped, np.ones(g)
         while grow.any():
-            f2, logw2, mean2 = evaluate(k + 2.0 * alpha[:, None] * step)
-            grow &= f2 < f1
+            longer = _lse_point(b, x, k + 2.0 * alpha[:, None] * step)
+            grow &= longer[0] < trial[0]
             alpha[grow] *= 2.0
-            f1[grow], logw1[grow], mean1[grow] = f2[grow], logw2[grow], mean2[grow]
+            for old, new in zip(trial, longer):
+                old[grow] = new[grow]
         k[ok] += alpha[ok, None] * step[ok]
-        f[ok], logw[ok], mean[ok] = f1[ok], logw1[ok], mean1[ok]
-        damp = np.where(ok, np.maximum(0.25 * damp / alpha, 1e-12), 4.0 * damp)
-    return f + top_b, k, logw, mean, steps
+        for old, new in zip(now, trial):
+            old[ok] = new[ok]
+        damp = np.where(ok, np.maximum(0.01 * damp / alpha, 1e-16), 4.0 * damp)
+    f, _, mean, xk = now
+    return f + top_b, k, b - xk - f[:, None], mean, steps
 
 
 def _increments(lay, live, node):
@@ -236,44 +254,60 @@ def _increments(lay, live, node):
 
 @lru_cache(maxsize=256)
 def _live_levels(geo: SupportStructure):
-    """Per non-leaf level, bottom-up, the live nodes (g,), their padded
-    children (g, m), log branch probabilities (-inf at padding and dead
-    children), price increments (g, m, d; zero there and below a node with
-    one live child), the start's operator ``fit`` (g, m, d) and shift
-    ``ln(p / w0)`` (g, m; 0 off the live children), the live children with
-    their flat slots in (g, m), and 1 + |S_n|; live as in
-    ``SupportStructure.live``, and w0 the mean of a node's valid vertices
-    (``geo.step_weights``), positive on its live children.
-    The start ``k0 = Cov_w0(x)^+ Cov_w0(x, b - ln w0)`` = sum_c fit_c
-    (shift_c + L_c) / gamma fits ``b - ln w0`` by ``x.k + f`` in w0-weighted
-    least squares (x = gamma dS, b = ln p + L); the pseudo-inverse, one
-    batched eigh without eigenvalues below _TOL of the largest, keeps
-    k0 in the span of the increments, as the minimum-norm minimizer.  All
-    live non-leaf nodes are set up in one batch, padded to the most
-    children, and each level is sliced out and trimmed to its widest node.
+    """Per non-leaf level, bottom-up, its live nodes in up to two batches:
+    the nodes with one valid vertex, then those with a choice of weights
+    (more than one).  A batch holds the nodes (g,), their padded children
+    (g, m), log branch probabilities (-inf at padding and dead children),
+    price increments (g, m, d; zero there and below a node with one live
+    child), the start's operator ``fit`` (g, m, d) and shift ``ln(p / w0)``
+    (g, m; 0 off the live children), the live children with their flat
+    slots in (g, m), and 1 + |S_n|; live as in ``SupportStructure.live``,
+    and w0 the mean of a node's valid vertices (``geo.step_weights``),
+    positive on its live children; last, for a batch of one-vertex nodes,
+    w0 (that vertex), ln w0 at the slots and the largest one-step drift of
+    w0, else None.  The start ``k0 = Cov_w0(x)^+ Cov_w0(x, b - ln w0)`` =
+    sum_c fit_c (shift_c + L_c) / gamma fits ``b - ln w0`` by ``x.k + f`` in
+    w0-weighted least squares (x = gamma dS, b = ln p + L); the
+    pseudo-inverse, one batched eigh without eigenvalues below _TOL of the
+    largest, keeps k0 in the span of the increments, as the minimum-norm
+    minimizer.  All live non-leaf nodes are set up in one batch, padded to
+    the most children, and each batch is cut out and trimmed to its widest
+    node.
     """
     lay, w, live = geo.layout, geo.step_weights, geo.live
     starts = lay.level_starts
     node = np.flatnonzero(live[:starts[-2]])
+    single = np.bincount(geo.node, minlength=starts[-2])[node] == 1
+    # sorted by level, and within a level by one vertex or a choice: one run per batch
+    key = 2 * np.searchsorted(starts, node, side="right") + single
+    order = np.argsort(key, kind="stable")
+    node, single, key = node[order], single[order], key[order]
     kids, on, dS = _increments(lay, live, node)
     w0 = np.where(on, w[kids], 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         lnp = np.where(on, np.log(lay.prob[kids]), -np.inf)
-        shift = np.where(on, lnp - np.log(w0), 0.0)
-    dev = dS - np.einsum("gm,gmd->gd", w0, dS)[:, None]
+        log_w0 = np.log(w0)
+        shift = np.where(on, lnp - log_w0, 0.0)
+    mean = np.einsum("gm,gmd->gd", w0, dS)
+    dev = dS - mean[:, None]
     ev, vec = np.linalg.eigh(np.einsum("gm,gmd,gme->gde", w0, dev, dev))
     inv = np.divide(1.0, ev, out=np.zeros_like(ev),
                     where=ev > _TOL * np.abs(ev[:, -1:]))
     fit = w0[..., None] * dev @ ((vec * inv[:, None]) @ vec.swapaxes(1, 2))
     unit = 1.0 + np.abs(lay.prices[node]).max(axis=1)
     width = np.diff(lay.first_child, append=len(lay.ids))[node]
-    cut = np.searchsorted(node, starts[:-1])
+    run = np.flatnonzero(np.diff(key, prepend=-1))
+    widths = np.maximum.reduceat(width, run).tolist()
+    drifts = np.maximum.reduceat(np.abs(mean).max(axis=1) / unit, run).tolist()
+    at = np.r_[0, np.cumsum(on.sum(axis=1))].tolist()   # node i's live children in kids[on]
+    on_kids, log_w0 = kids[on], log_w0[on]
     out = []
-    for a, b in zip(cut[-2::-1], cut[:0:-1]):
-        m = width[a:b].max()
-        k, o = kids[a:b, :m], on[a:b, :m]
-        out.append((node[a:b], k, lnp[a:b, :m], dS[a:b, :m], fit[a:b, :m],
-                    shift[a:b, :m], np.flatnonzero(o), k[o], unit[a:b]))
+    for a, b, m, drift in reversed(list(zip(run.tolist(), [*run[1:].tolist(), node.size],
+                                            widths, drifts))):
+        o, slots = on[a:b, :m], slice(at[a], at[b])
+        out.append((node[a:b], kids[a:b, :m], lnp[a:b, :m], dS[a:b, :m], fit[a:b, :m],
+                    shift[a:b, :m], np.flatnonzero(o), on_kids[slots], unit[a:b],
+                    (w0[a:b, :m], log_w0[slots], drift) if single[a] else None))
     return tuple(out)
 
 
@@ -312,13 +346,17 @@ def _strategy_basis(geo: SupportStructure):
 
 def _log_partition(tree, gamma, e):
     """Backward induction on ``L_n = ln min_h E[exp(-gamma(e + gains)) | n]``
-    for r endowments ``e`` (r, leaves); row j * g + i of a level's batch is
-    endowment j at node i, started at the fit k0 of :func:`_live_levels`.
-    Where w0 fixes the ratios of the optimal weights w* among a node's
-    moving children (also at a degenerate node left with two live children),
-    the fit's residual ln(w*/w0) + const is constant on them, with no
-    w0-covariance with x: k0 is the minimizer, and the node takes no step.
-    Returns per endowment L at every node (N,; 0 at the non-leaf nodes
+    for r endowments ``e`` (r, leaves), batch by batch of
+    :func:`_live_levels`, every node started at the fit k0.  A node with
+    one valid vertex w0 has those weights at its optimum, since they are
+    its only martingale weights on its live children, so k0, an exact fit
+    there, is its minimizer, and ``L_n = sum_c w0_c (ln p_c + L_c - ln
+    w0_c)`` in closed form.  The nodes with a choice go to :func:`_lse_min`,
+    one call per level that has any: row j * g + i of its batch is
+    endowment j at node i.  Where w0 fixes the ratios of the optimal
+    weights among a node's moving children (up/flat/down nodes), k0 is the
+    minimizer too and the node takes no step.  Returns
+    per endowment L at every node (N,; 0 at the non-leaf nodes
     ``_live_levels`` drops), the strategy (inner, d) of minimizers k (0
     where ``_live_levels`` zeroes dS or drops the node), the log normalized
     optimizer on the leaves (-inf off the maximal support) and its largest
@@ -328,18 +366,25 @@ def _log_partition(tree, gamma, e):
     big_l = np.concatenate([np.zeros((r, inner)), -gamma * e], axis=1)
     logw = np.where(np.arange(len(lay.ids)) == 0, 0.0, np.full((r, 1), -np.inf))
     drift, steps, h = np.zeros(r), 0, np.zeros((r, inner, lay.prices.shape[1]))
-    for (node, kids, lnp, dS, fit, shift, slots, on_kids,
-         unit) in _live_levels(_support_structure(tree)):
+    for (node, kids, lnp, dS, fit, shift, slots, on_kids, unit,
+         one) in _live_levels(_support_structure(tree)):
         g, kid_l = node.size, big_l.take(kids, axis=1)
-        k0 = np.einsum("gmd,gm->gd", np.concatenate([fit] * r),
-                       (shift + kid_l).reshape(r * g, -1)) / gamma
-        f, k, lw, mean, used = _lse_min((lnp + kid_l).reshape(r * g, -1),
-                                        np.concatenate([gamma * dS] * r), k0)
+        t = shift + kid_l                   # b - ln w0 on the live children
+        k = np.einsum("gmd,jgm->jgd", fit, t) / gamma
+        if one is None:
+            f, k, lw, mean, used = _lse_min((lnp + kid_l).reshape(r * g, -1),
+                                            np.concatenate([gamma * dS] * r),
+                                            k.reshape(r * g, -1))
+            logw[:, on_kids] = lw.reshape(r, -1).take(slots, axis=1)
+            steps += used
+            drift = np.maximum(drift, (np.abs(mean).max(axis=1).reshape(r, g)
+                                       / gamma / unit).max(axis=1))
+        else:
+            w0, log_w0, w0_drift = one
+            f = np.einsum("gm,jgm->jg", w0, t)
+            logw[:, on_kids] = log_w0
+            drift = np.maximum(drift, w0_drift)
         big_l[:, node], h[:, node] = f.reshape(r, g), k.reshape(r, g, -1)
-        logw[:, on_kids] = lw.reshape(r, -1).take(slots, axis=1)
-        steps += used
-        drift = np.maximum(drift, (np.abs(mean).max(axis=1).reshape(r, g)
-                                   / gamma / unit).max(axis=1))
     for lo, hi in zip(lay.level_starts[1:-1], lay.level_starts[2:]):
         logw[:, lo:hi] += logw.take(lay.parent[lo:hi], axis=1)
     return big_l, h, logw[:, inner:], drift, steps
@@ -404,7 +449,10 @@ def _qr_fits(J, T):
     are independent: one batched Householder QR of [J | T] (``mode="r"``)
     and one batched solve on its leading k x k triangle.  A zero column of J
     gets a padding row with 1 in that column, so it fits 0 and leaves the
-    other columns' fits unchanged; zero rows pad n up to k + m."""
+    other columns' fits unchanged; zero rows pad n up to k + m.  A row whose
+    triangle is singular (an exact zero on its diagonal, where its nonzero
+    columns are dependent after all) gets NaN fits, and the others are
+    solved as without it."""
     r, n, k = J.shape
     m = T.shape[2]
     zero = ~J.any(axis=1)
@@ -414,7 +462,12 @@ def _qr_fits(J, T):
         pad[:, :k, :k] = zero[:, :, None] * np.eye(k)
         M = np.concatenate((M, pad), axis=1)
     R = np.linalg.qr(M, mode="r")
-    return np.linalg.solve(R[:, :k, :k], R[:, :k, k:])
+    tri, rhs = R[:, :k, :k], R[:, :k, k:]
+    try:
+        return np.linalg.solve(tri, rhs)
+    except np.linalg.LinAlgError:       # an exact zero pivot: NaN fits on its rows alone
+        singular = ~np.diagonal(tri, axis1=1, axis2=2).all(axis=1)[:, None, None]
+        return np.linalg.solve(np.where(singular, np.eye(k), tri), np.where(singular, np.nan, rhs))
 
 
 def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
@@ -459,8 +512,8 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
     residual, the steps, W''(y) = [H^-1]_xx (NaN at free rows, and
     everywhere without ``curvature``, which saves its factorization) and
     the row's error, None or a :class:`NonconvergedError` (after 200 steps,
-    from a start outside the domain, or without an acceptable step above
-    1e-9).
+    from a start outside the domain, on a singular Newton system, or
+    without an acceptable step above 1e-9).
     """
     A, p = (A if A.ndim == 3 else A[None]), np.atleast_2d(p)
     pl, el = p[:, live], e[:, live]
@@ -543,8 +596,9 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
                 c[warm] = fit(ts, warm, 0.0)[0]
         phi, res, u, w, mu, g = point(c)
         errors = [None if x < math.inf else NonconvergedError(
+            "singular Newton system at the start fit" if np.isnan(c[j]).any() else
             f"start outside the domain (scaled gradient {x:.3e})", residual=x)
-            for x in res.tolist()]
+            for j, x in enumerate(res.tolist())]
         steps, active = np.zeros(r, dtype=int), res < math.inf
         active &= res > 1e-13
         for _ in range(_NEWTON_CAP):
@@ -576,7 +630,11 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
                 alpha[search] *= 0.5
             else:
                 for j in np.flatnonzero(search):      # no acceptable step
-                    if res[j] > 1e-9:
+                    if np.isnan(delta[j]).any():     # nor any step: a singular system
+                        errors[j] = NonconvergedError(
+                            f"singular Newton system at scaled gradient {res[j]:.3e}",
+                            residual=float(res[j]))
+                    elif res[j] > 1e-9:
                         errors[j] = NonconvergedError(
                             f"no acceptable step at scaled gradient {res[j]:.3e}",
                             residual=float(res[j]))

@@ -149,8 +149,10 @@ class EvaluationOverflowError(TreedualError):
     """Objective left the representable floating-point range.
 
     Raised by ``solve_dual`` for the exponential family when the optimal
-    expected utility is below -1e250 (an endowment below about -575/gamma).
-    Pricing never meets it.
+    expected utility is below -1e250 (an endowment below about -575/gamma),
+    for a fixed mass past the floating-point range, and by
+    ``endowment_sensitivity`` when the entropy of the support pass's
+    interior measure, which bounds its mass radius, is not finite.
     """
 
     code = "OVERFLOW"

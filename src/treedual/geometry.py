@@ -11,9 +11,12 @@ one cached backward pass over the nodes' one-step polytopes, with no linear
 program.  The pass also carries the two certificates of its maximal
 support that the verify battery checks on the prices alone: one-step
 martingale weights positive on the live children, and a strategy that
-gains on every dead leaf and loses nowhere.  The polytope's vertices are
-the products of the pass's one-step vertices along the paths, counted
-exactly before they are enumerated.
+gains on every dead leaf and loses nowhere.  The one-step vertices are in
+closed form for one and two assets (a zero increment, an opposite pair
+and, for two assets, a triangle around 0 by Cramer's rule) and come from
+stacked SVDs for more, which stay the closed forms' test oracle.  The
+polytope's vertices are the products of the pass's one-step vertices along
+the paths, counted exactly before they are enumerated.
 """
 
 from __future__ import annotations
@@ -74,15 +77,49 @@ def _one_step_vertices(incr):
     sum w = 1, sum_c w_c incr_c = 0} is the unique solution on the at most
     d + 1 children it charges, whose columns (incr_c, 1) are independent
     (Caratheodory).  The increments are rescaled per node and asset (which
-    keeps the polytope); for d = 1 the vertices are in closed form
-    (:func:`_one_asset_vertices`), for d >= 2 from stacked SVDs
-    (:func:`_svd_vertices`).  Returns each vertex's node (position in the
-    batch) and child weights, per subset size by node, then by child subset
-    in ``combinations`` order.
+    keeps the polytope); for d = 1 and d = 2 the vertices are in closed form
+    (:func:`_one_asset_vertices`, :func:`_two_asset_vertices`), for d >= 3
+    from stacked SVDs (:func:`_svd_vertices`).  Returns each vertex's node
+    (position in the batch) and child weights, per subset size by node,
+    then by child subset in ``combinations`` order.
     """
     scale = np.abs(incr).max(axis=1, keepdims=True)
     x = incr / np.where(scale > 0, scale, 1.0)
-    return _one_asset_vertices(x[..., 0]) if x.shape[2] == 1 else _svd_vertices(x)
+    if x.shape[2] == 1:
+        return _one_asset_vertices(x[..., 0])
+    return _two_asset_vertices(x) if x.shape[2] == 2 else _svd_vertices(x)
+
+
+@lru_cache(maxsize=None)
+def _subsets(m):
+    """The pairs (P, 2) and triangles (T, 3) of m children in
+    ``combinations`` order, and each triangle's pairs (i, j), (j, l) and
+    (i, l) as positions (T, 3) among the pairs."""
+    pairs = list(combinations(range(m), 2))
+    at = {pair: n for n, pair in enumerate(pairs)}
+    tri = list(combinations(range(m), 3))
+    return (np.array(pairs, dtype=np.intp).reshape(-1, 2),
+            np.array(tri, dtype=np.intp).reshape(-1, 3),
+            np.array([(at[i, j], at[j, l], at[i, l]) for i, j, l in tri],
+                     dtype=np.intp).reshape(-1, 3))
+
+
+def _stacked(m, *blocks):
+    """The nodes and weight rows (on m children) of the vertices, block by
+    block: a block (ok, sub, w) has subset j of node i, the children
+    ``sub[j]`` with the weights ``w[i, j]``, where ``ok[i, j]``; a block
+    without ``sub`` has child j itself, with weight 1."""
+    nodes, rows = [], []
+    for ok, sub, w in blocks:
+        gi, si = np.nonzero(ok)
+        row = np.zeros((gi.size, m))
+        if sub is None:
+            row[np.arange(gi.size), si] = 1.0
+        else:
+            row[np.arange(gi.size)[:, None], sub[si]] = w[gi, si]
+        nodes.append(gi)
+        rows.append(row)
+    return np.concatenate(nodes), np.concatenate(rows)
 
 
 def _one_asset_vertices(x):
@@ -97,18 +134,60 @@ def _one_asset_vertices(x):
     These are :func:`_svd_vertices`'s tests on one and two children.
     """
     m = x.shape[1]
-    gi, ci = np.nonzero(np.abs(x) <= _TOL)
-    ones = np.zeros((gi.size, m))
-    ones[np.arange(gi.size), ci] = 1.0
-    pairs = np.array(list(combinations(range(m), 2)), dtype=np.intp).reshape(-1, 2)
+    pairs = _subsets(m)[0]
     a, b = x[:, pairs[:, 0]], x[:, pairs[:, 1]]
     with np.errstate(divide="ignore", invalid="ignore"):  # x_i = x_j: no vertex
-        wa, wb = b / (b - a), -a / (b - a)
-    gj, pj = np.nonzero((wa > _TOL) & (wb > _TOL)
-                        & (np.abs(b - a) > _TOL * (a * a + b * b + 2.0)))
-    rows = np.zeros((gj.size, m))
-    rows[np.arange(gj.size)[:, None], pairs[pj]] = np.stack([wa[gj, pj], wb[gj, pj]], axis=1)
-    return np.concatenate([gi, gj]), np.concatenate([ones, rows])
+        w = np.stack([b / (b - a), -a / (b - a)], axis=2)
+    return _stacked(m, (np.abs(x) <= _TOL, None, None),
+                    ((w > _TOL).all(axis=2) & (np.abs(b - a) > _TOL * (a * a + b * b + 2.0)),
+                     pairs, w))
+
+
+def _two_asset_vertices(x):
+    """The one-step vertices for d = 2 from the rescaled increments x
+    (g, m, 2), under :func:`_svd_vertices`'s rank, residual and weight tests
+    to rounding wherever those bind.  A vertex is one of three shapes:
+
+    * a zero increment (|x| <= _TOL in both assets), with weight 1;
+    * an opposite pair (a, b), collinear to rounding.  Its least-squares
+      weights, by Cramer's rule on the normal equations, whose determinant
+      is det = (a x b)^2 + |b - a|^2 = s1^2 s2^2, are w_a = b.(b - a)/det
+      and w_b = -a.(b - a)/det, both above _TOL.  Its residual, (a x b)
+      (b - a)^perp/det on the asset rows and (a x b)^2/det on the sum row,
+      is at most _TOL.  Its rank test is s2 > _TOL s1, det > (_TOL s1^2)^2
+      with s1^2 the trace |a|^2 + |b|^2 + 2 to rounding wherever it binds;
+    * a triangle (a, b, c) that holds 0, with the barycentric weights
+      (b x c, c x a, a x b)/D, D = det [x; 1] = s1 s2 s3, all above _TOL.
+      Its rank test is s3 > _TOL s1, D^2 > _TOL^2 s1^2 c2: c2, the sum of
+      its three pairs' det, is s1^2 s2^2 and s1^2 the larger root of
+      s^2 - trace s + c2 up to terms in s3^2, so to rounding wherever the
+      test binds, unless s2 is as small as s3 (three children within
+      ~_TOL of one point, which are zero increments near 0).
+    """
+    m = x.shape[1]
+    pairs, tri, sides = _subsets(m)
+    X, Y = x[..., 0], x[..., 1]
+    ax, ay, bx, by = X[:, pairs[:, 0]], Y[:, pairs[:, 0]], X[:, pairs[:, 1]], Y[:, pairs[:, 1]]
+    dx, dy = bx - ax, by - ay
+    cross = ax * by - ay * bx
+    det = cross * cross + dx * dx + dy * dy
+    norm = X * X + Y * Y
+    trace = norm[:, pairs[:, 0]] + norm[:, pairs[:, 1]] + 2.0
+    c_ab, c_bc, c_ac = (cross[:, sides[:, i]] for i in range(3))
+    big_d = c_ab + c_bc - c_ac
+    c2 = det[:, sides].sum(axis=2)
+    trace3 = norm[:, tri].sum(axis=2) + 3.0
+    s1_sq = 0.5 * (trace3 + np.sqrt(np.maximum(trace3 * trace3 - 4.0 * c2, 0.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):   # det = 0 or D = 0: no vertex
+        w2 = np.stack([bx * dx + by * dy, -(ax * dx + ay * dy)], axis=2) / det[..., None]
+        res = np.abs(cross) * np.maximum(np.maximum(np.abs(dx), np.abs(dy)),
+                                         np.abs(cross)) / det
+        w3 = np.stack([c_bc, -c_ac, c_ab], axis=2) / big_d[..., None]
+    return _stacked(m, (np.maximum(np.abs(X), np.abs(Y)) <= _TOL, None, None),
+                    ((w2 > _TOL).all(axis=2) & (res <= _TOL) & (det > (_TOL * trace) ** 2),
+                     pairs, w2),
+                    ((w3 > _TOL).all(axis=2) & (big_d * big_d > _TOL * _TOL * s1_sq * c2),
+                     tri, w3))
 
 
 def _svd_vertices(x):
@@ -117,11 +196,12 @@ def _svd_vertices(x):
     One stacked SVD per subset size gives the rank and the pseudo-inverse
     of every subset of at most d + 1 children of every node; a subset is a
     vertex where its columns are independent and its least-squares weights
-    solve the system to _TOL and exceed _TOL.  Serves d >= 2, and d = 1 as
-    the test oracle of :func:`_one_asset_vertices`.
+    solve the system to _TOL and exceed _TOL.  Serves d >= 3, and d <= 2
+    as the test oracle of :func:`_one_asset_vertices` and
+    :func:`_two_asset_vertices`.
     """
     g, m, d = x.shape
-    nodes, weights = [], []
+    blocks = []
     for k in range(1, min(m, d + 1) + 1):
         sub = np.array(list(combinations(range(m), k)))
         M = np.concatenate([x[:, sub], np.ones((g, len(sub), k, 1))], 3).swapaxes(2, 3)
@@ -131,14 +211,9 @@ def _svd_vertices(x):
         inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=big)
         w = (vt.swapaxes(2, 3) @ (inv[..., None] * u.swapaxes(2, 3)))[..., -1]
         r = np.einsum("...ij,...j->...i", M, w) - (np.arange(d + 1) == d)
-        gi, si = np.nonzero((big.sum(axis=-1) == k)
-                            & np.all(np.abs(r) <= _TOL, axis=-1)
-                            & np.all(w > _TOL, axis=-1))
-        rows = np.zeros((gi.size, m))
-        rows[np.arange(gi.size)[:, None], sub[si]] = w[gi, si]
-        nodes.append(gi)
-        weights.append(rows)
-    return np.concatenate(nodes), np.concatenate(weights)
+        blocks.append(((big.sum(axis=-1) == k) & np.all(np.abs(r) <= _TOL, axis=-1)
+                       & np.all(w > _TOL, axis=-1), sub, w))
+    return _stacked(m, *blocks)
 
 
 @dataclass(frozen=True, eq=False)

@@ -571,24 +571,31 @@ def test_solve_dual_never_sweeps(tri1, monkeypatch):
 
 
 def _live_levels_by_level(geo):
-    """Oracle of :func:`dual._live_levels`: the same tuples, each level set
-    up on its own, padded to its widest node."""
+    """Oracle of :func:`dual._live_levels`: the same batches, each one (the
+    nodes of a level with one valid vertex, then those with a choice of
+    weights) set up on its own, padded to its widest node."""
     lay, w, live = geo.layout, geo.step_weights, geo.live
+    vertices = np.bincount(geo.node, minlength=len(lay.ids))
     out = []
     for lo, hi in zip(lay.level_starts[-3::-1], lay.level_starts[-2:0:-1]):
-        node = lo + np.flatnonzero(live[lo:hi])
-        kids, on, dS = dual._increments(lay, live, node)
-        w0 = np.where(on, w[kids], 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lnp = np.where(on, np.log(lay.prob[kids]), -np.inf)
-            shift = np.where(on, lnp - np.log(w0), 0.0)
-        dev = dS - np.einsum("gm,gmd->gd", w0, dS)[:, None]
-        ev, vec = np.linalg.eigh(np.einsum("gm,gmd,gme->gde", w0, dev, dev))
-        inv = np.divide(1.0, ev, out=np.zeros_like(ev),
-                        where=ev > geometry._TOL * np.abs(ev[:, -1:]))
-        fit = w0[..., None] * dev @ ((vec * inv[:, None]) @ vec.swapaxes(1, 2))
-        out.append((node, kids, lnp, dS, fit, shift, np.flatnonzero(on), kids[on],
-                    1.0 + np.abs(lay.prices[node]).max(axis=1)))
+        for one in (True, False):
+            node = lo + np.flatnonzero(live[lo:hi] & ((vertices[lo:hi] == 1) == one))
+            if node.size == 0:
+                continue
+            kids, on, dS = dual._increments(lay, live, node)
+            w0 = np.where(on, w[kids], 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lnp = np.where(on, np.log(lay.prob[kids]), -np.inf)
+                shift = np.where(on, lnp - np.log(w0), 0.0)
+            dev = dS - np.einsum("gm,gmd->gd", w0, dS)[:, None]
+            ev, vec = np.linalg.eigh(np.einsum("gm,gmd,gme->gde", w0, dev, dev))
+            inv = np.divide(1.0, ev, out=np.zeros_like(ev),
+                            where=ev > geometry._TOL * np.abs(ev[:, -1:]))
+            fit = w0[..., None] * dev @ ((vec * inv[:, None]) @ vec.swapaxes(1, 2))
+            unit = 1.0 + np.abs(lay.prices[node]).max(axis=1)
+            drift = np.abs(np.einsum("gm,gmd->gd", w0, dS)).max(axis=1) / unit
+            out.append((node, kids, lnp, dS, fit, shift, np.flatnonzero(on), kids[on], unit,
+                        (w0, np.log(w0[on]), float(drift.max())) if one else None))
     return tuple(out)
 
 
@@ -597,7 +604,11 @@ def _assert_live_levels_match_the_oracle(tree):
     want = _live_levels_by_level(geometry._support_structure(tree))
     assert len(got) == len(want)
     for level, ref in zip(got, want):
-        for a, b in zip(level, ref):
+        assert (level[-1] is None) == (ref[-1] is None)
+        for a, b in zip(level[:-1] + (level[-1] or ()), ref[:-1] + (ref[-1] or ())):
+            if not isinstance(b, np.ndarray):
+                assert a == b
+                continue
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -858,6 +869,86 @@ def test_one_step_martingale_start_solves_no_least_squares(exp_pair, monkeypatch
     assert solve_dual(tree, exp_pair, e).iterations[0]["steps"] == 0
     rep = price_report(tree, exp_pair, e, claim)
     assert rep.bid <= rep.offer
+
+
+_ONE_VERTEX_TREES = {
+    "binomial": lambda: treegen.product_market([[1.5, 0.9], [1.1, 0.6], [1.3, 0.95]],
+                                               [[0.3, 0.7], [0.6, 0.4], [0.5, 0.5]]),
+    "3x3x3/2a": lambda: treegen.product_market(
+        [[(1.2, 1.1), (1.0, 0.8), (0.85, 1.05)]] * 3, s0=(1.0, 1.0)),
+    "dead leaf": treegen.dead_leaf_market,
+}
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0, 10.0])
+@pytest.mark.parametrize("name", list(_ONE_VERTEX_TREES))
+def test_one_vertex_nodes_take_the_newton_loops_optimum_in_closed_form(name, gamma):
+    # a node with one valid vertex w0 has no other martingale weights on its
+    # live children, so w0 and the exact fit k0 are its optimum: _lse_min,
+    # run as the oracle on the same nodes from the same start, takes no step
+    # and finds the same L to 1e-15 of the size of its terms
+    tree = _ONE_VERTEX_TREES[name]()
+    rng = np.random.default_rng(int(gamma * 10))
+    e = rng.uniform(-3.0 / gamma, 3.0 / gamma, (3, tree.n_leaves))
+    big_l, h, _, _, _ = dual._log_partition(tree, gamma, e)
+    batches = [b for b in dual._live_levels(geometry._support_structure(tree))
+               if b[-1] is not None]
+    assert batches
+    for node, kids, lnp, dS, fit, shift, slots, _, _, (w0, log_w0, _) in batches:
+        r, g = len(e), node.size
+        kid_l = big_l.take(kids, axis=1)
+        k0 = np.einsum("gmd,jgm->jgd", fit, shift + kid_l) / gamma
+        f, k, lw, _, steps = dual._lse_min((lnp + kid_l).reshape(r * g, -1),
+                                           np.concatenate([gamma * dS] * r),
+                                           k0.reshape(r * g, -1))
+        assert steps == 0
+        terms = np.einsum("gm,jgm->jg", w0, np.abs(shift + kid_l)).ravel()
+        assert np.all(np.abs(big_l[:, node].ravel() - f) <= 1e-15 * terms)
+        assert np.array_equal(h[:, node].reshape(r * g, -1), k)
+        assert np.abs(lw.reshape(r, -1).take(slots, axis=1) - log_w0).max() <= 4e-15
+
+
+def test_levels_without_a_choice_make_no_newton_batch(exp_pair, monkeypatch):
+    # one _lse_min batch per level with a choice of weights: none on a
+    # binomial tree, one on binomial-trinomial-binomial
+    calls = []
+
+    def counted(*args, _fn=dual._lse_min):
+        calls.append(args[0].shape[0])
+        return _fn(*args)
+    monkeypatch.setattr(dual, "_lse_min", counted)
+    binomial = _ONE_VERTEX_TREES["binomial"]()
+    sol = solve_dual(binomial, exp_pair, np.linspace(-1.0, 1.0, binomial.n_leaves))
+    assert calls == [] and sol.iterations[0]["steps"] == 0
+    assert sol.stationarity <= 1e-15
+    mixed = treegen.product_market([[1.2, 0.85], [1.2, 1.0, 0.85], [1.1, 0.9]])
+    solve_dual(mixed, exp_pair, np.linspace(-1.0, 1.0, mixed.n_leaves))
+    assert calls == [2]
+
+
+def test_lse_min_doubles_only_clipped_steps(monkeypatch):
+    # each step evaluates its trial point once; a doubling trial follows
+    # only a step clipped to a unit move of the exponents
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1.0, 1.0, (40, 4, 1))
+    x[:, :2, 0] = [1.0, -1.0]
+    b = rng.uniform(-1.0, 1.0, (40, 4))
+    f, k, _, _, _ = dual._lse_min(b, x, np.zeros((40, 1)))
+    points = []
+
+    def counted(*args, _fn=dual._lse_point):
+        points.append(1)
+        return _fn(*args)
+    monkeypatch.setattr(dual, "_lse_point", counted)
+    # from 1e-2 off the minimizer no step moves an exponent by a unit
+    f1, _, _, _, steps = dual._lse_min(b, x, k + 1e-2)
+    assert steps >= 1 and len(points) == 1 + steps
+    assert np.abs(f1 - f).max() <= 1e-15 * np.abs(f).max()
+    # from 40 off, the first steps are clipped and doubled
+    points.clear()
+    f2, _, _, _, steps = dual._lse_min(b, x, k + 40.0)
+    assert len(points) > 1 + steps
+    assert np.abs(f2 - f).max() <= 1e-15 * np.abs(f).max()
 
 
 def _two_power_instance(seed, n_assets):
@@ -1151,6 +1242,48 @@ def test_qr_fits_give_a_zero_column_no_fit():
     assert np.allclose(got[1, keep], _lstsq_step(J[1:2, :, keep], T[1:2])[0],
                        rtol=1e-12, atol=1e-14)
     assert np.allclose(got[[0, 2]], _lstsq_step(J[[0, 2]], T[[0, 2]]), rtol=1e-12, atol=1e-14)
+
+
+def test_qr_fits_fail_a_singular_row_alone():
+    # two equal columns leave an exact zero on the triangle's diagonal: that
+    # row's fits are NaN, and the other rows' equal their fits alone
+    rng = np.random.default_rng(1)
+    J, T = rng.normal(size=(3, 9, 3)), rng.normal(size=(3, 9, 2))
+    J[1] = 0.0
+    J[1, 0, :2] = 1.0
+    J[1, 1:, 2] = rng.normal(size=8)
+    got = dual._qr_fits(J, T)
+    assert np.isnan(got[1]).all()
+    for j in (0, 2):
+        assert np.array_equal(got[j], dual._qr_fits(J[j:j + 1], T[j:j + 1])[0])
+
+
+def test_a_singular_newton_step_fails_its_row_alone(monkeypatch):
+    # a row whose Newton system turns singular after its start gets NaN fits
+    # from _qr_fits: it fails with a NonconvergedError naming the singular
+    # system, and the other row converges as it does alone
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 2)
+    pair = two_power_utility(0.5, 1.0, 1.0)
+    geo = geometry._support_structure(tree)
+    A = build_constraints(tree)[dual._strategy_basis(geo)]
+    p = tree.leaf_probability_array
+    e = np.random.default_rng(2).uniform(-1.0, 1.0, (2, tree.n_leaves))
+    calls, real = [], dual._qr_fits
+
+    def second_step_singular_on_row_0(J, T):
+        fits = real(J, T)
+        calls.append(1)
+        if len(calls) == 2 and len(fits) == 2:
+            fits[0] = np.nan
+        return fits
+    monkeypatch.setattr(dual, "_qr_fits", second_step_singular_on_row_0)
+    mu, _, value, _, _, _, errors = dual._newton_core(A, p, e, pair, geo.mask)
+    assert isinstance(errors[0], NonconvergedError)
+    assert "singular Newton system" in str(errors[0]) and errors[1] is None
+    monkeypatch.setattr(dual, "_qr_fits", real)
+    mu_alone, _, value_alone, *_ = dual._newton_core(A, p, e[1:], pair, geo.mask)
+    assert value[1] == value_alone[0]
+    assert np.array_equal(mu[1], mu_alone[0])
 
 
 @pytest.mark.parametrize("r", [1, 5])

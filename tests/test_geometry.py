@@ -751,6 +751,150 @@ def test_one_asset_closed_form_refuses_the_svd_noise_vertex():
     _assert_matches_lp_oracle(tree, np.array([1.0, -2.0, 0.5]))
 
 
+# -- the two-asset closed form against the stacked SVD --------------------------
+
+
+def _exact_least_squares(cols):
+    """The least-squares weights w of [x; 1] w = e_last on the children
+    ``cols`` (k lists of 2 fractions), in exact rationals: Gauss-Jordan on
+    the normal equations, whose right-hand side is all ones."""
+    rows = [list(r) for r in zip(*cols)] + [[Fraction(1)] * len(cols)]
+    k = len(cols)
+    g = [[sum(r[i] * r[j] for r in rows) for j in range(k)] + [Fraction(1)] for i in range(k)]
+    for i in range(k):
+        for j in range(k):
+            if j != i and g[j][i] != 0:
+                g[j] = [a - g[j][i] / g[i][i] * b for a, b in zip(g[j], g[i])]
+    return [g[i][k] / g[i][i] for i in range(k)]
+
+
+def _assert_two_asset_closed_form_matches_svd(incr):
+    """``_one_step_vertices`` on two-asset increments (g, m, 2) against the
+    stacked SVD on the same rescaled increments: the same nodes and charged
+    children, vertex by vertex in order; weight 1 on a zero increment; pair
+    weights within 1e-15 of the exact rational least-squares ones, triangle
+    weights within 1e-15 times the triangle's condition number s1/s3, the
+    scale on which Cramer's rule errs; and both within 1e-14 times the
+    subset's condition number of the SVD's, whose pseudo-inverse erred by up
+    to 4.6e-15 times it over 20 000 draws of the next test's increments."""
+    x = _rescaled(incr)
+    node, weight = geometry._one_step_vertices(incr)
+    ref_node, ref_weight = geometry._svd_vertices(x)
+    assert node.dtype == ref_node.dtype and np.array_equal(node, ref_node)
+    assert weight.shape == ref_weight.shape
+    assert np.array_equal(weight > 0, ref_weight > 0)
+    for n, row, ref in zip(node.tolist(), weight, ref_weight):
+        on = np.flatnonzero(row)
+        if on.size == 1:
+            assert row[on[0]] == 1.0 and abs(ref[on[0]] - 1.0) <= 1e-15
+            continue
+        cond = np.linalg.cond(np.vstack([x[n, on].T, np.ones(on.size)]))
+        exact = _exact_least_squares([[Fraction(v) for v in x[n, c].tolist()] for c in on])
+        bound = 1e-15 * (cond if on.size == 3 else 1.0)
+        assert all(abs(Fraction(w) - e) <= bound for w, e in zip(row[on].tolist(), exact))
+        assert np.abs(row - ref).max() <= 1e-14 * cond
+
+
+# |x| / _TOL of a near-threshold child, one zero increment and one not.  One
+# such child per node, along one asset: then its pairs' and triangles'
+# weights, residuals and rank tests with the integer increments p / B
+# (|p| <= B <= 4 after rescaling) stay at least 1% away from _TOL, the
+# margin these factors keep at best (found by exhaustive search)
+_NEAR_TOL_2 = (0.74, 1.21)
+
+
+@st.composite
+def _two_asset_increments(draw):
+    """(g, m, 2) increments: integers in [-4, 4] (zeros, repeats, opposite
+    collinear pairs, triangles around 0, nodes with every child on one side),
+    in some nodes one child replaced by +-f _TOL times the node's largest
+    integer increment in one asset, f in _NEAR_TOL_2, and zero in the other;
+    each asset times its own power of ten."""
+    g, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+
+    def cells(elements, *shape):
+        n = math.prod(shape)
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n))).reshape(shape)
+
+    v = cells(st.integers(-4, 4), g, m, 2).astype(float)
+    child, asset = cells(st.integers(-1, m - 1), g), cells(st.integers(0, 1), g)
+    f = cells(st.sampled_from([-1.0, 1.0]), g) * cells(st.sampled_from(_NEAR_TOL_2), g)
+    near = np.flatnonzero(child >= 0)
+    v[near, child[near]] = 0.0
+    v[near, child[near], asset[near]] = f[near] * _TOL * np.abs(v).max(axis=1)[near, asset[near]]
+    return v * 10.0 ** cells(st.integers(-6, 6), 1, 1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_two_asset_increments())
+def test_two_asset_closed_form_matches_the_svd(incr):
+    _assert_two_asset_closed_form_matches_svd(incr)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.0, 0.0], [1.0, 2.0], [-2.0, -4.0], [3.0, -1.0]],   # a zero child, an opposite pair
+    [[0.0, 0.0]],                                          # one child, flat
+    [[1.0, 2.0], [-0.5, -1.0]],                            # two children, collinear
+    [[1.0, 2.0], [-1.0, 1.0]],                             # two children, not collinear
+    [[1.0, 0.5], [0.5, 1.0], [2.0, 0.1]],                  # every child on one side
+    [[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0], [0.0, 0.0], [-1.0, 2.0]],   # repeats
+    [[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0], [-2.0, 0.0]],    # the second asset does not move
+    [[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0], [0.5, 0.5], [0.0, -1.0], [2.0, -3.0]],
+])
+def test_two_asset_closed_form_edge_cases(rows):
+    _assert_two_asset_closed_form_matches_svd(np.array(rows)[None])
+
+
+def _thin_triangle(eta):
+    """Children 1, -1 and 1/2 along the diagonal, at eta, eta and -eta
+    across it: a triangle of area ~ eta that holds 0 at weights 1/8, 3/8
+    and 1/2."""
+    along, across = np.array([1.0, 1.0]) / math.sqrt(2.0), np.array([1.0, -1.0]) / math.sqrt(2.0)
+    return [along + eta * across, -along + eta * across, 0.5 * along - eta * across]
+
+
+@pytest.mark.parametrize("f", _NEAR_TOL_2)
+def test_two_asset_closed_form_near_the_thresholds(f):
+    # (1, 0) and (-1, -2 f _TOL) are collinear to a residual of f _TOL, and
+    # their triangle with (0.2, 1) holds 0 at weight f _TOL on that child:
+    # below _TOL the pair is a vertex, above it the triangle
+    incr = np.array([[[1.0, 0.0], [-1.0, -2.0 * f * _TOL], [0.2, 1.0]]])
+    _assert_two_asset_closed_form_matches_svd(incr)
+    on = [tuple(np.flatnonzero(w)) for w in geometry._one_step_vertices(incr)[1]]
+    assert on == ([(0, 1)] if f < 1.0 else [(0, 1, 2)])
+    # two children at +-f _TOL: two zero increments, or a pair of rank 2
+    # (s2 / s1 = f _TOL)
+    incr = np.array([[[f * _TOL, 0.0], [-f * _TOL, 0.0], [1.0, 0.5], [-0.5, -1.0]]])
+    _assert_two_asset_closed_form_matches_svd(incr)
+    on = [tuple(np.flatnonzero(w)) for w in geometry._one_step_vertices(incr)[1]]
+    assert on == ([(0,), (1,)] if f < 1.0 else [(0, 1)])
+
+
+@pytest.mark.parametrize("f", [0.95, 1.05])
+def test_two_asset_closed_form_at_the_rank_threshold_of_a_thin_triangle(f):
+    # after rescaling, the thin triangle's s3 / s1 is f _TOL, so that it is
+    # a vertex only above _TOL; its long side's residual is 0.94 or 1.03
+    # _TOL, so that side is a vertex only below.  s3 against the trace, in
+    # place of s1, would read 0.76 or 0.84 _TOL here
+    incr = np.array([_thin_triangle(f * _TOL / 1.0148)])
+    _assert_two_asset_closed_form_matches_svd(incr)
+    on = [tuple(np.flatnonzero(w)) for w in geometry._one_step_vertices(incr)[1]]
+    assert on == ([(0, 1), (1, 2)] if f < 1.0 else [(1, 2), (0, 1, 2)])
+
+
+def test_two_asset_closed_form_matches_the_svd_on_the_acceptance_suite():
+    trees = [t for t, _, _ in treegen.acceptance_suite() if t.n_assets == 2]
+    assert trees
+    for tree in trees:
+        lay = tree.layout
+        inner, first = lay.level_starts[-2], lay.first_child
+        count = np.diff(first, append=len(lay.ids))[:inner]
+        for m in np.unique(count):
+            idx = np.flatnonzero(count == m)
+            _assert_two_asset_closed_form_matches_svd(
+                lay.prices[first[idx, None] + np.arange(m)] - lay.prices[idx, None])
+
+
 # -- the support certificates, and double description as the oracle of the
 # product enumeration --------------------------------------------------------------
 

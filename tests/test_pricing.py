@@ -470,12 +470,13 @@ def test_exponential_price_report_equals_the_solo_functions(exp_pair, seed, peri
 
 
 def test_exponential_pricing_makes_one_pass_per_call(exp_pair, monkeypatch):
-    # one Newton batch per live non-leaf level, whatever the number of
-    # endowments the pass stacks
+    # one Newton batch per live non-leaf level with a choice of weights
+    # (every level of this trinomial), whatever the number of endowments the
+    # pass stacks
     tree = treegen.product_market([[1.3, 1.0, 0.8]] * 3)
     rng = np.random.default_rng(3)
     endow, claim = rng.uniform(-1, 1, tree.n_leaves), rng.uniform(0, 2, tree.n_leaves)
-    levels = len(dual._live_levels(geometry._support_structure(tree)))
+    levels = sum(b[-1] is None for b in dual._live_levels(geometry._support_structure(tree)))
     calls = []
 
     def counted(*args, _fn=dual._lse_min):
@@ -795,6 +796,21 @@ def test_mubpp_fair_two_power_candidate_on_a_two_asset_tree(tp_pair, seed, draw)
     assert rep.is_mubpp and rep.agree
 
 
+def test_mubpp_singular_newton_system_is_a_typed_failure(tp_pair):
+    # the 18-leaf one-asset tree of the 25th random market of seed 19: the
+    # augmented market keeps dependent strategy columns, whose start fit has
+    # an exact zero pivot; that row fails with a NonconvergedError naming
+    # the singular system, not a bare LinAlgError
+    rng = np.random.default_rng(19)
+    for i in range(25):
+        tree = treegen.random_market(rng, n_assets=1 + i % 2)
+        e, b = rng.uniform(-3.0, 3.0, tree.n_leaves), rng.uniform(0.0, 1.0, tree.n_leaves)
+    assert (tree.n_leaves, tree.n_assets) == (18, 1)
+    sol = solve_dual(tree, tp_pair, e)
+    with pytest.raises(NonconvergedError, match="singular Newton system"):
+        check_mubpp(tree, tp_pair, e, optimal_measure_price_process(sol, b))
+
+
 def test_mubpp_builds_the_augmented_market_without_parsing(tri1, exp_pair, monkeypatch):
     from treedual import market
 
@@ -893,6 +909,14 @@ def test_mass_radius_scan_continues_past_the_first_block(tri1, exp_pair):
 def test_mass_radius_overflow_is_typed(tri1, exp_pair):
     with pytest.raises(NonconvergedError):
         pricing._mass_radius(tri1, exp_pair, [np.full(3, -1000.0)])
+
+
+def test_mass_radius_of_an_infinite_entropy_is_an_overflow():
+    # the caterpillar's interior measure underflows to 0 on live leaves, so
+    # its two-power entropy is V(0) = +inf: nothing failed to converge
+    with pytest.raises(EvaluationOverflowError, match="entropy of the interior measure"):
+        endowment_sensitivity(treegen.caterpillar_market(), two_power_utility(0.5, 1.0, 1.0),
+                              [0.0, 1.0], sequence=[1e-3, 1e-6])
 
 
 def test_strict_monotonicity_needs_equivalent_measure(exp_pair):
