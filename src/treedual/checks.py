@@ -224,9 +224,7 @@ def _measure_certificate(lay, dS, firsts, top, w):
     at every node they reach, non-negative on its children, summing to 1
     and with no drift, each to ``_CERTIFICATE_TOL`` of the node's largest
     increment per asset.  Reads nothing but the prices and ``w``."""
-    reach = np.ones(w.size, dtype=bool)
-    for a, b in zip(lay.level_starts[1:], lay.level_starts[2:]):
-        reach[a:b] = reach[lay.parent[a:b]] & (w[a:b] > 0)
+    reach = lay.path_sums(np.r_[0.0, np.where(w[1:] > 0, 0.0, -np.inf)]) > -np.inf
     drift = np.add.reduceat(w[1:, None] * dS, firsts, axis=0)
     bad = ((np.abs(np.add.reduceat(w[1:], firsts) - 1.0) > _CERTIFICATE_TOL)
            | (np.abs(drift) > _CERTIFICATE_TOL * top).any(axis=1)
@@ -238,12 +236,10 @@ def _arbitrage_gains(lay, dS, top, h):
     """The gains of the strategy ``h`` (n, d) at every leaf and their
     scale: along the path, the sum of |h| times the node's largest
     increment per asset.  Reads nothing but the prices and ``h``."""
-    gains, scale = np.zeros(len(lay.ids)), np.zeros(len(lay.ids))
-    for a, b in zip(lay.level_starts[1:], lay.level_starts[2:]):
-        par = lay.parent[a:b]
-        gains[a:b] = gains[par] + np.einsum("nd,nd->n", h[par], dS[a - 1:b - 1])
-        scale[a:b] = scale[par] + (np.abs(h[par]) * top[par]).sum(axis=1)
-    return gains[lay.level_starts[-2]:], scale[lay.level_starts[-2]:]
+    par, step = lay.parent[1:], np.zeros((2, len(lay.ids)))
+    step[0, 1:] = np.einsum("nd,nd->n", h[par], dS)
+    step[1, 1:] = (np.abs(h[par]) * top[par]).sum(axis=1)
+    return lay.path_sums(step)[:, lay.level_starts[-2]:]
 
 
 def _per_node_fits(tree, dS, y, nodes, basis):

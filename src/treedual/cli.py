@@ -31,7 +31,7 @@ from .dual import solve_dual
 from .errors import ParseError, TreedualError
 from .geometry import (VERTEX_CAP_DEFAULT, build_constraints, find_equivalent_mm,
                        vertex_enumerate)
-from .market import MarketTree, load_market
+from .market import MarketTree, load_market, read_json
 from .oracle import check_duality_gap
 from .pricing import (average_price_curve, check_mubpp, endowment_sensitivity,
                       price_report)
@@ -102,7 +102,6 @@ class _Out:
                               "manifest": self.manifest},
                              indent=2, sort_keys=True, default=str))
         if self.outdir is not None:
-            self.outdir.mkdir(parents=True, exist_ok=True)
             for name, body in self.csvs.items():
                 (self.outdir / name).write_text("\n".join(body) + "\n")
             (self.outdir / "manifest.json").write_text(
@@ -216,8 +215,7 @@ def _cmd_curve(args, out: _Out, tree, pair, endow, claim):
 
 
 def _cmd_mubpp(args, out: _Out, tree, pair, endow):
-    with open(args.process, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(args.process)
     if not isinstance(raw, dict):
         raise ParseError("process file must map node ids to values")
     missing = [nid for nid in tree.node_ids if nid not in raw]
@@ -416,11 +414,13 @@ def run(argv=None) -> int:
             inputs.append(_pick_endowment(tree, args.endowment))
             if "claim" in args:
                 inputs.append(_pick_claim(tree, args.claim))
+        if out.outdir is not None:
+            try:
+                out.outdir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ParseError(f"--output-dir {args.output_dir}: {exc}") from exc
         code = args.func(args, out, tree, *inputs)
     except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TreedualError as exc:

@@ -385,9 +385,7 @@ def _log_partition(tree, gamma, e):
             logw[:, on_kids] = log_w0
             drift = np.maximum(drift, w0_drift)
         big_l[:, node], h[:, node] = f.reshape(r, g), k.reshape(r, g, -1)
-    for lo, hi in zip(lay.level_starts[1:-1], lay.level_starts[2:]):
-        logw[:, lo:hi] += logw.take(lay.parent[lo:hi], axis=1)
-    return big_l, h, logw[:, inner:], drift, steps
+    return big_l, h, lay.path_sums(logw)[:, inner:], drift, steps
 
 
 def _log_space_solutions(tree, pair, endows, log_mass=None) -> list[DualSolution]:
@@ -687,11 +685,11 @@ def _core_solutions(tree, pair, endows, log_mass=None, starts=None):
     A row without a start positive on the support starts at y q, the
     complete-market optimum up to the budget (Karatzas, Lehoczky & Shreve,
     *SIAM J. Control Optim.* 25, 1987): q is the support pass's equivalent
-    martingale measure ``geo.interior``, and y the row's mass, or at a free
-    row U'(E_q[e]), the mass at which the constant wealth E_q[e] is optimal,
-    with E_q[e] taken row by row.  The core starts a row at c = 0 where y is
-    not finite, or where y q is not positive on the support (q underflows on
-    a live leaf of the caterpillar)."""
+    martingale measure, exp of ``geo.log_interior`` on the leaves, and y the
+    row's mass, or at a free row U'(E_q[e]), the mass at which the constant
+    wealth E_q[e] is optimal, with E_q[e] taken row by row.  The core starts
+    a row at c = 0 where y is not finite, or where y q is not positive on
+    the support (q underflows on a live leaf of the caterpillar)."""
     mask, flag = _prepare(tree, pair)
     geo = _support_structure(tree)
     basis = _strategy_basis(geo)
@@ -701,7 +699,7 @@ def _core_solutions(tree, pair, endows, log_mass=None, starts=None):
     starts = np.zeros(endows.shape) if starts is None else np.array(starts, dtype=float)
     cold = ~(starts[:, mask] > 0).all(axis=1)
     if cold.any():
-        q = geo.interior
+        q = np.exp(geo.log_interior[-tree.n_leaves:])
         with np.errstate(over="ignore"):
             y0 = np.where(np.isnan(y), pair.u_prime(_row_dot(endows, q)), y)
         cold &= np.isfinite(y0)

@@ -151,8 +151,8 @@ class EvaluationOverflowError(TreedualError):
     Raised by ``solve_dual`` for the exponential family when the optimal
     expected utility is below -1e250 (an endowment below about -575/gamma),
     for a fixed mass past the floating-point range, and by
-    ``endowment_sensitivity`` when the entropy of the support pass's
-    interior measure, which bounds its mass radius, is not finite.
+    ``endowment_sensitivity`` when the entropy of exp of the support pass's
+    interior log masses, which bounds its mass radius, is not finite.
     """
 
     code = "OVERFLOW"

@@ -5,16 +5,16 @@ A non-negative leaf measure ``mu`` prices the tree's assets without drift iff
 on leaf ``l`` is the asset's next-period price on the branch containing ``l``
 minus the node price, and 0 off the subtree.  Solutions form the cone of
 (non-normalized) absolutely continuous martingale measures; its unit-mass
-slice is the martingale polytope.  Its feasibility, maximal support (one
-boolean pass), an interior point and its extremal expectations come from
-one cached backward pass over the nodes' one-step polytopes, with no linear
-program.  The pass also carries the two certificates of its maximal
-support that the verify battery checks on the prices alone: one-step
-martingale weights positive on the live children, and a strategy that
-gains on every dead leaf and loses nowhere.  The one-step vertices are in
-closed form for one and two assets (a zero increment, an opposite pair
-and, for two assets, a triangle around 0 by Cramer's rule) and come from
-stacked SVDs for more, which stay the closed forms' test oracle.  The
+slice is the martingale polytope.  Its feasibility, maximal support and
+interior measure (node log masses, from one pass) and its extremal
+expectations come from one cached backward pass over the nodes' one-step
+polytopes, with no linear program.  The pass also carries the two
+certificates of its maximal support that the verify battery checks on the
+prices alone: one-step martingale weights positive on the live children,
+and a strategy that gains on every dead leaf and loses nowhere.  The
+one-step vertices of one or two assets are in one planar closed form (a
+zero increment, an opposite pair or a triangle around 0 by Cramer's rule)
+and come from stacked SVDs for more, which stay its test oracle.  The
 polytope's vertices are the products of the pass's one-step vertices along
 the paths, counted exactly before they are enumerated.
 """
@@ -77,16 +77,16 @@ def _one_step_vertices(incr):
     sum w = 1, sum_c w_c incr_c = 0} is the unique solution on the at most
     d + 1 children it charges, whose columns (incr_c, 1) are independent
     (Caratheodory).  The increments are rescaled per node and asset (which
-    keeps the polytope); for d = 1 and d = 2 the vertices are in closed form
-    (:func:`_one_asset_vertices`, :func:`_two_asset_vertices`), for d >= 3
-    from stacked SVDs (:func:`_svd_vertices`).  Returns each vertex's node
-    (position in the batch) and child weights, per subset size by node,
-    then by child subset in ``combinations`` order.
+    keeps the polytope); for d <= 2 the vertices are in the planar closed
+    form of :func:`_two_asset_vertices`, d = 1 with a zero second asset,
+    for d >= 3 from stacked SVDs (:func:`_svd_vertices`).  Returns each
+    vertex's node (position in the batch) and child weights, per subset
+    size by node, then by child subset in ``combinations`` order.
     """
     scale = np.abs(incr).max(axis=1, keepdims=True)
     x = incr / np.where(scale > 0, scale, 1.0)
     if x.shape[2] == 1:
-        return _one_asset_vertices(x[..., 0])
+        x = np.concatenate([x, np.zeros_like(x)], axis=2)
     return _two_asset_vertices(x) if x.shape[2] == 2 else _svd_vertices(x)
 
 
@@ -122,27 +122,6 @@ def _stacked(m, *blocks):
     return np.concatenate(nodes), np.concatenate(rows)
 
 
-def _one_asset_vertices(x):
-    """The one-step vertices for d = 1 from the rescaled increments x (g, m).
-
-    First each zero-increment child (|x| <= _TOL), with weight 1; then each
-    pair of children (i, j) in ``combinations`` order whose weights
-    w_i = x_j/(x_j - x_i) and w_j = -x_i/(x_j - x_i) both exceed _TOL, so
-    that one child is down and one up, and whose columns (x, 1) keep rank 2
-    under the SVD's test: the smaller singular value |x_j - x_i| / s1 above
-    _TOL s1, with s1^2 = x_i^2 + x_j^2 + 2 to rounding wherever that binds.
-    These are :func:`_svd_vertices`'s tests on one and two children.
-    """
-    m = x.shape[1]
-    pairs = _subsets(m)[0]
-    a, b = x[:, pairs[:, 0]], x[:, pairs[:, 1]]
-    with np.errstate(divide="ignore", invalid="ignore"):  # x_i = x_j: no vertex
-        w = np.stack([b / (b - a), -a / (b - a)], axis=2)
-    return _stacked(m, (np.abs(x) <= _TOL, None, None),
-                    ((w > _TOL).all(axis=2) & (np.abs(b - a) > _TOL * (a * a + b * b + 2.0)),
-                     pairs, w))
-
-
 def _two_asset_vertices(x):
     """The one-step vertices for d = 2 from the rescaled increments x
     (g, m, 2), under :func:`_svd_vertices`'s rank, residual and weight tests
@@ -163,6 +142,9 @@ def _two_asset_vertices(x):
       s^2 - trace s + c2 up to terms in s3^2, so to rounding wherever the
       test binds, unless s2 is as small as s3 (three children within
       ~_TOL of one point, which are zero increments near 0).
+
+    With a zero second asset (d = 1), a x b = 0 gives a pair the weights
+    b/(b - a) and -a/(b - a) with no residual, and D = 0 no triangle.
     """
     m = x.shape[1]
     pairs, tri, sides = _subsets(m)
@@ -197,8 +179,7 @@ def _svd_vertices(x):
     of every subset of at most d + 1 children of every node; a subset is a
     vertex where its columns are independent and its least-squares weights
     solve the system to _TOL and exceed _TOL.  Serves d >= 3, and d <= 2
-    as the test oracle of :func:`_one_asset_vertices` and
-    :func:`_two_asset_vertices`.
+    as the test oracle of :func:`_two_asset_vertices`.
     """
     g, m, d = x.shape
     blocks = []
@@ -232,19 +213,12 @@ class SupportStructure:
     weight: np.ndarray
 
     @cached_property
-    def interior(self) -> np.ndarray:
-        """A martingale probability positive exactly on the maximal support
-        in exact arithmetic; a leaf whose path product underflows reads 0."""
-        return self.mixture(np.ones(self.node.size))
-
-    @cached_property
     def step_weights(self) -> np.ndarray:
         """Read-only (N,): the equivalent-measure certificate, :meth:`one_step`
         of equal weights.  At each node, its children's weights in the mean
         of its valid vertices: a one-step martingale probability, positive
-        exactly on the children a valid vertex charges, so that along the
-        :attr:`live` nodes it is an interior measure of the maximal support
-        in conditional form, with no path product."""
+        exactly on the children a valid vertex charges; the conditional form
+        of :attr:`log_interior`."""
         w = self.one_step(np.ones(self.node.size))
         w.setflags(write=False)
         return w
@@ -260,13 +234,19 @@ class SupportStructure:
         return h
 
     @cached_property
+    def log_interior(self) -> np.ndarray:
+        """Read-only (N,): the interior measure's node log masses, the path
+        sums of ln :attr:`step_weights`: 0 at the root, finite exactly on
+        the :attr:`live` nodes, with no path product to underflow."""
+        ell = self.layout.path_sums(log_masses(self.step_weights))
+        ell.setflags(write=False)
+        return ell
+
+    @cached_property
     def live(self) -> np.ndarray:
         """Read-only (N,): the root is live, and a node is live when a valid
-        vertex of its live parent charges it (:attr:`step_weights` positive)."""
-        parent, levels = self.layout.parent, self.layout.level_starts
-        live = self.step_weights > 0
-        for lo, hi in zip(levels[1:-1], levels[2:]):
-            live[lo:hi] &= live[parent[lo:hi]]
+        vertex of its live parent charges it, :attr:`log_interior` > -inf."""
+        live = self.log_interior > -np.inf
         live.setflags(write=False)
         return live
 
@@ -283,15 +263,6 @@ class SupportStructure:
                            minlength=self.layout.parent.size)
         mass[0] = 1.0
         return mass
-
-    def mixture(self, mix):
-        """Leaf measure multiplying, along each path, the :meth:`one_step`
-        weights of ``mix`` (positive on some vertex of every node)."""
-        parent, levels = self.layout.parent, self.layout.level_starts
-        mass = self.one_step(mix)
-        for lo, hi in zip(levels[1:-1], levels[2:]):
-            mass[lo:hi] *= mass[parent[lo:hi]]
-        return mass[levels[-2]:]
 
     @cached_property
     def _level_runs(self):
@@ -447,13 +418,13 @@ def find_equivalent_mm(tree: MarketTree) -> np.ndarray | None:
     """An equivalent martingale probability (L,), or None if none exists.
 
     Reads the cached pass of :func:`_support_structure`: None exactly when
-    some leaf is off the maximal support, else its interior measure (a leaf
-    whose path product underflows reads 0).  Raises
+    some leaf is off the maximal support, else exp of its ``log_interior``
+    on the leaves (0 where that underflows).  Raises
     :class:`NoMartingaleMeasureError` when the polytope itself is empty
     (arbitrage regime: even absolutely continuous measures are ruled out).
     """
     geo = _support_structure(tree)
-    return geo.interior.copy() if geo.mask.all() else None
+    return np.exp(geo.log_interior[-tree.n_leaves:]) if geo.mask.all() else None
 
 
 # -- entropy ---------------------------------------------------------------------

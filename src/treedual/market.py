@@ -99,6 +99,15 @@ class TreeLayout:
         for a in (self.parent, self.first_child, self.prices, self.prob, self.lo, self.hi):
             a.setflags(write=False)
 
+    def path_sums(self, x) -> np.ndarray:
+        """Sums of a node array, or of a stack (..., N) of them, along each
+        root-to-node path: shape (..., N) in layout order, one add per
+        level; the top-down twin of :meth:`MarketTree.subtree_sums`."""
+        out = np.array(x, dtype=float)
+        for a, b in zip(self.level_starts[1:-1], self.level_starts[2:]):
+            out[..., a:b] += out[..., self.parent[a:b]]
+        return out
+
 
 class MarketTree:
     """Immutable finite scenario-tree market.
@@ -211,13 +220,11 @@ class MarketTree:
 
     def gains(self, h) -> np.ndarray:
         """Gains (N,) at every node of a strategy ``h`` (n, d) on the non-leaf
-        nodes, in layout order: 0 at the root, then one step per level,
-        ``G[child] = G[parent] + h[parent].(S_child - S_parent)``."""
-        lay, g = self.layout, np.zeros(len(self.layout.ids))
-        for a, b in zip(lay.level_starts[1:], lay.level_starts[2:]):
-            n = lay.parent[a:b]
-            g[a:b] = g[n] + np.einsum("nd,nd->n", h[n], lay.prices[a:b] - lay.prices[n])
-        return g
+        nodes, in layout order: 0 at the root, then the path sums of the
+        steps ``h[parent].(S_child - S_parent)``."""
+        lay, n = self.layout, self.layout.parent[1:]
+        return lay.path_sums(np.r_[0.0, np.einsum("nd,nd->n", h[n],
+                                                  lay.prices[1:] - lay.prices[n])])
 
     def __repr__(self):
         return (f"MarketTree(T={self.horizon}, assets={list(self.assets)}, "
@@ -509,16 +516,18 @@ def market_from_dict(doc: dict, max_leaves: int = MAX_LEAVES_DEFAULT) -> MarketT
     return tree
 
 
-def load_market(path, max_leaves: int = MAX_LEAVES_DEFAULT) -> MarketTree:
-    """Load and validate a scenario file; see the module docstring for schema."""
+def read_json(path):
+    """The JSON document in the file ``path``, else :class:`ParseError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    return market_from_dict(doc, max_leaves=max_leaves)
+            return json.load(fh)
+    except (OSError, ValueError) as exc:   # ValueError: not UTF-8 or not JSON
+        raise ParseError(f"cannot read {path} as JSON: {exc}") from exc
+
+
+def load_market(path, max_leaves: int = MAX_LEAVES_DEFAULT) -> MarketTree:
+    """Load and validate a scenario file; see the module docstring for schema."""
+    return market_from_dict(read_json(path), max_leaves=max_leaves)
 
 
 def market_to_dict(tree: MarketTree) -> dict:

@@ -590,19 +590,20 @@ def _mass_radius(tree, pair, endow_arrays):
     interval; the radius is twice the first mass past it on the grid
     10^(-6 + 18k/399) (from k = 0 in blocks of 400, the first one
     ``np.logspace(-6, 12, 400)``), or 2 if the first block misses it.
-    The fixed measure is the support pass's interior measure; raises
-    :class:`EvaluationOverflowError` when its entropy is not finite (a
-    path product that underflows to 0 meets V(0) = +inf), and
+    The fixed measure is exp of the support pass's ``log_interior`` on the
+    leaves; raises :class:`EvaluationOverflowError` when its entropy is not
+    finite (a leaf mass that underflows to 0 meets V(0) = +inf), and
     :class:`NonconvergedError` if V overflows first.
     """
     geo = _support_structure(tree)
     c_lo = min(geo.extremes(e)[0][0] for e in endow_arrays)
-    h_q = relative_entropy(tree, pair, geo.interior)
+    q = np.exp(geo.log_interior[-tree.n_leaves:])
+    h_q = relative_entropy(tree, pair, q)
     if not math.isfinite(h_q):
         raise EvaluationOverflowError(
             f"entropy of the interior measure is {h_q!r}: the mass radius has no "
             "finite bound from it")
-    c_up = max(h_q + float(np.dot(geo.interior, e)) for e in endow_arrays)
+    c_up = max(h_q + float(np.dot(q, e)) for e in endow_arrays)
     for k in itertools.count(0, 400):
         with np.errstate(over="ignore", invalid="ignore"):
             ys = 10.0 ** (np.arange(k, k + 400) * (18 / 399) - 6.0)

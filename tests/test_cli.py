@@ -280,6 +280,35 @@ def test_mubpp_exit_codes(tri1_file, tmp_path, capsys, drop, code):
         assert captured.err.startswith("input error:") and node in captured.err
 
 
+@pytest.mark.parametrize("bad", ["malformed", "directory"])
+def test_mubpp_with_an_unreadable_process_file_exits_two(tri1_file, tmp_path, capsys, bad):
+    path = tmp_path / "process.json"
+    if bad == "malformed":
+        path.write_text('{"root": [1.0,')
+    else:
+        path.mkdir()
+    argv = ["mubpp", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2",
+            "--process", str(path)]
+    assert cli.run(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error:")
+    assert str(path) in captured.err
+
+
+def test_output_dir_naming_a_file_exits_two_before_computing(tri1_file, tmp_path, capsys,
+                                                              monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "solve_dual", lambda *a: calls.append(a))
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    argv = ["solve", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2",
+            "--output-dir", str(taken)]
+    assert cli.run(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: --output-dir")
+    assert calls == [] and taken.read_text() == "a file\n"
+
+
 def test_sensitivity_with_continuity_and_claim_exits_zero(tri1_file, capsys):
     # the continuity entries run the mass radius
     argv = ["sensitivity", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2",

@@ -1194,8 +1194,9 @@ def test_strategy_basis_keeps_the_rank_of_each_nodes_live_increments(tp_pair):
     # and the kept ones have full rank; a dead node keeps none
     for tree in _basis_trees(tp_pair):
         lay, d = tree.layout, tree.n_assets
-        basis = dual._strategy_basis(geometry._support_structure(tree)).reshape(-1, d)
-        charged = tree.subtree_sums(geometry._support_structure(tree).interior) > 0
+        geo = geometry._support_structure(tree)
+        basis = dual._strategy_basis(geo).reshape(-1, d)
+        charged = tree.subtree_sums(np.exp(geo.log_interior[-tree.n_leaves:])) > 0
         kids = np.append(lay.first_child, len(lay.ids))
         for k in range(lay.level_starts[-2]):
             live = kids[k] + np.flatnonzero(charged[kids[k]:kids[k + 1]])

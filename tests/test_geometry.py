@@ -314,7 +314,8 @@ def test_vertex_enumerate_keeps_a_vertex_with_a_tiny_entry():
     verts = vertex_enumerate(tree)
     assert verts.shape == (1, 4)
     assert verts.min() == pytest.approx(1e-20, rel=1e-3)
-    assert verts[0] == pytest.approx(_support_structure(tree).interior, rel=1e-12)
+    assert verts[0] == pytest.approx(np.exp(_support_structure(tree).log_interior[-4:]),
+                                     rel=1e-12)
 
 
 def test_two_asset_trinomial_tree_has_one_vertex():
@@ -399,7 +400,7 @@ def test_sampled_measures_are_martingale_measures():
 def test_interior_start_lies_on_the_constraints(make):
     tree = make()
     geo = _support_structure(tree)
-    mask, q = geo.mask, geo.interior
+    mask, q = geo.mask, np.exp(geo.log_interior[-tree.n_leaves:])
     A = build_constraints(tree)
     assert np.abs(A @ q).max() <= 1e-12
     assert abs(q.sum() - 1.0) <= 1e-12
@@ -416,20 +417,44 @@ def test_mask_is_the_boolean_liveness_of_the_leaves(make):
     tree = make()
     geo = _support_structure(tree)
     charged = (vertex_enumerate(tree) > 0).any(axis=0)
-    assert geo.mask.tolist() == charged.tolist() == (geo.interior > 0).tolist()
+    q = np.exp(geo.log_interior[-tree.n_leaves:])
+    assert geo.mask.tolist() == charged.tolist() == (q > 0).tolist()
     assert geo.live.tolist() == (tree.subtree_sums(geo.mask) > 0).tolist()
     assert not geo.live.flags.writeable
 
 
-def test_maximal_support_survives_underflowing_path_products():
-    # each spine step has one-step weight ~1e-10: the interior measure's
-    # deepest path products (~1e-400) read 0, the boolean pass does not
-    tree = treegen.caterpillar_market()
-    assert (tree.n_leaves, len(tree.layout.ids)) == (41, 861)
+@pytest.mark.parametrize("make", [
+    treegen.dead_leaf_market, lambda: treegen.product_market([[2.0, 1.0], [1.5, 0.5]])],
+    ids=["dead-leaf", "dead-branch"])
+def test_live_is_where_the_interior_log_mass_is_finite(make):
+    # one pass gives the support and the measure: its log masses are -inf
+    # exactly off the live nodes, and their leaf slice sums to each node's
+    tree = make()
     geo = _support_structure(tree)
-    assert (geo.interior == 0).any()
-    assert geo.mask.all()
-    assert find_equivalent_mm(tree) is not None
+    ell, inner = geo.log_interior, tree.layout.level_starts[-2]
+    assert not geo.live.all()
+    assert np.array_equal(geo.live, ell > -np.inf)
+    assert not geo.live.flags.writeable and not ell.flags.writeable
+    assert np.allclose(tree.log_subtree_sums(ell[inner:]), ell, rtol=0.0, atol=1e-15)
+    assert ell[0] == 0.0
+
+
+def test_maximal_support_survives_underflowing_path_products():
+    # each spine step has one-step weight 1/(1e10 + 1): the deepest float
+    # path products (~1e-400) would read 0, the node log masses do not, and
+    # they are a martingale measure: conditional prices meet the node prices
+    tree = treegen.caterpillar_market()
+    lay, inner = tree.layout, tree.layout.level_starts[-2]
+    assert (tree.n_leaves, len(lay.ids)) == (41, 861)
+    geo = _support_structure(tree)
+    ell = geo.log_interior
+    assert np.isfinite(ell[inner:]).all() and geo.mask.all()
+    assert ell[inner:].min() == pytest.approx(40 * math.log(1 / (1e10 + 1)), rel=1e-14)
+    s = lay.prices[:inner]
+    gap = np.abs(tree.one_step_expectation(lay.prices, ell) - s) / np.maximum(np.abs(s), 1.0)
+    assert gap[geo.live[:inner]].max() <= 1e-12
+    # exp of the leaf slice still underflows on the deepest side leaves
+    assert (find_equivalent_mm(tree) == 0).sum() == 8
 
 
 def test_equivalent_measure_on_two_asset_book_market():
@@ -481,7 +506,7 @@ def _assert_matches_lp_oracle(tree, u):
     mask, bounds = oracle
     geo = _support_structure(tree)
     assert np.array_equal(geo.mask, mask)
-    q = geo.interior
+    q = np.exp(geo.log_interior[-tree.n_leaves:])
     assert np.abs(build_constraints(tree) @ q).max() <= 1e-12
     assert abs(q.sum() - 1.0) <= 1e-12
     assert np.all(q[mask] > 0) and np.all(q[~mask] == 0)

@@ -180,3 +180,59 @@ def test_the_battery_certifies_without_double_description():
               for a in node.names}
     assert names & {"vertex_enumerate", "build_constraints", "CapExceededError"} == set()
 
+
+def top_down_loops(source: str) -> list[str]:
+    """``line n: function`` for each loop, comprehensions included, over
+    ``zip(x[1:...], x[2:...])``: a hand-written walk down the levels of a
+    level-start sequence ``x``."""
+    def walks_down(it):
+        if not (isinstance(it, ast.Call) and getattr(it.func, "id", None) == "zip"
+                and len(it.args) == 2
+                and all(isinstance(a, ast.Subscript) and isinstance(a.slice, ast.Slice)
+                        and isinstance(a.slice.lower, ast.Constant) for a in it.args)):
+            return False
+        first, second = it.args
+        return ((first.slice.lower.value, second.slice.lower.value) == (1, 2)
+                and ast.dump(first.value) == ast.dump(second.value))
+
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.For, ast.comprehension)) and walks_down(child.iter):
+                found.append(f"line {child.iter.lineno}: {func}")
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+# path_sums is the one walk down the levels; _build_layout builds the layout
+# it reads, and _arbitrage scales a node by its parent's scaled gain, which
+# is not a path sum
+_TOP_DOWN_LOOPS = {"market": {"path_sums", "_build_layout"}, "geometry": {"_arbitrage"}}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_top_down_accumulation_goes_through_path_sums(path):
+    allowed = _TOP_DOWN_LOOPS.get(path.stem, set())
+    assert [f for f in top_down_loops(path.read_text())
+            if f.split(": ")[1] not in allowed] == []
+
+
+def test_top_down_loops_are_found():
+    source = ("def f(lay, x):\n"
+              "    for a, b in zip(lay.level_starts[1:], lay.level_starts[2:]):\n"
+              "        x[a:b] += x[lay.parent[a:b]]\n"
+              "    for a, b in zip(lay.level_starts, lay.level_starts[1:]):\n"
+              "        pass\n"
+              "    for a, b in zip(ends[-3::-1], ends[-2::-1]):\n"
+              "        pass\n"
+              "class C:\n"
+              "    def g(self, s):\n"
+              "        return [b for a, b in zip(s[1:-1], s[2:])]\n"
+              "for a, b in zip(s[1:], t[2:]):\n"
+              "    pass\n"
+              "for a, b in zip(s[1:-2], s[2:-1]):\n"
+              "    pass\n")
+    assert top_down_loops(source) == ["line 2: f", "line 10: g", "line 13: None"]

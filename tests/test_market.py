@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,13 @@ def test_malformed_json(tmp_path):
         load_market(p)
 
 
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b'{"version": "\xff"}')
+    with pytest.raises(ParseError, match="JSON"):
+        load_market(p)
+
+
 def test_generated_markets_are_valid():
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -303,6 +311,38 @@ def _chain_dict(periods):
                "prob": "0.5"}]
     return {"version": 1, "assets": ["S"], "nodes": nodes,
             "endowment": {"u": "0.3", "d": "-0.1"}}
+
+
+def _path_sums_by_recursion(lay, x):
+    """Per node, its parent's path sum plus its own value: one node at a
+    time in layout order, where every parent comes before its children."""
+    out = np.array(x, dtype=float)
+    for k in range(1, len(lay.ids)):
+        out[..., k] = out[..., lay.parent[k]] + out[..., k]
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: treegen.product_market([[1.2, 1.0, 0.85], [1.1, 0.95], [1.3, 1.0, 0.9, 0.7]])
+] + [lambda seed=seed: treegen.random_market(np.random.default_rng(seed), n_assets=1 + seed % 2)
+     for seed in range(6)], ids=["widths-3-2-4"] + [f"random-{seed}" for seed in range(6)])
+def test_path_sums_match_the_recursion_over_parents(make):
+    # the same adds in the same order: equal bit for bit, on a stack (r, N)
+    # and on each of its rows, with -inf carried down and no NaN
+    lay = make().layout
+    rng = np.random.default_rng(len(lay.ids))
+    x = rng.normal(size=(3, len(lay.ids)))
+    x[rng.random(x.shape) < 0.2] = -np.inf
+    before = x.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lay.path_sums(x)
+        rows = [lay.path_sums(row) for row in x]
+    assert np.array_equal(x, before)
+    assert got.shape == x.shape and not np.isnan(got).any()
+    assert np.array_equal(got, _path_sums_by_recursion(lay, x))
+    assert all(np.array_equal(row, g) for row, g in zip(rows, got))
+    assert np.array_equal(np.isneginf(got), lay.path_sums(np.isneginf(x)) > 0)
 
 
 def test_deep_chain_loads_and_solves(bin1):

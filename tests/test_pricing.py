@@ -879,8 +879,9 @@ def _logspace_mass_radius(tree, pair, endows):
     """The mass radius scan on ``np.logspace(-6, 12, 400)`` alone."""
     geo = geometry._support_structure(tree)
     c_lo = min(geo.extremes(e)[0][0] for e in endows)
-    h_q = geometry.relative_entropy(tree, pair, geo.interior)
-    c_up = max(h_q + float(np.dot(geo.interior, e)) for e in endows)
+    q = np.exp(geo.log_interior[-tree.n_leaves:])
+    h_q = geometry.relative_entropy(tree, pair, q)
+    c_up = max(h_q + float(np.dot(q, e)) for e in endows)
     ys = np.logspace(-6, 12, 400)
     below = np.flatnonzero(pair.v(ys) + c_lo * ys <= c_up)
     if below.size == 0:

@@ -158,10 +158,15 @@ def sample_measures(tree, n, seed=0):
     uniformly random mixture of each node's valid one-step vertices."""
     from treedual.geometry import _support_structure
 
-    geo = _support_structure(tree)
+    geo, lay = _support_structure(tree), tree.layout
     rng = np.random.default_rng(seed)
-    return np.array([geo.mixture(rng.exponential(size=geo.node.size))
-                     for _ in range(n)]).reshape(n, tree.n_leaves)
+    out = np.empty((n, tree.n_leaves))
+    for row in out:
+        mass = geo.one_step(rng.exponential(size=geo.node.size))
+        for a, b in zip(lay.level_starts[1:-1], lay.level_starts[2:]):
+            mass[a:b] *= mass[lay.parent[a:b]]
+        row[:] = mass[lay.level_starts[-2]:]
+    return out
 
 
 def dead_leaf_market():
