@@ -12,7 +12,8 @@ byte-identical CSV output.  Each option is declared only on the subcommands
 that read it, and only by its full name.
 
 Exit codes: 0 success, 1 verification/market failure (arbitrage, failed
-invariants), 2 input error (bad files, unknown names, bad flags).
+invariants), 2 input error (bad files, unknown names, bad flags); closing
+stdout early (``| head``) keeps the subcommand's code, with no traceback.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -91,6 +93,12 @@ class _Out:
         self.csvs[name] = body
 
     def flush(self):
+        if self.outdir is not None:
+            for name, body in self.csvs.items():
+                (self.outdir / name).write_text("\n".join(body) + "\n")
+            (self.outdir / "manifest.json").write_text(
+                json.dumps(self.manifest, indent=2, sort_keys=True,
+                           default=str) + "\n")
         if self.fmt == "text":
             print("\n".join(self.lines))
         elif self.fmt == "csv":
@@ -101,12 +109,7 @@ class _Out:
                               "tables": self.csvs,
                               "manifest": self.manifest},
                              indent=2, sort_keys=True, default=str))
-        if self.outdir is not None:
-            for name, body in self.csvs.items():
-                (self.outdir / name).write_text("\n".join(body) + "\n")
-            (self.outdir / "manifest.json").write_text(
-                json.dumps(self.manifest, indent=2, sort_keys=True,
-                           default=str) + "\n")
+        sys.stdout.flush()
 
 
 def _cmd_geometry(args, out: _Out, tree):
@@ -426,7 +429,11 @@ def run(argv=None) -> int:
     except TreedualError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    out.flush()
+    try:
+        out.flush()
+    except BrokenPipeError:
+        # the rest goes to devnull, so the interpreter's exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

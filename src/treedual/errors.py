@@ -150,9 +150,7 @@ class EvaluationOverflowError(TreedualError):
 
     Raised by ``solve_dual`` for the exponential family when the optimal
     expected utility is below -1e250 (an endowment below about -575/gamma),
-    for a fixed mass past the floating-point range, and by
-    ``endowment_sensitivity`` when the entropy of exp of the support pass's
-    interior log masses, which bounds its mass radius, is not finite.
+    and for a fixed mass past the floating-point range.
     """
 
     code = "OVERFLOW"

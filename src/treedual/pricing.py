@@ -36,9 +36,9 @@ import numpy as np
 
 from .dual import DualSolution, _solutions, solve_dual
 from .errors import (AugmentInfeasibleError, BracketFailError, DomainError,
-                     EvaluationOverflowError, InfeasibleEntropyError,
-                     InfiniteEntropyError, NoMartingaleMeasureError, NonconvergedError)
-from .geometry import find_equivalent_mm, relative_entropy, _support_structure
+                     InfeasibleEntropyError, InfiniteEntropyError,
+                     NoMartingaleMeasureError)
+from .geometry import relative_entropy, _support_structure
 from .market import MarketTree, _with_assets, leaf_values
 from .utility import UtilityPair
 
@@ -354,9 +354,11 @@ def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim) -> floa
 
 def davis_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
                 sol: DualSolution | None = None) -> float:
-    """Marginal price: claim expectation under the normalized optimal measure."""
+    """Marginal price: claim expectation under the normalized optimum ``sol``
+    at ``endow``, solved when None (another problem's is a DomainError)."""
     if sol is None:
         sol = solve_dual(tree, pair, endow)
+    sol._require(tree, pair, leaf_values(tree, endow), "davis_price")
     return float(np.dot(sol.q_hat, leaf_values(tree, claim)))
 
 
@@ -577,45 +579,8 @@ class SensitivityReport:
     strict_ok: bool
     concavity_margins: tuple[tuple[float, float], ...]    # (lambda, margin)
     continuity: tuple[ContinuityEntry, ...]
-    mass_radius: float | None
+    mass_radius: float | None   # largest optimal mass; None without a sequence
     sandwich: tuple[float, float] | None   # (lower slack, upper slack), >= 0
-
-
-def _mass_radius(tree, pair, endow_arrays):
-    """Radius bounding the mass of every optimizer across the endowments.
-
-    Convexity gives entropy >= V(mass); any measure whose mass makes
-    V(mass) + mass * (worst claim expectation) beat a fixed feasible
-    measure's objective cannot be optimal.  The other masses form an
-    interval; the radius is twice the first mass past it on the grid
-    10^(-6 + 18k/399) (from k = 0 in blocks of 400, the first one
-    ``np.logspace(-6, 12, 400)``), or 2 if the first block misses it.
-    The fixed measure is exp of the support pass's ``log_interior`` on the
-    leaves; raises :class:`EvaluationOverflowError` when its entropy is not
-    finite (a leaf mass that underflows to 0 meets V(0) = +inf), and
-    :class:`NonconvergedError` if V overflows first.
-    """
-    geo = _support_structure(tree)
-    c_lo = min(geo.extremes(e)[0][0] for e in endow_arrays)
-    q = np.exp(geo.log_interior[-tree.n_leaves:])
-    h_q = relative_entropy(tree, pair, q)
-    if not math.isfinite(h_q):
-        raise EvaluationOverflowError(
-            f"entropy of the interior measure is {h_q!r}: the mass radius has no "
-            "finite bound from it")
-    c_up = max(h_q + float(np.dot(q, e)) for e in endow_arrays)
-    for k in itertools.count(0, 400):
-        with np.errstate(over="ignore", invalid="ignore"):
-            ys = 10.0 ** (np.arange(k, k + 400) * (18 / 399) - 6.0)
-            vals = pair.v(ys) + c_lo * ys
-        inside = np.flatnonzero(vals <= c_up)
-        if k == 0 and inside.size == 0:
-            return 2.0
-        end = inside[-1] + 1 if inside.size else 0
-        if end < ys.size:
-            if not np.isfinite(vals[end]):
-                raise NonconvergedError(f"mass radius scan overflowed at mass {ys[end]!r}")
-            return 2.0 * float(ys[end])
 
 
 def endowment_sensitivity(tree: MarketTree, pair: UtilityPair, endowments, *,
@@ -623,30 +588,29 @@ def endowment_sensitivity(tree: MarketTree, pair: UtilityPair, endowments, *,
     """Monotonicity/concavity/continuity certificates for the optimal value.
 
     ``endowments`` is a list of random variables on the same tree; ordered
-    pairs are checked for monotonicity (strictly when an equivalent measure
-    exists), the first two for concavity at mixing weights 0.25, 0.5, 0.75.
-    A ``sequence`` converging to ``endowments[0]`` is checked for dominated
-    continuity with the computed mass radius, to 1e-9 (relative); a
-    ``claim`` adds the recentered-claim sandwich around the base value.
-    Report-only.
+    pairs are checked for monotonicity (strictly when the support flag says
+    an equivalent measure exists), the first two for concavity at mixing
+    weights 0.25, 0.5, 0.75.  A ``sequence`` e_n converging to
+    e = ``endowments[0]`` is checked for dominated continuity, to 1e-9
+    (relative), by the envelope bound max(y, y_n) sup_Q |E_Q[e_n - e]| at
+    the optimal masses, with the mass radius the largest optimal mass over
+    the endowments and the sequence.  A ``claim`` adds the
+    recentered-claim sandwich around the base value.  Report-only.
     """
     endowments = [leaf_values(tree, e) for e in endowments]
     sols = [solve_dual(tree, pair, e) for e in endowments]
     values = [s.value for s in sols]
-    has_equivalent = find_equivalent_mm(tree) is not None
+    has_equivalent = all(s.support == "EQUIVALENT" for s in sols)
 
     monotone = []
     strict_ok = True
-    for i in range(len(endowments)):
-        for j in range(len(endowments)):
-            if i == j:
-                continue
-            di = endowments[j] - endowments[i]
-            if np.all(di >= 0) and np.any(di > 0):
-                margin = values[j] - values[i]
-                monotone.append((i, j, margin))
-                if has_equivalent and margin <= 0:
-                    strict_ok = False
+    for i, j in itertools.permutations(range(len(endowments)), 2):
+        di = endowments[j] - endowments[i]
+        if np.all(di >= 0) and np.any(di > 0):
+            margin = values[j] - values[i]
+            monotone.append((i, j, margin))
+            if has_equivalent and margin <= 0:
+                strict_ok = False
 
     concavity = []
     if len(endowments) >= 2:
@@ -661,12 +625,12 @@ def endowment_sensitivity(tree: MarketTree, pair: UtilityPair, endowments, *,
     radius = None
     if sequence:
         seq = [leaf_values(tree, e) for e in sequence]
-        radius = _mass_radius(tree, pair, endowments + seq)
+        seq_sols = [solve_dual(tree, pair, e) for e in seq]
+        radius = max(s.mass for s in sols + seq_sols)
         base = values[0]
-        for e_n in seq:
+        for e_n, sol_n in zip(seq, seq_sols):
             sup = indifference_price_lipschitz_bound(tree, e_n, endowments[0])
-            v_n = solve_dual(tree, pair, e_n).value
-            gap = abs(v_n - base)
+            gap = abs(sol_n.value - base)
             continuity.append(ContinuityEntry(
                 sup_bound=sup, value_gap=gap,
                 dominated=gap <= radius * sup + 1e-9 * (1.0 + abs(base))))

@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +113,54 @@ def test_solve_exits_zero(tri1_file, capsys):
     argv = ["solve", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2"]
     assert cli.run(argv) == cli.EXIT_OK
     assert capsys.readouterr().out
+
+
+def test_csv_format_prints_the_tables_it_writes(tri1_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["solve", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2",
+            "--format", "csv", "--output-dir", str(out)]
+    assert cli.run(argv) == cli.EXIT_OK
+    printed = capsys.readouterr().out
+    assert printed.startswith("leaf,mass,normalized,density\n")
+    assert printed == (out / "optimal_measure.csv").read_text()
+
+
+def test_a_claim_name_is_an_endowment(tri1_file, capsys):
+    argv = ["solve", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2",
+            "--endowment", "up"]
+    assert cli.run(argv) == cli.EXIT_OK
+    tree = load_market(tri1_file)
+    want = solve_dual(tree, parse_utility_spec("exp:gamma=1,C=2"), tree.claims["up"]).value
+    assert f"dual value: {cli.f12(want)}\n" in capsys.readouterr().out
+
+
+def test_sensitivity_prints_each_monotone_margin(tri1_file, capsys):
+    # zero <= up leaf by leaf, and not the other way round
+    argv = ["sensitivity", "--market", str(tri1_file), "--utility", "exp:gamma=1,C=2",
+            "--endowments", "zero,up"]
+    assert cli.run(argv) == cli.EXIT_OK
+    tree, pair = load_market(tri1_file), parse_utility_spec("exp:gamma=1,C=2")
+    margin = (solve_dual(tree, pair, tree.claims["up"]).value
+              - solve_dual(tree, pair, 0.0).value)
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("monotone")]
+    assert lines == [f"monotone zero <= up: margin {cli.f12(margin)}"]
+
+
+def test_a_reader_that_closes_stdout_early_gets_no_traceback(tmp_path):
+    # geometry on 256 leaves prints ~150 KB, past a 64 KiB pipe buffer, so
+    # the run is still writing when the reader goes away after one line
+    market = _tree_file(tmp_path, treegen.product_market([[1.2, 0.9]] * 8))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.Popen([sys.executable, "-m", "treedual.cli", "geometry", "--market", market],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"market: ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_OK
+    assert b"Traceback" not in err and b"BrokenPipe" not in err, err.decode()
 
 
 def test_arbitrage_exits_one(tmp_path, capsys):
@@ -347,7 +399,7 @@ def test_input_errors_name_the_first_bad_input(tri1_file, capsys, argv, named):
 
 
 def test_sensitivity_with_a_large_mass_radius_exits_cleanly(tmp_path, capsys):
-    # the mass radius is about 2.4e25, past the first block of its scan
+    # the mass radius, the largest optimal mass, is about 2.6e24
     path = tmp_path / "tri1_low.json"
     doc = treegen.tri1_dict()
     doc["endowment"] = {"a": "-60", "b": "-50", "c": "-55"}

@@ -25,7 +25,9 @@ READERS = {
 }
 
 
-def family_readers(source: str, module: str) -> set[str]:
+def attribute_readers(source: str, module: str, attr: str) -> set[str]:
+    """Qualified names of the functions (and classes, at class level) in
+    ``source`` whose bodies load an attribute named ``attr``."""
     readers = set()
 
     def visit(node, scope):
@@ -33,13 +35,17 @@ def family_readers(source: str, module: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "family"
+            if (isinstance(child, ast.Attribute) and child.attr == attr
                     and isinstance(child.ctx, ast.Load)):
                 readers.add(".".join([module] + scope))
             visit(child, scope)
 
     visit(ast.parse(source), [])
     return readers
+
+
+def family_readers(source: str, module: str) -> set[str]:
+    return attribute_readers(source, module, "family")
 
 
 def test_family_is_read_only_where_a_method_is_chosen():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import treegen
-from treedual import (AugmentInfeasibleError, DomainError,
+from treedual import (AugmentInfeasibleError, BracketFailError, DomainError,
                       EvaluationOverflowError, InfiniteEntropyError,
                       NonconvergedError, RandomVariable,
                       average_price_curve, dual_value_curve,
@@ -697,6 +698,56 @@ def test_davis_price_between_bounds(tri1, exp_pair):
     assert lo - 1e-12 <= d <= hi + 1e-12
 
 
+def test_davis_price_refuses_the_solution_of_another_endowment(tri1, tp_pair):
+    e, b = leaf_values(tri1, E_TRI), leaf_values(tri1, B_TRI)
+    own = davis_price(tri1, tp_pair, e, b)
+    assert davis_price(tri1, tp_pair, E_TRI, b, sol=solve_dual(tri1, tp_pair, e)) == own
+    with pytest.raises(DomainError, match="davis_price needs the tree, utility and endowment"):
+        davis_price(tri1, tp_pair, e, b, sol=solve_dual(tri1, tp_pair, 5.0 * e))
+
+
+# -- bracketed Newton ----------------------------------------------------------
+
+
+def _root_search(g, x, lo, hi):
+    """Run :func:`pricing._bracketed_newton` on probes of ``g`` that ask for
+    no solve, give no slope and accept an exact zero; returns (result,
+    probed points)."""
+    probed = []
+
+    def probe(x):
+        yield from ()
+        probed.append(x)
+        return g(x), None, g(x) == 0.0
+
+    search = pricing._bracketed_newton(probe, x, lo, hi)
+    with pytest.raises(StopIteration) as stop:
+        next(search)
+    return stop.value.value, probed
+
+
+def test_bracketed_newton_doubles_its_stride_while_a_side_is_open():
+    # no slope, so no Newton step: strides 1, 2, 4, 8 until the root at 10
+    # is bracketed by [7, 15], then bisection
+    root, probed = _root_search(lambda x: x - 10.0, 0.0, -math.inf, math.inf)
+    assert root == 10.0 and probed == [0.0, 1.0, 3.0, 7.0, 15.0, 11.0, 9.0, 10.0]
+    root, probed = _root_search(lambda x: x + 10.0, 0.0, -math.inf, math.inf)
+    assert root == -10.0 and probed == [0.0, -1.0, -3.0, -7.0, -15.0, -11.0, -9.0, -10.0]
+
+
+def test_bracketed_newton_raises_when_the_bracket_collapses():
+    # the sign changes between two adjacent floats, so no midpoint lies inside
+    step = lambda x: -1.0 if x <= 1.0 else 1.0
+    with pytest.raises(BracketFailError, match="collapsed at residual"):
+        _root_search(step, 1.0, 1.0, math.nextafter(1.0, 2.0))
+
+
+def test_bracketed_newton_raises_after_its_probe_budget():
+    # a residual that never changes sign leaves the upper side open
+    with pytest.raises(BracketFailError, match="no root after 100 probes"):
+        _root_search(lambda x: -1.0, 0.0, -math.inf, math.inf)
+
+
 # -- marginal utility-based price processes -----------------------------------
 
 
@@ -734,6 +785,16 @@ def test_mubpp_vertex_expectations_rejected(tri1, exp_pair):
     rep = check_mubpp(tri1, exp_pair, E_TRI, vals)
     assert not rep.is_mubpp and rep.agree
     assert rep.augmented_value > rep.base_value
+
+
+def test_mubpp_of_a_degenerate_augmented_market_has_no_value(tri1, tp_pair):
+    # a new asset worth 1 at leaf b and 0 elsewhere, 0 at the root: every
+    # martingale measure of the augmented market misses b, and V(0) = +inf
+    vals = np.array([0.0, 0.0, 1.0, 0.0])   # layout order: root, a, b, c
+    rep = check_mubpp(tri1, tp_pair, E_TRI, vals)
+    assert rep.augmented_value is None
+    assert not rep.drift_verdict and not rep.utility_verdict and not rep.is_mubpp
+    assert rep.agree
 
 
 def test_mubpp_detects_augmented_arbitrage(tri1, exp_pair):
@@ -875,49 +936,77 @@ def test_endowment_sensitivity_certificates(tri1, exp_pair):
 
 
 
-def _logspace_mass_radius(tree, pair, endows):
-    """The mass radius scan on ``np.logspace(-6, 12, 400)`` alone."""
-    geo = geometry._support_structure(tree)
-    c_lo = min(geo.extremes(e)[0][0] for e in endows)
-    q = np.exp(geo.log_interior[-tree.n_leaves:])
-    h_q = geometry.relative_entropy(tree, pair, q)
-    c_up = max(h_q + float(np.dot(q, e)) for e in endows)
-    ys = np.logspace(-6, 12, 400)
-    below = np.flatnonzero(pair.v(ys) + c_lo * ys <= c_up)
-    if below.size == 0:
-        return 2.0
-    assert below[-1] < ys.size - 1
-    return 2.0 * float(ys[below[-1] + 1])
-
-
 @pytest.mark.parametrize("shift", [-20.0, -3.0, 0.0, 4.0, 30.0])
-def test_mass_radius_is_unchanged_inside_the_first_block(tri1, exp_pair, tp_pair, shift):
+def test_mass_radius_is_the_largest_optimal_mass(tri1, exp_pair, tp_pair, shift):
+    # the envelope bound's radius is read off the optima the report solves
     e = np.array([0.3, -0.2, 0.1]) + shift
     for pair in (exp_pair, tp_pair):
-        endows = [e, e + 0.5]
-        assert pricing._mass_radius(tri1, pair, endows) == \
-            _logspace_mass_radius(tri1, pair, endows)
+        endows, seq = [e, e + 0.5], [e + 0.1, e + 0.01]
+        rep = endowment_sensitivity(tri1, pair, endows, sequence=seq)
+        assert rep.mass_radius == max(solve_dual(tri1, pair, x).mass for x in endows + seq)
+        assert all(c.dominated for c in rep.continuity)
 
 
-def test_mass_radius_scan_continues_past_the_first_block(tri1, exp_pair):
-    # the radius is about 2.4e25, beyond the first block's 1e12
+def test_mass_radius_follows_a_large_optimal_mass(tri1, exp_pair):
+    # the optimal mass at the base endowment is about 2.57e24
     e = leaf_values(tri1, {"a": -60.0, "b": -50.0, "c": -55.0})
     rep = endowment_sensitivity(tri1, exp_pair, [e], sequence=[e + 1.0])
-    assert 1e25 < rep.mass_radius < 1e26
+    assert rep.mass_radius == solve_dual(tri1, exp_pair, e).mass
+    assert 1e24 < rep.mass_radius < 1e25
     assert all(c.dominated for c in rep.continuity)
 
 
 def test_mass_radius_overflow_is_typed(tri1, exp_pair):
-    with pytest.raises(NonconvergedError):
-        pricing._mass_radius(tri1, exp_pair, [np.full(3, -1000.0)])
+    # the base solve itself overflows, before any radius is formed
+    with pytest.raises(EvaluationOverflowError, match="dual objective"):
+        endowment_sensitivity(tri1, exp_pair, [np.full(3, -1000.0)], sequence=[-999.0])
 
 
-def test_mass_radius_of_an_infinite_entropy_is_an_overflow():
-    # the caterpillar's interior measure underflows to 0 on live leaves, so
-    # its two-power entropy is V(0) = +inf: nothing failed to converge
-    with pytest.raises(EvaluationOverflowError, match="entropy of the interior measure"):
-        endowment_sensitivity(treegen.caterpillar_market(), two_power_utility(0.5, 1.0, 1.0),
-                              [0.0, 1.0], sequence=[1e-3, 1e-6])
+def _caterpillar_sensitivity(pair):
+    return endowment_sensitivity(treegen.caterpillar_market(), pair, [0.0, 1.0],
+                                 sequence=[1e-3, 1e-6])
+
+
+def test_mass_radius_on_the_caterpillar_is_finite(tp_pair):
+    # no float measure is read, so no entry that underflows to 0 on a live
+    # leaf can make the radius infinite
+    tree = treegen.caterpillar_market()
+    rep = _caterpillar_sensitivity(tp_pair)
+    masses = [solve_dual(tree, tp_pair, e).mass for e in (0.0, 1.0, 1e-3, 1e-6)]
+    assert math.isfinite(rep.mass_radius) and rep.mass_radius == max(masses)
+    assert [c.sup_bound for c in rep.continuity] == pytest.approx([1e-3, 1e-6], rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the two-power optimum on the caterpillar is off the "
+                          "martingale cone (ROADMAP item 2)")
+def test_caterpillar_continuity_is_dominated(tp_pair):
+    assert all(c.dominated for c in _caterpillar_sensitivity(tp_pair).continuity)
+
+
+@pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
+def test_a_value_pushed_past_the_radius_is_not_dominated(tri1, pair_name, request,
+                                                         monkeypatch):
+    # the certificate is not vacuous: one sequence value moved away from the
+    # base by 2 radius sup fails its entry, and only its entry
+    pair = request.getfixturevalue(pair_name)
+    e0 = leaf_values(tri1, E_TRI)
+    seq = [e0 + 1.0 / n for n in (1, 2, 4, 8)]
+    rep = endowment_sensitivity(tri1, pair, [e0], sequence=seq)
+    assert all(c.dominated for c in rep.continuity)
+    push = 2.0 * rep.mass_radius * rep.continuity[1].sup_bound
+    solve = pricing.solve_dual
+
+    def pushed(tree, pair, endow=0.0):
+        sol = solve(tree, pair, endow)
+        if np.array_equal(leaf_values(tree, endow), seq[1]):
+            return dataclasses.replace(sol, value=sol.value + push)
+        return sol
+
+    monkeypatch.setattr(pricing, "solve_dual", pushed)
+    bent = endowment_sensitivity(tri1, pair, [e0], sequence=seq)
+    assert bent.mass_radius == rep.mass_radius
+    assert [c.dominated for c in bent.continuity] == [True, False, True, True]
 
 
 def test_strict_monotonicity_needs_equivalent_measure(exp_pair):
