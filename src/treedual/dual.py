@@ -28,7 +28,9 @@ by one Newton-core call started at the optimum.
   choice make one Newton batch per level over all the endowments, each
   started at the fit of its exponents to w0, the mean of its valid
   vertices, which is the minimizer where w0 fixes the optimal weights'
-  ratios among the moving children (up/flat/down nodes).
+  ratios among the moving children (up/flat/down nodes).  The batch's
+  damped d x d systems are solved by Cramer's rule for up to two assets
+  and by LAPACK beyond.
 * Two-power family, ``dynamic_dual`` and the tests' oracle: the optimal
   measure is the marginal utility of the optimal wealth, mu = p U'(e + gains),
   so the dual is solved through its primal, the unconstrained concave
@@ -158,13 +160,36 @@ _LSE_CAP = 100  # damped Newton steps per level
 def _lse_point(b, x, k):
     """At k (g, d) of a batch: f = logsumexp_c(b_c - x_c.k), the softmax
     weights (g, m), their mean of x (g, d) and x.k (g, m)."""
-    xk = np.einsum("gmd,gd->gm", x, k)
+    xk = (x @ k[:, :, None])[:, :, 0]
     z = b - xk
     top = z.max(axis=1)
     e = np.exp(z - top[:, None])
     total = e.sum(axis=1)
     w = e / total[:, None]
-    return top + np.log(total), w, np.einsum("gm,gmd->gd", w, x), xk
+    return top + np.log(total), w, (w[:, None, :] @ x)[:, 0, :], xk
+
+
+def _lse_solve(hess, lam, rhs):
+    """The solutions s (g, d) of the damped systems (hess + lam I) s = rhs,
+    hess (g, d, d) and lam (g,): by Cramer's rule for d <= 2, a division
+    for d = 1, else by LAPACK."""
+    d = rhs.shape[1]
+    if d == 1:
+        return rhs / (hess[:, 0] + lam[:, None])
+    a = hess + lam[:, None, None] * np.eye(d)
+    if d > 2:
+        return np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    # the adjugate [[a11, -a01], [-a10, a00]]
+    adj = a[:, ::-1, ::-1].swapaxes(1, 2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return (adj @ rhs[:, :, None])[:, :, 0] / det[:, None]
+
+
+def _rows(mask, new, old):
+    """Per row of a batch, the arrays (g,) or (g, n) of ``new`` where
+    ``mask`` (g,) holds, else those of ``old``."""
+    return tuple(np.where(mask if a.ndim == 1 else mask[:, None], a, b)
+                 for a, b in zip(new, old))
 
 
 def _lse_min(b, x, k0):
@@ -176,24 +201,29 @@ def _lse_min(b, x, k0):
     relative to the trace of the Hessian, the covariance of x under the
     softmax weights, which is near-singular where the weights sit on few
     children; the damping falls a hundredfold on each accepted step, to
-    1e-16, so that the last steps are plain Newton steps.  A step moves no
-    exponent by more than one unit; a clipped step is doubled while that
-    keeps lowering the value, which crosses exponential tails in a few
-    steps.  A step is accepted on a quarter of its predicted decrease or,
-    where the value is flat to rounding, on a smaller gradient.  A node is
-    done once its gradient and predicted decrease are at rounding level, or
-    once a step fails with its predicted decrease below rounding.  Each
-    point is evaluated once (:func:`_lse_point`), and its weights and x.k
-    serve the Hessian and the rounding level of the gradient; the log
+    1e-16, so that the last steps are plain Newton steps.  The damped
+    systems are solved by Cramer's rule for d <= 2 and by LAPACK beyond
+    (:func:`_lse_solve`); a node that is done solves ``(H + I) s = 0``, so
+    the batch stays one stack, with no gather of its active rows.  A step
+    moves no exponent by more than one unit; a clipped step is doubled
+    while that keeps lowering the value, which crosses exponential tails
+    in a few steps.  A step s is accepted on a quarter of its predicted
+    decrease ``(E_w[x] - H s / 2).s`` or, where the value is flat to
+    rounding, on a smaller gradient.  A node is done once its gradient and
+    predicted decrease are at rounding level, or once a step fails with
+    its predicted decrease below rounding.  Each point is evaluated once
+    (:func:`_lse_point`), and its weights and x.k serve the Hessian and the
+    rounding level of the gradient; the iterate is replaced whole when
+    every node accepts its step, else row by row (:func:`_rows`).  The log
     weights ln w = b - x.k - f are formed at exit, exact where w
     underflows.  Returns the minima, minimizers k, log softmax weights,
     gradients E_w[x] (up to sign) and steps.
     """
     top_b = b.max(axis=1)
     b = b - top_b[:, None]
-    g, _, d = x.shape
     scale = np.abs(x).max(axis=(1, 2))
-    damp, k, active = np.full(g, 1e-3), k0.copy(), np.ones(g, dtype=bool)
+    floor = 1e-30 * scale ** 2     # of the damping, where the Hessian vanishes
+    damp, k, active = np.full(len(b), 1e-3), k0, np.ones(len(b), dtype=bool)
     now = _lse_point(b, x, k)      # f, w, mean, x.k
     for steps in range(_LSE_CAP + 1):
         f, w, mean, xk = now
@@ -201,16 +231,14 @@ def _lse_min(b, x, k0):
         # rounding level of the gradient: exponents are b - x.k
         gtol = scale * (1e-13 + 1e-15 * np.abs(xk).max(axis=1))
         dev = x - mean[:, None, :]   # centred: E[x x'] - mean mean' cancels
-        hess = np.einsum("gm,gmd,gme->gde", w, dev, dev)
-        lam = damp * (np.trace(hess, axis1=1, axis2=2) + 1e-30 * scale ** 2)
+        hess = (w[:, :, None] * dev).swapaxes(1, 2) @ dev
         active &= gnorm > 0.0
-        step = np.zeros((g, d))
-        step[active] = np.linalg.solve(hess[active] + lam[active, None, None] * np.eye(d),
-                                       mean[active, :, None])[..., 0]
-        shift = np.abs(np.einsum("gmd,gd->gm", x, step)).max(axis=1)
+        lam = np.where(active, damp * (hess.diagonal(0, 1, 2).sum(axis=1) + floor), 1.0)
+        step = _lse_solve(hess, lam, np.where(active[:, None], mean, 0.0))
+        shift = np.abs((x @ step[:, :, None])[:, :, 0]).max(axis=1)
         clipped = shift > 1.0
-        step[clipped] /= shift[clipped, None]
-        pred = (mean * step).sum(axis=1) - 0.5 * np.einsum("gd,gde,ge->g", step, hess, step)
+        step /= np.maximum(shift, 1.0)[:, None]
+        pred = ((mean - 0.5 * (hess @ step[:, :, None])[:, :, 0]) * step).sum(axis=1)
         active &= ((gnorm > gtol) | (pred > 1e-17 * (1.0 + np.abs(f + top_b)))
                    | (damp > 1e-2))
         if not active.any():
@@ -224,16 +252,18 @@ def _lse_min(b, x, k0):
         ok = active & (((f1 < f) & (f1 <= f - 0.25 * pred))
                        | ((f1 <= f + tiny) & (np.abs(trial[2]).max(axis=1) <= 0.5 * gnorm)))
         active &= ok | (pred > tiny)   # else no change is measurable
-        grow, alpha = ok & clipped, np.ones(g)
-        while grow.any():
-            longer = _lse_point(b, x, k + 2.0 * alpha[:, None] * step)
+        grow, alpha = ok & clipped, 1.0
+        while grow.any():              # the step doubles in place, alpha counts it
+            longer = _lse_point(b, x, k + 2.0 * step)
             grow &= longer[0] < trial[0]
-            alpha[grow] *= 2.0
-            for old, new in zip(trial, longer):
-                old[grow] = new[grow]
-        k[ok] += alpha[ok, None] * step[ok]
-        for old, new in zip(now, trial):
-            old[ok] = new[ok]
+            alpha = np.where(grow, 2.0 * alpha, alpha)
+            step = np.where(grow[:, None], 2.0 * step, step)
+            trial = _rows(grow, longer, trial)
+        if ok.all():                   # the common case, without the selects
+            k, now = k + step, trial
+        else:
+            k = np.where(ok[:, None], k + step, k)
+            now = _rows(ok, trial, now)
         damp = np.where(ok, np.maximum(0.01 * damp / alpha, 1e-16), 4.0 * damp)
     f, _, mean, xk = now
     return f + top_b, k, b - xk - f[:, None], mean, steps

@@ -595,8 +595,13 @@ def endowment_sensitivity(tree: MarketTree, pair: UtilityPair, endowments, *,
     (relative), by the envelope bound max(y, y_n) sup_Q |E_Q[e_n - e]| at
     the optimal masses, with the mass radius the largest optimal mass over
     the endowments and the sequence.  A ``claim`` adds the
-    recentered-claim sandwich around the base value.  Report-only.
+    recentered-claim sandwich around the base value.  Report-only.  A
+    ``sequence`` or a ``claim`` with no endowments is a
+    :class:`DomainError`: both are read around e.
     """
+    if len(endowments) == 0 and (sequence or claim is not None):
+        raise DomainError("a sequence or a claim needs a base endowment, "
+                          "and the endowment list is empty")
     endowments = [leaf_values(tree, e) for e in endowments]
     sols = [solve_dual(tree, pair, e) for e in endowments]
     values = [s.value for s in sols]

@@ -951,6 +951,147 @@ def test_lse_min_doubles_only_clipped_steps(monkeypatch):
     assert np.abs(f2 - f).max() <= 1e-15 * np.abs(f).max()
 
 
+def _lm_systems(rng, g, d):
+    """Damped Newton systems of the log-space pass: random softmax weights
+    over 4 children and increments, a quarter of the rows with the weights
+    on one child, for d = 2 a quarter with collinear increments, damping
+    from 1e-3 down to 1e-16 of the trace, and every fifth row done (damping
+    1 and a zero right-hand side).  Returns the Hessians, the damping, the
+    right-hand sides and the rows that are done."""
+    x = rng.uniform(-1.0, 1.0, (g, 4, d))
+    w = rng.dirichlet(np.ones(4), g)
+    w[::4] = [1.0 - 3e-12, 1e-12, 1e-12, 1e-12]
+    if d == 2:
+        x[1::4, :, 1] = 2.0 * x[1::4, :, 0]
+    mean = (w[:, None, :] @ x)[:, 0, :]
+    dev = x - mean[:, None, :]
+    hess = (w[:, :, None] * dev).swapaxes(1, 2) @ dev
+    damp = 10.0 ** rng.uniform(-16.0, -3.0, g)
+    done = np.arange(g) % 5 == 0
+    lam = np.where(done, 1.0, damp * np.trace(hess, axis1=1, axis2=2))
+    return hess, lam, np.where(done[:, None], 0.0, mean), done
+
+
+def _lapack_solve(hess, lam, rhs):
+    return np.linalg.solve(hess + lam[:, None, None] * np.eye(rhs.shape[1]),
+                           rhs[:, :, None])[:, :, 0]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_closed_form_solves_meet_lapack(d):
+    # Cramer's rule against LU with partial pivoting, to rounding relative
+    # to each system's condition number; rows that are done step by 0
+    hess, lam, rhs, done = _lm_systems(np.random.default_rng(d), 400, d)
+    got = dual._lse_solve(hess, lam, rhs)
+    want = _lapack_solve(hess, lam, rhs)
+    assert np.all(got[done] == 0.0)
+    err = np.abs(got - want).max(axis=1)
+    cond = np.linalg.cond(hess + lam[:, None, None] * np.eye(d))
+    assert np.all(err <= 8.0 * np.finfo(float).eps * cond * np.abs(want).max(axis=1))
+
+
+def test_cramer_solves_unsymmetric_systems():
+    # the Hessians are symmetric only to rounding, so the 2 x 2 branch must
+    # solve the system itself, not its transpose
+    rng = np.random.default_rng(5)
+    hess = rng.uniform(-1.0, 1.0, (200, 2, 2)) + 3.0 * np.eye(2)
+    lam, rhs = rng.uniform(0.0, 1.0, 200), rng.uniform(-1.0, 1.0, (200, 2))
+    got, want = dual._lse_solve(hess, lam, rhs), _lapack_solve(hess, lam, rhs)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_lse_min_takes_the_lapack_kernels_steps(d, seed, monkeypatch):
+    # the closed-form kernel, with every np.linalg function refused, against
+    # the same kernel solving by LAPACK: the same steps and minima, on
+    # batches started near and far from their minimizers; each row's
+    # increments have mean 0 under positive weights, so it has a minimum
+    rng = np.random.default_rng(seed)
+    g, m = 60, 5
+    x = rng.uniform(-1.0, 1.0, (g, m, d)) * 10.0 ** rng.uniform(-1.0, 2.0, (g, 1, 1))
+    b = rng.uniform(-3.0, 3.0, (g, m))
+    b[::7, -1] = -np.inf                   # padding
+    x[::7, -1] = 0.0
+    w = rng.dirichlet(np.ones(m), g) * np.isfinite(b)
+    x -= np.where(np.isfinite(b)[..., None], (w[:, None, :] @ x) / w.sum(axis=1)[:, None, None],
+                  0.0)
+    k0 = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 1.0, (g, 1)), (g, d))
+
+    with monkeypatch.context() as mp:
+        for name in np.linalg.__all__:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                mp.setattr(np.linalg, name, None)
+        f, k, lw, mean, steps = dual._lse_min(b, x, k0)
+    monkeypatch.setattr(dual, "_lse_solve", _lapack_solve)
+    f1, k1, lw1, mean1, steps1 = dual._lse_min(b, x, k0)
+    assert steps == steps1 >= 1
+    assert np.all(np.abs(f - f1) <= 1e-15 * np.maximum(np.abs(f1), 1.0))
+
+
+def test_rows_at_an_exact_optimum_raise_no_warning():
+    # zero gradient and zero Hessian: increments all 0, or the weights on a
+    # child without an increment, the others underflowing; such rows stand
+    # still beside a row that steps, and divide nothing by zero
+    b = np.array([[0.0, 0.3, -0.2], [0.0, -1e4, -1e4], [0.1, -0.5, 0.2]])
+    x = np.array([[[0.0], [0.0], [0.0]], [[0.0], [1.0], [-1.0]], [[1.0], [-1.0], [0.5]]])
+    k0 = np.array([[0.7], [0.0], [0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, k, lw, mean, steps = dual._lse_min(b, x, k0)
+    assert steps >= 1 and np.array_equal(k[:2], k0[:2])
+    assert f[0] == pytest.approx(np.logaddexp.reduce(b[0]), rel=1e-15) and f[1] == 0.0
+    assert np.abs(mean[2]).max() <= 1e-15
+
+
+# three assets and five children a node: both levels are Newton batches,
+# each solved through np.linalg.solve
+_THREE_ASSETS = [[(1.2, 1.1, 0.9), (0.8, 1.0, 1.1), (1.0, 0.85, 1.2), (1.1, 1.15, 0.8),
+                  (0.9, 0.9, 1.0)]] * 2
+
+
+def _count_lapack_solves(monkeypatch):
+    calls, real = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    return calls
+
+
+def test_three_asset_batches_keep_the_lapack_solve(exp_pair, monkeypatch):
+    # steps and values pinned from the kernel that solved every batch by
+    # LAPACK and contracted by einsum
+    tree = treegen.product_market(_THREE_ASSETS, s0=(1.0, 1.0, 1.0))
+    rng = np.random.default_rng(0)
+    e, claim = rng.uniform(-1.0, 1.0, tree.n_leaves), rng.uniform(0.0, 2.0, tree.n_leaves)
+    calls = _count_lapack_solves(monkeypatch)
+    sol = solve_dual(tree, exp_pair, e)
+    assert len(calls) >= 2 and sol.iterations[0]["steps"] == 7
+    rep = price_report(tree, exp_pair, e, claim)
+    assert sol.value == pytest.approx(0.9215350694853266, rel=1e-15)
+    assert rep.bid == pytest.approx(1.1533587448825677, rel=1e-15)
+    assert rep.offer == pytest.approx(1.2588543674886339, rel=1e-15)
+
+
+@pytest.mark.parametrize("moves, s0", [
+    ([[1.2, 0.95, 0.85]] * 3, 1.0),
+    ([[1.3, 1.0, 0.8]] * 3, 1.0),
+    ([[(1.2, 1.1), (1.0, 0.8), (0.85, 1.05), (0.9, 0.95)]] * 3, (1.0, 1.0)),
+], ids=["one-asset", "up-flat-down", "two-asset"])
+def test_exponential_solves_of_one_or_two_assets_call_no_lapack_solve(moves, s0, exp_pair,
+                                                                        monkeypatch):
+    # the log-space pass solves its d <= 2 Newton systems in closed form
+    tree = treegen.product_market(moves, s0=s0)
+    rng = np.random.default_rng(1)
+    e, claim = rng.uniform(-1.0, 1.0, tree.n_leaves), rng.uniform(0.0, 2.0, tree.n_leaves)
+    geometry._support_structure(tree)
+    calls = _count_lapack_solves(monkeypatch)
+    assert solve_dual(tree, exp_pair, e).stationarity <= 1e-12
+    rep = price_report(tree, exp_pair, e, claim)
+    assert rep.bid <= rep.offer
+    assert calls == []
+
+
 def _two_power_instance(seed, n_assets):
     """A random tree with ``n_assets`` assets, a two-power pair and an
     endowment uniform on [-3, 3], all drawn from ``seed``."""

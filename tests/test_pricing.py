@@ -956,6 +956,23 @@ def test_mass_radius_follows_a_large_optimal_mass(tri1, exp_pair):
     assert all(c.dominated for c in rep.continuity)
 
 
+@pytest.mark.parametrize("none", [[], np.empty((0, 3))], ids=["list", "array"])
+@pytest.mark.parametrize("extra", [{"sequence": [0.0]}, {"claim": np.ones(3)}],
+                         ids=["sequence", "claim"])
+def test_sensitivity_around_no_endowment_is_a_domain_error(tri1, exp_pair, extra, none):
+    # a sequence converges to endowments[0] and a claim is priced at it
+    with pytest.raises(DomainError, match="endowment list is empty"):
+        endowment_sensitivity(tri1, exp_pair, none, **extra)
+
+
+def test_sensitivity_takes_endowment_rows_as_an_array(tri1, exp_pair):
+    rows = np.array([[0.3, -0.2, 0.1], [0.9, 0.3, 0.4]])
+    want = endowment_sensitivity(tri1, exp_pair, list(rows), sequence=[rows[0] + 0.1],
+                                 claim=np.ones(3))
+    assert endowment_sensitivity(tri1, exp_pair, rows, sequence=[rows[0] + 0.1],
+                                 claim=np.ones(3)) == want
+
+
 def test_mass_radius_overflow_is_typed(tri1, exp_pair):
     # the base solve itself overflows, before any radius is formed
     with pytest.raises(EvaluationOverflowError, match="dual objective"):
