@@ -16,21 +16,23 @@ by one Newton-core call started at the optimum.
   El Karoui, *Math. Finance* 10, 2000; Delbaen et al., *Exponential hedging
   and entropic penalties*, *Math. Finance* 12, 2002).  Each non-leaf node n
   takes ``L_n = min_k logsumexp_c(ln p_(c|n) + L_c - gamma k.dS_c)`` over its
-  live children, from ``L_leaf = -gamma e``; the value is
-  ``C - exp(L_root)/gamma``, the mass ``exp(L_root)``, the normalized
-  optimizer the product of the nodes' softmax weights and h_n the minimizer
-  k of node n.  Masses like e^-1000 are exact in this form.  One pass serves
-  a stack of endowments, each distinct row once.  A node with one valid
-  one-step vertex w0 (binomial nodes, d + 1 affinely independent
-  increments, a single live child) has no other martingale weights, so its
-  optimum is in closed form: the weights w0, ``L_n = sum_c w0_c (ln p_(c|n)
-  + L_c - ln w0_c)`` and k the exact fit of its exponents.  The nodes with a
-  choice make one Newton batch per level over all the endowments, each
-  started at the fit of its exponents to w0, the mean of its valid
-  vertices, which is the minimizer where w0 fixes the optimal weights'
-  ratios among the moving children (up/flat/down nodes).  The batch's
-  damped d x d systems are solved by Cramer's rule for up to two assets
-  and by LAPACK beyond.
+  live children, from ``L_leaf = -gamma e``, and h_n is the minimizer k.
+  The pass returns L and h, and the rest is read off them: the normalized
+  optimizer has the log weights ``ln p_(c|n) + L_c - L_n - gamma h_n.dS_c``,
+  whose path sums are its node log masses and give its drift, and every
+  optimum is a mass times it, the free one at mass ``exp(L_root)`` with
+  value ``C - exp(L_root)/gamma``.  Masses like e^-1000 are exact in this
+  form.  One pass serves a stack of endowments, each distinct row once.  A
+  node with one valid one-step vertex w0 (binomial nodes, d + 1 affinely
+  independent increments, a single live child) has no other martingale
+  weights, so its optimum is in closed form: the weights w0, ``L_n =
+  sum_c w0_c (ln p_(c|n) + L_c - ln w0_c)`` and k the exact fit of its
+  exponents.  The nodes with a choice make one Newton batch per level over
+  all the endowments, each started at the fit of its exponents to w0, the
+  mean of its valid vertices, which is the minimizer where w0 fixes the
+  optimal weights' ratios among the moving children (up/flat/down nodes).
+  The batch's damped d x d systems are solved by Cramer's rule for up to
+  two assets and by LAPACK beyond.
 * Two-power family, ``dynamic_dual`` and the tests' oracle: the optimal
   measure is the marginal utility of the optimal wealth, mu = p U'(e + gains),
   so the dual is solved through its primal, the unconstrained concave
@@ -54,7 +56,7 @@ by one Newton-core call started at the optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -78,11 +80,12 @@ class DualSolution:
     exponential family, and the primal value sum p U(e + gains) (- y x at a
     fixed mass y) at the Newton core's optimum, which equals the dual one.
     ``stationarity`` is the exit residual of the solver: for the exponential
-    family the largest one-step drift of the normalized optimizer over the
-    non-leaf nodes, |E[dS | n]| / (1 + |S_n|) in the max norm; for the Newton
-    core the scaled gradient of the primal, which is the martingale (and
-    mass) residual of mu.  ``mass_curvature`` is the core's W''(y), the
-    second derivative of the optimal value in a fixed mass y (else None).
+    family the largest one-step drift |E[dS | n]| / (1 + |S_n|) in the max
+    norm over the live non-leaf nodes, read off the node log masses of the
+    normalized optimizer; for the Newton core the scaled gradient of the
+    primal, which is the martingale (and mass) residual of mu.
+    ``mass_curvature`` is the core's W''(y), the second derivative of the
+    optimal value in a fixed mass y (else None).
     ``iterations`` logs the Newton steps taken (of a log-space pass, summed
     over levels of the most any endowment took).  ``mu`` and ``q_hat``, the
     optimal and normalized measures, are (L,) arrays in leaf order;
@@ -214,10 +217,8 @@ def _lse_min(b, x, k0):
     its predicted decrease below rounding.  Each point is evaluated once
     (:func:`_lse_point`), and its weights and x.k serve the Hessian and the
     rounding level of the gradient; the iterate is replaced whole when
-    every node accepts its step, else row by row (:func:`_rows`).  The log
-    weights ln w = b - x.k - f are formed at exit, exact where w
-    underflows.  Returns the minima, minimizers k, log softmax weights,
-    gradients E_w[x] (up to sign) and steps.
+    every node accepts its step, else row by row (:func:`_rows`).  Returns
+    the minima, the minimizers k and the steps.
     """
     top_b = b.max(axis=1)
     b = b - top_b[:, None]
@@ -265,8 +266,7 @@ def _lse_min(b, x, k0):
             k = np.where(ok[:, None], k + step, k)
             now = _rows(ok, trial, now)
         damp = np.where(ok, np.maximum(0.01 * damp / alpha, 1e-16), 4.0 * damp)
-    f, _, mean, xk = now
-    return f + top_b, k, b - xk - f[:, None], mean, steps
+    return now[0] + top_b, k, steps
 
 
 def _increments(lay, live, node):
@@ -290,19 +290,17 @@ def _live_levels(geo: SupportStructure):
     (g, m), log branch probabilities (-inf at padding and dead children),
     price increments (g, m, d; zero there and below a node with one live
     child), the start's operator ``fit`` (g, m, d) and shift ``ln(p / w0)``
-    (g, m; 0 off the live children), the live children with their flat
-    slots in (g, m), and 1 + |S_n|; live as in ``SupportStructure.live``,
-    and w0 the mean of a node's valid vertices (``geo.step_weights``),
-    positive on its live children; last, for a batch of one-vertex nodes,
-    w0 (that vertex), ln w0 at the slots and the largest one-step drift of
-    w0, else None.  The start ``k0 = Cov_w0(x)^+ Cov_w0(x, b - ln w0)`` =
-    sum_c fit_c (shift_c + L_c) / gamma fits ``b - ln w0`` by ``x.k + f`` in
-    w0-weighted least squares (x = gamma dS, b = ln p + L); the
-    pseudo-inverse, one batched eigh without eigenvalues below _TOL of the
-    largest, keeps k0 in the span of the increments, as the minimum-norm
-    minimizer.  All live non-leaf nodes are set up in one batch, padded to
-    the most children, and each batch is cut out and trimmed to its widest
-    node.
+    (g, m; 0 off the live children), and, for a batch of one-vertex nodes,
+    w0 (g, m), else None; live as in ``SupportStructure.live``, and w0 the
+    mean of a node's valid vertices (``geo.step_weights``), positive on its
+    live children and 0 elsewhere.  The start ``k0 = Cov_w0(x)^+ Cov_w0(x,
+    b - ln w0)`` = sum_c fit_c (shift_c + L_c) / gamma fits ``b - ln w0``
+    by ``x.k + f`` in w0-weighted least squares (x = gamma dS, b = ln p +
+    L); the pseudo-inverse, one batched eigh without eigenvalues below _TOL
+    of the largest, keeps k0 in the span of the increments, as the
+    minimum-norm minimizer.  All live non-leaf nodes are set up in one
+    batch, padded to the most children, and each batch is cut out and
+    trimmed to its widest node.
     """
     lay, w, live = geo.layout, geo.step_weights, geo.live
     starts = lay.level_starts
@@ -316,28 +314,19 @@ def _live_levels(geo: SupportStructure):
     w0 = np.where(on, w[kids], 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         lnp = np.where(on, np.log(lay.prob[kids]), -np.inf)
-        log_w0 = np.log(w0)
-        shift = np.where(on, lnp - log_w0, 0.0)
-    mean = np.einsum("gm,gmd->gd", w0, dS)
-    dev = dS - mean[:, None]
+        shift = np.where(on, lnp - np.log(w0), 0.0)
+    dev = dS - np.einsum("gm,gmd->gd", w0, dS)[:, None]
     ev, vec = np.linalg.eigh(np.einsum("gm,gmd,gme->gde", w0, dev, dev))
     inv = np.divide(1.0, ev, out=np.zeros_like(ev),
                     where=ev > _TOL * np.abs(ev[:, -1:]))
     fit = w0[..., None] * dev @ ((vec * inv[:, None]) @ vec.swapaxes(1, 2))
-    unit = 1.0 + np.abs(lay.prices[node]).max(axis=1)
     width = np.diff(lay.first_child, append=len(lay.ids))[node]
     run = np.flatnonzero(np.diff(key, prepend=-1))
     widths = np.maximum.reduceat(width, run).tolist()
-    drifts = np.maximum.reduceat(np.abs(mean).max(axis=1) / unit, run).tolist()
-    at = np.r_[0, np.cumsum(on.sum(axis=1))].tolist()   # node i's live children in kids[on]
-    on_kids, log_w0 = kids[on], log_w0[on]
     out = []
-    for a, b, m, drift in reversed(list(zip(run.tolist(), [*run[1:].tolist(), node.size],
-                                            widths, drifts))):
-        o, slots = on[a:b, :m], slice(at[a], at[b])
+    for a, b, m in reversed(list(zip(run.tolist(), [*run[1:].tolist(), node.size], widths))):
         out.append((node[a:b], kids[a:b, :m], lnp[a:b, :m], dS[a:b, :m], fit[a:b, :m],
-                    shift[a:b, :m], np.flatnonzero(o), on_kids[slots], unit[a:b],
-                    (w0[a:b, :m], log_w0[slots], drift) if single[a] else None))
+                    shift[a:b, :m], w0[a:b, :m] if single[a] else None))
     return tuple(out)
 
 
@@ -385,78 +374,77 @@ def _log_partition(tree, gamma, e):
     one call per level that has any: row j * g + i of its batch is
     endowment j at node i.  Where w0 fixes the ratios of the optimal
     weights among a node's moving children (up/flat/down nodes), k0 is the
-    minimizer too and the node takes no step.  Returns
-    per endowment L at every node (N,; 0 at the non-leaf nodes
+    minimizer too and the node takes no step.  The loop forms only L and
+    h; after it, the optimizer's log weights ``ln p_c + L_c - L_n - gamma
+    dS_c.h_n`` (-inf off the live nodes) are summed down the paths.
+    Returns per endowment L at every node (N,; 0 at the non-leaf nodes
     ``_live_levels`` drops), the strategy (inner, d) of minimizers k (0
-    where ``_live_levels`` zeroes dS or drops the node), the log normalized
-    optimizer on the leaves (-inf off the maximal support) and its largest
-    scaled one-step drift, and the steps."""
-    lay = tree.layout
+    where ``_live_levels`` zeroes dS or drops the node), the optimizer's
+    node log masses (N,) and its largest scaled one-step drift read off
+    them, and the steps."""
+    lay, geo = tree.layout, _support_structure(tree)
     r, inner = e.shape[0], lay.level_starts[-2]
     big_l = np.concatenate([np.zeros((r, inner)), -gamma * e], axis=1)
-    logw = np.where(np.arange(len(lay.ids)) == 0, 0.0, np.full((r, 1), -np.inf))
-    drift, steps, h = np.zeros(r), 0, np.zeros((r, inner, lay.prices.shape[1]))
-    for (node, kids, lnp, dS, fit, shift, slots, on_kids, unit,
-         one) in _live_levels(_support_structure(tree)):
+    steps, h = 0, np.zeros((r, inner, lay.prices.shape[1]))
+    for node, kids, lnp, dS, fit, shift, w0 in _live_levels(geo):
         g, kid_l = node.size, big_l.take(kids, axis=1)
         t = shift + kid_l                   # b - ln w0 on the live children
         k = np.einsum("gmd,jgm->jgd", fit, t) / gamma
-        if one is None:
-            f, k, lw, mean, used = _lse_min((lnp + kid_l).reshape(r * g, -1),
-                                            np.concatenate([gamma * dS] * r),
-                                            k.reshape(r * g, -1))
-            logw[:, on_kids] = lw.reshape(r, -1).take(slots, axis=1)
+        if w0 is None:
+            f, k, used = _lse_min((lnp + kid_l).reshape(r * g, -1),
+                                  np.concatenate([gamma * dS] * r), k.reshape(r * g, -1))
             steps += used
-            drift = np.maximum(drift, (np.abs(mean).max(axis=1).reshape(r, g)
-                                       / gamma / unit).max(axis=1))
         else:
-            w0, log_w0, w0_drift = one
             f = np.einsum("gm,jgm->jg", w0, t)
-            logw[:, on_kids] = log_w0
-            drift = np.maximum(drift, w0_drift)
         big_l[:, node], h[:, node] = f.reshape(r, g), k.reshape(r, g, -1)
-    return big_l, h, lay.path_sums(logw)[:, inner:], drift, steps
+    up = lay.parent                         # the root is its own parent: ln w = 0 there
+    dS = lay.prices - lay.prices[up]
+    log_w = np.log(lay.prob) + big_l - big_l[:, up] - gamma * np.einsum("nd,jnd->jn", dS, h[:, up])
+    ell = lay.path_sums(np.where(geo.live, log_w, -np.inf))
+    drift = np.abs(tree.one_step_expectation(dS, ell)).max(axis=2)
+    unit = 1.0 + np.abs(lay.prices[:inner]).max(axis=1)
+    return big_l, h, ell, np.where(geo.live[:inner], drift / unit, 0.0).max(axis=1), steps
 
 
 def _log_space_solutions(tree, pair, endows, log_mass=None) -> list[DualSolution]:
     """Exponential optima for a stack of endowments (r, L), row j at the log
     mass ``log_mass[j]`` if given (NaN at a free row), from one pass over
-    the distinct rows, each row read off its pass by :func:`_log_space_point`.
-    Raises nothing for extreme endowments: the log-mass stays exact when the
-    mass or the value leaves the floating-point range.
+    the distinct rows, each a solution with its mass open (NaN) that
+    :func:`_at_log_mass` reads the rows off.  Raises nothing for extreme
+    endowments: the log-mass stays exact when the mass or the value leaves
+    the floating-point range.
     """
     _, flag = _prepare(tree, pair)
     place = {}   # each distinct row's index in the pass, keyed by its bytes
     slots = [place.setdefault(ej.tobytes(), len(place)) for ej in endows]
     distinct = np.empty((len(place), tree.n_leaves))
     distinct[slots] = endows
-    log_ls, hs, log_qs, drifts, steps = _log_partition(tree, pair.params["gamma"], distinct)
-    drifts = drifts.tolist()
-    log_ys = np.full(len(slots), math.nan) if log_mass is None else log_mass
-    return [_log_space_point(tree, pair, ej, s, log_ls[i], log_qs[i], hs[i], drifts[i],
-                             flag, steps)
-            for ej, i, s in zip(endows, slots, np.asarray(log_ys, dtype=float).tolist())]
+    log_ls, hs, ells, drifts, steps = _log_partition(tree, pair.params["gamma"], distinct)
+    log_qs = ells[:, tree.layout.level_starts[-2]:]
+    opened = [_solution(tree, pair, e, None, np.exp(log_q), log_q, math.nan, math.nan, math.nan,
+                        drift, flag, steps, h, log_l=log_l)
+              for e, log_l, log_q, h, drift in zip(distinct, log_ls, log_qs, hs, drifts.tolist())]
+    log_ys = [math.nan] * len(slots) if log_mass is None else np.asarray(log_mass, float).tolist()
+    return [_at_log_mass(opened[i], s) for i, s in zip(slots, log_ys)]
 
 
-def _log_space_point(tree, pair, e, s, log_l, log_q, h, residual, flag, steps):
-    """The exponential optimum of endowment ``e`` at log mass ``s`` (NaN:
-    free) from its log-space pass: L (N,), ln q_hat (L,), the strategy, the
-    residual, the support flag and the steps.  The normalized optimizer and
-    the strategy do not depend on the mass, so the fixed-mass optimum is
-    ``e^s q_hat`` with value ``C + e^s (s - 1 - L_root)/gamma`` (Delbaen et
-    al. 2002), exact in s where e^s underflows; the free one is at
-    s = L_root, with value ``C - e^s/gamma``.
+def _at_log_mass(sol, s):
+    """The exponential optimum of ``sol``'s problem at log mass ``s`` (NaN:
+    free), read off its log-space pass: L, ln q_hat and the strategy do not
+    depend on the mass, so the fixed-mass optimum is ``e^s q_hat`` with
+    value ``C + e^s (s - 1 - L_root)/gamma`` (Delbaen et al. 2002), exact
+    in s where e^s underflows; the free one is at s = L_root, with value
+    ``C - e^s/gamma``.
     """
-    gamma, c = pair.params["gamma"], pair.params["C"]
-    log_z = float(log_l[0])
+    gamma, c = sol.pair.params["gamma"], sol.pair.params["C"]
+    log_z = float(sol._log_l[0])
     free = math.isnan(s)
     log_y = log_z if free else s
     y = _mass(log_y)
     value = c - y / gamma if free else c + y * (log_y - 1.0 - log_z) / gamma
     with np.errstate(over="ignore"):
-        mu = np.exp(log_y + log_q)
-    return _solution(tree, pair, e, mu, np.exp(log_q), log_q, y, log_y, value, residual,
-                     flag, steps, h, log_l=log_l)
+        mu = np.exp(log_y + sol._log_q)
+    return replace(sol, mass=y, value=value, mu=mu, _log_mass=log_y)
 
 
 # -- Newton core ------------------------------------------------------------------
@@ -843,9 +831,9 @@ def dual_value_curve(sol: DualSolution, ys: Sequence[float], *,
     subnormal mass exact.
 
     Each point is the inner optimum at its pinned mass e^s, read off the
-    solved problem: for the exponential family in closed form from
-    ``sol``'s log-space pass (:func:`_log_space_point`, the measure
-    e^s q_hat), otherwise by one Newton-core call whose rows start at
+    solved problem: for the exponential family in closed form by
+    :func:`_at_log_mass` from ``sol`` itself (the measure e^s q_hat),
+    otherwise by one Newton-core call whose rows start at
     ``sol.mu * e^(s - ln m)``, m = ``sol.mass``; raises the first row's
     error.  A point's ``y`` is the caller's mass, or e^s (which may
     underflow).  The report carries a numeric convexity certificate, on
@@ -866,9 +854,7 @@ def dual_value_curve(sol: DualSolution, ys: Sequence[float], *,
         raise DomainError("curve masses must be distinct")
     ss = ys if log else [math.log(y) for y in ys]
     if sol._log_l is not None:
-        sols = [_log_space_point(sol.tree, sol.pair, sol._endow_arr, s, sol._log_l,
-                                 sol._log_q, sol._h_arr, sol.stationarity, sol.support,
-                                 sol.iterations[-1]["steps"]) for s in ss]
+        sols = [_at_log_mass(sol, s) for s in ss]
     else:
         with np.errstate(over="ignore"):
             starts = sol.mu * np.exp(np.array(ss) - sol._log_mass)[:, None]

@@ -568,8 +568,9 @@ def log_masses(q: np.ndarray) -> np.ndarray:
 def leaf_values(tree: MarketTree, x) -> np.ndarray:
     """Coerce an array / scalar / mapping (or :class:`RandomVariable`) from
     leaf id to value to an (L,) array in leaf order; a mapping must name
-    every leaf and no other key.  Raises :class:`DomainError` on a NaN or
-    infinite value."""
+    every leaf and no other key; a real scalar, NumPy's too (also 0-d), is
+    the same on every leaf, and a string or a NumPy bool is not a scalar.
+    Raises :class:`DomainError` on a NaN or infinite value."""
     if isinstance(x, RandomVariable):
         x = x.values
     if isinstance(x, Mapping):
@@ -582,7 +583,7 @@ def leaf_values(tree: MarketTree, x) -> np.ndarray:
         if len(x) != len(ids):
             extra = set(x) - set(ids)
             raise ParseError(f"random variable has unknown leaves: {sorted(extra)[:5]}")
-    elif isinstance(x, (int, float)):
+    elif isinstance(x, (int, float)) or getattr(x, "shape", None) == () and x.dtype.kind in "iuf":
         arr = np.full(tree.n_leaves, float(x))
     else:
         arr = np.asarray(x, dtype=float)

@@ -599,7 +599,8 @@ def endowment_sensitivity(tree: MarketTree, pair: UtilityPair, endowments, *,
     ``sequence`` or a ``claim`` with no endowments is a
     :class:`DomainError`: both are read around e.
     """
-    if len(endowments) == 0 and (sequence or claim is not None):
+    seq = [leaf_values(tree, e) for e in (() if sequence is None else sequence)]
+    if len(endowments) == 0 and (seq or claim is not None):
         raise DomainError("a sequence or a claim needs a base endowment, "
                           "and the endowment list is empty")
     endowments = [leaf_values(tree, e) for e in endowments]
@@ -628,8 +629,7 @@ def endowment_sensitivity(tree: MarketTree, pair: UtilityPair, endowments, *,
 
     continuity = []
     radius = None
-    if sequence:
-        seq = [leaf_values(tree, e) for e in sequence]
+    if seq:
         seq_sols = [solve_dual(tree, pair, e) for e in seq]
         radius = max(s.mass for s in sols + seq_sols)
         base = values[0]

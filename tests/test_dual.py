@@ -14,7 +14,7 @@ from treedual import (DomainError, EvaluationOverflowError, InfeasibleEntropyErr
                       dual_derivative,
                       dual_value_curve, exponential_utility, leaf_values,
                       load_market, market_from_dict,
-                      optimal_measure_price_process, price_report,
+                      optimal_measure_price_process, price_report, recover,
                       relative_entropy, run_battery, solve_dual,
                       solve_dual_fixed_mass,
                       two_power_utility, vertex_enumerate)
@@ -592,10 +592,7 @@ def _live_levels_by_level(geo):
             inv = np.divide(1.0, ev, out=np.zeros_like(ev),
                             where=ev > geometry._TOL * np.abs(ev[:, -1:]))
             fit = w0[..., None] * dev @ ((vec * inv[:, None]) @ vec.swapaxes(1, 2))
-            unit = 1.0 + np.abs(lay.prices[node]).max(axis=1)
-            drift = np.abs(np.einsum("gm,gmd->gd", w0, dS)).max(axis=1) / unit
-            out.append((node, kids, lnp, dS, fit, shift, np.flatnonzero(on), kids[on], unit,
-                        (w0, np.log(w0[on]), float(drift.max())) if one else None))
+            out.append((node, kids, lnp, dS, fit, shift, w0 if one else None))
     return tuple(out)
 
 
@@ -604,12 +601,10 @@ def _assert_live_levels_match_the_oracle(tree):
     want = _live_levels_by_level(geometry._support_structure(tree))
     assert len(got) == len(want)
     for level, ref in zip(got, want):
-        assert (level[-1] is None) == (ref[-1] is None)
-        for a, b in zip(level[:-1] + (level[-1] or ()), ref[:-1] + (ref[-1] or ())):
-            if not isinstance(b, np.ndarray):
-                assert a == b
-                continue
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert len(level) == len(ref) == 7 and (level[-1] is None) == (ref[-1] is None)
+        for a, b in zip(level, ref):
+            if b is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -890,22 +885,67 @@ def test_one_vertex_nodes_take_the_newton_loops_optimum_in_closed_form(name, gam
     tree = _ONE_VERTEX_TREES[name]()
     rng = np.random.default_rng(int(gamma * 10))
     e = rng.uniform(-3.0 / gamma, 3.0 / gamma, (3, tree.n_leaves))
-    big_l, h, _, _, _ = dual._log_partition(tree, gamma, e)
+    big_l, h, ell, _, _ = dual._log_partition(tree, gamma, e)
     batches = [b for b in dual._live_levels(geometry._support_structure(tree))
                if b[-1] is not None]
     assert batches
-    for node, kids, lnp, dS, fit, shift, slots, _, _, (w0, log_w0, _) in batches:
+    for node, kids, lnp, dS, fit, shift, w0 in batches:
         r, g = len(e), node.size
         kid_l = big_l.take(kids, axis=1)
         k0 = np.einsum("gmd,jgm->jgd", fit, shift + kid_l) / gamma
-        f, k, lw, _, steps = dual._lse_min((lnp + kid_l).reshape(r * g, -1),
-                                           np.concatenate([gamma * dS] * r),
-                                           k0.reshape(r * g, -1))
+        f, k, steps = dual._lse_min((lnp + kid_l).reshape(r * g, -1),
+                                    np.concatenate([gamma * dS] * r), k0.reshape(r * g, -1))
         assert steps == 0
         terms = np.einsum("gm,jgm->jg", w0, np.abs(shift + kid_l)).ravel()
         assert np.all(np.abs(big_l[:, node].ravel() - f) <= 1e-15 * terms)
         assert np.array_equal(h[:, node].reshape(r * g, -1), k)
-        assert np.abs(lw.reshape(r, -1).take(slots, axis=1) - log_w0).max() <= 4e-15
+        # the optimizer's log weights, read off its node log masses, are ln w0
+        on = w0 > 0
+        lw = ell.take(kids, axis=1) - ell[:, node, None]
+        assert np.abs(lw[:, on] - np.log(w0[on])).max() <= 4e-15
+
+
+_UNIT_MOVES = [(1.2, 1.1), (0.9, 1.15), (1.0, 0.8)]
+
+
+def _assert_unit_free(moves, s2):
+    # pricing the second asset in units of s2 rescales its strategy by 1/s2
+    # and changes nothing else: the value, the strategy at every node in
+    # the s2 = 1 units and the primal value recovered from it
+    pair = exponential_utility(1.0, 2.0)
+    ref_tree = treegen.product_market([moves] * 2, s0=(1.0, 1.0))
+    e = np.linspace(-0.5, 0.5, ref_tree.n_leaves)
+    ref = solve_dual(ref_tree, pair, e)
+    tree = treegen.product_market([moves] * 2, s0=(1.0, s2))
+    sol = solve_dual(tree, pair, e)
+    assert sol.value == pytest.approx(ref.value, rel=1e-12)
+    assert np.abs(sol._h_arr * [1.0, s2] - ref._h_arr).max() <= 1e-9
+    assert recover(tree, pair, e, sol).value == pytest.approx(sol.value, rel=1e-12)
+    return ref
+
+
+@pytest.mark.parametrize("s2", [
+    1e-3, 1e-6,
+    pytest.param(1e-7, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="open defect: the start's pseudo-inverse cuts the unscaled w0-covariance "
+               "at _TOL of its largest eigenvalue, a squared price scale, and drops "
+               "the small asset's direction"))])
+def test_one_vertex_nodes_do_not_depend_on_asset_units(s2):
+    ref = _assert_unit_free(_UNIT_MOVES, s2)
+    assert ref.value == pytest.approx(1.17087490898, abs=1e-11)
+    assert ref._h_arr[0, 1] == pytest.approx(2.19315, abs=5e-6)
+
+
+@pytest.mark.parametrize("s2", [
+    1e-3, 1e-6,
+    pytest.param(1e-9, marks=pytest.mark.xfail(
+        strict=True, raises=NonconvergedError,
+        reason="open defect: _lse_min damps relative to the trace of the unscaled "
+               "Hessian, and its steps grow from 7 to 20 as s2 falls from 1 to 1e-7"))])
+def test_newton_batches_do_not_depend_on_asset_units(s2):
+    # a fourth move gives every node a choice of weights
+    _assert_unit_free(_UNIT_MOVES + [(1.1, 0.95)], s2)
 
 
 def test_levels_without_a_choice_make_no_newton_batch(exp_pair, monkeypatch):
@@ -933,7 +973,7 @@ def test_lse_min_doubles_only_clipped_steps(monkeypatch):
     x = rng.uniform(-1.0, 1.0, (40, 4, 1))
     x[:, :2, 0] = [1.0, -1.0]
     b = rng.uniform(-1.0, 1.0, (40, 4))
-    f, k, _, _, _ = dual._lse_min(b, x, np.zeros((40, 1)))
+    f, k, _ = dual._lse_min(b, x, np.zeros((40, 1)))
     points = []
 
     def counted(*args, _fn=dual._lse_point):
@@ -941,12 +981,12 @@ def test_lse_min_doubles_only_clipped_steps(monkeypatch):
         return _fn(*args)
     monkeypatch.setattr(dual, "_lse_point", counted)
     # from 1e-2 off the minimizer no step moves an exponent by a unit
-    f1, _, _, _, steps = dual._lse_min(b, x, k + 1e-2)
+    f1, _, steps = dual._lse_min(b, x, k + 1e-2)
     assert steps >= 1 and len(points) == 1 + steps
     assert np.abs(f1 - f).max() <= 1e-15 * np.abs(f).max()
     # from 40 off, the first steps are clipped and doubled
     points.clear()
-    f2, _, _, _, steps = dual._lse_min(b, x, k + 40.0)
+    f2, _, steps = dual._lse_min(b, x, k + 40.0)
     assert len(points) > 1 + steps
     assert np.abs(f2 - f).max() <= 1e-15 * np.abs(f).max()
 
@@ -1023,9 +1063,9 @@ def test_lse_min_takes_the_lapack_kernels_steps(d, seed, monkeypatch):
             fn = getattr(np.linalg, name)
             if callable(fn) and not isinstance(fn, type):
                 mp.setattr(np.linalg, name, None)
-        f, k, lw, mean, steps = dual._lse_min(b, x, k0)
+        f, k, steps = dual._lse_min(b, x, k0)
     monkeypatch.setattr(dual, "_lse_solve", _lapack_solve)
-    f1, k1, lw1, mean1, steps1 = dual._lse_min(b, x, k0)
+    f1, k1, steps1 = dual._lse_min(b, x, k0)
     assert steps == steps1 >= 1
     assert np.all(np.abs(f - f1) <= 1e-15 * np.maximum(np.abs(f1), 1.0))
 
@@ -1039,7 +1079,8 @@ def test_rows_at_an_exact_optimum_raise_no_warning():
     k0 = np.array([[0.7], [0.0], [0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        f, k, lw, mean, steps = dual._lse_min(b, x, k0)
+        f, k, steps = dual._lse_min(b, x, k0)
+        mean = dual._lse_point(b, x, k)[2]   # the gradient at the minimizers
     assert steps >= 1 and np.array_equal(k[:2], k0[:2])
     assert f[0] == pytest.approx(np.logaddexp.reduce(b[0]), rel=1e-15) and f[1] == 0.0
     assert np.abs(mean[2]).max() <= 1e-15

@@ -4,8 +4,12 @@ The family picks the solver in one place, ``dual._solutions``, and each
 price's method in its search (the entropic penalty's too: a closed form for
 the exponential family); the other readers are the exponential-only
 Snell envelope, the battery's family-specific checks and the pair's own
-description.  Stdlib ``ast`` only: the qualified name (``module.Class.f``)
-of each function whose body reads an attribute named ``family``.
+description.  A solution answers the same question itself: its
+log-partition ``_log_l`` is set for the exponential family alone, so
+``sol._log_l is not None`` is a second test of the family, and its readers
+are pinned too.  Stdlib ``ast`` only: the qualified name
+(``module.Class.f``) of each function whose body reads an attribute named
+``family`` (or ``_log_l``).
 """
 
 import ast
@@ -22,6 +26,13 @@ READERS = {
     "recovery.snell_envelope_exponential",
     "checks.run_battery",
     "utility.UtilityPair.describe",
+}
+
+LOG_PARTITION_READERS = {
+    "dual.DualSolution.terminal_gain",
+    "dual._at_log_mass",
+    "dual.dual_value_curve",
+    "recovery.dynamic_dual",
 }
 
 
@@ -53,6 +64,13 @@ def test_family_is_read_only_where_a_method_is_chosen():
     for path in sorted(PACKAGE.glob("*.py")):
         found |= family_readers(path.read_text(), path.stem)
     assert found == READERS
+
+
+def test_log_partition_is_read_only_by_the_known_readers():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= attribute_readers(path.read_text(), path.stem, "_log_l")
+    assert found == LOG_PARTITION_READERS
 
 
 def test_family_readers_are_found():

@@ -198,6 +198,24 @@ def test_random_variable_coverage(tri1):
 
 
 
+@pytest.mark.parametrize("x", [1, 0.5, True, np.int64(1), np.int32(-2), np.uint8(3),
+                               np.float32(0.5), np.float64(0.5), np.array(0.5),
+                               np.array(2, dtype=np.int16)],
+                         ids=["int", "float", "bool", "int64", "int32", "uint8", "float32",
+                              "float64", "0-d float", "0-d int16"])
+def test_numeric_scalars_are_the_same_on_every_leaf(tri1, x):
+    assert np.array_equal(leaf_values(tri1, x), np.full(3, float(x)))
+    pair = exponential_utility(1.0, 2.0)
+    assert solve_dual(tri1, pair, x).value == solve_dual(tri1, pair, float(x)).value
+
+
+@pytest.mark.parametrize("x", ["0.5", np.str_("0.5"), np.bool_(True), np.array(True)],
+                         ids=["str", "numpy str", "numpy bool", "0-d bool"])
+def test_strings_and_numpy_bools_are_not_scalars(tri1, x):
+    with pytest.raises(ValueError, match="expected 3 leaf values"):
+        leaf_values(tri1, x)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_leaf_values_raise_domain_error(tri1, bad):
     forms = [np.array([bad, 0.0, 0.0]), [0.0, bad, 0.0], bad,

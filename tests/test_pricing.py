@@ -973,6 +973,18 @@ def test_sensitivity_takes_endowment_rows_as_an_array(tri1, exp_pair):
                                  claim=np.ones(3)) == want
 
 
+@pytest.mark.parametrize("shifts", [[1.0, 0.5], []], ids=["two rows", "no rows"])
+def test_sensitivity_takes_sequence_rows_as_an_array(tri1, exp_pair, shifts):
+    # the sequence is tested by its length, as the endowments are
+    e0 = np.array([0.3, -0.2, 0.1])
+    rows = [e0 + x for x in shifts]
+    want = endowment_sensitivity(tri1, exp_pair, [e0], sequence=rows)
+    got = endowment_sensitivity(tri1, exp_pair, [e0],
+                                sequence=np.array(rows).reshape(len(rows), 3))
+    assert got == want and len(got.continuity) == len(rows)
+    assert got.mass_radius == (pytest.approx(0.94038, abs=5e-6) if rows else None)
+
+
 def test_mass_radius_overflow_is_typed(tri1, exp_pair):
     # the base solve itself overflows, before any radius is formed
     with pytest.raises(EvaluationOverflowError, match="dual objective"):
