@@ -19,7 +19,7 @@ by one Newton-core call started at the optimum.
   live children, from ``L_leaf = -gamma e``, and h_n is the minimizer k.
   The pass returns L and h, and the rest is read off them: the normalized
   optimizer has the log weights ``ln p_(c|n) + L_c - L_n - gamma h_n.dS_c``,
-  whose path sums are its node log masses and give its drift, and every
+  which give its drift and whose path sums are its node log masses, and every
   optimum is a mass times it, the free one at mass ``exp(L_root)`` with
   value ``C - exp(L_root)/gamma``.  Masses like e^-1000 are exact in this
   form.  One pass serves a stack of endowments, each distinct row once.  A
@@ -81,8 +81,8 @@ class DualSolution:
     fixed mass y) at the Newton core's optimum, which equals the dual one.
     ``stationarity`` is the exit residual of the solver: for the exponential
     family the largest one-step drift |E[dS | n]| / (1 + |S_n|) in the max
-    norm over the live non-leaf nodes, read off the node log masses of the
-    normalized optimizer; for the Newton core the scaled gradient of the
+    norm over the live non-leaf nodes, read off the one-step log weights of
+    the normalized optimizer; for the Newton core the scaled gradient of the
     primal, which is the martingale (and mass) residual of mu.
     ``mass_curvature`` is the core's W''(y), the second derivative of the
     optimal value in a fixed mass y (else None).
@@ -376,12 +376,12 @@ def _log_partition(tree, gamma, e):
     weights among a node's moving children (up/flat/down nodes), k0 is the
     minimizer too and the node takes no step.  The loop forms only L and
     h; after it, the optimizer's log weights ``ln p_c + L_c - L_n - gamma
-    dS_c.h_n`` (-inf off the live nodes) are summed down the paths.
-    Returns per endowment L at every node (N,; 0 at the non-leaf nodes
+    dS_c.h_n`` (-inf off the live nodes) give the drift and are summed
+    down the paths.  Returns per endowment L at every node (N,; 0 at the non-leaf nodes
     ``_live_levels`` drops), the strategy (inner, d) of minimizers k (0
     where ``_live_levels`` zeroes dS or drops the node), the optimizer's
-    node log masses (N,) and its largest scaled one-step drift read off
-    them, and the steps."""
+    node log masses (N,), its largest scaled one-step drift and the
+    steps."""
     lay, geo = tree.layout, _support_structure(tree)
     r, inner = e.shape[0], lay.level_starts[-2]
     big_l = np.concatenate([np.zeros((r, inner)), -gamma * e], axis=1)
@@ -399,11 +399,11 @@ def _log_partition(tree, gamma, e):
         big_l[:, node], h[:, node] = f.reshape(r, g), k.reshape(r, g, -1)
     up = lay.parent                         # the root is its own parent: ln w = 0 there
     dS = lay.prices - lay.prices[up]
-    log_w = np.log(lay.prob) + big_l - big_l[:, up] - gamma * np.einsum("nd,jnd->jn", dS, h[:, up])
-    ell = lay.path_sums(np.where(geo.live, log_w, -np.inf))
-    drift = np.abs(tree.one_step_expectation(dS, ell)).max(axis=2)
+    log_w = np.where(geo.live, np.log(lay.prob) + big_l - big_l[:, up]
+                     - gamma * np.einsum("nd,jnd->jn", dS, h[:, up]), -np.inf)
+    drift = np.add.reduceat(np.exp(log_w[:, 1:, None]) * dS[1:], lay.first_child - 1, axis=1)
     unit = 1.0 + np.abs(lay.prices[:inner]).max(axis=1)
-    return big_l, h, ell, np.where(geo.live[:inner], drift / unit, 0.0).max(axis=1), steps
+    return big_l, h, lay.path_sums(log_w), (np.abs(drift).max(axis=2) / unit).max(axis=1), steps
 
 
 def _log_space_solutions(tree, pair, endows, log_mass=None) -> list[DualSolution]:

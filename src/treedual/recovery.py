@@ -61,12 +61,16 @@ def recover(tree: MarketTree, pair: UtilityPair, endow,
 
     Requires an equivalent (full-support) optimal measure; with a degenerate
     optimizer the candidate wealth is infinite on the null leaves and no
-    primal optimizer exists.  Two residuals above 1e-8 (scaled) are solver
+    primal optimizer exists.  Residuals above 1e-8 (scaled) are solver
     failures, not mathematical outcomes, and raise
     :class:`ReplicationGapError`: the first-order condition U'(X + e) = the
     density, and max |X - wealth| over the leaves q charges, which compares
     the dual side (X from the measure) with the primal side (h) and names
-    the worst leaf.  ``tree``, ``pair`` and ``endow`` must be the problem
+    the worst leaf.  The exponential measure is itself read off h, so X
+    and the wealth share h's gains; there the one-step drift of q in each
+    asset at each node it charges, against the node's largest increment
+    in that asset (in the asset's own units), tests h before X meets the
+    wealth, and names the worst node.  ``tree``, ``pair`` and ``endow`` must be the problem
     ``sol`` solved, else :class:`DomainError`.
     """
     e = leaf_values(tree, endow)
@@ -85,6 +89,18 @@ def recover(tree: MarketTree, pair: UtilityPair, endow,
 
     q, lay, on = sol.q_hat, tree.layout, sol.charged[-tree.n_leaves:]
     inner = lay.level_starts[-2]
+    if sol._log_l is not None:   # the measure is read off h: its drift tests h
+        dS = lay.prices - lay.prices[lay.parent]
+        top = np.maximum.reduceat(np.abs(dS[1:]), lay.first_child - 1, axis=0)
+        drift = np.abs(tree.one_step_expectation(dS, sol.node_log_q))
+        rel = np.divide(drift, top, out=np.zeros_like(drift),
+                        where=sol.charged[:inner, None] & (top > 0)).max(axis=1)
+        worst = int(np.argmax(rel))
+        if rel[worst] > _REPLICATION_TOL:
+            raise ReplicationGapError(
+                f"martingale residual {rel[worst]:.3e} of the optimal measure at node "
+                f"{lay.ids[worst]!r} exceeds {_REPLICATION_TOL:.1e} (per asset, of its "
+                "largest increment)", node_id=lay.ids[worst], residual=float(rel[worst]))
     wealth = float(q[on] @ x[on]) + tree.gains(sol._h_arr)
     gap = np.where(on, np.abs(x - wealth[inner:]), 0.0)
     resid = float(gap.max())

@@ -33,6 +33,7 @@ LOG_PARTITION_READERS = {
     "dual._at_log_mass",
     "dual.dual_value_curve",
     "recovery.dynamic_dual",
+    "recovery.recover",
 }
 
 
