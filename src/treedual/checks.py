@@ -103,7 +103,6 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     sol = solve_dual(tree, pair, endow)
     geo, lay, inner = _support_structure(tree), tree.layout, tree.layout.level_starts[-2]
     charged, live = sol.charged[:inner], sol.charged[inner:]
-    dS, firsts, top = _steps(tree)
 
     # the one-step price drift at every charged node, weighted by its mass
     drift = tree.one_step_expectation(lay.prices, sol.node_log_q) - lay.prices[:inner]
@@ -116,17 +115,16 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     # the charged children (the columns of the tree's strategy basis)
     x = np.where(live, sol.terminal_gain, 0.0)
     cond = tree.conditional_expectation(x, sol.node_log_q)
-    kid = np.where(sol.charged[1:], cond[1:] - cond[lay.parent[1:]], 0.0)
-    fit = _per_node_fits(tree, np.where(sol.charged[1:, None], dS, 0.0), kid, charged,
-                         _strategy_basis(geo).reshape(inner, -1))
+    kid = np.where(sol.charged, cond - cond[lay.parent], 0.0)
+    fit = _per_node_fits(lay, kid, sol.charged, _strategy_basis(geo).reshape(inner, -1))
     kkt = float(np.abs(fit).max(initial=0.0)) / (1.0 + float(np.abs(x[live]).max()))
     add("dual first-order conditions", kkt, 1e-8)
 
     # the certificates of the support pass, each checked on the prices
     # alone: the flag holds when they prove it, and q_hat must charge every
     # leaf the measure charges and no leaf where the arbitrage gains
-    on, measure_ok = _measure_certificate(lay, dS, firsts, top, geo.step_weights)
-    gains, scale = _arbitrage_gains(lay, dS, top, geo.arbitrage)
+    on, measure_ok = _measure_certificate(lay, geo.step_weights)
+    gains, scale = _arbitrage_gains(lay, geo.arbitrage)
     loses = bool((gains < -_CERTIFICATE_TOL * scale).any())
     cut = gains > _CERTIFICATE_TOL * scale
     if sol.support == "EQUIVALENT":
@@ -209,54 +207,46 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
 _CERTIFICATE_TOL = _TOL
 
 
-def _steps(tree):
-    """The price increments (N - 1, d) of the nodes below the root, each
-    non-leaf node's first child among them (a ``reduceat`` start) and its
-    largest increment per asset (n, d)."""
-    lay = tree.layout
-    dS, firsts = lay.prices[1:] - lay.prices[lay.parent[1:]], lay.first_child - 1
-    return dS, firsts, np.maximum.reduceat(np.abs(dS), firsts, axis=0)
-
-
-def _measure_certificate(lay, dS, firsts, top, w):
+def _measure_certificate(lay, w):
     """The leaves that one-step weights ``w`` (N,) charge, multiplied down
     the paths from the root, and whether they are a martingale probability:
     at every node they reach, non-negative on its children, summing to 1
     and with no drift, each to ``_CERTIFICATE_TOL`` of the node's largest
-    increment per asset.  Reads nothing but the prices and ``w``."""
+    increment per asset (the layout's ``step`` and ``top``).  Reads nothing
+    but the layout and ``w``."""
+    firsts = lay.first_child - 1
     reach = lay.path_sums(np.r_[0.0, np.where(w[1:] > 0, 0.0, -np.inf)]) > -np.inf
-    drift = np.add.reduceat(w[1:, None] * dS, firsts, axis=0)
+    drift = np.add.reduceat(w[1:, None] * lay.step[1:], firsts, axis=0)
     bad = ((np.abs(np.add.reduceat(w[1:], firsts) - 1.0) > _CERTIFICATE_TOL)
-           | (np.abs(drift) > _CERTIFICATE_TOL * top).any(axis=1)
+           | (np.abs(drift) > _CERTIFICATE_TOL * lay.top).any(axis=1)
            | (np.minimum.reduceat(w[1:], firsts) < 0))
     return reach[lay.level_starts[-2]:], not bool((bad & reach[:bad.size]).any())
 
 
-def _arbitrage_gains(lay, dS, top, h):
+def _arbitrage_gains(lay, h):
     """The gains of the strategy ``h`` (n, d) at every leaf and their
     scale: along the path, the sum of |h| times the node's largest
-    increment per asset.  Reads nothing but the prices and ``h``."""
-    par, step = lay.parent[1:], np.zeros((2, len(lay.ids)))
-    step[0, 1:] = np.einsum("nd,nd->n", h[par], dS)
-    step[1, 1:] = (np.abs(h[par]) * top[par]).sum(axis=1)
-    return lay.path_sums(step)[:, lay.level_starts[-2]:]
+    increment per asset (the layout's ``step`` and ``top``).  Reads nothing
+    but the layout and ``h``."""
+    par, g = lay.parent[1:], np.zeros((2, len(lay.ids)))
+    g[0, 1:] = np.einsum("nd,nd->n", h[par], lay.step[1:])
+    g[1, 1:] = (np.abs(h[par]) * lay.top[par]).sum(axis=1)
+    return lay.path_sums(g)[:, lay.level_starts[-2]:]
 
 
-def _per_node_fits(tree, dS, y, nodes, basis):
-    """Residuals (N - 1,) of the least-squares fits of ``y`` (N - 1,) on each
-    node's children by their increments ``dS`` (N - 1, d), restricted to the
-    columns ``basis`` (n, d), at the non-leaf ``nodes`` (a mask; other nodes
-    read 0): one batched :func:`_qr_fits` over the nodes, padded to the
-    most children."""
-    lay = tree.layout
-    node = np.flatnonzero(nodes)
-    count = np.diff(lay.first_child, append=len(lay.ids))[node]
-    row = lay.first_child[node, None] - 1 + np.arange(count.max(initial=1))
-    pad = np.arange(row.shape[1]) >= count[:, None]
-    row[pad] = 0
-    J = np.where(pad[..., None] | ~basis[node, None], 0.0, dS[row])
-    T = np.where(pad, 0.0, y[row])[..., None]
+def _per_node_fits(lay, y, charged, basis):
+    """Residuals (N,) of the least-squares fits of ``y`` (N,) on each
+    ``charged`` (N,) non-leaf node's children by their increments (the
+    layout's ``step``, zero off the charged children), restricted to the
+    columns ``basis`` (n, d); other nodes read 0.  One batched
+    :func:`_qr_fits` over the nodes, on the layout's padded ``kids`` cut
+    to the widest of them."""
+    node = np.flatnonzero(charged[:lay.level_starts[-2]])
+    m = lay.on[node].sum(axis=1).max(initial=1)
+    kids, pad = lay.kids[node, :m], ~lay.on[node, :m]
+    J = np.where((pad | ~charged[kids])[..., None] | ~basis[node, None], 0.0, lay.step[kids])
+    T = np.where(pad, 0.0, y[kids])[..., None]
     res = T - J @ _qr_fits(J, T)
     out = np.zeros(y.size)
-    out[row[~pad]] = res[..., 0][~pad]
+    out[kids[~pad]] = res[..., 0][~pad]
     return out

@@ -270,15 +270,14 @@ def _lse_min(b, x, k0):
 
 
 def _increments(lay, live, node):
-    """The padded children (g, m) of the non-leaf nodes ``node`` (g,), the
-    mask of the live ones, and the price increments (g, m, d), zero off the
-    live children and below a node with one live child."""
-    n = len(lay.ids)
-    count = np.diff(lay.first_child, append=n)[node]
-    kids = np.minimum(lay.first_child[node, None] + np.arange(count.max()), n - 1)
-    on = (np.arange(kids.shape[1]) < count[:, None]) & live[kids]
-    dS = np.where((on & (on.sum(axis=1, keepdims=True) > 1))[..., None],
-                  lay.prices[kids] - lay.prices[node, None], 0.0)
+    """The layout's padded children ``kids`` (g, m) of the non-leaf nodes
+    ``node`` (g,), cut to the widest of them, the mask of the live ones,
+    and their ``step`` (g, m, d), zero off the live children and below a
+    node with one live child."""
+    m = lay.on[node].sum(axis=1).max()
+    kids = lay.kids[node, :m]
+    on = lay.on[node, :m] & live[kids]
+    dS = np.where((on & (on.sum(axis=1, keepdims=True) > 1))[..., None], lay.step[kids], 0.0)
     return kids, on, dS
 
 
@@ -320,7 +319,7 @@ def _live_levels(geo: SupportStructure):
     inv = np.divide(1.0, ev, out=np.zeros_like(ev),
                     where=ev > _TOL * np.abs(ev[:, -1:]))
     fit = w0[..., None] * dev @ ((vec * inv[:, None]) @ vec.swapaxes(1, 2))
-    width = np.diff(lay.first_child, append=len(lay.ids))[node]
+    width = lay.on[node].sum(axis=1)
     run = np.flatnonzero(np.diff(key, prepend=-1))
     widths = np.maximum.reduceat(width, run).tolist()
     out = []
@@ -397,8 +396,7 @@ def _log_partition(tree, gamma, e):
         else:
             f = np.einsum("gm,jgm->jg", w0, t)
         big_l[:, node], h[:, node] = f.reshape(r, g), k.reshape(r, g, -1)
-    up = lay.parent                         # the root is its own parent: ln w = 0 there
-    dS = lay.prices - lay.prices[up]
+    up, dS = lay.parent, lay.step           # the root is its own parent: ln w = 0 there
     log_w = np.where(geo.live, np.log(lay.prob) + big_l - big_l[:, up]
                      - gamma * np.einsum("nd,jnd->jn", dS, h[:, up]), -np.inf)
     drift = np.add.reduceat(np.exp(log_w[:, 1:, None]) * dS[1:], lay.first_child - 1, axis=1)

@@ -48,8 +48,7 @@ def build_constraints(tree: MarketTree) -> np.ndarray:
     # every level below the root covers all leaves: one (child, leaf) entry each
     c = np.repeat(np.arange(1, len(lay.ids)), (lay.hi - lay.lo)[1:])
     mat = np.zeros((lay.level_starts[-2], tree.n_assets, L))
-    mat[lay.parent[c], :, np.tile(np.arange(L), tree.horizon)] = \
-        lay.prices[c] - lay.prices[lay.parent[c]]
+    mat[lay.parent[c], :, np.tile(np.arange(L), tree.horizon)] = lay.step[c]
     mat = mat.reshape(-1, L)
     mat.setflags(write=False)
     return mat
@@ -58,8 +57,12 @@ def build_constraints(tree: MarketTree) -> np.ndarray:
 def is_martingale_measure(tree: MarketTree, q, tol: float = 1e-9) -> bool:
     """Direct per-node check: conditional child prices equal the node price,
     under ``q``'s node log masses at the nodes it charges (its expectation
-    is NaN, and passes, elsewhere)."""
-    ell = tree.log_subtree_sums(log_masses(leaf_values(tree, q)))
+    is NaN, and passes, elsewhere).  A negative mass raises
+    :class:`DomainError`."""
+    q = leaf_values(tree, q)
+    if np.any(q < 0):
+        raise DomainError("measure must be non-negative")
+    ell = tree.log_subtree_sums(log_masses(q))
     s = tree.layout.prices[:tree.layout.level_starts[-2]]
     gap = np.abs(tree.one_step_expectation(tree.layout.prices, ell) - s).max(axis=1)
     return not np.any(gap > tol * (1.0 + np.abs(s).max(axis=1)))
@@ -307,34 +310,31 @@ def _arbitrage(geo: SupportStructure) -> np.ndarray:
     viable child no valid vertex charges is cut off by a face of the
     one-step cone), and a non-viable node, whose viable children admit no
     one-step martingale weights, gains on all of them (Gordan's
-    alternative).  Other nodes hold nothing.  Top down, a non-viable node's
-    separator is scaled by f = 2 max(0, -s) + f_parent, where s is its
-    parent's one-step gain into it and f = 1 at viable nodes, so that every
-    leaf below it gains at least f_parent from its parent's step on.  A leaf
-    off the maximal support leaves the live nodes once, into a viable child
-    (gain at least 1, and nothing below subtracts) or a non-viable one
-    (gain at least 1 after the cover).
+    alternative).  Other nodes hold nothing.  A separator reads the layout's
+    view: the ``step`` of the node's ``kids``, per asset over ``top``.  Top
+    down, a non-viable node's separator is scaled by f = 2 max(0, -s) +
+    f_parent, where s is its parent's one-step gain into it and f = 1 at
+    viable nodes, so that every leaf below it gains at least f_parent from
+    its parent's step on.  A leaf off the maximal support leaves the live
+    nodes once, into a viable child (gain at least 1, and nothing below
+    subtracts) or a non-viable one (gain at least 1 after the cover).
     """
     lay = geo.layout
-    n, inner = len(lay.ids), lay.level_starts[-2]
+    n, inner, kids, on = len(lay.ids), lay.level_starts[-2], lay.kids, lay.on
     viable, live = np.arange(n) >= inner, geo.live
     viable[geo.node] = True
-    count = np.diff(lay.first_child, append=n)
-    kids = np.minimum(lay.first_child[:, None] + np.arange(count.max()), n - 1)
-    on = np.arange(kids.shape[1]) < count[:, None]
     gain = on & viable[kids] & ((live[:inner, None] & ~live[kids]) | ~viable[:inner, None])
     h = np.zeros((inner, lay.prices.shape[1]))
     node = np.flatnonzero(gain.any(axis=1))
     if node.size == 0:
         return h
-    incr = np.where(on[node, :, None], lay.prices[kids[node]] - lay.prices[node, None], 0.0)
-    scale = np.abs(incr).max(axis=1)
-    scale = np.where(scale > 0, scale, 1.0)
+    incr = np.where(on[node, :, None], lay.step[kids[node]], 0.0)
+    scale = np.where(lay.top[node] > 0, lay.top[node], 1.0)
     h[node] = _separators(incr / scale[:, None], (on & live[kids])[node], gain[node]) / scale
     f = np.ones(n)
     for a, b in zip(lay.level_starts[1:-2], lay.level_starts[2:-1]):
         par = lay.parent[a:b]
-        s = np.einsum("nd,nd->n", h[par], lay.prices[a:b] - lay.prices[par])
+        s = np.einsum("nd,nd->n", h[par], lay.step[a:b])
         f[a:b] = np.where(viable[a:b], 1.0, 2.0 * np.maximum(-s, 0.0) + f[par])
         h[a:b] *= f[a:b, None]
     return h
@@ -389,18 +389,16 @@ def _support_structure(tree: MarketTree) -> SupportStructure:
     """
     lay = tree.layout
     n, inner = len(lay.ids), lay.level_starts[-2]  # nodes below inner are non-leaf
-    price, first = lay.prices, lay.first_child  # a node's children are consecutive
-    count = np.diff(first, append=n)
+    count, width = lay.on.sum(axis=1), lay.kids.shape[1]
     node, weight = [], []
     for m in np.unique(count):
         idx = np.flatnonzero(count == m)
-        g, w = _one_step_vertices(price[first[idx, None] + np.arange(m)]
-                                  - price[idx, None])
+        g, w = _one_step_vertices(lay.step[lay.kids[idx, :m]])
         node.append(idx[g])
-        weight.append(np.pad(w, ((0, 0), (0, count.max() - m))))
+        weight.append(np.pad(w, ((0, 0), (0, width - m))))
     by_node = np.argsort(np.concatenate(node), kind="stable")
     node, weight = np.concatenate(node)[by_node], np.concatenate(weight)[by_node]
-    child = np.minimum(first[node, None] + np.arange(count.max()), n - 1)
+    child = lay.kids[node]
 
     # levels bottom up: a vertex is valid when its charged children are viable
     viable, valid = np.arange(n) >= inner, np.zeros(node.size, dtype=bool)

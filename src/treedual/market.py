@@ -36,14 +36,17 @@ construction and safe to share across threads.
 A tree's structure is its level-order layout (:class:`TreeLayout`), built
 once from the file's columns: nodes are numbered ``nonleaf_ids + leaf_ids``,
 so time levels are contiguous, every node's children are consecutive, and
-the leaves come last in leaf order.  With each node's parent index, prices,
-branch probability and leaf slice as arrays, a measure's exact form is its
-node log masses l (:meth:`MarketTree.log_subtree_sums`), and conditional
-expectations weigh by exp(l_c - l_n), without division
-(:meth:`MarketTree.one_step_expectation`, ``conditional_expectation``).  The
-endowment (zero when the file has none) and each claim are read-only (L,)
-arrays; for the round trip the tree keeps each file row's layout position
-and decimal strings.
+the leaves come last in leaf order.  Besides each node's parent index,
+prices, branch probability and leaf slice, the layout holds the per-node
+view that every kernel reads: each node's price increment from its parent
+(``step``), each non-leaf node's children padded to the widest node
+(``kids``, real where ``on``) and their largest increment per asset
+(``top``).  A measure's exact form is its node log masses l
+(:meth:`MarketTree.log_subtree_sums`), and conditional expectations weigh
+by exp(l_c - l_n), without division (:meth:`MarketTree.one_step_expectation`,
+``conditional_expectation``).  The endowment (zero when the file has none)
+and each claim are read-only (L,) arrays; for the round trip the tree keeps
+each file row's layout position and decimal strings.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Mapping
@@ -84,7 +87,10 @@ class RandomVariable:
 
 @dataclass(frozen=True, eq=False)
 class TreeLayout:
-    """Level-order numbering of a tree's N nodes; arrays are read-only."""
+    """Level-order numbering of a tree's N nodes; arrays are read-only.  The
+    per-node view (``step`` to ``top``) is derived on construction, so
+    ``dataclasses.replace`` rebuilds it; a row of ``kids`` pads past a
+    node's children with the nodes after them, clipped at the last node."""
 
     ids: tuple[str, ...]           # nonleaf_ids + leaf_ids
     parent: np.ndarray             # (N,) parent index; 0 at the root
@@ -94,9 +100,21 @@ class TreeLayout:
     prob: np.ndarray               # (N,) branch probability given the parent; 1 at the root
     lo: np.ndarray                 # (N,) leaf slice [lo, hi) of each node
     hi: np.ndarray
+    step: np.ndarray = field(init=False)  # (N, d) S_n - S_parent(n); 0 at the root
+    kids: np.ndarray = field(init=False)  # (N - L, m) padded children of each non-leaf node
+    on: np.ndarray = field(init=False)    # (N - L, m) mask of the children in kids
+    top: np.ndarray = field(init=False)   # (N - L, d) largest |step| of its children per asset
 
     def __post_init__(self):
-        for a in (self.parent, self.first_child, self.prices, self.prob, self.lo, self.hi):
+        n, first = len(self.ids), self.first_child
+        count = np.diff(first, append=n)
+        width, step = np.arange(count.max()), self.prices - self.prices[self.parent]
+        view = {"step": step, "kids": np.minimum(first[:, None] + width, n - 1),
+                "on": width < count[:, None],
+                "top": np.maximum.reduceat(np.abs(step[1:]), first - 1, axis=0)}
+        for name, a in view.items():
+            object.__setattr__(self, name, a)
+        for a in (self.parent, first, self.prices, self.prob, self.lo, self.hi, *view.values()):
             a.setflags(write=False)
 
     def path_sums(self, x) -> np.ndarray:
@@ -222,9 +240,8 @@ class MarketTree:
         """Gains (N,) at every node of a strategy ``h`` (n, d) on the non-leaf
         nodes, in layout order: 0 at the root, then the path sums of the
         steps ``h[parent].(S_child - S_parent)``."""
-        lay, n = self.layout, self.layout.parent[1:]
-        return lay.path_sums(np.r_[0.0, np.einsum("nd,nd->n", h[n],
-                                                  lay.prices[1:] - lay.prices[n])])
+        lay = self.layout
+        return lay.path_sums(np.r_[0.0, np.einsum("nd,nd->n", h[lay.parent[1:]], lay.step[1:])])
 
     def __repr__(self):
         return (f"MarketTree(T={self.horizon}, assets={list(self.assets)}, "

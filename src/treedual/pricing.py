@@ -38,7 +38,7 @@ from .dual import DualSolution, _solutions, solve_dual
 from .errors import (AugmentInfeasibleError, BracketFailError, DomainError,
                      InfeasibleEntropyError, InfiniteEntropyError,
                      NoMartingaleMeasureError)
-from .geometry import relative_entropy, _support_structure
+from .geometry import is_martingale_measure, relative_entropy, _support_structure
 from .market import MarketTree, _with_assets, leaf_values
 from .utility import UtilityPair
 
@@ -294,9 +294,13 @@ def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
     W' = sum_{q>0} q V'(y q/p) + E_q[e] and W'' = sum_{q>0}
     (q^2/p) V''(y q/p), which asks for no solve.  Zero exactly at the
     normalized dual optimizer; raises :class:`InfiniteEntropyError` when
-    the measure has infinite entropy.  ``q`` is a leaf measure.
+    the measure has infinite entropy.  ``q`` is a leaf measure; one off the
+    domain (a mass beyond 1e-12 of 1, or drift: :func:`is_martingale_measure`)
+    raises :class:`DomainError`.
     """
     qa = leaf_values(tree, q)
+    if abs(float(qa.sum()) - 1.0) > 1e-12 or not is_martingale_measure(tree, qa):
+        raise DomainError("q must be a martingale probability measure")
     if not math.isfinite(relative_entropy(tree, pair, qa)):
         raise InfiniteEntropyError("measure has infinite relative entropy")
     p = tree.leaf_probability_array

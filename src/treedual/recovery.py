@@ -90,11 +90,9 @@ def recover(tree: MarketTree, pair: UtilityPair, endow,
     q, lay, on = sol.q_hat, tree.layout, sol.charged[-tree.n_leaves:]
     inner = lay.level_starts[-2]
     if sol._log_l is not None:   # the measure is read off h: its drift tests h
-        dS = lay.prices - lay.prices[lay.parent]
-        top = np.maximum.reduceat(np.abs(dS[1:]), lay.first_child - 1, axis=0)
-        drift = np.abs(tree.one_step_expectation(dS, sol.node_log_q))
-        rel = np.divide(drift, top, out=np.zeros_like(drift),
-                        where=sol.charged[:inner, None] & (top > 0)).max(axis=1)
+        drift = np.abs(tree.one_step_expectation(lay.step, sol.node_log_q))
+        rel = np.divide(drift, lay.top, out=np.zeros_like(drift),
+                        where=sol.charged[:inner, None] & (lay.top > 0)).max(axis=1)
         worst = int(np.argmax(rel))
         if rel[worst] > _REPLICATION_TOL:
             raise ReplicationGapError(
@@ -119,6 +117,15 @@ def recover(tree: MarketTree, pair: UtilityPair, endow,
 # -- verification -----------------------------------------------------------------
 
 
+def _wealth(tree, wealth):
+    """A wealth process as an (N,) float array; another shape raises
+    ``ValueError``."""
+    w, n = np.asarray(wealth, dtype=float), len(tree.layout.ids)
+    if w.shape != (n,):
+        raise ValueError(f"wealth must have shape ({n},) in layout order, got {w.shape}")
+    return w
+
+
 @dataclass(frozen=True)
 class DriftViolation:
     node_id: str
@@ -136,19 +143,20 @@ class SupermartingaleReport:
 def verify_supermartingale(tree: MarketTree, wealth, optimal=None) -> SupermartingaleReport:
     """Per-node drift of the wealth process under every martingale measure.
 
-    ``wealth`` is (N,) in layout order.  A martingale measure's one-step
-    weights at a node lie in the node's one-step polytope, so the largest
-    drift over all of them is the largest over its vertices: the drift
-    ``(weight * w[child]).sum(1) - w[node]`` of each valid vertex of
-    :func:`_support_structure` at a live node, the nodes some martingale
-    measure reaches.  Sup over the closure equals sup over the interior, so
-    this covers the equivalent (finite-entropy) measures too.
+    ``wealth`` is (N,) in layout order (else ``ValueError``).  A martingale
+    measure's one-step weights at a node lie in the node's one-step
+    polytope, so the largest drift over all of them is the largest over its
+    vertices: the drift ``(weight * w[child]).sum(1) - w[node]`` of each
+    valid vertex of :func:`_support_structure` at a live node, the nodes
+    some martingale measure reaches.  Sup over the closure equals sup over
+    the interior, so this covers the equivalent (finite-entropy) measures
+    too.
     Report-only: lists the nodes whose largest drift exceeds 1e-8
     (scaled), in layout order, and the martingale residual under the
     optimal measure given its exact node log masses ``optimal`` (N,).
     """
     geo, inner = _support_structure(tree), tree.layout.level_starts[-2]
-    w = np.asarray(wealth, dtype=float)
+    w = _wealth(tree, wealth)
     w_scale = 1.0 + float(np.abs(w).max())
 
     on = geo.live[geo.node]
@@ -201,7 +209,8 @@ def dynamic_dual(sol: DualSolution, t: int, wealth=None) -> list[DynamicDualNode
     raw one over P_n; the restriction gap compares it with the global
     optimizer's objective on the subtree, a ``subtree_sums`` of
     ``p V(mu/p) + mu e``.  Deterministic time grid only.  When ``wealth``
-    (N,) in layout order is given, the derivative should equal minus it.
+    (N,) in layout order is given (another shape raises ``ValueError``),
+    the derivative should equal minus it.
     """
     tree, pair, e = sol.tree, sol.pair, sol._endow_arr
     if not (0 <= t <= tree.horizon):
@@ -224,8 +233,7 @@ def dynamic_dual(sol: DualSolution, t: int, wealth=None) -> list[DynamicDualNode
     else:
         raw, deriv = _conditional_solves(sol, nodes, m)
     gap = np.abs(raw - restricted[nodes]) / (1.0 + np.abs(raw))
-    w = ([None] * nodes.size if wealth is None
-         else np.asarray(wealth, dtype=float)[nodes].tolist())
+    w = [None] * nodes.size if wealth is None else _wealth(tree, wealth)[nodes].tolist()
     return [DynamicDualNode(lay.ids[k], v, d, g,
                             None if x is None else abs(x + d) / (1.0 + abs(x)))
             for k, v, d, g, x in zip(nodes.tolist(), (raw / big_p).tolist(),
@@ -293,15 +301,16 @@ def snell_envelope_exponential(sol: DualSolution, *, wealth) -> SnellReport:
     which the optimal measure attains.  The envelope is that supremum node
     by node: the upper values of :meth:`SupportStructure.extremes`, the
     largest conditional expectation over every martingale measure (the sup
-    over the closure equals the sup over the equivalent ones).
+    over the closure equals the sup over the equivalent ones).  A wealth of
+    another shape raises ``ValueError``.
     """
     tree, pair = sol.tree, sol.pair
     if pair.family != "exponential":
         raise NotExponentialError("Snell-envelope check requires exponential utility")
     if sol.support != "EQUIVALENT":
         raise NoPrimalOptimizerError("requires an equivalent optimal measure")
+    w = _wealth(tree, wealth)
     _, best = _support_structure(tree).extremes(sol.terminal_gain)
-    w = np.asarray(wealth, dtype=float)
     w_scale = 1.0 + float(np.abs(w).max())
     return SnellReport(envelope=best, max_equality_gap=float(np.abs(best - w).max() / w_scale),
                        max_lower_bound_excess=float((best - w).max() / w_scale))

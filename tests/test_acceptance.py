@@ -291,10 +291,8 @@ def test_a_dropped_small_weight_child_fails_the_flag(monkeypatch):
     solve = checks.solve_dual
     monkeypatch.setattr(checks, "solve_dual", lambda *args: dataclasses.replace(
         solve(*args), support="DEGENERATE"))
-    dS, firsts, top = checks._steps(tree)
-    on, measure_ok = checks._measure_certificate(tree.layout, dS, firsts, top,
-                                                 wrong.step_weights)
-    gains, scale = checks._arbitrage_gains(tree.layout, dS, top, wrong.arbitrage)
+    on, measure_ok = checks._measure_certificate(tree.layout, wrong.step_weights)
+    gains, scale = checks._arbitrage_gains(tree.layout, wrong.arbitrage)
     assert on.tolist() == [False, True] and not measure_ok
     assert gains[1] < -checks._CERTIFICATE_TOL * scale[1]
     assert {"support flag matches market", "maximal support"} <= set(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treegen
-from treedual import (CapExceededError,
+from treedual import (CapExceededError, DomainError,
                       NoMartingaleMeasureError, build_constraints,
                       exponential_utility, find_equivalent_mm,
                       is_martingale_measure, load_market, market_from_dict,
@@ -36,6 +36,13 @@ def test_reference_measure_martingale_when_prices_drift_free():
     p = tree.leaf_probability_array
     assert np.abs(build_constraints(tree) @ p).max() < 1e-12
     assert is_martingale_measure(tree, p)
+
+
+def test_a_signed_measure_is_refused(tri1):
+    # log masses read the negative leaves as uncharged, so (-1, 3, -1),
+    # whose root drift is -0.5, passed as the measure on the middle leaf
+    with pytest.raises(DomainError, match="measure must be non-negative"):
+        is_martingale_measure(tri1, [-1.0, 3.0, -1.0])
 
 
 def test_find_equivalent_mm_bin1(bin1):
@@ -927,8 +934,7 @@ def test_two_asset_closed_form_matches_the_svd_on_the_acceptance_suite():
 def _arbitrage_gains(tree):
     """The leaf gains of the support pass's arbitrage certificate and their
     scale, as the battery's checker reads them."""
-    dS, _, top = checks._steps(tree)
-    return checks._arbitrage_gains(tree.layout, dS, top, _support_structure(tree).arbitrage)
+    return checks._arbitrage_gains(tree.layout, _support_structure(tree).arbitrage)
 
 
 @settings(max_examples=40, deadline=None)

@@ -236,3 +236,67 @@ def test_top_down_loops_are_found():
               "for a, b in zip(s[1:-2], s[2:-1]):\n"
               "    pass\n")
     assert top_down_loops(source) == ["line 2: f", "line 10: g", "line 13: None"]
+
+
+def view_rebuilds(source: str) -> list[str]:
+    """``line n: function`` for each hand-built piece of the layout's
+    per-node view outside ``TreeLayout``: one read of the prices (``prices``
+    or ``price``, bare or subscripted) minus another, or padded children,
+    ``np.arange(...)`` added to an expression over a ``first_child`` (or
+    ``first``) subscript."""
+    def names(node, wanted):
+        node = node.value if isinstance(node, ast.Subscript) else node
+        return (getattr(node, "id", None) or getattr(node, "attr", None)) in wanted
+
+    def arange(node):
+        return isinstance(node, ast.Call) and names(node.func, {"arange"})
+
+    def over_first(node):
+        return any(isinstance(n, ast.Subscript) and names(n, {"first_child", "first"})
+                   for n in ast.walk(node))
+
+    def builds_view(op):
+        sides = (op.left, op.right)
+        if isinstance(op.op, ast.Sub):
+            return (all(names(s, {"prices", "price"}) for s in sides)
+                    and any(isinstance(s, ast.Subscript) for s in sides))
+        return isinstance(op.op, ast.Add) and any(
+            arange(a) and over_first(b) for a, b in (sides, sides[::-1]))
+
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name == "TreeLayout":
+                continue
+            if isinstance(child, ast.BinOp) and builds_view(child):
+                found.append(f"line {child.lineno}: {func}")
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_the_per_node_view_is_built_in_the_layout_alone(path):
+    # each node's children, increments and per-asset scale come from
+    # TreeLayout's step, kids, on and top
+    assert view_rebuilds(path.read_text()) == []
+
+
+def test_view_rebuilds_are_found():
+    source = ("class TreeLayout:\n"
+              "    def __post_init__(self):\n"
+              "        step = self.prices - self.prices[self.parent]\n"
+              "        kids = self.first_child[:, None] + np.arange(3)\n"
+              "def f(lay, price, first, node, m):\n"
+              "    a = lay.prices[1:] - lay.prices[lay.parent[1:]]\n"
+              "    b = lay.prices - lay.prices[lay.parent]\n"
+              "    c = price[first[node, None] + np.arange(m)] - price[node, None]\n"
+              "    d = np.arange(m) + lay.first_child[node, None] - 1\n"
+              "    e = lay.prices[1:] - lay.step[1:]\n"
+              "    f = lay.lo[:, None] + np.arange(m)\n"
+              "    g = lay.prices - lay.prices\n"
+              "    return lay.first_child - 1, lay.prices[0] + lay.prices[1]\n")
+    assert view_rebuilds(source) == ["line 6: f", "line 7: f", "line 8: f", "line 8: f",
+                                     "line 9: f"]

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treegen
-from treedual import market
+from treedual import market, pricing
 from treedual import (DomainError, InvalidTreeError, ParseError, RandomVariable, TreedualError,
-                      exponential_utility, leaf_values, load_market,
+                      check_mubpp, exponential_utility, leaf_values, load_market,
                       market_from_dict, market_to_dict, price_report,
                       save_market, solve_dual, two_power_utility)
 
@@ -361,6 +361,46 @@ def test_path_sums_match_the_recursion_over_parents(make):
     assert np.array_equal(got, _path_sums_by_recursion(lay, x))
     assert all(np.array_equal(row, g) for row, g in zip(rows, got))
     assert np.array_equal(np.isneginf(got), lay.path_sums(np.isneginf(x)) > 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: treegen.product_market([[1.2, 1.0, 0.85], [1.1, 0.95], [1.3, 1.0, 0.9, 0.7]])
+] + [lambda seed=seed: treegen.random_market(np.random.default_rng(seed), n_assets=1 + seed % 2)
+     for seed in range(6)], ids=["widths-3-2-4"] + [f"random-{seed}" for seed in range(6)])
+def test_layout_view_lists_each_nodes_children_and_increments(make):
+    # node by node: the real children of a row of kids are the nodes whose
+    # parent it is, first and in order; padding stays in range
+    lay = make().layout
+    n, inner = len(lay.ids), lay.level_starts[-2]
+    assert lay.kids.shape == lay.on.shape and lay.kids.shape[0] == inner
+    assert lay.kids.min() >= 0 and lay.kids.max() < n
+    assert not lay.step[0].any()
+    for k in range(inner):
+        children = np.flatnonzero(lay.parent[1:] == k) + 1
+        assert lay.on[k].tolist() == [j < children.size for j in range(lay.on.shape[1])]
+        assert lay.kids[k, :children.size].tolist() == children.tolist()
+        assert np.array_equal(lay.step[children], lay.prices[children] - lay.prices[k])
+        assert np.array_equal(lay.top[k], np.abs(lay.step[children]).max(axis=0))
+
+
+def test_layout_view_follows_the_prices_and_is_read_only(tri1, exp_pair, monkeypatch):
+    # check_mubpp's augmented market replaces the prices of a layout whose
+    # view was already read: the view is derived again, not carried over
+    built = []
+    monkeypatch.setattr(pricing, "_with_assets",
+                        lambda *args: built.append(market._with_assets(*args)) or built[-1])
+    lay = tri1.layout
+    assert lay.step.shape == (4, 1) and lay.top.shape == (1, 1)
+    candidate = np.c_[lay.prices[:, 0], 2.0 * lay.prices[:, 0]]
+    check_mubpp(tri1, exp_pair, [0.3, -0.2, 0.1], candidate)
+    aug = built[0].layout
+    assert aug.step.shape == (4, 3) and aug.top.shape == (1, 3)
+    assert np.array_equal(aug.step, aug.prices - aug.prices[aug.parent])
+    assert np.array_equal(aug.top, np.abs(aug.step[1:]).max(axis=0, keepdims=True))
+    for view in (lay, aug):
+        for name in ("step", "kids", "on", "top"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(view, name)[0] = 0
 
 
 def test_deep_chain_loads_and_solves(bin1):

@@ -202,6 +202,17 @@ def test_entropic_penalty_refuses_a_base_of_another_problem(tri1, exp_pair, tp_p
             entropic_penalty(tree, pair, endow, q, base=sol)
 
 
+@pytest.mark.parametrize("family, q", [
+    ("exponential", [0.5, 0.5, 0.5]),      # mass 1.5
+    ("exponential", [0.9, 0.05, 0.05]),    # root drift +0.875
+    ("two-power", [0.5, 0.5, 0.5]),        # was priced at a negative penalty
+], ids=["mass", "drift", "two-power-mass"])
+def test_entropic_penalty_refuses_a_measure_off_its_domain(tri1, exp_pair, tp_pair, family, q):
+    pair = exp_pair if family == "exponential" else tp_pair
+    with pytest.raises(DomainError, match="martingale probability measure"):
+        entropic_penalty(tri1, pair, E_TRI, q)
+
+
 def test_entropic_penalty_infinite_for_two_power_vertex(tri1, tp_pair):
     verts = vertex_enumerate(tri1)
     with pytest.raises(InfiniteEntropyError):

@@ -25,6 +25,17 @@ from treedual.recovery import DriftViolation
 LN2 = math.log(2.0)
 
 
+def test_wealth_of_another_shape_is_refused(tri1, exp_pair):
+    # a bare IndexError and a broadcast error before; (N,) in layout order
+    sol = solve_dual(tri1, exp_pair, [0.3, -0.2, 0.1])
+    for check in (lambda w: verify_supermartingale(tri1, w),
+                  lambda w: snell_envelope_exponential(sol, wealth=w),
+                  lambda w: dynamic_dual(sol, 0, wealth=w)):
+        for wealth in ([0.0, 1.0], np.zeros(2), np.zeros((4, 1))):
+            with pytest.raises(ValueError, match=r"shape \(4,\) in layout order"):
+                check(wealth)
+
+
 def test_both_families_solve_where_path_products_underflow():
     # the caterpillar's interior measure reads 0 on its deepest leaves; the
     # support read from it flagged the market DEGENERATE, so recover refused
