@@ -19,7 +19,7 @@ from .dual import _qr_fits, _strategy_basis, dual_value_curve, solve_dual
 from .errors import NonconvergedError
 from .geometry import _TOL, _support_structure, relative_entropy
 from .market import MarketTree, leaf_values
-from .recovery import (dynamic_dual, recover, snell_envelope_exponential,
+from .recovery import (_conditional_duals, recover, snell_envelope_exponential,
                        verify_supermartingale)
 from .utility import UtilityPair, certify_assumptions
 
@@ -57,10 +57,15 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     reads 0 or 1 and a count its violations, both against 0.5.  A failed
     recovery reads inf and ends the battery; a failed two-power conditional
     solve reads inf in "dynamic dual consistency", which bounds, over every
-    charged node, the wealth residual and restriction gap of
-    :func:`dynamic_dual`.  The certification proves biconjugacy from the
-    pair's closed forms at y = U'(x); its detail prints the tail
-    elasticities (AE-, AE+) beside their grid estimates.  Every check runs
+    charged node, the wealth residual and restriction gap of the
+    conditional dual problems: one array pass over every time
+    (``recovery._conditional_duals``, of which :func:`dynamic_dual` reads
+    one time's slice), with no per-node object.  The certification
+    (:func:`certify_assumptions`, one evaluation of each closed form over
+    its grids) proves biconjugacy from the pair's closed forms at y = U'(x);
+    its detail prints the tail elasticities (AE-, AE+) beside their grid
+    estimates.  Every worst residual is a reduction that propagates NaN,
+    so a NaN anywhere fails its check.  Every check runs
     node by node in O(N), with no dense constraint matrix and no vertex
     enumeration.  "Martingale constraints at optimum" is the one-step price
     drift at each charged node times its mass; "dual first-order
@@ -81,7 +86,8 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     exhaustive at any size.  The value
     curve is read off the optimum at log masses around its own
     (:func:`dual_value_curve`): in closed form for the exponential family,
-    else by one Newton-core call started at the rescaled optimum.  A result's
+    as arrays over the points, else by one Newton-core call started at the
+    rescaled optimum.  A result's
     ``seconds`` run from the previous result, so shared work (the solve, the
     certificates, the recovery, the curve) is charged to the first check
     that uses it.
@@ -164,10 +170,8 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     # the conditional problems' mass derivatives against the wealth, and
     # their values against the restricted optimizer
     try:
-        worst, detail = max((max(node.wealth_residual, node.restriction_gap)
-                             for t in range(tree.horizon + 1)
-                             for node in dynamic_dual(sol, t, wealth=ps.wealth)),
-                            default=0.0), ""
+        *_, gap, resid = _conditional_duals(sol, range(tree.horizon + 1), ps.wealth)
+        worst, detail = float(np.maximum(resid, gap).max(initial=0.0)), ""
     except NonconvergedError as exc:   # a two-power conditional solve
         worst, detail = math.inf, f"{type(exc).__name__}: {exc}"
     add("dynamic dual consistency", worst, 1e-7, detail)
@@ -190,11 +194,9 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     # with x' the worst endowment
     cprime = cert.growth_constant_estimate
     x_low = float(e.min())
-    worst_g = -math.inf
-    for pt in curve.points:
-        lhs = pt.y * pt.derivative
-        rhs = cprime * pt.value - (cprime - 1.0) * x_low * pt.y
-        worst_g = max(worst_g, (lhs - rhs) / (1.0 + abs(rhs)))
+    rhs = [cprime * pt.value - (cprime - 1.0) * x_low * pt.y for pt in curve.points]
+    worst_g = float(np.max([(pt.y * pt.derivative - r) / (1.0 + abs(r))   # NaN fails
+                            for pt, r in zip(curve.points, rhs)]))
     add("conjugate growth bound along the curve", max(worst_g, 0.0), 1e-6,
         f"C'={cprime:.3g}")
 

@@ -128,8 +128,7 @@ class DualSolution:
         the exact log-masses, finite where mu underflows."""
         if self._log_l is None:   # a Newton-core optimum
             return -self.pair.v_prime(self.density_array) - self._endow_arr
-        p, gamma = self.tree.leaf_probability_array, self.pair.params["gamma"]
-        return (np.log(p) - self._log_mass - self._log_q) / gamma - self._endow_arr
+        return _exponential_gain(self, self._log_mass)
 
     @property
     def mass_derivative(self) -> float:
@@ -429,20 +428,35 @@ def _log_space_solutions(tree, pair, endows, log_mass=None) -> list[DualSolution
 def _at_log_mass(sol, s):
     """The exponential optimum of ``sol``'s problem at log mass ``s`` (NaN:
     free), read off its log-space pass: L, ln q_hat and the strategy do not
-    depend on the mass, so the fixed-mass optimum is ``e^s q_hat`` with
-    value ``C + e^s (s - 1 - L_root)/gamma`` (Delbaen et al. 2002), exact
-    in s where e^s underflows; the free one is at s = L_root, with value
-    ``C - e^s/gamma``.
+    depend on the mass, so the fixed-mass optimum is ``e^s q_hat`` with the
+    value of :func:`_fixed_mass_value`; the free one is at s = L_root,
+    with value ``C - e^s/gamma``.
     """
     gamma, c = sol.pair.params["gamma"], sol.pair.params["C"]
-    log_z = float(sol._log_l[0])
     free = math.isnan(s)
-    log_y = log_z if free else s
+    log_y = float(sol._log_l[0]) if free else s
     y = _mass(log_y)
-    value = c - y / gamma if free else c + y * (log_y - 1.0 - log_z) / gamma
+    value = c - y / gamma if free else _fixed_mass_value(sol, log_y, y)
     with np.errstate(over="ignore"):
         mu = np.exp(log_y + sol._log_q)
     return replace(sol, mass=y, value=value, mu=mu, _log_mass=log_y)
+
+
+def _fixed_mass_value(sol, log_y, y):
+    """The value ``C + y (ln y - 1 - L_root)/gamma`` of the exponential
+    optimum of ``sol``'s problem at the mass(es) y = e^log_y (Delbaen et
+    al. 2002), exact in log_y where y underflows; floats or arrays."""
+    gamma, c = sol.pair.params["gamma"], sol.pair.params["C"]
+    return c + y * (log_y - 1.0 - float(sol._log_l[0])) / gamma
+
+
+def _exponential_gain(sol, log_mass):
+    """The exponential optimum's terminal gain X = ln(p/mu)/gamma - e at
+    the log mass(es) ``log_mass`` (a float, or a column for a row per
+    mass), from the exact log masses ln mu = log_mass + ln q_hat: finite
+    where mu underflows, +inf off the charged leaves."""
+    p, gamma = sol.tree.leaf_probability_array, sol.pair.params["gamma"]
+    return (np.log(p) - log_mass - sol._log_q) / gamma - sol._endow_arr
 
 
 # -- Newton core ------------------------------------------------------------------
@@ -829,16 +843,18 @@ def dual_value_curve(sol: DualSolution, ys: Sequence[float], *,
     subnormal mass exact.
 
     Each point is the inner optimum at its pinned mass e^s, read off the
-    solved problem: for the exponential family in closed form by
-    :func:`_at_log_mass` from ``sol`` itself (the measure e^s q_hat),
-    otherwise by one Newton-core call whose rows start at
-    ``sol.mu * e^(s - ln m)``, m = ``sol.mass``; raises the first row's
-    error.  A point's ``y`` is the caller's mass, or e^s (which may
-    underflow).  The report carries a numeric convexity certificate, on
-    either kind of grid: the least rise of the mass derivative between
-    neighbours, since W is convex exactly where W' does not fall; the
-    derivatives are exact, also where e^s underflows.  ``log`` chooses
-    only how the grid is read.
+    solved problem: for the exponential family in closed form from ``sol``
+    itself (the measure e^s q_hat), every point at once, its value by
+    :func:`_fixed_mass_value` (as :func:`_at_log_mass` has it) and its
+    derivative -E_q_hat[X] by one dot per point; otherwise by one
+    Newton-core call whose rows start at ``sol.mu * e^(s - ln m)``, m =
+    ``sol.mass``; raises the first row's error.  A point's ``y`` is the
+    caller's mass, or e^s (which may underflow).  The report carries a
+    numeric convexity certificate, on either kind of grid: the least rise
+    of the mass derivative between neighbours, since W is convex exactly
+    where W' does not fall; the derivatives are exact, also where e^s
+    underflows.  The least rise and the least value are NaN when any point
+    reads NaN.  ``log`` chooses only how the grid is read.
     """
     ys = sorted(float(y) for y in ys)
     if log:
@@ -852,17 +868,25 @@ def dual_value_curve(sol: DualSolution, ys: Sequence[float], *,
         raise DomainError("curve masses must be distinct")
     ss = ys if log else [math.log(y) for y in ys]
     if sol._log_l is not None:
-        sols = [_at_log_mass(sol, s) for s in ss]
+        s = np.array(ss)
+        # each point's mass_derivative: -E_q_hat[X] over the charged leaves
+        gains = _exponential_gain(sol, s[:, None])
+        derivs = _row_dot(np.where(sol._log_q > -np.inf, -gains, 0.0), sol.q_hat)
+        values = _fixed_mass_value(sol, s, np.array([_mass(x) for x in ss]))
+        q_hats = [sol.q_hat] * len(ss)
     else:
         with np.errstate(over="ignore"):
             starts = sol.mu * np.exp(np.array(ss) - sol._log_mass)[:, None]
         sols = _at_masses(sol.tree, sol.pair, sol._endow_arr, ss, starts)
-    pts = [CurvePoint(y=y, value=pt.value, q_hat=pt.q_hat,
-                      derivative=pt.mass_derivative) for y, pt in zip(masses, sols)]
-    rises = (b.derivative - a.derivative for a, b in zip(pts, pts[1:]))
+        derivs = np.array([pt.mass_derivative for pt in sols])
+        values = np.array([pt.value for pt in sols])
+        q_hats = [pt.q_hat for pt in sols]
+    pts = [CurvePoint(y=y, value=v, q_hat=q, derivative=d)
+           for y, v, q, d in zip(masses, values.tolist(), q_hats, derivs.tolist())]
+    # reductions that propagate NaN: a NaN point fails the certificate
     return CurveReport(points=tuple(pts),
-                       min_second_difference=min(rises, default=math.inf),
-                       min_value=min(p.value for p in pts))
+                       min_second_difference=float(np.diff(derivs).min(initial=math.inf)),
+                       min_value=float(values.min()))
 
 
 def dual_derivative(tree: MarketTree, pair: UtilityPair, endow, y: float) -> float:

@@ -14,8 +14,9 @@ supermartingale check takes the drift under each valid one-step vertex,
 and the exponential Snell envelope is the per-node upper value of the
 backward pass over them (:meth:`SupportStructure.extremes`), exhaustive at
 any size.  The dynamic checks solve the conditional dual problems on
-subtrees, in closed form where the family or the leaf allows, and compare
-their mass derivatives with the wealth process.
+subtrees, in closed form where the family or the leaf allows, in one array
+pass over every charged node of the times asked for, and compare their mass
+derivatives with the wealth process.
 """
 
 from __future__ import annotations
@@ -117,12 +118,12 @@ def recover(tree: MarketTree, pair: UtilityPair, endow,
 # -- verification -----------------------------------------------------------------
 
 
-def _wealth(tree, wealth):
-    """A wealth process as an (N,) float array; another shape raises
-    ``ValueError``."""
-    w, n = np.asarray(wealth, dtype=float), len(tree.layout.ids)
+def _per_node(tree, values, what="wealth"):
+    """A wealth process (or other per-node ``what``) as an (N,) float
+    array; another shape raises ``ValueError``."""
+    w, n = np.asarray(values, dtype=float), len(tree.layout.ids)
     if w.shape != (n,):
-        raise ValueError(f"wealth must have shape ({n},) in layout order, got {w.shape}")
+        raise ValueError(f"{what} must have shape ({n},) in layout order, got {w.shape}")
     return w
 
 
@@ -153,10 +154,11 @@ def verify_supermartingale(tree: MarketTree, wealth, optimal=None) -> Supermarti
     too.
     Report-only: lists the nodes whose largest drift exceeds 1e-8
     (scaled), in layout order, and the martingale residual under the
-    optimal measure given its exact node log masses ``optimal`` (N,).
+    optimal measure given its exact node log masses ``optimal`` (N,) in
+    layout order (another shape raises ``ValueError``).
     """
     geo, inner = _support_structure(tree), tree.layout.level_starts[-2]
-    w = _wealth(tree, wealth)
+    w = _per_node(tree, wealth)
     w_scale = 1.0 + float(np.abs(w).max())
 
     on = geo.live[geo.node]
@@ -169,6 +171,7 @@ def verify_supermartingale(tree: MarketTree, wealth, optimal=None) -> Supermarti
 
     opt_drift = 0.0
     if optimal is not None:
+        optimal = _per_node(tree, optimal, "optimal node log masses")
         drift_opt = tree.one_step_expectation(w, optimal) - w[:inner]
         opt_drift = float(np.fmax.reduce(np.abs(drift_opt), axis=None, initial=0.0))
 
@@ -197,47 +200,73 @@ def dynamic_dual(sol: DualSolution, t: int, wealth=None) -> list[DynamicDualNode
 
     At each node n the optimum charges (:attr:`DualSolution.charged`), the
     least entropy-plus-endowment objective over subtree measures of the
-    optimizer's mass m_n, and its derivative in that mass.  A leaf's
-    problem has one feasible point: raw value p V(m/p) + m e, derivative
-    -X.  Exponential family, from the log-space pass's L_n: raw value
-    ``C P_n + m_n (ln m_n - 1 - ln P_n - L_n)/gamma``, derivative
-    ``(ln m_n - ln P_n - L_n)/gamma``, with ln m_n = ln y +
-    ``node_log_q[n]`` exact where m_n underflows.  Two-power non-leaf nodes
-    solve their subtrees' problems on the maximal support in one
-    Newton-core call per time (:func:`_conditional_solves`), started at the
-    optimizer, and differentiate by the envelope formula.  The value is the
+    optimizer's mass m_n, and its derivative in that mass, read off the
+    slice of time ``t`` of :func:`_conditional_duals`.  The value is the
     raw one over P_n; the restriction gap compares it with the global
-    optimizer's objective on the subtree, a ``subtree_sums`` of
-    ``p V(mu/p) + mu e``.  Deterministic time grid only.  When ``wealth``
-    (N,) in layout order is given (another shape raises ``ValueError``),
-    the derivative should equal minus it.
+    optimizer's objective on the subtree.  Deterministic time grid only.
+    When ``wealth`` (N,) in layout order is given (another shape raises
+    ``ValueError``), the derivative should equal minus it.
     """
-    tree, pair, e = sol.tree, sol.pair, sol._endow_arr
+    tree = sol.tree
     if not (0 <= t <= tree.horizon):
         raise ValueError(f"time {t} outside 0..{tree.horizon}")
+    nodes, raw, deriv, gap, resid = _conditional_duals(sol, range(t, t + 1), wealth)
+    value = raw / tree.node_probability_array[nodes]
+    resid = [None] * nodes.size if resid is None else resid.tolist()
+    return [DynamicDualNode(tree.layout.ids[k], v, d, g, r)
+            for k, v, d, g, r in zip(nodes.tolist(), value.tolist(), deriv.tolist(),
+                                     gap.tolist(), resid)]
+
+
+def _conditional_duals(sol, times, wealth=None):
+    """The conditional dual problems at every charged node of the ``times``
+    (a range), in one pass over them, in layout order.
+
+    A leaf's problem has one feasible point: raw value p V(m/p) + m e,
+    derivative -X.  Exponential family, from the log-space pass's L_n, at
+    every non-leaf node at once: raw value ``C P_n + m_n (ln m_n - 1 -
+    ln P_n - L_n)/gamma``, derivative ``(ln m_n - ln P_n - L_n)/gamma``,
+    with ln m_n = ln y + ``node_log_q[n]`` exact where m_n underflows.
+    Two-power non-leaf nodes solve their subtrees' problems on the maximal
+    support in one Newton-core call per time (:func:`_conditional_solves`),
+    started at the optimizer, and differentiate by the envelope formula;
+    the first failing time raises its :class:`NonconvergedError`.  The
+    restriction gap |raw - restricted| / (1 + |raw|) compares the raw value
+    with the global optimizer's objective on the subtree, a
+    ``subtree_sums`` of ``p V(mu/p) + mu e`` formed once.  Returns the
+    nodes, their raw values, derivatives and gaps, and, given ``wealth``
+    (N,) in layout order (another shape raises ``ValueError``), the wealth
+    residuals |W + derivative| / (1 + |W|), else None.
+    """
+    tree, pair, e = sol.tree, sol.pair, sol._endow_arr
+    w = None if wealth is None else _per_node(tree, wealth)
     lay, p, mu = tree.layout, tree.leaf_probability_array, sol.mu
+    starts, inner = lay.level_starts, lay.level_starts[-2]
     obj = p * pair.v(mu / p) + mu * e
     mass, restricted = tree.subtree_sums(np.stack([mu, obj]))
-    nodes = np.arange(lay.level_starts[t], lay.level_starts[t + 1])
+    nodes = np.arange(starts[times.start], starts[times.stop])
     nodes = nodes[sol.charged[nodes]]
-    m, big_p = mass[nodes], tree.node_probability_array[nodes]
-    if t == tree.horizon:
-        leaf = nodes - lay.level_starts[-2]
-        raw, deriv = obj[leaf], -sol.terminal_gain[leaf]
-    elif sol._log_l is not None:
-        gamma = pair.params["gamma"]
-        log_m = sol._log_mass + sol.node_log_q[nodes]   # exact where m underflows
-        log_ratio = log_m - np.log(big_p) - sol._log_l[nodes]
-        raw = pair.params["C"] * big_p + m * (log_ratio - 1.0) / gamma
-        deriv = log_ratio / gamma
+    split = np.searchsorted(nodes, inner)
+    inside, leaf = nodes[:split], nodes[split:] - inner
+    raw, deriv = np.empty(nodes.size), np.empty(nodes.size)
+    raw[split:], deriv[split:] = obj[leaf], -sol.terminal_gain[leaf]
+    if sol._log_l is not None:
+        gamma, big_p = pair.params["gamma"], tree.node_probability_array[inside]
+        log_m = sol._log_mass + sol.node_log_q[inside]   # exact where m underflows
+        log_ratio = log_m - np.log(big_p) - sol._log_l[inside]
+        raw[:split] = pair.params["C"] * big_p + mass[inside] * (log_ratio - 1.0) / gamma
+        deriv[:split] = log_ratio / gamma
     else:
-        raw, deriv = _conditional_solves(sol, nodes, m)
+        for t in times:   # the nodes of time t are inside[lo:hi]
+            lo, hi = np.searchsorted(inside, starts[t:t + 2])
+            if lo < hi:
+                raw[lo:hi], deriv[lo:hi] = _conditional_solves(sol, inside[lo:hi],
+                                                               mass[inside[lo:hi]])
     gap = np.abs(raw - restricted[nodes]) / (1.0 + np.abs(raw))
-    w = [None] * nodes.size if wealth is None else _wealth(tree, wealth)[nodes].tolist()
-    return [DynamicDualNode(lay.ids[k], v, d, g,
-                            None if x is None else abs(x + d) / (1.0 + abs(x)))
-            for k, v, d, g, x in zip(nodes.tolist(), (raw / big_p).tolist(),
-                                     deriv.tolist(), gap.tolist(), w)]
+    if w is None:
+        return nodes, raw, deriv, gap, None
+    w = w[nodes]
+    return nodes, raw, deriv, gap, np.abs(w + deriv) / (1.0 + np.abs(w))
 
 
 def _conditional_solves(sol, nodes, masses):
@@ -309,7 +338,7 @@ def snell_envelope_exponential(sol: DualSolution, *, wealth) -> SnellReport:
         raise NotExponentialError("Snell-envelope check requires exponential utility")
     if sol.support != "EQUIVALENT":
         raise NoPrimalOptimizerError("requires an equivalent optimal measure")
-    w = _wealth(tree, wealth)
+    w = _per_node(tree, wealth)
     _, best = _support_structure(tree).extremes(sol.terminal_gain)
     w_scale = 1.0 + float(np.abs(w).max())
     return SnellReport(envelope=best, max_equality_gap=float(np.abs(best - w).max() / w_scale),

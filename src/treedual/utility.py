@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -301,67 +302,88 @@ class CertificationReport:
     u_at_zero: float
 
 
-def _finite_window(f, xs, positive=False):
-    """Points of xs (order kept) where f is finite, optionally positive.
+def _joined(grids):
+    """The concatenation of ``grids``, read-only, as the pair's evaluators
+    receive it, and the slice of each grid in it."""
+    ends = np.cumsum([len(g) for g in grids]).tolist()
+    joined = np.concatenate(grids)
+    joined.setflags(write=False)
+    return joined, tuple(slice(a, b) for a, b in zip([0] + ends, ends))
 
-    Overflow/underflow at extreme arguments is treated as "outside the
-    numeric window" rather than an assumption failure.
-    """
-    vals = f(xs)
-    ok = np.isfinite(vals)
-    if positive:
-        ok &= vals > 0
-    return xs[ok], vals[ok]
+
+@cache
+def _certification_grids():
+    """The certification's grids, built at the first certification and kept
+    (built at import they would page in NumPy code that a process which
+    never certifies does not run).  x is log-spaced out to +-1e6
+    (``_CERT_EXTENT``), 400 points on each side of 0, strictly increasing;
+    the finite-difference window 1e-3 < |x| < 100 of it (a mask) has steps
+    1e-6 (1 + |x|); the tails are +-[1, 1e6] at 60 points; the
+    conjugate-growth grid is 200 points y on [1e-6, 1e6]; the biconjugacy
+    points are 51 points x in +-[1e-2, 10] and 0.  Then U' and U each at
+    the concatenation of the grids that read it, U at 0 last, with the
+    slice of each grid."""
+    xs = np.concatenate([-np.logspace(math.log10(_CERT_EXTENT), -8, 400), [0.0],
+                         np.logspace(-8, math.log10(_CERT_EXTENT), 400)])
+    mid = (np.abs(xs) > 1e-3) & (np.abs(xs) < 100.0)
+    step = 1e-6 * (1.0 + np.abs(xs[mid]))
+    tail = np.logspace(0, math.log10(_CERT_EXTENT), 60)
+    conj_x = np.concatenate([-np.logspace(-2, 1, 25), [0.0], np.logspace(-2, 1, 25)])
+    return (xs, mid, step, tail, np.logspace(-6, 6, 200), conj_x,
+            _joined([xs, tail, -tail, conj_x]),
+            _joined([xs[mid] + step, xs[mid] - step, tail, -tail, conj_x, [0.0]]))
 
 
 def certify_assumptions(pair: UtilityPair) -> CertificationReport:
     """Certify Inada, strict concavity, tail elasticity and conjugate growth.
 
     Grids are log-spaced out to +-1e6 (``_CERT_EXTENT``), 400 points on each
-    side of 0.  The Inada conditions U'(inf) = 0 and U'(-inf) = inf
-    are read from the log-log slope of U' over the last decade of the grid
-    on which U' is finite and positive: below -1e-3 on the right, above
-    1e-3 on the left.  The biconjugacy U(x) = min_y V(y) + x y is checked at
-    51 points x in +-[1e-2, 10] and 0 without a search: its minimizer is
-    y = U'(x), where ``conjugacy_max_residual`` is the larger of the value
-    residual |V(y) + x y - U(x)| / (1 + |U(x)|) and the stationarity
-    residual |V'(y) + x| / (1 + |x|); V'' must be positive at these y and
-    on the conjugate-growth grid.  Raises :class:`AssumptionFailError`
-    naming the first violated assumption; otherwise returns the report
-    with the empirical estimates.
+    side of 0, and built once (:func:`_certification_grids`).  Each closed
+    form is evaluated once, over the concatenation of the grids that read
+    it: U' at the x grid, the tails and the biconjugacy points; U at the
+    finite-difference points, the tails, the biconjugacy points and 0; V,
+    V' and V'' at the biconjugacy minimizers and the conjugate-growth grid,
+    after every check on the U side has passed.  The Inada conditions
+    U'(inf) = 0 and U'(-inf) = inf are read from the log-log slope of U'
+    over the last decade of the grid on which U' is finite and positive:
+    below -1e-3 on the right, above 1e-3 on the left.  The biconjugacy
+    U(x) = min_y V(y) + x y is checked at 51 points x in +-[1e-2, 10] and
+    0 without a search: its minimizer is y = U'(x), where
+    ``conjugacy_max_residual`` is the larger of the value residual
+    |V(y) + x y - U(x)| / (1 + |U(x)|) and the stationarity residual
+    |V'(y) + x| / (1 + |x|); V'' must be positive at these y and on the
+    conjugate-growth grid.  Raises :class:`AssumptionFailError` naming the
+    first violated assumption; otherwise returns the report with the
+    empirical estimates.
     """
+    xs, mid, step, tail, ys, conj_x, (up_at, up_parts), (u_at, u_parts) = _certification_grids()
     # strict monotonicity / strict concavity / positive U(0) on a dense grid
-    xs = np.concatenate([
-        -np.logspace(math.log10(_CERT_EXTENT), -8, 400),
-        [0.0],
-        np.logspace(-8, math.log10(_CERT_EXTENT), 400),
-    ])
-    xs = np.unique(xs)
-    raw_up = pair.u_prime(xs)
+    up = pair.u_prime(up_at)
+    raw_up, tail_up, left_up, conj_y = (up[part] for part in up_parts)
     if np.any(np.isfinite(raw_up) & (raw_up <= 0) & (xs < 1.0)):
         # underflow of U' at very large x is numeric, not a violation
         raise AssumptionFailError("monotonicity", "U' not strictly positive")
-    xs_f, up = _finite_window(pair.u_prime, xs, positive=True)
-    flat = np.where(np.diff(up) >= 0)[0]
+    ok = np.isfinite(raw_up) & (raw_up > 0)
+    flat = np.where(np.diff(raw_up[ok]) >= 0)[0]
     if flat.size:
         raise AssumptionFailError("strict concavity",
-                                  f"U' non-decreasing near x={xs_f[flat[0]]:.3g}")
-    u0 = pair.u(0.0)
-    if not u0 > 0:
-        raise AssumptionFailError("positive utility at zero", f"U(0)={u0:.3g}")
-
-    # C1: central differences of U against U' on a moderate window
-    # (U overflows at the window's left end for large risk aversion; those
-    # points are dropped below)
-    mid = xs[(np.abs(xs) > 1e-3) & (np.abs(xs) < 100.0)]
-    h = 1e-6 * (1.0 + np.abs(mid))
+                                  f"U' non-decreasing near x={xs[ok][flat[0]]:.3g}")
+    # U overflows at the finite-difference window's left end for large risk
+    # aversion; those points are dropped below
     with np.errstate(over="ignore", invalid="ignore"):
-        fd = (pair.u(mid + h) - pair.u(mid - h)) / (2.0 * h)
-        upm = pair.u_prime(mid)
-    okc = np.isfinite(fd) & np.isfinite(upm)
-    if np.max(np.abs(fd[okc] - upm[okc]) / (1.0 + np.abs(upm[okc]))) > 1e-5:
-        raise AssumptionFailError("continuous differentiability",
-                                  "U' disagrees with finite differences of U")
+        u = pair.u(u_at)
+        u_up, u_down, tail_u, left_u, u_x, (u0,) = (u[part] for part in u_parts)
+        if not u0 > 0:
+            raise AssumptionFailError("positive utility at zero", f"U(0)={u0:.3g}")
+
+        # C1: central differences of U against U' on a moderate window
+        fd = (u_up - u_down) / (2.0 * step)
+        upm = raw_up[mid]
+        okc = np.isfinite(fd) & np.isfinite(upm)
+        if np.max(np.abs(fd[okc] - upm[okc]) / (1.0 + np.abs(upm[okc]))) > 1e-5:
+            raise AssumptionFailError("continuous differentiability",
+                                      "U' disagrees with finite differences of U")
+        tail_prod, left_prod = tail_up * tail_u, left_up * left_u
 
     # Inada: U' monotone on expanding grids, both directions, and still
     # decaying (growing) like a power over the last decade of the finite
@@ -369,9 +391,9 @@ def certify_assumptions(pair: UtilityPair) -> CertificationReport:
     # right and above 1e-3 on the left.  No level test decides this:
     # U' = (1+x)^(-a) tends to 0 for every a > 0 but exceeds 1e-2 at x = 1e6
     # for a < 1/3
-    pos_grid = np.logspace(0, math.log10(_CERT_EXTENT), 60)
-    xp, upp = _finite_window(pair.u_prime, pos_grid, positive=True)
-    xn, upn = _finite_window(pair.u_prime, -pos_grid, positive=True)
+    okp = np.isfinite(tail_up) & (tail_up > 0)
+    okn = np.isfinite(left_up) & (left_up > 0)
+    xp, upp, xn, upn = tail[okp], tail_up[okp], -tail[okn], left_up[okn]
     slope_p = _last_decade_slope(xp, upp)
     slope_n = _last_decade_slope(-xn, upn)
     if not (slope_p < -1e-3 and np.all(np.diff(upp) < 0)
@@ -381,15 +403,12 @@ def certify_assumptions(pair: UtilityPair) -> CertificationReport:
                                   f"x={xp[-1]:.3g}, {slope_n:.3g} down to "
                                   f"x={xn[-1]:.3g}")
 
-    # tail elasticity x U'(x)/U(x) at the largest finite grid points
-    def elasticity(x):
-        return x * pair.u_prime(x) / pair.u(x)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        xp_f, _ = _finite_window(lambda t: pair.u_prime(t) * pair.u(t), pos_grid)
-        xn_f, _ = _finite_window(lambda t: pair.u_prime(t) * pair.u(t), -pos_grid)
-    ae_plus_est = float(elasticity(xp_f[-1]))
-    ae_minus_est = float(elasticity(xn_f[-1]))
+    # tail elasticity x U'(x)/U(x) at the largest grid points where U' U
+    # is finite
+    i = np.flatnonzero(np.isfinite(tail_prod))[-1]
+    ae_plus_est = float(tail[i] * tail_up[i] / tail_u[i])
+    i = np.flatnonzero(np.isfinite(left_prod))[-1]
+    ae_minus_est = float(-tail[i] * left_up[i] / left_u[i])
     if not ae_plus_est < 1.0 - 1e-3:
         raise AssumptionFailError("reasonable asymptotic elasticity",
                                   f"limsup estimate {ae_plus_est:.6g} not < 1")
@@ -397,10 +416,14 @@ def certify_assumptions(pair: UtilityPair) -> CertificationReport:
         raise AssumptionFailError("reasonable asymptotic elasticity",
                                   f"liminf estimate {ae_minus_est:.6g} not > 1")
 
+    # V, V' and V'' at the biconjugacy minimizers y = U'(x), then the
+    # conjugate-growth grid
+    curv_y = np.concatenate([conj_y, ys])
+    n = conj_y.size
+    v_all, vp_all, vs_all = pair.v(curv_y), pair.v_prime(curv_y), pair.v_second(curv_y)
+
     # conjugate growth: C' = max y|V'(y)|/V(y) over a log grid (V > 0 when U(0) > 0)
-    ys = np.logspace(-6, 6, 200)
-    vy = pair.v(ys)
-    vpy = pair.v_prime(ys)
+    vy, vpy = v_all[n:], vp_all[n:]
     ok = np.isfinite(vy) & np.isfinite(vpy) & (vy > 0)
     growth = float(np.max(ys[ok] * np.abs(vpy[ok]) / vy[ok]))
     if not math.isfinite(growth):
@@ -410,15 +433,10 @@ def certify_assumptions(pair: UtilityPair) -> CertificationReport:
     # Rockafellar, Convex Analysis, 1970, Thm 23.5); the value residual is
     # relative to 1 + |U(x)|: U(-10) grows like exp(10 gamma), so an absolute
     # residual fails on rounding alone
-    conj_x = np.concatenate([-np.logspace(-2, 1, 25), [0.0],
-                             np.logspace(-2, 1, 25)])
-    conj_y = pair.u_prime(conj_x)
-    u_x = pair.u(conj_x)
     resid = float(np.max(np.maximum(
-        np.abs(pair.v(conj_y) + conj_x * conj_y - u_x) / (1.0 + np.abs(u_x)),
-        np.abs(pair.v_prime(conj_y) + conj_x) / (1.0 + np.abs(conj_x)))))
-    curv_y = np.concatenate([conj_y, ys])
-    bent = ~(pair.v_second(curv_y) > 0)  # also true for NaN
+        np.abs(v_all[:n] + conj_x * conj_y - u_x) / (1.0 + np.abs(u_x)),
+        np.abs(vp_all[:n] + conj_x) / (1.0 + np.abs(conj_x)))))
+    bent = ~(vs_all > 0)  # also true for NaN
     if np.any(bent):
         raise AssumptionFailError("strict convexity of the conjugate",
                                   f"V'' not positive at y={curv_y[bent][0]:.3g}")
@@ -438,4 +456,3 @@ def _last_decade_slope(xs, vals):
     """Log-log slope of ``vals`` over the last decade of the positive grid xs."""
     first = np.searchsorted(xs, xs[-1] / 10.0)
     return float(np.log(vals[-1] / vals[first]) / np.log(xs[-1] / xs[first]))
-

@@ -9,7 +9,7 @@ import pytest
 import treegen
 from treedual import (ReplicationGapError, checks, dual, dynamic_dual,
                       exponential_utility, find_equivalent_mm, geometry, recover,
-                      run_battery, two_power_utility)
+                      recovery, run_battery, two_power_utility)
 
 SUITE = treegen.acceptance_suite()
 
@@ -343,3 +343,64 @@ def test_the_flag_is_proven_where_double_description_drops_a_vertex(make):
     flag = results["support flag matches market"]
     assert flag.passed and flag.detail == "EQUIVALENT"
     assert results["maximal support"].passed
+
+
+# -- the battery computes each quantity once -----------------------------------
+
+
+@pytest.mark.parametrize("k", range(len(SUITE)))
+def test_the_battery_reads_the_dynamic_dual_of_every_time_in_one_pass(k, monkeypatch):
+    # oracle: the worst wealth residual and restriction gap over the nodes
+    # of dynamic_dual(sol, t) for every t; the battery builds no node object
+    tree, pair, endow = SUITE[k]
+    sol = dual.solve_dual(tree, pair, endow)
+    ps = recover(tree, pair, endow, sol)
+    want = max(max(node.wealth_residual, node.restriction_gap)
+               for t in range(tree.horizon + 1) for node in dynamic_dual(sol, t, wealth=ps.wealth))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a DynamicDualNode was built")
+
+    monkeypatch.setattr(recovery, "DynamicDualNode", refuse)
+    results = {r.name: r for r in run_battery(tree, pair, endow)}
+    assert results["dynamic dual consistency"].residual == want
+
+
+def test_a_nan_on_a_later_node_fails_the_dynamic_dual(monkeypatch):
+    # a NaN log-partition at the first time-1 node makes its conditional
+    # value, derivative, gap and wealth residual NaN; the root comes first
+    # and is finite, and a max that drops a later NaN passed the check
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 2)
+    e = np.random.default_rng(0).uniform(-1.0, 1.0, tree.n_leaves)
+    solve = checks.solve_dual
+
+    def corrupted(*args):
+        sol = solve(*args)
+        log_l = sol._log_l.copy()
+        log_l[1] = np.nan
+        return dataclasses.replace(sol, _log_l=log_l)
+
+    monkeypatch.setattr(checks, "solve_dual", corrupted)
+    results = {r.name: r for r in run_battery(tree, exponential_utility(1.0, 2.0), e)}
+    assert math.isnan(results["dynamic dual consistency"].residual)
+    assert _failed(tree, exponential_utility(1.0, 2.0), e) == ["dynamic dual consistency"]
+
+
+def test_a_nan_on_a_later_curve_point_fails_the_curve_checks(monkeypatch):
+    # the fourth of the five curve points reads a NaN value and derivative;
+    # min and max over Python floats dropped them, and the checks passed
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 2)
+    e = np.random.default_rng(0).uniform(-1.0, 1.0, tree.n_leaves)
+    real = dual._at_masses
+
+    def corrupted(*args):
+        sols = real(*args)
+        if len(sols) == 5:
+            sols[3] = dataclasses.replace(sols[3], value=math.nan,
+                                          _endow_arr=sols[3]._endow_arr + math.nan)
+        return sols
+
+    monkeypatch.setattr(dual, "_at_masses", corrupted)
+    assert _failed(tree, two_power_utility(0.5, 1.0, 1.0), e) == [
+        "value curve convexity", "curve minimum vs optimum",
+        "conjugate growth bound along the curve"]

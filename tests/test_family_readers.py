@@ -31,8 +31,9 @@ READERS = {
 LOG_PARTITION_READERS = {
     "dual.DualSolution.terminal_gain",
     "dual._at_log_mass",
+    "dual._fixed_mass_value",
     "dual.dual_value_curve",
-    "recovery.dynamic_dual",
+    "recovery._conditional_duals",
     "recovery.recover",
 }
 

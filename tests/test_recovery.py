@@ -36,6 +36,14 @@ def test_wealth_of_another_shape_is_refused(tri1, exp_pair):
                 check(wealth)
 
 
+def test_optimal_log_masses_of_another_shape_are_refused(tri1):
+    # np.zeros(2) read a drift of 0.0 and np.zeros(5) a bare broadcast error
+    for optimal in (np.zeros(2), np.zeros(5), np.zeros((4, 1))):
+        with pytest.raises(ValueError, match=r"optimal node log masses must have shape "
+                                             r"\(4,\) in layout order"):
+            verify_supermartingale(tri1, np.zeros(4), optimal)
+
+
 def test_both_families_solve_where_path_products_underflow():
     # the caterpillar's interior measure reads 0 on its deepest leaves; the
     # support read from it flagged the market DEGENERATE, so recover refused

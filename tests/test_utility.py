@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import math
 import warnings
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from certification_oracle import certify_assumptions_by_grid
 from treedual import (AssumptionFailError, DomainError, ParseError,
                       UtilityPair, certify_assumptions, evaluate,
                       exponential_utility, parse_utility_spec, run_battery,
@@ -496,6 +499,60 @@ def test_certification_reports_the_closed_form_elasticities(bin1, pair, closed):
 def test_certification_rejects_nonpositive_shift():
     with pytest.raises(AssumptionFailError, match="zero"):
         certify_assumptions(exponential_utility(1.0, 0.0))
+
+
+def _certified(certify, pair):
+    """The report's fields as float hex, or the refusal's assumption and
+    message."""
+    try:
+        rep = certify(pair)
+    except AssumptionFailError as exc:
+        return exc.assumption, str(exc)
+    return tuple(float(x).hex() for x in dataclasses.astuple(rep))
+
+
+_PIN_SWEEP = [exponential_utility(float(g), c) for g in np.geomspace(0.05, 12.0, 12)
+              for c in (1.0 + 1.0 / g, 2.0)] + [
+    two_power_utility(float(a), float(b), 1.0) for a in np.linspace(0.3, 0.95, 6)
+    for b in np.geomspace(0.2, 3.0, 5)]
+_HOSTILE = {"spliced": _hostile_pair, "marginal floor": _marginal_floor_pair,
+            "unshifted": lambda: exponential_utility(1.0, 0.0)} | {
+    f"{base.family} {kind}": lambda base=base, kind=kind: _mutants(base)[kind]
+    for base in (exponential_utility(1.0, 2.0), two_power_utility(0.5, 1.0, 1.0))
+    for kind in ("V shifted", "V' moved", "V'' negative")}
+
+
+@pytest.mark.parametrize("pair", _PIN_SWEEP, ids=lambda p: p.describe())
+def test_certification_meets_the_grid_by_grid_oracle_bit_for_bit(pair):
+    # gamma 0.05-12 (U(0) <= 0 below gamma = 0.5 at C = 2), a 0.3-0.95,
+    # b 0.2-3: every report field, or the refusal, as the oracle has it
+    assert _certified(certify_assumptions, pair) == _certified(certify_assumptions_by_grid, pair)
+
+
+@pytest.mark.parametrize("make", _HOSTILE.values(), ids=_HOSTILE.keys())
+def test_certification_refuses_the_hostile_pairs_as_the_oracle_does(make):
+    assert _certified(certify_assumptions, make()) == _certified(certify_assumptions_by_grid,
+                                                                make())
+
+
+@pytest.mark.parametrize("pair", [exponential_utility(1.0, 2.0), two_power_utility(0.5, 1.0, 1.0)],
+                         ids=lambda p: p.family)
+def test_certification_evaluates_each_closed_form_once(pair):
+    # U' and U once each over the concatenation of their grids (U(0)
+    # among them), V, V' and V'' once each; A and U's inverse not at all
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def g(x):
+            calls[name] += 1
+            return f(x)
+        return g
+
+    names = ("u", "u_prime", "v", "v_prime", "v_second", "risk_aversion", "u_inverse")
+    rep = certify_assumptions(dataclasses.replace(
+        pair, **{name: counted(name, getattr(pair, name)) for name in names}))
+    assert rep == certify_assumptions(pair)
+    assert calls == {"u": 1, "u_prime": 1, "v": 1, "v_prime": 1, "v_second": 1}
 
 
 @settings(max_examples=40, deadline=None)
