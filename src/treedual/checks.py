@@ -60,7 +60,13 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     charged node, the wealth residual and restriction gap of the
     conditional dual problems: one array pass over every time
     (``recovery._conditional_duals``, of which :func:`dynamic_dual` reads
-    one time's slice), with no per-node object.  The certification
+    one time's slice), with no per-node object.  The value curve is
+    computed before it: its middle point, at the optimum's own log mass,
+    is the root's conditional problem, so a two-power battery makes
+    horizon + 1 Newton-core calls (the solve, the curve and one per time
+    1 .. T - 1).  The optimum's entropy terms p V(mu/p) are formed once
+    (``DualSolution.entropy_terms``): "zero duality gap" sums them and the
+    dynamic dual adds mu e to them.  The certification
     (:func:`certify_assumptions`, one evaluation of each closed form over
     its grids) proves biconjugacy from the pair's closed forms at y = U'(x);
     its detail prints the tail elasticities (AE-, AE+) beside their grid
@@ -90,7 +96,7 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     rescaled optimum.  A result's
     ``seconds`` run from the previous result, so shared work (the solve, the
     certificates, the recovery, the curve) is charged to the first check
-    that uses it.
+    that uses it: the curve to "dynamic dual consistency".
     """
     results, clock = [], [time.perf_counter()]
 
@@ -152,7 +158,8 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
         return results
     # the recovered primal value against the dual objective, entropy plus cost
     scale_v = 1.0 + abs(sol.value)
-    gap = abs(ps.value - (relative_entropy(tree, pair, sol.mu) + sol.mu @ e)) / scale_v
+    gap = abs(ps.value - (relative_entropy(tree, pair, sol.mu, sol.entropy_terms)
+                          + sol.mu @ e)) / scale_v
     add("zero duality gap", gap, 1e-7)
     tol = 1e-8 * (1 + sol.mass)
     add("terminal first-order condition", ps.first_order_residual, tol)
@@ -167,10 +174,17 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
         f"{sm.vertices_tested} one-step vertices")
     add("martingale under the optimal measure", sm.max_abs_drift_under_optimal, 1e-8)
 
+    # the value curve at log masses around the optimum's own; its middle
+    # point, at the optimum's mass, is the root's conditional problem
+    log_ys = sol._log_mass + np.log([0.5, 0.75, 1.0, 1.5, 2.0])
+    curve = dual_value_curve(sol, log_ys, log=True)
+    mid = curve.points[2]
+
     # the conditional problems' mass derivatives against the wealth, and
     # their values against the restricted optimizer
     try:
-        *_, gap, resid = _conditional_duals(sol, range(tree.horizon + 1), ps.wealth)
+        *_, gap, resid = _conditional_duals(sol, range(tree.horizon + 1), ps.wealth,
+                                            (mid.value, mid.derivative))
         worst, detail = float(np.maximum(resid, gap).max(initial=0.0)), ""
     except NonconvergedError as exc:   # a two-power conditional solve
         worst, detail = math.inf, f"{type(exc).__name__}: {exc}"
@@ -181,12 +195,10 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
         add("exponential Snell envelope", sn.max_equality_gap, 1e-5)
         add("Snell lower bounds", max(sn.max_lower_bound_excess, 0.0), 1e-7)
 
-    log_ys = sol._log_mass + np.log([0.5, 0.75, 1.0, 1.5, 2.0])
-    curve = dual_value_curve(sol, log_ys, log=True)
     conv = -min(curve.min_second_difference, 0.0)
     add("value curve convexity", conv, 1e-8)
     add("curve minimum vs optimum", max(sol.value - curve.min_value, 0.0), 1e-8 * scale_v)
-    d_opt = abs(curve.points[2].derivative)   # at y = sol.mass
+    d_opt = abs(mid.derivative)   # at y = sol.mass
     add("stationarity of the mass derivative", d_opt, 1e-7)
 
     # growth of the value curve from the conjugate growth constant (the

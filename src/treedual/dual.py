@@ -42,7 +42,8 @@ by one Newton-core call started at the optimum.
   fixed-mass rows alike, each row with its own line search, convergence and
   failure; a single solve is a stack of one.  The rows may also be
   different problems, padded to one size: ``dynamic_dual`` solves one
-  time's conditional problems, a subtree each, in one call.  Every row
+  time's conditional problems, a subtree each, in one call.  Each point
+  is one closed-form pass of U, U' and the risk aversion.  Every row
   starts at a measure, fitted in the Newton metric: a warm row at the
   optimum it continues, a cold row at y times the support pass's
   equivalent martingale measure, the whole solution of a complete market
@@ -90,7 +91,8 @@ class DualSolution:
     over levels of the most any endowment took).  ``mu`` and ``q_hat``, the
     optimal and normalized measures, are (L,) arrays in leaf order;
     ``_log_q`` = ln q_hat, exact where q_hat underflows, gives
-    :attr:`node_log_q` and :attr:`charged`.
+    :attr:`node_log_q` and :attr:`charged`; :attr:`entropy_terms` are the
+    optimum's entropy per leaf, formed once.
     """
 
     tree: MarketTree
@@ -121,6 +123,11 @@ class DualSolution:
     def charged(self) -> np.ndarray:      # (N,): the nodes q_hat charges
         return self.node_log_q > -np.inf
 
+    @cached_property
+    def entropy_terms(self) -> np.ndarray:   # (L,): p V(mu/p), the entropy per leaf
+        p = self.tree.leaf_probability_array
+        return p * self.pair.v(self.mu / p)
+
     @property
     def terminal_gain(self) -> np.ndarray:
         """X = -V'(mu/p) - e (L,), the optimal terminal gain, +inf off the
@@ -133,9 +140,10 @@ class DualSolution:
     @property
     def mass_derivative(self) -> float:
         """-E_q_hat[X], the envelope derivative of the value in the mass, over
-        the charged leaves, read off ``_log_q`` (X is +inf off them)."""
+        the charged leaves, read off ``_log_q`` (X is +inf off them):
+        :func:`_envelope`."""
         on = self._log_q > -np.inf
-        return float(np.dot(self.q_hat, np.where(on, -self.terminal_gain, 0.0)))
+        return float(_envelope(self.q_hat, self.terminal_gain[None], on)[0])
 
     def _require(self, tree, pair, e, caller):
         """Raise :class:`DomainError` unless this solved ``tree`` and
@@ -450,6 +458,16 @@ def _fixed_mass_value(sol, log_y, y):
     return c + y * (log_y - 1.0 - float(sol._log_l[0])) / gamma
 
 
+def _envelope(q, x, on):
+    """The envelope derivatives -E_q[X] of the value in the mass, one per
+    row of the terminal gains ``x`` (r, L), of the normalized optima ``q``
+    over the leaves ``on`` that q charges (X is +inf off them), q and on
+    (L,) or (r, L): one dot per row.  The one formula of
+    :attr:`DualSolution.mass_derivative`, of :func:`dual_value_curve` and
+    of the conditional solves of ``recovery``."""
+    return _row_dot(np.where(on, -x, 0.0), q)
+
+
 def _exponential_gain(sol, log_mass):
     """The exponential optimum's terminal gain X = ln(p/mu)/gamma - e at
     the log mass(es) ``log_mass`` (a float, or a column for a row per
@@ -471,26 +489,38 @@ def _row_dot(a, b):
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
+@lru_cache(maxsize=None)
+def _upper(k):
+    """The read-only mask of a k x k upper triangle."""
+    mask = np.triu(np.ones((k, k), dtype=bool))
+    mask.setflags(write=False)
+    return mask
+
+
 def _qr_fits(J, T):
     """Per row of a stack, the least-squares fits (r, k, m) of the columns of
     ``T`` (r, n, m) by the columns of ``J`` (r, n, k), whose nonzero columns
-    are independent: one batched Householder QR of [J | T] (``mode="r"``)
-    and one batched solve on its leading k x k triangle.  A zero column of J
-    gets a padding row with 1 in that column, so it fits 0 and leaves the
-    other columns' fits unchanged; zero rows pad n up to k + m.  A row whose
-    triangle is singular (an exact zero on its diagonal, where its nonzero
-    columns are dependent after all) gets NaN fits, and the others are
-    solved as without it."""
+    are independent: one batched Householder QR of [J | T] and one batched
+    solve on its leading k x k triangle.  [J | T] is written into one
+    array, with its padding rows: a zero column of J gets a row with 1 in
+    that column, so it fits 0 and leaves the other columns' fits unchanged,
+    and zero rows pad n up to k + m.  R is read off ``mode="raw"`` (the
+    factored matrix, transposed), its triangle under the cached mask
+    :func:`_upper` and the fitted columns as they are, so no copy is made
+    beyond the QR's own.  A row whose triangle is singular (an exact zero
+    on its diagonal, where its nonzero columns are dependent after all) gets
+    NaN fits, and the others are solved as without it."""
     r, n, k = J.shape
     m = T.shape[2]
     zero = ~J.any(axis=1)
-    M = np.concatenate((J, T), axis=2)
-    if zero.any() or n < k + m:
-        pad = np.zeros((r, k + max(k + m - n, 0), k + m))
-        pad[:, :k, :k] = zero[:, :, None] * np.eye(k)
-        M = np.concatenate((M, pad), axis=1)
-    R = np.linalg.qr(M, mode="r")
-    tri, rhs = R[:, :k, :k], R[:, :k, k:]
+    pad = k + max(k + m - n, 0) if zero.any() or n < k + m else 0
+    M = np.empty((r, n + pad, k + m))
+    M[:, :n, :k], M[:, :n, k:] = J, T
+    if pad:
+        M[:, n:] = 0.0
+        M[:, n:n + k, :k] = zero[:, :, None] * np.eye(k)
+    R = np.linalg.qr(M, mode="raw")[0].swapaxes(1, 2)
+    tri, rhs = np.where(_upper(k), R[:, :k, :k], 0.0), R[:, :k, k:]
     try:
         return np.linalg.solve(tri, rhs)
     except np.linalg.LinAlgError:       # an exact zero pivot: NaN fits on its rows alone
@@ -520,7 +550,10 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
     scaling with Jacobi-scaled columns, by one batched QR over the rows
     that step (:func:`_qr_fits`); a strategy column whose weights all
     underflow gets no step.  -p U'' is mu times the risk aversion -U''/U'
-    of the wealth, both in closed form, and 0 where U' underflows.  A step
+    of the wealth, and 0 where U' underflows: each point (the start and
+    every trial of the line search) is one pass of the pair's ``u_point``,
+    which gives U, U' and A together, and the step at a point reads its A,
+    evaluated nowhere else in the loop.  A step
     is accepted on Armijo increase or, where Phi is flat to rounding (of U
     and of the wealth), on a scaled gradient at most half as large,
     ``max_j |B' mu - y e_x|_j / ((1 + max|B_j|) sum mu)``, the martingale
@@ -537,8 +570,9 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
     measure, the optimum up to the budget.  Other rows start at c = 0.
     Returns per row mu (r, L; 0 off
     ``live``), h (r, k), the value (plus p V(0) off ``live``), the
-    residual, the steps, W''(y) = [H^-1]_xx (NaN at free rows, and
-    everywhere without ``curvature``, which saves its factorization) and
+    residual, the steps, W''(y) = [H^-1]_xx at the last point (NaN at free
+    rows, and everywhere without ``curvature``, which saves its QR: only
+    the penalty search and :func:`solve_dual_fixed_mass` read it) and
     the row's error, None or a :class:`NonconvergedError` (after 200 steps,
     from a start outside the domain, on a singular Newton system, or
     without an acceptable step above 1e-9).
@@ -562,17 +596,18 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
         return x if len(x) == 1 else x[rows]
 
     def point(c):
-        """Per row: Phi, the scaled gradient, U, the wealth, mu and grad Phi."""
+        """Per row: Phi, the scaled gradient, U, the wealth, mu, grad Phi and
+        the risk aversion, from one closed-form pass over the wealth."""
         w = el + (B @ c[:, :, None])[:, :, 0]
-        u = pair.u(w)
-        mu = pl * pair.u_prime(w)
+        u, up, ra = pair.u_point(w)
+        mu = pl * up
         g = (Bt @ mu[:, :, None])[:, :, 0]
         g[:, k] -= y0
         phi = _row_dot(u, pl) - y0 * c[:, k]
         res = np.abs(g / scale).max(axis=1) / mu.sum(axis=1)
         bad = ~np.isfinite(phi + res)
         phi[bad], res[bad] = -math.inf, math.inf
-        return phi, res, u, w, mu, g
+        return phi, res, u, w, mu, g, ra
 
     def fit(ts, rows, ys):
         """Per row of ``ts`` = [t | s] (a, n, 2), of the rows ``rows``, the
@@ -600,10 +635,11 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
 
     def direction(rows):
         """The Newton steps (r, k + 1) of the rows in the mask ``rows``, 0
-        elsewhere, and [H^-1]_xx there at fixed masses (else NaN)."""
+        elsewhere, and [H^-1]_xx there at fixed masses (else NaN), from the
+        point's mu and risk aversion."""
         m = mu[rows]
         ts = np.zeros(m.shape + (2,))
-        s = ts[:, :, 1] = np.sqrt(m * pair.risk_aversion(w[rows]))    # H = J'J
+        s = ts[:, :, 1] = np.sqrt(m * ra[rows])                       # H = J'J
         np.divide(m, s, out=ts[:, :, 0], where=s > 0)                 # J't = B'mu
         step, inv = np.zeros((r, k + 1)), np.full(r, math.nan)
         step[rows], inv[rows] = fit(ts, rows, y0[rows])
@@ -622,7 +658,7 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
                 s = ts[:, :, 1] = np.where(on, np.sqrt(q * pair.risk_aversion(x)), 0.0)
                 ts[:, :, 0] = s * (x - el[warm])
                 c[warm] = fit(ts, warm, 0.0)[0]
-        phi, res, u, w, mu, g = point(c)
+        phi, res, u, w, mu, g, ra = point(c)
         errors = [None if x < math.inf else NonconvergedError(
             "singular Newton system at the start fit" if np.isnan(c[j]).any() else
             f"start outside the domain (scaled gradient {x:.3e})", residual=x)
@@ -650,10 +686,10 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
                 if not search.any():
                     # rows not searching have no step left: their trial
                     # repeats their point
-                    c, (phi, res, u, w, mu, g) = ct, trial
+                    c, (phi, res, u, w, mu, g, ra) = ct, trial
                     break
                 c[ok], delta[ok] = ct[ok], 0.0
-                for now, new in zip((phi, res, u, w, mu, g), trial):
+                for now, new in zip((phi, res, u, w, mu, g, ra), trial):
                     now[ok] = new[ok]
                 alpha[search] *= 0.5
             else:
@@ -704,13 +740,18 @@ def _mass(s: float) -> float:
         return math.inf
 
 
-def _core_solutions(tree, pair, endows, log_mass=None, starts=None):
+def _core_solutions(tree, pair, endows, log_mass=None, starts=None, curvature=True):
     """The Newton core on the maximal support for a stack of endowments (r, L),
     at masses e^log_mass (r,) if given (NaN at a free row), started at leaf
     measures (r, L) if given: one optimum or the row's error per row, a
     :class:`NonconvergedError`, or an :class:`EvaluationOverflowError` at a
-    mass past the floating-point range, which is not solved.  The core runs
-    on the columns of :func:`_strategy_basis`; the others get h = 0.
+    mass past the floating-point range or one whose wealth I(y) = -V'(y) is,
+    which is not solved.  Such a mass has no optimum in floats: some leaf
+    has density y q/p <= y (the ratios q/p average 1 under p), so its
+    optimal wealth is at least I(y).  The core runs on the columns of
+    :func:`_strategy_basis`; the others get h = 0.  Each optimum at a fixed
+    mass carries W'' unless ``curvature`` is false, which saves its
+    factorization.
 
     A row without a start positive on the support starts at y q, the
     complete-market optimum up to the budget (Karatzas, Lehoczky & Shreve,
@@ -725,7 +766,10 @@ def _core_solutions(tree, pair, endows, log_mass=None, starts=None):
     basis = _strategy_basis(geo)
     r = len(endows)
     y = np.full(r, math.nan) if log_mass is None else np.array([_mass(s) for s in log_mass])
-    run = ~np.isinf(y)
+    past, fixed = np.isinf(y), np.isfinite(y)
+    if fixed.any():
+        past[fixed] = ~np.isfinite(pair.v_prime(y[fixed]))
+    run = ~past
     starts = np.zeros(endows.shape) if starts is None else np.array(starts, dtype=float)
     cold = ~(starts[:, mask] > 0).all(axis=1)
     if cold.any():
@@ -734,15 +778,16 @@ def _core_solutions(tree, pair, endows, log_mass=None, starts=None):
             y0 = np.where(np.isnan(y), pair.u_prime(_row_dot(endows, q)), y)
         cold &= np.isfinite(y0)
         starts[cold] = y0[cold, None] * q
-    mu, h_basis, value, res, steps, curvature, errors = _newton_core(
+    mu, h_basis, value, res, steps, w2, errors = _newton_core(
         build_constraints(tree)[basis], tree.leaf_probability_array, endows[run], pair, mask,
-        mass=y[run], start=starts[run])
+        mass=y[run], start=starts[run], curvature=curvature)
     h = np.zeros((len(errors), basis.size))
     h[:, basis] = h_basis
     out = [None] * r
-    for j in np.flatnonzero(~run).tolist():
+    for j in np.flatnonzero(past).tolist():
+        what = "mass" if np.isinf(y[j]) else "wealth I(y) = -V'(y) at the mass y ="
         out[j] = EvaluationOverflowError(
-            f"mass e^{float(log_mass[j])!r} is past the floating-point range")
+            f"{what} e^{float(log_mass[j])!r} is past the floating-point range")
     for i, j in enumerate(np.flatnonzero(run).tolist()):
         if errors[i] is not None:
             out[j] = errors[i]
@@ -751,29 +796,31 @@ def _core_solutions(tree, pair, endows, log_mass=None, starts=None):
         out[j] = _solution(tree, pair, endows[j], mu[i], mu[i] / m, log_masses(mu[i] / m),
                            m, math.log(m), float(value[i]), float(res[i]), flag,
                            int(steps[i]), h[i].reshape(-1, tree.n_assets),
-                           None if math.isnan(curvature[i]) else float(curvature[i]))
+                           None if math.isnan(w2[i]) else float(w2[i]))
     return out
 
 
-def _solutions(tree, pair, endows, log_mass=None, starts=None):
+def _solutions(tree, pair, endows, log_mass=None, starts=None, curvature=True):
     """The dual optima of a stack of endowments (r, L) on one tree, row j at
     the log mass ``log_mass[j]`` if given (NaN at a free row), exact in the
     log-space pass where the mass is subnormal: one optimum or the row's
     :class:`NonconvergedError` per row.  The one place the family picks the
     solver: one log-space pass for the exponential family, else one call of
-    the Newton core, started at the leaf measures ``starts`` (r, L) if given."""
+    the Newton core, started at the leaf measures ``starts`` (r, L) if given,
+    with W'' at the fixed masses unless ``curvature`` is false."""
     if pair.family == "exponential":
         return _log_space_solutions(tree, pair, endows, log_mass)
-    return _core_solutions(tree, pair, endows, log_mass, starts)
+    return _core_solutions(tree, pair, endows, log_mass, starts, curvature)
 
 
-def _at_masses(tree, pair, endow, ss, starts=None):
+def _at_masses(tree, pair, endow, ss, starts=None, curvature=True):
     """The optima of one endowment at each log mass of ``ss`` (NaN: free),
-    from one :func:`_solutions` call with the leaf measures ``starts``;
-    raises the first row's error."""
+    from one :func:`_solutions` call with the leaf measures ``starts``, with
+    W'' at the fixed masses unless ``curvature`` is false; raises the first
+    row's error."""
     ss = np.asarray(ss, dtype=float)
     sols = _solutions(tree, pair, leaf_values(tree, endow)[None].repeat(ss.size, axis=0), ss,
-                      starts)
+                      starts, curvature)
     for sol in sols:
         if isinstance(sol, Exception):
             raise sol
@@ -845,10 +892,13 @@ def dual_value_curve(sol: DualSolution, ys: Sequence[float], *,
     Each point is the inner optimum at its pinned mass e^s, read off the
     solved problem: for the exponential family in closed form from ``sol``
     itself (the measure e^s q_hat), every point at once, its value by
-    :func:`_fixed_mass_value` (as :func:`_at_log_mass` has it) and its
-    derivative -E_q_hat[X] by one dot per point; otherwise by one
-    Newton-core call whose rows start at ``sol.mu * e^(s - ln m)``, m =
-    ``sol.mass``; raises the first row's error.  A point's ``y`` is the
+    :func:`_fixed_mass_value` (as :func:`_at_log_mass` has it); otherwise
+    by one Newton-core call whose rows start at ``sol.mu * e^(s - ln m)``,
+    m = ``sol.mass``, and factor no W'', which no point reads; raises the
+    first row's error.  The derivatives -E_q_hat[X] are :func:`_envelope`,
+    one dot per point, with X of every point from one evaluation.  At s =
+    ``sol._log_mass`` the row is the root's conditional problem of
+    ``recovery.dynamic_dual``, bit for bit.  A point's ``y`` is the
     caller's mass, or e^s (which may underflow).  The report carries a
     numeric convexity certificate, on either kind of grid: the least rise
     of the mass derivative between neighbours, since W is convex exactly
@@ -869,18 +919,22 @@ def dual_value_curve(sol: DualSolution, ys: Sequence[float], *,
     ss = ys if log else [math.log(y) for y in ys]
     if sol._log_l is not None:
         s = np.array(ss)
-        # each point's mass_derivative: -E_q_hat[X] over the charged leaves
-        gains = _exponential_gain(sol, s[:, None])
-        derivs = _row_dot(np.where(sol._log_q > -np.inf, -gains, 0.0), sol.q_hat)
+        derivs = _envelope(sol.q_hat, _exponential_gain(sol, s[:, None]), sol._log_q > -np.inf)
         values = _fixed_mass_value(sol, s, np.array([_mass(x) for x in ss]))
         q_hats = [sol.q_hat] * len(ss)
     else:
         with np.errstate(over="ignore"):
             starts = sol.mu * np.exp(np.array(ss) - sol._log_mass)[:, None]
-        sols = _at_masses(sol.tree, sol.pair, sol._endow_arr, ss, starts)
-        derivs = np.array([pt.mass_derivative for pt in sols])
-        values = np.array([pt.value for pt in sols])
+        # no point reads W'', so none is factored
+        sols = _at_masses(sol.tree, sol.pair, sol._endow_arr, ss, starts, False)
         q_hats = [pt.q_hat for pt in sols]
+        mus = np.array([pt.mu for pt in sols])
+        # X = -V'(mu/p) - e of every point in one evaluation
+        gains = -sol.pair.v_prime(mus / sol.tree.leaf_probability_array) - np.array(
+            [pt._endow_arr for pt in sols])
+        on = np.array([pt._log_q for pt in sols]) > -np.inf
+        derivs = _envelope(np.array(q_hats), gains, on)
+        values = np.array([pt.value for pt in sols])
     pts = [CurvePoint(y=y, value=v, q_hat=q, derivative=d)
            for y, v, q, d in zip(masses, values.tolist(), q_hats, derivs.tolist())]
     # reductions that propagate NaN: a NaN point fails the certificate

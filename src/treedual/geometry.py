@@ -427,19 +427,22 @@ def find_equivalent_mm(tree: MarketTree) -> np.ndarray | None:
 
 # -- entropy ---------------------------------------------------------------------
 
-def relative_entropy(tree: MarketTree, pair: UtilityPair, mu) -> float:
+def relative_entropy(tree: MarketTree, pair: UtilityPair, mu, terms=None) -> float:
     """Generalized entropy of ``mu`` against the reference leaf probabilities.
 
     Expectation of the conjugate applied to the leaf density, with the
     convention that a zero-density leaf contributes V(0) = U(inf); the result
-    is +inf iff some term is.
+    is +inf iff some term is.  ``terms``, the leaf terms p V(mu/p) if
+    already formed (``DualSolution.entropy_terms``), are summed rather than
+    formed again.
     """
     m = leaf_values(tree, mu)
     if np.any(m < 0):
         raise DomainError("measure must be non-negative")
     p = tree.leaf_probability_array
-    vals = pair.v(m / p)
-    return float((vals * p).sum()) if np.isfinite(vals).all() else np.inf
+    if terms is None:
+        terms = p * pair.v(m / p)
+    return float(terms.sum()) if np.isfinite(terms).all() else np.inf
 
 
 # -- vertex enumeration -----------------------------------------------------------

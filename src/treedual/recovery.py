@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualSolution, _newton_core, _strategy_basis
+from .dual import DualSolution, _envelope, _newton_core, _strategy_basis
 from .errors import NoPrimalOptimizerError, NotExponentialError, ReplicationGapError
 from .geometry import _support_structure, build_constraints
 from .market import MarketTree, leaf_values
@@ -201,7 +201,10 @@ def dynamic_dual(sol: DualSolution, t: int, wealth=None) -> list[DynamicDualNode
     At each node n the optimum charges (:attr:`DualSolution.charged`), the
     least entropy-plus-endowment objective over subtree measures of the
     optimizer's mass m_n, and its derivative in that mass, read off the
-    slice of time ``t`` of :func:`_conditional_duals`.  The value is the
+    slice of time ``t`` of :func:`_conditional_duals`.  At t = 0 a
+    two-power optimum solves the root's row as :func:`dual_value_curve`
+    does at the optimum's own log mass, so the two agree bit for bit
+    (``run_battery`` reads the curve's point there).  The value is the
     raw one over P_n; the restriction gap compares it with the global
     optimizer's objective on the subtree.  Deterministic time grid only.
     When ``wealth`` (N,) in layout order is given (another shape raises
@@ -218,7 +221,7 @@ def dynamic_dual(sol: DualSolution, t: int, wealth=None) -> list[DynamicDualNode
                                      gap.tolist(), resid)]
 
 
-def _conditional_duals(sol, times, wealth=None):
+def _conditional_duals(sol, times, wealth=None, root=None):
     """The conditional dual problems at every charged node of the ``times``
     (a range), in one pass over them, in layout order.
 
@@ -231,18 +234,23 @@ def _conditional_duals(sol, times, wealth=None):
     support in one Newton-core call per time (:func:`_conditional_solves`),
     started at the optimizer, and differentiate by the envelope formula;
     the first failing time raises its :class:`NonconvergedError`.  The
-    restriction gap |raw - restricted| / (1 + |raw|) compares the raw value
-    with the global optimizer's objective on the subtree, a
-    ``subtree_sums`` of ``p V(mu/p) + mu e`` formed once.  Returns the
-    nodes, their raw values, derivatives and gaps, and, given ``wealth``
-    (N,) in layout order (another shape raises ``ValueError``), the wealth
-    residuals |W + derivative| / (1 + |W|), else None.
+    root's problem is the whole tree's at the optimum's own mass
+    ``exp(sol._log_mass)``, the row that ``dual_value_curve`` solves at
+    that log mass: ``root``, its (raw value, derivative) if solved already,
+    takes the place of its solve (the battery passes its curve's middle
+    point), and the two agree bit for bit.  The restriction gap |raw -
+    restricted| / (1 + |raw|) compares the raw value with the global
+    optimizer's objective on the subtree, a ``subtree_sums`` of
+    ``sol.entropy_terms + mu e`` formed once.  Returns the nodes, their raw
+    values, derivatives and gaps, and, given ``wealth`` (N,) in layout
+    order (another shape raises ``ValueError``), the wealth residuals |W +
+    derivative| / (1 + |W|), else None.
     """
     tree, pair, e = sol.tree, sol.pair, sol._endow_arr
     w = None if wealth is None else _per_node(tree, wealth)
-    lay, p, mu = tree.layout, tree.leaf_probability_array, sol.mu
+    lay, mu = tree.layout, sol.mu
     starts, inner = lay.level_starts, lay.level_starts[-2]
-    obj = p * pair.v(mu / p) + mu * e
+    obj = sol.entropy_terms + mu * e
     mass, restricted = tree.subtree_sums(np.stack([mu, obj]))
     nodes = np.arange(starts[times.start], starts[times.stop])
     nodes = nodes[sol.charged[nodes]]
@@ -257,9 +265,12 @@ def _conditional_duals(sol, times, wealth=None):
         raw[:split] = pair.params["C"] * big_p + mass[inside] * (log_ratio - 1.0) / gamma
         deriv[:split] = log_ratio / gamma
     else:
+        mass[0] = math.exp(sol._log_mass)   # the root's row is the curve's
         for t in times:   # the nodes of time t are inside[lo:hi]
             lo, hi = np.searchsorted(inside, starts[t:t + 2])
-            if lo < hi:
+            if t == 0 and root is not None:
+                raw[0], deriv[0] = root
+            elif lo < hi:
                 raw[lo:hi], deriv[lo:hi] = _conditional_solves(sol, inside[lo:hi],
                                                                mass[inside[lo:hi]])
     gap = np.abs(raw - restricted[nodes]) / (1.0 + np.abs(raw))
@@ -278,7 +289,9 @@ def _conditional_solves(sol, nodes, masses):
     :func:`_strategy_basis` keeps, padded with zero rows to the most any
     subtree keeps (memory O(L k) per time).  Every leaf is live: the
     two-power dual refuses a DEGENERATE market.  Each row starts at the
-    optimizer; the first failing row raises its :class:`NonconvergedError`."""
+    optimizer; the first failing row raises its :class:`NonconvergedError`.
+    The derivative is ``dual._envelope`` of the row's optimum, normalized by
+    its own mass, as ``DualSolution.mass_derivative`` has it."""
     tree, pair, e, mu = sol.tree, sol.pair, sol._endow_arr, sol.mu
     lay, p = tree.layout, tree.leaf_probability_array
     geo = _support_structure(tree)
@@ -305,10 +318,10 @@ def _conditional_solves(sol, nodes, masses):
     for err in errors:
         if err is not None:
             raise err
-    # the envelope formula, over the subtree's leaves
+    # the envelope formula, over the subtree's leaves; padding is not charged
     dens = np.divide(mu_sub, p_sub, out=np.ones(mu_sub.shape), where=~pad)
-    deriv = np.where(pad, 0.0, mu_sub / masses[:, None] * (pair.v_prime(dens) + e_sub))
-    return raw, deriv.sum(axis=1)
+    q = mu_sub / mu_sub.sum(axis=1, keepdims=True)
+    return raw, _envelope(q, -pair.v_prime(dens) - e_sub, q > 0)
 
 
 # -- exponential Snell envelope ------------------------------------------------------

@@ -7,7 +7,8 @@ Two built-in families:
   for ``x >= 0`` and ``U(x) = shift - ((1-x)^(1+b) - 1)/(1+b)`` for ``x < 0``.
 
 A family supplies its closed forms on the U side: U, U', the inverse
-marginal I = (U')^-1, the risk aversion A = -U''/U', U's inverse and limits.
+marginal I = (U')^-1, the risk aversion A = -U''/U', U's inverse and limits,
+and U, U' and A together in one pass over the wealth.
 :func:`_pair` derives the conjugate ``V(y) = U(I(y)) - y I(y)``,
 ``V'(y) = -I(y)`` and ``V''(y) = 1/(y A(I(y)))``, with explicit infinities
 at the boundary: ``V(0) = U(inf)``, ``V(inf) = inf``, ``V'(0) = -inf`` and
@@ -45,7 +46,11 @@ class UtilityPair:
     ``u_inf``); pricing measures values in these certainty-equivalent
     units.  ``risk_aversion`` is the absolute risk aversion A = -U''/U' in
     closed form: it gives the dual Newton core its curvature -U'' = U' A
-    and the conjugate its V''(y) = 1/(y A(-V'(y))).
+    and the conjugate its V''(y) = 1/(y A(-V'(y))).  ``u_point`` maps an
+    array of wealths to the arrays U, U' and A there, bit for bit as the
+    three closed forms give them, in one pass: the Newton core evaluates
+    each point by it.  A family may supply a fused pass (:func:`_pair`);
+    left None, it is composed of ``u``, ``u_prime`` and ``risk_aversion``.
     """
 
     family: str
@@ -60,7 +65,14 @@ class UtilityPair:
     ae_plus: float
     ae_minus: float
     u_inverse: Callable | None = None
+    u_point: Callable | None = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        if self.u_point is None:
+            u, u_prime, risk_aversion = self.u, self.u_prime, self.risk_aversion
+            object.__setattr__(self, "u_point",
+                               lambda x: (u(x), u_prime(x), risk_aversion(x)))
 
     def describe(self) -> str:
         ps = ",".join(f"{k}={v:g}" for k, v in self.params.items())
@@ -79,13 +91,15 @@ def _vectorized(fn):
 
 
 def _pair(family, params, *, u, u_prime, inverse_marginal, risk_aversion, u_inverse,
-          u_inf, ae_plus, ae_minus, v_second_at_inf) -> UtilityPair:
+          u_inf, ae_plus, ae_minus, v_second_at_inf, u_point=None) -> UtilityPair:
     """The pair of a family given by its closed forms on the U side.
 
-    ``inverse_marginal`` solves U'(x) = y for arrays y >= 0, with I(0) = inf
-    and I(inf) = -inf; ``v_second_at_inf`` is V'' at y = inf, where
-    1/(y A(I(y))) reads inf * 0.  V, V' and V'' raise :class:`DomainError`
-    on a conjugate argument below 0 or NaN.
+    ``u_point``, if given, is the family's fused pass x -> (U, U', A) over
+    an array, bit for bit the three closed forms; else the pair composes
+    it.  ``inverse_marginal`` solves U'(x) = y for arrays y >= 0, with
+    I(0) = inf and I(inf) = -inf; ``v_second_at_inf`` is V'' at y = inf,
+    where 1/(y A(I(y))) reads inf * 0.  V, V' and V'' raise
+    :class:`DomainError` on a conjugate argument below 0 or NaN.
     """
 
     def conjugate_point(y):
@@ -116,7 +130,7 @@ def _pair(family, params, *, u, u_prime, inverse_marginal, risk_aversion, u_inve
         family=family, params=params, u=_vectorized(u), u_prime=_vectorized(u_prime),
         v=_vectorized(v), v_prime=_vectorized(v_prime), v_second=_vectorized(v_second),
         risk_aversion=_vectorized(risk_aversion), u_inf=u_inf, ae_plus=ae_plus,
-        ae_minus=ae_minus, u_inverse=_vectorized(u_inverse))
+        ae_minus=ae_minus, u_inverse=_vectorized(u_inverse), u_point=u_point)
 
 
 # -- exponential family -------------------------------------------------------
@@ -148,6 +162,10 @@ def exponential_utility(gamma: float, shift: float = 0.0) -> UtilityPair:
     def risk_aversion(x):
         return np.full_like(x, g)
 
+    def u_point(x):
+        up = u_prime(x)
+        return c - up / g, up, risk_aversion(x)
+
     def u_inverse(v):
         with np.errstate(divide="ignore", invalid="ignore"):
             gap = g * (c - v)
@@ -156,7 +174,7 @@ def exponential_utility(gamma: float, shift: float = 0.0) -> UtilityPair:
     return _pair("exponential", {"gamma": g, "C": c}, u=u, u_prime=u_prime,
                  inverse_marginal=inverse_marginal, risk_aversion=risk_aversion,
                  u_inverse=u_inverse, u_inf=c, ae_plus=0.0, ae_minus=INF,
-                 v_second_at_inf=0.0)
+                 v_second_at_inf=0.0, u_point=u_point)
 
 
 # -- two-power family ----------------------------------------------------------
@@ -194,6 +212,14 @@ def two_power_utility(a: float, b: float, shift: float = 1.0) -> UtilityPair:
         # -U''/U' = a/(1+x) on the right, b/(1-x) on the left
         return np.where(x >= 0, a, b) / (1.0 + np.abs(x))
 
+    def u_point(x):
+        # U, U' and A off one sign test and one 1 + |x|
+        right, t = x >= 0, 1.0 + np.abs(x)
+        signed = np.where(right, 1.0 - a, -1.0 - b)
+        with np.errstate(over="ignore"):
+            return (c + (np.power(t, np.abs(signed)) - 1.0) / signed,
+                    np.power(t, np.where(right, -a, b)), np.where(right, a, b) / t)
+
     def u_inverse(v):
         out = np.empty_like(v)
         up = v >= c
@@ -227,7 +253,7 @@ def two_power_utility(a: float, b: float, shift: float = 1.0) -> UtilityPair:
     return _pair("two_power", {"a": a, "b": b, "C": c}, u=u, u_prime=u_prime,
                  inverse_marginal=inverse_marginal, risk_aversion=risk_aversion,
                  u_inverse=u_inverse, u_inf=INF, ae_plus=1.0 - a, ae_minus=1.0 + b,
-                 v_second_at_inf=INF ** (1.0 / b - 1.0) / b)
+                 v_second_at_inf=INF ** (1.0 / b - 1.0) / b, u_point=u_point)
 
 
 # -- generic operations --------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import warnings
@@ -368,6 +369,25 @@ def test_a_mass_past_the_float_range_fails_its_row_typed(tri1, tp_pair):
         good, over = dual._solutions(tri1, tp_pair, np.array([e, e]), np.array([0.0, 720.0]))
     assert isinstance(over, EvaluationOverflowError)
     alone, = dual._solutions(tri1, tp_pair, e[None], np.array([0.0]))
+    assert (good.value, good.mass) == (alone.value, alone.mass)
+
+
+@pytest.mark.parametrize("s", [-746.0, -700.0])
+def test_a_mass_whose_wealth_is_past_the_float_range_fails_its_row_typed(s):
+    # the low side: I(y) = -V'(y) overflows at y = e^-700 and y = e^-746
+    # (0 in floats), and some leaf has density y q/p <= y, so its optimal
+    # wealth is at least I(y): the row is refused before the Newton loop,
+    # where it ran into the step cap or a singular start fit
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 2)
+    e = np.random.default_rng(0).uniform(-1.0, 1.0, tree.n_leaves)
+    pair = two_power_utility(0.5, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationOverflowError, match="wealth"):
+            dual._at_masses(tree, pair, e, [s])
+        good, low = dual._solutions(tree, pair, np.array([e, e]), np.array([0.0, s]))
+    assert isinstance(low, EvaluationOverflowError)
+    alone, = dual._solutions(tree, pair, e[None], np.array([0.0]))
     assert (good.value, good.mass) == (alone.value, alone.mass)
 
 
@@ -1412,6 +1432,107 @@ def test_a_kept_column_without_weight_fails_its_row_alone():
                                                      start=start[1:])
     assert value[1] == value_alone[0]
     assert np.array_equal(mu[1], mu_alone[0])
+
+
+def _qr_fits_by_concatenation(J, T):
+    """Oracle of ``dual._qr_fits``: [J | T] and its padding rows joined by
+    ``concatenate``, R by ``qr(mode="r")`` (``triu`` of the factored
+    matrix), then the same solve on its leading triangle."""
+    r, n, k = J.shape
+    m = T.shape[2]
+    zero = ~J.any(axis=1)
+    M = np.concatenate((J, T), axis=2)
+    if zero.any() or n < k + m:
+        pad = np.zeros((r, k + max(k + m - n, 0), k + m))
+        pad[:, :k, :k] = zero[:, :, None] * np.eye(k)
+        M = np.concatenate((M, pad), axis=1)
+    R = np.linalg.qr(M, mode="r")
+    tri, rhs = R[:, :k, :k], R[:, :k, k:]
+    try:
+        return np.linalg.solve(tri, rhs)
+    except np.linalg.LinAlgError:
+        singular = ~np.diagonal(tri, axis1=1, axis2=2).all(axis=1)[:, None, None]
+        return np.linalg.solve(np.where(singular, np.eye(k), tri), np.where(singular, np.nan, rhs))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_qr_fits_meet_the_concatenated_form_bit_for_bit(seed):
+    # stacks of 1-4 rows, 1-5 strategy columns scaled over 16 decades and
+    # 1-2 fitted columns, with n below k + m (padding), at k + m and above;
+    # zero columns in some rows and, in every other stack, a singular row
+    rng = np.random.default_rng(seed)
+    r, k, m = 1 + seed % 4, 1 + seed % 5, 1 + seed % 2
+    for n in (max(k + m - 2, 1), k + m, 3 * (k + m)):
+        J = rng.normal(size=(r, n, k)) * 10.0 ** rng.uniform(-8, 8, size=(1, 1, k))
+        T = rng.normal(size=(r, n, m))
+        J[rng.uniform(size=r) < 0.4, :, rng.integers(k)] = 0.0
+        if seed % 2 and k >= 2 and n >= 2:
+            j = rng.integers(r)
+            J[j] = 0.0
+            J[j, 0, :2] = 1.0
+            J[j, 1:, 2:] = rng.normal(size=(n - 1, k - 2))
+        got, want = dual._qr_fits(J, T), _qr_fits_by_concatenation(J, T)
+        assert got.shape == (r, k, m)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_newton_core_evaluates_each_point_in_one_closed_form_pass(warm):
+    # U, U' and A come from the pair's one pass, once per point (the start
+    # and each trial); A alone is read only at the warm start's wealth
+    # I(q/p), before the loop, and W'' at the fixed masses reads the last
+    # point's A
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 3)
+    base = two_power_utility(0.5, 1.0, 1.0)
+    calls, seen = collections.Counter(), []
+
+    def counted(name, f):
+        def g(x):
+            calls[name] += 1
+            if name == "u_point":
+                seen.append(np.array(x).tobytes())
+            return f(x)
+        return g
+
+    pair = dataclasses.replace(base, **{name: counted(name, getattr(base, name))
+                                        for name in ("u", "u_prime", "risk_aversion", "u_point")})
+    geo = geometry._support_structure(tree)
+    A = build_constraints(tree)[dual._strategy_basis(geo)]
+    e = np.random.default_rng(4).uniform(-1.0, 1.0, (3, tree.n_leaves))
+    start = np.tile(solve_dual(tree, base, e[0]).mu, (3, 1)) if warm else None
+    out = dual._newton_core(A, tree.leaf_probability_array, e, pair, geo.mask,
+                            mass=np.array([math.nan, 1.3, 0.8]), start=start)
+    assert out[-1] == [None] * 3 and (out[5][1:] > 0).all()
+    assert calls["u"] == calls["u_prime"] == 0
+    assert calls["risk_aversion"] == (1 if warm else 0)
+    assert calls["u_point"] == len(set(seen)) >= out[4].max() + 1
+    plain = dual._newton_core(A, tree.leaf_probability_array, e, base, geo.mask,
+                              mass=np.array([math.nan, 1.3, 0.8]), start=start)
+    for a, b in zip(out[:-1], plain[:-1]):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_the_curve_rows_factor_no_curvature(monkeypatch):
+    # one QR for the start fit and one per Newton step; a fixed-mass solve
+    # adds the exit QR of W'', which no curve point reads
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 2)
+    pair = two_power_utility(0.5, 1.0, 1.0)
+    e = np.random.default_rng(0).uniform(-1.0, 1.0, tree.n_leaves)
+    sol = solve_dual(tree, pair, e)
+    qrs, steps, real_qr, real_core = [], [], dual._qr_fits, dual._newton_core
+
+    def core(*args, **kwargs):
+        out = real_core(*args, **kwargs)
+        steps.append(int(out[4].max()))
+        return out
+
+    monkeypatch.setattr(dual, "_qr_fits", lambda J, T: qrs.append(len(J)) or real_qr(J, T))
+    monkeypatch.setattr(dual, "_newton_core", core)
+    dual_value_curve(sol, sol._log_mass + np.log([0.5, 0.75, 1.0, 1.5, 2.0]), log=True)
+    assert steps[-1] > 0 and len(qrs) == 1 + steps[-1]
+    qrs.clear()
+    fixed = solve_dual_fixed_mass(tree, pair, e, 1.5 * sol.mass)
+    assert len(qrs) == 2 + steps[-1] and fixed.mass_curvature > 0
 
 
 def test_qr_fits_give_a_zero_column_no_fit():

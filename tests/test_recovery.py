@@ -556,6 +556,50 @@ def test_dynamic_dual_calls_the_core_only_at_two_power_inner_nodes(family, monke
         assert calls == [(1, 6), (3, 2)]
 
 
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+def test_a_two_power_battery_makes_horizon_plus_one_core_calls(horizon, monkeypatch):
+    # the solve, the value curve, whose middle point is the root's
+    # conditional problem, and one conditional call per time 1 .. T - 1,
+    # counted at both bindings of the core
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * horizon)
+    e = np.random.default_rng(0).uniform(-1.0, 1.0, tree.n_leaves)
+    calls = []
+    for mod in (dual, recovery):
+        monkeypatch.setattr(mod, "_newton_core", lambda *args, real=mod._newton_core, **kw:
+                            calls.append(1) or real(*args, **kw))
+    results = run_battery(tree, two_power_utility(0.5, 1.0, 1.0), e)
+    assert all(r.passed for r in results)
+    assert len(calls) == horizon + 1
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_root_conditional_problem_is_the_curves_middle_point(seed):
+    # dynamic_dual(sol, 0) solves the whole tree at mass exp(ln m) from the
+    # optimum, the row the curve solves at the optimum's own log mass, with
+    # the same envelope formula: the battery reads the curve's point there
+    rng = np.random.default_rng(seed)
+    tree = treegen.random_market(rng, max_periods=3, n_assets=1 + seed % 2)
+    pair = two_power_utility(float(rng.uniform(0.3, 0.7)), float(rng.uniform(0.5, 2.0)), 1.0)
+    sol = solve_dual(tree, pair, rng.uniform(-1.0, 1.0, tree.n_leaves))
+    mid = dual_value_curve(sol, sol._log_mass + np.log([0.5, 0.75, 1.0, 1.5, 2.0]),
+                           log=True).points[2]
+    root, = dynamic_dual(sol, 0)
+    assert (root.value, root.derivative) == (mid.value, mid.derivative)
+
+
+def test_the_battery_forms_the_optimums_entropy_once():
+    # p V(mu/p) once per battery: "zero duality gap" sums it and the dynamic
+    # dual adds mu e to it; the other V evaluation is the certification's,
+    # over its 51 + 200 points
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 3)
+    base = two_power_utility(0.5, 1.0, 1.0)
+    calls = []
+    pair = dataclasses.replace(base, v=lambda y: calls.append(np.shape(y)) or base.v(y))
+    results = run_battery(tree, pair, np.random.default_rng(1).uniform(-1.0, 1.0, tree.n_leaves))
+    assert all(r.passed for r in results)
+    assert calls == [(251,), (27,)]
+
+
 @pytest.mark.parametrize("n_assets", [1, 2])
 def test_exponential_battery_runs_no_newton_core(n_assets, no_dense_core):
     rng = np.random.default_rng(11 + n_assets)
