@@ -5,8 +5,9 @@ Subcommands: ``solve``, ``recover``, ``price``, ``curve``, ``mubpp``,
 printed with 12 significant digits; every run with an ``--output-dir`` also
 writes a ``manifest.json`` (command, arguments, package and library versions;
 ``solve`` adds its ``newton_steps``, ``price`` and ``curve`` their
-``dual_solves`` and ``dual_rounds``, ``verify`` its ``check_seconds``) plus
-machine-readable CSV files.
+``dual_solves`` and ``dual_rounds``, both 0 for a claim whose no-arbitrage
+bounds coincide, which is priced at that bound; ``verify`` its
+``check_seconds``) plus machine-readable CSV files.
 Identical configuration (``oracle`` also takes a ``--seed``) produces
 byte-identical CSV output.  Each option is declared only on the subcommands
 that read it, and only by its full name.

@@ -2,18 +2,24 @@
 
 The bid price of a claim B makes the agent indifferent between holding
 B minus cash and holding nothing; the certainty equivalent is the cash
-worth as much as B, and the offer is minus the bid of -B.  Each is one
-search, and the bid is recomputed independently as a penalized
-worst-case expectation by a third; the cross-method residual is reported
-along with the number of dual solves and of rounds.  A search picks its
-method by the utility's family and asks for the optima it needs.  For the
-exponential family, whose log-partition L shifts by -gamma per unit of
-cash, these are the optima at e and e + B, and the bid and certainty
-equivalent are both ``(L(e) - L(e + B))/gamma`` at any volume.  For the
-two-power family the value increases in cash with the dual mass as
-derivative, and after the optimum it starts from, a search takes
-bracketed Newton steps in certainty-equivalent units, each dual solve
-warm-started from the last.  :class:`SolveCounter` runs the searches of
+worth as much as B, and the offer is minus the bid of -B.  These, the
+penalized bid and the marginal price all lie between the claim's
+no-arbitrage bounds (lo, hi), which every call that prices B at a volume
+sweeps first.  When lo == hi exactly the claim is attainable, and
+:func:`_replication_price` returns lo as every one of these prices, at
+every volume and for every utility, with no dual solve (Harrison &
+Pliska, *Stoch. Proc. Appl.* 11, 1981); on a complete market that holds
+for every claim.  Otherwise each price is one search, and the bid is
+recomputed independently as a penalized worst-case expectation by a
+third; the cross-method residual is reported along with the number of
+dual solves and of rounds.  A search picks its method by the utility's
+family and asks for the optima it needs.  For the exponential family,
+whose log-partition L shifts by -gamma per unit of cash, these are the
+optima at e and e + B, and the bid and certainty equivalent are both
+``(L(e) - L(e + B))/gamma`` at any volume.  For the two-power family
+the value increases in cash with the dual mass as derivative, and after
+the optimum it starts from, a search takes bracketed Newton steps in
+certainty-equivalent units, each dual solve warm-started from the last.  :class:`SolveCounter` runs the searches of
 one pricing call in lockstep and answers each round by one stacked solve,
 each distinct request once: one log-space pass gives every exponential
 price, and one Newton-core call per round serves the two-power bid,
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualSolution, _solutions, solve_dual
+from .dual import DualSolution, _prepare, _solutions, solve_dual
 from .errors import (AugmentInfeasibleError, BracketFailError, DomainError,
                      InfeasibleEntropyError, InfiniteEntropyError,
                      NoMartingaleMeasureError)
@@ -116,10 +122,29 @@ def _solve(endow):
     return sol
 
 
-def _alone(tree, pair, search, endow, claim):
-    """The result of one search of ``endow`` and ``claim``, run by itself."""
-    return SolveCounter().run(tree, pair, search(tree, pair, leaf_values(tree, endow),
-                                                 leaf_values(tree, claim)))[0]
+def _replication_price(tree, pair, lo, hi):
+    """The price of a claim whose no-arbitrage bounds (lo, hi) coincide, lo,
+    or None when lo < hi.  Every utility-based price of the claim lies
+    between the bounds, so lo == hi (exactly) prices it at every volume with
+    no dual solve.  The tree's support is still checked: a two-power pair on
+    a market with no equivalent martingale measure raises
+    :class:`InfeasibleEntropyError`, as its dual solves would."""
+    if lo != hi:
+        return None
+    _prepare(tree, pair)
+    return lo
+
+
+def _alone(tree, pair, endow, claim, search):
+    """One price of ``endow`` and ``claim`` by itself: the replication price
+    after one extremal sweep, or else the result of ``search(e, b, lo, hi)``,
+    a search built from the leaf values and the claim's bounds, run alone."""
+    e, b = leaf_values(tree, endow), leaf_values(tree, claim)
+    lo, hi = price_bounds(tree, b)
+    price = _replication_price(tree, pair, lo, hi)
+    if price is not None:
+        return price
+    return SolveCounter().run(tree, pair, search(e, b, lo, hi))[0]
 
 
 def _bracketed_newton(probe, x, lo, hi, *, x_tol=0.0):
@@ -193,34 +218,32 @@ def _cash_root(pair, x, target, c0, hi, start):
     return root
 
 
-def _bid(tree, pair, endow, claim, bound=None):
+def _bid(tree, pair, endow, claim, bound):
     """Search for the bid of ``claim``: (L(e) - L(e + B))/gamma from the
     exponential optima at e and e + B; otherwise :func:`_cash_root` on
     c = -p after the optimum at e, from minus the marginal price there (the
     dual bound puts the value there at or below the target) to minus the
     lower no-arbitrage bound ``bound`` (sub-replication puts it at or
-    above; swept if not given), warm-started from the claim-free measure."""
+    above), warm-started from the claim-free measure."""
     if pair.family == "exponential":
         return _log_mass_gap(pair, *(yield [(endow, None, None), (endow + claim, None, None)]))
     base, = yield [(endow, None, None)]
-    lo = price_bounds(tree, claim)[0] if bound is None else bound
     c0 = -davis_price(tree, pair, endow, claim, sol=base)
-    return -(yield from _cash_root(pair, endow + claim, base.value, c0, -lo, base.mu))
+    return -(yield from _cash_root(pair, endow + claim, base.value, c0, -bound, base.mu))
 
 
-def _certainty_equivalent(tree, pair, endow, claim, bound=None):
+def _certainty_equivalent(tree, pair, endow, claim, bound):
     """Search for the certainty equivalent of ``claim``: the bid for the
     exponential family (translation invariance); otherwise
     :func:`_cash_root` on value(e + c) = value(e + B) after the optimum at
     e + B, from the claim's marginal price there to the upper bound
-    ``bound`` (super-replication puts the value there at or above; swept if
-    not given), warm-started from that optimum's measure."""
-    if pair.family == "exponential":
-        return (yield from _bid(tree, pair, endow, claim))
+    ``bound`` (super-replication puts the value there at or above),
+    warm-started from that optimum's measure."""
+    if pair.family == "exponential":   # whose bid reads no bound
+        return (yield from _bid(tree, pair, endow, claim, None))
     target, = yield [(endow + claim, None, None)]
-    hi = price_bounds(tree, claim)[1] if bound is None else bound
     c0 = davis_price(tree, pair, endow + claim, claim, sol=target)
-    return (yield from _cash_root(pair, endow, target.value, c0, hi, target.mu))
+    return (yield from _cash_root(pair, endow, target.value, c0, bound, target.mu))
 
 
 def _penalty(tree, pair, endow, claim):
@@ -274,8 +297,9 @@ def _log_mass_gap(pair, lo, hi):
 
 def indifference_price(tree: MarketTree, pair: UtilityPair, endow, claim) -> float:
     """Bid price: the cash p with value(endow + claim - p) = value(endow),
-    by one :func:`_bid` search."""
-    return _alone(tree, pair, _bid, endow, claim)
+    by one :func:`_bid` search unless the claim is attainable."""
+    return _alone(tree, pair, endow, claim,
+                  lambda e, b, lo, hi: _bid(tree, pair, e, b, lo))
 
 
 def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
@@ -351,9 +375,10 @@ def price_via_penalty(tree: MarketTree, pair: UtilityPair, endow, claim) -> floa
     """Bid price as a penalized worst-case expectation: the least, over
     measures in the cone, of the normalized gap (W(y) - base)/y, where W(y)
     is the fixed-mass dual value with the claim added and base the
-    claim-free optimum.  One :func:`_penalty` search; uses no result of the
-    cash root-finder."""
-    return _alone(tree, pair, _penalty, endow, claim)
+    claim-free optimum.  One :func:`_penalty` search unless the claim is
+    attainable; uses no result of the cash root-finder."""
+    return _alone(tree, pair, endow, claim,
+                  lambda e, b, lo, hi: _penalty(tree, pair, e, b))
 
 
 def davis_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
@@ -368,22 +393,23 @@ def davis_price(tree: MarketTree, pair: UtilityPair, endow, claim, *,
 
 def certainty_equivalent(tree: MarketTree, pair: UtilityPair, endow, claim) -> float:
     """Cash amount with the same optimal value as holding the claim, by one
-    :func:`_certainty_equivalent` search."""
-    return _alone(tree, pair, _certainty_equivalent, endow, claim)
+    :func:`_certainty_equivalent` search unless the claim is attainable."""
+    return _alone(tree, pair, endow, claim,
+                  lambda e, b, lo, hi: _certainty_equivalent(tree, pair, e, b, hi))
 
 
 @dataclass(frozen=True)
 class PriceReport:
     """Bid/offer, certainty equivalent, marginal price and bounds."""
 
-    bid: float
+    bid: float                # each price is lo when lo == hi (attainable claim)
     offer: float
     certainty_equivalent: float
     davis: float
-    lp_bounds: tuple[float, float]
-    method_agreement_residual: float
-    dual_solves: int          # dual optima computed
-    dual_rounds: int          # Newton-core calls or log-space passes
+    lp_bounds: tuple[float, float]        # (lo, hi), no-arbitrage
+    method_agreement_residual: float      # 0 for an attainable claim
+    dual_solves: int          # dual optima computed, 0 for an attainable claim
+    dual_rounds: int          # Newton-core calls or log-space passes, 0 likewise
 
 
 def price_report(tree: MarketTree, pair: UtilityPair, endow, claim) -> PriceReport:
@@ -398,11 +424,18 @@ def price_report(tree: MarketTree, pair: UtilityPair, endow, claim) -> PriceRepo
     searches share the optima they all ask for.  For the exponential family
     that is one log-space pass, at e, e + B and e - B.  For the two-power
     family the first round solves e and e + B, both cold, and the report
-    takes as many rounds as its longest search.
+    takes as many rounds as its longest search.  When lo == hi exactly the
+    claim is attainable and every price is lo, with no search and no dual
+    solve (:func:`_replication_price`).
     """
     endow = leaf_values(tree, endow)
     claim = leaf_values(tree, claim)
     lo, hi = price_bounds(tree, claim)
+    price = _replication_price(tree, pair, lo, hi)
+    if price is not None:
+        return PriceReport(bid=price, offer=price, certainty_equivalent=price, davis=price,
+                           lp_bounds=(lo, hi), method_agreement_residual=0.0,
+                           dual_solves=0, dual_rounds=0)
     solves = SolveCounter()
     sol, bid, minus_offer, ce, pen = solves.run(
         tree, pair, _solve(endow), _bid(tree, pair, endow, claim, lo),
@@ -430,8 +463,8 @@ class VolumeCurveReport:
     monotone: bool
     large_volume_gap: float
     small_volume_gap: float
-    dual_solves: int
-    dual_rounds: int
+    dual_solves: int                     # 0, as dual_rounds, when every price is
+    dual_rounds: int                     # the replication price lp_lower
 
 
 def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
@@ -444,7 +477,9 @@ def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
     volume, which share that solve, and one extremal sweep serve every
     volume; the bounds of beta * claim are beta times those of the claim,
     swapped when beta < 0.  The exponential family takes every optimum
-    from one log-space pass.
+    from one log-space pass.  When the bounds coincide exactly the claim is
+    attainable: every volume's price and the marginal price are the lower
+    bound, with no search and no dual solve (:func:`_replication_price`).
     """
     endow = leaf_values(tree, endow)
     claim = leaf_values(tree, claim)
@@ -453,11 +488,15 @@ def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
         raise DomainError("volumes must be finite and nonzero, at least one of them")
     lp_lo, lp_hi = price_bounds(tree, claim)
     solves = SolveCounter()
-    sol, *totals = solves.run(tree, pair, _solve(endow), *(
-        _bid(tree, pair, endow, claim * beta, min(beta * lp_lo, beta * lp_hi))
-        for beta in betas))
-    prices = [t / beta for t, beta in zip(totals, betas)]
-    dav = davis_price(tree, pair, endow, claim, sol=sol)
+    dav = _replication_price(tree, pair, lp_lo, lp_hi)
+    if dav is not None:
+        prices = [dav] * len(betas)
+    else:
+        sol, *totals = solves.run(tree, pair, _solve(endow), *(
+            _bid(tree, pair, endow, claim * beta, min(beta * lp_lo, beta * lp_hi))
+            for beta in betas))
+        prices = [t / beta for t, beta in zip(totals, betas)]
+        dav = davis_price(tree, pair, endow, claim, sol=sol)
     scale = 1.0 + max(abs(p) for p in prices)
     monotone = all(b <= a + 1e-9 * scale for a, b in zip(prices, prices[1:]))
     return VolumeCurveReport(

@@ -48,6 +48,20 @@ def test_manifest_reports_dual_rounds(tri1_file, tmp_path, command):
             assert 2 <= manifest["dual_rounds"] < manifest["dual_solves"]
 
 
+@pytest.mark.parametrize("command", ["price", "curve"])
+@pytest.mark.parametrize("utility", ["exp:gamma=1,C=2", "twopower:a=0.5,b=1,C=1"])
+def test_an_attainable_claim_solves_no_dual_problem(tmp_path, capsys, command, utility):
+    # the binomial market is complete: the bounds of the call coincide
+    market, out = tmp_path / "bin1.json", tmp_path / "out"
+    market.write_text(json.dumps(treegen.bin1_dict()))
+    argv = [command, "--market", str(market), "--utility", utility, "--claim", "call",
+            "--output-dir", str(out)]
+    assert cli.run(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["dual_solves"], manifest["dual_rounds"]) == (0, 0)
+
+
 def test_solve_manifest_reports_newton_steps(tmp_path, capsys):
     # a binomial node's one-step martingale fit is its minimizer; the pinned
     # market's four planar moves per node leave the log-space pass steps

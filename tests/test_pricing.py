@@ -8,8 +8,8 @@ import pytest
 
 import treegen
 from treedual import (AugmentInfeasibleError, BracketFailError, DomainError,
-                      EvaluationOverflowError, InfiniteEntropyError,
-                      NonconvergedError, RandomVariable,
+                      EvaluationOverflowError, InfeasibleEntropyError,
+                      InfiniteEntropyError, NonconvergedError, RandomVariable,
                       average_price_curve, dual_value_curve,
                       certainty_equivalent, check_mubpp, davis_price,
                       endowment_sensitivity, entropic_penalty,
@@ -1113,3 +1113,112 @@ def test_volume_curve_follows_hendersons_formula(n):
     curve = average_price_curve(tree, exponential_utility(2.0, 2.0), 0.0, call, betas)
     for beta, price in zip(betas, curve.prices):
         assert abs(price - _henderson_bid(beta)) <= 0.06 / n
+
+
+# -- attainable claims: the replication price ----------------------------------
+
+
+@pytest.fixture
+def counted_solutions(monkeypatch):
+    """The calls of ``_solutions`` from pricing and from the dual module,
+    each call's number of rows, recorded in a list."""
+    calls = []
+
+    def counted(tree, pair, endows, *args, _fn=dual._solutions):
+        calls.append(len(endows))
+        return _fn(tree, pair, endows, *args)
+
+    monkeypatch.setattr(dual, "_solutions", counted)
+    monkeypatch.setattr(pricing, "_solutions", counted)
+    return calls
+
+
+def _every_price(tree, pair, e, b, betas):
+    """Each price of ``b`` from every pricing call: the report's four, every
+    volume of the curve and the three solo prices, and the reports' solves
+    and rounds."""
+    rep = price_report(tree, pair, e, b)
+    curve = average_price_curve(tree, pair, e, b, betas)
+    prices = [rep.bid, rep.offer, rep.certainty_equivalent, rep.davis, curve.davis,
+              *curve.prices, indifference_price(tree, pair, e, b),
+              certainty_equivalent(tree, pair, e, b), price_via_penalty(tree, pair, e, b)]
+    return prices, (rep.dual_solves, rep.dual_rounds, curve.dual_solves, curve.dual_rounds)
+
+
+@pytest.mark.parametrize("tree", [treegen.product_market([[1e5, 0.99999]] * 2),
+                                  treegen.caterpillar_market()],
+                         ids=["product", "caterpillar"])
+def test_bid_is_the_offer_for_an_attainable_claim(tree, tp_pair, counted_solutions):
+    # the two-power optimum there is far from the cone, and the lockstep
+    # searches returned bid > offer by 5e-9 to 3e-8; every price is the bounds'
+    b = np.random.default_rng(0).uniform(0.0, 1.0, tree.n_leaves)
+    lo, hi = price_bounds(tree, b)
+    assert lo == hi
+    rep = price_report(tree, tp_pair, 0.0, b)
+    assert rep.bid == rep.offer == rep.certainty_equivalent == rep.davis == lo
+    assert rep.method_agreement_residual == 0.0
+    assert (rep.dual_solves, rep.dual_rounds) == (0, 0) and counted_solutions == []
+
+
+def test_attainable_small_volume_prices_are_exact(counted_solutions):
+    # (L(e) - L(e + beta B))/(gamma beta) loses ~1e-10 relative at 1e-8
+    tree = treegen.product_market([[1.1, 0.9]] * 6)
+    rng = np.random.default_rng(0)
+    e, b = rng.uniform(-1.0, 1.0, tree.n_leaves), rng.uniform(0.0, 1.0, tree.n_leaves)
+    lo, hi = price_bounds(tree, b)
+    betas = [1e-8, 1e-4, 1.0, 1e2, 1e4]
+    curve = average_price_curve(tree, exponential_utility(2.0, 1.5), e, b, betas)
+    assert lo == hi and curve.prices == (lo,) * len(betas) and curve.davis == lo
+    assert curve.monotone and curve.large_volume_gap == curve.small_volume_gap == 0.0
+    assert (curve.dual_solves, curve.dual_rounds) == (0, 0) and counted_solutions == []
+
+
+@pytest.mark.parametrize("moves", [[[1.1, 0.9]] * 11,
+                                   [[(1.2, 1.1), (0.9, 1.15), (1.0, 0.8)]] * 2],
+                         ids=["binomial-2048", "trinomial-2a"])
+@pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
+def test_complete_market_prices_solve_no_dual_problem(moves, pair_name, request,
+                                                      counted_solutions):
+    pair = request.getfixturevalue(pair_name)
+    tree = treegen.product_market(moves)
+    rng = np.random.default_rng(1)
+    e, b = rng.uniform(-1.0, 1.0, tree.n_leaves), rng.uniform(0.0, 1.0, tree.n_leaves)
+    betas = np.logspace(-4, 4, 9)
+    for beta in betas:
+        lo, hi = price_bounds(tree, beta * b)
+        prices, counts = _every_price(tree, pair, e, beta * b, betas)
+        assert lo == hi and prices == [lo] * len(prices) and counts == (0, 0, 0, 0)
+    assert counted_solutions == []
+
+
+@pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
+def test_a_claim_between_distinct_bounds_makes_its_usual_solves(tri1, pair_name, request,
+                                                                 counted_solutions):
+    pair = request.getfixturevalue(pair_name)
+    lo, hi = price_bounds(tri1, B_TRI)
+    assert lo < hi
+    rep = price_report(tri1, pair, E_TRI, B_TRI)
+    assert rep.dual_rounds == len(counted_solutions) >= 1
+    assert rep.dual_solves == sum(counted_solutions) >= 3
+    assert lo < rep.bid <= rep.offer < hi
+
+
+def test_a_two_power_pair_refuses_a_constant_claim_without_equivalent_measure(tp_pair):
+    # the bounds coincide, but every martingale measure has infinite entropy
+    tree = treegen.dead_leaf_market()
+    assert price_bounds(tree, 0.7) == (0.7, 0.7)
+    for price in (lambda: price_report(tree, tp_pair, 0.0, 0.7),
+                  lambda: average_price_curve(tree, tp_pair, 0.0, 0.7, [1.0]),
+                  lambda: indifference_price(tree, tp_pair, 0.0, 0.7),
+                  lambda: certainty_equivalent(tree, tp_pair, 0.0, 0.7),
+                  lambda: price_via_penalty(tree, tp_pair, 0.0, 0.7)):
+        with pytest.raises(InfeasibleEntropyError):
+            price()
+
+
+def test_an_exponential_pair_prices_a_constant_claim_at_the_constant(exp_pair,
+                                                                     counted_solutions):
+    prices, counts = _every_price(treegen.dead_leaf_market(), exp_pair, 0.0, 0.7,
+                                  [1e-4, 1.0, 1e4])
+    assert prices == [0.7] * len(prices) and counts == (0, 0, 0, 0)
+    assert counted_solutions == []
