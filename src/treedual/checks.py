@@ -73,8 +73,9 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     estimates.  Every worst residual is a reduction that propagates NaN,
     so a NaN anywhere fails its check.  Every check runs
     node by node in O(N), with no dense constraint matrix and no vertex
-    enumeration.  "Martingale constraints at optimum" is the one-step price
-    drift at each charged node times its mass; "dual first-order
+    enumeration.  "Martingale constraints at optimum" is each asset's
+    one-step drift over its ``top`` at each charged node times the node's
+    mass, so it reads every asset in its own unit; "dual first-order
     conditions" fits E_q[X | child] - E_q[X | node] by the increments on
     each charged node's charged children (one batched QR), apart from the
     solver's strategy.  The support flag and "maximal support" check the
@@ -116,8 +117,7 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     geo, lay, inner = _support_structure(tree), tree.layout, tree.layout.level_starts[-2]
     charged, live = sol.charged[:inner], sol.charged[inner:]
 
-    # the one-step price drift at every charged node, weighted by its mass
-    drift = tree.one_step_expectation(lay.prices, sol.node_log_q) - lay.prices[:inner]
+    drift = tree.one_step_expectation(lay.step, sol.node_log_q) / lay.top
     mass = np.exp(sol._log_mass + sol.node_log_q[:inner, None])
     cons_res = float(np.abs(np.where(charged[:, None], mass * drift, 0.0)).max(initial=0.0))
     add("martingale constraints at optimum", cons_res, 1e-10 * (1 + sol.mass))

@@ -32,7 +32,9 @@ by one Newton-core call started at the optimum.
   mean of its valid vertices, which is the minimizer where w0 fixes the
   optimal weights' ratios among the moving children (up/flat/down nodes).
   The batch's damped d x d systems are solved by Cramer's rule for up to
-  two assets and by LAPACK beyond.
+  two assets and by LAPACK beyond.  All of it reads the increments over
+  each node's ``top``, and h is k over it, so the pass is unit-free (Boyd &
+  Vandenberghe 2004, 9.5.1: a Newton step does not depend on the scaling).
 * Two-power family, ``dynamic_dual`` and the tests' oracle: the optimal
   measure is the marginal utility of the optimal wealth, mu = p U'(e + gains),
   so the dual is solved through its primal, the unconstrained concave
@@ -81,9 +83,9 @@ class DualSolution:
     exponential family, and the primal value sum p U(e + gains) (- y x at a
     fixed mass y) at the Newton core's optimum, which equals the dual one.
     ``stationarity`` is the exit residual of the solver: for the exponential
-    family the largest one-step drift |E[dS | n]| / (1 + |S_n|) in the max
-    norm over the live non-leaf nodes, read off the one-step log weights of
-    the normalized optimizer; for the Newton core the scaled gradient of the
+    family the largest one-step drift |E[dS_i | n]| / top_i over the assets
+    and live non-leaf nodes, read off the one-step log weights of the
+    normalized optimizer; for the Newton core the scaled gradient of the
     primal, which is the martingale (and mass) residual of mu.
     ``mass_curvature`` is the core's W''(y), the second derivative of the
     optimal value in a fixed mass y (else None).
@@ -279,13 +281,13 @@ def _lse_min(b, x, k0):
 def _increments(lay, live, node):
     """The layout's padded children ``kids`` (g, m) of the non-leaf nodes
     ``node`` (g,), cut to the widest of them, the mask of the live ones,
-    and their ``step`` (g, m, d), zero off the live children and below a
-    node with one live child."""
+    and their ``step`` over the node's ``top`` (g, m, d), zero off the live
+    children and below a node with one live child."""
     m = lay.on[node].sum(axis=1).max()
     kids = lay.kids[node, :m]
     on = lay.on[node, :m] & live[kids]
     dS = np.where((on & (on.sum(axis=1, keepdims=True) > 1))[..., None], lay.step[kids], 0.0)
-    return kids, on, dS
+    return kids, on, dS / lay.top[node, None]
 
 
 @lru_cache(maxsize=256)
@@ -294,17 +296,17 @@ def _live_levels(geo: SupportStructure):
     the nodes with one valid vertex, then those with a choice of weights
     (more than one).  A batch holds the nodes (g,), their padded children
     (g, m), log branch probabilities (-inf at padding and dead children),
-    price increments (g, m, d; zero there and below a node with one live
-    child), the start's operator ``fit`` (g, m, d) and shift ``ln(p / w0)``
-    (g, m; 0 off the live children), and, for a batch of one-vertex nodes,
-    w0 (g, m), else None; live as in ``SupportStructure.live``, and w0 the
-    mean of a node's valid vertices (``geo.step_weights``), positive on its
-    live children and 0 elsewhere.  The start ``k0 = Cov_w0(x)^+ Cov_w0(x,
-    b - ln w0)`` = sum_c fit_c (shift_c + L_c) / gamma fits ``b - ln w0``
-    by ``x.k + f`` in w0-weighted least squares (x = gamma dS, b = ln p +
-    L); the pseudo-inverse, one batched eigh without eigenvalues below _TOL
-    of the largest, keeps k0 in the span of the increments, as the
-    minimum-norm minimizer.  All live non-leaf nodes are set up in one
+    increments over ``top`` (:func:`_increments`, g, m, d), the start's
+    operator ``fit`` (g, m, d) and shift ``ln(p / w0)`` (g, m; 0 off the
+    live children), and, for a batch of one-vertex nodes, w0 (g, m), else
+    None; live as in ``SupportStructure.live``, and w0 the mean of a node's
+    valid vertices (``geo.step_weights``), positive on its live children
+    and 0 elsewhere.  The start ``k0 = Cov_w0(x)^+ Cov_w0(x, b - ln w0)`` =
+    sum_c fit_c (shift_c + L_c) / gamma fits ``b - ln w0`` by ``x.k + f``
+    in w0-weighted least squares (x = gamma dS, b = ln p + L); the
+    pseudo-inverse, one batched eigh without eigenvalues below _TOL of the
+    largest, keeps k0 in the span of the increments, as the minimum-norm
+    minimizer in those units.  All live non-leaf nodes are set up in one
     batch, padded to the most children, and each batch is cut out and
     trimmed to its widest node.
     """
@@ -340,8 +342,8 @@ def _live_levels(geo: SupportStructure):
 def _strategy_basis(geo: SupportStructure):
     """The strategy columns the Newton core keeps: a read-only mask over the
     rows of :func:`build_constraints`, true at asset i of a non-leaf node
-    of ``geo.live`` whose live increments (:func:`_increments`, each asset
-    scaled by its largest) keep a Gram-Schmidt residual (orthogonalized
+    of ``geo.live`` whose live increments (:func:`_increments`, in each
+    asset's unit) keep a Gram-Schmidt residual (orthogonalized
     twice) above geometry's _TOL against the node's kept assets before i;
     for one asset, any nonzero live increment.  A strategy v at node n
     gains dS_c.v on child c's leaves, and strategies at different nodes
@@ -352,8 +354,6 @@ def _strategy_basis(geo: SupportStructure):
     lay = geo.layout
     node = np.flatnonzero(geo.live[:lay.level_starts[-2]])
     x = _increments(lay, geo.live, node)[2]
-    scale = np.abs(x).max(axis=1, keepdims=True)
-    x = x / np.where(scale > 0, scale, 1.0)
     q = np.zeros_like(x)               # orthonormal basis of the kept increments
     keep = np.zeros((lay.level_starts[-2], x.shape[2]), dtype=bool)
     for i in range(x.shape[2]):
@@ -383,11 +383,11 @@ def _log_partition(tree, gamma, e):
     minimizer too and the node takes no step.  The loop forms only L and
     h; after it, the optimizer's log weights ``ln p_c + L_c - L_n - gamma
     dS_c.h_n`` (-inf off the live nodes) give the drift and are summed
-    down the paths.  Returns per endowment L at every node (N,; 0 at the non-leaf nodes
-    ``_live_levels`` drops), the strategy (inner, d) of minimizers k (0
-    where ``_live_levels`` zeroes dS or drops the node), the optimizer's
-    node log masses (N,), its largest scaled one-step drift and the
-    steps."""
+    down the paths.  Returns per endowment L at every node (N,; 0 at the
+    non-leaf nodes ``_live_levels`` drops), the strategy (inner, d) of
+    minimizers k over ``top`` (0 where ``_live_levels`` zeroes dS or drops
+    the node), the optimizer's node log masses (N,), its largest one-step
+    drift over ``top`` and the steps."""
     lay, geo = tree.layout, _support_structure(tree)
     r, inner = e.shape[0], lay.level_starts[-2]
     big_l = np.concatenate([np.zeros((r, inner)), -gamma * e], axis=1)
@@ -402,13 +402,12 @@ def _log_partition(tree, gamma, e):
             steps += used
         else:
             f = np.einsum("gm,jgm->jg", w0, t)
-        big_l[:, node], h[:, node] = f.reshape(r, g), k.reshape(r, g, -1)
+        big_l[:, node], h[:, node] = f.reshape(r, g), k.reshape(r, g, -1) / lay.top[node]
     up, dS = lay.parent, lay.step           # the root is its own parent: ln w = 0 there
     log_w = np.where(geo.live, np.log(lay.prob) + big_l - big_l[:, up]
                      - gamma * np.einsum("nd,jnd->jn", dS, h[:, up]), -np.inf)
     drift = np.add.reduceat(np.exp(log_w[:, 1:, None]) * dS[1:], lay.first_child - 1, axis=1)
-    unit = 1.0 + np.abs(lay.prices[:inner]).max(axis=1)
-    return big_l, h, lay.path_sums(log_w), (np.abs(drift).max(axis=2) / unit).max(axis=1), steps
+    return big_l, h, lay.path_sums(log_w), (np.abs(drift) / lay.top).max(axis=(1, 2)), steps
 
 
 def _log_space_solutions(tree, pair, endows, log_mass=None) -> list[DualSolution]:

@@ -55,17 +55,17 @@ def build_constraints(tree: MarketTree) -> np.ndarray:
 
 
 def is_martingale_measure(tree: MarketTree, q, tol: float = 1e-9) -> bool:
-    """Direct per-node check: conditional child prices equal the node price,
-    under ``q``'s node log masses at the nodes it charges (its expectation
-    is NaN, and passes, elsewhere).  A negative mass raises
-    :class:`DomainError`."""
+    """Direct per-node check at the nodes ``q`` charges (elsewhere the drift
+    is NaN, and passes): each asset's one-step drift under q's node log
+    masses is at most ``tol`` of min(``top``, 1 + max|S_n|).  A negative
+    mass raises :class:`DomainError`."""
     q = leaf_values(tree, q)
     if np.any(q < 0):
         raise DomainError("measure must be non-negative")
-    ell = tree.log_subtree_sums(log_masses(q))
-    s = tree.layout.prices[:tree.layout.level_starts[-2]]
-    gap = np.abs(tree.one_step_expectation(tree.layout.prices, ell) - s).max(axis=1)
-    return not np.any(gap > tol * (1.0 + np.abs(s).max(axis=1)))
+    lay = tree.layout
+    drift = np.abs(tree.one_step_expectation(lay.step, tree.log_subtree_sums(log_masses(q))))
+    unit = 1.0 + np.abs(lay.prices[:lay.level_starts[-2]]).max(axis=1, keepdims=True)
+    return not np.any(drift > tol * np.minimum(lay.top, unit))
 
 
 # -- feasibility (FTAP side) ---------------------------------------------------
@@ -328,9 +328,8 @@ def _arbitrage(geo: SupportStructure) -> np.ndarray:
     node = np.flatnonzero(gain.any(axis=1))
     if node.size == 0:
         return h
-    incr = np.where(on[node, :, None], lay.step[kids[node]], 0.0)
-    scale = np.where(lay.top[node] > 0, lay.top[node], 1.0)
-    h[node] = _separators(incr / scale[:, None], (on & live[kids])[node], gain[node]) / scale
+    incr = np.where(on[node, :, None], lay.step[kids[node]], 0.0) / lay.top[node, None]
+    h[node] = _separators(incr, (on & live[kids])[node], gain[node]) / lay.top[node]
     f = np.ones(n)
     for a, b in zip(lay.level_starts[1:-2], lay.level_starts[2:-1]):
         par = lay.parent[a:b]

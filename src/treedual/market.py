@@ -40,13 +40,14 @@ the leaves come last in leaf order.  Besides each node's parent index,
 prices, branch probability and leaf slice, the layout holds the per-node
 view that every kernel reads: each node's price increment from its parent
 (``step``), each non-leaf node's children padded to the widest node
-(``kids``, real where ``on``) and their largest increment per asset
-(``top``).  A measure's exact form is its node log masses l
-(:meth:`MarketTree.log_subtree_sums`), and conditional expectations weigh
-by exp(l_c - l_n), without division (:meth:`MarketTree.one_step_expectation`,
-``conditional_expectation``).  The endowment (zero when the file has none)
-and each claim are read-only (L,) arrays; for the round trip the tree keeps
-each file row's layout position and decimal strings.
+(``kids``, real where ``on``) and each asset's unit there (``top``): their
+largest increment in it, or 1 where it moves at none of them.  A measure's
+exact form is its node log masses l (:meth:`MarketTree.log_subtree_sums`),
+and conditional expectations weigh by exp(l_c - l_n), without division
+(:meth:`MarketTree.one_step_expectation`, ``conditional_expectation``).
+The endowment (zero when the file has none) and each claim are read-only
+(L,) arrays; for the round trip the tree keeps each file row's layout
+position and decimal strings.
 """
 
 from __future__ import annotations
@@ -103,15 +104,15 @@ class TreeLayout:
     step: np.ndarray = field(init=False)  # (N, d) S_n - S_parent(n); 0 at the root
     kids: np.ndarray = field(init=False)  # (N - L, m) padded children of each non-leaf node
     on: np.ndarray = field(init=False)    # (N - L, m) mask of the children in kids
-    top: np.ndarray = field(init=False)   # (N - L, d) largest |step| of its children per asset
+    top: np.ndarray = field(init=False)   # (N - L, d) unit per asset: largest child |step|, else 1
 
     def __post_init__(self):
         n, first = len(self.ids), self.first_child
         count = np.diff(first, append=n)
         width, step = np.arange(count.max()), self.prices - self.prices[self.parent]
+        top = np.maximum.reduceat(np.abs(step[1:]), first - 1, axis=0)
         view = {"step": step, "kids": np.minimum(first[:, None] + width, n - 1),
-                "on": width < count[:, None],
-                "top": np.maximum.reduceat(np.abs(step[1:]), first - 1, axis=0)}
+                "on": width < count[:, None], "top": np.where(top > 0, top, 1.0)}
         for name, a in view.items():
             object.__setattr__(self, name, a)
         for a in (self.parent, first, self.prices, self.prob, self.lo, self.hi, *view.values()):

@@ -542,11 +542,13 @@ def check_mubpp(tree: MarketTree, pair: UtilityPair, endow, sprime) -> MubppRepo
     """Is the candidate process a fair price process for a new asset?
 
     ``sprime`` is (N,), or (N, k) for k new assets, in layout order; any
-    other shape raises ``ValueError``.  Method A computes per-node drifts
-    under the normalized optimal measure at the nodes it charges (fair
-    within 1e-8, scaled); method B augments the market with the candidate
-    and re-solves (fair within 1e-7, relative).  The two verdicts agree
-    (the theorem this verifies); ``is_mubpp`` reports method B's.  Raises
+    other shape raises ``ValueError``.  Method A reads each candidate
+    asset's one-step drift under the normalized optimal measure at the
+    nodes it charges, over min(``top``, 1 + max|S'_n|) of the augmented
+    layout (``max_abs_drift``, fair within 1e-8); method B augments the
+    market with the candidate and re-solves (fair within 1e-7, relative).
+    The verdicts agree (the theorem this verifies); ``is_mubpp`` is B's.
+    Raises
     :class:`AugmentInfeasibleError` for a non-finite candidate price or an
     augmented market with arbitrage (then the candidate is not fair).
     """
@@ -557,18 +559,17 @@ def check_mubpp(tree: MarketTree, pair: UtilityPair, endow, sprime) -> MubppRepo
                          f"in layout order, got {cand.shape}")
     cand = cand.reshape(n, -1)
 
-    sol = solve_dual(tree, pair, endow)
-    inner = tree.layout.level_starts[-2]
-    x, live = cand[:inner], sol.charged[:inner]
-    drift = np.abs(tree.one_step_expectation(cand, sol.node_log_q) - x).max(axis=1)
-    drifts = [(nid, float(dn)) for nid, dn, ok in zip(tree.nonleaf_ids, drift, live) if ok]
-    max_drift = float((drift / (1.0 + np.abs(x).max(axis=1)))[live].max(initial=0.0))
-    drift_verdict = max_drift <= 1e-8
-
     if not np.isfinite(cand).all():
         raise AugmentInfeasibleError("cannot build augmented market: a candidate "
                                      "price is not finite")
+    sol = solve_dual(tree, pair, endow)
     augmented = _with_assets(tree, [f"candidate{k}" for k in range(cand.shape[1])], cand)
+    aug, d, live = augmented.layout, tree.n_assets, sol.charged[:tree.layout.level_starts[-2]]
+    drift = np.abs(tree.one_step_expectation(aug.step[:, d:], sol.node_log_q))
+    drifts = [(i, float(x)) for i, x, ok in zip(tree.nonleaf_ids, drift.max(axis=1), live) if ok]
+    unit = np.minimum(aug.top[:, d:], 1.0 + np.abs(cand[:live.size]).max(axis=1, keepdims=True))
+    max_drift = float((drift / unit).max(axis=1)[live].max(initial=0.0))
+    drift_verdict = max_drift <= 1e-8
     try:
         # same layout, so the same leaf order
         aug_value = solve_dual(augmented, pair, endow).value

@@ -69,10 +69,10 @@ def recover(tree: MarketTree, pair: UtilityPair, endow,
     the dual side (X from the measure) with the primal side (h) and names
     the worst leaf.  The exponential measure is itself read off h, so X
     and the wealth share h's gains; there the one-step drift of q in each
-    asset at each node it charges, against the node's largest increment
-    in that asset (in the asset's own units), tests h before X meets the
-    wealth, and names the worst node.  ``tree``, ``pair`` and ``endow`` must be the problem
-    ``sol`` solved, else :class:`DomainError`.
+    asset at each node it charges, over the asset's unit ``top`` there,
+    tests h before X meets the wealth, and names the worst node.  ``tree``,
+    ``pair`` and ``endow`` must be the problem ``sol`` solved, else
+    :class:`DomainError`.
     """
     e = leaf_values(tree, endow)
     sol._require(tree, pair, e, "recover")
@@ -92,8 +92,7 @@ def recover(tree: MarketTree, pair: UtilityPair, endow,
     inner = lay.level_starts[-2]
     if sol._log_l is not None:   # the measure is read off h: its drift tests h
         drift = np.abs(tree.one_step_expectation(lay.step, sol.node_log_q))
-        rel = np.divide(drift, lay.top, out=np.zeros_like(drift),
-                        where=sol.charged[:inner, None] & (lay.top > 0)).max(axis=1)
+        rel = np.where(sol.charged[:inner, None], drift / lay.top, 0.0).max(axis=1)
         worst = int(np.argmax(rel))
         if rel[worst] > _REPLICATION_TOL:
             raise ReplicationGapError(

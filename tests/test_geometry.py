@@ -38,6 +38,20 @@ def test_reference_measure_martingale_when_prices_drift_free():
     assert is_martingale_measure(tree, p)
 
 
+@pytest.mark.parametrize("s2", [1.0, 1e-12])
+def test_martingale_check_reads_each_asset_in_its_own_units(exp_pair, s2):
+    # the exponential optimum of the market of asset 1 alone lets asset 2
+    # drift by 17% of its largest increment at the root: refused in any
+    # units of asset 2, where 1 + |S_n| would pass it at s2 = 1e-12
+    moves = [(1.2, 1.1), (0.9, 1.15), (1.0, 0.8), (1.1, 0.95)]
+    tree = treegen.product_market([moves] * 2, s0=(1.0, s2))
+    e = np.linspace(-0.5, 0.5, tree.n_leaves)
+    alone = treegen.product_market([[m for m, _ in moves]] * 2)
+    q = solve_dual(alone, exp_pair, e).q_hat
+    assert is_martingale_measure(alone, q) and not is_martingale_measure(tree, q)
+    assert is_martingale_measure(tree, solve_dual(tree, exp_pair, e).q_hat)
+
+
 def test_a_signed_measure_is_refused(tri1):
     # log masses read the negative leaves as uncharged, so (-1, 3, -1),
     # whose root drift is -0.5, passed as the measure on the middle leaf

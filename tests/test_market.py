@@ -403,6 +403,12 @@ def test_layout_view_follows_the_prices_and_is_read_only(tri1, exp_pair, monkeyp
                 getattr(view, name)[0] = 0
 
 
+def test_layout_unit_is_one_where_an_asset_does_not_move():
+    # top is each asset's unit at a node, read unguarded by every kernel
+    lay = treegen.product_market([[(1.2, 1.0), (0.9, 1.0)]], s0=(1.0, 5.0)).layout
+    assert lay.top.tolist() == [[pytest.approx(0.2), 1.0]]
+
+
 def test_deep_chain_loads_and_solves(bin1):
     # deeper than the interpreter's recursion limit; the flat periods change
     # nothing, so the optimum is that of the one-period binomial

@@ -868,6 +868,22 @@ def test_mubpp_fair_two_power_candidate_on_a_two_asset_tree(tp_pair, seed, draw)
     assert rep.is_mubpp and rep.agree
 
 
+@pytest.mark.parametrize("unit", [1.0, 1e-9, 1e-12])
+def test_mubpp_verdicts_agree_in_any_units_of_the_candidate(exp_pair, unit):
+    # each candidate asset's drift is read against its own unit, so a bent
+    # candidate fails the drift test as it fails the utility test, however
+    # it is quoted
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 2)
+    rng = np.random.default_rng(0)
+    e, b = rng.uniform(-1.0, 1.0, tree.n_leaves), rng.uniform(0.0, 1.0, tree.n_leaves)
+    fair = optimal_measure_price_process(solve_dual(tree, exp_pair, e), b)
+    bent = fair.copy()
+    bent[0] += 0.05
+    for cand, verdict in ((fair, True), (bent, False)):
+        rep = check_mubpp(tree, exp_pair, e, cand * unit)
+        assert (rep.drift_verdict, rep.utility_verdict, rep.agree) == (verdict, verdict, True)
+
+
 def test_mubpp_singular_newton_system_is_a_typed_failure(tp_pair):
     # the 18-leaf one-asset tree of the 25th random market of seed 19: the
     # augmented market keeps dependent strategy columns, whose start fit has

@@ -154,12 +154,27 @@ def test_recover_refuses_a_measure_read_off_a_wrong_strategy(exp_pair, monkeypat
     assert err.value.node_id == "r" and err.value.residual > 0.1
 
 
+@pytest.mark.parametrize("s2", [1e-12, 1.0, 1e12])
+def test_battery_reads_the_optimal_drift_in_each_assets_own_units(exp_pair, monkeypatch, s2):
+    # every check passes on the optimum in any units of asset 2; the blind
+    # start's measure drifts by a quarter of asset 2's increment, which
+    # "martingale constraints at optimum" sees in any units too
+    def blind(geo, _fn=dual._live_levels):
+        return tuple(b[:4] + (b[4] * [1.0, 0.0],) + b[5:] for b in _fn(geo))
+    tree = _two_asset_market(s2)
+    e = np.linspace(-0.5, 0.5, tree.n_leaves)
+    assert all(c.passed for c in run_battery(tree, exp_pair, e))
+    monkeypatch.setattr(dual, "_live_levels", blind)
+    failed = [c.name for c in run_battery(tree, exp_pair, e) if not c.passed]
+    assert failed[:2] == ["martingale constraints at optimum", "dual first-order conditions"]
+
+
 def test_recover_tests_the_measure_in_each_assets_own_units():
-    # at s2 = 1e-7 the start's pseudo-inverse drops the second asset (an
-    # open defect, the strict xfails in test_dual.py): the measure drifts by
-    # a quarter of that asset's increment, under 3e-9 of 1 + |S_n|.
-    # recover must raise rather than return a primal value of 1.10334
-    # against the dual 1.17087
+    # at s2 = 1e-7 a measure whose start fit misses the second asset drifts
+    # by a quarter of that asset's increment, under 3e-9 of 1 + |S_n|:
+    # recover reads the drift over the asset's top, so it raises on such a
+    # measure rather than return a primal value of 1.10334 against the dual
+    # 1.17087.  The pass, in each asset's unit, solves the tree
     pair, tree = exponential_utility(1.0, 2.0), _two_asset_market(1e-7)
     e = np.linspace(-0.5, 0.5, tree.n_leaves)
     sol = solve_dual(tree, pair, e)
@@ -701,24 +716,30 @@ def test_solver_strategy_matches_least_squares_replication(instance):
     _assert_matches_replication(tree, sol, recover(tree, pair, e, sol))
 
 
-@pytest.mark.parametrize("pair", [exponential_utility(1.0, 2.0),
-                                  two_power_utility(0.5, 1.0, 1.0)], ids=["exp", "twopower"])
-def test_rank_deficient_root_keeps_the_solver_strategy(pair):
+@pytest.mark.parametrize("pair,s2", [
+    pytest.param(pair, s2, id=name + ("" if s2 == 1.0 else f"-{s2:g}"))
+    for s2 in (1.0, 1e-6, 1e6)
+    for name, pair in (("exp", exponential_utility(1.0, 2.0)),
+                       ("twopower", two_power_utility(0.5, 1.0, 1.0)))])
+def test_rank_deficient_root_keeps_the_solver_strategy(pair, s2):
     # both root increments lie on one line, so the root strategy is unique
-    # only along it: the log-space pass returns the minimum-norm one, the
-    # Newton core another with the same gains
+    # only along it: the log-space pass returns the minimum-norm one in each
+    # asset's unit at the node (the layout's top), the same in any units of
+    # the second asset, and the Newton core another with the same gains
     tree = treegen.product_market([[(1.2, 1.05), (0.9, 0.975)],
-                                   [(1.3, 1.2), (0.8, 0.85), (1.0, 1.05)]], s0=(1.0, 2.0))
-    dS = tree.layout.prices[1:3] - tree.layout.prices[0]
-    assert np.linalg.matrix_rank(dS) == 1
+                                   [(1.3, 1.2), (0.8, 0.85), (1.0, 1.05)]], s0=(1.0, 2.0 * s2))
+    dS, top = tree.layout.prices[1:3] - tree.layout.prices[0], tree.layout.top[0]
+    assert np.linalg.matrix_rank(dS / top) == 1
     sol = solve_dual(tree, pair, 0.0)
     ps = recover(tree, pair, 0.0, sol)
     _assert_matches_replication(tree, sol, ps)
-    _, ref_h = _lstsq_replication(tree, sol.q_hat, ps.terminal_wealth)
+    wealth, _ = _lstsq_replication(tree, sol.q_hat, ps.terminal_wealth)
     h = ps.strategy[0]
     assert np.abs(dS @ h).max() > 0.1
     if pair.family == "exponential":
-        assert h == pytest.approx(ref_h[0], rel=1e-10)
+        ref_h = np.linalg.lstsq(dS / top, wealth[1:3] - wealth[0], rcond=None)[0] / top
+        assert h == pytest.approx(ref_h, rel=1e-10)
+        assert h * [1.0, s2] == pytest.approx([1.1552453009332, 2.3104906018665], rel=1e-10)
 
 
 def test_recovery_runs_no_least_squares(exp_pair, tp_pair, monkeypatch):
