@@ -62,11 +62,14 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     (``recovery._conditional_duals``, of which :func:`dynamic_dual` reads
     one time's slice), with no per-node object.  The value curve is
     computed before it: its middle point, at the optimum's own log mass,
-    is the root's conditional problem, so a two-power battery makes
-    horizon + 1 Newton-core calls (the solve, the curve and one per time
-    1 .. T - 1).  The optimum's entropy terms p V(mu/p) are formed once
-    (``DualSolution.entropy_terms``): "zero duality gap" sums them and the
-    dynamic dual adds mu e to them.  The certification
+    is the root's conditional problem, so a two-power battery on an
+    incomplete market makes horizon + 1 Newton-core calls (the solve, the
+    curve and one per time 1 .. T - 1), and one on a complete market none
+    (the closed form of ``dual._complete_solutions``).  The optimum's
+    conjugate point (V, V', V'') at mu/p is formed once
+    (``DualSolution.entropy_terms`` and ``terminal_gain`` read it): "zero
+    duality gap" sums p V and the dynamic dual adds mu e to it.  The
+    certification
     (:func:`certify_assumptions`, one evaluation of each closed form over
     its grids) proves biconjugacy from the pair's closed forms at y = U'(x);
     its detail prints the tail elasticities (AE-, AE+) beside their grid
@@ -92,8 +95,8 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     (:func:`verify_supermartingale`, :func:`snell_envelope_exponential`),
     exhaustive at any size.  The value
     curve is read off the optimum at log masses around its own
-    (:func:`dual_value_curve`): in closed form for the exponential family,
-    as arrays over the points, else by one Newton-core call started at the
+    (:func:`dual_value_curve`): in closed form for the exponential family
+    and on complete markets, else by one Newton-core call started at the
     rescaled optimum.  A result's
     ``seconds`` run from the previous result, so shared work (the solve, the
     certificates, the recovery, the curve) is charged to the first check

@@ -2,14 +2,15 @@
 
 The objective is ``F(mu) = sum_l [ p_l V(mu_l/p_l) + mu_l e_l ]`` minimized
 over non-negative leaf measures satisfying the martingale equality rows (and
-optionally a fixed total mass).  Two solvers share the result type; both
-return the optimal strategy h too, which primal recovery reads.  One
-function, ``_solutions``, picks the solver by the utility's family for a
-stack of endowments with one mass per row (NaN at a free row) and returns
-one optimum or error per row; ``solve_dual``, ``solve_dual_fixed_mass``
-and the pricing searches solve through it.  ``dual_value_curve`` reads its
-points off a solved problem: in closed form from the exponential pass, else
-by one Newton-core call started at the optimum.
+optionally a fixed total mass).  Three solvers share the result type; each
+returns the optimal strategy h too, which primal recovery reads.  One
+function, ``_solutions``, picks the solver by the utility's family and the
+market's completeness for a stack of endowments with one mass per row (NaN
+at a free row) and returns one optimum or error per row; ``solve_dual``,
+``solve_dual_fixed_mass`` and the pricing searches solve through it.
+``dual_value_curve`` reads its points off a solved problem: in closed form
+from the exponential pass, else by one ``_solutions`` call started at the
+optimum.
 
 * Exponential family: exponential utility does not depend on wealth, so the
   dual is solved exactly by backward induction on the log-partition (Rouge &
@@ -35,7 +36,19 @@ by one Newton-core call started at the optimum.
   two assets and by LAPACK beyond.  All of it reads the increments over
   each node's ``top``, and h is k over it, so the pass is unit-free (Boyd &
   Vandenberghe 2004, 9.5.1: a Newton step does not depend on the scaling).
-* Two-power family, ``dynamic_dual`` and the tests' oracle: the optimal
+* Other families on a complete market (every live non-leaf node has one
+  valid vertex, ``SupportStructure.complete``), EQUIVALENT: the martingale
+  measure q is unique, so every optimum is y q with the wealth W = I(y q/p)
+  (the martingale method of Karatzas, Lehoczky & Shreve, *SIAM J. Control
+  Optim.* 25, 1987, and Cox & Huang, *J. Econ. Theory* 49, 1989).  A fixed
+  row keeps its y; a free row takes ln y from the budget E_q[I(y q/p)] =
+  E_q[e], by the package's one safeguarded root-finder,
+  ``_bracketed_newton``, which the pricing searches share.  The value, the
+  wealth and W'' come from one ``v_point`` pass, and h is each node's
+  one-vertex fit of the conditional gains.  A wealth past the float range
+  on a leaf is that leaf's ``EvaluationOverflowError``.
+* Other families on an incomplete market, ``dynamic_dual`` and the tests'
+  oracle: the optimal
   measure is the marginal utility of the optimal wealth, mu = p U'(e + gains),
   so the dual is solved through its primal, the unconstrained concave
   maximization of E[U(e + gains)] (less y times the cash at a fixed mass y)
@@ -65,14 +78,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (DomainError, EvaluationOverflowError, InfeasibleEntropyError,
-                     NoMartingaleMeasureError, NonconvergedError,
+from .errors import (BracketFailError, DomainError, EvaluationOverflowError,
+                     InfeasibleEntropyError, NoMartingaleMeasureError, NonconvergedError,
                      ValueAtSupremumError)
 from .geometry import _TOL, SupportStructure, _support_structure, build_constraints
 from .market import MarketTree, leaf_values, log_masses
 from .utility import UtilityPair
 
 _VALUE_FLOOR = -1e250  # below this the optimal utility is numerically -inf
+_MAX_PROBES = 100      # probes of one bracketed Newton search
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,21 +94,26 @@ class DualSolution:
     """Optimal measure, mass, normalization, value and diagnostics.
 
     ``value`` is the optimal value: from the log-partition for the
-    exponential family, and the primal value sum p U(e + gains) (- y x at a
-    fixed mass y) at the Newton core's optimum, which equals the dual one.
-    ``stationarity`` is the exit residual of the solver: for the exponential
-    family the largest one-step drift |E[dS_i | n]| / top_i over the assets
-    and live non-leaf nodes, read off the one-step log weights of the
-    normalized optimizer; for the Newton core the scaled gradient of the
-    primal, which is the martingale (and mass) residual of mu.
-    ``mass_curvature`` is the core's W''(y), the second derivative of the
-    optimal value in a fixed mass y (else None).
-    ``iterations`` logs the Newton steps taken (of a log-space pass, summed
-    over levels of the most any endowment took).  ``mu`` and ``q_hat``, the
-    optimal and normalized measures, are (L,) arrays in leaf order;
-    ``_log_q`` = ln q_hat, exact where q_hat underflows, gives
-    :attr:`node_log_q` and :attr:`charged`; :attr:`entropy_terms` are the
-    optimum's entropy per leaf, formed once.
+    exponential family, the dual value sum p V(mu/p) + mu e of a
+    complete market's closed form, and the primal value sum p U(e + gains)
+    (- y x at a fixed mass y) at the Newton core's optimum, which equals the
+    dual one.  ``stationarity`` is the exit residual of the solver: for the
+    exponential family the largest one-step drift |E[dS_i | n]| / top_i
+    over the assets and live non-leaf nodes, read off the one-step log
+    weights of the normalized optimizer; for the closed form the budget
+    residual |E_q[X]| / (1 + E_q[|W| + |e|]) at a free mass (0 at a fixed
+    one); for the Newton core the scaled gradient of the primal, which is
+    the martingale (and mass) residual of mu.  ``mass_curvature`` is W''(y),
+    the second derivative of the optimal value in a fixed mass y (else
+    None).  ``iterations`` logs the Newton steps taken (of a log-space
+    pass, summed over levels of the most any endowment took; of the closed
+    form's budget root, its probes).  ``mu`` and ``q_hat``, the optimal and
+    normalized measures, are (L,) arrays in leaf order; ``_log_q`` = ln
+    q_hat, exact where q_hat underflows, gives :attr:`node_log_q` and
+    :attr:`charged`.  :attr:`entropy_terms` and, but for the exponential
+    family, :attr:`terminal_gain` read one conjugate point (V, V', V'') at
+    mu/p per optimum, formed once by ``pair.v_point`` (by the closed form
+    as it solves).
     """
 
     tree: MarketTree
@@ -126,17 +145,20 @@ class DualSolution:
         return self.node_log_q > -np.inf
 
     @cached_property
+    def _conjugate(self) -> tuple:   # (V, V', V'') at mu/p (L,): one inversion of U'
+        return self.pair.v_point(self.density_array)
+
+    @cached_property
     def entropy_terms(self) -> np.ndarray:   # (L,): p V(mu/p), the entropy per leaf
-        p = self.tree.leaf_probability_array
-        return p * self.pair.v(self.mu / p)
+        return self.tree.leaf_probability_array * self._conjugate[0]
 
     @property
     def terminal_gain(self) -> np.ndarray:
         """X = -V'(mu/p) - e (L,), the optimal terminal gain, +inf off the
         charged leaves: for the exponential family ln(p/mu)/gamma - e from
         the exact log-masses, finite where mu underflows."""
-        if self._log_l is None:   # a Newton-core optimum
-            return -self.pair.v_prime(self.density_array) - self._endow_arr
+        if self._log_l is None:   # a closed-form or Newton-core optimum
+            return -self._conjugate[1] - self._endow_arr
         return _exponential_gain(self, self._log_mass)
 
     @property
@@ -156,12 +178,18 @@ class DualSolution:
 
 
 def _solution(tree, pair, e, mu, q, log_q, mass, log_mass, value, residual, flag, steps,
-              h, curvature=None, log_l=None):
-    return DualSolution(
+              h, curvature=None, log_l=None, point=None):
+    """The one builder of every kind of optimum; ``point``, the conjugate
+    point at mu/p if the solver formed it, becomes the optimum's cached one
+    (a copy made by ``dataclasses.replace`` forms its own)."""
+    sol = DualSolution(
         tree=tree, pair=pair, mass=mass, value=value, stationarity=residual,
         support=flag, iterations=({"steps": steps, "residual": residual},),
         mu=mu, q_hat=q, mass_curvature=curvature, _endow_arr=e, _log_mass=log_mass,
         _h_arr=h, _log_q=log_q, _log_l=log_l)
+    if point is not None:
+        sol.__dict__["_conjugate"] = point   # the slot of the cached property
+    return sol
 
 
 # -- exponential family: backward induction in log space ------------------------
@@ -555,8 +583,9 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
     evaluated nowhere else in the loop.  A step
     is accepted on Armijo increase or, where Phi is flat to rounding (of U
     and of the wealth), on a scaled gradient at most half as large,
-    ``max_j |B' mu - y e_x|_j / ((1 + max|B_j|) sum mu)``, the martingale
-    and mass residual of mu relative to its mass.  A row runs to 1e-13, or
+    ``max_j |B' mu - y e_x|_j / (max|B_j| sum mu)`` (each column in its own
+    unit, 1 at a zero column), the martingale and mass residual of mu
+    relative to its mass.  A row runs to 1e-13, or
     stops below 1e-9 once no step is acceptable.  Rows share the loop but
     not their arithmetic: each has its own Armijo search, flat test,
     convergence and failure, and a row that is done stands still, so a
@@ -586,9 +615,11 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
     B = np.empty((len(A), n, k + 1))
     B[:, :, :k], B[:, :, k] = A[:, :, live].swapaxes(1, 2), 1.0
     Bk, Bt = B[:, :, :k], B.swapaxes(1, 2)
-    # the scale of each gradient entry, infinite at the cash of free rows
-    scale = np.where(fixed[:, None] | (np.arange(k + 1) < k),
-                     1.0 + np.abs(B).max(axis=1), math.inf)
+    # the scale of each gradient entry, its column's own unit max|B_j| (1 at
+    # a zero column), infinite at the cash of free rows
+    top = np.abs(B).max(axis=1)
+    scale = np.where(fixed[:, None] | (np.arange(k + 1) < k), np.where(top > 0, top, 1.0),
+                     math.inf)
 
     def share(x, rows):
         """The rows ``rows`` of a stack of 1 or r problems."""
@@ -739,18 +770,36 @@ def _mass(s: float) -> float:
         return math.inf
 
 
+def _masses(pair, log_mass, r):
+    """The masses e^log_mass (r,) of a stack of r rows (NaN at a free row,
+    every row free without ``log_mass``), and per row None or the
+    :class:`EvaluationOverflowError` of a mass past the floating-point
+    range or of one whose wealth I(y) = -V'(y) is, which is not solved.
+    Such a mass has no optimum in floats: some leaf has density y q/p <= y
+    (the ratios q/p average 1 under p), so its optimal wealth is at least
+    I(y)."""
+    y = np.full(r, math.nan) if log_mass is None else np.array([_mass(s) for s in log_mass])
+    past, fixed = np.isinf(y), np.isfinite(y)
+    if fixed.any():
+        past[fixed] = ~np.isfinite(pair.v_prime(y[fixed]))
+    out = [None] * r
+    for j in np.flatnonzero(past).tolist():
+        what = "mass" if np.isinf(y[j]) else "wealth I(y) = -V'(y) at the mass y ="
+        out[j] = EvaluationOverflowError(
+            f"{what} e^{float(log_mass[j])!r} is past the floating-point range")
+    return y, out
+
+
 def _core_solutions(tree, pair, endows, log_mass=None, starts=None, curvature=True):
     """The Newton core on the maximal support for a stack of endowments (r, L),
     at masses e^log_mass (r,) if given (NaN at a free row), started at leaf
     measures (r, L) if given: one optimum or the row's error per row, a
-    :class:`NonconvergedError`, or an :class:`EvaluationOverflowError` at a
-    mass past the floating-point range or one whose wealth I(y) = -V'(y) is,
-    which is not solved.  Such a mass has no optimum in floats: some leaf
-    has density y q/p <= y (the ratios q/p average 1 under p), so its
-    optimal wealth is at least I(y).  The core runs on the columns of
+    :class:`NonconvergedError` or the :class:`EvaluationOverflowError` of
+    :func:`_masses`.  The core runs on the columns of
     :func:`_strategy_basis`; the others get h = 0.  Each optimum at a fixed
     mass carries W'' unless ``curvature`` is false, which saves its
-    factorization.
+    factorization.  :func:`_solutions` sends it the incomplete markets;
+    on complete ones it is the tests' oracle of :func:`_complete_solutions`.
 
     A row without a start positive on the support starts at y q, the
     complete-market optimum up to the budget (Karatzas, Lehoczky & Shreve,
@@ -763,12 +812,8 @@ def _core_solutions(tree, pair, endows, log_mass=None, starts=None, curvature=Tr
     mask, flag = _prepare(tree, pair)
     geo = _support_structure(tree)
     basis = _strategy_basis(geo)
-    r = len(endows)
-    y = np.full(r, math.nan) if log_mass is None else np.array([_mass(s) for s in log_mass])
-    past, fixed = np.isinf(y), np.isfinite(y)
-    if fixed.any():
-        past[fixed] = ~np.isfinite(pair.v_prime(y[fixed]))
-    run = ~past
+    y, out = _masses(pair, log_mass, len(endows))
+    run = np.array([err is None for err in out], dtype=bool)
     starts = np.zeros(endows.shape) if starts is None else np.array(starts, dtype=float)
     cold = ~(starts[:, mask] > 0).all(axis=1)
     if cold.any():
@@ -782,11 +827,6 @@ def _core_solutions(tree, pair, endows, log_mass=None, starts=None, curvature=Tr
         mass=y[run], start=starts[run], curvature=curvature)
     h = np.zeros((len(errors), basis.size))
     h[:, basis] = h_basis
-    out = [None] * r
-    for j in np.flatnonzero(past).tolist():
-        what = "mass" if np.isinf(y[j]) else "wealth I(y) = -V'(y) at the mass y ="
-        out[j] = EvaluationOverflowError(
-            f"{what} e^{float(log_mass[j])!r} is past the floating-point range")
     for i, j in enumerate(np.flatnonzero(run).tolist()):
         if errors[i] is not None:
             out[j] = errors[i]
@@ -799,16 +839,201 @@ def _core_solutions(tree, pair, endows, log_mass=None, starts=None, curvature=Tr
     return out
 
 
+# -- complete markets: the martingale method in closed form ----------------------
+
+
+def _bracketed_newton(probe, x, lo, hi, *, x_tol=0.0):
+    """Root of an increasing function by Newton steps kept inside a bracket:
+    the package's one safeguarded scalar root-finder.
+
+    ``probe(x)`` is a search (it yields solve requests, or none) that
+    returns ``(g, slope, done)``; ``done`` accepts x as the root.  A step
+    that is unavailable or leaves the bracket is replaced by bisection, or
+    by a doubling stride while a side is still open.  Returns the accepted
+    probe point, or the last one once the Newton step or the bracket is
+    within ``x_tol``; raises :class:`BracketFailError` after 100 probes.
+    """
+    stride = 1.0
+    for _ in range(_MAX_PROBES):
+        g, slope, done = yield from probe(x)
+        if done:
+            return x
+        if g < 0:
+            lo = x
+        else:
+            hi = x
+        newton = x - g / slope if slope and slope > 0 else math.nan
+        if x_tol and (abs(newton - x) <= x_tol or hi - lo <= x_tol):
+            return x
+        if lo < newton < hi:
+            x = newton
+        elif math.isinf(lo) or math.isinf(hi):
+            x = x + stride if g < 0 else x - stride
+            stride *= 2.0
+        else:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                raise BracketFailError(
+                    f"root bracket [{lo!r}, {hi!r}] collapsed at residual {g:.3e}")
+    raise BracketFailError(f"no root after {_MAX_PROBES} probes in [{lo}, {hi}]")
+
+
+def _complete_rows(pair, p, log_q, e, log_m, starts):
+    """Complete problems in closed form, laid end to end: problem i owns the
+    leaves from ``starts[i]`` to the next start of the flat (K,) arrays of
+    leaf probabilities ``p``, endowments ``e`` and leaf log masses
+    ``log_q`` of its unique martingale measure q (normalized), at the log
+    mass ln y of ``log_m`` (a float, or (K,) and constant on each problem).
+    Its optimum is the measure mu = y q and the wealth W = I(mu/p) =
+    -V'(mu/p) (the martingale method: Karatzas, Lehoczky & Shreve 1987;
+    Cox & Huang 1989), from one ``v_point`` pass at mu/p, mu = exp(ln y +
+    ln q), so that the point is the optimum's own (``DualSolution`` forms it
+    at ``density_array``).  Returns per problem (3, k) its value sum p V +
+    mu e, its mass derivative E_q[V' + e] = -E_q[X], increasing in ln y,
+    and that derivative's slope in ln y, sum q (mu/p) V'' = y W''(y); per
+    leaf mu and the point (V, V', V'')."""
+    with np.errstate(over="ignore"):
+        mu = np.exp(log_m + log_q)
+        z = mu / p
+    point = pair.v_point(z)
+    v, vp, v2 = point
+    q = np.exp(log_q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.stack([p * v + mu * e, q * (vp + e), q * z * v2])
+    return np.add.reduceat(terms, starts, axis=1), mu, point
+
+
+def _past_float(leaf_ids, w, what):
+    """The :class:`EvaluationOverflowError` of the first leaf whose optimal
+    wealth ``w`` (L,) is not finite, or None."""
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size == 0:
+        return None
+    return EvaluationOverflowError(
+        f"the optimal wealth I(y q/p) {what} at leaf {leaf_ids[bad[0]]!r} is past the "
+        "floating-point range", node_id=leaf_ids[bad[0]])
+
+
+def _budget_root(tree, pair, log_q, e, s):
+    """The log mass ln y of a complete market's free optimum: the root of
+    its mass derivative E_q[V'(y q/p) + e] (the budget E_q[W] = E_q[e])
+    by :func:`_bracketed_newton` in ln y, from ``s``, with the slope of
+    :func:`_complete_rows`.  A probe whose wealth is past the float range on
+    a leaf reads -inf (its y is too small), or +inf where it is -inf; the
+    root is accepted once the derivative is within 1e-14 of E_q[|W| + |e|]
+    or the Newton step within rounding of ln y.  Returns ln y and the
+    probes; raises the
+    :class:`EvaluationOverflowError` of the last leaf past the float range
+    when the search ends on that boundary (the optimal wealth there is
+    past it), else :class:`NonconvergedError`."""
+    p, q = tree.leaf_probability_array, np.exp(log_q)
+    last = {"probes": 0, "over": None}   # the probes, and the last wealth past the float range
+
+    def probe(x):
+        yield from ()   # asks for no solve
+        last["probes"] += 1
+        sums, _, (_, vp, _) = _complete_rows(pair, p, log_q, e, x, [0])
+        w = -vp
+        if not np.isfinite(w).all():
+            if np.isposinf(w).any():
+                last["over"] = _past_float(tree.leaf_ids, w, "at the budget root")
+                return -math.inf, None, False
+            return math.inf, None, False
+        g, slope = float(sums[1, 0]), float(sums[2, 0])
+        step = g / slope if slope > 0 else math.inf
+        return g, slope, (abs(g) <= 1e-14 * (1.0 + float(q @ (np.abs(w) + np.abs(e))))
+                          or abs(step) <= 4.0 * np.spacing(1.0 + abs(x)))
+
+    try:
+        next(_bracketed_newton(probe, s, -math.inf, math.inf))
+    except StopIteration as stop:
+        return stop.value, last["probes"]
+    except BracketFailError as exc:
+        if last["over"] is not None:
+            raise last["over"] from None
+        raise NonconvergedError(f"budget root of the complete market: {exc}") from None
+
+
+def _complete_solutions(tree, pair, geo, endows, log_mass=None, starts=None, curvature=True):
+    """The optima of a stack of endowments (r, L) on a complete EQUIVALENT
+    market, whose unique martingale measure q has the node log masses ell
+    of the support pass's ``geo.log_interior``, at the masses e^log_mass
+    (r,) if given (NaN at a free row): one optimum or the row's error per
+    row, with no Newton core and no constraint matrix.  A fixed row keeps
+    its own y; a free row takes ln y from :func:`_budget_root`, started at
+    the log mass of its start measure if that is positive on the leaves,
+    else at ln U'(E_q[e]), the mass at which the constant wealth E_q[e] is
+    optimal.  Then one :func:`_complete_rows` pass over every row gives mu
+    = exp(ln y + ln q), the value, the wealth and, at the fixed rows unless
+    ``curvature`` is false, W'' = sum q / (y A(W)).  A row whose wealth is past the float
+    range on a leaf is that leaf's :class:`EvaluationOverflowError`, as is
+    a mass of :func:`_masses`.  The strategy at each non-leaf node is its
+    one-vertex fit (the ``fit`` of :func:`_live_levels`, over ``top``) of
+    E_q[X | child] - E_q[X | node], exact since the node's increments are
+    affinely independent, for every row in one pass over the levels."""
+    lay, p, n, ell = tree.layout, tree.leaf_probability_array, tree.n_leaves, geo.log_interior
+    log_q, r = ell[-n:], len(endows)
+    y, out = _masses(pair, log_mass, r)
+    s = np.full(r, math.nan) if log_mass is None else np.array(log_mass, dtype=float)
+    probes = np.zeros(r, dtype=int)
+    for j in np.flatnonzero(np.isnan(y)).tolist():
+        guess = math.nan
+        if starts is not None and (starts[j] > 0).all():
+            guess = math.log(starts[j].sum())
+        if not math.isfinite(guess):
+            with np.errstate(divide="ignore", over="ignore"):
+                guess = float(np.log(pair.u_prime(np.exp(log_q) @ endows[j])))
+        try:
+            s[j], probes[j] = _budget_root(tree, pair, log_q, endows[j],
+                                           guess if math.isfinite(guess) else 0.0)
+        except (EvaluationOverflowError, NonconvergedError) as exc:
+            out[j] = exc
+    rows = [j for j in range(r) if out[j] is None]
+    if not rows:
+        return out
+    k, e = len(rows), endows[rows]
+    sums, mu, point = _complete_rows(pair, np.tile(p, k), np.tile(log_q, k), e.ravel(),
+                                     np.repeat(s[rows], n), np.arange(k) * n)
+    mu, (v, vp, v2) = mu.reshape(k, n), (x.reshape(k, n) for x in point)
+    finite = np.isfinite(vp)
+    cond = tree.conditional_expectation(np.where(finite, -vp - e, 0.0), ell)
+    h = np.zeros((k, lay.level_starts[-2], tree.n_assets))
+    for node, kids, _, _, fit, _, _ in _live_levels(geo):
+        h[:, node] = np.einsum("gmd,rgm->rgd", fit, cond[:, kids] - cond[:, node, None])
+        h[:, node] /= lay.top[node]
+    q = np.exp(log_q)
+    log_q = log_masses(q)   # ln q_hat, as the core's optima have it
+    for i, j in enumerate(rows):
+        if not finite[i].all():
+            out[j] = _past_float(tree.leaf_ids, vp[i], f"at the mass e^{s[j]!r}")
+            continue
+        y_j, free = _mass(s[j]), math.isnan(y[j])
+        residual = 0.0 if not free else abs(float(sums[1, i])) / (
+            1.0 + float(q @ (np.abs(vp[i]) + np.abs(e[i]))))
+        out[j] = _solution(tree, pair, e[i], mu[i], q, log_q, y_j, float(s[j]),
+                           float(sums[0, i]), residual, "EQUIVALENT", int(probes[j]), h[i],
+                           float(sums[2, i]) / y_j if curvature and not free else None,
+                           point=(v[i], vp[i], v2[i]))
+    return out
+
+
 def _solutions(tree, pair, endows, log_mass=None, starts=None, curvature=True):
     """The dual optima of a stack of endowments (r, L) on one tree, row j at
     the log mass ``log_mass[j]`` if given (NaN at a free row), exact in the
     log-space pass where the mass is subnormal: one optimum or the row's
-    :class:`NonconvergedError` per row.  The one place the family picks the
-    solver: one log-space pass for the exponential family, else one call of
-    the Newton core, started at the leaf measures ``starts`` (r, L) if given,
-    with W'' at the fixed masses unless ``curvature`` is false."""
+    error per row.  The one place the family picks the solver: one
+    log-space pass for the exponential family; else, on a complete
+    EQUIVALENT market (``SupportStructure.complete``), the closed form of
+    :func:`_complete_solutions`, and otherwise one call of the Newton core
+    (:func:`_core_solutions`), started at the leaf measures ``starts`` (r,
+    L) if given; each with W'' at the fixed masses unless ``curvature`` is
+    false."""
     if pair.family == "exponential":
         return _log_space_solutions(tree, pair, endows, log_mass)
+    _, flag = _prepare(tree, pair)
+    geo = _support_structure(tree)
+    if geo.complete and flag == "EQUIVALENT":
+        return _complete_solutions(tree, pair, geo, endows, log_mass, starts, curvature)
     return _core_solutions(tree, pair, endows, log_mass, starts, curvature)
 
 
@@ -892,8 +1117,9 @@ def dual_value_curve(sol: DualSolution, ys: Sequence[float], *,
     solved problem: for the exponential family in closed form from ``sol``
     itself (the measure e^s q_hat), every point at once, its value by
     :func:`_fixed_mass_value` (as :func:`_at_log_mass` has it); otherwise
-    by one Newton-core call whose rows start at ``sol.mu * e^(s - ln m)``,
-    m = ``sol.mass``, and factor no W'', which no point reads; raises the
+    by one :func:`_solutions` call (the closed form on a complete market,
+    else the Newton core) whose rows start at ``sol.mu * e^(s - ln m)``,
+    m = ``sol.mass``, and form no W'', which no point reads; raises the
     first row's error.  The derivatives -E_q_hat[X] are :func:`_envelope`,
     one dot per point, with X of every point from one evaluation.  At s =
     ``sol._log_mass`` the row is the root's conditional problem of

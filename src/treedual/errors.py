@@ -150,7 +150,13 @@ class EvaluationOverflowError(TreedualError):
 
     Raised by ``solve_dual`` for the exponential family when the optimal
     expected utility is below -1e250 (an endowment below about -575/gamma),
-    and for a fixed mass past the floating-point range.
+    for a fixed mass past the floating-point range, and on a complete
+    market whose optimal wealth is past it on a leaf, which ``node_id``
+    names.
     """
 
     code = "OVERFLOW"
+
+    def __init__(self, message, node_id=None):
+        super().__init__(message)
+        self.node_id = node_id

@@ -254,6 +254,15 @@ class SupportStructure:
         return live
 
     @cached_property
+    def complete(self) -> bool:
+        """Whether every live non-leaf node has one valid vertex: then the
+        martingale measure on the live leaves is unique, and it is the
+        interior measure exp(:attr:`log_interior`)."""
+        inner = self.layout.level_starts[-2]
+        count = np.bincount(self.node, minlength=inner)[:inner]
+        return bool((count[self.live[:inner]] == 1).all())
+
+    @cached_property
     def mask(self) -> np.ndarray:
         """The maximal support: the :attr:`live` leaves, in leaf order."""
         return self.live[self.layout.level_starts[-2]:]

@@ -227,14 +227,15 @@ class MarketTree:
         return np.where((top > -np.inf)[tail], num, np.nan)
 
     def conditional_expectation(self, v, ell) -> np.ndarray:
-        """E[v | n] (..., N) of a leaf array ``v`` under node log masses ``ell``
-        (..., N), weights exp(l_leaf - l_n); NaN exactly where l_n = -inf.
-        One sum over each level's leaves, which every level covers in order."""
+        """E[v | n] (..., N) of a leaf array ``v`` (L,), or of a stack of them
+        (r, L), under node log masses ``ell`` (..., N), weights exp(l_leaf -
+        l_n); NaN exactly where l_n = -inf.  One sum over each level's
+        leaves, which every level covers in order."""
         ell, size = np.asarray(ell, dtype=float), self.layout.hi - self.layout.lo
         on, leaf = ell > -np.inf, np.tile(np.arange(self.n_leaves), self.horizon + 1)
         w = np.exp(ell[..., leaf - self.n_leaves]
                    - np.where(on, ell, 0.0)[..., np.repeat(np.arange(size.size), size)])
-        wv = w * np.asarray(v, dtype=float)[leaf]
+        wv = w * np.asarray(v, dtype=float)[..., leaf]
         return np.where(on, np.add.reduceat(wv, np.cumsum(size) - size, axis=-1), np.nan)
 
     def gains(self, h) -> np.ndarray:

@@ -40,16 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualSolution, _prepare, _solutions, solve_dual
-from .errors import (AugmentInfeasibleError, BracketFailError, DomainError,
-                     InfeasibleEntropyError, InfiniteEntropyError,
-                     NoMartingaleMeasureError)
+from .dual import DualSolution, _bracketed_newton, _prepare, _solutions, solve_dual
+from .errors import (AugmentInfeasibleError, DomainError, InfeasibleEntropyError,
+                     InfiniteEntropyError, NoMartingaleMeasureError)
 from .geometry import is_martingale_measure, relative_entropy, _support_structure
 from .market import MarketTree, _with_assets, leaf_values
 from .utility import UtilityPair
 
 PRICE_TOL = 1e-9       # |u(endow + claim - p) - u(endow)| <= tol * (1 + |u|)
-_MAX_PROBES = 100      # probes of one bracketed Newton search
 
 
 def price_bounds(tree: MarketTree, claim) -> tuple[float, float]:
@@ -145,41 +143,6 @@ def _alone(tree, pair, endow, claim, search):
     if price is not None:
         return price
     return SolveCounter().run(tree, pair, search(e, b, lo, hi))[0]
-
-
-def _bracketed_newton(probe, x, lo, hi, *, x_tol=0.0):
-    """Root of an increasing function by Newton steps kept inside a bracket.
-
-    ``probe(x)`` is a search (it yields solve requests) that returns
-    ``(g, slope, done)``; ``done`` accepts x as the root.  A step that is
-    unavailable or leaves the bracket is replaced by bisection, or by a
-    doubling stride while a side is still open.  Returns the accepted probe
-    point, or the last one once the Newton step or the bracket is within
-    ``x_tol``; raises :class:`BracketFailError` after 100 probes.
-    """
-    stride = 1.0
-    for _ in range(_MAX_PROBES):
-        g, slope, done = yield from probe(x)
-        if done:
-            return x
-        if g < 0:
-            lo = x
-        else:
-            hi = x
-        newton = x - g / slope if slope and slope > 0 else math.nan
-        if x_tol and (abs(newton - x) <= x_tol or hi - lo <= x_tol):
-            return x
-        if lo < newton < hi:
-            x = newton
-        elif math.isinf(lo) or math.isinf(hi):
-            x = x + stride if g < 0 else x - stride
-            stride *= 2.0
-        else:
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:
-                raise BracketFailError(
-                    f"root bracket [{lo!r}, {hi!r}] collapsed at residual {g:.3e}")
-    raise BracketFailError(f"no root after {_MAX_PROBES} probes in [{lo}, {hi}]")
 
 
 def _cash_root(pair, x, target, c0, hi, start):

@@ -14,9 +14,9 @@ supermartingale check takes the drift under each valid one-step vertex,
 and the exponential Snell envelope is the per-node upper value of the
 backward pass over them (:meth:`SupportStructure.extremes`), exhaustive at
 any size.  The dynamic checks solve the conditional dual problems on
-subtrees, in closed form where the family or the leaf allows, in one array
-pass over every charged node of the times asked for, and compare their mass
-derivatives with the wealth process.
+subtrees, in closed form where the family, the market's completeness or the
+leaf allows, in one array pass over every charged node of the times asked
+for, and compare their mass derivatives with the wealth process.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualSolution, _envelope, _newton_core, _strategy_basis
+from .dual import (DualSolution, _complete_rows, _envelope, _newton_core, _strategy_basis,
+                   dual_value_curve)
 from .errors import NoPrimalOptimizerError, NotExponentialError, ReplicationGapError
 from .geometry import _support_structure, build_constraints
 from .market import MarketTree, leaf_values
@@ -201,11 +202,11 @@ def dynamic_dual(sol: DualSolution, t: int, wealth=None) -> list[DynamicDualNode
     least entropy-plus-endowment objective over subtree measures of the
     optimizer's mass m_n, and its derivative in that mass, read off the
     slice of time ``t`` of :func:`_conditional_duals`.  At t = 0 a
-    two-power optimum solves the root's row as :func:`dual_value_curve`
-    does at the optimum's own log mass, so the two agree bit for bit
-    (``run_battery`` reads the curve's point there).  The value is the
-    raw one over P_n; the restriction gap compares it with the global
-    optimizer's objective on the subtree.  Deterministic time grid only.
+    two-power optimum's root row is :func:`dual_value_curve`'s point at the
+    optimum's own log mass (``run_battery`` reads the curve's point
+    there).  The value is the raw one over P_n; the restriction gap
+    compares it with the global optimizer's objective on the subtree.
+    Deterministic time grid only.
     When ``wealth`` (N,) in layout order is given (another shape raises
     ``ValueError``), the derivative should equal minus it.
     """
@@ -229,15 +230,17 @@ def _conditional_duals(sol, times, wealth=None, root=None):
     every non-leaf node at once: raw value ``C P_n + m_n (ln m_n - 1 -
     ln P_n - L_n)/gamma``, derivative ``(ln m_n - ln P_n - L_n)/gamma``,
     with ln m_n = ln y + ``node_log_q[n]`` exact where m_n underflows.
-    Two-power non-leaf nodes solve their subtrees' problems on the maximal
+    Otherwise the root's problem is the whole tree's at the optimum's own
+    log mass ``sol._log_mass``, the point of ``dual_value_curve`` there:
+    ``root``, its (raw value, derivative) if solved already (the battery
+    passes its curve's middle point), else that curve point.  The other
+    non-leaf nodes of a complete market take the closed form at their
+    masses, all times in one pass (:func:`_complete_conditionals`); those
+    of an incomplete one solve their subtrees' problems on the maximal
     support in one Newton-core call per time (:func:`_conditional_solves`),
     started at the optimizer, and differentiate by the envelope formula;
     the first failing time raises its :class:`NonconvergedError`.  The
-    root's problem is the whole tree's at the optimum's own mass
-    ``exp(sol._log_mass)``, the row that ``dual_value_curve`` solves at
-    that log mass: ``root``, its (raw value, derivative) if solved already,
-    takes the place of its solve (the battery passes its curve's middle
-    point), and the two agree bit for bit.  The restriction gap |raw -
+    restriction gap |raw -
     restricted| / (1 + |raw|) compares the raw value with the global
     optimizer's objective on the subtree, a ``subtree_sums`` of
     ``sol.entropy_terms + mu e`` formed once.  Returns the nodes, their raw
@@ -264,19 +267,45 @@ def _conditional_duals(sol, times, wealth=None, root=None):
         raw[:split] = pair.params["C"] * big_p + mass[inside] * (log_ratio - 1.0) / gamma
         deriv[:split] = log_ratio / gamma
     else:
-        mass[0] = math.exp(sol._log_mass)   # the root's row is the curve's
-        for t in times:   # the nodes of time t are inside[lo:hi]
-            lo, hi = np.searchsorted(inside, starts[t:t + 2])
-            if t == 0 and root is not None:
-                raw[0], deriv[0] = root
-            elif lo < hi:
-                raw[lo:hi], deriv[lo:hi] = _conditional_solves(sol, inside[lo:hi],
-                                                               mass[inside[lo:hi]])
+        below = int(times.start == 0)   # inside[0] is the root: the curve's point
+        if below:
+            if root is None:
+                pt, = dual_value_curve(sol, [sol._log_mass], log=True).points
+                root = pt.value, pt.derivative
+            raw[0], deriv[0] = root
+        if not _support_structure(tree).complete:
+            for t in range(times.start + below, times.stop):
+                lo, hi = np.searchsorted(inside, starts[t:t + 2])   # the nodes of time t
+                if lo < hi:
+                    raw[lo:hi], deriv[lo:hi] = _conditional_solves(sol, inside[lo:hi],
+                                                                   mass[inside[lo:hi]])
+        elif split > below:
+            raw[below:split], deriv[below:split] = _complete_conditionals(
+                sol, inside[below:], np.log(mass[inside[below:]]))
     gap = np.abs(raw - restricted[nodes]) / (1.0 + np.abs(raw))
     if w is None:
         return nodes, raw, deriv, gap, None
     w = w[nodes]
     return nodes, raw, deriv, gap, np.abs(w + deriv) / (1.0 + np.abs(w))
+
+
+def _complete_conditionals(sol, nodes, log_m):
+    """The raw conditional dual values and mass derivatives at the non-leaf
+    ``nodes`` of a complete market, with optimal log masses ``log_m``, in
+    the closed form of ``dual._complete_rows``: node n's subtree has one
+    martingale measure, q^n with ln q^n = ell_leaf - ell_n for the node
+    log masses ell of the support pass's ``log_interior``, so its problem
+    at mass m_n has the optimum m_n q^n and the wealth I(m_n q^n / p).  One ``v_point`` pass over the leaves of every node."""
+    tree = sol.tree
+    lay, ell = tree.layout, _support_structure(tree).log_interior
+    size = lay.hi[nodes] - lay.lo[nodes]
+    first = np.cumsum(size) - size
+    row = np.repeat(np.arange(nodes.size), size)
+    leaf = np.arange(size.sum()) - first[row] + lay.lo[nodes][row]
+    sums, *_ = _complete_rows(sol.pair, tree.leaf_probability_array[leaf],
+                              ell[lay.level_starts[-2] + leaf] - ell[nodes][row],
+                              sol._endow_arr[leaf], log_m[row], first)
+    return sums[0], sums[1]
 
 
 def _conditional_solves(sol, nodes, masses):

@@ -10,8 +10,9 @@ A family supplies its closed forms on the U side: U, U', the inverse
 marginal I = (U')^-1, the risk aversion A = -U''/U', U's inverse and limits,
 and U, U' and A together in one pass over the wealth.
 :func:`_pair` derives the conjugate ``V(y) = U(I(y)) - y I(y)``,
-``V'(y) = -I(y)`` and ``V''(y) = 1/(y A(I(y)))``, with explicit infinities
-at the boundary: ``V(0) = U(inf)``, ``V(inf) = inf``, ``V'(0) = -inf`` and
+``V'(y) = -I(y)`` and ``V''(y) = 1/(y A(I(y)))``, each alone and all three
+from one inversion of U' (``v_point``), with explicit infinities at the
+boundary: ``V(0) = U(inf)``, ``V(inf) = inf``, ``V'(0) = -inf`` and
 ``V'(inf) = inf``.  :func:`certify_assumptions` certifies the standing
 assumptions numerically.
 """
@@ -49,8 +50,13 @@ class UtilityPair:
     and the conjugate its V''(y) = 1/(y A(-V'(y))).  ``u_point`` maps an
     array of wealths to the arrays U, U' and A there, bit for bit as the
     three closed forms give them, in one pass: the Newton core evaluates
-    each point by it.  A family may supply a fused pass (:func:`_pair`);
-    left None, it is composed of ``u``, ``u_prime`` and ``risk_aversion``.
+    each point by it.  ``v_point`` is its conjugate twin: an array of
+    y >= 0 to the arrays V, V' and V'' there, bit for bit as ``v``,
+    ``v_prime`` and ``v_second``, from one certified inversion of U'; every
+    optimum's value, wealth and W'' and the certification's V grid read it.
+    Each family's pair fuses both passes (:func:`_pair`); a pair built
+    without one composes it of its own evaluators, so a custom pair is
+    evaluated through the functions it was given.
     """
 
     family: str
@@ -66,6 +72,7 @@ class UtilityPair:
     ae_minus: float
     u_inverse: Callable | None = None
     u_point: Callable | None = field(default=None, repr=False)
+    v_point: Callable | None = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -73,6 +80,9 @@ class UtilityPair:
             u, u_prime, risk_aversion = self.u, self.u_prime, self.risk_aversion
             object.__setattr__(self, "u_point",
                                lambda x: (u(x), u_prime(x), risk_aversion(x)))
+        if self.v_point is None:
+            v, v_prime, v_second = self.v, self.v_prime, self.v_second
+            object.__setattr__(self, "v_point", lambda y: (v(y), v_prime(y), v_second(y)))
 
     def describe(self) -> str:
         ps = ",".join(f"{k}={v:g}" for k, v in self.params.items())
@@ -80,12 +90,15 @@ class UtilityPair:
 
 
 def _vectorized(fn):
-    """Wrap an array-in/array-out function so scalars come back as floats."""
+    """Wrap an array-in/array-out function (or one returning a tuple of
+    arrays) so scalars come back as floats."""
 
     def wrapped(x):
         arr = np.asarray(x, dtype=float)
         out = fn(np.atleast_1d(arr))
-        return float(out[0]) if arr.ndim == 0 else out
+        if arr.ndim:
+            return out
+        return tuple(float(o[0]) for o in out) if isinstance(out, tuple) else float(out[0])
 
     return wrapped
 
@@ -99,7 +112,9 @@ def _pair(family, params, *, u, u_prime, inverse_marginal, risk_aversion, u_inve
     it.  ``inverse_marginal`` solves U'(x) = y for arrays y >= 0, with
     I(0) = inf and I(inf) = -inf; ``v_second_at_inf`` is V'' at y = inf,
     where 1/(y A(I(y))) reads inf * 0.  V, V' and V'' raise
-    :class:`DomainError` on a conjugate argument below 0 or NaN.
+    :class:`DomainError` on a conjugate argument below 0 or NaN.  Each is
+    a function of y and of the inversion x = I(y), which ``v_point`` forms
+    once for all three.
     """
 
     def conjugate_point(y):
@@ -107,8 +122,7 @@ def _pair(family, params, *, u, u_prime, inverse_marginal, risk_aversion, u_inve
             raise DomainError("conjugate argument must be >= 0")
         return inverse_marginal(y)
 
-    def v(y):
-        x = conjugate_point(y)
+    def v_at(y, x):
         with np.errstate(over="ignore", invalid="ignore"):
             out = u(x) - x * y
         # inf * 0 at y = 0, inf - inf at y = inf or where U(x) and x y overflow
@@ -116,21 +130,24 @@ def _pair(family, params, *, u, u_prime, inverse_marginal, risk_aversion, u_inve
         out[y == 0] = u_inf
         return out
 
-    def v_prime(y):
-        return -conjugate_point(y)
-
-    def v_second(y):
-        x = conjugate_point(y)
+    def v_second_at(y, x):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             out = 1.0 / (y * risk_aversion(x))
         out[np.isinf(y)] = v_second_at_inf
         return out
 
+    def v_point(y):
+        x = conjugate_point(y)
+        return v_at(y, x), -x, v_second_at(y, x)
+
     return UtilityPair(
         family=family, params=params, u=_vectorized(u), u_prime=_vectorized(u_prime),
-        v=_vectorized(v), v_prime=_vectorized(v_prime), v_second=_vectorized(v_second),
+        v=_vectorized(lambda y: v_at(y, conjugate_point(y))),
+        v_prime=_vectorized(lambda y: -conjugate_point(y)),
+        v_second=_vectorized(lambda y: v_second_at(y, conjugate_point(y))),
         risk_aversion=_vectorized(risk_aversion), u_inf=u_inf, ae_plus=ae_plus,
-        ae_minus=ae_minus, u_inverse=_vectorized(u_inverse), u_point=u_point)
+        ae_minus=ae_minus, u_inverse=_vectorized(u_inverse), u_point=u_point,
+        v_point=_vectorized(v_point))
 
 
 # -- exponential family -------------------------------------------------------
@@ -368,13 +385,13 @@ def certify_assumptions(pair: UtilityPair) -> CertificationReport:
     form is evaluated once, over the concatenation of the grids that read
     it: U' at the x grid, the tails and the biconjugacy points; U at the
     finite-difference points, the tails, the biconjugacy points and 0; V,
-    V' and V'' at the biconjugacy minimizers and the conjugate-growth grid,
-    after every check on the U side has passed.  The Inada conditions
-    U'(inf) = 0 and U'(-inf) = inf are read from the log-log slope of U'
-    over the last decade of the grid on which U' is finite and positive:
-    below -1e-3 on the right, above 1e-3 on the left.  The biconjugacy
-    U(x) = min_y V(y) + x y is checked at 51 points x in +-[1e-2, 10] and
-    0 without a search: its minimizer is y = U'(x), where
+    V' and V'' in one ``v_point`` pass over the biconjugacy minimizers and
+    the conjugate-growth grid, after every check on the U side has passed.
+    The Inada conditions U'(inf) = 0 and U'(-inf) = inf are read from the
+    log-log slope of U' over the last decade of the grid on which U' is
+    finite and positive: below -1e-3 on the right, above 1e-3 on the left.
+    The biconjugacy U(x) = min_y V(y) + x y is checked at 51 points x in
+    +-[1e-2, 10] and 0 without a search: its minimizer is y = U'(x), where
     ``conjugacy_max_residual`` is the larger of the value residual
     |V(y) + x y - U(x)| / (1 + |U(x)|) and the stationarity residual
     |V'(y) + x| / (1 + |x|); V'' must be positive at these y and on the
@@ -446,7 +463,7 @@ def certify_assumptions(pair: UtilityPair) -> CertificationReport:
     # conjugate-growth grid
     curv_y = np.concatenate([conj_y, ys])
     n = conj_y.size
-    v_all, vp_all, vs_all = pair.v(curv_y), pair.v_prime(curv_y), pair.v_second(curv_y)
+    v_all, vp_all, vs_all = pair.v_point(curv_y)
 
     # conjugate growth: C' = max y|V'(y)|/V(y) over a log grid (V > 0 when U(0) > 0)
     vy, vpy = v_all[n:], vp_all[n:]

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import treegen
-from treedual import (ReplicationGapError, checks, dual, dynamic_dual,
-                      exponential_utility, find_equivalent_mm, geometry, recover,
-                      recovery, run_battery, two_power_utility)
+from treedual import (EvaluationOverflowError, NonconvergedError, ReplicationGapError,
+                      checks, dual, dynamic_dual, exponential_utility, find_equivalent_mm,
+                      geometry, recover, recovery, run_battery, solve_dual,
+                      two_power_utility)
 
 SUITE = treegen.acceptance_suite()
 
@@ -97,18 +98,73 @@ def test_exponential_checks_read_node_log_masses_where_path_masses_underflow():
     assert [r.line() for r in results.values() if not r.passed] == []
 
 
-@pytest.mark.parametrize("make", [treegen.caterpillar_market,
-                                  lambda: treegen.product_market([[1e5, 0.99999]] * 2)],
-                         ids=["caterpillar", "product"])
-def test_a_failed_conditional_solve_reads_a_typed_fail(make):
+def test_a_failed_conditional_solve_reads_a_typed_fail(monkeypatch):
     # a two-power conditional solve that stops short is the dynamic dual's
-    # FAIL line, and the battery goes on to the later checks
-    pair = two_power_utility(0.5, 1.0, 1.0)
-    results = run_battery(make(), pair, 0.0)
+    # FAIL line, and the battery goes on to the later checks: on an
+    # incomplete market, whose conditional problems go to the Newton core
+    tree, pair = treegen.product_market([[1.2, 1.0, 0.85]] * 2), two_power_utility(0.5, 1.0, 1.0)
+    assert not geometry._support_structure(tree).complete
+
+    def stops_short(*args):
+        raise NonconvergedError("no acceptable step at scaled gradient 1.000e-03", residual=1e-3)
+
+    monkeypatch.setattr(recovery, "_conditional_solves", stops_short)
+    results = run_battery(tree, pair, 0.0)
     assert [r.name for r in results] == [r.name for r in run_battery(treegen.tri1(), pair, 0.0)]
     check = next(r for r in results if r.name == "dynamic dual consistency")
     assert check.residual == math.inf and not check.passed
     assert check.detail.startswith("NonconvergedError: no acceptable step at scaled gradient")
+    assert [r.name for r in results if not r.passed] == ["dynamic dual consistency"]
+
+
+def test_the_caterpillar_optimum_past_the_float_range_is_a_typed_error():
+    # every node binomial: the optimal wealth I(y q/p) on its deepest leaf
+    # (about 3e525) is past the float range, where the Newton core returned
+    # the value 3.02e9 off the martingale cone
+    tree, pair = treegen.caterpillar_market(), two_power_utility(0.5, 1.0, 1.0)
+    with pytest.raises(EvaluationOverflowError, match="past the floating-point range") as exc:
+        solve_dual(tree, pair, 0.0)
+    assert exc.value.node_id in tree.leaf_ids
+    with pytest.raises(EvaluationOverflowError):
+        run_battery(tree, pair, 0.0)
+
+
+def test_the_dd_floor_battery_fails_only_below_the_rounding_of_its_wealth():
+    # the DD-floor tree, solved in closed form (the core returned 1.8958e10):
+    # 8079021206776.4357 in 50-digit arithmetic on the tree's float prices.
+    # Its optimal wealth spans 4.6e26 (leaf r.0.0) to -4.6e6, so the checks
+    # whose bounds are absolute (or relative to one leaf's wealth) read
+    # residuals of a few ulps of the largest wealth, and only those fail
+    tree, pair = treegen.product_market([[1e5, 0.99999]] * 2), two_power_utility(0.5, 1.0, 1.0)
+    sol = solve_dual(tree, pair, 0.0)
+    assert sol.value == pytest.approx(8079021206776.4357, rel=1e-12)
+    ulp = np.spacing(np.abs(sol.terminal_gain).max())
+    results = run_battery(tree, pair, 0.0)
+    failed = {r.name: r.residual for r in results if not r.passed}
+    assert len(results) == 16 and set(failed) <= {
+        "one-step self-financing", "zero-cost wealth at the root",
+        "martingale under the optimal measure", "dynamic dual consistency"}
+    assert all(residual <= 16 * ulp for residual in failed.values())
+
+
+@pytest.mark.parametrize("branching,n_assets,a", [
+    ((2, 2), 1, 0.45), ((2, 2, 2), 1, 0.6), ((3,), 1, 0.3), ((4,), 2, 0.5),
+    ((4, 4), 2, 0.5), ((3, 3), 1, 0.55), ((3, 3, 3), 1, 0.7)])
+def test_two_power_batteries_of_the_verify_shapes_run_every_check_and_pass(branching, n_assets,
+                                                                          a):
+    # the two-power shapes of perfbench's verify workload, complete (the
+    # binomials) and incomplete: each battery runs all 16 checks and passes.
+    # That workload counts a battery that stops after "primal recovery" as
+    # a success, so a change that breaks recover would only read faster there
+    rng = np.random.default_rng(sum(branching) * 10 + n_assets)
+    moves = [[tuple(m) for m in treegen._straddling_moves_2d(rng)] + [(1.05, 0.98)] * (b - 3)
+             if n_assets == 2 else list(np.linspace(1.25, 0.8, b)) for b in branching]
+    tree = treegen.product_market(moves, s0=(1.0,) * n_assets if n_assets == 2 else 1.0)
+    assert geometry._support_structure(tree).complete == (max(branching) == 2)
+    e = rng.uniform(-1.0, 1.0, tree.n_leaves)
+    results = run_battery(tree, two_power_utility(a, float(rng.uniform(0.5, 2.0)), 1.0), e)
+    assert [r.name for r in results] == list(HEAD + BODY + CURVE)
+    assert not [r.line() for r in results if not r.passed]
 
 
 def test_a_check_passes_exactly_when_its_residual_is_within_its_bound():

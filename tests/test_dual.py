@@ -19,7 +19,7 @@ from treedual import (DomainError, EvaluationOverflowError, InfeasibleEntropyErr
                       relative_entropy, run_battery, solve_dual,
                       solve_dual_fixed_mass,
                       two_power_utility, vertex_enumerate)
-from treedual import checks, dual, geometry, market, oracle
+from treedual import checks, dual, geometry, market, oracle, recovery
 
 # closed form for the binomial market with unit risk aversion and no
 # endowment: mass solves E_Q[log(y q/p)] = 0 with q = (1/3, 2/3), p = (1/2, 1/2)
@@ -398,10 +398,11 @@ def test_a_mass_whose_wealth_is_past_the_float_range_fails_its_row_typed(s):
     ids=["bin1", "2x2x2x2x2/1a", "3x3x3/2a"])
 def test_complete_market_cold_solve_starts_at_the_optimum_up_to_the_budget(tree, tp_pair):
     # y q with q the one martingale measure is the optimum but for the
-    # budget: a few steps, where the start at h = 0 took up to 9
+    # budget: a few steps of the core, the closed form's oracle on complete
+    # markets, where the start at h = 0 took up to 9
     rng = np.random.default_rng(0)
     for _ in range(5):
-        sol = solve_dual(tree, tp_pair, rng.uniform(-1.0, 1.0, tree.n_leaves))
+        sol, = dual._core_solutions(tree, tp_pair, rng.uniform(-1.0, 1.0, (1, tree.n_leaves)))
         assert sol.iterations[0]["steps"] <= 3
         assert sol.stationarity <= 1e-13
 
@@ -971,16 +972,9 @@ def _requoted(tree, i, unit):
     return market_from_dict(doc)
 
 
-_SMALL_UNIT_CORE = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="open defect: the Newton core's scaled gradient divides by 1 + max|B_j|, so "
-           "on one-asset trees in small units it reads converged at the cold start")
-
-
 @pytest.mark.parametrize("family,k", [
     *(("exponential", k) for k in (-12, -6, 6, 12)),
-    *(pytest.param("two_power", k, marks=_SMALL_UNIT_CORE) for k in (-12, -6)),
-    ("two_power", 6), ("two_power", 12)])
+    *(("two_power", k) for k in (-12, -6, 6, 12))])
 def test_requoting_an_asset_changes_only_its_strategy(family, k):
     # six random markets (one and two assets): quoting one asset in units
     # of 10^k leaves the value, the strategy's gains (h times the units),
@@ -1358,11 +1352,27 @@ def _assert_core_meets_the_lstsq_oracle(tree, pair, e, mass=None, start=None):
     ok = np.array([err is None for err in got[-1]])
     mu, mu_o = got[0][ok], want[0][ok]
     assert (np.abs(mu - mu_o).max(axis=1) <= 1e-12 * mu_o.sum(axis=1)).all()
-    for a, b in ((got[2], want[2]), (got[5], want[5])):
+    for a, b, curvature in ((got[2], want[2], False), (got[5], want[5], True)):
         a, b = a[ok], b[ok]
         assert np.array_equal(np.isnan(a), np.isnan(b))
         on = ~np.isnan(b)
-        assert (np.abs(a - b)[on] <= 1e-12 * np.abs(b[on])).all()
+        close = np.abs(a - b) <= 1e-12 * np.abs(b)
+        if curvature:   # either side of U''s kink is the optimum's W''
+            close |= _one_sided(pair, p, mu_o, a) & _one_sided(pair, p, mu_o, b)
+        assert close[on].all()
+
+
+def _one_sided(pair, p, mu, w2):
+    """Per row, whether ``w2`` is one of the two one-sided values of W'' =
+    sum q / (y A(W)) of the optimum ``mu`` whose wealth W = I(mu/p) sits on
+    U''s kink at W = 0 on a leaf (mu/p = 1, where A jumps from b to a in
+    the two-power family and the last iterate's rounding picks a side);
+    False on rows off the kink."""
+    y = mu.sum(axis=1, keepdims=True)
+    kink = np.abs(mu / p - 1.0) <= 1e-12
+    w = np.where(kink, 0.0, -pair.v_prime(mu / p))
+    sides = [(mu / y / (y * pair.risk_aversion(w + side))).sum(axis=1) for side in (-1e-300, 0.0)]
+    return kink.any(axis=1) & np.any([np.abs(w2 - x) <= 1e-12 * np.abs(x) for x in sides], axis=0)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -1644,3 +1654,92 @@ def test_newton_core_factors_once_per_step_whatever_the_rows(r, monkeypatch):
                                 mass=mass, start=start)
         assert out[-1] == [None] * r
         assert len(calls) == out[4].max() + extra
+
+
+# -- complete markets in closed form --------------------------------------------
+
+
+def _complete_markets():
+    """A one-asset binomial, a two-asset trinomial and random complete trees:
+    binomial moves with random probabilities, and two-asset moves whose
+    triangle holds the origin."""
+    rng = np.random.default_rng(5)
+    yield treegen.product_market([[1.2, 0.9]] * 3)
+    yield treegen.product_market([[(1.2, 0.95), (0.9, 1.2), (0.95, 0.85)]] * 2)
+    for _ in range(3):
+        periods = int(rng.integers(1, 4))
+        probs = [[float(x), 1.0 - float(x)] for x in rng.uniform(0.2, 0.8, periods)]
+        yield treegen.product_market([[float(rng.uniform(1.05, 1.5)), float(rng.uniform(0.6, 0.95))]
+                                      for _ in range(periods)], probs)
+    for _ in range(3):
+        yield treegen.product_market(
+            [[tuple(m) for m in treegen._straddling_moves_2d(rng)] for _ in range(2)],
+            s0=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_the_closed_form_meets_the_newton_core_on_complete_markets(k):
+    # free and fixed-mass rows against the core, the named oracle: value,
+    # mass, mu, W'' and the strategy's gains, and the conditional problems
+    # against the core's per-time solves
+    tree = list(_complete_markets())[k]
+    assert geometry._support_structure(tree).complete
+    rng = np.random.default_rng(k)
+    pair = two_power_utility(float(rng.uniform(0.3, 0.7)), float(rng.uniform(0.5, 2.0)), 1.0)
+    e = rng.uniform(-1.0, 1.0, tree.n_leaves)
+    endows, ss = np.array([e, e, 2.0 * e]), np.array([np.nan, math.log(0.7), math.log(1.6)])
+    got, want = dual._solutions(tree, pair, endows, ss), dual._core_solutions(tree, pair, endows, ss)
+    for a, b in zip(got, want):
+        assert a.iterations[0]["steps"] <= 12 and a.stationarity <= 1e-13
+        scale = 1.0 + np.abs(b.terminal_gain).max()
+        assert a.value == pytest.approx(b.value, rel=1e-12, abs=1e-12)
+        assert a.mass == pytest.approx(b.mass, rel=1e-12)
+        assert np.abs(a.mu - b.mu).max() <= 1e-12 * b.mass
+        assert np.abs(tree.gains(a._h_arr) - tree.gains(b._h_arr)).max() <= 1e-10 * scale
+        if b.mass_curvature is None:
+            assert a.mass_curvature is None
+        else:
+            assert a.mass_curvature == pytest.approx(b.mass_curvature, rel=1e-10)
+    sol = got[0]
+    ps = recover(tree, pair, e, sol)
+    assert ps.replication_residual <= 1e-12 * (1.0 + np.abs(ps.terminal_wealth).max())
+    mass, starts = tree.subtree_sums(sol.mu), tree.layout.level_starts
+    for t in range(1, tree.horizon):   # the core's call takes one time's nodes
+        nodes = np.arange(starts[t], starts[t + 1])
+        raw, deriv = recovery._complete_conditionals(sol, nodes, np.log(mass[nodes]))
+        raw_o, deriv_o = recovery._conditional_solves(sol, nodes, mass[nodes])
+        assert np.abs(raw - raw_o).max() <= 1e-12 * (1.0 + np.abs(raw_o).max())
+        assert np.abs(deriv - deriv_o).max() <= 1e-10 * (1.0 + np.abs(deriv_o).max())
+
+
+def test_a_complete_binomial_solves_without_the_core_or_constraints(tp_pair, monkeypatch):
+    # 2 048 leaves: the closed form reads neither the Newton core nor the
+    # dense constraint matrix, and solves in well under 10 ms (the core took
+    # ~0.7 s there)
+    import time
+
+    tree = treegen.product_market([[1.1, 0.9]] * 11)
+    e = np.random.default_rng(0).uniform(-1.0, 1.0, tree.n_leaves)
+    calls = collections.Counter()
+    for name in ("_newton_core", "build_constraints"):
+        monkeypatch.setattr(dual, name, lambda *args, name=name, **kw: calls.update([name]))
+    solve_dual(tree, tp_pair, e)   # the support pass, once per tree
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        sol = solve_dual(tree, tp_pair, e)
+        best = min(best, time.perf_counter() - start)
+    assert not calls and sol.stationarity <= 1e-13
+    assert best < 0.01
+
+
+def test_a_fixed_mass_past_the_float_range_is_a_typed_error(tp_pair):
+    # I(y) overflows at y = 1e-200, and I(y q/p) overflows on the DD-floor
+    # tree's up-up leaf at y = 1e-140, where I(y) alone does not
+    tree = treegen.product_market([[1e5, 0.99999]] * 2)
+    with pytest.raises(EvaluationOverflowError, match="wealth I"):
+        solve_dual_fixed_mass(tree, tp_pair, 0.0, 1e-200)
+    assert math.isfinite(tp_pair.v_prime(1e-140))
+    with pytest.raises(EvaluationOverflowError, match="r.0.0") as exc:
+        solve_dual_fixed_mass(tree, tp_pair, 0.0, 1e-140)
+    assert exc.value.node_id == "r.0.0"

@@ -4,8 +4,10 @@
 masses, finite on every live leaf, where exp of it can underflow to 0 (the
 caterpillar of ``treegen``).  The support (``live``) reads the log form;
 the equivalent martingale measure and the two-power cold start take exp of
-its leaf slice.  A new reader, above all a float one, is added here on
-purpose.  Stdlib ``ast`` only, as in ``test_family_readers``.
+its leaf slice.  On a complete market it is the one martingale measure, and
+the closed form reads it in log form: the optima at ln y + ell, and the
+conditional problems' measures at ell_leaf - ell_n.  A new reader, above
+all a float one, is added here on purpose.  Stdlib ``ast`` only, as in ``test_family_readers``.
 """
 
 from test_family_readers import PACKAGE, attribute_readers
@@ -14,6 +16,8 @@ READERS = {
     "geometry.SupportStructure.live",
     "geometry.find_equivalent_mm",
     "dual._core_solutions",
+    "dual._complete_solutions",
+    "recovery._complete_conditionals",
 }
 
 

@@ -27,11 +27,12 @@ B_TRI = {"a": 1.0, "b": 0.0, "c": 0.0}
 
 def test_complete_market_prices_are_expectations_at_scale(tp_pair):
     # 512 leaves, one martingale measure Q: bid = offer = CE = E_Q[B], and
-    # the cold solve starts at the optimum up to the budget
+    # the cold solve of the core, the closed form's oracle, starts at the
+    # optimum up to the budget
     tree = treegen.product_market([[1.15, 0.9]] * 9)
     rng = np.random.default_rng(0)
     e, b = rng.uniform(-1.0, 1.0, tree.n_leaves), rng.uniform(0.0, 1.0, tree.n_leaves)
-    assert solve_dual(tree, tp_pair, e).iterations[0]["steps"] <= 3
+    assert dual._core_solutions(tree, tp_pair, e[None])[0].iterations[0]["steps"] <= 3
     rep = price_report(tree, tp_pair, e, b)
     expected = float(geometry.find_equivalent_mm(tree) @ b)
     for price in (rep.bid, rep.offer, rep.certainty_equivalent, rep.davis):
@@ -618,7 +619,8 @@ def test_exponential_family_needs_no_dense_core_and_no_root_finder(
     def refuse(*args, **kwargs):
         raise AssertionError("a bracketed root search ran")
 
-    monkeypatch.setattr(pricing, "_bracketed_newton", refuse)
+    for mod in (pricing, dual):
+        monkeypatch.setattr(mod, "_bracketed_newton", refuse)
     e, b = leaf_values(tri1, E_TRI), leaf_values(tri1, B_TRI)
     with no_dense_core():
         sol = solve_dual(tri1, exp_pair, e)
@@ -721,7 +723,7 @@ def test_davis_price_refuses_the_solution_of_another_endowment(tri1, tp_pair):
 
 
 def _root_search(g, x, lo, hi):
-    """Run :func:`pricing._bracketed_newton` on probes of ``g`` that ask for
+    """Run :func:`dual._bracketed_newton` on probes of ``g`` that ask for
     no solve, give no slope and accept an exact zero; returns (result,
     probed points)."""
     probed = []
@@ -731,7 +733,7 @@ def _root_search(g, x, lo, hi):
         probed.append(x)
         return g(x), None, g(x) == 0.0
 
-    search = pricing._bracketed_newton(probe, x, lo, hi)
+    search = dual._bracketed_newton(probe, x, lo, hi)
     with pytest.raises(StopIteration) as stop:
         next(search)
     return stop.value.value, probed
@@ -850,11 +852,9 @@ def test_mubpp_fair_candidate_on_a_binomial_node_two_power(bin1, tp_pair):
 
 @pytest.mark.parametrize("seed,draw", [
     (5, 7), (6, 23),
-    # q_hat drifts by 3.8e-13 (scaled) at the augmented node without a vertex
-    pytest.param(47, 29, marks=pytest.mark.xfail(
-        strict=True, raises=AugmentInfeasibleError,
-        reason="open defect: a one-step drift of rounding size leaves an augmented "
-               "node without a vertex"))])
+    # q_hat drifted by 3.8e-13 (scaled) at the augmented node while the
+    # core's gradient read each column against 1 + max|B_j|
+    (47, 29)])
 def test_mubpp_fair_two_power_candidate_on_a_two_asset_tree(tp_pair, seed, draw):
     # the 27-leaf two-asset tree of the draw-th random market; the fair
     # candidate's scaled drift under q_hat is ~1e-16, yet the augmented
@@ -884,19 +884,20 @@ def test_mubpp_verdicts_agree_in_any_units_of_the_candidate(exp_pair, unit):
         assert (rep.drift_verdict, rep.utility_verdict, rep.agree) == (verdict, verdict, True)
 
 
-def test_mubpp_singular_newton_system_is_a_typed_failure(tp_pair):
-    # the 18-leaf one-asset tree of the 25th random market of seed 19: the
-    # augmented market keeps dependent strategy columns, whose start fit has
-    # an exact zero pivot; that row fails with a NonconvergedError naming
-    # the singular system, not a bare LinAlgError
-    rng = np.random.default_rng(19)
-    for i in range(25):
-        tree = treegen.random_market(rng, n_assets=1 + i % 2)
-        e, b = rng.uniform(-3.0, 3.0, tree.n_leaves), rng.uniform(0.0, 1.0, tree.n_leaves)
-    assert (tree.n_leaves, tree.n_assets) == (18, 1)
-    sol = solve_dual(tree, tp_pair, e)
-    with pytest.raises(NonconvergedError, match="singular Newton system"):
-        check_mubpp(tree, tp_pair, e, optimal_measure_price_process(sol, b))
+def test_a_singular_newton_system_is_a_typed_failure(tp_pair):
+    # two copies of a strategy row that moves one leaf of three: their
+    # Jacobi-scaled columns are equal and the QR leaves an exact zero
+    # pivot, so the start fit (a warm row) and the first step (a cold one)
+    # fail with a NonconvergedError naming the singular system, not a bare
+    # LinAlgError.  check_mubpp's augmented markets met it on seed 19, draw
+    # 24 of random_market while the gradient read each column against
+    # 1 + max|B_j|
+    A, p = np.array([[1.0, 0.0, 0.0]] * 2), np.full(3, 1.0 / 3.0)
+    warm, cold = (dual._newton_core(A, p, np.zeros((1, 3)), tp_pair, np.ones(3, dtype=bool),
+                                    start=start)[-1][0] for start in (np.full((1, 3), 1 / 3), None))
+    assert isinstance(warm, NonconvergedError) and isinstance(cold, NonconvergedError)
+    assert str(warm) == "singular Newton system at the start fit"
+    assert str(cold).startswith("singular Newton system at scaled gradient")
 
 
 def test_mubpp_builds_the_augmented_market_without_parsing(tri1, exp_pair, monkeypatch):
@@ -1023,21 +1024,24 @@ def _caterpillar_sensitivity(pair):
                                  sequence=[1e-3, 1e-6])
 
 
-def test_mass_radius_on_the_caterpillar_is_finite(tp_pair):
+def test_mass_radius_on_the_caterpillar_is_finite(exp_pair):
     # no float measure is read, so no entry that underflows to 0 on a live
-    # leaf can make the radius infinite
+    # leaf can make the radius infinite (the exponential optima: the
+    # two-power ones are past the float range, below)
     tree = treegen.caterpillar_market()
-    rep = _caterpillar_sensitivity(tp_pair)
-    masses = [solve_dual(tree, tp_pair, e).mass for e in (0.0, 1.0, 1e-3, 1e-6)]
+    rep = _caterpillar_sensitivity(exp_pair)
+    masses = [solve_dual(tree, exp_pair, e).mass for e in (0.0, 1.0, 1e-3, 1e-6)]
     assert math.isfinite(rep.mass_radius) and rep.mass_radius == max(masses)
     assert [c.sup_bound for c in rep.continuity] == pytest.approx([1e-3, 1e-6], rel=1e-12)
+    assert all(c.dominated for c in rep.continuity)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the two-power optimum on the caterpillar is off the "
-                          "martingale cone (ROADMAP item 2)")
-def test_caterpillar_continuity_is_dominated(tp_pair):
-    assert all(c.dominated for c in _caterpillar_sensitivity(tp_pair).continuity)
+def test_caterpillar_sensitivity_refuses_an_optimum_past_the_float_range(tp_pair):
+    # every node is binomial, so the two-power optimum is in closed form,
+    # and its wealth on the deepest leaf is past the float range: a typed
+    # error, where the Newton core's optimum was off the martingale cone
+    with pytest.raises(EvaluationOverflowError, match="past the floating-point range"):
+        _caterpillar_sensitivity(tp_pair)
 
 
 @pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ratios
 import treegen
-from treedual import (DomainError, NoPrimalOptimizerError,
+from treedual import (DomainError, EvaluationOverflowError, NoPrimalOptimizerError,
                       NotExponentialError, ReplicationGapError, build_constraints,
                       dual_value_curve, dynamic_dual,
                       exponential_utility,
@@ -55,7 +55,10 @@ def test_both_families_solve_where_path_products_underflow():
     ps = recover(tree, pair, 0.0, sol)
     assert ps.replication_residual <= 1e-8
     assert ps.value == pytest.approx(sol.value, rel=1e-12)
-    assert solve_dual(tree, two_power_utility(0.5, 1.0, 1.0), 0.0).support == "EQUIVALENT"
+    # the two-power optimum is in closed form there, and past the float
+    # range on the deepest leaf: a typed error, not InfeasibleEntropyError
+    with pytest.raises(EvaluationOverflowError):
+        solve_dual(tree, two_power_utility(0.5, 1.0, 1.0), 0.0)
 
 
 def test_bin1_terminal_wealth_closed_form(bin1, exp_pair_raw):
@@ -565,10 +568,11 @@ def test_dynamic_dual_calls_the_core_only_at_two_power_inner_nodes(family, monke
     if family == "exponential":
         assert calls == []
     else:
-        # one call per time with positive-mass non-leaf nodes, a row per
-        # node on its subtree's leaves
-        assert per_time == [(1, 1), (1, 3), (0, tree.n_leaves)]
-        assert calls == [(1, 6), (3, 2)]
+        # one call per time 1 .. T - 1 with positive-mass non-leaf nodes, a
+        # row per node on its subtree's leaves; the root's problem is the
+        # value curve's point at the optimum's mass, solved in dual
+        assert per_time == [(0, 1), (1, 3), (0, tree.n_leaves)]
+        assert calls == [(3, 2)]
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3])
@@ -603,13 +607,15 @@ def test_the_root_conditional_problem_is_the_curves_middle_point(seed):
 
 
 def test_the_battery_forms_the_optimums_entropy_once():
-    # p V(mu/p) once per battery: "zero duality gap" sums it and the dynamic
-    # dual adds mu e to it; the other V evaluation is the certification's,
-    # over its 51 + 200 points
+    # one conjugate point (V, V', V'') at the optimum's mu/p per battery:
+    # "zero duality gap" sums p V, the dynamic dual adds mu e to it, and X
+    # (first-order conditions, recovery, the leaves' problems) reads V'; the
+    # other pass is the certification's, over its 51 + 200 points
     tree = treegen.product_market([[1.2, 1.0, 0.85]] * 3)
     base = two_power_utility(0.5, 1.0, 1.0)
     calls = []
-    pair = dataclasses.replace(base, v=lambda y: calls.append(np.shape(y)) or base.v(y))
+    pair = dataclasses.replace(base, v_point=lambda y: calls.append(np.shape(y))
+                               or base.v_point(y))
     results = run_battery(tree, pair, np.random.default_rng(1).uniform(-1.0, 1.0, tree.n_leaves))
     assert all(r.passed for r in results)
     assert calls == [(251,), (27,)]

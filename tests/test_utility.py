@@ -539,7 +539,8 @@ def test_certification_refuses_the_hostile_pairs_as_the_oracle_does(make):
                          ids=lambda p: p.family)
 def test_certification_evaluates_each_closed_form_once(pair):
     # U' and U once each over the concatenation of their grids (U(0)
-    # among them), V, V' and V'' once each; A and U's inverse not at all
+    # among them), V, V' and V'' in one v_point pass; A and U's inverse not
+    # at all
     calls = collections.Counter()
 
     def counted(name, f):
@@ -548,11 +549,12 @@ def test_certification_evaluates_each_closed_form_once(pair):
             return f(x)
         return g
 
-    names = ("u", "u_prime", "v", "v_prime", "v_second", "risk_aversion", "u_inverse")
+    names = ("u", "u_prime", "v", "v_prime", "v_second", "v_point", "risk_aversion",
+             "u_inverse")
     rep = certify_assumptions(dataclasses.replace(
         pair, **{name: counted(name, getattr(pair, name)) for name in names}))
     assert rep == certify_assumptions(pair)
-    assert calls == {"u": 1, "u_prime": 1, "v": 1, "v_prime": 1, "v_second": 1}
+    assert calls == {"u": 1, "u_prime": 1, "v_point": 1}
 
 
 @settings(max_examples=40, deadline=None)
@@ -613,3 +615,29 @@ def test_inverse_utility_at_supremum():
     pair = exponential_utility(1.0, 2.0)
     assert pair.u_inverse(2.0) == INF
     assert pair.u_inverse(2.5) == INF
+
+
+@pytest.mark.parametrize("pair", [exponential_utility(1.3, 2.0), two_power_utility(0.4, 1.5, 1.0),
+                                  two_power_utility(0.7, 0.5, 2.0)], ids=lambda p: p.describe())
+def test_v_point_is_v_v_prime_and_v_second_bit_for_bit(pair):
+    # one inversion of U' for all three, at 0, inf, across the float range
+    # and on both sides of the two-power kink at y = 1
+    ys = np.concatenate([[0.0, INF, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)],
+                         np.logspace(-300, 300, 61)])
+    got, want = pair.v_point(ys), (pair.v(ys), pair.v_prime(ys), pair.v_second(ys))
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert pair.v_point(0.0) == (pair.v(0.0), pair.v_prime(0.0), pair.v_second(0.0))
+    assert pair.v_point(INF) == (pair.v(INF), pair.v_prime(INF), pair.v_second(INF))
+    with pytest.raises(DomainError):
+        pair.v_point(np.array([1.0, -1.0]))
+
+
+def test_a_pair_without_v_point_evaluates_its_own_conjugates():
+    # a custom pair composes v_point of the evaluators it was given, so a
+    # mutant's wrong V' is what every optimum and certification reads
+    base = two_power_utility(0.5, 1.0, 1.0)
+    pair = _mutants(base)["V' moved"]
+    ys = np.logspace(-3, 3, 7)
+    v, vp, v2 = pair.v_point(ys)
+    assert vp.tolist() == (base.v_prime(ys) + 1e-6).tolist()
+    assert v.tolist() == base.v(ys).tolist() and v2.tolist() == base.v_second(ys).tolist()
