@@ -598,8 +598,9 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
     measure, the optimum up to the budget.  Other rows start at c = 0.
     Returns per row mu (r, L; 0 off
     ``live``), h (r, k), the value (plus p V(0) off ``live``), the
-    residual, the steps, W''(y) = [H^-1]_xx at the last point (NaN at free
-    rows, and everywhere without ``curvature``, which saves its QR: only
+    residual, the steps, W''(y) = [H^-1]_xx at the last point (with A(0)
+    at a wealth within rounding of 0; NaN at free rows, and everywhere
+    without ``curvature``, which saves its QR: only
     the penalty search and :func:`solve_dual_fixed_mass` read it) and
     the row's error, None or a :class:`NonconvergedError` (after 200 steps,
     from a start outside the domain, on a singular Newton system, or
@@ -738,7 +739,16 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
                 f"Newton cap {_NEWTON_CAP} reached (scaled gradient {res[j]:.3e})",
                 residual=float(res[j]))
         last = fixed & np.array([err is None for err in errors], dtype=bool) & curvature
-        w2 = direction(last)[1] if last.any() else np.full(r, math.nan)
+        w2 = np.full(r, math.nan)
+        if last.any():
+            # the risk aversion may jump at a wealth of 0 (the two-power
+            # kink): a wealth within rounding of 0 reads A(0), so that W''
+            # takes one side of the kink whatever side the last iterate's
+            # rounding left it on
+            zero = np.abs(w) <= 1e-14 * (1.0 + np.abs(el))
+            if zero.any():
+                ra = np.where(zero, pair.risk_aversion(np.zeros_like(w)), ra)
+            w2 = direction(last)[1]
     full = np.zeros((r, p.shape[1]))
     full[:, live] = mu
     if not live.all():

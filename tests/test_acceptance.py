@@ -129,22 +129,28 @@ def test_the_caterpillar_optimum_past_the_float_range_is_a_typed_error():
         run_battery(tree, pair, 0.0)
 
 
-def test_the_dd_floor_battery_fails_only_below_the_rounding_of_its_wealth():
-    # the DD-floor tree, solved in closed form (the core returned 1.8958e10):
-    # 8079021206776.4357 in 50-digit arithmetic on the tree's float prices.
-    # Its optimal wealth spans 4.6e26 (leaf r.0.0) to -4.6e6, so the checks
-    # whose bounds are absolute (or relative to one leaf's wealth) read
-    # residuals of a few ulps of the largest wealth, and only those fail
-    tree, pair = treegen.product_market([[1e5, 0.99999]] * 2), two_power_utility(0.5, 1.0, 1.0)
-    sol = solve_dual(tree, pair, 0.0)
-    assert sol.value == pytest.approx(8079021206776.4357, rel=1e-12)
-    ulp = np.spacing(np.abs(sol.terminal_gain).max())
+def _dd_floor():
+    return treegen.product_market([[1e5, 0.99999]] * 2), two_power_utility(0.5, 1.0, 1.0)
+
+
+def test_the_dd_floor_value_meets_its_50_digit_reference():
+    # the DD-floor tree, solved in closed form (the Newton core returned
+    # 1.8958e10): 8079021206776.4357 in 50-digit arithmetic on the tree's
+    # float prices
+    tree, pair = _dd_floor()
+    assert solve_dual(tree, pair, 0.0).value == pytest.approx(8079021206776.4357, rel=1e-12)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="open defect: the optimal wealth spans 4.6e26 to -4.6e6, and four checks whose "
+           "bounds are absolute (or relative to one node's wealth) read residuals of a few "
+           "ulps of 4.6e26 (CHANGES.md, FOUND, the DD-floor battery's absolute bounds)")
+def test_the_dd_floor_battery_passes_every_check():
+    tree, pair = _dd_floor()
     results = run_battery(tree, pair, 0.0)
-    failed = {r.name: r.residual for r in results if not r.passed}
-    assert len(results) == 16 and set(failed) <= {
-        "one-step self-financing", "zero-cost wealth at the root",
-        "martingale under the optimal measure", "dynamic dual consistency"}
-    assert all(residual <= 16 * ulp for residual in failed.values())
+    assert len(results) == 16
+    assert [r.line() for r in results if not r.passed] == []
 
 
 @pytest.mark.parametrize("branching,n_assets,a", [
