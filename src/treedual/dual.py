@@ -65,8 +65,9 @@ optimum.
   but for the budget (the martingale method of Karatzas, Lehoczky & Shreve,
   1987, and Cox & Huang, 1989).  Each step is
   one batched Householder QR over the stack, on the strategy columns that
-  ``_strategy_basis`` keeps once per tree: the columns independent over
-  each node's live children, which are independent over the whole tree.
+  ``_strategy_basis`` keeps on the tree's support structure, for as long as
+  the tree lives: the columns independent over each node's live children,
+  which are independent over the whole tree.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from .errors import (BracketFailError, DomainError, EvaluationOverflowError,
                      InfeasibleEntropyError, NoMartingaleMeasureError, NonconvergedError,
                      ValueAtSupremumError)
 from .geometry import _TOL, SupportStructure, _support_structure, build_constraints
-from .market import MarketTree, leaf_values, log_masses
+from .market import MarketTree, leaf_values, log_masses, per_owner
 from .utility import UtilityPair
 
 _VALUE_FLOOR = -1e250  # below this the optimal utility is numerically -inf
@@ -318,7 +319,7 @@ def _increments(lay, live, node):
     return kids, on, dS / lay.top[node, None]
 
 
-@lru_cache(maxsize=256)
+@per_owner
 def _live_levels(geo: SupportStructure):
     """Per non-leaf level, bottom-up, its live nodes in up to two batches:
     the nodes with one valid vertex, then those with a choice of weights
@@ -336,7 +337,8 @@ def _live_levels(geo: SupportStructure):
     largest, keeps k0 in the span of the increments, as the minimum-norm
     minimizer in those units.  All live non-leaf nodes are set up in one
     batch, padded to the most children, and each batch is cut out and
-    trimmed to its widest node.
+    trimmed to its widest node.  Kept on ``geo``
+    (:func:`~treedual.market.per_owner`).
     """
     lay, w, live = geo.layout, geo.step_weights, geo.live
     starts = lay.level_starts
@@ -366,7 +368,7 @@ def _live_levels(geo: SupportStructure):
     return tuple(out)
 
 
-@lru_cache(maxsize=256)
+@per_owner
 def _strategy_basis(geo: SupportStructure):
     """The strategy columns the Newton core keeps: a read-only mask over the
     rows of :func:`build_constraints`, true at asset i of a non-leaf node
@@ -378,6 +380,7 @@ def _strategy_basis(geo: SupportStructure):
     cannot cancel (the gains of a martingale measure charging every live
     leaf would vanish at each step), so the kept columns are independent
     on the live leaves under any positive weights, and span the gains.
+    Kept on ``geo`` (:func:`~treedual.market.per_owner`).
     """
     lay = geo.layout
     node = np.flatnonzero(geo.live[:lay.level_starts[-2]])

@@ -7,8 +7,9 @@ minus the node price, and 0 off the subtree.  Solutions form the cone of
 (non-normalized) absolutely continuous martingale measures; its unit-mass
 slice is the martingale polytope.  Its feasibility, maximal support and
 interior measure (node log masses, from one pass) and its extremal
-expectations come from one cached backward pass over the nodes' one-step
-polytopes, with no linear program.  The pass also carries the two
+expectations come from one backward pass over the nodes' one-step
+polytopes, with no linear program, kept on the tree for as long as it
+lives.  The pass also carries the two
 certificates of its maximal support that the verify battery checks on the
 prices alone: one-step martingale weights positive on the live children,
 and a strategy that gains on every dead leaf and loses nowhere.  The
@@ -28,13 +29,13 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapExceededError, DomainError, NoMartingaleMeasureError
-from .market import MarketTree, TreeLayout, leaf_values, log_masses
+from .market import MarketTree, TreeLayout, leaf_values, log_masses, per_owner
 from .utility import UtilityPair
 
 VERTEX_CAP_DEFAULT = 10_000
 
 
-@lru_cache(maxsize=256)
+@per_owner
 def build_constraints(tree: MarketTree) -> np.ndarray:
     """The read-only matrix A (rows, L) whose non-negative solutions are the
     martingale cone: row ``k * d + i`` is asset i at ``tree.nonleaf_ids[k]``,
@@ -43,7 +44,8 @@ def build_constraints(tree: MarketTree) -> np.ndarray:
     (``dual._core_solutions``) and of the conditional solves
     (``recovery._conditional_solves``); CLI ``geometry`` and
     :mod:`~treedual.oracle` read the whole of it, and the verify battery
-    and :func:`vertex_enumerate` none of it."""
+    and :func:`vertex_enumerate` none of it.  Kept on the tree
+    (:func:`~treedual.market.per_owner`)."""
     lay, L = tree.layout, tree.n_leaves
     # every level below the root covers all leaves: one (child, leaf) entry each
     c = np.repeat(np.arange(1, len(lay.ids)), (lay.hi - lay.lo)[1:])
@@ -267,6 +269,12 @@ class SupportStructure:
         """The maximal support: the :attr:`live` leaves, in leaf order."""
         return self.live[self.layout.level_starts[-2]:]
 
+    @property
+    def _memo(self):
+        """The store of :func:`~treedual.market.per_owner` on this structure:
+        its instance dict, where the cached properties live too."""
+        return self.__dict__
+
     def one_step(self, mix):
         """Per node in layout order, its weight in the mean of its parent's
         vertices weighted by ``mix``; 1 at the root."""
@@ -381,7 +389,7 @@ def _separators(x, zero, gain):
     return out
 
 
-@lru_cache(maxsize=256)
+@per_owner
 def _support_structure(tree: MarketTree) -> SupportStructure:
     """One backward pass over the one-step martingale polytopes of the tree.
 
@@ -393,7 +401,9 @@ def _support_structure(tree: MarketTree) -> SupportStructure:
     (:func:`_one_step_vertices`) charges viable children only, and those
     vertices are its valid ones.  The maximal support (``live`` leaves) is
     the set of leaves whose every path step is charged by a valid vertex.  Raises
-    :class:`NoMartingaleMeasureError` when the root is not viable.
+    :class:`NoMartingaleMeasureError` when the root is not viable.  Kept on
+    the tree (:func:`~treedual.market.per_owner`; an error is not), and what
+    is derived from it on the structure, so all of it goes with the tree.
     """
     lay = tree.layout
     n, inner = len(lay.ids), lay.level_starts[-2]  # nodes below inner are non-leaf
@@ -423,7 +433,7 @@ def _support_structure(tree: MarketTree) -> SupportStructure:
 def find_equivalent_mm(tree: MarketTree) -> np.ndarray | None:
     """An equivalent martingale probability (L,), or None if none exists.
 
-    Reads the cached pass of :func:`_support_structure`: None exactly when
+    Reads the tree's pass of :func:`_support_structure`: None exactly when
     some leaf is off the maximal support, else exp of its ``log_interior``
     on the leaves (0 where that underflows).  Raises
     :class:`NoMartingaleMeasureError` when the polytope itself is empty

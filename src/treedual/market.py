@@ -55,7 +55,9 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from functools import wraps
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Mapping
@@ -69,6 +71,32 @@ MAX_LEAVES_DEFAULT = 100_000
 _SCENARIO_FIELDS = {"version", "assets", "nodes", "endowment", "claims"}
 _NODE_FIELDS = {"id", "parent", "t", "prices", "prob"}
 _PROB_SUM_TOL = 1e-12
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses")
+
+
+def per_owner(fn):
+    """``fn(owner)`` memoized on its owner, a :class:`MarketTree` or a
+    ``geometry.SupportStructure``, in the owner's ``_memo`` dict: the result
+    lives exactly as long as the owner, and each later call on the same
+    owner returns the same object.  A raised error is not stored.  Like
+    ``functools.lru_cache``, the wrapper counts every call as a hit or a
+    miss (``cache_info()``) and keeps ``fn`` as ``__wrapped__``."""
+    key, count = f"{fn.__module__}.{fn.__qualname__}", [0, 0]
+
+    @wraps(fn)
+    def memo(owner):
+        store = owner._memo
+        if key in store:
+            count[0] += 1
+            return store[key]
+        count[1] += 1
+        store[key] = out = fn(owner)
+        return out
+
+    memo.cache_info = lambda: _CacheInfo(*count)
+    return memo
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,11 +168,13 @@ class MarketTree:
     leaf order; :attr:`node_probability_array` is (N,) in layout order.
     The file's columns, for :func:`market_to_dict`, are each row's layout
     position and decimal strings.  Leaves are in depth-first order, so every
-    node's subtree occupies a contiguous leaf slice.
+    node's subtree occupies a contiguous leaf slice.  What is derived from
+    the tree alone (its support pass, its constraint matrix) is kept in
+    ``_memo`` by :func:`per_owner`, and freed with the tree.
     """
 
     __slots__ = ("assets", "endowment", "claims", "layout", "_leaf_ids",
-                 "_node_prob", "_file_pos", "_price_strs", "_prob_strs")
+                 "_node_prob", "_file_pos", "_price_strs", "_prob_strs", "_memo")
 
     def __init__(self, assets, endowment, claims, layout, node_prob, file_pos,
                  price_strs, prob_strs, _token=None):
@@ -161,6 +191,7 @@ class MarketTree:
         # file order: each row's layout position, price strings (an (N, d)
         # object array) and prob string
         self._file_pos, self._price_strs, self._prob_strs = file_pos, price_strs, prob_strs
+        self._memo = {}
 
     # -- structure accessors ------------------------------------------------
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ from treedual import (CapExceededError, DomainError,
                       is_martingale_measure, load_market, market_from_dict,
                       market_to_dict, relative_entropy, run_battery, solve_dual,
                       two_power_utility, vertex_enumerate)
-from treedual import checks, geometry
+from treedual import checks, dual, geometry
 from treedual.geometry import _support_structure
 from treedual.simplex import solve_lp
 
@@ -1020,3 +1022,38 @@ def test_the_arbitrage_gains_at_least_one_exactly_off_the_maximal_support(make):
 def test_an_equivalent_market_holds_no_arbitrage():
     for tree, _, _ in treegen.acceptance_suite()[:10]:
         assert not _support_structure(tree).arbitrage.any()
+
+
+@pytest.mark.parametrize("memo", [_support_structure, build_constraints],
+                         ids=["support", "constraints"])
+def test_the_tree_memos_count_each_call_and_keep_the_function(memo):
+    # perfbench reads the hit ratio off cache_info() and traces __wrapped__
+    tree = treegen.product_market([[1.2, 1.0, 0.85]])
+    before = memo.cache_info()
+    first = memo(tree)
+    assert all(memo(tree) is first for _ in range(2))
+    after = memo.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 1)
+    assert memo.__wrapped__.__module__ == "treedual.geometry"
+
+
+def test_a_tree_without_martingale_measure_keeps_no_support_pass():
+    tree, before = treegen.arbitrage_market(), _support_structure.cache_info()
+    for _ in range(2):
+        with pytest.raises(NoMartingaleMeasureError):
+            _support_structure(tree)
+    assert _support_structure.cache_info().misses - before.misses == 2
+
+
+def test_derived_structures_live_as_long_as_their_tree(tp_pair):
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 3)
+    solve_dual(tree, tp_pair, 0.0)
+    solve_dual(tree, exponential_utility(1.0, 2.0), 0.0)
+    geo = _support_structure(tree)
+    A, levels, basis = build_constraints(tree), dual._live_levels(geo), dual._strategy_basis(geo)
+    assert _support_structure(tree) is geo and build_constraints(tree) is A
+    assert dual._live_levels(geo) is levels and dual._strategy_basis(geo) is basis
+    refs = [weakref.ref(x) for x in (geo, A, *(a for batch in levels for a in batch[:2]), basis)]
+    del tree, geo, A, levels, basis
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)

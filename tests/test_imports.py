@@ -300,3 +300,40 @@ def test_view_rebuilds_are_found():
               "    return lay.first_child - 1, lay.prices[0] + lay.prices[1]\n")
     assert view_rebuilds(source) == ["line 6: f", "line 7: f", "line 8: f", "line 8: f",
                                      "line 9: f"]
+
+
+def pinning_caches(source: str) -> list[str]:
+    """``line n: function`` for each function decorated with
+    ``functools.lru_cache`` or ``functools.cache`` (bare, called or as an
+    attribute) whose first parameter is ``tree`` or ``geo``: a module-level
+    table that would keep every tree it sees, and what is derived from it,
+    alive past the tree."""
+    def caches(dec):
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        return (getattr(dec, "id", None) or getattr(dec, "attr", None)) in {"lru_cache", "cache"}
+
+    return [f"line {node.lineno}: {node.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.args.args and node.args.args[0].arg in {"tree", "geo"}
+            and any(caches(d) for d in node.decorator_list)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_derived_data_is_kept_on_its_tree(path):
+    # market.per_owner keeps a tree's derived structures on the tree (or on
+    # its support structure), so they are freed with it
+    assert pinning_caches(path.read_text()) == []
+
+
+def test_pinning_caches_are_found():
+    source = ("import functools\n"
+              "from functools import cache, lru_cache\n"
+              "@lru_cache(maxsize=256)\ndef a(tree):\n    pass\n"
+              "@functools.lru_cache\ndef b(geo, k):\n    pass\n"
+              "@cache\ndef c(tree):\n    pass\n"
+              "@functools.cache\ndef d(geo):\n    pass\n"
+              "@lru_cache(maxsize=None)\ndef e(k):\n    pass\n"
+              "@cache\ndef f():\n    pass\n"
+              "@per_owner\ndef g(tree):\n    pass\n"
+              "def h(tree):\n    pass\n")
+    assert pinning_caches(source) == ["line 4: a", "line 7: b", "line 10: c", "line 13: d"]
