@@ -50,9 +50,9 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     """All instance-level checks; returns one result per check.
 
     Every check after the solve reads :func:`solve_dual`'s optimum, so a
-    corrupted optimum fails them, in its exact form: X, the charged set and
-    the node log masses that weigh conditional expectations
-    (``terminal_gain``, ``charged``, ``node_log_q``, all from ``_log_q``).
+    corrupted optimum fails them: mu, the mass, X, the charged set and the
+    node log masses that weigh conditional expectations are all read off its
+    exact form (``_log_mass``, ``_log_q``).
     A check passes when its residual is at most its ``tolerance``; a flag
     reads 0 or 1 and a count its violations, both against 0.5.  A failed
     recovery reads inf and ends the battery; a failed two-power conditional

@@ -10,7 +10,8 @@ at a free row) and returns one optimum or error per row; ``solve_dual``,
 ``solve_dual_fixed_mass`` and the pricing searches solve through it.
 ``dual_value_curve`` reads its points off a solved problem: in closed form
 from the exponential pass, else by one ``_solutions`` call started at the
-optimum.
+optimum.  An optimum stores its exact form once, ln y and ln q_hat, and the
+mass, the measures and W''(y) are read off it on first use.
 
 * Exponential family: exponential utility does not depend on wealth, so the
   dual is solved exactly by backward induction on the log-partition (Rouge &
@@ -43,8 +44,8 @@ optimum.
   Optim.* 25, 1987, and Cox & Huang, *J. Econ. Theory* 49, 1989).  A fixed
   row keeps its y; a free row takes ln y from the budget E_q[I(y q/p)] =
   E_q[e], by the package's one safeguarded root-finder,
-  ``_bracketed_newton``, which the pricing searches share.  The value, the
-  wealth and W'' come from one ``v_point`` pass, and h is each node's
+  ``_bracketed_newton``, which the pricing searches share.  The value and
+  the wealth come from one ``v_point`` pass, and h is each node's
   one-vertex fit of the conditional gains.  A wealth past the float range
   on a leaf is that leaf's ``EvaluationOverflowError``.
 * Other families on an incomplete market, ``dynamic_dual`` and the tests'
@@ -73,7 +74,7 @@ optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -94,44 +95,53 @@ _MAX_PROBES = 100      # probes of one bracketed Newton search
 class DualSolution:
     """Optimal measure, mass, normalization, value and diagnostics.
 
-    ``value`` is the optimal value: from the log-partition for the
-    exponential family, the dual value sum p V(mu/p) + mu e of a
-    complete market's closed form, and the primal value sum p U(e + gains)
-    (- y x at a fixed mass y) at the Newton core's optimum, which equals the
-    dual one.  ``stationarity`` is the exit residual of the solver: for the
-    exponential family the largest one-step drift |E[dS_i | n]| / top_i
-    over the assets and live non-leaf nodes, read off the one-step log
-    weights of the normalized optimizer; for the closed form the budget
-    residual |E_q[X]| / (1 + E_q[|W| + |e|]) at a free mass (0 at a fixed
-    one); for the Newton core the scaled gradient of the primal, which is
-    the martingale (and mass) residual of mu.  ``mass_curvature`` is W''(y),
-    the second derivative of the optimal value in a fixed mass y (else
-    None).  ``iterations`` logs the Newton steps taken (of a log-space
-    pass, summed over levels of the most any endowment took; of the closed
-    form's budget root, its probes).  ``mu`` and ``q_hat``, the optimal and
-    normalized measures, are (L,) arrays in leaf order; ``_log_q`` = ln
-    q_hat, exact where q_hat underflows, gives :attr:`node_log_q` and
-    :attr:`charged`.  :attr:`entropy_terms` and, but for the exponential
-    family, :attr:`terminal_gain` read one conjugate point (V, V', V'') at
-    mu/p per optimum, formed once by ``pair.v_point`` (by the closed form
-    as it solves).
+    The fields hold each fact once, the measure as ln y = ``_log_mass``
+    and ln q_hat = ``_log_q`` (L,), exact where y or q_hat leave the float
+    range; ``mass`` = e^ln y, ``q_hat`` = exp(ln q_hat), ``mu`` = exp(ln y
+    + ln q_hat) (leaf order) and the rest are read off them on first use.
+    ``value``: from the log-partition for the exponential family, sum p
+    V(mu/p) + mu e in a complete market's closed form, and the primal sum
+    p U(e + gains) (- y x at a fixed mass y) at the Newton core's optimum.
+    ``stationarity``, the exit residual: for the exponential family the
+    largest one-step drift |E[dS_i | n]| / top_i over the live non-leaf
+    nodes; for the closed form |E_q[X]| / (1 + E_q[|W| + |e|]) at a free
+    mass (0 at a fixed one); for the Newton core the primal's scaled
+    gradient, the martingale (and mass) residual of mu.  ``steps``: the
+    Newton steps (of a log-space pass, summed over levels of the most any
+    endowment took; the closed form's budget-root probes).
+    :attr:`entropy_terms` and, but for the exponential family,
+    :attr:`terminal_gain` read one conjugate point (V, V', V'') at mu/p,
+    formed once by ``pair.v_point`` (by the closed form as it solves).
     """
 
     tree: MarketTree
     pair: UtilityPair
-    mass: float
     value: float
     stationarity: float
     support: str                      # "EQUIVALENT" | "DEGENERATE"
-    iterations: tuple[dict, ...]
-    mu: np.ndarray = field(repr=False)
-    q_hat: np.ndarray = field(repr=False)
-    mass_curvature: float | None = None
-    _endow_arr: np.ndarray = field(repr=False, default=None)
-    _log_mass: float = field(repr=False, default=None)  # exact where mass underflows
-    _h_arr: np.ndarray = field(repr=False, default=None)  # strategy (non-leaf nodes, d)
-    _log_q: np.ndarray = field(repr=False, default=None)  # ln q_hat (L,)
+    steps: int
+    _endow_arr: np.ndarray = field(repr=False)
+    _log_mass: float = field(repr=False)
+    _log_q: np.ndarray = field(repr=False)   # ln q_hat (L,)
+    _h_arr: np.ndarray = field(repr=False)   # strategy (non-leaf nodes, d)
     _log_l: np.ndarray = field(repr=False, default=None)  # L_n (N,), exponential family
+
+    @cached_property
+    def mass(self) -> float:
+        return _mass(self._log_mass)
+
+    @cached_property
+    def q_hat(self) -> np.ndarray:
+        return np.exp(self._log_q)
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.exp(self._log_mass + self._log_q)
+
+    @cached_property
+    def iterations(self) -> tuple[dict, ...]:
+        return ({"steps": self.steps, "residual": self.stationarity},)
 
     @property
     def density_array(self) -> np.ndarray:
@@ -170,6 +180,23 @@ class DualSolution:
         on = self._log_q > -np.inf
         return float(_envelope(self.q_hat, self.terminal_gain[None], on)[0])
 
+    @cached_property
+    def mass_curvature(self) -> float:
+        """W''(y) at this optimum's own mass y: e^-ln y / gamma for the
+        exponential family; else, with A(W) at the wealth W = -V'(mu/p) on
+        the live leaves (:func:`_risk_aversion_at`), sum q_hat / (y A(W)) =
+        sum q_hat^2/p V''(mu/p) on a complete EQUIVALENT market, otherwise
+        one QR (:func:`_cash_curvature`)."""
+        if self._log_l is not None:
+            return _mass(-self._log_mass) / self.pair.params["gamma"]
+        geo = _support_structure(self.tree)
+        on = geo.mask
+        ra = _risk_aversion_at(self.pair, -self._conjugate[1][on], self._endow_arr[on])
+        if geo.complete and self.support == "EQUIVALENT":
+            return float(self.q_hat @ (1.0 / ra)) / self.mass
+        A = build_constraints(self.tree)[_strategy_basis(geo)][:, on]
+        return _cash_curvature(A, np.sqrt(self.mu[on] * ra))
+
     def _require(self, tree, pair, e, caller):
         """Raise :class:`DomainError` unless this solved ``tree`` and
         ``pair`` at the leaf endowment ``e``."""
@@ -178,16 +205,15 @@ class DualSolution:
                               "dual solution was solved for")
 
 
-def _solution(tree, pair, e, mu, q, log_q, mass, log_mass, value, residual, flag, steps,
-              h, curvature=None, log_l=None, point=None):
-    """The one builder of every kind of optimum; ``point``, the conjugate
+def _solution(tree, pair, e, log_q, log_mass, value, residual, flag, steps, h, log_l=None,
+              point=None):
+    """The one builder of every kind of optimum, from its exact form ln
+    q_hat = ``log_q`` and ln y = ``log_mass``; ``point``, the conjugate
     point at mu/p if the solver formed it, becomes the optimum's cached one
     (a copy made by ``dataclasses.replace`` forms its own)."""
-    sol = DualSolution(
-        tree=tree, pair=pair, mass=mass, value=value, stationarity=residual,
-        support=flag, iterations=({"steps": steps, "residual": residual},),
-        mu=mu, q_hat=q, mass_curvature=curvature, _endow_arr=e, _log_mass=log_mass,
-        _h_arr=h, _log_q=log_q, _log_l=log_l)
+    sol = DualSolution(tree=tree, pair=pair, value=value, stationarity=residual, support=flag,
+                       steps=steps, _endow_arr=e, _log_mass=log_mass, _log_q=log_q, _h_arr=h,
+                       _log_l=log_l)
     if point is not None:
         sol.__dict__["_conjugate"] = point   # the slot of the cached property
     return sol
@@ -444,48 +470,37 @@ def _log_partition(tree, gamma, e):
 def _log_space_solutions(tree, pair, endows, log_mass=None) -> list[DualSolution]:
     """Exponential optima for a stack of endowments (r, L), row j at the log
     mass ``log_mass[j]`` if given (NaN at a free row), from one pass over
-    the distinct rows, each a solution with its mass open (NaN) that
-    :func:`_at_log_mass` reads the rows off.  Raises nothing for extreme
-    endowments: the log-mass stays exact when the mass or the value leaves
-    the floating-point range.
-    """
+    the distinct rows, whose L, ln q_hat and strategy do not depend on the
+    mass: a free row is at s = L_root, with value ``C - e^s/gamma``, a
+    fixed one has that of :func:`_fixed_mass_value`.  Raises nothing for
+    extreme endowments: the log-mass stays exact."""
     _, flag = _prepare(tree, pair)
     place = {}   # each distinct row's index in the pass, keyed by its bytes
     slots = [place.setdefault(ej.tobytes(), len(place)) for ej in endows]
     distinct = np.empty((len(place), tree.n_leaves))
     distinct[slots] = endows
     log_ls, hs, ells, drifts, steps = _log_partition(tree, pair.params["gamma"], distinct)
-    log_qs = ells[:, tree.layout.level_starts[-2]:]
-    opened = [_solution(tree, pair, e, None, np.exp(log_q), log_q, math.nan, math.nan, math.nan,
-                        drift, flag, steps, h, log_l=log_l)
-              for e, log_l, log_q, h, drift in zip(distinct, log_ls, log_qs, hs, drifts.tolist())]
+    log_qs, drifts = ells[:, tree.layout.level_starts[-2]:], drifts.tolist()
     log_ys = [math.nan] * len(slots) if log_mass is None else np.asarray(log_mass, float).tolist()
-    return [_at_log_mass(opened[i], s) for i, s in zip(slots, log_ys)]
+    out = []
+    for i, s in zip(slots, log_ys):
+        top = float(log_ls[i, 0])
+        if math.isnan(s):
+            s, value = top, pair.params["C"] - _mass(top) / pair.params["gamma"]
+        else:
+            value = _fixed_mass_value(pair, log_ls[i], s, _mass(s))
+        out.append(_solution(tree, pair, distinct[i], log_qs[i], s, value, drifts[i], flag, steps,
+                             hs[i], log_l=log_ls[i]))
+    return out
 
 
-def _at_log_mass(sol, s):
-    """The exponential optimum of ``sol``'s problem at log mass ``s`` (NaN:
-    free), read off its log-space pass: L, ln q_hat and the strategy do not
-    depend on the mass, so the fixed-mass optimum is ``e^s q_hat`` with the
-    value of :func:`_fixed_mass_value`; the free one is at s = L_root,
-    with value ``C - e^s/gamma``.
-    """
-    gamma, c = sol.pair.params["gamma"], sol.pair.params["C"]
-    free = math.isnan(s)
-    log_y = float(sol._log_l[0]) if free else s
-    y = _mass(log_y)
-    value = c - y / gamma if free else _fixed_mass_value(sol, log_y, y)
-    with np.errstate(over="ignore"):
-        mu = np.exp(log_y + sol._log_q)
-    return replace(sol, mass=y, value=value, mu=mu, _log_mass=log_y)
-
-
-def _fixed_mass_value(sol, log_y, y):
+def _fixed_mass_value(pair, log_l, log_y, y):
     """The value ``C + y (ln y - 1 - L_root)/gamma`` of the exponential
-    optimum of ``sol``'s problem at the mass(es) y = e^log_y (Delbaen et
-    al. 2002), exact in log_y where y underflows; floats or arrays."""
-    gamma, c = sol.pair.params["gamma"], sol.pair.params["C"]
-    return c + y * (log_y - 1.0 - float(sol._log_l[0])) / gamma
+    optimum with the node log partitions ``log_l`` at the mass(es) y =
+    e^log_y (Delbaen et al. 2002), exact in log_y where y underflows;
+    floats or arrays."""
+    gamma, c = pair.params["gamma"], pair.params["C"]
+    return c + y * (log_y - 1.0 - float(log_l[0])) / gamma
 
 
 def _envelope(q, x, on):
@@ -558,7 +573,33 @@ def _qr_fits(J, T):
         return np.linalg.solve(np.where(singular, np.eye(k), tri), np.where(singular, np.nan, rhs))
 
 
-def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
+def _scaled_fits(s, Bk, ts):
+    """Per row, d and the :func:`_qr_fits` of ``ts`` (a, n, m) by diag(s) Bk
+    diag(d) (``s`` (a, n), ``Bk`` (1 or a, n, k), d = 1/|column|, 1 at a zero
+    one), the Newton metric's scaled strategy columns, and z, the part of s
+    (the last column of ts) off them."""
+    jh = s[:, :, None] * Bk
+    norm = np.sqrt((jh * jh).sum(axis=1))
+    d = 1.0 / np.where(norm > 0, norm, 1.0)
+    jd = jh * d[:, None, :]
+    f = _qr_fits(jd, ts)
+    return d, f, ts[:, :, -1] - (jd @ f[:, :, -1:])[:, :, 0]
+
+
+def _risk_aversion_at(pair, w, e):
+    """A at optimal wealths ``w``, A(0) where |w| <= 1e-14 (1 + |e|): W'' reads
+    one side of a kink at 0 (two-power) whatever side rounding left w on."""
+    return pair.risk_aversion(np.where(np.abs(w) <= 1e-14 * (1.0 + np.abs(e)), 0.0, w))
+
+
+def _cash_curvature(A, s):
+    """W''(y) = [H^-1]_xx = 1/|z|^2 at a Newton-core optimum, J = diag(s) [A',
+    1], s = sqrt(mu A(W)), A (k, n); z = s off the strategy columns."""
+    z = _scaled_fits(s[None], A.T[None], s[None, :, None])[2][0]
+    return 1.0 / float(z @ z)
+
+
+def _newton_core(A, p, e, pair, live, *, mass=None, start=None):
     """The dual optima of a stack of r problems on the leaves ``live``,
     found through their primals.
 
@@ -578,7 +619,7 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
     free rows, and ``start`` None or (r, L).  The Newton step solves
     H d = grad Phi, H = B' diag(-p U'') B, as least squares in the H^1/2
     scaling with Jacobi-scaled columns, by one batched QR over the rows
-    that step (:func:`_qr_fits`); a strategy column whose weights all
+    that step (:func:`_scaled_fits`); a strategy column whose weights all
     underflow gets no step.  -p U'' is mu times the risk aversion -U''/U'
     of the wealth, and 0 where U' underflows: each point (the start and
     every trial of the line search) is one pass of the pair's ``u_point``,
@@ -599,15 +640,11 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
     step's J, A the risk aversion.  From a neighbouring optimum this is the
     first-order tangent; from y times a complete market's martingale
     measure, the optimum up to the budget.  Other rows start at c = 0.
-    Returns per row mu (r, L; 0 off
-    ``live``), h (r, k), the value (plus p V(0) off ``live``), the
-    residual, the steps, W''(y) = [H^-1]_xx at the last point (with A(0)
-    at a wealth within rounding of 0; NaN at free rows, and everywhere
-    without ``curvature``, which saves its QR: only
-    the penalty search and :func:`solve_dual_fixed_mass` read it) and
-    the row's error, None or a :class:`NonconvergedError` (after 200 steps,
-    from a start outside the domain, on a singular Newton system, or
-    without an acceptable step above 1e-9).
+    Returns per row mu (r, L; 0 off ``live``), h (r, k), the value (plus p
+    V(0) off ``live``), the residual, the steps and the row's error, None
+    or a :class:`NonconvergedError` (after 200 steps, from a start outside
+    the domain, on a singular Newton system, or without an acceptable step
+    above 1e-9).
     """
     A, p = (A if A.ndim == 3 else A[None]), np.atleast_2d(p)
     pl, el = p[:, live], e[:, live]
@@ -646,38 +683,13 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
     def fit(ts, rows, ys):
         """Per row of ``ts`` = [t | s] (a, n, 2), of the rows ``rows``, the
         c (a, k + 1) with J'(J c - t) = -ys e_x, J = diag(s) B, over (h, x)
-        at fixed masses, else over h at x = 0; and [(J'J)^-1]_xx at the
-        fixed masses (NaN elsewhere)."""
-        t, s, cash = ts[:, :, 0], ts[:, :, 1], fixed[rows]
-        jh = s[:, :, None] * share(Bk, rows)
-        norm = np.sqrt((jh * jh).sum(axis=1))
-        d = 1.0 / np.where(norm > 0, norm, 1.0)                  # Jacobi scaling
-        jd = jh * d[:, None, :]
+        at fixed masses, else over h at x = 0."""
         # the fits of t and of s, the cash column, by the strategy columns;
         # z, the part of s off them, has J'z = |z|^2 e_x, so the cash rows
         # fit t - kappa z, kappa = (z't - ys) / |z|^2
-        f = _qr_fits(jd, ts)
-        c = np.zeros((len(s), k + 1))
-        if not cash.any():
-            c[:, :k] = d * f[:, :, 0]
-            return c, np.full(len(s), math.nan)
-        z = s - (jd @ f[:, :, 1:])[:, :, 0]
-        zz = _row_dot(z, z)
-        kappa = np.where(cash, (_row_dot(z, t) - ys) / zz, 0.0)
-        c[:, :k], c[:, k] = d * (f[:, :, 0] - kappa[:, None] * f[:, :, 1]), kappa
-        return c, np.where(cash, 1.0 / zz, math.nan)
-
-    def direction(rows):
-        """The Newton steps (r, k + 1) of the rows in the mask ``rows``, 0
-        elsewhere, and [H^-1]_xx there at fixed masses (else NaN), from the
-        point's mu and risk aversion."""
-        m = mu[rows]
-        ts = np.zeros(m.shape + (2,))
-        s = ts[:, :, 1] = np.sqrt(m * ra[rows])                       # H = J'J
-        np.divide(m, s, out=ts[:, :, 0], where=s > 0)                 # J't = B'mu
-        step, inv = np.zeros((r, k + 1)), np.full(r, math.nan)
-        step[rows], inv[rows] = fit(ts, rows, y0[rows])
-        return step, inv
+        d, f, z = _scaled_fits(ts[:, :, 1], share(Bk, rows), ts)
+        kappa = np.where(fixed[rows], (_row_dot(z, ts[:, :, 0]) - ys) / _row_dot(z, z), 0.0)
+        return np.column_stack([d * (f[:, :, 0] - kappa[:, None] * f[:, :, 1]), kappa])
 
     c = np.zeros((r, k + 1))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -691,7 +703,7 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
                 ts = np.zeros(q.shape + (2,))
                 s = ts[:, :, 1] = np.where(on, np.sqrt(q * pair.risk_aversion(x)), 0.0)
                 ts[:, :, 0] = s * (x - el[warm])
-                c[warm] = fit(ts, warm, 0.0)[0]
+                c[warm] = fit(ts, warm, 0.0)
         phi, res, u, w, mu, g, ra = point(c)
         errors = [None if x < math.inf else NonconvergedError(
             "singular Newton system at the start fit" if np.isnan(c[j]).any() else
@@ -702,7 +714,13 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
         for _ in range(_NEWTON_CAP):
             if not active.any():
                 break
-            delta = direction(active)[0]          # 0 at rows not active
+            # the Newton steps of the active rows, 0 at the others
+            m = mu[active]
+            ts = np.zeros(m.shape + (2,))
+            s = ts[:, :, 1] = np.sqrt(m * ra[active])                 # H = J'J
+            np.divide(m, s, out=ts[:, :, 0], where=s > 0)             # J't = B'mu
+            delta = np.zeros((r, k + 1))
+            delta[active] = fit(ts, active, y0[active])
             slope, alpha, search = _row_dot(g, delta), np.ones(r), active.copy()
             for _ in range(60):
                 ct = c + alpha[:, None] * delta
@@ -741,22 +759,11 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None, curvature=True):
             errors[j] = NonconvergedError(
                 f"Newton cap {_NEWTON_CAP} reached (scaled gradient {res[j]:.3e})",
                 residual=float(res[j]))
-        last = fixed & np.array([err is None for err in errors], dtype=bool) & curvature
-        w2 = np.full(r, math.nan)
-        if last.any():
-            # the risk aversion may jump at a wealth of 0 (the two-power
-            # kink): a wealth within rounding of 0 reads A(0), so that W''
-            # takes one side of the kink whatever side the last iterate's
-            # rounding left it on
-            zero = np.abs(w) <= 1e-14 * (1.0 + np.abs(el))
-            if zero.any():
-                ra = np.where(zero, pair.risk_aversion(np.zeros_like(w)), ra)
-            w2 = direction(last)[1]
     full = np.zeros((r, p.shape[1]))
     full[:, live] = mu
     if not live.all():
         phi = phi + p[:, ~live].sum(axis=1) * float(pair.v(0.0))
-    return full, c[:, :k], phi, res, steps, w2, errors
+    return full, c[:, :k], phi, res, steps, errors
 
 
 # -- public solver ---------------------------------------------------------------
@@ -803,16 +810,16 @@ def _masses(pair, log_mass, r):
     return y, out
 
 
-def _core_solutions(tree, pair, endows, log_mass=None, starts=None, curvature=True):
+def _core_solutions(tree, pair, endows, log_mass=None, starts=None):
     """The Newton core on the maximal support for a stack of endowments (r, L),
     at masses e^log_mass (r,) if given (NaN at a free row), started at leaf
     measures (r, L) if given: one optimum or the row's error per row, a
     :class:`NonconvergedError` or the :class:`EvaluationOverflowError` of
     :func:`_masses`.  The core runs on the columns of
-    :func:`_strategy_basis`; the others get h = 0.  Each optimum at a fixed
-    mass carries W'' unless ``curvature`` is false, which saves its
-    factorization.  :func:`_solutions` sends it the incomplete markets;
-    on complete ones it is the tests' oracle of :func:`_complete_solutions`.
+    :func:`_strategy_basis`; the others get h = 0, and an optimum stores
+    ln m, m = sum mu, and ln(mu/m).  :func:`_solutions` sends it the
+    incomplete markets; on complete ones it is the tests' oracle of
+    :func:`_complete_solutions`.
 
     A row without a start positive on the support starts at y q, the
     complete-market optimum up to the budget (Karatzas, Lehoczky & Shreve,
@@ -835,9 +842,9 @@ def _core_solutions(tree, pair, endows, log_mass=None, starts=None, curvature=Tr
             y0 = np.where(np.isnan(y), pair.u_prime(_row_dot(endows, q)), y)
         cold &= np.isfinite(y0)
         starts[cold] = y0[cold, None] * q
-    mu, h_basis, value, res, steps, w2, errors = _newton_core(
+    mu, h_basis, value, res, steps, errors = _newton_core(
         build_constraints(tree)[basis], tree.leaf_probability_array, endows[run], pair, mask,
-        mass=y[run], start=starts[run], curvature=curvature)
+        mass=y[run], start=starts[run])
     h = np.zeros((len(errors), basis.size))
     h[:, basis] = h_basis
     for i, j in enumerate(np.flatnonzero(run).tolist()):
@@ -845,10 +852,9 @@ def _core_solutions(tree, pair, endows, log_mass=None, starts=None, curvature=Tr
             out[j] = errors[i]
             continue
         m = float(mu[i].sum())
-        out[j] = _solution(tree, pair, endows[j], mu[i], mu[i] / m, log_masses(mu[i] / m),
-                           m, math.log(m), float(value[i]), float(res[i]), flag,
-                           int(steps[i]), h[i].reshape(-1, tree.n_assets),
-                           None if math.isnan(w2[i]) else float(w2[i]))
+        out[j] = _solution(tree, pair, endows[j], log_masses(mu[i] / m), math.log(m),
+                           float(value[i]), float(res[i]), flag, int(steps[i]),
+                           h[i].reshape(-1, tree.n_assets))
     return out
 
 
@@ -903,8 +909,8 @@ def _complete_rows(pair, p, log_q, e, log_m, starts):
     ln q), so that the point is the optimum's own (``DualSolution`` forms it
     at ``density_array``).  Returns per problem (3, k) its value sum p V +
     mu e, its mass derivative E_q[V' + e] = -E_q[X], increasing in ln y,
-    and that derivative's slope in ln y, sum q (mu/p) V'' = y W''(y); per
-    leaf mu and the point (V, V', V'')."""
+    and that derivative's slope in ln y, sum q (mu/p) V'' = y W''(y); and
+    per leaf the point (V, V', V'')."""
     with np.errstate(over="ignore"):
         mu = np.exp(log_m + log_q)
         z = mu / p
@@ -913,7 +919,7 @@ def _complete_rows(pair, p, log_q, e, log_m, starts):
     q = np.exp(log_q)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.stack([p * v + mu * e, q * (vp + e), q * z * v2])
-    return np.add.reduceat(terms, starts, axis=1), mu, point
+    return np.add.reduceat(terms, starts, axis=1), point
 
 
 def _past_float(leaf_ids, w, what):
@@ -945,7 +951,7 @@ def _budget_root(tree, pair, log_q, e, s):
     def probe(x):
         yield from ()   # asks for no solve
         last["probes"] += 1
-        sums, _, (_, vp, _) = _complete_rows(pair, p, log_q, e, x, [0])
+        sums, (_, vp, _) = _complete_rows(pair, p, log_q, e, x, [0])
         w = -vp
         if not np.isfinite(w).all():
             if np.isposinf(w).any():
@@ -967,7 +973,7 @@ def _budget_root(tree, pair, log_q, e, s):
         raise NonconvergedError(f"budget root of the complete market: {exc}") from None
 
 
-def _complete_solutions(tree, pair, geo, endows, log_mass=None, starts=None, curvature=True):
+def _complete_solutions(tree, pair, geo, endows, log_mass=None, starts=None):
     """The optima of a stack of endowments (r, L) on a complete EQUIVALENT
     market, whose unique martingale measure q has the node log masses ell
     of the support pass's ``geo.log_interior``, at the masses e^log_mass
@@ -976,14 +982,15 @@ def _complete_solutions(tree, pair, geo, endows, log_mass=None, starts=None, cur
     its own y; a free row takes ln y from :func:`_budget_root`, started at
     the log mass of its start measure if that is positive on the leaves,
     else at ln U'(E_q[e]), the mass at which the constant wealth E_q[e] is
-    optimal.  Then one :func:`_complete_rows` pass over every row gives mu
-    = exp(ln y + ln q), the value, the wealth and, at the fixed rows unless
-    ``curvature`` is false, W'' = sum q / (y A(W)).  A row whose wealth is past the float
-    range on a leaf is that leaf's :class:`EvaluationOverflowError`, as is
-    a mass of :func:`_masses`.  The strategy at each non-leaf node is its
-    one-vertex fit (the ``fit`` of :func:`_live_levels`, over ``top``) of
-    E_q[X | child] - E_q[X | node], exact since the node's increments are
-    affinely independent, for every row in one pass over the levels."""
+    optimal.  Then one :func:`_complete_rows` pass over every row gives the
+    value and the wealth at mu = exp(ln y + ln q), and an optimum stores ln
+    y and ell's leaf slice as ln q_hat, so its kept conjugate point is at
+    its derived density.  A row whose wealth is past the float range on a
+    leaf is that leaf's :class:`EvaluationOverflowError`, as is a mass of
+    :func:`_masses`.  The strategy at each non-leaf node is its one-vertex
+    fit (the ``fit`` of :func:`_live_levels`, over ``top``) of E_q[X |
+    child] - E_q[X | node], exact as its increments are affinely
+    independent, for every row in one pass over the levels."""
     lay, p, n, ell = tree.layout, tree.leaf_probability_array, tree.n_leaves, geo.log_interior
     log_q, r = ell[-n:], len(endows)
     y, out = _masses(pair, log_mass, r)
@@ -1005,9 +1012,9 @@ def _complete_solutions(tree, pair, geo, endows, log_mass=None, starts=None, cur
     if not rows:
         return out
     k, e = len(rows), endows[rows]
-    sums, mu, point = _complete_rows(pair, np.tile(p, k), np.tile(log_q, k), e.ravel(),
-                                     np.repeat(s[rows], n), np.arange(k) * n)
-    mu, (v, vp, v2) = mu.reshape(k, n), (x.reshape(k, n) for x in point)
+    sums, point = _complete_rows(pair, np.tile(p, k), np.tile(log_q, k), e.ravel(),
+                                 np.repeat(s[rows], n), np.arange(k) * n)
+    v, vp, v2 = (x.reshape(k, n) for x in point)
     finite = np.isfinite(vp)
     cond = tree.conditional_expectation(np.where(finite, -vp - e, 0.0), ell)
     h = np.zeros((k, lay.level_starts[-2], tree.n_assets))
@@ -1015,22 +1022,18 @@ def _complete_solutions(tree, pair, geo, endows, log_mass=None, starts=None, cur
         h[:, node] = np.einsum("gmd,rgm->rgd", fit, cond[:, kids] - cond[:, node, None])
         h[:, node] /= lay.top[node]
     q = np.exp(log_q)
-    log_q = log_masses(q)   # ln q_hat, as the core's optima have it
     for i, j in enumerate(rows):
         if not finite[i].all():
             out[j] = _past_float(tree.leaf_ids, vp[i], f"at the mass e^{s[j]!r}")
             continue
-        y_j, free = _mass(s[j]), math.isnan(y[j])
-        residual = 0.0 if not free else abs(float(sums[1, i])) / (
+        residual = 0.0 if not math.isnan(y[j]) else abs(float(sums[1, i])) / (
             1.0 + float(q @ (np.abs(vp[i]) + np.abs(e[i]))))
-        out[j] = _solution(tree, pair, e[i], mu[i], q, log_q, y_j, float(s[j]),
-                           float(sums[0, i]), residual, "EQUIVALENT", int(probes[j]), h[i],
-                           float(sums[2, i]) / y_j if curvature and not free else None,
-                           point=(v[i], vp[i], v2[i]))
+        out[j] = _solution(tree, pair, e[i], log_q, float(s[j]), float(sums[0, i]), residual,
+                           "EQUIVALENT", int(probes[j]), h[i], point=(v[i], vp[i], v2[i]))
     return out
 
 
-def _solutions(tree, pair, endows, log_mass=None, starts=None, curvature=True):
+def _solutions(tree, pair, endows, log_mass=None, starts=None):
     """The dual optima of a stack of endowments (r, L) on one tree, row j at
     the log mass ``log_mass[j]`` if given (NaN at a free row), exact in the
     log-space pass where the mass is subnormal: one optimum or the row's
@@ -1039,25 +1042,23 @@ def _solutions(tree, pair, endows, log_mass=None, starts=None, curvature=True):
     EQUIVALENT market (``SupportStructure.complete``), the closed form of
     :func:`_complete_solutions`, and otherwise one call of the Newton core
     (:func:`_core_solutions`), started at the leaf measures ``starts`` (r,
-    L) if given; each with W'' at the fixed masses unless ``curvature`` is
-    false."""
+    L) if given."""
     if pair.family == "exponential":
         return _log_space_solutions(tree, pair, endows, log_mass)
     _, flag = _prepare(tree, pair)
     geo = _support_structure(tree)
     if geo.complete and flag == "EQUIVALENT":
-        return _complete_solutions(tree, pair, geo, endows, log_mass, starts, curvature)
-    return _core_solutions(tree, pair, endows, log_mass, starts, curvature)
+        return _complete_solutions(tree, pair, geo, endows, log_mass, starts)
+    return _core_solutions(tree, pair, endows, log_mass, starts)
 
 
-def _at_masses(tree, pair, endow, ss, starts=None, curvature=True):
+def _at_masses(tree, pair, endow, ss, starts=None):
     """The optima of one endowment at each log mass of ``ss`` (NaN: free),
-    from one :func:`_solutions` call with the leaf measures ``starts``, with
-    W'' at the fixed masses unless ``curvature`` is false; raises the first
-    row's error."""
+    from one :func:`_solutions` call with the leaf measures ``starts``;
+    raises the first row's error."""
     ss = np.asarray(ss, dtype=float)
     sols = _solutions(tree, pair, leaf_values(tree, endow)[None].repeat(ss.size, axis=0), ss,
-                      starts, curvature)
+                      starts)
     for sol in sols:
         if isinstance(sol, Exception):
             raise sol
@@ -1129,11 +1130,11 @@ def dual_value_curve(sol: DualSolution, ys: Sequence[float], *,
     Each point is the inner optimum at its pinned mass e^s, read off the
     solved problem: for the exponential family in closed form from ``sol``
     itself (the measure e^s q_hat), every point at once, its value by
-    :func:`_fixed_mass_value` (as :func:`_at_log_mass` has it); otherwise
-    by one :func:`_solutions` call (the closed form on a complete market,
-    else the Newton core) whose rows start at ``sol.mu * e^(s - ln m)``,
-    m = ``sol.mass``, and form no W'', which no point reads; raises the
-    first row's error.  The derivatives -E_q_hat[X] are :func:`_envelope`,
+    :func:`_fixed_mass_value` (as :func:`_log_space_solutions` has it);
+    otherwise by one :func:`_solutions` call (the closed form on a complete
+    market, else the Newton core) whose rows start at exp(s + ln q_hat),
+    ``sol``'s exact form at the point's mass; raises the first row's
+    error.  The derivatives -E_q_hat[X] are :func:`_envelope`,
     one dot per point, with X of every point from one evaluation.  At s =
     ``sol._log_mass`` the row is the root's conditional problem of
     ``recovery.dynamic_dual``, bit for bit.  A point's ``y`` is the
@@ -1158,17 +1159,15 @@ def dual_value_curve(sol: DualSolution, ys: Sequence[float], *,
     if sol._log_l is not None:
         s = np.array(ss)
         derivs = _envelope(sol.q_hat, _exponential_gain(sol, s[:, None]), sol._log_q > -np.inf)
-        values = _fixed_mass_value(sol, s, np.array([_mass(x) for x in ss]))
+        values = _fixed_mass_value(sol.pair, sol._log_l, s, np.array([_mass(x) for x in ss]))
         q_hats = [sol.q_hat] * len(ss)
     else:
         with np.errstate(over="ignore"):
-            starts = sol.mu * np.exp(np.array(ss) - sol._log_mass)[:, None]
-        # no point reads W'', so none is factored
-        sols = _at_masses(sol.tree, sol.pair, sol._endow_arr, ss, starts, False)
+            starts = np.exp(np.array(ss)[:, None] + sol._log_q)
+        sols = _at_masses(sol.tree, sol.pair, sol._endow_arr, ss, starts)
         q_hats = [pt.q_hat for pt in sols]
-        mus = np.array([pt.mu for pt in sols])
         # X = -V'(mu/p) - e of every point in one evaluation
-        gains = -sol.pair.v_prime(mus / sol.tree.leaf_probability_array) - np.array(
+        gains = -sol.pair.v_prime(np.array([pt.density_array for pt in sols])) - np.array(
             [pt._endow_arr for pt in sols])
         on = np.array([pt._log_q for pt in sols]) > -np.inf
         derivs = _envelope(np.array(q_hats), gains, on)

@@ -215,7 +215,7 @@ def _penalty(tree, pair, endow, claim):
     (:func:`_penalized_expectation`).  Otherwise :func:`_least_gap` from the
     optimum at e, to 1e-5 in the log mass (the gap within ~1e-10 of its
     minimum), on fixed-mass solves of e + B, each warm-started from the
-    last, that read W' off the envelope formula and W'' off the core."""
+    last, that read W' (envelope formula) and W'' off each probe's optimum."""
     shifted = endow + claim
     if pair.family == "exponential":
         return _penalized_expectation(pair, endow, claim, *(
@@ -243,11 +243,11 @@ def _least_gap(point, base, s, x_tol, h_scale=math.inf):
 
     def probe(s):
         y = math.exp(s)
-        w, slope, curvature = yield from point(s)
+        w, slope, w2 = yield from point(s)
         gaps[s] = (w - base) / y
         h = slope - gaps[s]
         stretch = 1.0 + math.log(abs(h) / h_scale) if abs(h) > h_scale else 1.0
-        return h, (y * curvature - h) / stretch, False
+        return h, (y * w2 - h) / stretch, False
 
     s = yield from _bracketed_newton(probe, s, -math.inf, math.inf, x_tol=x_tol)
     return gaps[s]

@@ -234,8 +234,8 @@ def _conditional_duals(sol, times, wealth=None, root=None):
     log mass ``sol._log_mass``, the point of ``dual_value_curve`` there:
     ``root``, its (raw value, derivative) if solved already (the battery
     passes its curve's middle point), else that curve point.  The other
-    non-leaf nodes of a complete market take the closed form at their
-    masses, all times in one pass (:func:`_complete_conditionals`); those
+    non-leaf nodes of a complete market take the closed form at the same
+    log masses, all times in one pass (:func:`_complete_conditionals`); those
     of an incomplete one solve their subtrees' problems on the maximal
     support in one Newton-core call per time (:func:`_conditional_solves`),
     started at the optimizer, and differentiate by the envelope formula;
@@ -260,9 +260,9 @@ def _conditional_duals(sol, times, wealth=None, root=None):
     inside, leaf = nodes[:split], nodes[split:] - inner
     raw, deriv = np.empty(nodes.size), np.empty(nodes.size)
     raw[split:], deriv[split:] = obj[leaf], -sol.terminal_gain[leaf]
+    log_m = sol._log_mass + sol.node_log_q[inside]   # exact where m underflows
     if sol._log_l is not None:
         gamma, big_p = pair.params["gamma"], tree.node_probability_array[inside]
-        log_m = sol._log_mass + sol.node_log_q[inside]   # exact where m underflows
         log_ratio = log_m - np.log(big_p) - sol._log_l[inside]
         raw[:split] = pair.params["C"] * big_p + mass[inside] * (log_ratio - 1.0) / gamma
         deriv[:split] = log_ratio / gamma
@@ -281,7 +281,7 @@ def _conditional_duals(sol, times, wealth=None, root=None):
                                                                    mass[inside[lo:hi]])
         elif split > below:
             raw[below:split], deriv[below:split] = _complete_conditionals(
-                sol, inside[below:], np.log(mass[inside[below:]]))
+                sol, inside[below:], log_m[below:])
     gap = np.abs(raw - restricted[nodes]) / (1.0 + np.abs(raw))
     if w is None:
         return nodes, raw, deriv, gap, None
@@ -342,7 +342,7 @@ def _conditional_solves(sol, nodes, masses):
     p_sub, e_sub = np.where(pad, 0.0, p[leaf]), np.where(pad, 0.0, e[leaf])
     mu_sub, _, raw, *_, errors = _newton_core(A, p_sub, e_sub, pair,
                                               np.ones(leaf.shape[1], dtype=bool),
-                                              mass=masses, start=mu[leaf], curvature=False)
+                                              mass=masses, start=mu[leaf])
     for err in errors:
         if err is not None:
             raise err

@@ -247,15 +247,15 @@ def test_support_flag_check_fails_on_a_wrong_support_mask(tri1, monkeypatch):
 def test_terminal_gain_keeps_the_recovered_formulas():
     # X = -V'(mu/p) - e, in log space for the exponential family, bit for
     # bit as recovery computed it; the two-power mass derivative is the
-    # envelope E_q_hat[V'(mu/p) + e] bit for bit, and its leaf log masses
-    # are ln q_hat
+    # envelope E_q_hat[V'(mu/p) + e] bit for bit, and q_hat is exp of its
+    # leaf log masses
     for tree, pair, endow in SUITE:
         sol = dual.solve_dual(tree, pair, endow)
         p, e, q = tree.leaf_probability_array, sol._endow_arr, sol.q_hat
         if pair.family == "exponential":
             want = (np.log(p) - sol._log_mass - sol._log_q) / pair.params["gamma"] - e
         else:
-            assert sol._log_q.tobytes() == np.log(q).tobytes()
+            assert q.tobytes() == np.exp(sol._log_q).tobytes()
             want = -pair.v_prime(sol.density_array) - e
             envelope = float(np.dot(q, pair.v_prime(sol.density_array) + e))
             assert sol.mass_derivative == envelope

@@ -442,7 +442,7 @@ def test_two_power_curve_reaches_volume_1e4_on_the_pinned_market(tmp_path, capsy
 
 def _corrupted_solve(shift):
     """``solve_dual`` with ``shift`` (leaf id -> delta) added to the optimal
-    measure; its mass and normalization follow."""
+    measure, in its exact form: its log mass and leaf log masses follow."""
     solve = checks.solve_dual
 
     def corrupted(tree, pair, endow):
@@ -451,8 +451,7 @@ def _corrupted_solve(shift):
         for leaf, delta in shift.items():
             mu[tree.leaf_ids.index(leaf)] += delta
         mass = float(mu.sum())
-        return dataclasses.replace(sol, mass=mass, mu=mu, q_hat=mu / mass,
-                                   _log_mass=math.log(mass), _log_q=np.log(mu / mass))
+        return dataclasses.replace(sol, _log_mass=math.log(mass), _log_q=np.log(mu / mass))
 
     return corrupted
 

@@ -130,13 +130,36 @@ def test_solution_invariants(tri1, exp_pair):
 
 @pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
 def test_measure_views_follow_the_arrays(tri1, pair_name, request):
-    # a replaced measure shows through mu and q_hat, as the battery's
+    # a replaced exact form shows through mu and q_hat, as the battery's
     # corrupted-measure hook needs
     sol = solve_dual(tri1, request.getfixturevalue(pair_name), {"a": 0.3, "b": -0.2, "c": 0.1})
     mu = np.array([0.2, 0.3, 0.4])
-    new = dataclasses.replace(sol, mu=mu, q_hat=mu / 0.9)
-    assert new.mu.tolist() == mu.tolist()
-    assert new.q_hat.tolist() == (mu / 0.9).tolist()
+    new = dataclasses.replace(sol, _log_mass=math.log(0.9), _log_q=np.log(mu / 0.9))
+    assert new.mu.tolist() == np.exp(math.log(0.9) + np.log(mu / 0.9)).tolist()
+    assert new.q_hat.tolist() == np.exp(np.log(mu / 0.9)).tolist()
+    assert new.mu == pytest.approx(mu, rel=1e-15) and new.mass == pytest.approx(0.9, rel=1e-15)
+
+
+@pytest.mark.parametrize("solver", ["log-space pass", "closed form", "Newton core"])
+def test_an_optimum_stores_its_exact_form_once(solver):
+    # mass, q_hat and mu are read off (ln y, ln q_hat) bit for bit, at free
+    # and fixed rows of each solver, and none of them is a field
+    names = {f.name for f in dataclasses.fields(dual.DualSolution)}
+    assert names.isdisjoint({"mu", "q_hat", "mass", "mass_curvature", "iterations"})
+    complete = solver == "closed form"
+    tree = treegen.product_market([[1.2, 0.9] if complete else [1.2, 1.0, 0.85]] * 2)
+    pair = exponential_utility(1.0, 2.0) if solver == "log-space pass" else \
+        two_power_utility(0.5, 1.0, 1.0)
+    assert geometry._support_structure(tree).complete == complete
+    e = np.random.default_rng(3).uniform(-1.0, 1.0, (3, tree.n_leaves))
+    sols = dual._solutions(tree, pair, e, np.array([np.nan, math.log(0.7), np.nan]))
+    for sol in sols:
+        assert sol.mass == math.exp(sol._log_mass)
+        assert sol.q_hat.tobytes() == np.exp(sol._log_q).tobytes()
+        assert sol.mu.tobytes() == np.exp(sol._log_mass + sol._log_q).tobytes()
+        assert sol.iterations == ({"steps": sol.steps, "residual": sol.stationarity},)
+    assert sols[1].mass == pytest.approx(0.7, rel=1e-15)
+    assert sols[0].mass_curvature > 0 < sols[1].mass_curvature
 
 
 def test_kkt_certificate(tri1, exp_pair):
@@ -1252,7 +1275,6 @@ def test_stacked_newton_core_rows_equal_single_rows(seed):
     errors, steps = out[-1], out[4]
     assert errors[:4] == [None] * 4 and isinstance(errors[4], NonconvergedError)
     assert steps[0] > steps[3] and steps[2] > steps[1]
-    assert np.isnan(out[5][[0, 3]]).all() and (out[5][1:3] > 0).all()
     for j in range(4):
         one = dual._newton_core(A, p, e[j:j + 1], pair, live, mass=mass[j:j + 1],
                                 start=start[j:j + 1])
@@ -1298,11 +1320,12 @@ def test_maximal_support_flags_an_uncharged_vertex_leaf(tri1, exp_pair, monkeypa
     solve = checks.solve_dual
 
     def uncharged(*args):
-        # the optimum charges leaf a nowhere: neither mu, q_hat nor its log masses
+        # the optimum charges leaf a nowhere: its log mass there is -inf,
+        # so neither mu nor q_hat charges it
         sol = solve(*args)
-        mu, q, log_q = sol.mu.copy(), sol.q_hat.copy(), sol._log_q.copy()
-        mu[0], q[0], log_q[0] = 0.0, 0.0, -np.inf
-        return dataclasses.replace(sol, mu=mu, q_hat=q, _log_q=log_q)
+        log_q = sol._log_q.copy()
+        log_q[0] = -np.inf
+        return dataclasses.replace(sol, _log_q=log_q)
 
     monkeypatch.setattr(checks, "solve_dual", uncharged)
     assert tri1.leaf_ids[0] == "a"
@@ -1336,24 +1359,35 @@ def _lstsq_step(J, T):
                     ).reshape(len(J), J.shape[2], T.shape[2])
 
 
+def _w2_at(A, p, e, pair, live, mu):
+    """W''(y) of each row's optimum mu (r, L) from ``dual._cash_curvature``
+    on the strategy rows ``A``, as ``DualSolution.mass_curvature`` reads it
+    on an incomplete market."""
+    mu, p, e, A = mu[:, live], p[live], e[:, live], A[:, live]
+    ra = dual._risk_aversion_at(pair, -pair.v_prime(mu / p), e)
+    return np.array([dual._cash_curvature(A, s) for s in np.sqrt(mu * ra)])
+
+
 def _assert_core_meets_the_lstsq_oracle(tree, pair, e, mass=None, start=None):
     """The core on the tree's strategy basis against the core that steps by
     ``_lstsq_step`` on every column: the same mu (relative to its mass),
-    value and W'' to 1e-12 relative, the same steps and errors."""
+    value and W'' at each run's optimum (:func:`_w2_at`, the oracle's under
+    ``_lstsq_step`` too) to 1e-12 relative, the same steps and errors."""
     A, p = build_constraints(tree), tree.leaf_probability_array
     geo = geometry._support_structure(tree)
     basis = dual._strategy_basis(geo)
     got = dual._newton_core(A[basis], p, e, pair, geo.mask, mass=mass, start=start)
+    ok = np.array([err is None for err in got[-1]])
+    w2 = _w2_at(A[basis], p, e[ok], pair, geo.mask, got[0][ok])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dual, "_qr_fits", _lstsq_step)
         want = dual._newton_core(A, p, e, pair, geo.mask, mass=mass, start=start)
+        w2_o = _w2_at(A, p, e[ok], pair, geo.mask, want[0][ok])
     assert [type(err) for err in got[-1]] == [type(err) for err in want[-1]]
     assert np.array_equal(got[4], want[4])
-    ok = np.array([err is None for err in got[-1]])
     mu, mu_o = got[0][ok], want[0][ok]
     assert (np.abs(mu - mu_o).max(axis=1) <= 1e-12 * mu_o.sum(axis=1)).all()
-    for a, b in ((got[2], want[2]), (got[5], want[5])):
-        a, b = a[ok], b[ok]
+    for a, b in ((got[2][ok], want[2][ok]), (w2, w2_o)):
         assert np.array_equal(np.isnan(a), np.isnan(b))
         on = ~np.isnan(b)
         assert (np.abs(a - b)[on] <= 1e-12 * np.abs(b[on])).all()
@@ -1453,7 +1487,7 @@ def test_a_kept_column_without_weight_fails_its_row_alone():
     p = tree.leaf_probability_array
     e = np.array([[800.0, 800.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
     start = np.array([[0.0, 0.3, 0.3, 0.4], [0.0, 0.3, 0.3, 0.4]])
-    mu, _, value, _, steps, _, errors = dual._newton_core(A, p, e, pair, geo.mask, start=start)
+    mu, _, value, _, steps, errors = dual._newton_core(A, p, e, pair, geo.mask, start=start)
     assert isinstance(errors[0], NonconvergedError) and errors[1] is None
     assert value[1] == pytest.approx(1.107086908267888, rel=1e-14, abs=0)
     assert steps[1] == 5
@@ -1509,8 +1543,7 @@ def test_qr_fits_meet_the_concatenated_form_bit_for_bit(seed):
 def test_newton_core_evaluates_each_point_in_one_closed_form_pass(warm):
     # U, U' and A come from the pair's one pass, once per point (the start
     # and each trial); A alone is read only at the warm start's wealth
-    # I(q/p), before the loop, and W'' at the fixed masses reads the last
-    # point's A
+    # I(q/p), before the loop
     tree = treegen.product_market([[1.2, 1.0, 0.85]] * 3)
     base = two_power_utility(0.5, 1.0, 1.0)
     calls, seen = collections.Counter(), []
@@ -1531,7 +1564,7 @@ def test_newton_core_evaluates_each_point_in_one_closed_form_pass(warm):
     start = np.tile(solve_dual(tree, base, e[0]).mu, (3, 1)) if warm else None
     out = dual._newton_core(A, tree.leaf_probability_array, e, pair, geo.mask,
                             mass=np.array([math.nan, 1.3, 0.8]), start=start)
-    assert out[-1] == [None] * 3 and (out[5][1:] > 0).all()
+    assert out[-1] == [None] * 3
     assert calls["u"] == calls["u_prime"] == 0
     assert calls["risk_aversion"] == (1 if warm else 0)
     assert calls["u_point"] == len(set(seen)) >= out[4].max() + 1
@@ -1542,8 +1575,9 @@ def test_newton_core_evaluates_each_point_in_one_closed_form_pass(warm):
 
 
 def test_the_curve_rows_factor_no_curvature(monkeypatch):
-    # one QR for the start fit and one per Newton step; a fixed-mass solve
-    # adds the exit QR of W'', which no curve point reads
+    # one QR for the start fit and one per Newton step, for a curve and a
+    # fixed-mass solve alike; W'' is read off the optimum on first use, by
+    # one more QR, and kept
     tree = treegen.product_market([[1.2, 1.0, 0.85]] * 2)
     pair = two_power_utility(0.5, 1.0, 1.0)
     e = np.random.default_rng(0).uniform(-1.0, 1.0, tree.n_leaves)
@@ -1561,7 +1595,10 @@ def test_the_curve_rows_factor_no_curvature(monkeypatch):
     assert steps[-1] > 0 and len(qrs) == 1 + steps[-1]
     qrs.clear()
     fixed = solve_dual_fixed_mass(tree, pair, e, 1.5 * sol.mass)
-    assert len(qrs) == 2 + steps[-1] and fixed.mass_curvature > 0
+    assert len(qrs) == 1 + steps[-1]
+    w2 = fixed.mass_curvature
+    assert w2 > 0 and len(qrs) == 2 + steps[-1]
+    assert fixed.mass_curvature == w2 and len(qrs) == 2 + steps[-1]   # cached: no second QR
 
 
 def test_qr_fits_give_a_zero_column_no_fit():
@@ -1610,7 +1647,7 @@ def test_a_singular_newton_step_fails_its_row_alone(monkeypatch):
             fits[0] = np.nan
         return fits
     monkeypatch.setattr(dual, "_qr_fits", second_step_singular_on_row_0)
-    mu, _, value, _, _, _, errors = dual._newton_core(A, p, e, pair, geo.mask)
+    mu, _, value, _, _, errors = dual._newton_core(A, p, e, pair, geo.mask)
     assert isinstance(errors[0], NonconvergedError)
     assert "singular Newton system" in str(errors[0]) and errors[1] is None
     monkeypatch.setattr(dual, "_qr_fits", real)
@@ -1621,8 +1658,8 @@ def test_a_singular_newton_step_fails_its_row_alone(monkeypatch):
 
 @pytest.mark.parametrize("r", [1, 5])
 def test_newton_core_factors_once_per_step_whatever_the_rows(r, monkeypatch):
-    # one QR per Newton step over all rows, plus one for the warm start and
-    # one for W'' at the fixed masses, whether the stack holds 1 row or 5
+    # one QR per Newton step over all rows, plus one for the warm start,
+    # whether the stack holds 1 row or 5
     tree = treegen.product_market([[1.2, 1.0, 0.85]] * 3)
     pair = two_power_utility(0.5, 1.0, 1.0)
     geo = geometry._support_structure(tree)
@@ -1631,7 +1668,7 @@ def test_newton_core_factors_once_per_step_whatever_the_rows(r, monkeypatch):
     warm = solve_dual(tree, pair, e[0]).mu
     calls, real = [], np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    for mass, start, extra in ((None, None, 0), (np.full(r, 1.3), None, 1),
+    for mass, start, extra in ((None, None, 0), (np.full(r, 1.3), None, 0),
                                (None, np.tile(warm, (r, 1)), 1)):
         calls.clear()
         out = dual._newton_core(A, tree.leaf_probability_array, e, pair, geo.mask,
@@ -1664,26 +1701,29 @@ def _complete_markets():
 @pytest.mark.parametrize("k", range(8))
 def test_the_closed_form_meets_the_newton_core_on_complete_markets(k):
     # free and fixed-mass rows against the core, the named oracle: value,
-    # mass, mu, W'' and the strategy's gains, and the conditional problems
-    # against the core's per-time solves
+    # mass, mu, W'' (the closed form's against the core's own QR at the
+    # core's optimum, :func:`_w2_at`) and the strategy's gains, and the
+    # conditional problems against the core's per-time solves
     tree = list(_complete_markets())[k]
-    assert geometry._support_structure(tree).complete
+    geo = geometry._support_structure(tree)
+    assert geo.complete
+    A = build_constraints(tree)[dual._strategy_basis(geo)]
     rng = np.random.default_rng(k)
     pair = two_power_utility(float(rng.uniform(0.3, 0.7)), float(rng.uniform(0.5, 2.0)), 1.0)
     e = rng.uniform(-1.0, 1.0, tree.n_leaves)
     endows, ss = np.array([e, e, 2.0 * e]), np.array([np.nan, math.log(0.7), math.log(1.6)])
     got, want = dual._solutions(tree, pair, endows, ss), dual._core_solutions(tree, pair, endows, ss)
-    for a, b in zip(got, want):
+    w2 = _w2_at(A, tree.leaf_probability_array, endows, pair, geo.mask,
+                np.array([b.mu for b in want]))
+    for a, b, w2_core in zip(got, want, w2):
         assert a.iterations[0]["steps"] <= 12 and a.stationarity <= 1e-13
         scale = 1.0 + np.abs(b.terminal_gain).max()
         assert a.value == pytest.approx(b.value, rel=1e-12, abs=1e-12)
         assert a.mass == pytest.approx(b.mass, rel=1e-12)
         assert np.abs(a.mu - b.mu).max() <= 1e-12 * b.mass
         assert np.abs(tree.gains(a._h_arr) - tree.gains(b._h_arr)).max() <= 1e-10 * scale
-        if b.mass_curvature is None:
-            assert a.mass_curvature is None
-        else:
-            assert a.mass_curvature == pytest.approx(b.mass_curvature, rel=1e-10)
+        assert a.mass_curvature == pytest.approx(b.mass_curvature, rel=1e-10)
+        assert a.mass_curvature == pytest.approx(w2_core, rel=1e-10)
     sol = got[0]
     ps = recover(tree, pair, e, sol)
     assert ps.replication_residual <= 1e-12 * (1.0 + np.abs(ps.terminal_wealth).max())
@@ -1732,3 +1772,17 @@ def test_the_core_reads_w2_on_one_side_of_the_kink(tp_pair):
     assert [s.mass_curvature for s in sols] == pytest.approx([4.0 / 3.0] * 8, rel=1e-12)
     closed, = dual._solutions(tree, tp_pair, e[:1], np.array([math.log(1.5)]))
     assert closed.mass_curvature == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+
+def test_the_core_qr_reads_w2_on_one_side_of_the_kink(tp_pair):
+    # bin1 is complete, so the core's optima above read W'' in closed form:
+    # the QR of an incomplete market (:func:`_w2_at`) at the same 8 optima
+    # reads 4/3 as well, by the kink guard
+    tree, rng = treegen.bin1(), np.random.default_rng(0)
+    e = rng.uniform(-2.0, 2.0, (8, tree.n_leaves))
+    sols = dual._core_solutions(tree, tp_pair, e, np.full(8, math.log(1.5)))
+    geo = geometry._support_structure(tree)
+    A = build_constraints(tree)[dual._strategy_basis(geo)]
+    w2 = _w2_at(A, tree.leaf_probability_array, e, tp_pair, geo.mask,
+                np.array([s.mu for s in sols]))
+    assert w2.tolist() == pytest.approx([4.0 / 3.0] * 8, rel=1e-12)

@@ -30,8 +30,7 @@ READERS = {
 
 LOG_PARTITION_READERS = {
     "dual.DualSolution.terminal_gain",
-    "dual._at_log_mass",
-    "dual._fixed_mass_value",
+    "dual.DualSolution.mass_curvature",
     "dual.dual_value_curve",
     "recovery._conditional_duals",
     "recovery.recover",

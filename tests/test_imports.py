@@ -6,16 +6,26 @@ against the names it loads anywhere, annotations included.  ``__init__.py``
 imports to re-export, and ``from __future__`` binds nothing.  A module-level
 function, class or constant is read when some module of the package loads
 it by name, as an attribute or by a ``from`` import; ``__init__.py`` defines
-nothing of its own.
+nothing of its own.  The same ``ast`` reading keeps ``DualSolution`` built
+in one place, and finds every package name the benchmark in ``perfbench/``
+reads, which must resolve in the package.
 """
 
 import ast
+import dataclasses
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import treedual
+import treegen
+from treedual import exponential_utility, solve_dual, two_power_utility
+from treedual.dual import DualSolution
+from treedual.utility import UtilityPair
 
 PACKAGE = Path(__file__).parent.parent / "src" / "treedual"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -337,3 +347,124 @@ def test_pinning_caches_are_found():
               "@per_owner\ndef g(tree):\n    pass\n"
               "def h(tree):\n    pass\n")
     assert pinning_caches(source) == ["line 4: a", "line 7: b", "line 10: c", "line 13: d"]
+
+
+def constructors(source: str, module: str, cls: str) -> set[str]:
+    """Qualified names (``module.f``, ``module.C.f``; ``module`` at module
+    level) of the scopes in ``source`` that call ``cls(...)``, by name or
+    as an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and cls in (getattr(child.func, "id", None),
+                                                       getattr(child.func, "attr", None)):
+                found.add(".".join([module] + scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_every_optimum_is_built_by_the_one_builder():
+    # an optimum is its exact form, and dual._solution alone writes it
+    found = set()
+    for path in MODULES:
+        found |= constructors(path.read_text(), path.stem, "DualSolution")
+    assert found == {"dual._solution"}
+
+
+def test_constructors_are_found():
+    source = ("from treedual import dual\nX = DualSolution(1)\n"
+              "def f():\n    return dual.DualSolution(2)\n"
+              "class C:\n    def g(self):\n        return [DualSolution(3)]\n"
+              "def h():\n    return DualSolution\n")
+    assert constructors(source, "m", "DualSolution") == {"m", "m.f", "m.C.g"}
+
+
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+BENCH_MODULES = ("workloads", "run", "layers", "tracer")
+# the benchmark's tables of qualified package functions, and the part of each
+# literal that names them
+QUALIFIED_TABLES = {"HOOKS": "keys", "DUAL_SOLVES": "elts", "CACHED": "values",
+                    "EXTRA": "keys"}
+
+
+def benchmark_reads(sources: dict[str, str]) -> set[str]:
+    """The package names the benchmark's sources (module name to text) read:
+    ``name`` for each ``td.name``, ``module.name`` for each qualified
+    function of the tables :data:`QUALIFIED_TABLES`,
+    ``DualSolution.name`` for each ``sol.name`` and ``UtilityPair.name``
+    for each keyword of a ``dataclasses.replace`` call."""
+    reads = set()
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "td":
+                    reads.add(node.attr)
+                elif node.value.id == "sol":
+                    reads.add(f"DualSolution.{node.attr}")
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "dataclasses.replace":
+                reads.update(f"UtilityPair.{k.arg}" for k in node.keywords)
+            elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+                  and getattr(node.targets[0], "id", None) in QUALIFIED_TABLES):
+                part = getattr(node.value, QUALIFIED_TABLES[node.targets[0].id])
+                reads.update(c.value for c in part)
+    return reads
+
+
+def unresolved(reads: set[str]) -> list[str]:
+    """The names of :func:`benchmark_reads` that the package does not
+    define: a ``DualSolution`` field or attribute, a ``UtilityPair`` field
+    that ``dataclasses.replace`` can set, an attribute of a package
+    module, or one of the package itself."""
+
+    def resolves(name):
+        owner, _, attr = name.rpartition(".")
+        if owner == "DualSolution":
+            return (attr in {f.name for f in dataclasses.fields(DualSolution)}
+                    or hasattr(DualSolution, attr))
+        if owner == "UtilityPair":
+            return any(f.name == attr and f.init for f in dataclasses.fields(UtilityPair))
+        try:
+            module = importlib.import_module(f"treedual.{owner}") if owner else treedual
+        except ModuleNotFoundError:
+            return False
+        return hasattr(module, attr)
+
+    return sorted(name for name in reads if not resolves(name))
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # the benchmark runs the package from outside: a name it reads that is
+    # gone fails every run of a workload, not a test
+    sources = {m: (PERFBENCH / f"{m}.py").read_text() for m in BENCH_MODULES}
+    reads = benchmark_reads(sources)
+    assert {"solve_dual", "dual.solve_dual_fixed_mass", "geometry._support_structure",
+            "DualSolution.iterations", "UtilityPair._cache"} <= reads
+    assert unresolved(reads) == []
+    # layers reads sol.iterations[-1]["steps"] as an int, of every solver
+    trinomial, binomial = (treegen.product_market([m] * 2) for m in ([1.2, 1.0, 0.85], [1.2, 0.9]))
+    for tree, pair in ((trinomial, exponential_utility(1.0, 2.0)),
+                       (binomial, two_power_utility(0.5, 1.0, 1.0)),
+                       (trinomial, two_power_utility(0.5, 1.0, 1.0))):
+        assert type(solve_dual(tree, pair, 0.1).iterations[-1]["steps"]) is int
+
+
+def test_benchmark_reads_are_found():
+    source = ('HOOKS = {"dual.solve_dual": (f, None), "dual.gone": (f, None)}\n'
+              'DUAL_SOLVES = ("dual.solve_dual",)\n'
+              'CACHED = {"metric": "geometry.build_constraints"}\n'
+              'EXTRA = {"nomodule.f": "span"}\n'
+              "def f(td, sol, pair, self):\n"
+              "    self.td.gone2, sol.iterations[-1], sol.gone3\n"
+              "    return td.solve_dual, td.gone4, dataclasses.replace(pair, _cache={}, gone5=1)\n")
+    reads = benchmark_reads({"m": source})
+    assert reads == {"dual.solve_dual", "dual.gone", "geometry.build_constraints", "nomodule.f",
+                     "DualSolution.iterations", "DualSolution.gone3", "solve_dual", "gone4",
+                     "UtilityPair._cache", "UtilityPair.gone5"}
+    assert unresolved(reads) == ["DualSolution.gone3", "UtilityPair.gone5", "dual.gone", "gone4",
+                                 "nomodule.f"]

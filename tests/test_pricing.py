@@ -589,17 +589,32 @@ def test_pricing_on_arrays_builds_no_leaf_dicts(pair_name, request, no_leaf_dict
         solve_dual(tree, pair, keyed)
 
 
-@pytest.mark.parametrize("y", [0.6, 1.5])
-def test_mass_curvature_matches_envelope_derivative(tri1, tp_pair, y):
-    # W'' read off the fixed-mass solution against a central difference of
-    # the envelope W' = dual_derivative, with the claim added
-    shifted = leaf_values(tri1, E_TRI) + leaf_values(tri1, B_TRI)
-    sol = dual.solve_dual_fixed_mass(tri1, tp_pair, shifted, y)
+@pytest.mark.parametrize("y", [None, 0.6, 1.5], ids=["free", "0.6", "1.5"])
+@pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
+@pytest.mark.parametrize("complete", [False, True], ids=["tri1", "binomial"])
+def test_mass_curvature_matches_envelope_derivative(complete, pair_name, y, request):
+    # W'' read off the optimum, free or at a fixed mass, against a central
+    # difference of the envelope W' = dual_derivative, with the claim added;
+    # the exponential family's is 1/(gamma y)
+    pair = request.getfixturevalue(pair_name)
+    if complete:
+        tree = treegen.product_market([[1.2, 0.9]] * 2)
+        shifted = np.array([1.3, -0.2, 0.1, 0.0])
+    else:
+        tree = treegen.tri1()
+        shifted = leaf_values(tree, E_TRI) + leaf_values(tree, B_TRI)
+    if y is None:
+        sol = dual.solve_dual(tree, pair, shifted)
+        y = sol.mass
+    else:
+        sol = dual.solve_dual_fixed_mass(tree, pair, shifted, y)
     h = 1e-4
-    fd = (dual.dual_derivative(tri1, tp_pair, shifted, y * (1 + h))
-          - dual.dual_derivative(tri1, tp_pair, shifted, y * (1 - h))) \
+    fd = (dual.dual_derivative(tree, pair, shifted, y * (1 + h))
+          - dual.dual_derivative(tree, pair, shifted, y * (1 - h))) \
         / (2 * h * y)
     assert sol.mass_curvature == pytest.approx(fd, rel=1e-6)
+    if pair.family == "exponential":
+        assert sol.mass_curvature == pytest.approx(1.0 / (pair.params["gamma"] * y), rel=1e-15)
 
 
 def test_exponential_certainty_equivalent_equals_bid_on_tri1_at_volume_100(tri1):

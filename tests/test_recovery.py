@@ -520,8 +520,7 @@ def _conditional_solves_by_node(sol, nodes, masses):
         A_sub = A[np.repeat(inside[:lay.level_starts[-2]], tree.n_assets) & basis, lo:hi]
         p_sub, e_sub, on = p[lo:hi], e[lo:hi], live[lo:hi]
         mu_sub, _, val, *_, (err,) = dual._newton_core(A_sub, p_sub, e_sub[None], pair, on,
-                                                       mass=[m_n], start=mu[None, lo:hi],
-                                                       curvature=False)
+                                                       mass=[m_n], start=mu[None, lo:hi])
         if err is not None:
             raise err
         # the envelope formula; leaves off the support carry no mass
