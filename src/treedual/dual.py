@@ -43,11 +43,11 @@ mass, the measures and W''(y) are read off it on first use.
   (the martingale method of Karatzas, Lehoczky & Shreve, *SIAM J. Control
   Optim.* 25, 1987, and Cox & Huang, *J. Econ. Theory* 49, 1989).  A fixed
   row keeps its y; a free row takes ln y from the budget E_q[I(y q/p)] =
-  E_q[e], by the package's one safeguarded root-finder,
-  ``_bracketed_newton``, which the pricing searches share.  The value and
-  the wealth come from one ``v_point`` pass, and h is each node's
-  one-vertex fit of the conditional gains.  A wealth past the float range
-  on a leaf is that leaf's ``EvaluationOverflowError``.
+  E_q[e], by the package's one root-finder, ``_bracketed_newton`` (Newton
+  steps under Brent's safeguard), which every pricing search takes too.
+  The value and the wealth come from one ``v_point`` pass, and h is each
+  node's one-vertex fit of the conditional gains.  A wealth past the float
+  range on a leaf is that leaf's ``EvaluationOverflowError``.
 * Other families on an incomplete market, ``dynamic_dual`` and the tests'
   oracle: the optimal
   measure is the marginal utility of the optimal wealth, mu = p U'(e + gains),
@@ -866,13 +866,17 @@ def _bracketed_newton(probe, x, lo, hi, *, x_tol=0.0):
     the package's one safeguarded scalar root-finder.
 
     ``probe(x)`` is a search (it yields solve requests, or none) that
-    returns ``(g, slope, done)``; ``done`` accepts x as the root.  A step
-    that is unavailable or leaves the bracket is replaced by bisection, or
-    by a doubling stride while a side is still open.  Returns the accepted
+    returns ``(g, slope, done)``; ``done`` accepts x as the root.  Brent's
+    rule (*Algorithms for Minimization without Derivatives*, 1973, ch. 4)
+    takes a Newton step only when it lands strictly inside the bracket and
+    is shorter than half the step two probes back (a bisection counts as
+    half the bracket, a stride not at all); else it bisects, or strides by
+    a doubling length while a side is still open.  Returns the accepted
     probe point, or the last one once the Newton step or the bracket is
     within ``x_tol``; raises :class:`BracketFailError` after 100 probes.
     """
     stride = 1.0
+    last = before = math.inf   # the last two step lengths, strides skipped
     for _ in range(_MAX_PROBES):
         g, slope, done = yield from probe(x)
         if done:
@@ -884,12 +888,14 @@ def _bracketed_newton(probe, x, lo, hi, *, x_tol=0.0):
         newton = x - g / slope if slope and slope > 0 else math.nan
         if x_tol and (abs(newton - x) <= x_tol or hi - lo <= x_tol):
             return x
-        if lo < newton < hi:
+        if lo < newton < hi and abs(newton - x) < 0.5 * before:
+            before, last = last, abs(newton - x)
             x = newton
         elif math.isinf(lo) or math.isinf(hi):
             x = x + stride if g < 0 else x - stride
             stride *= 2.0
         else:
+            before, last = last, 0.5 * (hi - lo)
             x = 0.5 * (lo + hi)
             if not lo < x < hi:
                 raise BracketFailError(

@@ -162,13 +162,12 @@ def _cash_root(pair, x, target, c0, hi, start):
         raise DomainError("cash pricing needs the inverse utility of the pair")
     z_target = pair.u_inverse(target)
     f_tol = PRICE_TOL * (1.0 + abs(target))
-    warm = start
     root = None
 
     def probe(c):
-        nonlocal warm, root
-        sol, = yield [(x + c, None, warm)]
-        warm = sol.mu
+        nonlocal start, root
+        sol, = yield [(x + c, None, start)]
+        start = sol.mu
         z = pair.u_inverse(sol.value)
         slope = sol.mass / pair.u_prime(z)
         if abs(sol.value - target) <= f_tol:
@@ -228,28 +227,25 @@ def _penalty(tree, pair, endow, claim):
         last, = yield [(shifted, s, last.mu * (math.exp(s) / last.mass))]
         return last.value, last.mass_derivative, last.mass_curvature
 
-    return (yield from _least_gap(point, base.value, math.log(base.mass), 1e-5))
+    return (yield from _least_gap(point, base, 1e-5))
 
 
-def _least_gap(point, base, s, x_tol, h_scale=math.inf):
-    """Search for the least gap (W(y) - base)/y over the mass y = e^s from
-    the log mass ``s``, ``point(s)`` a search that returns W, W' and W'':
-    bracketed Newton, to within ``x_tol``, on h = W' - (W - base)/y, whose
-    sign changes once, as y h increases (d(y h)/dy = y W'' >= 0), with
-    dh/ds = y W'' - h.  Beyond |h| = ``h_scale`` a step is stretched by
-    1 + ln(|h| / h_scale): plain Newton shrinks a residual exponential in s
-    only e-fold a step."""
+def _least_gap(point, base, x_tol):
+    """Search for the least gap (W(y) - W0)/y over the mass y = e^s from the
+    log mass of the claim-free optimum ``base``, W0 its value, ``point(s)``
+    a search that returns W, W' and W'': bracketed Newton, to within
+    ``x_tol``, on h = W' - (W - W0)/y, whose sign changes once, as y h
+    increases (d(y h)/dy = y W'' >= 0), with dh/ds = y W'' - h."""
     gaps = {}
 
     def probe(s):
         y = math.exp(s)
         w, slope, w2 = yield from point(s)
-        gaps[s] = (w - base) / y
+        gaps[s] = (w - base.value) / y
         h = slope - gaps[s]
-        stretch = 1.0 + math.log(abs(h) / h_scale) if abs(h) > h_scale else 1.0
-        return h, (y * w2 - h) / stretch, False
+        return h, y * w2 - h, False
 
-    s = yield from _bracketed_newton(probe, s, -math.inf, math.inf, x_tol=x_tol)
+    s = yield from _bracketed_newton(probe, base._log_mass, -math.inf, math.inf, x_tol=x_tol)
     return gaps[s]
 
 
@@ -277,13 +273,12 @@ def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
     mass e^L for every q, where it is (H(q|P) + L)/gamma + E_q[e]
     (:func:`_entropic_gap`), with L the optimum's exact log mass, which
     stays exact where its value rounds to sup U = C.  Otherwise one
-    :func:`_least_gap` search to within 1e-8 on the closed forms
-    W' = sum_{q>0} q V'(y q/p) + E_q[e] and W'' = sum_{q>0}
-    (q^2/p) V''(y q/p), which asks for no solve.  Zero exactly at the
-    normalized dual optimizer; raises :class:`InfiniteEntropyError` when
-    the measure has infinite entropy.  ``q`` is a leaf measure; one off the
-    domain (a mass beyond 1e-12 of 1, or drift: :func:`is_martingale_measure`)
-    raises :class:`DomainError`.
+    :func:`_least_gap` search from ``base``, to within 1e-8 on the closed forms
+    W' = sum_{q>0} q V'(y q/p) + E_q[e] and W'' = sum_{q>0} (q^2/p) V''(y q/p),
+    which asks for no solve.  Zero exactly at the normalized dual optimizer;
+    raises :class:`InfiniteEntropyError` when the measure has infinite entropy.
+    ``q`` is a leaf measure; one off the domain (a mass beyond 1e-12 of 1, or
+    drift: :func:`is_martingale_measure`) raises :class:`DomainError`.
     """
     qa = leaf_values(tree, q)
     if abs(float(qa.sum()) - 1.0) > 1e-12 or not is_martingale_measure(tree, qa):
@@ -309,11 +304,7 @@ def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
                 float(q_on @ pair.v_prime(dens)) + eq,
                 float(q_on * q_on / p_on @ pair.v_second(dens)))
 
-    # start where E[U(I(y q/P))] = base, the minimizer where U(I(y)) is linear
-    y0 = float(pair.u_prime(pair.u_inverse(base.value)))
-    search = _least_gap(point, base.value, math.log(y0) if 0.0 < y0 < math.inf else 0.0,
-                        1e-8, h_scale=1.0 + abs(eq))
-    return SolveCounter().run(tree, pair, search)[0]
+    return SolveCounter().run(tree, pair, _least_gap(point, base, 1e-8))[0]
 
 
 def _entropic_gap(pair, p, q, e, log_mass):
@@ -424,8 +415,8 @@ class VolumeCurveReport:
     lp_lower: float                      # large-volume limit
     davis: float                         # zero-volume limit
     monotone: bool
-    large_volume_gap: float
-    small_volume_gap: float
+    large_volume_gap: float              # at each end: to lp_lower (beta > 0), hi (beta < 0)
+    small_volume_gap: float              # to davis, at the volume of least |beta|
     dual_solves: int                     # 0, as dual_rounds, when every price is
     dual_rounds: int                     # the replication price lp_lower
 
@@ -439,10 +430,11 @@ def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
     lockstep run of the free solve at e and one :func:`_bid` search per
     volume, which share that solve, and one extremal sweep serve every
     volume; the bounds of beta * claim are beta times those of the claim,
-    swapped when beta < 0.  The exponential family takes every optimum
-    from one log-space pass.  When the bounds coincide exactly the claim is
-    attainable: every volume's price and the marginal price are the lower
-    bound, with no search and no dual solve (:func:`_replication_price`).
+    swapped when beta < 0 (the curve tends to hi as -beta grows).  The
+    exponential family takes every optimum from one log-space pass.  When
+    the bounds coincide exactly the claim is attainable: every volume's
+    price and the marginal price are the lower bound, with no search and
+    no dual solve (:func:`_replication_price`).
     """
     endow = leaf_values(tree, endow)
     claim = leaf_values(tree, claim)
@@ -468,8 +460,9 @@ def average_price_curve(tree: MarketTree, pair: UtilityPair, endow, claim,
         lp_lower=lp_lo,
         davis=dav,
         monotone=monotone,
-        large_volume_gap=abs(prices[-1] - lp_lo),
-        small_volume_gap=abs(prices[0] - dav),
+        large_volume_gap=max(abs(prices[0] - lp_hi) if betas[0] < 0 else 0.0,
+                             abs(prices[-1] - lp_lo) if betas[-1] > 0 else 0.0),
+        small_volume_gap=abs(min(zip(map(abs, betas), prices))[1] - dav),
         dual_solves=solves.n,
         dual_rounds=solves.rounds,
     )

@@ -141,6 +141,14 @@ def test_the_dd_floor_value_meets_its_50_digit_reference():
     assert solve_dual(tree, pair, 0.0).value == pytest.approx(8079021206776.4357, rel=1e-12)
 
 
+def test_the_dd_floor_budget_root_strides_past_its_crawl():
+    # I(y q/p) ~ y^-2 dominates the budget, so Newton moves ln y by about
+    # 0.5 a probe from 0 to the root near 13.96: taking every such step
+    # made 33 probes
+    tree, pair = _dd_floor()
+    assert solve_dual(tree, pair, 0.0).steps <= 13
+
+
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="open defect: the optimal wealth spans 4.6e26 to -4.6e6, and four checks whose "

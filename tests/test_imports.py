@@ -7,8 +7,9 @@ imports to re-export, and ``from __future__`` binds nothing.  A module-level
 function, class or constant is read when some module of the package loads
 it by name, as an attribute or by a ``from`` import; ``__init__.py`` defines
 nothing of its own.  The same ``ast`` reading keeps ``DualSolution`` built
-in one place, and finds every package name the benchmark in ``perfbench/``
-reads, which must resolve in the package.
+in one place and every scalar root on one root-finder, and finds every
+package name the benchmark in ``perfbench/`` reads, which must resolve in
+the package.
 """
 
 import ast
@@ -349,10 +350,10 @@ def test_pinning_caches_are_found():
     assert pinning_caches(source) == ["line 4: a", "line 7: b", "line 10: c", "line 13: d"]
 
 
-def constructors(source: str, module: str, cls: str) -> set[str]:
+def scopes_where(source: str, module: str, match) -> set[str]:
     """Qualified names (``module.f``, ``module.C.f``; ``module`` at module
-    level) of the scopes in ``source`` that call ``cls(...)``, by name or
-    as an attribute."""
+    level) of the scopes in ``source`` that hold a node for which
+    ``match(node)`` holds."""
     found = set()
 
     def visit(node, scope):
@@ -360,8 +361,7 @@ def constructors(source: str, module: str, cls: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and cls in (getattr(child.func, "id", None),
-                                                       getattr(child.func, "attr", None)):
+            if match(child):
                 found.add(".".join([module] + scope))
             visit(child, scope)
 
@@ -369,12 +369,40 @@ def constructors(source: str, module: str, cls: str) -> set[str]:
     return found
 
 
-def test_every_optimum_is_built_by_the_one_builder():
-    # an optimum is its exact form, and dual._solution alone writes it
+def calls(name: str):
+    """Matches a call of ``name(...)``, by name or as an attribute."""
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def is_midpoint(node) -> bool:
+    """A bisection midpoint of two names: ``0.5 * (x + y)`` (either factor
+    order) or ``(x + y) / 2``."""
+    def two_names(expr):
+        return (isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Add)
+                and isinstance(expr.left, ast.Name) and isinstance(expr.right, ast.Name))
+
+    def const(expr, value):
+        return isinstance(expr, ast.Constant) and expr.value == value
+
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.Mult):
+        return ((const(node.left, 0.5) and two_names(node.right))
+                or (const(node.right, 0.5) and two_names(node.left)))
+    return isinstance(node.op, ast.Div) and const(node.right, 2) and two_names(node.left)
+
+
+def _package_scopes(match) -> set[str]:
     found = set()
     for path in MODULES:
-        found |= constructors(path.read_text(), path.stem, "DualSolution")
-    assert found == {"dual._solution"}
+        found |= scopes_where(path.read_text(), path.stem, match)
+    return found
+
+
+def test_every_optimum_is_built_by_the_one_builder():
+    # an optimum is its exact form, and dual._solution alone writes it
+    assert _package_scopes(calls("DualSolution")) == {"dual._solution"}
 
 
 def test_constructors_are_found():
@@ -382,7 +410,25 @@ def test_constructors_are_found():
               "def f():\n    return dual.DualSolution(2)\n"
               "class C:\n    def g(self):\n        return [DualSolution(3)]\n"
               "def h():\n    return DualSolution\n")
-    assert constructors(source, "m", "DualSolution") == {"m", "m.f", "m.C.g"}
+    assert scopes_where(source, "m", calls("DualSolution")) == {"m", "m.f", "m.C.g"}
+
+
+def test_the_package_keeps_one_root_finder():
+    # every scalar root of the package is found by dual._bracketed_newton;
+    # the oracle's batched bisection stays independent of it on purpose
+    assert _package_scopes(is_midpoint) == {"dual._bracketed_newton", "oracle._mass_profile"}
+    assert _package_scopes(calls("_bracketed_newton")) == {
+        "pricing._cash_root", "pricing._least_gap", "dual._budget_root"}
+
+
+def test_bisection_midpoints_are_found():
+    source = ("def a(lo, hi):\n    return 0.5 * (lo + hi)\n"
+              "def b(lo, hi):\n    return (lo + hi) * 0.5\n"
+              "def c(lo, hi):\n    return (lo + hi) / 2\n"
+              "class C:\n    def d(self, x, y):\n        m = 0.5 * (x + y)\n"
+              "def e(lo, hi):\n    return 0.5 * (hi - lo), 0.25 * (lo + hi), (lo + hi) / 3\n"
+              "def f(x):\n    return 0.5 * (x + 1.0), 0.5 * (x.a + x.b)\n")
+    assert scopes_where(source, "m", is_midpoint) == {"m.a", "m.b", "m.c", "m.C.d"}
 
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"

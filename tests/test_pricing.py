@@ -118,8 +118,9 @@ def test_entropic_penalty_matches_a_bounded_scalar_minimization(tri1, scale):
 def test_two_power_entropic_penalty_matches_a_bounded_scalar_minimization(tri1, pair, scale):
     # full-support martingale measures: the vertices mollified toward the
     # optimum, the one-step weights 1e-6 and 0.3 of the way.  At a = 0.05
-    # the gap's slope h starts near -1e120 on a mollified vertex, and plain
-    # Newton steps of 0.05 in the log mass ran out of probes
+    # the gap's slope h starts near -1e114 on a mollified vertex, where
+    # Newton steps of about 0.05 in the log mass crawl: the root-finder's
+    # step rule then strides until the root is bracketed
     from scipy.optimize import minimize_scalar
 
     e = scale * np.array([0.3, -0.2, 0.1])
@@ -706,6 +707,25 @@ def test_volume_curve_over_the_cli_default_grid(tri1, pair_name, request):
 
 
 @pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
+def test_volume_curve_reads_its_gaps_at_the_ends_they_belong_to(tri1, pair_name, request):
+    # the small gap read the first price, here the beta = -1e4 price (0.144
+    # under the exponential pair, 0.123 under the two-power one), and the
+    # large gap the last price only
+    pair = request.getfixturevalue(pair_name)
+    lo, hi = price_bounds(tri1, B_TRI)
+    rep = average_price_curve(tri1, pair, E_TRI, B_TRI, [-1e4, 1e-4, 1e4])
+    assert rep.small_volume_gap == abs(rep.prices[1] - rep.davis) <= 1.4e-6
+    assert rep.large_volume_gap == max(abs(rep.prices[0] - hi), abs(rep.prices[-1] - lo))
+    short = average_price_curve(tri1, pair, E_TRI, B_TRI, [-1e4, -1e-4])
+    assert short.small_volume_gap == abs(short.prices[1] - short.davis) <= 1.4e-6
+    assert short.large_volume_gap == abs(short.prices[0] - hi)
+    # an all-positive grid, as the CLI passes, reads the first and last prices
+    long = average_price_curve(tri1, pair, E_TRI, B_TRI, [1e4, 1e-4])
+    assert long.small_volume_gap == abs(long.prices[0] - long.davis)
+    assert long.large_volume_gap == abs(long.prices[-1] - lo)
+
+
+@pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
 def test_volume_curve_refuses_empty_zero_and_non_finite_volumes(tri1, pair_name, request):
     # these gave a ZeroDivisionError, a ValueError from max(), a NaN price
     # marked monotone or a NonconvergedError
@@ -734,6 +754,29 @@ def test_davis_price_refuses_the_solution_of_another_endowment(tri1, tp_pair):
         davis_price(tri1, tp_pair, e, b, sol=solve_dual(tri1, tp_pair, 5.0 * e))
 
 
+def _found_a():
+    # a 9-leaf trinomial whose bid search at volume 1e4 took Newton steps
+    # that alternated across the root inside their bracket
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 2)
+    rng = np.random.default_rng(3)
+    e = rng.uniform(-1.0, 1.0, tree.n_leaves)
+    return tree, two_power_utility(0.5, 3.0, 1.0), e, rng.uniform(0.0, 1.0, tree.n_leaves)
+
+
+def test_two_power_price_report_at_volumes_1e4_and_1e5():
+    # these raised BracketFailError (no root after 100 probes) and
+    # NonconvergedError (Newton cap at scaled gradient 1.96e-12)
+    tree, pair, e, b = _found_a()
+    rep = price_report(tree, pair, e, 1e4 * b)
+    assert rep.bid == pytest.approx(3102.5269306959367, rel=1e-12)
+    assert rep.offer == pytest.approx(6132.891567354947, rel=1e-12)
+    base = solve_dual(tree, pair, e).value
+    assert abs(solve_dual(tree, pair, e + 1e4 * b - rep.bid).value - base) <= (
+        pricing.PRICE_TOL * (1.0 + abs(base)))
+    assert price_report(tree, pair, e, 1e5 * b).bid == pytest.approx(30988.926104463706,
+                                                                      rel=1e-12)
+
+
 # -- bracketed Newton ----------------------------------------------------------
 
 
@@ -752,6 +795,22 @@ def _root_search(g, x, lo, hi):
     with pytest.raises(StopIteration) as stop:
         next(search)
     return stop.value.value, probed
+
+
+def test_bracketed_newton_ends_a_two_cycle_inside_its_bracket():
+    # the slope 0.5005 of g(x) = x maps each Newton step to about -0.998 x,
+    # just inside [-4, 4] on the other side of the root: taking every such
+    # step ran out of 100 probes
+    probed = []
+
+    def probe(x):
+        yield from ()
+        probed.append(x)
+        return x, 0.5005, abs(x) <= 1e-12
+
+    with pytest.raises(StopIteration) as stop:
+        next(dual._bracketed_newton(probe, 1.0, -4.0, 4.0))
+    assert abs(stop.value.value) <= 1e-12 and len(probed) == 13
 
 
 def test_bracketed_newton_doubles_its_stride_while_a_side_is_open():
