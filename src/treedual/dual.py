@@ -27,16 +27,15 @@ mass, the measures and W''(y) are read off it on first use.
   form.  One pass serves a stack of endowments, each distinct row once.  A
   node with one valid one-step vertex w0 (binomial nodes, d + 1 affinely
   independent increments, a single live child) has no other martingale
-  weights, so its optimum is in closed form: the weights w0, ``L_n =
-  sum_c w0_c (ln p_(c|n) + L_c - ln w0_c)`` and k the exact fit of its
-  exponents.  The nodes with a choice make one Newton batch per level over
-  all the endowments, each started at the fit of its exponents to w0, the
-  mean of its valid vertices, which is the minimizer where w0 fixes the
-  optimal weights' ratios among the moving children (up/flat/down nodes).
-  The batch's damped d x d systems are solved by Cramer's rule for up to
-  two assets and by LAPACK beyond.  All of it reads the increments over
-  each node's ``top``, and h is k over it, so the pass is unit-free (Boyd &
-  Vandenberghe 2004, 9.5.1: a Newton step does not depend on the scaling).
+  weights: its optimum is w0, ``L_n = sum_c w0_c (ln p_(c|n) + L_c - ln
+  w0_c)`` and k the exact fit of its exponents.  The nodes with a choice
+  make one Newton batch per level over all the endowments, started at that
+  fit to w0, the mean of their valid vertices, or, where the first step
+  from it is clipped, at their vertices' max-plus minimizer if lower, with
+  steps of a proven descent and no line search.  All of it reads the
+  increments over each node's ``top``, and h is k over it, so the pass is
+  unit-free (Boyd & Vandenberghe 2004, 9.5.1: a Newton step does not
+  depend on the scaling).
 * Other families on a complete market (every live non-leaf node has one
   valid vertex, ``SupportStructure.complete``), EQUIVALENT: the martingale
   measure q is unique, so every optimum is y q with the wealth W = I(y q/p)
@@ -221,7 +220,7 @@ def _solution(tree, pair, e, log_q, log_mass, value, residual, flag, steps, h, l
 
 # -- exponential family: backward induction in log space ------------------------
 
-_LSE_CAP = 100  # damped Newton steps per level
+_LSE_CAP = 100  # Newton steps per level
 
 
 def _lse_point(b, x, k):
@@ -236,101 +235,118 @@ def _lse_point(b, x, k):
     return top + np.log(total), w, (w[:, None, :] @ x)[:, 0, :], xk
 
 
-def _lse_solve(hess, lam, rhs):
-    """The solutions s (g, d) of the damped systems (hess + lam I) s = rhs,
-    hess (g, d, d) and lam (g,): by Cramer's rule for d <= 2, a division
-    for d = 1, else by LAPACK."""
+def _lse_solve(a, rhs):
+    """The solutions s (g, d) of the systems a s = rhs, a (g, d, d): a
+    division for d = 1, Cramer's rule for d = 2, else LAPACK."""
     d = rhs.shape[1]
     if d == 1:
-        return rhs / (hess[:, 0] + lam[:, None])
-    a = hess + lam[:, None, None] * np.eye(d)
+        return rhs / a[:, 0]
     if d > 2:
         return np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
     det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    # the adjugate [[a11, -a01], [-a10, a00]]
     adj = a[:, ::-1, ::-1].swapaxes(1, 2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
     return (adj @ rhs[:, :, None])[:, :, 0] / det[:, None]
 
 
-def _rows(mask, new, old):
-    """Per row of a batch, the arrays (g,) or (g, n) of ``new`` where
-    ``mask`` (g,) holds, else those of ``old``."""
-    return tuple(np.where(mask if a.ndim == 1 else mask[:, None], a, b)
-                 for a, b in zip(new, old))
+def _max_plus(b, x, vert):
+    """A minimizer k (n, d) of ``max_c(b_c - x_c.k)``, the linear program
+    that ``logsumexp`` smooths (Nesterov, *Math. Program.* 103, 2005), for
+    rows b (n, m), x (n, m, d) and their nodes' valid vertices ``vert`` (n,
+    V, m).  By duality the best vertex w maximizes ``sum_c w_c b_c``, and k
+    levels the exponents b - x.k on its support (affinely independent
+    increments): the least-norm solution of ``(x_c - x_0).k = b_c - b_0``,
+    by its Gram system (:func:`_lse_solve`).  Where that support levels
+    too little, k is set by the other children's exponents, which the
+    smoothed minimum keeps lowest: a zero increment alone gives way to the
+    best vertex off it, and an opposite pair (d = 2) levels a line k + y v,
+    on which y is the max-plus minimizer of the other children's gaps to
+    the pair's level, the highest crossing of a rising and a falling one."""
+    n, m, d = x.shape
+    score = np.einsum("nvm,nm->nv", vert, np.where(b > -np.inf, b, 0.0))
+    best = vert[np.arange(n), score.argmax(axis=1)] > 0.0
+    # a zero increment alone levels nothing: those rows take the best vertex off it
+    alone = (best.sum(axis=1) == 1)[:, None] & ((vert @ best[..., None])[..., 0] > 0.0)
+    best = vert[np.arange(n), np.where(alone, -np.inf, score).argmax(axis=1)]
+    pos = np.argsort(best == 0.0, axis=1, kind="stable")[:, :min(m, d + 1)]  # support first
+    on = np.take_along_axis(best, pos, axis=1)[:, 1:] > 0.0
+    xs, bs = np.take_along_axis(x, pos[..., None], axis=1), np.take_along_axis(b, pos, axis=1)
+    dx = np.where(on[..., None], xs[:, 1:] - xs[:, :1], 0.0)
+    gram = dx @ dx.swapaxes(1, 2) + np.eye(on.shape[1]) * ~on[:, None, :]  # identity at padding
+    k = np.einsum("nc,ncd->nd", _lse_solve(gram, np.where(on, bs[:, 1:] - bs[:, :1], 0.0)), dx)
+    if d != 2:
+        return k
+    v = dx[:, 0, ::-1] * [-1.0, 1.0]
+    z = b - (x @ k[..., None])[..., 0]
+    rest = (on.sum(axis=1) == 1)[:, None] & (b > -np.inf) & (best == 0.0)
+    a = np.where(rest, z - np.take_along_axis(z, pos[:, :1], axis=1), 0.0)  # gap a + beta y
+    beta = ((xs[:, :1] - x) @ v[..., None])[..., 0]
+    pair = (rest & (beta > 0.0))[:, :, None] & (rest & (beta < 0.0))[:, None, :]
+    y = (a[:, None, :] - a[:, :, None]) / np.where(pair, beta[:, :, None] - beta[:, None, :], 1.0)
+    height = np.where(pair, a[:, :, None] + beta[:, :, None] * y, -np.inf).reshape(n, -1)
+    y = np.where(pair.any(axis=(1, 2)), y.reshape(n, -1)[np.arange(n), height.argmax(axis=1)], 0.0)
+    return k + y[:, None] * v
 
 
-def _lse_min(b, x, k0):
-    """``min_k logsumexp_c(b_c - x_c.k)`` for a batch of g nodes with a
-    choice of weights (more than one valid vertex).
+def _lse_min(b, x, k0, null=0.0, vertices=None):
+    """``min_k logsumexp_c(b_c - x_c.k)`` for a batch of g rows, nodes with
+    a choice of weights; ``b`` (g, m) is -inf and ``x`` (g, m, d) zero at
+    padding.  Returns the minima, the minimizers k and the steps.
 
-    ``b`` (g, m) is -inf and ``x`` (g, m, d) zero at padding.  The loop
-    starts at ``k0`` (g, d).  Newton steps with Levenberg-Marquardt damping
-    relative to the trace of the Hessian, the covariance of x under the
-    softmax weights, which is near-singular where the weights sit on few
-    children; the damping falls a hundredfold on each accepted step, to
-    1e-16, so that the last steps are plain Newton steps.  The damped
-    systems are solved by Cramer's rule for d <= 2 and by LAPACK beyond
-    (:func:`_lse_solve`); a node that is done solves ``(H + I) s = 0``, so
-    the batch stays one stack, with no gather of its active rows.  A step
-    moves no exponent by more than one unit; a clipped step is doubled
-    while that keeps lowering the value, which crosses exponential tails
-    in a few steps.  A step s is accepted on a quarter of its predicted
-    decrease ``(E_w[x] - H s / 2).s`` or, where the value is flat to
-    rounding, on a smaller gradient.  A node is done once its gradient and
-    predicted decrease are at rounding level, or once a step fails with
-    its predicted decrease below rounding.  Each point is evaluated once
-    (:func:`_lse_point`), and its weights and x.k serve the Hessian and the
-    rounding level of the gradient; the iterate is replaced whole when
-    every node accepts its step, else row by row (:func:`_rows`).  Returns
-    the minima, the minimizers k and the steps.
+    *Start*: k0 (g, d), or where the first step from it is clipped and the
+    value is lower (one :func:`_lse_point` over those rows), the
+    :func:`_max_plus` minimizer of the node's vertices ``vertices(rows)``.
+    *Step*: s solves ``(H + scale^2 (null + 1e-15 I)) s = E_w[x]``
+    (:func:`_lse_solve`), H the covariance of x under the softmax weights,
+    scale the row's largest |x| and ``null`` (g, d, d) the projector off
+    the span of its increments, so s is H^+ E_w[x] in that span; the
+    iterate moves by s / max(1, nu), nu = lambda^2 + max_c(-x_c.s) with
+    the Newton decrement lambda^2 = E_w[x].s.  Along s the third
+    derivative of f is then at most nu times the second, so the curvature
+    stays below e times its start (generalized self-concordance: Sun &
+    Tran-Dinh, *Math. Program.* 178, 2019), and each step lowers f by at
+    least (3 - e) lambda^2 / max(1, nu), with no line search.  *Stop*: a
+    row is done, and stands still, once its gradient and decrement are at
+    the rounding level of its exponents b - x.k; at _LSE_CAP steps
+    :class:`NonconvergedError`.
     """
     top_b = b.max(axis=1)
     b = b - top_b[:, None]
     scale = np.abs(x).max(axis=(1, 2))
-    floor = 1e-30 * scale ** 2     # of the damping, where the Hessian vanishes
-    damp, k, active = np.full(len(b), 1e-3), k0, np.ones(len(b), dtype=bool)
+    unit = np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    ridge = unit * unit * (null + 1e-15 * np.eye(x.shape[2]))  # keeps det > 0 at a rank-one H
+    # rounding levels of the gradient and of f, a + c |x.k| with the exponents b - x.k
+    g_a, g_c, f_a = 1e-13 * scale, 1e-15 * scale, 1e-16 * (1.0 + np.abs(top_b))
+    k, active, steps = k0, np.ones(len(b), dtype=bool), 0
     now = _lse_point(b, x, k)      # f, w, mean, x.k
-    for steps in range(_LSE_CAP + 1):
+    while True:
         f, w, mean, xk = now
-        gnorm = np.abs(mean).max(axis=1)
-        # rounding level of the gradient: exponents are b - x.k
-        gtol = scale * (1e-13 + 1e-15 * np.abs(xk).max(axis=1))
+        size = np.abs(xk).max(axis=1)
         dev = x - mean[:, None, :]   # centred: E[x x'] - mean mean' cancels
-        hess = (w[:, :, None] * dev).swapaxes(1, 2) @ dev
-        active &= gnorm > 0.0
-        lam = np.where(active, damp * (hess.diagonal(0, 1, 2).sum(axis=1) + floor), 1.0)
-        step = _lse_solve(hess, lam, np.where(active[:, None], mean, 0.0))
-        shift = np.abs((x @ step[:, :, None])[:, :, 0]).max(axis=1)
-        clipped = shift > 1.0
-        step /= np.maximum(shift, 1.0)[:, None]
-        pred = ((mean - 0.5 * (hess @ step[:, :, None])[:, :, 0]) * step).sum(axis=1)
-        active &= ((gnorm > gtol) | (pred > 1e-17 * (1.0 + np.abs(f + top_b)))
-                   | (damp > 1e-2))
+        step = _lse_solve((w[:, :, None] * dev).swapaxes(1, 2) @ dev + ridge, mean)
+        dec = (mean * step).sum(axis=1)
+        active &= ((np.abs(mean).max(axis=1) > g_a + g_c * size)
+                   | (dec > f_a + 1e-16 * (np.abs(f) + size)))
+        nu = dec - (x @ step[:, :, None])[:, :, 0].min(axis=1)
+        first, vertices = vertices, None
+        rows = np.flatnonzero(active & (nu > 1.0)) if first is not None else ()
+        if len(rows):
+            kv = _max_plus(b[rows], x[rows], first(rows))
+            alt = _lse_point(b[rows], x[rows], kv)
+            lower = alt[0] < f[rows]
+            if lower.any():        # those rows restart there
+                k, now = k.copy(), tuple(a.copy() for a in now)
+                for a, at in zip((k, *now), (kv, *alt)):
+                    a[rows[lower]] = at[lower]
+                continue
         if not active.any():
             break
         if steps == _LSE_CAP:
-            raise NonconvergedError(
-                f"log-partition Newton cap {_LSE_CAP} reached at {active.sum()} nodes")
-        trial = _lse_point(b, x, k + step)
-        f1 = trial[0]
-        tiny = 1e-15 * (1.0 + np.abs(f))
-        ok = active & (((f1 < f) & (f1 <= f - 0.25 * pred))
-                       | ((f1 <= f + tiny) & (np.abs(trial[2]).max(axis=1) <= 0.5 * gnorm)))
-        active &= ok | (pred > tiny)   # else no change is measurable
-        grow, alpha = ok & clipped, 1.0
-        while grow.any():              # the step doubles in place, alpha counts it
-            longer = _lse_point(b, x, k + 2.0 * step)
-            grow &= longer[0] < trial[0]
-            alpha = np.where(grow, 2.0 * alpha, alpha)
-            step = np.where(grow[:, None], 2.0 * step, step)
-            trial = _rows(grow, longer, trial)
-        if ok.all():                   # the common case, without the selects
-            k, now = k + step, trial
-        else:
-            k = np.where(ok[:, None], k + step, k)
-            now = _rows(ok, trial, now)
-        damp = np.where(ok, np.maximum(0.01 * damp / alpha, 1e-16), 4.0 * damp)
-    return now[0] + top_b, k, steps
+            raise NonconvergedError(f"log-partition Newton cap {_LSE_CAP} reached at "
+                                    f"{active.sum()} rows (endowment x node)")
+        k = k + (active / np.maximum(nu, 1.0))[:, None] * step
+        now = _lse_point(b, x, k)
+        steps += 1
+    return f + top_b, k, steps
 
 
 def _increments(lay, live, node):
@@ -348,32 +364,35 @@ def _increments(lay, live, node):
 @per_owner
 def _live_levels(geo: SupportStructure):
     """Per non-leaf level, bottom-up, its live nodes in up to two batches:
-    the nodes with one valid vertex, then those with a choice of weights
-    (more than one).  A batch holds the nodes (g,), their padded children
-    (g, m), log branch probabilities (-inf at padding and dead children),
-    increments over ``top`` (:func:`_increments`, g, m, d), the start's
-    operator ``fit`` (g, m, d) and shift ``ln(p / w0)`` (g, m; 0 off the
-    live children), and, for a batch of one-vertex nodes, w0 (g, m), else
-    None; live as in ``SupportStructure.live``, and w0 the mean of a node's
-    valid vertices (``geo.step_weights``), positive on its live children
-    and 0 elsewhere.  The start ``k0 = Cov_w0(x)^+ Cov_w0(x, b - ln w0)`` =
-    sum_c fit_c (shift_c + L_c) / gamma fits ``b - ln w0`` by ``x.k + f``
-    in w0-weighted least squares (x = gamma dS, b = ln p + L); the
-    pseudo-inverse, one batched eigh without eigenvalues below _TOL of the
-    largest, keeps k0 in the span of the increments, as the minimum-norm
-    minimizer in those units.  All live non-leaf nodes are set up in one
-    batch, padded to the most children, and each batch is cut out and
-    trimmed to its widest node.  Kept on ``geo``
-    (:func:`~treedual.market.per_owner`).
+    the nodes with one valid vertex, then those with a choice of weights.
+    A batch holds the nodes (g,), their padded children (g, m), log branch
+    probabilities (-inf at padding and dead children), increments over
+    ``top`` (:func:`_increments`, g, m, d), the start's operator ``fit``
+    (g, m, d) and shift ``ln(p / w0)`` (g, m; 0 off the live children),
+    then w0 (g, m) and None twice for one-vertex nodes, else None, the
+    projector ``null`` (g, d, d) off the span of the increments and
+    ``verts`` (g, V), each node's valid vertices as indices into ``geo``'s
+    (the last repeated to the most of any node), whose weights
+    :func:`_lse_min` reads only for the rows it starts at their max-plus
+    minimizer.  Live is as in ``SupportStructure.live``, and w0 the mean
+    of a node's valid vertices (``geo.step_weights``).  The start ``k0 =
+    Cov_w0(x)^+ Cov_w0(x, b - ln w0)`` = sum_c fit_c (shift_c + L_c) /
+    gamma fits ``b - ln w0`` by ``x.k + f`` in w0-weighted least squares
+    (x = gamma dS, b = ln p + L); the pseudo-inverse, one batched eigh
+    without eigenvalues below _TOL of the largest, keeps k0 in the span of
+    the increments, and ``null`` is that rule's complement.  All live
+    non-leaf nodes are set up in one batch, padded to the most children,
+    and each batch is cut out and trimmed to its widest node.  Kept on
+    ``geo`` (:func:`~treedual.market.per_owner`).
     """
     lay, w, live = geo.layout, geo.step_weights, geo.live
     starts = lay.level_starts
     node = np.flatnonzero(live[:starts[-2]])
-    single = np.bincount(geo.node, minlength=starts[-2])[node] == 1
+    count = np.bincount(geo.node, minlength=starts[-2])[node]
     # sorted by level, and within a level by one vertex or a choice: one run per batch
-    key = 2 * np.searchsorted(starts, node, side="right") + single
+    key = 2 * np.searchsorted(starts, node, side="right") + (count == 1)
     order = np.argsort(key, kind="stable")
-    node, single, key = node[order], single[order], key[order]
+    node, key, count = node[order], key[order], count[order]
     kids, on, dS = _increments(lay, live, node)
     w0 = np.where(on, w[kids], 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -381,16 +400,21 @@ def _live_levels(geo: SupportStructure):
         shift = np.where(on, lnp - np.log(w0), 0.0)
     dev = dS - np.einsum("gm,gmd->gd", w0, dS)[:, None]
     ev, vec = np.linalg.eigh(np.einsum("gm,gmd,gme->gde", w0, dev, dev))
-    inv = np.divide(1.0, ev, out=np.zeros_like(ev),
-                    where=ev > _TOL * np.abs(ev[:, -1:]))
+    kept = ev > _TOL * np.abs(ev[:, -1:])
+    inv = np.divide(1.0, ev, out=np.zeros_like(ev), where=kept)
     fit = w0[..., None] * dev @ ((vec * inv[:, None]) @ vec.swapaxes(1, 2))
+    null = (vec * ~kept[:, None]) @ vec.swapaxes(1, 2)
+    first = np.searchsorted(geo.node, node)[:, None]   # a node's vertices run from here
+    verts = first + np.minimum(np.arange(count.max()), count[:, None] - 1)
     width = lay.on[node].sum(axis=1)
     run = np.flatnonzero(np.diff(key, prepend=-1))
     widths = np.maximum.reduceat(width, run).tolist()
     out = []
     for a, b, m in reversed(list(zip(run.tolist(), [*run[1:].tolist(), node.size], widths))):
-        out.append((node[a:b], kids[a:b, :m], lnp[a:b, :m], dS[a:b, :m], fit[a:b, :m],
-                    shift[a:b, :m], w0[a:b, :m] if single[a] else None))
+        batch = (node[a:b], kids[a:b, :m], lnp[a:b, :m], dS[a:b, :m], fit[a:b, :m],
+                 shift[a:b, :m])
+        out.append((*batch, w0[a:b, :m], None, None) if count[a] == 1 else
+                   (*batch, None, null[a:b], verts[a:b]))
     return tuple(out)
 
 
@@ -429,33 +453,34 @@ def _strategy_basis(geo: SupportStructure):
 def _log_partition(tree, gamma, e):
     """Backward induction on ``L_n = ln min_h E[exp(-gamma(e + gains)) | n]``
     for r endowments ``e`` (r, leaves), batch by batch of
-    :func:`_live_levels`, every node started at the fit k0.  A node with
-    one valid vertex w0 has those weights at its optimum, since they are
-    its only martingale weights on its live children, so k0, an exact fit
+    :func:`_live_levels`, every node started at the fit k0.  A one-vertex
+    node's only martingale weights w0 are its optimum, so k0, an exact fit
     there, is its minimizer, and ``L_n = sum_c w0_c (ln p_c + L_c - ln
-    w0_c)`` in closed form.  The nodes with a choice go to :func:`_lse_min`,
-    one call per level that has any: row j * g + i of its batch is
-    endowment j at node i.  Where w0 fixes the ratios of the optimal
-    weights among a node's moving children (up/flat/down nodes), k0 is the
-    minimizer too and the node takes no step.  The loop forms only L and
-    h; after it, the optimizer's log weights ``ln p_c + L_c - L_n - gamma
-    dS_c.h_n`` (-inf off the live nodes) give the drift and are summed
-    down the paths.  Returns per endowment L at every node (N,; 0 at the
-    non-leaf nodes ``_live_levels`` drops), the strategy (inner, d) of
-    minimizers k over ``top`` (0 where ``_live_levels`` zeroes dS or drops
-    the node), the optimizer's node log masses (N,), its largest one-step
-    drift over ``top`` and the steps."""
+    w0_c)``.  The nodes with a choice go to :func:`_lse_min`, one call per
+    level that has any (row j * g + i is endowment j at node i), with their
+    projectors ``null`` and their vertices' weights for the max-plus start.
+    Where w0 fixes the optimal weights' ratios among a node's moving
+    children (up/flat/down nodes), k0 is the minimizer and takes no step.
+    The loop forms only L and h; after it, the optimizer's log weights
+    ``ln p_c + L_c - L_n - gamma dS_c.h_n`` (-inf off the live nodes) give
+    the drift and are summed down the paths.  Returns per endowment L at
+    every node (N,; 0 at the non-leaf nodes ``_live_levels`` drops), the
+    strategy (inner, d) of minimizers k over ``top`` (0 where
+    ``_live_levels`` zeroes dS or drops the node), the optimizer's node log
+    masses (N,), its largest one-step drift over ``top`` and the steps."""
     lay, geo = tree.layout, _support_structure(tree)
     r, inner = e.shape[0], lay.level_starts[-2]
     big_l = np.concatenate([np.zeros((r, inner)), -gamma * e], axis=1)
     steps, h = 0, np.zeros((r, inner, lay.prices.shape[1]))
-    for node, kids, lnp, dS, fit, shift, w0 in _live_levels(geo):
+    for node, kids, lnp, dS, fit, shift, w0, null, verts in _live_levels(geo):
         g, kid_l = node.size, big_l.take(kids, axis=1)
         t = shift + kid_l                   # b - ln w0 on the live children
         k = np.einsum("gmd,jgm->jgd", fit, t) / gamma
         if w0 is None:
             f, k, used = _lse_min((lnp + kid_l).reshape(r * g, -1),
-                                  np.concatenate([gamma * dS] * r), k.reshape(r * g, -1))
+                                  np.concatenate([gamma * dS] * r), k.reshape(r * g, -1),
+                                  np.concatenate([null] * r),
+                                  lambda rows: geo.weight[verts[rows % g], :kids.shape[1]])
             steps += used
         else:
             f = np.einsum("gm,jgm->jg", w0, t)
@@ -1024,7 +1049,7 @@ def _complete_solutions(tree, pair, geo, endows, log_mass=None, starts=None):
     finite = np.isfinite(vp)
     cond = tree.conditional_expectation(np.where(finite, -vp - e, 0.0), ell)
     h = np.zeros((k, lay.level_starts[-2], tree.n_assets))
-    for node, kids, _, _, fit, _, _ in _live_levels(geo):
+    for node, kids, _, _, fit, *_ in _live_levels(geo):
         h[:, node] = np.einsum("gmd,rgm->rgd", fit, cond[:, kids] - cond[:, node, None])
         h[:, node] /= lay.top[node]
     q = np.exp(log_q)

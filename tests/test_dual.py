@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lse_oracle
 import treegen
 from treedual import (DomainError, EvaluationOverflowError, InfeasibleEntropyError,
                       NoMartingaleMeasureError, NonconvergedError, TreedualError,
@@ -620,6 +621,8 @@ def _live_levels_by_level(geo):
     weights) set up on its own, padded to its widest node."""
     lay, w, live = geo.layout, geo.step_weights, geo.live
     vertices = np.bincount(geo.node, minlength=len(lay.ids))
+    first = np.concatenate([[0], np.cumsum(vertices)[:-1]])
+    most = vertices[np.flatnonzero(live[:lay.level_starts[-2]])].max()
     out = []
     for lo, hi in zip(lay.level_starts[-3::-1], lay.level_starts[-2:0:-1]):
         for one in (True, False):
@@ -636,7 +639,13 @@ def _live_levels_by_level(geo):
             inv = np.divide(1.0, ev, out=np.zeros_like(ev),
                             where=ev > geometry._TOL * np.abs(ev[:, -1:]))
             fit = w0[..., None] * dev @ ((vec * inv[:, None]) @ vec.swapaxes(1, 2))
-            out.append((node, kids, lnp, dS, fit, shift, w0 if one else None))
+            if one:
+                out.append((node, kids, lnp, dS, fit, shift, w0, None, None))
+                continue
+            null = (vec * (inv == 0.0)[:, None]) @ vec.swapaxes(1, 2)
+            verts = np.array([[first[n] + min(v, vertices[n] - 1) for v in range(most)]
+                              for n in node])
+            out.append((node, kids, lnp, dS, fit, shift, None, null, verts))
     return tuple(out)
 
 
@@ -645,7 +654,8 @@ def _assert_live_levels_match_the_oracle(tree):
     want = _live_levels_by_level(geometry._support_structure(tree))
     assert len(got) == len(want)
     for level, ref in zip(got, want):
-        assert len(level) == len(ref) == 7 and (level[-1] is None) == (ref[-1] is None)
+        assert len(level) == len(ref) == 9
+        assert [a is None for a in level] == [a is None for a in ref]
         for a, b in zip(level, ref):
             if b is not None:
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -932,9 +942,9 @@ def test_one_vertex_nodes_take_the_newton_loops_optimum_in_closed_form(name, gam
     e = rng.uniform(-3.0 / gamma, 3.0 / gamma, (3, tree.n_leaves))
     big_l, h, ell, _, _ = dual._log_partition(tree, gamma, e)
     batches = [b for b in dual._live_levels(geometry._support_structure(tree))
-               if b[-1] is not None]
+               if b[6] is not None]
     assert batches
-    for node, kids, lnp, dS, fit, shift, w0 in batches:
+    for node, kids, lnp, dS, fit, shift, w0, _, _ in batches:
         r, g = len(e), node.size
         kid_l = big_l.take(kids, axis=1)
         k0 = np.einsum("gmd,jgm->jgd", fit, shift + kid_l) / gamma
@@ -1038,38 +1048,75 @@ def test_levels_without_a_choice_make_no_newton_batch(exp_pair, monkeypatch):
     assert calls == [2]
 
 
-def test_lse_min_doubles_only_clipped_steps(monkeypatch):
-    # each step evaluates its trial point once; a doubling trial follows
-    # only a step clipped to a unit move of the exponents
+def _row_vertices(b, x):
+    """Each row's valid one-step vertices (g, V, m), by geometry's
+    enumeration over its children with b > -inf, the last repeated past a
+    row's own: the weights the max-plus start of ``_lse_min`` scores."""
+    rows = []
+    for bi, xi in zip(b, x):
+        on = np.flatnonzero(bi > -np.inf)
+        _, w_on = geometry._one_step_vertices(xi[None, on])
+        rows.append(np.zeros((len(w_on), len(bi))))
+        rows[-1][:, on] = w_on
+    width = max(len(w) for w in rows)
+    return np.stack([np.concatenate([w, np.repeat(w[-1:], width - len(w), axis=0)])
+                     for w in rows])
+
+
+def _lse_values(monkeypatch):
+    """Records f at every point ``_lse_min`` evaluates on its whole batch
+    (its normalized b, one array per call), in order."""
+    values, batch = [], []
+
+    def point(b, x, k, _fn=dual._lse_point):
+        out = _fn(b, x, k)
+        if not batch:
+            batch.append(b)
+        if b is batch[0]:
+            values.append(out[0])
+        return out
+    monkeypatch.setattr(dual, "_lse_point", point)
+    return values
+
+
+def _assert_descends(values):
+    for f0, f1 in zip(values, values[1:]):
+        assert np.all(f1 <= f0 + 4e-16 * (1.0 + np.abs(f0)))
+
+
+def test_every_lse_min_step_lowers_f_and_the_max_plus_start_saves_steps(monkeypatch):
+    # no step is tried: each lowers f (to rounding) by its clip.  From 40
+    # off the minimizer every first step is clipped, and the max-plus start
+    # from the rows' vertices ends the batch in a few steps, where k0 alone
+    # crawls down the exponential tails for 83
     rng = np.random.default_rng(0)
     x = rng.uniform(-1.0, 1.0, (40, 4, 1))
     x[:, :2, 0] = [1.0, -1.0]
     b = rng.uniform(-1.0, 1.0, (40, 4))
     f, k, _ = dual._lse_min(b, x, np.zeros((40, 1)))
-    points = []
-
-    def counted(*args, _fn=dual._lse_point):
-        points.append(1)
-        return _fn(*args)
-    monkeypatch.setattr(dual, "_lse_point", counted)
-    # from 1e-2 off the minimizer no step moves an exponent by a unit
-    f1, _, steps = dual._lse_min(b, x, k + 1e-2)
-    assert steps >= 1 and len(points) == 1 + steps
-    assert np.abs(f1 - f).max() <= 1e-15 * np.abs(f).max()
-    # from 40 off, the first steps are clipped and doubled
-    points.clear()
-    f2, _, steps = dual._lse_min(b, x, k + 40.0)
-    assert len(points) > 1 + steps
-    assert np.abs(f2 - f).max() <= 1e-15 * np.abs(f).max()
+    verts = _row_vertices(b, x)
+    for start, most in ((k + 1e-2, 3), (k + 40.0, 6)):
+        with monkeypatch.context() as mp:
+            values = _lse_values(mp)
+            f1, _, steps = dual._lse_min(b, x, start, 0.0, lambda rows: verts[rows])
+        assert 1 <= steps <= most and len(values) == 1 + steps
+        _assert_descends(values)
+        assert np.abs(f1 - f).max() <= 1e-15 * np.abs(f).max()
+    with monkeypatch.context() as mp:
+        values = _lse_values(mp)
+        f2, _, crawl = dual._lse_min(b, x, k + 40.0)
+    _assert_descends(values)
+    assert crawl >= 10 * steps and np.abs(f2 - f).max() <= 1e-15 * np.abs(f).max()
 
 
-def _lm_systems(rng, g, d):
-    """Damped Newton systems of the log-space pass: random softmax weights
-    over 4 children and increments, a quarter of the rows with the weights
-    on one child, for d = 2 a quarter with collinear increments, damping
-    from 1e-3 down to 1e-16 of the trace, and every fifth row done (damping
-    1 and a zero right-hand side).  Returns the Hessians, the damping, the
-    right-hand sides and the rows that are done."""
+def _newton_systems(rng, g, d):
+    """Newton systems of the log-space pass: random softmax weights over 4
+    children and increments, a quarter of the rows with the weights on one
+    child, for d = 2 a quarter with collinear increments, the Hessians
+    lifted by 1e-16 to 1e-3 of their trace (the pass lifts by 1e-15 of
+    scale^2), and every fifth row done (the identity and a zero right-hand
+    side).  Returns the systems, the right-hand sides and the rows that are
+    done."""
     x = rng.uniform(-1.0, 1.0, (g, 4, d))
     w = rng.dirichlet(np.ones(4), g)
     w[::4] = [1.0 - 3e-12, 1e-12, 1e-12, 1e-12]
@@ -1078,37 +1125,35 @@ def _lm_systems(rng, g, d):
     mean = (w[:, None, :] @ x)[:, 0, :]
     dev = x - mean[:, None, :]
     hess = (w[:, :, None] * dev).swapaxes(1, 2) @ dev
-    damp = 10.0 ** rng.uniform(-16.0, -3.0, g)
+    lift = 10.0 ** rng.uniform(-16.0, -3.0, g) * np.trace(hess, axis1=1, axis2=2)
     done = np.arange(g) % 5 == 0
-    lam = np.where(done, 1.0, damp * np.trace(hess, axis1=1, axis2=2))
-    return hess, lam, np.where(done[:, None], 0.0, mean), done
+    a = np.where(done[:, None, None], np.eye(d), hess + lift[:, None, None] * np.eye(d))
+    return a, np.where(done[:, None], 0.0, mean), done
 
 
-def _lapack_solve(hess, lam, rhs):
-    return np.linalg.solve(hess + lam[:, None, None] * np.eye(rhs.shape[1]),
-                           rhs[:, :, None])[:, :, 0]
+def _lapack_solve(a, rhs):
+    return np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_closed_form_solves_meet_lapack(d):
     # Cramer's rule against LU with partial pivoting, to rounding relative
     # to each system's condition number; rows that are done step by 0
-    hess, lam, rhs, done = _lm_systems(np.random.default_rng(d), 400, d)
-    got = dual._lse_solve(hess, lam, rhs)
-    want = _lapack_solve(hess, lam, rhs)
+    a, rhs, done = _newton_systems(np.random.default_rng(d), 400, d)
+    got, want = dual._lse_solve(a, rhs), _lapack_solve(a, rhs)
     assert np.all(got[done] == 0.0)
     err = np.abs(got - want).max(axis=1)
-    cond = np.linalg.cond(hess + lam[:, None, None] * np.eye(d))
-    assert np.all(err <= 8.0 * np.finfo(float).eps * cond * np.abs(want).max(axis=1))
+    assert np.all(err <= 8.0 * np.finfo(float).eps * np.linalg.cond(a) * np.abs(want).max(axis=1))
 
 
 def test_cramer_solves_unsymmetric_systems():
     # the Hessians are symmetric only to rounding, so the 2 x 2 branch must
     # solve the system itself, not its transpose
     rng = np.random.default_rng(5)
-    hess = rng.uniform(-1.0, 1.0, (200, 2, 2)) + 3.0 * np.eye(2)
-    lam, rhs = rng.uniform(0.0, 1.0, 200), rng.uniform(-1.0, 1.0, (200, 2))
-    got, want = dual._lse_solve(hess, lam, rhs), _lapack_solve(hess, lam, rhs)
+    a = rng.uniform(-1.0, 1.0, (200, 2, 2)) + 3.0 * np.eye(2)
+    a += rng.uniform(0.0, 1.0, 200)[:, None, None] * np.eye(2)
+    rhs = rng.uniform(-1.0, 1.0, (200, 2))
+    got, want = dual._lse_solve(a, rhs), _lapack_solve(a, rhs)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -1129,15 +1174,16 @@ def test_lse_min_takes_the_lapack_kernels_steps(d, seed, monkeypatch):
     x -= np.where(np.isfinite(b)[..., None], (w[:, None, :] @ x) / w.sum(axis=1)[:, None, None],
                   0.0)
     k0 = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 1.0, (g, 1)), (g, d))
+    verts = _row_vertices(b, x)
 
     with monkeypatch.context() as mp:
         for name in np.linalg.__all__:
             fn = getattr(np.linalg, name)
             if callable(fn) and not isinstance(fn, type):
                 mp.setattr(np.linalg, name, None)
-        f, k, steps = dual._lse_min(b, x, k0)
+        f, k, steps = dual._lse_min(b, x, k0, 0.0, lambda rows: verts[rows])
     monkeypatch.setattr(dual, "_lse_solve", _lapack_solve)
-    f1, k1, steps1 = dual._lse_min(b, x, k0)
+    f1, k1, steps1 = dual._lse_min(b, x, k0, 0.0, lambda rows: verts[rows])
     assert steps == steps1 >= 1
     assert np.all(np.abs(f - f1) <= 1e-15 * np.maximum(np.abs(f1), 1.0))
 
@@ -1162,6 +1208,105 @@ def test_rows_at_an_exact_optimum_raise_no_warning():
 # each solved through np.linalg.solve
 _THREE_ASSETS = [[(1.2, 1.1, 0.9), (0.8, 1.0, 1.1), (1.0, 0.85, 1.2), (1.1, 1.15, 0.8),
                   (0.9, 0.9, 1.0)]] * 2
+
+
+def _sweep_trees():
+    # d = 1, 2 and 3; padded children (widths 3, 2, 4), dead children and
+    # the caterpillar; the two-asset moves (1.2, 1.1) and (0.9, 0.95) are an
+    # opposite pair, whose vertex levels a line, and (1.0, 1.0) a zero
+    # increment, whose vertex levels nothing
+    two = [[(1.2, 1.1), (1.0, 0.8), (0.85, 1.05), (0.9, 0.95)]] * 2
+    return {
+        "1a": treegen.product_market([[1.2, 0.97, 0.85]] * 3),
+        "widths": treegen.product_market([[1.2, 0.97, 0.85], [1.1, 0.95], [1.3, 1.05, 0.9, 0.7]]),
+        "2a": treegen.product_market(two, s0=(1.0, 1.0)),
+        "2a/1e-12": _requoted(treegen.product_market(two, s0=(1.0, 1.0)), 1, 1e-12),
+        "2a/1e12": _requoted(treegen.product_market(
+            [[(1.2, 1.1), (0.9, 1.15), (1.0, 0.8), (1.1, 0.95)]] * 2, s0=(1.0, 1.0)), 0, 1e12),
+        "2a/zero": treegen.product_market(
+            [[(1.2, 1.1), (1.0, 1.0), (0.9, 0.95), (0.85, 1.05), (1.1, 0.8)]] * 2, s0=(1.0, 1.0)),
+        "3a": treegen.product_market(_THREE_ASSETS, s0=(1.0, 1.0, 1.0)),
+        "dead leaf": treegen.dead_leaf_market(),
+        "caterpillar": treegen.caterpillar_market(),
+    }
+
+
+def test_lse_min_descends_to_the_damped_oracles_minima_across_the_box(monkeypatch):
+    # aim 3's box: gamma 0.5 and 10, endowments at volumes 1e-4 to 1e4,
+    # units 1e-12 and 1e12.  Every batch of the pass descends at every step
+    # (to rounding) and stops inside the cap at its first-order condition.
+    # Its minima are the line-searching oracle's to 1e-15 of the size of
+    # their exponents b - x.k (up to 1e5 at volume 1e4) where the oracle
+    # meets that condition too, and no higher where it stalls (46 above
+    # the minimum on one two-asset row at volume 1e2).  Minimizers are
+    # compared by that condition: on a line of minima (an opposite pair)
+    # the oracle's own gradient stops at up to 4e-5
+    checked = []
+
+    def stationary(b, x, k):
+        _, _, mean, xk = lse_oracle.point(b - b.max(axis=1, keepdims=True), x, k)
+        size = np.abs(xk).max(axis=1)
+        scale = np.abs(x).max(axis=(1, 2))
+        return np.abs(mean).max(axis=1) <= scale * (1e-13 + 1e-15 * size), size
+
+    def compared(b, x, k0, null, vertices, _fn=dual._lse_min):
+        with monkeypatch.context() as mp:
+            values = _lse_values(mp)
+            f, k, steps = _fn(b, x, k0, null, vertices)
+        _assert_descends(values)
+        done, size = stationary(b, x, k)
+        want, k_want, _ = lse_oracle.damped_lse_min(b, x, k0)
+        tol = 1e-15 * (1.0 + np.abs(want) + size)
+        met = stationary(b, x, k_want)[0]
+        assert done.all() and np.all(f <= want + tol) and np.all((np.abs(f - want) <= tol)[met])
+        checked.append(steps)
+        return f, k, steps
+    monkeypatch.setattr(dual, "_lse_min", compared)
+    seed = 0
+    for name, tree in _sweep_trees().items():
+        for gamma in (0.5, 10.0):
+            for volume in (1e-4, 1.0, 1e2, 1e4):
+                e = np.random.default_rng(seed).uniform(-volume, volume, (2, tree.n_leaves))
+                seed += 1
+                dual._log_partition(tree, gamma, e)
+    assert len(checked) >= 90 and max(checked) <= 30
+
+
+@pytest.mark.parametrize("gamma", [0.5, 10.0])
+def test_the_max_plus_start_cuts_large_volume_steps_by_a_quarter(gamma, monkeypatch):
+    # ROADMAP item 20 on a small trinomial at volume 1e4: rows switch to the
+    # start, and the summed steps fall by at least a quarter against the
+    # line-searching oracle from k0 alone; without the start the clipped
+    # steps crawl down the exponential tails into the cap
+    tree = treegen.product_market([[1.2, 0.97, 0.85]] * 3)
+    e = 1e4 * np.random.default_rng(0).uniform(-1.0, 1.0, (1, tree.n_leaves))
+    taken = []
+
+    def switched(b, x, k0, null, vertices, _fn=dual._lse_min):
+        rows = []
+        with monkeypatch.context() as mp:
+            values = _lse_values(mp)
+            out = _fn(b, x, k0, null, lambda r: rows.append(r) or vertices(r))
+        b = b - b.max(axis=1, keepdims=True)
+        for r in rows:
+            k = dual._max_plus(b[r], x[r], vertices(r))
+            taken.append(int((dual._lse_point(b[r], x[r], k)[0] < values[0][r]).sum()))
+        return out
+    with monkeypatch.context() as mp:
+        mp.setattr(dual, "_lse_min", switched)
+        got = dual._log_partition(tree, gamma, e)
+    with monkeypatch.context() as mp:
+        mp.setattr(dual, "_lse_min", lambda b, x, k0, null, vertices:
+                   lse_oracle.damped_lse_min(b, x, k0))
+        alone = dual._log_partition(tree, gamma, e)
+    assert len(taken) == 3 and sum(taken) > 0
+    assert got[-1] <= 0.75 * alone[-1]
+    assert np.abs(got[0] - alone[0]).max() <= 1e-14 * np.abs(alone[0]).max()
+    with monkeypatch.context() as mp:
+        mp.setattr(dual, "_lse_min", lambda b, x, k0, null, vertices, _fn=dual._lse_min:
+                   _fn(b, x, k0, null))
+        with pytest.raises(NonconvergedError, match="rows"):
+            dual._log_partition(tree, gamma, e)
 
 
 def _count_lapack_solves(monkeypatch):

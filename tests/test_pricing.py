@@ -490,7 +490,7 @@ def test_exponential_pricing_makes_one_pass_per_call(exp_pair, monkeypatch):
     tree = treegen.product_market([[1.3, 1.0, 0.8]] * 3)
     rng = np.random.default_rng(3)
     endow, claim = rng.uniform(-1, 1, tree.n_leaves), rng.uniform(0, 2, tree.n_leaves)
-    levels = sum(b[-1] is None for b in dual._live_levels(geometry._support_structure(tree)))
+    levels = sum(b[6] is None for b in dual._live_levels(geometry._support_structure(tree)))
     calls = []
 
     def counted(*args, _fn=dual._lse_min):
