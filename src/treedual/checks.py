@@ -180,7 +180,7 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     # the value curve at log masses around the optimum's own; its middle
     # point, at the optimum's mass, is the root's conditional problem
     log_ys = sol._log_mass + np.log([0.5, 0.75, 1.0, 1.5, 2.0])
-    curve = dual_value_curve(sol, log_ys, log=True)
+    curve = dual_value_curve(sol, log_masses=log_ys)
     mid = curve.points[2]
 
     # the conditional problems' mass derivatives against the wealth, and

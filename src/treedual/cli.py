@@ -123,7 +123,7 @@ def _cmd_geometry(args, out: _Out, tree):
     q = find_equivalent_mm(tree)
     out.say("equivalent martingale measure: "
             + ("none (degenerate market)" if q is None else "exists"))
-    verts = vertex_enumerate(tree, cap=args.vertex_cap)
+    verts = np.exp(vertex_enumerate(tree, cap=args.vertex_cap))   # floats at the edge
     out.say(f"polytope vertices: {len(verts)}")
     rows = [[k] + [f12(x) for x in v] for k, v in enumerate(verts)]
     out.csv("vertices.csv", ["vertex"] + list(tree.leaf_ids), rows)

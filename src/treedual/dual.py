@@ -11,7 +11,9 @@ at a free row) and returns one optimum or error per row; ``solve_dual``,
 ``dual_value_curve`` reads its points off a solved problem: in closed form
 from the exponential pass, else by one ``_solutions`` call started at the
 optimum.  An optimum stores its exact form once, ln y and ln q_hat, and the
-mass, the measures and W''(y) are read off it on first use.
+mass, the measures and W''(y) are read off it on first use.  Every mass
+enters the package in that form, as ln y by keyword, checked once
+(``_log_grid``).
 
 * Exponential family: exponential utility does not depend on wealth, so the
   dual is solved exactly by backward induction on the log-partition (Rouge &
@@ -80,8 +82,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (BracketFailError, DomainError, EvaluationOverflowError,
-                     InfeasibleEntropyError, NoMartingaleMeasureError, NonconvergedError,
-                     ValueAtSupremumError)
+                     InfeasibleEntropyError, NonconvergedError, ValueAtSupremumError)
 from .geometry import _TOL, SupportStructure, _support_structure, build_constraints
 from .market import MarketTree, leaf_values, log_masses, per_owner
 from .utility import UtilityPair
@@ -1096,12 +1097,15 @@ def _at_masses(tree, pair, endow, ss, starts=None):
     return sols
 
 
-def _check_masses(ys):
-    """Refuse masses at or below 0, NaN or infinite masses and no mass at all."""
-    if any(y <= 0 for y in ys):
-        raise NoMartingaleMeasureError("masses must be positive")
-    if not ys or not all(math.isfinite(y) for y in ys):
-        raise DomainError("masses must be finite, at least one of them")
+def _log_grid(log_masses) -> list[float]:
+    """The sorted log masses of a grid, the one check of every mass that enters
+    the package: refuses an empty grid, a NaN or infinite log mass, a repeat."""
+    ss = sorted(float(s) for s in log_masses)
+    if not ss or not all(math.isfinite(s) for s in ss):
+        raise DomainError("log masses must be finite, at least one of them")
+    if any(a == b for a, b in zip(ss, ss[1:])):
+        raise DomainError("curve masses must be distinct")
+    return ss
 
 
 def solve_dual(tree: MarketTree, pair: UtilityPair, endow=0.0) -> DualSolution:
@@ -1126,15 +1130,16 @@ def solve_dual(tree: MarketTree, pair: UtilityPair, endow=0.0) -> DualSolution:
     return sol
 
 
-def solve_dual_fixed_mass(tree: MarketTree, pair: UtilityPair, endow,
-                          y: float) -> DualSolution:
-    """Same as :func:`solve_dual` with total mass pinned to a finite ``y > 0``.
+def solve_dual_fixed_mass(tree: MarketTree, pair: UtilityPair, endow, *,
+                          log_mass: float) -> DualSolution:
+    """Same as :func:`solve_dual` with the total mass pinned to y, given by
+    keyword as its finite ``log_mass`` ln y, exact where y leaves the float
+    range.
 
-    The exponential family's optimum is ``y`` times the normalized
-    optimizer of :func:`solve_dual`, from one log-space pass.
+    The exponential family's optimum is y times the normalized optimizer
+    of :func:`solve_dual`, from one log-space pass.
     """
-    _check_masses([y])
-    return _at_masses(tree, pair, endow, [math.log(y)])[0]
+    return _at_masses(tree, pair, endow, _log_grid([log_mass]))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -1152,10 +1157,9 @@ class CurveReport:
     min_value: float
 
 
-def dual_value_curve(sol: DualSolution, ys: Sequence[float], *,
-                     log: bool = False) -> CurveReport:
+def dual_value_curve(sol: DualSolution, *, log_masses: Sequence[float]) -> CurveReport:
     """The mass-indexed dual value curve of ``sol``'s problem on a grid of
-    positive masses, given as log masses with ``log``, which keep a
+    finite, distinct log masses s = ln y (by keyword), which keep a
     subnormal mass exact.
 
     Each point is the inner optimum at its pinned mass e^s, read off the
@@ -1168,29 +1172,19 @@ def dual_value_curve(sol: DualSolution, ys: Sequence[float], *,
     error.  The derivatives -E_q_hat[X] are :func:`_envelope`,
     one dot per point, with X of every point from one evaluation.  At s =
     ``sol._log_mass`` the row is the root's conditional problem of
-    ``recovery.dynamic_dual``, bit for bit.  A point's ``y`` is the
-    caller's mass, or e^s (which may underflow).  The report carries a
-    numeric convexity certificate, on either kind of grid: the least rise
-    of the mass derivative between neighbours, since W is convex exactly
-    where W' does not fall; the derivatives are exact, also where e^s
-    underflows.  The least rise and the least value are NaN when any point
-    reads NaN.  ``log`` chooses only how the grid is read.
+    ``recovery.dynamic_dual``, bit for bit.  A point's ``y`` is its float
+    view e^s (which may underflow).  The report carries a numeric
+    convexity certificate: the least rise of the mass derivative between
+    neighbours, since W is convex exactly where W' does not fall; the
+    derivatives are exact, also where e^s underflows.  The least rise and
+    the least value are NaN when any point reads NaN.
     """
-    ys = sorted(float(y) for y in ys)
-    if log:
-        if not ys or not all(math.isfinite(s) for s in ys):
-            raise DomainError("log masses must be finite, at least one of them")
-        masses = [_mass(s) for s in ys]
-    else:
-        _check_masses(ys)
-        masses = ys
-    if any(a == b for a, b in zip(ys, ys[1:])):
-        raise DomainError("curve masses must be distinct")
-    ss = ys if log else [math.log(y) for y in ys]
+    ss = _log_grid(log_masses)
+    masses = [_mass(s) for s in ss]
     if sol._log_l is not None:
         s = np.array(ss)
         derivs = _envelope(sol.q_hat, _exponential_gain(sol, s[:, None]), sol._log_q > -np.inf)
-        values = _fixed_mass_value(sol.pair, sol._log_l, s, np.array([_mass(x) for x in ss]))
+        values = _fixed_mass_value(sol.pair, sol._log_l, s, np.array(masses))
         q_hats = [sol.q_hat] * len(ss)
     else:
         with np.errstate(over="ignore"):
@@ -1211,10 +1205,12 @@ def dual_value_curve(sol: DualSolution, ys: Sequence[float], *,
                        min_value=float(values.min()))
 
 
-def dual_derivative(tree: MarketTree, pair: UtilityPair, endow, y: float) -> float:
-    """Derivative of the mass-indexed dual value at ``y``.
+def dual_derivative(tree: MarketTree, pair: UtilityPair, endow, *,
+                    log_mass: float) -> float:
+    """Derivative of the mass-indexed dual value at the mass y, given by
+    keyword as ln y.
 
     Evaluated by the envelope formula: the conditional expectation, under the
-    inner optimizer at mass ``y``, of V' of its density plus the endowment.
+    inner optimizer at mass y, of V' of its density plus the endowment.
     """
-    return solve_dual_fixed_mass(tree, pair, endow, y).mass_derivative
+    return solve_dual_fixed_mass(tree, pair, endow, log_mass=log_mass).mass_derivative

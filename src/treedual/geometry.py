@@ -17,7 +17,9 @@ one-step vertices of one or two assets are in one planar closed form (a
 zero increment, an opposite pair or a triangle around 0 by Cramer's rule)
 and come from stacked SVDs for more, which stay its test oracle.  The
 polytope's vertices are the products of the pass's one-step vertices along
-the paths, counted exactly before they are enumerated.
+the paths, counted exactly before they are enumerated.  Measures leave the
+package as leaf log masses, -inf off their support, which no path product
+can underflow; a caller that needs floats exponentiates them at its edge.
 """
 
 from __future__ import annotations
@@ -431,16 +433,16 @@ def _support_structure(tree: MarketTree) -> SupportStructure:
 
 
 def find_equivalent_mm(tree: MarketTree) -> np.ndarray | None:
-    """An equivalent martingale probability (L,), or None if none exists.
+    """The leaf log masses (L,) of an equivalent martingale probability, or None.
 
     Reads the tree's pass of :func:`_support_structure`: None exactly when
-    some leaf is off the maximal support, else exp of its ``log_interior``
-    on the leaves (0 where that underflows).  Raises
+    some leaf is off the maximal support, else a copy of its finite
+    ``log_interior`` on the leaves (exact where exp of it underflows).  Raises
     :class:`NoMartingaleMeasureError` when the polytope itself is empty
     (arbitrage regime: even absolutely continuous measures are ruled out).
     """
     geo = _support_structure(tree)
-    return np.exp(geo.log_interior[-tree.n_leaves:]) if geo.mask.all() else None
+    return geo.log_interior[-tree.n_leaves:].copy() if geo.mask.all() else None
 
 
 # -- entropy ---------------------------------------------------------------------
@@ -479,13 +481,15 @@ def vertex_enumerate(tree: MarketTree, cap: int = VERTEX_CAP_DEFAULT) -> np.ndar
     the children each charges.  Above ``cap`` it raises
     :class:`CapExceededError` with that count.  Otherwise a second
     backward pass crosses, at each live node, the rows of the children
-    each valid vertex charges over the node's leaf slice.  No entry floor
-    applies beyond the one-step weights' own, so a vertex keeps an entry
-    near 1e-20 (``product_market([[1e5, 0.99999]] * 2)``); a path product
-    that underflows reads 0.  Serves CLI ``geometry``,
-    :mod:`~treedual.oracle` and the tests.  Returns the vertices as a stack (k, L): one row per
-    vertex, in leaf order, of unit mass to rounding; an empty polytope
-    gives shape (0, L).
+    each valid vertex charges over the node's leaf slice, adding log
+    weights.  No entry floor applies beyond the one-step weights' own, so
+    a vertex keeps an entry near 1e-20
+    (``product_market([[1e5, 0.99999]] * 2)``), and one whose path product
+    underflows.  Serves CLI ``geometry``,
+    :mod:`~treedual.oracle` and the tests, which exponentiate the rows.
+    Returns the vertices' leaf log masses as a stack (k, L): one row per
+    vertex, in leaf order, -inf off its support, of unit mass to rounding;
+    an empty polytope gives shape (0, L).
     """
     try:
         geo = _support_structure(tree)
@@ -499,19 +503,19 @@ def vertex_enumerate(tree: MarketTree, cap: int = VERTEX_CAP_DEFAULT) -> np.ndar
                                       starts)
     if count[0] > cap:
         raise CapExceededError(f"{count[0]} vertices exceed cap {cap}", count=count[0])
-    rows = [np.ones((1, 1))] * len(lay.ids)  # leaves keep theirs
+    rows = [np.zeros((1, 1))] * len(lay.ids)  # leaves keep theirs, ln 1
     ends = np.searchsorted(geo.node, np.arange(inner + 1))
     for n in np.flatnonzero(geo.live[:inner])[::-1]:
         lo, width = lay.lo[n], lay.hi[n] - lay.lo[n]
         blocks = []
         for child, weight in zip(geo.child[ends[n]:ends[n + 1]],
                                  geo.weight[ends[n]:ends[n + 1]]):
-            block = np.zeros((1, width))
+            block = np.full((1, width), -np.inf)
             for c, w in zip(child[weight > 0], weight[weight > 0]):
                 below = rows[c]   # every row of the block, with every row below c
                 block = np.repeat(block, len(below), axis=0)
                 block[:, lay.lo[c] - lo:lay.hi[c] - lo] = np.tile(
-                    w * below, (len(block) // len(below), 1))
+                    np.log(w) + below, (len(block) // len(below), 1))
             blocks.append(block)
         rows[n] = np.vstack(blocks)
     return rows[0]

@@ -133,7 +133,7 @@ def _brute_force_dual(tree, pair, endow, points_per_dim=13, rounds=8, mode="auto
     if mode == "sample":
         rng = np.random.default_rng(seed)
         try:
-            verts = vertex_enumerate(tree)
+            verts = np.exp(vertex_enumerate(tree))
         except CapExceededError:
             verts = np.zeros((0, L))
         pts = []

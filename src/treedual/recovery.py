@@ -270,7 +270,7 @@ def _conditional_duals(sol, times, wealth=None, root=None):
         below = int(times.start == 0)   # inside[0] is the root: the curve's point
         if below:
             if root is None:
-                pt, = dual_value_curve(sol, [sol._log_mass], log=True).points
+                pt, = dual_value_curve(sol, log_masses=[sol._log_mass]).points
                 root = pt.value, pt.derivative
             raw[0], deriv[0] = root
         if not _support_structure(tree).complete:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -204,6 +205,35 @@ def test_geometry_names_the_vertex_count_over_the_cap(tmp_path, capsys):
     assert cli.run(argv) == cli.EXIT_VERIFY
     err = capsys.readouterr().err
     assert err.startswith("CAP_EXCEEDED:") and "1806" in err
+
+
+def _assert_same_lines(got, want, rtol):
+    """Line by line, the numbers of each line equal to ``rtol`` relative and
+    every other field equal."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        gs, ws = re.split(r"([ ,])", g), re.split(r"([ ,])", w)
+        assert len(gs) == len(ws), (g, w)
+        for a, b in zip(gs, ws):
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                assert a == b, (g, w)
+            else:
+                assert x == pytest.approx(y, rel=rtol, abs=0.0), (g, w)
+
+
+@pytest.mark.parametrize("name", ["quote_pinned_4x4_2a", "book_exp_4x4x3_2a"])
+def test_geometry_prints_and_writes_the_recorded_vertices(tmp_path, capsys, name):
+    # the expected files were written when vertex rows were float path
+    # products; exp of their log sums may move an entry by its last bit
+    out, want = tmp_path / "out", treegen.DATA / "geometry"
+    argv = ["geometry", "--market", str(treegen.DATA / f"{name}.json"), "--output-dir", str(out)]
+    assert cli.run(argv) == cli.EXIT_OK
+    _assert_same_lines(capsys.readouterr().out.splitlines(),
+                       (want / f"{name}.stdout.txt").read_text().splitlines(), 1e-13)
+    _assert_same_lines((out / "vertices.csv").read_text().splitlines(),
+                       (want / f"{name}.vertices.csv").read_text().splitlines(), 1e-13)
 
 
 @pytest.mark.parametrize("case", ["unknown utility", "missing file"])

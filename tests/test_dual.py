@@ -92,7 +92,7 @@ def test_tri1_minimal_entropy_measure(tri1, exp_pair_raw):
     assert sol.value == pytest.approx(oracle, abs=1e-6)
     # minimal relative entropy: the normalized optimizer beats both vertices
     kl = float(np.sum(sol.q_hat * np.log(sol.q_hat * 3)))
-    for v in vertex_enumerate(tri1):
+    for v in np.exp(vertex_enumerate(tri1)):
         q = v
         m = q > 0
         assert kl <= float(np.sum(q[m] * np.log(q[m] * 3))) + 1e-9
@@ -179,7 +179,7 @@ def test_uniqueness_from_random_starts(tri1, exp_pair, tp_pair):
     # polytope and scaled in mass, as from its cold start
     e = leaf_values(tri1, {"a": 0.5, "b": 0.0, "c": -0.5})
     rng = np.random.default_rng(11)
-    verts = np.array(vertex_enumerate(tri1))
+    verts = np.exp(vertex_enumerate(tri1))
     for pair in (exp_pair, tp_pair):
         ref = solve_dual(tri1, pair, e)
         starts = np.array([(0.8 * rng.dirichlet(np.ones(len(verts))) @ verts
@@ -213,8 +213,8 @@ def test_endowment_shift_consistency(tri1, exp_pair):
 def test_value_curve(tri1, exp_pair):
     e = {"a": 0.3, "b": -0.2, "c": 0.1}
     sol = solve_dual(tri1, exp_pair, e)
-    ys = sol.mass * np.array([0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0])
-    rep = dual_value_curve(sol, ys)
+    ss = sol._log_mass + np.log([0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0])
+    rep = dual_value_curve(sol, log_masses=ss)
     at_opt = [p for p in rep.points if p.y == pytest.approx(sol.mass)]
     assert at_opt[0].value == pytest.approx(sol.value, abs=1e-8)
     assert rep.min_second_difference >= -1e-8
@@ -227,9 +227,9 @@ def test_value_curve_reads_the_same_margin_from_masses_and_log_masses(tri1, exp_
     pair = exp_pair if family == "exponential" else tp_pair
     e = [0.3, -0.2, 0.1]
     sol = solve_dual(tri1, pair, e)
-    ys = sol.mass * np.array([0.5, 0.75, 1.0, 1.5, 2.0])
-    by_mass = dual_value_curve(sol, ys).min_second_difference
-    by_log = dual_value_curve(sol, np.log(ys), log=True).min_second_difference
+    ratios = np.array([0.5, 0.75, 1.0, 1.5, 2.0])
+    by_mass = dual_value_curve(sol, log_masses=np.log(sol.mass * ratios)).min_second_difference
+    by_log = dual_value_curve(sol, log_masses=sol._log_mass + np.log(ratios)).min_second_difference
     assert by_mass == pytest.approx(by_log, rel=1e-12, abs=1e-12)
 
 
@@ -237,8 +237,8 @@ def test_value_curve_bin1_closed_form(bin1, exp_pair_raw):
     # single measure: the curve is one conjugate evaluation per mass
     q = np.array([1 / 3, 2 / 3])
     p = np.array([0.5, 0.5])
-    ys = [0.4, 0.8, 1.2, 2.0]
-    rep = dual_value_curve(solve_dual(bin1, exp_pair_raw, 0.0), ys)
+    ss = np.log([0.4, 0.8, 1.2, 2.0])
+    rep = dual_value_curve(solve_dual(bin1, exp_pair_raw, 0.0), log_masses=ss)
     for pt in rep.points:
         direct = float(p @ exp_pair_raw.v(pt.y * q / p))
         assert pt.value == pytest.approx(direct, abs=1e-10)
@@ -249,43 +249,53 @@ def test_value_curve_refuses_a_repeated_mass(bin1, pair_name, request):
     # a repeated mass made the second difference divide by zero
     with pytest.raises(DomainError, match="curve masses must be distinct"):
         dual_value_curve(solve_dual(bin1, request.getfixturevalue(pair_name), 0.0),
-                         [1.0, 1.0, 2.0])
+                         log_masses=[0.0, 0.0, math.log(2.0)])
 
 
 @pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
-def test_masses_must_be_finite_and_positive(tri1, pair_name, request):
-    # a NaN mass marks a free row inside the solvers, so it must not get in:
-    # it gave the free optimum or a curve point at y = nan; an empty grid
-    # gave a ValueError or a TypeError
+def test_log_masses_must_be_finite(tri1, pair_name, request):
+    # a NaN log mass marks a free row inside the solvers, so it must not get
+    # in: it gave the free optimum or a curve point at y = nan; an empty
+    # grid gave a ValueError or a TypeError; -inf is the zero mass
     pair = request.getfixturevalue(pair_name)
     e = [0.3, -0.2, 0.1]
     sol = solve_dual(tri1, pair, e)
     with pytest.raises(DomainError, match="at least one"):
-        dual_value_curve(sol, [])
-    for bad in (math.nan, math.inf):
+        dual_value_curve(sol, log_masses=[])
+    for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="masses must be finite"):
-            solve_dual_fixed_mass(tri1, pair, e, bad)
+            solve_dual_fixed_mass(tri1, pair, e, log_mass=bad)
         with pytest.raises(DomainError, match="masses must be finite"):
-            dual_value_curve(sol, [0.5, bad, 1.0])
-    for bad in (0.0, -1.0, -math.inf):
-        with pytest.raises(NoMartingaleMeasureError, match="masses must be positive"):
-            solve_dual_fixed_mass(tri1, pair, e, bad)
-        with pytest.raises(NoMartingaleMeasureError, match="masses must be positive"):
-            dual_value_curve(sol, [0.5, bad, 1.0])
+            dual_derivative(tri1, pair, e, log_mass=bad)
+        with pytest.raises(DomainError, match="masses must be finite"):
+            dual_value_curve(sol, log_masses=[-0.5, bad, 0.0])
+
+
+def test_a_positional_mass_is_refused(tri1, exp_pair):
+    # the mass is taken by keyword only: a float mass passed in its old
+    # position would otherwise be read as ln y, silently
+    e = [0.3, -0.2, 0.1]
+    sol = solve_dual(tri1, exp_pair, e)
+    with pytest.raises(TypeError):
+        solve_dual_fixed_mass(tri1, exp_pair, e, 2.0)
+    with pytest.raises(TypeError):
+        dual_derivative(tri1, exp_pair, e, 2.0)
+    with pytest.raises(TypeError):
+        dual_value_curve(sol, [0.5, 1.0])
 
 
 def test_log_curve_takes_convexity_from_the_derivatives(tri1, exp_pair):
     # masses e^-800 and e^-760 underflow to 0, the log masses stay exact;
     # W'(y) = (ln y - L)/gamma rises by the log-mass steps over gamma
     sol = solve_dual(tri1, exp_pair, [0.3, -0.2, 0.1])
-    rep = dual_value_curve(sol, [-750.0, -800.0, -760.0], log=True)
+    rep = dual_value_curve(sol, log_masses=[-750.0, -800.0, -760.0])
     assert [p.y for p in rep.points] == [0.0, 0.0, math.exp(-750.0)]
     assert rep.min_second_difference == pytest.approx(10.0, rel=1e-12)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="log masses must be finite"):
-            dual_value_curve(sol, [-1.0, bad], log=True)
+            dual_value_curve(sol, log_masses=[-1.0, bad])
     with pytest.raises(DomainError, match="curve masses must be distinct"):
-        dual_value_curve(sol, [-800.0, -800.0], log=True)
+        dual_value_curve(sol, log_masses=[-800.0, -800.0])
 
 
 @pytest.mark.parametrize("pair_name", ["exp_pair", "tp_pair"])
@@ -296,13 +306,13 @@ def test_mass_derivative_is_the_envelope_formula(tri1, pair_name, request):
     pair = request.getfixturevalue(pair_name)
     e = np.array([0.3, -0.2, 0.1])
     free = solve_dual(tri1, pair, e)
-    for y in (0.5, 1.0, 2.0):
-        sol = solve_dual_fixed_mass(tri1, pair, e, y)
+    for s in np.log([0.5, 1.0, 2.0]):
+        sol = solve_dual_fixed_mass(tri1, pair, e, log_mass=s)
         got = sol.mass_derivative
-        assert got == dual_derivative(tri1, pair, e, y)
+        assert got == dual_derivative(tri1, pair, e, log_mass=s)
         # the curve reads the free optimum's pass (exponential), or solves
         # a row started at the rescaled optimum, which meets the cold one
-        point = dual_value_curve(free, [y]).points[0].derivative
+        point = dual_value_curve(free, log_masses=[s]).points[0].derivative
         if pair.family == "exponential":
             assert point == got
         else:
@@ -318,12 +328,12 @@ def test_mass_derivative_is_finite_on_dead_leaves(exp_pair):
     tree = treegen.dead_leaf_market()
     sol = solve_dual(tree, exp_pair, 0.0)
     assert sol.support == "DEGENERATE" and 0.0 in sol.q_hat
-    ys = [0.3, 0.9, 1.5]
+    ss = np.log([0.3, 0.9, 1.5])
     with np.errstate(all="raise"):
-        got = [dual_derivative(tree, exp_pair, 0.0, sol.mass)] + [
-            p.derivative for p in dual_value_curve(sol, ys).points]
+        got = [dual_derivative(tree, exp_pair, 0.0, log_mass=sol._log_mass)] + [
+            p.derivative for p in dual_value_curve(sol, log_masses=ss).points]
     gamma = exp_pair.params["gamma"]
-    want = [(math.log(y) - sol._log_mass) / gamma for y in [sol.mass] + ys]
+    want = [(s - sol._log_mass) / gamma for s in [sol._log_mass, *ss]]
     assert all(map(math.isfinite, got))
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -350,7 +360,7 @@ def test_exponential_curve_read_off_the_optimum_is_a_fresh_pass_bit_for_bit(seed
     # the fixed-mass optimum is e^s q_hat, so the curve reads every point
     # off the free optimum's pass, as a fresh fixed-mass pass does
     tree, pair, e, sol, ss = _curve_instance(seed, "exponential")
-    curve = dual_value_curve(sol, ss, log=True)
+    curve = dual_value_curve(sol, log_masses=ss)
     fresh = dual._solutions(tree, pair, np.repeat(e[None], ss.size, axis=0), ss)
     for pt, row in zip(curve.points, fresh, strict=True):
         assert (pt.y, pt.value, pt.derivative) == (row.mass, row.value, row.mass_derivative)
@@ -360,7 +370,7 @@ def test_exponential_curve_read_off_the_optimum_is_a_fresh_pass_bit_for_bit(seed
 @pytest.mark.parametrize("seed", range(8))
 def test_two_power_curve_started_at_the_optimum_meets_cold_rows(seed):
     tree, pair, e, sol, ss = _curve_instance(seed, "two_power")
-    curve = dual_value_curve(sol, ss, log=True)
+    curve = dual_value_curve(sol, log_masses=ss)
     cold = dual._solutions(tree, pair, np.repeat(e[None], ss.size, axis=0), ss)
     for pt, row, s in zip(curve.points, cold, ss, strict=True):
         assert pt.y == math.exp(s)
@@ -377,7 +387,7 @@ def test_one_log_mass_to_mass_conversion(tri1, exp_pair, tp_pair):
     ss = np.sort(np.random.default_rng(3).uniform(-5.0, 5.0, 64))
     e = leaf_values(tri1, {"a": 0.3, "b": -0.2, "c": 0.1})
     for pair in (exp_pair, tp_pair):
-        curve = dual_value_curve(solve_dual(tri1, pair, e), ss, log=True)
+        curve = dual_value_curve(solve_dual(tri1, pair, e), log_masses=ss)
         assert [pt.y for pt in curve.points] == [math.exp(s) for s in ss]
     rows = dual._solutions(tri1, exp_pair, np.repeat(e[None], ss.size, axis=0), ss)
     assert [row.mass for row in rows] == [math.exp(s) for s in ss]
@@ -389,7 +399,7 @@ def test_a_mass_past_the_float_range_fails_its_row_typed(tri1, tp_pair):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationOverflowError):
-            dual_value_curve(sol, [720.0], log=True)
+            dual_value_curve(sol, log_masses=[720.0])
         good, over = dual._solutions(tri1, tp_pair, np.array([e, e]), np.array([0.0, 720.0]))
     assert isinstance(over, EvaluationOverflowError)
     alone, = dual._solutions(tri1, tp_pair, e[None], np.array([0.0]))
@@ -434,30 +444,30 @@ def test_complete_market_cold_solve_starts_at_the_optimum_up_to_the_budget(tree,
 def test_derivative_zero_at_optimum(tri1, exp_pair):
     e = {"a": 0.3, "b": -0.2, "c": 0.1}
     sol = solve_dual(tri1, exp_pair, e)
-    assert abs(dual_derivative(tri1, exp_pair, e, sol.mass)) <= 1e-7
+    assert abs(dual_derivative(tri1, exp_pair, e, log_mass=sol._log_mass)) <= 1e-7
 
 
 @pytest.mark.parametrize("y", [0.5, 1.0, 2.0])
 def test_derivative_matches_finite_differences(tri1, tp_pair, y):
     e = {"a": 0.3, "b": -0.2, "c": 0.1}
-    d = dual_derivative(tri1, tp_pair, e, y)
+    d = dual_derivative(tri1, tp_pair, e, log_mass=math.log(y))
     h = 1e-5 * y
-    up = solve_dual_fixed_mass(tri1, tp_pair, e, y + h).value
-    dn = solve_dual_fixed_mass(tri1, tp_pair, e, y - h).value
+    up = solve_dual_fixed_mass(tri1, tp_pair, e, log_mass=math.log(y + h)).value
+    dn = solve_dual_fixed_mass(tri1, tp_pair, e, log_mass=math.log(y - h)).value
     fd = (up - dn) / (2 * h)
     assert d == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 def test_derivative_increases_to_infinity(tri1, exp_pair):
-    ds = [dual_derivative(tri1, exp_pair, 0.0, y)
-          for y in (1.0, 2.0, 4.0, 8.0, 16.0)]
+    ds = [dual_derivative(tri1, exp_pair, 0.0, log_mass=s)
+          for s in np.log([1.0, 2.0, 4.0, 8.0, 16.0])]
     assert all(b > a for a, b in zip(ds, ds[1:]))
 
 
 def test_fixed_mass_consistency(tri1, exp_pair):
     e = {"a": 0.3, "b": -0.2, "c": 0.1}
     sol = solve_dual(tri1, exp_pair, e)
-    pinned = solve_dual_fixed_mass(tri1, exp_pair, e, sol.mass)
+    pinned = solve_dual_fixed_mass(tri1, exp_pair, e, log_mass=sol._log_mass)
     assert pinned.value == pytest.approx(sol.value, abs=1e-8)
 
 
@@ -476,7 +486,7 @@ def test_maximal_support_dead_leaf_vacuous(exp_pair):
     sol = solve_dual(tree, exp_pair, 0.0)
     assert sol.support == "DEGENERATE"
     # the dead leaf is charged by no vertex, so the optimum need not charge it
-    assert vertex_enumerate(tree)[:, 0].max() == 0.0
+    assert vertex_enumerate(tree)[:, 0].max() == -np.inf
     check = _maximal_support_check(tree, exp_pair, 0.0)
     assert check.passed
     assert check.detail == "1 leaves charged by the measure certificate, 1 cut off by the arbitrage"
@@ -590,10 +600,9 @@ def test_log_mass_dominates_every_ray():
         e = rng.uniform(-800.0, 100.0) + rng.uniform(-5.0, 5.0, size=tree.n_leaves)
         sol, = dual._log_space_solutions(tree, exponential_utility(gamma, 2.0), [e])
         p = tree.leaf_probability_array
-        verts = vertex_enumerate(tree)
-        for q in list(verts) + [sol.q_hat]:
-            on = q > 0
-            ray = -float(q[on] @ np.log(q[on] / p[on])) - gamma * float(q @ e)
+        for log_q in list(vertex_enumerate(tree)) + [sol._log_q]:
+            on, q = log_q > -np.inf, np.exp(log_q)
+            ray = -float(q[on] @ (log_q[on] - np.log(p[on]))) - gamma * float(q @ e)
             assert ray <= sol._log_mass + 1e-12 * abs(sol._log_mass)
         assert ray == pytest.approx(sol._log_mass, rel=1e-12)
         assert sol._log_mass <= -gamma * e.min() + 1e-12 * abs(gamma * e.min())
@@ -1474,7 +1483,7 @@ def test_maximal_support_flags_an_uncharged_vertex_leaf(tri1, exp_pair, monkeypa
 
     monkeypatch.setattr(checks, "solve_dual", uncharged)
     assert tri1.leaf_ids[0] == "a"
-    assert vertex_enumerate(tri1)[:, 0].max() > 0
+    assert vertex_enumerate(tri1)[:, 0].max() > -np.inf
     # one leaf that a vertex charges and the optimum does not
     check = _maximal_support_check(tri1, exp_pair, e)
     assert check.residual == 1.0 and not check.passed
@@ -1736,10 +1745,10 @@ def test_the_curve_rows_factor_no_curvature(monkeypatch):
 
     monkeypatch.setattr(dual, "_qr_fits", lambda J, T: qrs.append(len(J)) or real_qr(J, T))
     monkeypatch.setattr(dual, "_newton_core", core)
-    dual_value_curve(sol, sol._log_mass + np.log([0.5, 0.75, 1.0, 1.5, 2.0]), log=True)
+    dual_value_curve(sol, log_masses=sol._log_mass + np.log([0.5, 0.75, 1.0, 1.5, 2.0]))
     assert steps[-1] > 0 and len(qrs) == 1 + steps[-1]
     qrs.clear()
-    fixed = solve_dual_fixed_mass(tree, pair, e, 1.5 * sol.mass)
+    fixed = solve_dual_fixed_mass(tree, pair, e, log_mass=sol._log_mass + math.log(1.5))
     assert len(qrs) == 1 + steps[-1]
     w2 = fixed.mass_curvature
     assert w2 > 0 and len(qrs) == 2 + steps[-1]
@@ -1898,10 +1907,10 @@ def test_a_fixed_mass_past_the_float_range_is_a_typed_error(tp_pair):
     # tree's up-up leaf at y = 1e-140, where I(y) alone does not
     tree = treegen.product_market([[1e5, 0.99999]] * 2)
     with pytest.raises(EvaluationOverflowError, match="wealth I"):
-        solve_dual_fixed_mass(tree, tp_pair, 0.0, 1e-200)
+        solve_dual_fixed_mass(tree, tp_pair, 0.0, log_mass=math.log(1e-200))
     assert math.isfinite(tp_pair.v_prime(1e-140))
     with pytest.raises(EvaluationOverflowError, match="r.0.0") as exc:
-        solve_dual_fixed_mass(tree, tp_pair, 0.0, 1e-140)
+        solve_dual_fixed_mass(tree, tp_pair, 0.0, log_mass=math.log(1e-140))
     assert exc.value.node_id == "r.0.0"
 
 

@@ -62,7 +62,7 @@ def test_a_signed_measure_is_refused(tri1):
 
 
 def test_find_equivalent_mm_bin1(bin1):
-    q = find_equivalent_mm(bin1)
+    q = np.exp(find_equivalent_mm(bin1))
     assert q == pytest.approx([1 / 3, 2 / 3], abs=1e-9)
 
 
@@ -77,11 +77,11 @@ def test_dead_leaf_market_not_equivalent():
     # the only measure is the point mass on the unmoved branch
     verts = vertex_enumerate(tree)
     assert len(verts) == 1
-    assert verts[0] == pytest.approx([0.0, 1.0])
+    assert verts[0].tolist() == [-np.inf, 0.0]
 
 
 def test_vertices_tri1(tri1):
-    verts = vertex_enumerate(tri1)
+    verts = np.exp(vertex_enumerate(tri1))
     arrs = sorted(tuple(np.round(v, 10)) for v in verts)
     assert len(arrs) == 2
     assert arrs[0] == pytest.approx([0.0, 1.0, 0.0])
@@ -89,7 +89,7 @@ def test_vertices_tri1(tri1):
 
 
 def test_vertex_unique_bin1(bin1):
-    verts = vertex_enumerate(bin1)
+    verts = np.exp(vertex_enumerate(bin1))
     assert len(verts) == 1
     assert verts[0] == pytest.approx([1 / 3, 2 / 3], abs=1e-10)
 
@@ -97,7 +97,7 @@ def test_vertex_unique_bin1(bin1):
 def test_vertices_two_period_all_martingale():
     tree = treegen.product_market([[2.0, 1.0, 0.5], [2.0, 1.0, 0.5]])
     A = build_constraints(tree)
-    verts = vertex_enumerate(tree)
+    verts = np.exp(vertex_enumerate(tree))
     assert len(verts)
     for v in verts:
         arr = v
@@ -151,14 +151,15 @@ def test_row_order_leaves_vertex_set_unchanged(tree):
     flipped = market_from_dict(doc)
     assert flipped.leaf_ids != tree.leaf_ids
     order = [flipped.leaf_ids.index(leaf) for leaf in tree.leaf_ids]
-    _assert_same_rows(vertex_enumerate(flipped)[:, order], vertex_enumerate(tree), 1e-14)
+    _assert_same_rows(np.exp(vertex_enumerate(flipped)[:, order]),
+                      np.exp(vertex_enumerate(tree)), 1e-14)
 
 
 def test_three_period_trinomial_tree_has_128_vertices():
     # two vertices per node, each charging two children: 2 * (2 * 2^2)^2
     tree = treegen.product_market([[1.25, 1.05, 0.8]] * 3)
     A = build_constraints(tree)
-    verts = vertex_enumerate(tree)
+    verts = np.exp(vertex_enumerate(tree))
     assert len(verts) == 128
     for v in verts:
         arr = v
@@ -265,7 +266,7 @@ _DD_TREES = {
 @pytest.mark.parametrize("name", list(_DD_TREES))
 def test_blocked_adjacency_test_matches_the_pairwise_loop(name):
     tree = _DD_TREES[name]
-    got = vertex_enumerate(tree)
+    got = np.exp(vertex_enumerate(tree))
     _assert_same_rows(got, _vertex_enumerate_pairwise(build_constraints(tree)), 1e-12)
     assert got.sum(axis=1) == pytest.approx(np.ones(len(got)), abs=1e-14)
 
@@ -276,7 +277,7 @@ def test_batched_polish_matches_the_per_ray_oracle(name):
     # row: each is the unit-mass null vector of A on its support, a vertex;
     # the midpoint of two distinct vertices is refused
     tree = _DD_TREES.get(name) or treegen.product_market([[1.25, 1.05, 0.8]] * 3)
-    A, verts = build_constraints(tree), vertex_enumerate(tree)
+    A, verts = build_constraints(tree), np.exp(vertex_enumerate(tree))
     polished = _polish_per_ray(A, verts)
     assert polished.shape == verts.shape
     assert np.abs(polished - verts).max(initial=0.0) <= 1e-14
@@ -336,9 +337,9 @@ def test_vertex_enumerate_keeps_a_vertex_with_a_tiny_entry():
     tree = treegen.product_market([[1e5, 0.99999]] * 2)
     verts = vertex_enumerate(tree)
     assert verts.shape == (1, 4)
-    assert verts.min() == pytest.approx(1e-20, rel=1e-3)
-    assert verts[0] == pytest.approx(np.exp(_support_structure(tree).log_interior[-4:]),
-                                     rel=1e-12)
+    assert np.exp(verts.min()) == pytest.approx(1e-20, rel=1e-3)
+    assert np.exp(verts[0]) == pytest.approx(np.exp(_support_structure(tree).log_interior[-4:]),
+                                             rel=1e-12)
 
 
 def test_two_asset_trinomial_tree_has_one_vertex():
@@ -348,17 +349,17 @@ def test_two_asset_trinomial_tree_has_one_vertex():
     tree = treegen.random_market(rng, max_periods=3, n_assets=2)
     while tree.n_leaves != 27:
         tree = treegen.random_market(rng, max_periods=3, n_assets=2)
-    verts = vertex_enumerate(tree)
+    verts = np.exp(vertex_enumerate(tree))
     assert len(verts) == 1
     q = verts[0]
     assert q.min() > 0
-    assert q == pytest.approx(find_equivalent_mm(tree), abs=1e-9)
+    assert q == pytest.approx(np.exp(find_equivalent_mm(tree)), abs=1e-9)
 
 
 def test_no_equivalent_mm_implies_every_vertex_degenerate():
     tree = treegen.dead_leaf_market()
     assert find_equivalent_mm(tree) is None
-    for v in vertex_enumerate(tree):
+    for v in np.exp(vertex_enumerate(tree)):
         assert min(v) <= 1e-10
 
 
@@ -439,7 +440,7 @@ def test_mask_is_the_boolean_liveness_of_the_leaves(make):
     # interior measure is positive exactly on the mask
     tree = make()
     geo = _support_structure(tree)
-    charged = (vertex_enumerate(tree) > 0).any(axis=0)
+    charged = (vertex_enumerate(tree) > -np.inf).any(axis=0)
     q = np.exp(geo.log_interior[-tree.n_leaves:])
     assert geo.mask.tolist() == charged.tolist() == (q > 0).tolist()
     assert geo.live.tolist() == (tree.subtree_sums(geo.mask) > 0).tolist()
@@ -476,8 +477,29 @@ def test_maximal_support_survives_underflowing_path_products():
     s = lay.prices[:inner]
     gap = np.abs(tree.one_step_expectation(lay.prices, ell) - s) / np.maximum(np.abs(s), 1.0)
     assert gap[geo.live[:inner]].max() <= 1e-12
-    # exp of the leaf slice still underflows on the deepest side leaves
-    assert (find_equivalent_mm(tree) == 0).sum() == 8
+    # exp of the leaf slice underflows on the deepest side leaves
+    assert (np.exp(ell[inner:]) == 0).sum() == 8
+
+
+def test_the_equivalent_measure_leaves_as_log_masses_that_never_underflow():
+    # the caterpillar's deepest leaf sits at e^-921: its float path product
+    # read 0 on 8 of the 41 leaves
+    tree = treegen.caterpillar_market()
+    log_q = find_equivalent_mm(tree)
+    ell = _support_structure(tree).log_interior[-tree.n_leaves:]
+    assert log_q.shape == (41,) and np.isfinite(log_q).all()
+    assert log_q.tobytes() == ell.tobytes()
+    assert log_q.flags.writeable and not np.shares_memory(log_q, ell)
+    top = log_q.max()
+    assert abs(top + math.log(np.exp(log_q - top).sum())) <= 1e-15
+
+
+def test_the_vertex_rows_are_log_masses_that_never_underflow():
+    # the caterpillar is complete: its one vertex is the equivalent measure
+    tree = treegen.caterpillar_market()
+    verts = vertex_enumerate(tree)
+    assert verts.shape == (1, 41) and np.isfinite(verts).all()
+    assert verts[0] == pytest.approx(find_equivalent_mm(tree), rel=1e-13, abs=0.0)
 
 
 def test_equivalent_measure_on_two_asset_book_market():
@@ -486,6 +508,7 @@ def test_equivalent_measure_on_two_asset_book_market():
     tree = load_market(treegen.DATA / "book_exp_4x4x3_2a.json")
     q = find_equivalent_mm(tree)
     assert q is not None
+    q = np.exp(q)
     assert q.min() > 1e-3
     assert is_martingale_measure(tree, q, tol=1e-9)
     gamma = 1.3749800819363094
@@ -960,7 +983,7 @@ def test_double_description_is_the_product_of_the_one_step_vertices(drawn):
     # valid one-step vertices, and none charges a leaf where the arbitrage
     # certificate gains
     tree = drawn[0]
-    verts = vertex_enumerate(tree)
+    verts = np.exp(vertex_enumerate(tree))
     _assert_same_rows(verts, _vertex_enumerate_pairwise(build_constraints(tree)), 1e-12)
     try:
         mask = _support_structure(tree).mask

@@ -7,9 +7,9 @@ imports to re-export, and ``from __future__`` binds nothing.  A module-level
 function, class or constant is read when some module of the package loads
 it by name, as an attribute or by a ``from`` import; ``__init__.py`` defines
 nothing of its own.  The same ``ast`` reading keeps ``DualSolution`` built
-in one place and every scalar root on one root-finder, and finds every
-package name the benchmark in ``perfbench/`` reads, which must resolve in
-the package.
+in one place, every scalar root on one root-finder and every mass that
+enters the package a log mass, and finds every package name the benchmark
+in ``perfbench/`` reads, which must resolve in the package.
 """
 
 import ast
@@ -190,6 +190,43 @@ def test_the_battery_certifies_without_double_description():
     names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               for a in node.names}
     assert names & {"vertex_enumerate", "build_constraints", "CapExceededError"} == set()
+
+
+MASS_NAMES = {"y", "ys", "mass", "masses"}
+
+
+def float_mass_parameters(source: str) -> list[str]:
+    """``function(parameter)`` for each parameter named as a float mass
+    (``MASS_NAMES``) of a public function of ``source``: module level, no
+    leading underscore.  ``UtilityPair``'s methods evaluate the conjugate
+    at a point y, a density, and are not read."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name[0] != "_":
+            args = node.args
+            found += [f"{node.name}({a.arg})" for a in args.posonlyargs + args.args
+                      + args.kwonlyargs if a.arg in MASS_NAMES]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_masses_enter_the_package_as_log_masses(path):
+    # ln y is exact where y leaves the float range, and one form at the
+    # boundary needs one check (dual._log_grid)
+    assert float_mass_parameters(path.read_text()) == []
+
+
+def test_float_mass_parameters_are_found():
+    source = ("def solve_dual_fixed_mass(tree, pair, endow, y):\n    pass\n"
+              "def dual_value_curve(sol, ys, *, log=False):\n    pass\n"
+              "def dual_derivative(tree, pair, endow, y: float) -> float:\n    pass\n"
+              "def f(mass, /, *, masses=()):\n    pass\n"
+              "def _check_masses(ys):\n    pass\n"
+              "def g(log_mass, log_masses, y0):\n    def h(y):\n        pass\n"
+              "class C:\n    def v_point(self, y):\n        pass\n")
+    assert float_mass_parameters(source) == [
+        "solve_dual_fixed_mass(y)", "dual_value_curve(ys)", "dual_derivative(y)", "f(mass)",
+        "f(masses)"]
 
 
 def top_down_loops(source: str) -> list[str]:

@@ -13,7 +13,6 @@ import ratios
 import treegen
 from treedual import (exponential_utility, optimal_measure_price_process, solve_dual,
                       two_power_utility, vertex_enumerate)
-from treedual.market import log_masses
 
 PAIRS = (exponential_utility(1.0, 2.0), two_power_utility(0.5, 1.0, 1.0))
 TOL = 1e-13
@@ -29,9 +28,8 @@ def _instance(seed):
     e = treegen.random_endowment(rng, tree)
     sols = [solve_dual(tree, pair, e) for pair in PAIRS]
     verts = vertex_enumerate(tree)
-    q = np.vstack([sol.q_hat for sol in sols] + [verts])
-    ell = np.vstack([sol.node_log_q for sol in sols]
-                    + [tree.log_subtree_sums(log_masses(verts))])
+    q = np.vstack([sol.q_hat for sol in sols] + [np.exp(verts)])
+    ell = np.vstack([sol.node_log_q for sol in sols] + [tree.log_subtree_sums(verts)])
     off = (q > 0) & (q < np.finfo(float).tiny)
     normal = (tree.subtree_sums(off) == 0) & (tree.subtree_sums(q) > 0)
     return tree, rng.uniform(0.0, 1.0, tree.n_leaves), sols, q, ell, normal

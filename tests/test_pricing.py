@@ -34,7 +34,7 @@ def test_complete_market_prices_are_expectations_at_scale(tp_pair):
     e, b = rng.uniform(-1.0, 1.0, tree.n_leaves), rng.uniform(0.0, 1.0, tree.n_leaves)
     assert dual._core_solutions(tree, tp_pair, e[None])[0].iterations[0]["steps"] <= 3
     rep = price_report(tree, tp_pair, e, b)
-    expected = float(geometry.find_equivalent_mm(tree) @ b)
+    expected = float(np.exp(geometry.find_equivalent_mm(tree)) @ b)
     for price in (rep.bid, rep.offer, rep.certainty_equivalent, rep.davis):
         assert abs(price - expected) <= 1e-12 * (1.0 + abs(expected))
 
@@ -83,7 +83,7 @@ def test_entropic_penalty_properties(tri1, exp_pair):
     sol = solve_dual(tri1, exp_pair, E_TRI)
     assert entropic_penalty(tri1, exp_pair, E_TRI, sol.q_hat,
                             base=sol) == pytest.approx(0.0, abs=1e-8)
-    for v in vertex_enumerate(tri1):
+    for v in np.exp(vertex_enumerate(tri1)):
         alpha = entropic_penalty(tri1, exp_pair, E_TRI, v, base=sol)
         assert alpha >= -1e-10
 
@@ -99,7 +99,7 @@ def test_entropic_penalty_matches_a_bounded_scalar_minimization(tri1, scale):
     base = solve_dual(tri1, pair, endow)
     p = tri1.leaf_probability_array
     e = np.array([endow[k] for k in ("a", "b", "c")])
-    verts = list(vertex_enumerate(tri1))
+    verts = list(np.exp(vertex_enumerate(tri1)))
     for q in verts + [0.3 * verts[0] + 0.7 * verts[-1]]:
         def phi(s):
             y = math.exp(s)
@@ -126,7 +126,7 @@ def test_two_power_entropic_penalty_matches_a_bounded_scalar_minimization(tri1, 
     e = scale * np.array([0.3, -0.2, 0.1])
     sol = solve_dual(tri1, pair, e)
     p = tri1.leaf_probability_array
-    verts = vertex_enumerate(tri1)
+    verts = np.exp(vertex_enumerate(tri1))
     for q in np.vstack([(1 - 1e-6) * verts + 1e-6 * sol.q_hat, 0.7 * verts + 0.3 * sol.q_hat]):
         def phi(s):
             y = math.exp(s)
@@ -158,7 +158,7 @@ def test_exponential_entropic_penalty_meets_its_closed_form(tri1, gamma, scale):
     e = scale * np.array([0.3, -0.2, 0.1])
     sol = solve_dual(tri1, pair, e)
     p = tri1.leaf_probability_array
-    verts = vertex_enumerate(tri1)
+    verts = np.exp(vertex_enumerate(tri1))
     for q in np.vstack([verts, (1 - 1e-6) * verts + 1e-6 * sol.q_hat]):
         on = q > 0
         want = (float(q[on] @ np.log(q[on] / p[on])) + sol._log_mass) / gamma + float(q @ e)
@@ -175,7 +175,7 @@ def test_exponential_entropic_penalty_reads_the_optimal_log_mass_near_sup_u(tri1
     sol = solve_dual(tri1, pair, e)
     assert pair.params["C"] - sol.value < 1e-10
     p = tri1.leaf_probability_array
-    verts = vertex_enumerate(tri1)
+    verts = np.exp(vertex_enumerate(tri1))
     for q in np.vstack([verts, (1 - 1e-6) * verts + 1e-6 * sol.q_hat, [[0.2, 0.4, 0.4]]]):
         on = q > 0
         want = (float(q[on] @ np.log(q[on] / p[on])) + sol._log_mass) / 0.5 + float(q @ e)
@@ -216,7 +216,7 @@ def test_entropic_penalty_refuses_a_measure_off_its_domain(tri1, exp_pair, tp_pa
 
 
 def test_entropic_penalty_infinite_for_two_power_vertex(tri1, tp_pair):
-    verts = vertex_enumerate(tri1)
+    verts = np.exp(vertex_enumerate(tri1))
     with pytest.raises(InfiniteEntropyError):
         entropic_penalty(tri1, tp_pair, 0.0, verts[0])
 
@@ -226,7 +226,7 @@ def test_penalty_representation_bound(tri1, exp_pair):
     sol = solve_dual(tri1, exp_pair, E_TRI)
     bid = indifference_price(tri1, exp_pair, E_TRI, B_TRI)
     b = np.array([1.0, 0.0, 0.0])
-    for v in vertex_enumerate(tri1):
+    for v in np.exp(vertex_enumerate(tri1)):
         alpha = entropic_penalty(tri1, exp_pair, E_TRI, v, base=sol)
         assert bid <= float(v @ b) + alpha + 1e-8
 
@@ -506,7 +506,7 @@ def test_exponential_pricing_makes_one_pass_per_call(exp_pair, monkeypatch):
     sol = solve_dual(tree, exp_pair, endow)
     assert len(calls) == 3 * levels
     # the curve is read off the optimum's pass
-    dual_value_curve(sol, [0.5, 0.75, 1.0, 1.5, 2.0])
+    dual_value_curve(sol, log_masses=np.log([0.5, 0.75, 1.0, 1.5, 2.0]))
     assert len(calls) == 3 * levels
 
 
@@ -608,10 +608,10 @@ def test_mass_curvature_matches_envelope_derivative(complete, pair_name, y, requ
         sol = dual.solve_dual(tree, pair, shifted)
         y = sol.mass
     else:
-        sol = dual.solve_dual_fixed_mass(tree, pair, shifted, y)
+        sol = dual.solve_dual_fixed_mass(tree, pair, shifted, log_mass=math.log(y))
     h = 1e-4
-    fd = (dual.dual_derivative(tree, pair, shifted, y * (1 + h))
-          - dual.dual_derivative(tree, pair, shifted, y * (1 - h))) \
+    fd = (dual.dual_derivative(tree, pair, shifted, log_mass=math.log(y * (1 + h)))
+          - dual.dual_derivative(tree, pair, shifted, log_mass=math.log(y * (1 - h)))) \
         / (2 * h * y)
     assert sol.mass_curvature == pytest.approx(fd, rel=1e-6)
     if pair.family == "exponential":
@@ -640,7 +640,7 @@ def test_exponential_family_needs_no_dense_core_and_no_root_finder(
     e, b = leaf_values(tri1, E_TRI), leaf_values(tri1, B_TRI)
     with no_dense_core():
         sol = solve_dual(tri1, exp_pair, e)
-        pinned = solve_dual_fixed_mass(tri1, exp_pair, e, 2.0 * sol.mass)
+        pinned = solve_dual_fixed_mass(tri1, exp_pair, e, log_mass=sol._log_mass + math.log(2.0))
         rep = price_report(tri1, exp_pair, e, b)
         curve = average_price_curve(tri1, exp_pair, e, b, [1e-2, 1.0, 1e2])
         sens = endowment_sensitivity(tri1, exp_pair, [e, e + 0.5],
@@ -864,7 +864,7 @@ def test_mubpp_drifted_process_rejected(tri1, exp_pair):
 def test_mubpp_vertex_expectations_rejected(tri1, exp_pair):
     # conditional expectations under a non-optimal vertex drift under the
     # optimal measure, so the process is not a fair price process
-    verts = vertex_enumerate(tri1)
+    verts = np.exp(vertex_enumerate(tri1))
     q = verts[1]  # (1/3, 0, 2/3)
     b = np.array([1.0, 0.0, 0.0])
     root_val = float(q @ b)

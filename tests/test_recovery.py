@@ -214,7 +214,7 @@ def test_supermartingale_under_vertices(tri1, exp_pair):
 def test_supermartingale_check_detects_drift():
     # a process that is a martingale under one vertex drifts under the other
     tree = treegen.tri1()
-    verts = vertex_enumerate(tree)
+    verts = np.exp(vertex_enumerate(tree))
     q0 = verts[0]   # (0, 1, 0)
     q1 = verts[1]   # (1/3, 0, 2/3)
     w_leaves = np.array([2.0, -1.0, 0.5])
@@ -261,7 +261,7 @@ def test_one_step_vertices_match_the_loops_over_dd_vertices(seed, n_assets, fami
             else two_power_utility(0.5, 1.0, 1.0))
     sol = solve_dual(tree, pair, rng.uniform(-1.0, 1.0, tree.n_leaves))
     wealth = rng.normal(size=len(tree.layout.ids))
-    verts = vertex_enumerate(tree)
+    verts = np.exp(vertex_enumerate(tree))
     charged, violations, max_drift, lo_ref, hi_ref = _reference_checks(
         tree, wealth, sol.terminal_gain, verts)
     geo = _support_structure(tree)
@@ -307,7 +307,7 @@ def test_supermartingale_reads_every_caterpillar_node_a_float_mixture_misses(exp
     sol = solve_dual(tree, exp_pair, 0.0)
     ps = recover(tree, exp_pair, 0.0, sol)
     inner = len(tree.nonleaf_ids)
-    verts = vertex_enumerate(tree)
+    verts = np.exp(vertex_enumerate(tree))
     assert len(verts) == 1
     mixed = tree.log_subtree_sums(log_masses((1 - 1e-6) * verts + 1e-6 * sol.q_hat))[0]
     dark = np.flatnonzero(mixed[:inner] == -np.inf)
@@ -599,8 +599,8 @@ def test_the_root_conditional_problem_is_the_curves_middle_point(seed):
     tree = treegen.random_market(rng, max_periods=3, n_assets=1 + seed % 2)
     pair = two_power_utility(float(rng.uniform(0.3, 0.7)), float(rng.uniform(0.5, 2.0)), 1.0)
     sol = solve_dual(tree, pair, rng.uniform(-1.0, 1.0, tree.n_leaves))
-    mid = dual_value_curve(sol, sol._log_mass + np.log([0.5, 0.75, 1.0, 1.5, 2.0]),
-                           log=True).points[2]
+    ss = sol._log_mass + np.log([0.5, 0.75, 1.0, 1.5, 2.0])
+    mid = dual_value_curve(sol, log_masses=ss).points[2]
     root, = dynamic_dual(sol, 0)
     assert (root.value, root.derivative) == (mid.value, mid.derivative)
 
@@ -772,7 +772,7 @@ def test_results_are_arrays_in_tree_order(exp_pair):
     sol = solve_dual(tree, exp_pair, e)
     ps = recover(tree, exp_pair, e, sol)
     snell = snell_envelope_exponential(sol, wealth=ps.wealth)
-    curve = dual_value_curve(sol, [0.5 * sol.mass, sol.mass])
+    curve = dual_value_curve(sol, log_masses=[sol._log_mass + math.log(0.5), sol._log_mass])
     price = optimal_measure_price_process(sol, b)
     results = {"mu": (sol.mu, (L,)), "q_hat": (sol.q_hat, (L,)),
                "CurvePoint.q_hat": (curve.points[0].q_hat, (L,)),
