@@ -141,8 +141,8 @@ def _cmd_solve(args, out: _Out, tree, pair, endow):
     out.say(f"support: {sol.support}")
     out.say(f"stationarity residual: {f12(sol.stationarity)}")
     out.say("leaf  mass  normalized  density")
-    rows = [[leaf, f12(m), f12(m / sol.mass), f12(m / p)] for leaf, m, p in
-            zip(tree.leaf_ids, sol.mu.tolist(), tree.leaf_probability_array.tolist())]
+    rows = [[leaf, f12(m), f12(q), f12(d)] for leaf, m, q, d in
+            zip(tree.leaf_ids, sol.mu.tolist(), sol.q_hat.tolist(), sol.density_array.tolist())]
     for r in rows:
         out.say("  " + "  ".join(r))
     out.csv("optimal_measure.csv", ["leaf", "mass", "normalized", "density"], rows)

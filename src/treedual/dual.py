@@ -11,9 +11,9 @@ at a free row) and returns one optimum or error per row; ``solve_dual``,
 ``dual_value_curve`` reads its points off a solved problem: in closed form
 from the exponential pass, else by one ``_solutions`` call started at the
 optimum.  An optimum stores its exact form once, ln y and ln q_hat, and the
-mass, the measures and W''(y) are read off it on first use.  Every mass
-enters the package in that form, as ln y by keyword, checked once
-(``_log_grid``).
+mass, the measures and W''(y) (one backward pass off the exponential
+family, ``_cash_weight``) are read off it on first use.  Every mass enters
+the package in that form, as ln y by keyword, checked once (``_log_grid``).
 
 * Exponential family: exponential utility does not depend on wealth, so the
   dual is solved exactly by backward induction on the log-partition (Rouge &
@@ -50,26 +50,20 @@ enters the package in that form, as ln y by keyword, checked once
   node's one-vertex fit of the conditional gains.  A wealth past the float
   range on a leaf is that leaf's ``EvaluationOverflowError``.
 * Other families on an incomplete market, ``dynamic_dual`` and the tests'
-  oracle: the optimal
-  measure is the marginal utility of the optimal wealth, mu = p U'(e + gains),
-  so the dual is solved through its primal, the unconstrained concave
-  maximization of E[U(e + gains)] (less y times the cash at a fixed mass y)
-  over the strategy, by damped Newton run to rounding.  One call of the
-  Newton core solves a stack of such problems on one tree, free and
-  fixed-mass rows alike, each row with its own line search, convergence and
-  failure; a single solve is a stack of one.  The rows may also be
-  different problems, padded to one size: ``dynamic_dual`` solves one
-  time's conditional problems, a subtree each, in one call.  Each point
-  is one closed-form pass of U, U' and the risk aversion.  Every row
-  starts at a measure, fitted in the Newton metric: a warm row at the
-  optimum it continues, a cold row at y times the support pass's
-  equivalent martingale measure, the whole solution of a complete market
-  but for the budget (the martingale method of Karatzas, Lehoczky & Shreve,
-  1987, and Cox & Huang, 1989).  Each step is
-  one batched Householder QR over the stack, on the strategy columns that
-  ``_strategy_basis`` keeps on the tree's support structure, for as long as
-  the tree lives: the columns independent over each node's live children,
-  which are independent over the whole tree.
+  oracle: the optimal measure is the marginal utility of the optimal
+  wealth, mu = p U'(e + gains), so the dual is solved through its primal,
+  the concave maximization of E[U(e + gains)] (less y times the cash at a
+  fixed mass y) over the strategy, by damped Newton run to rounding.  One
+  call of the Newton core solves a stack of such problems on one tree, free
+  and fixed-mass rows or (``dynamic_dual``) one time's conditional
+  problems padded to one size, each row with its own line search,
+  convergence and failure.  Each point is one closed-form pass of U, U'
+  and the risk aversion.  A row starts at a measure fitted in the Newton
+  metric: a warm row at the optimum it continues, a cold row at y times
+  the support pass's equivalent martingale measure, a complete market's
+  solution but for the budget.  Each step is one batched Householder QR
+  over the stack, on the strategy columns ``_strategy_basis`` keeps: those
+  independent over each node's live children, hence over the whole tree.
 """
 
 from __future__ import annotations
@@ -183,19 +177,14 @@ class DualSolution:
     @cached_property
     def mass_curvature(self) -> float:
         """W''(y) at this optimum's own mass y: e^-ln y / gamma for the
-        exponential family; else, with A(W) at the wealth W = -V'(mu/p) on
-        the live leaves (:func:`_risk_aversion_at`), sum q_hat / (y A(W)) =
-        sum q_hat^2/p V''(mu/p) on a complete EQUIVALENT market, otherwise
-        one QR (:func:`_cash_curvature`)."""
+        exponential family, else e^-ln y / alpha of :func:`_cash_weight`, A
+        at the wealth W = -V'(mu/p) by :func:`_risk_aversion_at`."""
         if self._log_l is not None:
             return _mass(-self._log_mass) / self.pair.params["gamma"]
         geo = _support_structure(self.tree)
         on = geo.mask
         ra = _risk_aversion_at(self.pair, -self._conjugate[1][on], self._endow_arr[on])
-        if geo.complete and self.support == "EQUIVALENT":
-            return float(self.q_hat @ (1.0 / ra)) / self.mass
-        A = build_constraints(self.tree)[_strategy_basis(geo)][:, on]
-        return _cash_curvature(A, np.sqrt(self.mu[on] * ra))
+        return _mass(-self._log_mass) / _cash_weight(geo, self.q_hat[on] * ra)
 
     def _require(self, tree, pair, e, caller):
         """Raise :class:`DomainError` unless this solved ``tree`` and
@@ -288,6 +277,13 @@ def _max_plus(b, x, vert):
     return k + y[:, None] * v
 
 
+def _lift(scale, null, d):
+    """unit^2 (null + 1e-15 I), unit the row's largest |x| or 1: lifts Gram
+    systems in x (g, m, d) off x's span (``null``), with det > 0 at rank one."""
+    unit = np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    return unit * unit * (null + 1e-15 * np.eye(d))
+
+
 def _lse_min(b, x, k0, null=0.0, vertices=None):
     """``min_k logsumexp_c(b_c - x_c.k)`` for a batch of g rows, nodes with
     a choice of weights; ``b`` (g, m) is -inf and ``x`` (g, m, d) zero at
@@ -296,25 +292,22 @@ def _lse_min(b, x, k0, null=0.0, vertices=None):
     *Start*: k0 (g, d), or where the first step from it is clipped and the
     value is lower (one :func:`_lse_point` over those rows), the
     :func:`_max_plus` minimizer of the node's vertices ``vertices(rows)``.
-    *Step*: s solves ``(H + scale^2 (null + 1e-15 I)) s = E_w[x]``
-    (:func:`_lse_solve`), H the covariance of x under the softmax weights,
-    scale the row's largest |x| and ``null`` (g, d, d) the projector off
-    the span of its increments, so s is H^+ E_w[x] in that span; the
-    iterate moves by s / max(1, nu), nu = lambda^2 + max_c(-x_c.s) with
-    the Newton decrement lambda^2 = E_w[x].s.  Along s the third
-    derivative of f is then at most nu times the second, so the curvature
-    stays below e times its start (generalized self-concordance: Sun &
-    Tran-Dinh, *Math. Program.* 178, 2019), and each step lowers f by at
-    least (3 - e) lambda^2 / max(1, nu), with no line search.  *Stop*: a
+    *Step*: s solves ``(H + lift) s = E_w[x]`` (:func:`_lse_solve`), H the
+    covariance of x under the softmax weights, lifted off the span of the
+    increments by ``null`` (g, d, d) (:func:`_lift`), so s is H^+ E_w[x] in
+    that span; the iterate moves by s / max(1, nu), nu = lambda^2 +
+    max_c(-x_c.s) with the Newton decrement lambda^2 = E_w[x].s.  Along s
+    the third derivative of f is then at most nu times the second, so the
+    curvature stays below e times its start (generalized self-concordance:
+    Sun & Tran-Dinh, *Math. Program.* 178, 2019), and each step lowers f by
+    at least (3 - e) lambda^2 / max(1, nu), with no line search.  *Stop*: a
     row is done, and stands still, once its gradient and decrement are at
     the rounding level of its exponents b - x.k; at _LSE_CAP steps
-    :class:`NonconvergedError`.
-    """
+    :class:`NonconvergedError`."""
     top_b = b.max(axis=1)
     b = b - top_b[:, None]
     scale = np.abs(x).max(axis=(1, 2))
-    unit = np.where(scale > 0.0, scale, 1.0)[:, None, None]
-    ridge = unit * unit * (null + 1e-15 * np.eye(x.shape[2]))  # keeps det > 0 at a rank-one H
+    ridge = _lift(scale, null, x.shape[2])
     # rounding levels of the gradient and of f, a + c |x.k| with the exponents b - x.k
     g_a, g_c, f_a = 1e-13 * scale, 1e-15 * scale, 1e-16 * (1.0 + np.abs(top_b))
     k, active, steps = k0, np.ones(len(b), dtype=bool), 0
@@ -370,13 +363,13 @@ def _live_levels(geo: SupportStructure):
     probabilities (-inf at padding and dead children), increments over
     ``top`` (:func:`_increments`, g, m, d), the start's operator ``fit``
     (g, m, d) and shift ``ln(p / w0)`` (g, m; 0 off the live children),
-    then w0 (g, m) and None twice for one-vertex nodes, else None, the
-    projector ``null`` (g, d, d) off the span of the increments and
+    w0 (g, m) at one-vertex nodes, else None, the projector ``null`` (g,
+    d, d) off the span of the increments, and at nodes with a choice
     ``verts`` (g, V), each node's valid vertices as indices into ``geo``'s
     (the last repeated to the most of any node), whose weights
     :func:`_lse_min` reads only for the rows it starts at their max-plus
-    minimizer.  Live is as in ``SupportStructure.live``, and w0 the mean
-    of a node's valid vertices (``geo.step_weights``).  The start ``k0 =
+    minimizer, else None.  Live is as in ``SupportStructure.live``, w0 the
+    mean of a node's valid vertices (``geo.step_weights``).  The start ``k0 =
     Cov_w0(x)^+ Cov_w0(x, b - ln w0)`` = sum_c fit_c (shift_c + L_c) /
     gamma fits ``b - ln w0`` by ``x.k + f`` in w0-weighted least squares
     (x = gamma dS, b = ln p + L); the pseudo-inverse, one batched eigh
@@ -414,7 +407,7 @@ def _live_levels(geo: SupportStructure):
     for a, b, m in reversed(list(zip(run.tolist(), [*run[1:].tolist(), node.size], widths))):
         batch = (node[a:b], kids[a:b, :m], lnp[a:b, :m], dS[a:b, :m], fit[a:b, :m],
                  shift[a:b, :m])
-        out.append((*batch, w0[a:b, :m], None, None) if count[a] == 1 else
+        out.append((*batch, w0[a:b, :m], null[a:b], None) if count[a] == 1 else
                    (*batch, None, null[a:b], verts[a:b]))
     return tuple(out)
 
@@ -491,6 +484,27 @@ def _log_partition(tree, gamma, e):
                      - gamma * np.einsum("nd,jnd->jn", dS, h[:, up]), -np.inf)
     drift = np.add.reduceat(np.exp(log_w[:, 1:, None]) * dS[1:], lay.first_child - 1, axis=1)
     return big_l, h, lay.path_sums(log_w), (np.abs(drift) / lay.top).max(axis=(1, 2)), steps
+
+
+def _cash_weight(geo, alpha):
+    """The root's alpha of one backward pass over :func:`_live_levels` from
+    alpha = q_hat A(W) on the live leaves of a two-power optimum, whose
+    W''(y) = [H^-1]_xx = 1/min_h sum mu A (1 - gains)^2 is 1/(y alpha)
+    (Steinbach, *Math. Methods Oper. Res.* 56, 2002): the strategies below
+    a node see it only through the gain so far, so min sum alpha_l (t -
+    gains)^2 = alpha_n t^2, alpha_n = sum_c alpha_c (1 - x_c.k)^2 (a sum of
+    squares), x_c over ``top``, k the weighted fit of 1 by x (:func:`_lift`)."""
+    a = np.zeros(len(geo.layout.parent))
+    a[geo.layout.level_starts[-2]:][geo.mask] = alpha
+    for node, kids, lnp, x, *_, null, _ in _live_levels(geo):
+        w = np.where(lnp > -np.inf, a[kids], 0.0)
+        total = w.sum(axis=1)
+        w /= np.where(total > 0.0, total, 1.0)[:, None]
+        wx = w[..., None] * x
+        lift = _lift(np.abs(x).max(axis=(1, 2)), null, x.shape[2])
+        k = _lse_solve(wx.swapaxes(1, 2) @ x + lift, wx.sum(axis=1))
+        a[node] = total * (w * (1.0 - (x @ k[..., None])[..., 0]) ** 2).sum(axis=1)
+    return float(a[0])
 
 
 def _log_space_solutions(tree, pair, endows, log_mass=None) -> list[DualSolution]:
@@ -618,13 +632,6 @@ def _risk_aversion_at(pair, w, e):
     return pair.risk_aversion(np.where(np.abs(w) <= 1e-14 * (1.0 + np.abs(e)), 0.0, w))
 
 
-def _cash_curvature(A, s):
-    """W''(y) = [H^-1]_xx = 1/|z|^2 at a Newton-core optimum, J = diag(s) [A',
-    1], s = sqrt(mu A(W)), A (k, n); z = s off the strategy columns."""
-    z = _scaled_fits(s[None], A.T[None], s[None, :, None])[2][0]
-    return 1.0 / float(z @ z)
-
-
 def _newton_core(A, p, e, pair, live, *, mass=None, start=None):
     """The dual optima of a stack of r problems on the leaves ``live``,
     found through their primals.
@@ -663,9 +670,7 @@ def _newton_core(A, p, e, pair, live, *, mass=None, start=None):
     measure q positive on the row's leaves in ``live``, starts it at the fit
     of B c to I(q/p) - e_j, I = -V' the wealth at which mu = q, in the
     Newton metric: the same solve with the weights sqrt(q A(I(q/p))) of the
-    step's J, A the risk aversion.  From a neighbouring optimum this is the
-    first-order tangent; from y times a complete market's martingale
-    measure, the optimum up to the budget.  Other rows start at c = 0.
+    step's J, A the risk aversion.  Other rows start at c = 0.
     Returns per row mu (r, L; 0 off ``live``), h (r, k), the value (plus p
     V(0) off ``live``), the residual, the steps and the row's error, None
     or a :class:`NonconvergedError` (after 200 steps, from a start outside
@@ -848,13 +853,12 @@ def _core_solutions(tree, pair, endows, log_mass=None, starts=None):
     :func:`_complete_solutions`.
 
     A row without a start positive on the support starts at y q, the
-    complete-market optimum up to the budget (Karatzas, Lehoczky & Shreve,
-    *SIAM J. Control Optim.* 25, 1987): q is the support pass's equivalent
-    martingale measure, exp of ``geo.log_interior`` on the leaves, and y the
-    row's mass, or at a free row U'(E_q[e]), the mass at which the constant
-    wealth E_q[e] is optimal, with E_q[e] taken row by row.  The core starts
-    a row at c = 0 where y is not finite, or where y q is not positive on
-    the support (q underflows on a live leaf of the caterpillar)."""
+    complete-market optimum up to the budget: q is the support pass's
+    equivalent martingale measure, exp of ``geo.log_interior`` on the
+    leaves, and y the row's mass, or at a free row U'(E_q[e]), the mass at
+    which the constant wealth E_q[e] is optimal.  The core starts a row at
+    c = 0 where y is not finite, or where y q is not positive on the
+    support (q underflows on a live leaf of the caterpillar)."""
     mask, flag = _prepare(tree, pair)
     geo = _support_structure(tree)
     basis = _strategy_basis(geo)
@@ -930,19 +934,18 @@ def _bracketed_newton(probe, x, lo, hi, *, x_tol=0.0):
 
 
 def _complete_rows(pair, p, log_q, e, log_m, starts):
-    """Complete problems in closed form, laid end to end: problem i owns the
-    leaves from ``starts[i]`` to the next start of the flat (K,) arrays of
-    leaf probabilities ``p``, endowments ``e`` and leaf log masses
-    ``log_q`` of its unique martingale measure q (normalized), at the log
-    mass ln y of ``log_m`` (a float, or (K,) and constant on each problem).
-    Its optimum is the measure mu = y q and the wealth W = I(mu/p) =
-    -V'(mu/p) (the martingale method: Karatzas, Lehoczky & Shreve 1987;
-    Cox & Huang 1989), from one ``v_point`` pass at mu/p, mu = exp(ln y +
-    ln q), so that the point is the optimum's own (``DualSolution`` forms it
-    at ``density_array``).  Returns per problem (3, k) its value sum p V +
-    mu e, its mass derivative E_q[V' + e] = -E_q[X], increasing in ln y,
-    and that derivative's slope in ln y, sum q (mu/p) V'' = y W''(y); and
-    per leaf the point (V, V', V'')."""
+    """The dual at y q for fixed measures q, laid end to end: problem i owns
+    the leaves from ``starts[i]`` to the next start of the flat (K,) arrays
+    of leaf probabilities ``p``, endowments ``e`` and leaf log masses
+    ``log_q`` of its normalized q, at the log mass ln y of ``log_m`` (a
+    float, or (K,) and constant on each problem), from one ``v_point`` pass
+    at mu/p, mu = exp(ln y + ln q).  Where q is a complete market's unique
+    martingale measure, mu is the optimum with the wealth W = -V'(mu/p)
+    (Karatzas, Lehoczky & Shreve 1987; Cox & Huang 1989), and the point its
+    own (``DualSolution`` forms it at ``density_array``).  Returns per
+    problem (3, k) its value W(y) = sum p V + mu e, W'(y) = E_q[V' + e]
+    (-E_q[X] at an optimum), increasing in ln y, and its slope in ln y, sum
+    q (mu/p) V'' = y W''(y); and per leaf the point (V, V', V'')."""
     with np.errstate(over="ignore"):
         mu = np.exp(log_m + log_q)
         z = mu / p

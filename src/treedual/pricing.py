@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualSolution, _bracketed_newton, _prepare, _solutions, solve_dual
+from .dual import (DualSolution, _bracketed_newton, _complete_rows, _prepare, _solutions,
+                   solve_dual)
 from .errors import (AugmentInfeasibleError, DomainError, InfeasibleEntropyError,
                      InfiniteEntropyError, NoMartingaleMeasureError)
 from .geometry import is_martingale_measure, relative_entropy, _support_structure
@@ -273,8 +274,8 @@ def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
     mass e^L for every q, where it is (H(q|P) + L)/gamma + E_q[e]
     (:func:`_entropic_gap`), with L the optimum's exact log mass, which
     stays exact where its value rounds to sup U = C.  Otherwise one
-    :func:`_least_gap` search from ``base``, to within 1e-8 on the closed forms
-    W' = sum_{q>0} q V'(y q/p) + E_q[e] and W'' = sum_{q>0} (q^2/p) V''(y q/p),
+    :func:`_least_gap` search from ``base``, to within 1e-8 on W, W' = E_q[V'(y
+    q/p) + e] and W'' = sum (q^2/p) V''(y q/p) of ``dual._complete_rows``,
     which asks for no solve.  Zero exactly at the normalized dual optimizer;
     raises :class:`InfiniteEntropyError` when the measure has infinite entropy.
     ``q`` is a leaf measure; one off the domain (a mass beyond 1e-12 of 1, or
@@ -293,16 +294,12 @@ def entropic_penalty(tree: MarketTree, pair: UtilityPair, endow,
         base._require(tree, pair, e, "entropic_penalty")
     if pair.family == "exponential":
         return _entropic_gap(pair, p, qa, e, base._log_mass)
-    eq = float(np.dot(qa, e))
-    q_on, p_on = qa[qa > 0], p[qa > 0]
+    log_q = np.log(qa)   # q > 0: a zero weight has infinite two-power entropy
 
     def point(s):
         yield from ()   # a search that asks for no solve
-        y = math.exp(s)
-        dens = y * q_on / p_on
-        return (float(pair.v(y * qa / p) @ p) + y * eq,
-                float(q_on @ pair.v_prime(dens)) + eq,
-                float(q_on * q_on / p_on @ pair.v_second(dens)))
+        sums = _complete_rows(pair, p, log_q, e, s, [0])[0][:, 0]
+        return float(sums[0]), float(sums[1]), float(sums[2]) / math.exp(s)
 
     return SolveCounter().run(tree, pair, _least_gap(point, base, 1e-8))[0]
 

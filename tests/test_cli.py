@@ -192,6 +192,27 @@ def _tree_file(tmp_path, tree):
     return str(path)
 
 
+@pytest.mark.parametrize("level", [700.0, 680.0])
+def test_solve_prints_the_exact_normalized_measure(tmp_path, capsys, level):
+    # optimal masses 2.5e-305 and 1.2e-296: mu / mass loses the leaf whose
+    # q_hat is 1e-20 (it printed 0 at 700) and digits of two others at 680
+    tree = treegen.product_market([[1e5, 0.99999]] * 2)
+    doc = market_to_dict(tree)
+    doc["endowment"] = {leaf: str(level) for leaf in tree.leaf_ids}
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = ["solve", "--market", str(path), "--utility", "exp:gamma=1,C=2",
+            "--output-dir", str(out)]
+    assert cli.run(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    sol = solve_dual(tree, parse_utility_spec("exp:gamma=1,C=2"), level)
+    rows = [r.split(",") for r in (out / "optimal_measure.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == list(tree.leaf_ids)
+    assert [r[2] for r in rows] == [cli.f12(q) for q in sol.q_hat]
+    assert min(float(r[2]) for r in rows) == pytest.approx(1.00002e-20, rel=1e-5)
+
+
 def test_geometry_keeps_a_vertex_with_a_tiny_entry(tmp_path, capsys):
     # the one vertex puts 1e-20 on the up-up leaf
     market = _tree_file(tmp_path, treegen.product_market([[1e5, 0.99999]] * 2))

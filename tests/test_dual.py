@@ -648,10 +648,10 @@ def _live_levels_by_level(geo):
             inv = np.divide(1.0, ev, out=np.zeros_like(ev),
                             where=ev > geometry._TOL * np.abs(ev[:, -1:]))
             fit = w0[..., None] * dev @ ((vec * inv[:, None]) @ vec.swapaxes(1, 2))
-            if one:
-                out.append((node, kids, lnp, dS, fit, shift, w0, None, None))
-                continue
             null = (vec * (inv == 0.0)[:, None]) @ vec.swapaxes(1, 2)
+            if one:
+                out.append((node, kids, lnp, dS, fit, shift, w0, null, None))
+                continue
             verts = np.array([[first[n] + min(v, vertices[n] - 1) for v in range(most)]
                               for n in node])
             out.append((node, kids, lnp, dS, fit, shift, None, null, verts))
@@ -1513,13 +1513,33 @@ def _lstsq_step(J, T):
                     ).reshape(len(J), J.shape[2], T.shape[2])
 
 
+def _cash_curvature(A, s):
+    """The QR oracle of ``DualSolution.mass_curvature`` off the exponential
+    family: W''(y) = [H^-1]_xx = 1/|z|^2 at a Newton-core optimum, J =
+    diag(s) [A', 1], s = sqrt(mu A(W)), A (k, n); z = s off the strategy
+    columns, from one dense QR (``dual._scaled_fits``)."""
+    z = dual._scaled_fits(s[None], A.T[None], s[None, :, None])[2][0]
+    return 1.0 / float(z @ z)
+
+
 def _w2_at(A, p, e, pair, live, mu):
-    """W''(y) of each row's optimum mu (r, L) from ``dual._cash_curvature``
-    on the strategy rows ``A``, as ``DualSolution.mass_curvature`` reads it
-    on an incomplete market."""
+    """W''(y) of each row's optimum mu (r, L) from :func:`_cash_curvature`
+    on the strategy rows ``A``."""
     mu, p, e, A = mu[:, live], p[live], e[:, live], A[:, live]
     ra = dual._risk_aversion_at(pair, -pair.v_prime(mu / p), e)
-    return np.array([dual._cash_curvature(A, s) for s in np.sqrt(mu * ra)])
+    return np.array([_cash_curvature(A, s) for s in np.sqrt(mu * ra)])
+
+
+def _assert_w2_meets_the_qr_oracle(sols):
+    """Each optimum's ``mass_curvature`` against :func:`_w2_at` on the tree's
+    strategy basis at its mu, to 1e-12 relative."""
+    tree = sols[0].tree
+    geo = geometry._support_structure(tree)
+    A = build_constraints(tree)[dual._strategy_basis(geo)]
+    want = _w2_at(A, tree.leaf_probability_array, np.array([s._endow_arr for s in sols]),
+                  sols[0].pair, geo.mask, np.array([s.mu for s in sols]))
+    got = np.array([s.mass_curvature for s in sols])
+    assert np.all(np.abs(got - want) <= 1e-12 * want), (got, want)
 
 
 def _assert_core_meets_the_lstsq_oracle(tree, pair, e, mass=None, start=None):
@@ -1731,7 +1751,7 @@ def test_newton_core_evaluates_each_point_in_one_closed_form_pass(warm):
 def test_the_curve_rows_factor_no_curvature(monkeypatch):
     # one QR for the start fit and one per Newton step, for a curve and a
     # fixed-mass solve alike; W'' is read off the optimum on first use, by
-    # one more QR, and kept
+    # the backward pass with no QR, and kept
     tree = treegen.product_market([[1.2, 1.0, 0.85]] * 2)
     pair = two_power_utility(0.5, 1.0, 1.0)
     e = np.random.default_rng(0).uniform(-1.0, 1.0, tree.n_leaves)
@@ -1751,8 +1771,8 @@ def test_the_curve_rows_factor_no_curvature(monkeypatch):
     fixed = solve_dual_fixed_mass(tree, pair, e, log_mass=sol._log_mass + math.log(1.5))
     assert len(qrs) == 1 + steps[-1]
     w2 = fixed.mass_curvature
-    assert w2 > 0 and len(qrs) == 2 + steps[-1]
-    assert fixed.mass_curvature == w2 and len(qrs) == 2 + steps[-1]   # cached: no second QR
+    assert w2 > 0 and len(qrs) == 1 + steps[-1]
+    assert fixed.mass_curvature is w2 and len(qrs) == 1 + steps[-1]   # cached
 
 
 def test_qr_fits_give_a_zero_column_no_fit():
@@ -1855,8 +1875,8 @@ def _complete_markets():
 @pytest.mark.parametrize("k", range(8))
 def test_the_closed_form_meets_the_newton_core_on_complete_markets(k):
     # free and fixed-mass rows against the core, the named oracle: value,
-    # mass, mu, W'' (the closed form's against the core's own QR at the
-    # core's optimum, :func:`_w2_at`) and the strategy's gains, and the
+    # mass, mu, W'' (the pass at the closed form's optimum against the QR
+    # oracle at the core's, :func:`_w2_at`) and the strategy's gains, and the
     # conditional problems against the core's per-time solves
     tree = list(_complete_markets())[k]
     geo = geometry._support_structure(tree)
@@ -1919,18 +1939,18 @@ def test_the_core_reads_w2_on_one_side_of_the_kink(tp_pair):
     # U''s kink at 0, where A jumps from b = 1 to a = 0.5.  Whatever side the
     # last iterate's rounding leaves it on, the core's W'' reads A(0) = a
     # there: (1/3) / (1.5 a) + (2/3) / (1.5 A(-1)) = 4/3, as the closed form
-    # at y q/p = 1
+    # at y q/p = 1; the backward pass meets the QR oracle at each optimum
     tree, rng = treegen.bin1(), np.random.default_rng(0)
     e = rng.uniform(-2.0, 2.0, (8, tree.n_leaves))
     sols = dual._core_solutions(tree, tp_pair, e, np.full(8, math.log(1.5)))
     assert [s.mass_curvature for s in sols] == pytest.approx([4.0 / 3.0] * 8, rel=1e-12)
+    _assert_w2_meets_the_qr_oracle(sols)
     closed, = dual._solutions(tree, tp_pair, e[:1], np.array([math.log(1.5)]))
     assert closed.mass_curvature == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 def test_the_core_qr_reads_w2_on_one_side_of_the_kink(tp_pair):
-    # bin1 is complete, so the core's optima above read W'' in closed form:
-    # the QR of an incomplete market (:func:`_w2_at`) at the same 8 optima
+    # the QR oracle of the tests (:func:`_w2_at`) at the same 8 optima
     # reads 4/3 as well, by the kink guard
     tree, rng = treegen.bin1(), np.random.default_rng(0)
     e = rng.uniform(-2.0, 2.0, (8, tree.n_leaves))
@@ -1940,3 +1960,60 @@ def test_the_core_qr_reads_w2_on_one_side_of_the_kink(tp_pair):
     w2 = _w2_at(A, tree.leaf_probability_array, e, tp_pair, geo.mask,
                 np.array([s.mu for s in sols]))
     assert w2.tolist() == pytest.approx([4.0 / 3.0] * 8, rel=1e-12)
+
+
+_TWO_POWER_SUITE = [case for case in treegen.acceptance_suite() if case[1].family == "two_power"]
+
+
+@pytest.mark.parametrize("k", range(len(_TWO_POWER_SUITE)))
+def test_the_w2_pass_meets_the_qr_oracle_on_the_acceptance_suite(k):
+    tree, pair, endow = _TWO_POWER_SUITE[k]
+    _assert_w2_meets_the_qr_oracle([solve_dual(tree, pair, endow)])
+
+
+def _free_and_fixed(tree, pair, e):
+    """The free optimum at ``e`` and the fixed-mass ones at 0.5 and 2 times
+    its mass."""
+    free = solve_dual(tree, pair, e)
+    return [free] + dual._solutions(tree, pair, np.array([e, e]),
+                                    free._log_mass + np.log([0.5, 2.0]))
+
+
+@pytest.mark.parametrize("ab", [(0.5, 1.0), (0.3, 2.0), (0.2, 3.0), (0.9, 10.0)])
+def test_the_w2_pass_meets_the_qr_oracle_across_the_sweep(ab):
+    # mixed widths, units 1e-12 and 1e12, a zero increment and three assets;
+    # the dead leaf has no finite two-power dual, and the caterpillar's
+    # optimal wealth is past the float range
+    rng = np.random.default_rng(7)
+    for name, tree in _sweep_trees().items():
+        if name not in ("dead leaf", "caterpillar"):
+            e = rng.uniform(-1.0, 1.0, tree.n_leaves)
+            _assert_w2_meets_the_qr_oracle(_free_and_fixed(tree, two_power_utility(*ab, 1.0), e))
+
+
+@pytest.mark.parametrize("moves", [[(1.2, 1.0), (1.0, 1.0), (0.85, 1.0)],
+                                   [(1.2, 1.4), (1.0, 1.0), (0.85, 0.7)]],
+                         ids=["still", "collinear"])
+def test_the_w2_pass_meets_the_qr_oracle_at_rank_deficient_nodes(tp_pair, moves):
+    # a second asset that never moves, or moves with the first: every node's
+    # increments span one direction of two, and the lift leaves the other
+    tree = treegen.product_market([moves] * 2, s0=(1.0, 1.0))
+    e = np.random.default_rng(1).uniform(-1.0, 1.0, tree.n_leaves)
+    _assert_w2_meets_the_qr_oracle(_free_and_fixed(tree, tp_pair, e))
+
+
+def test_the_w2_pass_meets_the_qr_oracle_on_2187_leaves(tp_pair):
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 7)
+    _assert_w2_meets_the_qr_oracle(
+        [solve_dual(tree, tp_pair, np.random.default_rng(0).uniform(-1.0, 1.0, tree.n_leaves))])
+
+
+def test_w2_reads_no_constraint_matrix_and_no_qr(tp_pair, monkeypatch):
+    tree = treegen.product_market([[1.2, 1.0, 0.85]] * 3)
+    sols = _free_and_fixed(tree, tp_pair, np.random.default_rng(2).uniform(-1.0, 1.0, 27))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("W'' read a dense matrix")
+    for name in ("build_constraints", "_qr_fits"):
+        monkeypatch.setattr(dual, name, refuse)
+    assert all(s.mass_curvature > 0.0 for s in sols)

@@ -458,6 +458,17 @@ def test_the_package_keeps_one_root_finder():
         "pricing._cash_root", "pricing._least_gap", "dual._budget_root"}
 
 
+def test_the_dense_fits_keep_their_callers():
+    # the dense constraint matrix and its QR fits serve the Newton core, the
+    # conditional solves, the battery's per-node fits, the CLI's geometry
+    # and the oracles; W'' is a backward pass over the levels and reads none
+    assert _package_scopes(calls("build_constraints")) == {
+        "dual._core_solutions", "recovery._conditional_solves", "cli._cmd_geometry",
+        "oracle._polytope_frame", "oracle.brute_force_primal"}
+    assert _package_scopes(calls("_scaled_fits")) == {"dual._newton_core.fit"}
+    assert _package_scopes(calls("_qr_fits")) == {"dual._scaled_fits", "checks._per_node_fits"}
+
+
 def test_bisection_midpoints_are_found():
     source = ("def a(lo, hi):\n    return 0.5 * (lo + hi)\n"
               "def b(lo, hi):\n    return (lo + hi) * 0.5\n"
