@@ -11,9 +11,11 @@ at a free row) and returns one optimum or error per row; ``solve_dual``,
 ``dual_value_curve`` reads its points off a solved problem: in closed form
 from the exponential pass, else by one ``_solutions`` call started at the
 optimum.  An optimum stores its exact form once, ln y and ln q_hat, and the
-mass, the measures and W''(y) (one backward pass off the exponential
-family, ``_cash_weight``) are read off it on first use.  Every mass enters
-the package in that form, as ln y by keyword, checked once (``_log_grid``).
+mass, the measures and W''(y) (off the exponential family, ``_cash_weight``)
+are read off it on first use.  Every mass enters the package in that form,
+as ln y by keyword, checked once (``_log_grid``).  Every backward pass (the
+log-partition, a complete market's strategy, W'') reads the structural
+batches of ``_live_levels``; W'' builds no exponential start.
 
 * Exponential family: exponential utility does not depend on wealth, so the
   dual is solved exactly by backward induction on the log-partition (Rouge &
@@ -28,47 +30,37 @@ the package in that form, as ln y by keyword, checked once (``_log_grid``).
   value ``C - exp(L_root)/gamma``.  Masses like e^-1000 are exact in this
   form.  One pass serves a stack of endowments, each distinct row once.  A
   node with one valid one-step vertex w0 (binomial nodes, d + 1 affinely
-  independent increments, a single live child) has no other martingale
-  weights: its optimum is w0, ``L_n = sum_c w0_c (ln p_(c|n) + L_c - ln
-  w0_c)`` and k the exact fit of its exponents.  The nodes with a choice
-  make one Newton batch per level over all the endowments, started at that
-  fit to w0, the mean of their valid vertices, or, where the first step
-  from it is clipped, at their vertices' max-plus minimizer if lower, with
-  steps of a proven descent and no line search.  All of it reads the
-  increments over each node's ``top``, and h is k over it, so the pass is
-  unit-free (Boyd & Vandenberghe 2004, 9.5.1: a Newton step does not
-  depend on the scaling).
+  independent increments, a single live child) takes w0, its only
+  martingale weights, and k the exact fit of its exponents; the nodes with
+  a choice make one Newton batch per level over all the endowments,
+  started at that fit to w0, the mean of their valid vertices, or at their
+  vertices' max-plus minimizer, with steps of a proven descent and no line
+  search.  All of it reads the increments over each node's ``top``, and h
+  is k over it, so the pass is unit-free (Boyd & Vandenberghe 2004, 9.5.1).
 * Other families on a complete market (every live non-leaf node has one
   valid vertex, ``SupportStructure.complete``), EQUIVALENT: the martingale
   measure q is unique, so every optimum is y q with the wealth W = I(y q/p)
   (the martingale method of Karatzas, Lehoczky & Shreve, *SIAM J. Control
-  Optim.* 25, 1987, and Cox & Huang, *J. Econ. Theory* 49, 1989).  A fixed
-  row keeps its y; a free row takes ln y from the budget E_q[I(y q/p)] =
-  E_q[e], by the package's one root-finder, ``_bracketed_newton`` (Newton
-  steps under Brent's safeguard), which every pricing search takes too.
-  The value and the wealth come from one ``v_point`` pass, and h is each
-  node's one-vertex fit of the conditional gains.  A wealth past the float
-  range on a leaf is that leaf's ``EvaluationOverflowError``.
+  Optim.* 25, 1987, and Cox & Huang, *J. Econ. Theory* 49, 1989).  A free
+  row takes ln y from the budget E_q[I(y q/p)] = E_q[e] by the package's
+  one root-finder, ``_bracketed_newton`` (Newton steps under Brent's
+  safeguard), which every pricing search takes too; h is each node's
+  one-vertex fit of the conditional gains (``_complete_solutions``).
 * Other families on an incomplete market, ``dynamic_dual`` and the tests'
   oracle: the optimal measure is the marginal utility of the optimal
   wealth, mu = p U'(e + gains), so the dual is solved through its primal,
   the concave maximization of E[U(e + gains)] (less y times the cash at a
-  fixed mass y) over the strategy, by damped Newton run to rounding.  One
-  call of the Newton core solves a stack of such problems on one tree, free
-  and fixed-mass rows or (``dynamic_dual``) one time's conditional
-  problems padded to one size, each row with its own line search,
-  convergence and failure.  Each point is one closed-form pass of U, U'
-  and the risk aversion.  A row starts at a measure fitted in the Newton
-  metric: a warm row at the optimum it continues, a cold row at y times
-  the support pass's equivalent martingale measure, a complete market's
-  solution but for the budget.  Each step is one batched Householder QR
-  over the stack, on the strategy columns ``_strategy_basis`` keeps: those
-  independent over each node's live children, hence over the whole tree.
+  fixed mass y) over the strategy, by damped Newton run to rounding: one
+  call of the Newton core (``_newton_core``) for a stack of such problems
+  on one tree, each row with its own line search, convergence and failure,
+  each step one batched Householder QR over the stack, on the strategy
+  columns ``_strategy_basis`` keeps (``_core_solutions``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -290,8 +282,8 @@ def _lse_min(b, x, k0, null=0.0, vertices=None):
     padding.  Returns the minima, the minimizers k and the steps.
 
     *Start*: k0 (g, d), or where the first step from it is clipped and the
-    value is lower (one :func:`_lse_point` over those rows), the
-    :func:`_max_plus` minimizer of the node's vertices ``vertices(rows)``.
+    value is lower (one :func:`_lse_point` over those rows), the max-plus
+    minimizer of the vertices ``vertices(those rows)`` (:func:`_max_plus`).
     *Step*: s solves ``(H + lift) s = E_w[x]`` (:func:`_lse_solve`), H the
     covariance of x under the softmax weights, lifted off the span of the
     increments by ``null`` (g, d, d) (:func:`_lift`), so s is H^+ E_w[x] in
@@ -355,61 +347,71 @@ def _increments(lay, live, node):
     return kids, on, dS / lay.top[node, None]
 
 
+_Level = namedtuple("_Level", "node kids lnp x mean null pinv")   # a structural batch
+_Start = namedtuple("_Start", "fit shift w0")                     # its exponential start
+
+
 @per_owner
 def _live_levels(geo: SupportStructure):
-    """Per non-leaf level, bottom-up, its live nodes in up to two batches:
-    the nodes with one valid vertex, then those with a choice of weights.
-    A batch holds the nodes (g,), their padded children (g, m), log branch
-    probabilities (-inf at padding and dead children), increments over
-    ``top`` (:func:`_increments`, g, m, d), the start's operator ``fit``
-    (g, m, d) and shift ``ln(p / w0)`` (g, m; 0 off the live children),
-    w0 (g, m) at one-vertex nodes, else None, the projector ``null`` (g,
-    d, d) off the span of the increments, and at nodes with a choice
-    ``verts`` (g, V), each node's valid vertices as indices into ``geo``'s
-    (the last repeated to the most of any node), whose weights
-    :func:`_lse_min` reads only for the rows it starts at their max-plus
-    minimizer, else None.  Live is as in ``SupportStructure.live``, w0 the
-    mean of a node's valid vertices (``geo.step_weights``).  The start ``k0 =
-    Cov_w0(x)^+ Cov_w0(x, b - ln w0)`` = sum_c fit_c (shift_c + L_c) /
-    gamma fits ``b - ln w0`` by ``x.k + f`` in w0-weighted least squares
-    (x = gamma dS, b = ln p + L); the pseudo-inverse, one batched eigh
-    without eigenvalues below _TOL of the largest, keeps k0 in the span of
-    the increments, and ``null`` is that rule's complement.  All live
-    non-leaf nodes are set up in one batch, padded to the most children,
-    and each batch is cut out and trimmed to its widest node.  Kept on
-    ``geo`` (:func:`~treedual.market.per_owner`).
-    """
-    lay, w, live = geo.layout, geo.step_weights, geo.live
-    starts = lay.level_starts
+    """The structural batches every backward pass reads: per non-leaf level,
+    bottom-up, its live nodes (``SupportStructure.live``) with one valid
+    vertex, then those with a choice of weights.  A batch is a plain record
+    of arrays with no tree-only field (no ``parent``, no path sums), so a
+    lattice can build the same: ``node`` (g,), the padded children ``kids``
+    (g, m), log branch probabilities ``lnp`` (-inf at padding and dead
+    children), increments ``x`` over ``top`` (:func:`_increments`, g, m, d),
+    their ``mean`` (g, d) under w0 (``geo.step_weights``, the mean of a
+    node's valid vertices) and, from one batched eigh of Cov_w0(x), its
+    pseudo-inverse ``pinv`` (g, d, d) without eigenvalues below _TOL of the
+    largest and that rule's complement ``null``, the projector off the span
+    of x.  The nodes are set up in one batch, padded to the most children,
+    then cut out and trimmed to the widest node; kept on ``geo``."""
+    lay, live, starts = geo.layout, geo.live, geo.layout.level_starts
     node = np.flatnonzero(live[:starts[-2]])
     count = np.bincount(geo.node, minlength=starts[-2])[node]
     # sorted by level, and within a level by one vertex or a choice: one run per batch
     key = 2 * np.searchsorted(starts, node, side="right") + (count == 1)
     order = np.argsort(key, kind="stable")
-    node, key, count = node[order], key[order], count[order]
-    kids, on, dS = _increments(lay, live, node)
-    w0 = np.where(on, w[kids], 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lnp = np.where(on, np.log(lay.prob[kids]), -np.inf)
-        shift = np.where(on, lnp - np.log(w0), 0.0)
-    dev = dS - np.einsum("gm,gmd->gd", w0, dS)[:, None]
+    node, key = node[order], key[order]
+    kids, on, x = _increments(lay, live, node)
+    w0 = np.where(on, geo.step_weights[kids], 0.0)
+    lnp = np.where(on, np.log(lay.prob[kids]), -np.inf)
+    mean = np.einsum("gm,gmd->gd", w0, x)
+    dev = x - mean[:, None]
     ev, vec = np.linalg.eigh(np.einsum("gm,gmd,gme->gde", w0, dev, dev))
     kept = ev > _TOL * np.abs(ev[:, -1:])
     inv = np.divide(1.0, ev, out=np.zeros_like(ev), where=kept)
-    fit = w0[..., None] * dev @ ((vec * inv[:, None]) @ vec.swapaxes(1, 2))
-    null = (vec * ~kept[:, None]) @ vec.swapaxes(1, 2)
-    first = np.searchsorted(geo.node, node)[:, None]   # a node's vertices run from here
-    verts = first + np.minimum(np.arange(count.max()), count[:, None] - 1)
-    width = lay.on[node].sum(axis=1)
-    run = np.flatnonzero(np.diff(key, prepend=-1))
-    widths = np.maximum.reduceat(width, run).tolist()
+    pinv, null = ((vec * a[:, None]) @ vec.swapaxes(1, 2) for a in (inv, ~kept))
+    run = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+    widths = np.maximum.reduceat(lay.on[node].sum(axis=1), run).tolist()
+    return tuple(_Level(node[a:b], kids[a:b, :m], lnp[a:b, :m], x[a:b, :m], mean[a:b], null[a:b],
+                        pinv[a:b])
+                 for a, b, m in reversed(list(zip(run, [*run[1:], node.size], widths))))
+
+
+@per_owner
+def _exponential_start(geo: SupportStructure):
+    """Per batch of :func:`_live_levels`, the exponential start: ``fit`` (g, m,
+    d), ``shift`` = ln(p / w0) (g, m; 0 off the live children) and w0 at
+    one-vertex nodes, else None.  k0 = sum_c fit_c (shift_c + L_c) / gamma =
+    Cov_w0(x)^+ Cov_w0(x, b - ln w0) fits b - ln w0 by x.k + f in w0-weighted
+    least squares (x = gamma dS, b = ln p + L), in x's span by ``pinv``.  Built
+    only where read: :func:`_log_partition` and :func:`_complete_solutions`."""
+    one = np.bincount(geo.node, minlength=geo.layout.level_starts[-2]) == 1
     out = []
-    for a, b, m in reversed(list(zip(run.tolist(), [*run[1:].tolist(), node.size], widths))):
-        batch = (node[a:b], kids[a:b, :m], lnp[a:b, :m], dS[a:b, :m], fit[a:b, :m],
-                 shift[a:b, :m])
-        out.append((*batch, w0[a:b, :m], null[a:b], None) if count[a] == 1 else
-                   (*batch, None, null[a:b], verts[a:b]))
+    with np.errstate(divide="ignore", invalid="ignore"):   # ln 0 off the live children
+        for lv in _live_levels(geo):
+            w0 = np.where(lv.lnp > -np.inf, geo.step_weights[lv.kids], 0.0)  # > 0 on live kids
+            shift = np.where(w0 > 0.0, lv.lnp - np.log(w0), 0.0)
+            fit = w0[..., None] * (lv.x - lv.mean[:, None]) @ lv.pinv
+            out.append(_Start(fit, shift, w0 if one[lv.node[0]] else None))
     return tuple(out)
+
+
+def _vertex_weights(geo, node, m):
+    """The weights (g, V, m) of the valid vertices of ``node`` (g,), each node's last repeated."""
+    lo, hi = np.searchsorted(geo.node, node), np.searchsorted(geo.node, node, side="right")
+    return geo.weight[np.minimum(lo[:, None] + np.arange((hi - lo).max()), hi[:, None] - 1), :m]
 
 
 @per_owner
@@ -446,39 +448,37 @@ def _strategy_basis(geo: SupportStructure):
 
 def _log_partition(tree, gamma, e):
     """Backward induction on ``L_n = ln min_h E[exp(-gamma(e + gains)) | n]``
-    for r endowments ``e`` (r, leaves), batch by batch of
-    :func:`_live_levels`, every node started at the fit k0.  A one-vertex
-    node's only martingale weights w0 are its optimum, so k0, an exact fit
-    there, is its minimizer, and ``L_n = sum_c w0_c (ln p_c + L_c - ln
-    w0_c)``.  The nodes with a choice go to :func:`_lse_min`, one call per
-    level that has any (row j * g + i is endowment j at node i), with their
-    projectors ``null`` and their vertices' weights for the max-plus start.
-    Where w0 fixes the optimal weights' ratios among a node's moving
-    children (up/flat/down nodes), k0 is the minimizer and takes no step.
-    The loop forms only L and h; after it, the optimizer's log weights
-    ``ln p_c + L_c - L_n - gamma dS_c.h_n`` (-inf off the live nodes) give
-    the drift and are summed down the paths.  Returns per endowment L at
-    every node (N,; 0 at the non-leaf nodes ``_live_levels`` drops), the
-    strategy (inner, d) of minimizers k over ``top`` (0 where
-    ``_live_levels`` zeroes dS or drops the node), the optimizer's node log
-    masses (N,), its largest one-step drift over ``top`` and the steps."""
+    for r endowments ``e`` (r, leaves), batch by batch of :func:`_live_levels`,
+    each node started at the fit k0 of :func:`_exponential_start`: the
+    minimizer at a one-vertex node, whose ``L_n = sum_c w0_c (ln p_c + L_c - ln
+    w0_c)``, and at a node whose w0 fixes the optimal weights' ratios among its
+    moving children.  The nodes with a choice go to :func:`_lse_min`, one call
+    per level that has any (row j * g + i is endowment j at node i), with their
+    ``null`` and, for the rows that ask, their vertices' weights
+    (:func:`_vertex_weights`).  After the loop, the optimizer's log weights
+    ``ln p_c + L_c - L_n - gamma dS_c.h_n`` (-inf off the live nodes) give the
+    drift and are summed down the paths.  Returns per endowment L (N,; 0 at the
+    non-leaf nodes ``_live_levels`` drops), the strategy (inner, d) of
+    minimizers k over ``top`` (0 where it zeroes dS or drops the node), the
+    optimizer's node log masses (N,), its largest one-step drift over ``top``
+    and the steps."""
     lay, geo = tree.layout, _support_structure(tree)
     r, inner = e.shape[0], lay.level_starts[-2]
     big_l = np.concatenate([np.zeros((r, inner)), -gamma * e], axis=1)
     steps, h = 0, np.zeros((r, inner, lay.prices.shape[1]))
-    for node, kids, lnp, dS, fit, shift, w0, null, verts in _live_levels(geo):
-        g, kid_l = node.size, big_l.take(kids, axis=1)
-        t = shift + kid_l                   # b - ln w0 on the live children
-        k = np.einsum("gmd,jgm->jgd", fit, t) / gamma
-        if w0 is None:
-            f, k, used = _lse_min((lnp + kid_l).reshape(r * g, -1),
-                                  np.concatenate([gamma * dS] * r), k.reshape(r * g, -1),
-                                  np.concatenate([null] * r),
-                                  lambda rows: geo.weight[verts[rows % g], :kids.shape[1]])
+    for lv, start in zip(_live_levels(geo), _exponential_start(geo)):
+        g, kid_l = lv.node.size, big_l.take(lv.kids, axis=1)
+        t = start.shift + kid_l             # b - ln w0 on the live children
+        k = np.einsum("gmd,jgm->jgd", start.fit, t) / gamma
+        if start.w0 is None:
+            f, k, used = _lse_min((lv.lnp + kid_l).reshape(r * g, -1),
+                                  np.concatenate([gamma * lv.x] * r), k.reshape(r * g, -1),
+                                  np.concatenate([lv.null] * r),
+                                  lambda rows: _vertex_weights(geo, lv.node[rows % g], t.shape[2]))
             steps += used
         else:
-            f = np.einsum("gm,jgm->jg", w0, t)
-        big_l[:, node], h[:, node] = f.reshape(r, g), k.reshape(r, g, -1) / lay.top[node]
+            f = np.einsum("gm,jgm->jg", start.w0, t)
+        big_l[:, lv.node], h[:, lv.node] = f.reshape(r, g), k.reshape(r, g, -1) / lay.top[lv.node]
     up, dS = lay.parent, lay.step           # the root is its own parent: ln w = 0 there
     log_w = np.where(geo.live, np.log(lay.prob) + big_l - big_l[:, up]
                      - gamma * np.einsum("nd,jnd->jn", dS, h[:, up]), -np.inf)
@@ -496,14 +496,14 @@ def _cash_weight(geo, alpha):
     squares), x_c over ``top``, k the weighted fit of 1 by x (:func:`_lift`)."""
     a = np.zeros(len(geo.layout.parent))
     a[geo.layout.level_starts[-2]:][geo.mask] = alpha
-    for node, kids, lnp, x, *_, null, _ in _live_levels(geo):
-        w = np.where(lnp > -np.inf, a[kids], 0.0)
+    for lv in _live_levels(geo):
+        w = np.where(lv.lnp > -np.inf, a[lv.kids], 0.0)
         total = w.sum(axis=1)
         w /= np.where(total > 0.0, total, 1.0)[:, None]
-        wx = w[..., None] * x
-        lift = _lift(np.abs(x).max(axis=(1, 2)), null, x.shape[2])
-        k = _lse_solve(wx.swapaxes(1, 2) @ x + lift, wx.sum(axis=1))
-        a[node] = total * (w * (1.0 - (x @ k[..., None])[..., 0]) ** 2).sum(axis=1)
+        wx = w[..., None] * lv.x
+        lift = _lift(np.abs(lv.x).max(axis=(1, 2)), lv.null, lv.x.shape[2])
+        k = _lse_solve(wx.swapaxes(1, 2) @ lv.x + lift, wx.sum(axis=1))
+        a[lv.node] = total * (w * (1.0 - (lv.x @ k[..., None])[..., 0]) ** 2).sum(axis=1)
     return float(a[0])
 
 
@@ -1023,8 +1023,8 @@ def _complete_solutions(tree, pair, geo, endows, log_mass=None, starts=None):
     its derived density.  A row whose wealth is past the float range on a
     leaf is that leaf's :class:`EvaluationOverflowError`, as is a mass of
     :func:`_masses`.  The strategy at each non-leaf node is its one-vertex
-    fit (the ``fit`` of :func:`_live_levels`, over ``top``) of E_q[X |
-    child] - E_q[X | node], exact as its increments are affinely
+    fit (the ``fit`` of :func:`_exponential_start`, over ``top``) of E_q[X
+    | child] - E_q[X | node], exact as its increments are affinely
     independent, for every row in one pass over the levels."""
     lay, p, n, ell = tree.layout, tree.leaf_probability_array, tree.n_leaves, geo.log_interior
     log_q, r = ell[-n:], len(endows)
@@ -1053,9 +1053,9 @@ def _complete_solutions(tree, pair, geo, endows, log_mass=None, starts=None):
     finite = np.isfinite(vp)
     cond = tree.conditional_expectation(np.where(finite, -vp - e, 0.0), ell)
     h = np.zeros((k, lay.level_starts[-2], tree.n_assets))
-    for node, kids, _, _, fit, *_ in _live_levels(geo):
-        h[:, node] = np.einsum("gmd,rgm->rgd", fit, cond[:, kids] - cond[:, node, None])
-        h[:, node] /= lay.top[node]
+    for lv, start in zip(_live_levels(geo), _exponential_start(geo)):
+        h[:, lv.node] = np.einsum("gmd,rgm->rgd", start.fit,
+                                  cond[:, lv.kids] - cond[:, lv.node, None]) / lay.top[lv.node]
     q = np.exp(log_q)
     for i, j in enumerate(rows):
         if not finite[i].all():

@@ -624,14 +624,12 @@ def test_solve_dual_never_sweeps(tri1, monkeypatch):
     assert calls == []
 
 
-def _live_levels_by_level(geo):
-    """Oracle of :func:`dual._live_levels`: the same batches, each one (the
-    nodes of a level with one valid vertex, then those with a choice of
-    weights) set up on its own, padded to its widest node."""
-    lay, w, live = geo.layout, geo.step_weights, geo.live
+def _structural_by_level(geo):
+    """Oracle of :func:`dual._live_levels`: the same structural batches, each
+    one (the nodes of a level with one valid vertex, then those with a
+    choice of weights) set up on its own, padded to its widest node."""
+    lay, live = geo.layout, geo.live
     vertices = np.bincount(geo.node, minlength=len(lay.ids))
-    first = np.concatenate([[0], np.cumsum(vertices)[:-1]])
-    most = vertices[np.flatnonzero(live[:lay.level_starts[-2]])].max()
     out = []
     for lo, hi in zip(lay.level_starts[-3::-1], lay.level_starts[-2:0:-1]):
         for one in (True, False):
@@ -639,35 +637,75 @@ def _live_levels_by_level(geo):
             if node.size == 0:
                 continue
             kids, on, dS = dual._increments(lay, live, node)
-            w0 = np.where(on, w[kids], 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lnp = np.where(on, np.log(lay.prob[kids]), -np.inf)
-                shift = np.where(on, lnp - np.log(w0), 0.0)
-            dev = dS - np.einsum("gm,gmd->gd", w0, dS)[:, None]
+            w0 = np.where(on, geo.step_weights[kids], 0.0)
+            lnp = np.where(on, np.log(lay.prob[kids]), -np.inf)
+            mean = np.einsum("gm,gmd->gd", w0, dS)
+            dev = dS - mean[:, None]
             ev, vec = np.linalg.eigh(np.einsum("gm,gmd,gme->gde", w0, dev, dev))
             inv = np.divide(1.0, ev, out=np.zeros_like(ev),
                             where=ev > geometry._TOL * np.abs(ev[:, -1:]))
-            fit = w0[..., None] * dev @ ((vec * inv[:, None]) @ vec.swapaxes(1, 2))
             null = (vec * (inv == 0.0)[:, None]) @ vec.swapaxes(1, 2)
-            if one:
-                out.append((node, kids, lnp, dS, fit, shift, w0, null, None))
-                continue
-            verts = np.array([[first[n] + min(v, vertices[n] - 1) for v in range(most)]
-                              for n in node])
-            out.append((node, kids, lnp, dS, fit, shift, None, null, verts))
+            out.append((node, kids, lnp, dS, mean, null, (vec * inv[:, None]) @ vec.swapaxes(1, 2)))
+    return tuple(out)
+
+
+def _start_by_level(geo):
+    """Oracle of :func:`dual._exponential_start` per batch of
+    :func:`_structural_by_level`: fit, shift and w0 (None at nodes with a
+    choice), and at those nodes the indices of each node's valid vertices
+    into ``geo``'s, the last repeated to the most of any live non-leaf
+    node (else None)."""
+    lay, w, live = geo.layout, geo.step_weights, geo.live
+    vertices = np.bincount(geo.node, minlength=len(lay.ids))
+    first = np.concatenate([[0], np.cumsum(vertices)[:-1]])
+    most = vertices[np.flatnonzero(live[:lay.level_starts[-2]])].max()
+    out = []
+    for node, kids, lnp, dS, mean, _, pinv in _structural_by_level(geo):
+        on = lay.on[node, :kids.shape[1]] & live[kids]
+        w0 = np.where(on, w[kids], 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shift = np.where(on, lnp - np.log(w0), 0.0)
+        fit = w0[..., None] * (dS - mean[:, None]) @ pinv
+        if vertices[node[0]] == 1:
+            out.append((fit, shift, w0, None))
+            continue
+        verts = np.array([[first[n] + min(v, vertices[n] - 1) for v in range(most)]
+                          for n in node])
+        out.append((fit, shift, None, verts))
     return tuple(out)
 
 
 def _assert_live_levels_match_the_oracle(tree):
-    got = dual._live_levels(geometry._support_structure(tree))
-    want = _live_levels_by_level(geometry._support_structure(tree))
-    assert len(got) == len(want)
-    for level, ref in zip(got, want):
-        assert len(level) == len(ref) == 9
+    geo = geometry._support_structure(tree)
+    got, want = dual._live_levels(geo), _structural_by_level(geo)
+    starts, want_starts = dual._exponential_start(geo), _start_by_level(geo)
+    assert len(got) == len(want) == len(starts) == len(want_starts)
+    pairs = list(zip(got, want))
+    pairs += [(start, ref[:3]) for start, ref in zip(starts, want_starts)]
+    for level, ref in pairs:
+        assert len(level) == len(ref)
         assert [a is None for a in level] == [a is None for a in ref]
         for a, b in zip(level, ref):
             if b is not None:
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    # the max-plus start's vertices, formed by _log_partition's callback for
+    # every row of two endowments: the rows the oracle's indices select, the
+    # repeats past the most of the batch's nodes cut
+    formed = []
+
+    def capture(b, x, k0, null, vertices, _fn=dual._lse_min):
+        formed.append(vertices(np.arange(len(b))))
+        return _fn(b, x, k0, null, vertices)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dual, "_lse_min", capture)
+        dual._log_partition(tree, 1.0, np.zeros((2, tree.n_leaves)))
+    choice = [(level, ref[3]) for level, ref in zip(got, want_starts) if ref[3] is not None]
+    assert len(formed) == len(choice)
+    for weights, (level, verts) in zip(formed, choice):
+        rows = geo.weight[np.concatenate([verts] * 2), :level.kids.shape[1]]
+        v = weights.shape[1]
+        assert weights.shape == rows[:, :v].shape and weights.tobytes() == rows[:, :v].tobytes()
+        assert np.array_equal(rows[:, v:], np.repeat(rows[:, v - 1:v], rows.shape[1] - v, axis=1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -950,17 +988,20 @@ def test_one_vertex_nodes_take_the_newton_loops_optimum_in_closed_form(name, gam
     rng = np.random.default_rng(int(gamma * 10))
     e = rng.uniform(-3.0 / gamma, 3.0 / gamma, (3, tree.n_leaves))
     big_l, h, ell, _, _ = dual._log_partition(tree, gamma, e)
-    batches = [b for b in dual._live_levels(geometry._support_structure(tree))
-               if b[6] is not None]
+    geo = geometry._support_structure(tree)
+    batches = [(lv, start) for lv, start in zip(dual._live_levels(geo),
+                                                 dual._exponential_start(geo))
+               if start.w0 is not None]
     assert batches
-    for node, kids, lnp, dS, fit, shift, w0, _, _ in batches:
+    for lv, start in batches:
+        node, kids, w0 = lv.node, lv.kids, start.w0
         r, g = len(e), node.size
         kid_l = big_l.take(kids, axis=1)
-        k0 = np.einsum("gmd,jgm->jgd", fit, shift + kid_l) / gamma
-        f, k, steps = dual._lse_min((lnp + kid_l).reshape(r * g, -1),
-                                    np.concatenate([gamma * dS] * r), k0.reshape(r * g, -1))
+        k0 = np.einsum("gmd,jgm->jgd", start.fit, start.shift + kid_l) / gamma
+        f, k, steps = dual._lse_min((lv.lnp + kid_l).reshape(r * g, -1),
+                                    np.concatenate([gamma * lv.x] * r), k0.reshape(r * g, -1))
         assert steps == 0
-        terms = np.einsum("gm,jgm->jg", w0, np.abs(shift + kid_l)).ravel()
+        terms = np.einsum("gm,jgm->jg", w0, np.abs(start.shift + kid_l)).ravel()
         assert np.all(np.abs(big_l[:, node].ravel() - f) <= 1e-15 * terms)
         assert np.array_equal(h[:, node], k.reshape(r, g, -1) / tree.layout.top[node])
         # the optimizer's log weights, read off its node log masses, are ln w0
@@ -2009,11 +2050,38 @@ def test_the_w2_pass_meets_the_qr_oracle_on_2187_leaves(tp_pair):
 
 
 def test_w2_reads_no_constraint_matrix_and_no_qr(tp_pair, monkeypatch):
+    # nor the exponential start: a fresh incomplete two-power tree goes
+    # through solve_dual and W'' without building it
+    e = np.random.default_rng(2).uniform(-1.0, 1.0, 27)
+    misses = dual._exponential_start.cache_info().misses
+    fresh = treegen.product_market([[1.2, 1.0, 0.85]] * 3)
+    assert solve_dual(fresh, tp_pair, e).mass_curvature > 0.0
+    assert dual._exponential_start.cache_info().misses == misses
     tree = treegen.product_market([[1.2, 1.0, 0.85]] * 3)
-    sols = _free_and_fixed(tree, tp_pair, np.random.default_rng(2).uniform(-1.0, 1.0, 27))
+    sols = _free_and_fixed(tree, tp_pair, e)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("W'' read a dense matrix")
-    for name in ("build_constraints", "_qr_fits"):
+        raise AssertionError("W'' read a dense matrix or the exponential start")
+    for name in ("build_constraints", "_qr_fits", "_exponential_start"):
         monkeypatch.setattr(dual, name, refuse)
     assert all(s.mass_curvature > 0.0 for s in sols)
+
+
+def test_a_fresh_tree_runs_one_batched_eigh(exp_pair, tp_pair, monkeypatch):
+    # the structural batches' pseudo-inverse and null projectors come from
+    # one eigh, which the exponential start reuses: pricing under both
+    # families and reading W'' on a fresh tree runs it once
+    calls = []
+
+    def counted(a, _fn=np.linalg.eigh):
+        calls.append(a.shape)
+        return _fn(a)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for moves in ([[1.2, 1.0, 0.85]] * 3, [[1.2, 0.85]] * 3):
+        tree = treegen.product_market(moves)
+        e = np.random.default_rng(0).uniform(-1.0, 1.0, tree.n_leaves)
+        claim = np.maximum(tree.layout.prices[tree.layout.level_starts[-2]:, 0] - 1.0, 0.0)
+        price_report(tree, exp_pair, e, claim)
+        assert solve_dual(tree, tp_pair, e).mass_curvature > 0.0
+        assert len(calls) == 1
+        calls.clear()

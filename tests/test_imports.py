@@ -469,6 +469,16 @@ def test_the_dense_fits_keep_their_callers():
     assert _package_scopes(calls("_qr_fits")) == {"dual._scaled_fits", "checks._per_node_fits"}
 
 
+def test_the_level_batches_keep_their_callers():
+    # every backward pass reads the structural batches; only the passes that
+    # start at the exponential fit build that start, so W'' builds none
+    assert _package_scopes(calls("_live_levels")) == {
+        "dual._log_partition", "dual._cash_weight", "dual._complete_solutions",
+        "dual._exponential_start"}
+    assert _package_scopes(calls("_exponential_start")) == {
+        "dual._log_partition", "dual._complete_solutions"}
+
+
 def test_bisection_midpoints_are_found():
     source = ("def a(lo, hi):\n    return 0.5 * (lo + hi)\n"
               "def b(lo, hi):\n    return (lo + hi) * 0.5\n"

@@ -144,12 +144,12 @@ def test_recover_refuses_a_measure_read_off_a_wrong_strategy(exp_pair, monkeypat
     # blind to the second asset leaves L exact (one-vertex nodes take w0 in
     # closed form) and h_2 = 0, so the measure drifts; recover names the
     # node where it does before it compares X with the wealth
-    def blind(geo, _fn=dual._live_levels):
-        return tuple(b[:4] + (b[4] * [1.0, 0.0],) + b[5:] for b in _fn(geo))
+    def blind(geo, _fn=dual._exponential_start):
+        return tuple(start._replace(fit=start.fit * [1.0, 0.0]) for start in _fn(geo))
     tree = _two_asset_market(1.0)
     e = np.linspace(-0.5, 0.5, tree.n_leaves)
     ref = solve_dual(tree, exp_pair, e)
-    monkeypatch.setattr(dual, "_live_levels", blind)
+    monkeypatch.setattr(dual, "_exponential_start", blind)
     sol = solve_dual(tree, exp_pair, e)
     assert sol.value == ref.value and np.all(sol._h_arr[:, 1] == 0.0)
     with pytest.raises(ReplicationGapError, match="martingale residual") as err:
@@ -162,12 +162,12 @@ def test_battery_reads_the_optimal_drift_in_each_assets_own_units(exp_pair, monk
     # every check passes on the optimum in any units of asset 2; the blind
     # start's measure drifts by a quarter of asset 2's increment, which
     # "martingale constraints at optimum" sees in any units too
-    def blind(geo, _fn=dual._live_levels):
-        return tuple(b[:4] + (b[4] * [1.0, 0.0],) + b[5:] for b in _fn(geo))
+    def blind(geo, _fn=dual._exponential_start):
+        return tuple(start._replace(fit=start.fit * [1.0, 0.0]) for start in _fn(geo))
     tree = _two_asset_market(s2)
     e = np.linspace(-0.5, 0.5, tree.n_leaves)
     assert all(c.passed for c in run_battery(tree, exp_pair, e))
-    monkeypatch.setattr(dual, "_live_levels", blind)
+    monkeypatch.setattr(dual, "_exponential_start", blind)
     failed = [c.name for c in run_battery(tree, exp_pair, e) if not c.passed]
     assert failed[:2] == ["martingale constraints at optimum", "dual first-order conditions"]
 
