@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import _qr_fits, _strategy_basis, dual_value_curve, solve_dual
-from .errors import NonconvergedError
+from .dual import dual_value_curve, solve_dual
+from .errors import EvaluationOverflowError, NonconvergedError
 from .geometry import _TOL, _support_structure, relative_entropy
 from .market import MarketTree, leaf_values
 from .recovery import (_conditional_duals, recover, snell_envelope_exponential,
@@ -52,55 +52,54 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
     Every check after the solve reads :func:`solve_dual`'s optimum, so a
     corrupted optimum fails them: mu, the mass, X, the charged set and the
     node log masses that weigh conditional expectations are all read off its
-    exact form (``_log_mass``, ``_log_q``).
-    A check passes when its residual is at most its ``tolerance``; a flag
-    reads 0 or 1 and a count its violations, both against 0.5.  A failed
-    recovery reads inf and ends the battery; a failed two-power conditional
-    solve reads inf in "dynamic dual consistency", which bounds, over every
-    charged node, the wealth residual and restriction gap of the
-    conditional dual problems: one array pass over every time
-    (``recovery._conditional_duals``, of which :func:`dynamic_dual` reads
-    one time's slice), with no per-node object.  The value curve is
-    computed before it: its middle point, at the optimum's own log mass,
-    is the root's conditional problem, so a two-power battery on an
-    incomplete market makes horizon + 1 Newton-core calls (the solve, the
-    curve and one per time 1 .. T - 1), and one on a complete market none
-    (the closed form of ``dual._complete_solutions``).  The optimum's
-    conjugate point (V, V', V'') at mu/p is formed once
+    exact form (``_log_mass``, ``_log_q``).  A check passes when its
+    residual is at most its ``tolerance``; a flag reads 0 or 1 and a count
+    its violations, both against 0.5.  A failed recovery reads inf and ends
+    the battery; a failed conditional problem (a two-power solve that stops
+    short, a mass past the float range) reads inf in "dynamic dual
+    consistency", which bounds, over every charged node, the wealth residual
+    and restriction gap of the conditional dual problems: one array pass
+    over every time (``recovery._conditional_duals``, of which
+    :func:`dynamic_dual` reads one time's slice), with no per-node object.
+    The value curve is computed before it: its middle point, at the
+    optimum's own log mass, is the root's conditional problem, so a
+    two-power battery on an incomplete market makes horizon + 1 Newton-core
+    calls (the solve, the curve and one per time 1 .. T - 1), and one on a
+    complete market none (the closed form of ``dual._complete_solutions``).
+    The optimum's conjugate point (V, V', V'') at mu/p is formed once
     (``DualSolution.entropy_terms`` and ``terminal_gain`` read it): "zero
     duality gap" sums p V and the dynamic dual adds mu e to it.  The
-    certification
-    (:func:`certify_assumptions`, one evaluation of each closed form over
-    its grids) proves biconjugacy from the pair's closed forms at y = U'(x);
-    its detail prints the tail elasticities (AE-, AE+) beside their grid
-    estimates.  Every worst residual is a reduction that propagates NaN,
-    so a NaN anywhere fails its check.  Every check runs
+    certification (:func:`certify_assumptions`, one evaluation of each
+    closed form over its grids) proves biconjugacy from the pair's closed
+    forms at y = U'(x); its detail prints the tail elasticities (AE-, AE+)
+    beside their grid estimates.  Every worst residual is a reduction that
+    propagates NaN, so a NaN anywhere fails its check.  Every check runs
     node by node in O(N), with no dense constraint matrix and no vertex
     enumeration.  "Martingale constraints at optimum" is each asset's
     one-step drift over its ``top`` at each charged node times the node's
     mass, so it reads every asset in its own unit; "dual first-order
     conditions" fits E_q[X | child] - E_q[X | node] by the increments on
-    each charged node's charged children (one batched QR), apart from the
-    solver's strategy.  The support flag and "maximal support" check the
-    support pass's two certificates on the prices alone (the FTAP on finite
-    trees): its one-step weights (``step_weights``) must be non-negative,
-    sum to 1 and have no drift at every node they reach, which proves a
-    martingale measure charging the leaves they reach, and its strategy
-    (``arbitrage``) must gain >= 0 on every leaf and > 0 on every leaf
-    those weights miss, which proves no martingale measure charges them.
-    The flag passes when they prove it; "maximal support" counts the
-    leaves q_hat misses though the weights reach them, or charges though
-    the strategy gains there.  The checks under all martingale measures go
-    node by node over the valid one-step vertices
-    (:func:`verify_supermartingale`, :func:`snell_envelope_exponential`),
-    exhaustive at any size.  The value
+    each charged node's charged children, each asset in its unit ``top``
+    (one batched pseudo-inverse), apart from the solver's strategy.  The
+    support flag and "maximal support" check the support pass's two
+    certificates on the prices alone (the FTAP on finite trees): its
+    one-step weights (``step_weights``) must be non-negative, sum to 1 and
+    have no drift at every node they reach, which proves a martingale
+    measure charging the leaves they reach, and its strategy (``arbitrage``)
+    must gain >= 0 on every leaf and > 0 on every leaf those weights miss,
+    which proves no martingale measure charges them.  The flag passes when
+    they prove it; "maximal support" counts the leaves q_hat misses though
+    the weights reach them, or charges though the strategy gains there.  The
+    checks under all martingale measures go node by node over the valid
+    one-step vertices (:func:`verify_supermartingale`,
+    :func:`snell_envelope_exponential`), exhaustive at any size.  The value
     curve is read off the optimum at log masses around its own
     (:func:`dual_value_curve`): in closed form for the exponential family
     and on complete markets, else by one Newton-core call started at the
-    rescaled optimum.  A result's
-    ``seconds`` run from the previous result, so shared work (the solve, the
-    certificates, the recovery, the curve) is charged to the first check
-    that uses it: the curve to "dynamic dual consistency".
+    rescaled optimum.  A result's ``seconds`` run from the previous result,
+    so shared work (the solve, the certificates, the recovery, the curve) is
+    charged to the first check that uses it: the curve to "dynamic dual
+    consistency".
     """
     results, clock = [], [time.perf_counter()]
 
@@ -127,11 +126,11 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
 
     # KKT of the entropy program: X replicable under q_hat, so that at each
     # charged node E[X | child] - E[X | node] is fitted by the increments on
-    # the charged children (the columns of the tree's strategy basis)
+    # the charged children
     x = np.where(live, sol.terminal_gain, 0.0)
     cond = tree.conditional_expectation(x, sol.node_log_q)
     kid = np.where(sol.charged, cond - cond[lay.parent], 0.0)
-    fit = _per_node_fits(lay, kid, sol.charged, _strategy_basis(geo).reshape(inner, -1))
+    fit = _per_node_fits(lay, kid, sol.charged)
     kkt = float(np.abs(fit).max(initial=0.0)) / (1.0 + float(np.abs(x[live]).max()))
     add("dual first-order conditions", kkt, 1e-8)
 
@@ -189,7 +188,7 @@ def run_battery(tree: MarketTree, pair: UtilityPair, endow) -> list[CheckResult]
         *_, gap, resid = _conditional_duals(sol, range(tree.horizon + 1), ps.wealth,
                                             (mid.value, mid.derivative))
         worst, detail = float(np.maximum(resid, gap).max(initial=0.0)), ""
-    except NonconvergedError as exc:   # a two-power conditional solve
+    except (NonconvergedError, EvaluationOverflowError) as exc:   # a conditional problem
         worst, detail = math.inf, f"{type(exc).__name__}: {exc}"
     add("dynamic dual consistency", worst, 1e-7, detail)
 
@@ -251,19 +250,19 @@ def _arbitrage_gains(lay, h):
     return lay.path_sums(g)[:, lay.level_starts[-2]:]
 
 
-def _per_node_fits(lay, y, charged, basis):
+def _per_node_fits(lay, y, charged):
     """Residuals (N,) of the least-squares fits of ``y`` (N,) on each
     ``charged`` (N,) non-leaf node's children by their increments (the
-    layout's ``step``, zero off the charged children), restricted to the
-    columns ``basis`` (n, d); other nodes read 0.  One batched
-    :func:`_qr_fits` over the nodes, on the layout's padded ``kids`` cut
-    to the widest of them."""
+    layout's ``step`` over the node's ``top``, zero off the charged
+    children); other nodes read 0.  One batched ``np.linalg.pinv`` over the
+    nodes, singular values below geometry's _TOL of the largest cut, on the
+    layout's padded ``kids`` cut to the widest of them."""
     node = np.flatnonzero(charged[:lay.level_starts[-2]])
     m = lay.on[node].sum(axis=1).max(initial=1)
     kids, pad = lay.kids[node, :m], ~lay.on[node, :m]
-    J = np.where((pad | ~charged[kids])[..., None] | ~basis[node, None], 0.0, lay.step[kids])
-    T = np.where(pad, 0.0, y[kids])[..., None]
-    res = T - J @ _qr_fits(J, T)
+    x = np.where((pad | ~charged[kids])[..., None], 0.0, lay.step[kids] / lay.top[node, None])
+    t = np.where(pad, 0.0, y[kids])[..., None]
+    res = t - x @ (np.linalg.pinv(x, rtol=_TOL) @ t)
     out = np.zeros(y.size)
     out[kids[~pad]] = res[..., 0][~pad]
     return out

@@ -7,7 +7,8 @@ returns the optimal strategy h too, which primal recovery reads.  One
 function, ``_solutions``, picks the solver by the utility's family and the
 market's completeness for a stack of endowments with one mass per row (NaN
 at a free row) and returns one optimum or error per row; ``solve_dual``,
-``solve_dual_fixed_mass`` and the pricing searches solve through it.
+``solve_dual_fixed_mass`` and the pricing searches solve through it, and
+``_subtree_duals`` picks the same for the conditional problems on subtrees.
 ``dual_value_curve`` reads its points off a solved problem: in closed form
 from the exponential pass, else by one ``_solutions`` call started at the
 optimum.  An optimum stores its exact form once, ln y and ln q_hat, and the
@@ -54,7 +55,8 @@ batches of ``_live_levels``; W'' builds no exponential start.
   call of the Newton core (``_newton_core``) for a stack of such problems
   on one tree, each row with its own line search, convergence and failure,
   each step one batched Householder QR over the stack, on the strategy
-  columns ``_strategy_basis`` keeps (``_core_solutions``).
+  columns ``_strategy_basis`` keeps, laid out for the whole tree and every
+  subtree by ``_subtree_rows`` (``_core_solutions``, ``_subtree_solves``).
 """
 
 from __future__ import annotations
@@ -446,6 +448,39 @@ def _strategy_basis(geo: SupportStructure):
     return keep
 
 
+_Subtrees = namedtuple("_Subtrees", "rows leaf pad")   # one time's subtree problems
+
+
+@per_owner
+def _subtree_rows(tree: MarketTree):
+    """Per time t < T, the Newton core's problems on the time-t subtrees,
+    row i for node ``level_starts[t] + i``: its leaves ``leaf`` (n_t, w),
+    padded with leaf 0 where ``pad``, and ``rows`` (n_t, k, w), the rows of
+    :func:`build_constraints` inside it that :func:`_strategy_basis` keeps,
+    in order, padded with zero rows and zero at padding leaves.  Time 0 is
+    the whole tree's rows, bit for bit.  Read-only, kept on the tree."""
+    lay, d, starts = tree.layout, tree.n_assets, tree.layout.level_starts
+    kept = np.flatnonzero(_strategy_basis(_support_structure(tree)))
+    out = []
+    for t in range(tree.horizon):
+        lo, hi = lay.lo[starts[t]:starts[t + 1]], lay.hi[starts[t]:starts[t + 1]]
+        mine = kept[kept // d >= starts[t]]   # the kept rows of time t and below
+        slot = np.searchsorted(lo, lay.lo[mine // d], side="right") - 1
+        by_slot = np.argsort(slot, kind="stable")
+        mine, slot = mine[by_slot], slot[by_slot]
+        column = np.arange(slot.size) - np.searchsorted(slot, slot)
+        leaf = lo[:, None] + np.arange((hi - lo).max())
+        pad = leaf >= hi[:, None]
+        leaf[pad] = 0
+        rows = np.zeros((lo.size, column.max(initial=-1) + 1, leaf.shape[1]))
+        rows[slot, column] = np.where(pad[slot], 0.0, build_constraints(tree)[mine[:, None],
+                                                                              leaf[slot]])
+        for a in (rows, leaf, pad):
+            a.setflags(write=False)
+        out.append(_Subtrees(rows, leaf, pad))
+    return tuple(out)
+
+
 def _log_partition(tree, gamma, e):
     """Backward induction on ``L_n = ln min_h E[exp(-gamma(e + gains)) | n]``
     for r endowments ``e`` (r, leaves), batch by batch of :func:`_live_levels`,
@@ -549,7 +584,7 @@ def _envelope(q, x, on):
     over the leaves ``on`` that q charges (X is +inf off them), q and on
     (L,) or (r, L): one dot per row.  The one formula of
     :attr:`DualSolution.mass_derivative`, of :func:`dual_value_curve` and
-    of the conditional solves of ``recovery``."""
+    of :func:`_subtree_solves`."""
     return _row_dot(np.where(on, -x, 0.0), q)
 
 
@@ -846,9 +881,10 @@ def _core_solutions(tree, pair, endows, log_mass=None, starts=None):
     at masses e^log_mass (r,) if given (NaN at a free row), started at leaf
     measures (r, L) if given: one optimum or the row's error per row, a
     :class:`NonconvergedError` or the :class:`EvaluationOverflowError` of
-    :func:`_masses`.  The core runs on the columns of
-    :func:`_strategy_basis`; the others get h = 0, and an optimum stores
-    ln m, m = sum mu, and ln(mu/m).  :func:`_solutions` sends it the
+    :func:`_masses`.  The core runs on the whole tree's rows of
+    :func:`_subtree_rows`, the columns of :func:`_strategy_basis`; the
+    others get h = 0, and an optimum stores ln m, m = sum mu, and
+    ln(mu/m).  :func:`_solutions` sends it the
     incomplete markets; on complete ones it is the tests' oracle of
     :func:`_complete_solutions`.
 
@@ -873,7 +909,7 @@ def _core_solutions(tree, pair, endows, log_mass=None, starts=None):
         cold &= np.isfinite(y0)
         starts[cold] = y0[cold, None] * q
     mu, h_basis, value, res, steps, errors = _newton_core(
-        build_constraints(tree)[basis], tree.leaf_probability_array, endows[run], pair, mask,
+        _subtree_rows(tree)[0].rows, tree.leaf_probability_array, endows[run], pair, mask,
         mass=y[run], start=starts[run])
     h = np.zeros((len(errors), basis.size))
     h[:, basis] = h_basis
@@ -1008,15 +1044,14 @@ def _budget_root(tree, pair, log_q, e, s):
         raise NonconvergedError(f"budget root of the complete market: {exc}") from None
 
 
-def _complete_solutions(tree, pair, geo, endows, log_mass=None, starts=None):
+def _complete_solutions(tree, pair, geo, endows, log_mass=None):
     """The optima of a stack of endowments (r, L) on a complete EQUIVALENT
     market, whose unique martingale measure q has the node log masses ell
     of the support pass's ``geo.log_interior``, at the masses e^log_mass
     (r,) if given (NaN at a free row): one optimum or the row's error per
     row, with no Newton core and no constraint matrix.  A fixed row keeps
     its own y; a free row takes ln y from :func:`_budget_root`, started at
-    the log mass of its start measure if that is positive on the leaves,
-    else at ln U'(E_q[e]), the mass at which the constant wealth E_q[e] is
+    ln U'(E_q[e]), the mass at which the constant wealth E_q[e] is
     optimal.  Then one :func:`_complete_rows` pass over every row gives the
     value and the wealth at mu = exp(ln y + ln q), and an optimum stores ln
     y and ell's leaf slice as ln q_hat, so its kept conjugate point is at
@@ -1032,12 +1067,8 @@ def _complete_solutions(tree, pair, geo, endows, log_mass=None, starts=None):
     s = np.full(r, math.nan) if log_mass is None else np.array(log_mass, dtype=float)
     probes = np.zeros(r, dtype=int)
     for j in np.flatnonzero(np.isnan(y)).tolist():
-        guess = math.nan
-        if starts is not None and (starts[j] > 0).all():
-            guess = math.log(starts[j].sum())
-        if not math.isfinite(guess):
-            with np.errstate(divide="ignore", over="ignore"):
-                guess = float(np.log(pair.u_prime(np.exp(log_q) @ endows[j])))
+        with np.errstate(divide="ignore", over="ignore"):
+            guess = float(np.log(pair.u_prime(np.exp(log_q) @ endows[j])))
         try:
             s[j], probes[j] = _budget_root(tree, pair, log_q, endows[j],
                                            guess if math.isfinite(guess) else 0.0)
@@ -1077,14 +1108,76 @@ def _solutions(tree, pair, endows, log_mass=None, starts=None):
     EQUIVALENT market (``SupportStructure.complete``), the closed form of
     :func:`_complete_solutions`, and otherwise one call of the Newton core
     (:func:`_core_solutions`), started at the leaf measures ``starts`` (r,
-    L) if given."""
+    L) if given (on a complete market pricing replicates every claim)."""
     if pair.family == "exponential":
         return _log_space_solutions(tree, pair, endows, log_mass)
     _, flag = _prepare(tree, pair)
     geo = _support_structure(tree)
     if geo.complete and flag == "EQUIVALENT":
-        return _complete_solutions(tree, pair, geo, endows, log_mass, starts)
+        return _complete_solutions(tree, pair, geo, endows, log_mass)
     return _core_solutions(tree, pair, endows, log_mass, starts)
+
+
+def _subtree_duals(sol, nodes, log_masses):
+    """Raw values and mass derivatives of the conditional dual problems at
+    ``sol``'s charged non-leaf ``nodes`` (sorted), at log masses ln m_n,
+    by the solver :func:`_solutions` picks for the whole tree.  Exponential:
+    from L_n, exact where m_n underflows, raw ``C P_n + m_n (ln m_n - 1 -
+    ln P_n - L_n)/gamma`` and derivative ``(ln m_n - ln P_n - L_n)/gamma``.
+    Else the masses of :func:`_masses` (its first refused row raises); on a
+    complete EQUIVALENT market, the one martingale measure ln q^n = ell_leaf
+    - ell_n of n's subtree (ell = ``log_interior``) at mass m_n, by one
+    :func:`_complete_rows` pass; otherwise :func:`_subtree_solves`."""
+    tree, pair = sol.tree, sol.pair
+    if sol._log_l is not None:
+        gamma, big_p = pair.params["gamma"], tree.node_probability_array[nodes]
+        log_ratio = log_masses - np.log(big_p) - sol._log_l[nodes]
+        with np.errstate(over="ignore"):
+            m = np.exp(log_masses)
+        return pair.params["C"] * big_p + m * (log_ratio - 1.0) / gamma, log_ratio / gamma
+    y, errors = _masses(pair, log_masses, nodes.size)
+    for err in filter(None, errors):
+        raise err
+    geo = _support_structure(tree)
+    if not (geo.complete and sol.support == "EQUIVALENT"):
+        return _subtree_solves(sol, nodes, y)
+    lay, ell = tree.layout, geo.log_interior
+    size = lay.hi[nodes] - lay.lo[nodes]
+    first = np.cumsum(size) - size
+    row = np.repeat(np.arange(nodes.size), size)
+    leaf = np.arange(size.sum()) - first[row] + lay.lo[nodes][row]
+    sums, _ = _complete_rows(pair, tree.leaf_probability_array[leaf],
+                             ell[lay.level_starts[-2] + leaf] - ell[nodes][row],
+                             sol._endow_arr[leaf], log_masses[row], first)
+    return sums[0], sums[1]
+
+
+def _subtree_solves(sol, nodes, masses):
+    """:func:`_subtree_duals` by the Newton core at masses ``masses``: one
+    call per time on its :func:`_subtree_rows`, each row started at the
+    optimizer; the first failing row raises its :class:`NonconvergedError`.
+    The derivative is :func:`_envelope` of the row's optimum over its own
+    mass.  On complete markets, the tests' oracle of the closed form."""
+    tree, pair, e, mu = sol.tree, sol.pair, sol._endow_arr, sol.mu
+    p, starts = tree.leaf_probability_array, tree.layout.level_starts
+    raw, deriv = np.empty(nodes.size), np.empty(nodes.size)
+    for t, sub in enumerate(_subtree_rows(tree)):
+        lo, hi = np.searchsorted(nodes, starts[t:t + 2])   # the nodes of time t
+        if lo == hi:
+            continue
+        i = nodes[lo:hi] - starts[t]
+        leaf, pad = sub.leaf[i], sub.pad[i]
+        p_sub, e_sub = np.where(pad, 0.0, p[leaf]), np.where(pad, 0.0, e[leaf])
+        mu_sub, _, raw[lo:hi], *_, errors = _newton_core(
+            sub.rows[i], p_sub, e_sub, pair, np.ones(leaf.shape[1], dtype=bool),
+            mass=masses[lo:hi], start=mu[leaf])
+        for err in filter(None, errors):
+            raise err
+        # the envelope formula, over the subtree's leaves; padding is not charged
+        dens = np.divide(mu_sub, p_sub, out=np.ones(mu_sub.shape), where=~pad)
+        q = mu_sub / mu_sub.sum(axis=1, keepdims=True)
+        deriv[lo:hi] = _envelope(q, -pair.v_prime(dens) - e_sub, q > 0)
+    return raw, deriv
 
 
 def _at_masses(tree, pair, endow, ss, starts=None):

@@ -42,9 +42,9 @@ def build_constraints(tree: MarketTree) -> np.ndarray:
     """The read-only matrix A (rows, L) whose non-negative solutions are the
     martingale cone: row ``k * d + i`` is asset i at ``tree.nonleaf_ids[k]``,
     over the leaves in leaf order; see the module docstring.  Its rows are
-    the strategy columns of the two-power Newton core
-    (``dual._core_solutions``) and of the conditional solves
-    (``recovery._conditional_solves``); CLI ``geometry`` and
+    the strategy columns of the two-power Newton core, laid out for the
+    whole tree and every subtree by ``dual._subtree_rows``, the one reader
+    on the solve and recovery paths; CLI ``geometry`` and
     :mod:`~treedual.oracle` read the whole of it, and the verify battery
     and :func:`vertex_enumerate` none of it.  Kept on the tree
     (:func:`~treedual.market.per_owner`)."""

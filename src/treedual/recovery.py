@@ -13,10 +13,11 @@ one-step weights at a node lie in that node's one-step polytope, so the
 supermartingale check takes the drift under each valid one-step vertex,
 and the exponential Snell envelope is the per-node upper value of the
 backward pass over them (:meth:`SupportStructure.extremes`), exhaustive at
-any size.  The dynamic checks solve the conditional dual problems on
-subtrees, in closed form where the family, the market's completeness or the
-leaf allows, in one array pass over every charged node of the times asked
-for, and compare their mass derivatives with the wealth process.
+any size.  The dynamic checks compare the mass derivatives of the
+conditional dual problems on subtrees with the wealth process: a leaf's
+problem has one feasible point, the root's is the value curve's point at the
+optimum's own mass, and ``dual._subtree_duals`` solves the others by the
+solver the whole tree's problem takes.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import (DualSolution, _complete_rows, _envelope, _newton_core, _strategy_basis,
-                   dual_value_curve)
+from .dual import DualSolution, _subtree_duals, dual_value_curve
 from .errors import NoPrimalOptimizerError, NotExponentialError, ReplicationGapError
-from .geometry import _support_structure, build_constraints
+from .geometry import _support_structure
 from .market import MarketTree, leaf_values
 from .utility import UtilityPair
 
@@ -200,15 +200,12 @@ def dynamic_dual(sol: DualSolution, t: int, wealth=None) -> list[DynamicDualNode
 
     At each node n the optimum charges (:attr:`DualSolution.charged`), the
     least entropy-plus-endowment objective over subtree measures of the
-    optimizer's mass m_n, and its derivative in that mass, read off the
-    slice of time ``t`` of :func:`_conditional_duals`.  At t = 0 a
-    two-power optimum's root row is :func:`dual_value_curve`'s point at the
-    optimum's own log mass (``run_battery`` reads the curve's point
-    there).  The value is the raw one over P_n; the restriction gap
-    compares it with the global optimizer's objective on the subtree.
-    Deterministic time grid only.
-    When ``wealth`` (N,) in layout order is given (another shape raises
-    ``ValueError``), the derivative should equal minus it.
+    optimizer's mass m_n and its derivative in that mass: the time-``t``
+    slice of :func:`_conditional_duals`.  The value is the raw one over
+    P_n; the restriction gap compares it with the global optimizer's
+    objective on the subtree.  Deterministic time grid only.  Given
+    ``wealth`` (N,) in layout order (another shape raises ``ValueError``),
+    the derivative should equal minus it.
     """
     tree = sol.tree
     if not (0 <= t <= tree.horizon):
@@ -223,133 +220,42 @@ def dynamic_dual(sol: DualSolution, t: int, wealth=None) -> list[DynamicDualNode
 
 def _conditional_duals(sol, times, wealth=None, root=None):
     """The conditional dual problems at every charged node of the ``times``
-    (a range), in one pass over them, in layout order.
-
-    A leaf's problem has one feasible point: raw value p V(m/p) + m e,
-    derivative -X.  Exponential family, from the log-space pass's L_n, at
-    every non-leaf node at once: raw value ``C P_n + m_n (ln m_n - 1 -
-    ln P_n - L_n)/gamma``, derivative ``(ln m_n - ln P_n - L_n)/gamma``,
-    with ln m_n = ln y + ``node_log_q[n]`` exact where m_n underflows.
-    Otherwise the root's problem is the whole tree's at the optimum's own
-    log mass ``sol._log_mass``, the point of ``dual_value_curve`` there:
-    ``root``, its (raw value, derivative) if solved already (the battery
-    passes its curve's middle point), else that curve point.  The other
-    non-leaf nodes of a complete market take the closed form at the same
-    log masses, all times in one pass (:func:`_complete_conditionals`); those
-    of an incomplete one solve their subtrees' problems on the maximal
-    support in one Newton-core call per time (:func:`_conditional_solves`),
-    started at the optimizer, and differentiate by the envelope formula;
-    the first failing time raises its :class:`NonconvergedError`.  The
-    restriction gap |raw -
-    restricted| / (1 + |raw|) compares the raw value with the global
-    optimizer's objective on the subtree, a ``subtree_sums`` of
-    ``sol.entropy_terms + mu e`` formed once.  Returns the nodes, their raw
-    values, derivatives and gaps, and, given ``wealth`` (N,) in layout
-    order (another shape raises ``ValueError``), the wealth residuals |W +
-    derivative| / (1 + |W|), else None.
-    """
-    tree, pair, e = sol.tree, sol.pair, sol._endow_arr
+    (a range), in layout order.  A leaf's has one feasible point: raw value
+    p V(m/p) + m e, derivative -X.  The root's is the whole tree's at the
+    optimum's own log mass: ``root`` (raw value, derivative) if solved (the
+    battery's curve point), else :func:`dual_value_curve`'s point there.
+    ``dual._subtree_duals`` solves the others at ln y + ``node_log_q``, exact
+    where the mass underflows; its first failing row raises.  Returns the
+    nodes, raw values, derivatives, restriction gaps |raw - restricted| /
+    (1 + |raw|) against the optimizer's objective on the subtree (one
+    ``subtree_sums`` of ``sol.entropy_terms + mu e``) and, given ``wealth``
+    (N,) in layout order (another shape raises ``ValueError``), the wealth
+    residuals |W + derivative| / (1 + |W|), else None."""
+    tree = sol.tree
     w = None if wealth is None else _per_node(tree, wealth)
-    lay, mu = tree.layout, sol.mu
-    starts, inner = lay.level_starts, lay.level_starts[-2]
-    obj = sol.entropy_terms + mu * e
-    mass, restricted = tree.subtree_sums(np.stack([mu, obj]))
+    starts, inner = tree.layout.level_starts, tree.layout.level_starts[-2]
+    obj = sol.entropy_terms + sol.mu * sol._endow_arr
     nodes = np.arange(starts[times.start], starts[times.stop])
     nodes = nodes[sol.charged[nodes]]
     split = np.searchsorted(nodes, inner)
-    inside, leaf = nodes[:split], nodes[split:] - inner
+    leaf = nodes[split:] - inner
     raw, deriv = np.empty(nodes.size), np.empty(nodes.size)
     raw[split:], deriv[split:] = obj[leaf], -sol.terminal_gain[leaf]
-    log_m = sol._log_mass + sol.node_log_q[inside]   # exact where m underflows
-    if sol._log_l is not None:
-        gamma, big_p = pair.params["gamma"], tree.node_probability_array[inside]
-        log_ratio = log_m - np.log(big_p) - sol._log_l[inside]
-        raw[:split] = pair.params["C"] * big_p + mass[inside] * (log_ratio - 1.0) / gamma
-        deriv[:split] = log_ratio / gamma
-    else:
-        below = int(times.start == 0)   # inside[0] is the root: the curve's point
-        if below:
-            if root is None:
-                pt, = dual_value_curve(sol, log_masses=[sol._log_mass]).points
-                root = pt.value, pt.derivative
-            raw[0], deriv[0] = root
-        if not _support_structure(tree).complete:
-            for t in range(times.start + below, times.stop):
-                lo, hi = np.searchsorted(inside, starts[t:t + 2])   # the nodes of time t
-                if lo < hi:
-                    raw[lo:hi], deriv[lo:hi] = _conditional_solves(sol, inside[lo:hi],
-                                                                   mass[inside[lo:hi]])
-        elif split > below:
-            raw[below:split], deriv[below:split] = _complete_conditionals(
-                sol, inside[below:], log_m[below:])
-    gap = np.abs(raw - restricted[nodes]) / (1.0 + np.abs(raw))
+    below = int(times.start == 0)   # nodes[0] is the root: the curve's point
+    if below:
+        if root is None:
+            pt, = dual_value_curve(sol, log_masses=[sol._log_mass]).points
+            root = pt.value, pt.derivative
+        raw[0], deriv[0] = root
+    if split > below:
+        inside = nodes[below:split]
+        raw[below:split], deriv[below:split] = _subtree_duals(
+            sol, inside, sol._log_mass + sol.node_log_q[inside])
+    gap = np.abs(raw - tree.subtree_sums(obj)[nodes]) / (1.0 + np.abs(raw))
     if w is None:
         return nodes, raw, deriv, gap, None
     w = w[nodes]
     return nodes, raw, deriv, gap, np.abs(w + deriv) / (1.0 + np.abs(w))
-
-
-def _complete_conditionals(sol, nodes, log_m):
-    """The raw conditional dual values and mass derivatives at the non-leaf
-    ``nodes`` of a complete market, with optimal log masses ``log_m``, in
-    the closed form of ``dual._complete_rows``: node n's subtree has one
-    martingale measure, q^n with ln q^n = ell_leaf - ell_n for the node
-    log masses ell of the support pass's ``log_interior``, so its problem
-    at mass m_n has the optimum m_n q^n and the wealth I(m_n q^n / p).  One ``v_point`` pass over the leaves of every node."""
-    tree = sol.tree
-    lay, ell = tree.layout, _support_structure(tree).log_interior
-    size = lay.hi[nodes] - lay.lo[nodes]
-    first = np.cumsum(size) - size
-    row = np.repeat(np.arange(nodes.size), size)
-    leaf = np.arange(size.sum()) - first[row] + lay.lo[nodes][row]
-    sums, *_ = _complete_rows(sol.pair, tree.leaf_probability_array[leaf],
-                              ell[lay.level_starts[-2] + leaf] - ell[nodes][row],
-                              sol._endow_arr[leaf], log_m[row], first)
-    return sums[0], sums[1]
-
-
-def _conditional_solves(sol, nodes, masses):
-    """The raw conditional dual values and mass derivatives at the charged
-    non-leaf ``nodes`` of one time, with optimal masses ``masses``, from one
-    Newton-core call.  Row i is node i's subtree: its leaves, padded to the
-    largest subtree's with p = 0 and zero entries, and the rows of
-    :func:`build_constraints` inside it that the tree's
-    :func:`_strategy_basis` keeps, padded with zero rows to the most any
-    subtree keeps (memory O(L k) per time).  Every leaf is live: the
-    two-power dual refuses a DEGENERATE market.  Each row starts at the
-    optimizer; the first failing row raises its :class:`NonconvergedError`.
-    The derivative is ``dual._envelope`` of the row's optimum, normalized by
-    its own mass, as ``DualSolution.mass_derivative`` has it."""
-    tree, pair, e, mu = sol.tree, sol.pair, sol._endow_arr, sol.mu
-    lay, p = tree.layout, tree.leaf_probability_array
-    geo = _support_structure(tree)
-    lo, hi = lay.lo[nodes], lay.hi[nodes]
-    # the kept rows of A, each in the subtree that holds its node, if any:
-    # the subtrees of one time are disjoint leaf ranges in leaf order
-    kept = np.flatnonzero(_strategy_basis(geo))
-    owner = kept // tree.n_assets
-    slot = np.maximum(np.searchsorted(lo, lay.lo[owner], side="right") - 1, 0)
-    inside = (lay.lo[owner] >= lo[slot]) & (lay.hi[owner] <= hi[slot])
-    by_slot = np.flatnonzero(inside)[np.argsort(slot[inside], kind="stable")]
-    kept, slot = kept[by_slot], slot[by_slot]
-    column = np.arange(slot.size) - np.searchsorted(slot, slot)
-    leaf = lo[:, None] + np.arange((hi - lo).max())
-    pad = leaf >= hi[:, None]
-    leaf[pad] = 0
-    A = np.zeros((nodes.size, column.max(initial=0) + 1, leaf.shape[1]))
-    A[slot, column] = np.where(pad[slot], 0.0, build_constraints(tree)[kept[:, None],
-                                                                       leaf[slot]])
-    p_sub, e_sub = np.where(pad, 0.0, p[leaf]), np.where(pad, 0.0, e[leaf])
-    mu_sub, _, raw, *_, errors = _newton_core(A, p_sub, e_sub, pair,
-                                              np.ones(leaf.shape[1], dtype=bool),
-                                              mass=masses, start=mu[leaf])
-    for err in errors:
-        if err is not None:
-            raise err
-    # the envelope formula, over the subtree's leaves; padding is not charged
-    dens = np.divide(mu_sub, p_sub, out=np.ones(mu_sub.shape), where=~pad)
-    q = mu_sub / mu_sub.sum(axis=1, keepdims=True)
-    return raw, _envelope(q, -pair.v_prime(dens) - e_sub, q > 0)
 
 
 # -- exponential Snell envelope ------------------------------------------------------

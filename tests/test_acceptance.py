@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import treegen
+from test_dual import _requoted
 from treedual import (EvaluationOverflowError, NonconvergedError, ReplicationGapError,
                       checks, dual, dynamic_dual, exponential_utility, find_equivalent_mm,
                       geometry, recover, recovery, run_battery, solve_dual,
@@ -108,12 +109,28 @@ def test_a_failed_conditional_solve_reads_a_typed_fail(monkeypatch):
     def stops_short(*args):
         raise NonconvergedError("no acceptable step at scaled gradient 1.000e-03", residual=1e-3)
 
-    monkeypatch.setattr(recovery, "_conditional_solves", stops_short)
+    monkeypatch.setattr(recovery, "_subtree_duals", stops_short)
     results = run_battery(tree, pair, 0.0)
     assert [r.name for r in results] == [r.name for r in run_battery(treegen.tri1(), pair, 0.0)]
     check = next(r for r in results if r.name == "dynamic dual consistency")
     assert check.residual == math.inf and not check.passed
     assert check.detail.startswith("NonconvergedError: no acceptable step at scaled gradient")
+    assert [r.name for r in results if not r.passed] == ["dynamic dual consistency"]
+
+
+@pytest.mark.parametrize("moves", [[1.2, 1.0, 0.85], [1.2, 0.85]], ids=["incomplete", "complete"])
+def test_a_refused_conditional_mass_reads_a_typed_fail(moves, monkeypatch):
+    # a conditional problem's mass past the float range is refused before
+    # either solver runs, and its typed error is the dynamic dual's FAIL
+    # line, as a stopped solve's is
+    tree, pair = treegen.product_market([moves] * 2), two_power_utility(0.5, 1.0, 1.0)
+    real = dual._subtree_duals
+    monkeypatch.setattr(recovery, "_subtree_duals",
+                        lambda sol, nodes, log_masses: real(sol, nodes, log_masses + 2000.0))
+    results = run_battery(tree, pair, 0.0)
+    check = next(r for r in results if r.name == "dynamic dual consistency")
+    assert check.residual == math.inf
+    assert check.detail.startswith("EvaluationOverflowError: mass e^")
     assert [r.name for r in results if not r.passed] == ["dynamic dual consistency"]
 
 
@@ -269,6 +286,79 @@ def test_terminal_gain_keeps_the_recovered_formulas():
             assert sol.mass_derivative == envelope
         assert sol.terminal_gain.tobytes() == want.tobytes()
         assert recover(tree, pair, endow, sol).terminal_wealth.tobytes() == want.tobytes()
+
+
+def _kkt_by_qr(tree, sol):
+    """Oracle of "dual first-order conditions": the check as the Newton
+    core's batched QR (``dual._qr_fits``) fits it, on the columns of the
+    tree's strategy basis (``dual._strategy_basis``) in the prices' own
+    units, where the battery fits each asset in its unit ``top`` by a
+    pseudo-inverse."""
+    lay, inner = tree.layout, tree.layout.level_starts[-2]
+    basis = dual._strategy_basis(geometry._support_structure(tree)).reshape(inner, -1)
+    live = sol.charged[inner:]
+    x = np.where(live, sol.terminal_gain, 0.0)
+    cond = tree.conditional_expectation(x, sol.node_log_q)
+    y = np.where(sol.charged, cond - cond[lay.parent], 0.0)
+    node = np.flatnonzero(sol.charged[:inner])
+    m = lay.on[node].sum(axis=1).max(initial=1)
+    kids, pad = lay.kids[node, :m], ~lay.on[node, :m]
+    J = np.where((pad | ~sol.charged[kids])[..., None] | ~basis[node, None], 0.0, lay.step[kids])
+    T = np.where(pad, 0.0, y[kids])[..., None]
+    res = np.where(pad[..., None], 0.0, T - J @ dual._qr_fits(J, T))
+    return float(np.abs(res).max(initial=0.0)) / (1.0 + float(np.abs(x[live]).max()))
+
+
+def _kkt_check(tree, pair, endow):
+    return next(r for r in run_battery(tree, pair, endow)
+                if r.name == "dual first-order conditions")
+
+
+def _kkt_trees():
+    # two assets quoted in units 1e12 and 1e-12, and a second asset that
+    # never moves or moves with the first: incomplete nodes all
+    two = treegen.product_market([[(1.2, 1.1), (0.9, 1.15), (1.0, 0.8), (1.1, 0.95)]] * 2,
+                                 s0=(1.0, 1.0))
+    return {
+        "1e12/1e-12": _requoted(_requoted(two, 0, 1e12), 1, 1e-12),
+        "still": treegen.product_market([[(1.2, 1.0), (1.0, 1.0), (0.85, 1.0)]] * 2,
+                                        s0=(1.0, 1.0)),
+        "collinear": treegen.product_market([[(1.2, 1.4), (1.0, 1.0), (0.85, 0.7)]] * 2,
+                                            s0=(1.0, 1.0)),
+    }
+
+
+_FAMILIES = {"exponential": exponential_utility(1.0, 2.0),
+             "two-power": two_power_utility(0.5, 1.0, 1.0)}
+
+
+@pytest.mark.parametrize("k", range(len(SUITE)))
+def test_the_first_order_fit_meets_the_qr_oracle_on_the_acceptance_suite(k):
+    tree, pair, endow = SUITE[k]
+    check = _kkt_check(tree, pair, endow)
+    want = _kkt_by_qr(tree, dual.solve_dual(tree, pair, endow))
+    assert abs(check.residual - want) <= 1e-15 and check.passed == (want <= check.tolerance)
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+@pytest.mark.parametrize("name", _kkt_trees())
+def test_the_first_order_fit_meets_the_qr_oracle_in_any_units(name, family, monkeypatch):
+    # to rounding on the optimum, and both FAIL where X moves at one leaf by
+    # 1e-6 of its largest size
+    tree, pair = _kkt_trees()[name], _FAMILIES[family]
+    e = np.random.default_rng(3).uniform(-1.0, 1.0, tree.n_leaves)
+    check, want = _kkt_check(tree, pair, e), _kkt_by_qr(tree, dual.solve_dual(tree, pair, e))
+    assert check.passed and abs(check.residual - want) <= 1e-15
+    real = dual.DualSolution.terminal_gain
+
+    def moved(sol):
+        x = real.fget(sol).copy()
+        x[0] += 1e-6 * np.abs(x).max()
+        return x
+    monkeypatch.setattr(dual.DualSolution, "terminal_gain", property(moved))
+    check, want = _kkt_check(tree, pair, e), _kkt_by_qr(tree, dual.solve_dual(tree, pair, e))
+    assert not check.passed and want > check.tolerance
+    assert check.residual == pytest.approx(want, rel=1e-6)
 
 
 def test_first_order_check_reads_a_charged_leaf_whose_mass_underflows(monkeypatch):

@@ -20,7 +20,7 @@ from treedual import (DomainError, EvaluationOverflowError, InfeasibleEntropyErr
                       relative_entropy, run_battery, solve_dual,
                       solve_dual_fixed_mass,
                       two_power_utility, vertex_enumerate)
-from treedual import checks, dual, geometry, market, oracle, recovery
+from treedual import checks, dual, geometry, market, oracle
 
 # closed form for the binomial market with unit risk aversion and no
 # endowment: mass solves E_Q[log(y q/p)] = 0 with q = (1/3, 2/3), p = (1/2, 1/2)
@@ -627,9 +627,18 @@ def test_solve_dual_never_sweeps(tri1, monkeypatch):
 def _structural_by_level(geo):
     """Oracle of :func:`dual._live_levels`: the same structural batches, each
     one (the nodes of a level with one valid vertex, then those with a
-    choice of weights) set up on its own, padded to its widest node."""
+    choice of weights) set up on its own, padded to its widest node.  The
+    w0 means alone are formed as the build forms them, by one einsum over
+    every live non-leaf node padded to the widest of all, then cut per
+    batch: summed over a batch's own width, a 7-child node's mean differs
+    in its last bit (the 322-leaf binomial-in-S tree of seed 1), and the
+    build keeps the one-pass mean so that ``fit`` is bit-identical."""
     lay, live = geo.layout, geo.live
     vertices = np.bincount(geo.node, minlength=len(lay.ids))
+    every = np.flatnonzero(live[:lay.level_starts[-2]])
+    kids, on, dS = dual._increments(lay, live, every)
+    means = np.zeros((len(lay.ids), dS.shape[2]))
+    means[every] = np.einsum("gm,gmd->gd", np.where(on, geo.step_weights[kids], 0.0), dS)
     out = []
     for lo, hi in zip(lay.level_starts[-3::-1], lay.level_starts[-2:0:-1]):
         for one in (True, False):
@@ -639,7 +648,7 @@ def _structural_by_level(geo):
             kids, on, dS = dual._increments(lay, live, node)
             w0 = np.where(on, geo.step_weights[kids], 0.0)
             lnp = np.where(on, np.log(lay.prob[kids]), -np.inf)
-            mean = np.einsum("gm,gmd->gd", w0, dS)
+            mean = means[node]
             dev = dS - mean[:, None]
             ev, vec = np.linalg.eigh(np.einsum("gm,gmd,gme->gde", w0, dev, dev))
             inv = np.divide(1.0, ev, out=np.zeros_like(ev),
@@ -721,7 +730,9 @@ def test_one_batch_sets_up_the_levels_bit_for_bit(seed, n_assets):
     lambda: treegen.product_market([[1.2, 1.0, 0.85], [1.1, 0.95], [1.3, 1.0, 0.9, 0.7]]),
     lambda: treegen.product_market([[(1.2, 1.1), (1.0, 0.8), (0.85, 1.05), (0.9, 0.95)]] * 3,
                                    s0=(1.0, 1.0)),
-], ids=["dead-leaf", "caterpillar", "dead-branch", "widths-3-2-4", "two-asset"])
+    lambda: market_from_dict(_binomial_in_s_tree(np.random.default_rng(1), 4, 400)[0]),
+], ids=["dead-leaf", "caterpillar", "dead-branch", "widths-3-2-4", "two-asset",
+        "binomial-in-S-322"])
 def test_one_batch_sets_up_uneven_levels_bit_for_bit(make):
     _assert_live_levels_match_the_oracle(make())
 
@@ -1918,7 +1929,8 @@ def test_the_closed_form_meets_the_newton_core_on_complete_markets(k):
     # free and fixed-mass rows against the core, the named oracle: value,
     # mass, mu, W'' (the pass at the closed form's optimum against the QR
     # oracle at the core's, :func:`_w2_at`) and the strategy's gains, and the
-    # conditional problems against the core's per-time solves
+    # conditional problems of every non-leaf node against the core's
+    # per-time solves
     tree = list(_complete_markets())[k]
     geo = geometry._support_structure(tree)
     assert geo.complete
@@ -1942,13 +1954,36 @@ def test_the_closed_form_meets_the_newton_core_on_complete_markets(k):
     sol = got[0]
     ps = recover(tree, pair, e, sol)
     assert ps.replication_residual <= 1e-12 * (1.0 + np.abs(ps.terminal_wealth).max())
-    mass, starts = tree.subtree_sums(sol.mu), tree.layout.level_starts
-    for t in range(1, tree.horizon):   # the core's call takes one time's nodes
-        nodes = np.arange(starts[t], starts[t + 1])
-        raw, deriv = recovery._complete_conditionals(sol, nodes, np.log(mass[nodes]))
-        raw_o, deriv_o = recovery._conditional_solves(sol, nodes, mass[nodes])
-        assert np.abs(raw - raw_o).max() <= 1e-12 * (1.0 + np.abs(raw_o).max())
-        assert np.abs(deriv - deriv_o).max() <= 1e-10 * (1.0 + np.abs(deriv_o).max())
+    nodes = np.arange(tree.layout.level_starts[-2])
+    log_m = sol._log_mass + sol.node_log_q[nodes]
+    raw, deriv = dual._subtree_duals(sol, nodes, log_m)
+    raw_o, deriv_o = dual._subtree_solves(sol, nodes, np.exp(log_m))
+    assert np.abs(raw - raw_o).max() <= 1e-12 * (1.0 + np.abs(raw_o).max())
+    assert np.abs(deriv - deriv_o).max() <= 1e-10 * (1.0 + np.abs(deriv_o).max())
+
+
+def _assert_whole_tree_rows_are_the_kept_constraint_rows(tree):
+    geo = geometry._support_structure(tree)
+    whole = dual._subtree_rows(tree)[0]
+    want = build_constraints(tree)[dual._strategy_basis(geo)]
+    assert whole.rows.shape == (1,) + want.shape and whole.rows.tobytes() == want.tobytes()
+    assert not whole.pad.any() and np.array_equal(whole.leaf[0], np.arange(tree.n_leaves))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+def test_the_whole_trees_core_rows_are_the_kept_constraint_rows(seed, n_assets):
+    # time 0 of the subtree layout, which every whole-tree core solve reads,
+    # is the rows of the constraint matrix that the strategy basis keeps
+    _assert_whole_tree_rows_are_the_kept_constraint_rows(
+        treegen.random_market(np.random.default_rng(seed), max_periods=3, n_assets=n_assets))
+
+
+def test_the_whole_trees_core_rows_are_the_kept_constraint_rows_across_the_sweep():
+    # mixed widths, units 1e-12 and 1e12, a zero increment, three assets,
+    # a dead leaf and the caterpillar
+    for tree in _sweep_trees().values():
+        _assert_whole_tree_rows_are_the_kept_constraint_rows(tree)
 
 
 def test_a_complete_binomial_solves_without_the_core_or_constraints(tp_pair, monkeypatch):

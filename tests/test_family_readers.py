@@ -32,7 +32,7 @@ LOG_PARTITION_READERS = {
     "dual.DualSolution.terminal_gain",
     "dual.DualSolution.mass_curvature",
     "dual.dual_value_curve",
-    "recovery._conditional_duals",
+    "dual._subtree_duals",
     "recovery.recover",
 }
 

@@ -1074,9 +1074,12 @@ def test_derived_structures_live_as_long_as_their_tree(tp_pair):
     solve_dual(tree, exponential_utility(1.0, 2.0), 0.0)
     geo = _support_structure(tree)
     A, levels, basis = build_constraints(tree), dual._live_levels(geo), dual._strategy_basis(geo)
+    subtrees = dual._subtree_rows(tree)
     assert _support_structure(tree) is geo and build_constraints(tree) is A
     assert dual._live_levels(geo) is levels and dual._strategy_basis(geo) is basis
-    refs = [weakref.ref(x) for x in (geo, A, *(a for batch in levels for a in batch[:2]), basis)]
-    del tree, geo, A, levels, basis
+    assert dual._subtree_rows(tree) is subtrees
+    refs = [weakref.ref(x) for x in (geo, A, *(a for batch in levels for a in batch[:2]), basis,
+                                     *(sub.rows for sub in subtrees))]
+    del tree, geo, A, levels, basis, subtrees
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)

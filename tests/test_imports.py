@@ -459,14 +459,50 @@ def test_the_package_keeps_one_root_finder():
 
 
 def test_the_dense_fits_keep_their_callers():
-    # the dense constraint matrix and its QR fits serve the Newton core, the
-    # conditional solves, the battery's per-node fits, the CLI's geometry
-    # and the oracles; W'' is a backward pass over the levels and reads none
+    # the dense constraint matrix reaches the Newton core through one
+    # layout of its rows, whole tree and subtrees alike, and serves the
+    # CLI's geometry and the oracles; its QR fits serve the core alone.  W''
+    # is a backward pass over the levels and the battery's per-node fits a
+    # pseudo-inverse: neither reads them
     assert _package_scopes(calls("build_constraints")) == {
-        "dual._core_solutions", "recovery._conditional_solves", "cli._cmd_geometry",
-        "oracle._polytope_frame", "oracle.brute_force_primal"}
+        "dual._subtree_rows", "cli._cmd_geometry", "oracle._polytope_frame",
+        "oracle.brute_force_primal"}
+    assert _package_scopes(calls("_subtree_rows")) == {
+        "dual._core_solutions", "dual._subtree_solves"}
+    assert _package_scopes(calls("_newton_core")) == {
+        "dual._core_solutions", "dual._subtree_solves"}
     assert _package_scopes(calls("_scaled_fits")) == {"dual._newton_core.fit"}
-    assert _package_scopes(calls("_qr_fits")) == {"dual._scaled_fits", "checks._per_node_fits"}
+    assert _package_scopes(calls("_qr_fits")) == {"dual._scaled_fits"}
+
+
+DENSE_CORE = {"_newton_core", "_strategy_basis", "_qr_fits", "_scaled_fits", "_complete_rows",
+              "build_constraints"}
+
+
+def dense_core_reads(source: str) -> list[str]:
+    """The names of ``DENSE_CORE`` that ``source`` imports or reads as an
+    attribute (``dual._newton_core``), sorted."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.name.split(".")[-1] for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return sorted(names & DENSE_CORE)
+
+
+@pytest.mark.parametrize("module", ["recovery", "checks"])
+def test_recovery_and_the_battery_read_no_dense_core(module):
+    # dual picks the solver of every subtree problem and lays out the core's
+    # rows; the dynamic dual and the battery's fits know neither
+    assert dense_core_reads((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def test_dense_core_reads_are_found():
+    source = ("from .dual import _qr_fits, solve_dual\nfrom . import dual\n"
+              "import numpy as np\ndef f(a):\n    return dual._newton_core(a)\n"
+              "def g(a):\n    return a.build_constraints + np.linalg.pinv(a)\n")
+    assert dense_core_reads(source) == ["_newton_core", "_qr_fits", "build_constraints"]
 
 
 def test_the_level_batches_keep_their_callers():

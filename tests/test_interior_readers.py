@@ -17,7 +17,7 @@ READERS = {
     "geometry.find_equivalent_mm",
     "dual._core_solutions",
     "dual._complete_solutions",
-    "recovery._complete_conditionals",
+    "dual._subtree_duals",
 }
 
 

@@ -502,8 +502,8 @@ def test_two_power_dynamic_dual_leaves_match_the_cores_leaf_solve(seed):
         assert node.restriction_gap == 0.0 and gap <= 1e-12
 
 
-def _conditional_solves_by_node(sol, nodes, masses):
-    """Oracle of ``recovery._conditional_solves``: the raw conditional dual
+def _subtree_solves_by_node(sol, nodes, masses):
+    """Oracle of ``dual._subtree_solves``: the raw conditional dual
     values and mass derivatives at the non-leaf ``nodes`` with optimal
     masses ``masses``, one Newton-core call per node, on the subtree's rows
     of ``build_constraints`` that the tree's strategy basis keeps, started
@@ -544,8 +544,8 @@ def test_one_core_call_per_time_matches_the_per_node_solves(seed, n_assets):
     for t in range(tree.horizon):
         nodes = np.arange(starts[t], starts[t + 1])
         nodes = nodes[sol.charged[nodes]]
-        got = recovery._conditional_solves(sol, nodes, mass[nodes])
-        want = _conditional_solves_by_node(sol, nodes, mass[nodes])
+        got = dual._subtree_solves(sol, nodes, mass[nodes])
+        want = _subtree_solves_by_node(sol, nodes, mass[nodes])
         for g, w in zip(got, want):
             assert np.all(np.abs(g - w) <= 1e-12 * (1.0 + np.abs(w)))
 
@@ -556,8 +556,8 @@ def test_dynamic_dual_calls_the_core_only_at_two_power_inner_nodes(family, monke
     pair = (exponential_utility(1.0, 2.0) if family == "exponential"
             else two_power_utility(0.5, 1.0, 1.0))
     sol = solve_dual(tree, pair, treegen.random_endowment(np.random.default_rng(9), tree))
-    calls, real = [], recovery._newton_core
-    monkeypatch.setattr(recovery, "_newton_core",
+    calls, real = [], dual._newton_core
+    monkeypatch.setattr(dual, "_newton_core",
                         lambda *args, **kw: calls.append(args[1].shape) or real(*args, **kw))
     per_time = []
     for t in range(tree.horizon + 1):
@@ -567,24 +567,23 @@ def test_dynamic_dual_calls_the_core_only_at_two_power_inner_nodes(family, monke
     if family == "exponential":
         assert calls == []
     else:
-        # one call per time 1 .. T - 1 with positive-mass non-leaf nodes, a
-        # row per node on its subtree's leaves; the root's problem is the
-        # value curve's point at the optimum's mass, solved in dual
-        assert per_time == [(0, 1), (1, 3), (0, tree.n_leaves)]
-        assert calls == [(3, 2)]
+        # the root's problem is the value curve's point at the optimum's
+        # mass, one whole-tree call; then one call per time 1 .. T - 1 with
+        # positive-mass non-leaf nodes, a row per node on its subtree's leaves
+        assert per_time == [(1, 1), (1, 3), (0, tree.n_leaves)]
+        assert calls == [(tree.n_leaves,), (3, 2)]
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3])
 def test_a_two_power_battery_makes_horizon_plus_one_core_calls(horizon, monkeypatch):
     # the solve, the value curve, whose middle point is the root's
     # conditional problem, and one conditional call per time 1 .. T - 1,
-    # counted at both bindings of the core
+    # counted at the core's one binding
     tree = treegen.product_market([[1.2, 1.0, 0.85]] * horizon)
     e = np.random.default_rng(0).uniform(-1.0, 1.0, tree.n_leaves)
     calls = []
-    for mod in (dual, recovery):
-        monkeypatch.setattr(mod, "_newton_core", lambda *args, real=mod._newton_core, **kw:
-                            calls.append(1) or real(*args, **kw))
+    monkeypatch.setattr(dual, "_newton_core", lambda *args, real=dual._newton_core, **kw:
+                        calls.append(1) or real(*args, **kw))
     results = run_battery(tree, two_power_utility(0.5, 1.0, 1.0), e)
     assert all(r.passed for r in results)
     assert len(calls) == horizon + 1
